@@ -6,6 +6,8 @@ package planarflow
 // cmd/flowbench; these benches track wall-clock and round costs per change.
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"planarflow/internal/artifact"
@@ -111,6 +113,67 @@ func BenchmarkE6MinSTCut(b *testing.B) {
 		}
 	}
 	reportRounds(b, led)
+}
+
+// benchWarmExact times run on the E1 instance behind an artifact whose BDD
+// is already built — the per-query work only — and reports the rounds of
+// the last run.
+func benchWarmExact(b *testing.B, run func(p *artifact.Prepared, tree *bdd.BDD, led *ledger.Ledger) error) {
+	g := planar.WithRandomWeights(planar.Grid(12, 12), planar.NewRand(1), 1, 1, 1, 64)
+	p := artifact.New(g)
+	tree, err := p.Tree(0, ledger.New())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var led *ledger.Ledger
+	for i := 0; i < b.N; i++ {
+		led = ledger.New()
+		if err := run(p, tree, led); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportRounds(b, led)
+}
+
+// BenchmarkWarmMaxFlow — E1 on a prepared graph: the λ search alone.
+func BenchmarkWarmMaxFlow(b *testing.B) {
+	benchWarmExact(b, func(p *artifact.Prepared, _ *bdd.BDD, led *ledger.Ledger) error {
+		_, err := core.MaxFlow(p, 0, p.Graph().N()-1, core.Options{}, led)
+		return err
+	})
+}
+
+// BenchmarkWarmMinSTCut — E6 on a prepared graph.
+func BenchmarkWarmMinSTCut(b *testing.B) {
+	benchWarmExact(b, func(p *artifact.Prepared, _ *bdd.BDD, led *ledger.Ledger) error {
+		_, err := core.MinSTCut(p, 0, p.Graph().N()-1, core.Options{}, led)
+		return err
+	})
+}
+
+// BenchmarkFeasibilityProbe — one λ of the search: the labeling pass over
+// the faces the negative-cycle verdict depends on.
+func BenchmarkFeasibilityProbe(b *testing.B) {
+	benchWarmExact(b, func(p *artifact.Prepared, tree *bdd.BDD, led *ledger.Ledger) error {
+		ok, err := duallabel.Feasible(context.Background(), tree, artifact.Lengths(p.Graph(), artifact.Undirected), led)
+		if err == nil && !ok {
+			err = errors.New("unexpected negative cycle")
+		}
+		return err
+	})
+}
+
+// BenchmarkFullDualLabeling — the same pass over every face (E5 without the
+// BDD build); charges the same rounds as the probe.
+func BenchmarkFullDualLabeling(b *testing.B) {
+	benchWarmExact(b, func(p *artifact.Prepared, tree *bdd.BDD, led *ledger.Ledger) error {
+		if duallabel.Compute(tree, artifact.Lengths(p.Graph(), artifact.Undirected), led).NegCycle {
+			return errors.New("unexpected negative cycle")
+		}
+		return nil
+	})
 }
 
 // BenchmarkE7PartwiseAggregation — Cor 4.6/Thm 4.10: PA on G* in Õ(D).

@@ -18,6 +18,7 @@ import (
 	"context"
 	"math/bits"
 	"sort"
+	"sync"
 
 	"planarflow/internal/ledger"
 	"planarflow/internal/planar"
@@ -99,6 +100,20 @@ type BDD struct {
 	Bags      []*Bag
 	LeafLimit int
 	Depth     int // number of levels (root = level 0)
+
+	memoOnce sync.Once
+	memo     any
+}
+
+// Memo returns what derive returned on the first call for this tree and
+// does not run it again. The dual labeling keeps the structure it reads off
+// the finished tree here (internal/duallabel's plan), so that structure is
+// derived on first use, shared by every labeling pass over the tree, and
+// freed with it; a tree nobody labels (one restored from a snapshot) never
+// pays for it. Safe for concurrent use.
+func (t *BDD) Memo(derive func() any) any {
+	t.memoOnce.Do(func() { t.memo = derive() })
+	return t.memo
 }
 
 // DefaultLeafLimit returns the paper's Θ(D log n) leaf bag size for g, with

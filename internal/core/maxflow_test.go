@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"planarflow/internal/ledger"
@@ -76,3 +78,91 @@ func TestMaxFlowTriangulations(t *testing.T) {
 }
 
 func led() *ledger.Ledger { return ledger.New() }
+
+// tripCtx reports context.Canceled from its limit-th Err() call on and
+// counts the calls, so a test can cancel "mid-search" at an exact labeling
+// checkpoint and see whether anything polled the context afterwards.
+type tripCtx struct {
+	context.Context
+	limit, calls int
+}
+
+func (c *tripCtx) Err() error {
+	c.calls++
+	if c.calls >= c.limit {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestExactQueriesStopWhenCanceled: MaxFlow and MinSTCut poll the prepared
+// view's context once per bag; a canceled view returns an error matching
+// context.Canceled and processes no further bag (no further poll).
+func TestExactQueriesStopWhenCanceled(t *testing.T) {
+	g := planar.WithRandomWeights(planar.Grid(8, 8), planar.NewRand(3), 1, 9, 1, 9)
+	p := prep(g)
+	opt := Options{LeafLimit: 12}
+	tree, err := p.Tree(opt.LeafLimit, led())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bags := len(tree.Bags)
+	if bags < 7 {
+		t.Fatalf("only %d bags: nothing to stop between", bags)
+	}
+	s, tt := 0, g.N()-1
+
+	// How many polls an uncanceled query makes: one per bag reached, and the
+	// λ=0 probe and the final labeling reach every bag.
+	count := &tripCtx{Context: context.Background(), limit: 1 << 30}
+	if _, err := MaxFlow(p.WithContext(count), s, tt, opt, led()); err != nil {
+		t.Fatal(err)
+	}
+	flowPolls := count.calls
+	if flowPolls < 2*bags {
+		t.Fatalf("MaxFlow polled the context %d times over %d bags", flowPolls, bags)
+	}
+
+	for _, tc := range []struct {
+		name  string
+		limit int
+		run   func(ctx context.Context) error
+	}{
+		{"maxflow/before", 1, func(ctx context.Context) error {
+			_, err := MaxFlow(p.WithContext(ctx), s, tt, opt, led())
+			return err
+		}},
+		{"maxflow/mid-search", flowPolls / 2, func(ctx context.Context) error {
+			_, err := MaxFlow(p.WithContext(ctx), s, tt, opt, led())
+			return err
+		}},
+		{"maxflow/final-labeling", flowPolls, func(ctx context.Context) error {
+			_, err := MaxFlow(p.WithContext(ctx), s, tt, opt, led())
+			return err
+		}},
+		{"minstcut/before", 1, func(ctx context.Context) error {
+			_, err := MinSTCut(p.WithContext(ctx), s, tt, opt, led())
+			return err
+		}},
+		{"minstcut/primal-labeling", flowPolls + bags/2 + 1, func(ctx context.Context) error {
+			_, err := MinSTCut(p.WithContext(ctx), s, tt, opt, led())
+			return err
+		}},
+	} {
+		ctx := &tripCtx{Context: context.Background(), limit: tc.limit}
+		err := tc.run(ctx)
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err=%v, want context.Canceled", tc.name, err)
+		}
+		if ctx.calls != tc.limit {
+			t.Errorf("%s: context polled %d times, canceled at poll %d", tc.name, ctx.calls, tc.limit)
+		}
+	}
+
+	// A really canceled context, through the public cancel func.
+	cctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := MinSTCut(p.WithContext(cctx), s, tt, opt, led()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled context: err=%v", err)
+	}
+}

@@ -48,7 +48,10 @@ func MinSTCut(p *artifact.Prepared, s, t int, opt Options, led *ledger.Ledger) (
 	if err != nil {
 		return nil, err
 	}
-	la := primallabel.Compute(tree, lengths, led)
+	la, err := primallabel.ComputeContext(p.Context(), tree, lengths, led)
+	if err != nil {
+		return nil, err
+	}
 	if la.NegCycle {
 		return nil, fmt.Errorf("core: internal: negative cycle in a 0/Inf residual graph")
 	}

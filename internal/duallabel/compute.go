@@ -31,7 +31,9 @@ type DDGArc struct {
 // weighted by decoded child-label distances, (ii) dual S_X arcs, and (iii)
 // zero arcs joining representatives of the same face.
 type BagDDG struct {
-	Bag   *bdd.Bag
+	Bag *bdd.Bag
+	// Nodes, Index and RepsOf (below) depend on the tree alone; labelings
+	// computed over one tree share them, read-only.
 	Nodes []DDGNode
 	Index map[DDGNode]int
 	Arcs  []DDGArc
@@ -68,6 +70,30 @@ func Compute(t *bdd.BDD, lengths []int64, led *ledger.Ledger) *Labeling {
 // ctx.Err() with a nil labeling, charging nothing (level charges are
 // emitted only on completion).
 func ComputeContext(ctx context.Context, t *bdd.BDD, lengths []int64, led *ledger.Ledger) (*Labeling, error) {
+	pl := planOf(t)
+	return pl.label(ctx, pl.every, lengths, led)
+}
+
+// Feasible reports whether G* is free of negative cycles under lengths —
+// ComputeContext's NegCycle verdict, negated — without keeping a labeling.
+// It is the same bottom-up pass restricted to the faces whose labels the
+// verdict depends on (plan.probe), and it charges led exactly what
+// ComputeContext charges: a bag's cost is its TreeDepth, the Words() of its
+// children's F_X labels and its arc counts, and none of those reads a label
+// the pass skips. lengths is not retained.
+func Feasible(ctx context.Context, t *bdd.BDD, lengths []int64, led *ledger.Ledger) (bool, error) {
+	pl := planOf(t)
+	la, err := pl.label(ctx, pl.probe, lengths, led)
+	if err != nil {
+		return false, err
+	}
+	return !la.NegCycle, nil
+}
+
+// label is the one labeling pass: bottom-up over the bags, labeling in each
+// bag the faces wanted lists for it.
+func (pl *plan) label(ctx context.Context, wanted [][]int, lengths []int64, led *ledger.Ledger) (*Labeling, error) {
+	t := pl.t
 	la := &Labeling{
 		T:       t,
 		Lengths: lengths,
@@ -77,7 +103,7 @@ func ComputeContext(ctx context.Context, t *bdd.BDD, lengths []int64, led *ledge
 
 	// Process bags bottom-up (children have larger IDs than parents by
 	// construction, so reverse ID order is a valid post-order).
-	levelCost := map[int]int64{}
+	levelCost := make([]int64, t.Depth)
 	for i := len(t.Bags) - 1; i >= 0; i-- {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -85,9 +111,9 @@ func ComputeContext(ctx context.Context, t *bdd.BDD, lengths []int64, led *ledge
 		b := t.Bags[i]
 		var cost int64
 		if b.IsLeaf() {
-			cost = la.computeLeaf(b)
+			cost = la.computeLeaf(b, &pl.bags[i], wanted[i])
 		} else {
-			cost = la.computeInternal(b)
+			cost = la.computeInternal(b, &pl.bags[i], wanted[i])
 		}
 		if la.NegCycle {
 			led.Charge("label/negative-cycle-abort", int64(b.TreeDepth+1))
@@ -157,134 +183,93 @@ func (la *Labeling) FootprintBytes() int64 {
 	return b
 }
 
-// computeLeaf gathers the whole dual bag and computes all-pairs distances
-// (the "collect the entire graph" step); returns the measured broadcast cost
-// TreeDepth + #nodes + #arcs (pipelined).
-func (la *Labeling) computeLeaf(b *bdd.Bag) int64 {
-	g := la.T.G
-	idx := make(map[int]int, len(b.Faces))
-	for i, f := range b.Faces {
-		idx[f] = i
-	}
-	dg := spath.NewDigraph(len(b.Faces))
+// computeLeaf gathers the whole dual bag (the "collect the entire graph"
+// step), takes the negative-cycle verdict from one super-source pass, and
+// computes distances from each wanted face; returns the measured broadcast
+// cost TreeDepth + #nodes + #arcs (pipelined). LeafFrom, which nothing
+// decodes, covers the wanted faces only — all of them in a full labeling.
+func (la *Labeling) computeLeaf(b *bdd.Bag, bp *bagPlan, wanted []int) int64 {
+	n := len(b.Faces)
+	super := n
+	dg := spath.NewDigraph(n + 1)
 	arcs := 0
-	b.DualArcs(g, func(d planar.Dart, from, to int) {
-		if la.Lengths[d] >= spath.Inf {
-			return
+	for _, a := range bp.leafArcs {
+		if l := la.Lengths[a.dart]; l < spath.Inf {
+			dg.AddArc(a.from, a.to, l, int(a.dart))
+			arcs++
 		}
-		dg.AddArc(idx[from], idx[to], la.Lengths[d], int(d))
-		arcs++
-	})
-	all, ok := spath.APSPBellmanFord(dg)
-	if !ok {
+	}
+	for i := 0; i < n; i++ {
+		dg.AddArc(super, i, 0, -1)
+	}
+	if _, ok := spath.BellmanFord(dg, super); !ok {
 		la.NegCycle = true
 		return 0
 	}
-	labels := make(map[int]*Label, len(b.Faces))
+	// wanted is a subsequence of b.Faces, so one merge finds its positions.
+	rows := make([][]int64, n) // by source position; nil when not wanted
+	w := 0
 	for i, f := range b.Faces {
+		if w < len(wanted) && wanted[w] == f {
+			res, _ := spath.BellmanFord(dg, i)
+			rows[i] = res.Dist
+			w++
+		}
+	}
+	labels := make(map[int]*Label, len(wanted))
+	for i, f := range b.Faces {
+		if rows[i] == nil {
+			continue
+		}
 		l := &Label{
 			Bag: b, Face: f,
-			LeafTo:   make(map[int]int64, len(b.Faces)),
-			LeafFrom: make(map[int]int64, len(b.Faces)),
+			LeafTo:   make(map[int]int64, n),
+			LeafFrom: make(map[int]int64, len(wanted)),
 		}
 		for j, h := range b.Faces {
-			l.LeafTo[h] = all[i][j]
-			l.LeafFrom[h] = all[j][i]
+			l.LeafTo[h] = rows[i][j]
+			if rows[j] != nil {
+				l.LeafFrom[h] = rows[j][i]
+			}
 		}
 		labels[f] = l
 	}
 	la.byBag[b.ID] = labels
-	return int64(b.TreeDepth + len(b.Faces) + arcs)
+	return int64(b.TreeDepth + n + arcs)
 }
 
 // computeInternal builds the base DDG from child labels, checks for
-// negative cycles, and derives every face's label via min-plus products over
-// the base matrix (§5.3); returns the charged broadcast cost.
-func (la *Labeling) computeInternal(b *bdd.Bag) int64 {
-	g := la.T.G
-	fd := g.Faces()
-	ddg := &BagDDG{
-		Bag:    b,
-		Index:  make(map[DDGNode]int),
-		RepsOf: make(map[int][]int),
-	}
-	addNode := func(ci, f int) int {
-		n := DDGNode{Child: ci, Face: f}
-		if i, ok := ddg.Index[n]; ok {
-			return i
-		}
-		i := len(ddg.Nodes)
-		ddg.Nodes = append(ddg.Nodes, n)
-		ddg.Index[n] = i
-		ddg.RepsOf[f] = append(ddg.RepsOf[f], i)
-		return i
-	}
-	inFX := make(map[int]bool, len(b.FX))
-	for _, f := range b.FX {
-		inFX[f] = true
-		for ci, c := range b.Children {
-			if c.FaceSet[f] {
-				addNode(ci, f)
-			}
-		}
-	}
+// negative cycles, and derives each wanted face's label via min-plus
+// products over the base matrix (§5.3); returns the charged broadcast cost.
+func (la *Labeling) computeInternal(b *bdd.Bag, bp *bagPlan, wanted []int) int64 {
+	ddg := &BagDDG{Bag: b, Nodes: bp.nodes, Index: bp.index, RepsOf: bp.repsOf}
+	childLabels := [2]map[int]*Label{la.byBag[b.Children[0].ID], la.byBag[b.Children[1].ID]}
 
 	// (i) Within-child cliques from decoded child labels.
-	childFX := [2][]int{}
-	for ci, c := range b.Children {
-		for _, f := range b.FX {
-			if c.FaceSet[f] {
-				childFX[ci] = append(childFX[ci], f)
-			}
-		}
-	}
 	broadcastWords := 0
 	for ci := range b.Children {
-		for _, f1 := range childFX[ci] {
-			l1 := la.byBag[b.Children[ci].ID][f1]
+		for _, e1 := range bp.childFX[ci] {
+			l1 := childLabels[ci][e1.face]
 			broadcastWords += l1.Words()
-			for _, f2 := range childFX[ci] {
-				if f1 == f2 {
+			for _, e2 := range bp.childFX[ci] {
+				if e1.face == e2.face {
 					continue
 				}
-				l2 := la.byBag[b.Children[ci].ID][f2]
-				if w := Decode(l1, l2); w < spath.Inf {
-					ddg.Arcs = append(ddg.Arcs, DDGArc{
-						From: ddg.Index[DDGNode{ci, f1}],
-						To:   ddg.Index[DDGNode{ci, f2}],
-						Len:  w, Dart: planar.NoDart,
-					})
+				if w := Decode(l1, childLabels[ci][e2.face]); w < spath.Inf {
+					ddg.Arcs = append(ddg.Arcs, DDGArc{From: e1.rep, To: e2.rep, Len: w, Dart: planar.NoDart})
 				}
 			}
 		}
 	}
 	// (ii) Dual S_X arcs.
-	for _, e := range b.DualSXEdges {
-		for _, d := range []planar.Dart{planar.ForwardDart(e), planar.BackwardDart(e)} {
-			if la.Lengths[d] >= spath.Inf {
-				continue
-			}
-			fromC := int(b.Sep.Side[d])
-			toC := int(b.Sep.Side[planar.Rev(d)])
-			ddg.Arcs = append(ddg.Arcs, DDGArc{
-				From: ddg.Index[DDGNode{fromC, fd.FaceOf(d)}],
-				To:   ddg.Index[DDGNode{toC, fd.FaceOf(planar.Rev(d))}],
-				Len:  la.Lengths[d], Dart: d,
-			})
+	for _, a := range bp.sxArcs {
+		if a.Len = la.Lengths[a.Dart]; a.Len < spath.Inf {
+			ddg.Arcs = append(ddg.Arcs, a)
 		}
 	}
 	broadcastWords += 2 * len(b.DualSXEdges)
 	// (iii) Zero arcs between representatives of the same face.
-	for _, f := range b.FX {
-		reps := ddg.RepsOf[f]
-		for i := 0; i < len(reps); i++ {
-			for j := 0; j < len(reps); j++ {
-				if i != j {
-					ddg.Arcs = append(ddg.Arcs, DDGArc{From: reps[i], To: reps[j], Len: 0, Dart: planar.NoDart})
-				}
-			}
-		}
-	}
+	ddg.Arcs = append(ddg.Arcs, bp.zeroArcs...)
 
 	// Negative-cycle check + all-pairs matrix on the base DDG.
 	dg := spath.NewDigraph(len(ddg.Nodes) + 1)
@@ -310,58 +295,62 @@ func (la *Labeling) computeInternal(b *bdd.Bag) int64 {
 	}
 	la.ddgs[b.ID] = ddg
 
-	// ---- Labels for every face of the bag. ----
-	labels := make(map[int]*Label, len(b.Faces))
-	for _, f := range b.Faces {
+	// ---- Labels for the wanted faces of the bag. ----
+	labels := make(map[int]*Label, len(wanted))
+	to := make([]int64, len(b.FX)) // by position in b.FX
+	from := make([]int64, len(b.FX))
+	for _, f := range wanted {
 		l := &Label{
 			Bag: b, Face: f,
 			To:   make(map[int]int64, len(b.FX)),
 			From: make(map[int]int64, len(b.FX)),
 		}
-		if inFX[f] {
+		if p, ok := bp.fxPos[f]; ok {
 			// Distances directly from the base matrix (min over reps).
-			for _, h := range b.FX {
-				l.To[h] = minOverReps(ddg, ddg.RepsOf[f], ddg.RepsOf[h])
-				l.From[h] = minOverReps(ddg, ddg.RepsOf[h], ddg.RepsOf[f])
+			for q, h := range b.FX {
+				l.To[h] = minOverReps(ddg, bp.fxReps[p], bp.fxReps[q])
+				l.From[h] = minOverReps(ddg, bp.fxReps[q], bp.fxReps[p])
 			}
 		} else {
 			// f lives wholly in one child: first/last hop through FX∩child.
 			ci := b.ChildContaining(f)
-			child := b.Children[ci]
-			lf := la.byBag[child.ID][f]
+			lf := childLabels[ci][f]
 			l.Child = lf
-			for _, h := range b.FX {
-				to, from := spath.Inf, spath.Inf
-				for _, fp := range childFX[ci] {
-					lp := la.byBag[child.ID][fp]
-					rep := ddg.Index[DDGNode{ci, fp}]
-					if dgo := Decode(lf, lp); dgo < spath.Inf {
-						for _, hr := range ddg.RepsOf[h] {
-							if dd := ddg.Dist[rep][hr]; dd < spath.Inf && dgo+dd < to {
-								to = dgo + dd
-							}
-						}
-					}
-					if dback := Decode(lp, lf); dback < spath.Inf {
-						for _, hr := range ddg.RepsOf[h] {
-							if dd := ddg.Dist[hr][rep]; dd < spath.Inf && dd+dback < from {
-								from = dd + dback
+			for q := range b.FX {
+				to[q], from[q] = spath.Inf, spath.Inf
+			}
+			for _, e := range bp.childFX[ci] {
+				lp := childLabels[ci][e.face]
+				dgo, dback := Decode(lf, lp), Decode(lp, lf)
+				if dgo < spath.Inf {
+					for q, reps := range bp.fxReps {
+						for _, hr := range reps {
+							if dd := ddg.Dist[e.rep][hr]; dd < spath.Inf && dgo+dd < to[q] {
+								to[q] = dgo + dd
 							}
 						}
 					}
 				}
-				// A path may also stay inside the child when h is there too.
-				if child.FaceSet[h] {
-					lh := la.byBag[child.ID][h]
-					if d := Decode(lf, lh); d < to {
-						to = d
-					}
-					if d := Decode(lh, lf); d < from {
-						from = d
+				if dback < spath.Inf {
+					for q, reps := range bp.fxReps {
+						for _, hr := range reps {
+							if dd := ddg.Dist[hr][e.rep]; dd < spath.Inf && dd+dback < from[q] {
+								from[q] = dd + dback
+							}
+						}
 					}
 				}
-				l.To[h] = to
-				l.From[h] = from
+				// e.face is itself a target, reachable without leaving the child.
+				if dgo < to[e.pos] {
+					to[e.pos] = dgo
+				}
+				if dback < from[e.pos] {
+					from[e.pos] = dback
+				}
+			}
+			for q, h := range b.FX {
+				l.To[h] = to[q]
+				l.From[h] = from[q]
 			}
 		}
 		labels[f] = l

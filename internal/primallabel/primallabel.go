@@ -111,16 +111,20 @@ func ComputeContext(ctx context.Context, t *bdd.BDD, lengths []int64, led *ledge
 		byBag:   make([]map[int]*Label, len(t.Bags)),
 	}
 	levelCost := map[int]int64{}
+	// verts[id] is bag id's vertex list, computed when the bag is reached;
+	// children have larger IDs, so a parent finds its children's lists ready.
+	verts := make([][]int, len(t.Bags))
 	for i := len(t.Bags) - 1; i >= 0; i-- {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		b := t.Bags[i]
+		verts[i] = bagVertices(t.G, b)
 		var cost int64
 		if b.IsLeaf() {
-			cost = la.computeLeaf(b)
+			cost = la.computeLeaf(b, verts[i])
 		} else {
-			cost = la.computeInternal(b)
+			cost = la.computeInternal(b, verts)
 		}
 		if la.NegCycle {
 			led.Charge("primal-label/negative-cycle-abort", int64(b.TreeDepth+1))
@@ -194,15 +198,12 @@ func (la *Labeling) SSSP(src int, led *ledger.Ledger) []int64 {
 	return dist
 }
 
-// bagVertices collects the vertices of a bag (endpoints of its edges).
+// bagVertices collects the vertices of a bag (endpoints of its darts).
 func bagVertices(g *planar.Graph, b *bdd.Bag) []int {
-	seen := map[int]bool{}
+	seen := make(map[int]bool, len(b.Darts))
 	var out []int
-	for e := 0; e < g.M(); e++ {
-		if !b.EdgeIn[e] {
-			continue
-		}
-		for _, v := range []int{g.Edge(e).U, g.Edge(e).V} {
+	for _, d := range b.Darts {
+		for _, v := range [2]int{g.Tail(d), g.Head(d)} {
 			if !seen[v] {
 				seen[v] = true
 				out = append(out, v)
@@ -228,9 +229,7 @@ func (la *Labeling) arcsOf(b *bdd.Bag, visit func(d planar.Dart, from, to int)) 
 	}
 }
 
-func (la *Labeling) computeLeaf(b *bdd.Bag) int64 {
-	g := la.T.G
-	verts := bagVertices(g, b)
+func (la *Labeling) computeLeaf(b *bdd.Bag, verts []int) int64 {
 	idx := make(map[int]int, len(verts))
 	for i, v := range verts {
 		idx[v] = i
@@ -263,14 +262,12 @@ func (la *Labeling) computeLeaf(b *bdd.Bag) int64 {
 	return int64(b.TreeDepth + len(verts) + arcs)
 }
 
-func (la *Labeling) computeInternal(b *bdd.Bag) int64 {
-	g := la.T.G
-
+func (la *Labeling) computeInternal(b *bdd.Bag, verts [][]int) int64 {
 	// Separator vertex set: vertices present in both children (this
 	// contains the S_X cycle vertices; shared hole vertices join too).
 	childVerts := [2]map[int]bool{{}, {}}
 	for ci, c := range b.Children {
-		for _, v := range bagVertices(g, c) {
+		for _, v := range verts[c.ID] {
 			childVerts[ci][v] = true
 		}
 	}
@@ -359,7 +356,9 @@ func (la *Labeling) computeInternal(b *bdd.Bag) int64 {
 
 	// Labels for every vertex of the bag.
 	labels := make(map[int]*Label)
-	for _, v := range bagVertices(g, b) {
+	to := make([]int64, len(sep)) // by position in sep
+	from := make([]int64, len(sep))
+	for _, v := range verts[b.ID] {
 		l := &Label{
 			Bag: b, Vertex: v,
 			To:   make(map[int]int64, len(sep)),
@@ -378,28 +377,35 @@ func (la *Labeling) computeInternal(b *bdd.Bag) int64 {
 			child := b.Children[ci]
 			lv := la.byBag[child.ID][v]
 			l.Child = lv
-			for _, f := range sep {
-				to, from := spath.Inf, spath.Inf
-				for _, fp := range childSep[ci] {
-					lp := la.byBag[child.ID][fp]
-					rep := index[node{ci, fp}]
-					if dgo := Decode(lv, lp); dgo < spath.Inf {
+			for q := range sep {
+				to[q], from[q] = spath.Inf, spath.Inf
+			}
+			for _, fp := range childSep[ci] {
+				lp := la.byBag[child.ID][fp]
+				rep := index[node{ci, fp}]
+				dgo, dback := Decode(lv, lp), Decode(lp, lv)
+				if dgo < spath.Inf {
+					for q, f := range sep {
 						for _, hr := range repsOf[f] {
-							if dd := mat[rep][hr]; dd < spath.Inf && dgo+dd < to {
-								to = dgo + dd
-							}
-						}
-					}
-					if dback := Decode(lp, lv); dback < spath.Inf {
-						for _, hr := range repsOf[f] {
-							if dd := mat[hr][rep]; dd < spath.Inf && dd+dback < from {
-								from = dd + dback
+							if dd := mat[rep][hr]; dd < spath.Inf && dgo+dd < to[q] {
+								to[q] = dgo + dd
 							}
 						}
 					}
 				}
-				l.To[f] = to
-				l.From[f] = from
+				if dback < spath.Inf {
+					for q, f := range sep {
+						for _, hr := range repsOf[f] {
+							if dd := mat[hr][rep]; dd < spath.Inf && dd+dback < from[q] {
+								from[q] = dd + dback
+							}
+						}
+					}
+				}
+			}
+			for q, f := range sep {
+				l.To[f] = to[q]
+				l.From[f] = from[q]
 			}
 		}
 		labels[v] = l

@@ -74,6 +74,17 @@ func TestPrepareContextCancellation(t *testing.T) {
 	if d1 != d2 {
 		t.Fatalf("distances differ across views: %d vs %d", d1, d2)
 	}
+	// Exact max-flow and min-cut label per query, so a warm tree does not
+	// let the canceled view run them.
+	if _, err := live.MaxFlow(0, g.N()-1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.MaxFlow(0, g.N()-1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("MaxFlow on a warm tree under canceled ctx: %v, want context.Canceled", err)
+	}
+	if _, err := p.MinSTCut(0, g.N()-1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("MinSTCut on a warm tree under canceled ctx: %v, want context.Canceled", err)
+	}
 }
 
 func TestWithContextSharesSubstrates(t *testing.T) {
