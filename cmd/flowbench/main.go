@@ -18,8 +18,12 @@
 //	flowbench -exp E1 -repeats 3 -jsonl out.jsonl -csv out.csv
 //	flowbench -exp sched -write-baseline BENCH_sched.json
 //	flowbench -exp sched -baseline BENCH_sched.json   # exit 1 on regression
-//	flowbench -exp serve -full -baseline BENCH_serve.json  # serving gate
-//	flowbench -exp traffic -baseline BENCH_traffic_smoke.json -require-ok  # fleet gate
+//	flowbench -exp serve -baseline BENCH_serve_smoke.json -require-ok  # serving gate
+//
+// flowbench counts rounds, messages and bits. Wall-clock serving questions
+// (qps, latency, restore vs build, wire vs HTTP) belong to bench/, and the
+// serving invariants (bit-identical answers across restart, failover and
+// batching) to the package tests; see EXPERIMENTS.md.
 package main
 
 import (
@@ -70,12 +74,11 @@ var experiments = []struct {
 	{"E1", e1ExactFlow}, {"E2", e2ApproxFlow}, {"E3", e3GlobalCut},
 	{"E4", e4Girth}, {"E5", e5Labels}, {"E6", e6MinCut},
 	{"E7", e7PA}, {"E8", e8BDD}, {"E9", e9Crossover}, {"E10", e10GirthAblation},
-	{"SCHED", schedBench}, {"SERVE", serveBench}, {"TRAFFIC", trafficBench},
-	{"BATCH", batchBench}, {"COLDSTART", coldstartBench}, {"FLEET", fleetBench},
+	{"SCHED", schedBench}, {"SERVE", serveBench},
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (E1..E10, SCHED, SERVE, TRAFFIC, BATCH, COLDSTART, FLEET, or all)")
+	exp := flag.String("exp", "all", "experiment id (E1..E10, SCHED, SERVE, or all)")
 	full := flag.Bool("full", false, "run larger instances")
 	repeats := flag.Int("repeats", 1, "repeat each experiment with derived seeds")
 	csvPath := flag.String("csv", "", "write one CSV row per instance run")
@@ -84,7 +87,7 @@ func main() {
 	writeBase := flag.String("write-baseline", "", "store this run's rounds as a baseline JSON")
 	tol := flag.Float64("tol", 0, "fractional rounds tolerance for -baseline comparison")
 	seed := flag.Int64("seed", 0, "override base RNG seed (0 = per-experiment default)")
-	requireOK := flag.Bool("require-ok", false, "exit 1 if any record's correctness check failed (gates wall-clock-dependent experiments whose rounds are not comparable)")
+	requireOK := flag.Bool("require-ok", false, "exit 1 if any record's correctness check failed")
 	flag.Parse()
 
 	if *repeats < 1 {

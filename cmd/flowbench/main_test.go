@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -164,5 +165,30 @@ func TestSmokeBaselineRoundTrip(t *testing.T) {
 	}
 	if regs := compare(b, b.Points, 0); regs == 0 {
 		t.Fatal("doctored baseline not flagged as regression")
+	}
+}
+
+// TestRecordSchema pins the two things a reader of the sinks relies on:
+// the CSV header is exactly Record's JSON field names in declaration order
+// (so the CSV and JSONL schemas cannot drift apart, or away from the table
+// in EXPERIMENTS.md), and the experiment list is the round-count set —
+// wall-clock serving questions live in bench/, not here.
+func TestRecordSchema(t *testing.T) {
+	rt := reflect.TypeOf(Record{})
+	var tags []string
+	for i := 0; i < rt.NumField(); i++ {
+		name, _, _ := strings.Cut(rt.Field(i).Tag.Get("json"), ",")
+		tags = append(tags, name)
+	}
+	if !reflect.DeepEqual(tags, csvHeader) {
+		t.Fatalf("CSV header and Record JSON tags differ:\n csv  %v\n json %v", csvHeader, tags)
+	}
+	var ids []string
+	for _, e := range experiments {
+		ids = append(ids, e.id)
+	}
+	want := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "SCHED", "SERVE"}
+	if !reflect.DeepEqual(ids, want) {
+		t.Fatalf("experiments = %v, want %v", ids, want)
 	}
 }

@@ -31,41 +31,10 @@ type Record struct {
 	Seed     int64   `json:"seed"`            // RNG seed the repeat ran with
 	OK       bool    `json:"ok"`              // experiment-specific correctness check
 
-	// Serving metrics (SERVE and TRAFFIC experiments).
+	// Serving metrics (SERVE only).
 	Queries int     `json:"queries,omitempty"`   // number of queries in the batch
-	Speedup float64 `json:"speedup_x,omitempty"` // cold rounds / prepared rounds
+	Speedup float64 `json:"speedup_x,omitempty"` // cold rounds / prepared rounds (:fast records: qps ratio over :sim)
 	QPS     float64 `json:"qps,omitempty"`       // wall-clock queries per second
-
-	// Traffic metrics (TRAFFIC and BATCH experiments).
-	Clients   int     `json:"clients,omitempty"`   // concurrent clients driving the daemon
-	HitRate   float64 `json:"hit_rate,omitempty"`  // store hits / (hits + misses)
-	Evictions int64   `json:"evictions,omitempty"` // bundles evicted under the budget
-	P50MS     float64 `json:"p50_ms,omitempty"`    // median request latency
-	P99MS     float64 `json:"p99_ms,omitempty"`    // tail request latency
-
-	// Batch metrics (BATCH experiment only).
-	Batch int `json:"batch,omitempty"` // queries per request (0 = singleton path)
-
-	// Per-phase mean wall per request (TRAFFIC and BATCH; snapshot deltas
-	// of the daemon's flowd_phase_seconds histograms over the measured
-	// window). Exec is inclusive of Build — the split tells build-heavy
-	// churn from decode-heavy steady state.
-	PhaseDecodeMS  float64 `json:"phase_decode_ms,omitempty"`
-	PhaseAcquireMS float64 `json:"phase_acquire_ms,omitempty"`
-	PhaseBuildMS   float64 `json:"phase_build_ms,omitempty"`
-	PhaseExecMS    float64 `json:"phase_exec_ms,omitempty"`
-	PhaseEncodeMS  float64 `json:"phase_encode_ms,omitempty"`
-
-	// Persistence metrics (COLDSTART experiment only).
-	BuildMS   float64 `json:"build_ms,omitempty"`   // wall-clock to build all substrates cold
-	RestoreMS float64 `json:"restore_ms,omitempty"` // wall-clock to restore them from a snapshot
-
-	// Fleet metrics (FLEET experiment only).
-	Replicas     int   `json:"replicas,omitempty"`      // fleet size the run started with
-	Failovers    int64 `json:"failovers,omitempty"`     // requests re-routed after a replica kill
-	PeerRestores int64 `json:"peer_restores,omitempty"` // survivor bundles restored over the snapshot stream
-	Rebuilds     int64 `json:"rebuilds,omitempty"`      // survivor substrate builds after the kill (gated == 0)
-	TraceHops    int   `json:"trace_hops,omitempty"`    // distinct hops in the stitched adopt trace (gated >= 2)
 }
 
 // key identifies a record across runs for baseline comparison. Wall-clock
@@ -89,10 +58,6 @@ var csvHeader = []string{
 	"exp", "instance", "n", "d", "rounds", "measured_rounds", "charged_rounds",
 	"messages", "bits", "wall_ms", "repeat", "seed", "ok",
 	"queries", "speedup_x", "qps",
-	"clients", "hit_rate", "evictions", "p50_ms", "p99_ms", "batch",
-	"build_ms", "restore_ms",
-	"phase_decode_ms", "phase_acquire_ms", "phase_build_ms", "phase_exec_ms", "phase_encode_ms",
-	"replicas", "failovers", "peer_restores", "rebuilds", "trace_hops",
 }
 
 func newSink(csvPath, jsonlPath string) (*sink, error) {
@@ -131,17 +96,6 @@ func (s *sink) add(r Record) {
 			strconv.Itoa(r.Repeat), strconv.FormatInt(r.Seed, 10), strconv.FormatBool(r.OK),
 			strconv.Itoa(r.Queries), strconv.FormatFloat(r.Speedup, 'f', 2, 64),
 			strconv.FormatFloat(r.QPS, 'f', 2, 64),
-			strconv.Itoa(r.Clients), strconv.FormatFloat(r.HitRate, 'f', 4, 64),
-			strconv.FormatInt(r.Evictions, 10),
-			strconv.FormatFloat(r.P50MS, 'f', 3, 64), strconv.FormatFloat(r.P99MS, 'f', 3, 64),
-			strconv.Itoa(r.Batch),
-			strconv.FormatFloat(r.BuildMS, 'f', 3, 64), strconv.FormatFloat(r.RestoreMS, 'f', 3, 64),
-			strconv.FormatFloat(r.PhaseDecodeMS, 'f', 4, 64), strconv.FormatFloat(r.PhaseAcquireMS, 'f', 4, 64),
-			strconv.FormatFloat(r.PhaseBuildMS, 'f', 4, 64), strconv.FormatFloat(r.PhaseExecMS, 'f', 4, 64),
-			strconv.FormatFloat(r.PhaseEncodeMS, 'f', 4, 64),
-			strconv.Itoa(r.Replicas), strconv.FormatInt(r.Failovers, 10),
-			strconv.FormatInt(r.PeerRestores, 10), strconv.FormatInt(r.Rebuilds, 10),
-			strconv.Itoa(r.TraceHops),
 		})
 	}
 	if s.enc != nil {

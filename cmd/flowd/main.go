@@ -51,7 +51,6 @@ import (
 	"syscall"
 	"time"
 
-	"planarflow/internal/fleet"
 	"planarflow/internal/flowd"
 	"planarflow/internal/obs"
 	"planarflow/internal/store"
@@ -65,7 +64,7 @@ func main() {
 	maxGraphs := flag.Int("max-graphs", store.DefaultMaxGraphs, "cap on registered graphs (graphs are not evictable; < 0 = unlimited)")
 	demo := flag.Int("demo", 0, "preregister this many demo grid graphs (demo0..demoN-1)")
 	snapDir := flag.String("snapshot-dir", "", "disk snapshot tier: evicted bundles spill here, misses and boot restore from here ('' = disabled)")
-	selfcheck := flag.Bool("selfcheck", false, "serve on a loopback port, run an end-to-end check (including snapshot → restart → query and a two-replica fleet failover), exit")
+	selfcheck := flag.Bool("selfcheck", false, "serve on loopback listeners, run the single-node end-to-end check (every family, batch, wire parity, telemetry, snapshot → restart → query), exit")
 	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "graceful-drain budget on SIGTERM/SIGINT: finish in-flight requests, then flush resident bundles to the disk tier")
 	logLevel := flag.String("log-level", "warn", "structured-log threshold: debug|info|warn|error (debug logs every request)")
 	slowMS := flag.Int("slow-query-ms", 250, "requests at least this slow land in the slow-query log and /tracez")
@@ -240,7 +239,9 @@ func serveLoopback(srv *flowd.Server) (*flowd.Client, func(), error) {
 // burst, a slow span with build-phase attribution on /tracez), then
 // persist the warm working set with POST /v1/snapshot, restart onto a
 // fresh store over the same snapshot directory, and verify the restored
-// daemon answers every family bit-identically without rebuilding.
+// daemon answers every family bit-identically without rebuilding. It is
+// the single-node daemon's check; the fleet's kill-owner → failover →
+// adopt scenario lives in internal/fleet's tests.
 func runSelfcheck(cfg store.Config, demo int, opts flowd.ServerOptions) error {
 	// A 1ms slow threshold guarantees the cold-build query below lands in
 	// the slow log; errors-only logging keeps the marker output stable.
@@ -566,211 +567,6 @@ func runSelfcheck(cfg store.Config, demo int, opts flowd.ServerOptions) error {
 	fmt.Printf("restart: warm-restored %d+1 graph(s), all %d families bit-identical, 0 rebuilds\n",
 		restored, len(checks))
 
-	if err := runFleetCheck(ctx, checks, want); err != nil {
-		return fmt.Errorf("fleet: %w", err)
-	}
 	fmt.Println("flowd selfcheck: ok")
-	return nil
-}
-
-// runFleetCheck is the fleet leg of the selfcheck: three in-process
-// replicas behind the consistent-hash client, the check graph placed on
-// its owner and synced to the standby, then the owner hard-killed —
-// every family must answer bit-identically through the failover, served
-// from the standby's peer-restored bundle with zero rebuilds. A second
-// fleet client (never standby-synced) drives the adopt path through the
-// same kill, and the resulting trace must stitch across the client's
-// failover spans, the adopting replica's restore, and the source peer's
-// snapshot fetch — with matching eject/adopt/peer-restore journal
-// events keyed by the same trace id.
-func runFleetCheck(ctx context.Context, checks []flowd.QueryRequest, want []string) error {
-	dir, err := os.MkdirTemp("", "flowd-selfcheck-fleet")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	reps := make([]*fleet.Replica, 3)
-	members := make([]fleet.Member, 3)
-	for i := range reps {
-		r, err := fleet.StartReplica(fleet.ReplicaConfig{
-			Name:  fmt.Sprintf("r%d", i),
-			Store: store.Config{SpillDir: dir},
-		})
-		if err != nil {
-			return err
-		}
-		defer r.Stop()
-		reps[i] = r
-		members[i] = r.Member()
-	}
-	fc, err := fleet.New(members, fleet.Options{
-		ProbeInterval: -1, // the kill below is permanent; nothing to probe for
-		BackoffBase:   time.Millisecond,
-		BackoffCap:    10 * time.Millisecond,
-	})
-	if err != nil {
-		return err
-	}
-	defer fc.Close()
-
-	if err := fc.Register(ctx, "check", checkSpec); err != nil {
-		return err
-	}
-	for i, q := range checks {
-		resp, err := fc.Query(ctx, q)
-		if err != nil {
-			return fmt.Errorf("pre-kill %s: %w", q.Op, err)
-		}
-		// Warm pass so the fleet answers from the same state the restart
-		// leg pinned, then compare against its keys.
-		resp, err = fc.Query(ctx, q)
-		if err != nil {
-			return fmt.Errorf("pre-kill %s: %w", q.Op, err)
-		}
-		if got := flowd.RestartKey(resp); got != want[i] {
-			return fmt.Errorf("pre-kill %s diverged:\n  got  %s\n  want %s", q.Op, got, want[i])
-		}
-	}
-	if n, err := fc.SyncStandby(ctx); err != nil || n == 0 {
-		return fmt.Errorf("standby sync: synced=%d err=%v", n, err)
-	}
-	owner, _ := fc.Owner("check")
-	repByName := func(name string) *fleet.Replica {
-		for _, r := range reps {
-			if r.Name == name {
-				return r
-			}
-		}
-		return nil
-	}
-	chain := fc.Ring().Successors("check", 2)
-	if len(chain) != 2 || chain[0] != owner {
-		return fmt.Errorf("successor chain for check: %v (owner %s)", chain, owner)
-	}
-	ownerRep, standbyRep := repByName(owner), repByName(chain[1])
-	if standbyRep.Store.Snapshot().PeerRestores < 1 {
-		return fmt.Errorf("standby holds no peer-restored bundle after sync")
-	}
-
-	// Adopt/trace leg setup, before the kill: a second fleet client that
-	// never runs a standby sync, a graph owned by the same victim, and a
-	// warmed bystander copy on the tail of its successor chain — so the
-	// post-kill failover target must adopt the graph and peer-restore it.
-	fc2, err := fleet.New(members, fleet.Options{
-		ProbeInterval: -1,
-		BackoffBase:   time.Millisecond,
-		BackoffCap:    10 * time.Millisecond,
-	})
-	if err != nil {
-		return err
-	}
-	defer fc2.Close()
-	adoptSpec := store.GraphSpec{Kind: "grid", Rows: 8, Cols: 8, Seed: 23, WLo: 1, WHi: 9, CLo: 1, CHi: 16}
-	var adoptID string
-	var adoptChain []string
-	for i := 0; i < 4096 && adoptID == ""; i++ {
-		id := fmt.Sprintf("adopt-%d", i)
-		if o, ok := fc2.Owner(id); ok && o == owner {
-			if ch := fc2.Ring().Successors(id, 3); len(ch) == 3 {
-				adoptID, adoptChain = id, ch
-			}
-		}
-	}
-	if adoptID == "" {
-		return fmt.Errorf("no graph id hashes to owner %s", owner)
-	}
-	if err := fc2.Register(ctx, adoptID, adoptSpec); err != nil {
-		return err
-	}
-	adoptQuery := flowd.QueryRequest{Graph: adoptID, Op: "dist", U: 0, V: 63}
-	adoptWant, err := fc2.Query(ctx, adoptQuery)
-	if err != nil {
-		return fmt.Errorf("pre-kill adopt query: %w", err)
-	}
-	bystander := flowd.NewClient(repByName(adoptChain[2]).Member().HTTP)
-	if _, err := bystander.RegisterWarm(ctx, adoptID, adoptSpec); err != nil {
-		return fmt.Errorf("bystander warm: %w", err)
-	}
-
-	// Builds on the check standby must not move past this point: the
-	// failover below is served from its peer-restored bundle, and the
-	// adopt leg's restore ships bytes instead of rebuilding.
-	preBuilds := standbyRep.Store.Snapshot().Builds
-	ownerRep.Stop()
-
-	for i, q := range checks {
-		resp, err := fc.Query(ctx, q)
-		if err != nil {
-			return fmt.Errorf("post-kill %s: %w", q.Op, err)
-		}
-		if got := flowd.RestartKey(resp); got != want[i] {
-			return fmt.Errorf("post-kill %s diverged:\n  got  %s\n  want %s", q.Op, got, want[i])
-		}
-	}
-	if got := standbyRep.Store.Snapshot().Builds; got != preBuilds {
-		return fmt.Errorf("standby rebuilt through the failover: builds %d -> %d", preBuilds, got)
-	}
-	fs := fc.Stats()
-	if fs.Ejects < 1 || fs.Failovers < 1 {
-		return fmt.Errorf("failover not exercised: %+v", fs)
-	}
-	fmt.Printf("fleet: owner %s killed, standby served all %d families bit-identically from its peer-restored bundle (0 rebuilds)\n",
-		owner, len(checks))
-
-	// Adopt/trace leg: the second client's post-kill query must fail over
-	// to a replica that has never seen the graph, adopt it, and restore it
-	// from the bystander peer — all inside one trace.
-	adoptGot, err := fc2.Query(ctx, adoptQuery)
-	if err != nil {
-		return fmt.Errorf("post-kill adopt query: %w", err)
-	}
-	if adoptGot.Value != adoptWant.Value {
-		return fmt.Errorf("adopted answer diverged: got %d want %d", adoptGot.Value, adoptWant.Value)
-	}
-	events := fc2.Journal().Recent()
-	var traceID string
-	for _, e := range events { // newest-first: the post-kill restore wins
-		if e.Type == obs.EventPeerRestore && e.Graph == adoptID {
-			traceID = e.TraceID
-			break
-		}
-	}
-	if traceID == "" {
-		return fmt.Errorf("journal holds no peer-restore event for %q: %+v", adoptID, events)
-	}
-	var sawEject, sawAdopt bool
-	for _, e := range events {
-		if e.TraceID != traceID {
-			continue
-		}
-		switch e.Type {
-		case obs.EventEject:
-			sawEject = true
-		case obs.EventAdopt:
-			sawAdopt = true
-		}
-	}
-	if !sawEject || !sawAdopt {
-		return fmt.Errorf("journal events for trace %s incomplete: eject=%v adopt=%v", traceID, sawEject, sawAdopt)
-	}
-	rings := [][]obs.SpanView{fc2.Tracer().Recent(), fc2.Tracer().Slow()}
-	for _, r := range reps {
-		rings = append(rings, r.Srv.Tracer().Recent(), r.Srv.Tracer().Slow())
-	}
-	var stitched *obs.TraceView
-	for _, tv := range obs.Stitch(rings...) {
-		if tv.TraceID == traceID {
-			stitched = &tv
-			break
-		}
-	}
-	if stitched == nil {
-		return fmt.Errorf("trace %s did not stitch across the fleet", traceID)
-	}
-	if stitched.Hops < 2 {
-		return fmt.Errorf("trace %s spans %d hop(s), want >= 2 (client -> adopter -> source peer)", traceID, stitched.Hops)
-	}
-	fmt.Printf("fleet: adopt trace %s stitched %d span(s) over %d hops with eject/adopt/peer-restore journal events\n",
-		traceID, len(stitched.Spans), stitched.Hops)
 	return nil
 }

@@ -383,11 +383,15 @@ func (f *front) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// handleMetricsz merges every replica's registry with the process-wide
+// one (once): the store, artifact, decode and wire layers record there,
+// not per replica.
 func (f *front) handleMetricsz(w http.ResponseWriter, r *http.Request) {
-	regs := make([]*obs.Registry, len(f.reps))
-	for i, rep := range f.reps {
-		regs[i] = rep.Reg
+	regs := make([]*obs.Registry, 0, len(f.reps)+1)
+	for _, rep := range f.reps {
+		regs = append(regs, rep.Reg)
 	}
+	regs = append(regs, obs.Default())
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	obs.WriteMergedPrometheus(w, regs...)
 }

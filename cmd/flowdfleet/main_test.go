@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"planarflow/internal/fleet"
+	"planarflow/internal/flowd"
 	"planarflow/internal/obs"
 	"planarflow/internal/store"
 )
@@ -175,5 +177,57 @@ func TestFleetzJournal(t *testing.T) {
 	}
 	if fz.Journal[0].Seq == 0 || fz.Journal[0].UnixMS == 0 {
 		t.Fatalf("journal event missing stamps: %+v", fz.Journal[0])
+	}
+}
+
+// TestMetricszCarriesProcessWideLayers: the store, artifact, decode and
+// wire layers record on obs.Default() while every replica serves its own
+// registry, so both a replica's /metricsz and the front's merged page
+// must render the process-wide registry too — otherwise the build phase
+// is invisible exactly where there is a fleet. One cold query through a
+// replica must show on both pages, and both must parse strictly.
+func TestMetricszCarriesProcessWideLayers(t *testing.T) {
+	f, srv := startFront(t, 2)
+	ctx := context.Background()
+	rep := f.reps[0]
+	cl := flowd.NewClient(rep.Member().HTTP)
+	spec := store.GraphSpec{Kind: "grid", Rows: 6, Cols: 6, Seed: 9, WLo: 1, WHi: 9, CLo: 1, CHi: 16}
+	if _, err := cl.Register(ctx, "cold", spec); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Query(ctx, flowd.QueryRequest{Graph: "cold", Op: "dist", U: 0, V: 35}); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, page := range []struct{ name, url string }{
+		{"replica", rep.Member().HTTP + "/metricsz"},
+		{"front", srv.URL + "/metricsz"},
+	} {
+		r, err := http.Get(page.url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(r.Body)
+		r.Body.Close()
+		series, err := obs.ParseExposition(body)
+		if err != nil {
+			t.Fatalf("%s /metricsz does not parse: %v", page.name, err)
+		}
+		for _, key := range []string{
+			"store_acquire_seconds_count",
+			`substrate_build_seconds_count{substrate="bdd"}`,
+			`flowd_requests_total{family="dist",transport="http"}`,
+		} {
+			if series[key] < 1 {
+				t.Errorf("%s /metricsz: %s = %v, want >= 1", page.name, key, series[key])
+			}
+		}
+		for _, key := range []string{
+			"store_evictions_total", "decode_row_hits_total", "wire_write_queue_seconds_count",
+		} {
+			if _, ok := series[key]; !ok {
+				t.Errorf("%s /metricsz: series %s missing", page.name, key)
+			}
+		}
 	}
 }

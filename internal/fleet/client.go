@@ -41,10 +41,10 @@ type Options struct {
 	// Wire attaches a binary-transport WireClient to every member that
 	// advertises a wire address, routing Query/QueryBatch over it.
 	Wire bool
-	// WireOptions configures those transports (pool size, coalescing).
+	// WireOptions configures those transports (pool size).
 	WireOptions flowd.WireOptions
 	// Seed fixes the backoff jitter stream (0 = 1; the fleet client is
-	// deterministic given the seed, which the benchmarks rely on).
+	// deterministic given the seed).
 	Seed int64
 	// TraceRing sizes the client's own span rings (0 = obs default).
 	// Every routed call roots a trace here; replicas continue it.
@@ -262,15 +262,6 @@ func (c *Client) Stats() Stats {
 		Adoptions:    c.adoptions.Load(),
 		StandbySyncs: c.standbySyncs.Load(),
 	}
-}
-
-// MemberClient returns the per-replica flowd client (telemetry scrapes,
-// tests). Unknown names return nil.
-func (c *Client) MemberClient(name string) *flowd.Client {
-	if ms := c.members[name]; ms != nil {
-		return ms.cl
-	}
-	return nil
 }
 
 // Owner returns the replica currently owning the graph.

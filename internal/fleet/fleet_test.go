@@ -3,10 +3,13 @@ package fleet
 import (
 	"context"
 	"fmt"
+	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
 	"planarflow/internal/flowd"
+	"planarflow/internal/obs"
 	"planarflow/internal/store"
 )
 
@@ -90,6 +93,49 @@ func TestFleetRoutesToOwner(t *testing.T) {
 	}
 }
 
+// warmKeys asks every check twice through query and returns the second
+// answers' RestartKeys: the second answer is fully warm (Build == 0), the
+// state a peer-restored standby has to match bit for bit.
+func warmKeys(t *testing.T, who string, checks []flowd.QueryRequest,
+	query func(context.Context, flowd.QueryRequest) (*flowd.QueryResponse, error)) []string {
+	t.Helper()
+	ctx := context.Background()
+	keys := make([]string, len(checks))
+	for i, q := range checks {
+		if _, err := query(ctx, q); err != nil {
+			t.Fatalf("%s %s: %v", who, q.Op, err)
+		}
+		resp, err := query(ctx, q)
+		if err != nil {
+			t.Fatalf("%s %s: %v", who, q.Op, err)
+		}
+		keys[i] = flowd.RestartKey(resp)
+	}
+	return keys
+}
+
+// singleNodeKeys serves spec from one plain flowd daemon (no fleet, no
+// restore) and returns one query per family with its warm RestartKey — the
+// ground truth a fleet must reproduce, rounds included.
+func singleNodeKeys(t *testing.T, id string, spec store.GraphSpec) ([]flowd.QueryRequest, []string) {
+	t.Helper()
+	hsrv := httptest.NewServer(flowd.NewServer(store.New(store.Config{})))
+	defer hsrv.Close()
+	cl := flowd.NewClient(hsrv.URL)
+	reg, err := cl.Register(context.Background(), id, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checks := flowd.FamilyChecks(id, reg.N, reg.Faces)
+	return checks, warmKeys(t, "single node", checks, cl.Query)
+}
+
+// TestFleetFailoverBitIdentical is the kill-owner scenario: the graph is
+// placed on its ring owner, every family answered there, the bundle
+// synced to the standby, and the owner hard-killed. All 11 families must
+// answer through the failover with the RestartKey (value, dist vector,
+// cut edges, neg-cycle bit, iterations, rounds split) a single node gives
+// — served from the standby's peer-restored bundle, with zero rebuilds.
 func TestFleetFailoverBitIdentical(t *testing.T) {
 	reps, c := startFleet(t, 3, Options{
 		ProbeInterval: -1,
@@ -99,23 +145,16 @@ func TestFleetFailoverBitIdentical(t *testing.T) {
 	ctx := context.Background()
 	const id = "failover-graph"
 	spec := testSpec(7)
+	checks, want := singleNodeKeys(t, id, spec)
 	if err := c.Register(ctx, id, spec); err != nil {
 		t.Fatal(err)
 	}
 
-	// Ground truth: answers from the fleet before the kill.
-	type q struct {
-		op   string
-		u, v int
-	}
-	qs := []q{{"dist", 0, 35}, {"dist", 3, 30}, {"maxflow", 0, 35}, {"girth", 0, 0}}
-	want := make([]*flowd.QueryResponse, len(qs))
-	for i, qq := range qs {
-		resp, err := c.Query(ctx, flowd.QueryRequest{Graph: id, Op: qq.op, U: qq.u, V: qq.v})
-		if err != nil {
-			t.Fatalf("pre-kill %s: %v", qq.op, err)
+	// Healthy fleet: same keys as the single node.
+	for i, got := range warmKeys(t, "pre-kill", checks, c.Query) {
+		if got != want[i] {
+			t.Fatalf("pre-kill %s diverged from a single node:\n  got  %s\n  want %s", checks[i].Op, got, want[i])
 		}
-		want[i] = resp
 	}
 
 	// Replicate to the standby, then hard-kill the owner.
@@ -124,28 +163,42 @@ func TestFleetFailoverBitIdentical(t *testing.T) {
 	}
 	owner, _ := c.Owner(id)
 	chain := c.Ring().Successors(id, 2)
-	if len(chain) != 2 {
-		t.Fatalf("successor chain %v", chain)
+	if len(chain) != 2 || chain[0] != owner {
+		t.Fatalf("successor chain %v (owner %s)", chain, owner)
 	}
 	standby := chain[1]
 	sb := replicaByName(reps, standby)
-	preBuilds := sb.Store.Snapshot().Builds
 	st := sb.Store.Snapshot()
 	if st.PeerRestores == 0 {
 		t.Fatalf("standby %s has no peer restores after sync: %+v", standby, st)
 	}
+	preBuilds := st.Builds
 	replicaByName(reps, owner).Stop()
 
+	// Four callers hit the dead owner at once, as a serving fleet's
+	// clients would: the eject must be idempotent and every caller's every
+	// family must still come back bit-identical.
 	epochBefore := c.Ring().Epoch()
-	for i, qq := range qs {
-		resp, err := c.Query(ctx, flowd.QueryRequest{Graph: id, Op: qq.op, U: qq.u, V: qq.v})
-		if err != nil {
-			t.Fatalf("post-kill %s: %v", qq.op, err)
-		}
-		if resp.Value != want[i].Value || resp.NegCycle != want[i].NegCycle ||
-			len(resp.CutEdges) != len(want[i].CutEdges) {
-			t.Fatalf("post-kill %s answer differs: got %+v want %+v", qq.op, resp, want[i])
-		}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i, q := range checks {
+				resp, err := c.Query(ctx, q)
+				if err != nil {
+					t.Errorf("caller %d post-kill %s: %v", w, q.Op, err)
+					return
+				}
+				if got := flowd.RestartKey(resp); got != want[i] {
+					t.Errorf("caller %d post-kill %s diverged:\n  got  %s\n  want %s", w, q.Op, got, want[i])
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
 	}
 	if got, _ := c.Owner(id); got != standby {
 		t.Fatalf("post-kill owner %s, want standby %s", got, standby)
@@ -159,6 +212,106 @@ func TestFleetFailoverBitIdentical(t *testing.T) {
 	}
 	if s := c.Stats(); s.Ejects == 0 || s.Failovers == 0 {
 		t.Fatalf("stats missed the failover: %+v", s)
+	}
+}
+
+// TestFleetAdoptPeerRestoreOneTrace is the adopt scenario: the client
+// never ran a standby sync, so when the owner dies the failover target
+// has never seen the graph, while a bystander replica further along the
+// chain holds a warm copy. The first post-kill query must eject the
+// owner, fail over, adopt the graph on the target and restore its bundle
+// from the bystander — bytes shipped, nothing rebuilt — and the whole
+// story must be attributable: the journal's eject, adopt and peer-restore
+// events share one trace id, and that trace stitches across the client's
+// spans and the replicas' into at least two hops.
+func TestFleetAdoptPeerRestoreOneTrace(t *testing.T) {
+	reps, c := startFleet(t, 3, Options{
+		ProbeInterval: -1,
+		BackoffBase:   time.Millisecond,
+		BackoffCap:    5 * time.Millisecond,
+	})
+	ctx := context.Background()
+	const id = "adopt-traced"
+	spec := testSpec(23)
+	chain := c.Ring().Successors(id, 3)
+	if len(chain) != 3 {
+		t.Fatalf("successor chain %v, want 3 distinct members", chain)
+	}
+	owner, adopter, bystander := chain[0], replicaByName(reps, chain[1]), replicaByName(reps, chain[2])
+
+	if err := c.Register(ctx, id, spec); err != nil {
+		t.Fatal(err)
+	}
+	query := flowd.QueryRequest{Graph: id, Op: "dist", U: 0, V: 35}
+	want, err := c.Query(ctx, query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := flowd.NewClient(bystander.Member().HTTP).RegisterWarm(ctx, id, spec); err != nil {
+		t.Fatalf("bystander warm: %v", err)
+	}
+	if st := adopter.Store.Snapshot(); st.Graphs != 0 {
+		t.Fatalf("adopter %s already holds a graph before the kill: %+v", adopter.Name, st)
+	}
+	replicaByName(reps, owner).Stop()
+
+	got, err := c.Query(ctx, query)
+	if err != nil {
+		t.Fatalf("post-kill query: %v", err)
+	}
+	if g, w := flowd.RestartKey(got), flowd.RestartKey(want); g != w {
+		t.Fatalf("adopted answer diverged:\n  got  %s\n  want %s", g, w)
+	}
+	if o, _ := c.Owner(id); o != adopter.Name {
+		t.Fatalf("post-kill owner %s, want %s", o, adopter.Name)
+	}
+	if s := c.Stats(); s.Ejects == 0 || s.Failovers == 0 || s.Adoptions == 0 {
+		t.Fatalf("stats missed the eject/failover/adopt: %+v", s)
+	}
+	if st := adopter.Store.Snapshot(); st.PeerRestores != 1 || st.Builds != 0 {
+		t.Fatalf("adopter restored %d bundle(s) from peers and built %d substrate(s), want 1 and 0",
+			st.PeerRestores, st.Builds)
+	}
+
+	// The journal names the trace: newest-first, so the post-kill restore.
+	events := c.Journal().Recent()
+	traceID := ""
+	for _, e := range events {
+		if e.Type == obs.EventPeerRestore && e.Graph == id {
+			traceID = e.TraceID
+			break
+		}
+	}
+	if traceID == "" {
+		t.Fatalf("journal holds no peer-restore event for %q: %+v", id, events)
+	}
+	seen := map[obs.EventType]bool{}
+	for _, e := range events {
+		if e.TraceID == traceID {
+			seen[e.Type] = true
+		}
+	}
+	if !seen[obs.EventEject] || !seen[obs.EventAdopt] {
+		t.Fatalf("journal events of trace %s incomplete: %v", traceID, seen)
+	}
+
+	rings := [][]obs.SpanView{c.Tracer().Recent(), c.Tracer().Slow()}
+	for _, r := range reps {
+		rings = append(rings, r.Srv.Tracer().Recent(), r.Srv.Tracer().Slow())
+	}
+	var stitched *obs.TraceView
+	for _, tv := range obs.Stitch(rings...) {
+		if tv.TraceID == traceID {
+			stitched = &tv
+			break
+		}
+	}
+	if stitched == nil {
+		t.Fatalf("trace %s did not stitch across the fleet", traceID)
+	}
+	if stitched.Hops < 2 {
+		t.Fatalf("trace %s spans %d hop(s), want >= 2 (client -> adopter -> source peer): %+v",
+			traceID, stitched.Hops, stitched.Spans)
 	}
 }
 

@@ -29,10 +29,11 @@ type ReplicaConfig struct {
 
 // Replica is one in-process flowd replica: a store, a daemon, its own
 // metric registry, and live HTTP (plus optionally wire) listeners on
-// loopback. It is the unit cmd/flowdfleet, the FLEET benchmark and the
-// fleet selfcheck boot N of. Each replica owning its registry is what
-// makes fleet-wide telemetry a pure merge (obs.WriteMergedPrometheus)
-// instead of a shared-registry muddle.
+// loopback. It is the unit cmd/flowdfleet, bench/'s fleet-hop ladder and
+// this package's failover tests boot N of. Each replica owning its
+// registry is what makes fleet-wide telemetry a pure merge
+// (obs.WriteMergedPrometheus) of the replicas' registries plus the
+// process-wide one the layers below the daemon record into.
 type Replica struct {
 	Name  string
 	Store *store.Store
@@ -89,7 +90,7 @@ func StartReplica(cfg ReplicaConfig) (*Replica, error) {
 func (r *Replica) Member() Member { return r.member }
 
 // Stop hard-kills the replica: listeners and connections drop
-// immediately, in-flight requests fail. This is the benchmark's
+// immediately, in-flight requests fail. This is the failover tests'
 // replica-death event.
 func (r *Replica) Stop() {
 	r.hs.Close()

@@ -170,10 +170,10 @@ func (s *Server) runBatch(ctx context.Context, req *BatchRequest) (*BatchRespons
 		switch {
 		case a == nil: // defensive: DoBatch settles every entry
 			res.Error = "flowd: query not executed"
-			s.recordFamily(res.Op, 0, true)
+			s.fam[res.Op].record(0, true)
 		case a.Err != nil:
 			res.Error = a.Err.Error()
-			s.recordFamily(res.Op, 0, true)
+			s.fam[res.Op].record(0, true)
 		default:
 			res.Value = a.Value
 			res.Dist = a.Dist
@@ -181,7 +181,7 @@ func (s *Server) runBatch(ctx context.Context, req *BatchRequest) (*BatchRespons
 			res.NegCycle = a.NegCycle
 			res.Iterations = a.Iterations
 			res.Rounds = roundsOf(a.Rounds)
-			s.recordFamily(res.Op, a.Rounds.Total, false)
+			s.fam[res.Op].record(a.Rounds.Total, false)
 		}
 		resp.Results[i] = res
 	}

@@ -170,6 +170,26 @@ type FamilyStats struct {
 	Rounds int64 `json:"rounds"`
 }
 
+// famCell is the live form of one op's FamilyStats. The server prebuilds
+// one per op at construction (the fmGrid pattern in obs.go), so recording
+// a query is a map read and three atomic adds: no lock, no allocation.
+type famCell struct {
+	count, errors, rounds atomic.Int64
+}
+
+// record counts one executed query of the cell's op: its reported rounds
+// and whether it errored. A nil cell (an op no decoder admits) is a no-op.
+func (c *famCell) record(rounds int64, errored bool) {
+	if c == nil {
+		return
+	}
+	c.count.Add(1)
+	c.rounds.Add(rounds)
+	if errored {
+		c.errors.Add(1)
+	}
+}
+
 // StatsResponse is the /statsz payload.
 type StatsResponse struct {
 	Store    store.Stats            `json:"store"`
@@ -246,8 +266,8 @@ type Server struct {
 	mux   *http.ServeMux
 	start time.Time
 
-	famMu sync.Mutex
-	fam   map[string]*FamilyStats
+	// fam holds one cell per op in Ops; read-only after construction.
+	fam map[string]*famCell
 
 	// writeErrs counts writeJSON encode failures (half-written HTTP
 	// responses), exported on /statsz.
@@ -278,7 +298,10 @@ func NewServer(st *store.Store) *Server { return NewServerWith(st, ServerOptions
 
 // NewServerWith wraps st with explicit telemetry options.
 func NewServerWith(st *store.Store, opt ServerOptions) *Server {
-	s := &Server{st: st, mux: http.NewServeMux(), start: time.Now(), fam: map[string]*FamilyStats{}}
+	s := &Server{st: st, mux: http.NewServeMux(), start: time.Now(), fam: make(map[string]*famCell, len(Ops))}
+	for _, op := range Ops {
+		s.fam[op] = &famCell{}
+	}
 	s.initObs(opt)
 	s.mux.HandleFunc("POST /v1/graphs", s.handleRegister)
 	s.mux.HandleFunc("GET /v1/graphs", s.handleList)
@@ -296,42 +319,24 @@ func NewServerWith(st *store.Store, opt ServerOptions) *Server {
 	return s
 }
 
-// recordFamily bumps the op's traffic counters: one query executed, its
-// reported rounds, and whether it errored.
-func (s *Server) recordFamily(op string, rounds int64, errored bool) {
-	s.famMu.Lock()
-	defer s.famMu.Unlock()
-	f := s.fam[op]
-	if f == nil {
-		f = &FamilyStats{}
-		s.fam[op] = f
-	}
-	f.Count++
-	f.Rounds += rounds
-	if errored {
-		f.Errors++
-	}
-}
-
-// familySnapshot copies the per-family counters for /statsz.
-func (s *Server) familySnapshot() map[string]FamilyStats {
-	s.famMu.Lock()
-	defer s.famMu.Unlock()
-	if len(s.fam) == 0 {
-		return nil
-	}
-	out := make(map[string]FamilyStats, len(s.fam))
-	for op, f := range s.fam {
-		out[op] = *f
+// families renders the per-op counters for /statsz: the ops that have
+// served at least one query, nil before the first.
+func (s *Server) families() map[string]FamilyStats {
+	var out map[string]FamilyStats
+	for op, c := range s.fam {
+		n := c.count.Load()
+		if n == 0 {
+			continue
+		}
+		if out == nil {
+			out = make(map[string]FamilyStats)
+		}
+		out[op] = FamilyStats{Count: n, Errors: c.errors.Load(), Rounds: c.rounds.Load()}
 	}
 	return out
 }
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
-
-// Store returns the underlying store (the traffic driver reads metrics
-// directly when it runs the server in-process).
-func (s *Server) Store() *store.Store { return s.st }
 
 // writeJSON writes one JSON response. An Encode failure here means the
 // response left half-written (the status line is already gone, so the
@@ -471,7 +476,7 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		Store:       snap,
 		HitRate:     snap.HitRate(),
 		UptimeMS:    float64(time.Since(s.start).Microseconds()) / 1000,
-		Families:    s.familySnapshot(),
+		Families:    s.families(),
 		WriteErrors: s.writeErrs.Load(),
 		Transport:   s.wireStats(),
 		Latency:     s.latencySnapshot(),
@@ -536,7 +541,7 @@ func (s *Server) runQuery(ctx context.Context, req *QueryRequest) (*QueryRespons
 	if a != nil {
 		rounds = a.Rounds.Total
 	}
-	s.recordFamily(req.Op, rounds, err != nil)
+	s.fam[req.Op].record(rounds, err != nil)
 	if err != nil {
 		return nil, err
 	}

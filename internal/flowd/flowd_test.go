@@ -3,6 +3,7 @@ package flowd
 import (
 	"context"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -86,8 +87,12 @@ func TestRegisterAndQueryEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(qr3.Dist) != g.NumFaces() {
-		t.Fatalf("dualsssp returned %d faces, want %d", len(qr3.Dist), g.NumFaces())
+	wantSSSP, err := p.DualSSSP(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(qr3.Dist) != g.NumFaces() || !slices.Equal(qr3.Dist, wantSSSP.Dist) {
+		t.Fatalf("dualsssp over the wire %v, in-process %v", qr3.Dist, wantSSSP.Dist)
 	}
 
 	st, err := c.Stats(ctx)

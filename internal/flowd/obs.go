@@ -45,7 +45,9 @@ type ServerOptions struct {
 	// /metricsz serves. nil means obs.Default() — the right choice for one
 	// daemon per process. A fleet of in-process replicas gives each its
 	// own registry so per-replica metrics stay separable and the fleet
-	// front can merge them (obs.WriteMergedPrometheus).
+	// front can merge them (obs.WriteMergedPrometheus). The store, artifact,
+	// decode and wire layers record process-wide on obs.Default() regardless;
+	// /metricsz renders both.
 	Registry *obs.Registry
 }
 
@@ -248,9 +250,19 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// handleMetricsz serves the server's registry. The layers below the
+// daemon (store, artifact, decode, wire) record into package-level handles
+// on obs.Default() whatever registry the server was given, so a server
+// with its own registry renders the process-wide one alongside it.
 func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := s.reg.WritePrometheus(w); err != nil {
+	var err error
+	if s.reg == obs.Default() {
+		err = s.reg.WritePrometheus(w)
+	} else {
+		err = obs.WriteMergedPrometheus(w, s.reg, obs.Default())
+	}
+	if err != nil {
 		s.writeErrs.Add(1)
 		s.log.Warn("metricsz write failed", "err", err.Error())
 	}

@@ -29,8 +29,9 @@ func TestSnapshotEndpointDisabled(t *testing.T) {
 // TestSnapshotEndpointAndRestart drives the full daemon lifecycle over
 // the wire: register + warm, query, snapshot, kill the daemon, boot a
 // fresh one over the same snapshot directory, warm-restore, and verify
-// the restored daemon serves identically with zero rebuilds and its
-// counters visible on /statsz.
+// the restored daemon serves every query family bit-identically (payload,
+// witnesses and rounds split) with zero rebuilds and its counters visible
+// on /statsz.
 func TestSnapshotEndpointAndRestart(t *testing.T) {
 	dir := t.TempDir()
 	cfg := store.Config{SpillDir: dir}
@@ -41,10 +42,19 @@ func TestSnapshotEndpointAndRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := QueryRequest{Graph: "g", Op: "maxflow", U: 0, V: reg.N - 1}
-	want, err := c1.Query(ctx, q)
-	if err != nil {
-		t.Fatal(err)
+	// Every family, asked twice: the second answer is fully warm
+	// (Build == 0), the state the restored daemon must reproduce.
+	checks := FamilyChecks("g", reg.N, reg.Faces)
+	want := make([]string, len(checks))
+	for i, q := range checks {
+		if _, err := c1.Query(ctx, q); err != nil {
+			t.Fatalf("%s: %v", q.Op, err)
+		}
+		resp, err := c1.Query(ctx, q)
+		if err != nil {
+			t.Fatalf("%s: %v", q.Op, err)
+		}
+		want[i] = RestartKey(resp)
 	}
 	// Unknown graph errors; known graph writes one snapshot.
 	if _, err := c1.Snapshot(ctx, "nope"); err == nil || !strings.Contains(err.Error(), "status 404") {
@@ -74,13 +84,14 @@ func TestSnapshotEndpointAndRestart(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("TryRestore = %v, %v", ok, err)
 	}
-	got, err := c2.Query(ctx, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Value != want.Value || got.Rounds != want.Rounds ||
-		got.Iterations != want.Iterations || !got.Hit {
-		t.Fatalf("restored answer diverged: %+v vs %+v", got, want)
+	for i, q := range checks {
+		resp, err := c2.Query(ctx, q)
+		if err != nil {
+			t.Fatalf("restored %s: %v", q.Op, err)
+		}
+		if got := RestartKey(resp); got != want[i] || !resp.Hit {
+			t.Fatalf("restored %s diverged (hit=%v):\n  got  %s\n  want %s", q.Op, resp.Hit, got, want[i])
+		}
 	}
 	st2, err := c2.Stats(ctx)
 	if err != nil {

@@ -12,9 +12,7 @@ package flowd
 //
 // HTTP stays the control/compat plane (register, snapshot, statsz); the
 // wire plane carries the high-rate query traffic. WireClient is the
-// matching client: a connection pool with true pipelining and an opt-in
-// micro-coalescer that folds concurrent singleton queries into OpBatch
-// frames.
+// matching client: a connection pool with true pipelining.
 
 import (
 	"bytes"
@@ -22,7 +20,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"runtime"
 	"time"
 
 	"planarflow/internal/obs"
@@ -187,8 +184,7 @@ func (s *Server) serveQueryFrame(ctx context.Context, id uint64, payload []byte,
 
 // serveBatchFrame is serveQueryFrame's batch twin; it also feeds the
 // transport-level fold counter (how many queries arrived per batch
-// frame — the client-side coalescer reports the same shape from its
-// end).
+// frame — /statsz's transport.coalesced_*).
 func (s *Server) serveBatchFrame(ctx context.Context, id uint64, payload []byte,
 	decode func([]byte) (*BatchRequest, error),
 	encode func(*BatchResponse) (wire.Status, []byte)) (wire.Status, []byte) {
@@ -265,16 +261,6 @@ type WireOptions struct {
 	// Requests pipeline freely within each connection, so the pool sizes
 	// for server-side parallelism, not for concurrent callers.
 	PoolSize int
-	// Coalesce enables the micro-coalescer: concurrent singleton Query
-	// calls against the same graph are folded into one OpBatch frame
-	// (execution via the store's batch plane — answers are bit-identical
-	// to the singleton route by the query plane's own differential
-	// tests). Queries keep per-call contexts: a canceled caller stops
-	// waiting while the folded frame completes for the rest.
-	Coalesce bool
-	// CoalesceMax caps queries per folded frame (<= 0 = 64; never more
-	// than MaxBatchQueries).
-	CoalesceMax int
 }
 
 // WireClient is the Go client for the daemon's binary transport: a
@@ -285,29 +271,16 @@ type WireOptions struct {
 // with Client.WithWireTransport.
 type WireClient struct {
 	pool *wire.Pool
-	co   *coalescer
 }
 
 // NewWireClient targets a wire listener ("tcp" host:port, or "unix"
 // socket path).
 func NewWireClient(network, addr string, opt WireOptions) *WireClient {
-	c := &WireClient{pool: wire.NewPool(network, addr, opt.PoolSize)}
-	if opt.Coalesce {
-		max := opt.CoalesceMax
-		if max <= 0 {
-			max = 64
-		}
-		if max > MaxBatchQueries {
-			max = MaxBatchQueries
-		}
-		c.co = newCoalescer(c, max)
-		c.co.start()
-	}
-	return c
+	return &WireClient{pool: wire.NewPool(network, addr, opt.PoolSize)}
 }
 
 // TransportStats snapshots the client's transport counters (frames,
-// bytes, flush coalescing, fold sizes).
+// bytes, flush coalescing).
 func (c *WireClient) TransportStats() wire.Stats { return c.pool.Stats() }
 
 // Ping verifies the transport end to end.
@@ -315,26 +288,10 @@ func (c *WireClient) Ping(ctx context.Context) error { return c.pool.Ping(ctx) }
 
 // Close releases the connections; in-flight requests fail with
 // wire.ErrConnClosed.
-func (c *WireClient) Close() error {
-	if c.co != nil {
-		c.co.stop()
-	}
-	return c.pool.Close()
-}
+func (c *WireClient) Close() error { return c.pool.Close() }
 
-// Query runs one query over the wire. With coalescing enabled the call
-// may travel inside a folded OpBatch frame; either way the answer is
-// the daemon's QueryResponse for exactly this request.
+// Query runs one query over the wire, on the binary payload codec.
 func (c *WireClient) Query(ctx context.Context, req QueryRequest) (*QueryResponse, error) {
-	if c.co != nil {
-		return c.co.query(ctx, req)
-	}
-	return c.query(ctx, req)
-}
-
-// query is the direct (uncoalesced) singleton path, on the binary
-// payload codec.
-func (c *WireClient) query(ctx context.Context, req QueryRequest) (*QueryResponse, error) {
 	payload := appendWireQueryRequest(make([]byte, 0, 64), &req)
 	status, body, err := c.pool.Do(ctx, wire.OpQueryB, payload)
 	if err != nil {
@@ -367,159 +324,4 @@ func (c *WireClient) QueryBatch(ctx context.Context, req BatchRequest) (*BatchRe
 		return nil, fmt.Errorf("flowd wire: decode: %w", err)
 	}
 	return out, nil
-}
-
-// ---- micro-coalescer ----
-
-// coalItem is one waiting singleton query.
-type coalItem struct {
-	ctx  context.Context
-	req  QueryRequest
-	done chan coalResult // cap 1
-}
-
-type coalResult struct {
-	resp *QueryResponse
-	err  error
-}
-
-// coalescer folds concurrent singleton queries into OpBatch frames: a
-// dispatcher drains everything queued at the moment it wakes, groups by
-// graph id, and ships each group of two-or-more as one batch frame (a
-// group of one goes out as a plain query frame — the fold never adds a
-// round trip). Under sequential load every query is a group of one and
-// the coalescer is a no-op; under concurrent load the fold divides the
-// frame count by the burst size.
-type coalescer struct {
-	c      *WireClient
-	max    int
-	ch     chan *coalItem
-	stopCh chan struct{}
-}
-
-func newCoalescer(c *WireClient, max int) *coalescer {
-	return &coalescer{c: c, max: max, ch: make(chan *coalItem, 4*MaxBatchQueries), stopCh: make(chan struct{})}
-}
-
-func (co *coalescer) start() { go co.run() }
-
-func (co *coalescer) stop() { close(co.stopCh) }
-
-// query submits one singleton through the fold and waits for its
-// result, honoring only this caller's ctx.
-func (co *coalescer) query(ctx context.Context, req QueryRequest) (*QueryResponse, error) {
-	item := &coalItem{ctx: ctx, req: req, done: make(chan coalResult, 1)}
-	select {
-	case co.ch <- item:
-	case <-co.stopCh:
-		return co.c.query(ctx, req) // stopped: degrade to the direct path
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	select {
-	case r := <-item.done:
-		return r.resp, r.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-func (co *coalescer) run() {
-	for {
-		var first *coalItem
-		select {
-		case first = <-co.ch:
-		case <-co.stopCh:
-			co.failPending()
-			return
-		}
-		batch := []*coalItem{first}
-		yielded := false
-		for len(batch) < co.max {
-			select {
-			case it := <-co.ch:
-				batch = append(batch, it)
-				yielded = false
-				continue
-			default:
-			}
-			// Empty right after an item usually means the concurrent senders
-			// haven't been scheduled yet, not that the burst is over (a send
-			// into ch readies this goroutine immediately). One yield lets
-			// them land; a queue still empty after that is a real lull.
-			if yielded {
-				break
-			}
-			runtime.Gosched()
-			yielded = true
-		}
-		for graph, items := range groupByGraph(batch) {
-			go co.flush(graph, items)
-		}
-	}
-}
-
-// failPending drains queued items after stop; their waiters fall back
-// to the pool, which reports ErrPoolClosed once Close lands.
-func (co *coalescer) failPending() {
-	for {
-		select {
-		case it := <-co.ch:
-			resp, err := co.c.query(it.ctx, it.req)
-			it.done <- coalResult{resp: resp, err: err}
-		default:
-			return
-		}
-	}
-}
-
-func groupByGraph(items []*coalItem) map[string][]*coalItem {
-	groups := make(map[string][]*coalItem, 1)
-	for _, it := range items {
-		groups[it.req.Graph] = append(groups[it.req.Graph], it)
-	}
-	return groups
-}
-
-// flush ships one graph's fold. Two or more items become an OpBatch
-// frame whose per-entry results are translated back into
-// QueryResponses; the frame's context outlives any single caller (a
-// canceled caller stops waiting, the frame completes for the rest).
-func (co *coalescer) flush(graph string, items []*coalItem) {
-	if len(items) == 1 {
-		it := items[0]
-		resp, err := co.c.query(it.ctx, it.req)
-		it.done <- coalResult{resp: resp, err: err}
-		return
-	}
-	co.c.pool.Counters().AddCoalesced(len(items))
-	breq := BatchRequest{Graph: graph, Queries: make([]BatchQuery, len(items))}
-	for i, it := range items {
-		breq.Queries[i] = BatchQuery{
-			Op: it.req.Op, U: it.req.U, V: it.req.V,
-			Source: it.req.Source, Eps: it.req.Eps, Simulated: it.req.Simulated,
-		}
-	}
-	bresp, err := co.c.QueryBatch(context.WithoutCancel(items[0].ctx), breq)
-	if err != nil {
-		for _, it := range items {
-			it.done <- coalResult{err: err}
-		}
-		return
-	}
-	for i, it := range items {
-		r := bresp.Results[i]
-		if r.Error != "" {
-			// Entry-level failures cross the batch plane as strings (as on
-			// HTTP), so the status class is not recoverable here.
-			it.done <- coalResult{err: fmt.Errorf("flowd wire: coalesced query: %s", r.Error)}
-			continue
-		}
-		it.done <- coalResult{resp: &QueryResponse{
-			Graph: graph, Op: r.Op,
-			Value: r.Value, Dist: r.Dist, CutEdges: r.CutEdges,
-			NegCycle: r.NegCycle, Iterations: r.Iterations,
-			Hit: bresp.Hit, Rounds: r.Rounds, WallMS: bresp.WallMS,
-		}}
-	}
 }

@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 
 	"planarflow/internal/store"
@@ -214,72 +213,9 @@ func TestWireErrorParity(t *testing.T) {
 	}
 }
 
-// TestCoalescerFoldsBurst drives the micro-coalescer deterministically:
-// items enqueued before the dispatcher starts must fold into OpBatch
-// frames (observable in the transport counters), and every caller must
-// still get its own correct answer.
-func TestCoalescerFoldsBurst(t *testing.T) {
-	hc, s, addr, _ := newWireDaemon(t, store.Config{}, "")
-	ctx := context.Background()
-	reg, err := hc.Register(ctx, "g", store.GraphSpec{Kind: "grid", Rows: 6, Cols: 6, Seed: 7, WLo: 1, WHi: 9, CLo: 1, CHi: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	wc := &WireClient{pool: wire.NewPool("tcp", addr, 1)}
-	wc.co = newCoalescer(wc, 64) // not started: the burst queues first
-	defer wc.Close()
-
-	const n = 16
-	var wg sync.WaitGroup
-	resps := make([]*QueryResponse, n)
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resps[i], errs[i] = wc.Query(ctx, QueryRequest{Graph: "g", Op: "dist", U: i, V: reg.N - 1 - i})
-		}(i)
-	}
-	// All n are parked in the coalescer's queue; release the dispatcher.
-	for len(wc.co.ch) < n {
-	}
-	wc.co.start()
-	wg.Wait()
-
-	for i := 0; i < n; i++ {
-		if errs[i] != nil {
-			t.Fatalf("query %d: %v", i, errs[i])
-		}
-		want, err := hc.Query(ctx, QueryRequest{Graph: "g", Op: "dist", U: i, V: reg.N - 1 - i})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resps[i].Value != want.Value || resps[i].Op != "dist" || resps[i].Graph != "g" {
-			t.Errorf("query %d: coalesced value %d, http %d", i, resps[i].Value, want.Value)
-		}
-	}
-
-	cst := wc.TransportStats()
-	if cst.CoalescedBatches == 0 || cst.CoalescedQueries < n {
-		t.Fatalf("client saw no folding: %+v", cst)
-	}
-	if cst.CoalescedMax != int64(n) {
-		t.Errorf("coalesced_max = %d, want %d (single burst, one graph)", cst.CoalescedMax, n)
-	}
-	// The server counts the same fold from its side of the wire.
-	sst := s.wireStats()
-	if sst == nil || sst.CoalescedQueries < n {
-		t.Fatalf("server saw no folding: %+v", sst)
-	}
-	// The fold must not multiply frames: n queries, 1 batch frame.
-	if cst.FramesOut >= int64(n) {
-		t.Errorf("frames_out = %d for %d coalesced queries — fold did not reduce frames", cst.FramesOut, n)
-	}
-}
-
 // TestStatszTransportCounters: /statsz (via Client.Stats) exposes the
-// wire plane's counters once traffic has flowed.
+// wire plane's counters once traffic has flowed, including the batch
+// shape (transport.coalesced_*) the server records per batch frame.
 func TestStatszTransportCounters(t *testing.T) {
 	hc, _, addr, _ := newWireDaemon(t, store.Config{}, "")
 	ctx := context.Background()
@@ -293,6 +229,11 @@ func TestStatszTransportCounters(t *testing.T) {
 		if _, err := qc.Query(ctx, QueryRequest{Graph: "g", Op: "dist", U: 0, V: 15}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if _, err := qc.QueryBatch(ctx, BatchRequest{Graph: "g", Queries: []BatchQuery{
+		{Op: "dist", U: 0, V: 15}, {Op: "dist", U: 1, V: 14}, {Op: "girth"},
+	}}); err != nil {
+		t.Fatal(err)
 	}
 
 	st, err := hc.Stats(ctx)
@@ -308,6 +249,9 @@ func TestStatszTransportCounters(t *testing.T) {
 	}
 	if tr.ConnsOpen < 1 {
 		t.Fatalf("conns_open = %d with a live client", tr.ConnsOpen)
+	}
+	if tr.CoalescedBatches != 1 || tr.CoalescedQueries != 3 || tr.CoalescedMax != 3 {
+		t.Fatalf("batch-frame shape %+v after one 3-query batch", tr)
 	}
 	if st.WriteErrors != 0 {
 		t.Fatalf("write_errors = %d on a healthy run", st.WriteErrors)

@@ -5,8 +5,8 @@ package obs
 // worst-case relative resolution is 1/2^histMinorBits (12.5%) across the
 // whole range — nanoseconds to minutes — with one fixed array and no
 // per-observation allocation. Observe is a few atomic adds; Snapshot is
-// a lock-free copy; snapshots merge and subtract, which is how flowbench
-// extracts a single run's delta from the always-on process registry.
+// a lock-free copy; snapshots merge, which is how the fleet front computes
+// fleet-wide quantiles from per-replica histograms.
 
 import (
 	"math"
@@ -126,17 +126,6 @@ func (s *Snapshot) Merge(o Snapshot) {
 	if o.Max > s.Max {
 		s.Max = o.Max
 	}
-}
-
-// Sub subtracts an earlier snapshot of the same histogram, yielding the
-// delta of the interval. Max is kept from s (the later snapshot): the
-// per-interval maximum is not recoverable from monotone counters.
-func (s *Snapshot) Sub(o Snapshot) {
-	for i := range s.Counts {
-		s.Counts[i] -= o.Counts[i]
-	}
-	s.Sum -= o.Sum
-	s.Count -= o.Count
 }
 
 // Quantile returns the q-th quantile (q in (0, 1]) by nearest rank over

@@ -137,25 +137,6 @@ func TestConcurrentMergeEquivalence(t *testing.T) {
 	}
 }
 
-// TestSnapshotSub checks interval deltas: observe, snapshot, observe
-// more, and the difference must describe only the second batch.
-func TestSnapshotSub(t *testing.T) {
-	h := NewHistogram()
-	h.ObserveNS(100)
-	h.ObserveNS(200)
-	before := h.Snapshot()
-	h.ObserveNS(1000)
-	h.ObserveNS(3000)
-	after := h.Snapshot()
-	after.Sub(before)
-	if after.Count != 2 || after.Sum != 4000 {
-		t.Fatalf("delta count=%d sum=%d, want 2/4000", after.Count, after.Sum)
-	}
-	if got := int64(after.Quantile(0.5)); got < 1000 || got > 1125 {
-		t.Fatalf("delta p50 = %d, want ~1000", got)
-	}
-}
-
 func TestEmptySnapshot(t *testing.T) {
 	var s Snapshot
 	if s.Quantile(0.99) != 0 || s.Mean() != 0 {

@@ -3,9 +3,8 @@
 // histograms) plus lightweight per-request traces (trace.go) and a
 // hand-built Prometheus text exposition (prom.go). Every serving layer —
 // store, artifact, decode, wire, flowd — records into the process-wide
-// Default registry, so one /metricsz scrape sees the whole stack and
-// flowbench can diff registry snapshots around a run for per-phase
-// breakdowns.
+// Default registry unless handed its own (fleet replicas are), so one
+// /metricsz scrape sees the whole stack.
 //
 // Hot-path discipline: a metric handle is resolved once (package-level
 // var, or a prebuilt per-family map) and every subsequent Observe/Add is
@@ -100,8 +99,7 @@ type family struct {
 
 // Registry holds metric series keyed by (name, labels). Get-or-create
 // lookups are idempotent: two callers asking for the same (name, labels)
-// receive the same handle, which is what lets flowbench share the
-// daemon's histograms in-process.
+// receive the same handle, so several servers in one process share series.
 type Registry struct {
 	mu       sync.RWMutex
 	families map[string]*family

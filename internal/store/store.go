@@ -329,15 +329,7 @@ func (s *Store) acquire(id string) (*entry, *planarflow.PreparedGraph, bool, err
 // the spill tier holds a valid snapshot, empty bundle otherwise.
 func (s *Store) residentLocked(e *entry) error {
 	if pg := s.restoreLocked(e); pg != nil {
-		e.pg = pg
-		e.elem = s.lru.PushFront(e)
-		// Restored substrates are resident right now: account them on
-		// arrival (release will only ever grow these monotonically).
-		st := pg.Stats()
-		e.bytes, e.substrates, e.rounds = st.Bytes, len(st.Substrates), st.BuildRounds
-		s.bytes += st.Bytes
-		e.snapRestores++
-		s.snapRestores++
+		s.installLocked(e, pg, &e.snapRestores, &s.snapRestores)
 		return nil
 	}
 	pg, err := planarflow.Prepare(e.gr) // O(1): substrates build lazily
@@ -347,6 +339,22 @@ func (s *Store) residentLocked(e *entry) error {
 	e.pg = pg
 	e.elem = s.lru.PushFront(e)
 	return nil
+}
+
+// installLocked is the one "a warm bundle becomes resident" transition,
+// shared by the miss path, TryRestore, SnapshotTo's disk promotion and
+// InstallSnapshot: publish pg as e's bundle at the LRU front, account its
+// substrates on arrival (they are resident right now; release only ever
+// grows these monotonically), and bump the per-graph and store-wide
+// counter of the route it arrived by (disk restore or peer restore).
+func (s *Store) installLocked(e *entry, pg *planarflow.PreparedGraph, perGraph, total *int64) {
+	e.pg = pg
+	e.elem = s.lru.PushFront(e)
+	st := pg.Stats()
+	e.bytes, e.substrates, e.rounds = st.Bytes, len(st.Substrates), st.BuildRounds
+	s.bytes += st.Bytes
+	*perGraph++
+	*total++
 }
 
 // restoreLocked attempts a disk-tier restore for e; nil means no usable
@@ -621,13 +629,7 @@ func (s *Store) TryRestore(id string) (bool, error) {
 		s.mu.Unlock()
 		return false, nil
 	}
-	e.pg = pg
-	e.elem = s.lru.PushFront(e)
-	st := pg.Stats()
-	e.bytes, e.substrates, e.rounds = st.Bytes, len(st.Substrates), st.BuildRounds
-	s.bytes += st.Bytes
-	e.snapRestores++
-	s.snapRestores++
+	s.installLocked(e, pg, &e.snapRestores, &s.snapRestores)
 	e.lastAccessMS = time.Now().UnixMilli()
 	jobs := s.evictLocked() // the restore may overshoot the budget
 	s.mu.Unlock()
@@ -655,13 +657,7 @@ func (s *Store) SnapshotTo(id string, w io.Writer) (bool, error) {
 			s.mu.Unlock()
 			return false, nil
 		}
-		e.pg = pg
-		e.elem = s.lru.PushFront(e)
-		st := pg.Stats()
-		e.bytes, e.substrates, e.rounds = st.Bytes, len(st.Substrates), st.BuildRounds
-		s.bytes += st.Bytes
-		e.snapRestores++
-		s.snapRestores++
+		s.installLocked(e, pg, &e.snapRestores, &s.snapRestores)
 	}
 	pg := e.pg
 	e.pins++
@@ -716,13 +712,7 @@ func (s *Store) InstallSnapshot(id string, data []byte) (bool, error) {
 		s.mu.Unlock()
 		return false, nil
 	}
-	e.pg = pg
-	e.elem = s.lru.PushFront(e)
-	st := pg.Stats()
-	e.bytes, e.substrates, e.rounds = st.Bytes, len(st.Substrates), st.BuildRounds
-	s.bytes += st.Bytes
-	e.peerRestores++
-	s.peerRestores++
+	s.installLocked(e, pg, &e.peerRestores, &s.peerRestores)
 	e.lastAccessMS = time.Now().UnixMilli()
 	jobs := s.evictLocked()
 	s.mu.Unlock()

@@ -96,6 +96,9 @@ func TestSingleflightDedup(t *testing.T) {
 	if st.Misses != 1 || st.Hits != workers-1 {
 		t.Fatalf("hits/misses = %d/%d, want %d/1", st.Hits, st.Misses, workers-1)
 	}
+	if st.Evictions != 0 {
+		t.Fatalf("evictions = %d under an unlimited budget", st.Evictions)
+	}
 	// Dist needs the BDD + the undirected primal labeling: exactly two
 	// substrates however many workers raced.
 	if st.Builds != 2 {

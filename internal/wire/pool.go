@@ -57,11 +57,8 @@ func NewPool(network, addr string, size int) *Pool {
 }
 
 // Stats snapshots the pool's transport counters (shared by all its
-// connections and the flowd coalescer above it).
+// connections).
 func (p *Pool) Stats() Stats { return p.ctr.Snapshot() }
-
-// Counters exposes the live counters for layers above the pool.
-func (p *Pool) Counters() *Counters { return &p.ctr }
 
 // conn returns the slot's connection, dialing (or re-dialing a dead
 // one) as needed.

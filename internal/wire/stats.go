@@ -7,9 +7,8 @@ import (
 )
 
 // Counters is the transport's observability surface: lock-free counts
-// bumped on the hot path by servers, client pools and the flowd
-// micro-coalescer, snapshotted into Stats for /statsz. A zero Counters
-// is ready to use.
+// bumped on the hot path by servers and client pools, snapshotted into
+// Stats for /statsz. A zero Counters is ready to use.
 type Counters struct {
 	connsOpen  atomic.Int64
 	connsTotal atomic.Int64
@@ -39,10 +38,9 @@ type Stats struct {
 	// Flushes counts writer syscalls; FramesOut/Flushes is the write
 	// coalescing factor a pipelined load achieves.
 	Flushes int64 `json:"flushes"`
-	// Coalesced batch shape: how many multi-query batch frames were
-	// formed, the total singleton queries folded into them, and the
-	// largest fold observed. Bumped by whichever side observes the fold
-	// (the client's micro-coalescer, or the server decoding OpBatch).
+	// Batch-frame shape: how many multi-query batch frames arrived, the
+	// total queries they carried, and the largest one. Bumped by the
+	// server when it decodes a batch frame.
 	CoalescedBatches int64 `json:"coalesced_batches"`
 	CoalescedQueries int64 `json:"coalesced_queries"`
 	CoalescedMax     int64 `json:"coalesced_max"`
