@@ -360,6 +360,7 @@ func (f *front) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		resp.Store.BuildRounds += st.BuildRounds
 		resp.Store.SnapshotRestores += st.SnapshotRestores
 		resp.Store.SnapshotWrites += st.SnapshotWrites
+		resp.Store.SpillsElided += st.SpillsElided
 		resp.Store.SnapshotErrors += st.SnapshotErrors
 		resp.Store.PeerRestores += st.PeerRestores
 		for key, snap := range rep.Srv.LatencySnapshots() {

@@ -12,7 +12,7 @@ import (
 )
 
 // warmDist runs a dist query so the primal labeling builds (or restores).
-func warmDist(t *testing.T, s *Store, id string) int64 {
+func warmDist(t testing.TB, s *Store, id string) int64 {
 	t.Helper()
 	g := s.Graph(id)
 	a, _, err := s.Do(context.Background(), id, planarflow.DistQuery(0, g.N()-1))
@@ -76,34 +76,9 @@ func TestEvictionSpillsAndMissRestores(t *testing.T) {
 // deleted and the miss rebuilds — wrong answers are impossible, a dead
 // file is not retried.
 func TestCorruptSnapshotFallsBackToRebuild(t *testing.T) {
-	dir := t.TempDir()
-	s := New(Config{SpillDir: dir})
-	if _, err := s.RegisterSpec("g", gridSpec(3)); err != nil {
-		t.Fatal(err)
-	}
-	want := warmDist(t, s, "g")
-	if _, err := s.SnapshotResident("g"); err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt the file in place.
+	s, want := spilled(t) // evicted clean: the file SnapshotResident wrote stays as it is
 	path := s.spillPath("g")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0xff
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s.EvictAll() // rewrites the snapshot — so corrupt again after dropping
-	data, err = os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0xff
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	corruptFile(t, path)
 
 	got := warmDist(t, s, "g")
 	if got != want {
@@ -254,7 +229,7 @@ func TestConcurrentSpillRestore(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	s.FlushSpills()
+	checkMarks(t, s) // flushes the spills first
 	st := s.Snapshot()
 	if st.SnapshotWrites == 0 {
 		t.Fatalf("expected spills under churn, got writes=%d", st.SnapshotWrites)
@@ -271,4 +246,38 @@ func TestConcurrentSpillRestore(t *testing.T) {
 	if st := s.Snapshot(); st.SnapshotRestores <= restores0 {
 		t.Fatalf("final pass restored nothing (restores %d -> %d)", restores0, st.SnapshotRestores)
 	}
+	checkMarks(t, s)
+}
+
+// BenchmarkMissRestoreClean is the churn miss in isolation: two warmed
+// graphs under a budget for one, queried alternately, so every operation
+// restores one bundle from its spill file and evicts the other. Both
+// bundles are clean after set-up, so writes/op should read 0.
+func BenchmarkMissRestoreClean(b *testing.B) {
+	unit := distFootprint(b)
+	s := New(Config{MaxBytes: unit + unit/2, SpillDir: b.TempDir()})
+	b.Cleanup(s.FlushSpills)
+	ids := []string{"a", "b"}
+	for i, id := range ids {
+		if _, err := s.RegisterSpec(id, gridSpec(int64(i+1))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, id := range []string{"a", "b", "a"} { // each built once, spilled dirty once
+		warmDist(b, s, id)
+		s.FlushSpills()
+	}
+	st0 := s.Snapshot()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		warmDist(b, s, ids[(i+1)%2])
+	}
+	b.StopTimer()
+	s.FlushSpills()
+	st := s.Snapshot()
+	if got := st.SnapshotRestores - st0.SnapshotRestores; got != int64(b.N) || st.Builds != st0.Builds {
+		b.Fatalf("%d ops: %d restores, builds %d -> %d; every op must be a restore", b.N, got, st0.Builds, st.Builds)
+	}
+	b.ReportMetric(float64(st.SnapshotWrites-st0.SnapshotWrites)/float64(b.N), "writes/op")
 }

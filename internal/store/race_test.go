@@ -76,7 +76,7 @@ func TestRestoreEvictRace(t *testing.T) {
 	}()
 
 	wg.Wait()
-	s.FlushSpills()
+	checkMarks(t, s) // flushes: every racing rename left mark and file agreeing
 	if got := warmDist(t, s, "a"); got != wantA {
 		t.Fatalf("post-race answer %d != %d", got, wantA)
 	}

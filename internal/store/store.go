@@ -24,15 +24,28 @@
 // that hold it and is reclaimed when they finish.
 //
 // Disk tier: with Config.SpillDir set, eviction demotes instead of
-// destroying — the evicted bundle's substrates are written as a snapshot
-// (outside the store lock; the bundle is immutable), and a later miss
-// checks the disk before rebuilding, restoring at decode speed with the
-// snapshot-restore counted separately from builds. Snapshots are
-// invalidated by the graph fingerprint baked into the format: a file
-// that fails to decode (corruption, version skew, a re-registered id
-// with a different graph) is deleted and the miss falls through to a
-// normal rebuild, so the disk tier can only ever save work, never serve
-// wrong answers.
+// destroying, and a later miss checks the disk before rebuilding,
+// restoring at decode speed with the snapshot-restore counted separately
+// from builds. The tier is write-once: each entry carries a mark, the
+// substrate key set (kind, lengths, leaf limit) its spill file is known
+// to hold, and evicting a bundle with exactly that set writes nothing
+// (Stats.SpillsElided) — substrates are deterministic, so the bytes on
+// disk are the bytes it would encode. The mark is set when a restore
+// reads the file and when a spill or SnapshotResident write of it
+// completes; it is cleared when a restore finds no file or rejects it,
+// when a write fails, and when InstallSnapshot brings the bundle in. A
+// bundle with nothing built matches the cleared mark: never worth a write.
+//
+// Restores and writes run outside the store lock (bundles are
+// immutable). A restore is a per-entry singleflight: the first miss
+// reads and decodes the file, later callers for that graph wait on its
+// channel or their own context, and everyone else goes straight through.
+// Every read and write of one entry's spill file happens under that
+// entry's fileMu, and the mark is only set while still holding it, so a
+// late rename cannot leave the mark describing a file other than the one
+// on disk. A file that fails to decode (corruption, version skew, a
+// fingerprint from a re-registered id's other graph) is deleted and the
+// miss rebuilds, so the tier can only save work, never serve wrong answers.
 package store
 
 import (
@@ -114,6 +127,9 @@ type GraphStats struct {
 	// SnapshotWrites counts snapshots of this graph written to the disk
 	// tier (on eviction or an explicit snapshot request).
 	SnapshotWrites int64 `json:"snapshot_writes,omitempty"`
+	// SpillsElided counts evictions of this graph that wrote nothing
+	// because its spill file already held the evicted bundle's substrates.
+	SpillsElided int64 `json:"spills_elided,omitempty"`
 	// PeerRestores counts bundles this graph installed from snapshot bytes
 	// fetched off another replica (the fleet's peer-to-peer restore path),
 	// as opposed to the local disk tier.
@@ -136,6 +152,7 @@ type Stats struct {
 	SnapshotWrites   int64 `json:"snapshot_writes,omitempty"`
 	SnapshotRestores int64 `json:"snapshot_restores,omitempty"`
 	SnapshotErrors   int64 `json:"snapshot_errors,omitempty"`
+	SpillsElided     int64 `json:"spills_elided,omitempty"`
 	// PeerRestores counts bundles installed from peer-fetched snapshot
 	// bytes (InstallSnapshot) — the fleet's warm-restore path.
 	PeerRestores int64        `json:"peer_restores,omitempty"`
@@ -168,6 +185,16 @@ type entry struct {
 	hits, misses, builds, evictions, buildRounds int64
 	lastAccessMS                                 int64 // Unix ms of the latest acquire
 	snapRestores, snapWrites, peerRestores       int64
+	spillsElided                                 int64
+
+	// Disk tier (package comment). loading is non-nil while a restore of
+	// this entry is in flight, closed when it settles; fileKeys is the
+	// mark, "" when cleared. Both are guarded by Store.mu. fileMu orders
+	// reads and writes of the file and is held whenever fileKeys is set
+	// non-empty. Lock order: fileMu, then Store.mu.
+	loading  chan struct{}
+	fileMu   sync.Mutex
+	fileKeys string
 }
 
 // Store is the registry. Safe for concurrent use.
@@ -183,6 +210,7 @@ type Store struct {
 	buildRounds                     int64
 	snapWrites, snapRestores        int64
 	snapErrors, peerRestores        int64
+	spillsElided                    int64
 
 	spillWG sync.WaitGroup // in-flight eviction spills
 }
@@ -278,7 +306,7 @@ func (s *Store) IDs() []string {
 func (s *Store) With(ctx context.Context, id string, fn func(pg *planarflow.PreparedGraph, hit bool) error) error {
 	sp := obs.SpanFromContext(ctx)
 	t0 := time.Now()
-	e, pg, hit, err := s.acquire(id)
+	e, pg, hit, err := s.acquire(ctx, id)
 	d := time.Since(t0)
 	mAcquire.Observe(d)
 	sp.Add(obs.PhaseAcquire, d)
@@ -292,14 +320,15 @@ func (s *Store) With(ctx context.Context, id string, fn func(pg *planarflow.Prep
 	return err
 }
 
-// acquire pins the bundle of id, creating it on a miss. A miss checks
-// the disk tier first: a valid snapshot restores the substrates at
-// decode speed (accounted immediately, counted as a snapshot restore,
-// not as builds); otherwise the bundle starts empty and substrates build
-// lazily. The restore runs under the store lock — it is decode-bound
-// (milliseconds for serving-sized graphs), and holding the lock keeps
-// the one-bundle-per-id invariant without a second singleflight layer.
-func (s *Store) acquire(id string) (*entry, *planarflow.PreparedGraph, bool, error) {
+// acquire pins the bundle of id, making it resident on a miss. A miss
+// checks the disk tier first (load): a valid snapshot restores the
+// substrates at decode speed (accounted immediately, counted as a
+// snapshot restore, not as builds); otherwise the bundle starts empty and
+// substrates build lazily. The store lock is released while the file is
+// decoded, so a miss holds up only later callers for the same graph, who
+// wait for that one load and count as misses too. A caller whose ctx ends
+// while it waits gets the bare ctx.Err(): nothing pinned or counted.
+func (s *Store) acquire(ctx context.Context, id string) (*entry, *planarflow.PreparedGraph, bool, error) {
 	t0 := time.Now()
 	s.mu.Lock()
 	mQueueWait.Observe(time.Since(t0))
@@ -308,45 +337,98 @@ func (s *Store) acquire(id string) (*entry, *planarflow.PreparedGraph, bool, err
 	if !ok {
 		return nil, nil, false, fmt.Errorf("%w: %q", ErrUnknownGraph, id)
 	}
-	e.lastAccessMS = time.Now().UnixMilli()
 	hit := e.pg != nil
 	if hit {
 		e.hits++
 		s.hits++
 		s.lru.MoveToFront(e.elem)
 	} else {
-		if err := s.residentLocked(e); err != nil {
+		if _, err := s.load(ctx, e); err != nil {
 			return nil, nil, false, err
+		}
+		if e.pg == nil { // nothing usable on disk: start empty
+			pg, err := planarflow.Prepare(e.gr) // O(1): substrates build lazily
+			if err != nil {
+				return nil, nil, false, err
+			}
+			e.pg = pg
+			e.elem = s.lru.PushFront(e)
 		}
 		e.misses++
 		s.misses++
 	}
+	e.lastAccessMS = time.Now().UnixMilli()
 	e.pins++
 	return e, e.pg, hit, nil
 }
 
-// residentLocked makes e's bundle resident on a miss: disk restore when
-// the spill tier holds a valid snapshot, empty bundle otherwise.
-func (s *Store) residentLocked(e *entry) error {
-	if pg := s.restoreLocked(e); pg != nil {
-		s.installLocked(e, pg, &e.snapRestores, &s.snapRestores)
-		return nil
+// load brings e's bundle in from the disk tier when it is not resident:
+// the one restore route, shared by acquire, TryRestore and SnapshotTo.
+// Called with s.mu held; it releases the lock while it reads the file or
+// waits for another caller's read, and returns (or unwinds) holding it
+// again. loaded reports that this call installed the bundle; e.pg stays
+// nil only when the tier had nothing usable. The only error is ctx's own.
+func (s *Store) load(ctx context.Context, e *entry) (loaded bool, err error) {
+	for e.pg == nil && s.cfg.SpillDir != "" {
+		ch := e.loading
+		if ch == nil {
+			ch = make(chan struct{})
+			e.loading = ch
+			return s.loadFile(e, ch), nil
+		}
+		s.mu.Unlock()
+		t0 := time.Now()
+		select {
+		case <-ch: // settled either way: re-check
+			mRestoreWait.Observe(time.Since(t0))
+		case <-ctx.Done():
+			err = ctx.Err()
+		}
+		s.mu.Lock()
+		if err != nil {
+			return false, err
+		}
 	}
-	pg, err := planarflow.Prepare(e.gr) // O(1): substrates build lazily
-	if err != nil {
-		return err
+	return false, nil
+}
+
+// loadFile is the loader's half of load: read and decode e's spill file
+// with s.mu released and e.fileMu held, then publish first-wins (a bundle
+// InstallSnapshot made resident meanwhile is just as good) and set the
+// mark to what the file turned out to hold. Publishing runs deferred so
+// that a panicking decoder still wakes the waiters on ch.
+func (s *Store) loadFile(e *entry, ch chan struct{}) (loaded bool) {
+	s.mu.Unlock()
+	e.fileMu.Lock()
+	var pg *planarflow.PreparedGraph
+	var keys string
+	var err error
+	defer func() {
+		s.mu.Lock()
+		e.loading = nil
+		close(ch)
+		if err != nil {
+			s.snapErrors++
+		}
+		e.fileKeys = keys
+		if pg != nil && e.pg == nil {
+			s.installLocked(e, pg, &e.snapRestores, &s.snapRestores)
+			loaded = true
+		}
+		e.fileMu.Unlock()
+	}()
+	if pg, err = s.readSpill(e); pg != nil {
+		keys = keySet(pg)
 	}
-	e.pg = pg
-	e.elem = s.lru.PushFront(e)
-	return nil
+	return
 }
 
 // installLocked is the one "a warm bundle becomes resident" transition,
-// shared by the miss path, TryRestore, SnapshotTo's disk promotion and
-// InstallSnapshot: publish pg as e's bundle at the LRU front, account its
-// substrates on arrival (they are resident right now; release only ever
-// grows these monotonically), and bump the per-graph and store-wide
-// counter of the route it arrived by (disk restore or peer restore).
+// shared by the disk loader and InstallSnapshot: publish pg as e's bundle
+// at the LRU front, account its substrates on arrival (they are resident
+// right now; release only ever grows these monotonically), and bump the
+// per-graph and store-wide counter of the route it arrived by (disk
+// restore or peer restore).
 func (s *Store) installLocked(e *entry, pg *planarflow.PreparedGraph, perGraph, total *int64) {
 	e.pg = pg
 	e.elem = s.lru.PushFront(e)
@@ -357,33 +439,41 @@ func (s *Store) installLocked(e *entry, pg *planarflow.PreparedGraph, perGraph, 
 	*total++
 }
 
-// restoreLocked attempts a disk-tier restore for e; nil means no usable
-// snapshot. A file that is provably dead — corrupt bytes, or a
-// fingerprint from a different graph (the id was re-registered) — is
-// deleted so the next miss does not retry it; a transient read error
-// leaves the file in place (it may decode fine next time) and only
-// counts against the error metric.
-func (s *Store) restoreLocked(e *entry) *planarflow.PreparedGraph {
-	if s.cfg.SpillDir == "" {
-		return nil
-	}
+// readSpill opens and decodes e's spill file (caller holds e.fileMu, not
+// s.mu). (nil, nil) means there is no file. A file that is provably dead
+// — corrupt bytes, or a fingerprint from a different graph (the id was
+// re-registered) — is deleted so the next miss does not retry it; a
+// transient read error leaves the file in place (it may decode fine next
+// time). Either way the error is returned to be counted.
+func (s *Store) readSpill(e *entry) (*planarflow.PreparedGraph, error) {
 	path := s.spillPath(e.id)
 	f, err := os.Open(path)
 	if err != nil {
-		return nil
+		return nil, nil
 	}
+	defer f.Close()
 	t0 := time.Now()
 	pg, err := planarflow.RestorePrepared(e.gr, bufio.NewReader(f))
-	f.Close()
 	if err != nil {
-		s.snapErrors++
 		if errors.Is(err, planarflow.ErrBadSnapshot) || errors.Is(err, planarflow.ErrSnapshotMismatch) {
 			os.Remove(path)
 		}
-		return nil
+		return nil, err
 	}
 	mRestore.Observe(time.Since(t0))
-	return pg
+	return pg, nil
+}
+
+// keySet names the substrates a bundle holds, "kind/lengths/leaf;" each,
+// in Stats' deterministic order. Substrates are deterministic, so for one
+// graph equal key sets snapshot to equal bytes; a bundle with nothing
+// built has the empty set.
+func keySet(pg *planarflow.PreparedGraph) string {
+	var b strings.Builder
+	for _, sub := range pg.Stats().Substrates {
+		fmt.Fprintf(&b, "%s/%s/%d;", sub.Kind, sub.Lengths, sub.LeafLimit)
+	}
+	return b.String()
 }
 
 // release re-accounts the bundle's footprint after a query, unpins it,
@@ -448,7 +538,9 @@ func (s *Store) evictLocked() []spillJob {
 }
 
 // dropLocked evicts one resident bundle, returning its spill job when
-// the disk tier is enabled.
+// the disk tier is enabled and the spill file does not already hold
+// exactly the substrates the bundle has (an unpinned bundle builds
+// nothing more, so its key set is final).
 func (s *Store) dropLocked(e *entry) []spillJob {
 	pg := e.pg
 	s.bytes -= e.bytes
@@ -461,15 +553,21 @@ func (s *Store) dropLocked(e *entry) []spillJob {
 	if s.cfg.SpillDir == "" {
 		return nil
 	}
+	if keySet(pg) == e.fileKeys {
+		e.spillsElided++
+		s.spillsElided++
+		mSpillsElided.Inc()
+		return nil
+	}
 	return []spillJob{{e: e, pg: pg}}
 }
 
 // spillAsync writes demoted bundles to the disk tier off the serving
 // path: the releasing query's latency must not include encode + disk
 // I/O for bundles it happened to push over the budget. A miss that
-// races an in-flight spill simply rebuilds (the spill still lands for
-// the next one); two spills of the same id serialize through the
-// temp+rename, so the file is always one complete snapshot.
+// arrives while its own graph's spill is being written waits for it on
+// the entry's fileMu and restores what it wrote; one that beats the
+// writer to the lock reads whatever was there before, or rebuilds.
 func (s *Store) spillAsync(jobs []spillJob) {
 	if len(jobs) == 0 {
 		return
@@ -490,16 +588,33 @@ func (s *Store) FlushSpills() { s.spillWG.Wait() }
 // fatal: a failed spill only means the next miss rebuilds.
 func (s *Store) spill(jobs []spillJob) {
 	for _, j := range jobs {
-		err := s.writeSnapshot(j.e.id, j.pg)
-		s.mu.Lock()
-		if err != nil {
-			s.snapErrors++
-		} else {
-			j.e.snapWrites++
-			s.snapWrites++
-		}
-		s.mu.Unlock()
+		s.writeSpill(j.e, j.pg)
 	}
+}
+
+// writeSpill writes pg as e's spill file under e.fileMu, then counts the
+// write and moves the mark before letting go of the file: to pg's key
+// set, or to nothing when the write failed or a substrate published
+// while it was being encoded (SnapshotResident writes live bundles), in
+// which case what the file holds lies somewhere between the two sets.
+func (s *Store) writeSpill(e *entry, pg *planarflow.PreparedGraph) error {
+	e.fileMu.Lock()
+	defer e.fileMu.Unlock()
+	keys := keySet(pg)
+	err := s.writeSnapshot(e.id, pg)
+	if err != nil || keySet(pg) != keys {
+		keys = ""
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e.fileKeys = keys
+	if err != nil {
+		s.snapErrors++
+		return err
+	}
+	e.snapWrites++
+	s.snapWrites++
+	return nil
 }
 
 // writeSnapshot persists one bundle under the spill directory, via a
@@ -562,8 +677,9 @@ func (s *Store) SpillEnabled() bool { return s.cfg.SpillDir != "" }
 // ops valve behind flowd's POST /v1/snapshot, and the way a daemon
 // persists its warm working set before a planned restart. Unknown ids
 // error; known-but-not-resident ids are skipped (an evicted bundle
-// already spilled on the way out). Returns how many snapshots were
-// written.
+// already spilled on the way out). Resident bundles are written
+// unconditionally, whatever their marks say. Returns how many snapshots
+// were written.
 func (s *Store) SnapshotResident(ids ...string) (int, error) {
 	if !s.SpillEnabled() {
 		return 0, ErrSpillDisabled
@@ -590,19 +706,11 @@ func (s *Store) SnapshotResident(ids ...string) (int, error) {
 	var firstErr error
 	written := 0
 	for _, j := range jobs {
-		err := s.writeSnapshot(j.e.id, j.pg)
-		s.mu.Lock()
-		if err != nil {
-			s.snapErrors++
-			if firstErr == nil {
-				firstErr = err
-			}
-		} else {
-			j.e.snapWrites++
-			s.snapWrites++
+		if err := s.writeSpill(j.e, j.pg); err == nil {
 			written++
+		} else if firstErr == nil {
+			firstErr = err
 		}
-		s.mu.Unlock()
 	}
 	return written, firstErr
 }
@@ -615,26 +723,17 @@ func (s *Store) SnapshotResident(ids ...string) (int, error) {
 // snapshot exists — none of which is an error).
 func (s *Store) TryRestore(id string) (bool, error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	e, ok := s.ents[id]
 	if !ok {
-		s.mu.Unlock()
 		return false, fmt.Errorf("%w: %q", ErrUnknownGraph, id)
 	}
-	if e.pg != nil {
-		s.mu.Unlock()
-		return false, nil
+	loaded, _ := s.load(context.Background(), e) // Background never ends a wait
+	if loaded {
+		e.lastAccessMS = time.Now().UnixMilli()
+		s.spillAsync(s.evictLocked()) // the restore may overshoot the budget
 	}
-	pg := s.restoreLocked(e)
-	if pg == nil {
-		s.mu.Unlock()
-		return false, nil
-	}
-	s.installLocked(e, pg, &e.snapRestores, &s.snapRestores)
-	e.lastAccessMS = time.Now().UnixMilli()
-	jobs := s.evictLocked() // the restore may overshoot the budget
-	s.mu.Unlock()
-	s.spillAsync(jobs)
-	return true, nil
+	return loaded, nil
 }
 
 // SnapshotTo streams the graph's current substrate snapshot into w —
@@ -645,33 +744,31 @@ func (s *Store) TryRestore(id string) (bool, error) {
 // The encode runs outside the store lock (bundles are immutable) with
 // the bundle pinned so eviction cannot race the stream.
 func (s *Store) SnapshotTo(id string, w io.Writer) (bool, error) {
-	s.mu.Lock()
-	e, ok := s.ents[id]
-	if !ok {
-		s.mu.Unlock()
-		return false, fmt.Errorf("%w: %q", ErrUnknownGraph, id)
+	e, pg, err := s.pinWarm(id)
+	if pg == nil {
+		return false, err
 	}
-	if e.pg == nil {
-		pg := s.restoreLocked(e)
-		if pg == nil {
-			s.mu.Unlock()
-			return false, nil
-		}
-		s.installLocked(e, pg, &e.snapRestores, &s.snapRestores)
-	}
-	pg := e.pg
-	e.pins++
-	s.mu.Unlock()
-	err := pg.Snapshot(w)
-	s.mu.Lock()
-	e.pins--
-	jobs := s.evictLocked() // the disk promotion may have overshot the budget
-	s.mu.Unlock()
-	s.spillAsync(jobs)
-	if err != nil {
+	defer s.release(e, pg) // unpins; the disk promotion may have overshot the budget
+	if err := pg.Snapshot(w); err != nil {
 		return false, err
 	}
 	return true, nil
+}
+
+// pinWarm pins id's bundle if it is resident or the disk tier can make
+// it so; a nil bundle with a nil error means it is neither.
+func (s *Store) pinWarm(id string) (*entry, *planarflow.PreparedGraph, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.ents[id]
+	if !ok {
+		return nil, nil, fmt.Errorf("%w: %q", ErrUnknownGraph, id)
+	}
+	s.load(context.Background(), e) // Background never ends a wait
+	if e.pg != nil {
+		e.pins++
+	}
+	return e, e.pg, nil
 }
 
 // InstallSnapshot decodes peer-fetched snapshot bytes and installs the
@@ -713,6 +810,7 @@ func (s *Store) InstallSnapshot(id string, data []byte) (bool, error) {
 		return false, nil
 	}
 	s.installLocked(e, pg, &e.peerRestores, &s.peerRestores)
+	e.fileKeys = "" // not this entry's file: its eviction writes
 	e.lastAccessMS = time.Now().UnixMilli()
 	jobs := s.evictLocked()
 	s.mu.Unlock()
@@ -757,7 +855,8 @@ func (s *Store) Snapshot() Stats {
 		Hits: s.hits, Misses: s.misses, Builds: s.builds,
 		Evictions: s.evictions, BuildRounds: s.buildRounds,
 		SnapshotWrites: s.snapWrites, SnapshotRestores: s.snapRestores,
-		SnapshotErrors: s.snapErrors, PeerRestores: s.peerRestores,
+		SnapshotErrors: s.snapErrors, SpillsElided: s.spillsElided,
+		PeerRestores: s.peerRestores,
 	}
 	ids := make([]string, 0, len(s.ents))
 	for id := range s.ents {
@@ -776,7 +875,7 @@ func (s *Store) Snapshot() Stats {
 			Evictions: e.evictions, BuildRounds: e.buildRounds,
 			LastAccessUnixMS: e.lastAccessMS,
 			SnapshotRestores: e.snapRestores, SnapshotWrites: e.snapWrites,
-			PeerRestores: e.peerRestores,
+			SpillsElided: e.spillsElided, PeerRestores: e.peerRestores,
 		})
 	}
 	return st

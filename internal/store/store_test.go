@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"planarflow"
 )
@@ -16,7 +17,7 @@ func gridSpec(seed int64) GraphSpec {
 
 // distFootprint measures the accounted footprint of one grid's bundle
 // after a Dist query, so tests can size budgets in units of "one bundle".
-func distFootprint(t *testing.T) int64 {
+func distFootprint(t testing.TB) int64 {
 	t.Helper()
 	g, err := gridSpec(1).Build()
 	if err != nil {
@@ -308,6 +309,58 @@ func TestContextCancellationPropagates(t *testing.T) {
 	if st.Builds != 2 {
 		t.Fatalf("builds = %d, want 2 (bdd + primal, once)", st.Builds)
 	}
+
+	// A request canceled while it waits on another caller's restore of its
+	// graph returns the bare context error: nothing pinned, no hit or miss
+	// counted, and the restore it left finishes for its owner.
+	t.Run("waiter", func(t *testing.T) {
+		s, want := spilled(t)
+		started, feed := blockRestore(t, s, "g")
+		q := planarflow.DistQuery(0, s.Graph("g").N()-1)
+		base := mQueueWait.Snapshot().Count
+		owner := make(chan int64, 1)
+		go func() {
+			a, _, err := s.Do(context.Background(), "g", q)
+			if err != nil {
+				t.Error(err)
+				owner <- -1
+				return
+			}
+			owner <- a.Value
+		}()
+		started()
+		st0 := s.Snapshot()
+
+		ctx, cancel := context.WithCancel(context.Background())
+		waiter := make(chan error, 1)
+		go func() {
+			_, _, err := s.Do(ctx, "g", q)
+			waiter <- err
+		}()
+		awaitAcquires(t, s, base, 2) // the waiter is parked on the owner's load
+		cancel()
+		select {
+		case err := <-waiter:
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("canceled waiter got %v, want context.Canceled", err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Error("canceled waiter still waits for the owner's restore")
+		}
+		if st := s.Snapshot(); st.Hits != st0.Hits || st.Misses != st0.Misses || st.PerGraph[0].Pins != 0 {
+			t.Errorf("canceled waiter left hits %d -> %d, misses %d -> %d, pins %d",
+				st0.Hits, st.Hits, st0.Misses, st.Misses, st.PerGraph[0].Pins)
+		}
+
+		feed()
+		if got := <-owner; got != want {
+			t.Errorf("owner's dist %d, want %d", got, want)
+		}
+		if st := s.Snapshot(); st.SnapshotRestores != 1 || st.Misses != st0.Misses+1 || st.Builds != st0.Builds {
+			t.Errorf("restores = %d, misses %d -> %d, builds %d -> %d; want 1, +1, +0",
+				st.SnapshotRestores, st0.Misses, st.Misses, st0.Builds, st.Builds)
+		}
+	})
 }
 
 func TestGraphLimit(t *testing.T) {
