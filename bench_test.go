@@ -8,6 +8,7 @@ package planarflow
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"planarflow/internal/artifact"
@@ -174,6 +175,32 @@ func BenchmarkFullDualLabeling(b *testing.B) {
 		}
 		return nil
 	})
+}
+
+// BenchmarkSourceLabeling — the assignment step at λ*: the same pass, full
+// labels on the source's chain and From-only elsewhere, plus the SSSP
+// decode. The pass itself charges nothing (λ*'s probe already did), so the
+// rounds reported are the decode's, checked equal to those of SSSP over the
+// full labeling.
+func BenchmarkSourceLabeling(b *testing.B) {
+	var (
+		tree *bdd.BDD
+		lens []int64
+		got  *ledger.Ledger
+	)
+	benchWarmExact(b, func(p *artifact.Prepared, t *bdd.BDD, led *ledger.Ledger) error {
+		tree, lens, got = t, artifact.Lengths(p.Graph(), artifact.Undirected), led
+		res, err := duallabel.SSSPFrom(context.Background(), tree, lens, 0, led)
+		if err == nil && res.NegCycle {
+			err = errors.New("unexpected negative cycle")
+		}
+		return err
+	})
+	want := ledger.New()
+	duallabel.Compute(tree, lens, ledger.New()).SSSP(0, want)
+	if !reflect.DeepEqual(got.Entries(), want.Entries()) {
+		b.Fatalf("SSSPFrom charged %v, SSSP over the full labeling %v", got.Entries(), want.Entries())
+	}
 }
 
 // BenchmarkE7PartwiseAggregation — Cor 4.6/Thm 4.10: PA on G* in Õ(D).

@@ -46,11 +46,15 @@ type FlowResult struct {
 // query runs one feasibility probe (duallabel.Feasible): the labeling pass
 // restricted to the faces the negative-cycle verdict depends on, charged as
 // the full labeling the paper's algorithm runs. No per-λ labeling is kept;
-// the one labeling the assignment decodes, at λ*, is computed once after the
-// search against a scratch ledger — the distributed algorithm already holds
-// it from λ*'s probe, so re-deriving it is an artefact of the simulation and
-// is charged nowhere. A canceled p.Context() stops the query at the next bag
-// with the context's error.
+// the assignment's one dual SSSP at λ* (duallabel.SSSPFrom) runs the pass
+// once more after the search, source-directed: full labels only on the faces
+// the source's label chain depends on, From-only labels — the half the
+// decode reads of a target — everywhere else, never visible outside that
+// call. The distributed algorithm already holds λ*'s labels from λ*'s probe,
+// so that pass is an artefact of the simulation and is charged nowhere; the
+// SSSP's broadcast and tree marking are charged to led as over a full
+// labeling. A canceled p.Context() stops the query at the next bag with the
+// context's error.
 func MaxFlow(p *artifact.Prepared, s, t int, opt Options, led *ledger.Ledger) (*FlowResult, error) {
 	g := p.Graph()
 	if s == t {
@@ -118,14 +122,13 @@ func MaxFlow(p *artifact.Prepared, s, t int, opt Options, led *ledger.Ledger) (*
 			hi = mid
 		}
 	}
-	bestLab, err := duallabel.ComputeContext(ctx, tree, lengthsFor(lo), ledger.New())
+
+	// Assignment: dual SSSP potentials from an arbitrary face (§6.1).
+	sssp, err := duallabel.SSSPFrom(ctx, tree, lengthsFor(lo), 0, led)
 	if err != nil {
 		return nil, err
 	}
-
-	// Assignment: dual SSSP potentials from an arbitrary face (§6.1).
 	res := &FlowResult{Value: lo, Flow: make([]int64, g.M()), Iterations: iters}
-	sssp := bestLab.SSSP(0, led)
 	if sssp.NegCycle {
 		return nil, errors.New("core: internal: feasible λ reported a negative cycle")
 	}

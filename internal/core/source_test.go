@@ -1,0 +1,146 @@
+package core
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"planarflow/internal/artifact"
+	"planarflow/internal/duallabel"
+	"planarflow/internal/ledger"
+	"planarflow/internal/planar"
+)
+
+// maxFlowFullLabeling is the reference MaxFlow is compared against: the same
+// Miller–Naor search, with the assignment decoded the way it was before
+// duallabel.SSSPFrom — a full labeling at λ* against a scratch ledger, then
+// SSSP(0) over it.
+func maxFlowFullLabeling(p *artifact.Prepared, s, t int, opt Options, led *ledger.Ledger) (*FlowResult, error) {
+	g := p.Graph()
+	tree, err := p.Tree(opt.LeafLimit, led)
+	if err != nil {
+		return nil, err
+	}
+	path, err := dartPath(g, s, t)
+	if err != nil {
+		return nil, err
+	}
+	led.Charge("maxflow/find-path", int64(2*(tree.Root.TreeDepth+1)))
+	onPath := make([]bool, g.NumDarts())
+	for _, d := range path {
+		onPath[d] = true
+	}
+	lengthsFor := func(lambda int64) []int64 {
+		lens := make([]int64, g.NumDarts())
+		for e := 0; e < g.M(); e++ {
+			lens[planar.ForwardDart(e)] = g.Edge(e).Cap
+		}
+		for _, d := range path {
+			lens[d] -= lambda
+			lens[planar.Rev(d)] += lambda
+		}
+		return lens
+	}
+	feasible := func(lambda int64) bool {
+		return !duallabel.Compute(tree, lengthsFor(lambda), led).NegCycle
+	}
+	if !feasible(0) {
+		return nil, fmt.Errorf("zero flow infeasible")
+	}
+	lo, hi, iters := int64(0), g.TotalCap()+1, 0
+	for lo+1 < hi {
+		iters++
+		if mid := lo + (hi-lo)/2; feasible(mid) {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	sssp := duallabel.Compute(tree, lengthsFor(lo), ledger.New()).SSSP(0, led)
+	res := &FlowResult{Value: lo, Flow: make([]int64, g.M()), Iterations: iters}
+	fd := g.Faces()
+	for e := range res.Flow {
+		fw := planar.ForwardDart(e)
+		res.Flow[e] = sssp.Dist[fd.FaceOf(planar.Rev(fw))] - sssp.Dist[fd.FaceOf(fw)]
+		if onPath[fw] {
+			res.Flow[e] += lo
+		}
+		if onPath[planar.Rev(fw)] {
+			res.Flow[e] -= lo
+		}
+	}
+	return res, nil
+}
+
+// TestSourceDirectedFlowMatchesFullLabeling: on random triangulations and
+// snakes, at leaf limits small enough to give the source face a deep Child
+// chain, MaxFlow returns the reference's result — value, iterations and the
+// flow edge for edge — and charges the same ledger entry for entry; MinSTCut,
+// which decodes that flow, charges the reference's entries first.
+func TestSourceDirectedFlowMatchesFullLabeling(t *testing.T) {
+	rng := planar.NewRand(47)
+	weighted := func(g *planar.Graph) *planar.Graph {
+		return planar.WithRandomDirections(planar.WithRandomWeights(g, rng, 1, 9, 1, 10), rng)
+	}
+	instances := []struct {
+		name string
+		g    *planar.Graph
+	}{
+		{"triangulation30", weighted(planar.StackedTriangulation(30, rng))},
+		{"triangulation70", weighted(planar.StackedTriangulation(70, rng))},
+		{"triangulation110", weighted(planar.StackedTriangulation(110, rng))},
+		{"snake6x9", weighted(planar.BoustrophedonGrid(6, 9))},
+		{"snake8x8", planar.WithRandomWeights(planar.BoustrophedonGrid(8, 8), rng, 1, 9, 1, 10)},
+	}
+	deepest := 0
+	for _, in := range instances {
+		for _, leafLimit := range []int{8, 0} {
+			name := fmt.Sprintf("%s/leaf%d", in.name, leafLimit)
+			opt := Options{LeafLimit: leafLimit}
+			s := rng.IntN(in.g.N())
+			tt := (s + 1 + rng.IntN(in.g.N()-1)) % in.g.N()
+
+			wantLed, gotLed, cutLed := ledger.New(), ledger.New(), ledger.New()
+			want, err := maxFlowFullLabeling(prep(in.g), s, tt, opt, wantLed)
+			if err != nil {
+				t.Fatalf("%s: reference: %v", name, err)
+			}
+			p := prep(in.g)
+			got, err := MaxFlow(p, s, tt, opt, gotLed)
+			if err != nil {
+				t.Fatalf("%s: maxflow: %v", name, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: s=%d t=%d: MaxFlow\n %+v\nreference\n %+v", name, s, tt, got, want)
+			}
+			if !reflect.DeepEqual(gotLed.Entries(), wantLed.Entries()) {
+				t.Fatalf("%s: ledgers differ:\nMaxFlow   %v\nreference %v", name, gotLed.Entries(), wantLed.Entries())
+			}
+			if err := CheckFlow(in.g, s, tt, got.Flow, got.Value); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+
+			cut, err := MinSTCut(prep(in.g), s, tt, opt, cutLed)
+			if err != nil {
+				t.Fatalf("%s: minstcut: %v", name, err)
+			}
+			if cut.Value != want.Value {
+				t.Fatalf("%s: cut %d, reference flow %d", name, cut.Value, want.Value)
+			}
+			if n := len(wantLed.Entries()); len(cutLed.Entries()) <= n || !reflect.DeepEqual(cutLed.Entries()[:n], wantLed.Entries()) {
+				t.Fatalf("%s: MinSTCut's ledger does not begin with the reference flow's", name)
+			}
+
+			tree, err := p.Tree(leafLimit, ledger.New())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tree.Depth > deepest {
+				deepest = tree.Depth
+			}
+		}
+	}
+	if deepest < 4 {
+		t.Fatalf("deepest tree has %d levels: no deep Child chain exercised", deepest)
+	}
+}

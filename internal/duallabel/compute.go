@@ -71,7 +71,7 @@ func Compute(t *bdd.BDD, lengths []int64, led *ledger.Ledger) *Labeling {
 // emitted only on completion).
 func ComputeContext(ctx context.Context, t *bdd.BDD, lengths []int64, led *ledger.Ledger) (*Labeling, error) {
 	pl := planOf(t)
-	return pl.label(ctx, pl.every, lengths, led)
+	return pl.label(ctx, pl.every, false, lengths, led)
 }
 
 // Feasible reports whether G* is free of negative cycles under lengths —
@@ -83,16 +83,38 @@ func ComputeContext(ctx context.Context, t *bdd.BDD, lengths []int64, led *ledge
 // the pass skips. lengths is not retained.
 func Feasible(ctx context.Context, t *bdd.BDD, lengths []int64, led *ledger.Ledger) (bool, error) {
 	pl := planOf(t)
-	la, err := pl.label(ctx, pl.probe, lengths, led)
+	la, err := pl.label(ctx, pl.probe, false, lengths, led)
 	if err != nil {
 		return false, err
 	}
 	return !la.NegCycle, nil
 }
 
-// label is the one labeling pass: bottom-up over the bags, labeling in each
-// bag the faces wanted lists for it.
-func (pl *plan) label(ctx context.Context, wanted [][]int, lengths []int64, led *ledger.Ledger) (*Labeling, error) {
+// SSSPFrom computes ComputeContext(ctx, t, lengths, ·).SSSP(source, led) —
+// the same distances, tree darts and ledger entries — without the full
+// labeling. Lemma 2.2's decode reads the source's whole label chain but, of
+// any other face, only the half that holds distances towards it, so the pass
+// labels in full only the faces that chain depends on (plan.wantedFrom the
+// source) and every other face From-only. The labeling pass itself charges
+// nothing: callers reach this after a pass over the same lengths already
+// charged the labeling (core.MaxFlow's λ* probe). A From-only label must
+// never be the first argument of Decode, nor have Words() taken, so the
+// half-labelled Labeling does not leave this function. lengths is not
+// retained.
+func SSSPFrom(ctx context.Context, t *bdd.BDD, lengths []int64, source int, led *ledger.Ledger) (*SSSPResult, error) {
+	pl := planOf(t)
+	la, err := pl.label(ctx, pl.wantedFrom([]int{source}), true, lengths, ledger.New())
+	if err != nil {
+		return nil, err
+	}
+	return la.SSSP(source, led), nil
+}
+
+// label is the one labeling pass: bottom-up over the bags, labeling in full,
+// in each bag, the faces wanted lists for it. The bag's other faces are
+// skipped, or with fromRest labelled From-only: From/LeafFrom (and Child)
+// alone, enough to be the second argument of Decode.
+func (pl *plan) label(ctx context.Context, wanted [][]int, fromRest bool, lengths []int64, led *ledger.Ledger) (*Labeling, error) {
 	t := pl.t
 	la := &Labeling{
 		T:       t,
@@ -111,9 +133,9 @@ func (pl *plan) label(ctx context.Context, wanted [][]int, lengths []int64, led 
 		b := t.Bags[i]
 		var cost int64
 		if b.IsLeaf() {
-			cost = la.computeLeaf(b, &pl.bags[i], wanted[i])
+			cost = la.computeLeaf(b, &pl.bags[i], wanted[i], fromRest)
 		} else {
-			cost = la.computeInternal(b, &pl.bags[i], wanted[i])
+			cost = la.computeInternal(b, &pl.bags[i], wanted[i], fromRest)
 		}
 		if la.NegCycle {
 			led.Charge("label/negative-cycle-abort", int64(b.TreeDepth+1))
@@ -187,8 +209,9 @@ func (la *Labeling) FootprintBytes() int64 {
 // step), takes the negative-cycle verdict from one super-source pass, and
 // computes distances from each wanted face; returns the measured broadcast
 // cost TreeDepth + #nodes + #arcs (pipelined). LeafFrom, which nothing
-// decodes, covers the wanted faces only — all of them in a full labeling.
-func (la *Labeling) computeLeaf(b *bdd.Bag, bp *bagPlan, wanted []int) int64 {
+// decodes, covers the wanted faces only — all of them in a full labeling —
+// and is all a From-only label holds.
+func (la *Labeling) computeLeaf(b *bdd.Bag, bp *bagPlan, wanted []int, fromRest bool) int64 {
 	n := len(b.Faces)
 	super := n
 	dg := spath.NewDigraph(n + 1)
@@ -216,18 +239,25 @@ func (la *Labeling) computeLeaf(b *bdd.Bag, bp *bagPlan, wanted []int) int64 {
 			w++
 		}
 	}
-	labels := make(map[int]*Label, len(wanted))
+	size := len(wanted)
+	if fromRest {
+		size = n
+	}
+	labels := make(map[int]*Label, size)
 	for i, f := range b.Faces {
-		if rows[i] == nil {
+		full := rows[i] != nil
+		if !full && !fromRest {
 			continue
 		}
-		l := &Label{
-			Bag: b, Face: f,
-			LeafTo:   make(map[int]int64, n),
-			LeafFrom: make(map[int]int64, len(wanted)),
+		l := &Label{Bag: b, Face: f}
+		if full {
+			l.LeafTo = make(map[int]int64, n)
 		}
+		l.LeafFrom = make(map[int]int64, len(wanted))
 		for j, h := range b.Faces {
-			l.LeafTo[h] = rows[i][j]
+			if full {
+				l.LeafTo[h] = rows[i][j]
+			}
 			if rows[j] != nil {
 				l.LeafFrom[h] = rows[j][i]
 			}
@@ -241,7 +271,7 @@ func (la *Labeling) computeLeaf(b *bdd.Bag, bp *bagPlan, wanted []int) int64 {
 // computeInternal builds the base DDG from child labels, checks for
 // negative cycles, and derives each wanted face's label via min-plus
 // products over the base matrix (§5.3); returns the charged broadcast cost.
-func (la *Labeling) computeInternal(b *bdd.Bag, bp *bagPlan, wanted []int) int64 {
+func (la *Labeling) computeInternal(b *bdd.Bag, bp *bagPlan, wanted []int, fromRest bool) int64 {
 	ddg := &BagDDG{Bag: b, Nodes: bp.nodes, Index: bp.index, RepsOf: bp.repsOf}
 	childLabels := [2]map[int]*Label{la.byBag[b.Children[0].ID], la.byBag[b.Children[1].ID]}
 
@@ -295,20 +325,31 @@ func (la *Labeling) computeInternal(b *bdd.Bag, bp *bagPlan, wanted []int) int64
 	}
 	la.ddgs[b.ID] = ddg
 
-	// ---- Labels for the wanted faces of the bag. ----
-	labels := make(map[int]*Label, len(wanted))
+	// ---- Labels for the wanted faces of the bag; with fromRest, From-only
+	// labels for the others. ----
+	faces := wanted
+	if fromRest {
+		faces = b.Faces
+	}
+	labels := make(map[int]*Label, len(faces))
 	to := make([]int64, len(b.FX)) // by position in b.FX
 	from := make([]int64, len(b.FX))
-	for _, f := range wanted {
-		l := &Label{
-			Bag: b, Face: f,
-			To:   make(map[int]int64, len(b.FX)),
-			From: make(map[int]int64, len(b.FX)),
+	w := 0
+	for _, f := range faces {
+		// wanted is a subsequence of faces.
+		full := w < len(wanted) && wanted[w] == f
+		l := &Label{Bag: b, Face: f}
+		if full {
+			w++
+			l.To = make(map[int]int64, len(b.FX))
 		}
+		l.From = make(map[int]int64, len(b.FX))
 		if p, ok := bp.fxPos[f]; ok {
 			// Distances directly from the base matrix (min over reps).
 			for q, h := range b.FX {
-				l.To[h] = minOverReps(ddg, bp.fxReps[p], bp.fxReps[q])
+				if full {
+					l.To[h] = minOverReps(ddg, bp.fxReps[p], bp.fxReps[q])
+				}
 				l.From[h] = minOverReps(ddg, bp.fxReps[q], bp.fxReps[p])
 			}
 		} else {
@@ -321,7 +362,11 @@ func (la *Labeling) computeInternal(b *bdd.Bag, bp *bagPlan, wanted []int) int64
 			}
 			for _, e := range bp.childFX[ci] {
 				lp := childLabels[ci][e.face]
-				dgo, dback := Decode(lf, lp), Decode(lp, lf)
+				// A From-only lf is never decoded from: its To half stays Inf.
+				dgo, dback := spath.Inf, Decode(lp, lf)
+				if full {
+					dgo = Decode(lf, lp)
+				}
 				if dgo < spath.Inf {
 					for q, reps := range bp.fxReps {
 						for _, hr := range reps {
@@ -349,7 +394,9 @@ func (la *Labeling) computeInternal(b *bdd.Bag, bp *bagPlan, wanted []int) int64
 				}
 			}
 			for q, h := range b.FX {
-				l.To[h] = to[q]
+				if full {
+					l.To[h] = to[q]
+				}
 				l.From[h] = from[q]
 			}
 		}

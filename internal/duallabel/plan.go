@@ -6,20 +6,21 @@ import (
 )
 
 // plan is everything a labeling pass reads off the tree alone: per bag, the
-// leaf arc list or the DDG skeleton, and the two wanted sets a pass can be
+// leaf arc list or the DDG skeleton, and the wanted sets a pass can be
 // driven by. It does not depend on the lengths, so it is derived once per
 // tree (bdd.BDD.Memo) and shared, read-only, by every pass over that tree.
 type plan struct {
 	t    *bdd.BDD
 	bags []bagPlan // by bag ID
 
-	// A pass labels, in each bag, the faces its wanted set lists for that
-	// bag ID. every lists all faces of every bag: the full labeling. probe
-	// lists only the faces whose labels decide NegCycle: top-down from an
-	// empty root set, wanted(child) = (F_X(parent) ∪ wanted(parent)) ∩
-	// Faces(child) — the child F_X labels a bag's DDG is built from, plus
-	// the Child chain those labels decode and count Words() through. Each
-	// list is a subsequence of its bag's Faces.
+	// A pass labels in full, in each bag, the faces its wanted set lists for
+	// that bag ID. every lists all faces of every bag: the full labeling.
+	// probe lists only the faces whose labels decide NegCycle: wantedFrom an
+	// empty root set — the child F_X labels a bag's DDG is built from, plus
+	// the Child chain those labels decode and count Words() through. The
+	// source-directed sets (wantedFrom a root set of one face) add that
+	// face's own Child chain and are derived per pass. Each list is a
+	// subsequence of its bag's Faces.
 	every, probe [][]int
 }
 
@@ -58,17 +59,12 @@ func planOf(t *bdd.BDD) *plan {
 }
 
 func newPlan(t *bdd.BDD) *plan {
-	nf := t.G.Faces().NumFaces()
 	pl := &plan{
 		t:     t,
 		bags:  make([]bagPlan, len(t.Bags)),
 		every: make([][]int, len(t.Bags)),
-		probe: make([][]int, len(t.Bags)),
 	}
-	pos := make([]int, nf) // face -> position in the current leaf
-	need := make([]bool, nf)
-	// Parents precede children in ID order, so probe[b.ID] is final when b
-	// is reached.
+	pos := make([]int, t.G.Faces().NumFaces()) // face -> position in the current leaf
 	for _, b := range t.Bags {
 		pl.every[b.ID] = b.Faces
 		if b.IsLeaf() {
@@ -82,12 +78,30 @@ func newPlan(t *bdd.BDD) *plan {
 			continue
 		}
 		pl.bags[b.ID] = ddgSkeleton(t.G, b)
+	}
+	pl.probe = pl.wantedFrom(nil)
+	return pl
+}
 
+// wantedFrom derives the wanted sets a root set induces, top-down:
+// wanted(root) = seed and wanted(child) = (F_X(parent) ∪ wanted(parent)) ∩
+// Faces(child). seed must be a subsequence of the root's Faces.
+func (pl *plan) wantedFrom(seed []int) [][]int {
+	t := pl.t
+	wanted := make([][]int, len(t.Bags))
+	wanted[t.Root.ID] = seed
+	need := make([]bool, t.G.Faces().NumFaces())
+	// Parents precede children in ID order, so wanted[b.ID] is final when b
+	// is reached.
+	for _, b := range t.Bags {
+		if b.IsLeaf() {
+			continue
+		}
 		mark := func(v bool) {
 			for _, f := range b.FX {
 				need[f] = v
 			}
-			for _, f := range pl.probe[b.ID] {
+			for _, f := range wanted[b.ID] {
 				need[f] = v
 			}
 		}
@@ -95,13 +109,13 @@ func newPlan(t *bdd.BDD) *plan {
 		for _, c := range b.Children {
 			for _, f := range c.Faces {
 				if need[f] {
-					pl.probe[c.ID] = append(pl.probe[c.ID], f)
+					wanted[c.ID] = append(wanted[c.ID], f)
 				}
 			}
 		}
 		mark(false)
 	}
-	return pl
+	return wanted
 }
 
 // ddgSkeleton lays out the base DDG of a non-leaf bag: a node per (child,
