@@ -33,7 +33,6 @@ import (
 	"math/rand/v2"
 	"os"
 	"strings"
-	"time"
 
 	"planarflow/internal/artifact"
 	"planarflow/internal/bdd"
@@ -208,12 +207,11 @@ func row(rep int, vals ...interface{}) {
 func log2(n int) float64 { return math.Log2(float64(n)) }
 
 // record fills the ledger-derived fields shared by all core experiments.
-func record(exp, instance string, n, d int, led *ledger.Ledger, start time.Time, rep int, seed int64, ok bool) Record {
+func record(exp, instance string, n, d int, led *ledger.Ledger, rep int, seed int64, ok bool) Record {
 	m, ch := led.Split()
 	return Record{
 		Exp: exp, Instance: instance, N: n, D: d,
 		Rounds: led.Total(), Measured: m, Charged: ch,
-		WallMS: float64(time.Since(start).Microseconds()) / 1000,
 		Repeat: rep, Seed: seed, OK: ok,
 	}
 }
@@ -229,7 +227,6 @@ func e1ExactFlow(s *sink, c cfg) {
 			g = planar.WithRandomWeights(g, rng, 1, 1, 1, 64)
 			st, t := 0, g.N()-1
 			led := ledger.New()
-			begin := time.Now()
 			res, err := core.MaxFlow(artifact.New(g), st, t, core.Options{}, led)
 			if err != nil {
 				fmt.Println("error:", err)
@@ -238,7 +235,7 @@ func e1ExactFlow(s *sink, c cfg) {
 			ok := res.Value == core.DinicValue(g, st, t) &&
 				core.CheckFlow(g, st, t, res.Flow, res.Value) == nil
 			n, d := g.N(), a[0]+a[1]-2
-			s.add(record("E1", fmt.Sprintf("a:grid%dx%d", a[0], a[1]), n, d, led, begin, rep, seed, ok))
+			s.add(record("E1", fmt.Sprintf("a:grid%dx%d", a[0], a[1]), n, d, led, rep, seed, ok))
 			row(rep, fmt.Sprintf("%dx%d", a[0], a[1]), n, d, led.Total(),
 				float64(led.Total())/(float64(d*d)*log2(n)*log2(n)), res.Value, ok)
 		}
@@ -249,7 +246,6 @@ func e1ExactFlow(s *sink, c cfg) {
 			g = planar.WithRandomDirections(g, rng)
 			st, t := 0, g.N()-1
 			led := ledger.New()
-			begin := time.Now()
 			res, err := core.MaxFlow(artifact.New(g), st, t, core.Options{}, led)
 			if err != nil {
 				fmt.Println("error:", err)
@@ -258,7 +254,7 @@ func e1ExactFlow(s *sink, c cfg) {
 			ok := res.Value == core.DinicValue(g, st, t) &&
 				core.CheckFlow(g, st, t, res.Flow, res.Value) == nil
 			d := g.DiameterLowerBound()
-			s.add(record("E1", fmt.Sprintf("b:tri%d", n), n, d, led, begin, rep, seed, ok))
+			s.add(record("E1", fmt.Sprintf("b:tri%d", n), n, d, led, rep, seed, ok))
 			row(rep, fmt.Sprintf("tri%d", n), n, d, led.Total(),
 				float64(led.Total())/float64(n), res.Value, ok)
 		}
@@ -277,7 +273,6 @@ func e2ApproxFlow(s *sink, c cfg) {
 			g = planar.WithRandomWeights(g, rng, 1, 1, 100, 1000)
 			st, t := 0, g.N()-1
 			led := ledger.New()
-			begin := time.Now()
 			res, err := core.STPlanarMaxFlow(artifact.New(g), st, t, eps, led)
 			if err != nil {
 				fmt.Println("error:", err)
@@ -287,7 +282,7 @@ func e2ApproxFlow(s *sink, c cfg) {
 			opt := core.UndirectedDinicValue(g, st, t)
 			feas := core.CheckUndirectedFlow(g, st, t, res.Flow, res.Value) == nil
 			ok := feas && float64(res.Value) >= (1-eps)*float64(opt)
-			s.add(record("E2", fmt.Sprintf("grid%dx%d", a[0], a[1]), g.N(), d, led, begin, rep, seed, ok))
+			s.add(record("E2", fmt.Sprintf("grid%dx%d", a[0], a[1]), g.N(), d, led, rep, seed, ok))
 			row(rep, fmt.Sprintf("%dx%d", a[0], a[1]), g.N(), d, led.Total(),
 				float64(led.Total())/float64(d),
 				float64(res.Value)/float64(opt), feas)
@@ -305,7 +300,6 @@ func e3GlobalCut(s *sink, c cfg) {
 			g := planar.BoustrophedonGrid(a[0], a[1])
 			g = planar.WithRandomWeights(g, rng, 1, 40, 1, 1)
 			led := ledger.New()
-			begin := time.Now()
 			res, err := core.GlobalMinCut(artifact.New(g), core.Options{}, led)
 			if err != nil {
 				fmt.Println("error:", err)
@@ -320,7 +314,7 @@ func e3GlobalCut(s *sink, c cfg) {
 				check = fmt.Sprint(ok)
 			}
 			n := g.N()
-			s.add(record("E3", fmt.Sprintf("snake%dx%d", a[0], a[1]), n, d, led, begin, rep, seed, ok))
+			s.add(record("E3", fmt.Sprintf("snake%dx%d", a[0], a[1]), n, d, led, rep, seed, ok))
 			row(rep, fmt.Sprintf("%dx%d", a[0], a[1]), n, d, led.Total(),
 				float64(led.Total())/(float64(d*d)*log2(n)*log2(n)), res.Value, check)
 		}
@@ -337,14 +331,13 @@ func e4Girth(s *sink, c cfg) {
 			g := planar.Grid(a[0], a[1])
 			g = planar.WithRandomWeights(g, rng, 1, 1000000, 1, 1)
 			led := ledger.New()
-			begin := time.Now()
 			res, err := core.Girth(artifact.New(g), led)
 			if err != nil {
 				fmt.Println("error:", err)
 				continue
 			}
 			n, d := a[0]*a[1], a[0]+a[1]-2
-			s.add(record("E4", fmt.Sprintf("a:grid%dx%d", a[0], a[1]), n, d, led, begin, rep, seed, res.Weight > 0))
+			s.add(record("E4", fmt.Sprintf("a:grid%dx%d", a[0], a[1]), n, d, led, rep, seed, res.Weight > 0))
 			row(rep, fmt.Sprintf("%dx%d", a[0], a[1]), n, d, led.Total(),
 				float64(led.Total())/(float64(d)*log2(n)*log2(n)),
 				float64(led.Total())/float64(d*d), res.Weight)
@@ -354,14 +347,13 @@ func e4Girth(s *sink, c cfg) {
 		for _, n := range triSizes(c.full) {
 			g := planar.WithRandomWeights(triangulation(n, rng), rng, 1, 1000000, 1, 1)
 			led := ledger.New()
-			begin := time.Now()
 			res, err := core.Girth(artifact.New(g), led)
 			if err != nil {
 				fmt.Println("error:", err)
 				continue
 			}
 			d := g.DiameterLowerBound()
-			s.add(record("E4", fmt.Sprintf("b:tri%d", n), n, d, led, begin, rep, seed, res.Weight > 0))
+			s.add(record("E4", fmt.Sprintf("b:tri%d", n), n, d, led, rep, seed, res.Weight > 0))
 			row(rep, fmt.Sprintf("tri%d", n), n, d, led.Total(),
 				float64(led.Total())/float64(n), res.Weight)
 		}
@@ -381,7 +373,6 @@ func e5Labels(s *sink, c cfg) {
 				lens[d] = 1 + rng.Int64N(64)
 			}
 			led := ledger.New()
-			begin := time.Now()
 			tree := bdd.Build(g, 0, led)
 			la := duallabel.Compute(tree, lens, led)
 			if la.NegCycle {
@@ -395,7 +386,7 @@ func e5Labels(s *sink, c cfg) {
 				}
 			}
 			n, d := a[0]*a[1], a[0]+a[1]-2
-			s.add(record("E5", fmt.Sprintf("a:grid%dx%d", a[0], a[1]), n, d, led, begin, rep, seed, true))
+			s.add(record("E5", fmt.Sprintf("a:grid%dx%d", a[0], a[1]), n, d, led, rep, seed, true))
 			row(rep, fmt.Sprintf("%dx%d", a[0], a[1]), n, d, led.Total(),
 				float64(led.Total())/(float64(d*d)*log2(n)*log2(n)), maxWords, float64(maxWords)/float64(d))
 		}
@@ -408,7 +399,6 @@ func e5Labels(s *sink, c cfg) {
 				lens[d] = 1 + rng.Int64N(64)
 			}
 			led := ledger.New()
-			begin := time.Now()
 			tree := bdd.Build(g, 0, led)
 			la := duallabel.Compute(tree, lens, led)
 			if la.NegCycle {
@@ -422,7 +412,7 @@ func e5Labels(s *sink, c cfg) {
 				}
 			}
 			d := g.DiameterLowerBound()
-			s.add(record("E5", fmt.Sprintf("b:tri%d", n), n, d, led, begin, rep, seed, true))
+			s.add(record("E5", fmt.Sprintf("b:tri%d", n), n, d, led, rep, seed, true))
 			row(rep, fmt.Sprintf("tri%d", n), n, d, led.Total(),
 				maxWords, float64(maxWords)/float64(n))
 		}
@@ -440,7 +430,6 @@ func e6MinCut(s *sink, c cfg) {
 			g = planar.WithRandomWeights(g, rng, 1, 1, 1, 32)
 			st, t := 0, g.N()-1
 			led := ledger.New()
-			begin := time.Now()
 			cut, err := core.MinSTCut(artifact.New(g), st, t, core.Options{}, led)
 			if err != nil {
 				fmt.Println("error:", err)
@@ -455,7 +444,7 @@ func e6MinCut(s *sink, c cfg) {
 			apxOK := apx.Value == core.UndirectedDinicValue(g, st, t)
 			ok := cut.Value == fv && apxOK
 			d := a[0] + a[1] - 2
-			s.add(record("E6", fmt.Sprintf("grid%dx%d", a[0], a[1]), g.N(), d, led, begin, rep, seed, ok))
+			s.add(record("E6", fmt.Sprintf("grid%dx%d", a[0], a[1]), g.N(), d, led, rep, seed, ok))
 			row(rep, fmt.Sprintf("%dx%d", a[0], a[1]), g.N(), cut.Value, fv,
 				cut.Value == fv, apx.Value, apxOK)
 		}
@@ -469,7 +458,6 @@ func e7PA(s *sink, c cfg) {
 			"grid", "n", "faces", "D", "rounds", "congest", "dilate", "rounds/D")
 		for _, a := range append(squares(c.full), fixedD(c.full)...) {
 			g := planar.Grid(a[0], a[1])
-			begin := time.Now()
 			h := hatg.New(g)
 			net := pa.FromHatG(h)
 			tree := pa.BuildTree(net, 0)
@@ -489,7 +477,6 @@ func e7PA(s *sink, c cfg) {
 			s.add(Record{
 				Exp: "E7", Instance: fmt.Sprintf("grid%dx%d", a[0], a[1]),
 				N: g.N(), D: d, Rounds: rounds, Measured: rounds,
-				WallMS: float64(time.Since(begin).Microseconds()) / 1000,
 				Repeat: rep, Seed: seed, OK: true,
 			})
 			row(rep, fmt.Sprintf("%dx%d", a[0], a[1]), g.N(), nf, d, 2*res.Rounds,
@@ -518,11 +505,10 @@ func e8BDD(s *sink, c cfg) {
 		for _, gc := range cases {
 			// Fixed small leaf limit so the full logarithmic depth is visible.
 			led := ledger.New()
-			begin := time.Now()
 			tree := bdd.Build(gc.g, 16, led)
 			d := gc.g.DiameterLowerBound()
 			ok := float64(tree.Depth) <= 4*log2(gc.g.N())+8
-			s.add(record("E8", gc.name, gc.g.N(), d, led, begin, rep, seed, ok))
+			s.add(record("E8", gc.name, gc.g.N(), d, led, rep, seed, ok))
 			row(rep, gc.name, gc.g.N(), d, tree.Depth, tree.MaxSXSize(), tree.MaxFX(),
 				tree.MaxFaceParts(), log2(gc.g.N()))
 		}
@@ -538,7 +524,6 @@ func e9Crossover(s *sink, c cfg) {
 		for _, n := range triSizes(c.full) {
 			g := planar.WithRandomWeights(triangulation(n, rng), rng, 1, 1, 1, 16)
 			led := ledger.New()
-			begin := time.Now()
 			if _, err := core.MaxFlow(artifact.New(g), 0, g.N()-1, core.Options{}, led); err != nil {
 				fmt.Println("error:", err)
 				continue
@@ -559,7 +544,7 @@ func e9Crossover(s *sink, c cfg) {
 			for nx < 1e12 && general(nx) < float64(ours) {
 				nx *= 2
 			}
-			s.add(record("E9", fmt.Sprintf("tri%d", n), n, d, led, begin, rep, seed, true))
+			s.add(record("E9", fmt.Sprintf("tri%d", n), n, d, led, rep, seed, true))
 			row(rep, fmt.Sprintf("tri%d", n), n, d, ours,
 				int64(general(float64(n))), winner, fmt.Sprintf("%.0e", nx))
 		}
@@ -575,25 +560,23 @@ func e10GirthAblation(s *sink, c cfg) {
 		for _, a := range squares(c.full) {
 			gU := planar.WithRandomWeights(planar.Grid(a[0], a[1]), rng, 1, 100, 1, 1)
 			ledA := ledger.New()
-			beginA := time.Now()
 			if _, err := core.Girth(artifact.New(gU), ledA); err != nil {
 				fmt.Println("error:", err)
 				continue
 			}
 			d := a[0] + a[1] - 2
-			s.add(record("E10", fmt.Sprintf("dualcut:grid%dx%d", a[0], a[1]), a[0]*a[1], d, ledA, beginA, rep, seed, true))
+			s.add(record("E10", fmt.Sprintf("dualcut:grid%dx%d", a[0], a[1]), a[0]*a[1], d, ledA, rep, seed, true))
 			gD := planar.BoustrophedonGrid(a[0], a[1])
 			gD = gD.WithEdgeAttrs(func(e int, old planar.Edge) planar.Edge {
 				old.Weight = 1 + rng.Int64N(100)
 				return old
 			})
 			ledB := ledger.New()
-			beginB := time.Now()
 			if _, err := core.DirectedGirth(artifact.New(gD), core.Options{}, ledB); err != nil {
 				fmt.Println("error:", err)
 				continue
 			}
-			s.add(record("E10", fmt.Sprintf("sssp:snake%dx%d", a[0], a[1]), a[0]*a[1], d, ledB, beginB, rep, seed, true))
+			s.add(record("E10", fmt.Sprintf("sssp:snake%dx%d", a[0], a[1]), a[0]*a[1], d, ledB, rep, seed, true))
 			row(rep, fmt.Sprintf("%dx%d", a[0], a[1]), a[0]*a[1], d, ledA.Total(), ledB.Total(),
 				float64(ledB.Total())/float64(ledA.Total()))
 		}
@@ -611,38 +594,22 @@ func schedBench(s *sink, c cfg) {
 	for rep := 0; rep < c.repeats; rep++ {
 		seed := c.seedFor(0, rep)
 		header(rep, "SCHED", "flat-mailbox scheduler vs channel engine on Grid(32,32)",
-			"workload", "engine", "rounds", "messages", "bits", "wall_ms", "halted")
-		type run struct {
-			workload, engine string
-			stats            congest.Stats
-			wallMS           float64
-		}
-		var runs []run
-		time1 := func(workload, engine string, fn func() congest.Stats) {
-			begin := time.Now()
-			st := fn()
-			runs = append(runs, run{workload, engine, st, float64(time.Since(begin).Microseconds()) / 1000})
-		}
+			"workload", "engine", "rounds", "messages", "bits", "halted")
 		vals := make([]int64, g.N())
 		for v := range vals {
 			vals[v] = int64(g.N() - v)
 		}
-		time1("bfs", "sched", func() congest.Stats {
-			_, st := congest.DistributedBFS(congest.NewEngine(g), 0)
-			return st
-		})
-		time1("bfs", "chan", func() congest.Stats {
-			_, st := congest.DistributedBFS(congest.NewChanEngine(g), 0)
-			return st
-		})
-		time1("floodmin", "sched", func() congest.Stats {
-			_, st := congest.FloodMin(congest.NewEngine(g), vals)
-			return st
-		})
-		time1("floodmin", "chan", func() congest.Stats {
-			_, st := congest.FloodMin(congest.NewChanEngine(g), vals)
-			return st
-		})
+		_, bfsSched := congest.DistributedBFS(congest.NewEngine(g), 0)
+		_, bfsChan := congest.DistributedBFS(congest.NewChanEngine(g), 0)
+		_, floodSched := congest.FloodMin(congest.NewEngine(g), vals)
+		_, floodChan := congest.FloodMin(congest.NewChanEngine(g), vals)
+		runs := []struct {
+			workload, engine string
+			stats            congest.Stats
+		}{
+			{"bfs", "sched", bfsSched}, {"bfs", "chan", bfsChan},
+			{"floodmin", "sched", floodSched}, {"floodmin", "chan", floodChan},
+		}
 		// Each workload's two engines must agree exactly.
 		agree := map[string]bool{}
 		byKey := map[string]congest.Stats{}
@@ -658,11 +625,11 @@ func schedBench(s *sink, c cfg) {
 				N: g.N(), D: d,
 				Rounds: int64(r.stats.Rounds), Measured: int64(r.stats.Rounds),
 				Messages: r.stats.Messages, Bits: r.stats.Bits,
-				WallMS: r.wallMS, Repeat: rep, Seed: seed,
+				Repeat: rep, Seed: seed,
 				OK: agree[r.workload] && r.stats.Violations == 0 && r.stats.HaltedNormal,
 			})
 			row(rep, r.workload, r.engine, r.stats.Rounds, r.stats.Messages,
-				r.stats.Bits, r.wallMS, r.stats.HaltedNormal)
+				r.stats.Bits, r.stats.HaltedNormal)
 		}
 	}
 }

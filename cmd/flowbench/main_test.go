@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/csv"
 	"encoding/json"
 	"os"
@@ -67,11 +68,10 @@ func TestSmokeE8(t *testing.T) {
 
 // TestSmokeServe runs the SERVE experiment at smoke size and checks the
 // serving contract: per-query equality between cold and prepared paths (OK
-// bit), prepared rounds strictly below cold rounds for every workload, an
-// amortized speedup ≥ 5x for the label-decode (dist) workload, and a
-// decode-engine (:fast) record per label-backed workload whose OK bit
-// carries the fast-vs-simulated answer equality and qps-ratio gate — the
-// patterns whose full-size trajectories live in BENCH_serve.json.
+// bit), prepared rounds strictly below cold rounds for every workload,
+// and an amortized speedup (a ratio of rounds) ≥ 5x for the label-decode
+// (dist) workload — the patterns whose full-size trajectories live in
+// BENCH_serve.json. Nothing here reads a clock.
 func TestSmokeServe(t *testing.T) {
 	dir := t.TempDir()
 	jsonl := filepath.Join(dir, "serve.jsonl")
@@ -95,8 +95,8 @@ func TestSmokeServe(t *testing.T) {
 		}
 		byInstance[r.Instance] = r
 	}
-	if len(byInstance) != 10 {
-		t.Fatalf("want 10 serve records (3 workloads x 2 paths + 2 fast pairs), got %d", len(byInstance))
+	if len(byInstance) != 6 {
+		t.Fatalf("want 6 serve records (3 workloads x 2 paths), got %d", len(byInstance))
 	}
 	for _, workload := range []string{"dist", "dualsssp", "maxflow"} {
 		var cold, prep *Record
@@ -125,22 +125,6 @@ func TestSmokeServe(t *testing.T) {
 			t.Fatalf("dist amortized speedup %.2f below 5x", r.Speedup)
 		}
 	}
-	for _, workload := range []string{"dist", "dualsssp"} {
-		var fast *Record
-		for inst, r := range byInstance {
-			r := r
-			if strings.HasPrefix(inst, workload+"-") && strings.HasSuffix(inst, ":fast") {
-				fast = &r
-			}
-		}
-		if fast == nil {
-			t.Fatalf("workload %s missing :fast record", workload)
-		}
-		if fast.Speedup < serveFastFloor(false) {
-			t.Fatalf("%s: fast-path qps ratio %.2f below smoke floor %.0f",
-				workload, fast.Speedup, serveFastFloor(false))
-		}
-	}
 }
 
 // TestSmokeBaselineRoundTrip writes a baseline from a SCHED run, verifies a
@@ -165,6 +149,27 @@ func TestSmokeBaselineRoundTrip(t *testing.T) {
 	}
 	if regs := compare(b, b.Points, 0); regs == 0 {
 		t.Fatal("doctored baseline not flagged as regression")
+	}
+}
+
+// TestBaselineDeterministic: a Record holds rounds, counts and seeds and
+// nothing read off the host, so writing a baseline twice from one tree
+// yields the same bytes — a committed BENCH_*.json changes only when the
+// algorithm's accounting does.
+func TestBaselineDeterministic(t *testing.T) {
+	dir := t.TempDir()
+	var files [2][]byte
+	for i, name := range []string{"first.json", "second.json"} {
+		path := filepath.Join(dir, name)
+		cmdtest.RunMain(t, "-exp", "serve", "-write-baseline", path)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[i] = data
+	}
+	if !bytes.Equal(files[0], files[1]) {
+		t.Fatalf("two baselines written from one tree differ:\n%s\n---\n%s", files[0], files[1])
 	}
 }
 

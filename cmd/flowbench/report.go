@@ -17,28 +17,26 @@ import (
 
 // Record is one experiment run on one instance.
 type Record struct {
-	Exp      string  `json:"exp"`             // experiment id (E1..E10, SCHED, SERVE)
-	Instance string  `json:"instance"`        // instance label, e.g. "a:grid12x12"
-	N        int     `json:"n"`               // vertices
-	D        int     `json:"d"`               // hop diameter (lower bound for random families)
-	Rounds   int64   `json:"rounds"`          // total simulated CONGEST rounds
-	Measured int64   `json:"measured_rounds"` // rounds counted by the engine
-	Charged  int64   `json:"charged_rounds"`  // rounds derived by pipelining bounds
-	Messages int64   `json:"messages"`        // engine messages delivered (engine-level experiments only)
-	Bits     int64   `json:"bits"`            // engine payload bits delivered (engine-level experiments only)
-	WallMS   float64 `json:"wall_ms"`         // host wall-clock of the run
-	Repeat   int     `json:"repeat"`          // 0-based repeat index
-	Seed     int64   `json:"seed"`            // RNG seed the repeat ran with
-	OK       bool    `json:"ok"`              // experiment-specific correctness check
+	Exp      string `json:"exp"`             // experiment id (E1..E10, SCHED, SERVE)
+	Instance string `json:"instance"`        // instance label, e.g. "a:grid12x12"
+	N        int    `json:"n"`               // vertices
+	D        int    `json:"d"`               // hop diameter (lower bound for random families)
+	Rounds   int64  `json:"rounds"`          // total simulated CONGEST rounds
+	Measured int64  `json:"measured_rounds"` // rounds counted by the engine
+	Charged  int64  `json:"charged_rounds"`  // rounds derived by pipelining bounds
+	Messages int64  `json:"messages"`        // engine messages delivered (engine-level experiments only)
+	Bits     int64  `json:"bits"`            // engine payload bits delivered (engine-level experiments only)
+	Repeat   int    `json:"repeat"`          // 0-based repeat index
+	Seed     int64  `json:"seed"`            // RNG seed the repeat ran with
+	OK       bool   `json:"ok"`              // experiment-specific correctness check
 
 	// Serving metrics (SERVE only).
 	Queries int     `json:"queries,omitempty"`   // number of queries in the batch
-	Speedup float64 `json:"speedup_x,omitempty"` // cold rounds / prepared rounds (:fast records: qps ratio over :sim)
-	QPS     float64 `json:"qps,omitempty"`       // wall-clock queries per second
+	Speedup float64 `json:"speedup_x,omitempty"` // cold rounds / prepared rounds
 }
 
-// key identifies a record across runs for baseline comparison. Wall-clock
-// and seeds stay out: the key must be stable for identical configurations.
+// key identifies a record across runs for baseline comparison. Seeds stay
+// out: the key must be stable for identical configurations.
 func (r Record) key() string {
 	return fmt.Sprintf("%s/%s/r%d", r.Exp, r.Instance, r.Repeat)
 }
@@ -56,8 +54,8 @@ type sink struct {
 
 var csvHeader = []string{
 	"exp", "instance", "n", "d", "rounds", "measured_rounds", "charged_rounds",
-	"messages", "bits", "wall_ms", "repeat", "seed", "ok",
-	"queries", "speedup_x", "qps",
+	"messages", "bits", "repeat", "seed", "ok",
+	"queries", "speedup_x",
 }
 
 func newSink(csvPath, jsonlPath string) (*sink, error) {
@@ -92,10 +90,9 @@ func (s *sink) add(r Record) {
 			r.Exp, r.Instance, strconv.Itoa(r.N), strconv.Itoa(r.D),
 			strconv.FormatInt(r.Rounds, 10), strconv.FormatInt(r.Measured, 10),
 			strconv.FormatInt(r.Charged, 10), strconv.FormatInt(r.Messages, 10),
-			strconv.FormatInt(r.Bits, 10), strconv.FormatFloat(r.WallMS, 'f', 3, 64),
+			strconv.FormatInt(r.Bits, 10),
 			strconv.Itoa(r.Repeat), strconv.FormatInt(r.Seed, 10), strconv.FormatBool(r.OK),
 			strconv.Itoa(r.Queries), strconv.FormatFloat(r.Speedup, 'f', 2, 64),
-			strconv.FormatFloat(r.QPS, 'f', 2, 64),
 		})
 	}
 	if s.enc != nil {
@@ -127,8 +124,8 @@ func (s *sink) close() error {
 
 // baseline is the stored trajectory a run is diffed against: Records holds
 // the per-key round counts the comparator uses, Points the full records of
-// the run that produced them (wall-clock included) so successive baselines
-// form a performance trajectory across commits.
+// the run that produced them. Nothing in a Record depends on the host or
+// the clock, so one tree always writes the same bytes.
 type baseline struct {
 	Schema  string           `json:"schema"`
 	Records map[string]int64 `json:"records"` // key() -> rounds

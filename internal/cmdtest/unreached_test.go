@@ -1,0 +1,215 @@
+package cmdtest
+
+import (
+	"fmt"
+	"go/ast"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// auditedDirs are the serving-stack packages whose exported surface must
+// be reached by production code: everything here exists to serve a
+// request, so a name only tests call is a path no request can take.
+var auditedDirs = []string{
+	"internal/wire", "internal/flowd", "internal/fleet", "internal/store", "internal/obs",
+}
+
+// unreachedAllowed lists exported names no non-test file references and
+// why each stays. A row whose name becomes referenced (or disappears)
+// fails the test too, so the table cannot go stale.
+var unreachedAllowed = map[string]string{
+	"wire.Pool.StartHealthSweep":  "dead-connection sweep: tested, waiting on ROADMAP item 3 to wire it in by constant or delete it",
+	"store.Store.EvictAll":        "ops valve that empties the memory tier; the disk-tier and race tests drive eviction through it",
+	"flowd.Client.WithHTTPClient": "deployment setting: callers substitute timeouts, TLS or a test server's transport",
+	"flowd.Client.Graphs":         "client half of GET /v1/graphs, an endpoint the daemon serves to operators",
+	"flowd.Client.Warm":           "client half of POST /v1/warm, an endpoint the daemon serves to operators",
+	"obs.Counter.Add":             "the counter primitive beside Inc",
+	"obs.Journal.Total":           "ring accounting beside Recent: how much the journal has seen; only its tests read it today",
+	"obs.Journal.Dropped":         "ring accounting beside Recent: how much a wrap overwrote; only its tests read it today",
+
+	// Methods reached only through an interface, never named at a call site.
+	"wire.Status.String":      "fmt.Stringer",
+	"flowd.APIError.Error":    "error",
+	"flowd.StatusError.Error": "error",
+	"flowd.StatusError.Is":    "errors.Is protocol",
+}
+
+// TestNoUnreachedExports type-checks every non-test file of the tree
+// (bench/ included: it is a second module, but a caller all the same)
+// and fails when an exported func, method, const or var declared in the
+// audited packages is referenced by none of them.
+func TestNoUnreachedExports(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the whole tree from source")
+	}
+	root := repoRoot(t)
+	fset := token.NewFileSet()
+	im := &treeImporter{
+		fset: fset, root: root,
+		std:  importer.ForCompiler(fset, "source", nil),
+		pkgs: map[string]*types.Package{},
+		info: &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
+	}
+
+	var dirs []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != root && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+			if dir := filepath.Dir(path); len(dirs) == 0 || dirs[len(dirs)-1] != dir {
+				dirs = append(dirs, dir)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range dirs {
+		rel, _ := filepath.Rel(root, dir)
+		path := "planarflow"
+		if rel != "." {
+			path += "/" + filepath.ToSlash(rel)
+		}
+		if _, err := im.Import(path); err != nil {
+			t.Fatalf("type-checking %s: %v", path, err)
+		}
+	}
+
+	used := map[types.Object]bool{}
+	for _, obj := range im.info.Uses {
+		if fn, ok := obj.(*types.Func); ok {
+			obj = fn.Origin()
+		}
+		used[obj] = true
+	}
+	audited := map[string]bool{}
+	for _, d := range auditedDirs {
+		audited["planarflow/"+d] = true
+	}
+	unreached := map[string]bool{}
+	for id, obj := range im.info.Defs {
+		if obj == nil || !id.IsExported() || obj.Pkg() == nil || !audited[obj.Pkg().Path()] || used[obj] {
+			continue
+		}
+		name := obj.Pkg().Name() + "."
+		switch o := obj.(type) {
+		case *types.Func:
+			if recv := o.Type().(*types.Signature).Recv(); recv != nil {
+				name += recvName(recv.Type()) + "."
+			}
+		case *types.Const:
+		case *types.Var:
+			if o.IsField() || o.Parent() != o.Pkg().Scope() {
+				continue
+			}
+		default:
+			continue
+		}
+		unreached[name+obj.Name()] = true
+	}
+
+	var bad []string
+	for name := range unreached {
+		if _, ok := unreachedAllowed[name]; !ok {
+			bad = append(bad, fmt.Sprintf("%s: exported but referenced by no non-test file — delete it, unexport it, or add an allowlist row with a reason", name))
+		}
+	}
+	for name := range unreachedAllowed {
+		if !unreached[name] {
+			bad = append(bad, fmt.Sprintf("%s: allowlisted as unreached, but it is referenced now (or gone) — drop the row", name))
+		}
+	}
+	sort.Strings(bad)
+	for _, b := range bad {
+		t.Error(b)
+	}
+}
+
+// recvName names a method's receiver type without pointer or package.
+func recvName(t types.Type) string {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if n, ok := t.(*types.Named); ok {
+		return n.Obj().Name()
+	}
+	return t.String()
+}
+
+// repoRoot walks up from the test's directory to the root go.mod.
+func repoRoot(t *testing.T) string {
+	t.Helper()
+	dir, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		data, err := os.ReadFile(filepath.Join(dir, "go.mod"))
+		if err == nil && strings.HasPrefix(string(data), "module planarflow\n") {
+			return dir
+		}
+		parent := filepath.Dir(dir)
+		if parent == dir {
+			t.Fatal("no planarflow go.mod above the test directory")
+		}
+		dir = parent
+	}
+}
+
+// treeImporter resolves planarflow/... import paths to directories of
+// the tree (bench/'s module path planarflow/bench maps the same way) and
+// everything else to the standard library, recording every package's
+// definitions and uses in one shared Info.
+type treeImporter struct {
+	fset *token.FileSet
+	root string
+	std  types.Importer
+	pkgs map[string]*types.Package
+	info *types.Info
+}
+
+func (im *treeImporter) Import(path string) (*types.Package, error) {
+	if path != "planarflow" && !strings.HasPrefix(path, "planarflow/") {
+		return im.std.Import(path)
+	}
+	if pkg, ok := im.pkgs[path]; ok {
+		return pkg, nil
+	}
+	dir := filepath.Join(im.root, filepath.FromSlash(strings.TrimPrefix(path, "planarflow")))
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, e := range entries {
+		if name := e.Name(); strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
+			f, err := parser.ParseFile(im.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return nil, err
+			}
+			files = append(files, f)
+		}
+	}
+	pkg, err := (&types.Config{Importer: im}).Check(path, im.fset, files, im.info)
+	if err != nil {
+		return nil, err
+	}
+	im.pkgs[path] = pkg
+	return pkg, nil
+}

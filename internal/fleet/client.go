@@ -17,11 +17,11 @@ import (
 )
 
 // Options tunes the fleet client's routing and failure handling. The
-// zero value is usable: DefaultVnodes, one standby per graph, 10ms–500ms
-// capped exponential backoff, 250ms health probes.
+// zero value is usable: one standby per graph, 10ms–500ms capped
+// exponential backoff, 250ms health probes. The ring always spreads
+// members over DefaultVnodes points, and the client's span rings, slow
+// threshold and journal take the obs defaults.
 type Options struct {
-	// Vnodes per member on the ring (<= 0 = DefaultVnodes).
-	Vnodes int
 	// Replication is how many standby replicas each graph keeps beyond
 	// its owner — SyncStandby registers the graph and ships its snapshot
 	// to this many ring successors (<= 0 = 1; capped at fleet size - 1).
@@ -46,21 +46,10 @@ type Options struct {
 	// Seed fixes the backoff jitter stream (0 = 1; the fleet client is
 	// deterministic given the seed).
 	Seed int64
-	// TraceRing sizes the client's own span rings (0 = obs default).
-	// Every routed call roots a trace here; replicas continue it.
-	TraceRing int
-	// SlowThreshold flags routed calls at least this slow for the
-	// client's slow ring (0 = obs default).
-	SlowThreshold time.Duration
-	// JournalSize bounds the ops event journal (0 = obs default).
-	JournalSize int
 }
 
 func (o *Options) withDefaults(members int) Options {
 	out := *o
-	if out.Vnodes <= 0 {
-		out.Vnodes = DefaultVnodes
-	}
 	if out.Replication <= 0 {
 		out.Replication = 1
 	}
@@ -108,8 +97,8 @@ type memberState struct {
 }
 
 // Client routes flowd requests across a fleet of replicas by consistent
-// hash: each graph id maps to an owning replica; Register, Warm, Query
-// and QueryBatch all follow that placement. On a transport-level
+// hash: each graph id maps to an owning replica; Register, Query and
+// QueryBatch all follow that placement. On a transport-level
 // failure the owner is ejected from the ring (epoch bump), a background
 // probe watches it for recovery, and the request retries against the
 // ring successor after a jittered exponential backoff. A successor that
@@ -162,7 +151,7 @@ func New(members []Member, opt Options) (*Client, error) {
 		names[i] = m.Name
 	}
 	o := opt.withDefaults(len(members))
-	ring, err := NewRing(names, o.Vnodes)
+	ring, err := NewRing(names, DefaultVnodes)
 	if err != nil {
 		return nil, err
 	}
@@ -174,8 +163,8 @@ func New(members []Member, opt Options) (*Client, error) {
 		specs:    map[string]store.GraphSpec{},
 		syncedAt: map[string]uint64{},
 		rng:      rand.New(rand.NewSource(o.Seed)),
-		tracer:   obs.NewTracer(o.TraceRing, o.SlowThreshold),
-		journal:  obs.NewJournal(o.JournalSize),
+		tracer:   obs.NewTracer(obs.DefaultTraceRing, obs.DefaultSlowThreshold),
+		journal:  obs.NewJournal(obs.DefaultJournalRing),
 		stop:     make(chan struct{}),
 	}
 	for _, m := range members {
@@ -292,15 +281,6 @@ func (c *Client) Register(ctx context.Context, id string, spec store.GraphSpec) 
 	c.specs[id] = spec
 	c.specMu.Unlock()
 	return nil
-}
-
-// Warm eagerly builds the graph's substrates on its owning replica.
-func (c *Client) Warm(ctx context.Context, graph string) error {
-	_, err := c.withOwner(ctx, graph, "warm", func(ctx context.Context, ms *memberState) (any, error) {
-		_, err := ms.cl.Warm(ctx, graph)
-		return nil, err
-	})
-	return err
 }
 
 // Query routes one query to the graph's owner, failing over along the

@@ -9,9 +9,7 @@ package flowd
 // graph, canceled request) fail the HTTP request.
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -91,14 +89,9 @@ type BatchResponse struct {
 // (FuzzDecodeBatch holds it to that). Graph-dependent range checks happen
 // at query time, isolated per entry.
 func DecodeBatch(data []byte) (*BatchRequest, error) {
-	var req BatchRequest
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("flowd: bad batch: %w", err)
-	}
-	if dec.More() {
-		return nil, errors.New("flowd: bad batch: trailing data after JSON object")
+	req, err := decodeStrict[BatchRequest](data, "batch")
+	if err != nil {
+		return nil, err
 	}
 	if req.Graph == "" {
 		return nil, errors.New("flowd: bad batch: missing graph id")
@@ -117,7 +110,7 @@ func DecodeBatch(data []byte) (*BatchRequest, error) {
 			return nil, fmt.Errorf("flowd: bad batch: query %d: %s", i, err)
 		}
 	}
-	return &req, nil
+	return req, nil
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -151,7 +144,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // runBatch executes one decoded batch against the store — the execution
-// shared by POST /v1/batch and the wire transport's OpBatch frames, so
+// shared by POST /v1/batch and the wire transport's OpBatchB frames, so
 // the two planes cannot drift.
 func (s *Server) runBatch(ctx context.Context, req *BatchRequest) (*BatchResponse, error) {
 	begin := time.Now()

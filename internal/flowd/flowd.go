@@ -25,7 +25,6 @@
 package flowd
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -239,14 +238,9 @@ func checkArgs(op string, u, v, source int, eps float64) error {
 // fuzz test holds it to that). Range checks that need the graph (vertex
 // < N, face < NumFaces) happen at query time.
 func DecodeQuery(data []byte) (*QueryRequest, error) {
-	var req QueryRequest
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("flowd: bad query: %w", err)
-	}
-	if dec.More() {
-		return nil, errors.New("flowd: bad query: trailing data after JSON object")
+	req, err := decodeStrict[QueryRequest](data, "query")
+	if err != nil {
+		return nil, err
 	}
 	if req.Graph == "" {
 		return nil, errors.New("flowd: bad query: missing graph id")
@@ -254,7 +248,7 @@ func DecodeQuery(data []byte) (*QueryRequest, error) {
 	if err := checkArgs(req.Op, req.U, req.V, req.Source, req.Eps); err != nil {
 		return nil, fmt.Errorf("flowd: bad query: %s", err)
 	}
-	return &req, nil
+	return req, nil
 }
 
 // Server is the HTTP handler over one store, and (via Wire) the handler
@@ -276,9 +270,8 @@ type Server struct {
 	wireMu  sync.Mutex
 	wireSrv *wire.Server
 
-	// Peer plane (peer.go): the lazily built HTTP client restores fetch
-	// snapshots with.
-	peerMu sync.Mutex
+	// peerHC is the keep-alive pooled HTTP client the restore ladder
+	// fetches peer snapshots with (peer.go).
 	peerHC *http.Client
 
 	// Telemetry plane (initObs): structured logger, span tracer, request
@@ -298,7 +291,7 @@ func NewServer(st *store.Store) *Server { return NewServerWith(st, ServerOptions
 
 // NewServerWith wraps st with explicit telemetry options.
 func NewServerWith(st *store.Store, opt ServerOptions) *Server {
-	s := &Server{st: st, mux: http.NewServeMux(), start: time.Now(), fam: make(map[string]*famCell, len(Ops))}
+	s := &Server{st: st, mux: http.NewServeMux(), start: time.Now(), fam: make(map[string]*famCell, len(Ops)), peerHC: &http.Client{}}
 	for _, op := range Ops {
 		s.fam[op] = &famCell{}
 	}
@@ -405,11 +398,9 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
-	var req RegisterRequest
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: "flowd: bad register: " + err.Error()})
+	req, err := decodeStrict[RegisterRequest](data, "register")
+	if err != nil {
+		s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
 	if req.ID == "" {
@@ -446,11 +437,9 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
-	var req SnapshotRequest
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: "flowd: bad snapshot request: " + err.Error()})
+	req, err := decodeStrict[SnapshotRequest](data, "snapshot request")
+	if err != nil {
+		s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
 	var ids []string
@@ -508,7 +497,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Encode and write fuse on the HTTP plane: the JSON encoder streams
-	// into the ResponseWriter (PhaseWrite stays zero here).
+	// into the ResponseWriter.
 	t0 := time.Now()
 	s.writeJSON(w, http.StatusOK, resp)
 	sp.MarkSince(obs.PhaseEncode, t0)

@@ -2,6 +2,8 @@ package flowd
 
 import (
 	"context"
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"slices"
 	"strings"
@@ -269,5 +271,67 @@ func TestSimulatedWireParity(t *testing.T) {
 	}
 	if f.Value != s.Value || f.Rounds.Query != s.Rounds.Query {
 		t.Fatalf("batch girth fast %+v diverges from simulated %+v", f, s)
+	}
+}
+
+// TestMalformedBodies sends each JSON endpoint the ways a body can be
+// wrong and pins the 400 and its error string. The strings were
+// captured from the daemon while each handler still hand-rolled its own
+// strict decode; one shared decoder must not change a byte of them.
+func TestMalformedBodies(t *testing.T) {
+	srv := NewServer(store.New(store.Config{}))
+	cases := []struct{ path, body, want string }{
+		{"/v1/query", ``, "flowd: bad query: EOF"},
+		{"/v1/query", `{`, "flowd: bad query: unexpected EOF"},
+		{"/v1/query", `[]`, "flowd: bad query: json: cannot unmarshal array into Go value of type flowd.QueryRequest"},
+		{"/v1/query", `{"bogus":1}`, "flowd: bad query: json: unknown field \"bogus\""},
+		{"/v1/query", `{"graph":7}`, "flowd: bad query: json: cannot unmarshal number into Go struct field QueryRequest.graph of type string"},
+		{"/v1/query", `{"graph":"g","op":"dist"} x`, "flowd: bad query: trailing data after JSON object"},
+		{"/v1/query", `{"op":"dist"}`, "flowd: bad query: missing graph id"},
+		{"/v1/query", `{"graph":"g","op":"nope"}`, "flowd: bad query: unknown op \"nope\""},
+		{"/v1/query", `{"graph":"g","op":"dist","u":-1}`, "flowd: bad query: negative id (u=-1 v=0 source=0)"},
+		{"/v1/batch", ``, "flowd: bad batch: EOF"},
+		{"/v1/batch", `{`, "flowd: bad batch: unexpected EOF"},
+		{"/v1/batch", `[]`, "flowd: bad batch: json: cannot unmarshal array into Go value of type flowd.BatchRequest"},
+		{"/v1/batch", `{"bogus":1}`, "flowd: bad batch: json: unknown field \"bogus\""},
+		{"/v1/batch", `{"graph":7}`, "flowd: bad batch: json: cannot unmarshal number into Go struct field BatchRequest.graph of type string"},
+		{"/v1/batch", `{"graph":"g","queries":[{"op":"girth"}]} x`, "flowd: bad batch: trailing data after JSON object"},
+		{"/v1/batch", `{"queries":[{"op":"girth"}]}`, "flowd: bad batch: missing graph id"},
+		{"/v1/batch", `{"graph":"g","queries":[]}`, "flowd: bad batch: empty query list"},
+		{"/v1/batch", `{"graph":"g","queries":[{"op":"girth"}],"workers":-1}`, "flowd: bad batch: workers=-1 out of [0, 64]"},
+		{"/v1/graphs", ``, "flowd: bad register: EOF"},
+		{"/v1/graphs", `{`, "flowd: bad register: unexpected EOF"},
+		{"/v1/graphs", `[]`, "flowd: bad register: json: cannot unmarshal array into Go value of type flowd.RegisterRequest"},
+		{"/v1/graphs", `{"bogus":1}`, "flowd: bad register: json: unknown field \"bogus\""},
+		{"/v1/graphs", `{"id":7}`, "flowd: bad register: json: cannot unmarshal number into Go struct field RegisterRequest.id of type string"},
+		{"/v1/graphs", `{"spec":{}}`, "flowd: bad register: missing id"},
+		{"/v1/snapshot", ``, "flowd: bad snapshot request: EOF"},
+		{"/v1/snapshot", `{`, "flowd: bad snapshot request: unexpected EOF"},
+		{"/v1/snapshot", `[]`, "flowd: bad snapshot request: json: cannot unmarshal array into Go value of type flowd.SnapshotRequest"},
+		{"/v1/snapshot", `{"bogus":1}`, "flowd: bad snapshot request: json: unknown field \"bogus\""},
+		{"/v1/snapshot", `{"graph":7}`, "flowd: bad snapshot request: json: cannot unmarshal number into Go struct field SnapshotRequest.graph of type string"},
+		{"/v1/restore", ``, "flowd: bad restore request: EOF"},
+		{"/v1/restore", `{`, "flowd: bad restore request: unexpected EOF"},
+		{"/v1/restore", `[]`, "flowd: bad restore request: json: cannot unmarshal array into Go value of type flowd.RestoreRequest"},
+		{"/v1/restore", `{"bogus":1}`, "flowd: bad restore request: json: unknown field \"bogus\""},
+		{"/v1/restore", `{"graph":7}`, "flowd: bad restore request: json: cannot unmarshal number into Go struct field RestoreRequest.graph of type string"},
+		{"/v1/restore", `{"graph":"g"} x`, "flowd: bad restore request: trailing data after JSON object"},
+		{"/v1/restore", `{}`, "flowd: bad restore request: missing graph id"},
+		// Stricter than it used to be: these two handlers skipped the
+		// trailing-data check the other three made.
+		{"/v1/graphs", `{"id":"g","spec":{"kind":"grid","rows":3,"cols":3}} x`, "flowd: bad register: trailing data after JSON object"},
+		{"/v1/snapshot", `{} x`, "flowd: bad snapshot request: trailing data after JSON object"},
+	}
+	for _, c := range cases {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest("POST", c.path, strings.NewReader(c.body)))
+		var e errorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+			t.Errorf("%s %q: undecodable error body %q", c.path, c.body, rec.Body.Bytes())
+			continue
+		}
+		if rec.Code != http.StatusBadRequest || e.Error != c.want {
+			t.Errorf("%s %q: got %d %q, want 400 %q", c.path, c.body, rec.Code, e.Error, c.want)
+		}
 	}
 }

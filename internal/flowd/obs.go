@@ -38,9 +38,6 @@ type ServerOptions struct {
 	// SlowThreshold flags requests at least this slow for the slow-query
 	// log (0 = obs.DefaultSlowThreshold).
 	SlowThreshold time.Duration
-	// TraceRing sizes the recent- and slow-span rings
-	// (0 = obs.DefaultTraceRing).
-	TraceRing int
 	// Registry is the metric registry this server records into and its
 	// /metricsz serves. nil means obs.Default() — the right choice for one
 	// daemon per process. A fleet of in-process replicas gives each its
@@ -85,7 +82,7 @@ func (s *Server) initObs(opt ServerOptions) {
 	if s.log == nil {
 		s.log = slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelWarn}))
 	}
-	s.tracer = obs.NewTracer(opt.TraceRing, opt.SlowThreshold)
+	s.tracer = obs.NewTracer(obs.DefaultTraceRing, opt.SlowThreshold)
 
 	s.reg = opt.Registry
 	if s.reg == nil {
@@ -111,7 +108,7 @@ func (s *Server) initObs(opt ServerOptions) {
 	}
 	for p := obs.Phase(0); p < obs.NumPhases; p++ {
 		s.phaseHist[p] = r.Histogram("flowd_phase_seconds",
-			"Per-request phase wall time (decode, acquire, build, exec, encode, write).",
+			"Per-request phase wall time (decode, acquire, build, exec, encode).",
 			obs.L("phase", p.String()))
 	}
 	tr := s.tracer
@@ -366,7 +363,10 @@ type HistSummary struct {
 	MaxMS  float64 `json:"max_ms"`
 }
 
-func summarize(snap obs.Snapshot) HistSummary {
+// SummarizeLatency folds one latency snapshot into the /statsz quantile
+// digest — exported for the fleet front, which merges per-replica
+// snapshots (Snapshot.Merge) and summarizes the union.
+func SummarizeLatency(snap obs.Snapshot) HistSummary {
 	return HistSummary{
 		Count:  snap.Count,
 		MeanMS: durMS(snap.Mean()),
@@ -377,24 +377,13 @@ func summarize(snap obs.Snapshot) HistSummary {
 	}
 }
 
-// SummarizeLatency folds one latency snapshot into the /statsz quantile
-// digest — exported for the fleet front, which merges per-replica
-// snapshots (Snapshot.Merge) and summarizes the union.
-func SummarizeLatency(snap obs.Snapshot) HistSummary { return summarize(snap) }
-
 // latencySnapshot digests the non-empty (transport, family) histograms
 // as "transport/family" → summary.
 func (s *Server) latencySnapshot() map[string]HistSummary {
-	var out map[string]HistSummary
-	for key, m := range s.fmGrid {
-		snap := m.lat.Snapshot()
-		if snap.Count == 0 {
-			continue
-		}
-		if out == nil {
-			out = make(map[string]HistSummary)
-		}
-		out[key.transport+"/"+key.family] = summarize(snap)
+	snaps := s.LatencySnapshots()
+	out := make(map[string]HistSummary, len(snaps))
+	for key, snap := range snaps {
+		out[key] = SummarizeLatency(snap)
 	}
 	return out
 }
@@ -415,6 +404,3 @@ func (s *Server) LatencySnapshots() map[string]obs.Snapshot {
 	}
 	return out
 }
-
-// Registry returns the metric registry this server records into.
-func (s *Server) Registry() *obs.Registry { return s.reg }

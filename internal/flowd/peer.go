@@ -31,14 +31,6 @@ import (
 	"planarflow/internal/obs"
 )
 
-// newStrictDecoder is the daemon's uniform JSON stance: unknown fields
-// rejected, caller checks More() for trailing garbage.
-func newStrictDecoder(data []byte) *json.Decoder {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	return dec
-}
-
 // ErrNoSnapshot reports a snapshot fetch for a graph with no resident
 // bundle and no disk snapshot — nothing to ship.
 var ErrNoSnapshot = errors.New("flowd: no snapshot available")
@@ -111,17 +103,6 @@ func (c *Client) Warm(ctx context.Context, graph string) (*WarmResponse, error) 
 // peerFetchTimeout bounds one peer snapshot fetch inside the restore
 // ladder: a dead peer must cost one rung, not the whole request budget.
 const peerFetchTimeout = 10 * time.Second
-
-// peerHTTPClient is the daemon's lazily built client for fetching
-// snapshots off peers (keep-alive pooled; shared across restores).
-func (s *Server) peerHTTPClient() *http.Client {
-	s.peerMu.Lock()
-	defer s.peerMu.Unlock()
-	if s.peerHC == nil {
-		s.peerHC = &http.Client{}
-	}
-	return s.peerHC
-}
 
 // handleFetchSnapshot streams the graph's snapshot, snapstream-framed.
 // The PFSNAP bytes are encoded into memory first (bundles are a few MB
@@ -199,7 +180,9 @@ func (s *Server) restore(ctx context.Context, graph string, peers []string) (*Re
 		return nil, err
 	}
 	for _, peer := range peers {
-		snap, err := s.fetchPeerSnapshot(ctx, peer, graph)
+		fctx, cancel := context.WithTimeout(ctx, peerFetchTimeout)
+		snap, err := (&Client{base: peer, hc: s.peerHC}).FetchSnapshot(fctx, graph)
+		cancel()
 		if err != nil {
 			s.log.Debug("peer snapshot fetch missed", "graph", graph, "peer", peer, "err", err.Error())
 			continue
@@ -230,42 +213,12 @@ func (s *Server) restore(ctx context.Context, graph string, peers []string) (*Re
 	return resp, nil
 }
 
-// fetchPeerSnapshot pulls one graph's snapshot off a peer daemon and
-// returns the verified PFSNAP bytes.
-func (s *Server) fetchPeerSnapshot(ctx context.Context, base, graph string) ([]byte, error) {
-	ctx, cancel := context.WithTimeout(ctx, peerFetchTimeout)
-	defer cancel()
-	u := base + "/v1/snapshot/" + url.PathEscape(graph)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return nil, err
-	}
-	if tc, ok := obs.TraceFromContext(ctx); ok {
-		req.Header.Set(obs.TraceHeader, tc.String())
-	}
-	hr, err := s.peerHTTPClient().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer hr.Body.Close()
-	if hr.StatusCode/100 != 2 {
-		return nil, fmt.Errorf("flowd: peer snapshot %s: status %d", u, hr.StatusCode)
-	}
-	id, snap, err := DecodeSnapStream(hr.Body, 0)
-	if err != nil {
-		return nil, err
-	}
-	if id != graph {
-		return nil, fmt.Errorf("%w: stream carries %q, asked for %q", ErrSnapStream, id, graph)
-	}
-	return snap, nil
-}
-
-// decodeStrict is the shared strict JSON decode (unknown fields and
-// trailing data rejected) for the peer plane's small request bodies.
+// decodeStrict is the daemon's one JSON request decode: unknown fields
+// and trailing data rejected, errors prefixed "flowd: bad <what>: ".
 func decodeStrict[T any](data []byte, what string) (*T, error) {
 	var v T
-	dec := newStrictDecoder(data)
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(&v); err != nil {
 		return nil, fmt.Errorf("flowd: bad %s: %w", what, err)
 	}

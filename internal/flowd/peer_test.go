@@ -92,10 +92,7 @@ func TestPeerRestoreTruncatedStreamFallsBack(t *testing.T) {
 	}
 
 	// A peer that 200s but cuts the stream partway through the data.
-	full, err := AppendSnapStream(nil, "g", snap)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := snapStreamBytes(t, "g", snap)
 	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/octet-stream")
 		w.Write(full[:len(full)/2])

@@ -1,10 +1,10 @@
 package flowd
 
 // The snapshot-stream codec: the framing that carries one graph's PFSNAP
-// snapshot between replicas — the body of GET /v1/snapshot/{graph} and
-// the payload of the wire's OpSnapB frames. The PFSNAP blob inside has
-// its own fingerprint/version/checksum envelope (internal/snapshot), so
-// this layer is pure transport integrity: it exists to make a truncated
+// snapshot between replicas, as the body of GET /v1/snapshot/{graph} —
+// its only carrier. The PFSNAP blob inside has its own
+// fingerprint/version/checksum envelope (internal/snapshot), so this
+// layer is pure transport integrity: it exists to make a truncated
 // or bit-flipped transfer *detectable at the stream level*, before the
 // receiver spends decode work, and to carry the graph id so a fetcher
 // can confirm it got the snapshot it asked for.
@@ -111,23 +111,6 @@ func EncodeSnapStream(w io.Writer, graph string, data []byte) error {
 	binary.LittleEndian.PutUint32(term[4:], crc32.ChecksumIEEE(data))
 	_, err := w.Write(term[:])
 	return err
-}
-
-// AppendSnapStream is EncodeSnapStream into a byte slice (the wire
-// OpSnapB payload path).
-func AppendSnapStream(dst []byte, graph string, data []byte) ([]byte, error) {
-	buf := sliceWriter{b: dst}
-	if err := EncodeSnapStream(&buf, graph, data); err != nil {
-		return dst, err
-	}
-	return buf.b, nil
-}
-
-type sliceWriter struct{ b []byte }
-
-func (w *sliceWriter) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
 }
 
 // DecodeSnapStream reads one framed snapshot off r: the graph id it

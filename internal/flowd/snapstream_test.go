@@ -36,19 +36,14 @@ func TestSnapStreamRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSnapStreamAppendMatchesEncode(t *testing.T) {
-	data := []byte("snapshot payload bytes")
+// snapStreamBytes frames data into memory with the one stream encoder.
+func snapStreamBytes(t testing.TB, graph string, data []byte) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := EncodeSnapStream(&buf, "g", data); err != nil {
+	if err := EncodeSnapStream(&buf, graph, data); err != nil {
 		t.Fatal(err)
 	}
-	app, err := AppendSnapStream(nil, "g", data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(app, buf.Bytes()) {
-		t.Fatal("AppendSnapStream diverges from EncodeSnapStream")
-	}
+	return buf.Bytes()
 }
 
 func TestSnapStreamEncodeRejectsBadID(t *testing.T) {
@@ -67,10 +62,7 @@ func TestSnapStreamEncodeRejectsBadID(t *testing.T) {
 func TestSnapStreamTruncation(t *testing.T) {
 	data := make([]byte, 1000)
 	rand.New(rand.NewSource(2)).Read(data)
-	full, err := AppendSnapStream(nil, "gg", data)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := snapStreamBytes(t, "gg", data)
 	for cut := 0; cut < len(full); cut++ {
 		_, _, err := DecodeSnapStream(bytes.NewReader(full[:cut]), 0)
 		if err == nil {
@@ -84,10 +76,7 @@ func TestSnapStreamTruncation(t *testing.T) {
 
 func TestSnapStreamCorruption(t *testing.T) {
 	data := []byte("some snapshot bytes that matter")
-	full, err := AppendSnapStream(nil, "g", data)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := snapStreamBytes(t, "g", data)
 	mut := func(i int, x byte) []byte {
 		b := append([]byte(nil), full...)
 		b[i] ^= x
@@ -108,10 +97,7 @@ func TestSnapStreamCorruption(t *testing.T) {
 
 func TestSnapStreamSizeCap(t *testing.T) {
 	data := make([]byte, 4096)
-	full, err := AppendSnapStream(nil, "g", data)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := snapStreamBytes(t, "g", data)
 	if _, _, err := DecodeSnapStream(bytes.NewReader(full), 100); !errors.Is(err, ErrSnapStreamSize) {
 		t.Fatalf("size cap: %v", err)
 	}
@@ -122,18 +108,9 @@ func TestSnapStreamSizeCap(t *testing.T) {
 
 // snapFuzzSeeds are the stream shapes the fuzzer starts from.
 func snapFuzzSeeds(t testing.TB) map[string][]byte {
-	valid, err := AppendSnapStream(nil, "g", []byte("snapshot bytes"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	empty, err := AppendSnapStream(nil, "empty", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	two, err := AppendSnapStream(nil, "ab", bytes.Repeat([]byte{7}, 600))
-	if err != nil {
-		t.Fatal(err)
-	}
+	valid := snapStreamBytes(t, "g", []byte("snapshot bytes"))
+	empty := snapStreamBytes(t, "empty", nil)
+	two := snapStreamBytes(t, "ab", bytes.Repeat([]byte{7}, 600))
 	mut := func(i int, x byte) []byte {
 		b := append([]byte(nil), valid...)
 		b[i] ^= x
@@ -200,10 +177,7 @@ func FuzzDecodeSnapStream(f *testing.F) {
 			t.Fatalf("decoded id length %d out of range", len(id))
 		}
 		// decode∘encode∘decode is the identity on the logical content.
-		re, err := AppendSnapStream(nil, id, data)
-		if err != nil {
-			t.Fatalf("decoded stream failed to re-encode: %v", err)
-		}
+		re := snapStreamBytes(t, id, data)
 		id2, data2, err := DecodeSnapStream(bytes.NewReader(re), 1<<20)
 		if err != nil {
 			t.Fatalf("re-encoded stream failed to decode: %v", err)

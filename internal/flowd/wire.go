@@ -1,21 +1,22 @@
 package flowd
 
 // The binary wire plane: the same daemon served over internal/wire's
-// framed transport instead of HTTP. The frame payloads ARE the HTTP
-// JSON bodies — OpQuery carries a QueryRequest and returns a
-// QueryResponse, OpBatch a BatchRequest/BatchResponse — decoded by the
-// same strict decoders and executed by the same runQuery/runBatch, so a
-// wire answer is byte-identical to the HTTP answer for the same request
-// (the differential tests pin that). What changes is purely transport:
+// framed transport instead of HTTP. Four ops: OpPing, OpQueryB and
+// OpBatchB (a QueryRequest / BatchRequest and their responses on the
+// binary payload codec, wirecodec.go), and OpQuery, whose payloads ARE
+// the POST /v1/query JSON bodies, decoded by the same strict DecodeQuery.
+// Every op executes through the same runQuery/runBatch as HTTP, so a
+// wire answer equals the HTTP answer for the same request (the
+// differential tests pin that). What changes is purely transport:
 // persistent connections, many in-flight requests per connection
 // multiplexed by request id, and write coalescing on both directions.
 //
-// HTTP stays the control/compat plane (register, snapshot, statsz); the
-// wire plane carries the high-rate query traffic. WireClient is the
-// matching client: a connection pool with true pipelining.
+// HTTP stays the control/compat plane (register, snapshot, restore,
+// statsz); the wire plane carries the high-rate query traffic.
+// WireClient is the matching client: a connection pool with true
+// pipelining, sending only the binary ops.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -96,9 +97,8 @@ func (s *Server) wireStats() *wire.Stats {
 }
 
 // ServeFrame implements wire.Handler: one request frame in, one
-// response frame out, the payloads exactly the HTTP plane's JSON
-// bodies (or their binary twins). Each query/batch frame runs under a
-// span keyed by the frame id; pings and unknown ops are not traced.
+// response frame out. Each query/batch frame runs under a span keyed by
+// the frame id; pings and unknown ops are not traced.
 func (s *Server) ServeFrame(ctx context.Context, op wire.Op, id uint64, payload []byte) (wire.Status, []byte) {
 	switch op {
 	case wire.OpPing:
@@ -107,53 +107,16 @@ func (s *Server) ServeFrame(ctx context.Context, op wire.Op, id uint64, payload 
 	case wire.OpQuery:
 		return s.serveQueryFrame(ctx, id, payload, DecodeQuery,
 			func(resp *QueryResponse) (wire.Status, []byte) { return s.okBody(resp) })
-	case wire.OpBatch:
-		return s.serveBatchFrame(ctx, id, payload, DecodeBatch,
-			func(resp *BatchResponse) (wire.Status, []byte) { return s.okBody(resp) })
 	case wire.OpQueryB:
 		return s.serveQueryFrame(ctx, id, payload, decodeWireQueryRequest,
 			func(resp *QueryResponse) (wire.Status, []byte) {
 				return wire.StatusOK, appendWireQueryResponse(make([]byte, 0, 96+8*len(resp.Dist)+8*len(resp.CutEdges)), resp)
 			})
 	case wire.OpBatchB:
-		return s.serveBatchFrame(ctx, id, payload, decodeWireBatchRequest,
-			func(resp *BatchResponse) (wire.Status, []byte) {
-				return wire.StatusOK, appendWireBatchResponse(make([]byte, 0, 32+96*len(resp.Results)), resp)
-			})
-	case wire.OpSnapB:
-		return s.serveSnapFrame(payload)
+		return s.serveBatchFrame(ctx, id, payload)
 	default:
 		return wire.StatusBadRequest, errBody(fmt.Sprintf("flowd: unknown wire op %d", op))
 	}
-}
-
-// serveSnapFrame answers one OpSnapB request: the payload is the raw
-// graph-id bytes, the response a snapstream-framed snapshot in one
-// frame. A snapshot too big for one wire frame answers StatusOverload —
-// the caller falls back to the HTTP endpoint, which has no frame cap.
-func (s *Server) serveSnapFrame(payload []byte) (wire.Status, []byte) {
-	graph := string(payload)
-	if graph == "" || len(graph) > MaxSnapIDLen {
-		return wire.StatusBadRequest, errBody(fmt.Sprintf("flowd: bad snapshot request: id length %d", len(payload)))
-	}
-	var buf bytes.Buffer
-	ok, err := s.st.SnapshotTo(graph, &buf)
-	if err != nil {
-		return wireStatusOf(err), errBody(err.Error())
-	}
-	if !ok {
-		err := fmt.Errorf("%w: %q", ErrNoSnapshot, graph)
-		return wireStatusOf(err), errBody(err.Error())
-	}
-	body, err := AppendSnapStream(make([]byte, 0, buf.Len()+64), graph, buf.Bytes())
-	if err != nil {
-		return wire.StatusInternal, errBody(err.Error())
-	}
-	if len(body) > wire.MaxPayload {
-		return wire.StatusOverload, errBody(fmt.Sprintf(
-			"flowd: snapshot of %q is %d bytes, over the %d frame cap; use GET /v1/snapshot", graph, len(body), wire.MaxPayload))
-	}
-	return wire.StatusOK, body
 }
 
 // serveQueryFrame is the wire plane's span-wrapped singleton execution,
@@ -182,15 +145,14 @@ func (s *Server) serveQueryFrame(ctx context.Context, id uint64, payload []byte,
 	return status, body
 }
 
-// serveBatchFrame is serveQueryFrame's batch twin; it also feeds the
+// serveBatchFrame is serveQueryFrame's batch twin, on the binary codec
+// only (a JSON batch goes over POST /v1/batch); it also feeds the
 // transport-level fold counter (how many queries arrived per batch
 // frame — /statsz's transport.coalesced_*).
-func (s *Server) serveBatchFrame(ctx context.Context, id uint64, payload []byte,
-	decode func([]byte) (*BatchRequest, error),
-	encode func(*BatchResponse) (wire.Status, []byte)) (wire.Status, []byte) {
+func (s *Server) serveBatchFrame(ctx context.Context, id uint64, payload []byte) (wire.Status, []byte) {
 	sp, ctx := s.beginWireSpan(ctx, id)
 	sp.Family = decodeFamily
-	req, err := decode(payload)
+	req, err := decodeWireBatchRequest(payload)
 	sp.MarkSince(obs.PhaseDecode, sp.Start)
 	if err != nil {
 		s.finishRequest(sp, err.Error())
@@ -204,10 +166,10 @@ func (s *Server) serveBatchFrame(ctx context.Context, id uint64, payload []byte,
 		return wireStatusOf(err), errBody(err.Error())
 	}
 	t0 := time.Now()
-	status, body := encode(resp)
+	body := appendWireBatchResponse(make([]byte, 0, 32+96*len(resp.Results)), resp)
 	sp.MarkSince(obs.PhaseEncode, t0)
 	s.finishRequest(sp, "")
-	return status, body
+	return wire.StatusOK, body
 }
 
 // okBody encodes a success payload; an encode failure (cannot happen

@@ -133,7 +133,7 @@ func TestWireDifferentialIdentity(t *testing.T) {
 	}
 
 	// Batch parity at the same sequence point: the same queries shipped as
-	// one OpBatch frame must match the HTTP batch route result for result.
+	// one OpBatchB frame must match the HTTP batch route result for result.
 	breq := BatchRequest{Graph: "grid", Queries: []BatchQuery{
 		{Op: "dist", U: 0, V: gridN - 1}, {Op: "maxflow", U: 0, V: gridN - 1}, {Op: "girth"},
 	}}

@@ -2,13 +2,13 @@ package flowd
 
 // The compact binary payload codec for the wire transport's hot ops
 // (wire.OpQueryB / wire.OpBatchB): the same QueryRequest/QueryResponse
-// and BatchRequest/BatchResponse values the JSON ops carry, hand-encoded
-// little-endian with length-prefixed strings and slices. JSON reflection
-// is the dominant per-query cost once the decode engine answers in
-// microseconds — this codec removes it from the serving path while the
-// JSON ops remain for compatibility (and the differential tests pin that
-// a binary-routed answer renders to exactly the same JSON as the HTTP
-// route's).
+// and BatchRequest/BatchResponse values the HTTP plane carries as JSON,
+// hand-encoded little-endian with length-prefixed strings and slices.
+// JSON reflection is the dominant per-query cost once the decode engine
+// answers in microseconds — this codec removes it from the serving path
+// (the differential tests pin that a binary-routed answer renders to
+// exactly the same JSON as the HTTP route's). WireClient sends nothing
+// else; wire.OpQuery, the one JSON op left, has no client in this repo.
 //
 // Discipline mirrors the PFSNAP snapshot codec: decoders never panic,
 // fail with errors wrapping ErrWireCodec, validate lengths against the

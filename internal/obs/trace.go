@@ -37,16 +37,14 @@ const (
 	// reported separately to split build-heavy from decode-heavy requests.
 	PhaseExec
 	// PhaseEncode: response encoding (on the HTTP plane this includes the
-	// network write: encoder and ResponseWriter are fused).
+	// network write: encoder and ResponseWriter are fused; the wire
+	// plane's writer-queue dwell has its own histogram, since frames
+	// outlive their span).
 	PhaseEncode
-	// PhaseWrite: response write where it is separable from encoding
-	// (unused on HTTP; the wire plane's writer-queue dwell has its own
-	// histogram since frames outlive their span).
-	PhaseWrite
 	NumPhases
 )
 
-var phaseNames = [NumPhases]string{"decode", "acquire", "build", "exec", "encode", "write"}
+var phaseNames = [NumPhases]string{"decode", "acquire", "build", "exec", "encode"}
 
 func (p Phase) String() string {
 	if p < 0 || p >= NumPhases {

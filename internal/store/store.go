@@ -205,12 +205,12 @@ type Store struct {
 	ents map[string]*entry
 	lru  *list.List // of *entry; front = most recently used resident bundle
 
-	bytes                           int64
-	hits, misses, builds, evictions int64
-	buildRounds                     int64
-	snapWrites, snapRestores        int64
-	snapErrors, peerRestores        int64
-	spillsElided                    int64
+	// bytes is the accounted footprint of every resident bundle (eviction
+	// reads it); snapErrors is the one counter with no per-graph home.
+	// Every other store-wide count is the sum over entries — entries are
+	// never removed — and Snapshot adds them up.
+	bytes      int64
+	snapErrors int64
 
 	spillWG sync.WaitGroup // in-flight eviction spills
 }
@@ -340,7 +340,6 @@ func (s *Store) acquire(ctx context.Context, id string) (*entry, *planarflow.Pre
 	hit := e.pg != nil
 	if hit {
 		e.hits++
-		s.hits++
 		s.lru.MoveToFront(e.elem)
 	} else {
 		if _, err := s.load(ctx, e); err != nil {
@@ -355,7 +354,6 @@ func (s *Store) acquire(ctx context.Context, id string) (*entry, *planarflow.Pre
 			e.elem = s.lru.PushFront(e)
 		}
 		e.misses++
-		s.misses++
 	}
 	e.lastAccessMS = time.Now().UnixMilli()
 	e.pins++
@@ -412,7 +410,7 @@ func (s *Store) loadFile(e *entry, ch chan struct{}) (loaded bool) {
 		}
 		e.fileKeys = keys
 		if pg != nil && e.pg == nil {
-			s.installLocked(e, pg, &e.snapRestores, &s.snapRestores)
+			s.installLocked(e, pg, &e.snapRestores)
 			loaded = true
 		}
 		e.fileMu.Unlock()
@@ -427,16 +425,15 @@ func (s *Store) loadFile(e *entry, ch chan struct{}) (loaded bool) {
 // shared by the disk loader and InstallSnapshot: publish pg as e's bundle
 // at the LRU front, account its substrates on arrival (they are resident
 // right now; release only ever grows these monotonically), and bump the
-// per-graph and store-wide counter of the route it arrived by (disk
-// restore or peer restore).
-func (s *Store) installLocked(e *entry, pg *planarflow.PreparedGraph, perGraph, total *int64) {
+// entry's counter of the route it arrived by (disk restore or peer
+// restore).
+func (s *Store) installLocked(e *entry, pg *planarflow.PreparedGraph, arrivals *int64) {
 	e.pg = pg
 	e.elem = s.lru.PushFront(e)
 	st := pg.Stats()
 	e.bytes, e.substrates, e.rounds = st.Bytes, len(st.Substrates), st.BuildRounds
 	s.bytes += st.Bytes
-	*perGraph++
-	*total++
+	*arrivals++
 }
 
 // readSpill opens and decodes e's spill file (caller holds e.fileMu, not
@@ -496,12 +493,10 @@ func (s *Store) release(e *entry, pg *planarflow.PreparedGraph) {
 		}
 		if nb := len(st.Substrates) - e.substrates; nb > 0 {
 			e.builds += int64(nb)
-			s.builds += int64(nb)
 			e.substrates = len(st.Substrates)
 		}
 		if dr := st.BuildRounds - e.rounds; dr > 0 {
 			e.buildRounds += dr
-			s.buildRounds += dr
 			e.rounds = st.BuildRounds
 		}
 	}
@@ -548,14 +543,12 @@ func (s *Store) dropLocked(e *entry) []spillJob {
 	e.pg, e.elem = nil, nil
 	e.bytes, e.substrates, e.rounds = 0, 0, 0
 	e.evictions++
-	s.evictions++
 	mEvictions.Inc()
 	if s.cfg.SpillDir == "" {
 		return nil
 	}
 	if keySet(pg) == e.fileKeys {
 		e.spillsElided++
-		s.spillsElided++
 		mSpillsElided.Inc()
 		return nil
 	}
@@ -613,7 +606,6 @@ func (s *Store) writeSpill(e *entry, pg *planarflow.PreparedGraph) error {
 		return err
 	}
 	e.snapWrites++
-	s.snapWrites++
 	return nil
 }
 
@@ -809,7 +801,7 @@ func (s *Store) InstallSnapshot(id string, data []byte) (bool, error) {
 		s.mu.Unlock()
 		return false, nil
 	}
-	s.installLocked(e, pg, &e.peerRestores, &s.peerRestores)
+	s.installLocked(e, pg, &e.peerRestores)
 	e.fileKeys = "" // not this entry's file: its eviction writes
 	e.lastAccessMS = time.Now().UnixMilli()
 	jobs := s.evictLocked()
@@ -852,11 +844,7 @@ func (s *Store) Snapshot() Stats {
 	defer s.mu.Unlock()
 	st := Stats{
 		Graphs: len(s.ents), Bytes: s.bytes, MaxBytes: s.cfg.MaxBytes,
-		Hits: s.hits, Misses: s.misses, Builds: s.builds,
-		Evictions: s.evictions, BuildRounds: s.buildRounds,
-		SnapshotWrites: s.snapWrites, SnapshotRestores: s.snapRestores,
-		SnapshotErrors: s.snapErrors, SpillsElided: s.spillsElided,
-		PeerRestores: s.peerRestores,
+		SnapshotErrors: s.snapErrors,
 	}
 	ids := make([]string, 0, len(s.ents))
 	for id := range s.ents {
@@ -868,6 +856,15 @@ func (s *Store) Snapshot() Stats {
 		if e.pg != nil {
 			st.Resident++
 		}
+		st.Hits += e.hits
+		st.Misses += e.misses
+		st.Builds += e.builds
+		st.Evictions += e.evictions
+		st.BuildRounds += e.buildRounds
+		st.SnapshotWrites += e.snapWrites
+		st.SnapshotRestores += e.snapRestores
+		st.SpillsElided += e.spillsElided
+		st.PeerRestores += e.peerRestores
 		st.PerGraph = append(st.PerGraph, GraphStats{
 			ID: id, N: e.gr.N(), M: e.gr.M(),
 			Resident: e.pg != nil, Bytes: e.bytes, Pins: e.pins,

@@ -90,15 +90,10 @@ func (c *Conn) Do(ctx context.Context, op Op, payload []byte) (Status, []byte, e
 	c.pend[id] = ch
 	c.mu.Unlock()
 
-	// A trace context on ctx rides the frame's version-2 trace block;
-	// untraced requests stay version 1, byte-identical to old peers.
-	var frame []byte
-	var err error
-	if tc, ok := obs.TraceFromContext(ctx); ok {
-		frame, err = AppendTracedFrame(nil, uint8(op), id, tc, payload)
-	} else {
-		frame, err = AppendFrame(nil, uint8(op), id, payload)
-	}
+	// A trace context on ctx rides the frame's trace block; without one
+	// the block stays zero (untraced).
+	tc, _ := obs.TraceFromContext(ctx)
+	frame, err := AppendFrame(make([]byte, 0, frameOverhead+len(payload)), uint8(op), id, tc, payload)
 	if err != nil {
 		c.forget(id)
 		return 0, nil, err

@@ -8,37 +8,37 @@
 // coalesce writes at batch boundaries so a pipelined client pays one
 // syscall for many frames.
 //
-// The protocol is pure transport — the JSON ops carry exactly the JSON
-// bodies of the corresponding HTTP endpoints (shared strict decoders),
-// and the binary ops (OpQueryB/OpBatchB) carry the same request and
-// response structs through internal/flowd's hand-written codec, pinned
-// bit-identical to the HTTP route by differential tests. Framing and
-// encoding cost, not semantics, are what this package buys.
+// The protocol is pure transport — OpQuery carries exactly the JSON body
+// of POST /v1/query (shared strict decoder), and the binary ops
+// (OpQueryB/OpBatchB) carry the same request and response structs
+// through internal/flowd's hand-written codec, pinned bit-identical to
+// the HTTP route by differential tests. Framing and encoding cost, not
+// semantics, are what this package buys.
 //
-// Frame layout (integers little-endian, CRC32-IEEE over everything
-// between header and checksum, mirroring the PFSNAP snapshot codec's
-// checksum discipline):
+// Frame layout — the only one (integers little-endian, CRC32-IEEE over
+// everything between header and checksum, mirroring the PFSNAP snapshot
+// codec's checksum discipline):
 //
 //	offset size field
 //	0      2    magic "PW"
-//	2      1    version (1 or 2)
+//	2      1    version (2)
 //	3      1    kind: request Op, or 0x80|Status for responses
 //	4      8    request id (echoed verbatim in the response frame)
-//	12     4    payload length (<= MaxPayload)
-//	16     t    trace block (version 2 only, t = 25; absent in version 1)
-//	16+t   n    payload
-//	16+t+n 4    CRC32(trace block + payload)
+//	12     4    payload length n (<= MaxPayload)
+//	16     25   trace block: trace-id high half (8), low half (8),
+//	            parent span id (8), hop count (1); all zero = untraced
+//	41     n    payload
+//	41+n   4    CRC32(trace block + payload)
 //
-// Version 2 frames carry a distributed-trace context between the
-// header and the payload: 8-byte trace-id high half, 8-byte low half,
-// 8-byte parent span id, 1-byte hop count. Both versions decode;
-// AppendFrame still emits version 1 (responses and untraced requests
-// stay byte-identical to old peers), AppendTracedFrame emits version 2.
+// Every frame carries the trace block; responses and untraced requests
+// leave it zero. The protocol has no negotiation: any other version
+// byte — the traceless version 1 included — is ErrVersion.
 //
 // Every decode failure is a typed sentinel (ErrBadMagic, ErrVersion,
 // ErrBadKind, ErrOversize, ErrTruncated, ErrChecksum); decoding never
 // panics and never allocates more than the input in hand justifies —
-// the fuzz harness holds it to that.
+// the fuzz harness holds it to that, through the same parser the
+// sockets read with (ReadFrame hands its bytes to DecodeFrame).
 package wire
 
 import (
@@ -52,24 +52,24 @@ import (
 	"planarflow/internal/obs"
 )
 
-// Version is the base protocol version (traceless frames). Peers
-// accept Version and VersionTrace and reject anything else: the
+// Version is the protocol version. Peers reject anything else: the
 // protocol has no negotiation — any other version is a fleet upgrade.
-const Version = 1
+const Version = 2
 
-// VersionTrace is the trace-carrying frame version: identical layout
-// with a 25-byte trace block between header and payload.
-const VersionTrace = 2
-
-// HeaderLen is the fixed frame header size preceding the payload.
+// HeaderLen is the fixed prefix every frame opens with, up to and
+// including the payload length.
 const HeaderLen = 16
 
-// traceLen is the version-2 trace block: trace id hi/lo, parent span
-// id, hop count.
+// traceLen is the trace block between the fixed prefix and the payload:
+// trace id hi/lo, parent span id, hop count.
 const traceLen = 8 + 8 + 8 + 1
 
 // crcLen trails every payload.
 const crcLen = 4
+
+// frameOverhead is what one frame costs on the socket beyond its
+// payload.
+const frameOverhead = HeaderLen + traceLen + crcLen
 
 // MaxPayload caps one frame's payload, matching the HTTP plane's body
 // cap: queries and answers are small, and a length prefix read off an
@@ -84,8 +84,6 @@ type Op uint8
 const (
 	// OpQuery carries a flowd QueryRequest JSON body (POST /v1/query).
 	OpQuery Op = 1
-	// OpBatch carries a flowd BatchRequest JSON body (POST /v1/batch).
-	OpBatch Op = 2
 	// OpPing is the liveness probe (GET /healthz); its payload is empty.
 	OpPing Op = 3
 	// OpQueryB is OpQuery with the compact binary payload codec
@@ -93,17 +91,9 @@ const (
 	// answer, a fraction of the encode/decode cost. Error responses
 	// (status != OK) carry the JSON error body on every op.
 	OpQueryB Op = 4
-	// OpBatchB is OpBatch with the binary payload codec.
+	// OpBatchB carries a flowd BatchRequest (POST /v1/batch) on the binary
+	// payload codec.
 	OpBatchB Op = 5
-	// OpSnapB requests a prepared-substrate snapshot: the payload is the
-	// raw graph-id bytes, the response a snapstream-framed PFSNAP blob
-	// (internal/flowd's snapshot-stream codec) — the peer-to-peer restore
-	// path of the fleet plane. Snapshots over MaxPayload answer
-	// StatusOverload; the caller falls back to the HTTP endpoint, which
-	// has no frame cap.
-	OpSnapB Op = 6
-
-	maxOp = 6
 )
 
 // Status is a response frame's outcome, the wire projection of the HTTP
@@ -166,13 +156,11 @@ var (
 )
 
 // Frame is one decoded frame. Kind is a request Op for request frames
-// and respBit|Status for response frames. Version records which frame
-// version carried it; Trace is the propagated trace context and is the
-// zero (invalid) context on version-1 frames.
+// and respBit|Status for response frames. Trace is the propagated trace
+// context, the zero (invalid) context on an untraced frame.
 type Frame struct {
 	Kind    uint8
 	ID      uint64
-	Version uint8
 	Trace   obs.TraceContext
 	Payload []byte
 }
@@ -186,99 +174,63 @@ func (f *Frame) Op() Op { return Op(f.Kind) }
 // Status returns the response status (meaningful when IsResponse).
 func (f *Frame) Status() Status { return Status(f.Kind &^ respBit) }
 
-// validKind accepts known request ops and known response statuses.
+// validKind accepts known request ops and known response statuses. The
+// op numbers have gaps (2 and 6 are unassigned): an op keeps the number
+// peers already speak.
 func validKind(kind uint8) bool {
 	if kind&respBit != 0 {
 		return kind&^respBit <= maxStatus
 	}
-	return kind >= 1 && kind <= maxOp
-}
-
-// AppendFrame appends one encoded version-1 (traceless) frame to dst
-// and returns the extended slice. It fails only for payloads over
-// MaxPayload.
-func AppendFrame(dst []byte, kind uint8, id uint64, payload []byte) ([]byte, error) {
-	if len(payload) > MaxPayload {
-		return dst, fmt.Errorf("%w: %d > %d", ErrOversize, len(payload), MaxPayload)
+	switch Op(kind) {
+	case OpQuery, OpPing, OpQueryB, OpBatchB:
+		return true
 	}
-	var hdr [HeaderLen]byte
-	hdr[0], hdr[1] = frameMagic[0], frameMagic[1]
-	hdr[2] = Version
-	hdr[3] = kind
-	binary.LittleEndian.PutUint64(hdr[4:12], id)
-	binary.LittleEndian.PutUint32(hdr[12:16], uint32(len(payload)))
-	dst = append(dst, hdr[:]...)
-	dst = append(dst, payload...)
-	var crc [crcLen]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload))
-	return append(dst, crc[:]...), nil
+	return false
 }
 
-// AppendTracedFrame appends one encoded version-2 frame carrying tc
-// between header and payload. The length field still counts only the
-// payload; the CRC covers trace block plus payload.
-func AppendTracedFrame(dst []byte, kind uint8, id uint64, tc obs.TraceContext, payload []byte) ([]byte, error) {
+// AppendFrame appends one encoded frame to dst and returns the extended
+// slice; tc is the zero context for responses and untraced requests.
+// The length field counts only the payload; the CRC covers trace block
+// plus payload. It fails only for payloads over MaxPayload.
+func AppendFrame(dst []byte, kind uint8, id uint64, tc obs.TraceContext, payload []byte) ([]byte, error) {
 	if len(payload) > MaxPayload {
 		return dst, fmt.Errorf("%w: %d > %d", ErrOversize, len(payload), MaxPayload)
 	}
 	var hdr [HeaderLen + traceLen]byte
 	hdr[0], hdr[1] = frameMagic[0], frameMagic[1]
-	hdr[2] = VersionTrace
+	hdr[2] = Version
 	hdr[3] = kind
 	binary.LittleEndian.PutUint64(hdr[4:12], id)
 	binary.LittleEndian.PutUint32(hdr[12:16], uint32(len(payload)))
-	putTrace(hdr[HeaderLen:], tc)
+	binary.LittleEndian.PutUint64(hdr[16:24], tc.Hi)
+	binary.LittleEndian.PutUint64(hdr[24:32], tc.Lo)
+	binary.LittleEndian.PutUint64(hdr[32:40], tc.Parent)
+	hdr[40] = tc.Hop
+	start := len(dst)
 	dst = append(dst, hdr[:]...)
 	dst = append(dst, payload...)
-	crc := crc32.ChecksumIEEE(hdr[HeaderLen:])
-	crc = crc32.Update(crc, crc32.IEEETable, payload)
-	var tail [crcLen]byte
-	binary.LittleEndian.PutUint32(tail[:], crc)
-	return append(dst, tail[:]...), nil
+	// Checksummed where it landed in dst: handing hdr itself to crc32 would
+	// move it to the heap, one allocation per frame.
+	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start+HeaderLen:])), nil
 }
 
-func putTrace(b []byte, tc obs.TraceContext) {
-	binary.LittleEndian.PutUint64(b[0:8], tc.Hi)
-	binary.LittleEndian.PutUint64(b[8:16], tc.Lo)
-	binary.LittleEndian.PutUint64(b[16:24], tc.Parent)
-	b[24] = tc.Hop
-}
-
-func getTrace(b []byte) obs.TraceContext {
-	return obs.TraceContext{
-		Hi:     binary.LittleEndian.Uint64(b[0:8]),
-		Lo:     binary.LittleEndian.Uint64(b[8:16]),
-		Parent: binary.LittleEndian.Uint64(b[16:24]),
-		Hop:    b[24],
-	}
-}
-
-// checkHeader validates the fixed 16-byte header and returns the
-// frame version and the declared payload length.
-func checkHeader(hdr []byte) (uint8, int, error) {
+// checkHeader validates the fixed 16-byte prefix and returns the
+// declared payload length.
+func checkHeader(hdr []byte) (int, error) {
 	if hdr[0] != frameMagic[0] || hdr[1] != frameMagic[1] {
-		return 0, 0, ErrBadMagic
+		return 0, ErrBadMagic
 	}
-	if hdr[2] != Version && hdr[2] != VersionTrace {
-		return 0, 0, fmt.Errorf("%w: %d (speak %d and %d)", ErrVersion, hdr[2], Version, VersionTrace)
+	if hdr[2] != Version {
+		return 0, fmt.Errorf("%w: %d (speak %d)", ErrVersion, hdr[2], Version)
 	}
 	if !validKind(hdr[3]) {
-		return 0, 0, fmt.Errorf("%w: 0x%02x", ErrBadKind, hdr[3])
+		return 0, fmt.Errorf("%w: 0x%02x", ErrBadKind, hdr[3])
 	}
 	n := binary.LittleEndian.Uint32(hdr[12:16])
 	if n > MaxPayload {
-		return 0, 0, fmt.Errorf("%w: %d > %d", ErrOversize, n, MaxPayload)
+		return 0, fmt.Errorf("%w: %d > %d", ErrOversize, n, MaxPayload)
 	}
-	return hdr[2], int(n), nil
-}
-
-// traceExtra is the number of bytes between header and payload for a
-// frame version.
-func traceExtra(ver uint8) int {
-	if ver == VersionTrace {
-		return traceLen
-	}
-	return 0
+	return int(n), nil
 }
 
 // DecodeFrame decodes one frame from the front of b, returning the frame
@@ -290,67 +242,55 @@ func DecodeFrame(b []byte) (Frame, int, error) {
 	if len(b) < HeaderLen {
 		return Frame{}, 0, fmt.Errorf("%w: %d header bytes of %d", ErrTruncated, len(b), HeaderLen)
 	}
-	ver, n, err := checkHeader(b[:HeaderLen])
+	n, err := checkHeader(b[:HeaderLen])
 	if err != nil {
 		return Frame{}, 0, err
 	}
-	extra := traceExtra(ver)
-	total := HeaderLen + extra + n + crcLen
+	total := frameOverhead + n
 	if len(b) < total {
 		return Frame{}, 0, fmt.Errorf("%w: frame declares %d bytes, %d remain", ErrTruncated, total, len(b))
 	}
-	body := b[HeaderLen : HeaderLen+extra+n]
-	if binary.LittleEndian.Uint32(b[HeaderLen+extra+n:total]) != crc32.ChecksumIEEE(body) {
+	body := b[HeaderLen : total-crcLen] // trace block + payload
+	if binary.LittleEndian.Uint32(b[total-crcLen:total]) != crc32.ChecksumIEEE(body) {
 		return Frame{}, 0, ErrChecksum
 	}
-	f := Frame{
-		Kind:    b[3],
-		ID:      binary.LittleEndian.Uint64(b[4:12]),
-		Version: ver,
-		Payload: body[extra:],
-	}
-	if extra > 0 {
-		f.Trace = getTrace(body)
-	}
-	return f, total, nil
+	return Frame{
+		Kind: b[3],
+		ID:   binary.LittleEndian.Uint64(b[4:12]),
+		Trace: obs.TraceContext{
+			Hi:     binary.LittleEndian.Uint64(body[0:8]),
+			Lo:     binary.LittleEndian.Uint64(body[8:16]),
+			Parent: binary.LittleEndian.Uint64(body[16:24]),
+			Hop:    body[24],
+		},
+		Payload: body[traceLen:],
+	}, total, nil
 }
 
-// ReadFrame reads one frame off a connection's buffered reader. The
-// payload is freshly allocated (the stream buffer is reused underneath),
-// sized by the validated length prefix — never more than MaxPayload.
+// ReadFrame reads one frame off a connection's buffered reader and
+// decodes it with DecodeFrame. The frame's buffer is freshly allocated
+// (the stream buffer is reused underneath), sized by the validated
+// length prefix — never more than MaxPayload plus the fixed overhead.
 // io.EOF surfaces untouched when the stream ends cleanly between frames;
 // an EOF inside a frame is ErrTruncated.
 func ReadFrame(br *bufio.Reader) (Frame, error) {
-	var hdr [HeaderLen]byte
-	if _, err := io.ReadFull(br, hdr[:1]); err != nil {
-		return Frame{}, err // clean EOF between frames
-	}
-	if _, err := io.ReadFull(br, hdr[1:]); err != nil {
+	hdr, err := br.Peek(HeaderLen)
+	if err != nil { // fewer than HeaderLen bytes were to be had
+		if len(hdr) == 0 {
+			return Frame{}, err // clean EOF between frames
+		}
 		return Frame{}, truncated(err)
 	}
-	ver, n, err := checkHeader(hdr[:])
+	n, err := checkHeader(hdr)
 	if err != nil {
 		return Frame{}, err
 	}
-	extra := traceExtra(ver)
-	body := make([]byte, extra+n+crcLen)
-	if _, err := io.ReadFull(br, body); err != nil {
+	buf := make([]byte, frameOverhead+n)
+	if _, err := io.ReadFull(br, buf); err != nil {
 		return Frame{}, truncated(err)
 	}
-	checked := body[:extra+n]
-	if binary.LittleEndian.Uint32(body[extra+n:]) != crc32.ChecksumIEEE(checked) {
-		return Frame{}, ErrChecksum
-	}
-	f := Frame{
-		Kind:    hdr[3],
-		ID:      binary.LittleEndian.Uint64(hdr[4:12]),
-		Version: ver,
-		Payload: checked[extra:],
-	}
-	if extra > 0 {
-		f.Trace = getTrace(checked)
-	}
-	return f, nil
+	f, _, err := DecodeFrame(buf)
+	return f, err
 }
 
 // truncated maps a mid-frame EOF to the sentinel; other I/O errors

@@ -7,11 +7,18 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"planarflow/internal/obs"
 )
 
-func mustFrame(t *testing.T, kind uint8, id uint64, payload []byte) []byte {
+func mustFrame(t testing.TB, kind uint8, id uint64, payload []byte) []byte {
 	t.Helper()
-	b, err := AppendFrame(nil, kind, id, payload)
+	return mustTracedFrame(t, kind, id, obs.TraceContext{}, payload)
+}
+
+func mustTracedFrame(t testing.TB, kind uint8, id uint64, tc obs.TraceContext, payload []byte) []byte {
+	t.Helper()
+	b, err := AppendFrame(nil, kind, id, tc, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,21 +26,24 @@ func mustFrame(t *testing.T, kind uint8, id uint64, payload []byte) []byte {
 }
 
 func TestFrameRoundTrip(t *testing.T) {
+	traced := obs.TraceContext{Hi: 0x0123456789abcdef, Lo: 0xfedcba9876543210, Parent: 0x1122334455667788, Hop: 2}
 	cases := []struct {
 		kind    uint8
 		id      uint64
+		trace   obs.TraceContext
 		payload string
 	}{
-		{uint8(OpQuery), 1, `{"graph":"g","op":"dist","u":0,"v":5}`},
-		{uint8(OpBatch), 1<<64 - 1, `{"graph":"g","queries":[{"op":"girth"}]}`},
-		{uint8(OpPing), 0, ""},
-		{respBit | uint8(StatusOK), 7, `{"value":42}`},
-		{respBit | uint8(StatusNotFound), 9, `{"error":"unknown graph"}`},
+		{uint8(OpQuery), 1, obs.TraceContext{}, `{"graph":"g","op":"dist","u":0,"v":5}`},
+		{uint8(OpBatchB), 1<<64 - 1, traced, "\x01g\x01\x00"},
+		{uint8(OpQueryB), 2, traced, ""},
+		{uint8(OpPing), 0, obs.TraceContext{}, ""},
+		{respBit | uint8(StatusOK), 7, obs.TraceContext{}, `{"value":42}`},
+		{respBit | uint8(StatusNotFound), 9, obs.TraceContext{}, `{"error":"unknown graph"}`},
 	}
 	for _, c := range cases {
-		enc := mustFrame(t, c.kind, c.id, []byte(c.payload))
-		if len(enc) != HeaderLen+len(c.payload)+crcLen {
-			t.Fatalf("kind 0x%02x: encoded %d bytes, want %d", c.kind, len(enc), HeaderLen+len(c.payload)+crcLen)
+		enc := mustTracedFrame(t, c.kind, c.id, c.trace, []byte(c.payload))
+		if want := HeaderLen + traceLen + len(c.payload) + crcLen; len(enc) != want || want != 45+len(c.payload) {
+			t.Fatalf("kind 0x%02x: encoded %d bytes, want %d", c.kind, len(enc), want)
 		}
 
 		// Slice decode.
@@ -44,8 +54,8 @@ func TestFrameRoundTrip(t *testing.T) {
 		if n != len(enc) {
 			t.Fatalf("consumed %d of %d", n, len(enc))
 		}
-		if f.Kind != c.kind || f.ID != c.id || string(f.Payload) != c.payload {
-			t.Fatalf("decoded %+v, want kind=0x%02x id=%d payload=%q", f, c.kind, c.id, c.payload)
+		if f.Kind != c.kind || f.ID != c.id || f.Trace != c.trace || string(f.Payload) != c.payload {
+			t.Fatalf("decoded %+v, want kind=0x%02x id=%d trace=%v payload=%q", f, c.kind, c.id, c.trace, c.payload)
 		}
 
 		// Stream decode.
@@ -53,15 +63,15 @@ func TestFrameRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sf.Kind != f.Kind || sf.ID != f.ID || !bytes.Equal(sf.Payload, f.Payload) {
+		if sf.Kind != f.Kind || sf.ID != f.ID || sf.Trace != f.Trace || !bytes.Equal(sf.Payload, f.Payload) {
 			t.Fatalf("stream decode diverged: %+v vs %+v", sf, f)
 		}
 	}
 }
 
 func TestFrameKindAccessors(t *testing.T) {
-	req := Frame{Kind: uint8(OpBatch)}
-	if req.IsResponse() || req.Op() != OpBatch {
+	req := Frame{Kind: uint8(OpBatchB)}
+	if req.IsResponse() || req.Op() != OpBatchB {
 		t.Fatalf("request accessors wrong: %+v", req)
 	}
 	resp := Frame{Kind: respBit | uint8(StatusCanceled)}
@@ -106,12 +116,14 @@ func TestFrameErrors(t *testing.T) {
 		{"short-header", valid[:HeaderLen-1], ErrTruncated},
 		{"short-body", valid[:len(valid)-1], ErrTruncated},
 		{"bad-magic", corrupt(func(b []byte) { b[0] = 'X' }), ErrBadMagic},
-		{"bad-version", corrupt(func(b []byte) { b[2] = VersionTrace + 1 }), ErrVersion},
+		{"future-version", corrupt(func(b []byte) { b[2] = Version + 1 }), ErrVersion},
+		{"short-trace", valid[:HeaderLen+traceLen/2], ErrTruncated},
+		{"flipped-trace", corrupt(func(b []byte) { b[HeaderLen+4] ^= 0x20 }), ErrChecksum},
 		{"zero-kind", corrupt(func(b []byte) { b[3] = 0 }), ErrBadKind},
 		{"huge-kind", corrupt(func(b []byte) { b[3] = 0x7f }), ErrBadKind},
 		{"bad-status", corrupt(func(b []byte) { b[3] = respBit | 0x3f }), ErrBadKind},
 		{"oversize", corrupt(func(b []byte) { b[12], b[13], b[14], b[15] = 0xff, 0xff, 0xff, 0xff }), ErrOversize},
-		{"flipped-payload", corrupt(func(b []byte) { b[HeaderLen] ^= 0xff }), ErrChecksum},
+		{"flipped-payload", corrupt(func(b []byte) { b[HeaderLen+traceLen] ^= 0xff }), ErrChecksum},
 		{"flipped-crc", corrupt(func(b []byte) { b[len(b)-1] ^= 0x01 }), ErrChecksum},
 	}
 	for _, c := range cases {
@@ -130,14 +142,11 @@ func TestFrameErrors(t *testing.T) {
 }
 
 func TestAppendFrameOversizePayload(t *testing.T) {
-	if _, err := AppendFrame(nil, uint8(OpQuery), 1, make([]byte, MaxPayload+1)); !errors.Is(err, ErrOversize) {
+	if _, err := AppendFrame(nil, uint8(OpQuery), 1, obs.TraceContext{}, make([]byte, MaxPayload+1)); !errors.Is(err, ErrOversize) {
 		t.Fatalf("err = %v, want ErrOversize", err)
 	}
 	// Exactly at the cap is legal.
-	b, err := AppendFrame(nil, uint8(OpQuery), 1, make([]byte, MaxPayload))
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := mustFrame(t, uint8(OpQuery), 1, make([]byte, MaxPayload))
 	if _, _, err := DecodeFrame(b); err != nil {
 		t.Fatal(err)
 	}

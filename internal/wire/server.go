@@ -78,7 +78,7 @@ func NewServer(h Handler) *Server {
 func (s *Server) Stats() Stats { return s.ctr.Snapshot() }
 
 // Counters exposes the live counters (flowd adds coalesced-batch sizes
-// observed while decoding OpBatch frames).
+// observed while decoding OpBatchB frames).
 func (s *Server) Counters() *Counters { return &s.ctr }
 
 // ErrServerClosed is returned by Serve after Close, mirroring
@@ -292,11 +292,11 @@ func (s *Server) connWriter(nc net.Conn, out <-chan outFrame, done chan<- struct
 			if !dead {
 				mWriteDwell.Observe(time.Since(f.enq))
 				scratch = scratch[:0]
-				b, err := AppendFrame(scratch, f.kind, f.id, f.payload)
+				b, err := AppendFrame(scratch, f.kind, f.id, obs.TraceContext{}, f.payload)
 				if err != nil {
 					// Handler payload over MaxPayload: report it in-band so the
 					// client is not left waiting on the id.
-					b, _ = AppendFrame(scratch, respBit|uint8(StatusInternal), f.id, nil)
+					b, _ = AppendFrame(scratch, respBit|uint8(StatusInternal), f.id, obs.TraceContext{}, nil)
 				}
 				scratch = b
 				if _, werr := bw.Write(b); werr != nil {

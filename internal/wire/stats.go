@@ -30,7 +30,7 @@ type Stats struct {
 	ConnsOpen  int64 `json:"conns_open"`
 	ConnsTotal int64 `json:"conns_total"`
 	// Frame and byte totals, both directions, at frame granularity
-	// (header + payload + CRC).
+	// (header + trace block + payload + CRC).
 	FramesIn  int64 `json:"frames_in"`
 	FramesOut int64 `json:"frames_out"`
 	BytesIn   int64 `json:"bytes_in"`
@@ -101,10 +101,10 @@ func (c *Counters) RegisterObs(r *obs.Registry, labels ...obs.Label) {
 
 func (c *Counters) noteFrameIn(payloadLen int) {
 	c.framesIn.Add(1)
-	c.bytesIn.Add(int64(HeaderLen + payloadLen + crcLen))
+	c.bytesIn.Add(int64(frameOverhead + payloadLen))
 }
 
 func (c *Counters) noteFrameOut(payloadLen int) {
 	c.framesOut.Add(1)
-	c.bytesOut.Add(int64(HeaderLen + payloadLen + crcLen))
+	c.bytesOut.Add(int64(frameOverhead + payloadLen))
 }

@@ -1,16 +1,22 @@
 package wire
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"planarflow/internal/obs"
 )
 
 // echoHandler answers every frame with its own payload. Payloads of the
@@ -314,5 +320,124 @@ func TestCountersCoalesced(t *testing.T) {
 	s := c.Snapshot()
 	if s.CoalescedBatches != 3 || s.CoalescedQueries != 15 || s.CoalescedMax != 9 {
 		t.Fatalf("coalesced counters %+v", s)
+	}
+}
+
+// TestRetiredFramesRejected: the traceless version-1 layout and the two
+// op numbers that never had a sender are protocol violations on both
+// entry points, and a live server answers them by dropping the
+// connection — no panic, no hang, and it keeps serving everyone else.
+func TestRetiredFramesRejected(t *testing.T) {
+	_, addr := startServer(t, &echoHandler{})
+	cases := []struct {
+		name string
+		data []byte
+		want error
+	}{
+		{"version-1", legacyV1Frame(uint8(OpQuery), 1, []byte("old peer")), ErrVersion},
+		{"op-2", mustFrame(t, 2, 1, []byte(`{"graph":"g","queries":[{"op":"girth"}]}`)), ErrBadKind},
+		{"op-6", mustFrame(t, 6, 1, []byte("g")), ErrBadKind},
+	}
+	for _, c := range cases {
+		if _, _, err := DecodeFrame(c.data); !errors.Is(err, c.want) {
+			t.Errorf("%s: DecodeFrame err = %v, want %v", c.name, err, c.want)
+		}
+		if _, err := ReadFrame(bufio.NewReader(bytes.NewReader(c.data))); !errors.Is(err, c.want) {
+			t.Errorf("%s: ReadFrame err = %v, want %v", c.name, err, c.want)
+		}
+
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nc.SetDeadline(time.Now().Add(5 * time.Second)) // the no-hang watchdog
+		br := bufio.NewReader(nc)
+		// A good frame first: the connection is live and the reply is ours.
+		if _, err := nc.Write(mustFrame(t, uint8(OpPing), 7, nil)); err != nil {
+			t.Fatal(err)
+		}
+		if f, err := ReadFrame(br); err != nil || f.ID != 7 || f.Status() != StatusOK {
+			t.Fatalf("%s: ping before the bad frame = (%+v, %v)", c.name, f, err)
+		}
+		if _, err := nc.Write(c.data); err != nil {
+			t.Fatal(err)
+		}
+		// EOF, or a reset if the close raced our bytes — anything but a
+		// frame or the watchdog firing.
+		if f, err := ReadFrame(br); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Errorf("%s: after the bad frame the server sent (%+v, %v), want a closed connection", c.name, f, err)
+		}
+		nc.Close()
+	}
+	p := NewPool("tcp", addr, 1)
+	defer p.Close()
+	if err := p.Ping(context.Background()); err != nil {
+		t.Fatalf("server stopped serving after protocol violations: %v", err)
+	}
+}
+
+// countingListener wraps every accepted connection so the test sees the
+// bytes the socket actually carried, independent of the wire counters.
+type countingListener struct {
+	net.Listener
+	read, written atomic.Int64
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	nc, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &countingConn{Conn: nc, l: l}, nil
+}
+
+type countingConn struct {
+	net.Conn
+	l *countingListener
+}
+
+func (c *countingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.l.read.Add(int64(n))
+	return n, err
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	c.l.written.Add(int64(n))
+	return n, err
+}
+
+// TestByteCountersMatchSocket pins wire_bytes_{in,out}_total to the
+// bytes on the socket, both directions, on both ends — for an untraced
+// request and for a traced one, whose trace block the counters used to
+// leave out.
+func TestByteCountersMatchSocket(t *testing.T) {
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := &countingListener{Listener: inner}
+	srv := NewServer(&echoHandler{})
+	go srv.Serve(ln)
+	defer srv.Close()
+	p := NewPool("tcp", inner.Addr().String(), 1)
+	defer p.Close()
+
+	traced := obs.ContextWithTrace(context.Background(), obs.TraceContext{Hi: 1, Lo: 2, Parent: 3, Hop: 1})
+	for _, ctx := range []context.Context{context.Background(), traced} {
+		if status, _, err := p.Do(ctx, OpQueryB, []byte("seventeen bytes..")); err != nil || status != StatusOK {
+			t.Fatalf("echo = (%v, %v)", status, err)
+		}
+	}
+	// Every response is back, so every byte has crossed; Close waits for the
+	// connection's writer, so the listener's tallies are final too.
+	srv.Close()
+	cs, ss := p.Stats(), srv.Stats()
+	if read := ln.read.Load(); cs.BytesOut != read || ss.BytesIn != read {
+		t.Errorf("requests: socket carried %d bytes, client counted %d out, server %d in", read, cs.BytesOut, ss.BytesIn)
+	}
+	if written := ln.written.Load(); ss.BytesOut != written || cs.BytesIn != written {
+		t.Errorf("responses: socket carried %d bytes, server counted %d out, client %d in", written, ss.BytesOut, cs.BytesIn)
 	}
 }

@@ -447,11 +447,6 @@ type BatchOptions struct {
 	// Workers bounds how many queries run concurrently. 0 means
 	// min(len(queries), GOMAXPROCS); 1 executes the batch sequentially.
 	Workers int
-	// NoWarm skips the single-pass substrate warmup. The artifact layer's
-	// singleflight still guarantees each substrate is built exactly once,
-	// but concurrent queries of the batch may block on one another's
-	// builds and the triggering query's Answer carries the Build rounds.
-	NoWarm bool
 }
 
 // DoBatch executes queries with a bounded worker pool and returns one
@@ -462,10 +457,10 @@ type BatchOptions struct {
 // per-query Answers are returned with their Errs set.
 //
 // Before fan-out, a warmup pass builds every substrate the batch needs
-// exactly once (unless BatchOptions.NoWarm), so no query of the batch
-// pays or waits for a build triggered by another: warm-batch Answers
-// report Build == 0, and the construction cost is visible through
-// BuildRounds, exactly as for point queries.
+// exactly once, so no query of the batch pays or waits for a build
+// triggered by another: warm-batch Answers report Build == 0, and the
+// construction cost is visible through BuildRounds, exactly as for
+// point queries.
 func (p *PreparedGraph) DoBatch(ctx context.Context, queries []Query, opt BatchOptions) ([]*Answer, error) {
 	view := p.view(ctx)
 	answers := make([]*Answer, len(queries))
@@ -488,13 +483,11 @@ func (p *PreparedGraph) DoBatch(ctx context.Context, queries []Query, opt BatchO
 	// decode from, each built exactly once before fan-out. A warmup
 	// failure can only be a context cancellation, which dooms every
 	// remaining query — settle them all and surface the batch error.
-	if !opt.NoWarm {
-		if err := view.warmFor(queries, runnable); err != nil {
-			for _, i := range runnable {
-				answers[i] = &Answer{Kind: queries[i].Kind, Err: err}
-			}
-			return answers, err
+	if err := view.warmFor(queries, runnable); err != nil {
+		for _, i := range runnable {
+			answers[i] = &Answer{Kind: queries[i].Kind, Err: err}
 		}
+		return answers, err
 	}
 
 	workers := opt.Workers
