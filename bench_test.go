@@ -15,8 +15,8 @@ import (
 	"planarflow/internal/bdd"
 	"planarflow/internal/congest"
 	"planarflow/internal/core"
-	"planarflow/internal/duallabel"
 	"planarflow/internal/hatg"
+	"planarflow/internal/label"
 	"planarflow/internal/ledger"
 	"planarflow/internal/pa"
 	"planarflow/internal/planar"
@@ -95,7 +95,7 @@ func BenchmarkE5DualLabeling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		led = ledger.New()
 		tree := bdd.Build(g, 0, led)
-		if la := duallabel.Compute(tree, lens, led); la.NegCycle {
+		if la := label.Compute(label.Dual, tree, lens, led); la.NegCycle {
 			b.Fatal("unexpected negative cycle")
 		}
 	}
@@ -158,7 +158,7 @@ func BenchmarkWarmMinSTCut(b *testing.B) {
 // the faces the negative-cycle verdict depends on.
 func BenchmarkFeasibilityProbe(b *testing.B) {
 	benchWarmExact(b, func(p *artifact.Prepared, tree *bdd.BDD, led *ledger.Ledger) error {
-		ok, err := duallabel.Feasible(context.Background(), tree, artifact.Lengths(p.Graph(), artifact.Undirected), led)
+		ok, err := label.Feasible(context.Background(), tree, artifact.Lengths(p.Graph(), artifact.Undirected), led)
 		if err == nil && !ok {
 			err = errors.New("unexpected negative cycle")
 		}
@@ -166,40 +166,56 @@ func BenchmarkFeasibilityProbe(b *testing.B) {
 	})
 }
 
-// BenchmarkFullDualLabeling — the same pass over every face (E5 without the
-// BDD build); charges the same rounds as the probe.
+// BenchmarkFullDualLabeling — the same pass over every key (E5 without the
+// BDD build), in both views; the dual one charges the same rounds as the
+// probe.
 func BenchmarkFullDualLabeling(b *testing.B) {
-	benchWarmExact(b, func(p *artifact.Prepared, tree *bdd.BDD, led *ledger.Ledger) error {
-		if duallabel.Compute(tree, artifact.Lengths(p.Graph(), artifact.Undirected), led).NegCycle {
-			return errors.New("unexpected negative cycle")
-		}
-		return nil
-	})
+	for _, v := range []label.View{label.Dual, label.Primal} {
+		b.Run(v.String(), func(b *testing.B) {
+			benchWarmExact(b, func(p *artifact.Prepared, tree *bdd.BDD, led *ledger.Ledger) error {
+				if label.Compute(v, tree, artifact.Lengths(p.Graph(), artifact.Undirected), led).NegCycle {
+					return errors.New("unexpected negative cycle")
+				}
+				return nil
+			})
+		})
+	}
 }
 
-// BenchmarkSourceLabeling — the assignment step at λ*: the same pass, full
-// labels on the source's chain and From-only elsewhere, plus the SSSP
-// decode. The pass itself charges nothing (λ*'s probe already did), so the
-// rounds reported are the decode's, checked equal to those of SSSP over the
-// full labeling.
+// BenchmarkSourceLabeling — the same pass source-directed, full labels on
+// the source's chain and From-only elsewhere, plus the SSSP decode: dual as
+// MaxFlow's assignment step at λ* runs it (the pass charges nothing, λ*'s
+// probe already did), primal as MinSTCut's residual SSSP does (the pass is
+// charged). The rounds reported are checked equal to those of the full
+// labeling charged the same way plus SSSP over it.
 func BenchmarkSourceLabeling(b *testing.B) {
-	var (
-		tree *bdd.BDD
-		lens []int64
-		got  *ledger.Ledger
-	)
-	benchWarmExact(b, func(p *artifact.Prepared, t *bdd.BDD, led *ledger.Ledger) error {
-		tree, lens, got = t, artifact.Lengths(p.Graph(), artifact.Undirected), led
-		res, err := duallabel.SSSPFrom(context.Background(), tree, lens, 0, led)
-		if err == nil && res.NegCycle {
-			err = errors.New("unexpected negative cycle")
-		}
-		return err
-	})
-	want := ledger.New()
-	duallabel.Compute(tree, lens, ledger.New()).SSSP(0, want)
-	if !reflect.DeepEqual(got.Entries(), want.Entries()) {
-		b.Fatalf("SSSPFrom charged %v, SSSP over the full labeling %v", got.Entries(), want.Entries())
+	for _, v := range []label.View{label.Dual, label.Primal} {
+		b.Run(v.String(), func(b *testing.B) {
+			var (
+				tree *bdd.BDD
+				lens []int64
+				got  *ledger.Ledger
+			)
+			passLedger := func(led *ledger.Ledger) *ledger.Ledger {
+				if v == label.Primal {
+					return led
+				}
+				return ledger.New()
+			}
+			benchWarmExact(b, func(p *artifact.Prepared, t *bdd.BDD, led *ledger.Ledger) error {
+				tree, lens, got = t, artifact.Lengths(p.Graph(), artifact.Undirected), led
+				res, err := label.SSSPFrom(context.Background(), v, tree, lens, 0, passLedger(led), led)
+				if err == nil && res.NegCycle {
+					err = errors.New("unexpected negative cycle")
+				}
+				return err
+			})
+			want := ledger.New()
+			label.Compute(v, tree, lens, passLedger(want)).SSSP(0, want)
+			if !reflect.DeepEqual(got.Entries(), want.Entries()) {
+				b.Fatalf("SSSPFrom charged %v, SSSP over the full labeling %v", got.Entries(), want.Entries())
+			}
+		})
 	}
 }
 
@@ -278,7 +294,7 @@ func BenchmarkAblationLeafLimit(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				led = ledger.New()
 				tree := bdd.Build(g, leaf, led)
-				if la := duallabel.Compute(tree, lens, led); la.NegCycle {
+				if la := label.Compute(label.Dual, tree, lens, led); la.NegCycle {
 					b.Fatal("negative cycle")
 				}
 			}

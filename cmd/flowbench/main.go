@@ -38,8 +38,8 @@ import (
 	"planarflow/internal/bdd"
 	"planarflow/internal/congest"
 	"planarflow/internal/core"
-	"planarflow/internal/duallabel"
 	"planarflow/internal/hatg"
+	"planarflow/internal/label"
 	"planarflow/internal/ledger"
 	"planarflow/internal/pa"
 	"planarflow/internal/planar"
@@ -374,7 +374,7 @@ func e5Labels(s *sink, c cfg) {
 			}
 			led := ledger.New()
 			tree := bdd.Build(g, 0, led)
-			la := duallabel.Compute(tree, lens, led)
+			la := label.Compute(label.Dual, tree, lens, led)
 			if la.NegCycle {
 				fmt.Println("unexpected negative cycle")
 				continue
@@ -400,7 +400,7 @@ func e5Labels(s *sink, c cfg) {
 			}
 			led := ledger.New()
 			tree := bdd.Build(g, 0, led)
-			la := duallabel.Compute(tree, lens, led)
+			la := label.Compute(label.Dual, tree, lens, led)
 			if la.NegCycle {
 				fmt.Println("unexpected negative cycle")
 				continue

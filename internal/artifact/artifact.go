@@ -1,13 +1,13 @@
 // Package artifact holds the prepared-graph bundle: the expensive, reusable
 // substrates of the paper's algorithms — the Bounded Diameter Decomposition
-// and the primal/dual distance labelings of §5 — built once per graph and
+// and the dual/primal distance labelings of §5 — built once per graph and
 // served to many queries concurrently.
 //
 // The paper observes (§5) that the Õ(D)-bit distance labels "actually allow
 // computation of all pairs shortest paths": once the BDD and a labeling
 // exist, every further query decodes locally. Prepared realizes that split.
 // Substrates are keyed by what determines them — the BDD by its leaf limit,
-// a labeling by (length kind, leaf limit) — and built lazily under a
+// a labeling by (view, length kind, leaf limit) — and built lazily under a
 // per-slot singleflight, so concurrent queries needing the same substrate
 // block on one construction and then share the immutable result.
 //
@@ -35,11 +35,10 @@ import (
 	"time"
 
 	"planarflow/internal/bdd"
-	"planarflow/internal/duallabel"
+	"planarflow/internal/label"
 	"planarflow/internal/ledger"
 	"planarflow/internal/obs"
 	"planarflow/internal/planar"
-	"planarflow/internal/primallabel"
 )
 
 // Per-substrate build-duration histograms, resolved once. The builder of
@@ -86,11 +85,11 @@ func (k LengthKind) String() string {
 }
 
 // Lengths materializes the per-dart length vector of a kind for g. The
-// Undirected and Directed kinds are duallabel.UniformLengths' two modes;
+// Undirected and Directed kinds are label.UniformLengths' two modes;
 // delegating keeps a single definition of the dart-length convention.
 func Lengths(g *planar.Graph, kind LengthKind) []int64 {
 	if kind != FreeReversal {
-		return duallabel.UniformLengths(g, kind == Directed)
+		return label.UniformLengths(g, kind == Directed)
 	}
 	lens := make([]int64, g.NumDarts())
 	for e := 0; e < g.M(); e++ {
@@ -102,9 +101,14 @@ func Lengths(g *planar.Graph, kind LengthKind) []int64 {
 
 // labelKey identifies one cached labeling.
 type labelKey struct {
+	view      label.View
 	kind      LengthKind
 	leafLimit int
 }
+
+// substrate is the Stats kind string and substrate_build_seconds label of
+// each view's labelings (constants: Stats runs on the serving path).
+var substrate = [...]string{label.Dual: "dual-label", label.Primal: "primal-label"}
 
 // slot is one lazily-built substrate under singleflight: at most one
 // builder runs at a time; waiters block on inflight (or their context) and
@@ -122,10 +126,9 @@ type slot[T any] struct {
 type state struct {
 	g *planar.Graph
 
-	mu      sync.Mutex
-	trees   map[int]*slot[*bdd.BDD]
-	duals   map[labelKey]*slot[*duallabel.Labeling]
-	primals map[labelKey]*slot[*primallabel.Labeling]
+	mu     sync.Mutex
+	trees  map[int]*slot[*bdd.BDD]
+	labels map[labelKey]*slot[*label.Labeling]
 
 	build *ledger.Ledger // cumulative build cost of every substrate built
 
@@ -150,11 +153,10 @@ func New(g *planar.Graph) *Prepared {
 	return &Prepared{
 		ctx: context.Background(),
 		st: &state{
-			g:       g,
-			trees:   map[int]*slot[*bdd.BDD]{},
-			duals:   map[labelKey]*slot[*duallabel.Labeling]{},
-			primals: map[labelKey]*slot[*primallabel.Labeling]{},
-			build:   ledger.New(),
+			g:      g,
+			trees:  map[int]*slot[*bdd.BDD]{},
+			labels: map[labelKey]*slot[*label.Labeling]{},
+			build:  ledger.New(),
 		},
 	}
 }
@@ -306,18 +308,27 @@ func (p *Prepared) Tree(leafLimit int, led *ledger.Ledger) (*bdd.BDD, error) {
 // building the BDD and labeling on first use. A labeling with NegCycle set
 // is cached and returned as-is; callers decide how to report it. The only
 // possible error is the view context's cancellation.
-func (p *Prepared) DualLabels(kind LengthKind, leafLimit int, led *ledger.Ledger) (*duallabel.Labeling, error) {
+func (p *Prepared) DualLabels(kind LengthKind, leafLimit int, led *ledger.Ledger) (*label.Labeling, error) {
+	return p.labels(label.Dual, kind, leafLimit, led)
+}
+
+// PrimalLabels is DualLabels for the primal distance labeling.
+func (p *Prepared) PrimalLabels(kind LengthKind, leafLimit int, led *ledger.Ledger) (*label.Labeling, error) {
+	return p.labels(label.Primal, kind, leafLimit, led)
+}
+
+func (p *Prepared) labels(v label.View, kind LengthKind, leafLimit int, led *ledger.Ledger) (*label.Labeling, error) {
 	leafLimit = p.ResolveLeafLimit(leafLimit)
-	key := labelKey{kind, leafLimit}
+	key := labelKey{v, kind, leafLimit}
 	p.st.mu.Lock()
-	s, ok := p.st.duals[key]
+	s, ok := p.st.labels[key]
 	if !ok {
-		s = &slot[*duallabel.Labeling]{}
-		p.st.duals[key] = s
+		s = &slot[*label.Labeling]{}
+		p.st.labels[key] = s
 	}
 	p.st.mu.Unlock()
-	v, slotLed, built, err := get(p, s, "dual-label",
-		func(ctx context.Context, bled *ledger.Ledger) (*duallabel.Labeling, int64, error) {
+	la, slotLed, built, err := get(p, s, substrate[v],
+		func(ctx context.Context, bled *ledger.Ledger) (*label.Labeling, int64, error) {
 			// The tree slot accounts its own (possible) construction against
 			// the caller's ledger and the cumulative build ledger; this slot's
 			// ledger holds only the labeling-computation cost.
@@ -325,7 +336,7 @@ func (p *Prepared) DualLabels(kind LengthKind, leafLimit int, led *ledger.Ledger
 			if err != nil {
 				return nil, 0, err
 			}
-			la, err := duallabel.ComputeContext(ctx, tree, Lengths(p.st.g, kind), bled)
+			la, err := label.ComputeContext(ctx, v, tree, Lengths(p.st.g, kind), bled)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -338,42 +349,7 @@ func (p *Prepared) DualLabels(kind LengthKind, leafLimit int, led *ledger.Ledger
 		p.st.build.MergeAs(slotLed, ledger.Build)
 		led.MergeAs(slotLed, ledger.Build)
 	}
-	return v, nil
-}
-
-// PrimalLabels returns the primal distance labeling for (kind, leafLimit),
-// building the BDD and labeling on first use. The only possible error is
-// the view context's cancellation.
-func (p *Prepared) PrimalLabels(kind LengthKind, leafLimit int, led *ledger.Ledger) (*primallabel.Labeling, error) {
-	leafLimit = p.ResolveLeafLimit(leafLimit)
-	key := labelKey{kind, leafLimit}
-	p.st.mu.Lock()
-	s, ok := p.st.primals[key]
-	if !ok {
-		s = &slot[*primallabel.Labeling]{}
-		p.st.primals[key] = s
-	}
-	p.st.mu.Unlock()
-	v, slotLed, built, err := get(p, s, "primal-label",
-		func(ctx context.Context, bled *ledger.Ledger) (*primallabel.Labeling, int64, error) {
-			tree, err := p.Tree(leafLimit, led)
-			if err != nil {
-				return nil, 0, err
-			}
-			la, err := primallabel.ComputeContext(ctx, tree, Lengths(p.st.g, kind), bled)
-			if err != nil {
-				return nil, 0, err
-			}
-			return la, la.FootprintBytes(), nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	if built {
-		p.st.build.MergeAs(slotLed, ledger.Build)
-		led.MergeAs(slotLed, ledger.Build)
-	}
-	return v, nil
+	return la, nil
 }
 
 // BuildLedger returns a snapshot of the cumulative build cost of every
@@ -421,15 +397,9 @@ func (p *Prepared) Stats() Stats {
 			add(SubstrateStats{Kind: "bdd", LeafLimit: ll, Bytes: s.bytes, BuildRounds: s.led.Total()})
 		}
 	}
-	for k, s := range p.st.duals {
+	for k, s := range p.st.labels {
 		if s.ready {
-			add(SubstrateStats{Kind: "dual-label", Lengths: k.kind, LengthsName: k.kind.String(),
-				LeafLimit: k.leafLimit, Bytes: s.bytes, BuildRounds: s.led.Total()})
-		}
-	}
-	for k, s := range p.st.primals {
-		if s.ready {
-			add(SubstrateStats{Kind: "primal-label", Lengths: k.kind, LengthsName: k.kind.String(),
+			add(SubstrateStats{Kind: substrate[k.view], Lengths: k.kind, LengthsName: k.kind.String(),
 				LeafLimit: k.leafLimit, Bytes: s.bytes, BuildRounds: s.led.Total()})
 		}
 	}

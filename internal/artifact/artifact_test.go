@@ -7,10 +7,9 @@ import (
 	"testing"
 
 	"planarflow/internal/bdd"
-	"planarflow/internal/duallabel"
+	"planarflow/internal/label"
 	"planarflow/internal/ledger"
 	"planarflow/internal/planar"
-	"planarflow/internal/primallabel"
 	"planarflow/internal/spath"
 )
 
@@ -48,7 +47,7 @@ func mustTree(t *testing.T, p *Prepared, leafLimit int, led *ledger.Ledger) *bdd
 	return tree
 }
 
-func mustDual(t *testing.T, p *Prepared, kind LengthKind, leafLimit int, led *ledger.Ledger) *duallabel.Labeling {
+func mustDual(t *testing.T, p *Prepared, kind LengthKind, leafLimit int, led *ledger.Ledger) *label.Labeling {
 	t.Helper()
 	la, err := p.DualLabels(kind, leafLimit, led)
 	if err != nil {
@@ -57,7 +56,7 @@ func mustDual(t *testing.T, p *Prepared, kind LengthKind, leafLimit int, led *le
 	return la
 }
 
-func mustPrimal(t *testing.T, p *Prepared, kind LengthKind, leafLimit int, led *ledger.Ledger) *primallabel.Labeling {
+func mustPrimal(t *testing.T, p *Prepared, kind LengthKind, leafLimit int, led *ledger.Ledger) *label.Labeling {
 	t.Helper()
 	la, err := p.PrimalLabels(kind, leafLimit, led)
 	if err != nil {

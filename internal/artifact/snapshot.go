@@ -13,9 +13,8 @@ import (
 	"sort"
 
 	"planarflow/internal/bdd"
-	"planarflow/internal/duallabel"
+	"planarflow/internal/label"
 	"planarflow/internal/ledger"
-	"planarflow/internal/primallabel"
 	"planarflow/internal/snapshot"
 )
 
@@ -27,8 +26,8 @@ const restoredPhase = "snapshot/restored-build"
 
 // Export writes a snapshot of every substrate built so far (in-flight
 // builds are excluded until they publish) to w. Sections are emitted in
-// deterministic order — trees by leaf limit, then dual and primal
-// labelings by (length kind, leaf limit) — so equal states encode to
+// deterministic order — trees by leaf limit, then labelings by (view,
+// length kind, leaf limit), dual before primal — so equal states encode to
 // equal bytes. A bundle with nothing built exports a valid, empty
 // snapshot.
 func (p *Prepared) Export(w io.Writer) error {
@@ -41,17 +40,9 @@ func (p *Prepared) Export(w io.Writer) error {
 			})
 		}
 	}
-	for k, s := range p.st.duals {
+	for k, s := range p.st.labels {
 		if s.ready {
-			c.Duals = append(c.Duals, snapshot.DualEntry{
-				Kind: byte(k.kind), LeafLimit: k.leafLimit,
-				BuildRounds: s.led.Total(), Labeling: s.val,
-			})
-		}
-	}
-	for k, s := range p.st.primals {
-		if s.ready {
-			c.Primals = append(c.Primals, snapshot.PrimalEntry{
+			c.Labels = append(c.Labels, snapshot.LabelEntry{
 				Kind: byte(k.kind), LeafLimit: k.leafLimit,
 				BuildRounds: s.led.Total(), Labeling: s.val,
 			})
@@ -59,17 +50,15 @@ func (p *Prepared) Export(w io.Writer) error {
 	}
 	p.st.mu.Unlock()
 	sort.Slice(c.Trees, func(i, j int) bool { return c.Trees[i].LeafLimit < c.Trees[j].LeafLimit })
-	sort.Slice(c.Duals, func(i, j int) bool {
-		if c.Duals[i].Kind != c.Duals[j].Kind {
-			return c.Duals[i].Kind < c.Duals[j].Kind
+	sort.Slice(c.Labels, func(i, j int) bool {
+		a, b := c.Labels[i], c.Labels[j]
+		if av, bv := a.Labeling.View(), b.Labeling.View(); av != bv {
+			return av < bv
 		}
-		return c.Duals[i].LeafLimit < c.Duals[j].LeafLimit
-	})
-	sort.Slice(c.Primals, func(i, j int) bool {
-		if c.Primals[i].Kind != c.Primals[j].Kind {
-			return c.Primals[i].Kind < c.Primals[j].Kind
+		if a.Kind != b.Kind {
+			return a.Kind < b.Kind
 		}
-		return c.Primals[i].LeafLimit < c.Primals[j].LeafLimit
+		return a.LeafLimit < b.LeafLimit
 	})
 	return snapshot.Encode(w, p.st.g, &c)
 }
@@ -103,21 +92,12 @@ func (p *Prepared) ImportInto(r io.Reader) error {
 		}
 		seedSlot(p, s, t.Tree, t.BuildRounds, t.Tree.FootprintBytes())
 	}
-	for _, la := range c.Duals {
-		key := labelKey{LengthKind(la.Kind), la.LeafLimit}
-		s := p.st.duals[key]
+	for _, la := range c.Labels {
+		key := labelKey{la.Labeling.View(), LengthKind(la.Kind), la.LeafLimit}
+		s := p.st.labels[key]
 		if s == nil {
-			s = &slot[*duallabel.Labeling]{}
-			p.st.duals[key] = s
-		}
-		seedSlot(p, s, la.Labeling, la.BuildRounds, la.Labeling.FootprintBytes())
-	}
-	for _, la := range c.Primals {
-		key := labelKey{LengthKind(la.Kind), la.LeafLimit}
-		s := p.st.primals[key]
-		if s == nil {
-			s = &slot[*primallabel.Labeling]{}
-			p.st.primals[key] = s
+			s = &slot[*label.Labeling]{}
+			p.st.labels[key] = s
 		}
 		seedSlot(p, s, la.Labeling, la.BuildRounds, la.Labeling.FootprintBytes())
 	}

@@ -106,8 +106,8 @@ type BDD struct {
 }
 
 // Memo returns what derive returned on the first call for this tree and
-// does not run it again. The dual labeling keeps the structure it reads off
-// the finished tree here (internal/duallabel's plan), so that structure is
+// does not run it again. The labelings keep the structure they read off the
+// finished tree here (internal/label's per-view plans), so that structure is
 // derived on first use, shared by every labeling pass over the tree, and
 // freed with it; a tree nobody labels (one restored from a snapshot) never
 // pays for it. Safe for concurrent use.

@@ -5,7 +5,7 @@ import (
 	"fmt"
 
 	"planarflow/internal/artifact"
-	"planarflow/internal/duallabel"
+	"planarflow/internal/label"
 	"planarflow/internal/ledger"
 )
 
@@ -33,7 +33,7 @@ var (
 // is one label broadcast and decode (Õ(D) rounds). Negative weights are
 // allowed; a negative dual cycle is reported in the result instead of
 // distances.
-func DualSSSP(p *artifact.Prepared, sourceFace int, opt Options, led *ledger.Ledger) (*duallabel.SSSPResult, error) {
+func DualSSSP(p *artifact.Prepared, sourceFace int, opt Options, led *ledger.Ledger) (*label.SSSPResult, error) {
 	g := p.Graph()
 	if sourceFace < 0 || sourceFace >= g.Faces().NumFaces() {
 		return nil, fmt.Errorf("%w: face %d of [0,%d)", ErrFaceRange, sourceFace, g.Faces().NumFaces())
@@ -43,7 +43,7 @@ func DualSSSP(p *artifact.Prepared, sourceFace int, opt Options, led *ledger.Led
 		return nil, err
 	}
 	if la.NegCycle {
-		return &duallabel.SSSPResult{Source: sourceFace, NegCycle: true}, nil
+		return &label.SSSPResult{Source: sourceFace, NegCycle: true}, nil
 	}
 	return la.SSSP(sourceFace, led), nil
 }

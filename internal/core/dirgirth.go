@@ -6,9 +6,9 @@ import (
 
 	"planarflow/internal/artifact"
 	"planarflow/internal/bdd"
+	"planarflow/internal/label"
 	"planarflow/internal/ledger"
 	"planarflow/internal/planar"
-	"planarflow/internal/primallabel"
 	"planarflow/internal/spath"
 )
 
@@ -18,8 +18,10 @@ import (
 // (Question 1.6): any shortest cycle either stays inside a child bag
 // (recursion) or passes a separator vertex, where it decomposes into a
 // closing arc (u -> v) plus a shortest v-to-u path decoded from the primal
-// distance labels. Runs in Õ(D²) charged rounds — the ablation partner of
-// Girth's Õ(D).
+// distance labels. The separator vertices are the labeling's own (the key
+// set of the bag's To/From maps), and the closing arcs are found in one pass
+// over the bag's darts. Runs in Õ(D²) charged rounds — the ablation partner
+// of Girth's Õ(D).
 func DirectedGirth(p *artifact.Prepared, opt Options, led *ledger.Ledger) (int64, error) {
 	g := p.Graph()
 	for e := 0; e < g.M(); e++ {
@@ -44,6 +46,7 @@ func DirectedGirth(p *artifact.Prepared, opt Options, led *ledger.Ledger) (int64
 	}
 
 	best := spath.Inf
+	inSep := make([]bool, g.N())
 	for _, b := range tree.Bags {
 		if b.IsLeaf() {
 			if c := leafDirMinCycle(g, b); c < best {
@@ -51,53 +54,34 @@ func DirectedGirth(p *artifact.Prepared, opt Options, led *ledger.Ledger) (int64
 			}
 			continue
 		}
-		// Separator vertices = vertices present in both children.
-		shared := sharedVertices(g, b)
-		for v := range shared {
-			lv := la.Label(b, v)
-			if lv == nil {
+		sep := la.Separator(b)
+		for _, v := range sep {
+			inSep[v] = true
+		}
+		// Closing arcs (u -> v) into a separator vertex v: each edge of the
+		// bag once, through its forward dart or, when only the backward one
+		// is in the bag, through that.
+		for _, d := range b.Darts {
+			if !planar.IsForward(d) && b.InBag[planar.Rev(d)] {
 				continue
 			}
-			// Closing arcs into v available in this bag.
-			for e := 0; e < g.M(); e++ {
-				if !b.EdgeIn[e] || g.Edge(e).V != v {
-					continue
-				}
-				u := g.Edge(e).U
-				lu := la.Label(b, u)
-				if lu == nil {
-					continue
-				}
-				d := primallabel.Decode(lv, lu) // dist(v -> u) in the bag
-				if d < spath.Inf {
-					if c := d + g.Edge(e).Weight; c < best {
-						best = c
-					}
+			ed := g.Edge(planar.EdgeOf(d))
+			if !inSep[ed.V] {
+				continue
+			}
+			// dist(v -> u) in the bag.
+			if back := label.Decode(la.Label(b, ed.V), la.Label(b, ed.U)); back < spath.Inf {
+				if c := back + ed.Weight; c < best {
+					best = c
 				}
 			}
+		}
+		for _, v := range sep {
+			inSep[v] = false
 		}
 	}
 	led.Charge("dirgirth/assemble", int64(2*(tree.Root.TreeDepth+1)))
 	return best, nil
-}
-
-func sharedVertices(g *planar.Graph, b *bdd.Bag) map[int]bool {
-	in := [2]map[int]bool{{}, {}}
-	for ci, c := range b.Children {
-		for e := 0; e < g.M(); e++ {
-			if c.EdgeIn[e] {
-				in[ci][g.Edge(e).U] = true
-				in[ci][g.Edge(e).V] = true
-			}
-		}
-	}
-	shared := map[int]bool{}
-	for v := range in[0] {
-		if in[1][v] {
-			shared[v] = true
-		}
-	}
-	return shared
 }
 
 // leafDirMinCycle finds the minimum directed cycle inside a leaf bag

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"planarflow/internal/ledger"
@@ -43,6 +44,18 @@ func TestDirectedGirthBoustrophedon(t *testing.T) {
 
 func TestDirectedGirthMatchesBaseline(t *testing.T) {
 	rng := planar.NewRand(91)
+	type row struct {
+		name      string
+		g         *planar.Graph
+		leafLimit int
+	}
+	weighted := func(g *planar.Graph) *planar.Graph {
+		return g.WithEdgeAttrs(func(e int, old planar.Edge) planar.Edge {
+			old.Weight = rng.Int64N(40)
+			return old
+		})
+	}
+	var rows []row
 	for trial := 0; trial < 12; trial++ {
 		var g *planar.Graph
 		switch trial % 3 {
@@ -53,18 +66,21 @@ func TestDirectedGirthMatchesBaseline(t *testing.T) {
 		default:
 			g = planar.WithRandomDirections(planar.StackedTriangulation(8+rng.IntN(25), rng), rng)
 		}
-		g = g.WithEdgeAttrs(func(e int, old planar.Edge) planar.Edge {
-			old.Weight = rng.Int64N(40)
-			return old
-		})
+		rows = append(rows, row{fmt.Sprintf("trial %d", trial), weighted(g), 10})
+	}
+	// A deep tree: many bags, separators of every shape, closing arcs with
+	// one dart or both in the bag.
+	rows = append(rows, row{"triangulation120",
+		weighted(planar.WithRandomDirections(planar.StackedTriangulation(120, rng), rng)), 8})
+	for _, r := range rows {
 		led := ledger.New()
-		c, err := DirectedGirth(prep(g), Options{LeafLimit: 10}, led)
+		c, err := DirectedGirth(prep(r.g), Options{LeafLimit: r.leafLimit}, led)
 		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
+			t.Fatalf("%s: %v", r.name, err)
 		}
-		want := spath.DirectedMinCycle(primalDigraph(g))
+		want := spath.DirectedMinCycle(primalDigraph(r.g))
 		if c != want {
-			t.Fatalf("trial %d: girth=%d want %d (n=%d)", trial, c, want, g.N())
+			t.Fatalf("%s: girth=%d want %d (n=%d)", r.name, c, want, r.g.N())
 		}
 		if led.Total() == 0 {
 			t.Fatal("no rounds charged")

@@ -7,7 +7,7 @@ import (
 
 	"planarflow/internal/artifact"
 	"planarflow/internal/bdd"
-	"planarflow/internal/duallabel"
+	"planarflow/internal/label"
 	"planarflow/internal/ledger"
 	"planarflow/internal/planar"
 	"planarflow/internal/spath"
@@ -184,9 +184,9 @@ func leafMinCycle(g *planar.Graph, b *bdd.Bag, lengths []int64) int64 {
 
 // ddgMinCycle enumerates cycles crossing a bag's dual separator: per
 // separator arc, and per split face via its zero transitions.
-func ddgMinCycle(ddg *duallabel.BagDDG) int64 {
+func ddgMinCycle(ddg *label.BagDDG) int64 {
 	best := spath.Inf
-	build := func(skip func(a duallabel.DDGArc) bool) *spath.Digraph {
+	build := func(skip func(a label.DDGArc) bool) *spath.Digraph {
 		dg := spath.NewDigraph(len(ddg.Nodes))
 		for _, a := range ddg.Arcs {
 			if skip(a) {
@@ -202,7 +202,7 @@ func ddgMinCycle(ddg *duallabel.BagDDG) int64 {
 			continue
 		}
 		rev := planar.Rev(a.Dart)
-		dg := build(func(o duallabel.DDGArc) bool { return o.Dart == rev })
+		dg := build(func(o label.DDGArc) bool { return o.Dart == rev })
 		if back := spath.Dijkstra(dg, a.To).Dist[a.From]; back < spath.Inf {
 			if c := a.Len + back; c < best {
 				best = c
@@ -220,7 +220,7 @@ func ddgMinCycle(ddg *duallabel.BagDDG) int64 {
 		for _, r := range reps {
 			inReps[r] = true
 		}
-		dg := build(func(o duallabel.DDGArc) bool {
+		dg := build(func(o label.DDGArc) bool {
 			return o.Dart == planar.NoDart && o.Len == 0 && inReps[o.From] && inReps[o.To]
 		})
 		for _, r1 := range reps {

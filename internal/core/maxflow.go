@@ -10,7 +10,7 @@ import (
 	"fmt"
 
 	"planarflow/internal/artifact"
-	"planarflow/internal/duallabel"
+	"planarflow/internal/label"
 	"planarflow/internal/ledger"
 	"planarflow/internal/planar"
 	"planarflow/internal/spath"
@@ -43,10 +43,10 @@ type FlowResult struct {
 //
 // The BDD comes from the shared prepared artifact: the first query on p pays
 // its construction (Build-scoped in led), later queries reuse it. Per λ the
-// query runs one feasibility probe (duallabel.Feasible): the labeling pass
+// query runs one feasibility probe (label.Feasible): the labeling pass
 // restricted to the faces the negative-cycle verdict depends on, charged as
 // the full labeling the paper's algorithm runs. No per-λ labeling is kept;
-// the assignment's one dual SSSP at λ* (duallabel.SSSPFrom) runs the pass
+// the assignment's one dual SSSP at λ* (label.SSSPFrom) runs the pass
 // once more after the search, source-directed: full labels only on the faces
 // the source's label chain depends on, From-only labels — the half the
 // decode reads of a target — everywhere else, never visible outside that
@@ -97,7 +97,7 @@ func MaxFlow(p *artifact.Prepared, s, t int, opt Options, led *ledger.Ledger) (*
 	}
 	ctx := p.Context()
 	feasible := func(lambda int64) (bool, error) {
-		return duallabel.Feasible(ctx, tree, lengthsFor(lambda), led)
+		return label.Feasible(ctx, tree, lengthsFor(lambda), led)
 	}
 
 	// Binary search λ* = max feasible λ.
@@ -124,7 +124,7 @@ func MaxFlow(p *artifact.Prepared, s, t int, opt Options, led *ledger.Ledger) (*
 	}
 
 	// Assignment: dual SSSP potentials from an arbitrary face (§6.1).
-	sssp, err := duallabel.SSSPFrom(ctx, tree, lengthsFor(lo), 0, led)
+	sssp, err := label.SSSPFrom(ctx, label.Dual, tree, lengthsFor(lo), 0, ledger.New(), led)
 	if err != nil {
 		return nil, err
 	}

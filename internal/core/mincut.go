@@ -4,9 +4,9 @@ import (
 	"fmt"
 
 	"planarflow/internal/artifact"
+	"planarflow/internal/label"
 	"planarflow/internal/ledger"
 	"planarflow/internal/planar"
-	"planarflow/internal/primallabel"
 	"planarflow/internal/spath"
 )
 
@@ -22,7 +22,11 @@ type CutResult struct {
 // exact max-flow algorithm, then determine the s-side as the vertices
 // reachable in the residual graph. The reachability is the paper's primal
 // SSSP instance — residual darts get length 0, saturated darts are removed —
-// solved by the Li–Parter primal distance labeling in Õ(D²) rounds.
+// solved by the Li–Parter primal distance labeling in Õ(D²) rounds. Only
+// SSSP(s) is read, so the labeling pass runs source-directed (label.SSSPFrom:
+// full labels on s's label chain, From-only elsewhere, nothing kept); unlike
+// MaxFlow's pass at λ* this labeling is part of the algorithm, so the pass
+// is charged to led exactly as the full labeling would be.
 func MinSTCut(p *artifact.Prepared, s, t int, opt Options, led *ledger.Ledger) (*CutResult, error) {
 	g := p.Graph()
 	flow, err := MaxFlow(p, s, t, opt, led)
@@ -48,14 +52,14 @@ func MinSTCut(p *artifact.Prepared, s, t int, opt Options, led *ledger.Ledger) (
 	if err != nil {
 		return nil, err
 	}
-	la, err := primallabel.ComputeContext(p.Context(), tree, lengths, led)
+	sssp, err := label.SSSPFrom(p.Context(), label.Primal, tree, lengths, s, led, led)
 	if err != nil {
 		return nil, err
 	}
-	if la.NegCycle {
+	if sssp.NegCycle {
 		return nil, fmt.Errorf("core: internal: negative cycle in a 0/Inf residual graph")
 	}
-	dist := la.SSSP(s, led)
+	dist := sssp.Dist
 
 	side := make([]bool, g.N())
 	for v := 0; v < g.N(); v++ {

@@ -6,14 +6,14 @@ import (
 	"testing"
 
 	"planarflow/internal/artifact"
-	"planarflow/internal/duallabel"
+	"planarflow/internal/label"
 	"planarflow/internal/ledger"
 	"planarflow/internal/planar"
 )
 
 // maxFlowFullLabeling is the reference MaxFlow is compared against: the same
 // Miller–Naor search, with the assignment decoded the way it was before
-// duallabel.SSSPFrom — a full labeling at λ* against a scratch ledger, then
+// label.SSSPFrom — a full labeling at λ* against a scratch ledger, then
 // SSSP(0) over it.
 func maxFlowFullLabeling(p *artifact.Prepared, s, t int, opt Options, led *ledger.Ledger) (*FlowResult, error) {
 	g := p.Graph()
@@ -42,7 +42,7 @@ func maxFlowFullLabeling(p *artifact.Prepared, s, t int, opt Options, led *ledge
 		return lens
 	}
 	feasible := func(lambda int64) bool {
-		return !duallabel.Compute(tree, lengthsFor(lambda), led).NegCycle
+		return !label.Compute(label.Dual, tree, lengthsFor(lambda), led).NegCycle
 	}
 	if !feasible(0) {
 		return nil, fmt.Errorf("zero flow infeasible")
@@ -56,7 +56,7 @@ func maxFlowFullLabeling(p *artifact.Prepared, s, t int, opt Options, led *ledge
 			hi = mid
 		}
 	}
-	sssp := duallabel.Compute(tree, lengthsFor(lo), ledger.New()).SSSP(0, led)
+	sssp := label.Compute(label.Dual, tree, lengthsFor(lo), ledger.New()).SSSP(0, led)
 	res := &FlowResult{Value: lo, Flow: make([]int64, g.M()), Iterations: iters}
 	fd := g.Faces()
 	for e := range res.Flow {

@@ -29,7 +29,7 @@ import (
 
 	"planarflow/internal/artifact"
 	"planarflow/internal/core"
-	"planarflow/internal/duallabel"
+	"planarflow/internal/label"
 	"planarflow/internal/ledger"
 	"planarflow/internal/planar"
 )
@@ -63,7 +63,7 @@ func New() *Engine {
 // rows of distinct leaf limits (distinct labelings) apart and lets a
 // restored or rebuilt labeling start with fresh rows.
 type rowKey struct {
-	la     *duallabel.Labeling
+	la     *label.Labeling
 	source int
 }
 
@@ -71,7 +71,7 @@ type rowKey struct {
 // the per-query phases the simulated route records for it, replayed into
 // every caller's ledger.
 type ssspRow struct {
-	res *duallabel.SSSPResult
+	res *label.SSSPResult
 	led *ledger.Ledger
 }
 
@@ -96,7 +96,7 @@ type cutMemo struct {
 // scope, as on the simulated route); the row itself — the label broadcast
 // and tree marking of Lemma 2.2 — is decoded once per (labeling, source)
 // and replayed thereafter.
-func (e *Engine) DualSSSP(p *artifact.Prepared, sourceFace, leafLimit int, led *ledger.Ledger) (*duallabel.SSSPResult, error) {
+func (e *Engine) DualSSSP(p *artifact.Prepared, sourceFace, leafLimit int, led *ledger.Ledger) (*label.SSSPResult, error) {
 	la, err := p.DualLabels(artifact.Undirected, leafLimit, led)
 	if err != nil {
 		return nil, err
@@ -104,11 +104,11 @@ func (e *Engine) DualSSSP(p *artifact.Prepared, sourceFace, leafLimit int, led *
 	if la.NegCycle {
 		// Mirror core.DualSSSP: a negative cycle is reported without
 		// decoding (and without per-query charges).
-		return &duallabel.SSSPResult{Source: sourceFace, NegCycle: true}, nil
+		return &label.SSSPResult{Source: sourceFace, NegCycle: true}, nil
 	}
 	row := e.row(la, sourceFace)
 	led.Merge(row.led)
-	return &duallabel.SSSPResult{
+	return &label.SSSPResult{
 		Source:   sourceFace,
 		Dist:     append([]int64(nil), row.res.Dist...),
 		TreeDart: append([]planar.Dart(nil), row.res.TreeDart...),
@@ -119,7 +119,7 @@ func (e *Engine) DualSSSP(p *artifact.Prepared, sourceFace, leafLimit int, led *
 // runs outside the engine lock (two racing first queries both decode — the
 // results are identical and the first publish wins), so a cold row never
 // serializes unrelated queries.
-func (e *Engine) row(la *duallabel.Labeling, source int) *ssspRow {
+func (e *Engine) row(la *label.Labeling, source int) *ssspRow {
 	k := rowKey{la, source}
 	e.mu.Lock()
 	r := e.rows[k]

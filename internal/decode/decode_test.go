@@ -6,14 +6,14 @@ import (
 	"testing"
 
 	"planarflow/internal/artifact"
-	"planarflow/internal/duallabel"
+	"planarflow/internal/label"
 	"planarflow/internal/ledger"
 	"planarflow/internal/planar"
 )
 
 // warmLabels returns a prepared graph whose undirected dual labeling is
 // already built, so queries against it charge Query-scope entries only.
-func warmLabels(t *testing.T) (*artifact.Prepared, *duallabel.Labeling) {
+func warmLabels(t *testing.T) (*artifact.Prepared, *label.Labeling) {
 	t.Helper()
 	g := planar.WithRandomWeights(planar.StackedTriangulation(40, planar.NewRand(3)), planar.NewRand(13), 1, 9, 1, 12)
 	p := artifact.New(g)

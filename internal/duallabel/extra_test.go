@@ -1,9 +1,10 @@
-package duallabel
+package duallabel_test
 
 import (
 	"testing"
 
 	"planarflow/internal/bdd"
+	"planarflow/internal/label"
 	"planarflow/internal/ledger"
 	"planarflow/internal/planar"
 	"planarflow/internal/spath"
@@ -38,7 +39,7 @@ func TestDDGStructure(t *testing.T) {
 	g := planar.Grid(8, 8)
 	led := ledger.New()
 	tree := bdd.Build(g, 16, led)
-	la := Compute(tree, UniformLengths(g, false), led)
+	la := label.Compute(label.Dual, tree, label.UniformLengths(g, false), led)
 	if la.NegCycle {
 		t.Fatal("unexpected negative cycle")
 	}
@@ -59,11 +60,11 @@ func TestDDGStructure(t *testing.T) {
 			fx[f] = true
 		}
 		for _, nd := range ddg.Nodes {
-			if !fx[nd.Face] {
-				t.Fatalf("bag %d: DDG node for non-FX face %d", b.ID, nd.Face)
+			if !fx[nd.Key] {
+				t.Fatalf("bag %d: DDG node for non-FX face %d", b.ID, nd.Key)
 			}
-			if !b.Children[nd.Child].FaceSet[nd.Face] {
-				t.Fatalf("bag %d: DDG node (%d,%d) not in child", b.ID, nd.Child, nd.Face)
+			if !b.Children[nd.Child].FaceSet[nd.Key] {
+				t.Fatalf("bag %d: DDG node (%d,%d) not in child", b.ID, nd.Child, nd.Key)
 			}
 		}
 		// Separator arcs carry real darts of dual S_X edges; zero/clique
@@ -101,7 +102,7 @@ func TestLabelWordsAccounting(t *testing.T) {
 	g := planar.Grid(6, 6)
 	led := ledger.New()
 	tree := bdd.Build(g, 10, led)
-	la := Compute(tree, UniformLengths(g, false), led)
+	la := label.Compute(label.Dual, tree, label.UniformLengths(g, false), led)
 	for f := 0; f < g.Faces().NumFaces(); f++ {
 		l := la.RootLabel(f)
 		// Words must count both the local To/From entries and the
@@ -125,7 +126,7 @@ func TestSSSPFromEveryFaceSmall(t *testing.T) {
 	lens := randomLengths(g, rng, 1, 15)
 	led := ledger.New()
 	tree := bdd.Build(g, 8, led)
-	la := Compute(tree, lens, led)
+	la := label.Compute(label.Dual, tree, lens, led)
 	want, _ := explicitDualDist(g, lens)
 	for src := 0; src < g.Faces().NumFaces(); src++ {
 		res := la.SSSP(src, led)
@@ -134,7 +135,7 @@ func TestSSSPFromEveryFaceSmall(t *testing.T) {
 				t.Fatalf("src=%d dist[%d]=%d want %d", src, f, d, want[src][f])
 			}
 		}
-		if !res.VerifyTree(la) {
+		if !verifyTree(g, lens, res) {
 			t.Fatalf("src=%d: tree invalid", src)
 		}
 	}

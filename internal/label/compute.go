@@ -1,4 +1,4 @@
-package duallabel
+package label
 
 import (
 	"context"
@@ -11,25 +11,26 @@ import (
 )
 
 // DDGNode is a node of a bag's dense distance graph: the representative of
-// an F_X face inside one child bag (§5.3, Figure 13).
+// a separator key inside one child bag (§5.3, Figure 13).
 type DDGNode struct {
 	Child int // index into bag.Children
-	Face  int
+	Key   int
 }
 
 // DDGArc is an arc of the base DDG, tagged with its provenance.
 type DDGArc struct {
 	From, To int // node indices
 	Len      int64
-	// Dart is the primal dart for separator arcs (NoDart for clique and
-	// zero arcs).
+	// Dart is the primal dart for cross arcs (NoDart for clique and zero
+	// arcs).
 	Dart planar.Dart
 }
 
 // BagDDG is the base dense distance graph of a non-leaf bag: nodes are the
-// child representatives of F_X faces; arcs are (i) within-child cliques
-// weighted by decoded child-label distances, (ii) dual S_X arcs, and (iii)
-// zero arcs joining representatives of the same face.
+// child representatives of separator keys; arcs are (i) within-child
+// cliques weighted by decoded child-label distances, (ii) cross arcs (the
+// dual S_X arcs), and (iii) zero arcs joining representatives of the same
+// key.
 type BagDDG struct {
 	Bag *bdd.Bag
 	// Nodes, Index and RepsOf (below) depend on the tree alone; labelings
@@ -40,28 +41,30 @@ type BagDDG struct {
 	// Dist is the all-pairs matrix over Nodes (computed by Bellman–Ford;
 	// spath.Inf when unreachable).
 	Dist [][]int64
-	// RepsOf maps each F_X face to its node indices (1 or 2).
+	// RepsOf maps each separator key to its node indices (1 or 2).
 	RepsOf map[int][]int
 }
 
-// Labeling holds the labels of every face in every bag for one length
-// assignment.
+// Labeling holds the labels of every key in every bag for one view and one
+// length assignment.
 type Labeling struct {
 	T       *bdd.BDD
 	Lengths []int64
 
-	// NegCycle is true when G* contains a negative cycle; labels are then
-	// invalid (Thm 2.1's failure report).
+	// NegCycle is true when the labelled graph contains a negative cycle;
+	// labels are then invalid (Thm 2.1's failure report).
 	NegCycle bool
 
-	byBag []map[int]*Label // bag ID -> face -> label
-	ddgs  []*BagDDG        // bag ID -> base DDG (nil for leaves)
+	v     *view
+	byBag []map[int]*Label // bag ID -> key -> label
+	ddgs  []*BagDDG        // bag ID -> base DDG (nil for leaves); nil unless the view retains DDGs
 }
 
-// Compute runs the labeling algorithm of §5.3 bottom-up over the BDD,
-// charging the per-level broadcast costs from measured quantities.
-func Compute(t *bdd.BDD, lengths []int64, led *ledger.Ledger) *Labeling {
-	la, _ := ComputeContext(context.Background(), t, lengths, led)
+// Compute runs the labeling algorithm of §5.3 bottom-up over the BDD, on
+// the graph v names, charging the per-level broadcast costs from measured
+// quantities.
+func Compute(v View, t *bdd.BDD, lengths []int64, led *ledger.Ledger) *Labeling {
+	la, _ := ComputeContext(context.Background(), v, t, lengths, led)
 	return la
 }
 
@@ -69,20 +72,20 @@ func Compute(t *bdd.BDD, lengths []int64, led *ledger.Ledger) *Labeling {
 // bag: a canceled context aborts the remaining bottom-up pass and returns
 // ctx.Err() with a nil labeling, charging nothing (level charges are
 // emitted only on completion).
-func ComputeContext(ctx context.Context, t *bdd.BDD, lengths []int64, led *ledger.Ledger) (*Labeling, error) {
-	pl := planOf(t)
+func ComputeContext(ctx context.Context, v View, t *bdd.BDD, lengths []int64, led *ledger.Ledger) (*Labeling, error) {
+	pl := planOf(t, views[v])
 	return pl.label(ctx, pl.every, false, lengths, led)
 }
 
 // Feasible reports whether G* is free of negative cycles under lengths —
-// ComputeContext's NegCycle verdict, negated — without keeping a labeling.
-// It is the same bottom-up pass restricted to the faces whose labels the
-// verdict depends on (plan.probe), and it charges led exactly what
-// ComputeContext charges: a bag's cost is its TreeDepth, the Words() of its
-// children's F_X labels and its arc counts, and none of those reads a label
-// the pass skips. lengths is not retained.
+// ComputeContext's NegCycle verdict for the dual view, negated — without
+// keeping a labeling. It is the same bottom-up pass restricted to the faces
+// whose labels the verdict depends on (plan.probe), and it charges led
+// exactly what ComputeContext charges: a bag's cost is its TreeDepth, the
+// Words() of its children's F_X labels and its arc counts, and none of those
+// reads a label the pass skips. lengths is not retained.
 func Feasible(ctx context.Context, t *bdd.BDD, lengths []int64, led *ledger.Ledger) (bool, error) {
-	pl := planOf(t)
+	pl := planOf(t, views[Dual])
 	la, err := pl.label(ctx, pl.probe, false, lengths, led)
 	if err != nil {
 		return false, err
@@ -90,20 +93,20 @@ func Feasible(ctx context.Context, t *bdd.BDD, lengths []int64, led *ledger.Ledg
 	return !la.NegCycle, nil
 }
 
-// SSSPFrom computes ComputeContext(ctx, t, lengths, ·).SSSP(source, led) —
-// the same distances, tree darts and ledger entries — without the full
-// labeling. Lemma 2.2's decode reads the source's whole label chain but, of
-// any other face, only the half that holds distances towards it, so the pass
-// labels in full only the faces that chain depends on (plan.wantedFrom the
-// source) and every other face From-only. The labeling pass itself charges
-// nothing: callers reach this after a pass over the same lengths already
-// charged the labeling (core.MaxFlow's λ* probe). A From-only label must
-// never be the first argument of Decode, nor have Words() taken, so the
-// half-labelled Labeling does not leave this function. lengths is not
-// retained.
-func SSSPFrom(ctx context.Context, t *bdd.BDD, lengths []int64, source int, led *ledger.Ledger) (*SSSPResult, error) {
-	pl := planOf(t)
-	la, err := pl.label(ctx, pl.wantedFrom([]int{source}), true, lengths, ledger.New())
+// SSSPFrom computes ComputeContext(ctx, v, t, lengths, passLed).SSSP(source,
+// led) — the same distances, tree darts and ledger entries — without the
+// full labeling. The SSSP decode reads the source's whole label chain but,
+// of any other key, only the half that holds distances towards it, so the
+// pass labels in full only the keys that chain depends on (plan.wantedFrom
+// the source) and every other key From-only. passLed is charged the
+// labeling pass, led the SSSP over it; a caller that reaches this after a
+// pass over the same lengths already charged the labeling (core.MaxFlow's
+// λ* probe) hands a throwaway passLed. A From-only label must never be the
+// first argument of Decode, nor have Words() taken, so the half-labelled
+// Labeling does not leave this function. lengths is not retained.
+func SSSPFrom(ctx context.Context, v View, t *bdd.BDD, lengths []int64, source int, passLed, led *ledger.Ledger) (*SSSPResult, error) {
+	pl := planOf(t, views[v])
+	la, err := pl.label(ctx, pl.wantedFrom([]int{source}), true, lengths, passLed)
 	if err != nil {
 		return nil, err
 	}
@@ -111,16 +114,19 @@ func SSSPFrom(ctx context.Context, t *bdd.BDD, lengths []int64, source int, led 
 }
 
 // label is the one labeling pass: bottom-up over the bags, labeling in full,
-// in each bag, the faces wanted lists for it. The bag's other faces are
+// in each bag, the keys wanted lists for it. The bag's other keys are
 // skipped, or with fromRest labelled From-only: From/LeafFrom (and Child)
 // alone, enough to be the second argument of Decode.
 func (pl *plan) label(ctx context.Context, wanted [][]int, fromRest bool, lengths []int64, led *ledger.Ledger) (*Labeling, error) {
-	t := pl.t
+	t, v := pl.t, pl.v
 	la := &Labeling{
 		T:       t,
 		Lengths: lengths,
+		v:       v,
 		byBag:   make([]map[int]*Label, len(t.Bags)),
-		ddgs:    make([]*BagDDG, len(t.Bags)),
+	}
+	if v.retainsDDG {
+		la.ddgs = make([]*BagDDG, len(t.Bags))
 	}
 
 	// Process bags bottom-up (children have larger IDs than parents by
@@ -138,39 +144,55 @@ func (pl *plan) label(ctx context.Context, wanted [][]int, fromRest bool, length
 			cost = la.computeInternal(b, &pl.bags[i], wanted[i], fromRest)
 		}
 		if la.NegCycle {
-			led.Charge("label/negative-cycle-abort", int64(b.TreeDepth+1))
+			led.Charge(v.phase+"/negative-cycle-abort", int64(b.TreeDepth+1))
 			return la, nil
 		}
 		if cost > levelCost[b.Level] {
 			levelCost[b.Level] = cost
 		}
 	}
-	// Bags of a level run in parallel at 2x congestion (property 7); Ĝ
-	// simulation costs another 2x.
 	for lvl := 0; lvl < t.Depth; lvl++ {
-		led.Charge(fmt.Sprintf("label/level-%02d", lvl), 4*levelCost[lvl])
+		led.Charge(fmt.Sprintf("%s/level-%02d", v.phase, lvl), v.congestion*levelCost[lvl])
 	}
 	return la, nil
 }
 
-// Label returns the label of face f in bag b (nil if f is absent from b).
-func (la *Labeling) Label(b *bdd.Bag, f int) *Label { return la.byBag[b.ID][f] }
+// Label returns the label of key k in bag b (nil if k is absent from b).
+func (la *Labeling) Label(b *bdd.Bag, k int) *Label { return la.byBag[b.ID][k] }
 
-// RootLabel returns the label of face f in the root bag (G*).
-func (la *Labeling) RootLabel(f int) *Label { return la.byBag[t0][f] }
+// RootLabel returns the label of key k in the root bag (the whole graph).
+func (la *Labeling) RootLabel(k int) *Label { return la.byBag[t0][k] }
 
 const t0 = 0 // root bag ID
 
-// Dist returns dist(f1 -> f2) in G* (spath.Inf if unreachable).
-func (la *Labeling) Dist(f1, f2 int) int64 {
+// Dist returns dist(k1 -> k2) in the whole graph (spath.Inf if unreachable,
+// or if either key has no dart and hence no label).
+func (la *Labeling) Dist(k1, k2 int) int64 {
 	if la.NegCycle {
 		return spath.Inf
 	}
-	return Decode(la.byBag[t0][f1], la.byBag[t0][f2])
+	a, b := la.byBag[t0][k1], la.byBag[t0][k2]
+	if a == nil || b == nil {
+		return spath.Inf
+	}
+	return Decode(a, b)
 }
 
-// DDG returns the base dense distance graph of a non-leaf bag.
-func (la *Labeling) DDG(b *bdd.Bag) *BagDDG { return la.ddgs[b.ID] }
+// View reports which graph the labeling measures.
+func (la *Labeling) View() View { return la.v.id }
+
+// Separator returns the separator keys of non-leaf bag b in the order the
+// labeling's plan fixes: exactly the key set of every To/From map in b.
+func (la *Labeling) Separator(b *bdd.Bag) []int { return planOf(la.T, la.v).bags[b.ID].sep }
+
+// DDG returns the base dense distance graph of a non-leaf bag (nil when the
+// view retains none).
+func (la *Labeling) DDG(b *bdd.Bag) *BagDDG {
+	if la.ddgs == nil {
+		return nil
+	}
+	return la.ddgs[b.ID]
+}
 
 // FootprintBytes estimates the resident memory of the labeling: every
 // bag's label maps plus the retained DDGs (labels are counted where they
@@ -205,14 +227,14 @@ func (la *Labeling) FootprintBytes() int64 {
 	return b
 }
 
-// computeLeaf gathers the whole dual bag (the "collect the entire graph"
-// step), takes the negative-cycle verdict from one super-source pass, and
-// computes distances from each wanted face; returns the measured broadcast
-// cost TreeDepth + #nodes + #arcs (pipelined). LeafFrom, which nothing
-// decodes, covers the wanted faces only — all of them in a full labeling —
-// and is all a From-only label holds.
+// computeLeaf gathers the whole bag (the "collect the entire graph" step),
+// takes the negative-cycle verdict from one super-source pass, and computes
+// distances from each wanted key; returns the measured broadcast cost
+// TreeDepth + #nodes + #arcs (pipelined). LeafFrom, which nothing decodes,
+// covers the wanted keys only — all of them in a full labeling — and is all
+// a From-only label holds.
 func (la *Labeling) computeLeaf(b *bdd.Bag, bp *bagPlan, wanted []int, fromRest bool) int64 {
-	n := len(b.Faces)
+	n := len(bp.keys)
 	super := n
 	dg := spath.NewDigraph(n + 1)
 	arcs := 0
@@ -229,11 +251,11 @@ func (la *Labeling) computeLeaf(b *bdd.Bag, bp *bagPlan, wanted []int, fromRest 
 		la.NegCycle = true
 		return 0
 	}
-	// wanted is a subsequence of b.Faces, so one merge finds its positions.
+	// wanted is a subsequence of bp.keys, so one merge finds its positions.
 	rows := make([][]int64, n) // by source position; nil when not wanted
 	w := 0
-	for i, f := range b.Faces {
-		if w < len(wanted) && wanted[w] == f {
+	for i, k := range bp.keys {
+		if w < len(wanted) && wanted[w] == k {
 			res, _ := spath.BellmanFord(dg, i)
 			rows[i] = res.Dist
 			w++
@@ -244,17 +266,17 @@ func (la *Labeling) computeLeaf(b *bdd.Bag, bp *bagPlan, wanted []int, fromRest 
 		size = n
 	}
 	labels := make(map[int]*Label, size)
-	for i, f := range b.Faces {
+	for i, k := range bp.keys {
 		full := rows[i] != nil
 		if !full && !fromRest {
 			continue
 		}
-		l := &Label{Bag: b, Face: f}
+		l := &Label{Bag: b, Key: k}
 		if full {
 			l.LeafTo = make(map[int]int64, n)
 		}
 		l.LeafFrom = make(map[int]int64, len(wanted))
-		for j, h := range b.Faces {
+		for j, h := range bp.keys {
 			if full {
 				l.LeafTo[h] = rows[i][j]
 			}
@@ -262,14 +284,14 @@ func (la *Labeling) computeLeaf(b *bdd.Bag, bp *bagPlan, wanted []int, fromRest 
 				l.LeafFrom[h] = rows[j][i]
 			}
 		}
-		labels[f] = l
+		labels[k] = l
 	}
 	la.byBag[b.ID] = labels
 	return int64(b.TreeDepth + n + arcs)
 }
 
 // computeInternal builds the base DDG from child labels, checks for
-// negative cycles, and derives each wanted face's label via min-plus
+// negative cycles, and derives each wanted key's label via min-plus
 // products over the base matrix (§5.3); returns the charged broadcast cost.
 func (la *Labeling) computeInternal(b *bdd.Bag, bp *bagPlan, wanted []int, fromRest bool) int64 {
 	ddg := &BagDDG{Bag: b, Nodes: bp.nodes, Index: bp.index, RepsOf: bp.repsOf}
@@ -278,27 +300,27 @@ func (la *Labeling) computeInternal(b *bdd.Bag, bp *bagPlan, wanted []int, fromR
 	// (i) Within-child cliques from decoded child labels.
 	broadcastWords := 0
 	for ci := range b.Children {
-		for _, e1 := range bp.childFX[ci] {
-			l1 := childLabels[ci][e1.face]
+		for _, e1 := range bp.childSep[ci] {
+			l1 := childLabels[ci][e1.key]
 			broadcastWords += l1.Words()
-			for _, e2 := range bp.childFX[ci] {
-				if e1.face == e2.face {
+			for _, e2 := range bp.childSep[ci] {
+				if e1.key == e2.key {
 					continue
 				}
-				if w := Decode(l1, childLabels[ci][e2.face]); w < spath.Inf {
+				if w := Decode(l1, childLabels[ci][e2.key]); w < spath.Inf {
 					ddg.Arcs = append(ddg.Arcs, DDGArc{From: e1.rep, To: e2.rep, Len: w, Dart: planar.NoDart})
 				}
 			}
 		}
 	}
-	// (ii) Dual S_X arcs.
-	for _, a := range bp.sxArcs {
+	// (ii) Cross arcs, a word each.
+	for _, a := range bp.crossArcs {
 		if a.Len = la.Lengths[a.Dart]; a.Len < spath.Inf {
 			ddg.Arcs = append(ddg.Arcs, a)
 		}
 	}
-	broadcastWords += 2 * len(b.DualSXEdges)
-	// (iii) Zero arcs between representatives of the same face.
+	broadcastWords += len(bp.crossArcs)
+	// (iii) Zero arcs between representatives of the same key.
 	ddg.Arcs = append(ddg.Arcs, bp.zeroArcs...)
 
 	// Negative-cycle check + all-pairs matrix on the base DDG.
@@ -323,52 +345,60 @@ func (la *Labeling) computeInternal(b *bdd.Bag, bp *bagPlan, wanted []int, fromR
 		res, _ := spath.BellmanFord(base, i)
 		ddg.Dist[i] = res.Dist
 	}
-	la.ddgs[b.ID] = ddg
-
-	// ---- Labels for the wanted faces of the bag; with fromRest, From-only
-	// labels for the others. ----
-	faces := wanted
-	if fromRest {
-		faces = b.Faces
+	if la.ddgs != nil {
+		la.ddgs[b.ID] = ddg
 	}
-	labels := make(map[int]*Label, len(faces))
-	to := make([]int64, len(b.FX)) // by position in b.FX
-	from := make([]int64, len(b.FX))
+
+	// ---- Labels for the wanted keys of the bag; with fromRest, From-only
+	// labels for the others. ----
+	size := len(wanted)
+	if fromRest {
+		size = len(bp.keys)
+	}
+	labels := make(map[int]*Label, size)
+	to := make([]int64, len(bp.sep)) // by position in bp.sep
+	from := make([]int64, len(bp.sep))
 	w := 0
-	for _, f := range faces {
-		// wanted is a subsequence of faces.
-		full := w < len(wanted) && wanted[w] == f
-		l := &Label{Bag: b, Face: f}
+	for i, k := range bp.keys {
+		// wanted is a subsequence of bp.keys.
+		full := w < len(wanted) && wanted[w] == k
 		if full {
 			w++
-			l.To = make(map[int]int64, len(b.FX))
+		} else if !fromRest {
+			continue
 		}
-		l.From = make(map[int]int64, len(b.FX))
-		if p, ok := bp.fxPos[f]; ok {
+		l := &Label{Bag: b, Key: k}
+		if full {
+			l.To = make(map[int]int64, len(bp.sep))
+		}
+		l.From = make(map[int]int64, len(bp.sep))
+		if p := bp.sepPos[i]; p >= 0 {
 			// Distances directly from the base matrix (min over reps).
-			for q, h := range b.FX {
+			for q, h := range bp.sep {
 				if full {
-					l.To[h] = minOverReps(ddg, bp.fxReps[p], bp.fxReps[q])
+					l.To[h] = minOverReps(ddg, bp.sepReps[p], bp.sepReps[q])
 				}
-				l.From[h] = minOverReps(ddg, bp.fxReps[q], bp.fxReps[p])
+				l.From[h] = minOverReps(ddg, bp.sepReps[q], bp.sepReps[p])
 			}
 		} else {
-			// f lives wholly in one child: first/last hop through FX∩child.
-			ci := b.ChildContaining(f)
-			lf := childLabels[ci][f]
-			l.Child = lf
-			for q := range b.FX {
+			// k lives wholly in one child: first/last hop through that
+			// child's share of the separator (a share's own key is reached
+			// at base distance 0 from its representative).
+			ci := bp.childOf[i]
+			lk := childLabels[ci][k]
+			l.Child = lk
+			for q := range bp.sep {
 				to[q], from[q] = spath.Inf, spath.Inf
 			}
-			for _, e := range bp.childFX[ci] {
-				lp := childLabels[ci][e.face]
-				// A From-only lf is never decoded from: its To half stays Inf.
-				dgo, dback := spath.Inf, Decode(lp, lf)
+			for _, e := range bp.childSep[ci] {
+				lp := childLabels[ci][e.key]
+				// A From-only lk is never decoded from: its To half stays Inf.
+				dgo, dback := spath.Inf, Decode(lp, lk)
 				if full {
-					dgo = Decode(lf, lp)
+					dgo = Decode(lk, lp)
 				}
 				if dgo < spath.Inf {
-					for q, reps := range bp.fxReps {
+					for q, reps := range bp.sepReps {
 						for _, hr := range reps {
 							if dd := ddg.Dist[e.rep][hr]; dd < spath.Inf && dgo+dd < to[q] {
 								to[q] = dgo + dd
@@ -377,7 +407,7 @@ func (la *Labeling) computeInternal(b *bdd.Bag, bp *bagPlan, wanted []int, fromR
 					}
 				}
 				if dback < spath.Inf {
-					for q, reps := range bp.fxReps {
+					for q, reps := range bp.sepReps {
 						for _, hr := range reps {
 							if dd := ddg.Dist[hr][e.rep]; dd < spath.Inf && dd+dback < from[q] {
 								from[q] = dd + dback
@@ -385,22 +415,15 @@ func (la *Labeling) computeInternal(b *bdd.Bag, bp *bagPlan, wanted []int, fromR
 						}
 					}
 				}
-				// e.face is itself a target, reachable without leaving the child.
-				if dgo < to[e.pos] {
-					to[e.pos] = dgo
-				}
-				if dback < from[e.pos] {
-					from[e.pos] = dback
-				}
 			}
-			for q, h := range b.FX {
+			for q, h := range bp.sep {
 				if full {
 					l.To[h] = to[q]
 				}
 				l.From[h] = from[q]
 			}
 		}
-		labels[f] = l
+		labels[k] = l
 	}
 	la.byBag[b.ID] = labels
 	return int64(b.TreeDepth + broadcastWords)

@@ -1,0 +1,95 @@
+package label
+
+import (
+	"planarflow/internal/ledger"
+	"planarflow/internal/planar"
+	"planarflow/internal/spath"
+)
+
+// SSSPResult is the outcome of a single-source computation over a labeling
+// (Lemma 2.2 in the dual view, [27]'s SSSP in the primal).
+type SSSPResult struct {
+	Source   int
+	Dist     []int64 // per key of the graph; spath.Inf if unreachable
+	NegCycle bool
+	// TreeDart[f] is the dart whose dual arc enters f on the marked
+	// shortest-path tree (NoDart at the source/unreachable faces). Dual view
+	// only; nil in the primal, whose SSSP marks no tree.
+	TreeDart []planar.Dart
+}
+
+// SSSP computes single-source shortest paths from the given source key by
+// broadcasting the source's label and decoding everywhere; in the dual view
+// it then marks a shortest-path tree via one aggregation per face (Lemma
+// 2.2). The label broadcast is charged at its measured word count over a
+// depth-D tree. A key without a label (a vertex with no dart) is
+// unreachable. A labeling that found a negative cycle reports it and
+// charges nothing.
+func (la *Labeling) SSSP(source int, led *ledger.Ledger) *SSSPResult {
+	g, v := la.T.G, la.v
+	res := &SSSPResult{Source: source}
+	if la.NegCycle {
+		res.NegCycle = true
+		return res
+	}
+	res.Dist = make([]int64, v.numKeys(g))
+	src := la.RootLabel(source)
+	words := 0
+	if src != nil {
+		words = src.Words()
+	}
+	// Broadcast Label(source): Words() messages over a depth-D BFS tree.
+	led.Charge(v.ssspPhase+"/broadcast-label",
+		ledger.PipelinedBroadcastRounds(int64(la.T.Root.TreeDepth), int64(words)))
+	for k := range res.Dist {
+		res.Dist[k] = spath.Inf
+		if l := la.RootLabel(k); src != nil && l != nil {
+			res.Dist[k] = Decode(src, l)
+		}
+	}
+	if !v.marksTree {
+		return res
+	}
+	// Tree marking: for each key k, the incoming arc minimizing dist(s,
+	// tail) + len — one PA on the graph (we mark centrally and charge the
+	// measured-equivalent single aggregation; callers with a minoragg
+	// simulator charge its calibrated unit instead).
+	res.TreeDart = make([]planar.Dart, len(res.Dist))
+	for k := range res.TreeDart {
+		res.TreeDart[k] = planar.NoDart
+	}
+	for d := planar.Dart(0); int(d) < g.NumDarts(); d++ {
+		if la.Lengths[d] >= spath.Inf {
+			continue
+		}
+		from, to := v.ends(g, d)
+		if to == source || res.Dist[from] >= spath.Inf {
+			continue
+		}
+		// cand < Dist[to] cannot happen without a negative cycle.
+		if cand := res.Dist[from] + la.Lengths[d]; cand == res.Dist[to] {
+			if cur := res.TreeDart[to]; cur == planar.NoDart || d < cur {
+				res.TreeDart[to] = d
+			}
+		}
+	}
+	led.Charge(v.ssspPhase+"/mark-tree", int64(2*(la.T.Root.TreeDepth+1)))
+	return res
+}
+
+// UniformLengths builds a per-dart length vector realizing the "dual of a
+// weighted directed graph" convention used by the girth and min-cut
+// reductions: the dual arc of edge e's forward dart carries e's weight and
+// the reverse dart is deactivated (one dual arc per primal edge).
+func UniformLengths(g *planar.Graph, forwardOnly bool) []int64 {
+	lens := make([]int64, g.NumDarts())
+	for e := 0; e < g.M(); e++ {
+		lens[planar.ForwardDart(e)] = g.Edge(e).Weight
+		if forwardOnly {
+			lens[planar.BackwardDart(e)] = spath.Inf
+		} else {
+			lens[planar.BackwardDart(e)] = g.Edge(e).Weight
+		}
+	}
+	return lens
+}

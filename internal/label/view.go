@@ -1,0 +1,98 @@
+package label
+
+import (
+	"planarflow/internal/bdd"
+	"planarflow/internal/planar"
+)
+
+// View names the graph a labeling measures: Dual is G* (keys are faces,
+// §5), Primal is G (keys are vertices, [27]). Callers pick it by their
+// problem; it is not a tuning knob.
+type View uint8
+
+const (
+	Dual View = iota
+	Primal
+)
+
+func (v View) String() string { return views[v].name }
+
+// view is what the one labeling pass needs to know about the graph it
+// labels (the package comment tabulates both): how newPlan lays a bag out,
+// and what the pass and the SSSP over its result are charged.
+type view struct {
+	id         View
+	name       string
+	phase      string // ledger phase prefix of the labeling pass
+	ssspPhase  string // ledger phase prefix of SSSP over the labeling
+	congestion int64  // factor on a level's broadcast cost
+	retainsDDG bool   // Labeling keeps every bag's base DDG
+	marksTree  bool   // SSSP marks a shortest-path tree (Lemma 2.2)
+
+	// numKeys bounds the key space: keys are in [0, numKeys(g)).
+	numKeys func(g *planar.Graph) int
+	// ends returns the keys the arc of dart d runs between.
+	ends func(g *planar.Graph, d planar.Dart) (from, to int)
+	// keys lists the keys of a bag, each once, in an order fixed by the tree.
+	keys func(g *planar.Graph, b *bdd.Bag) []int
+	// sep lists the separator keys of a non-leaf bag; shared is the
+	// subsequence of the bag's keys present in both children.
+	sep func(b *bdd.Bag, shared []int) []int
+	// leafDarts visits the darts whose arcs make up a leaf bag's graph.
+	leafDarts func(g *planar.Graph, b *bdd.Bag, visit func(planar.Dart))
+	// crossEdges lists the edges whose two darts each cross between the
+	// children of a non-leaf bag (arcs of the bag that no child holds).
+	crossEdges func(b *bdd.Bag) []int
+}
+
+var views = [...]*view{
+	Dual: {
+		id: Dual, name: "dual", phase: "label", ssspPhase: "dual-sssp",
+		// Bags of a level run in parallel at 2x congestion (property 7); Ĝ
+		// simulation costs another 2x.
+		congestion: 4, retainsDDG: true, marksTree: true,
+		numKeys: func(g *planar.Graph) int { return g.Faces().NumFaces() },
+		ends: func(g *planar.Graph, d planar.Dart) (int, int) {
+			fd := g.Faces()
+			return fd.FaceOf(d), fd.FaceOf(planar.Rev(d))
+		},
+		keys: func(_ *planar.Graph, b *bdd.Bag) []int { return b.Faces },
+		sep:  func(b *bdd.Bag, _ []int) []int { return b.FX },
+		leafDarts: func(g *planar.Graph, b *bdd.Bag, visit func(planar.Dart)) {
+			b.DualArcs(g, func(d planar.Dart, _, _ int) { visit(d) })
+		},
+		crossEdges: func(b *bdd.Bag) []int { return b.DualSXEdges },
+	},
+	Primal: {
+		id: Primal, name: "primal", phase: "primal-label", ssspPhase: "primal-sssp",
+		congestion: 2,
+		numKeys:    func(g *planar.Graph) int { return g.N() },
+		ends:       func(g *planar.Graph, d planar.Dart) (int, int) { return g.Tail(d), g.Head(d) },
+		keys: func(g *planar.Graph, b *bdd.Bag) []int {
+			seen := make(map[int]bool, len(b.Darts))
+			var out []int
+			for _, d := range b.Darts {
+				for _, v := range [2]int{g.Tail(d), g.Head(d)} {
+					if !seen[v] {
+						seen[v] = true
+						out = append(out, v)
+					}
+				}
+			}
+			return out
+		},
+		// The shared vertices contain the S_X cycle; shared hole vertices
+		// join too.
+		sep: func(_ *bdd.Bag, shared []int) []int { return shared },
+		// Both darts of every edge with a dart in the bag.
+		leafDarts: func(_ *planar.Graph, b *bdd.Bag, visit func(planar.Dart)) {
+			for _, d := range b.Darts {
+				visit(d)
+				if !b.InBag[planar.Rev(d)] {
+					visit(planar.Rev(d))
+				}
+			}
+		},
+		crossEdges: func(*bdd.Bag) []int { return nil },
+	},
+}

@@ -1,12 +1,13 @@
 package snapshot
 
-// Distance-labeling codec (section types 2 and 3). A labeling is stored
-// per bag as its key→label map in sorted key order; each label carries
-// its distance maps and a reference to its child label (the same key in
-// the unique child bag wholly containing it), re-linked after all bags
-// decode. Dual labelings additionally carry the retained base DDGs —
-// nodes, arcs and the all-pairs matrix — whose index maps rebuild from
-// the node list. Lengths vectors are never stored: they derive from the
+// Distance-labeling codec (section types 2 and 3: one body, the type byte
+// names the labeling's view). A labeling is stored per bag as its
+// key→label map in sorted key order; each label carries its distance maps
+// and a reference to its child label (the same key in the unique child bag
+// wholly containing it), re-linked after all bags decode. A view that
+// retains its base DDGs (type 2, dual) additionally carries them — nodes,
+// arcs and the all-pairs matrix — whose index maps rebuild from the node
+// list. Lengths vectors are never stored: they derive from the
 // fingerprint-checked graph and the length kind, so the caller supplies
 // them through LengthsFunc.
 
@@ -15,26 +16,18 @@ import (
 	"sort"
 
 	"planarflow/internal/bdd"
-	"planarflow/internal/duallabel"
+	"planarflow/internal/label"
 	"planarflow/internal/planar"
-	"planarflow/internal/primallabel"
 )
 
-// DualEntry is one dual-labeling substrate: the labeling, its artifact
-// key (length kind byte + leaf limit), and its original build cost.
-type DualEntry struct {
+// LabelEntry is one labeling substrate: the labeling (which knows its
+// view), its artifact key (length kind byte + leaf limit), and its original
+// build cost.
+type LabelEntry struct {
 	Kind        byte
 	LeafLimit   int
 	BuildRounds int64
-	Labeling    *duallabel.Labeling
-}
-
-// PrimalEntry is one primal-labeling substrate.
-type PrimalEntry struct {
-	Kind        byte
-	LeafLimit   int
-	BuildRounds int64
-	Labeling    *primallabel.Labeling
+	Labeling    *label.Labeling
 }
 
 // label flag bits.
@@ -45,14 +38,9 @@ const (
 
 // encodeDistMap writes a key→distance map in sorted key order.
 func encodeDistMap(e *enc, m map[int]int64) {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	e.count(len(keys))
+	e.count(len(m))
 	prev := 0
-	for _, k := range keys {
+	for _, k := range sortedKeys(m) {
 		e.varint(int64(k - prev))
 		prev = k
 		e.varint(m[k])
@@ -84,70 +72,6 @@ func decodeDistMap(d *dec, limit int) (map[int]int64, error) {
 	return m, nil
 }
 
-// labelWire is the codec-neutral view of one label: both labeling
-// families share the same shape (a key, four maps, an optional child).
-type labelWire struct {
-	key              int
-	leaf             bool
-	childBag         int // -1 = none
-	to, from         map[int]int64
-	leafTo, leafFrom map[int]int64
-}
-
-func encodeLabelMaps(e *enc, w labelWire) {
-	var flags byte
-	if w.leaf {
-		flags |= flagLeaf
-	}
-	if w.childBag >= 0 {
-		flags |= flagChild
-	}
-	e.byte(flags)
-	if w.childBag >= 0 {
-		e.id(w.childBag)
-	}
-	if w.leaf {
-		encodeDistMap(e, w.leafTo)
-		encodeDistMap(e, w.leafFrom)
-	} else {
-		encodeDistMap(e, w.to)
-		encodeDistMap(e, w.from)
-	}
-}
-
-func decodeLabelMaps(d *dec, key, numBags, keyLimit int) (labelWire, error) {
-	w := labelWire{key: key, childBag: -1}
-	flags, err := d.byte()
-	if err != nil {
-		return w, err
-	}
-	if flags&^(flagLeaf|flagChild) != 0 || flags == flagLeaf|flagChild {
-		return w, fmt.Errorf("%w: label flags %#x", ErrCorrupt, flags)
-	}
-	w.leaf = flags&flagLeaf != 0
-	if flags&flagChild != 0 {
-		if w.childBag, err = d.id(numBags); err != nil {
-			return w, err
-		}
-	}
-	if w.leaf {
-		if w.leafTo, err = decodeDistMap(d, keyLimit); err != nil {
-			return w, err
-		}
-		if w.leafFrom, err = decodeDistMap(d, keyLimit); err != nil {
-			return w, err
-		}
-	} else {
-		if w.to, err = decodeDistMap(d, keyLimit); err != nil {
-			return w, err
-		}
-		if w.from, err = decodeDistMap(d, keyLimit); err != nil {
-			return w, err
-		}
-	}
-	return w, nil
-}
-
 // sortedKeys returns the map's keys ascending (deterministic encode order).
 func sortedKeys[V any](m map[int]V) []int {
 	keys := make([]int, 0, len(m))
@@ -170,7 +94,7 @@ func treeFor(c *Contents, leafLimit int) (*TreeEntry, error) {
 	return nil, fmt.Errorf("%w: labeling references missing tree (leaf limit %d)", ErrCorrupt, leafLimit)
 }
 
-func encodeDual(e *enc, g *planar.Graph, la *DualEntry) error {
+func encodeLabeling(e *enc, la *LabelEntry) error {
 	e.byte(la.Kind)
 	e.uvarint(uint64(la.LeafLimit))
 	e.varint(la.BuildRounds)
@@ -183,19 +107,30 @@ func encodeDual(e *enc, g *planar.Graph, la *DualEntry) error {
 			continue
 		}
 		e.count(len(labels))
-		for _, f := range sortedKeys(labels) {
-			l := labels[f]
-			e.id(f)
-			childBag := -1
-			if l.Child != nil {
-				childBag = l.Child.Bag.ID
+		for _, k := range sortedKeys(labels) {
+			l := labels[k]
+			e.id(k)
+			var flags byte
+			if l.LeafTo != nil {
+				flags |= flagLeaf
 			}
-			encodeLabelMaps(e, labelWire{
-				key: f, leaf: l.LeafTo != nil, childBag: childBag,
-				to: l.To, from: l.From, leafTo: l.LeafTo, leafFrom: l.LeafFrom,
-			})
+			if l.Child != nil {
+				flags |= flagChild
+			}
+			e.byte(flags)
+			if l.Child != nil {
+				e.id(l.Child.Bag.ID)
+			}
+			if l.LeafTo != nil {
+				encodeDistMap(e, l.LeafTo)
+				encodeDistMap(e, l.LeafFrom)
+			} else {
+				encodeDistMap(e, l.To)
+				encodeDistMap(e, l.From)
+			}
 		}
 	}
+	// The DDG block exists only in the section of a view that retains DDGs.
 	for _, ddg := range ddgs {
 		e.bool(ddg != nil)
 		if ddg == nil {
@@ -204,7 +139,7 @@ func encodeDual(e *enc, g *planar.Graph, la *DualEntry) error {
 		e.count(len(ddg.Nodes))
 		for _, n := range ddg.Nodes {
 			e.byte(byte(n.Child))
-			e.id(n.Face)
+			e.id(n.Key)
 		}
 		e.count(len(ddg.Arcs))
 		for _, a := range ddg.Arcs {
@@ -225,7 +160,7 @@ func encodeDual(e *enc, g *planar.Graph, la *DualEntry) error {
 	return nil
 }
 
-func decodeDual(d *dec, g *planar.Graph, c *Contents, lengths LengthsFunc) (*DualEntry, error) {
+func decodeLabeling(d *dec, v label.View, g *planar.Graph, c *Contents, lengths LengthsFunc) (*LabelEntry, error) {
 	kind, err := d.byte()
 	if err != nil {
 		return nil, err
@@ -247,51 +182,127 @@ func decodeDual(d *dec, g *planar.Graph, c *Contents, lengths LengthsFunc) (*Dua
 		return nil, err
 	}
 	t := te.Tree
-	for i := range c.Duals {
-		if c.Duals[i].Kind == kind && c.Duals[i].LeafLimit == int(leafLimit) {
-			return nil, fmt.Errorf("%w: duplicate dual-labeling section", ErrCorrupt)
+	for _, prev := range c.Labels {
+		if prev.Labeling.View() == v && prev.Kind == kind && prev.LeafLimit == int(leafLimit) {
+			return nil, fmt.Errorf("%w: duplicate %s-labeling section", ErrCorrupt, v)
 		}
 	}
-	nf := g.Faces().NumFaces()
-	wires, err := decodeBags(d, len(t.Bags), nf)
+	keyLimit := g.Faces().NumFaces()
+	if v == label.Primal {
+		keyLimit = g.N()
+	}
+	labels, err := decodeBags(d, t, keyLimit)
 	if err != nil {
 		return nil, err
 	}
-	labels := make([]map[int]*duallabel.Label, len(t.Bags))
-	for i, bagWires := range wires {
-		if bagWires == nil {
+	var ddgs []*label.BagDDG
+	if v == label.Dual {
+		if ddgs, err = decodeDDGs(d, t, keyLimit, g.NumDarts()); err != nil {
+			return nil, err
+		}
+	}
+	if d.remaining() != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes in %s section", ErrCorrupt, d.remaining(), v)
+	}
+	lens, err := lengths(kind)
+	if err != nil {
+		return nil, err
+	}
+	return &LabelEntry{
+		Kind: kind, LeafLimit: int(leafLimit), BuildRounds: buildRounds,
+		Labeling: label.FromState(v, t, lens, negCycle, labels, ddgs),
+	}, nil
+}
+
+// decodeBags reads the per-bag label-map layout: a presence flag per bag,
+// then the sorted key→label entries, straight into the labels the labeling
+// will hold. The result is indexed by bag; nil entries mean the bag had no
+// labels (a labeling aborted by a negative cycle). Child labels are
+// re-linked once every bag's map exists.
+func decodeBags(d *dec, t *bdd.BDD, keyLimit int) ([]map[int]*label.Label, error) {
+	numBags := len(t.Bags)
+	nb, err := d.count()
+	if err != nil {
+		return nil, err
+	}
+	if nb != numBags {
+		return nil, fmt.Errorf("%w: labeling spans %d bags, tree has %d", ErrCorrupt, nb, numBags)
+	}
+	type link struct {
+		l        *label.Label
+		childBag int
+	}
+	var links []link
+	labels := make([]map[int]*label.Label, numBags)
+	for i := 0; i < numBags; i++ {
+		p, err := d.bool()
+		if err != nil {
+			return nil, err
+		}
+		if !p {
 			continue
 		}
-		m := make(map[int]*duallabel.Label, len(bagWires))
-		for _, w := range bagWires {
-			l := &duallabel.Label{Bag: t.Bags[i], Face: w.key}
-			if w.leaf {
-				l.LeafTo, l.LeafFrom = w.leafTo, w.leafFrom
-			} else {
-				l.To, l.From = w.to, w.from
+		n, err := d.count()
+		if err != nil {
+			return nil, err
+		}
+		m := make(map[int]*label.Label, n)
+		for j := 0; j < n; j++ {
+			key, err := d.id(keyLimit)
+			if err != nil {
+				return nil, err
 			}
-			m[w.key] = l
+			if m[key] != nil {
+				return nil, fmt.Errorf("%w: duplicate label key %d in bag %d", ErrCorrupt, key, i)
+			}
+			flags, err := d.byte()
+			if err != nil {
+				return nil, err
+			}
+			if flags&^(flagLeaf|flagChild) != 0 || flags == flagLeaf|flagChild {
+				return nil, fmt.Errorf("%w: label flags %#x", ErrCorrupt, flags)
+			}
+			l := &label.Label{Bag: t.Bags[i], Key: key}
+			if flags&flagChild != 0 {
+				childBag, err := d.id(numBags)
+				if err != nil {
+					return nil, err
+				}
+				if !childOf(t.Bags[i], childBag) {
+					return nil, fmt.Errorf("%w: label child bag %d not a child of bag %d", ErrCorrupt, childBag, i)
+				}
+				links = append(links, link{l, childBag})
+			}
+			to, err := decodeDistMap(d, keyLimit)
+			if err != nil {
+				return nil, err
+			}
+			from, err := decodeDistMap(d, keyLimit)
+			if err != nil {
+				return nil, err
+			}
+			if flags&flagLeaf != 0 {
+				l.LeafTo, l.LeafFrom = to, from
+			} else {
+				l.To, l.From = to, from
+			}
+			m[key] = l
 		}
 		labels[i] = m
 	}
-	// Re-link child labels now that every bag's map exists.
-	for i, bagWires := range wires {
-		for _, w := range bagWires {
-			if w.childBag < 0 {
-				continue
-			}
-			if !childOf(t.Bags[i], w.childBag) {
-				return nil, fmt.Errorf("%w: label child bag %d not a child of bag %d", ErrCorrupt, w.childBag, i)
-			}
-			child := labels[w.childBag][w.key]
-			if child == nil {
-				return nil, fmt.Errorf("%w: label %d/%d references missing child label", ErrCorrupt, i, w.key)
-			}
-			labels[i][w.key].Child = child
+	for _, ln := range links {
+		child := labels[ln.childBag][ln.l.Key]
+		if child == nil {
+			return nil, fmt.Errorf("%w: label %d/%d references missing child label", ErrCorrupt, ln.l.Bag.ID, ln.l.Key)
 		}
+		ln.l.Child = child
 	}
-	// DDGs, one presence flag per bag.
-	ddgs := make([]*duallabel.BagDDG, len(t.Bags))
+	return labels, nil
+}
+
+// decodeDDGs reads the retained base DDGs, one presence flag per bag.
+func decodeDDGs(d *dec, t *bdd.BDD, keyLimit, numDarts int) ([]*label.BagDDG, error) {
+	ddgs := make([]*label.BagDDG, len(t.Bags))
 	for i := range t.Bags {
 		present, err := d.bool()
 		if err != nil {
@@ -300,9 +311,9 @@ func decodeDual(d *dec, g *planar.Graph, c *Contents, lengths LengthsFunc) (*Dua
 		if !present {
 			continue
 		}
-		ddg := &duallabel.BagDDG{
+		ddg := &label.BagDDG{
 			Bag:    t.Bags[i],
-			Index:  make(map[duallabel.DDGNode]int),
+			Index:  make(map[label.DDGNode]int),
 			RepsOf: make(map[int][]int),
 		}
 		nn, err := d.count()
@@ -317,25 +328,25 @@ func decodeDual(d *dec, g *planar.Graph, c *Contents, lengths LengthsFunc) (*Dua
 			if ci > 1 {
 				return nil, fmt.Errorf("%w: DDG node child %d", ErrCorrupt, ci)
 			}
-			f, err := d.id(nf)
+			k, err := d.id(keyLimit)
 			if err != nil {
 				return nil, err
 			}
-			n := duallabel.DDGNode{Child: int(ci), Face: f}
+			n := label.DDGNode{Child: int(ci), Key: k}
 			if _, dup := ddg.Index[n]; dup {
 				return nil, fmt.Errorf("%w: duplicate DDG node", ErrCorrupt)
 			}
 			ddg.Index[n] = j
-			ddg.RepsOf[f] = append(ddg.RepsOf[f], j)
+			ddg.RepsOf[k] = append(ddg.RepsOf[k], j)
 			ddg.Nodes = append(ddg.Nodes, n)
 		}
 		na, err := d.count()
 		if err != nil {
 			return nil, err
 		}
-		ddg.Arcs = make([]duallabel.DDGArc, 0, na)
+		ddg.Arcs = make([]label.DDGArc, 0, na)
 		for j := 0; j < na; j++ {
-			var a duallabel.DDGArc
+			var a label.DDGArc
 			if a.From, err = d.id(nn); err != nil {
 				return nil, err
 			}
@@ -349,7 +360,7 @@ func decodeDual(d *dec, g *planar.Graph, c *Contents, lengths LengthsFunc) (*Dua
 			if err != nil {
 				return nil, err
 			}
-			if dart < -1 || dart >= int64(g.NumDarts()) {
+			if dart < -1 || dart >= int64(numDarts) {
 				return nil, fmt.Errorf("%w: DDG arc dart %d", ErrCorrupt, dart)
 			}
 			a.Dart = planar.Dart(dart)
@@ -367,168 +378,7 @@ func decodeDual(d *dec, g *planar.Graph, c *Contents, lengths LengthsFunc) (*Dua
 		}
 		ddgs[i] = ddg
 	}
-	if d.remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes in dual section", ErrCorrupt, d.remaining())
-	}
-	lens, err := lengths(kind)
-	if err != nil {
-		return nil, err
-	}
-	return &DualEntry{
-		Kind: kind, LeafLimit: int(leafLimit), BuildRounds: buildRounds,
-		Labeling: duallabel.FromState(t, lens, negCycle, labels, ddgs),
-	}, nil
-}
-
-func encodePrimal(e *enc, g *planar.Graph, la *PrimalEntry) {
-	e.byte(la.Kind)
-	e.uvarint(uint64(la.LeafLimit))
-	e.varint(la.BuildRounds)
-	e.bool(la.Labeling.NegCycle)
-	byBag := la.Labeling.State()
-	e.count(len(byBag))
-	for _, labels := range byBag {
-		e.bool(labels != nil)
-		if labels == nil {
-			continue
-		}
-		e.count(len(labels))
-		for _, v := range sortedKeys(labels) {
-			l := labels[v]
-			e.id(v)
-			childBag := -1
-			if l.Child != nil {
-				childBag = l.Child.Bag.ID
-			}
-			encodeLabelMaps(e, labelWire{
-				key: v, leaf: l.LeafTo != nil, childBag: childBag,
-				to: l.To, from: l.From, leafTo: l.LeafTo, leafFrom: l.LeafFrom,
-			})
-		}
-	}
-}
-
-func decodePrimal(d *dec, g *planar.Graph, c *Contents, lengths LengthsFunc) (*PrimalEntry, error) {
-	kind, err := d.byte()
-	if err != nil {
-		return nil, err
-	}
-	leafLimit, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	buildRounds, err := d.varint()
-	if err != nil {
-		return nil, err
-	}
-	negCycle, err := d.bool()
-	if err != nil {
-		return nil, err
-	}
-	te, err := treeFor(c, int(leafLimit))
-	if err != nil {
-		return nil, err
-	}
-	t := te.Tree
-	for i := range c.Primals {
-		if c.Primals[i].Kind == kind && c.Primals[i].LeafLimit == int(leafLimit) {
-			return nil, fmt.Errorf("%w: duplicate primal-labeling section", ErrCorrupt)
-		}
-	}
-	wires, err := decodeBags(d, len(t.Bags), g.N())
-	if err != nil {
-		return nil, err
-	}
-	labels := make([]map[int]*primallabel.Label, len(t.Bags))
-	for i, bagWires := range wires {
-		if bagWires == nil {
-			continue
-		}
-		m := make(map[int]*primallabel.Label, len(bagWires))
-		for _, w := range bagWires {
-			l := &primallabel.Label{Bag: t.Bags[i], Vertex: w.key}
-			if w.leaf {
-				l.LeafTo, l.LeafFrom = w.leafTo, w.leafFrom
-			} else {
-				l.To, l.From = w.to, w.from
-			}
-			m[w.key] = l
-		}
-		labels[i] = m
-	}
-	for i, bagWires := range wires {
-		for _, w := range bagWires {
-			if w.childBag < 0 {
-				continue
-			}
-			if !childOf(t.Bags[i], w.childBag) {
-				return nil, fmt.Errorf("%w: label child bag %d not a child of bag %d", ErrCorrupt, w.childBag, i)
-			}
-			child := labels[w.childBag][w.key]
-			if child == nil {
-				return nil, fmt.Errorf("%w: label %d/%d references missing child label", ErrCorrupt, i, w.key)
-			}
-			labels[i][w.key].Child = child
-		}
-	}
-	if d.remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes in primal section", ErrCorrupt, d.remaining())
-	}
-	lens, err := lengths(kind)
-	if err != nil {
-		return nil, err
-	}
-	return &PrimalEntry{
-		Kind: kind, LeafLimit: int(leafLimit), BuildRounds: buildRounds,
-		Labeling: primallabel.FromState(t, lens, negCycle, labels),
-	}, nil
-}
-
-// decodeBags reads the shared per-bag label-map layout: a presence flag
-// per bag, then the sorted key→label entries. The returned wires slice
-// is indexed by bag; nil entries mean the bag had no labels (a labeling
-// aborted by a negative cycle).
-func decodeBags(d *dec, numBags, keyLimit int) ([][]labelWire, error) {
-	nb, err := d.count()
-	if err != nil {
-		return nil, err
-	}
-	if nb != numBags {
-		return nil, fmt.Errorf("%w: labeling spans %d bags, tree has %d", ErrCorrupt, nb, numBags)
-	}
-	wires := make([][]labelWire, numBags)
-	for i := 0; i < numBags; i++ {
-		p, err := d.bool()
-		if err != nil {
-			return nil, err
-		}
-		if !p {
-			continue
-		}
-		n, err := d.count()
-		if err != nil {
-			return nil, err
-		}
-		bagWires := make([]labelWire, 0, n)
-		seen := make(map[int]bool, n)
-		for j := 0; j < n; j++ {
-			key, err := d.id(keyLimit)
-			if err != nil {
-				return nil, err
-			}
-			if seen[key] {
-				return nil, fmt.Errorf("%w: duplicate label key %d in bag %d", ErrCorrupt, key, i)
-			}
-			seen[key] = true
-			w, err := decodeLabelMaps(d, key, numBags, keyLimit)
-			if err != nil {
-				return nil, err
-			}
-			bagWires = append(bagWires, w)
-		}
-		wires[i] = bagWires
-	}
-	return wires, nil
+	return ddgs, nil
 }
 
 // childOf reports whether childID is one of b's children.

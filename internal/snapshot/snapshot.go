@@ -1,10 +1,10 @@
 // Package snapshot is the persistence layer under the prepared-graph
 // artifact: a versioned, checksummed, deterministic binary codec for the
 // three substrate families — the Bounded Diameter Decomposition
-// (internal/bdd) and the primal/dual distance labelings
-// (internal/primallabel, internal/duallabel) — so that substrates built
-// once in Õ(D²) simulated rounds can be written to disk, shipped between
-// machines, and restored at decode speed instead of rebuilt.
+// (internal/bdd) and the dual and primal distance labelings
+// (internal/label's two views) — so that substrates built once in Õ(D²)
+// simulated rounds can be written to disk, shipped between machines, and
+// restored at decode speed instead of rebuilt.
 //
 // Format (all integers varint-encoded unless sized):
 //
@@ -13,9 +13,10 @@
 //	...exactly nsec sections, then EOF (trailing bytes are an error)
 //
 // Section types: 1 = BDD tree (keyed by leaf limit), 2 = dual labeling,
-// 3 = primal labeling (both keyed by length kind + leaf limit). The
-// fingerprint binds a snapshot to the exact embedded graph it was encoded
-// against (vertices, edges with weights/capacities, rotation system);
+// 3 = primal labeling (one body, keyed by length kind + leaf limit; type 2
+// appends the DDGs its view retains). The fingerprint binds a snapshot to
+// the exact embedded graph it was encoded against (vertices, edges with
+// weights/capacities, rotation system);
 // substrates are positional into the graph's dart/face/vertex spaces, so
 // restoring against any other graph would silently corrupt answers — the
 // fingerprint check turns that into ErrFingerprint.
@@ -30,7 +31,7 @@
 // Determinism: encoding the same built substrates always produces the
 // same bytes. Map-shaped state is written in sorted key order, slices in
 // stored order (the builders produce deterministic slices), and the
-// committed golden fixture pins the byte stability of version 1.
+// committed golden fixtures pin the byte stability of version 1.
 package snapshot
 
 import (
@@ -43,6 +44,7 @@ import (
 	"io"
 	"math"
 
+	"planarflow/internal/label"
 	"planarflow/internal/planar"
 )
 
@@ -70,12 +72,13 @@ var (
 	ErrCorrupt = errors.New("snapshot: corrupt payload")
 )
 
-// Section type tags.
+// Section type tags. A labeling section's type is secDual + its
+// label.View (Dual = 0, Primal = 1).
 const (
 	secTree    = 1
 	secDual    = 2
 	secPrimal  = 3
-	maxSecType = 3
+	maxSecType = secPrimal
 )
 
 // Fingerprint hashes everything that determines a substrate's meaning:
@@ -269,9 +272,8 @@ func (d *dec) ints(limit int) ([]int, error) {
 // layer. BuildRounds preserves each substrate's original construction
 // cost so serving stats survive a restore.
 type Contents struct {
-	Trees   []TreeEntry
-	Duals   []DualEntry
-	Primals []PrimalEntry
+	Trees  []TreeEntry
+	Labels []LabelEntry
 }
 
 // LengthsFunc materializes the per-dart length vector of a length kind —
@@ -282,7 +284,7 @@ type LengthsFunc func(kind byte) ([]int64, error)
 
 // Encode writes the snapshot of g's substrates to w: header, then one
 // section per substrate in deterministic order (trees by leaf limit, then
-// dual and primal labelings by (kind, leaf limit) — the caller sorts).
+// labelings by (view, kind, leaf limit) — the caller sorts).
 func Encode(w io.Writer, g *planar.Graph, c *Contents) error {
 	var hdr enc
 	hdr.buf.Write(magic[:])
@@ -290,7 +292,7 @@ func Encode(w io.Writer, g *planar.Graph, c *Contents) error {
 	var fp [8]byte
 	binary.LittleEndian.PutUint64(fp[:], Fingerprint(g))
 	hdr.buf.Write(fp[:])
-	hdr.count(len(c.Trees) + len(c.Duals) + len(c.Primals))
+	hdr.count(len(c.Trees) + len(c.Labels))
 	if _, err := w.Write(hdr.buf.Bytes()); err != nil {
 		return err
 	}
@@ -303,19 +305,12 @@ func Encode(w io.Writer, g *planar.Graph, c *Contents) error {
 			return err
 		}
 	}
-	for _, la := range c.Duals {
+	for _, la := range c.Labels {
 		var e enc
-		if err := encodeDual(&e, g, &la); err != nil {
+		if err := encodeLabeling(&e, &la); err != nil {
 			return err
 		}
-		if err := writeSection(w, secDual, e.buf.Bytes()); err != nil {
-			return err
-		}
-	}
-	for _, la := range c.Primals {
-		var e enc
-		encodePrimal(&e, g, &la)
-		if err := writeSection(w, secPrimal, e.buf.Bytes()); err != nil {
+		if err := writeSection(w, secDual+byte(la.Labeling.View()), e.buf.Bytes()); err != nil {
 			return err
 		}
 	}
@@ -345,9 +340,8 @@ func writeSection(w io.Writer, typ byte, payload []byte) error {
 // labeling whose tree section is absent from the same snapshot is
 // ErrCorrupt (labelings always travel with the tree they decode over).
 func Decode(r io.Reader, g *planar.Graph, lengths LengthsFunc) (*Contents, error) {
-	br := &byteCounter{r: r}
 	var hdr [6 + 1 + 8]byte
-	if err := readFull(br, hdr[:]); err != nil {
+	if err := readFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
 	if !bytes.Equal(hdr[:6], magic[:]) {
@@ -359,7 +353,7 @@ func Decode(r io.Reader, g *planar.Graph, lengths LengthsFunc) (*Contents, error
 	if fp := binary.LittleEndian.Uint64(hdr[7:]); fp != Fingerprint(g) {
 		return nil, fmt.Errorf("%w: snapshot %016x, graph %016x", ErrFingerprint, fp, Fingerprint(g))
 	}
-	nsec, err := readUvarint(br)
+	nsec, err := readUvarint(r)
 	if err != nil {
 		return nil, err
 	}
@@ -376,24 +370,24 @@ func Decode(r io.Reader, g *planar.Graph, lengths LengthsFunc) (*Contents, error
 	secs := make([]rawSec, 0, min(int(nsec), 64))
 	for i := uint64(0); i < nsec; i++ {
 		var tb [1]byte
-		if err := readFull(br, tb[:]); err != nil {
+		if err := readFull(r, tb[:]); err != nil {
 			return nil, err
 		}
 		if tb[0] < secTree || tb[0] > maxSecType {
 			return nil, fmt.Errorf("%w: unknown section type %d", ErrCorrupt, tb[0])
 		}
-		plen, err := readUvarint(br)
+		plen, err := readUvarint(r)
 		if err != nil {
 			return nil, err
 		}
 		// Grow with the bytes that actually arrive, so a crafted length on
 		// a truncated file fails as ErrTruncated without a giant allocation.
 		var pb bytes.Buffer
-		if n, err := io.CopyN(&pb, br, int64(plen)); err != nil {
+		if n, err := io.CopyN(&pb, r, int64(plen)); err != nil {
 			return nil, fmt.Errorf("%w: section payload %d/%d bytes", ErrTruncated, n, plen)
 		}
 		var crc [4]byte
-		if err := readFull(br, crc[:]); err != nil {
+		if err := readFull(r, crc[:]); err != nil {
 			return nil, err
 		}
 		if binary.LittleEndian.Uint32(crc[:]) != crc32.ChecksumIEEE(pb.Bytes()) {
@@ -403,7 +397,7 @@ func Decode(r io.Reader, g *planar.Graph, lengths LengthsFunc) (*Contents, error
 	}
 	// Exactly nsec sections, then EOF.
 	var one [1]byte
-	if _, err := io.ReadFull(br, one[:]); err != io.EOF {
+	if _, err := io.ReadFull(r, one[:]); err != io.EOF {
 		return nil, fmt.Errorf("%w: trailing bytes after %d sections", ErrCorrupt, nsec)
 	}
 
@@ -424,31 +418,17 @@ func Decode(r io.Reader, g *planar.Graph, lengths LengthsFunc) (*Contents, error
 		c.Trees = append(c.Trees, *t)
 	}
 	for _, s := range secs {
-		switch s.typ {
-		case secDual:
-			la, err := decodeDual(&dec{b: s.payload}, g, c, lengths)
-			if err != nil {
-				return nil, err
-			}
-			c.Duals = append(c.Duals, *la)
-		case secPrimal:
-			la, err := decodePrimal(&dec{b: s.payload}, g, c, lengths)
-			if err != nil {
-				return nil, err
-			}
-			c.Primals = append(c.Primals, *la)
+		if s.typ == secTree {
+			continue
 		}
+		la, err := decodeLabeling(&dec{b: s.payload}, label.View(s.typ-secDual), g, c, lengths)
+		if err != nil {
+			return nil, err
+		}
+		c.Labels = append(c.Labels, *la)
 	}
 	return c, nil
 }
-
-// byteCounter wraps the input so header reads can distinguish "ends
-// early" (ErrTruncated) from transport errors.
-type byteCounter struct {
-	r io.Reader
-}
-
-func (b *byteCounter) Read(p []byte) (int, error) { return b.r.Read(p) }
 
 func readFull(r io.Reader, p []byte) error {
 	if _, err := io.ReadFull(r, p); err != nil {
@@ -478,11 +458,4 @@ func readUvarint(r io.Reader) (uint64, error) {
 		s += 7
 	}
 	return 0, fmt.Errorf("%w: uvarint overflow", ErrCorrupt)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

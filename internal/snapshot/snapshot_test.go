@@ -7,10 +7,9 @@ import (
 	"testing"
 
 	"planarflow/internal/bdd"
-	"planarflow/internal/duallabel"
+	"planarflow/internal/label"
 	"planarflow/internal/ledger"
 	"planarflow/internal/planar"
-	"planarflow/internal/primallabel"
 	"planarflow/internal/spath"
 )
 
@@ -27,9 +26,9 @@ func lengthsFor(g *planar.Graph) LengthsFunc {
 	return func(kind byte) ([]int64, error) {
 		switch kind {
 		case 0:
-			return duallabel.UniformLengths(g, false), nil
+			return label.UniformLengths(g, false), nil
 		case 1:
-			return duallabel.UniformLengths(g, true), nil
+			return label.UniformLengths(g, true), nil
 		case 2:
 			lens := make([]int64, g.NumDarts())
 			for e := 0; e < g.M(); e++ {
@@ -46,24 +45,32 @@ func lengthsFor(g *planar.Graph) LengthsFunc {
 // buildContents constructs one tree plus a dual and a primal labeling
 // over it — the three substrate families of one snapshot.
 func buildContents(t testing.TB, g *planar.Graph) *Contents {
+	return buildContentsAt(t, g, 16, 0)
+}
+
+// buildContentsAt is buildContents at a chosen leaf limit with one dual and
+// one primal labeling per listed length kind, in section order (duals
+// before primals).
+func buildContentsAt(t testing.TB, g *planar.Graph, leafLimit int, kinds ...byte) *Contents {
 	t.Helper()
 	led := ledger.New()
-	tree := bdd.Build(g, 16, led)
-	lf := lengthsFor(g)
-	undirected, _ := lf(0)
-	dl := duallabel.Compute(tree, undirected, ledger.New())
-	if dl.NegCycle {
-		t.Fatal("unexpected negative cycle")
+	tree := bdd.Build(g, leafLimit, led)
+	c := &Contents{Trees: []TreeEntry{{LeafLimit: leafLimit, BuildRounds: led.Total(), Tree: tree}}}
+	rounds := [...]int64{label.Dual: 11, label.Primal: 22}
+	for _, v := range []label.View{label.Dual, label.Primal} {
+		for _, kind := range kinds {
+			lens, err := lengthsFor(g)(kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			la := label.Compute(v, tree, lens, ledger.New())
+			if la.NegCycle {
+				t.Fatal("unexpected negative cycle")
+			}
+			c.Labels = append(c.Labels, LabelEntry{Kind: kind, LeafLimit: leafLimit, BuildRounds: rounds[v] + int64(kind), Labeling: la})
+		}
 	}
-	pl := primallabel.Compute(tree, undirected, ledger.New())
-	if pl.NegCycle {
-		t.Fatal("unexpected negative cycle")
-	}
-	return &Contents{
-		Trees:   []TreeEntry{{LeafLimit: 16, BuildRounds: led.Total(), Tree: tree}},
-		Duals:   []DualEntry{{Kind: 0, LeafLimit: 16, BuildRounds: 11, Labeling: dl}},
-		Primals: []PrimalEntry{{Kind: 0, LeafLimit: 16, BuildRounds: 22, Labeling: pl}},
-	}
+	return c
 }
 
 func encodeAll(t testing.TB, g *planar.Graph, c *Contents) []byte {
@@ -84,11 +91,12 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Trees) != 1 || len(got.Duals) != 1 || len(got.Primals) != 1 {
-		t.Fatalf("decoded %d/%d/%d sections", len(got.Trees), len(got.Duals), len(got.Primals))
+	if len(got.Trees) != 1 || len(got.Labels) != 2 ||
+		got.Labels[0].Labeling.View() != label.Dual || got.Labels[1].Labeling.View() != label.Primal {
+		t.Fatalf("decoded %d trees, %d labelings", len(got.Trees), len(got.Labels))
 	}
 	if got.Trees[0].BuildRounds != c.Trees[0].BuildRounds ||
-		got.Duals[0].BuildRounds != 11 || got.Primals[0].BuildRounds != 22 {
+		got.Labels[0].BuildRounds != 11 || got.Labels[1].BuildRounds != 22 {
 		t.Fatal("build rounds did not round-trip")
 	}
 
@@ -128,7 +136,7 @@ func TestRoundTrip(t *testing.T) {
 	}
 
 	// Answer identity: all-pairs primal and dual distances agree.
-	wantP, haveP := c.Primals[0].Labeling, got.Primals[0].Labeling
+	wantP, haveP := c.Labels[1].Labeling, got.Labels[1].Labeling
 	for u := 0; u < g.N(); u++ {
 		for v := 0; v < g.N(); v++ {
 			if wantP.Dist(u, v) != haveP.Dist(u, v) {
@@ -137,7 +145,7 @@ func TestRoundTrip(t *testing.T) {
 		}
 	}
 	nf := g.Faces().NumFaces()
-	wantD, haveD := c.Duals[0].Labeling, got.Duals[0].Labeling
+	wantD, haveD := c.Labels[0].Labeling, got.Labels[0].Labeling
 	for f1 := 0; f1 < nf; f1++ {
 		for f2 := 0; f2 < nf; f2++ {
 			if wantD.Dist(f1, f2) != haveD.Dist(f1, f2) {
@@ -156,10 +164,8 @@ func TestRoundTrip(t *testing.T) {
 		}
 	}
 	// Retained DDGs round-trip (the global-min-cut route reads them).
-	wd, wddg := wantD.State()
-	hd, hddg := haveD.State()
-	_ = wd
-	_ = hd
+	_, wddg := wantD.State()
+	_, hddg := haveD.State()
 	for i := range wddg {
 		if (wddg[i] == nil) != (hddg[i] == nil) {
 			t.Fatalf("ddg presence mismatch at bag %d", i)
@@ -267,7 +273,7 @@ func TestEmptySnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(c.Trees)+len(c.Duals)+len(c.Primals) != 0 {
+	if len(c.Trees)+len(c.Labels) != 0 {
 		t.Fatal("empty snapshot decoded substrates")
 	}
 }
@@ -284,13 +290,13 @@ func TestNegCycleLabeling(t *testing.T) {
 	}
 	led := ledger.New()
 	tree := bdd.Build(g, 8, led)
-	dl := duallabel.Compute(tree, lens, ledger.New())
+	dl := label.Compute(label.Dual, tree, lens, ledger.New())
 	if !dl.NegCycle {
 		t.Skip("fixture did not produce a negative cycle")
 	}
 	c := &Contents{
-		Trees: []TreeEntry{{LeafLimit: 8, BuildRounds: led.Total(), Tree: tree}},
-		Duals: []DualEntry{{Kind: 9, LeafLimit: 8, BuildRounds: 1, Labeling: dl}},
+		Trees:  []TreeEntry{{LeafLimit: 8, BuildRounds: led.Total(), Tree: tree}},
+		Labels: []LabelEntry{{Kind: 9, LeafLimit: 8, BuildRounds: 1, Labeling: dl}},
 	}
 	var buf bytes.Buffer
 	if err := Encode(&buf, g, c); err != nil {
@@ -305,10 +311,10 @@ func TestNegCycleLabeling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Duals[0].Labeling.NegCycle {
+	if !got.Labels[0].Labeling.NegCycle {
 		t.Fatal("NegCycle flag lost")
 	}
-	if got.Duals[0].Labeling.Dist(0, 1) != spath.Inf {
+	if got.Labels[0].Labeling.Dist(0, 1) != spath.Inf {
 		t.Fatal("neg-cycle labeling must report Inf")
 	}
 }

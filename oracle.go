@@ -4,9 +4,8 @@ import (
 	"fmt"
 
 	"planarflow/internal/artifact"
-	"planarflow/internal/duallabel"
+	"planarflow/internal/label"
 	"planarflow/internal/ledger"
-	"planarflow/internal/primallabel"
 )
 
 // DistanceOracle answers vertex-to-vertex and face-to-face (dual) distance
@@ -17,8 +16,8 @@ import (
 // computation of all pairs shortest paths" (§5). Safe for concurrent use.
 type DistanceOracle struct {
 	g      *Graph
-	primal *primallabel.Labeling
-	dual   *duallabel.Labeling
+	primal *label.Labeling
+	dual   *label.Labeling
 	rounds Rounds
 }
 

@@ -20,7 +20,7 @@ import (
 
 	"planarflow/internal/artifact"
 	"planarflow/internal/core"
-	"planarflow/internal/duallabel"
+	"planarflow/internal/label"
 	"planarflow/internal/ledger"
 )
 
@@ -339,7 +339,7 @@ func (p *PreparedGraph) do(q Query) (*Answer, error) {
 		if err := p.checkFaces(q.Source); err != nil {
 			return nil, err
 		}
-		var res *duallabel.SSSPResult
+		var res *label.SSSPResult
 		var err error
 		if q.Simulated {
 			res, err = core.DualSSSP(p.art, q.Source, opt, led)
