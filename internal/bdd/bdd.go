@@ -108,9 +108,10 @@ type BDD struct {
 // Memo returns what derive returned on the first call for this tree and
 // does not run it again. The labelings keep the structure they read off the
 // finished tree here (internal/label's per-view plans), so that structure is
-// derived on first use, shared by every labeling pass over the tree, and
-// freed with it; a tree nobody labels (one restored from a snapshot) never
-// pays for it. Safe for concurrent use.
+// derived on first use — the first labeling pass over the tree or the first
+// labeling restored over it — shared by every pass and labeling over the
+// tree, and freed with it; a tree that carries no labeling never pays for
+// it. Safe for concurrent use.
 func (t *BDD) Memo(derive func() any) any {
 	t.memoOnce.Do(func() { t.memo = derive() })
 	return t.memo

@@ -33,13 +33,12 @@ type DDGArc struct {
 // key.
 type BagDDG struct {
 	Bag *bdd.Bag
-	// Nodes, Index and RepsOf (below) depend on the tree alone; labelings
-	// computed over one tree share them, read-only.
+	// Nodes and RepsOf (below) depend on the tree alone; labelings over one
+	// tree, computed or restored, share the plan's, read-only.
 	Nodes []DDGNode
-	Index map[DDGNode]int
 	Arcs  []DDGArc
-	// Dist is the all-pairs matrix over Nodes (computed by Bellman–Ford;
-	// spath.Inf when unreachable).
+	// Dist is the all-pairs matrix over Nodes (spath.Inf when unreachable);
+	// its rows are slices of one slab.
 	Dist [][]int64
 	// RepsOf maps each separator key to its node indices (1 or 2).
 	RepsOf map[int][]int
@@ -55,9 +54,15 @@ type Labeling struct {
 	// labels are then invalid (Thm 2.1's failure report).
 	NegCycle bool
 
-	v     *view
-	byBag []map[int]*Label // bag ID -> key -> label
-	ddgs  []*BagDDG        // bag ID -> base DDG (nil for leaves); nil unless the view retains DDGs
+	pl *plan
+	// byBag holds, by bag ID, the bag's labels in key order (nil for a bag a
+	// negative cycle kept the pass from reaching). A pass that labels only
+	// some keys of a bag stores those alone and records in slot, by key
+	// position, each key's index into them (-1 if unlabelled); slot[bag] is
+	// nil when every key is labelled and index equals position.
+	byBag [][]Label
+	slot  [][]int32
+	ddgs  []*BagDDG // bag ID -> base DDG (nil for leaves); nil unless the view retains DDGs
 }
 
 // Compute runs the labeling algorithm of §5.3 bottom-up over the BDD, on
@@ -73,7 +78,10 @@ func Compute(v View, t *bdd.BDD, lengths []int64, led *ledger.Ledger) *Labeling 
 // ctx.Err() with a nil labeling, charging nothing (level charges are
 // emitted only on completion).
 func ComputeContext(ctx context.Context, v View, t *bdd.BDD, lengths []int64, led *ledger.Ledger) (*Labeling, error) {
-	pl := planOf(t, views[v])
+	pl, err := planOf(t, views[v])
+	if err != nil {
+		return nil, err
+	}
 	return pl.label(ctx, pl.every, false, lengths, led)
 }
 
@@ -85,7 +93,10 @@ func ComputeContext(ctx context.Context, v View, t *bdd.BDD, lengths []int64, le
 // Words() of its children's F_X labels and its arc counts, and none of those
 // reads a label the pass skips. lengths is not retained.
 func Feasible(ctx context.Context, t *bdd.BDD, lengths []int64, led *ledger.Ledger) (bool, error) {
-	pl := planOf(t, views[Dual])
+	pl, err := planOf(t, views[Dual])
+	if err != nil {
+		return false, err
+	}
 	la, err := pl.label(ctx, pl.probe, false, lengths, led)
 	if err != nil {
 		return false, err
@@ -105,7 +116,10 @@ func Feasible(ctx context.Context, t *bdd.BDD, lengths []int64, led *ledger.Ledg
 // first argument of Decode, nor have Words() taken, so the half-labelled
 // Labeling does not leave this function. lengths is not retained.
 func SSSPFrom(ctx context.Context, v View, t *bdd.BDD, lengths []int64, source int, passLed, led *ledger.Ledger) (*SSSPResult, error) {
-	pl := planOf(t, views[v])
+	pl, err := planOf(t, views[v])
+	if err != nil {
+		return nil, err
+	}
 	la, err := pl.label(ctx, pl.wantedFrom([]int{source}), true, lengths, passLed)
 	if err != nil {
 		return nil, err
@@ -113,21 +127,34 @@ func SSSPFrom(ctx context.Context, v View, t *bdd.BDD, lengths []int64, source i
 	return la.SSSP(source, led), nil
 }
 
+// pass is one run of plan.label: the labeling it fills and the scratch its
+// bags share. The scratch dies with the pass; the labeling keeps none of it.
+type pass struct {
+	la *Labeling
+	k  kernel
+	// toSep and fromSep collapse a bag's DDG matrix onto its separator: per
+	// node r and separator position q, the distance from r to q's nearest
+	// representative, and from q's nearest representative to r.
+	toSep, fromSep []int64
+}
+
 // label is the one labeling pass: bottom-up over the bags, labeling in full,
 // in each bag, the keys wanted lists for it. The bag's other keys are
-// skipped, or with fromRest labelled From-only: From/LeafFrom (and Child)
-// alone, enough to be the second argument of Decode.
+// skipped, or with fromRest labelled From-only: From (and Child) alone,
+// enough to be the second argument of Decode.
 func (pl *plan) label(ctx context.Context, wanted [][]int, fromRest bool, lengths []int64, led *ledger.Ledger) (*Labeling, error) {
 	t, v := pl.t, pl.v
 	la := &Labeling{
 		T:       t,
 		Lengths: lengths,
-		v:       v,
-		byBag:   make([]map[int]*Label, len(t.Bags)),
+		pl:      pl,
+		byBag:   make([][]Label, len(t.Bags)),
+		slot:    make([][]int32, len(t.Bags)),
 	}
 	if v.retainsDDG {
 		la.ddgs = make([]*BagDDG, len(t.Bags))
 	}
+	ps := &pass{la: la}
 
 	// Process bags bottom-up (children have larger IDs than parents by
 	// construction, so reverse ID order is a valid post-order).
@@ -139,9 +166,9 @@ func (pl *plan) label(ctx context.Context, wanted [][]int, fromRest bool, length
 		b := t.Bags[i]
 		var cost int64
 		if b.IsLeaf() {
-			cost = la.computeLeaf(b, &pl.bags[i], wanted[i], fromRest)
+			cost = ps.computeLeaf(b, wanted[i], fromRest)
 		} else {
-			cost = la.computeInternal(b, &pl.bags[i], wanted[i], fromRest)
+			cost = ps.computeInternal(b, wanted[i], fromRest)
 		}
 		if la.NegCycle {
 			led.Charge(v.phase+"/negative-cycle-abort", int64(b.TreeDepth+1))
@@ -157,13 +184,29 @@ func (pl *plan) label(ctx context.Context, wanted [][]int, fromRest bool, length
 	return la, nil
 }
 
+// at returns the label of the key at position pos of bag id (nil if the
+// pass skipped it).
+func (la *Labeling) at(id int, pos int32) *Label {
+	if s := la.slot[id]; s != nil {
+		if pos = s[pos]; pos < 0 {
+			return nil
+		}
+	}
+	return &la.byBag[id][pos]
+}
+
 // Label returns the label of key k in bag b (nil if k is absent from b).
-func (la *Labeling) Label(b *bdd.Bag, k int) *Label { return la.byBag[b.ID][k] }
+func (la *Labeling) Label(b *bdd.Bag, k int) *Label {
+	lay := &la.pl.lay[b.ID]
+	pos := find(lay.Keys, lay.KeyOrder, k)
+	if pos < 0 || la.byBag[b.ID] == nil {
+		return nil
+	}
+	return la.at(b.ID, pos)
+}
 
 // RootLabel returns the label of key k in the root bag (the whole graph).
-func (la *Labeling) RootLabel(k int) *Label { return la.byBag[t0][k] }
-
-const t0 = 0 // root bag ID
+func (la *Labeling) RootLabel(k int) *Label { return la.Label(la.T.Root, k) }
 
 // Dist returns dist(k1 -> k2) in the whole graph (spath.Inf if unreachable,
 // or if either key has no dart and hence no label).
@@ -171,7 +214,7 @@ func (la *Labeling) Dist(k1, k2 int) int64 {
 	if la.NegCycle {
 		return spath.Inf
 	}
-	a, b := la.byBag[t0][k1], la.byBag[t0][k2]
+	a, b := la.RootLabel(k1), la.RootLabel(k2)
 	if a == nil || b == nil {
 		return spath.Inf
 	}
@@ -179,11 +222,11 @@ func (la *Labeling) Dist(k1, k2 int) int64 {
 }
 
 // View reports which graph the labeling measures.
-func (la *Labeling) View() View { return la.v.id }
+func (la *Labeling) View() View { return la.pl.v.id }
 
 // Separator returns the separator keys of non-leaf bag b in the order the
-// labeling's plan fixes: exactly the key set of every To/From map in b.
-func (la *Labeling) Separator(b *bdd.Bag) []int { return planOf(la.T, la.v).bags[b.ID].sep }
+// labeling's plan fixes: the order of every To/From vector in b.
+func (la *Labeling) Separator(b *bdd.Bag) []int { return la.pl.lay[b.ID].Sep }
 
 // DDG returns the base dense distance graph of a non-leaf bag (nil when the
 // view retains none).
@@ -194,120 +237,138 @@ func (la *Labeling) DDG(b *bdd.Bag) *BagDDG {
 	return la.ddgs[b.ID]
 }
 
-// FootprintBytes estimates the resident memory of the labeling: every
-// bag's label maps plus the retained DDGs (labels are counted where they
-// live in byBag — Child pointers reference those same objects and add
-// nothing). An accounting estimate for eviction budgeting, not an exact
-// heap measurement; maps count entries at the ~48 bytes/entry rule of
-// thumb. The BDD the labeling decodes over is accounted separately.
+// FootprintBytes estimates the resident memory of the labeling for eviction
+// budgeting: every label, every vector entry, every retained DDG arc and
+// matrix cell (Child pointers reference labels counted where they live and
+// add nothing). The BDD the labeling decodes over is accounted separately.
+//
+// The constants are twice the structures' sizes (a Label is 104 bytes, an
+// entry 8, a DDGArc 40), which puts the estimate at 1.87–1.88× the heap a
+// labeling keeps alive (TestFootprintBoundsHeap holds it inside [1, 2]×).
+// The second byte stands for what a resident bundle keeps alive beside its
+// labelings and trees and the budget does not see — the per-tree plans, the
+// graph's face tables, the decode engine's rows — and the factor is
+// calibrated on bench/'s serve_churn, whose resident set is budget-bound, so
+// its ready_heap_mb measures how much real heap 38 MiB of estimate buys
+// (seed 1; the map-backed labels before it read 29.6 MiB at 1.38–1.64×,
+// hit ratio 0.30):
+//
+//	entry + label + arc     est/real     ready_heap_mb     hit ratio
+//	 8 B + 128 B + 40 B     0.95         (fails the test)
+//	14 B + 184 B + 64 B     1.64–1.65    32.8  (+10.8 %)    0.92
+//	16 B + 208 B + 80 B     1.87–1.88    29.0  (−2.3 %)     0.86
+//
+// Smaller labelings pack the budget tighter, so at the old ratio the same
+// 38 MiB of estimate held more real heap than before; charging the plans to
+// the bundle instead (ROADMAP item 3) would let the factor come down.
 func (la *Labeling) FootprintBytes() int64 {
 	const (
-		mapEntry   = 48
-		labelFixed = 96
-		arcSize    = 40
+		entry      = 16
+		labelFixed = 208
+		arcSize    = 80
 	)
 	var b int64
 	for _, labels := range la.byBag {
-		b += int64(len(labels)) * mapEntry
-		for _, l := range labels {
-			b += labelFixed
-			b += int64(len(l.To)+len(l.From)+len(l.LeafTo)+len(l.LeafFrom)) * mapEntry
+		for i := range labels {
+			l := &labels[i]
+			b += labelFixed + int64(len(l.To)+len(l.From)+len(l.LeafTo))*entry
 		}
 	}
 	for _, ddg := range la.ddgs {
-		if ddg == nil {
-			continue
-		}
-		b += int64(len(ddg.Nodes))*16 + int64(len(ddg.Index)+len(ddg.RepsOf))*mapEntry
-		b += int64(len(ddg.Arcs)) * arcSize
-		for _, row := range ddg.Dist {
-			b += int64(len(row)) * 8
+		if ddg != nil {
+			b += int64(len(ddg.Arcs))*arcSize + int64(len(ddg.Nodes)*len(ddg.Nodes))*entry
 		}
 	}
 	return b
 }
 
 // computeLeaf gathers the whole bag (the "collect the entire graph" step),
-// takes the negative-cycle verdict from one super-source pass, and computes
-// distances from each wanted key; returns the measured broadcast cost
-// TreeDepth + #nodes + #arcs (pipelined). LeafFrom, which nothing decodes,
-// covers the wanted keys only — all of them in a full labeling — and is all
-// a From-only label holds.
-func (la *Labeling) computeLeaf(b *bdd.Bag, bp *bagPlan, wanted []int, fromRest bool) int64 {
-	n := len(bp.keys)
-	super := n
-	dg := spath.NewDigraph(n + 1)
-	arcs := 0
-	for _, a := range bp.leafArcs {
-		if l := la.Lengths[a.dart]; l < spath.Inf {
-			dg.AddArc(a.from, a.to, l, int(a.dart))
-			arcs++
-		}
-	}
-	for i := 0; i < n; i++ {
-		dg.AddArc(super, i, 0, -1)
-	}
-	if _, ok := spath.BellmanFord(dg, super); !ok {
+// takes the negative-cycle verdict from the kernel's potentials, and computes
+// the distances from each wanted key — a kernel row is that key's LeafTo;
+// returns the measured broadcast cost TreeDepth + #nodes + #arcs
+// (pipelined). A From-only leaf label holds no vector: Decode reads of it
+// only its position in the other label's LeafTo.
+func (ps *pass) computeLeaf(b *bdd.Bag, wanted []int, fromRest bool) int64 {
+	la := ps.la
+	n := len(la.pl.lay[b.ID].Keys)
+	arcs := ps.k.loadLeaf(&la.pl.bags[b.ID], la.Lengths)
+	if !ps.k.potentials() {
 		la.NegCycle = true
 		return 0
 	}
-	// wanted is a subsequence of bp.keys, so one merge finds its positions.
-	rows := make([][]int64, n) // by source position; nil when not wanted
-	w := 0
-	for i, k := range bp.keys {
-		if w < len(wanted) && wanted[w] == k {
-			res, _ := spath.BellmanFord(dg, i)
-			rows[i] = res.Dist
-			w++
+	rows := make([]int64, len(wanted)*n)
+	la.labelBag(b, wanted, fromRest, func(l *Label, full bool) {
+		if full {
+			l.LeafTo, rows = rows[:n:n], rows[n:]
+			ps.k.row(int(l.pos), l.LeafTo)
 		}
+	})
+	return int64(b.TreeDepth + n + arcs)
+}
+
+// labelBag allocates bag b's label slab for a pass that labels the keys in
+// wanted in full and, with fromRest, the others From-only; it sets each
+// label's identity and positions and hands it to fill, in key order, with
+// whether it is a full one. When some keys stay unlabelled the bag's slot
+// index records which.
+func (la *Labeling) labelBag(b *bdd.Bag, wanted []int, fromRest bool, fill func(l *Label, full bool)) {
+	lay := &la.pl.lay[b.ID]
+	nl := len(lay.Keys)
+	var slot []int32
+	if !fromRest && len(wanted) < nl {
+		nl, slot = len(wanted), absent(nl)
 	}
-	size := len(wanted)
-	if fromRest {
-		size = n
-	}
-	labels := make(map[int]*Label, size)
-	for i, k := range bp.keys {
-		full := rows[i] != nil
+	labels := make([]Label, nl)
+	// wanted is a subsequence of the bag's keys, so one merge finds its
+	// positions.
+	w := 0
+	for i, k := range lay.Keys {
+		full := w < len(wanted) && wanted[w] == k
 		if !full && !fromRest {
 			continue
 		}
-		l := &Label{Bag: b, Key: k}
+		idx := i
+		if slot != nil {
+			idx, slot[i] = w, int32(w)
+		}
 		if full {
-			l.LeafTo = make(map[int]int64, n)
+			w++
 		}
-		l.LeafFrom = make(map[int]int64, len(wanted))
-		for j, h := range bp.keys {
-			if full {
-				l.LeafTo[h] = rows[i][j]
-			}
-			if rows[j] != nil {
-				l.LeafFrom[h] = rows[j][i]
-			}
+		l := &labels[idx]
+		*l = Label{Bag: b, Key: k, pos: int32(i), sep: -1}
+		if lay.SepPos != nil {
+			l.sep = lay.SepPos[i]
 		}
-		labels[k] = l
+		fill(l, full)
 	}
-	la.byBag[b.ID] = labels
-	return int64(b.TreeDepth + n + arcs)
+	la.byBag[b.ID], la.slot[b.ID] = labels, slot
 }
 
 // computeInternal builds the base DDG from child labels, checks for
 // negative cycles, and derives each wanted key's label via min-plus
 // products over the base matrix (§5.3); returns the charged broadcast cost.
-func (la *Labeling) computeInternal(b *bdd.Bag, bp *bagPlan, wanted []int, fromRest bool) int64 {
-	ddg := &BagDDG{Bag: b, Nodes: bp.nodes, Index: bp.index, RepsOf: bp.repsOf}
-	childLabels := [2]map[int]*Label{la.byBag[b.Children[0].ID], la.byBag[b.Children[1].ID]}
+func (ps *pass) computeInternal(b *bdd.Bag, wanted []int, fromRest bool) int64 {
+	la := ps.la
+	lay, bp := &la.pl.lay[b.ID], &la.pl.bags[b.ID]
+	ddg := &BagDDG{Bag: b, Nodes: lay.Nodes, RepsOf: lay.RepsOf}
+	childID := [2]int{b.Children[0].ID, b.Children[1].ID}
 
 	// (i) Within-child cliques from decoded child labels.
+	maxArcs := len(bp.crossArcs) + len(bp.zeroArcs)
+	for ci := range childID {
+		maxArcs += len(bp.childSep[ci]) * (len(bp.childSep[ci]) - 1)
+	}
+	ddg.Arcs = make([]DDGArc, 0, maxArcs)
 	broadcastWords := 0
-	for ci := range b.Children {
+	for ci, cid := range childID {
 		for _, e1 := range bp.childSep[ci] {
-			l1 := childLabels[ci][e1.key]
+			l1 := la.at(cid, e1.cpos)
 			broadcastWords += l1.Words()
 			for _, e2 := range bp.childSep[ci] {
 				if e1.key == e2.key {
 					continue
 				}
-				if w := Decode(l1, childLabels[ci][e2.key]); w < spath.Inf {
+				if w := Decode(l1, la.at(cid, e2.cpos)); w < spath.Inf {
 					ddg.Arcs = append(ddg.Arcs, DDGArc{From: e1.rep, To: e2.rep, Len: w, Dart: planar.NoDart})
 				}
 			}
@@ -324,119 +385,87 @@ func (la *Labeling) computeInternal(b *bdd.Bag, bp *bagPlan, wanted []int, fromR
 	ddg.Arcs = append(ddg.Arcs, bp.zeroArcs...)
 
 	// Negative-cycle check + all-pairs matrix on the base DDG.
-	dg := spath.NewDigraph(len(ddg.Nodes) + 1)
-	super := len(ddg.Nodes)
-	for _, a := range ddg.Arcs {
-		dg.AddArc(a.From, a.To, a.Len, -1)
-	}
-	for i := range ddg.Nodes {
-		dg.AddArc(super, i, 0, -1)
-	}
-	if _, ok := spath.BellmanFord(dg, super); !ok {
+	nn, ns := len(ddg.Nodes), len(lay.Sep)
+	ps.k.loadArcs(nn, ddg.Arcs)
+	if !ps.k.potentials() {
 		la.NegCycle = true
 		return 0
 	}
-	ddg.Dist = make([][]int64, len(ddg.Nodes))
-	base := spath.NewDigraph(len(ddg.Nodes))
-	for _, a := range ddg.Arcs {
-		base.AddArc(a.From, a.To, a.Len, -1)
-	}
-	for i := range ddg.Nodes {
-		res, _ := spath.BellmanFord(base, i)
-		ddg.Dist[i] = res.Dist
+	slab := make([]int64, nn*nn)
+	ddg.Dist = make([][]int64, nn)
+	for i := range ddg.Dist {
+		ddg.Dist[i] = slab[i*nn : (i+1)*nn : (i+1)*nn]
+		ps.k.row(i, ddg.Dist[i])
 	}
 	if la.ddgs != nil {
 		la.ddgs[b.ID] = ddg
 	}
+	ps.toSep, ps.fromSep = grow(ps.toSep, nn*ns), grow(ps.fromSep, nn*ns)
+	for r := 0; r < nn; r++ {
+		for q, reps := range bp.sepReps {
+			to, from := spath.Inf, spath.Inf
+			for _, hr := range reps {
+				to, from = min(to, ddg.Dist[r][hr]), min(from, ddg.Dist[hr][r])
+			}
+			ps.toSep[r*ns+q], ps.fromSep[r*ns+q] = to, from
+		}
+	}
 
-	// ---- Labels for the wanted keys of the bag; with fromRest, From-only
-	// labels for the others. ----
-	size := len(wanted)
+	// Labels for the wanted keys of the bag; with fromRest, From-only labels
+	// for the others.
+	nl := len(wanted)
 	if fromRest {
-		size = len(bp.keys)
+		nl = len(lay.Keys)
 	}
-	labels := make(map[int]*Label, size)
-	to := make([]int64, len(bp.sep)) // by position in bp.sep
-	from := make([]int64, len(bp.sep))
-	w := 0
-	for i, k := range bp.keys {
-		// wanted is a subsequence of bp.keys.
-		full := w < len(wanted) && wanted[w] == k
+	vecs := make([]int64, (nl+len(wanted))*ns)
+	la.labelBag(b, wanted, fromRest, func(l *Label, full bool) {
+		l.From, vecs = vecs[:ns:ns], vecs[ns:]
 		if full {
-			w++
-		} else if !fromRest {
-			continue
+			l.To, vecs = vecs[:ns:ns], vecs[ns:]
 		}
-		l := &Label{Bag: b, Key: k}
-		if full {
-			l.To = make(map[int]int64, len(bp.sep))
+		for q := range l.From {
+			l.From[q] = spath.Inf
 		}
-		l.From = make(map[int]int64, len(bp.sep))
-		if p := bp.sepPos[i]; p >= 0 {
+		for q := range l.To {
+			l.To[q] = spath.Inf
+		}
+		if l.sep >= 0 {
 			// Distances directly from the base matrix (min over reps).
-			for q, h := range bp.sep {
-				if full {
-					l.To[h] = minOverReps(ddg, bp.sepReps[p], bp.sepReps[q])
-				}
-				l.From[h] = minOverReps(ddg, bp.sepReps[q], bp.sepReps[p])
+			for _, r := range bp.sepReps[l.sep] {
+				minInto(l.To, ps.toSep[r*ns:], 0)
+				minInto(l.From, ps.fromSep[r*ns:], 0)
 			}
-		} else {
-			// k lives wholly in one child: first/last hop through that
-			// child's share of the separator (a share's own key is reached
-			// at base distance 0 from its representative).
-			ci := bp.childOf[i]
-			lk := childLabels[ci][k]
-			l.Child = lk
-			for q := range bp.sep {
-				to[q], from[q] = spath.Inf, spath.Inf
-			}
-			for _, e := range bp.childSep[ci] {
-				lp := childLabels[ci][e.key]
-				// A From-only lk is never decoded from: its To half stays Inf.
-				dgo, dback := spath.Inf, Decode(lp, lk)
-				if full {
-					dgo = Decode(lk, lp)
-				}
-				if dgo < spath.Inf {
-					for q, reps := range bp.sepReps {
-						for _, hr := range reps {
-							if dd := ddg.Dist[e.rep][hr]; dd < spath.Inf && dgo+dd < to[q] {
-								to[q] = dgo + dd
-							}
-						}
-					}
-				}
-				if dback < spath.Inf {
-					for q, reps := range bp.sepReps {
-						for _, hr := range reps {
-							if dd := ddg.Dist[hr][e.rep]; dd < spath.Inf && dd+dback < from[q] {
-								from[q] = dd + dback
-							}
-						}
-					}
+			return
+		}
+		// The key lives wholly in one child: first/last hop through that
+		// child's share of the separator (a share's own key is reached at
+		// base distance 0 from its representative).
+		ci := lay.ChildOf[l.pos]
+		lk := la.at(childID[ci], lay.ChildPos[l.pos])
+		l.Child = lk
+		for _, e := range bp.childSep[ci] {
+			lp := la.at(childID[ci], e.cpos)
+			// A From-only lk is never decoded from: its To half stays Inf.
+			if full {
+				if dgo := Decode(lk, lp); dgo < spath.Inf {
+					minInto(l.To, ps.toSep[e.rep*ns:], dgo)
 				}
 			}
-			for q, h := range bp.sep {
-				if full {
-					l.To[h] = to[q]
-				}
-				l.From[h] = from[q]
+			if dback := Decode(lp, lk); dback < spath.Inf {
+				minInto(l.From, ps.fromSep[e.rep*ns:], dback)
 			}
 		}
-		labels[k] = l
-	}
-	la.byBag[b.ID] = labels
+	})
 	return int64(b.TreeDepth + broadcastWords)
 }
 
-func minOverReps(ddg *BagDDG, from, to []int) int64 {
-	best := spath.Inf
-	for _, i := range from {
-		for _, j := range to {
-			if d := ddg.Dist[i][j]; d < best {
-				best = d
-			}
+// minInto lowers dst[q] to src[q] + add wherever src[q] is finite; add is
+// finite.
+func minInto(dst, src []int64, add int64) {
+	src = src[:len(dst)]
+	for q, d := range src {
+		if d < spath.Inf && d+add < dst[q] {
+			dst[q] = d + add
 		}
 	}
-	return best
 }

@@ -37,7 +37,7 @@ func TestFootprintBoundsHeap(t *testing.T) {
 		tree := bdd.Build(gr.g, 0, ledger.New())
 		lens := UniformLengths(gr.g, false)
 		for _, v := range []View{Dual, Primal} {
-			planOf(tree, views[v])
+			mustPlan(t, tree, v)
 			var before, after runtime.MemStats
 			runtime.GC()
 			runtime.GC()

@@ -32,10 +32,38 @@
 // lengths[d] (spath.Inf deactivates the arc), so directed and residual
 // graphs are expressed directly.
 //
+// Layout invariant: every distance vector of a bag is a []int64 in the order
+// the bag's plan fixes (BagLayout) — To and From over the separator in Sep
+// order, LeafTo over the leaf's keys in Keys order — and a bag's labels sit
+// in one slab in Keys order, their vectors cut from one more. A label carries
+// its own two positions (pos among the keys, sep in the separator or -1), so
+// Decode indexes the other label's vector with them and never hashes or
+// consults the plan. Who may index what: Decode and the pass index vectors
+// through a Label's positions; the snapshot codec through Layouts, whose
+// argsorts turn the layout into the sorted lists version 1 stores;
+// core.DirectedGirth reads Separator(b), the same order; nothing else
+// indexes a vector. Computed and restored labelings share the plan's layout,
+// so they are equal position for position.
+//
+// Kernel contract: a bag's local computation is one kernel (kernel.go) —
+// Johnson's algorithm over a CSR digraph. Its potentials pass is the bag's
+// negative-cycle verdict; its rows are exact, equal to per-source
+// Bellman–Ford's, and a leaf row is written straight into the slab where it
+// is the source's LeafTo. The kernel's buffers belong to the pass that runs
+// it and are dropped with it — never to the Labeling the pass returns — and
+// never alias the plan's skeleton arrays, which concurrent passes over one
+// tree read.
+//
 // From-only invariant: the source-directed drive (SSSPFrom) gives the keys
-// outside its wanted sets From-only labels — From/LeafFrom and Child, no To
-// half. Such a label may only be the second argument of Decode and never
-// has Words() taken, so a half-labelled Labeling never leaves this package.
+// outside its wanted sets From-only labels — From and Child, no To half
+// (len(To) == 0; in a leaf no vector at all, the label is its position).
+// Such a label may only be the second argument of Decode and never has
+// Words() taken, so a half-labelled Labeling never leaves this package.
+//
+// LeafFrom, the distances from every leaf key to a label's own, is not
+// stored: nothing decodes it, and it is column pos of the bag's LeafTo rows.
+// The snapshot format still carries it — the encoder writes the column, the
+// decoder checks it against the rows and drops it.
 package label
 
 import (
@@ -49,26 +77,28 @@ type Label struct {
 	Bag *bdd.Bag
 	Key int
 
-	// To[k] = dist(Key -> k) and From[k] = dist(k -> Key) in the bag, for
-	// every separator key k (non-leaf bags).
-	To, From map[int]int64
+	// To[i] = dist(Key -> k) and From[i] = dist(k -> Key) in the bag, for
+	// k the i-th separator key of the bag's layout (non-leaf bags).
+	To, From []int64
 
 	// Child is the recursive label in the unique child bag wholly containing
 	// Key (nil for separator keys and leaves).
 	Child *Label
 
-	// Leaf labels store distances to/from every key of the leaf bag.
-	LeafTo, LeafFrom map[int]int64
+	// LeafTo[i] = dist(Key -> k) for k the i-th key of the leaf bag's layout.
+	LeafTo []int64
+
+	// pos is Key's position among the bag's keys, sep its position in the
+	// bag's separator (-1 outside it, and in a leaf): where other labels of
+	// the bag hold the distances to and from Key.
+	pos, sep int32
 }
 
 // Words returns the label size in O(log n)-bit words (an ID plus a distance
 // per entry, per level), the quantity Lemma 5.17 bounds by Õ(D).
 func (l *Label) Words() int {
 	w := 2 // bag ID + key
-	if l.LeafTo != nil {
-		w += 2 * len(l.LeafTo)
-	}
-	w += 2 * (len(l.To) + len(l.From))
+	w += 2 * (len(l.LeafTo) + len(l.To) + len(l.From))
 	if l.Child != nil {
 		w += l.Child.Words()
 	}
@@ -82,25 +112,20 @@ func Decode(a, b *Label) int64 {
 		return 0
 	}
 	if a.LeafTo != nil {
-		if d, ok := a.LeafTo[b.Key]; ok {
-			return d
-		}
-		return spath.Inf
+		return a.LeafTo[b.pos]
 	}
-	// If either key is in the separator the distance is stored directly (the
-	// key set of To/From is exactly the separator).
-	if d, ok := a.To[b.Key]; ok {
-		return d
+	// If either key is in the separator the distance is stored directly.
+	if b.sep >= 0 {
+		return a.To[b.sep]
 	}
-	if d, ok := b.From[a.Key]; ok {
-		return d
+	if a.sep >= 0 {
+		return b.From[a.sep]
 	}
 	best := spath.Inf
-	for k, da := range a.To {
-		if db, ok := b.From[k]; ok && da < spath.Inf && db < spath.Inf {
-			if da+db < best {
-				best = da + db
-			}
+	from := b.From[:len(a.To)]
+	for i, da := range a.To {
+		if db := from[i]; da < spath.Inf && db < spath.Inf && da+db < best {
+			best = da + db
 		}
 	}
 	if a.Child != nil && b.Child != nil && a.Child.Bag == b.Child.Bag {

@@ -1,6 +1,8 @@
 package label
 
 import (
+	"fmt"
+	"sort"
 	"sync"
 
 	"planarflow/internal/bdd"
@@ -8,14 +10,16 @@ import (
 )
 
 // plan is everything a labeling pass reads off the tree alone, laid out
-// through one view: per bag, its keys and the leaf arc list or the DDG
-// skeleton, and the wanted sets a pass can be driven by. It does not depend
-// on the lengths, so it is derived once per tree and view (planOf) and
-// shared, read-only, by every pass over that tree.
+// through one view: per bag, the order its labels and vectors are stored
+// in, the leaf's CSR skeleton or the DDG skeleton, and the wanted sets a
+// pass can be driven by. It does not depend on the lengths, so it is derived
+// once per tree and view (planOf) and shared, read-only, by every pass over
+// that tree and every labeling computed or restored over it.
 type plan struct {
 	t    *bdd.BDD
 	v    *view
-	bags []bagPlan // by bag ID
+	lay  []BagLayout // by bag ID
+	bags []bagPlan   // by bag ID
 
 	// A pass labels in full, in each bag, the keys its wanted set lists for
 	// that bag ID. every lists all keys of every bag: the full labeling.
@@ -28,96 +32,153 @@ type plan struct {
 	every, probe [][]int
 }
 
-// bagPlan is the length-independent structure of one bag.
+// BagLayout is the order one bag's labels and their distance vectors are
+// stored in, fixed by the tree and the view: labels, and every LeafTo, follow
+// Keys; every To and From follows Sep. The snapshot codec maps its sorted
+// on-disk lists to these positions; everything else reaches a position
+// through the Label that carries it.
+type BagLayout struct {
+	Keys     []int
+	KeyOrder []int32 // positions in Keys by ascending key
+
+	// Non-leaf bags: the separator; per position in Keys, the key's position
+	// in Sep (-1 outside it), the child (index into Bag.Children) holding a
+	// key outside it, and the key's position among that child's keys.
+	Sep      []int
+	SepOrder []int32 // positions in Sep by ascending key
+	SepPos   []int32
+	ChildOf  []int8
+	ChildPos []int32
+
+	// Nodes and RepsOf are the bag's DDG skeleton, shared by the BagDDG of
+	// every labeling over the tree.
+	Nodes  []DDGNode
+	RepsOf map[int][]int
+}
+
+// bagPlan is the rest of a bag's length-independent structure: what only
+// the pass reads.
 type bagPlan struct {
-	keys []int
+	// Leaf bags: the CSR skeleton of the bag's graph over positions in Keys,
+	// arcs sorted by tail; leafDart[i] is the dart whose length arc i takes.
+	leafStart []int32
+	leafTo    []int32
+	leafDart  []planar.Dart
 
-	// Leaf bags: the arcs of the bag's graph over positions in keys.
-	leafArcs []leafArc
-
-	// Non-leaf bags: the separator; per position in keys, the key's position
-	// in sep (-1 outside it) and the child holding a key outside it; the DDG
-	// nodes with their lookups (shared by the BagDDG of every labeling), each
-	// separator key's representatives, each child's share of the separator,
-	// and the cross and zero arcs in DDG arc order (cross lengths are filled
-	// in per pass).
-	sep       []int
-	sepPos    []int
-	childOf   []int8
-	nodes     []DDGNode
-	index     map[DDGNode]int
-	repsOf    map[int][]int
-	sepReps   [][]int // by position in sep
+	// Non-leaf bags: each separator key's representatives, each child's
+	// share of the separator, and the cross and zero arcs in DDG arc order
+	// (cross lengths are filled in per pass).
+	sepReps   [][]int // by position in Sep
 	childSep  [2][]sepEntry
 	crossArcs []DDGArc
 	zeroArcs  []DDGArc
 }
 
-type leafArc struct {
-	dart     planar.Dart
-	from, to int
-}
-
-// sepEntry is a separator key present in one child, with its DDG node for
-// that child.
+// sepEntry is a separator key present in one child, with its position among
+// that child's keys and its DDG node for that child.
 type sepEntry struct {
-	key, rep int
+	key  int
+	cpos int32
+	rep  int
 }
 
 // treePlans is what a tree memoizes for this package: one plan per view,
-// each derived on first use, so a tree nobody labels through a view (one
-// restored from a snapshot, say) never pays for that view's plan.
+// each derived on first use.
 type treePlans [len(views)]struct {
 	once sync.Once
 	pl   *plan
+	err  error
 }
 
-func planOf(t *bdd.BDD, v *view) *plan {
+// planOf returns the tree's plan for v. The error is newPlan's: t is not a
+// decomposition bdd.Build could have produced (a snapshot's tree section
+// that decoded but does not hang together).
+func planOf(t *bdd.BDD, v *view) (*plan, error) {
 	plans := t.Memo(func() any { return new(treePlans) }).(*treePlans)
 	p := &plans[v.id]
-	p.once.Do(func() { p.pl = newPlan(t, v) })
-	return p.pl
+	p.once.Do(func() { p.pl, p.err = newPlan(t, v) })
+	return p.pl, p.err
 }
 
-func newPlan(t *bdd.BDD, v *view) *plan {
+// argsort returns the positions of keys in ascending key order.
+func argsort(keys []int) []int32 {
+	order := make([]int32, len(keys))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	sort.Slice(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
+	return order
+}
+
+// find returns the position of key k in keys, whose ascending order is
+// order, or -1.
+func find(keys []int, order []int32, k int) int32 {
+	i := sort.Search(len(order), func(i int) bool { return keys[order[i]] >= k })
+	if i < len(order) && keys[order[i]] == k {
+		return order[i]
+	}
+	return -1
+}
+
+func newPlan(t *bdd.BDD, v *view) (*plan, error) {
 	pl := &plan{
 		t:     t,
 		v:     v,
+		lay:   make([]BagLayout, len(t.Bags)),
 		bags:  make([]bagPlan, len(t.Bags)),
 		every: make([][]int, len(t.Bags)),
 	}
 	for _, b := range t.Bags {
-		pl.bags[b.ID].keys = v.keys(t.G, b)
-		pl.every[b.ID] = pl.bags[b.ID].keys
+		if b.Level < 0 || b.Level >= t.Depth {
+			return nil, fmt.Errorf("label: bag %d at level %d of a %d-level tree", b.ID, b.Level, t.Depth)
+		}
+		lay := &pl.lay[b.ID]
+		lay.Keys = v.keys(t.G, b)
+		lay.KeyOrder = argsort(lay.Keys)
+		pl.every[b.ID] = lay.Keys
 	}
-	pos := make([]int, v.numKeys(t.G))  // key -> position in the current bag
-	in := make([]uint8, v.numKeys(t.G)) // key -> bit ci set iff child ci holds it
+	// key -> position in the current bag and in each of its children; -1
+	// when absent.
+	pos := absent(v.numKeys(t.G))
+	cpos := [2][]int32{absent(len(pos)), absent(len(pos))}
 	for _, b := range t.Bags {
-		bp := &pl.bags[b.ID]
-		for i, k := range bp.keys {
-			pos[k] = i
+		lay, bp := &pl.lay[b.ID], &pl.bags[b.ID]
+		for i, k := range lay.Keys {
+			pos[k] = int32(i)
 		}
+		var err error
 		if b.IsLeaf() {
-			v.leafDarts(t.G, b, func(d planar.Dart) {
-				from, to := v.ends(t.G, d)
-				bp.leafArcs = append(bp.leafArcs, leafArc{dart: d, from: pos[from], to: pos[to]})
-			})
-			continue
-		}
-		for ci, c := range b.Children {
-			for _, k := range pl.bags[c.ID].keys {
-				in[k] |= 1 << ci
+			pl.leafSkeleton(b, bp, pos)
+		} else {
+			for ci, c := range b.Children {
+				for i, k := range pl.lay[c.ID].Keys {
+					cpos[ci][k] = int32(i)
+				}
+			}
+			err = pl.ddgSkeleton(b, lay, bp, pos, cpos)
+			for ci, c := range b.Children {
+				for _, k := range pl.lay[c.ID].Keys {
+					cpos[ci][k] = -1
+				}
 			}
 		}
-		pl.ddgSkeleton(b, bp, pos, in)
-		for _, c := range b.Children {
-			for _, k := range pl.bags[c.ID].keys {
-				in[k] = 0
-			}
+		for _, k := range lay.Keys {
+			pos[k] = -1
+		}
+		if err != nil {
+			return nil, fmt.Errorf("label: bag %d: %w", b.ID, err)
 		}
 	}
 	pl.probe = pl.wantedFrom(nil)
-	return pl
+	return pl, nil
+}
+
+func absent(n int) []int32 {
+	s := make([]int32, n)
+	for i := range s {
+		s[i] = -1
+	}
+	return s
 }
 
 // wantedFrom derives the wanted sets a root set induces, top-down:
@@ -135,7 +196,7 @@ func (pl *plan) wantedFrom(seed []int) [][]int {
 			continue
 		}
 		mark := func(v bool) {
-			for _, k := range pl.bags[b.ID].sep {
+			for _, k := range pl.lay[b.ID].Sep {
 				need[k] = v
 			}
 			for _, k := range wanted[b.ID] {
@@ -144,7 +205,7 @@ func (pl *plan) wantedFrom(seed []int) [][]int {
 		}
 		mark(true)
 		for _, c := range b.Children {
-			for _, k := range pl.bags[c.ID].keys {
+			for _, k := range pl.lay[c.ID].Keys {
 				if need[k] {
 					wanted[c.ID] = append(wanted[c.ID], k)
 				}
@@ -155,54 +216,108 @@ func (pl *plan) wantedFrom(seed []int) [][]int {
 	return wanted
 }
 
-// ddgSkeleton lays out the base DDG of a non-leaf bag: a node per (child,
-// separator key) incidence in separator order, and the arcs whose endpoints
-// the tree fixes — (ii) the cross arcs and (iii) the zero arcs between the
-// two representatives of a key both children hold. pos and in describe b:
-// each key's position in bp.keys and which children hold it.
-func (pl *plan) ddgSkeleton(b *bdd.Bag, bp *bagPlan, pos []int, in []uint8) {
+// leafSkeleton lays out a leaf bag's graph in CSR form: its arcs over
+// positions in Keys, counting-sorted by tail. pos maps the bag's keys to
+// their positions; both ends of a leaf dart are keys of the bag in either
+// view.
+func (pl *plan) leafSkeleton(b *bdd.Bag, bp *bagPlan, pos []int32) {
 	g, v := pl.t.G, pl.v
+	n := len(pl.lay[b.ID].Keys)
+	bp.leafStart = make([]int32, n+1)
+	m := 0
+	v.leafDarts(g, b, func(d planar.Dart) {
+		from, _ := v.ends(g, d)
+		bp.leafStart[pos[from]+1]++
+		m++
+	})
+	for u := 0; u < n; u++ {
+		bp.leafStart[u+1] += bp.leafStart[u]
+	}
+	bp.leafTo = make([]int32, m)
+	bp.leafDart = make([]planar.Dart, m)
+	next := append([]int32(nil), bp.leafStart[:n]...)
+	v.leafDarts(g, b, func(d planar.Dart) {
+		from, to := v.ends(g, d)
+		i := next[pos[from]]
+		next[pos[from]]++
+		bp.leafTo[i], bp.leafDart[i] = pos[to], d
+	})
+}
+
+// ddgSkeleton lays out a non-leaf bag: the separator and where every key
+// sits relative to it and to the children, then the base DDG — a node per
+// (child, separator key) incidence in separator order, and the arcs whose
+// endpoints the tree fixes: (ii) the cross arcs and (iii) the zero arcs
+// between the two representatives of a key both children hold. pos and cpos
+// map keys to positions in b and in each child (-1 when absent). The error
+// reports a bag that does not hang together with its children.
+func (pl *plan) ddgSkeleton(b *bdd.Bag, lay *BagLayout, bp *bagPlan, pos []int32, cpos [2][]int32) error {
+	g, v := pl.t.G, pl.v
+	for _, c := range b.Children {
+		for _, k := range pl.lay[c.ID].Keys {
+			if pos[k] < 0 {
+				return fmt.Errorf("key %d of child bag %d is not in the bag", k, c.ID)
+			}
+		}
+	}
 	var shared []int
-	bp.sepPos = make([]int, len(bp.keys))
-	bp.childOf = make([]int8, len(bp.keys))
-	for i, k := range bp.keys {
-		bp.sepPos[i] = -1
-		bp.childOf[i] = int8(in[k] >> 1) // held by child 1 alone, else child 0
-		if in[k] == 3 {
+	for _, k := range lay.Keys {
+		if cpos[0][k] >= 0 && cpos[1][k] >= 0 {
 			shared = append(shared, k)
 		}
 	}
-	bp.sep = v.sep(b, shared)
-	bp.index = make(map[DDGNode]int)
-	bp.repsOf = make(map[int][]int, len(bp.sep))
-	bp.sepReps = make([][]int, len(bp.sep))
-	for p, k := range bp.sep {
-		bp.sepPos[pos[k]] = p
+	lay.Sep = v.sep(b, shared)
+	lay.SepOrder = argsort(lay.Sep)
+	lay.SepPos = absent(len(lay.Keys))
+	index := make(map[DDGNode]int)
+	lay.RepsOf = make(map[int][]int, len(lay.Sep))
+	bp.sepReps = make([][]int, len(lay.Sep))
+	for p, k := range lay.Sep {
+		if pos[k] < 0 || lay.SepPos[pos[k]] >= 0 {
+			return fmt.Errorf("separator key %d is not a key of the bag, once", k)
+		}
+		lay.SepPos[pos[k]] = int32(p)
 		for ci := range b.Children {
-			if in[k]&(1<<ci) != 0 {
+			if cpos[ci][k] >= 0 {
 				n := DDGNode{Child: ci, Key: k}
-				bp.index[n] = len(bp.nodes)
-				bp.repsOf[k] = append(bp.repsOf[k], len(bp.nodes))
-				bp.nodes = append(bp.nodes, n)
+				index[n] = len(lay.Nodes)
+				lay.RepsOf[k] = append(lay.RepsOf[k], len(lay.Nodes))
+				lay.Nodes = append(lay.Nodes, n)
 			}
 		}
-		bp.sepReps[p] = bp.repsOf[k]
+		bp.sepReps[p] = lay.RepsOf[k]
+	}
+	lay.ChildOf = make([]int8, len(lay.Keys))
+	lay.ChildPos = absent(len(lay.Keys))
+	for i, k := range lay.Keys {
+		if lay.SepPos[i] >= 0 {
+			continue
+		}
+		ci := 0
+		if cpos[1][k] >= 0 {
+			ci = 1
+		}
+		if cpos[ci][k] < 0 {
+			return fmt.Errorf("key %d is in neither child nor the separator", k)
+		}
+		lay.ChildOf[i], lay.ChildPos[i] = int8(ci), cpos[ci][k]
 	}
 	for ci := range b.Children {
-		for _, k := range bp.sep {
-			if in[k]&(1<<ci) != 0 {
-				bp.childSep[ci] = append(bp.childSep[ci], sepEntry{key: k, rep: bp.index[DDGNode{ci, k}]})
+		for _, k := range lay.Sep {
+			if cpos[ci][k] >= 0 {
+				bp.childSep[ci] = append(bp.childSep[ci], sepEntry{key: k, cpos: cpos[ci][k], rep: index[DDGNode{ci, k}]})
 			}
 		}
 	}
 	for _, e := range v.crossEdges(b) {
 		for _, d := range [2]planar.Dart{planar.ForwardDart(e), planar.BackwardDart(e)} {
 			from, to := v.ends(g, d)
-			bp.crossArcs = append(bp.crossArcs, DDGArc{
-				From: bp.index[DDGNode{int(b.Sep.Side[d]), from}],
-				To:   bp.index[DDGNode{int(b.Sep.Side[planar.Rev(d)]), to}],
-				Dart: d,
-			})
+			tail, ok1 := index[DDGNode{int(b.Sep.Side[d]), from}]
+			head, ok2 := index[DDGNode{int(b.Sep.Side[planar.Rev(d)]), to}]
+			if !ok1 || !ok2 {
+				return fmt.Errorf("cross edge %d does not join separator keys of the two children", e)
+			}
+			bp.crossArcs = append(bp.crossArcs, DDGArc{From: tail, To: head, Dart: d})
 		}
 	}
 	for _, reps := range bp.sepReps {
@@ -214,4 +329,5 @@ func (pl *plan) ddgSkeleton(b *bdd.Bag, bp *bagPlan, pos []int, in []uint8) {
 			}
 		}
 	}
+	return nil
 }

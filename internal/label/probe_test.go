@@ -73,6 +73,16 @@ func randomLengths(g *planar.Graph, rng *rand.Rand, lo, hi int64) []int64 {
 	return lens
 }
 
+// mustPlan is planOf on a tree bdd.Build produced, which always has a plan.
+func mustPlan(t testing.TB, tree *bdd.BDD, v View) *plan {
+	t.Helper()
+	pl, err := planOf(tree, views[v])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pl
+}
+
 type namedLengths struct {
 	name string
 	lens []int64
@@ -114,12 +124,12 @@ func forEachLabelingCase(fn func(name string, v View, tree *bdd.BDD, nl namedLen
 // TestProbeMatchesFullLabeling drives the one labeling pass with both of its
 // wanted sets and checks that the probe is the full labeling restricted:
 // same verdict, same ledger entries, and every label it holds equal to the
-// full one map for map, down the Child chain.
+// full one vector for vector, down the Child chain.
 func TestProbeMatchesFullLabeling(t *testing.T) {
 	verdicts := map[View]map[bool]int{Dual: {}, Primal: {}}
 	skipped := map[View]int{}
 	forEachLabelingCase(func(gname string, v View, tree *bdd.BDD, nl namedLengths) {
-		pl := planOf(tree, views[v])
+		pl := mustPlan(t, tree, v)
 		lens, lname := nl.lens, nl.name
 		fullLed, probeLed := ledger.New(), ledger.New()
 		full, err := pl.label(context.Background(), pl.every, false, lens, fullLed)
@@ -153,21 +163,22 @@ func TestProbeMatchesFullLabeling(t *testing.T) {
 				t.Fatalf("%s: bag %d holds %d labels, wanted %d", name, id, len(labels), len(pl.probe[id]))
 			}
 			skipped[v] += len(full.byBag[id]) - len(labels)
-			for f, got := range labels {
-				want := full.byBag[id][f]
+			for i := range labels {
+				got, f := &labels[i], labels[i].Key
+				want := full.Label(tree.Bags[id], f)
 				if want == nil {
 					t.Fatalf("%s: bag %d key %d labeled by the probe only", name, id, f)
 				}
 				if !reflect.DeepEqual(got.To, want.To) || !reflect.DeepEqual(got.From, want.From) ||
 					!reflect.DeepEqual(got.LeafTo, want.LeafTo) {
-					t.Fatalf("%s: bag %d key %d: label maps differ", name, id, f)
+					t.Fatalf("%s: bag %d key %d: label vectors differ", name, id, f)
 				}
 				if (got.Child == nil) != (want.Child == nil) {
 					t.Fatalf("%s: bag %d key %d: Child presence differs", name, id, f)
 				}
 				if got.Child != nil {
 					cid := want.Child.Bag.ID
-					if got.Child.Bag.ID != cid || got.Child != probe.byBag[cid][f] {
+					if got.Child.Bag.ID != cid || got.Child != probe.Label(tree.Bags[cid], f) {
 						t.Fatalf("%s: bag %d key %d: Child is not the probe's label in bag %d", name, id, f, cid)
 					}
 				}
@@ -199,7 +210,7 @@ func TestSourceDirectedMatchesFullSSSP(t *testing.T) {
 	seen := map[View]*tally{Dual: {}, Primal: {}}
 	forEachLabelingCase(func(gname string, v View, tree *bdd.BDD, nl namedLengths) {
 		name := gname + "/" + nl.name
-		pl := planOf(tree, views[v])
+		pl := mustPlan(t, tree, v)
 		n := seen[v]
 		fullLed := ledger.New()
 		full, err := ComputeContext(ctx, v, tree, nl.lens, fullLed)
@@ -213,7 +224,7 @@ func TestSourceDirectedMatchesFullSSSP(t *testing.T) {
 			n.negCycles++
 		}
 		rootSep := map[int]bool{}
-		for _, k := range pl.bags[tree.Root.ID].sep {
+		for _, k := range pl.lay[tree.Root.ID].Sep {
 			rootSep[k] = true
 		}
 		sources := pl.every[tree.Root.ID]
@@ -261,8 +272,9 @@ func TestSourceDirectedMatchesFullSSSP(t *testing.T) {
 				for _, f := range wanted[id] {
 					isWanted[f] = true
 				}
-				for f, l := range labels {
-					ref := full.byBag[id][f]
+				for i := range labels {
+					l, f := &labels[i], labels[i].Key
+					ref := full.Label(tree.Bags[id], f)
 					if !reflect.DeepEqual(l.From, ref.From) {
 						t.Fatalf("%s: source %d: bag %d key %d: From differs", name, source, id, f)
 					}
@@ -307,7 +319,7 @@ func verifyTree(la *Labeling, res *SSSPResult) bool {
 		if d == planar.NoDart {
 			return false
 		}
-		from, to := la.v.ends(la.T.G, d)
+		from, to := la.pl.v.ends(la.T.G, d)
 		if to != k || res.Dist[from]+la.Lengths[d] != res.Dist[k] {
 			return false
 		}
@@ -324,7 +336,7 @@ func TestProbeWantedSets(t *testing.T) {
 		t.Fatalf("tree too shallow (%d levels) to exercise inheritance", tree.Depth)
 	}
 	for _, v := range []View{Dual, Primal} {
-		pl := planOf(tree, views[v])
+		pl := mustPlan(t, tree, v)
 		if len(pl.probe[tree.Root.ID]) != 0 {
 			t.Fatalf("%s: root wants %v", v, pl.probe[tree.Root.ID])
 		}
@@ -335,11 +347,11 @@ func TestProbeWantedSets(t *testing.T) {
 			if b.IsLeaf() {
 				continue
 			}
-			if v == Dual && !reflect.DeepEqual(pl.bags[b.ID].sep, b.FX) {
+			if v == Dual && !reflect.DeepEqual(pl.lay[b.ID].Sep, b.FX) {
 				t.Fatalf("bag %d: dual separator is not F_X", b.ID)
 			}
 			need := map[int]bool{}
-			for _, k := range pl.bags[b.ID].sep {
+			for _, k := range pl.lay[b.ID].Sep {
 				need[k] = true
 			}
 			for _, k := range pl.probe[b.ID] {

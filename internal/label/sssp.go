@@ -26,7 +26,7 @@ type SSSPResult struct {
 // unreachable. A labeling that found a negative cycle reports it and
 // charges nothing.
 func (la *Labeling) SSSP(source int, led *ledger.Ledger) *SSSPResult {
-	g, v := la.T.G, la.v
+	g, v := la.T.G, la.pl.v
 	res := &SSSPResult{Source: source}
 	if la.NegCycle {
 		res.NegCycle = true
@@ -43,8 +43,11 @@ func (la *Labeling) SSSP(source int, led *ledger.Ledger) *SSSPResult {
 		ledger.PipelinedBroadcastRounds(int64(la.T.Root.TreeDepth), int64(words)))
 	for k := range res.Dist {
 		res.Dist[k] = spath.Inf
-		if l := la.RootLabel(k); src != nil && l != nil {
-			res.Dist[k] = Decode(src, l)
+	}
+	if src != nil {
+		root := la.byBag[la.T.Root.ID]
+		for i := range root {
+			res.Dist[root[i].Key] = Decode(src, &root[i])
 		}
 	}
 	if !v.marksTree {

@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"flag"
 	"fmt"
@@ -19,6 +20,11 @@ var fuzzFixture struct {
 	once sync.Once
 	g    *planar.Graph
 	data []byte
+	// The tri40 golden fixture's graph: an input carrying its fingerprint
+	// decodes against it, so the seeds cut from that fixture (deep tree,
+	// Child chains, both kinds) reach the section decoders too.
+	tri   *planar.Graph
+	triFP uint64
 }
 
 func fuzzSetup(t testing.TB) (*planar.Graph, []byte) {
@@ -32,8 +38,20 @@ func fuzzSetup(t testing.TB) (*planar.Graph, []byte) {
 		}
 		fuzzFixture.g = g
 		fuzzFixture.data = buf.Bytes()
+		fuzzFixture.tri = goldenFixtures[1].graph(t)
+		fuzzFixture.triFP = Fingerprint(fuzzFixture.tri)
 	})
 	return fuzzFixture.g, fuzzFixture.data
+}
+
+// fuzzGraphFor picks the graph an input is decoded against: the tri40
+// fixture's when the header names it, the package fixture's otherwise.
+func fuzzGraphFor(t testing.TB, data []byte) *planar.Graph {
+	g, _ := fuzzSetup(t)
+	if len(data) >= 15 && binary.LittleEndian.Uint64(data[7:15]) == fuzzFixture.triFP {
+		return fuzzFixture.tri
+	}
+	return g
 }
 
 var updateCorpus = flag.Bool("update-corpus", false, "rewrite the committed FuzzDecodeSnapshot seed corpus")
@@ -42,7 +60,9 @@ var updateCorpus = flag.Bool("update-corpus", false, "rewrite the committed Fuzz
 // as committed corpus files under testdata/fuzz/FuzzDecodeSnapshot, so
 // the regular `go test` run replays them and CI fuzzing starts from the
 // interesting shapes: a valid snapshot, truncations at several depths, a
-// flipped payload bit, a flipped CRC byte, a future version.
+// flipped payload bit, a flipped CRC byte, a future version, and — cut from
+// the tri40 golden fixture, CRCs refreshed — one label section per thing a
+// vector over the tree's layout cannot hold (strictInputs).
 func TestWriteSeedCorpus(t *testing.T) {
 	if !*updateCorpus {
 		t.Skip("run with -update-corpus to rewrite the seed corpus")
@@ -63,6 +83,9 @@ func TestWriteSeedCorpus(t *testing.T) {
 		"future-version":   futureVersion,
 		"flipped-payload":  flippedPayload,
 		"flipped-crc":      flippedCRC,
+	}
+	for name, data := range strictInputs(t) {
+		seeds[name] = data
 	}
 	dir := filepath.Join("testdata", "fuzz", "FuzzDecodeSnapshot")
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -100,7 +123,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add(crc)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, _ := fuzzSetup(t)
+		g := fuzzGraphFor(t, data)
 		c, err := Decode(bytes.NewReader(data), g, lengthsFor(g))
 		if err != nil {
 			if !errors.Is(err, ErrBadMagic) && !errors.Is(err, ErrVersion) &&

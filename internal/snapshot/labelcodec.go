@@ -1,19 +1,26 @@
 package snapshot
 
 // Distance-labeling codec (section types 2 and 3: one body, the type byte
-// names the labeling's view). A labeling is stored per bag as its
-// key→label map in sorted key order; each label carries its distance maps
-// and a reference to its child label (the same key in the unique child bag
-// wholly containing it), re-linked after all bags decode. A view that
-// retains its base DDGs (type 2, dual) additionally carries them — nodes,
-// arcs and the all-pairs matrix — whose index maps rebuild from the node
-// list. Lengths vectors are never stored: they derive from the
+// names the labeling's view). On disk a labeling is, per bag, its labels in
+// ascending key order; each label carries its two distance vectors as
+// sorted (key-delta, value) lists — To and From over the bag's separator,
+// or LeafTo and LeafFrom over the leaf's keys — and a reference to its
+// child label (the same key in the unique child bag wholly containing it).
+// A view that retains its base DDGs (type 2, dual) additionally carries
+// them: nodes, arcs and the all-pairs matrix. In memory the same vectors are
+// flat arrays in the order the tree's layout fixes (label.Layouts), so the
+// encoder walks each bag through the layout's argsort and the decoder
+// places values by position — and rejects whatever a vector over that
+// layout cannot hold: a list that is not exactly the layout's keys
+// ascending, a label that is not the bag's next key, flags or a child bag
+// the layout contradicts, a LeafFrom that is not the column of the bag's
+// LeafTo rows (memory keeps the rows alone), DDG nodes that are not the
+// layout's. Lengths vectors are never stored: they derive from the
 // fingerprint-checked graph and the length kind, so the caller supplies
 // them through LengthsFunc.
 
 import (
 	"fmt"
-	"sort"
 
 	"planarflow/internal/bdd"
 	"planarflow/internal/label"
@@ -36,50 +43,46 @@ const (
 	flagChild = 2 // label has a child in a child bag
 )
 
-// encodeDistMap writes a key→distance map in sorted key order.
-func encodeDistMap(e *enc, m map[int]int64) {
-	e.count(len(m))
+// encodeVec writes a distance vector laid out over keys as the sorted
+// (key-delta, value) list version 1 stores; order is keys' argsort.
+func encodeVec(e *enc, keys []int, order []int32, vec []int64) {
+	e.count(len(order))
 	prev := 0
-	for _, k := range sortedKeys(m) {
-		e.varint(int64(k - prev))
-		prev = k
-		e.varint(m[k])
+	for _, pos := range order {
+		e.varint(int64(keys[pos] - prev))
+		prev = keys[pos]
+		e.varint(vec[pos])
 	}
 }
 
-func decodeDistMap(d *dec, limit int) (map[int]int64, error) {
+// decodeVec reads a sorted (key-delta, value) list into vec, which is laid
+// out over keys (order is their argsort). The list must be exactly keys,
+// ascending.
+func decodeVec(d *dec, keys []int, order []int32, vec []int64) error {
 	n, err := d.count()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	m := make(map[int]int64, n)
+	if n != len(order) {
+		return fmt.Errorf("%w: vector of %d entries over a layout of %d", ErrCorrupt, n, len(order))
+	}
 	prev := int64(0)
-	for i := 0; i < n; i++ {
+	for j, pos := range order {
 		dk, err := d.varint()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		prev += dk
-		if prev < 0 || prev >= int64(limit) {
-			return nil, fmt.Errorf("%w: map key %d out of [0,%d)", ErrCorrupt, prev, limit)
+		if j > 0 && dk <= 0 {
+			return fmt.Errorf("%w: vector keys not ascending", ErrCorrupt)
 		}
-		v, err := d.varint()
-		if err != nil {
-			return nil, err
+		if prev += dk; prev != int64(keys[pos]) {
+			return fmt.Errorf("%w: vector key %d where the layout has %d", ErrCorrupt, prev, keys[pos])
 		}
-		m[int(prev)] = v
+		if vec[pos], err = d.varint(); err != nil {
+			return err
+		}
 	}
-	return m, nil
-}
-
-// sortedKeys returns the map's keys ascending (deterministic encode order).
-func sortedKeys[V any](m map[int]V) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
+	return nil
 }
 
 // treeFor resolves the tree a labeling section decodes over: it must
@@ -99,19 +102,32 @@ func encodeLabeling(e *enc, la *LabelEntry) error {
 	e.uvarint(uint64(la.LeafLimit))
 	e.varint(la.BuildRounds)
 	e.bool(la.Labeling.NegCycle)
+	lays, err := label.Layouts(la.Labeling.View(), la.Labeling.T)
+	if err != nil {
+		return fmt.Errorf("snapshot: encode: %v", err)
+	}
 	byBag, ddgs := la.Labeling.State()
 	e.count(len(byBag))
-	for _, labels := range byBag {
+	var col []int64 // a leaf label's LeafFrom: its column of the bag's LeafTo rows
+	for id, labels := range byBag {
 		e.bool(labels != nil)
 		if labels == nil {
 			continue
 		}
+		lay := &lays[id]
+		if len(labels) != len(lay.Keys) {
+			return fmt.Errorf("snapshot: encode: bag %d holds %d labels for %d keys", id, len(labels), len(lay.Keys))
+		}
+		leaf := la.Labeling.T.Bags[id].IsLeaf()
+		if leaf && len(col) < len(labels) {
+			col = make([]int64, len(labels))
+		}
 		e.count(len(labels))
-		for _, k := range sortedKeys(labels) {
-			l := labels[k]
-			e.id(k)
+		for _, pos := range lay.KeyOrder {
+			l := &labels[pos]
+			e.id(l.Key)
 			var flags byte
-			if l.LeafTo != nil {
+			if leaf {
 				flags |= flagLeaf
 			}
 			if l.Child != nil {
@@ -121,12 +137,15 @@ func encodeLabeling(e *enc, la *LabelEntry) error {
 			if l.Child != nil {
 				e.id(l.Child.Bag.ID)
 			}
-			if l.LeafTo != nil {
-				encodeDistMap(e, l.LeafTo)
-				encodeDistMap(e, l.LeafFrom)
+			if leaf {
+				encodeVec(e, lay.Keys, lay.KeyOrder, l.LeafTo)
+				for j := range labels {
+					col[j] = labels[j].LeafTo[pos]
+				}
+				encodeVec(e, lay.Keys, lay.KeyOrder, col)
 			} else {
-				encodeDistMap(e, l.To)
-				encodeDistMap(e, l.From)
+				encodeVec(e, lay.Sep, lay.SepOrder, l.To)
+				encodeVec(e, lay.Sep, lay.SepOrder, l.From)
 			}
 		}
 	}
@@ -187,17 +206,17 @@ func decodeLabeling(d *dec, v label.View, g *planar.Graph, c *Contents, lengths 
 			return nil, fmt.Errorf("%w: duplicate %s-labeling section", ErrCorrupt, v)
 		}
 	}
-	keyLimit := g.Faces().NumFaces()
-	if v == label.Primal {
-		keyLimit = g.N()
+	lays, err := label.Layouts(v, t)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	labels, err := decodeBags(d, t, keyLimit)
+	labels, err := decodeBags(d, t, lays)
 	if err != nil {
 		return nil, err
 	}
 	var ddgs []*label.BagDDG
 	if v == label.Dual {
-		if ddgs, err = decodeDDGs(d, t, keyLimit, g.NumDarts()); err != nil {
+		if ddgs, err = decodeDDGs(d, t, lays, g.NumDarts()); err != nil {
 			return nil, err
 		}
 	}
@@ -208,18 +227,21 @@ func decodeLabeling(d *dec, v label.View, g *planar.Graph, c *Contents, lengths 
 	if err != nil {
 		return nil, err
 	}
-	return &LabelEntry{
-		Kind: kind, LeafLimit: int(leafLimit), BuildRounds: buildRounds,
-		Labeling: label.FromState(v, t, lens, negCycle, labels, ddgs),
-	}, nil
+	la, err := label.FromState(v, t, lens, negCycle, labels, ddgs)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	return &LabelEntry{Kind: kind, LeafLimit: int(leafLimit), BuildRounds: buildRounds, Labeling: la}, nil
 }
 
-// decodeBags reads the per-bag label-map layout: a presence flag per bag,
-// then the sorted key→label entries, straight into the labels the labeling
-// will hold. The result is indexed by bag; nil entries mean the bag had no
-// labels (a labeling aborted by a negative cycle). Child labels are
-// re-linked once every bag's map exists.
-func decodeBags(d *dec, t *bdd.BDD, keyLimit int) ([]map[int]*label.Label, error) {
+// decodeBags reads the per-bag label layout: a presence flag per bag, then
+// the bag's labels in ascending key order, each placed at its key's
+// position in the layout with its vectors cut from one slab per bag. The
+// result is indexed by bag; nil entries mean the bag had no labels (a
+// labeling aborted by a negative cycle). Identity, positions and Child
+// links are the layout's — what the section says of them is checked
+// against it here and set by label.FromState.
+func decodeBags(d *dec, t *bdd.BDD, lays []label.BagLayout) ([][]label.Label, error) {
 	numBags := len(t.Bags)
 	nb, err := d.count()
 	if err != nil {
@@ -228,13 +250,9 @@ func decodeBags(d *dec, t *bdd.BDD, keyLimit int) ([]map[int]*label.Label, error
 	if nb != numBags {
 		return nil, fmt.Errorf("%w: labeling spans %d bags, tree has %d", ErrCorrupt, nb, numBags)
 	}
-	type link struct {
-		l        *label.Label
-		childBag int
-	}
-	var links []link
-	labels := make([]map[int]*label.Label, numBags)
-	for i := 0; i < numBags; i++ {
+	byBag := make([][]label.Label, numBags)
+	var col []int64 // a leaf's LeafFrom lists, to hold against its LeafTo rows
+	for i, b := range t.Bags {
 		p, err := d.bool()
 		if err != nil {
 			return nil, err
@@ -242,68 +260,106 @@ func decodeBags(d *dec, t *bdd.BDD, keyLimit int) ([]map[int]*label.Label, error
 		if !p {
 			continue
 		}
+		lay := &lays[i]
 		n, err := d.count()
 		if err != nil {
 			return nil, err
 		}
-		m := make(map[int]*label.Label, n)
-		for j := 0; j < n; j++ {
-			key, err := d.id(keyLimit)
+		if n != len(lay.Keys) {
+			return nil, fmt.Errorf("%w: bag %d holds %d labels for %d keys", ErrCorrupt, i, n, len(lay.Keys))
+		}
+		leaf := b.IsLeaf()
+		width := len(lay.Sep)
+		if leaf {
+			width = n
+		}
+		// Key, flags and two counts, then two bytes per vector entry: what
+		// the slabs below hold has to be in the bytes still unread.
+		if n*(4+4*width) > d.remaining() {
+			return nil, fmt.Errorf("%w: bag %d: %d labels of width %d in %d remaining bytes", ErrCorrupt, i, n, width, d.remaining())
+		}
+		labels := make([]label.Label, n)
+		var vecs []int64
+		if leaf {
+			vecs = make([]int64, n*n)
+			if len(col) < n*n {
+				col = make([]int64, n*n)
+			}
+		} else {
+			vecs = make([]int64, 2*n*width)
+		}
+		for _, pos := range lay.KeyOrder {
+			l := &labels[pos]
+			key, err := d.uvarint()
 			if err != nil {
 				return nil, err
 			}
-			if m[key] != nil {
-				return nil, fmt.Errorf("%w: duplicate label key %d in bag %d", ErrCorrupt, key, i)
+			if key != uint64(lay.Keys[pos]) {
+				return nil, fmt.Errorf("%w: bag %d: label key %d where the bag's next key is %d", ErrCorrupt, i, key, lay.Keys[pos])
 			}
 			flags, err := d.byte()
 			if err != nil {
 				return nil, err
 			}
-			if flags&^(flagLeaf|flagChild) != 0 || flags == flagLeaf|flagChild {
+			if flags&^(flagLeaf|flagChild) != 0 {
 				return nil, fmt.Errorf("%w: label flags %#x", ErrCorrupt, flags)
 			}
-			l := &label.Label{Bag: t.Bags[i], Key: key}
-			if flags&flagChild != 0 {
-				childBag, err := d.id(numBags)
+			if (flags&flagLeaf != 0) != leaf {
+				return nil, fmt.Errorf("%w: bag %d key %d: leaf flag %v in a bag with %d children", ErrCorrupt, i, key, !leaf, len(b.Children))
+			}
+			hasChild := !leaf && lay.SepPos[pos] < 0
+			if (flags&flagChild != 0) != hasChild {
+				return nil, fmt.Errorf("%w: bag %d key %d: child flag %v contradicts the separator", ErrCorrupt, i, key, !hasChild)
+			}
+			if hasChild {
+				childBag, err := d.uvarint()
 				if err != nil {
 					return nil, err
 				}
-				if !childOf(t.Bags[i], childBag) {
-					return nil, fmt.Errorf("%w: label child bag %d not a child of bag %d", ErrCorrupt, childBag, i)
+				if want := b.Children[lay.ChildOf[pos]].ID; childBag != uint64(want) {
+					return nil, fmt.Errorf("%w: bag %d key %d: child bag %d, the key is in bag %d", ErrCorrupt, i, key, childBag, want)
 				}
-				links = append(links, link{l, childBag})
 			}
-			to, err := decodeDistMap(d, keyLimit)
-			if err != nil {
+			if leaf {
+				lo, hi := int(pos)*n, (int(pos)+1)*n
+				l.LeafTo = vecs[lo:hi:hi]
+				if err := decodeVec(d, lay.Keys, lay.KeyOrder, l.LeafTo); err != nil {
+					return nil, err
+				}
+				if err := decodeVec(d, lay.Keys, lay.KeyOrder, col[lo:hi]); err != nil {
+					return nil, err
+				}
+				continue
+			}
+			l.From, vecs = vecs[:width:width], vecs[width:]
+			l.To, vecs = vecs[:width:width], vecs[width:]
+			if err := decodeVec(d, lay.Sep, lay.SepOrder, l.To); err != nil {
 				return nil, err
 			}
-			from, err := decodeDistMap(d, keyLimit)
-			if err != nil {
+			if err := decodeVec(d, lay.Sep, lay.SepOrder, l.From); err != nil {
 				return nil, err
 			}
-			if flags&flagLeaf != 0 {
-				l.LeafTo, l.LeafFrom = to, from
-			} else {
-				l.To, l.From = to, from
+		}
+		if leaf {
+			for r := range labels {
+				for c, v := range labels[r].LeafTo {
+					if col[c*n+r] != v {
+						return nil, fmt.Errorf("%w: bag %d: LeafFrom of key %d is not the column of the bag's LeafTo rows", ErrCorrupt, i, lay.Keys[c])
+					}
+				}
 			}
-			m[key] = l
 		}
-		labels[i] = m
+		byBag[i] = labels
 	}
-	for _, ln := range links {
-		child := labels[ln.childBag][ln.l.Key]
-		if child == nil {
-			return nil, fmt.Errorf("%w: label %d/%d references missing child label", ErrCorrupt, ln.l.Bag.ID, ln.l.Key)
-		}
-		ln.l.Child = child
-	}
-	return labels, nil
+	return byBag, nil
 }
 
-// decodeDDGs reads the retained base DDGs, one presence flag per bag.
-func decodeDDGs(d *dec, t *bdd.BDD, keyLimit, numDarts int) ([]*label.BagDDG, error) {
+// decodeDDGs reads the retained base DDGs, one presence flag per bag. The
+// node list must be the layout's, whose Nodes and RepsOf the restored DDG
+// shares with every other labeling over the tree.
+func decodeDDGs(d *dec, t *bdd.BDD, lays []label.BagLayout, numDarts int) ([]*label.BagDDG, error) {
 	ddgs := make([]*label.BagDDG, len(t.Bags))
-	for i := range t.Bags {
+	for i, b := range t.Bags {
 		present, err := d.bool()
 		if err != nil {
 			return nil, err
@@ -311,42 +367,35 @@ func decodeDDGs(d *dec, t *bdd.BDD, keyLimit, numDarts int) ([]*label.BagDDG, er
 		if !present {
 			continue
 		}
-		ddg := &label.BagDDG{
-			Bag:    t.Bags[i],
-			Index:  make(map[label.DDGNode]int),
-			RepsOf: make(map[int][]int),
-		}
+		lay := &lays[i]
 		nn, err := d.count()
 		if err != nil {
 			return nil, err
 		}
-		for j := 0; j < nn; j++ {
+		if b.IsLeaf() || nn != len(lay.Nodes) {
+			return nil, fmt.Errorf("%w: bag %d: DDG of %d nodes, the tree gives it %d", ErrCorrupt, i, nn, len(lay.Nodes))
+		}
+		for _, n := range lay.Nodes {
 			ci, err := d.byte()
 			if err != nil {
 				return nil, err
 			}
-			if ci > 1 {
-				return nil, fmt.Errorf("%w: DDG node child %d", ErrCorrupt, ci)
-			}
-			k, err := d.id(keyLimit)
+			k, err := d.uvarint()
 			if err != nil {
 				return nil, err
 			}
-			n := label.DDGNode{Child: int(ci), Key: k}
-			if _, dup := ddg.Index[n]; dup {
-				return nil, fmt.Errorf("%w: duplicate DDG node", ErrCorrupt)
+			if int(ci) != n.Child || k != uint64(n.Key) {
+				return nil, fmt.Errorf("%w: bag %d: DDG node (%d,%d) where the tree has (%d,%d)", ErrCorrupt, i, ci, k, n.Child, n.Key)
 			}
-			ddg.Index[n] = j
-			ddg.RepsOf[k] = append(ddg.RepsOf[k], j)
-			ddg.Nodes = append(ddg.Nodes, n)
 		}
+		ddg := &label.BagDDG{Bag: b, Nodes: lay.Nodes, RepsOf: lay.RepsOf}
 		na, err := d.count()
 		if err != nil {
 			return nil, err
 		}
-		ddg.Arcs = make([]label.DDGArc, 0, na)
-		for j := 0; j < na; j++ {
-			var a label.DDGArc
+		ddg.Arcs = make([]label.DDGArc, na)
+		for j := range ddg.Arcs {
+			a := &ddg.Arcs[j]
 			if a.From, err = d.id(nn); err != nil {
 				return nil, err
 			}
@@ -364,29 +413,21 @@ func decodeDDGs(d *dec, t *bdd.BDD, keyLimit, numDarts int) ([]*label.BagDDG, er
 				return nil, fmt.Errorf("%w: DDG arc dart %d", ErrCorrupt, dart)
 			}
 			a.Dart = planar.Dart(dart)
-			ddg.Arcs = append(ddg.Arcs, a)
+		}
+		if nn*nn > d.remaining() {
+			return nil, fmt.Errorf("%w: bag %d: %d×%d DDG matrix in %d remaining bytes", ErrCorrupt, i, nn, nn, d.remaining())
+		}
+		slab := make([]int64, nn*nn)
+		for j := range slab {
+			if slab[j], err = d.varint(); err != nil {
+				return nil, err
+			}
 		}
 		ddg.Dist = make([][]int64, nn)
-		for r := 0; r < nn; r++ {
-			row := make([]int64, nn)
-			for cIdx := 0; cIdx < nn; cIdx++ {
-				if row[cIdx], err = d.varint(); err != nil {
-					return nil, err
-				}
-			}
-			ddg.Dist[r] = row
+		for r := range ddg.Dist {
+			ddg.Dist[r] = slab[r*nn : (r+1)*nn : (r+1)*nn]
 		}
 		ddgs[i] = ddg
 	}
 	return ddgs, nil
-}
-
-// childOf reports whether childID is one of b's children.
-func childOf(b *bdd.Bag, childID int) bool {
-	for _, c := range b.Children {
-		if c.ID == childID {
-			return true
-		}
-	}
-	return false
 }

@@ -1,10 +1,12 @@
 // Package spath provides centralized shortest-path, flow and cut algorithms.
 //
-// These serve two roles in the reproduction: (1) as the *local computations*
-// the paper's distributed algorithms perform inside bags and DDGs (vertices
-// compute APSP on collected subgraphs locally, §5.3), and (2) as independent
-// baselines that every distributed result is validated against (Dinic for
-// flows, Stoer–Wagner for cuts, Bellman–Ford on the explicit dual for SSSP).
+// They are the independent baselines every distributed result is validated
+// against: Dinic for flows, Stoer–Wagner for cuts, Bellman–Ford on the
+// explicit dual for SSSP. Bellman–Ford and APSPBellmanFord are baseline-only
+// since the labeling pass took its local computation — what a vertex that
+// collected a leaf bag or a DDG computes for free (§5.3) — to internal/label's
+// flat-array kernel, which is tested row for row against them; Dijkstra and
+// Digraph still serve core's per-bag cycle enumerations.
 package spath
 
 import "math"

@@ -111,8 +111,8 @@ func BellmanFord(g *Digraph, source int) (*SSSPResult, bool) {
 }
 
 // APSPBellmanFord runs BellmanFord from every vertex; it returns false if the
-// graph contains a negative cycle (reachable from any vertex). Intended for
-// the paper's small local computations (leaf bags, DDGs of size Õ(D)).
+// graph contains a negative cycle (reachable from any vertex). A test
+// baseline for small graphs (leaf bags, DDGs of size Õ(D)).
 func APSPBellmanFord(g *Digraph) ([][]int64, bool) {
 	n := g.N()
 	all := make([][]int64, n)
