@@ -117,12 +117,16 @@ func BenchmarkE6MinSTCut(b *testing.B) {
 	reportRounds(b, led)
 }
 
+// warmGridGraph is the E1 instance: a capacitated Grid(12,12).
+func warmGridGraph() *planar.Graph {
+	return planar.WithRandomWeights(planar.Grid(12, 12), planar.NewRand(1), 1, 1, 1, 64)
+}
+
 // warmGrid is the prepared graph the warm benchmarks and the alloc ceilings
 // run on: a capacitated Grid(12,12) with its BDD built.
 func warmGrid(tb testing.TB) (*artifact.Prepared, *bdd.BDD) {
 	tb.Helper()
-	g := planar.WithRandomWeights(planar.Grid(12, 12), planar.NewRand(1), 1, 1, 1, 64)
-	p := artifact.New(g)
+	p := artifact.New(warmGridGraph())
 	tree, err := p.Tree(0, ledger.New())
 	if err != nil {
 		tb.Fatal(err)
@@ -161,6 +165,39 @@ func BenchmarkWarmMinSTCut(b *testing.B) {
 		_, err := core.MinSTCut(p, 0, p.Graph().N()-1, core.Options{}, led)
 		return err
 	})
+}
+
+// BenchmarkWarmSTFlow — Thm 1.3 on a prepared graph whose minor-aggregation
+// prices are resident (the first iteration builds them): the augmented dual
+// and its one Dijkstra. s and t are opposite corners of the outer face.
+func BenchmarkWarmSTFlow(b *testing.B) {
+	benchWarmExact(b, func(p *artifact.Prepared, _ *bdd.BDD, led *ledger.Ledger) error {
+		_, err := core.STPlanarMaxFlow(p, 0, p.Graph().N()-1, 0, led)
+		return err
+	})
+}
+
+// BenchmarkWarmSTCut — Thm 6.2, as BenchmarkWarmSTFlow.
+func BenchmarkWarmSTCut(b *testing.B) {
+	benchWarmExact(b, func(p *artifact.Prepared, _ *bdd.BDD, led *ledger.Ledger) error {
+		_, err := core.STPlanarMinCut(p, 0, p.Graph().N()-1, 0, led)
+		return err
+	})
+}
+
+// BenchmarkGirthFirst — Thm 1.7 on a graph never seen before: the one build
+// of the prices (Ĝ, the skeleton, one measured PA) plus the dual min cut.
+func BenchmarkGirthFirst(b *testing.B) {
+	g := warmGridGraph()
+	b.ReportAllocs()
+	var led *ledger.Ledger
+	for i := 0; i < b.N; i++ {
+		led = ledger.New()
+		if _, err := core.Girth(artifact.New(g), led); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportRounds(b, led)
 }
 
 // BenchmarkFeasibilityProbe — one λ of the search: the labeling pass over
@@ -260,6 +297,13 @@ func TestAllocCeilings(t *testing.T) {
 		}},
 		{"core.MaxFlow", 1000, func() error {
 			_, err := core.MaxFlow(p, 0, p.Graph().N()-1, core.Options{}, ledger.New())
+			return err
+		}},
+		// Once the graph's minor-aggregation prices are resident (the warm-up
+		// run builds them: 17,386 allocs when every query did), an st-planar
+		// flow is the split of one face and one Dijkstra over presized lists.
+		{"core.STPlanarMaxFlow", 200, func() error {
+			_, err := core.STPlanarMaxFlow(p, 0, p.Graph().N()-1, 0, ledger.New())
 			return err
 		}},
 	} {

@@ -95,10 +95,10 @@ func TestSmokeServe(t *testing.T) {
 		}
 		byInstance[r.Instance] = r
 	}
-	if len(byInstance) != 6 {
-		t.Fatalf("want 6 serve records (3 workloads x 2 paths), got %d", len(byInstance))
+	if len(byInstance) != 8 {
+		t.Fatalf("want 8 serve records (4 workloads x 2 paths), got %d", len(byInstance))
 	}
-	for _, workload := range []string{"dist", "dualsssp", "maxflow"} {
+	for _, workload := range []string{"dist", "dualsssp", "maxflow", "stflow"} {
 		var cold, prep *Record
 		for inst, r := range byInstance {
 			r := r

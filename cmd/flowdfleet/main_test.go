@@ -198,6 +198,10 @@ func TestMetricszCarriesProcessWideLayers(t *testing.T) {
 	if _, err := cl.Query(ctx, flowd.QueryRequest{Graph: "cold", Op: "dist", U: 0, V: 35}); err != nil {
 		t.Fatal(err)
 	}
+	// A first stflow builds the graph's minor-aggregation prices.
+	if _, err := cl.Query(ctx, flowd.QueryRequest{Graph: "cold", Op: "stflow", U: 0, V: 1}); err != nil {
+		t.Fatal(err)
+	}
 
 	for _, page := range []struct{ name, url string }{
 		{"replica", rep.Member().HTTP + "/metricsz"},
@@ -216,6 +220,7 @@ func TestMetricszCarriesProcessWideLayers(t *testing.T) {
 		for _, key := range []string{
 			"store_acquire_seconds_count",
 			`substrate_build_seconds_count{substrate="bdd"}`,
+			`substrate_build_seconds_count{substrate="minoragg"}`,
 			`flowd_requests_total{family="dist",transport="http"}`,
 		} {
 			if series[key] < 1 {

@@ -1,15 +1,17 @@
 // Package artifact holds the prepared-graph bundle: the expensive, reusable
 // substrates of the paper's algorithms — the Bounded Diameter Decomposition
-// and the dual/primal distance labelings of §5 — built once per graph and
-// served to many queries concurrently.
+// and the dual/primal distance labelings of §5, and the prices of the
+// minor-aggregation simulator on G* (§4.2) — built once per graph and served
+// to many queries concurrently.
 //
 // The paper observes (§5) that the Õ(D)-bit distance labels "actually allow
 // computation of all pairs shortest paths": once the BDD and a labeling
 // exist, every further query decodes locally. Prepared realizes that split.
 // Substrates are keyed by what determines them — the BDD by its leaf limit,
-// a labeling by (view, length kind, leaf limit) — and built lazily under a
-// per-slot singleflight, so concurrent queries needing the same substrate
-// block on one construction and then share the immutable result.
+// a labeling by (view, length kind, leaf limit), the minor-aggregation
+// prices by the graph alone — and built lazily under a per-slot
+// singleflight, so concurrent queries needing the same substrate block on
+// one construction and then share the immutable result.
 //
 // Cancellation: a Prepared carries a context (WithContext derives a
 // request-scoped view over the same substrate cache). The context is
@@ -37,9 +39,14 @@ import (
 	"planarflow/internal/bdd"
 	"planarflow/internal/label"
 	"planarflow/internal/ledger"
+	"planarflow/internal/minoragg"
 	"planarflow/internal/obs"
 	"planarflow/internal/planar"
 )
+
+// minorAgg is the Stats kind string and substrate_build_seconds label of
+// the minor-aggregation prices.
+const minorAgg = "minoragg"
 
 // Per-substrate build-duration histograms, resolved once. The builder of
 // a slot records the wall time here and charges it to the triggering
@@ -50,6 +57,7 @@ var mBuild = map[string]*obs.Histogram{
 		"Substrate construction wall time by kind (inclusive: a labeling built on a cold graph includes its BDD build).", obs.L("substrate", "bdd")),
 	"dual-label":   obs.Default().Histogram("substrate_build_seconds", "", obs.L("substrate", "dual-label")),
 	"primal-label": obs.Default().Histogram("substrate_build_seconds", "", obs.L("substrate", "primal-label")),
+	minorAgg:       obs.Default().Histogram("substrate_build_seconds", "", obs.L("substrate", minorAgg)),
 }
 
 // LengthKind identifies a per-dart length function derived from the graph's
@@ -129,6 +137,7 @@ type state struct {
 	mu     sync.Mutex
 	trees  map[int]*slot[*bdd.BDD]
 	labels map[labelKey]*slot[*label.Labeling]
+	prices slot[minoragg.Prices]
 
 	build *ledger.Ledger // cumulative build cost of every substrate built
 
@@ -273,6 +282,13 @@ func runBuild[T any](p *Prepared, s *slot[T], ch chan struct{}, kind string,
 	return v, led, err
 }
 
+// chargeBuild books a slot's construction, once: Build scope in the ledger
+// of the query that triggered it and in the bundle's cumulative one.
+func (p *Prepared) chargeBuild(slotLed, led *ledger.Ledger) {
+	p.st.build.MergeAs(slotLed, ledger.Build)
+	led.MergeAs(slotLed, ledger.Build)
+}
+
 // Tree returns the BDD for the given leaf limit, building it on first use.
 // The build cost is charged to led (Build scope) by whichever call triggers
 // construction; cache hits charge nothing. The only possible error is the
@@ -298,8 +314,7 @@ func (p *Prepared) Tree(leafLimit int, led *ledger.Ledger) (*bdd.BDD, error) {
 		return nil, err
 	}
 	if built {
-		p.st.build.MergeAs(slotLed, ledger.Build)
-		led.MergeAs(slotLed, ledger.Build)
+		p.chargeBuild(slotLed, led)
 	}
 	return v, nil
 }
@@ -346,10 +361,32 @@ func (p *Prepared) labels(v label.View, kind LengthKind, leafLimit int, led *led
 		return nil, err
 	}
 	if built {
-		p.st.build.MergeAs(slotLed, ledger.Build)
-		led.MergeAs(slotLed, ledger.Build)
+		p.chargeBuild(slotLed, led)
 	}
 	return la, nil
+}
+
+// MinorAgg returns a charging handle for one query's minor-aggregation
+// rounds on G*, building the graph's prices on first use: that build runs a
+// full minoragg.NewSimulator — Ĝ, its shortcut skeleton and one measured
+// faces-as-parts PA — and keeps only the prices, which is all a query reads
+// of it. The construction rounds are charged to led (Build scope) by
+// whichever call triggers the build; everything the handle charges
+// afterwards lands in led at Query scope. The only possible error is the
+// view context's cancellation.
+func (p *Prepared) MinorAgg(led *ledger.Ledger) (minoragg.Handle, error) {
+	pr, slotLed, built, err := get(p, &p.st.prices, minorAgg,
+		func(_ context.Context, bled *ledger.Ledger) (minoragg.Prices, int64, error) {
+			pr := minoragg.NewSimulator(p.st.g, bled).Prices
+			return pr, pr.FootprintBytes(), nil
+		})
+	if err != nil {
+		return minoragg.Handle{}, err
+	}
+	if built {
+		p.chargeBuild(slotLed, led)
+	}
+	return minoragg.NewHandle(pr, p.st.g, led), nil
 }
 
 // BuildLedger returns a snapshot of the cumulative build cost of every
@@ -365,10 +402,10 @@ func (p *Prepared) BuildLedger() *ledger.Ledger {
 // costs the serving layer budgets by — estimated resident bytes and the
 // one-time construction rounds.
 type SubstrateStats struct {
-	Kind        string     `json:"kind"` // "bdd" | "dual-label" | "primal-label"
+	Kind        string     `json:"kind"` // "bdd" | "dual-label" | "minoragg" | "primal-label"
 	Lengths     LengthKind `json:"-"`
-	LengthsName string     `json:"lengths,omitempty"` // empty for the BDD
-	LeafLimit   int        `json:"leaf_limit"`
+	LengthsName string     `json:"lengths,omitempty"` // labelings only
+	LeafLimit   int        `json:"leaf_limit"`        // 0 for the minor-aggregation prices
 	Bytes       int64      `json:"bytes"`
 	BuildRounds int64      `json:"build_rounds"`
 }
@@ -381,8 +418,9 @@ type Stats struct {
 }
 
 // Stats snapshots the built substrates (in-flight builds are excluded
-// until they publish). The slice is ordered deterministically: BDDs by
-// leaf limit, then dual and primal labelings by (kind, leaf limit).
+// until they publish). The slice is ordered deterministically, by kind
+// name: BDDs by leaf limit, dual labelings by (kind, leaf limit), the
+// minor-aggregation prices, primal labelings.
 func (p *Prepared) Stats() Stats {
 	p.st.mu.Lock()
 	defer p.st.mu.Unlock()
@@ -402,6 +440,9 @@ func (p *Prepared) Stats() Stats {
 			add(SubstrateStats{Kind: substrate[k.view], Lengths: k.kind, LengthsName: k.kind.String(),
 				LeafLimit: k.leafLimit, Bytes: s.bytes, BuildRounds: s.led.Total()})
 		}
+	}
+	if s := &p.st.prices; s.ready {
+		add(SubstrateStats{Kind: minorAgg, Bytes: s.bytes, BuildRounds: s.led.Total()})
 	}
 	sort.Slice(st.Substrates, func(i, j int) bool {
 		a, b := st.Substrates[i], st.Substrates[j]

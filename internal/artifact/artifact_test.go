@@ -320,3 +320,49 @@ func TestStatsFootprintAccounting(t *testing.T) {
 		t.Fatalf("stats build rounds %d != build ledger %d", st.BuildRounds, got)
 	}
 }
+
+// TestMinorAggCanceledWaiter parks a waiter behind an in-flight build of the
+// prices with its context already canceled: it returns the context's error
+// with nothing charged, and the builder it stopped waiting for is untouched
+// — once that build is released, the next live call finds the slot free and
+// builds.
+func TestMinorAggCanceledWaiter(t *testing.T) {
+	p := New(planar.Grid(6, 6))
+	// Stand in for a running builder: the slot is marked in flight and
+	// never publishes until the test says so.
+	inflight := make(chan struct{})
+	p.st.mu.Lock()
+	p.st.prices.inflight = inflight
+	p.st.mu.Unlock()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	led := ledger.New()
+	if _, err := p.WithContext(ctx).MinorAgg(led); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled waiter: err=%v, want context.Canceled", err)
+	}
+	if led.Total() != 0 || p.BuildLedger().Total() != 0 {
+		t.Fatalf("canceled waiter charged %d rounds (build ledger %d)", led.Total(), p.BuildLedger().Total())
+	}
+
+	// The stand-in builder aborts; a live waiter wakes, re-checks and
+	// becomes the builder.
+	done := make(chan *ledger.Ledger, 1)
+	go func() {
+		led := ledger.New()
+		if _, err := p.MinorAgg(led); err != nil {
+			t.Error(err)
+		}
+		done <- led
+	}()
+	p.st.mu.Lock()
+	p.st.prices.inflight = nil
+	close(inflight)
+	p.st.mu.Unlock()
+	if b, _ := (<-done).BuildSplit(); b == 0 {
+		t.Fatal("live call after the aborted build did not build the prices")
+	}
+	if st := p.Stats(); len(st.Substrates) != 1 || st.Substrates[0].Kind != minorAgg || st.Substrates[0].BuildRounds == 0 || st.Substrates[0].Bytes == 0 {
+		t.Fatalf("stats after the build: %+v", st.Substrates)
+	}
+}

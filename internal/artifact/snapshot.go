@@ -15,6 +15,7 @@ import (
 	"planarflow/internal/bdd"
 	"planarflow/internal/label"
 	"planarflow/internal/ledger"
+	"planarflow/internal/minoragg"
 	"planarflow/internal/snapshot"
 )
 
@@ -27,9 +28,9 @@ const restoredPhase = "snapshot/restored-build"
 // Export writes a snapshot of every substrate built so far (in-flight
 // builds are excluded until they publish) to w. Sections are emitted in
 // deterministic order — trees by leaf limit, then labelings by (view,
-// length kind, leaf limit), dual before primal — so equal states encode to
-// equal bytes. A bundle with nothing built exports a valid, empty
-// snapshot.
+// length kind, leaf limit), dual before primal, then the minor-aggregation
+// prices — so equal states encode to equal bytes. A bundle with nothing
+// built exports a valid, empty snapshot.
 func (p *Prepared) Export(w io.Writer) error {
 	var c snapshot.Contents
 	p.st.mu.Lock()
@@ -47,6 +48,9 @@ func (p *Prepared) Export(w io.Writer) error {
 				BuildRounds: s.led.Total(), Labeling: s.val,
 			})
 		}
+	}
+	if s := &p.st.prices; s.ready {
+		c.Prices = &snapshot.PricesEntry{PAUnit: s.val.PAUnit(), BuildRounds: s.led.Total()}
 	}
 	p.st.mu.Unlock()
 	sort.Slice(c.Trees, func(i, j int) bool { return c.Trees[i].LeafLimit < c.Trees[j].LeafLimit })
@@ -100,6 +104,10 @@ func (p *Prepared) ImportInto(r io.Reader) error {
 			p.st.labels[key] = s
 		}
 		seedSlot(p, s, la.Labeling, la.BuildRounds, la.Labeling.FootprintBytes())
+	}
+	if c.Prices != nil {
+		pr := minoragg.RestorePrices(p.st.g, c.Prices.PAUnit)
+		seedSlot(p, &p.st.prices, pr, c.Prices.BuildRounds, pr.FootprintBytes())
 	}
 	return nil
 }

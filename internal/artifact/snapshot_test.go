@@ -2,6 +2,7 @@ package artifact
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"planarflow/internal/ledger"
@@ -80,5 +81,55 @@ func TestExportImportEmpty(t *testing.T) {
 	}
 	if n := len(q.Stats().Substrates); n != 0 {
 		t.Fatalf("empty import produced %d substrates", n)
+	}
+}
+
+// TestExportImportPrices: the minor-aggregation prices travel in the
+// snapshot. The restored bundle hands out the same prices at no build
+// charge, reports the original construction cost, and re-exports the bytes
+// it was restored from.
+func TestExportImportPrices(t *testing.T) {
+	g := planar.WithRandomWeights(planar.Grid(5, 6), planar.NewRand(3), 1, 9, 1, 16)
+	donor := New(g)
+	built := ledger.New()
+	h, err := donor.MinorAgg(built)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := donor.PrimalLabels(Undirected, 0, ledger.New()); err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := donor.Export(&snap); err != nil {
+		t.Fatal(err)
+	}
+
+	recv := New(g)
+	if err := recv.ImportInto(bytes.NewReader(snap.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	led := ledger.New()
+	h2, err := recv.MinorAgg(led)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if led.Total() != 0 {
+		t.Fatalf("restored prices charged %d rounds on fetch", led.Total())
+	}
+	if h2.Prices != h.Prices {
+		t.Fatalf("restored prices %+v, built %+v", h2.Prices, h.Prices)
+	}
+	if !reflect.DeepEqual(recv.Stats(), donor.Stats()) {
+		t.Fatalf("restored stats %+v, want %+v", recv.Stats(), donor.Stats())
+	}
+	if got, want := recv.BuildLedger().Total(), donor.BuildLedger().Total(); got != want || built.Total() == 0 {
+		t.Fatalf("restored build ledger %d, donor %d (prices cost %d)", got, want, built.Total())
+	}
+	var again bytes.Buffer
+	if err := recv.Export(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), snap.Bytes()) {
+		t.Fatal("re-export of the restored bundle differs from the snapshot it came from")
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"planarflow/internal/artifact"
 	"planarflow/internal/ledger"
-	"planarflow/internal/minoragg"
 	"planarflow/internal/pa"
 	"planarflow/internal/planar"
 	"planarflow/internal/spath"
@@ -28,9 +27,9 @@ type GirthResult struct {
 // Total model cost is Õ(1) minor-aggregation rounds = Õ(D) CONGEST rounds,
 // all priced through the measured PA unit of the instance.
 //
-// Girth takes the prepared artifact for API uniformity with the other entry
-// points; its minor-aggregation route needs no BDD or labeling, so it has no
-// build-phase cost to amortize.
+// The route needs no BDD or labeling; its one build-phase cost is the
+// prepared artifact's minor-aggregation prices (Ĝ, the shortcut skeleton,
+// one measured PA), charged to the first query on the graph that needs them.
 func Girth(p *artifact.Prepared, led *ledger.Ledger) (*GirthResult, error) {
 	g := p.Graph()
 	for e := 0; e < g.M(); e++ {
@@ -38,7 +37,10 @@ func Girth(p *artifact.Prepared, led *ledger.Ledger) (*GirthResult, error) {
 			return nil, fmt.Errorf("core: girth: edge %d has weight %d: %w", e, g.Edge(e).Weight, ErrNonPositiveWeight)
 		}
 	}
-	sim := minoragg.NewSimulator(g, led)
+	sim, err := p.MinorAgg(led)
+	if err != nil {
+		return nil, err
+	}
 	weights := make([]int64, g.M())
 	for e := range weights {
 		weights[e] = g.Edge(e).Weight

@@ -9,6 +9,15 @@
 // CONGEST bound is grounded in the realized shortcut congestion/dilation of
 // the instance at hand.
 //
+// Ĝ, its shortcut skeleton and the measured price of one PA are functions of
+// the graph alone, so the package splits in two. Prices is what a query
+// reads of a simulator — the PA unit and log n — and is immutable: the
+// artifact layer builds a Simulator once per graph, keeps its Prices
+// resident and lets Ĝ and the skeleton go, since nothing on the query path
+// reads them (only Model does, through a full Simulator). Handle is the
+// per-query half: the prices, the graph and the ledger this one query
+// charges. A value two queries can share holds no ledger.
+//
 // The package also executes, for real, the parallel-edge deactivation
 // procedure of Lemma 4.15 (low out-degree orientation via the arboricity
 // algorithm of [Barenboim–Elkin]) that turns the dual multigraph into a
@@ -24,50 +33,79 @@ import (
 	"planarflow/internal/planar"
 )
 
-// Simulator hosts minor-aggregation computations on the dual of one planar
-// graph.
-type Simulator struct {
-	G   *planar.Graph
-	H   *hatg.Graph
-	PA  *pa.DualPA
-	Led *ledger.Ledger
-
-	paUnit int64 // measured CONGEST cost of one PA instance on this Ĝ
+// Prices is the price card of one graph's dual: the measured CONGEST cost
+// of one PA instance on its Ĝ, and the log n factor of a contracting model
+// round. Immutable, so every query on the graph may share one.
+type Prices struct {
+	paUnit int64
 	logN   int64
 }
 
-// NewSimulator builds Ĝ and the shortcut skeleton for g and calibrates the
-// per-PA round cost with one canonical faces-as-parts aggregation.
-func NewSimulator(g *planar.Graph, led *ledger.Ledger) *Simulator {
-	s := &Simulator{G: g, Led: led}
-	s.H = hatg.New(g)
-	led.Charge("hatg/construct", 2) // Property 1: O(1) rounds
-	s.PA = pa.NewDualPA(s.H, led)
-	s.logN = int64(bits.Len(uint(g.N()))) + 1
-
-	s.paUnit = s.PA.MeasureUnit()
-	return s
+// RestorePrices returns the price card of g given the PA unit measured on
+// g's Ĝ by an earlier NewSimulator (a snapshot carries it); log n derives
+// from g.
+func RestorePrices(g *planar.Graph, paUnit int64) Prices {
+	return Prices{paUnit: paUnit, logN: int64(bits.Len(uint(g.N()))) + 1}
 }
 
 // PAUnit returns the measured cost of one PA instance on this instance's Ĝ.
-func (s *Simulator) PAUnit() int64 { return s.paUnit }
+func (p Prices) PAUnit() int64 { return p.paUnit }
+
+// FootprintBytes is what a resident price card keeps alive.
+func (p Prices) FootprintBytes() int64 { return 16 }
+
+// Handle charges one query's model rounds on the dual of G at the graph's
+// prices.
+type Handle struct {
+	Prices
+	G   *planar.Graph
+	led *ledger.Ledger
+}
+
+// NewHandle binds the prices of g to the ledger of one query.
+func NewHandle(p Prices, g *planar.Graph, led *ledger.Ledger) Handle {
+	return Handle{Prices: p, G: g, led: led}
+}
+
+// Simulator hosts minor-aggregation computations on the dual of one planar
+// graph: the charging handle plus Ĝ and the PA skeleton Model executes on.
+type Simulator struct {
+	Handle
+	H  *hatg.Graph
+	PA *pa.DualPA
+}
+
+// NewSimulator builds Ĝ and the shortcut skeleton for g and calibrates the
+// per-PA round cost with one canonical faces-as-parts aggregation. The
+// construction is charged to led, as is everything the simulator's handle
+// charges afterwards.
+func NewSimulator(g *planar.Graph, led *ledger.Ledger) *Simulator {
+	h := hatg.New(g)
+	led.Charge("hatg/construct", 2) // Property 1: O(1) rounds
+	dpa := pa.NewDualPA(h, led)
+	return &Simulator{
+		Handle: NewHandle(RestorePrices(g, dpa.MeasureUnit()), g, led),
+		H:      h,
+		PA:     dpa,
+	}
+}
 
 // ChargeRounds prices tau minor-aggregation rounds that may contract: each
 // compiles to O(log n) PA instances (Boruvka merging, Lemma 4.8) at the
 // calibrated per-PA cost.
-func (s *Simulator) ChargeRounds(phase string, tau int64) {
-	s.Led.Charge(phase, tau*s.logN*s.paUnit)
+func (s *Handle) ChargeRounds(phase string, tau int64) {
+	s.led.Charge(phase, tau*s.logN*s.paUnit)
 }
 
 // ChargeAggRounds prices tau contraction-free model rounds (consensus /
 // aggregation only): one PA instance each.
-func (s *Simulator) ChargeAggRounds(phase string, tau int64) {
-	s.Led.Charge(phase, tau*s.paUnit)
+func (s *Handle) ChargeAggRounds(phase string, tau int64) {
+	s.led.Charge(phase, tau*s.paUnit)
 }
 
 // ChargeVirtual prices tau extended-model rounds with beta virtual nodes
 // (Theorem 4.14: Õ(tau·beta·D)).
-func (s *Simulator) ChargeVirtual(phase string, tau, beta int64) {
+func (s *Handle) ChargeVirtual(phase string, tau, beta int64) {
 	if beta < 1 {
 		beta = 1
 	}
@@ -101,7 +139,7 @@ type SimpleDual struct {
 // support (arboricity <= 3), the induced orientation has O(1) out-neighbors
 // per node, and the per-neighbor merges are then performed group by group.
 // Model cost: Õ(alpha) minor-aggregation rounds, charged per phase.
-func (s *Simulator) Deactivate(weights []int64, op pa.Op) *SimpleDual {
+func (s *Handle) Deactivate(weights []int64, op pa.Op) *SimpleDual {
 	g := s.G
 	du := g.Dual()
 	nf := du.NumNodes()
@@ -235,7 +273,7 @@ func (s *Simulator) Deactivate(weights []int64, op pa.Op) *SimpleDual {
 // whose dual crosses the cut — by cycle-cut duality (Fact 3.1) these form
 // the corresponding primal cycle. Model cost: O(1) minor-aggregation rounds
 // (Lemma 4.17).
-func (s *Simulator) MarkDualCutEdges(side []bool) []int {
+func (s *Handle) MarkDualCutEdges(side []bool) []int {
 	du := s.G.Dual()
 	var out []int
 	for e := 0; e < s.G.M(); e++ {

@@ -170,7 +170,7 @@ func (m *Model) ConsensusStep(input func(node int) int64, identity int64, op pa.
 		partOfFace[f] = part[m.super[f]]
 		faceInput[f] = input(f)
 	}
-	vals := m.sim.PA.AggregateFaces(partOfFace, len(supers), faceInput, identity, op)
+	vals := m.sim.PA.AggregateFaces(partOfFace, len(supers), faceInput, identity, op, m.sim.led)
 	// Fold virtual members (simulated by all vertices; Thm 4.14).
 	beta := int64(m.numNode - m.numReal)
 	if beta > 0 {

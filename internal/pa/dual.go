@@ -11,17 +11,19 @@ import (
 // the face-disjoint graph Ĝ (each dual node is simulated by the copies of
 // its face cycle) and running shortcut-based PA there. Star centers only
 // relay. Rounds on Ĝ are charged 2x on G (Property 3 of Ĝ).
+//
+// A DualPA is immutable once built: every aggregation takes the ledger it
+// charges as an argument, so one DualPA may serve concurrent callers.
 type DualPA struct {
 	H    *hatg.Graph
 	net  Network
 	tree *Tree
-	Led  *ledger.Ledger
 }
 
 // NewDualPA prepares the Ĝ network and its global shortcut skeleton,
-// charging the BFS construction.
+// charging the BFS construction to led.
 func NewDualPA(h *hatg.Graph, led *ledger.Ledger) *DualPA {
-	d := &DualPA{H: h, net: FromHatG(h), Led: led}
+	d := &DualPA{H: h, net: FromHatG(h)}
 	d.tree = BuildTree(d.net, 0)
 	led.Measure("hatg/bfs-tree", 2*(d.tree.Height+1))
 	return d
@@ -32,8 +34,15 @@ func (d *DualPA) Tree() *Tree { return d.tree }
 
 // AggregateFaces computes, for each part of the face partition, the
 // op-aggregate of the per-face inputs. identity is op's neutral element
-// (relay copies contribute it). Returns per-part values.
-func (d *DualPA) AggregateFaces(partOfFace []int, numParts int, faceInput []int64, identity int64, op Op) []int64 {
+// (relay copies contribute it). Returns per-part values and charges the
+// measured schedule to led.
+func (d *DualPA) AggregateFaces(partOfFace []int, numParts int, faceInput []int64, identity int64, op Op, led *ledger.Ledger) []int64 {
+	res := d.aggregateFaces(partOfFace, numParts, faceInput, identity, op)
+	led.Measure("dual-pa/aggregate", 2*res.Rounds)
+	return res.Value
+}
+
+func (d *DualPA) aggregateFaces(partOfFace []int, numParts int, faceInput []int64, identity int64, op Op) *Result {
 	h := d.H
 	n := h.N()
 	parts := Parts{Of: make([]int, n), Num: numParts}
@@ -53,16 +62,14 @@ func (d *DualPA) AggregateFaces(partOfFace []int, numParts int, faceInput []int6
 			}
 		}
 	}
-	res := Aggregate(d.net, d.tree, parts, input, op)
-	d.Led.Measure("dual-pa/aggregate", 2*res.Rounds)
-	return res.Value
+	return Aggregate(d.net, d.tree, parts, input, op)
 }
 
 // AggregateCopies computes per-part aggregates where the caller supplies an
 // input per Ĝ vertex directly (used for aggregations over dual edges: each
 // chord endpoint knows its edge's contribution). Copies belong to the part
 // of their face per partOfFace; star centers relay.
-func (d *DualPA) AggregateCopies(partOfFace []int, numParts int, copyInput []int64, op Op) []int64 {
+func (d *DualPA) AggregateCopies(partOfFace []int, numParts int, copyInput []int64, op Op, led *ledger.Ledger) []int64 {
 	h := d.H
 	n := h.N()
 	parts := Parts{Of: make([]int, n), Num: numParts}
@@ -76,18 +83,15 @@ func (d *DualPA) AggregateCopies(partOfFace []int, numParts int, copyInput []int
 		}
 	}
 	res := Aggregate(d.net, d.tree, parts, copyInput, op)
-	d.Led.Measure("dual-pa/aggregate", 2*res.Rounds)
+	led.Measure("dual-pa/aggregate", 2*res.Rounds)
 	return res.Value
 }
 
 // MeasureUnit runs one canonical faces-as-parts PA (the most congested
-// pattern the paper's compilations use) against a throwaway ledger and
-// returns its measured CONGEST cost. Model simulations use this as the price
-// of one PA instance on this Ĝ.
+// pattern the paper's compilations use), charging nobody, and returns its
+// measured CONGEST cost. Model simulations use this as the price of one PA
+// instance on this Ĝ.
 func (d *DualPA) MeasureUnit() int64 {
-	probe := ledger.New()
-	saved := d.Led
-	d.Led = probe
 	nf := d.H.Primal().Faces().NumFaces()
 	partOf := make([]int, nf)
 	in := make([]int64, nf)
@@ -95,9 +99,7 @@ func (d *DualPA) MeasureUnit() int64 {
 		partOf[f] = f
 		in[f] = 1
 	}
-	d.AggregateFaces(partOf, nf, in, 0, Sum)
-	d.Led = saved
-	unit := probe.Total()
+	unit := int64(2 * d.aggregateFaces(partOf, nf, in, 0, Sum).Rounds)
 	if unit < 1 {
 		unit = 1
 	}

@@ -89,217 +89,228 @@ type Result struct {
 	Dilation   int     // max Steiner-tree height over parts
 }
 
-// steiner describes one part's Steiner tree inside the global tree.
-type steiner struct {
-	root     int
-	nodes    []int
-	children map[int][]int // within the Steiner tree
-	parent   map[int]int
+// forest is every part's Steiner tree inside the global tree, flattened: a
+// Steiner node is an id, the nodes of one part are consecutive ids, and
+// everything the schedule keeps per (part, vertex) is an array over ids.
+type forest struct {
+	root     []int32 // per part: the id of its Steiner root, -1 when it has no member
+	vert     []int32 // per id: the network vertex
+	parent   []int32 // per id: the id of the Steiner parent, -1 at a root
+	kids     []int32 // per id: number of Steiner children
+	member   []bool  // per id: the vertex belongs to the part (it has an input)
+	dilation int     // max Steiner-tree height over parts
 }
 
-func buildSteiner(t *Tree, members []int) steiner {
-	st := steiner{parent: make(map[int]int), children: make(map[int][]int)}
-	if len(members) == 0 {
-		st.root = -1
-		return st
-	}
-	inTree := make(map[int]bool)
-	isMember := make(map[int]bool, len(members))
-	for _, v := range members {
-		isMember[v] = true
-	}
-	// Union of member-to-root paths.
-	for _, v := range members {
-		for x := v; x != -1 && !inTree[x]; x = t.Parent[x] {
-			inTree[x] = true
+// buildForest lays out the Steiner tree of every part: the union of its
+// members' paths to the global root, with the chain above their common
+// ancestor trimmed. memStart/members list each part's members (CSR). The
+// scratch arrays over the network's vertices are stamped with the part's
+// epoch instead of cleared, so a part costs its own tree, not n.
+func buildForest(t *Tree, n int, memStart, members []int32) *forest {
+	numParts := len(memStart) - 1
+	f := &forest{root: make([]int32, numParts)}
+	inTree := make([]int32, n) // epoch of the part whose union holds the vertex
+	isMem := make([]int32, n)  // epoch of the part the vertex is a member of
+	kids := make([]int32, n)   // children inside the current union
+	oneKid := make([]int32, n) // one of them
+	pos := make([]int32, n)    // the vertex's id in the current part
+	for i := 0; i < numParts; i++ {
+		epoch := int32(i + 1)
+		first := len(f.vert)
+		f.root[i] = -1
+		for _, v := range members[memStart[i]:memStart[i+1]] {
+			if t.Depth[v] < 0 {
+				continue // not reached by the global tree: nothing routes to it
+			}
+			isMem[v] = epoch
+			for x := int(v); x != -1 && inTree[x] != epoch; x = t.Parent[x] {
+				inTree[x], kids[x] = epoch, 0
+				f.vert = append(f.vert, int32(x))
+			}
+		}
+		if len(f.vert) == first {
+			continue
+		}
+		for _, x := range f.vert[first:] {
+			if p := t.Parent[x]; p != -1 {
+				kids[p]++
+				oneKid[p] = x
+			}
+		}
+		// Trim the chain above the LCA: descend from the global root while
+		// the current node is a non-member with exactly one Steiner child.
+		root := int32(t.Root)
+		for isMem[root] != epoch && kids[root] == 1 {
+			inTree[root] = 0
+			root = oneKid[root]
+		}
+		w := first
+		for _, x := range f.vert[first:] {
+			if inTree[x] == epoch {
+				f.vert[w], pos[x] = x, int32(w)
+				w++
+			}
+		}
+		f.vert = f.vert[:w]
+		for id := first; id < w; id++ {
+			x := f.vert[id]
+			f.kids = append(f.kids, kids[x])
+			f.member = append(f.member, isMem[x] == epoch)
+			if x == root {
+				f.parent = append(f.parent, -1)
+				f.root[i] = int32(id)
+			} else {
+				f.parent = append(f.parent, pos[t.Parent[x]])
+			}
+			// The Steiner tree hangs off root along global tree edges, so a
+			// node's height in it is its depth below root.
+			if h := t.Depth[x] - t.Depth[root]; h > f.dilation {
+				f.dilation = h
+			}
 		}
 	}
-	for x := range inTree {
-		p := t.Parent[x]
-		if p != -1 && inTree[p] {
-			st.parent[x] = p
-			st.children[p] = append(st.children[p], x)
-		}
-	}
-	// Trim the chain above the LCA: descend from the global root while the
-	// current node is a non-member with exactly one Steiner child.
-	root := t.Root
-	for !isMember[root] && len(st.children[root]) == 1 {
-		next := st.children[root][0]
-		delete(st.children, root)
-		delete(st.parent, next)
-		root = next
-	}
-	st.root = root
-	// Collect nodes reachable from the trimmed root.
-	stack := []int{root}
-	for len(stack) > 0 {
-		x := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		st.nodes = append(st.nodes, x)
-		stack = append(stack, st.children[x]...)
-	}
-	return st
+	return f
 }
 
 // Aggregate solves the PA problem: for every part, the op-aggregate of the
 // inputs of its members, computed by convergecast + broadcast over per-part
 // Steiner trees with a round-by-round token schedule.
 func Aggregate(net Network, t *Tree, parts Parts, input []int64, op Op) *Result {
+	n := net.N()
 	res := &Result{Value: make([]int64, parts.Num)}
-	members := make([][]int, parts.Num)
-	for v, p := range parts.Of {
+
+	// Members by part, counting-sorted (ascending vertex within a part).
+	memStart := make([]int32, parts.Num+1)
+	for _, p := range parts.Of {
 		if p >= 0 {
-			members[p] = append(members[p], v)
+			memStart[p+1]++
 		}
 	}
-	sts := make([]steiner, parts.Num)
-	for i := range sts {
-		sts[i] = buildSteiner(t, members[i])
-		h := steinerHeight(sts[i])
-		if h > res.Dilation {
-			res.Dilation = h
+	for p := 0; p < parts.Num; p++ {
+		memStart[p+1] += memStart[p]
+	}
+	members := make([]int32, memStart[parts.Num])
+	cursor := append([]int32(nil), memStart[:parts.Num]...)
+	for v, p := range parts.Of {
+		if p >= 0 {
+			members[cursor[p]] = int32(v)
+			cursor[p]++
 		}
+	}
+	f := buildForest(t, n, memStart, members)
+	res.Dilation = f.dilation
+	total := len(f.vert)
+
+	// Every non-root Steiner node sends one token up its tree edge
+	// v->parent(v) and receives one down it, so the queue of vertex v is a
+	// segment of one buffer, as long as the trees that hold v below a root.
+	qStart := make([]int32, n+1)
+	for id, p := range f.parent {
+		if p >= 0 {
+			qStart[f.vert[id]+1]++
+		}
+	}
+	for v := 0; v < n; v++ {
+		qStart[v+1] += qStart[v]
+	}
+	qbuf := make([]int32, qStart[n])
+	head := make([]int32, n)
+	tail := make([]int32, n)
+	enqueue := func(id int32) {
+		v := f.vert[id]
+		qbuf[tail[v]] = id
+		tail[v]++
+	}
+	// step pops at most one token per directed edge (CONGEST capacity) into
+	// arrived, in vertex order.
+	arrived := make([]int32, 0, n)
+	step := func() bool {
+		arrived = arrived[:0]
+		for v := 0; v < n; v++ {
+			if head[v] < tail[v] {
+				arrived = append(arrived, qbuf[head[v]])
+				head[v]++
+			}
+		}
+		return len(arrived) > 0
 	}
 
 	// ---- Up phase: convergecast one token per Steiner edge. ----
-	type key struct{ part, v int }
-	acc := make(map[key]int64)
-	pendingKids := make(map[key]int)
-	memberSet := make(map[key]bool)
-	for i, st := range sts {
-		if st.root == -1 {
-			continue
-		}
-		for _, v := range st.nodes {
-			pendingKids[key{i, v}] = len(st.children[v])
-		}
-		for _, v := range members[i] {
-			memberSet[key{i, v}] = true
-			acc[key{i, v}] = input[v]
+	acc := make([]int64, total)
+	has := make([]bool, total)
+	for id, m := range f.member {
+		if m {
+			acc[id], has[id] = input[f.vert[id]], true
 		}
 	}
-	combine := func(k key, val int64) {
-		if cur, ok := acc[k]; ok {
-			acc[k] = op(cur, val)
-		} else {
-			acc[k] = val
-		}
-	}
-
-	// upQueue[v] holds tokens waiting to traverse the tree edge v->parent(v);
-	// one token crosses per round (CONGEST capacity).
-	upQueue := make([][]key, net.N())
-	edgeLoad := make([]int, net.N()) // tokens ever enqueued on v->parent(v)
-	ready := func(i, v int) {
-		st := &sts[i]
-		if v == st.root {
-			res.Value[i] = acc[key{i, v}]
-			return
-		}
-		upQueue[v] = append(upQueue[v], key{i, v})
-		edgeLoad[v]++
-	}
-	for i, st := range sts {
-		if st.root == -1 {
-			continue
-		}
-		for _, v := range st.nodes {
-			if pendingKids[key{i, v}] == 0 {
-				ready(i, v)
-			}
+	pending := append([]int32(nil), f.kids...)
+	copy(head, qStart)
+	copy(tail, qStart)
+	for id := range pending {
+		if pending[id] == 0 && f.parent[id] >= 0 {
+			enqueue(int32(id))
 		}
 	}
 	upRounds := 0
-	for {
-		moved := false
-		// Deliver at most one token per directed edge this round.
-		type delivery struct {
-			k      key
-			parent int
-		}
-		var ds []delivery
-		for v := range upQueue {
-			if len(upQueue[v]) == 0 {
-				continue
-			}
-			k := upQueue[v][0]
-			upQueue[v] = upQueue[v][1:]
-			ds = append(ds, delivery{k: k, parent: sts[k.part].parent[k.v]})
-			moved = true
-		}
-		if !moved {
-			break
-		}
+	for step() {
 		upRounds++
-		for _, d := range ds {
-			pk := key{d.k.part, d.parent}
-			combine(pk, acc[d.k])
-			pendingKids[pk]--
-			if pendingKids[pk] == 0 {
-				ready(d.k.part, d.parent)
+		for _, id := range arrived {
+			p := f.parent[id]
+			if has[p] {
+				acc[p] = op(acc[p], acc[id])
+			} else {
+				acc[p], has[p] = acc[id], true
+			}
+			pending[p]--
+			if pending[p] == 0 && f.parent[p] >= 0 {
+				enqueue(p)
 			}
 		}
 	}
-	for v := range edgeLoad {
-		if edgeLoad[v] > res.Congestion {
-			res.Congestion = edgeLoad[v]
+	for i, r := range f.root {
+		if r >= 0 {
+			res.Value[i] = acc[r]
+		}
+	}
+	for v := 0; v < n; v++ {
+		if load := int(tail[v] - qStart[v]); load > res.Congestion {
+			res.Congestion = load
 		}
 	}
 
 	// ---- Down phase: broadcast the result over the same Steiner trees.
 	// Token per Steiner edge again; queue keyed by the child endpoint.
-	downQueue := make([][]key, net.N()) // tokens waiting on parent(v)->v
-	for i, st := range sts {
-		if st.root == -1 {
-			continue
+	childStart := make([]int32, total+1)
+	for id, k := range f.kids {
+		childStart[id+1] = childStart[id] + k
+	}
+	children := make([]int32, childStart[total])
+	fill := append([]int32(nil), childStart[:total]...)
+	for id, p := range f.parent {
+		if p >= 0 {
+			children[fill[p]] = int32(id)
+			fill[p]++
 		}
-		for _, c := range st.children[st.root] {
-			downQueue[c] = append(downQueue[c], key{i, c})
+	}
+	copy(head, qStart)
+	copy(tail, qStart)
+	for _, r := range f.root {
+		if r >= 0 {
+			for _, c := range children[childStart[r]:childStart[r+1]] {
+				enqueue(c)
+			}
 		}
 	}
 	downRounds := 0
-	for {
-		moved := false
-		var arrivals []key
-		for v := range downQueue {
-			if len(downQueue[v]) == 0 {
-				continue
-			}
-			k := downQueue[v][0]
-			downQueue[v] = downQueue[v][1:]
-			arrivals = append(arrivals, k)
-			moved = true
-		}
-		if !moved {
-			break
-		}
+	for step() {
 		downRounds++
-		for _, k := range arrivals {
-			for _, c := range sts[k.part].children[k.v] {
-				downQueue[c] = append(downQueue[c], key{k.part, c})
+		for _, id := range arrived {
+			for _, c := range children[childStart[id]:childStart[id+1]] {
+				enqueue(c)
 			}
 		}
 	}
 
 	res.Rounds = upRounds + downRounds
 	return res
-}
-
-func steinerHeight(st steiner) int {
-	if st.root == -1 {
-		return 0
-	}
-	h := 0
-	var rec func(v, d int)
-	rec = func(v, d int) {
-		if d > h {
-			h = d
-		}
-		for _, c := range st.children[v] {
-			rec(c, d+1)
-		}
-	}
-	rec(st.root, 0)
-	return h
 }

@@ -148,7 +148,7 @@ func TestDualPAFacesAsParts(t *testing.T) {
 		partOf[f] = f
 		in[f] = int64(100 + f)
 	}
-	vals := d.AggregateFaces(partOf, nf, in, int64(1<<60), Min)
+	vals := d.AggregateFaces(partOf, nf, in, int64(1<<60), Min, led)
 	for f := 0; f < nf; f++ {
 		if vals[f] != int64(100+f) {
 			t.Fatalf("face %d: %d want %d", f, vals[f], 100+f)
@@ -179,7 +179,7 @@ func TestDualPAGroupedFaces(t *testing.T) {
 			wantIn += in[f]
 		}
 	}
-	vals := d.AggregateFaces(partOf, 2, in, 0, Sum)
+	vals := d.AggregateFaces(partOf, 2, in, 0, Sum, ledger.New())
 	if vals[0] != wantIn {
 		t.Fatalf("interior sum=%d want %d", vals[0], wantIn)
 	}
@@ -205,7 +205,7 @@ func TestPARoundsScaleWithDiameterOnDual(t *testing.T) {
 			partOf[f] = f
 			in[f] = 1
 		}
-		d.AggregateFaces(partOf, nf, in, 0, Sum)
+		d.AggregateFaces(partOf, nf, in, 0, Sum, led)
 		return led.Total()
 	}
 	rThin, rSquare := r(thin), r(square)

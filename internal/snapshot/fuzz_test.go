@@ -62,7 +62,9 @@ var updateCorpus = flag.Bool("update-corpus", false, "rewrite the committed Fuzz
 // interesting shapes: a valid snapshot, truncations at several depths, a
 // flipped payload bit, a flipped CRC byte, a future version, and — cut from
 // the tri40 golden fixture, CRCs refreshed — one label section per thing a
-// vector over the tree's layout cannot hold (strictInputs).
+// vector over the tree's layout cannot hold (strictInputs), then the valid
+// snapshot with a prices section and one per thing that section cannot say
+// (pricesInputs).
 func TestWriteSeedCorpus(t *testing.T) {
 	if !*updateCorpus {
 		t.Skip("run with -update-corpus to rewrite the seed corpus")
@@ -85,6 +87,11 @@ func TestWriteSeedCorpus(t *testing.T) {
 		"flipped-crc":      flippedCRC,
 	}
 	for name, data := range strictInputs(t) {
+		seeds[name] = data
+	}
+	withPrices, strictPrices := pricesInputs(t)
+	seeds["valid-minoragg"] = withPrices
+	for name, data := range strictPrices {
 		seeds[name] = data
 	}
 	dir := filepath.Join("testdata", "fuzz", "FuzzDecodeSnapshot")

@@ -1,10 +1,10 @@
 // Package snapshot is the persistence layer under the prepared-graph
 // artifact: a versioned, checksummed, deterministic binary codec for the
-// three substrate families — the Bounded Diameter Decomposition
-// (internal/bdd) and the dual and primal distance labelings
-// (internal/label's two views) — so that substrates built once in Õ(D²)
-// simulated rounds can be written to disk, shipped between machines, and
-// restored at decode speed instead of rebuilt.
+// substrate families — the Bounded Diameter Decomposition (internal/bdd),
+// the dual and primal distance labelings (internal/label's two views) and
+// the minor-aggregation price card (internal/minoragg) — so that substrates
+// built once in Õ(D²) simulated rounds can be written to disk, shipped
+// between machines, and restored at decode speed instead of rebuilt.
 //
 // Format (all integers varint-encoded unless sized):
 //
@@ -14,7 +14,9 @@
 //
 // Section types: 1 = BDD tree (keyed by leaf limit), 2 = dual labeling,
 // 3 = primal labeling (one body, keyed by length kind + leaf limit; type 2
-// appends the DDGs its view retains). The fingerprint binds a snapshot to
+// appends the DDGs its view retains), 4 = minor-aggregation prices (the
+// measured PA unit and its build rounds; at most one, after the labelings).
+// The fingerprint binds a snapshot to
 // the exact embedded graph it was encoded against (vertices, edges with
 // weights/capacities, rotation system);
 // substrates are positional into the graph's dart/face/vertex spaces, so
@@ -78,7 +80,8 @@ const (
 	secTree    = 1
 	secDual    = 2
 	secPrimal  = 3
-	maxSecType = secPrimal
+	secPrices  = 4
+	maxSecType = secPrices
 )
 
 // Fingerprint hashes everything that determines a substrate's meaning:
@@ -274,6 +277,39 @@ func (d *dec) ints(limit int) ([]int, error) {
 type Contents struct {
 	Trees  []TreeEntry
 	Labels []LabelEntry
+	Prices *PricesEntry // nil: the snapshot holds no prices
+}
+
+// PricesEntry is the persisted minor-aggregation price card: the CONGEST
+// cost of one PA instance measured on the graph's Ĝ, and what measuring it
+// cost in simulated rounds. Everything else a query reads of the simulator
+// (log n) derives from the fingerprint-checked graph.
+type PricesEntry struct {
+	PAUnit      int64
+	BuildRounds int64
+}
+
+func encodePrices(e *enc, p *PricesEntry) {
+	e.varint(p.PAUnit)
+	e.varint(p.BuildRounds)
+}
+
+func decodePrices(d *dec) (*PricesEntry, error) {
+	paUnit, err := d.varint()
+	if err != nil {
+		return nil, err
+	}
+	buildRounds, err := d.varint()
+	if err != nil {
+		return nil, err
+	}
+	if paUnit < 1 || buildRounds < 0 {
+		return nil, fmt.Errorf("%w: prices section: unit %d, build rounds %d", ErrCorrupt, paUnit, buildRounds)
+	}
+	if d.remaining() != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes in prices section", ErrCorrupt, d.remaining())
+	}
+	return &PricesEntry{PAUnit: paUnit, BuildRounds: buildRounds}, nil
 }
 
 // LengthsFunc materializes the per-dart length vector of a length kind —
@@ -284,7 +320,8 @@ type LengthsFunc func(kind byte) ([]int64, error)
 
 // Encode writes the snapshot of g's substrates to w: header, then one
 // section per substrate in deterministic order (trees by leaf limit, then
-// labelings by (view, kind, leaf limit) — the caller sorts).
+// labelings by (view, kind, leaf limit) — the caller sorts — then the
+// prices, if any).
 func Encode(w io.Writer, g *planar.Graph, c *Contents) error {
 	var hdr enc
 	hdr.buf.Write(magic[:])
@@ -292,7 +329,11 @@ func Encode(w io.Writer, g *planar.Graph, c *Contents) error {
 	var fp [8]byte
 	binary.LittleEndian.PutUint64(fp[:], Fingerprint(g))
 	hdr.buf.Write(fp[:])
-	hdr.count(len(c.Trees) + len(c.Labels))
+	nsec := len(c.Trees) + len(c.Labels)
+	if c.Prices != nil {
+		nsec++
+	}
+	hdr.count(nsec)
 	if _, err := w.Write(hdr.buf.Bytes()); err != nil {
 		return err
 	}
@@ -313,6 +354,11 @@ func Encode(w io.Writer, g *planar.Graph, c *Contents) error {
 		if err := writeSection(w, secDual+byte(la.Labeling.View()), e.buf.Bytes()); err != nil {
 			return err
 		}
+	}
+	if c.Prices != nil {
+		var e enc
+		encodePrices(&e, c.Prices)
+		return writeSection(w, secPrices, e.buf.Bytes())
 	}
 	return nil
 }
@@ -419,6 +465,15 @@ func Decode(r io.Reader, g *planar.Graph, lengths LengthsFunc) (*Contents, error
 	}
 	for _, s := range secs {
 		if s.typ == secTree {
+			continue
+		}
+		if s.typ == secPrices {
+			if c.Prices != nil {
+				return nil, fmt.Errorf("%w: duplicate prices section", ErrCorrupt)
+			}
+			if c.Prices, err = decodePrices(&dec{b: s.payload}); err != nil {
+				return nil, err
+			}
 			continue
 		}
 		la, err := decodeLabeling(&dec{b: s.payload}, label.View(s.typ-secDual), g, c, lengths)

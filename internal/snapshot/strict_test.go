@@ -313,3 +313,62 @@ func TestRestoredEqualsComputed(t *testing.T) {
 		}
 	}
 }
+
+// pricesInputs appends a prices section (type 4) to the package fixture's
+// valid snapshot: the well-formed one, and one input per thing the section
+// decoder refuses. CRCs are fresh, so only that decoder can object.
+func pricesInputs(t testing.TB) (valid []byte, strict map[string][]byte) {
+	t.Helper()
+	_, base := fuzzSetup(t)
+	hdr, types, payloads := splitSnapshot(t, base)
+	prices := func(paUnit, rounds int64, extra ...byte) []byte {
+		p := binary.AppendVarint(nil, paUnit)
+		p = binary.AppendVarint(p, rounds)
+		return append(p, extra...)
+	}
+	with := func(secs ...[]byte) []byte {
+		h := append([]byte(nil), hdr[:6+1+8]...)
+		h = binary.AppendUvarint(h, uint64(len(payloads)+len(secs)))
+		ts, ps := append([]byte(nil), types...), append([][]byte(nil), payloads...)
+		for _, s := range secs {
+			ts, ps = append(ts, secPrices), append(ps, s)
+		}
+		return joinSnapshot(h, ts, ps)
+	}
+	return with(prices(14, 30)), map[string][]byte{
+		"strict-minoragg-unit-below-one":  with(prices(0, 30)),
+		"strict-minoragg-negative-rounds": with(prices(14, -1)),
+		"strict-minoragg-duplicate":       with(prices(14, 30), prices(14, 30)),
+		"strict-minoragg-trailing-bytes":  with(prices(14, 30, 0)),
+	}
+}
+
+// TestPricesSection: the prices section round-trips (decode∘encode is the
+// identity on a snapshot that carries one, and it is emitted last), a
+// snapshot without one still encodes to the bytes it always did, and each
+// malformed section is ErrCorrupt.
+func TestPricesSection(t *testing.T) {
+	g, base := fuzzSetup(t)
+	valid, strict := pricesInputs(t)
+	c, err := Decode(bytes.NewReader(valid), g, lengthsFor(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Prices == nil || *c.Prices != (PricesEntry{PAUnit: 14, BuildRounds: 30}) {
+		t.Fatalf("decoded prices %+v", c.Prices)
+	}
+	if !bytes.Equal(encodeAll(t, g, c), valid) {
+		t.Fatal("snapshot with a prices section does not round-trip")
+	}
+	c.Prices = nil
+	if !bytes.Equal(encodeAll(t, g, c), base) {
+		t.Fatal("dropping the prices does not give back the snapshot without them")
+	}
+	for name, data := range strict {
+		if _, err := Decode(bytes.NewReader(data), g, lengthsFor(g)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: got %v, want ErrCorrupt", name, err)
+		} else {
+			t.Logf("%s: %v", name, err)
+		}
+	}
+}

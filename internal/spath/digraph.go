@@ -6,7 +6,8 @@
 // since the labeling pass took its local computation — what a vertex that
 // collected a leaf bag or a DDG computes for free (§5.3) — to internal/label's
 // flat-array kernel, which is tested row for row against them; Dijkstra and
-// Digraph still serve core's per-bag cycle enumerations.
+// Digraph still serve core's per-bag cycle enumerations and Hassin's
+// augmented dual.
 package spath
 
 import "math"
@@ -32,6 +33,25 @@ type Digraph struct {
 // NewDigraph returns an empty digraph on n vertices.
 func NewDigraph(n int) *Digraph {
 	return &Digraph{adj: make([][]Arc, n)}
+}
+
+// NewDigraphSized returns an empty digraph on len(deg) vertices whose
+// adjacency lists are carved out of one array, vertex v with room for deg[v]
+// arcs: a caller that knows its degrees adds every arc without a list ever
+// growing.
+func NewDigraphSized(deg []int) *Digraph {
+	total := 0
+	for _, d := range deg {
+		total += d
+	}
+	arcs := make([]Arc, total)
+	g := &Digraph{adj: make([][]Arc, len(deg))}
+	off := 0
+	for v, d := range deg {
+		g.adj[v] = arcs[off : off : off+d]
+		off += d
+	}
+	return g
 }
 
 // N returns the number of vertices.

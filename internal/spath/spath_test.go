@@ -1,6 +1,7 @@
 package spath
 
 import (
+	"container/heap"
 	"math/rand"
 	"testing"
 )
@@ -309,5 +310,44 @@ func TestAPSPBellmanFord(t *testing.T) {
 	}
 	if all[0][2] != 1 {
 		t.Fatalf("apsp[0][2]=%d want 1", all[0][2])
+	}
+}
+
+// boxedPQ is pq behind container/heap, as Dijkstra and GlobalMinCut used to
+// drive it.
+type boxedPQ []pqItem
+
+func (q boxedPQ) Len() int            { return len(q) }
+func (q boxedPQ) Less(i, j int) bool  { return q[i].d < q[j].d }
+func (q boxedPQ) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
+func (q *boxedPQ) Push(x interface{}) { *q = append(*q, x.(pqItem)) }
+func (q *boxedPQ) Pop() interface{} {
+	old := *q
+	it := old[len(old)-1]
+	*q = old[:len(old)-1]
+	return it
+}
+
+// TestPQPopsLikeContainerHeap: on keys drawn from a handful of values, so
+// that nearly every comparison is a tie, pq hands items back in exactly the
+// order container/heap does — the order Dijkstra's parent arcs and
+// Stoer–Wagner's cut side were pinned under.
+func TestPQPopsLikeContainerHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var q pq
+	ref := &boxedPQ{}
+	for step := 0; step < 20000; step++ {
+		if len(q) != ref.Len() {
+			t.Fatalf("step %d: %d items, reference holds %d", step, len(q), ref.Len())
+		}
+		if len(q) > 0 && rng.Intn(5) < 2 {
+			if got, want := q.pop(), heap.Pop(ref).(pqItem); got != want {
+				t.Fatalf("step %d: popped %+v, container/heap pops %+v", step, got, want)
+			}
+			continue
+		}
+		it := pqItem{v: step, d: int64(rng.Intn(4))}
+		q.push(it)
+		heap.Push(ref, it)
 	}
 }

@@ -1,7 +1,5 @@
 package spath
 
-import "container/heap"
-
 // SSSPResult holds single-source distances and a shortest-path tree.
 type SSSPResult struct {
 	Source      int
@@ -15,18 +13,45 @@ type pqItem struct {
 	d int64
 }
 
+// pq is a binary min-heap of pqItems by d. push and pop sift exactly as
+// container/heap's up and down do — same comparisons, same swaps — so ties
+// leave in the order they always did (Dijkstra's tree and Stoer–Wagner's cut
+// side depend on it); what differs is that no item is boxed on the way in.
 type pq []pqItem
 
-func (q pq) Len() int            { return len(q) }
-func (q pq) Less(i, j int) bool  { return q[i].d < q[j].d }
-func (q pq) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *pq) Push(x interface{}) { *q = append(*q, x.(pqItem)) }
-func (q *pq) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
+func (q *pq) push(it pqItem) {
+	h := append(*q, it)
+	*q = h
+	for j := len(h) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || h[j].d >= h[i].d {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (q *pq) pop() pqItem {
+	h := *q
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && h[r].d < h[j].d {
+			j = r
+		}
+		if h[j].d >= h[i].d {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	*q = h[:n]
+	return h[n]
 }
 
 // Dijkstra computes shortest paths from source; all arc lengths must be
@@ -45,9 +70,9 @@ func Dijkstra(g *Digraph, source int) *SSSPResult {
 		res.Parent[v] = -1
 	}
 	res.Dist[source] = 0
-	q := &pq{{v: source, d: 0}}
-	for q.Len() > 0 {
-		it := heap.Pop(q).(pqItem)
+	q := pq{{v: source, d: 0}}
+	for len(q) > 0 {
+		it := q.pop()
 		if it.d > res.Dist[it.v] {
 			continue
 		}
@@ -60,7 +85,7 @@ func Dijkstra(g *Digraph, source int) *SSSPResult {
 				res.Dist[a.To] = nd
 				res.ParentArcID[a.To] = a.ID
 				res.Parent[a.To] = it.v
-				heap.Push(q, pqItem{v: a.To, d: nd})
+				q.push(pqItem{v: a.To, d: nd})
 			}
 		}
 	}

@@ -1,7 +1,5 @@
 package spath
 
-import "container/heap"
-
 // GlobalMinCut computes the global minimum cut of an undirected weighted
 // graph (Stoer–Wagner). Edges are given as (u, v, w) triples with w >= 0;
 // parallel edges are allowed (their weights add). It returns the cut weight
@@ -36,6 +34,7 @@ func GlobalMinCut(n int, us, vs []int, ws []int64) (int64, []bool) {
 
 	w := make([]int64, n)
 	inA := make([]bool, n)
+	var q pq // one heap, emptied at the start of every phase
 	for aliveCnt > 1 {
 		// Minimum-cut phase: maximum adjacency order via a heap.
 		for v := 0; v < n; v++ {
@@ -49,14 +48,13 @@ func GlobalMinCut(n int, us, vs []int, ws []int64) (int64, []bool) {
 				break
 			}
 		}
-		q := &pq{}
-		heap.Push(q, pqItem{v: start, d: 0})
+		q = append(q[:0], pqItem{v: start, d: 0})
 		prev, last := -1, -1
 		added := 0
 		for added < aliveCnt {
 			v := -1
-			for q.Len() > 0 {
-				it := heap.Pop(q).(pqItem)
+			for len(q) > 0 {
+				it := q.pop()
 				if alive[it.v] && !inA[it.v] && -it.d == w[it.v] {
 					v = it.v
 					break
@@ -78,7 +76,7 @@ func GlobalMinCut(n int, us, vs []int, ws []int64) (int64, []bool) {
 			for _, a := range adj[v] {
 				if alive[a.to] && !inA[a.to] {
 					w[a.to] += a.w
-					heap.Push(q, pqItem{v: a.to, d: -w[a.to]})
+					q.push(pqItem{v: a.to, d: -w[a.to]})
 				}
 			}
 		}

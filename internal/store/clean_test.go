@@ -123,6 +123,39 @@ func TestCleanEvictionWritesNothing(t *testing.T) {
 			st2.SnapshotRestores, st.Builds, st2.Builds)
 	}
 	checkMarks(t, s)
+
+	// Prices built after the spill: the first stflow on the restored bundle
+	// builds the minor-aggregation prices, which the file does not hold, so
+	// this eviction writes — once. The bundle restored from that file answers
+	// stflow with nothing to build and leaves clean again.
+	stflow := func(wantBuild bool) {
+		t.Helper()
+		err := s.With(context.Background(), "g", func(pg *planarflow.PreparedGraph, _ bool) error {
+			a, err := pg.Do(nil, planarflow.STFlowQuery(0, 1, 0))
+			if err == nil && (a.Rounds.Build > 0) != wantBuild {
+				t.Errorf("stflow Build = %d, want built = %v", a.Rounds.Build, wantBuild)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	stflow(true)
+	s.EvictAll()
+	s.FlushSpills()
+	if st3 := s.Snapshot(); st3.SnapshotWrites != writes0+1 || st3.SpillsElided != st.SpillsElided {
+		t.Fatalf("eviction after the prices were built: writes %d -> %d, elided %d -> %d; want one write, none elided",
+			writes0, st3.SnapshotWrites, st.SpillsElided, st3.SpillsElided)
+	}
+	stflow(false)
+	s.EvictAll()
+	s.FlushSpills()
+	if st4 := s.Snapshot(); st4.SnapshotWrites != writes0+1 || st4.SpillsElided != st.SpillsElided+1 {
+		t.Fatalf("eviction of the bundle restored with its prices: writes = %d, elided = %d; want %d, %d",
+			st4.SnapshotWrites, st4.SpillsElided, writes0+1, st.SpillsElided+1)
+	}
+	checkMarks(t, s)
 }
 
 // TestDirtyEvictionSpillsOnce: a restored bundle that builds one more

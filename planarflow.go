@@ -187,7 +187,7 @@ type Rounds struct {
 	Total    int64
 	Measured int64            // rounds counted by executing message schedules
 	Charged  int64            // rounds derived from measured quantities
-	Build    int64            // one-time artifact construction (BDD + labelings)
+	Build    int64            // one-time artifact construction (BDD, labelings, minor-aggregation prices)
 	Query    int64            // per-query work
 	ByPhase  map[string]int64 // per-phase totals
 }

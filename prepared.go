@@ -13,8 +13,8 @@ import (
 
 // PreparedGraph is a graph bundled with its reusable preprocessing
 // artifacts: the Bounded Diameter Decomposition and the primal/dual distance
-// labelings of §5, built lazily on first use and shared by every subsequent
-// query. The paper's observation that the Õ(D)-bit labels "actually allow
+// labelings of §5, and the minor-aggregation simulator's prices on the dual
+// (§4.2), built lazily on first use and shared by every subsequent query. The paper's observation that the Õ(D)-bit labels "actually allow
 // computation of all pairs shortest paths" (§5) makes this split natural:
 // construction costs Õ(D²) rounds once, queries decode locally.
 //
@@ -82,7 +82,7 @@ func (p *PreparedGraph) Graph() *Graph { return p.gr }
 // artifact it is, its estimated resident footprint, and its one-time
 // construction cost in simulated rounds.
 type SubstrateStat struct {
-	Kind        string `json:"kind"`              // "bdd" | "dual-label" | "primal-label"
+	Kind        string `json:"kind"`              // "bdd" | "dual-label" | "minoragg" | "primal-label"
 	Lengths     string `json:"lengths,omitempty"` // length function of a labeling
 	LeafLimit   int    `json:"leaf_limit"`
 	Bytes       int64  `json:"bytes"`
@@ -223,8 +223,9 @@ func (p *PreparedGraph) ApproxMinCutSTPlanar(s, t int, eps float64) (*CutResult,
 }
 
 // Girth computes the weighted girth (Thm 1.7). Its minor-aggregation route
-// has no reusable substrate, so prepared and one-shot cost coincide. Thin
-// wrapper over Do(GirthQuery()).
+// reuses one substrate, the graph's simulator prices (SubstrateMinorAgg):
+// the first girth, stflow or stcut builds them. Thin wrapper over
+// Do(GirthQuery()).
 func (p *PreparedGraph) Girth() (*GirthResult, error) {
 	a, err := p.do(GirthQuery())
 	if err != nil {

@@ -210,12 +210,16 @@ const (
 	// SubstrateDualFreeReversal is the dual labeling under the w/0 length
 	// function of directed global minimum cut (§7).
 	SubstrateDualFreeReversal Substrate = "dual-free-reversal"
+	// SubstrateMinorAgg is the price card of the minor-aggregation
+	// simulator on the dual (§4.2): the cost of one part-wise aggregation
+	// measured on the graph's Ĝ, which prices every round of girth, stflow
+	// and stcut.
+	SubstrateMinorAgg Substrate = "minoragg"
 )
 
 // Substrates returns the reusable substrates q decodes from, in build
 // order (a labeling implies the BDD it is built over, so the BDD is not
-// repeated). Families whose route has no reusable substrate (girth,
-// stflow, stcut) return nil.
+// repeated).
 func (q Query) Substrates() []Substrate {
 	switch q.Kind {
 	case QDist:
@@ -228,6 +232,8 @@ func (q Query) Substrates() []Substrate {
 		return []Substrate{SubstrateBDD}
 	case QGlobalMinCut:
 		return []Substrate{SubstrateDualFreeReversal}
+	case QGirth, QSTFlow, QSTCut:
+		return []Substrate{SubstrateMinorAgg}
 	default:
 		return nil
 	}
@@ -553,7 +559,9 @@ func (p *PreparedGraph) warmFor(queries []Query, runnable []int) error {
 // of the first user query, honoring ctx at build checkpoints (nil keeps
 // the current binding). With no arguments it prefetches the decode-heavy
 // serving set — the BDD plus the undirected primal and dual labelings,
-// the substrates of dist/dualdist/dualsssp traffic. Construction cost is
+// the substrates of dist/dualdist/dualsssp traffic — and nothing else: the
+// minor-aggregation prices (SubstrateMinorAgg) are built when named here or
+// by the first girth, stflow or stcut. Construction cost is
 // charged to the build ledger (visible via BuildRounds and Stats), so
 // queries served afterwards report Build == 0. A labeling that detects a
 // negative cycle is still considered warm: Warm returns nil and the
@@ -588,6 +596,8 @@ func (p *PreparedGraph) warmOne(sub Substrate, leafLimit int) error {
 		_, err = p.art.DualLabels(artifact.Directed, leafLimit, p.buildSink)
 	case SubstrateDualFreeReversal:
 		_, err = p.art.DualLabels(artifact.FreeReversal, leafLimit, p.buildSink)
+	case SubstrateMinorAgg:
+		_, err = p.art.MinorAgg(p.buildSink)
 	default:
 		return fmt.Errorf("planarflow: substrate %q: %w", sub, ErrUnknownSubstrate)
 	}

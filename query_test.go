@@ -459,9 +459,9 @@ func TestQuerySubstrates(t *testing.T) {
 		QDualSSSP:      {SubstrateDualUndirected},
 		QMaxFlow:       {SubstrateBDD},
 		QMinSTCut:      {SubstrateBDD},
-		QSTFlow:        nil,
-		QSTCut:         nil,
-		QGirth:         nil,
+		QSTFlow:        {SubstrateMinorAgg},
+		QSTCut:         {SubstrateMinorAgg},
+		QGirth:         {SubstrateMinorAgg},
 		QDirectedGirth: {SubstratePrimalDirected},
 		QGlobalMinCut:  {SubstrateDualFreeReversal},
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -19,6 +20,7 @@ var snapshotSubstrates = []planarflow.Substrate{
 	planarflow.SubstrateDualUndirected,
 	planarflow.SubstrateDualDirected,
 	planarflow.SubstrateDualFreeReversal,
+	planarflow.SubstrateMinorAgg,
 }
 
 // familyQueries is one query per family, plus point queries at a few
@@ -257,5 +259,64 @@ func TestSnapshotDeterministicBytes(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), c.Bytes()) {
 		t.Fatal("snapshot of a restored bundle differs from the original")
+	}
+}
+
+// TestSnapshotCarriesMinorAggPrices: the prices girth, stflow and stcut
+// charge by are built by the first of them, not by Warm's default set, and
+// travel in the snapshot — a restored bundle answers those families exactly
+// as the warm one does (answer and Rounds, Build = 0) and reports the
+// prices' original construction cost without having rebuilt them.
+func TestSnapshotCarriesMinorAggPrices(t *testing.T) {
+	g := planarflow.GridGraph(6, 7).WithRandomAttrs(13, 1, 9, 1, 16)
+	p, err := planarflow.Prepare(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Warm(nil); err != nil {
+		t.Fatal(err)
+	}
+	defaultSet := len(p.Stats().Substrates)
+	queries := []planarflow.Query{
+		planarflow.STFlowQuery(0, 1, 0),
+		planarflow.STFlowQuery(0, 1, 0.1),
+		planarflow.STCutQuery(0, 1, 0),
+		planarflow.GirthQuery(),
+	}
+	first, err := p.Do(nil, queries[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Rounds.Build == 0 || len(p.Stats().Substrates) != defaultSet+1 {
+		t.Fatalf("first stflow: Build=%d, %d substrates (default set %d): the prices were not built by it",
+			first.Rounds.Build, len(p.Stats().Substrates), defaultSet)
+	}
+	want := goldenJSON(t, p, queries)
+
+	var snap bytes.Buffer
+	if err := p.Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	p2, err := planarflow.RestorePrepared(g, bytes.NewReader(snap.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, st2 := p.Stats(), p2.Stats(); !reflect.DeepEqual(st, st2) {
+		t.Fatalf("restored stats %+v, want %+v", st2, st)
+	}
+	for i, got := range goldenJSON(t, p2, queries) {
+		if got != want[i] {
+			t.Fatalf("%s diverged after restore:\n  want %s\n  got  %s", queries[i].Kind, want[i], got)
+		}
+		var a planarflow.Answer
+		if err := json.Unmarshal([]byte(got), &a); err != nil {
+			t.Fatal(err)
+		}
+		if a.Rounds.Build != 0 || a.Rounds.Total == 0 {
+			t.Fatalf("%s on the restored bundle: rounds %+v, want Build = 0", queries[i].Kind, a.Rounds)
+		}
+	}
+	if p2.BuildRounds().Total != p.BuildRounds().Total {
+		t.Fatalf("restored build rounds %d, want %d", p2.BuildRounds().Total, p.BuildRounds().Total)
 	}
 }
