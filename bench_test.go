@@ -299,6 +299,10 @@ func TestAllocCeilings(t *testing.T) {
 			_, err := core.MaxFlow(p, 0, p.Graph().N()-1, core.Options{}, ledger.New())
 			return err
 		}},
+		{"core.MinSTCut", 1000, func() error {
+			_, err := core.MinSTCut(p, 0, p.Graph().N()-1, core.Options{}, ledger.New())
+			return err
+		}},
 		// Once the graph's minor-aggregation prices are resident (the warm-up
 		// run builds them: 17,386 allocs when every query did), an st-planar
 		// flow is the split of one face and one Dijkstra over presized lists.

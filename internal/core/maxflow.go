@@ -30,7 +30,7 @@ type FlowResult struct {
 	// Flow[e] is the flow pushed along edge e in its U->V direction
 	// (in [0, Cap(e)] for the exact directed algorithm).
 	Flow []int64
-	// Iterations of the binary search on the flow value (Miller–Naor).
+	// Iterations is the number of feasibility probes the λ search ran.
 	Iterations int
 }
 
@@ -42,17 +42,19 @@ type FlowResult struct {
 // the distance labeling of §5 (Thm 1.2, Õ(D²) rounds).
 //
 // The BDD comes from the shared prepared artifact: the first query on p pays
-// its construction (Build-scoped in led), later queries reuse it. Per λ the
-// query runs one feasibility probe (label.Feasible): the labeling pass
-// restricted to the faces the negative-cycle verdict depends on, charged as
-// the full labeling the paper's algorithm runs. No per-λ labeling is kept;
-// the assignment's one dual SSSP at λ* (label.SSSPFrom) runs the pass
-// once more after the search, source-directed: full labels only on the faces
-// the source's label chain depends on, From-only labels — the half the
-// decode reads of a target — everywhere else, never visible outside that
-// call. The distributed algorithm already holds λ*'s labels from λ*'s probe,
-// so that pass is an artefact of the simulation and is charged nowhere; the
-// SSSP's broadcast and tree marking are charged to led as over a full
+// its construction (Build-scoped in led), later queries reuse it. Each λ the
+// search cannot infer a verdict for (lambdaStar) costs one feasibility probe
+// (label.Feasible): the labeling pass restricted to the faces the
+// negative-cycle verdict depends on, charged as the full labeling the
+// paper's algorithm runs. No per-λ labeling is kept; the assignment's one
+// dual SSSP at λ* (label.SSSPFrom) runs the pass once more after the search,
+// source-directed: full labels only on the faces the source's label chain
+// depends on, From-only labels — the half the decode reads of a target —
+// everywhere else, never visible outside that call. For λ* > 0 the
+// distributed algorithm already holds λ*'s labels from λ*'s probe, so that
+// pass is an artefact of the simulation and is charged nowhere; λ* = 0 is
+// never probed, so there it is charged to led as the labeling it stands for.
+// The SSSP's broadcast and tree marking are charged to led as over a full
 // labeling. A canceled p.Context() stops the query at the next bag with the
 // context's error.
 func MaxFlow(p *artifact.Prepared, s, t int, opt Options, led *ledger.Ledger) (*FlowResult, error) {
@@ -96,35 +98,19 @@ func MaxFlow(p *artifact.Prepared, s, t int, opt Options, led *ledger.Ledger) (*
 		return lens
 	}
 	ctx := p.Context()
-	feasible := func(lambda int64) (bool, error) {
+	lo, iters, err := lambdaStar(g, s, t, func(lambda int64) (bool, error) {
 		return label.Feasible(ctx, tree, lengthsFor(lambda), led)
-	}
-
-	// Binary search λ* = max feasible λ.
-	var lo int64 // λ=0 is always feasible (zero flow)
-	hi := g.TotalCap() + 1
-	iters := 0
-	if ok, err := feasible(0); err != nil {
+	})
+	if err != nil {
 		return nil, err
-	} else if !ok {
-		return nil, errors.New("core: zero flow infeasible (negative capacity?)")
-	}
-	for lo+1 < hi {
-		iters++
-		mid := lo + (hi-lo)/2
-		ok, err := feasible(mid)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			lo = mid
-		} else {
-			hi = mid
-		}
 	}
 
 	// Assignment: dual SSSP potentials from an arbitrary face (§6.1).
-	sssp, err := label.SSSPFrom(ctx, label.Dual, tree, lengthsFor(lo), 0, ledger.New(), led)
+	passLed := ledger.New() // λ*'s probe paid the pass; no probe ran λ* = 0
+	if lo == 0 {
+		passLed = led
+	}
+	sssp, err := label.SSSPFrom(ctx, label.Dual, tree, lengthsFor(lo), 0, passLed, led)
 	if err != nil {
 		return nil, err
 	}
@@ -146,6 +132,52 @@ func MaxFlow(p *artifact.Prepared, s, t int, opt Options, led *ledger.Ledger) (*
 		res.Flow[e] = phi
 	}
 	return res, nil
+}
+
+// lambdaStar is Miller–Naor's bisection of [0, TotalCap] for λ*, the largest
+// feasible λ, probing no λ whose verdict it can infer (DESIGN §3): λ* ≤ U,
+// the lesser of the capacity out of s and into t (both st-cuts); λ=0 is
+// feasible iff no capacity is negative, since each edge's dual darts form a
+// 2-cycle of length Cap(e); λ=1 is probed first, and once it is feasible so
+// is every mid ≤ 1. probes counts the probes run.
+func lambdaStar(g *planar.Graph, s, t int, feasible func(int64) (bool, error)) (lambda int64, probes int, err error) {
+	var out, in int64
+	for e := 0; e < g.M(); e++ {
+		ed := g.Edge(e)
+		if ed.Cap < 0 {
+			return 0, 0, errors.New("core: zero flow infeasible (negative capacity?)")
+		}
+		if ed.U == s {
+			out += ed.Cap
+		}
+		if ed.V == t {
+			in += ed.Cap
+		}
+	}
+	u := min(out, in)
+	if u < 1 {
+		return 0, 0, nil
+	}
+	if ok, err := feasible(1); err != nil || !ok {
+		return 0, 1, err
+	}
+	lo, hi, probes := int64(0), g.TotalCap()+1, 1
+	for lo+1 < hi {
+		mid := lo + (hi-lo)/2
+		ok := mid <= 1
+		if !ok && mid <= u {
+			probes++
+			if ok, err = feasible(mid); err != nil {
+				return 0, probes, err
+			}
+		}
+		if ok {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo, probes, nil
 }
 
 // dartPath returns an s-to-t path of darts (each dart oriented along the

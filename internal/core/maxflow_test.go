@@ -113,7 +113,8 @@ func TestExactQueriesStopWhenCanceled(t *testing.T) {
 	s, tt := 0, g.N()-1
 
 	// How many polls an uncanceled query makes: one per bag reached, and the
-	// λ=0 probe and the final, source-directed pass reach every bag.
+	// λ=1 probe (feasible: every grid edge points away from s) and the
+	// final, source-directed pass reach every bag.
 	count := &tripCtx{Context: context.Background(), limit: 1 << 30}
 	if _, err := MaxFlow(p.WithContext(count), s, tt, opt, led()); err != nil {
 		t.Fatal(err)

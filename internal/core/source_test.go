@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -11,11 +12,43 @@ import (
 	"planarflow/internal/planar"
 )
 
-// maxFlowFullLabeling is the reference MaxFlow is compared against: the same
-// Miller–Naor search, with the assignment decoded the way it was before
-// label.SSSPFrom — a full labeling at λ* against a scratch ledger, then
-// SSSP(0) over it.
-func maxFlowFullLabeling(p *artifact.Prepared, s, t int, opt Options, led *ledger.Ledger) (*FlowResult, error) {
+// lambdaSearch finds λ* from a feasibility oracle and counts the probes it
+// ran: lambdaStar, or the full search it replaced (fullSearch).
+type lambdaSearch func(g *planar.Graph, s, t int, feasible func(int64) (bool, error)) (int64, int, error)
+
+// fullSearch is the search lambdaStar replaced, kept as its oracle: a probe
+// at λ=0, then the bisection of [0, TotalCap+1) probing every mid. It counts
+// the λ=0 probe too, as Iterations now counts every probe.
+func fullSearch(g *planar.Graph, _, _ int, feasible func(int64) (bool, error)) (int64, int, error) {
+	ok, err := feasible(0)
+	if err == nil && !ok {
+		err = errors.New("core: zero flow infeasible (negative capacity?)")
+	}
+	if err != nil {
+		return 0, 1, err
+	}
+	lo, hi, probes := int64(0), g.TotalCap()+1, 1
+	for lo+1 < hi {
+		probes++
+		mid := lo + (hi-lo)/2
+		ok, err := feasible(mid)
+		if err != nil {
+			return 0, probes, err
+		}
+		if ok {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo, probes, nil
+}
+
+// maxFlowFullLabeling is the reference MaxFlow is compared against: search's
+// Miller–Naor search over full labelings, with the assignment decoded the way
+// it was before label.SSSPFrom — a full labeling at λ*, then SSSP(0) over
+// it. That labeling is charged to led unless a probe already labeled λ*.
+func maxFlowFullLabeling(p *artifact.Prepared, s, t int, opt Options, led *ledger.Ledger, search lambdaSearch) (*FlowResult, error) {
 	g := p.Graph()
 	tree, err := p.Tree(opt.LeafLimit, led)
 	if err != nil {
@@ -41,22 +74,20 @@ func maxFlowFullLabeling(p *artifact.Prepared, s, t int, opt Options, led *ledge
 		}
 		return lens
 	}
-	feasible := func(lambda int64) bool {
-		return !label.Compute(label.Dual, tree, lengthsFor(lambda), led).NegCycle
+	labeled := map[int64]bool{}
+	lo, iters, err := search(g, s, t, func(lambda int64) (bool, error) {
+		ok := !label.Compute(label.Dual, tree, lengthsFor(lambda), led).NegCycle
+		labeled[lambda] = ok
+		return ok, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	if !feasible(0) {
-		return nil, fmt.Errorf("zero flow infeasible")
+	passLed := led
+	if labeled[lo] {
+		passLed = ledger.New()
 	}
-	lo, hi, iters := int64(0), g.TotalCap()+1, 0
-	for lo+1 < hi {
-		iters++
-		if mid := lo + (hi-lo)/2; feasible(mid) {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	sssp := label.Compute(label.Dual, tree, lengthsFor(lo), ledger.New()).SSSP(0, led)
+	sssp := label.Compute(label.Dual, tree, lengthsFor(lo), passLed).SSSP(0, led)
 	res := &FlowResult{Value: lo, Flow: make([]int64, g.M()), Iterations: iters}
 	fd := g.Faces()
 	for e := range res.Flow {
@@ -101,7 +132,7 @@ func TestSourceDirectedFlowMatchesFullLabeling(t *testing.T) {
 			tt := (s + 1 + rng.IntN(in.g.N()-1)) % in.g.N()
 
 			wantLed, gotLed, cutLed := ledger.New(), ledger.New(), ledger.New()
-			want, err := maxFlowFullLabeling(prep(in.g), s, tt, opt, wantLed)
+			want, err := maxFlowFullLabeling(prep(in.g), s, tt, opt, wantLed, lambdaStar)
 			if err != nil {
 				t.Fatalf("%s: reference: %v", name, err)
 			}

@@ -124,7 +124,7 @@ type QueryResponse struct {
 	Dist       []int64 `json:"dist,omitempty"`      // dualsssp distances per face
 	CutEdges   []int   `json:"cut_edges,omitempty"` // cut-valued ops
 	NegCycle   bool    `json:"neg_cycle,omitempty"`
-	Iterations int     `json:"iterations,omitempty"` // maxflow binary-search steps
+	Iterations int     `json:"iterations,omitempty"` // maxflow: feasibility probes the λ search ran
 	Hit        bool    `json:"hit"`
 	Rounds     Rounds  `json:"rounds"`
 	WallMS     float64 `json:"wall_ms"`

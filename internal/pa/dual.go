@@ -65,28 +65,6 @@ func (d *DualPA) aggregateFaces(partOfFace []int, numParts int, faceInput []int6
 	return Aggregate(d.net, d.tree, parts, input, op)
 }
 
-// AggregateCopies computes per-part aggregates where the caller supplies an
-// input per Ĝ vertex directly (used for aggregations over dual edges: each
-// chord endpoint knows its edge's contribution). Copies belong to the part
-// of their face per partOfFace; star centers relay.
-func (d *DualPA) AggregateCopies(partOfFace []int, numParts int, copyInput []int64, op Op, led *ledger.Ledger) []int64 {
-	h := d.H
-	n := h.N()
-	parts := Parts{Of: make([]int, n), Num: numParts}
-	for x := 0; x < n; x++ {
-		parts.Of[x] = -1
-		if h.IsStarCenter(x) {
-			continue
-		}
-		if p := partOfFace[h.FaceOfCopy(x)]; p >= 0 {
-			parts.Of[x] = p
-		}
-	}
-	res := Aggregate(d.net, d.tree, parts, copyInput, op)
-	led.Measure("dual-pa/aggregate", 2*res.Rounds)
-	return res.Value
-}
-
 // MeasureUnit runs one canonical faces-as-parts PA (the most congested
 // pattern the paper's compilations use), charging nobody, and returns its
 // measured CONGEST cost. Model simulations use this as the price of one PA

@@ -210,7 +210,7 @@ func roundsTotalsOf(l *ledger.Ledger) Rounds {
 type FlowResult struct {
 	Value      int64
 	Flow       []int64 // per edge, in [0, Cap] along the edge direction
-	Iterations int     // Miller–Naor binary-search steps
+	Iterations int     // feasibility probes the λ search ran
 	Rounds     Rounds
 }
 

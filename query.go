@@ -265,7 +265,7 @@ type Answer struct {
 	Side       []bool  `json:"side,omitempty"`  // cut families: one side of the bisection
 	Edges      []int   `json:"edges,omitempty"` // cut families: crossing edges; girth: cycle edges
 	NegCycle   bool    `json:"neg_cycle,omitempty"`
-	Iterations int     `json:"iterations,omitempty"` // maxflow: binary-search steps
+	Iterations int     `json:"iterations,omitempty"` // maxflow: feasibility probes the λ search ran
 
 	Rounds Rounds `json:"rounds"`
 
