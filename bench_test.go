@@ -200,6 +200,28 @@ func BenchmarkGirthFirst(b *testing.B) {
 	reportRounds(b, led)
 }
 
+// coldSnakeGraph is a snake of bench/'s cold_build catalogue: a strongly
+// connected Boustrophedon Grid(12,12), weights 1–9.
+func coldSnakeGraph() *planar.Graph {
+	return planar.WithRandomWeights(planar.BoustrophedonGrid(12, 12), planar.NewRand(1), 1, 9, 1, 10)
+}
+
+// BenchmarkGlobalMinCutFirst — Thm 1.5 on a graph never seen before: the
+// BDD, the free-reversal dual labeling, the per-bag cycle enumeration over
+// it and the bisection's reconstruction.
+func BenchmarkGlobalMinCutFirst(b *testing.B) {
+	g := coldSnakeGraph()
+	b.ReportAllocs()
+	var led *ledger.Ledger
+	for i := 0; i < b.N; i++ {
+		led = ledger.New()
+		if _, err := core.GlobalMinCut(artifact.New(g), core.Options{}, led); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportRounds(b, led)
+}
+
 // BenchmarkFeasibilityProbe — one λ of the search: the labeling pass over
 // the faces the negative-cycle verdict depends on.
 func BenchmarkFeasibilityProbe(b *testing.B) {
@@ -270,7 +292,8 @@ func BenchmarkSourceLabeling(b *testing.B) {
 // vector slab, a DDG), never per source or per entry, so a feasibility
 // probe, a full labeling and a whole exact max-flow stay under ceilings an
 // order of magnitude below what per-entry maps and per-source arrays cost
-// (1,267 / 3,592 / 15,448 allocs before labels were slices). The race
+// (1,267 / 3,592 / 15,448 allocs before labels were slices) — and what the
+// oracles that answer from resident substrates allocate per query. The race
 // detector allocates on its own, so the counts mean nothing under it.
 func TestAllocCeilings(t *testing.T) {
 	if bi, ok := debug.ReadBuildInfo(); ok {
@@ -281,6 +304,7 @@ func TestAllocCeilings(t *testing.T) {
 		}
 	}
 	p, tree := warmGrid(t)
+	snake := artifact.New(coldSnakeGraph())
 	ctx := context.Background()
 	for _, c := range []struct {
 		name    string
@@ -308,6 +332,24 @@ func TestAllocCeilings(t *testing.T) {
 		// flow is the split of one face and one Dijkstra over presized lists.
 		{"core.STPlanarMaxFlow", 200, func() error {
 			_, err := core.STPlanarMaxFlow(p, 0, p.Graph().N()-1, 0, ledger.New())
+			return err
+		}},
+		// The cold path's oracles on a cold_build snake, the substrates they
+		// read resident: a global min cut (cycle enumeration and bisection), a
+		// directed girth, and a girth (min cut on the simple dual). They read
+		// 55,826 / 2,521 / 1,311 allocs while the enumerations rebuilt a
+		// digraph per candidate arc and the min cut ran Stoer–Wagner on the
+		// whole dual.
+		{"core.GlobalMinCut", 1000, func() error {
+			_, err := core.GlobalMinCut(snake, core.Options{}, ledger.New())
+			return err
+		}},
+		{"core.DirectedGirth", 40, func() error {
+			_, err := core.DirectedGirth(snake, core.Options{}, ledger.New())
+			return err
+		}},
+		{"core.Girth", 1500, func() error {
+			_, err := core.Girth(snake, ledger.New())
 			return err
 		}},
 	} {

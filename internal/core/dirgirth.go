@@ -45,13 +45,13 @@ func DirectedGirth(p *artifact.Prepared, opt Options, led *ledger.Ledger) (int64
 		return 0, errors.New("core: internal: negative cycle with non-negative weights")
 	}
 
+	// Cycles inside a leaf: the primal view keeps no DDG, so MinCycles visits
+	// the leaves alone.
 	best := spath.Inf
+	la.MinCycles(func(_ *bdd.Bag, c int64) { best = min(best, c) })
 	inSep := make([]bool, g.N())
 	for _, b := range tree.Bags {
 		if b.IsLeaf() {
-			if c := leafDirMinCycle(g, b); c < best {
-				best = c
-			}
 			continue
 		}
 		sep := la.Separator(b)
@@ -82,43 +82,4 @@ func DirectedGirth(p *artifact.Prepared, opt Options, led *ledger.Ledger) (int64
 	}
 	led.Charge("dirgirth/assemble", int64(2*(tree.Root.TreeDepth+1)))
 	return best, nil
-}
-
-// leafDirMinCycle finds the minimum directed cycle inside a leaf bag
-// explicitly: min over arcs (u -> v) of w + dist(v -> u).
-func leafDirMinCycle(g *planar.Graph, b *bdd.Bag) int64 {
-	verts := map[int]int{}
-	id := func(v int) int {
-		if i, ok := verts[v]; ok {
-			return i
-		}
-		verts[v] = len(verts)
-		return len(verts) - 1
-	}
-	type arc struct {
-		u, v int
-		w    int64
-	}
-	var arcs []arc
-	for e := 0; e < g.M(); e++ {
-		if !b.EdgeIn[e] {
-			continue
-		}
-		ed := g.Edge(e)
-		arcs = append(arcs, arc{id(ed.U), id(ed.V), ed.Weight})
-	}
-	dg := spath.NewDigraph(len(verts))
-	for _, a := range arcs {
-		dg.AddArc(a.u, a.v, a.w, -1)
-	}
-	best := spath.Inf
-	for _, a := range arcs {
-		if a.w >= best {
-			continue
-		}
-		if back := spath.Dijkstra(dg, a.v).Dist[a.u]; back < spath.Inf && a.w+back < best {
-			best = a.w + back
-		}
-	}
-	return best
 }

@@ -53,7 +53,8 @@ func Girth(p *artifact.Prepared, led *ledger.Ledger) (*GirthResult, error) {
 
 	// Substituted black box: the minor-aggregate exact min-cut of
 	// Ghaffari–Zuzic [18] (Õ(1) model rounds, here priced as ceil(log n)
-	// contracting model rounds) executed as Stoer–Wagner on the simple dual.
+	// contracting model rounds) executed on the simple dual as a contraction
+	// test, then Stoer–Wagner on what it leaves.
 	logn := int64(bits.Len(uint(g.N())))
 	sim.ChargeRounds("girth/minor-agg-mincut", logn)
 	w, side := spath.GlobalMinCut(sd.NumNodes, sd.Us, sd.Vs, sd.Ws)

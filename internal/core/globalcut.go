@@ -7,7 +7,6 @@ import (
 
 	"planarflow/internal/artifact"
 	"planarflow/internal/bdd"
-	"planarflow/internal/label"
 	"planarflow/internal/ledger"
 	"planarflow/internal/planar"
 	"planarflow/internal/spath"
@@ -47,7 +46,6 @@ func GlobalMinCut(p *artifact.Prepared, opt Options, led *ledger.Ledger) (*Globa
 	// Dual lengths: crossing e forward costs w(e); crossing against it is
 	// free (reversal dart). The labeling under these lengths is a shared
 	// artifact — the query's own work is the per-bag cycle enumeration.
-	lengths := artifact.Lengths(g, artifact.FreeReversal)
 	tree, err := p.Tree(opt.LeafLimit, led)
 	if err != nil {
 		return nil, err
@@ -61,17 +59,7 @@ func GlobalMinCut(p *artifact.Prepared, opt Options, led *ledger.Ledger) (*Globa
 	}
 
 	best := spath.Inf
-	for _, b := range tree.Bags {
-		var cand int64
-		if b.IsLeaf() {
-			cand = leafMinCycle(g, b, lengths)
-		} else {
-			cand = ddgMinCycle(la.DDG(b))
-		}
-		if cand < best {
-			best = cand
-		}
-	}
+	la.MinCycles(func(_ *bdd.Bag, c int64) { best = min(best, c) })
 	logn := int64(bits.Len(uint(g.N())))
 	d := int64(tree.Root.TreeDepth + 2)
 	led.Charge("globalcut/assemble", d*logn)
@@ -81,7 +69,7 @@ func GlobalMinCut(p *artifact.Prepared, opt Options, led *ledger.Ledger) (*Globa
 
 	// Reconstruct the bisection from the value on the explicit dual (one
 	// more Õ(D²)-style phase, §7's component detection).
-	side, cut, err := reconstructCut(g, lengths, best)
+	side, cut, err := reconstructCut(g, la.Lengths, best)
 	if err != nil {
 		return nil, err
 	}
@@ -135,105 +123,6 @@ func zeroCut(g *planar.Graph, led *ledger.Ledger) *GlobalCutResult {
 		return &GlobalCutResult{Value: 0, Side: side}
 	}
 	return nil
-}
-
-// leafMinCycle finds the minimum dart-simple dual cycle inside a leaf bag:
-// for every dual arc a, w(a) + dist(head(a) -> tail(a)) avoiding rev(a).
-func leafMinCycle(g *planar.Graph, b *bdd.Bag, lengths []int64) int64 {
-	idx := make(map[int]int, len(b.Faces))
-	for i, f := range b.Faces {
-		idx[f] = i
-	}
-	type arc struct {
-		d        planar.Dart
-		from, to int
-	}
-	var arcs []arc
-	b.DualArcs(g, func(d planar.Dart, from, to int) {
-		if lengths[d] < spath.Inf {
-			arcs = append(arcs, arc{d: d, from: idx[from], to: idx[to]})
-		}
-	})
-	best := spath.Inf
-	for _, a := range arcs {
-		if lengths[a.d] >= best {
-			continue
-		}
-		if a.from == a.to {
-			// Dual self-loop: valid cycle by itself.
-			if lengths[a.d] < best {
-				best = lengths[a.d]
-			}
-			continue
-		}
-		dg := spath.NewDigraph(len(b.Faces))
-		for _, o := range arcs {
-			if o.d == planar.Rev(a.d) {
-				continue
-			}
-			dg.AddArc(o.from, o.to, lengths[o.d], int(o.d))
-		}
-		if back := spath.Dijkstra(dg, a.to).Dist[a.from]; back < spath.Inf {
-			if c := lengths[a.d] + back; c < best {
-				best = c
-			}
-		}
-	}
-	return best
-}
-
-// ddgMinCycle enumerates cycles crossing a bag's dual separator: per
-// separator arc, and per split face via its zero transitions.
-func ddgMinCycle(ddg *label.BagDDG) int64 {
-	best := spath.Inf
-	build := func(skip func(a label.DDGArc) bool) *spath.Digraph {
-		dg := spath.NewDigraph(len(ddg.Nodes))
-		for _, a := range ddg.Arcs {
-			if skip(a) {
-				continue
-			}
-			dg.AddArc(a.From, a.To, a.Len, -1)
-		}
-		return dg
-	}
-	// (1) Cycles using a dual separator arc a (and hence not rev(a)).
-	for _, a := range ddg.Arcs {
-		if a.Dart == planar.NoDart || a.Len >= best {
-			continue
-		}
-		rev := planar.Rev(a.Dart)
-		dg := build(func(o label.DDGArc) bool { return o.Dart == rev })
-		if back := spath.Dijkstra(dg, a.To).Dist[a.From]; back < spath.Inf {
-			if c := a.Len + back; c < best {
-				best = c
-			}
-		}
-	}
-	// (2) Cycles through a split face f without separator arcs at f: they
-	// enter one representative and leave the other; forbid f's internal
-	// zero arcs so the path is forced around.
-	for f, reps := range ddg.RepsOf {
-		if len(reps) < 2 {
-			continue
-		}
-		inReps := map[int]bool{}
-		for _, r := range reps {
-			inReps[r] = true
-		}
-		dg := build(func(o label.DDGArc) bool {
-			return o.Dart == planar.NoDart && o.Len == 0 && inReps[o.From] && inReps[o.To]
-		})
-		for _, r1 := range reps {
-			dist := spath.Dijkstra(dg, r1).Dist
-			for _, r2 := range reps {
-				if r1 != r2 && dist[r2] < best {
-					best = dist[r2]
-				}
-			}
-		}
-		_ = f
-	}
-	return best
 }
 
 // reconstructCut locates a dual cycle of exactly the given weight on the

@@ -43,14 +43,15 @@ func TestDDGStructure(t *testing.T) {
 	if la.NegCycle {
 		t.Fatal("unexpected negative cycle")
 	}
+	_, ddgs := la.State()
 	for _, b := range tree.Bags {
 		if b.IsLeaf() {
-			if la.DDG(b) != nil {
+			if ddgs[b.ID] != nil {
 				t.Fatalf("leaf bag %d has a DDG", b.ID)
 			}
 			continue
 		}
-		ddg := la.DDG(b)
+		ddg := ddgs[b.ID]
 		if ddg == nil {
 			t.Fatalf("bag %d missing DDG", b.ID)
 		}

@@ -228,15 +228,6 @@ func (la *Labeling) View() View { return la.pl.v.id }
 // labeling's plan fixes: the order of every To/From vector in b.
 func (la *Labeling) Separator(b *bdd.Bag) []int { return la.pl.lay[b.ID].Sep }
 
-// DDG returns the base dense distance graph of a non-leaf bag (nil when the
-// view retains none).
-func (la *Labeling) DDG(b *bdd.Bag) *BagDDG {
-	if la.ddgs == nil {
-		return nil
-	}
-	return la.ddgs[b.ID]
-}
-
 // FootprintBytes estimates the resident memory of the labeling for eviction
 // budgeting: every label, every vector entry, every retained DDG arc and
 // matrix cell (Child pointers reference labels counted where they live and

@@ -112,6 +112,75 @@ func TestKernelMatchesBellmanFord(t *testing.T) {
 	}
 }
 
+// TestShortestMatchesDijkstra holds the cycle enumerations' bounded search
+// to spath.Dijkstra on the graph with the masked arcs removed: on random
+// non-negative digraphs with parallel arcs, self-loops, dartless arcs and
+// unreachable nodes, through both loaders, shortest returns Dijkstra's
+// distance where it is below the bound and Inf elsewhere. One kernel serves
+// every search, sizes shrinking and growing, so state a search leaves behind
+// shows.
+func TestShortestMatchesDijkstra(t *testing.T) {
+	rng := planar.NewRand(26)
+	var k kernel
+	below := 0
+	for _, n := range []int{30, 1, 8, 2, 60, 5, 30} {
+		for rep := 0; rep < 10; rep++ {
+			// A leaf's arc i is dart i; a DDG's clique and zero arcs have none.
+			leaf := randomArcs(rng, n, false)
+			lengths := make([]int64, len(leaf))
+			for i := range leaf {
+				leaf[i].Len = max(leaf[i].Len, 0)
+				leaf[i].Dart, lengths[i] = planar.Dart(i), leaf[i].Len
+			}
+			ddg := append([]DDGArc(nil), leaf...)
+			for i := range ddg {
+				if rng.IntN(4) == 0 {
+					ddg[i].Dart = planar.NoDart
+				}
+			}
+			bp := csrOf(n, leaf)
+			for loader, arcs := range [][]DDGArc{leaf, ddg} {
+				if loader == 0 {
+					k.loadLeaf(bp, lengths)
+				} else {
+					k.loadArcs(n, arcs)
+				}
+				for q := 0; q < 20; q++ {
+					// Mostly the way a cycle search asks: from one end of an
+					// arc to the other, that arc masked.
+					src, dst, skip := rng.IntN(n), rng.IntN(n), planar.NoDart
+					if len(arcs) > 0 && rng.IntN(3) > 0 {
+						a := arcs[rng.IntN(len(arcs))]
+						src, dst, skip = a.From, a.To, a.Dart
+					}
+					bound := spath.Inf
+					if rng.IntN(2) == 0 {
+						bound = rng.Int64N(60)
+					}
+					dg := spath.NewDigraph(n)
+					for _, a := range arcs {
+						if !(a.From == src && a.To == dst && a.Dart == skip) {
+							dg.AddArc(a.From, a.To, a.Len, -1)
+						}
+					}
+					want := spath.Dijkstra(dg, src).Dist[dst]
+					if want >= bound {
+						want = spath.Inf
+					} else {
+						below++
+					}
+					if got := k.shortest(src, dst, skip, bound); got != want {
+						t.Fatalf("n=%d: dist(%d → %d) skipping %d below %d: kernel %d, Dijkstra %d", n, src, dst, skip, bound, got, want)
+					}
+				}
+			}
+		}
+	}
+	if below == 0 {
+		t.Fatal("no search found a distance below its bound")
+	}
+}
+
 // csrOf lays arcs out as a leaf skeleton whose dart i is arc i.
 func csrOf(n int, arcs []DDGArc) *bagPlan {
 	bp := &bagPlan{leafStart: make([]int32, n+1), leafTo: make([]int32, len(arcs)), leafDart: make([]planar.Dart, len(arcs))}

@@ -52,7 +52,9 @@
 // is the source's LeafTo. The kernel's buffers belong to the pass that runs
 // it and are dropped with it — never to the Labeling the pass returns — and
 // never alias the plan's skeleton arrays, which concurrent passes over one
-// tree read.
+// tree read. MinCycles (cycle.go), the cycle enumeration of global min cut
+// and directed girth, runs a kernel of its own the same way, over the leaf
+// skeletons and retained DDGs of a published labeling.
 //
 // From-only invariant: the source-directed drive (SSSPFrom) gives the keys
 // outside its wanted sets From-only labels — From and Child, no To half

@@ -5,9 +5,12 @@
 // explicit dual for SSSP. Bellman–Ford and APSPBellmanFord are baseline-only
 // since the labeling pass took its local computation — what a vertex that
 // collected a leaf bag or a DDG computes for free (§5.3) — to internal/label's
-// flat-array kernel, which is tested row for row against them; Dijkstra and
-// Digraph still serve core's per-bag cycle enumerations and Hassin's
-// augmented dual.
+// flat-array kernel, which is tested row for row against them; the per-bag
+// cycle enumerations of global min cut and directed girth run on that kernel
+// too. Dijkstra and Digraph serve only Hassin's augmented dual and global min
+// cut's reconstruction of the bisection, whose parent darts pick the cut, so
+// their tie order is part of the answer. GlobalMinCut is girth's min cut on
+// the simple dual: Stoer–Wagner after a contraction test.
 package spath
 
 import "math"
