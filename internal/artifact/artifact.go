@@ -367,8 +367,8 @@ func (p *Prepared) labels(v label.View, kind LengthKind, leafLimit int, led *led
 }
 
 // MinorAgg returns a charging handle for one query's minor-aggregation
-// rounds on G*, building the graph's prices on first use: that build runs a
-// full minoragg.NewSimulator — Ĝ, its shortcut skeleton and one measured
+// rounds on G*, building the graph's prices on first use: that build runs
+// minoragg.MeasurePrices — Ĝ, its shortcut skeleton and one measured
 // faces-as-parts PA — and keeps only the prices, which is all a query reads
 // of it. The construction rounds are charged to led (Build scope) by
 // whichever call triggers the build; everything the handle charges
@@ -377,7 +377,7 @@ func (p *Prepared) labels(v label.View, kind LengthKind, leafLimit int, led *led
 func (p *Prepared) MinorAgg(led *ledger.Ledger) (minoragg.Handle, error) {
 	pr, slotLed, built, err := get(p, &p.st.prices, minorAgg,
 		func(_ context.Context, bled *ledger.Ledger) (minoragg.Prices, int64, error) {
-			pr := minoragg.NewSimulator(p.st.g, bled).Prices
+			pr := minoragg.MeasurePrices(p.st.g, bled)
 			return pr, pr.FootprintBytes(), nil
 		})
 	if err != nil {

@@ -75,24 +75,6 @@ func (b *Bag) NumEdges() int {
 	return n
 }
 
-// ChildContaining returns the index of the unique child whose face set
-// contains f wholly-on-one-side, or -1 if f appears in both children (then f
-// is partitioned and belongs to FX).
-func (b *Bag) ChildContaining(f int) int {
-	in0 := b.Children[0].FaceSet[f]
-	in1 := b.Children[1].FaceSet[f]
-	switch {
-	case in0 && in1:
-		return -1
-	case in0:
-		return 0
-	case in1:
-		return 1
-	default:
-		return -2 // face absent from both (cannot happen for faces of b)
-	}
-}
-
 // BDD is the full decomposition.
 type BDD struct {
 	G         *planar.Graph

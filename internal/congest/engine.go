@@ -13,9 +13,10 @@
 // sends nothing.
 //
 // The engine measures rounds, message counts and bandwidth violations; tests
-// assert that algorithms never exceed the per-edge budget. The original
-// channel-per-dart implementation is retained as ChanEngine (see legacy.go)
-// and used as a differential-testing reference.
+// assert that algorithms never exceed the per-edge budget. No query path runs
+// on it: flowbench's SCHED experiment and the property tests that ground a
+// ledger formula or a property of Ĝ do. The original channel-per-dart
+// engines live on in legacy_test.go as the differential-testing reference.
 package congest
 
 import (
@@ -41,7 +42,6 @@ type Ctx struct {
 	Round int
 	In    []Received
 
-	g      *planar.Graph
 	out    []outMsg
 	halted bool
 }
@@ -64,9 +64,6 @@ func (c *Ctx) Send(d planar.Dart, payload any, bits int) {
 // ends when every vertex is asleep in a round that sends no messages.
 func (c *Ctx) Halt() { c.halted = true }
 
-// Graph returns the communication graph (vertices know their local topology).
-func (c *Ctx) Graph() *planar.Graph { return c.g }
-
 // StepFunc is the code run by every vertex in every round.
 type StepFunc func(c *Ctx)
 
@@ -81,7 +78,8 @@ type Stats struct {
 }
 
 // Runner is the engine surface the primitives in this package are written
-// against; *Engine and the reference *ChanEngine both implement it.
+// against; *Engine implements it, and so does the channel engine the tests
+// keep as a reference.
 type Runner interface {
 	Run(step StepFunc, maxRounds int) Stats
 	B() int
@@ -149,7 +147,7 @@ func newDartTopology(g *planar.Graph) *topology {
 func (e *Engine) Run(step StepFunc, maxRounds int) Stats {
 	ctxs := make([]*Ctx, e.g.N())
 	for v := range ctxs {
-		ctxs[v] = &Ctx{V: v, g: e.g}
+		ctxs[v] = &Ctx{V: v}
 	}
 	return runSched(e.topo, e.b, e.workers, maxRounds,
 		func(key int32, payload any, bits int32) Received {

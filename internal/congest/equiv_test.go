@@ -156,10 +156,10 @@ func TestEquivalenceViolationAccounting(t *testing.T) {
 	g := planar.Grid(3, 3)
 	step := func(c *Ctx) {
 		if c.Round == 0 && c.V == 0 {
-			d := c.Graph().Rotation(0)[0]
-			c.Send(d, 1, 999)                      // oversized: delivered + violation
-			c.Send(d, 2, 1)                        // duplicate: dropped + violation
-			c.Send(c.Graph().Rotation(0)[1], 3, 1) // clean
+			d := g.Rotation(0)[0]
+			c.Send(d, 1, 999)              // oversized: delivered + violation
+			c.Send(d, 2, 1)                // duplicate: dropped + violation
+			c.Send(g.Rotation(0)[1], 3, 1) // clean
 		}
 		c.Halt()
 	}

@@ -4,9 +4,10 @@ package congest
 // differential-testing and benchmarking reference for the flat-mailbox
 // scheduler (sched.go). ChanEngine allocates one buffered channel per dart
 // and spawns a fresh worker pool every round; ChanPortEngine mirrors it for
-// port-numbered graphs. Equivalence tests assert that the scheduler
-// produces identical Stats and results on the same workloads, and the
-// scheduler benchmarks measure the speedup against these.
+// port-numbered graphs. Equivalence tests (equiv_test.go) assert that the
+// scheduler produces identical Stats and results on the same workloads, and
+// the scheduler benchmarks (sched_bench_test.go) measure the speedup against
+// these.
 
 import (
 	"fmt"
@@ -52,7 +53,7 @@ func (e *ChanEngine) Run(step StepFunc, maxRounds int) Stats {
 
 	ctxs := make([]*Ctx, n)
 	for v := range ctxs {
-		ctxs[v] = &Ctx{V: v, g: e.g}
+		ctxs[v] = &Ctx{V: v}
 	}
 
 	inflight := 0
@@ -159,9 +160,6 @@ func (e *ChanPortEngine) B() int { return e.b }
 
 // N returns the vertex count.
 func (e *ChanPortEngine) N() int { return len(e.adj) }
-
-// Degree returns the number of ports of v.
-func (e *ChanPortEngine) Degree(v int) int { return len(e.adj[v]) }
 
 // Run executes the algorithm until unanimous halt with no deliveries, or
 // maxRounds.

@@ -34,9 +34,6 @@ func (e *PortEngine) B() int { return e.b }
 // N returns the vertex count.
 func (e *PortEngine) N() int { return len(e.adj) }
 
-// Degree returns the number of ports of v.
-func (e *PortEngine) Degree(v int) int { return len(e.adj[v]) }
-
 // PortMsg is a received message: it arrived on the receiver's port Port
 // (so the sender is adj[receiver][Port]).
 type PortMsg struct {
@@ -77,12 +74,12 @@ func (c *PortCtx) Degree() int { return c.deg }
 type PortStepFunc func(c *PortCtx)
 
 // PortRunner is the port-engine surface the port primitives are written
-// against; *PortEngine and the reference *ChanPortEngine both implement it.
+// against; *PortEngine implements it, and so does the channel engine the
+// tests keep as a reference.
 type PortRunner interface {
 	Run(step PortStepFunc, maxRounds int) Stats
 	B() int
 	N() int
-	Degree(v int) int
 }
 
 // pairPorts computes reversePort[v][i] = the port index at neighbor

@@ -110,23 +110,6 @@ func FloodMin(e Runner, values []int64) ([]int64, Stats) {
 // AggregateOp is a commutative, associative combiner over int64 values.
 type AggregateOp func(a, b int64) int64
 
-// MinOp, SumOp, MaxOp are the standard aggregation operators (Def. 4.3).
-var (
-	MinOp AggregateOp = func(a, b int64) int64 {
-		if a < b {
-			return a
-		}
-		return b
-	}
-	MaxOp AggregateOp = func(a, b int64) int64 {
-		if a > b {
-			return a
-		}
-		return b
-	}
-	SumOp AggregateOp = func(a, b int64) int64 { return a + b }
-)
-
 type upToken struct{ val int64 }
 type downToken struct{ val int64 }
 

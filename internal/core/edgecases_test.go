@@ -143,7 +143,7 @@ func TestGirthCylinder(t *testing.T) {
 	if res.Weight != want {
 		t.Fatalf("girth=%d want %d", res.Weight, want)
 	}
-	if err := CheckCycle(g, res.CycleEdges, res.Weight); err != nil {
+	if err := checkCycle(g, res.CycleEdges, res.Weight); err != nil {
 		t.Fatal(err)
 	}
 }

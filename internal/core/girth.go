@@ -1,14 +1,12 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math/bits"
 
 	"planarflow/internal/artifact"
 	"planarflow/internal/ledger"
 	"planarflow/internal/pa"
-	"planarflow/internal/planar"
 	"planarflow/internal/spath"
 )
 
@@ -67,31 +65,4 @@ func Girth(p *artifact.Prepared, led *ledger.Ledger) (*GirthResult, error) {
 		CycleEdges: sim.MarkDualCutEdges(side),
 	}
 	return res, nil
-}
-
-// CheckCycle verifies that edges form a closed (not necessarily simple in
-// vertices, but even-degree and connected) cycle of the claimed total
-// weight. A minimum-weight cut of the dual always yields a simple primal
-// cycle; the even-degree check is the structural part tests rely on.
-func CheckCycle(g *planar.Graph, edges []int, weight int64) error {
-	if len(edges) == 0 {
-		return errors.New("empty cycle")
-	}
-	deg := map[int]int{}
-	var total int64
-	for _, e := range edges {
-		ed := g.Edge(e)
-		deg[ed.U]++
-		deg[ed.V]++
-		total += ed.Weight
-	}
-	if total != weight {
-		return errors.New("cycle weight mismatch")
-	}
-	for v, d := range deg {
-		if d%2 != 0 {
-			return fmt.Errorf("vertex %d has odd cycle degree", v)
-		}
-	}
-	return nil
 }

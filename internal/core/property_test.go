@@ -72,7 +72,7 @@ func TestQuickCycleCutDuality(t *testing.T) {
 		if err != nil || res.Weight >= spath.Inf {
 			return err == nil
 		}
-		if CheckCycle(g, res.CycleEdges, res.Weight) != nil {
+		if checkCycle(g, res.CycleEdges, res.Weight) != nil {
 			return false
 		}
 		// Removing the cycle's dual edges disconnects G* into exactly two
@@ -96,7 +96,7 @@ func TestQuickCycleCutDuality(t *testing.T) {
 			for len(stack) > 0 {
 				x := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
-				for _, d := range du.OutDarts(x) {
+				for _, d := range g.Faces().Cycle(x) {
 					if onCycle[planar.EdgeOf(d)] {
 						continue
 					}

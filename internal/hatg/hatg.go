@@ -159,31 +159,9 @@ func (h *Graph) Adj(x int) []Arc { return h.adj[x] }
 // IsStarCenter reports whether x is a star center (an original vertex of G).
 func (h *Graph) IsStarCenter(x int) bool { return x < h.prim.N() }
 
-// Owner returns the primal vertex that simulates Ĝ vertex x.
-func (h *Graph) Owner(x int) int { return h.owner[x] }
-
-// Corner returns the corner index of copy x (-1 for star centers).
-func (h *Graph) Corner(x int) int { return h.corner[x] }
-
-// CopyID returns the Ĝ vertex for corner c of primal vertex v.
-func (h *Graph) CopyID(v, c int) int { return h.copyID[v][c] }
-
 // FaceOfCopy returns the face of G whose boundary cycle in Ĝ[E_R] contains
 // copy x (-1 for star centers).
 func (h *Graph) FaceOfCopy(x int) int { return h.faceOfCopy[x] }
-
-// ChordOf returns the two Ĝ endpoints realizing the dual edge of primal edge
-// e (both are corner copies of e's higher-ID endpoint).
-func (h *Graph) ChordOf(e int) (int, int) {
-	g := h.prim
-	fw := planar.ForwardDart(e)
-	d := fw
-	if g.Tail(fw) < g.Head(fw) {
-		d = planar.Rev(fw)
-	}
-	v := g.Tail(d)
-	return h.copyID[v][h.cornerBefore(v, d)], h.copyID[v][g.RotationIndex(d)]
-}
 
 // CheckFaceCycles verifies Property 1/4 structure: the Ring subgraph
 // decomposes into cycles, one per face of G, with copies of a face's corners
@@ -239,30 +217,4 @@ func (h *Graph) CheckFaceCycles() error {
 		return fmt.Errorf("hatg: %d ring components, want %d faces", numComp, fd.NumFaces())
 	}
 	return nil
-}
-
-// BFSDepth returns the eccentricity of Ĝ vertex x (used to test the diameter
-// ≤ 3D property).
-func (h *Graph) BFSDepth(x int) int {
-	dist := make([]int, h.numV)
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[x] = 0
-	queue := []int{x}
-	depth := 0
-	for len(queue) > 0 {
-		y := queue[0]
-		queue = queue[1:]
-		if dist[y] > depth {
-			depth = dist[y]
-		}
-		for _, a := range h.adj[y] {
-			if dist[a.To] == -1 {
-				dist[a.To] = dist[y] + 1
-				queue = append(queue, a.To)
-			}
-		}
-	}
-	return depth
 }

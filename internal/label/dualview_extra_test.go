@@ -1,4 +1,4 @@
-package duallabel_test
+package label_test
 
 import (
 	"testing"

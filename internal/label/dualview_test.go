@@ -1,10 +1,9 @@
-// Package duallabel_test is the dual view's black-box suite: internal/label
-// held, through its exported surface alone, to an explicit all-pairs
-// baseline on G*. The directory holds no package of its own — both
-// labelings are internal/label — and keeps its path because the test floor
-// names these tests by it; the white-box differentials (probe, source-
-// directed, footprint) live beside the pass in internal/label.
-package duallabel_test
+// The dual view's black-box suite: the labeling held, through its exported
+// surface alone, to an explicit all-pairs baseline on G*. The white-box
+// differentials (probe, source-directed, footprint) live beside the pass in
+// package label's own tests.
+
+package label_test
 
 import (
 	"math/rand/v2"
@@ -126,7 +125,7 @@ func TestLabelsMatchBaselineNegativeLengths(t *testing.T) {
 	}
 }
 
-func TestNegativeCycleDetected(t *testing.T) {
+func TestNegativeCycleDetectedDual(t *testing.T) {
 	rng := planar.NewRand(3)
 	found := 0
 	for trial := 0; trial < 60 && found < 5; trial++ {
@@ -167,7 +166,7 @@ func TestLabelsOnVariedFamilies(t *testing.T) {
 	}
 }
 
-func TestLeafLimitInvariance(t *testing.T) {
+func TestLeafLimitInvarianceDual(t *testing.T) {
 	// The decode must be exact regardless of where the recursion bottoms
 	// out.
 	rng := planar.NewRand(13)

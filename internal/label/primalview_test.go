@@ -1,9 +1,7 @@
-// Package primallabel_test is the primal view's black-box suite:
-// internal/label held, through its exported surface alone, to an explicit
-// all-pairs baseline on G. The directory holds no package of its own — both
-// labelings are internal/label — and keeps its path because the test floor
-// names these tests by it.
-package primallabel_test
+// The primal view's black-box suite: the labeling held, through its
+// exported surface alone, to an explicit all-pairs baseline on G.
+
+package label_test
 
 import (
 	"math/rand/v2"
@@ -117,7 +115,7 @@ func TestNegativeLengthsViaPotentials(t *testing.T) {
 	check(t, g, lens, 8)
 }
 
-func TestNegativeCycleDetected(t *testing.T) {
+func TestNegativeCycleDetectedPrimal(t *testing.T) {
 	g := planar.Grid(3, 3)
 	lens := make([]int64, g.NumDarts())
 	for d := range lens {
@@ -131,7 +129,7 @@ func TestNegativeCycleDetected(t *testing.T) {
 	}
 }
 
-func TestLeafLimitInvariance(t *testing.T) {
+func TestLeafLimitInvariancePrimal(t *testing.T) {
 	rng := planar.NewRand(11)
 	g := planar.Grid(5, 5)
 	lens := symLengths(g, rng, 1, 25)

@@ -1,24 +1,19 @@
 // Package ledger accounts CONGEST rounds for composite algorithms.
 //
-// The simulator executes the paper's communication primitives literally and
-// measures their rounds; phases whose message pattern is fixed by already
-// measured quantities (e.g. a pipelined broadcast of k B-bit messages over a
-// depth-d tree) are charged d + k rounds from those quantities. Every entry
-// records which of the two it is, so experiments can report the split.
+// Some rounds are read off a schedule the repository simulates (the BFS
+// skeleton on Ĝ); phases whose message pattern is fixed by already measured
+// quantities (e.g. a pipelined broadcast of k B-bit messages over a depth-d
+// tree) are charged d + k rounds from those quantities. Every entry records
+// which of the two it is, so experiments can report the split.
 package ledger
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-	"sync"
-)
+import "sync"
 
 // Kind distinguishes measured engine rounds from charged (derived) rounds.
 type Kind int
 
 const (
-	// Measured rounds were counted by the CONGEST engine executing messages.
+	// Measured rounds were read off a simulated schedule.
 	Measured Kind = iota + 1
 	// Charged rounds were computed from measured run quantities (bit counts,
 	// tree depths, congestion) using the standard pipelining bounds.
@@ -180,33 +175,6 @@ func (l *Ledger) MergeScoped(other *Ledger, sc Scope) {
 	}
 }
 
-// Summary formats per-phase totals sorted by descending rounds.
-func (l *Ledger) Summary() string {
-	phases := l.ByPhase()
-	keys := make([]string, 0, len(phases))
-	for k := range phases {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return phases[keys[i]] > phases[keys[j]] })
-	var b strings.Builder
-	m, c := l.Split()
-	bu, q := l.BuildSplit()
-	fmt.Fprintf(&b, "total=%d (measured=%d charged=%d | build=%d query=%d)\n", m+c, m, c, bu, q)
-	for _, k := range keys {
-		fmt.Fprintf(&b, "  %-32s %12d\n", k, phases[k])
-	}
-	return b.String()
-}
-
 // PipelinedBroadcastRounds returns the standard cost of broadcasting k
 // messages over a depth-d tree with pipelining: d + k.
 func PipelinedBroadcastRounds(depth, messages int64) int64 { return depth + messages }
-
-// MessagesForBits returns the number of B-bit messages needed to ship a
-// payload of the given bit length.
-func MessagesForBits(bits, b int64) int64 {
-	if b <= 0 {
-		return bits
-	}
-	return (bits + b - 1) / b
-}

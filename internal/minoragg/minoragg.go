@@ -1,27 +1,25 @@
-// Package minoragg simulates the (extended) minor-aggregation model of
+// Package minoragg prices the (extended) minor-aggregation model of
 // [Zuzic et al. '22, Ghaffari–Zuzic '22] on the dual graph G* (§4.2).
 //
 // A minor-aggregation round compiles to Õ(1) part-wise aggregations
 // (Lemma 4.8); on the dual these are PA instances on the face-disjoint graph
-// Ĝ (Theorem 4.10). The Simulator executes the model's bookkeeping
-// centrally, but prices every model round by actually running a canonical
-// faces-as-parts PA on Ĝ and charging its measured cost — so the Õ(τ·D)
-// CONGEST bound is grounded in the realized shortcut congestion/dilation of
-// the instance at hand.
+// Ĝ (Theorem 4.10). The package does not run the model's rounds: it prices
+// each one by a canonical faces-as-parts PA on Ĝ whose token schedule
+// pa.Aggregate simulates, so the Õ(τ·D) CONGEST bound is grounded in the
+// realized shortcut congestion/dilation of the instance at hand.
 //
 // Ĝ, its shortcut skeleton and the measured price of one PA are functions of
-// the graph alone, so the package splits in two. Prices is what a query
-// reads of a simulator — the PA unit and log n — and is immutable: the
-// artifact layer builds a Simulator once per graph, keeps its Prices
-// resident and lets Ĝ and the skeleton go, since nothing on the query path
-// reads them (only Model does, through a full Simulator). Handle is the
-// per-query half: the prices, the graph and the ledger this one query
-// charges. A value two queries can share holds no ledger.
+// the graph alone, so the package splits in two. Prices — the PA unit and
+// log n — is immutable: MeasurePrices builds Ĝ and the skeleton once per
+// graph, measures the unit and lets both go, since nothing a query charges
+// reads them. Handle is the per-query half: the prices, the graph and the
+// ledger this one query charges. A value two queries can share holds no
+// ledger.
 //
-// The package also executes, for real, the parallel-edge deactivation
-// procedure of Lemma 4.15 (low out-degree orientation via the arboricity
-// algorithm of [Barenboim–Elkin]) that turns the dual multigraph into a
-// simple graph, and the cut-edge marking of Lemma 4.17.
+// What the model computes on G* the package executes for real: the
+// parallel-edge deactivation of Lemma 4.15 (low out-degree orientation via
+// the arboricity algorithm of [Barenboim–Elkin]) that turns the dual
+// multigraph into a simple graph, and the cut-edge marking of Lemma 4.17.
 package minoragg
 
 import (
@@ -41,8 +39,17 @@ type Prices struct {
 	logN   int64
 }
 
+// MeasurePrices builds Ĝ and the shortcut skeleton for g and calibrates the
+// per-PA round cost with one canonical faces-as-parts aggregation. The
+// construction is charged to led.
+func MeasurePrices(g *planar.Graph, led *ledger.Ledger) Prices {
+	h := hatg.New(g)
+	led.Charge("hatg/construct", 2) // Property 1: O(1) rounds
+	return RestorePrices(g, pa.NewDualPA(h, led).MeasureUnit())
+}
+
 // RestorePrices returns the price card of g given the PA unit measured on
-// g's Ĝ by an earlier NewSimulator (a snapshot carries it); log n derives
+// g's Ĝ by an earlier MeasurePrices (a snapshot carries it); log n derives
 // from g.
 func RestorePrices(g *planar.Graph, paUnit int64) Prices {
 	return Prices{paUnit: paUnit, logN: int64(bits.Len(uint(g.N()))) + 1}
@@ -65,29 +72,6 @@ type Handle struct {
 // NewHandle binds the prices of g to the ledger of one query.
 func NewHandle(p Prices, g *planar.Graph, led *ledger.Ledger) Handle {
 	return Handle{Prices: p, G: g, led: led}
-}
-
-// Simulator hosts minor-aggregation computations on the dual of one planar
-// graph: the charging handle plus Ĝ and the PA skeleton Model executes on.
-type Simulator struct {
-	Handle
-	H  *hatg.Graph
-	PA *pa.DualPA
-}
-
-// NewSimulator builds Ĝ and the shortcut skeleton for g and calibrates the
-// per-PA round cost with one canonical faces-as-parts aggregation. The
-// construction is charged to led, as is everything the simulator's handle
-// charges afterwards.
-func NewSimulator(g *planar.Graph, led *ledger.Ledger) *Simulator {
-	h := hatg.New(g)
-	led.Charge("hatg/construct", 2) // Property 1: O(1) rounds
-	dpa := pa.NewDualPA(h, led)
-	return &Simulator{
-		Handle: NewHandle(RestorePrices(g, dpa.MeasureUnit()), g, led),
-		H:      h,
-		PA:     dpa,
-	}
 }
 
 // ChargeRounds prices tau minor-aggregation rounds that may contract: each

@@ -8,10 +8,16 @@ import (
 	"planarflow/internal/planar"
 )
 
+// newHandle prices g and binds the prices to a fresh ledger.
+func newHandle(g *planar.Graph) Handle {
+	led := ledger.New()
+	return NewHandle(MeasurePrices(g, led), g, led)
+}
+
 func TestDeactivateGrid(t *testing.T) {
 	g := planar.Grid(4, 4)
 	led := ledger.New()
-	s := NewSimulator(g, led)
+	s := NewHandle(MeasurePrices(g, led), g, led)
 	w := make([]int64, g.M())
 	for e := range w {
 		w[e] = int64(e + 1)
@@ -60,7 +66,7 @@ func TestDeactivateLowOutDegree(t *testing.T) {
 		planar.StackedTriangulation(150, rng),
 		planar.RemoveRandomEdges(planar.StackedTriangulation(120, rng), rng, 60),
 	} {
-		s := NewSimulator(g, ledger.New())
+		s := newHandle(g)
 		w := make([]int64, g.M())
 		for e := range w {
 			w[e] = 1
@@ -76,7 +82,7 @@ func TestDeactivateSelfLoops(t *testing.T) {
 	// A path graph: every edge is a bridge, so every dual edge is a
 	// self-loop and must be deactivated.
 	g := planar.Grid(1, 5)
-	s := NewSimulator(g, ledger.New())
+	s := newHandle(g)
 	w := []int64{1, 1, 1, 1}
 	sd := s.Deactivate(w, pa.Sum)
 	if len(sd.Us) != 0 {
@@ -92,13 +98,13 @@ func TestDeactivateSelfLoops(t *testing.T) {
 func TestDeactivateMinOp(t *testing.T) {
 	// With Min, the merged weight must be the lightest parallel edge.
 	g := planar.Grid(2, 4)
-	s := NewSimulator(g, ledger.New())
+	s := newHandle(g)
 	rng := planar.NewRand(9)
 	w := make([]int64, g.M())
 	for e := range w {
 		w[e] = 1 + rng.Int64N(50)
 	}
-	sd := s.Deactivate(w, pa.Min)
+	sd := s.Deactivate(w, func(a, b int64) int64 { return min(a, b) })
 	du := g.Dual()
 	for i := range sd.Us {
 		// Check min over all primal edges in this group.
@@ -124,7 +130,7 @@ func TestMarkDualCutEdges(t *testing.T) {
 	// 2x2 grid: one interior face + outer face. Cutting {interior} from
 	// {outer} must mark exactly the 4 boundary edges (the primal 4-cycle).
 	g := planar.Grid(2, 2)
-	s := NewSimulator(g, ledger.New())
+	s := newHandle(g)
 	fd := g.Faces()
 	outer := fd.LargestFace()
 	side := make([]bool, fd.NumFaces())
@@ -140,7 +146,7 @@ func TestMarkDualCutEdges(t *testing.T) {
 func TestChargeRoundsScalesWithTau(t *testing.T) {
 	g := planar.Grid(4, 4)
 	led := ledger.New()
-	s := NewSimulator(g, led)
+	s := NewHandle(MeasurePrices(g, led), g, led)
 	before := led.Total()
 	s.ChargeRounds("x", 1)
 	one := led.Total() - before

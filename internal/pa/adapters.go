@@ -2,7 +2,6 @@ package pa
 
 import (
 	"planarflow/internal/hatg"
-	"planarflow/internal/planar"
 )
 
 // adjNet is a Network over a fixed adjacency list.
@@ -14,20 +13,6 @@ var _ Network = (*adjNet)(nil)
 
 func (a *adjNet) N() int                  { return len(a.adj) }
 func (a *adjNet) NeighborsOf(v int) []int { return a.adj[v] }
-
-// FromAdjacency wraps an adjacency list as a Network.
-func FromAdjacency(adj [][]int) Network { return &adjNet{adj: adj} }
-
-// FromPlanar adapts an embedded planar graph as a communication network.
-func FromPlanar(g *planar.Graph) Network {
-	adj := make([][]int, g.N())
-	for v := 0; v < g.N(); v++ {
-		for _, d := range g.Rotation(v) {
-			adj[v] = append(adj[v], g.Head(d))
-		}
-	}
-	return &adjNet{adj: adj}
-}
 
 // FromHatG adapts the face-disjoint graph Ĝ as a communication network.
 func FromHatG(h *hatg.Graph) Network {

@@ -12,10 +12,10 @@ import (
 // its face cycle) and running shortcut-based PA there. Star centers only
 // relay. Rounds on Ĝ are charged 2x on G (Property 3 of Ĝ).
 //
-// A DualPA is immutable once built: every aggregation takes the ledger it
-// charges as an argument, so one DualPA may serve concurrent callers.
+// A DualPA is immutable once built, so one DualPA may serve concurrent
+// callers.
 type DualPA struct {
-	H    *hatg.Graph
+	h    *hatg.Graph
 	net  Network
 	tree *Tree
 }
@@ -23,27 +23,17 @@ type DualPA struct {
 // NewDualPA prepares the Ĝ network and its global shortcut skeleton,
 // charging the BFS construction to led.
 func NewDualPA(h *hatg.Graph, led *ledger.Ledger) *DualPA {
-	d := &DualPA{H: h, net: FromHatG(h)}
+	d := &DualPA{h: h, net: FromHatG(h)}
 	d.tree = BuildTree(d.net, 0)
 	led.Measure("hatg/bfs-tree", 2*(d.tree.Height+1))
 	return d
 }
 
-// Tree exposes the global BFS tree on Ĝ.
-func (d *DualPA) Tree() *Tree { return d.tree }
-
-// AggregateFaces computes, for each part of the face partition, the
+// aggregateFaces computes, for each part of the face partition, the
 // op-aggregate of the per-face inputs. identity is op's neutral element
-// (relay copies contribute it). Returns per-part values and charges the
-// measured schedule to led.
-func (d *DualPA) AggregateFaces(partOfFace []int, numParts int, faceInput []int64, identity int64, op Op, led *ledger.Ledger) []int64 {
-	res := d.aggregateFaces(partOfFace, numParts, faceInput, identity, op)
-	led.Measure("dual-pa/aggregate", 2*res.Rounds)
-	return res.Value
-}
-
+// (relay copies contribute it).
 func (d *DualPA) aggregateFaces(partOfFace []int, numParts int, faceInput []int64, identity int64, op Op) *Result {
-	h := d.H
+	h := d.h
 	n := h.N()
 	parts := Parts{Of: make([]int, n), Num: numParts}
 	input := make([]int64, n)
@@ -67,10 +57,10 @@ func (d *DualPA) aggregateFaces(partOfFace []int, numParts int, faceInput []int6
 
 // MeasureUnit runs one canonical faces-as-parts PA (the most congested
 // pattern the paper's compilations use), charging nobody, and returns its
-// measured CONGEST cost. Model simulations use this as the price of one PA
-// instance on this Ĝ.
+// measured CONGEST cost. minoragg.MeasurePrices prices every
+// minor-aggregation round by it: the cost of one PA instance on this Ĝ.
 func (d *DualPA) MeasureUnit() int64 {
-	nf := d.H.Primal().Faces().NumFaces()
+	nf := d.h.Primal().Faces().NumFaces()
 	partOf := make([]int, nf)
 	in := make([]int64, nf)
 	for f := range partOf {

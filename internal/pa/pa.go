@@ -8,10 +8,14 @@
 // schedule is simulated token-by-token under the CONGEST constraint of one
 // message per directed edge per round, so the reported round count is a
 // measurement of the realized congestion + dilation, not an assumed bound.
+//
+// The query path runs one such schedule per graph: DualPA.MeasureUnit's
+// faces-as-parts instance on Ĝ, the price of one minor-aggregation round
+// (flowbench's E7 reports the same instance).
 package pa
 
-// Network is the minimal view of a communication graph (satisfied by both
-// the primal graph and the face-disjoint graph Ĝ).
+// Network is the minimal view of a communication graph (FromHatG adapts the
+// face-disjoint graph Ĝ; the tests adapt primal graphs too).
 type Network interface {
 	N() int
 	NeighborsOf(v int) []int
@@ -20,22 +24,9 @@ type Network interface {
 // Op is a commutative, associative aggregation operator (Def. 4.3).
 type Op func(a, b int64) int64
 
-// Min, Max, Sum are the standard operators.
-var (
-	Min Op = func(a, b int64) int64 {
-		if a < b {
-			return a
-		}
-		return b
-	}
-	Max Op = func(a, b int64) int64 {
-		if a > b {
-			return a
-		}
-		return b
-	}
-	Sum Op = func(a, b int64) int64 { return a + b }
-)
+// Sum is the operator the minor-aggregation prices and girth's parallel-edge
+// merge aggregate with.
+var Sum Op = func(a, b int64) int64 { return a + b }
 
 // Tree is a global BFS tree used as the shortcut skeleton.
 type Tree struct {

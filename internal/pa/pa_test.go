@@ -8,6 +8,20 @@ import (
 	"planarflow/internal/planar"
 )
 
+// FromPlanar adapts an embedded planar graph as a communication network.
+func FromPlanar(g *planar.Graph) Network {
+	adj := make([][]int, g.N())
+	for v := 0; v < g.N(); v++ {
+		for _, d := range g.Rotation(v) {
+			adj[v] = append(adj[v], g.Head(d))
+		}
+	}
+	return &adjNet{adj: adj}
+}
+
+// Min is the minimum operator.
+var Min Op = func(a, b int64) int64 { return min(a, b) }
+
 func TestAggregateSingleGlobalPart(t *testing.T) {
 	g := planar.Grid(5, 5)
 	net := FromPlanar(g)
@@ -148,7 +162,7 @@ func TestDualPAFacesAsParts(t *testing.T) {
 		partOf[f] = f
 		in[f] = int64(100 + f)
 	}
-	vals := d.AggregateFaces(partOf, nf, in, int64(1<<60), Min, led)
+	vals := d.aggregateFaces(partOf, nf, in, int64(1<<60), Min).Value
 	for f := 0; f < nf; f++ {
 		if vals[f] != int64(100+f) {
 			t.Fatalf("face %d: %d want %d", f, vals[f], 100+f)
@@ -179,7 +193,7 @@ func TestDualPAGroupedFaces(t *testing.T) {
 			wantIn += in[f]
 		}
 	}
-	vals := d.AggregateFaces(partOf, 2, in, 0, Sum, ledger.New())
+	vals := d.aggregateFaces(partOf, 2, in, 0, Sum).Value
 	if vals[0] != wantIn {
 		t.Fatalf("interior sum=%d want %d", vals[0], wantIn)
 	}
@@ -198,15 +212,8 @@ func TestPARoundsScaleWithDiameterOnDual(t *testing.T) {
 		led := ledger.New()
 		h := hatg.New(g)
 		d := NewDualPA(h, led)
-		nf := g.Faces().NumFaces()
-		partOf := make([]int, nf)
-		in := make([]int64, nf)
-		for f := range partOf {
-			partOf[f] = f
-			in[f] = 1
-		}
-		d.AggregateFaces(partOf, nf, in, 0, Sum, led)
-		return led.Total()
+		// MeasureUnit is one faces-as-parts aggregation with unit inputs.
+		return led.Total() + d.MeasureUnit()
 	}
 	rThin, rSquare := r(thin), r(square)
 	if rThin <= 0 || rSquare <= 0 {

@@ -16,18 +16,14 @@ package planar
 // self-loops (bridges); algorithms that need a simple graph deactivate
 // parallels per Lemma 4.15.
 type Dual struct {
-	g  *Graph
 	fd *FaceData
 }
 
 // Dual returns the dual view of g.
-func (g *Graph) Dual() *Dual { return &Dual{g: g, fd: g.Faces()} }
+func (g *Graph) Dual() *Dual { return &Dual{fd: g.Faces()} }
 
 // NumNodes returns the number of dual nodes (faces of G).
 func (du *Dual) NumNodes() int { return du.fd.NumFaces() }
-
-// NumArcs returns the number of dual darts (= number of primal darts).
-func (du *Dual) NumArcs() int { return du.g.NumDarts() }
 
 // Tail returns the dual node the dual dart of d leaves: the face containing d.
 func (du *Dual) Tail(d Dart) int { return du.fd.FaceOf(d) }
@@ -35,36 +31,3 @@ func (du *Dual) Tail(d Dart) int { return du.fd.FaceOf(d) }
 // Head returns the dual node the dual dart of d enters: the face containing
 // Rev(d).
 func (du *Dual) Head(d Dart) int { return du.fd.FaceOf(Rev(d)) }
-
-// OutDarts returns the darts whose dual darts leave face f (the boundary
-// cycle of f). The returned slice must not be modified.
-func (du *Dual) OutDarts(f int) []Dart { return du.fd.Cycle(f) }
-
-// Graph returns the underlying primal graph.
-func (du *Dual) Graph() *Graph { return du.g }
-
-// FaceData returns the underlying face structure.
-func (du *Dual) FaceData() *FaceData { return du.fd }
-
-// DualArc is an explicit arc of G* (used by centralized baselines).
-type DualArc struct {
-	Dart Dart  // the primal dart whose dual this arc is
-	To   int   // head dual node
-	Len  int64 // length assigned by the caller's per-dart length vector
-}
-
-// AdjacencyList materializes G* as an adjacency list under the given per-dart
-// length vector (indexed by primal Dart). Both darts of every edge yield an
-// arc; callers that want a one-arc-per-edge dual pass a length vector with
-// +inf sentinels and filter.
-func (du *Dual) AdjacencyList(lengths []int64) [][]DualArc {
-	adj := make([][]DualArc, du.NumNodes())
-	for f := 0; f < du.NumNodes(); f++ {
-		cyc := du.OutDarts(f)
-		adj[f] = make([]DualArc, 0, len(cyc))
-		for _, d := range cyc {
-			adj[f] = append(adj[f], DualArc{Dart: d, To: du.Head(d), Len: lengths[d]})
-		}
-	}
-	return adj
-}

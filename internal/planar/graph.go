@@ -146,23 +146,10 @@ func (g *Graph) NextInRotation(d Dart) Dart {
 	return g.rot[v][i]
 }
 
-// PrevInRotation returns the dart preceding d in the cyclic order at Tail(d).
-func (g *Graph) PrevInRotation(d Dart) Dart {
-	v := g.Tail(d)
-	i := g.rotPos[d] - 1
-	if i < 0 {
-		i = len(g.rot[v]) - 1
-	}
-	return g.rot[v][i]
-}
-
 // FaceSuccessor returns the dart that follows d on the boundary cycle of the
 // face containing d: the rotation successor of Rev(d) at Head(d). Orbits of
 // this permutation are exactly the faces of the embedding.
 func (g *Graph) FaceSuccessor(d Dart) Dart { return g.NextInRotation(Rev(d)) }
-
-// FacePredecessor inverts FaceSuccessor.
-func (g *Graph) FacePredecessor(d Dart) Dart { return Rev(g.PrevInRotation(d)) }
 
 // Validate checks that the rotation system describes a connected planar
 // embedding: the graph is connected and Euler's formula n - m + f = 2 holds.
@@ -212,20 +199,4 @@ func (g *Graph) TotalCap() int64 {
 		s += e.Cap
 	}
 	return s
-}
-
-// MaxWeight returns the maximum absolute edge weight (W in the paper's
-// polynomially-bounded-weights assumption).
-func (g *Graph) MaxWeight() int64 {
-	var w int64
-	for _, e := range g.edges {
-		a := e.Weight
-		if a < 0 {
-			a = -a
-		}
-		if a > w {
-			w = a
-		}
-	}
-	return w
 }

@@ -4,6 +4,19 @@ import (
 	"testing"
 )
 
+// PrevInRotation returns the dart preceding d in the cyclic order at Tail(d).
+func (g *Graph) PrevInRotation(d Dart) Dart {
+	v := g.Tail(d)
+	i := g.rotPos[d] - 1
+	if i < 0 {
+		i = len(g.rot[v]) - 1
+	}
+	return g.rot[v][i]
+}
+
+// FacePredecessor inverts FaceSuccessor.
+func (g *Graph) FacePredecessor(d Dart) Dart { return Rev(g.PrevInRotation(d)) }
+
 func triangle(t *testing.T) *Graph {
 	t.Helper()
 	edges := []Edge{{U: 0, V: 1, Weight: 1, Cap: 1}, {U: 1, V: 2, Weight: 1, Cap: 1}, {U: 2, V: 0, Weight: 1, Cap: 1}}
@@ -292,7 +305,7 @@ func TestDualStructure(t *testing.T) {
 	// Sum of face boundary lengths = number of darts.
 	total := 0
 	for f := 0; f < du.NumNodes(); f++ {
-		total += len(du.OutDarts(f))
+		total += g.Faces().Len(f)
 	}
 	if total != g.NumDarts() {
 		t.Fatalf("boundary darts=%d want %d", total, g.NumDarts())

@@ -66,7 +66,7 @@ func TestQuickDualDegreeSum(t *testing.T) {
 		du := g.Dual()
 		total := 0
 		for f := 0; f < du.NumNodes(); f++ {
-			total += len(du.OutDarts(f))
+			total += g.Faces().Len(f)
 		}
 		if total != 2*g.M() {
 			return false

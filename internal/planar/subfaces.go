@@ -7,27 +7,15 @@ package planar
 // merged from several faces (a "hole" plus face fragments, in the BDD's
 // vocabulary).
 type SubFaces struct {
-	g      *Graph
-	edgeIn []bool
-	faceOf []int // per dart; -1 if the edge is outside the subgraph
 	cycles [][]Dart
-	next   []Dart // induced face successor per dart (NoDart outside)
 }
 
 // NewSubFaces computes the face structure of the subgraph of g induced by
 // the kept edges. The subgraph must be non-empty; connectivity is not
 // required here (callers that need it check separately).
 func NewSubFaces(g *Graph, edgeIn []bool) *SubFaces {
-	sf := &SubFaces{
-		g:      g,
-		edgeIn: edgeIn,
-		faceOf: make([]int, g.NumDarts()),
-		next:   make([]Dart, g.NumDarts()),
-	}
-	for d := range sf.faceOf {
-		sf.faceOf[d] = -1
-		sf.next[d] = NoDart
-	}
+	sf := &SubFaces{}
+	seen := make([]bool, g.NumDarts())
 	// Induced rotations: per vertex, kept darts in rotation order.
 	inducedNext := func(d Dart) Dart {
 		// Successor of Rev(d) at Head(d), skipping dropped edges.
@@ -44,21 +32,13 @@ func NewSubFaces(g *Graph, edgeIn []bool) *SubFaces {
 			continue
 		}
 		for _, d := range []Dart{ForwardDart(e), BackwardDart(e)} {
-			if sf.faceOf[d] != -1 {
+			if seen[d] {
 				continue
 			}
-			f := len(sf.cycles)
 			var cyc []Dart
-			x := d
-			for {
-				sf.faceOf[x] = f
-				nx := inducedNext(x)
-				sf.next[x] = nx
+			for x := d; !seen[x]; x = inducedNext(x) {
+				seen[x] = true
 				cyc = append(cyc, x)
-				x = nx
-				if x == d {
-					break
-				}
 			}
 			sf.cycles = append(sf.cycles, cyc)
 		}
@@ -69,17 +49,5 @@ func NewSubFaces(g *Graph, edgeIn []bool) *SubFaces {
 // NumFaces returns the number of sub-embedding faces (orbits).
 func (sf *SubFaces) NumFaces() int { return len(sf.cycles) }
 
-// FaceOf returns the orbit containing dart d (-1 if d's edge is dropped).
-func (sf *SubFaces) FaceOf(d Dart) int { return sf.faceOf[d] }
-
 // Cycle returns the boundary darts of orbit f. Must not be modified.
 func (sf *SubFaces) Cycle(f int) []Dart { return sf.cycles[f] }
-
-// Next returns the induced face successor of d.
-func (sf *SubFaces) Next(d Dart) Dart { return sf.next[d] }
-
-// EdgeIn reports whether edge e is in the subgraph.
-func (sf *SubFaces) EdgeIn(e int) bool { return sf.edgeIn[e] }
-
-// Graph returns the underlying full graph.
-func (sf *SubFaces) Graph() *Graph { return sf.g }

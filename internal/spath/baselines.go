@@ -92,15 +92,3 @@ func CutWeightDirected(us, vs []int, ws []int64, side []bool) int64 {
 	}
 	return s
 }
-
-// CutWeightUndirected sums the weights of edges crossing side in either
-// direction.
-func CutWeightUndirected(us, vs []int, ws []int64, side []bool) int64 {
-	var s int64
-	for i := range us {
-		if side[us[i]] != side[vs[i]] {
-			s += ws[i]
-		}
-	}
-	return s
-}

@@ -67,12 +67,3 @@ func (g *Digraph) AddArc(from, to int, length int64, id int) {
 
 // Out returns the out-arcs of v. The returned slice must not be modified.
 func (g *Digraph) Out(v int) []Arc { return g.adj[v] }
-
-// NumArcs returns the total number of arcs.
-func (g *Digraph) NumArcs() int {
-	m := 0
-	for _, a := range g.adj {
-		m += len(a)
-	}
-	return m
-}

@@ -7,8 +7,7 @@ type FlowNetwork struct {
 	head []int32 // head[a] = target of arc a
 	next [][]int32
 	cap  []int64
-	orig []int64 // original capacity, to read back flow
-	id   []int   // caller-assigned id of the forward arc (-1 for residual twins)
+	id   []int // caller-assigned id of the forward arc (-1 for residual twins)
 }
 
 // NewFlowNetwork returns an empty flow network on n vertices.
@@ -16,27 +15,21 @@ func NewFlowNetwork(n int) *FlowNetwork {
 	return &FlowNetwork{n: n, next: make([][]int32, n)}
 }
 
-// N returns the number of vertices.
-func (fn *FlowNetwork) N() int { return fn.n }
-
 // AddEdge adds a directed edge u->v with the given capacity and returns its
 // arc index. A zero-capacity residual twin v->u is added automatically.
 func (fn *FlowNetwork) AddEdge(u, v int, capacity int64, id int) int {
 	a := len(fn.head)
 	fn.head = append(fn.head, int32(v), int32(u))
 	fn.cap = append(fn.cap, capacity, 0)
-	fn.orig = append(fn.orig, capacity, 0)
 	fn.id = append(fn.id, id, -1)
 	fn.next[u] = append(fn.next[u], int32(a))
 	fn.next[v] = append(fn.next[v], int32(a+1))
 	return a
 }
 
-// Flow returns the flow pushed on forward arc a (original cap - residual).
-func (fn *FlowNetwork) Flow(a int) int64 { return fn.orig[a] - fn.cap[a] }
-
 // MaxFlow computes the maximum s-t flow with Dinic's algorithm and returns
-// its value. Flow assignments are readable per arc afterwards via Flow.
+// its value. The flow on forward arc a is left in its residual twin's
+// capacity, cap[a^1].
 func (fn *FlowNetwork) MaxFlow(s, t int) int64 {
 	if s == t {
 		return 0
@@ -103,24 +96,4 @@ func (fn *FlowNetwork) MaxFlow(s, t int) int64 {
 		}
 	}
 	return total
-}
-
-// MinCutSide returns, after MaxFlow(s, t) has run, the set of vertices
-// reachable from s in the residual network (the s-side of a minimum cut).
-func (fn *FlowNetwork) MinCutSide(s int) []bool {
-	side := make([]bool, fn.n)
-	stack := []int{s}
-	side[s] = true
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, a := range fn.next[v] {
-			u := int(fn.head[a])
-			if fn.cap[a] > 0 && !side[u] {
-				side[u] = true
-				stack = append(stack, u)
-			}
-		}
-	}
-	return side
 }

@@ -6,6 +6,42 @@ import (
 	"testing"
 )
 
+// Flow returns the flow pushed on forward arc a: what its residual twin,
+// created with capacity 0, has gained.
+func (fn *FlowNetwork) Flow(a int) int64 { return fn.cap[a^1] }
+
+// MinCutSide returns, after MaxFlow(s, t) has run, the set of vertices
+// reachable from s in the residual network (the s-side of a minimum cut).
+func (fn *FlowNetwork) MinCutSide(s int) []bool {
+	side := make([]bool, fn.n)
+	stack := []int{s}
+	side[s] = true
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, a := range fn.next[v] {
+			u := int(fn.head[a])
+			if fn.cap[a] > 0 && !side[u] {
+				side[u] = true
+				stack = append(stack, u)
+			}
+		}
+	}
+	return side
+}
+
+// CutWeightUndirected sums the weights of edges crossing side in either
+// direction.
+func CutWeightUndirected(us, vs []int, ws []int64, side []bool) int64 {
+	var s int64
+	for i := range us {
+		if side[us[i]] != side[vs[i]] {
+			s += ws[i]
+		}
+	}
+	return s
+}
+
 func TestDijkstraSmall(t *testing.T) {
 	g := NewDigraph(4)
 	g.AddArc(0, 1, 5, 0)
