@@ -250,12 +250,12 @@ func BenchmarkFullDualLabeling(b *testing.B) {
 	}
 }
 
-// BenchmarkSourceLabeling — the same pass source-directed, full labels on
-// the source's chain and From-only elsewhere, plus the SSSP decode: dual as
-// MaxFlow's assignment step at λ* runs it (the pass charges nothing, λ*'s
-// probe already did), primal as MinSTCut's residual SSSP does (the pass is
-// charged). The rounds reported are checked equal to those of the full
-// labeling charged the same way plus SSSP over it.
+// BenchmarkSourceLabeling — SSSP from one source as label.SSSPFrom answers
+// it: the pass driven for its charges alone, then one kernel run over the
+// view's whole graph. Dual as MaxFlow's assignment step at λ* runs it (the
+// pass charges nothing, λ*'s probe already did), primal as MinSTCut's
+// residual SSSP does (the pass is charged). The rounds reported are checked
+// equal to those of the full labeling charged the same way plus SSSP over it.
 func BenchmarkSourceLabeling(b *testing.B) {
 	for _, v := range []label.View{label.Dual, label.Primal} {
 		b.Run(v.String(), func(b *testing.B) {
@@ -319,11 +319,22 @@ func TestAllocCeilings(t *testing.T) {
 			label.Compute(label.Dual, tree, artifact.Lengths(p.Graph(), artifact.Undirected), ledger.New())
 			return nil
 		}},
+		// A source-directed SSSP labels nothing: the drive's level costs, one
+		// kernel over the whole graph and the answer's rows (60 / 57 allocs
+		// while it ran the labeling pass source-directed).
+		{"label.SSSPFrom(dual)", 50, func() error {
+			_, err := label.SSSPFrom(ctx, label.Dual, tree, artifact.Lengths(p.Graph(), artifact.Undirected), 0, ledger.New(), ledger.New())
+			return err
+		}},
+		{"label.SSSPFrom(primal)", 50, func() error {
+			_, err := label.SSSPFrom(ctx, label.Primal, tree, artifact.Lengths(p.Graph(), artifact.Undirected), 0, ledger.New(), ledger.New())
+			return err
+		}},
 		{"core.MaxFlow", 1000, func() error {
 			_, err := core.MaxFlow(p, 0, p.Graph().N()-1, core.Options{}, ledger.New())
 			return err
 		}},
-		{"core.MinSTCut", 1000, func() error {
+		{"core.MinSTCut", 400, func() error {
 			_, err := core.MinSTCut(p, 0, p.Graph().N()-1, core.Options{}, ledger.New())
 			return err
 		}},

@@ -47,16 +47,13 @@ type FlowResult struct {
 // (label.Feasible): the labeling pass restricted to the faces the
 // negative-cycle verdict depends on, charged as the full labeling the
 // paper's algorithm runs. No per-λ labeling is kept; the assignment's one
-// dual SSSP at λ* (label.SSSPFrom) runs the pass once more after the search,
-// source-directed: full labels only on the faces the source's label chain
-// depends on, From-only labels — the half the decode reads of a target —
-// everywhere else, never visible outside that call. For λ* > 0 the
-// distributed algorithm already holds λ*'s labels from λ*'s probe, so that
-// pass is an artefact of the simulation and is charged nowhere; λ* = 0 is
-// never probed, so there it is charged to led as the labeling it stands for.
-// The SSSP's broadcast and tree marking are charged to led as over a full
-// labeling. A canceled p.Context() stops the query at the next bag with the
-// context's error.
+// dual SSSP at λ* (label.SSSPFrom) is one kernel run over the whole dual,
+// charged as the labeling pass at λ* plus SSSP over it (DESIGN §3). For
+// λ* > 0 the distributed algorithm already holds λ*'s labels from λ*'s
+// probe, so that pass is charged nowhere; λ* = 0 is never probed, so there
+// it is charged to led as the labeling it stands for. The SSSP's broadcast
+// and tree marking are charged to led as over a full labeling. A canceled
+// p.Context() stops the query at the next bag with the context's error.
 func MaxFlow(p *artifact.Prepared, s, t int, opt Options, led *ledger.Ledger) (*FlowResult, error) {
 	g := p.Graph()
 	if s == t {

@@ -23,10 +23,10 @@ type CutResult struct {
 // reachable in the residual graph. The reachability is the paper's primal
 // SSSP instance — residual darts get length 0, saturated darts are removed —
 // solved by the Li–Parter primal distance labeling in Õ(D²) rounds. Only
-// SSSP(s) is read, so the labeling pass runs source-directed (label.SSSPFrom:
-// full labels on s's label chain, From-only elsewhere, nothing kept); unlike
-// MaxFlow's pass at λ* this labeling is part of the algorithm, so the pass
-// is charged to led exactly as the full labeling would be.
+// SSSP(s) is read, so label.SSSPFrom answers it with one kernel run over the
+// residual graph and keeps nothing (DESIGN §3); unlike MaxFlow's pass at λ*
+// this labeling is part of the algorithm, so the pass is charged to led
+// exactly as the full labeling would be, then the SSSP over it.
 func MinSTCut(p *artifact.Prepared, s, t int, opt Options, led *ledger.Ledger) (*CutResult, error) {
 	g := p.Graph()
 	flow, err := MaxFlow(p, s, t, opt, led)

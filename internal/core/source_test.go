@@ -10,6 +10,7 @@ import (
 	"planarflow/internal/label"
 	"planarflow/internal/ledger"
 	"planarflow/internal/planar"
+	"planarflow/internal/spath"
 )
 
 // lambdaSearch finds λ* from a feasibility oracle and counts the probes it
@@ -106,8 +107,10 @@ func maxFlowFullLabeling(p *artifact.Prepared, s, t int, opt Options, led *ledge
 // TestSourceDirectedFlowMatchesFullLabeling: on random triangulations and
 // snakes, at leaf limits small enough to give the source face a deep Child
 // chain, MaxFlow returns the reference's result — value, iterations and the
-// flow edge for edge — and charges the same ledger entry for entry; MinSTCut,
-// which decodes that flow, charges the reference's entries first.
+// flow edge for edge — and charges the same ledger entry for entry. MinSTCut
+// charges the reference flow's entries followed by a full primal labeling of
+// the residual graph and SSSP(s) over it, and its side and cut edges are the
+// reachability read off that labeling.
 func TestSourceDirectedFlowMatchesFullLabeling(t *testing.T) {
 	rng := planar.NewRand(47)
 	weighted := func(g *planar.Graph) *planar.Graph {
@@ -158,13 +161,38 @@ func TestSourceDirectedFlowMatchesFullLabeling(t *testing.T) {
 			if cut.Value != want.Value {
 				t.Fatalf("%s: cut %d, reference flow %d", name, cut.Value, want.Value)
 			}
-			if n := len(wantLed.Entries()); len(cutLed.Entries()) <= n || !reflect.DeepEqual(cutLed.Entries()[:n], wantLed.Entries()) {
-				t.Fatalf("%s: MinSTCut's ledger does not begin with the reference flow's", name)
-			}
-
 			tree, err := p.Tree(leafLimit, ledger.New())
 			if err != nil {
 				t.Fatal(err)
+			}
+			residual := make([]int64, in.g.NumDarts())
+			for e, f := range want.Flow {
+				residual[planar.ForwardDart(e)], residual[planar.BackwardDart(e)] = spath.Inf, spath.Inf
+				if in.g.Edge(e).Cap-f > 0 {
+					residual[planar.ForwardDart(e)] = 0
+				}
+				if f > 0 {
+					residual[planar.BackwardDart(e)] = 0
+				}
+			}
+			refLed := ledger.New()
+			refLed.Merge(wantLed)
+			reach := label.Compute(label.Primal, tree, residual, refLed).SSSP(s, refLed)
+			if !reflect.DeepEqual(cutLed.Entries(), refLed.Entries()) {
+				t.Fatalf("%s: ledgers differ:\nMinSTCut  %v\nreference %v", name, cutLed.Entries(), refLed.Entries())
+			}
+			side := make([]bool, in.g.N())
+			var cutEdges []int
+			for v, d := range reach.Dist {
+				side[v] = d == 0
+			}
+			for e := range want.Flow {
+				if ed := in.g.Edge(e); side[ed.U] && !side[ed.V] {
+					cutEdges = append(cutEdges, e)
+				}
+			}
+			if !reflect.DeepEqual(cut.Side, side) || !reflect.DeepEqual(cut.CutEdges, cutEdges) {
+				t.Fatalf("%s: MinSTCut's side or cut edges differ from the full labeling's reachability", name)
 			}
 			if tree.Depth > deepest {
 				deepest = tree.Depth

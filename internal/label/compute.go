@@ -82,7 +82,7 @@ func ComputeContext(ctx context.Context, v View, t *bdd.BDD, lengths []int64, le
 	if err != nil {
 		return nil, err
 	}
-	return pl.label(ctx, pl.every, false, lengths, led)
+	return pl.label(ctx, pl.every, lengths, led)
 }
 
 // Feasible reports whether G* is free of negative cycles under lengths —
@@ -97,7 +97,7 @@ func Feasible(ctx context.Context, t *bdd.BDD, lengths []int64, led *ledger.Ledg
 	if err != nil {
 		return false, err
 	}
-	la, err := pl.label(ctx, pl.probe, false, lengths, led)
+	la, err := pl.label(ctx, pl.probe, lengths, led)
 	if err != nil {
 		return false, err
 	}
@@ -105,26 +105,86 @@ func Feasible(ctx context.Context, t *bdd.BDD, lengths []int64, led *ledger.Ledg
 }
 
 // SSSPFrom computes ComputeContext(ctx, v, t, lengths, passLed).SSSP(source,
-// led) — the same distances, tree darts and ledger entries — without the
-// full labeling. The SSSP decode reads the source's whole label chain but,
-// of any other key, only the half that holds distances towards it, so the
-// pass labels in full only the keys that chain depends on (plan.wantedFrom
-// the source) and every other key From-only. passLed is charged the
-// labeling pass, led the SSSP over it; a caller that reaches this after a
-// pass over the same lengths already charged the labeling (core.MaxFlow's
-// λ* probe) hands a throwaway passLed. A From-only label must never be the
-// first argument of Decode, nor have Words() taken, so the half-labelled
-// Labeling does not leave this function. lengths is not retained.
+// led) — the same distances, tree darts and ledger entries — without
+// labeling: one kernel run over the view's whole graph answers, and passLed
+// is charged the labeling pass, led the SSSP over it. Every entry the pass
+// charges is a function of the plan and of which darts are active
+// (levelCosts), and shortest distances are unique. Only where a negative
+// cycle aborts the pass depends on labels, so when the kernel finds one the
+// probe pass runs and charges that abort. A caller whose earlier pass over
+// the same lengths already charged the labeling (core.MaxFlow's λ* probe)
+// hands a throwaway passLed. A canceled ctx returns its error, charging
+// nothing. lengths is not retained.
 func SSSPFrom(ctx context.Context, v View, t *bdd.BDD, lengths []int64, source int, passLed, led *ledger.Ledger) (*SSSPResult, error) {
 	pl, err := planOf(t, views[v])
 	if err != nil {
 		return nil, err
 	}
-	la, err := pl.label(ctx, pl.wantedFrom([]int{source}), true, lengths, passLed)
+	pl.costsOnce.Do(pl.costs)
+	levelCost, err := pl.levelCosts(ctx, lengths)
 	if err != nil {
 		return nil, err
 	}
-	return la.SSSP(source, led), nil
+	g := t.G
+	arcs := make([]DDGArc, 0, g.NumDarts())
+	for d := planar.Dart(0); int(d) < g.NumDarts(); d++ {
+		if l := lengths[d]; l < spath.Inf {
+			from, to := pl.v.ends(g, d)
+			arcs = append(arcs, DDGArc{From: from, To: to, Len: l, Dart: d})
+		}
+	}
+	var k kernel
+	k.loadArcs(pl.v.numKeys(g), arcs)
+	if !k.potentials() {
+		la, err := pl.label(ctx, pl.probe, lengths, passLed)
+		if err != nil {
+			return nil, err
+		}
+		return la.SSSP(source, led), nil
+	}
+	pl.chargeLevels(levelCost, passLed)
+	res := &SSSPResult{Source: source, Dist: make([]int64, k.n)}
+	words := 0
+	root := &pl.lay[t.Root.ID]
+	if pos := find(root.Keys, root.KeyOrder, source); pos >= 0 {
+		words = pl.rootWords[pos]
+		k.row(source, res.Dist)
+	} else {
+		for i := range res.Dist {
+			res.Dist[i] = spath.Inf
+		}
+	}
+	pl.finishSSSP(res, lengths, words, led)
+	return res, nil
+}
+
+// levelCosts drives the labeling pass for its charges alone: bottom-up, with
+// the pass's cancellation checkpoint before every bag, it folds each bag's
+// cost — the plan's, plus a leaf's active arcs — into its level's maximum.
+func (pl *plan) levelCosts(ctx context.Context, lengths []int64) ([]int64, error) {
+	t := pl.t
+	levelCost := make([]int64, t.Depth)
+	for i := len(t.Bags) - 1; i >= 0; i-- {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		b, cost := t.Bags[i], pl.cost[i]
+		for _, d := range pl.bags[i].leafDart {
+			if lengths[d] < spath.Inf {
+				cost++
+			}
+		}
+		levelCost[b.Level] = max(levelCost[b.Level], cost)
+	}
+	return levelCost, nil
+}
+
+// chargeLevels charges a completed pass: each level's maximum bag cost, at
+// the view's congestion.
+func (pl *plan) chargeLevels(levelCost []int64, led *ledger.Ledger) {
+	for lvl, cost := range levelCost {
+		led.Charge(fmt.Sprintf("%s/level-%02d", pl.v.phase, lvl), pl.v.congestion*cost)
+	}
 }
 
 // pass is one run of plan.label: the labeling it fills and the scratch its
@@ -138,11 +198,9 @@ type pass struct {
 	toSep, fromSep []int64
 }
 
-// label is the one labeling pass: bottom-up over the bags, labeling in full,
-// in each bag, the keys wanted lists for it. The bag's other keys are
-// skipped, or with fromRest labelled From-only: From (and Child) alone,
-// enough to be the second argument of Decode.
-func (pl *plan) label(ctx context.Context, wanted [][]int, fromRest bool, lengths []int64, led *ledger.Ledger) (*Labeling, error) {
+// label is the one labeling pass: bottom-up over the bags, labeling, in each
+// bag, the keys wanted lists for it and skipping the others.
+func (pl *plan) label(ctx context.Context, wanted [][]int, lengths []int64, led *ledger.Ledger) (*Labeling, error) {
 	t, v := pl.t, pl.v
 	la := &Labeling{
 		T:       t,
@@ -166,9 +224,9 @@ func (pl *plan) label(ctx context.Context, wanted [][]int, fromRest bool, length
 		b := t.Bags[i]
 		var cost int64
 		if b.IsLeaf() {
-			cost = ps.computeLeaf(b, wanted[i], fromRest)
+			cost = ps.computeLeaf(b, wanted[i])
 		} else {
-			cost = ps.computeInternal(b, wanted[i], fromRest)
+			cost = ps.computeInternal(b, wanted[i])
 		}
 		if la.NegCycle {
 			led.Charge(v.phase+"/negative-cycle-abort", int64(b.TreeDepth+1))
@@ -178,9 +236,7 @@ func (pl *plan) label(ctx context.Context, wanted [][]int, fromRest bool, length
 			levelCost[b.Level] = cost
 		}
 	}
-	for lvl := 0; lvl < t.Depth; lvl++ {
-		led.Charge(fmt.Sprintf("%s/level-%02d", v.phase, lvl), v.congestion*levelCost[lvl])
-	}
+	pl.chargeLevels(levelCost, led)
 	return la, nil
 }
 
@@ -277,9 +333,8 @@ func (la *Labeling) FootprintBytes() int64 {
 // takes the negative-cycle verdict from the kernel's potentials, and computes
 // the distances from each wanted key — a kernel row is that key's LeafTo;
 // returns the measured broadcast cost TreeDepth + #nodes + #arcs
-// (pipelined). A From-only leaf label holds no vector: Decode reads of it
-// only its position in the other label's LeafTo.
-func (ps *pass) computeLeaf(b *bdd.Bag, wanted []int, fromRest bool) int64 {
+// (pipelined).
+func (ps *pass) computeLeaf(b *bdd.Bag, wanted []int) int64 {
 	la := ps.la
 	n := len(la.pl.lay[b.ID].Keys)
 	arcs := ps.k.loadLeaf(&la.pl.bags[b.ID], la.Lengths)
@@ -288,25 +343,22 @@ func (ps *pass) computeLeaf(b *bdd.Bag, wanted []int, fromRest bool) int64 {
 		return 0
 	}
 	rows := make([]int64, len(wanted)*n)
-	la.labelBag(b, wanted, fromRest, func(l *Label, full bool) {
-		if full {
-			l.LeafTo, rows = rows[:n:n], rows[n:]
-			ps.k.row(int(l.pos), l.LeafTo)
-		}
+	la.labelBag(b, wanted, func(l *Label) {
+		l.LeafTo, rows = rows[:n:n], rows[n:]
+		ps.k.row(int(l.pos), l.LeafTo)
 	})
 	return int64(b.TreeDepth + n + arcs)
 }
 
 // labelBag allocates bag b's label slab for a pass that labels the keys in
-// wanted in full and, with fromRest, the others From-only; it sets each
-// label's identity and positions and hands it to fill, in key order, with
-// whether it is a full one. When some keys stay unlabelled the bag's slot
-// index records which.
-func (la *Labeling) labelBag(b *bdd.Bag, wanted []int, fromRest bool, fill func(l *Label, full bool)) {
+// wanted; it sets each label's identity and positions and hands it to fill,
+// in key order. When some keys stay unlabelled the bag's slot index records
+// which.
+func (la *Labeling) labelBag(b *bdd.Bag, wanted []int, fill func(l *Label)) {
 	lay := &la.pl.lay[b.ID]
 	nl := len(lay.Keys)
 	var slot []int32
-	if !fromRest && len(wanted) < nl {
+	if len(wanted) < nl {
 		nl, slot = len(wanted), absent(nl)
 	}
 	labels := make([]Label, nl)
@@ -314,23 +366,20 @@ func (la *Labeling) labelBag(b *bdd.Bag, wanted []int, fromRest bool, fill func(
 	// positions.
 	w := 0
 	for i, k := range lay.Keys {
-		full := w < len(wanted) && wanted[w] == k
-		if !full && !fromRest {
+		if w == len(wanted) || wanted[w] != k {
 			continue
 		}
 		idx := i
 		if slot != nil {
 			idx, slot[i] = w, int32(w)
 		}
-		if full {
-			w++
-		}
+		w++
 		l := &labels[idx]
 		*l = Label{Bag: b, Key: k, pos: int32(i), sep: -1}
 		if lay.SepPos != nil {
 			l.sep = lay.SepPos[i]
 		}
-		fill(l, full)
+		fill(l)
 	}
 	la.byBag[b.ID], la.slot[b.ID] = labels, slot
 }
@@ -338,7 +387,7 @@ func (la *Labeling) labelBag(b *bdd.Bag, wanted []int, fromRest bool, fill func(
 // computeInternal builds the base DDG from child labels, checks for
 // negative cycles, and derives each wanted key's label via min-plus
 // products over the base matrix (§5.3); returns the charged broadcast cost.
-func (ps *pass) computeInternal(b *bdd.Bag, wanted []int, fromRest bool) int64 {
+func (ps *pass) computeInternal(b *bdd.Bag, wanted []int) int64 {
 	la := ps.la
 	lay, bp := &la.pl.lay[b.ID], &la.pl.bags[b.ID]
 	ddg := &BagDDG{Bag: b, Nodes: lay.Nodes, RepsOf: lay.RepsOf}
@@ -402,18 +451,11 @@ func (ps *pass) computeInternal(b *bdd.Bag, wanted []int, fromRest bool) int64 {
 		}
 	}
 
-	// Labels for the wanted keys of the bag; with fromRest, From-only labels
-	// for the others.
-	nl := len(wanted)
-	if fromRest {
-		nl = len(lay.Keys)
-	}
-	vecs := make([]int64, (nl+len(wanted))*ns)
-	la.labelBag(b, wanted, fromRest, func(l *Label, full bool) {
+	// Labels for the wanted keys of the bag.
+	vecs := make([]int64, 2*len(wanted)*ns)
+	la.labelBag(b, wanted, func(l *Label) {
 		l.From, vecs = vecs[:ns:ns], vecs[ns:]
-		if full {
-			l.To, vecs = vecs[:ns:ns], vecs[ns:]
-		}
+		l.To, vecs = vecs[:ns:ns], vecs[ns:]
 		for q := range l.From {
 			l.From[q] = spath.Inf
 		}
@@ -436,11 +478,8 @@ func (ps *pass) computeInternal(b *bdd.Bag, wanted []int, fromRest bool) int64 {
 		l.Child = lk
 		for _, e := range bp.childSep[ci] {
 			lp := la.at(childID[ci], e.cpos)
-			// A From-only lk is never decoded from: its To half stays Inf.
-			if full {
-				if dgo := Decode(lk, lp); dgo < spath.Inf {
-					minInto(l.To, ps.toSep[e.rep*ns:], dgo)
-				}
+			if dgo := Decode(lk, lp); dgo < spath.Inf {
+				minInto(l.To, ps.toSep[e.rep*ns:], dgo)
 			}
 			if dback := Decode(lp, lk); dback < spath.Inf {
 				minInto(l.From, ps.fromSep[e.rep*ns:], dback)

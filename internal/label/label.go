@@ -52,15 +52,14 @@
 // is the source's LeafTo. The kernel's buffers belong to the pass that runs
 // it and are dropped with it — never to the Labeling the pass returns — and
 // never alias the plan's skeleton arrays, which concurrent passes over one
-// tree read. MinCycles (cycle.go), the cycle enumeration of global min cut
-// and directed girth, runs a kernel of its own the same way, over the leaf
-// skeletons and retained DDGs of a published labeling.
-//
-// From-only invariant: the source-directed drive (SSSPFrom) gives the keys
-// outside its wanted sets From-only labels — From and Child, no To half
-// (len(To) == 0; in a leaf no vector at all, the label is its position).
-// Such a label may only be the second argument of Decode and never has
-// Words() taken, so a half-labelled Labeling never leaves this package.
+// tree read. Two callers run a kernel of their own the same way: MinCycles
+// (cycle.go), the cycle enumeration of global min cut and directed girth,
+// over the leaf skeletons and retained DDGs of a published labeling; and
+// SSSPFrom, over the view's whole graph, for the one row a source-directed
+// SSSP reads. SSSPFrom executes that run and charges the labeling pass and
+// the SSSP over it entry for entry, from the plan's per-bag costs and the
+// active darts; its answer is the full labeling's because shortest
+// distances are unique and the kernel's rows are exact.
 //
 // LeafFrom, the distances from every leaf key to a label's own, is not
 // stored: nothing decodes it, and it is column pos of the bag's LeafTo rows.

@@ -21,15 +21,24 @@ type plan struct {
 	lay  []BagLayout // by bag ID
 	bags []bagPlan   // by bag ID
 
-	// A pass labels in full, in each bag, the keys its wanted set lists for
-	// that bag ID. every lists all keys of every bag: the full labeling.
-	// probe lists only the keys whose labels decide NegCycle: wantedFrom an
-	// empty root set — the child separator labels a bag's DDG is built from,
-	// plus the Child chain those labels decode and count Words() through.
-	// The source-directed sets (wantedFrom a root set of one key) add that
-	// key's own Child chain and are derived per pass. Each list is a
-	// subsequence of its bag's keys.
+	// A pass labels, in each bag, the keys its wanted set lists for that bag
+	// ID. every lists all keys of every bag: the full labeling. probe lists
+	// only the keys whose labels decide NegCycle (probeSets): the child
+	// separator labels a bag's DDG is built from, plus the Child chain those
+	// labels decode and count Words() through. Each list is a subsequence of
+	// its bag's keys.
 	every, probe [][]int
+
+	// cost is, by bag ID, what the full labeling charges the bag apart from
+	// a leaf's active arcs: TreeDepth, plus a leaf's keys, or an internal
+	// bag's children's separator label Words() and a word per cross arc.
+	// rootWords is the Words() of each root key's label, by position in the
+	// root's Keys. Words() counts vector lengths, which the tree and the view
+	// fix, so both are derived once, on SSSPFrom's first call over the plan
+	// (costs), and SSSPFrom charges them without labeling anything.
+	costsOnce sync.Once
+	cost      []int64
+	rootWords []int
 }
 
 // BagLayout is the order one bag's labels and their distance vectors are
@@ -169,7 +178,7 @@ func newPlan(t *bdd.BDD, v *view) (*plan, error) {
 			return nil, fmt.Errorf("label: bag %d: %w", b.ID, err)
 		}
 	}
-	pl.probe = pl.wantedFrom(nil)
+	pl.probe = pl.probeSets()
 	return pl, nil
 }
 
@@ -181,13 +190,11 @@ func absent(n int) []int32 {
 	return s
 }
 
-// wantedFrom derives the wanted sets a root set induces, top-down:
-// wanted(root) = seed and wanted(child) = (sep(parent) ∪ wanted(parent)) ∩
-// keys(child). seed must be a subsequence of the root's keys.
-func (pl *plan) wantedFrom(seed []int) [][]int {
+// probeSets derives the probe's wanted sets, top-down: the root wants
+// nothing and wanted(child) = (sep(parent) ∪ wanted(parent)) ∩ keys(child).
+func (pl *plan) probeSets() [][]int {
 	t := pl.t
 	wanted := make([][]int, len(t.Bags))
-	wanted[t.Root.ID] = seed
 	need := make([]bool, pl.v.numKeys(t.G))
 	// Parents precede children in ID order, so wanted[b.ID] is final when b
 	// is reached.
@@ -214,6 +221,44 @@ func (pl *plan) wantedFrom(seed []int) [][]int {
 		mark(false)
 	}
 	return wanted
+}
+
+// costs derives cost and rootWords bottom-up, holding the Words() of a
+// bag's labels by key position until its parent has read them. A label's
+// Words() is 2 plus 2 per vector entry — a leaf's LeafTo over its keys, an
+// internal bag's To and From over its separator — plus its Child's.
+func (pl *plan) costs() {
+	t := pl.t
+	pl.cost = make([]int64, len(t.Bags))
+	words := make([][]int, len(t.Bags))
+	for i := len(t.Bags) - 1; i >= 0; i-- {
+		b, lay, bp := t.Bags[i], &pl.lay[i], &pl.bags[i]
+		w := make([]int, len(lay.Keys))
+		cost := int64(b.TreeDepth)
+		if b.IsLeaf() {
+			cost += int64(len(w))
+			for j := range w {
+				w[j] = 2 + 2*len(w)
+			}
+		} else {
+			for ci, c := range b.Children {
+				for _, e := range bp.childSep[ci] {
+					cost += int64(words[c.ID][e.cpos])
+				}
+			}
+			cost += int64(len(bp.crossArcs))
+			for j := range w {
+				if w[j] = 2 + 4*len(lay.Sep); lay.SepPos[j] < 0 {
+					w[j] += words[b.Children[lay.ChildOf[j]].ID][lay.ChildPos[j]]
+				}
+			}
+			for _, c := range b.Children {
+				words[c.ID] = nil
+			}
+		}
+		pl.cost[i], words[i] = cost, w
+	}
+	pl.rootWords = words[t.Root.ID]
 }
 
 // leafSkeleton lays out a leaf bag's graph in CSR form: its arcs over

@@ -26,58 +26,60 @@ type SSSPResult struct {
 // unreachable. A labeling that found a negative cycle reports it and
 // charges nothing.
 func (la *Labeling) SSSP(source int, led *ledger.Ledger) *SSSPResult {
-	g, v := la.T.G, la.pl.v
 	res := &SSSPResult{Source: source}
 	if la.NegCycle {
 		res.NegCycle = true
 		return res
 	}
-	res.Dist = make([]int64, v.numKeys(g))
-	src := la.RootLabel(source)
-	words := 0
-	if src != nil {
-		words = src.Words()
-	}
-	// Broadcast Label(source): Words() messages over a depth-D BFS tree.
-	led.Charge(v.ssspPhase+"/broadcast-label",
-		ledger.PipelinedBroadcastRounds(int64(la.T.Root.TreeDepth), int64(words)))
+	res.Dist = make([]int64, la.pl.v.numKeys(la.T.G))
 	for k := range res.Dist {
 		res.Dist[k] = spath.Inf
 	}
-	if src != nil {
+	words := 0
+	if src := la.RootLabel(source); src != nil {
+		words = src.Words()
 		root := la.byBag[la.T.Root.ID]
 		for i := range root {
 			res.Dist[root[i].Key] = Decode(src, &root[i])
 		}
 	}
+	la.pl.finishSSSP(res, la.Lengths, words, led)
+	return res
+}
+
+// finishSSSP charges the broadcast of the source's words-word label over a
+// depth-D tree and, in a view whose SSSP marks one, marks the shortest-path
+// tree res.Dist realizes under lengths: for each key k, the incoming arc
+// minimizing dist(s, tail) + len, least dart first — one PA on the graph (we
+// mark centrally and charge the measured-equivalent single aggregation;
+// callers with a minoragg simulator charge its calibrated unit instead).
+func (pl *plan) finishSSSP(res *SSSPResult, lengths []int64, words int, led *ledger.Ledger) {
+	g, v, depth := pl.t.G, pl.v, pl.t.Root.TreeDepth
+	led.Charge(v.ssspPhase+"/broadcast-label",
+		ledger.PipelinedBroadcastRounds(int64(depth), int64(words)))
 	if !v.marksTree {
-		return res
+		return
 	}
-	// Tree marking: for each key k, the incoming arc minimizing dist(s,
-	// tail) + len — one PA on the graph (we mark centrally and charge the
-	// measured-equivalent single aggregation; callers with a minoragg
-	// simulator charge its calibrated unit instead).
 	res.TreeDart = make([]planar.Dart, len(res.Dist))
 	for k := range res.TreeDart {
 		res.TreeDart[k] = planar.NoDart
 	}
 	for d := planar.Dart(0); int(d) < g.NumDarts(); d++ {
-		if la.Lengths[d] >= spath.Inf {
+		if lengths[d] >= spath.Inf {
 			continue
 		}
 		from, to := v.ends(g, d)
-		if to == source || res.Dist[from] >= spath.Inf {
+		if to == res.Source || res.Dist[from] >= spath.Inf {
 			continue
 		}
 		// cand < Dist[to] cannot happen without a negative cycle.
-		if cand := res.Dist[from] + la.Lengths[d]; cand == res.Dist[to] {
+		if cand := res.Dist[from] + lengths[d]; cand == res.Dist[to] {
 			if cur := res.TreeDart[to]; cur == planar.NoDart || d < cur {
 				res.TreeDart[to] = d
 			}
 		}
 	}
-	led.Charge(v.ssspPhase+"/mark-tree", int64(2*(la.T.Root.TreeDepth+1)))
-	return res
+	led.Charge(v.ssspPhase+"/mark-tree", int64(2*(depth+1)))
 }
 
 // UniformLengths builds a per-dart length vector realizing the "dual of a
