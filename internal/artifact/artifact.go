@@ -141,6 +141,12 @@ type state struct {
 
 	build *ledger.Ledger // cumulative build cost of every substrate built
 
+	// Running totals of the published slots — Stats' three sums, kept as
+	// each slot publishes so the serving layer's per-query re-accounting
+	// reads them without walking or sorting the slots.
+	totBytes, totRounds int64
+	totSubstrates       int
+
 	// defaultLeaf caches bdd.DefaultLeafLimit(g), which costs two BFS
 	// traversals — deterministic per graph, and on every query's path via
 	// ResolveLeafLimit, so it must not be recomputed per query.
@@ -256,6 +262,7 @@ func runBuild[T any](p *Prepared, s *slot[T], ch chan struct{}, kind string,
 		s.inflight = nil
 		if completed && err == nil {
 			s.val, s.led, s.bytes, s.ready = v, led, bytes, true
+			p.st.count(bytes, led)
 		}
 		close(ch)
 		p.st.mu.Unlock()
@@ -280,6 +287,14 @@ func runBuild[T any](p *Prepared, s *slot[T], ch chan struct{}, kind string,
 		}
 	}
 	return v, led, err
+}
+
+// count adds one published slot to the running totals (caller holds the
+// state lock).
+func (st *state) count(bytes int64, led *ledger.Ledger) {
+	st.totBytes += bytes
+	st.totRounds += led.Total()
+	st.totSubstrates++
 }
 
 // chargeBuild books a slot's construction, once: Build scope in the ledger
@@ -415,6 +430,15 @@ type Stats struct {
 	Substrates  []SubstrateStats `json:"substrates"`
 	Bytes       int64            `json:"bytes"`        // total estimated footprint
 	BuildRounds int64            `json:"build_rounds"` // total one-time cost
+}
+
+// Totals returns Stats' three sums — footprint bytes, substrate count
+// and build rounds — without the per-substrate list: O(1), for callers
+// that re-account a bundle after every query.
+func (p *Prepared) Totals() (bytes int64, substrates int, buildRounds int64) {
+	p.st.mu.Lock()
+	defer p.st.mu.Unlock()
+	return p.st.totBytes, p.st.totSubstrates, p.st.totRounds
 }
 
 // Stats snapshots the built substrates (in-flight builds are excluded

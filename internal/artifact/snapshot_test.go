@@ -2,6 +2,7 @@ package artifact
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"testing"
 
@@ -131,5 +132,65 @@ func TestExportImportPrices(t *testing.T) {
 	}
 	if !bytes.Equal(again.Bytes(), snap.Bytes()) {
 		t.Fatal("re-export of the restored bundle differs from the snapshot it came from")
+	}
+}
+
+// checkTotals holds the running totals to Stats' sums.
+func checkTotals(t *testing.T, when string, p *Prepared) {
+	t.Helper()
+	st := p.Stats()
+	bytes, subs, rounds := p.Totals()
+	if bytes != st.Bytes || subs != len(st.Substrates) || rounds != st.BuildRounds {
+		t.Fatalf("%s: Totals = (%d B, %d substrates, %d rounds), Stats sums (%d B, %d, %d)",
+			when, bytes, subs, rounds, st.Bytes, len(st.Substrates), st.BuildRounds)
+	}
+}
+
+// TestTotalsMatchStats: the running totals the store re-accounts from
+// equal Stats' sums after every build, after an import that seeds some
+// slots and skips an occupied one, and after a canceled build that
+// publishes nothing.
+func TestTotalsMatchStats(t *testing.T) {
+	g := planar.WithRandomWeights(planar.Grid(5, 6), planar.NewRand(5), 1, 9, 1, 16)
+	donor := New(g)
+	checkTotals(t, "empty", donor)
+	steps := []struct {
+		name string
+		run  func(*ledger.Ledger) error
+	}{
+		{"tree", func(l *ledger.Ledger) error { _, err := donor.Tree(0, l); return err }},
+		{"dual", func(l *ledger.Ledger) error { _, err := donor.DualLabels(Undirected, 0, l); return err }},
+		{"primal on a second tree", func(l *ledger.Ledger) error { _, err := donor.PrimalLabels(Directed, 6, l); return err }},
+		{"prices", func(l *ledger.Ledger) error { _, err := donor.MinorAgg(l); return err }},
+		{"warm repeat", func(l *ledger.Ledger) error { _, err := donor.DualLabels(Undirected, 0, l); return err }},
+	}
+	for _, s := range steps {
+		if err := s.run(ledger.New()); err != nil {
+			t.Fatal(err)
+		}
+		checkTotals(t, "after "+s.name, donor)
+	}
+
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := donor.WithContext(canceled).DualLabels(FreeReversal, 0, ledger.New()); err == nil {
+		t.Fatal("a canceled build published")
+	}
+	checkTotals(t, "after a canceled build", donor)
+
+	var snap bytes.Buffer
+	if err := donor.Export(&snap); err != nil {
+		t.Fatal(err)
+	}
+	recv := New(g)
+	if _, err := recv.Tree(0, ledger.New()); err != nil {
+		t.Fatal(err)
+	}
+	if err := recv.ImportInto(bytes.NewReader(snap.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	checkTotals(t, "after ImportInto", recv)
+	if b, n, r := recv.Totals(); b != donor.Stats().Bytes || n != len(donor.Stats().Substrates) || r != donor.Stats().BuildRounds {
+		t.Fatalf("restored totals (%d, %d, %d), donor %+v", b, n, r, donor.Stats())
 	}
 }

@@ -37,7 +37,7 @@ func benchQueries(n, faces int) []BatchQuery {
 // benchServer returns a server over one registered graph with the mix's
 // substrates built and its decode caches filled, plus the batch payload
 // and the 16 singleton payloads.
-func benchServer(b *testing.B) (s *Server, batch []byte, singles [][]byte) {
+func benchServer(b testing.TB) (s *Server, batch []byte, singles [][]byte) {
 	b.Helper()
 	st := store.New(store.Config{})
 	g, err := st.RegisterSpec("g", store.GraphSpec{Kind: "grid", Rows: 12, Cols: 12, Seed: 7, WLo: 1, WHi: 9, CLo: 1, CHi: 16})

@@ -179,29 +179,62 @@ type SpanView struct {
 	PhasesMS    map[string]float64 `json:"phases_ms,omitempty"`
 }
 
-// view freezes a finished span. Only nonzero phases are materialized.
-func view(s *Span, total time.Duration, errMsg string) SpanView {
-	v := SpanView{
-		ID: s.ID, Transport: s.Transport, Family: s.Family,
-		Graph: s.Graph, Route: s.Route, Err: errMsg,
-		TraceID:     s.TraceID(),
-		Hop:         int(s.Hop),
-		StartUnixMS: s.Start.UnixMilli(),
-		TotalMS:     float64(total.Microseconds()) / 1000,
-	}
-	if s.SpanID != 0 {
-		v.SpanID = fmt.Sprintf("%016x", s.SpanID)
-	}
-	if s.Parent != 0 {
-		v.ParentID = fmt.Sprintf("%016x", s.Parent)
+// spanRecord is what the tracer rings keep of a finished span: its
+// fields as they were at Finish, raw. Rendering ids as hex and phases
+// as a map is left to view, which runs when /tracez is read, so a
+// request pays for one fixed-size copy rather than for the JSON shape.
+type spanRecord struct {
+	id, spanID, traceHi, traceLo, parent uint64
+	hop                                  uint8
+	transport, family, graph, route, err string
+	notes                                []string
+	startUnixMS                          int64
+	total                                time.Duration
+	phases                               [NumPhases]int64
+}
+
+// record freezes a finished span. Notes are copied, so an annotation
+// made after Finish does not reach the ring.
+func record(s *Span, total time.Duration, errMsg string) spanRecord {
+	r := spanRecord{
+		id: s.ID, spanID: s.SpanID, traceHi: s.TraceHi, traceLo: s.TraceLo,
+		parent: s.Parent, hop: s.Hop,
+		transport: s.Transport, family: s.Family, graph: s.Graph, route: s.Route, err: errMsg,
+		startUnixMS: s.Start.UnixMilli(),
+		total:       total,
 	}
 	s.noteMu.Lock()
 	if len(s.notes) > 0 {
-		v.Notes = append([]string(nil), s.notes...)
+		r.notes = append([]string(nil), s.notes...)
 	}
 	s.noteMu.Unlock()
+	for p := range r.phases {
+		r.phases[p] = s.phases[p].Load()
+	}
+	return r
+}
+
+// view renders a retained span. Only nonzero phases are materialized.
+func (r *spanRecord) view() SpanView {
+	v := SpanView{
+		ID: r.id, Transport: r.transport, Family: r.family,
+		Graph: r.graph, Route: r.route, Err: r.err,
+		Hop:         int(r.hop),
+		Notes:       r.notes,
+		StartUnixMS: r.startUnixMS,
+		TotalMS:     float64(r.total.Microseconds()) / 1000,
+	}
+	if r.traceHi|r.traceLo != 0 {
+		v.TraceID = TraceContext{Hi: r.traceHi, Lo: r.traceLo}.TraceID()
+	}
+	if r.spanID != 0 {
+		v.SpanID = fmt.Sprintf("%016x", r.spanID)
+	}
+	if r.parent != 0 {
+		v.ParentID = fmt.Sprintf("%016x", r.parent)
+	}
 	for p := Phase(0); p < NumPhases; p++ {
-		if ns := s.phases[p].Load(); ns > 0 {
+		if ns := r.phases[p]; ns > 0 {
 			if v.PhasesMS == nil {
 				v.PhasesMS = make(map[string]float64, int(NumPhases))
 			}
@@ -249,12 +282,13 @@ func FilterSpans(in []SpanView, f SpanFilter) []SpanView {
 }
 
 // Tracer keeps the most recent finished spans in a bounded ring and the
-// most recent slow ones (total >= threshold) in a second ring.
+// most recent slow ones (total >= threshold) in a second ring. The rings
+// hold raw records; Recent and Slow render them.
 type Tracer struct {
 	mu        sync.Mutex
-	recent    []SpanView
+	recent    []spanRecord
 	recentAt  int
-	slow      []SpanView
+	slow      []spanRecord
 	slowAt    int
 	threshold time.Duration
 	slowTotal int64
@@ -278,8 +312,8 @@ func NewTracer(ring int, threshold time.Duration) *Tracer {
 		threshold = DefaultSlowThreshold
 	}
 	return &Tracer{
-		recent:    make([]SpanView, 0, ring),
-		slow:      make([]SpanView, 0, ring),
+		recent:    make([]spanRecord, 0, ring),
+		slow:      make([]spanRecord, 0, ring),
 		threshold: threshold,
 	}
 }
@@ -298,7 +332,7 @@ func (t *Tracer) Dropped() int64 { return atomic.LoadInt64(&t.dropped) }
 // Finish records a completed span and reports whether it was slow. The
 // span must not be marked after Finish.
 func (t *Tracer) Finish(s *Span, total time.Duration, errMsg string) bool {
-	v := view(s, total, errMsg)
+	v := record(s, total, errMsg)
 	slow := total >= t.threshold
 	overwrote := 0
 	t.mu.Lock()
@@ -339,15 +373,27 @@ func push[T any](ring *[]T, at, size int, v T) (int, bool) {
 // Recent returns the retained spans, newest first.
 func (t *Tracer) Recent() []SpanView {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	return drain(t.recent, t.recentAt)
+	recs := drain(t.recent, t.recentAt)
+	t.mu.Unlock()
+	return views(recs)
 }
 
 // Slow returns the retained slow spans, newest first.
 func (t *Tracer) Slow() []SpanView {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	return drain(t.slow, t.slowAt)
+	recs := drain(t.slow, t.slowAt)
+	t.mu.Unlock()
+	return views(recs)
+}
+
+// views renders drained records outside the tracer lock, so a /tracez
+// read never holds up a Finish for longer than the copy.
+func views(recs []spanRecord) []SpanView {
+	out := make([]SpanView, len(recs))
+	for i := range recs {
+		out[i] = recs[i].view()
+	}
+	return out
 }
 
 // drain copies a ring out newest-first. While the ring is still filling,

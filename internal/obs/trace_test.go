@@ -3,6 +3,7 @@ package obs
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -102,5 +103,110 @@ func TestPhaseNames(t *testing.T) {
 	}
 	if Phase(-1).String() != "unknown" || NumPhases.String() != "unknown" {
 		t.Fatal("out-of-range phases must stringify as unknown")
+	}
+}
+
+// eagerView is how the tracer rendered a span when every Finish built
+// its SpanView on the spot; TestTracezRendersAtRead holds the records the
+// rings keep now, rendered on read, to it field for field.
+func eagerView(s *Span, total time.Duration, errMsg string) SpanView {
+	v := SpanView{
+		ID: s.ID, Transport: s.Transport, Family: s.Family,
+		Graph: s.Graph, Route: s.Route, Err: errMsg,
+		TraceID:     s.TraceID(),
+		Hop:         int(s.Hop),
+		StartUnixMS: s.Start.UnixMilli(),
+		TotalMS:     float64(total.Microseconds()) / 1000,
+	}
+	if s.SpanID != 0 {
+		v.SpanID = fmt.Sprintf("%016x", s.SpanID)
+	}
+	if s.Parent != 0 {
+		v.ParentID = fmt.Sprintf("%016x", s.Parent)
+	}
+	s.noteMu.Lock()
+	if len(s.notes) > 0 {
+		v.Notes = append([]string(nil), s.notes...)
+	}
+	s.noteMu.Unlock()
+	for p := Phase(0); p < NumPhases; p++ {
+		if ns := s.phases[p].Load(); ns > 0 {
+			if v.PhasesMS == nil {
+				v.PhasesMS = make(map[string]float64, int(NumPhases))
+			}
+			v.PhasesMS[p.String()] = float64(ns) / 1e6
+		}
+	}
+	return v
+}
+
+// TestTracezRendersAtRead: the rings keep raw records and render them
+// when read, and what they render is what the eager view rendered at
+// Finish — for spans with and without trace identity, notes, an error
+// and phases, across wraps of both rings. A note added after Finish
+// stays out.
+func TestTracezRendersAtRead(t *testing.T) {
+	const ring = 3
+	threshold := 10 * time.Millisecond
+	tr := NewTracer(ring, threshold)
+	var recent, slow []SpanView // expected, newest first
+	var finished []*Span
+	for i := 0; i < 11; i++ {
+		s := NewSpan(uint64(100+i), []string{"http", "wire", "fleet"}[i%3])
+		s.Family, s.Graph = fmt.Sprintf("f%d", i%4), fmt.Sprintf("g%d", i)
+		if i%2 == 0 {
+			s.Route = "fast"
+			s.SetTrace(TraceContext{Hi: uint64(i) << 40, Lo: 0xabc + uint64(i), Parent: uint64(7 * i), Hop: uint8(i % 4)})
+		}
+		if i == 4 {
+			s.SpanID = 0 // a zero id renders as no span id
+		}
+		if i%3 == 1 {
+			s.Annotate("member", fmt.Sprintf("r%d", i))
+			s.Annotate("attempt", "2")
+		}
+		for p := Phase(0); p < NumPhases; p++ {
+			if (i+int(p))%3 != 0 {
+				s.Add(p, time.Duration(i+1)*time.Duration(p+1)*1234*time.Microsecond/7)
+			}
+		}
+		errMsg := ""
+		if i%4 == 3 {
+			errMsg = fmt.Sprintf("boom %d", i)
+		}
+		total := time.Duration(i) * 1537 * time.Microsecond
+		want := eagerView(s, total, errMsg)
+		if slowGot := tr.Finish(s, total, errMsg); slowGot != (total >= threshold) {
+			t.Fatalf("span %d: Finish slow = %v, total %v", i, slowGot, total)
+		}
+		recent = append([]SpanView{want}, recent...)
+		if total >= threshold {
+			slow = append([]SpanView{want}, slow...)
+		}
+		finished = append(finished, s)
+	}
+	for _, s := range finished {
+		s.Annotate("late", "1")
+	}
+	if len(slow) <= ring {
+		t.Fatalf("the slow ring must wrap too: %d slow spans for a ring of %d", len(slow), ring)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want []SpanView
+	}{{"recent", tr.Recent(), recent[:ring]}, {"slow", tr.Slow(), slow[:ring]}} {
+		if !reflect.DeepEqual(c.got, c.want) {
+			t.Fatalf("%s ring renders\n%+v\nwant\n%+v", c.name, c.got, c.want)
+		}
+		for _, v := range c.got {
+			for _, n := range v.Notes {
+				if n == "late=1" {
+					t.Fatalf("%s: span %d shows a note added after Finish: %v", c.name, v.ID, v.Notes)
+				}
+			}
+		}
+	}
+	if want := int64(len(recent) - ring + len(slow) - ring); tr.Dropped() != want {
+		t.Fatalf("Dropped = %d, want %d", tr.Dropped(), want)
 	}
 }

@@ -3,7 +3,9 @@ package store
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -280,4 +282,100 @@ func BenchmarkMissRestoreClean(b *testing.B) {
 		b.Fatalf("%d ops: %d restores, builds %d -> %d; every op must be a restore", b.N, got, st0.Builds, st.Builds)
 	}
 	b.ReportMetric(float64(st.SnapshotWrites-st0.SnapshotWrites)/float64(b.N), "writes/op")
+}
+
+// checkAccounting holds the store's accounting to the resident bundles'
+// own Stats: per entry bytes and substrate count, and the store-wide
+// byte total as their sum.
+func checkAccounting(t *testing.T, when string, s *Store) {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var sum int64
+	for id, e := range s.ents {
+		if e.pg == nil {
+			continue
+		}
+		st := e.pg.Stats()
+		if e.bytes != st.Bytes || e.substrates != len(st.Substrates) || e.rounds != st.BuildRounds {
+			t.Fatalf("%s: %s accounted (%d B, %d substrates, %d rounds), Stats (%d B, %d, %d)",
+				when, id, e.bytes, e.substrates, e.rounds, st.Bytes, len(st.Substrates), st.BuildRounds)
+		}
+		sum += st.Bytes
+	}
+	if s.bytes != sum {
+		t.Fatalf("%s: store accounts %d B, resident bundles hold %d B", when, s.bytes, sum)
+	}
+}
+
+// watchBundle sets a finalizer on id's resident bundle and returns the
+// channel it closes. Only the store may keep the bundle alive afterwards.
+func watchBundle(t *testing.T, s *Store, id string) <-chan struct{} {
+	t.Helper()
+	freed := make(chan struct{})
+	s.mu.Lock()
+	pg := s.ents[id].pg
+	s.mu.Unlock()
+	if pg == nil {
+		t.Fatalf("%s is not resident", id)
+	}
+	runtime.SetFinalizer(pg, func(*planarflow.PreparedGraph) { close(freed) })
+	return freed
+}
+
+// TestReleaseAccountingExact churns more graphs than the budget holds,
+// over the disk tier, with a second query family growing bundles on a
+// hit: after every query the store's accounting equals what the
+// resident bundles' Stats report, restores included. An evicted,
+// unpinned bundle must then be collectable — the store keeps no
+// reference to a bundle beyond the entry's own.
+func TestReleaseAccountingExact(t *testing.T) {
+	unit := distFootprint(t)
+	s := New(Config{MaxBytes: 3*unit + unit/2, SpillDir: t.TempDir()})
+	t.Cleanup(s.FlushSpills)
+	const graphs = 8
+	for i := 0; i < graphs; i++ {
+		if _, err := s.RegisterSpec(fmt.Sprint("g", i), gridSpec(int64(40+i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	for round := 0; round < 3; round++ {
+		for i := 0; i < graphs; i++ {
+			id := fmt.Sprint("g", i)
+			warmDist(t, s, id)
+			checkAccounting(t, fmt.Sprintf("round %d, dist on %s", round, id), s)
+			if i%3 == round {
+				if _, _, err := s.Do(ctx, id, planarflow.DualDistQuery(0, 1)); err != nil {
+					t.Fatal(err)
+				}
+				checkAccounting(t, fmt.Sprintf("round %d, dualdist on %s", round, id), s)
+			}
+		}
+		s.FlushSpills()
+	}
+	if st := s.Snapshot(); st.Evictions == 0 || st.SnapshotRestores == 0 {
+		t.Fatalf("churn neither evicted nor restored: %+v", st)
+	}
+
+	freed := watchBundle(t, s, "g7")
+	for i := 0; i < graphs-1; i++ { // g7 falls off the LRU tail
+		warmDist(t, s, fmt.Sprint("g", i))
+	}
+	s.FlushSpills() // a spill job holds the bundle until it is written
+	s.mu.Lock()
+	evicted := s.ents["g7"].pg == nil
+	s.mu.Unlock()
+	if !evicted {
+		t.Fatal("g7 is still resident; budget mis-sized")
+	}
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("an evicted, unpinned bundle was never collected: something still references it")
 }

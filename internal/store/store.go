@@ -13,9 +13,10 @@
 // Residency and eviction: the unit of eviction is a graph's whole
 // artifact bundle (its PreparedGraph). The registered Graph itself is
 // never dropped — an evicted graph rebuilds its substrates on the next
-// query. Footprints come from PreparedGraph.Stats (estimated bytes per
-// substrate) and are re-accounted after every query, since substrates
-// build lazily and a query can grow the bundle. Eviction removes
+// query. Footprints come from PreparedGraph.Totals (the sum of Stats'
+// estimated bytes per substrate, kept running by the artifact layer) and
+// are re-accounted after every query, since substrates build lazily and
+// a query can grow the bundle. Eviction removes
 // least-recently-used unpinned bundles until the total accounted
 // footprint fits Config.MaxBytes; bundles pinned by in-flight queries are
 // never evicted (the store may transiently exceed the budget while every
@@ -430,9 +431,8 @@ func (s *Store) loadFile(e *entry, ch chan struct{}) (loaded bool) {
 func (s *Store) installLocked(e *entry, pg *planarflow.PreparedGraph, arrivals *int64) {
 	e.pg = pg
 	e.elem = s.lru.PushFront(e)
-	st := pg.Stats()
-	e.bytes, e.substrates, e.rounds = st.Bytes, len(st.Substrates), st.BuildRounds
-	s.bytes += st.Bytes
+	e.bytes, e.substrates, e.rounds = pg.Totals()
+	s.bytes += e.bytes
 	*arrivals++
 }
 
@@ -474,30 +474,30 @@ func keySet(pg *planarflow.PreparedGraph) string {
 }
 
 // release re-accounts the bundle's footprint after a query, unpins it,
-// and evicts if over budget. The Stats snapshot happens outside the store
-// lock; accounting applies only if the entry still holds the same bundle
-// (a bundle evicted mid-query stops being accounted the moment it is
-// dropped — its remaining growth belongs to the dying reference).
+// and evicts if over budget. The bundle's totals are read outside the
+// store lock; accounting applies only if the entry still holds the same
+// bundle (a bundle evicted mid-query stops being accounted the moment it
+// is dropped — its remaining growth belongs to the dying reference).
 func (s *Store) release(e *entry, pg *planarflow.PreparedGraph) {
-	st := pg.Stats()
+	bytes, subs, rounds := pg.Totals()
 	s.mu.Lock()
 	e.pins--
 	// A bundle only grows, so each accounting field advances monotonically:
-	// a release whose snapshot raced a concurrent build (and is staler than
+	// a release whose read raced a concurrent build (and is staler than
 	// what another release already recorded) must not regress the recorded
 	// values, or the next release would re-count the difference.
 	if e.pg == pg {
-		if st.Bytes > e.bytes {
-			s.bytes += st.Bytes - e.bytes
-			e.bytes = st.Bytes
+		if bytes > e.bytes {
+			s.bytes += bytes - e.bytes
+			e.bytes = bytes
 		}
-		if nb := len(st.Substrates) - e.substrates; nb > 0 {
+		if nb := subs - e.substrates; nb > 0 {
 			e.builds += int64(nb)
-			e.substrates = len(st.Substrates)
+			e.substrates = subs
 		}
-		if dr := st.BuildRounds - e.rounds; dr > 0 {
+		if dr := rounds - e.rounds; dr > 0 {
 			e.buildRounds += dr
-			e.rounds = st.BuildRounds
+			e.rounds = rounds
 		}
 	}
 	jobs := s.evictLocked()

@@ -21,9 +21,9 @@ var mWriteDwell = obs.Default().Histogram("wire_write_queue_seconds",
 	"Server response dwell in the per-connection write queue before encoding.")
 
 // maxConnWorkers bounds how many handler goroutines one connection may
-// have in flight. A pipelined client controls its own window; this cap
-// is the server-side backstop — past it the reader loop stops pulling
-// frames and TCP backpressure does the rest.
+// have. A pipelined client controls its own window; this cap is the
+// server-side backstop — with every worker busy the reader loop stops
+// pulling frames and TCP backpressure does the rest.
 const maxConnWorkers = 128
 
 // respChanCap sizes each connection's response queue. Responses are
@@ -46,9 +46,9 @@ type Handler interface {
 
 // Server serves the framed protocol over any set of listeners (TCP and
 // Unix-domain sockets in flowd). One reader goroutine per connection
-// feeds handler goroutines; responses multiplex back over a per-conn
-// writer that coalesces frames between flushes, so out-of-order
-// completion is the normal case, matched by request id.
+// feeds that connection's handler workers; responses multiplex back
+// over a per-conn writer that coalesces frames between flushes, so
+// out-of-order completion is the normal case, matched by request id.
 type Server struct {
 	h   Handler
 	ctr Counters
@@ -211,9 +211,9 @@ type outFrame struct {
 	enq     time.Time // when the handler queued it (write dwell)
 }
 
-// serveConn runs one connection: a reader loop dispatching handler
-// goroutines (bounded by maxConnWorkers) and a writer goroutine
-// multiplexing their responses back in completion order.
+// serveConn runs one connection: a reader loop handing frames to the
+// connection's handler workers (at most maxConnWorkers) and a writer
+// goroutine multiplexing their responses back in completion order.
 func (s *Server) serveConn(nc net.Conn) {
 	defer s.wg.Done()
 	ctx, cancel := context.WithCancel(s.baseCtx)
@@ -221,8 +221,14 @@ func (s *Server) serveConn(nc net.Conn) {
 	writerDone := make(chan struct{})
 	go s.connWriter(nc, out, writerDone)
 
+	// Workers live as long as the connection: each serves its first frame,
+	// then parks on work for the next one, so a steady stream of frames
+	// reuses goroutines (and their already-grown stacks) instead of
+	// starting one per frame. The channel is unbuffered, so a send that
+	// does not block found an idle worker.
 	var handlers sync.WaitGroup
-	sem := make(chan struct{}, maxConnWorkers)
+	work := make(chan Frame)
+	workers := 0
 	br := bufio.NewReaderSize(nc, 1<<16)
 	var readErr error
 	for {
@@ -236,20 +242,17 @@ func (s *Server) serveConn(nc net.Conn) {
 			break
 		}
 		s.ctr.noteFrameIn(len(f.Payload))
-		sem <- struct{}{}
-		handlers.Add(1)
-		go func(f Frame) {
-			defer handlers.Done()
-			defer func() { <-sem }()
-			hctx := ctx
-			if f.Trace.Valid() {
-				hctx = obs.ContextWithTrace(ctx, f.Trace)
+		select {
+		case work <- f:
+		default:
+			if workers < maxConnWorkers {
+				workers++
+				handlers.Add(1)
+				go s.connWorker(ctx, f, work, out, &handlers)
+			} else {
+				work <- f // every worker busy: wait for one, as TCP backpressure builds
 			}
-			status, payload := s.h.ServeFrame(hctx, f.Op(), f.ID, f.Payload)
-			// The writer drains out until every handler is done, so this
-			// send cannot block forever even if the conn is already dead.
-			out <- outFrame{kind: respBit | uint8(status), id: f.ID, payload: payload, enq: time.Now()}
-		}(f)
+		}
 	}
 
 	// A protocol violation poisons the connection: frame boundaries are
@@ -257,6 +260,7 @@ func (s *Server) serveConn(nc net.Conn) {
 	// graceful drain the reader stopped via the half-close (EOF), and the
 	// order inverts: in-flight handlers run to completion, their responses
 	// flush, and only then does the socket close — that IS the drain.
+	close(work)
 	if s.drainActive() {
 		handlers.Wait()
 		close(out)
@@ -275,6 +279,22 @@ func (s *Server) serveConn(nc net.Conn) {
 	s.mu.Unlock()
 	s.ctr.connsOpen.Add(-1)
 	_ = readErr // clean EOF and peer resets end the conn the same way
+}
+
+// connWorker is one of a connection's handler goroutines: it serves f,
+// then every frame the reader hands it, until the reader closes work.
+func (s *Server) connWorker(ctx context.Context, f Frame, work <-chan Frame, out chan<- outFrame, handlers *sync.WaitGroup) {
+	defer handlers.Done()
+	for ok := true; ok; f, ok = <-work {
+		hctx := ctx
+		if f.Trace.Valid() {
+			hctx = obs.ContextWithTrace(ctx, f.Trace)
+		}
+		status, payload := s.h.ServeFrame(hctx, f.Op(), f.ID, f.Payload)
+		// The writer drains out until every handler is done, so this
+		// send cannot block forever even if the conn is already dead.
+		out <- outFrame{kind: respBit | uint8(status), id: f.ID, payload: payload, enq: time.Now()}
+	}
 }
 
 // connWriter multiplexes response frames onto the connection. Frames are

@@ -9,6 +9,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -439,5 +440,126 @@ func TestByteCountersMatchSocket(t *testing.T) {
 	}
 	if written := ln.written.Load(); ss.BytesOut != written || cs.BytesIn != written {
 		t.Errorf("responses: socket carried %d bytes, server counted %d out, client %d in", written, ss.BytesOut, cs.BytesIn)
+	}
+}
+
+// waitGoroutines polls until at most want goroutines run, or fails.
+func waitGoroutines(t *testing.T, want int, what string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines, want at most %d", what, runtime.NumGoroutine(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// servingGoroutines wraps echoHandler and records which goroutines ran
+// ServeFrame, by the id runtime.Stack prints.
+type servingGoroutines struct {
+	echoHandler
+	mu  sync.Mutex
+	ids map[string]bool
+}
+
+func (h *servingGoroutines) ServeFrame(ctx context.Context, op Op, id uint64, payload []byte) (Status, []byte) {
+	buf := make([]byte, 64)
+	gid, _, _ := strings.Cut(strings.TrimPrefix(string(buf[:runtime.Stack(buf, false)]), "goroutine "), " ")
+	h.mu.Lock()
+	h.ids[gid] = true
+	h.mu.Unlock()
+	return h.echoHandler.ServeFrame(ctx, op, id, payload)
+}
+
+func (h *servingGoroutines) count() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.ids)
+}
+
+// TestConnWorkersPersist pins the handler workers' lifecycle: a stream
+// of sequential frames on one connection is served by a handful of
+// goroutines, not one per frame, and leaves the goroutine count where
+// the first frame left it; a handler parked on one frame does not
+// hold up a pipelined frame behind it (a second worker takes it); and
+// after Close, or after a Shutdown drain, every goroutine the server and
+// the pool started is gone.
+func TestConnWorkersPersist(t *testing.T) {
+	const slack = 3 // scheduling noise: a worker not yet parked when the next frame lands
+	for _, stop := range []struct {
+		name string
+		fn   func(*Server) error
+	}{
+		{"Close", func(s *Server) error { return s.Close() }},
+		{"Shutdown", func(s *Server) error {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			return s.Shutdown(ctx)
+		}},
+	} {
+		t.Run(stop.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := &servingGoroutines{echoHandler: echoHandler{release: make(chan struct{})}, ids: map[string]bool{}}
+			srv := NewServer(h)
+			served := make(chan struct{})
+			go func() {
+				srv.Serve(ln)
+				close(served)
+			}()
+			p := NewPool("tcp", ln.Addr().String(), 1)
+			ctx := context.Background()
+			echo := func(body string) {
+				t.Helper()
+				if status, resp, err := p.Do(ctx, OpQuery, []byte(body)); err != nil || status != StatusOK || string(resp) != body {
+					t.Fatalf("echo %q = (%v, %q, %v)", body, status, resp, err)
+				}
+			}
+
+			echo("0")
+			first := runtime.NumGoroutine()
+			for i := 1; i < 1000; i++ {
+				echo(strconv.Itoa(i))
+			}
+			if g := runtime.NumGoroutine(); g > first+slack {
+				t.Fatalf("1000 sequential frames left %d goroutines, %d after the first", g, first)
+			}
+			if n := h.count(); n > 1+slack {
+				t.Fatalf("1000 sequential frames ran on %d handler goroutines", n)
+			}
+
+			blocked := make(chan error, 1)
+			go func() {
+				_, resp, err := p.Do(ctx, OpQuery, []byte("block:slow"))
+				if err == nil && string(resp) != "slow" {
+					err = fmt.Errorf("blocked frame answered %q", resp)
+				}
+				blocked <- err
+			}()
+			for srv.Stats().FramesIn < 1001 {
+				time.Sleep(time.Millisecond)
+			}
+			fctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+			status, resp, err := p.Do(fctx, OpQuery, []byte("fast"))
+			cancel()
+			if err != nil || status != StatusOK || string(resp) != "fast" {
+				t.Fatalf("frame behind a parked handler = (%v, %q, %v)", status, resp, err)
+			}
+			close(h.release)
+			if err := <-blocked; err != nil {
+				t.Fatal(err)
+			}
+
+			if err := stop.fn(srv); err != nil {
+				t.Fatal(err)
+			}
+			<-served
+			p.Close()
+			waitGoroutines(t, base, "after "+stop.name)
+		})
 	}
 }

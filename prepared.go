@@ -114,6 +114,13 @@ func (p *PreparedGraph) Stats() PreparedStats {
 	return st
 }
 
+// Totals returns Stats' totals — footprint bytes, substrate count and
+// build rounds — in O(1), without building the per-substrate list: what a
+// serving layer re-reads after every query to account a bundle's growth.
+func (p *PreparedGraph) Totals() (bytes int64, substrates int, buildRounds int64) {
+	return p.art.Totals()
+}
+
 // BuildRounds reports the cumulative cost of every substrate built so far
 // (each BDD and labeling counted once, however many queries shared it).
 func (p *PreparedGraph) BuildRounds() Rounds {
