@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"planarflow/internal/ledger"
@@ -203,9 +204,12 @@ func TestSTPlanarEpsilonSweep(t *testing.T) {
 
 func TestSTPlanarInvalidEps(t *testing.T) {
 	g := planar.Grid(3, 3)
-	for _, eps := range []float64{-0.1, 1.0, 2.5} {
+	for _, eps := range []float64{-0.1, 1.0, 2.5, math.NaN()} {
 		if _, err := STPlanarMaxFlow(prep(g), 0, 8, eps, ledger.New()); err == nil {
-			t.Fatalf("eps=%v accepted", eps)
+			t.Fatalf("eps=%v accepted by the flow", eps)
+		}
+		if _, err := STPlanarMinCut(prep(g), 0, 8, eps, ledger.New()); err == nil {
+			t.Fatalf("eps=%v accepted by the cut", eps)
 		}
 	}
 }

@@ -38,8 +38,12 @@ type hassinDual struct {
 
 // newHassinDual splits the first common face of s and t and builds the
 // augmented dual under capacity lengths scaled down by (1-eps): both darts
-// of every edge carry the (scaled) capacity.
+// of every edge carry the (scaled) capacity. eps outside [0, 1) — NaN
+// included, which would scale every capacity to MinInt64 — is refused.
 func newHassinDual(g *planar.Graph, s, t int, eps float64) (*hassinDual, error) {
+	if !(eps >= 0 && eps < 1) {
+		return nil, fmt.Errorf("core: eps=%v out of [0,1)", eps)
+	}
 	if s == t {
 		return nil, errors.New("core: s and t must differ")
 	}
@@ -121,9 +125,6 @@ func oracleTau(g *planar.Graph, eps float64) int64 {
 // that needs it.
 func STPlanarMaxFlow(p *artifact.Prepared, s, t int, eps float64, led *ledger.Ledger) (*STPlanarResult, error) {
 	g := p.Graph()
-	if eps < 0 || eps >= 1 {
-		return nil, fmt.Errorf("core: eps=%v out of [0,1)", eps)
-	}
 	h, err := newHassinDual(g, s, t, eps)
 	if err != nil {
 		return nil, err

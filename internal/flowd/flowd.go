@@ -226,7 +226,7 @@ func checkArgs(op string, u, v, source int, eps float64) error {
 	if u < 0 || v < 0 || source < 0 {
 		return fmt.Errorf("negative id (u=%d v=%d source=%d)", u, v, source)
 	}
-	if eps < 0 || eps >= 1 {
+	if !(eps >= 0 && eps < 1) { // NaN included
 		return fmt.Errorf("eps=%v out of [0, 1)", eps)
 	}
 	return nil
@@ -303,7 +303,6 @@ func NewServerWith(st *store.Store, opt ServerOptions) *Server {
 	s.mux.HandleFunc("POST /v1/snapshot", s.handleSnapshot)
 	s.mux.HandleFunc("GET /v1/snapshot/{graph}", s.handleFetchSnapshot)
 	s.mux.HandleFunc("POST /v1/restore", s.handleRestore)
-	s.mux.HandleFunc("POST /v1/warm", s.handleWarm)
 	s.mux.HandleFunc("GET /statsz", s.handleStatsz)
 	s.mux.HandleFunc("GET /metricsz", s.handleMetricsz)
 	s.mux.HandleFunc("GET /tracez", s.handleTracez)
@@ -360,7 +359,7 @@ func statusOf(err error) int {
 		return http.StatusConflict
 	case errors.Is(err, store.ErrGraphLimit):
 		return http.StatusTooManyRequests
-	case errors.Is(err, store.ErrSpillDisabled):
+	case errors.Is(err, store.ErrSpillDisabled), errors.Is(err, store.ErrBadID):
 		return http.StatusBadRequest
 	case errors.Is(err, planarflow.ErrVertexRange),
 		errors.Is(err, planarflow.ErrFaceRange),

@@ -47,7 +47,7 @@ func FuzzDecodeQuery(f *testing.F) {
 		if req.U < 0 || req.V < 0 || req.Source < 0 {
 			t.Fatalf("accepted negative ids: %+v", req)
 		}
-		if req.Eps < 0 || req.Eps >= 1 {
+		if !(req.Eps >= 0 && req.Eps < 1) {
 			t.Fatalf("accepted eps %v", req.Eps)
 		}
 		// Accepted requests survive the wire round trip losslessly (modulo
@@ -116,7 +116,7 @@ func FuzzDecodeBatch(f *testing.F) {
 			if q.U < 0 || q.V < 0 || q.Source < 0 {
 				t.Fatalf("accepted negative ids: %+v", q)
 			}
-			if q.Eps < 0 || q.Eps >= 1 {
+			if !(q.Eps >= 0 && q.Eps < 1) {
 				t.Fatalf("accepted eps %v", q.Eps)
 			}
 			if err := q.Query().Validate(); err != nil {

@@ -55,51 +55,6 @@ type RestoreResponse struct {
 	Peer     string `json:"peer,omitempty"`
 }
 
-// WarmRequest asks the daemon to eagerly build (or finish building) one
-// registered graph's serving substrates — registration-independent, so a
-// standby that adopted a graph can warm it without re-registering.
-type WarmRequest struct {
-	Graph string `json:"graph"`
-}
-
-// WarmResponse confirms the warm completed.
-type WarmResponse struct {
-	Graph  string `json:"graph"`
-	Warmed bool   `json:"warmed"`
-}
-
-// handleWarm builds the graph's serving substrates before responding.
-func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
-	data, err := readBody(w, r)
-	if err != nil {
-		s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
-	}
-	req, err := decodeStrict[WarmRequest](data, "warm request")
-	if err != nil {
-		s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
-	}
-	if req.Graph == "" {
-		s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: "flowd: bad warm request: missing graph id"})
-		return
-	}
-	if err := s.st.Warm(r.Context(), req.Graph); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, WarmResponse{Graph: req.Graph, Warmed: true})
-}
-
-// Warm eagerly builds the graph's serving substrates on the daemon.
-func (c *Client) Warm(ctx context.Context, graph string) (*WarmResponse, error) {
-	var out WarmResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/warm", WarmRequest{Graph: graph}, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // peerFetchTimeout bounds one peer snapshot fetch inside the restore
 // ladder: a dead peer must cost one rung, not the whole request budget.
 const peerFetchTimeout = 10 * time.Second

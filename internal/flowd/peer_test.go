@@ -2,8 +2,10 @@ package flowd
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"planarflow/internal/store"
@@ -179,32 +181,46 @@ func TestPeerRestoreDiskRung(t *testing.T) {
 	}
 }
 
-// TestWarmEndpoint: the registration-independent warm builds substrates
-// on demand (the fleet client's Warm routes here).
-func TestWarmEndpoint(t *testing.T) {
+// TestGraphIDLength: an id one byte past store.MaxIDLen is refused at
+// registration with a 400, so no registered graph is one a peer could not
+// restore; an id of exactly MaxIDLen bytes answers over HTTP and over the
+// wire, and peer-restores.
+func TestGraphIDLength(t *testing.T) {
 	ctx := context.Background()
-	c, st, _ := newPeerDaemon(t, store.Config{})
-	if _, err := c.Register(ctx, "g", peerSpec()); err != nil {
+	ca, _, addr, _ := newWireDaemon(t, store.Config{}, "")
+	long := strings.Repeat("g", store.MaxIDLen+1)
+	var ae *APIError
+	if _, err := ca.Register(ctx, long, peerSpec()); !errors.As(err, &ae) || ae.Status != http.StatusBadRequest {
+		t.Fatalf("%d-byte id: %v, want a 400", len(long), err)
+	}
+
+	id := long[1:]
+	if _, err := ca.RegisterWarm(ctx, id, peerSpec()); err != nil {
 		t.Fatal(err)
 	}
-	if st.Snapshot().Resident != 0 {
-		t.Fatal("resident before warm")
-	}
-	resp, err := c.Warm(ctx, "g")
+	req := QueryRequest{Graph: id, Op: "dist", U: 0, V: 35}
+	want, err := ca.Query(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !resp.Warmed || resp.Graph != "g" {
-		t.Fatalf("warm: %+v", resp)
+	wc := NewWireClient("tcp", addr, WireOptions{PoolSize: 1})
+	defer wc.Close()
+	if got, err := wc.Query(ctx, req); err != nil || got.Value != want.Value {
+		t.Fatalf("wire answer %+v, %v; http %+v", got, err, want)
 	}
-	if st.Snapshot().Resident != 1 {
-		t.Fatal("not resident after warm")
-	}
-	// Warming twice is idempotent; warming the unknown is a 404.
-	if _, err := c.Warm(ctx, "g"); err != nil {
+
+	cb, stb, _ := newPeerDaemon(t, store.Config{})
+	if _, err := cb.Register(ctx, id, peerSpec()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Warm(ctx, "ghost"); !IsNotFound(err) {
-		t.Fatalf("unknown warm: %v", err)
+	resp, err := cb.Restore(ctx, id, []string{ca.base})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resp.Restored || resp.Source != "peer" {
+		t.Fatalf("restore of a %d-byte id: %+v", len(id), resp)
+	}
+	if st := stb.Snapshot(); st.PeerRestores != 1 || st.Builds != 0 {
+		t.Fatalf("peer restore accounting: %+v", st)
 	}
 }

@@ -16,7 +16,7 @@ package flowd
 //	0      2    magic "PS"
 //	2      1    version (1)
 //	3      1    reserved (0)
-//	4      2    graph-id length (1..MaxSnapIDLen)
+//	4      2    graph-id length (1..store.MaxIDLen, the registration bound)
 //	6      n    graph id
 //	then data chunks, each:
 //	       4    chunk length (1..snapMaxChunk)
@@ -39,14 +39,14 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+
+	"planarflow/internal/codec"
+	"planarflow/internal/store"
 )
 
 // SnapStreamVersion is the stream framing version (independent of the
 // PFSNAP codec version inside).
 const SnapStreamVersion = 1
-
-// MaxSnapIDLen caps the graph id carried in the stream header.
-const MaxSnapIDLen = 256
 
 // snapMaxChunk caps one chunk's declared length: a length prefix read
 // off an untrusted stream must never size an unbounded allocation.
@@ -77,7 +77,7 @@ var (
 
 // EncodeSnapStream frames one graph's snapshot bytes onto w.
 func EncodeSnapStream(w io.Writer, graph string, data []byte) error {
-	if len(graph) == 0 || len(graph) > MaxSnapIDLen {
+	if len(graph) == 0 || len(graph) > store.MaxIDLen {
 		return fmt.Errorf("%w: graph id length %d", ErrSnapStream, len(graph))
 	}
 	hdr := make([]byte, 0, 6+len(graph))
@@ -127,7 +127,7 @@ func DecodeSnapStream(r io.Reader, maxBytes int64) (string, []byte, error) {
 		br = bufio.NewReader(r)
 	}
 	var hdr [6]byte
-	if err := readFull(br, hdr[:]); err != nil {
+	if err := codec.ReadFull(br, hdr[:], ErrSnapStreamTruncated); err != nil {
 		return "", nil, err
 	}
 	if hdr[0] != snapStreamMagic[0] || hdr[1] != snapStreamMagic[1] {
@@ -137,22 +137,22 @@ func DecodeSnapStream(r io.Reader, maxBytes int64) (string, []byte, error) {
 		return "", nil, fmt.Errorf("%w: version %d (speak %d)", ErrSnapStream, hdr[2], SnapStreamVersion)
 	}
 	idLen := int(binary.LittleEndian.Uint16(hdr[4:6]))
-	if idLen == 0 || idLen > MaxSnapIDLen {
+	if idLen == 0 || idLen > store.MaxIDLen {
 		return "", nil, fmt.Errorf("%w: graph id length %d", ErrSnapStream, idLen)
 	}
 	id := make([]byte, idLen)
-	if err := readFull(br, id); err != nil {
+	if err := codec.ReadFull(br, id, ErrSnapStreamTruncated); err != nil {
 		return "", nil, err
 	}
 	var data []byte
 	var lenbuf [4]byte
 	for {
-		if err := readFull(br, lenbuf[:]); err != nil {
+		if err := codec.ReadFull(br, lenbuf[:], ErrSnapStreamTruncated); err != nil {
 			return "", nil, err
 		}
 		n := binary.LittleEndian.Uint32(lenbuf[:])
 		if n == 0 { // terminator: whole-stream checksum follows
-			if err := readFull(br, lenbuf[:]); err != nil {
+			if err := codec.ReadFull(br, lenbuf[:], ErrSnapStreamTruncated); err != nil {
 				return "", nil, err
 			}
 			if binary.LittleEndian.Uint32(lenbuf[:]) != crc32.ChecksumIEEE(data) {
@@ -168,27 +168,14 @@ func DecodeSnapStream(r io.Reader, maxBytes int64) (string, []byte, error) {
 		}
 		off := len(data)
 		data = append(data, make([]byte, n)...)
-		if err := readFull(br, data[off:]); err != nil {
+		if err := codec.ReadFull(br, data[off:], ErrSnapStreamTruncated); err != nil {
 			return "", nil, err
 		}
-		if err := readFull(br, lenbuf[:]); err != nil {
+		if err := codec.ReadFull(br, lenbuf[:], ErrSnapStreamTruncated); err != nil {
 			return "", nil, err
 		}
 		if binary.LittleEndian.Uint32(lenbuf[:]) != crc32.ChecksumIEEE(data[off:]) {
 			return "", nil, fmt.Errorf("%w: chunk checksum mismatch", ErrSnapStream)
 		}
 	}
-}
-
-// readFull reads len(p) bytes, mapping any short read to the truncation
-// sentinel: inside a snapshot stream there is no such thing as a clean
-// early EOF.
-func readFull(r io.Reader, p []byte) error {
-	if _, err := io.ReadFull(r, p); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return fmt.Errorf("%w: %v", ErrSnapStreamTruncated, err)
-		}
-		return err
-	}
-	return nil
 }

@@ -10,9 +10,11 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"planarflow/internal/store"
 )
 
-var updateCorpus = flag.Bool("update-corpus", false, "rewrite the committed FuzzDecodeSnapStream seed corpus")
+var updateCorpus = flag.Bool("update-corpus", false, "rewrite the committed FuzzDecodeSnapStream and FuzzDecodeWirePayload seed corpora")
 
 func TestSnapStreamRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -51,7 +53,7 @@ func TestSnapStreamEncodeRejectsBadID(t *testing.T) {
 	if err := EncodeSnapStream(&buf, "", nil); !errors.Is(err, ErrSnapStream) {
 		t.Fatalf("empty id: %v", err)
 	}
-	if err := EncodeSnapStream(&buf, strings.Repeat("x", MaxSnapIDLen+1), nil); !errors.Is(err, ErrSnapStream) {
+	if err := EncodeSnapStream(&buf, strings.Repeat("x", store.MaxIDLen+1), nil); !errors.Is(err, ErrSnapStream) {
 		t.Fatalf("oversize id: %v", err)
 	}
 }
@@ -139,14 +141,19 @@ func snapFuzzSeeds(t testing.TB) map[string][]byte {
 // as committed corpus files under testdata/fuzz/FuzzDecodeSnapStream —
 // the same discipline as the wire frame fuzzer.
 func TestWriteSnapSeedCorpus(t *testing.T) {
+	writeSeedCorpus(t, "FuzzDecodeSnapStream", snapFuzzSeeds(t))
+}
+
+// writeSeedCorpus (with -update-corpus) writes seeds as the committed
+// corpus of the named fuzz target; without the flag it skips.
+func writeSeedCorpus(t *testing.T, target string, seeds map[string][]byte) {
 	if !*updateCorpus {
 		t.Skip("run with -update-corpus to rewrite the seed corpus")
 	}
-	dir := filepath.Join("testdata", "fuzz", "FuzzDecodeSnapStream")
+	dir := filepath.Join("testdata", "fuzz", target)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	seeds := snapFuzzSeeds(t)
 	for name, data := range seeds {
 		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
 		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
@@ -173,7 +180,7 @@ func FuzzDecodeSnapStream(f *testing.F) {
 			}
 			return
 		}
-		if len(id) == 0 || len(id) > MaxSnapIDLen {
+		if len(id) == 0 || len(id) > store.MaxIDLen {
 			t.Fatalf("decoded id length %d out of range", len(id))
 		}
 		// decode∘encode∘decode is the identity on the logical content.

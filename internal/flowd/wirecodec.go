@@ -10,15 +10,19 @@ package flowd
 // exactly the same JSON as the HTTP route's). WireClient sends nothing
 // else; wire.OpQuery, the one JSON op left, has no client in this repo.
 //
-// Discipline mirrors the PFSNAP snapshot codec: decoders never panic,
-// fail with errors wrapping ErrWireCodec, validate lengths against the
-// remaining input before allocating, and reject trailing bytes.
+// Every field is read through internal/codec's bounds-checked cursor, the
+// one the PFSNAP section codecs use: decoders never panic, fail with
+// errors wrapping ErrWireCodec, validate counts against the remaining
+// input before allocating, and reject trailing bytes. What is this
+// codec's own is its format: field order, little-endian 8-byte integers
+// and floats, u32 counts with a nil-slice marker, and the string cap.
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+
+	"planarflow/internal/codec"
 )
 
 // ErrWireCodec is the typed sentinel every binary payload decode failure
@@ -34,192 +38,94 @@ const nilSlice = ^uint32(0)
 // anything longer is corruption, not data.
 const maxWireString = 1 << 12
 
-// ---- encode ----
-
-func appendU32(dst []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(dst, v) }
-func appendU64(dst []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(dst, v) }
-func appendI64(dst []byte, v int64) []byte  { return appendU64(dst, uint64(v)) }
-func appendF64(dst []byte, v float64) []byte {
-	return appendU64(dst, math.Float64bits(v))
-}
-
-func appendBool(dst []byte, v bool) []byte {
-	if v {
-		return append(dst, 1)
-	}
-	return append(dst, 0)
-}
-
-func appendString(dst []byte, s string) []byte {
-	dst = appendU32(dst, uint32(len(s)))
-	return append(dst, s...)
-}
-
 func appendI64s(dst []byte, v []int64) []byte {
 	if v == nil {
-		return appendU32(dst, nilSlice)
+		return codec.AppendU32(dst, nilSlice)
 	}
-	dst = appendU32(dst, uint32(len(v)))
+	dst = codec.AppendU32(dst, uint32(len(v)))
 	for _, x := range v {
-		dst = appendI64(dst, x)
+		dst = codec.AppendU64(dst, uint64(x))
 	}
 	return dst
 }
 
 func appendInts(dst []byte, v []int) []byte {
 	if v == nil {
-		return appendU32(dst, nilSlice)
+		return codec.AppendU32(dst, nilSlice)
 	}
-	dst = appendU32(dst, uint32(len(v)))
+	dst = codec.AppendU32(dst, uint32(len(v)))
 	for _, x := range v {
-		dst = appendI64(dst, int64(x))
+		dst = codec.AppendU64(dst, uint64(x))
 	}
 	return dst
 }
 
-// ---- decode ----
-
-// wdec is a bounds-checked little-endian cursor with a sticky error:
-// after the first failure every read returns the zero value, so decoders
-// read straight through and check err once.
-type wdec struct {
-	b   []byte
-	err error
+func appendRounds(dst []byte, r Rounds) []byte {
+	dst = codec.AppendU64(dst, uint64(r.Total))
+	dst = codec.AppendU64(dst, uint64(r.Build))
+	return codec.AppendU64(dst, uint64(r.Query))
 }
 
-func (d *wdec) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: %s", ErrWireCodec, fmt.Sprintf(format, args...))
-	}
+func appendF64(dst []byte, v float64) []byte { return codec.AppendU64(dst, math.Float64bits(v)) }
+
+func readStr(d *codec.Reader) string  { return d.String(maxWireString) }
+func readI64(d *codec.Reader) int64   { return int64(d.U64()) }
+func readInt(d *codec.Reader) int     { return int(int64(d.U64())) }
+func readF64(d *codec.Reader) float64 { return math.Float64frombits(d.U64()) }
+func readRounds(d *codec.Reader) Rounds {
+	return Rounds{Total: readI64(d), Build: readI64(d), Query: readI64(d)}
 }
 
-func (d *wdec) take(n int) []byte {
-	if d.err != nil {
+// readI64s and readInts read a u32 count (or the nil marker) and that many
+// 8-byte elements, which must be in the bytes still unread.
+func readI64s(d *codec.Reader) []int64 {
+	n := d.U32()
+	if n == nilSlice {
 		return nil
 	}
-	if n < 0 || n > len(d.b) {
-		d.fail("need %d bytes, have %d", n, len(d.b))
-		return nil
-	}
-	out := d.b[:n]
-	d.b = d.b[n:]
-	return out
-}
-
-func (d *wdec) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (d *wdec) u64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (d *wdec) i64() int64     { return int64(d.u64()) }
-func (d *wdec) intv() int      { return int(d.i64()) }
-func (d *wdec) f64() float64   { return math.Float64frombits(d.u64()) }
-func (d *wdec) rounds() Rounds { return Rounds{Total: d.i64(), Build: d.i64(), Query: d.i64()} }
-
-func (d *wdec) bool1() bool {
-	b := d.take(1)
-	if b == nil {
-		return false
-	}
-	if b[0] > 1 {
-		d.fail("bool byte 0x%02x", b[0])
-		return false
-	}
-	return b[0] == 1
-}
-
-func (d *wdec) str() string {
-	n := d.u32()
-	if d.err != nil {
-		return ""
-	}
-	if n > maxWireString {
-		d.fail("string length %d exceeds cap %d", n, maxWireString)
-		return ""
-	}
-	return string(d.take(int(n)))
-}
-
-func (d *wdec) i64s() []int64 {
-	n := d.u32()
-	if d.err != nil || n == nilSlice {
-		return nil
-	}
-	// The elements are 8 bytes each: the count can never exceed the
-	// remaining input, so allocation is capped by what was actually sent.
-	if int64(n)*8 > int64(len(d.b)) {
-		d.fail("slice count %d exceeds remaining %d bytes", n, len(d.b))
-		return nil
-	}
-	out := make([]int64, n)
+	out := make([]int64, d.Count(uint64(n), 8))
 	for i := range out {
-		out[i] = d.i64()
+		out[i] = readI64(d)
 	}
 	return out
 }
 
-func (d *wdec) ints() []int {
-	n := d.u32()
-	if d.err != nil || n == nilSlice {
+func readInts(d *codec.Reader) []int {
+	n := d.U32()
+	if n == nilSlice {
 		return nil
 	}
-	if int64(n)*8 > int64(len(d.b)) {
-		d.fail("slice count %d exceeds remaining %d bytes", n, len(d.b))
-		return nil
-	}
-	out := make([]int, n)
+	out := make([]int, d.Count(uint64(n), 8))
 	for i := range out {
-		out[i] = d.intv()
+		out[i] = readInt(d)
 	}
 	return out
-}
-
-// done rejects trailing bytes, the codec's analogue of DecodeQuery's
-// trailing-data check.
-func (d *wdec) done() error {
-	if d.err != nil {
-		return d.err
-	}
-	if len(d.b) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrWireCodec, len(d.b))
-	}
-	return nil
 }
 
 // ---- QueryRequest ----
 
 func appendWireQueryRequest(dst []byte, r *QueryRequest) []byte {
-	dst = appendString(dst, r.Graph)
-	dst = appendString(dst, r.Op)
-	dst = appendI64(dst, int64(r.U))
-	dst = appendI64(dst, int64(r.V))
-	dst = appendI64(dst, int64(r.Source))
+	dst = codec.AppendString(dst, r.Graph)
+	dst = codec.AppendString(dst, r.Op)
+	dst = codec.AppendU64(dst, uint64(r.U))
+	dst = codec.AppendU64(dst, uint64(r.V))
+	dst = codec.AppendU64(dst, uint64(r.Source))
 	dst = appendF64(dst, r.Eps)
-	return appendBool(dst, r.Simulated)
+	dst = codec.AppendBool(dst, r.Simulated)
+	return dst
 }
 
 // decodeWireQueryRequest decodes and validates with exactly
 // DecodeQuery's checks (graph present, known op, argument ranges), so a
 // request rejected on one plane is rejected on the other.
 func decodeWireQueryRequest(b []byte) (*QueryRequest, error) {
-	d := &wdec{b: b}
+	d := codec.NewReader(b, ErrWireCodec)
 	r := &QueryRequest{
-		Graph: d.str(), Op: d.str(),
-		U: d.intv(), V: d.intv(), Source: d.intv(),
-		Eps: d.f64(), Simulated: d.bool1(),
+		Graph: readStr(&d), Op: readStr(&d),
+		U: readInt(&d), V: readInt(&d), Source: readInt(&d),
+		Eps: readF64(&d), Simulated: d.Bool(),
 	}
-	if err := d.done(); err != nil {
+	if err := d.Done(); err != nil {
 		return nil, err
 	}
 	if r.Graph == "" {
@@ -234,29 +140,28 @@ func decodeWireQueryRequest(b []byte) (*QueryRequest, error) {
 // ---- QueryResponse ----
 
 func appendWireQueryResponse(dst []byte, r *QueryResponse) []byte {
-	dst = appendString(dst, r.Graph)
-	dst = appendString(dst, r.Op)
-	dst = appendI64(dst, r.Value)
+	dst = codec.AppendString(dst, r.Graph)
+	dst = codec.AppendString(dst, r.Op)
+	dst = codec.AppendU64(dst, uint64(r.Value))
 	dst = appendI64s(dst, r.Dist)
 	dst = appendInts(dst, r.CutEdges)
-	dst = appendBool(dst, r.NegCycle)
-	dst = appendI64(dst, int64(r.Iterations))
-	dst = appendBool(dst, r.Hit)
-	dst = appendI64(dst, r.Rounds.Total)
-	dst = appendI64(dst, r.Rounds.Build)
-	dst = appendI64(dst, r.Rounds.Query)
-	return appendF64(dst, r.WallMS)
+	dst = codec.AppendBool(dst, r.NegCycle)
+	dst = codec.AppendU64(dst, uint64(r.Iterations))
+	dst = codec.AppendBool(dst, r.Hit)
+	dst = appendRounds(dst, r.Rounds)
+	dst = appendF64(dst, r.WallMS)
+	return dst
 }
 
 func decodeWireQueryResponse(b []byte) (*QueryResponse, error) {
-	d := &wdec{b: b}
+	d := codec.NewReader(b, ErrWireCodec)
 	r := &QueryResponse{
-		Graph: d.str(), Op: d.str(), Value: d.i64(),
-		Dist: d.i64s(), CutEdges: d.ints(),
-		NegCycle: d.bool1(), Iterations: d.intv(), Hit: d.bool1(),
-		Rounds: d.rounds(), WallMS: d.f64(),
+		Graph: readStr(&d), Op: readStr(&d), Value: readI64(&d),
+		Dist: readI64s(&d), CutEdges: readInts(&d),
+		NegCycle: d.Bool(), Iterations: readInt(&d), Hit: d.Bool(),
+		Rounds: readRounds(&d), WallMS: readF64(&d),
 	}
-	if err := d.done(); err != nil {
+	if err := d.Done(); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -265,17 +170,17 @@ func decodeWireQueryResponse(b []byte) (*QueryResponse, error) {
 // ---- BatchRequest ----
 
 func appendWireBatchRequest(dst []byte, r *BatchRequest) []byte {
-	dst = appendString(dst, r.Graph)
-	dst = appendI64(dst, int64(r.Workers))
-	dst = appendU32(dst, uint32(len(r.Queries)))
+	dst = codec.AppendString(dst, r.Graph)
+	dst = codec.AppendU64(dst, uint64(r.Workers))
+	dst = codec.AppendU32(dst, uint32(len(r.Queries)))
 	for i := range r.Queries {
 		q := &r.Queries[i]
-		dst = appendString(dst, q.Op)
-		dst = appendI64(dst, int64(q.U))
-		dst = appendI64(dst, int64(q.V))
-		dst = appendI64(dst, int64(q.Source))
+		dst = codec.AppendString(dst, q.Op)
+		dst = codec.AppendU64(dst, uint64(q.U))
+		dst = codec.AppendU64(dst, uint64(q.V))
+		dst = codec.AppendU64(dst, uint64(q.Source))
 		dst = appendF64(dst, q.Eps)
-		dst = appendBool(dst, q.Simulated)
+		dst = codec.AppendBool(dst, q.Simulated)
 	}
 	return dst
 }
@@ -284,11 +189,11 @@ func appendWireBatchRequest(dst []byte, r *BatchRequest) []byte {
 // present, batch size in (0, MaxBatchQueries], workers in range, every
 // entry's arguments checked.
 func decodeWireBatchRequest(b []byte) (*BatchRequest, error) {
-	d := &wdec{b: b}
-	r := &BatchRequest{Graph: d.str(), Workers: d.intv()}
-	n := d.u32()
-	if d.err != nil {
-		return nil, d.err
+	d := codec.NewReader(b, ErrWireCodec)
+	r := &BatchRequest{Graph: readStr(&d), Workers: readInt(&d)}
+	n := d.U32()
+	if err := d.Err(); err != nil {
+		return nil, err
 	}
 	if n == 0 {
 		return nil, errors.New("flowd: bad batch: empty query list")
@@ -299,11 +204,11 @@ func decodeWireBatchRequest(b []byte) (*BatchRequest, error) {
 	r.Queries = make([]BatchQuery, n)
 	for i := range r.Queries {
 		q := &r.Queries[i]
-		q.Op = d.str()
-		q.U, q.V, q.Source = d.intv(), d.intv(), d.intv()
-		q.Eps, q.Simulated = d.f64(), d.bool1()
+		q.Op = readStr(&d)
+		q.U, q.V, q.Source = readInt(&d), readInt(&d), readInt(&d)
+		q.Eps, q.Simulated = readF64(&d), d.Bool()
 	}
-	if err := d.done(); err != nil {
+	if err := d.Done(); err != nil {
 		return nil, err
 	}
 	if r.Graph == "" {
@@ -324,32 +229,30 @@ func decodeWireBatchRequest(b []byte) (*BatchRequest, error) {
 // ---- BatchResponse ----
 
 func appendWireBatchResponse(dst []byte, r *BatchResponse) []byte {
-	dst = appendString(dst, r.Graph)
-	dst = appendBool(dst, r.Hit)
+	dst = codec.AppendString(dst, r.Graph)
+	dst = codec.AppendBool(dst, r.Hit)
 	dst = appendF64(dst, r.WallMS)
-	dst = appendU32(dst, uint32(len(r.Results)))
+	dst = codec.AppendU32(dst, uint32(len(r.Results)))
 	for i := range r.Results {
 		e := &r.Results[i]
-		dst = appendString(dst, e.Op)
-		dst = appendI64(dst, e.Value)
+		dst = codec.AppendString(dst, e.Op)
+		dst = codec.AppendU64(dst, uint64(e.Value))
 		dst = appendI64s(dst, e.Dist)
 		dst = appendInts(dst, e.CutEdges)
-		dst = appendBool(dst, e.NegCycle)
-		dst = appendI64(dst, int64(e.Iterations))
-		dst = appendI64(dst, e.Rounds.Total)
-		dst = appendI64(dst, e.Rounds.Build)
-		dst = appendI64(dst, e.Rounds.Query)
-		dst = appendString(dst, e.Error)
+		dst = codec.AppendBool(dst, e.NegCycle)
+		dst = codec.AppendU64(dst, uint64(e.Iterations))
+		dst = appendRounds(dst, e.Rounds)
+		dst = codec.AppendString(dst, e.Error)
 	}
 	return dst
 }
 
 func decodeWireBatchResponse(b []byte) (*BatchResponse, error) {
-	d := &wdec{b: b}
-	r := &BatchResponse{Graph: d.str(), Hit: d.bool1(), WallMS: d.f64()}
-	n := d.u32()
-	if d.err != nil {
-		return nil, d.err
+	d := codec.NewReader(b, ErrWireCodec)
+	r := &BatchResponse{Graph: readStr(&d), Hit: d.Bool(), WallMS: readF64(&d)}
+	n := d.U32()
+	if err := d.Err(); err != nil {
+		return nil, err
 	}
 	if n > MaxBatchQueries {
 		return nil, fmt.Errorf("flowd: bad batch response: %d results exceeds cap %d", n, MaxBatchQueries)
@@ -357,16 +260,16 @@ func decodeWireBatchResponse(b []byte) (*BatchResponse, error) {
 	r.Results = make([]BatchResult, n)
 	for i := range r.Results {
 		e := &r.Results[i]
-		e.Op = d.str()
-		e.Value = d.i64()
-		e.Dist = d.i64s()
-		e.CutEdges = d.ints()
-		e.NegCycle = d.bool1()
-		e.Iterations = d.intv()
-		e.Rounds = d.rounds()
-		e.Error = d.str()
+		e.Op = readStr(&d)
+		e.Value = readI64(&d)
+		e.Dist = readI64s(&d)
+		e.CutEdges = readInts(&d)
+		e.NegCycle = d.Bool()
+		e.Iterations = readInt(&d)
+		e.Rounds = readRounds(&d)
+		e.Error = readStr(&d)
 	}
-	if err := d.done(); err != nil {
+	if err := d.Done(); err != nil {
 		return nil, err
 	}
 	return r, nil

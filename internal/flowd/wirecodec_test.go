@@ -1,0 +1,137 @@
+package flowd
+
+import (
+	"bytes"
+	"math"
+	"strings"
+	"testing"
+
+	"planarflow/internal/codec"
+)
+
+// wirePayloadSeeds are the binary payload shapes FuzzDecodeWirePayload
+// starts from: one valid payload per request and response shape, then one
+// per rejection class.
+func wirePayloadSeeds() map[string][]byte {
+	qreq := appendWireQueryRequest(nil, &QueryRequest{Graph: "g", Op: "stflow", U: 0, V: 5, Eps: 0.25})
+	queries := func(n int) []BatchQuery {
+		qs := make([]BatchQuery, n)
+		for i := range qs {
+			qs[i] = BatchQuery{Op: "dist", U: i, V: i + 1}
+		}
+		return qs
+	}
+	overCap := codec.AppendString(nil, strings.Repeat("x", maxWireString+1))
+	// A response whose Dist count claims more 8-byte entries than follow.
+	pastInput := codec.AppendString(codec.AppendString(nil, "g"), "dualsssp")
+	pastInput = codec.AppendU64(pastInput, 7)
+	pastInput = codec.AppendU64(codec.AppendU32(pastInput, 1000), 3)
+	badBool := append([]byte(nil), qreq...)
+	badBool[len(badBool)-1] = 2
+	return map[string][]byte{
+		"valid-query-request": qreq,
+		"valid-query-response": appendWireQueryResponse(nil, &QueryResponse{
+			Graph: "g", Op: "dualsssp", Value: 7, Dist: []int64{0, 3, 9}, CutEdges: []int{},
+			Hit: true, Rounds: Rounds{Total: 44, Build: 4, Query: 40}, WallMS: 0.01,
+		}),
+		"valid-batch-request": appendWireBatchRequest(nil, &BatchRequest{Graph: "g", Workers: 2, Queries: []BatchQuery{
+			{Op: "dist", U: 0, V: 5}, {Op: "girth"}, {Op: "stcut", U: 1, V: 4, Eps: 0.5, Simulated: true},
+		}}),
+		"valid-batch-response": appendWireBatchResponse(nil, &BatchResponse{Graph: "g", Hit: true, WallMS: 0.5, Results: []BatchResult{
+			{Op: "dist", Value: 3}, {Op: "minstcut", Value: 6, CutEdges: []int{1, 4}, Iterations: 2}, {Op: "dist", Error: "vertex out of range"},
+		}}),
+		"truncated":              qreq[:len(qreq)-1],
+		"bool-byte-2":            badBool,
+		"string-over-cap":        overCap,
+		"slice-count-past-input": pastInput,
+		"trailing-bytes":         append(append([]byte(nil), qreq...), 0),
+		"batch-of-0":             appendWireBatchRequest(nil, &BatchRequest{Graph: "g"}),
+		"batch-of-257":           appendWireBatchRequest(nil, &BatchRequest{Graph: "g", Queries: queries(MaxBatchQueries + 1)}),
+	}
+}
+
+// TestWriteWirePayloadSeedCorpus (with -update-corpus) materializes the
+// seeds under testdata/fuzz/FuzzDecodeWirePayload.
+func TestWriteWirePayloadSeedCorpus(t *testing.T) {
+	writeSeedCorpus(t, "FuzzDecodeWirePayload", wirePayloadSeeds())
+}
+
+// FuzzDecodeWirePayload holds the four binary payload decoders to their
+// contract on every input: no panic, an error always with a nil value, and
+// an accepted payload re-encodes to exactly its own bytes (the codec is
+// canonical). An accepted request also passes the argument checks, eps in
+// [0, 1) included.
+func FuzzDecodeWirePayload(f *testing.F) {
+	for _, data := range wirePayloadSeeds() {
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkEps := func(eps float64) {
+			if !(eps >= 0 && eps < 1) {
+				t.Fatalf("accepted eps %v", eps)
+			}
+		}
+		if r, err := decodeWireQueryRequest(data); err != nil {
+			if r != nil {
+				t.Fatal("query request: error with non-nil value")
+			}
+		} else {
+			if !bytes.Equal(appendWireQueryRequest(nil, r), data) {
+				t.Fatalf("query request %+v does not re-encode to its bytes", r)
+			}
+			if r.Graph == "" || checkArgs(r.Op, r.U, r.V, r.Source, r.Eps) != nil {
+				t.Fatalf("accepted invalid query request %+v", r)
+			}
+			checkEps(r.Eps)
+		}
+		if r, err := decodeWireQueryResponse(data); err != nil {
+			if r != nil {
+				t.Fatal("query response: error with non-nil value")
+			}
+		} else if !bytes.Equal(appendWireQueryResponse(nil, r), data) {
+			t.Fatalf("query response %+v does not re-encode to its bytes", r)
+		}
+		if r, err := decodeWireBatchRequest(data); err != nil {
+			if r != nil {
+				t.Fatal("batch request: error with non-nil value")
+			}
+		} else {
+			if !bytes.Equal(appendWireBatchRequest(nil, r), data) {
+				t.Fatalf("batch request %+v does not re-encode to its bytes", r)
+			}
+			if r.Graph == "" || len(r.Queries) == 0 || len(r.Queries) > MaxBatchQueries ||
+				r.Workers < 0 || r.Workers > MaxBatchWorkers {
+				t.Fatalf("accepted invalid batch request %+v", r)
+			}
+			for _, q := range r.Queries {
+				if checkArgs(q.Op, q.U, q.V, q.Source, q.Eps) != nil {
+					t.Fatalf("accepted invalid batch entry %+v", q)
+				}
+				checkEps(q.Eps)
+			}
+		}
+		if r, err := decodeWireBatchResponse(data); err != nil {
+			if r != nil {
+				t.Fatal("batch response: error with non-nil value")
+			}
+		} else if !bytes.Equal(appendWireBatchResponse(nil, r), data) {
+			t.Fatalf("batch response %+v does not re-encode to its bytes", r)
+		}
+	})
+}
+
+// TestWireCodecRejectsNaNEps: the binary codec carries eps as raw float64
+// bits, so a NaN reaches the decoder, which must refuse it like any other
+// eps outside [0, 1) — in a single query and in a batch entry.
+func TestWireCodecRejectsNaNEps(t *testing.T) {
+	for _, eps := range []float64{math.NaN(), -0.5, 1, math.Inf(1)} {
+		q := appendWireQueryRequest(nil, &QueryRequest{Graph: "g", Op: "stflow", U: 0, V: 5, Eps: eps})
+		if r, err := decodeWireQueryRequest(q); err == nil {
+			t.Errorf("eps=%v: query request accepted: %+v", eps, r)
+		}
+		b := appendWireBatchRequest(nil, &BatchRequest{Graph: "g", Queries: []BatchQuery{{Op: "stcut", U: 0, V: 5, Eps: eps}}})
+		if r, err := decodeWireBatchRequest(b); err == nil {
+			t.Errorf("eps=%v: batch request accepted: %+v", eps, r)
+		}
+	}
+}

@@ -35,14 +35,6 @@ type Counter struct {
 	v atomic.Int64
 }
 
-// Add increments the counter by n (negative deltas are ignored: a
-// counter never goes down).
-func (c *Counter) Add(n int64) {
-	if n > 0 {
-		c.v.Add(n)
-	}
-}
-
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.v.Add(1) }
 

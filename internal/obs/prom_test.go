@@ -13,7 +13,9 @@ import (
 func TestExpositionRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("test_requests_total", "Requests.", L("transport", "http"), L("family", "sssp"))
-	c.Add(42)
+	for i := 0; i < 42; i++ {
+		c.Inc()
+	}
 	r.Gauge("test_resident", "Resident graphs.", func() float64 { return 3 })
 	h := r.Histogram("test_latency_seconds", "Latency.", L("family", "sssp"))
 	h.Observe(1 * time.Millisecond)

@@ -11,8 +11,10 @@ package snapshot
 
 import (
 	"fmt"
+	"math"
 
 	"planarflow/internal/bdd"
+	"planarflow/internal/codec"
 	"planarflow/internal/planar"
 	"planarflow/internal/separator"
 )
@@ -25,46 +27,46 @@ type TreeEntry struct {
 	Tree        *bdd.BDD
 }
 
-func encodeTree(e *enc, g *planar.Graph, t *TreeEntry) error {
+func encodeTree(g *planar.Graph, t *TreeEntry) ([]byte, error) {
 	tr := t.Tree
 	for i, b := range tr.Bags {
 		if b.ID != i {
-			return fmt.Errorf("snapshot: encode: bag %d stored at index %d", b.ID, i)
+			return nil, fmt.Errorf("snapshot: encode: bag %d stored at index %d", b.ID, i)
 		}
 	}
-	e.uvarint(uint64(t.LeafLimit))
-	e.varint(t.BuildRounds)
-	e.uvarint(uint64(tr.Depth))
-	e.count(len(tr.Bags))
+	e := codec.AppendUvarint(nil, uint64(t.LeafLimit))
+	e = codec.AppendVarint(e, t.BuildRounds)
+	e = codec.AppendUvarint(e, uint64(tr.Depth))
+	e = codec.AppendUvarint(e, uint64(len(tr.Bags)))
 	for _, b := range tr.Bags {
-		e.uvarint(uint64(b.Level))
+		e = codec.AppendUvarint(e, uint64(b.Level))
 		parent := 0
 		if b.Parent != nil {
 			parent = b.Parent.ID + 1
 		}
-		e.uvarint(uint64(parent))
-		e.count(len(b.Children))
+		e = codec.AppendUvarint(e, uint64(parent))
+		e = codec.AppendUvarint(e, uint64(len(b.Children)))
 		for _, c := range b.Children {
-			e.id(c.ID)
+			e = codec.AppendUvarint(e, uint64(c.ID))
 		}
-		e.uvarint(uint64(b.TreeDepth))
-		e.ints(dartsToInts(b.Darts))
-		e.ints(b.SXEdges)
-		e.ints(b.DualSXEdges)
-		e.ints(b.FX)
-		e.bool(b.Sep != nil)
+		e = codec.AppendUvarint(e, uint64(b.TreeDepth))
+		e = appendIDs(e, dartsToInts(b.Darts))
+		e = appendIDs(e, b.SXEdges)
+		e = appendIDs(e, b.DualSXEdges)
+		e = appendIDs(e, b.FX)
+		e = codec.AppendBool(e, b.Sep != nil)
 		if b.Sep != nil {
 			s := b.Sep
-			e.bool(s.EX.Real)
-			e.varint(int64(s.EX.Edge))
-			e.id(s.EX.U)
-			e.id(s.EX.V)
-			e.ints(s.CycleVertices)
-			e.ints(s.CycleEdges)
-			e.uvarint(uint64(s.InsideWeight))
-			e.uvarint(uint64(s.TotalWeight))
-			e.float(s.Balance)
-			e.uvarint(uint64(s.TreeDepth))
+			e = codec.AppendBool(e, s.EX.Real)
+			e = codec.AppendVarint(e, int64(s.EX.Edge))
+			e = codec.AppendUvarint(e, uint64(s.EX.U))
+			e = codec.AppendUvarint(e, uint64(s.EX.V))
+			e = appendIDs(e, s.CycleVertices)
+			e = appendIDs(e, s.CycleEdges)
+			e = codec.AppendUvarint(e, uint64(s.InsideWeight))
+			e = codec.AppendUvarint(e, uint64(s.TotalWeight))
+			e = codec.AppendUvarint(e, math.Float64bits(s.Balance))
+			e = codec.AppendUvarint(e, uint64(s.TreeDepth))
 			// Most of Side reconstructs from child membership (the split
 			// assigned every bag dart to the child it landed in); the
 			// remainder — darts of bag edges that are not themselves in the
@@ -77,32 +79,18 @@ func encodeTree(e *enc, g *planar.Graph, t *TreeEntry) error {
 				}
 				extra[side] = append(extra[side], d)
 			}
-			e.ints(extra[0])
-			e.ints(extra[1])
+			e = appendIDs(e, extra[0])
+			e = appendIDs(e, extra[1])
 		}
 	}
-	return nil
+	return e, nil
 }
 
-func decodeTree(d *dec, g *planar.Graph) (*TreeEntry, error) {
-	leafLimit, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	buildRounds, err := d.varint()
-	if err != nil {
-		return nil, err
-	}
-	depth, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	numBags, err := d.count()
-	if err != nil {
-		return nil, err
-	}
+func decodeTree(d *codec.Reader, g *planar.Graph) (*TreeEntry, error) {
+	leafLimit, buildRounds, depth := d.Uvarint(), d.Varint(), d.Uvarint()
+	numBags := readCount(d)
 	if numBags == 0 {
-		return nil, fmt.Errorf("%w: tree with no bags", ErrCorrupt)
+		return nil, d.Failf("tree with no bags")
 	}
 	t := &bdd.BDD{G: g, LeafLimit: int(leafLimit), Depth: int(depth)}
 	fd := g.Faces()
@@ -117,114 +105,58 @@ func decodeTree(d *dec, g *planar.Graph) (*TreeEntry, error) {
 	}
 	links := make([]pending, numBags)
 	for i, b := range bags {
-		level, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		b.Level = int(level)
-		parent, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
+		b.Level = int(d.Uvarint())
+		parent := d.Uvarint()
 		if parent > uint64(i) { // parent id must be < own id (or 0 = none)
-			return nil, fmt.Errorf("%w: bag %d parent %d", ErrCorrupt, i, parent-1)
+			return nil, d.Failf("bag %d parent %d", i, parent-1)
 		}
 		links[i].parent = int(parent) - 1
-		nc, err := d.count()
-		if err != nil {
-			return nil, err
-		}
+		nc := readCount(d)
 		if nc != 0 && nc != 2 {
-			return nil, fmt.Errorf("%w: bag %d has %d children", ErrCorrupt, i, nc)
+			return nil, d.Failf("bag %d has %d children", i, nc)
 		}
 		for j := 0; j < nc; j++ {
-			c, err := d.id(numBags)
-			if err != nil {
-				return nil, err
-			}
+			c := d.ID(numBags)
 			if c <= i {
-				return nil, fmt.Errorf("%w: bag %d child %d not below it", ErrCorrupt, i, c)
+				return nil, d.Failf("bag %d child %d not below it", i, c)
 			}
 			links[i].children = append(links[i].children, c)
 		}
-		td, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		b.TreeDepth = int(td)
-		darts, err := d.ints(g.NumDarts())
-		if err != nil {
-			return nil, err
-		}
+		b.TreeDepth = int(d.Uvarint())
+		darts := readIDs(d, g.NumDarts())
 		if len(darts) == 0 {
-			return nil, fmt.Errorf("%w: bag %d has no darts", ErrCorrupt, i)
+			return nil, d.Failf("bag %d has no darts", i)
 		}
-		if b.SXEdges, err = d.ints(g.M()); err != nil {
-			return nil, err
-		}
-		if b.DualSXEdges, err = d.ints(g.M()); err != nil {
-			return nil, err
-		}
-		if b.FX, err = d.ints(fd.NumFaces()); err != nil {
-			return nil, err
-		}
+		b.SXEdges = readIDs(d, g.M())
+		b.DualSXEdges = readIDs(d, g.M())
+		b.FX = readIDs(d, fd.NumFaces())
 		fillBagDerived(g, fd, b, darts)
-		hasSep, err := d.bool()
-		if err != nil {
-			return nil, err
-		}
+		hasSep := d.Bool()
 		if hasSep != (nc == 2) {
-			return nil, fmt.Errorf("%w: bag %d separator/children mismatch", ErrCorrupt, i)
+			return nil, d.Failf("bag %d separator/children mismatch", i)
 		}
 		if hasSep {
 			s := &separator.Result{Found: true}
-			if s.EX.Real, err = d.bool(); err != nil {
-				return nil, err
-			}
-			edge, err := d.varint()
-			if err != nil {
-				return nil, err
-			}
+			s.EX.Real = d.Bool()
+			edge := d.Varint()
 			if edge < -1 || edge >= int64(g.M()) || (s.EX.Real && edge < 0) {
-				return nil, fmt.Errorf("%w: bag %d EX edge %d", ErrCorrupt, i, edge)
+				return nil, d.Failf("bag %d EX edge %d", i, edge)
 			}
 			s.EX.Edge = int(edge)
-			if s.EX.U, err = d.id(g.N()); err != nil {
-				return nil, err
-			}
-			if s.EX.V, err = d.id(g.N()); err != nil {
-				return nil, err
-			}
-			if s.CycleVertices, err = d.ints(g.N()); err != nil {
-				return nil, err
-			}
-			if s.CycleEdges, err = d.ints(g.M()); err != nil {
-				return nil, err
-			}
-			iw, err := d.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			tw, err := d.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			s.InsideWeight, s.TotalWeight = int(iw), int(tw)
-			if s.Balance, err = d.float(); err != nil {
-				return nil, err
-			}
-			std, err := d.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			s.TreeDepth = int(std)
-			for side := 0; side < 2; side++ {
-				if links[i].extra[side], err = d.ints(g.NumDarts()); err != nil {
-					return nil, err
-				}
+			s.EX.U, s.EX.V = d.ID(g.N()), d.ID(g.N())
+			s.CycleVertices = readIDs(d, g.N())
+			s.CycleEdges = readIDs(d, g.M())
+			s.InsideWeight, s.TotalWeight = int(d.Uvarint()), int(d.Uvarint())
+			s.Balance = math.Float64frombits(d.Uvarint())
+			s.TreeDepth = int(d.Uvarint())
+			for side := range links[i].extra {
+				links[i].extra[side] = readIDs(d, g.NumDarts())
 			}
 			b.Sep = s
 		}
+	}
+	if err := d.Err(); err != nil {
+		return nil, err
 	}
 	// Link the tree and rebuild each separator's per-dart side assignment
 	// from child membership (split assigned dart d to the child InBag it
@@ -257,7 +189,7 @@ func decodeTree(d *dec, g *planar.Graph) (*TreeEntry, error) {
 	for _, b := range bags {
 		for _, c := range b.Children {
 			if c.Parent != b {
-				return nil, fmt.Errorf("%w: bag %d claimed by two parents", ErrCorrupt, c.ID)
+				return nil, d.Failf("bag %d claimed by two parents", c.ID)
 			}
 		}
 	}

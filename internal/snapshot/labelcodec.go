@@ -23,6 +23,7 @@ import (
 	"fmt"
 
 	"planarflow/internal/bdd"
+	"planarflow/internal/codec"
 	"planarflow/internal/label"
 	"planarflow/internal/planar"
 )
@@ -45,87 +46,81 @@ const (
 
 // encodeVec writes a distance vector laid out over keys as the sorted
 // (key-delta, value) list version 1 stores; order is keys' argsort.
-func encodeVec(e *enc, keys []int, order []int32, vec []int64) {
-	e.count(len(order))
+func encodeVec(e []byte, keys []int, order []int32, vec []int64) []byte {
+	e = codec.AppendUvarint(e, uint64(len(order)))
 	prev := 0
 	for _, pos := range order {
-		e.varint(int64(keys[pos] - prev))
+		e = codec.AppendVarint(e, int64(keys[pos]-prev))
 		prev = keys[pos]
-		e.varint(vec[pos])
+		e = codec.AppendVarint(e, vec[pos])
 	}
+	return e
 }
 
 // decodeVec reads a sorted (key-delta, value) list into vec, which is laid
 // out over keys (order is their argsort). The list must be exactly keys,
 // ascending.
-func decodeVec(d *dec, keys []int, order []int32, vec []int64) error {
-	n, err := d.count()
-	if err != nil {
-		return err
-	}
-	if n != len(order) {
-		return fmt.Errorf("%w: vector of %d entries over a layout of %d", ErrCorrupt, n, len(order))
+func decodeVec(d *codec.Reader, keys []int, order []int32, vec []int64) {
+	if n := readCount(d); n != len(order) {
+		d.Failf("vector of %d entries over a layout of %d", n, len(order))
+		return
 	}
 	prev := int64(0)
 	for j, pos := range order {
-		dk, err := d.varint()
-		if err != nil {
-			return err
-		}
+		dk := d.Varint()
 		if j > 0 && dk <= 0 {
-			return fmt.Errorf("%w: vector keys not ascending", ErrCorrupt)
+			d.Failf("vector keys not ascending")
+			return
 		}
 		if prev += dk; prev != int64(keys[pos]) {
-			return fmt.Errorf("%w: vector key %d where the layout has %d", ErrCorrupt, prev, keys[pos])
+			d.Failf("vector key %d where the layout has %d", prev, keys[pos])
+			return
 		}
-		if vec[pos], err = d.varint(); err != nil {
-			return err
+		vec[pos] = d.Varint()
+	}
+}
+
+// treeFor resolves the tree a labeling section decodes over, nil when it
+// did not arrive in the same snapshot (labelings always travel with their
+// tree; Export guarantees it, Decode enforces it).
+func treeFor(c *Contents, leafLimit int) *TreeEntry {
+	for i := range c.Trees {
+		if c.Trees[i].LeafLimit == leafLimit {
+			return &c.Trees[i]
 		}
 	}
 	return nil
 }
 
-// treeFor resolves the tree a labeling section decodes over: it must
-// have arrived in the same snapshot (labelings always travel with their
-// tree; Export guarantees it, Decode enforces it).
-func treeFor(c *Contents, leafLimit int) (*TreeEntry, error) {
-	for i := range c.Trees {
-		if c.Trees[i].LeafLimit == leafLimit {
-			return &c.Trees[i], nil
-		}
-	}
-	return nil, fmt.Errorf("%w: labeling references missing tree (leaf limit %d)", ErrCorrupt, leafLimit)
-}
-
-func encodeLabeling(e *enc, la *LabelEntry) error {
-	e.byte(la.Kind)
-	e.uvarint(uint64(la.LeafLimit))
-	e.varint(la.BuildRounds)
-	e.bool(la.Labeling.NegCycle)
+func encodeLabeling(la *LabelEntry) ([]byte, error) {
+	e := []byte{la.Kind}
+	e = codec.AppendUvarint(e, uint64(la.LeafLimit))
+	e = codec.AppendVarint(e, la.BuildRounds)
+	e = codec.AppendBool(e, la.Labeling.NegCycle)
 	lays, err := label.Layouts(la.Labeling.View(), la.Labeling.T)
 	if err != nil {
-		return fmt.Errorf("snapshot: encode: %v", err)
+		return nil, fmt.Errorf("snapshot: encode: %v", err)
 	}
 	byBag, ddgs := la.Labeling.State()
-	e.count(len(byBag))
+	e = codec.AppendUvarint(e, uint64(len(byBag)))
 	var col []int64 // a leaf label's LeafFrom: its column of the bag's LeafTo rows
 	for id, labels := range byBag {
-		e.bool(labels != nil)
+		e = codec.AppendBool(e, labels != nil)
 		if labels == nil {
 			continue
 		}
 		lay := &lays[id]
 		if len(labels) != len(lay.Keys) {
-			return fmt.Errorf("snapshot: encode: bag %d holds %d labels for %d keys", id, len(labels), len(lay.Keys))
+			return nil, fmt.Errorf("snapshot: encode: bag %d holds %d labels for %d keys", id, len(labels), len(lay.Keys))
 		}
 		leaf := la.Labeling.T.Bags[id].IsLeaf()
 		if leaf && len(col) < len(labels) {
 			col = make([]int64, len(labels))
 		}
-		e.count(len(labels))
+		e = codec.AppendUvarint(e, uint64(len(labels)))
 		for _, pos := range lay.KeyOrder {
 			l := &labels[pos]
-			e.id(l.Key)
+			e = codec.AppendUvarint(e, uint64(l.Key))
 			var flags byte
 			if leaf {
 				flags |= flagLeaf
@@ -133,95 +128,75 @@ func encodeLabeling(e *enc, la *LabelEntry) error {
 			if l.Child != nil {
 				flags |= flagChild
 			}
-			e.byte(flags)
+			e = append(e, flags)
 			if l.Child != nil {
-				e.id(l.Child.Bag.ID)
+				e = codec.AppendUvarint(e, uint64(l.Child.Bag.ID))
 			}
 			if leaf {
-				encodeVec(e, lay.Keys, lay.KeyOrder, l.LeafTo)
+				e = encodeVec(e, lay.Keys, lay.KeyOrder, l.LeafTo)
 				for j := range labels {
 					col[j] = labels[j].LeafTo[pos]
 				}
-				encodeVec(e, lay.Keys, lay.KeyOrder, col)
+				e = encodeVec(e, lay.Keys, lay.KeyOrder, col)
 			} else {
-				encodeVec(e, lay.Sep, lay.SepOrder, l.To)
-				encodeVec(e, lay.Sep, lay.SepOrder, l.From)
+				e = encodeVec(e, lay.Sep, lay.SepOrder, l.To)
+				e = encodeVec(e, lay.Sep, lay.SepOrder, l.From)
 			}
 		}
 	}
 	// The DDG block exists only in the section of a view that retains DDGs.
 	for _, ddg := range ddgs {
-		e.bool(ddg != nil)
+		e = codec.AppendBool(e, ddg != nil)
 		if ddg == nil {
 			continue
 		}
-		e.count(len(ddg.Nodes))
+		e = codec.AppendUvarint(e, uint64(len(ddg.Nodes)))
 		for _, n := range ddg.Nodes {
-			e.byte(byte(n.Child))
-			e.id(n.Key)
+			e = append(e, byte(n.Child))
+			e = codec.AppendUvarint(e, uint64(n.Key))
 		}
-		e.count(len(ddg.Arcs))
+		e = codec.AppendUvarint(e, uint64(len(ddg.Arcs)))
 		for _, a := range ddg.Arcs {
-			e.id(a.From)
-			e.id(a.To)
-			e.varint(a.Len)
-			e.varint(int64(a.Dart))
+			e = codec.AppendUvarint(e, uint64(a.From))
+			e = codec.AppendUvarint(e, uint64(a.To))
+			e = codec.AppendVarint(e, a.Len)
+			e = codec.AppendVarint(e, int64(a.Dart))
 		}
 		for _, row := range ddg.Dist {
 			if len(row) != len(ddg.Nodes) {
-				return fmt.Errorf("snapshot: encode: ragged DDG distance matrix")
+				return nil, fmt.Errorf("snapshot: encode: ragged DDG distance matrix")
 			}
 			for _, v := range row {
-				e.varint(v)
+				e = codec.AppendVarint(e, v)
 			}
 		}
 	}
-	return nil
+	return e, nil
 }
 
-func decodeLabeling(d *dec, v label.View, g *planar.Graph, c *Contents, lengths LengthsFunc) (*LabelEntry, error) {
-	kind, err := d.byte()
-	if err != nil {
-		return nil, err
-	}
-	leafLimit, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	buildRounds, err := d.varint()
-	if err != nil {
-		return nil, err
-	}
-	negCycle, err := d.bool()
-	if err != nil {
-		return nil, err
-	}
-	te, err := treeFor(c, int(leafLimit))
-	if err != nil {
-		return nil, err
+func decodeLabeling(d *codec.Reader, v label.View, g *planar.Graph, c *Contents, lengths LengthsFunc) (*LabelEntry, error) {
+	kind, leafLimit, buildRounds, negCycle := d.U8(), int(d.Uvarint()), d.Varint(), d.Bool()
+	te := treeFor(c, leafLimit)
+	if te == nil {
+		return nil, d.Failf("labeling references missing tree (leaf limit %d)", leafLimit)
 	}
 	t := te.Tree
 	for _, prev := range c.Labels {
-		if prev.Labeling.View() == v && prev.Kind == kind && prev.LeafLimit == int(leafLimit) {
-			return nil, fmt.Errorf("%w: duplicate %s-labeling section", ErrCorrupt, v)
+		if prev.Labeling.View() == v && prev.Kind == kind && prev.LeafLimit == leafLimit {
+			return nil, d.Failf("duplicate %s-labeling section", v)
 		}
 	}
 	lays, err := label.Layouts(v, t)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return nil, d.Failf("%v", err)
 	}
-	labels, err := decodeBags(d, t, lays)
-	if err != nil {
-		return nil, err
-	}
+	labels := decodeBags(d, t, lays)
 	var ddgs []*label.BagDDG
 	if v == label.Dual {
-		if ddgs, err = decodeDDGs(d, t, lays, g.NumDarts()); err != nil {
-			return nil, err
-		}
+		ddgs = decodeDDGs(d, t, lays, g.NumDarts())
 	}
-	if d.remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes in %s section", ErrCorrupt, d.remaining(), v)
+	if err := d.Done(); err != nil {
+		return nil, err
 	}
 	lens, err := lengths(kind)
 	if err != nil {
@@ -229,9 +204,9 @@ func decodeLabeling(d *dec, v label.View, g *planar.Graph, c *Contents, lengths 
 	}
 	la, err := label.FromState(v, t, lens, negCycle, labels, ddgs)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return nil, d.Failf("%v", err)
 	}
-	return &LabelEntry{Kind: kind, LeafLimit: int(leafLimit), BuildRounds: buildRounds, Labeling: la}, nil
+	return &LabelEntry{Kind: kind, LeafLimit: leafLimit, BuildRounds: buildRounds, Labeling: la}, nil
 }
 
 // decodeBags reads the per-bag label layout: a presence flag per bag, then
@@ -240,33 +215,24 @@ func decodeLabeling(d *dec, v label.View, g *planar.Graph, c *Contents, lengths 
 // result is indexed by bag; nil entries mean the bag had no labels (a
 // labeling aborted by a negative cycle). Identity, positions and Child
 // links are the layout's — what the section says of them is checked
-// against it here and set by label.FromState.
-func decodeBags(d *dec, t *bdd.BDD, lays []label.BagLayout) ([][]label.Label, error) {
+// against it here and set by label.FromState. A failure is left on d.
+func decodeBags(d *codec.Reader, t *bdd.BDD, lays []label.BagLayout) [][]label.Label {
 	numBags := len(t.Bags)
-	nb, err := d.count()
-	if err != nil {
-		return nil, err
-	}
-	if nb != numBags {
-		return nil, fmt.Errorf("%w: labeling spans %d bags, tree has %d", ErrCorrupt, nb, numBags)
+	if nb := readCount(d); nb != numBags {
+		d.Failf("labeling spans %d bags, tree has %d", nb, numBags)
+		return nil
 	}
 	byBag := make([][]label.Label, numBags)
 	var col []int64 // a leaf's LeafFrom lists, to hold against its LeafTo rows
 	for i, b := range t.Bags {
-		p, err := d.bool()
-		if err != nil {
-			return nil, err
-		}
-		if !p {
+		if !d.Bool() {
 			continue
 		}
 		lay := &lays[i]
-		n, err := d.count()
-		if err != nil {
-			return nil, err
-		}
+		n := readCount(d)
 		if n != len(lay.Keys) {
-			return nil, fmt.Errorf("%w: bag %d holds %d labels for %d keys", ErrCorrupt, i, n, len(lay.Keys))
+			d.Failf("bag %d holds %d labels for %d keys", i, n, len(lay.Keys))
+			return nil
 		}
 		leaf := b.IsLeaf()
 		width := len(lay.Sep)
@@ -275,8 +241,9 @@ func decodeBags(d *dec, t *bdd.BDD, lays []label.BagLayout) ([][]label.Label, er
 		}
 		// Key, flags and two counts, then two bytes per vector entry: what
 		// the slabs below hold has to be in the bytes still unread.
-		if n*(4+4*width) > d.remaining() {
-			return nil, fmt.Errorf("%w: bag %d: %d labels of width %d in %d remaining bytes", ErrCorrupt, i, n, width, d.remaining())
+		if n*(4+4*width) > d.Remaining() {
+			d.Failf("bag %d: %d labels of width %d in %d remaining bytes", i, n, width, d.Remaining())
+			return nil
 		}
 		labels := make([]label.Label, n)
 		var vecs []int64
@@ -290,138 +257,98 @@ func decodeBags(d *dec, t *bdd.BDD, lays []label.BagLayout) ([][]label.Label, er
 		}
 		for _, pos := range lay.KeyOrder {
 			l := &labels[pos]
-			key, err := d.uvarint()
-			if err != nil {
-				return nil, err
-			}
+			key := d.Uvarint()
 			if key != uint64(lay.Keys[pos]) {
-				return nil, fmt.Errorf("%w: bag %d: label key %d where the bag's next key is %d", ErrCorrupt, i, key, lay.Keys[pos])
+				d.Failf("bag %d: label key %d where the bag's next key is %d", i, key, lay.Keys[pos])
+				return nil
 			}
-			flags, err := d.byte()
-			if err != nil {
-				return nil, err
-			}
+			flags := d.U8()
 			if flags&^(flagLeaf|flagChild) != 0 {
-				return nil, fmt.Errorf("%w: label flags %#x", ErrCorrupt, flags)
+				d.Failf("label flags %#x", flags)
+				return nil
 			}
 			if (flags&flagLeaf != 0) != leaf {
-				return nil, fmt.Errorf("%w: bag %d key %d: leaf flag %v in a bag with %d children", ErrCorrupt, i, key, !leaf, len(b.Children))
+				d.Failf("bag %d key %d: leaf flag %v in a bag with %d children", i, key, !leaf, len(b.Children))
+				return nil
 			}
 			hasChild := !leaf && lay.SepPos[pos] < 0
 			if (flags&flagChild != 0) != hasChild {
-				return nil, fmt.Errorf("%w: bag %d key %d: child flag %v contradicts the separator", ErrCorrupt, i, key, !hasChild)
+				d.Failf("bag %d key %d: child flag %v contradicts the separator", i, key, !hasChild)
+				return nil
 			}
 			if hasChild {
-				childBag, err := d.uvarint()
-				if err != nil {
-					return nil, err
-				}
-				if want := b.Children[lay.ChildOf[pos]].ID; childBag != uint64(want) {
-					return nil, fmt.Errorf("%w: bag %d key %d: child bag %d, the key is in bag %d", ErrCorrupt, i, key, childBag, want)
+				if childBag, want := d.Uvarint(), b.Children[lay.ChildOf[pos]].ID; childBag != uint64(want) {
+					d.Failf("bag %d key %d: child bag %d, the key is in bag %d", i, key, childBag, want)
+					return nil
 				}
 			}
 			if leaf {
 				lo, hi := int(pos)*n, (int(pos)+1)*n
 				l.LeafTo = vecs[lo:hi:hi]
-				if err := decodeVec(d, lay.Keys, lay.KeyOrder, l.LeafTo); err != nil {
-					return nil, err
-				}
-				if err := decodeVec(d, lay.Keys, lay.KeyOrder, col[lo:hi]); err != nil {
-					return nil, err
-				}
+				decodeVec(d, lay.Keys, lay.KeyOrder, l.LeafTo)
+				decodeVec(d, lay.Keys, lay.KeyOrder, col[lo:hi])
 				continue
 			}
 			l.From, vecs = vecs[:width:width], vecs[width:]
 			l.To, vecs = vecs[:width:width], vecs[width:]
-			if err := decodeVec(d, lay.Sep, lay.SepOrder, l.To); err != nil {
-				return nil, err
-			}
-			if err := decodeVec(d, lay.Sep, lay.SepOrder, l.From); err != nil {
-				return nil, err
-			}
+			decodeVec(d, lay.Sep, lay.SepOrder, l.To)
+			decodeVec(d, lay.Sep, lay.SepOrder, l.From)
 		}
 		if leaf {
 			for r := range labels {
 				for c, v := range labels[r].LeafTo {
 					if col[c*n+r] != v {
-						return nil, fmt.Errorf("%w: bag %d: LeafFrom of key %d is not the column of the bag's LeafTo rows", ErrCorrupt, i, lay.Keys[c])
+						d.Failf("bag %d: LeafFrom of key %d is not the column of the bag's LeafTo rows", i, lay.Keys[c])
+						return nil
 					}
 				}
 			}
 		}
 		byBag[i] = labels
 	}
-	return byBag, nil
+	return byBag
 }
 
 // decodeDDGs reads the retained base DDGs, one presence flag per bag. The
 // node list must be the layout's, whose Nodes and RepsOf the restored DDG
-// shares with every other labeling over the tree.
-func decodeDDGs(d *dec, t *bdd.BDD, lays []label.BagLayout, numDarts int) ([]*label.BagDDG, error) {
+// shares with every other labeling over the tree. A failure is left on d.
+func decodeDDGs(d *codec.Reader, t *bdd.BDD, lays []label.BagLayout, numDarts int) []*label.BagDDG {
 	ddgs := make([]*label.BagDDG, len(t.Bags))
 	for i, b := range t.Bags {
-		present, err := d.bool()
-		if err != nil {
-			return nil, err
-		}
-		if !present {
+		if !d.Bool() {
 			continue
 		}
 		lay := &lays[i]
-		nn, err := d.count()
-		if err != nil {
-			return nil, err
-		}
+		nn := readCount(d)
 		if b.IsLeaf() || nn != len(lay.Nodes) {
-			return nil, fmt.Errorf("%w: bag %d: DDG of %d nodes, the tree gives it %d", ErrCorrupt, i, nn, len(lay.Nodes))
+			d.Failf("bag %d: DDG of %d nodes, the tree gives it %d", i, nn, len(lay.Nodes))
+			return nil
 		}
 		for _, n := range lay.Nodes {
-			ci, err := d.byte()
-			if err != nil {
-				return nil, err
-			}
-			k, err := d.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			if int(ci) != n.Child || k != uint64(n.Key) {
-				return nil, fmt.Errorf("%w: bag %d: DDG node (%d,%d) where the tree has (%d,%d)", ErrCorrupt, i, ci, k, n.Child, n.Key)
+			if ci, k := d.U8(), d.Uvarint(); int(ci) != n.Child || k != uint64(n.Key) {
+				d.Failf("bag %d: DDG node (%d,%d) where the tree has (%d,%d)", i, ci, k, n.Child, n.Key)
+				return nil
 			}
 		}
 		ddg := &label.BagDDG{Bag: b, Nodes: lay.Nodes, RepsOf: lay.RepsOf}
-		na, err := d.count()
-		if err != nil {
-			return nil, err
-		}
-		ddg.Arcs = make([]label.DDGArc, na)
+		ddg.Arcs = make([]label.DDGArc, readCount(d))
 		for j := range ddg.Arcs {
 			a := &ddg.Arcs[j]
-			if a.From, err = d.id(nn); err != nil {
-				return nil, err
-			}
-			if a.To, err = d.id(nn); err != nil {
-				return nil, err
-			}
-			if a.Len, err = d.varint(); err != nil {
-				return nil, err
-			}
-			dart, err := d.varint()
-			if err != nil {
-				return nil, err
-			}
+			a.From, a.To, a.Len = d.ID(nn), d.ID(nn), d.Varint()
+			dart := d.Varint()
 			if dart < -1 || dart >= int64(numDarts) {
-				return nil, fmt.Errorf("%w: DDG arc dart %d", ErrCorrupt, dart)
+				d.Failf("DDG arc dart %d", dart)
+				return nil
 			}
 			a.Dart = planar.Dart(dart)
 		}
-		if nn*nn > d.remaining() {
-			return nil, fmt.Errorf("%w: bag %d: %d×%d DDG matrix in %d remaining bytes", ErrCorrupt, i, nn, nn, d.remaining())
+		if nn*nn > d.Remaining() {
+			d.Failf("bag %d: %d×%d DDG matrix in %d remaining bytes", i, nn, nn, d.Remaining())
+			return nil
 		}
 		slab := make([]int64, nn*nn)
 		for j := range slab {
-			if slab[j], err = d.varint(); err != nil {
-				return nil, err
-			}
+			slab[j] = d.Varint()
 		}
 		ddg.Dist = make([][]int64, nn)
 		for r := range ddg.Dist {
@@ -429,5 +356,5 @@ func decodeDDGs(d *dec, t *bdd.BDD, lays []label.BagLayout, numDarts int) ([]*la
 		}
 		ddgs[i] = ddg
 	}
-	return ddgs, nil
+	return ddgs
 }

@@ -44,8 +44,8 @@ import (
 	"hash/crc32"
 	"hash/fnv"
 	"io"
-	"math"
 
+	"planarflow/internal/codec"
 	"planarflow/internal/label"
 	"planarflow/internal/planar"
 )
@@ -114,156 +114,49 @@ func Fingerprint(g *planar.Graph) uint64 {
 	return h.Sum64()
 }
 
-// ---- encoder ----
+// ---- section format ----
 
-// enc accumulates one section payload; varints keep small ids small and
-// make the format word-size independent.
-type enc struct {
-	buf bytes.Buffer
-	tmp [binary.MaxVarintLen64]byte
-}
+// Section payloads are read and written through internal/codec's cursor
+// (failures wrap ErrCorrupt); varints keep small ids small and make the
+// format word-size independent. What is this format's own: counts as
+// uvarints of elements at least one byte each, and id lists
+// delta-encoded in stored order.
 
-func (e *enc) uvarint(x uint64) {
-	n := binary.PutUvarint(e.tmp[:], x)
-	e.buf.Write(e.tmp[:n])
-}
+// readCount reads a collection length that could fit in the remaining
+// bytes (each element costs at least one).
+func readCount(d *codec.Reader) int { return d.Count(d.Uvarint(), 1) }
 
-func (e *enc) varint(x int64) {
-	n := binary.PutVarint(e.tmp[:], x)
-	e.buf.Write(e.tmp[:n])
-}
-
-func (e *enc) count(n int) { e.uvarint(uint64(n)) }
-func (e *enc) id(x int)    { e.uvarint(uint64(x)) }
-func (e *enc) bool(b bool) {
-	if b {
-		e.buf.WriteByte(1)
-	} else {
-		e.buf.WriteByte(0)
-	}
-}
-func (e *enc) byte(b byte)     { e.buf.WriteByte(b) }
-func (e *enc) float(f float64) { e.uvarint(math.Float64bits(f)) }
-
-// ints writes a slice of non-negative ids delta-encoded in stored order
-// (builder slices are ascending in practice, so deltas stay one byte; a
-// signed delta round-trips any order exactly).
-func (e *enc) ints(xs []int) {
-	e.count(len(xs))
+// appendIDs writes a slice of non-negative ids delta-encoded in stored
+// order (builder slices are ascending in practice, so deltas stay one
+// byte; a signed delta round-trips any order exactly).
+func appendIDs(dst []byte, xs []int) []byte {
+	dst = codec.AppendUvarint(dst, uint64(len(xs)))
 	prev := 0
 	for _, x := range xs {
-		e.varint(int64(x - prev))
+		dst = codec.AppendVarint(dst, int64(x-prev))
 		prev = x
 	}
+	return dst
 }
 
-// ---- decoder ----
-
-// dec reads one CRC-verified section payload. Every read checks bounds;
-// count reads are capped by the remaining payload length so crafted
-// counts cannot force large allocations.
-type dec struct {
-	b   []byte
-	off int
-}
-
-func (d *dec) remaining() int { return len(d.b) - d.off }
-
-func (d *dec) uvarint() (uint64, error) {
-	x, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: bad uvarint", ErrCorrupt)
-	}
-	d.off += n
-	return x, nil
-}
-
-func (d *dec) varint() (int64, error) {
-	x, n := binary.Varint(d.b[d.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: bad varint", ErrCorrupt)
-	}
-	d.off += n
-	return x, nil
-}
-
-// count reads a collection length and rejects counts that could not
-// possibly fit in the remaining bytes (each element costs >= 1 byte).
-func (d *dec) count() (int, error) {
-	x, err := d.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if x > uint64(d.remaining()) {
-		return 0, fmt.Errorf("%w: count %d exceeds %d remaining bytes", ErrCorrupt, x, d.remaining())
-	}
-	return int(x), nil
-}
-
-// id reads a non-negative integer bounded by limit (exclusive).
-func (d *dec) id(limit int) (int, error) {
-	x, err := d.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if x >= uint64(limit) {
-		return 0, fmt.Errorf("%w: id %d out of [0,%d)", ErrCorrupt, x, limit)
-	}
-	return int(x), nil
-}
-
-func (d *dec) bool() (bool, error) {
-	b, err := d.byte()
-	if err != nil {
-		return false, err
-	}
-	if b > 1 {
-		return false, fmt.Errorf("%w: bad bool %d", ErrCorrupt, b)
-	}
-	return b == 1, nil
-}
-
-func (d *dec) byte() (byte, error) {
-	if d.off >= len(d.b) {
-		return 0, fmt.Errorf("%w: payload ends early", ErrCorrupt)
-	}
-	b := d.b[d.off]
-	d.off++
-	return b, nil
-}
-
-func (d *dec) float() (float64, error) {
-	x, err := d.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	return math.Float64frombits(x), nil
-}
-
-// ints reads a delta-encoded id slice whose elements must land in
+// readIDs reads a delta-encoded id slice whose elements must land in
 // [0, limit).
-func (d *dec) ints(limit int) ([]int, error) {
-	n, err := d.count()
-	if err != nil {
-		return nil, err
-	}
+func readIDs(d *codec.Reader, limit int) []int {
+	n := readCount(d)
 	if n == 0 {
-		return nil, nil
+		return nil
 	}
 	out := make([]int, n)
 	prev := int64(0)
 	for i := range out {
-		dx, err := d.varint()
-		if err != nil {
-			return nil, err
-		}
-		prev += dx
+		prev += d.Varint()
 		if prev < 0 || prev >= int64(limit) {
-			return nil, fmt.Errorf("%w: id %d out of [0,%d)", ErrCorrupt, prev, limit)
+			d.Failf("id %d out of [0,%d)", prev, limit)
+			return nil
 		}
 		out[i] = int(prev)
 	}
-	return out, nil
+	return out
 }
 
 // ---- container ----
@@ -289,27 +182,19 @@ type PricesEntry struct {
 	BuildRounds int64
 }
 
-func encodePrices(e *enc, p *PricesEntry) {
-	e.varint(p.PAUnit)
-	e.varint(p.BuildRounds)
+func encodePrices(p *PricesEntry) []byte {
+	return codec.AppendVarint(codec.AppendVarint(nil, p.PAUnit), p.BuildRounds)
 }
 
-func decodePrices(d *dec) (*PricesEntry, error) {
-	paUnit, err := d.varint()
-	if err != nil {
+func decodePrices(d *codec.Reader) (*PricesEntry, error) {
+	p := &PricesEntry{PAUnit: d.Varint(), BuildRounds: d.Varint()}
+	if p.PAUnit < 1 || p.BuildRounds < 0 {
+		return nil, d.Failf("prices section: unit %d, build rounds %d", p.PAUnit, p.BuildRounds)
+	}
+	if err := d.Done(); err != nil {
 		return nil, err
 	}
-	buildRounds, err := d.varint()
-	if err != nil {
-		return nil, err
-	}
-	if paUnit < 1 || buildRounds < 0 {
-		return nil, fmt.Errorf("%w: prices section: unit %d, build rounds %d", ErrCorrupt, paUnit, buildRounds)
-	}
-	if d.remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes in prices section", ErrCorrupt, d.remaining())
-	}
-	return &PricesEntry{PAUnit: paUnit, BuildRounds: buildRounds}, nil
+	return p, nil
 }
 
 // LengthsFunc materializes the per-dart length vector of a length kind —
@@ -323,60 +208,50 @@ type LengthsFunc func(kind byte) ([]int64, error)
 // labelings by (view, kind, leaf limit) — the caller sorts — then the
 // prices, if any).
 func Encode(w io.Writer, g *planar.Graph, c *Contents) error {
-	var hdr enc
-	hdr.buf.Write(magic[:])
-	hdr.byte(Version)
-	var fp [8]byte
-	binary.LittleEndian.PutUint64(fp[:], Fingerprint(g))
-	hdr.buf.Write(fp[:])
+	hdr := append([]byte(nil), magic[:]...)
+	hdr = append(hdr, Version)
+	hdr = codec.AppendU64(hdr, Fingerprint(g))
 	nsec := len(c.Trees) + len(c.Labels)
 	if c.Prices != nil {
 		nsec++
 	}
-	hdr.count(nsec)
-	if _, err := w.Write(hdr.buf.Bytes()); err != nil {
+	hdr = codec.AppendUvarint(hdr, uint64(nsec))
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
 	for _, t := range c.Trees {
-		var e enc
-		if err := encodeTree(&e, g, &t); err != nil {
+		payload, err := encodeTree(g, &t)
+		if err != nil {
 			return err
 		}
-		if err := writeSection(w, secTree, e.buf.Bytes()); err != nil {
+		if err := writeSection(w, secTree, payload); err != nil {
 			return err
 		}
 	}
 	for _, la := range c.Labels {
-		var e enc
-		if err := encodeLabeling(&e, &la); err != nil {
+		payload, err := encodeLabeling(&la)
+		if err != nil {
 			return err
 		}
-		if err := writeSection(w, secDual+byte(la.Labeling.View()), e.buf.Bytes()); err != nil {
+		if err := writeSection(w, secDual+byte(la.Labeling.View()), payload); err != nil {
 			return err
 		}
 	}
 	if c.Prices != nil {
-		var e enc
-		encodePrices(&e, c.Prices)
-		return writeSection(w, secPrices, e.buf.Bytes())
+		return writeSection(w, secPrices, encodePrices(c.Prices))
 	}
 	return nil
 }
 
 func writeSection(w io.Writer, typ byte, payload []byte) error {
-	var hdr enc
-	hdr.byte(typ)
-	hdr.uvarint(uint64(len(payload)))
-	if _, err := w.Write(hdr.buf.Bytes()); err != nil {
-		return err
+	hdr := codec.AppendUvarint([]byte{typ}, uint64(len(payload)))
+	crc := codec.AppendU32(nil, crc32.ChecksumIEEE(payload))
+	for _, b := range [][]byte{hdr, payload, crc} {
+		if _, err := w.Write(b); err != nil {
+			return err
+		}
 	}
-	if _, err := w.Write(payload); err != nil {
-		return err
-	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload))
-	_, err := w.Write(crc[:])
-	return err
+	return nil
 }
 
 // Decode reads a snapshot for g from r, verifying magic, version,
@@ -387,7 +262,7 @@ func writeSection(w io.Writer, typ byte, payload []byte) error {
 // ErrCorrupt (labelings always travel with the tree they decode over).
 func Decode(r io.Reader, g *planar.Graph, lengths LengthsFunc) (*Contents, error) {
 	var hdr [6 + 1 + 8]byte
-	if err := readFull(r, hdr[:]); err != nil {
+	if err := codec.ReadFull(r, hdr[:], ErrTruncated); err != nil {
 		return nil, err
 	}
 	if !bytes.Equal(hdr[:6], magic[:]) {
@@ -416,7 +291,7 @@ func Decode(r io.Reader, g *planar.Graph, lengths LengthsFunc) (*Contents, error
 	secs := make([]rawSec, 0, min(int(nsec), 64))
 	for i := uint64(0); i < nsec; i++ {
 		var tb [1]byte
-		if err := readFull(r, tb[:]); err != nil {
+		if err := codec.ReadFull(r, tb[:], ErrTruncated); err != nil {
 			return nil, err
 		}
 		if tb[0] < secTree || tb[0] > maxSecType {
@@ -433,7 +308,7 @@ func Decode(r io.Reader, g *planar.Graph, lengths LengthsFunc) (*Contents, error
 			return nil, fmt.Errorf("%w: section payload %d/%d bytes", ErrTruncated, n, plen)
 		}
 		var crc [4]byte
-		if err := readFull(r, crc[:]); err != nil {
+		if err := codec.ReadFull(r, crc[:], ErrTruncated); err != nil {
 			return nil, err
 		}
 		if binary.LittleEndian.Uint32(crc[:]) != crc32.ChecksumIEEE(pb.Bytes()) {
@@ -452,7 +327,8 @@ func Decode(r io.Reader, g *planar.Graph, lengths LengthsFunc) (*Contents, error
 		if s.typ != secTree {
 			continue
 		}
-		t, err := decodeTree(&dec{b: s.payload}, g)
+		d := codec.NewReader(s.payload, ErrCorrupt)
+		t, err := decodeTree(&d, g)
 		if err != nil {
 			return nil, err
 		}
@@ -471,12 +347,14 @@ func Decode(r io.Reader, g *planar.Graph, lengths LengthsFunc) (*Contents, error
 			if c.Prices != nil {
 				return nil, fmt.Errorf("%w: duplicate prices section", ErrCorrupt)
 			}
-			if c.Prices, err = decodePrices(&dec{b: s.payload}); err != nil {
+			d := codec.NewReader(s.payload, ErrCorrupt)
+			if c.Prices, err = decodePrices(&d); err != nil {
 				return nil, err
 			}
 			continue
 		}
-		la, err := decodeLabeling(&dec{b: s.payload}, label.View(s.typ-secDual), g, c, lengths)
+		d := codec.NewReader(s.payload, ErrCorrupt)
+		la, err := decodeLabeling(&d, label.View(s.typ-secDual), g, c, lengths)
 		if err != nil {
 			return nil, err
 		}
@@ -485,22 +363,12 @@ func Decode(r io.Reader, g *planar.Graph, lengths LengthsFunc) (*Contents, error
 	return c, nil
 }
 
-func readFull(r io.Reader, p []byte) error {
-	if _, err := io.ReadFull(r, p); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return fmt.Errorf("%w: need %d bytes", ErrTruncated, len(p))
-		}
-		return err
-	}
-	return nil
-}
-
 func readUvarint(r io.Reader) (uint64, error) {
 	var x uint64
 	var s uint
 	var b [1]byte
 	for i := 0; i < binary.MaxVarintLen64; i++ {
-		if err := readFull(r, b[:]); err != nil {
+		if err := codec.ReadFull(r, b[:], ErrTruncated); err != nil {
 			return 0, err
 		}
 		if b[0] < 0x80 {

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"testing"
 
+	"planarflow/internal/codec"
 	"planarflow/internal/label"
 	"planarflow/internal/ledger"
 )
@@ -64,53 +65,44 @@ type labelAt struct {
 // order, and the offset of the first DDG node's key.
 func walkLabeling(t testing.TB, payload []byte) (labels []labelAt, ddgNodeKey int) {
 	t.Helper()
-	d := &dec{b: payload}
-	must := func(err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+	d := codec.NewReader(payload, ErrCorrupt)
+	off := func() int { return len(payload) - d.Remaining() }
 	skip := func(n int) {
 		for ; n > 0; n-- {
-			_, err := d.uvarint() // a varint spans the same bytes
-			must(err)
+			d.Uvarint() // a varint spans the same bytes
 		}
 	}
-	_, err := d.byte()
-	must(err)
+	defer func() {
+		if err := d.Err(); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	d.U8()
 	skip(2)
-	_, err = d.bool()
-	must(err)
-	nb, err := d.count()
-	must(err)
+	d.Bool()
+	nb := readCount(&d)
 	for bag := 0; bag < nb; bag++ {
-		present, err := d.bool()
-		must(err)
-		if !present {
+		if !d.Bool() {
 			continue
 		}
-		n, err := d.count()
-		must(err)
+		n := readCount(&d)
 		for j := 0; j < n; j++ {
 			var at labelAt
-			at.key = d.off
+			at.key = off()
 			skip(1)
-			at.flags = d.off
-			flags, err := d.byte()
-			must(err)
+			at.flags = off()
+			flags := d.U8()
 			at.leaf, at.last = flags&flagLeaf != 0, j == n-1
 			if flags&flagChild != 0 {
 				skip(1)
 			}
 			for v := range at.vec {
-				at.vec[v].count = d.off
-				c, err := d.count()
-				must(err)
+				at.vec[v].count = off()
+				c := readCount(&d)
 				for e := 0; e < c; e++ {
-					at.vec[v].deltas = append(at.vec[v].deltas, d.off)
+					at.vec[v].deltas = append(at.vec[v].deltas, off())
 					skip(1)
-					at.vec[v].values = append(at.vec[v].values, d.off)
+					at.vec[v].values = append(at.vec[v].values, off())
 					skip(1)
 				}
 			}
@@ -118,13 +110,10 @@ func walkLabeling(t testing.TB, payload []byte) (labels []labelAt, ddgNodeKey in
 		}
 	}
 	for bag := 0; bag < nb; bag++ {
-		present, err := d.bool()
-		must(err)
-		if present {
+		if d.Bool() {
 			skip(1) // node count
-			_, err := d.byte()
-			must(err)
-			return labels, d.off
+			d.U8()
+			return labels, off()
 		}
 	}
 	return labels, -1

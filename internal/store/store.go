@@ -75,10 +75,27 @@ var (
 	ErrDuplicateID = errors.New("store: duplicate graph id")
 	// ErrGraphLimit reports a Register past Config.MaxGraphs.
 	ErrGraphLimit = errors.New("store: graph limit reached")
+	// ErrBadID reports a Register with an empty id or one longer than
+	// MaxIDLen.
+	ErrBadID = errors.New("store: bad graph id")
 	// ErrSpillDisabled reports a snapshot request on a store with no
 	// Config.SpillDir.
 	ErrSpillDisabled = errors.New("store: snapshot tier disabled (no spill directory)")
 )
+
+// MaxIDLen caps a graph id's length in bytes, at registration: every
+// carrier of an id — the snapshot stream's header above all, the binary
+// wire codec's strings — holds one this long, so a registered graph can
+// always be queried and peer-restored.
+const MaxIDLen = 256
+
+// checkID admits ids of 1..MaxIDLen bytes.
+func checkID(id string) error {
+	if id == "" || len(id) > MaxIDLen {
+		return fmt.Errorf("%w: length %d out of [1, %d]", ErrBadID, len(id), MaxIDLen)
+	}
+	return nil
+}
 
 // DefaultMaxGraphs caps registrations when Config.MaxGraphs is zero.
 // Registered graphs live outside the MaxBytes budget (only their
@@ -227,8 +244,8 @@ func (s *Store) Register(id string, gr *planarflow.Graph) error {
 	if gr == nil {
 		return fmt.Errorf("store: register %q: nil graph", id)
 	}
-	if id == "" {
-		return errors.New("store: empty graph id")
+	if err := checkID(id); err != nil {
+		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -255,8 +272,8 @@ func (s *Store) registerLocked(id string, gr *planarflow.Graph) error {
 // again authoritatively at insertion; a racing duplicate can still waste
 // one build, but a repeated or abusive one cannot.
 func (s *Store) RegisterSpec(id string, sp GraphSpec) (*planarflow.Graph, error) {
-	if id == "" {
-		return nil, errors.New("store: empty graph id")
+	if err := checkID(id); err != nil {
+		return nil, err
 	}
 	s.mu.Lock()
 	_, dup := s.ents[id]

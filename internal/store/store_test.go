@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -50,6 +51,18 @@ func TestRegisterErrors(t *testing.T) {
 	}
 	if err := s.Register("b", nil); err == nil {
 		t.Fatal("nil graph accepted")
+	}
+	// Ids are 1..MaxIDLen bytes on both registration paths: a longer one
+	// could never ride a snapshot stream to a peer.
+	long := strings.Repeat("x", MaxIDLen+1)
+	if err := s.Register(long, planarflow.GridGraph(3, 3)); !errors.Is(err, ErrBadID) {
+		t.Fatalf("%d-byte id: %v, want ErrBadID", len(long), err)
+	}
+	if _, err := s.RegisterSpec(long, gridSpec(3)); !errors.Is(err, ErrBadID) {
+		t.Fatalf("%d-byte id via spec: %v, want ErrBadID", len(long), err)
+	}
+	if err := s.Register(long[1:], planarflow.GridGraph(3, 3)); err != nil {
+		t.Fatalf("%d-byte id: %v", MaxIDLen, err)
 	}
 	err := s.With(context.Background(), "nope", func(*planarflow.PreparedGraph, bool) error { return nil })
 	if !errors.Is(err, ErrUnknownGraph) {

@@ -47,8 +47,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 
+	"planarflow/internal/codec"
 	"planarflow/internal/obs"
 )
 
@@ -279,25 +279,16 @@ func ReadFrame(br *bufio.Reader) (Frame, error) {
 		if len(hdr) == 0 {
 			return Frame{}, err // clean EOF between frames
 		}
-		return Frame{}, truncated(err)
+		return Frame{}, codec.Truncated(err, ErrTruncated)
 	}
 	n, err := checkHeader(hdr)
 	if err != nil {
 		return Frame{}, err
 	}
 	buf := make([]byte, frameOverhead+n)
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return Frame{}, truncated(err)
+	if err := codec.ReadFull(br, buf, ErrTruncated); err != nil {
+		return Frame{}, err
 	}
 	f, _, err := DecodeFrame(buf)
 	return f, err
-}
-
-// truncated maps a mid-frame EOF to the sentinel; other I/O errors
-// (closed connections, resets) pass through for the caller to classify.
-func truncated(err error) error {
-	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-		return fmt.Errorf("%w: %v", ErrTruncated, err)
-	}
-	return err
 }

@@ -159,7 +159,7 @@ func (p *PreparedGraph) checkSTPlanar(s, t int, eps float64) error {
 	if err := p.checkPair(s, t); err != nil {
 		return err
 	}
-	if eps < 0 || eps >= 1 {
+	if !(eps >= 0 && eps < 1) { // NaN included
 		return fmt.Errorf("planarflow: eps=%v: %w", eps, ErrEpsilonRange)
 	}
 	// The st-planarity precondition (s, t on a common face) is checked by

@@ -178,7 +178,7 @@ func (q Query) Validate() error {
 	if q.Source < 0 {
 		return fmt.Errorf("planarflow: %s query with negative source %d: %w", q.Kind, q.Source, ErrFaceRange)
 	}
-	if (q.Kind == QSTFlow || q.Kind == QSTCut) && (q.Eps < 0 || q.Eps >= 1) {
+	if (q.Kind == QSTFlow || q.Kind == QSTCut) && !(q.Eps >= 0 && q.Eps < 1) { // NaN included
 		return fmt.Errorf("planarflow: eps=%v: %w", q.Eps, ErrEpsilonRange)
 	}
 	if q.LeafLimit < 0 {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -177,6 +178,8 @@ func TestDoErrors(t *testing.T) {
 		{DualSSSPQuery(g.NumFaces()), ErrFaceRange},
 		{MaxFlowQuery(3, 3), ErrSameVertex},
 		{STFlowQuery(0, g.N()-1, 1.5), ErrEpsilonRange},
+		{STFlowQuery(0, g.N()-1, math.NaN()), ErrEpsilonRange},
+		{STCutQuery(0, g.N()-1, math.NaN()), ErrEpsilonRange},
 		{MaxFlowQuery(0, 1).WithLeafLimit(-4), ErrLeafLimitRange},
 	}
 	for _, tc := range cases {
