@@ -26,7 +26,7 @@
 // boot, and POST /v1/snapshot persists the resident working set on
 // demand (e.g. before a planned restart).
 //
-// Endpoints: POST /v1/graphs, GET /v1/graphs, POST /v1/query,
+// Endpoints: POST /v1/graphs, POST /v1/query,
 // POST /v1/batch, POST /v1/snapshot, GET /statsz, GET /healthz,
 // GET /metricsz (Prometheus text), GET /tracez (recent + slow spans),
 // GET /versionz — see internal/flowd for the protocol.

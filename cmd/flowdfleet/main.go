@@ -27,7 +27,7 @@
 //
 // Replication: every -sync-interval the fleet client re-runs standby
 // sync — each graph's spec registered on its ring successors and the
-// owner's built bundle shipped over the snapshot stream — so a replica
+// owner's built bundle shipped as its snapshot bytes — so a replica
 // death is served by a standby holding a peer-restored bundle (zero
 // rebuilds), and the ring epoch advances for observers on /fleetz.
 package main
@@ -346,8 +346,7 @@ func (f *front) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	}
 	merged := map[string]obs.Snapshot{}
 	for _, rep := range f.reps {
-		st := rep.Store.Snapshot()
-		st.PerGraph = nil // the fleet view aggregates; per-graph stays on the replica's own /statsz
+		st := rep.Store.Totals() // the fleet view aggregates; per-graph rows stay on the replica's own /statsz
 		resp.PerReplica[rep.Name] = st
 		resp.Store.Graphs += st.Graphs
 		resp.Store.Resident += st.Resident

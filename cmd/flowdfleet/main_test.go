@@ -236,3 +236,66 @@ func TestMetricszCarriesProcessWideLayers(t *testing.T) {
 		}
 	}
 }
+
+// TestMetricszStoreCountsPerReplica: each replica's /metricsz carries its
+// own store's eviction and elided-spill counts, equal to its own /statsz,
+// however many evictions a co-hosted replica ran; the front's merged page
+// carries their sum.
+func TestMetricszStoreCountsPerReplica(t *testing.T) {
+	f, srv := startFront(t, 2)
+	ctx := context.Background()
+	spec := store.GraphSpec{Kind: "grid", Rows: 6, Cols: 6, Seed: 9, WLo: 1, WHi: 9, CLo: 1, CHi: 16}
+	// r0: three evictions — the first spills, the two after it restore
+	// from that file and elide their spills. r1: one eviction.
+	for i, evictions := range []int{3, 1} {
+		rep := f.reps[i]
+		cl := flowd.NewClient(rep.Member().HTTP)
+		if _, err := cl.Register(ctx, "g", spec); err != nil {
+			t.Fatal(err)
+		}
+		for n := 0; n < evictions; n++ {
+			if _, err := cl.Query(ctx, flowd.QueryRequest{Graph: "g", Op: "dist", U: 0, V: 35}); err != nil {
+				t.Fatal(err)
+			}
+			rep.Store.EvictAll()
+		}
+	}
+	page := func(url string) map[string]float64 {
+		t.Helper()
+		r, err := http.Get(url + "/metricsz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(r.Body)
+		r.Body.Close()
+		series, err := obs.ParseExposition(body)
+		if err != nil {
+			t.Fatalf("%s/metricsz does not parse: %v", url, err)
+		}
+		return series
+	}
+	var sum store.Stats
+	for _, rep := range f.reps {
+		st, err := flowd.NewClient(rep.Member().HTTP).Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		series := page(rep.Member().HTTP)
+		if got := series["store_evictions_total"]; got != float64(st.Store.Evictions) {
+			t.Errorf("%s: store_evictions_total %v, /statsz evictions %d", rep.Name, got, st.Store.Evictions)
+		}
+		if got := series["store_spills_elided_total"]; got != float64(st.Store.SpillsElided) {
+			t.Errorf("%s: store_spills_elided_total %v, /statsz spills_elided %d", rep.Name, got, st.Store.SpillsElided)
+		}
+		sum.Evictions += st.Store.Evictions
+		sum.SpillsElided += st.Store.SpillsElided
+	}
+	if sum.Evictions != 4 || sum.SpillsElided != 2 {
+		t.Fatalf("evictions %d, spills elided %d across replicas; want 4 and 2", sum.Evictions, sum.SpillsElided)
+	}
+	front := page(srv.URL)
+	if front["store_evictions_total"] != 4 || front["store_spills_elided_total"] != 2 {
+		t.Errorf("front: store_evictions_total %v, store_spills_elided_total %v; want 4 and 2",
+			front["store_evictions_total"], front["store_spills_elided_total"])
+	}
+}

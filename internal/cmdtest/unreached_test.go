@@ -40,9 +40,6 @@ var unreachedAllowed = map[string]string{
 	// Decisions a ROADMAP item owns.
 	"wire.Pool.StartHealthSweep":  "dead-connection sweep: ROADMAP item 6 wires it in by constant or deletes it",
 	"flowd.Client.WithHTTPClient": "the client's transport and timeout knob: ROADMAP item 6 (deadlines, fault injection) decides it",
-	"flowd.Client.Graphs":         "client half of GET /v1/graphs: ROADMAP item 9 keeps it with a caller or deletes the pair",
-	"obs.Journal.Total":           "ring accounting beside Recent: ROADMAP item 7 (store events in the journal) decides whether an output reports it",
-	"obs.Journal.Dropped":         "ring accounting beside Recent: ROADMAP item 7 (store events in the journal) decides whether an output reports it",
 	"bdd.BuildKnowledge":          "§5.1.3's distributed knowledge and its knowledge/* rounds, charged by no production build: ROADMAP item 8 decides",
 	"bdd.Knowledge.Verify":        "checks BuildKnowledge against the central BDD: ROADMAP item 8 decides with it",
 

@@ -14,9 +14,8 @@
 //
 // The package knows no format: field order, delta-encoded lists, nil
 // markers, caps and layout checks belong to each codec. The framings that
-// read off a stream (the PFSNAP container, the snapshot stream's chunks,
-// the wire frame header) keep their own readers and share only the EOF
-// mapping.
+// read off a stream (the PFSNAP container, the wire frame header) keep
+// their own readers and share only the EOF mapping.
 package codec
 
 import (

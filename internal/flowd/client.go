@@ -117,7 +117,7 @@ func (c *Client) WithHTTPClient(hc *http.Client) *Client {
 }
 
 // WithWireTransport routes Query and QueryBatch over the binary wire
-// transport while every control-plane method (Register, Graphs,
+// transport while every control-plane method (Register, Restore,
 // Snapshot, Stats, Health) stays on HTTP. Answers are identical either
 // way — the wire plane shares the daemon's decoders and execution (the
 // differential tests pin byte-identity) — only the transport cost
@@ -186,15 +186,6 @@ func (c *Client) RegisterWarm(ctx context.Context, id string, spec store.GraphSp
 		return nil, err
 	}
 	return &out, nil
-}
-
-// Graphs lists the registered graphs with their serving stats.
-func (c *Client) Graphs(ctx context.Context) ([]store.GraphStats, error) {
-	var out []store.GraphStats
-	if err := c.do(ctx, http.MethodGet, "/v1/graphs", nil, &out); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Query runs one query, over the wire transport when one is attached.

@@ -9,7 +9,6 @@
 //
 //	POST /v1/graphs   {"id": ..., "spec": {...}}   register a generated graph
 //	                  ?warm=1                      eagerly build the serving substrates
-//	GET  /v1/graphs                                list graphs with serving stats
 //	POST /v1/query    QueryRequest                 run one query
 //	POST /v1/batch    BatchRequest                 run a batch under one bundle pin
 //	POST /v1/snapshot SnapshotRequest              persist resident bundles to the disk tier
@@ -297,7 +296,6 @@ func NewServerWith(st *store.Store, opt ServerOptions) *Server {
 	}
 	s.initObs(opt)
 	s.mux.HandleFunc("POST /v1/graphs", s.handleRegister)
-	s.mux.HandleFunc("GET /v1/graphs", s.handleList)
 	s.mux.HandleFunc("POST /v1/query", s.handleQuery)
 	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
 	s.mux.HandleFunc("POST /v1/snapshot", s.handleSnapshot)
@@ -452,10 +450,6 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.writeJSON(w, http.StatusOK, SnapshotResponse{Written: written})
-}
-
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, s.st.Snapshot().PerGraph)
 }
 
 func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {

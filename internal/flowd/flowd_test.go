@@ -104,11 +104,7 @@ func TestRegisterAndQueryEndToEnd(t *testing.T) {
 	if st.Store.Graphs != 1 || st.Store.Hits+st.Store.Misses != 3 {
 		t.Fatalf("statsz: %+v", st.Store)
 	}
-	gs, err := c.Graphs(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gs) != 1 || gs[0].ID != "g" || !gs[0].Resident {
+	if gs := st.Store.PerGraph; len(gs) != 1 || gs[0].ID != "g" || !gs[0].Resident {
 		t.Fatalf("graphs listing: %+v", gs)
 	}
 }

@@ -115,18 +115,23 @@ func (s *Server) initObs(opt ServerOptions) {
 	r.CounterFunc("trace_spans_dropped_total",
 		"Finished spans overwritten by a tracer ring wrap.", tr.Dropped)
 
+	// The store keeps one count per entry; these read it at scrape time,
+	// so a page carries this server's store and no other.
 	st := s.st
+	r.CounterFunc("store_evictions_total",
+		"Resident bundles evicted under the memory budget.",
+		func() int64 { return st.Totals().Evictions })
+	r.CounterFunc("store_spills_elided_total",
+		"Evictions that wrote nothing because the spill file already held the bundle's substrates.",
+		func() int64 { return st.Totals().SpillsElided })
 	r.Gauge("flowd_graphs", "Registered graphs.", func() float64 {
-		g, _, _ := st.Counts()
-		return float64(g)
+		return float64(st.Totals().Graphs)
 	})
 	r.Gauge("flowd_resident_graphs", "Graphs with a resident artifact bundle.", func() float64 {
-		_, res, _ := st.Counts()
-		return float64(res)
+		return float64(st.Totals().Resident)
 	})
 	r.Gauge("flowd_store_bytes", "Accounted footprint of resident bundles.", func() float64 {
-		_, _, b := st.Counts()
-		return float64(b)
+		return float64(st.Totals().Bytes)
 	})
 	start := s.start
 	r.Gauge("flowd_uptime_seconds", "Daemon uptime.", func() float64 {
@@ -239,7 +244,7 @@ type HealthResponse struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	snap := s.st.Snapshot()
+	snap := s.st.Totals()
 	s.writeJSON(w, http.StatusOK, HealthResponse{
 		Status: "ok", Graphs: snap.Graphs, Resident: snap.Resident,
 		WarmRestores: snap.SnapshotRestores,

@@ -3,18 +3,24 @@ package flowd
 // The daemon's peer plane: the two endpoints the fleet's snapshot
 // shipping runs on, plus the client methods that drive them.
 //
-//	GET  /v1/snapshot/{graph}   stream the graph's PFSNAP snapshot
-//	                            (snapstream-framed; 404 when the graph is
-//	                            unknown or holds no snapshot anywhere)
+//	GET  /v1/snapshot/{graph}   the graph's PFSNAP snapshot bytes, as
+//	                            store.SnapshotTo writes them (404 when the
+//	                            graph is unknown or holds no snapshot
+//	                            anywhere)
 //	POST /v1/restore            make the graph resident via the fallback
 //	                            ladder: peer fetch → local SpillDir →
 //	                            nothing (the next query rebuilds cold)
 //
+// The body carries no framing of its own: the PFSNAP envelope already
+// checks magic, version, the graph fingerprint, a CRC per section and
+// truncation, and the store's InstallSnapshot validates all of it against
+// the locally registered graph — the one validator of peer bytes, as it
+// is of disk-tier files. A peer serving damaged, cut, stale or foreign
+// bytes can cost a fetch, never a wrong answer.
+//
 // The ladder's policy — which peers, in what order — belongs to the
 // fleet client (it knows the ring); the daemon only executes a fetch
-// list it is handed. The store's InstallSnapshot validates the full
-// PFSNAP envelope against the locally registered graph, so a peer
-// serving stale or foreign bytes can cost a fetch, never a wrong answer.
+// list it is handed.
 
 import (
 	"bytes"
@@ -59,10 +65,15 @@ type RestoreResponse struct {
 // ladder: a dead peer must cost one rung, not the whole request budget.
 const peerFetchTimeout = 10 * time.Second
 
-// handleFetchSnapshot streams the graph's snapshot, snapstream-framed.
-// The PFSNAP bytes are encoded into memory first (bundles are a few MB
-// and the encode is pinned either way), then framed onto the response —
-// so a failure before the first body byte is still a clean JSON error.
+// maxSnapBytes caps a fetched snapshot body: the bytes come off another
+// host, so their size must never drive an unbounded allocation (serving
+// graphs snapshot to a few MB; this is headroom, not a tuning knob).
+const maxSnapBytes = 256 << 20
+
+// handleFetchSnapshot serves the graph's snapshot bytes. They are encoded
+// into memory first (bundles are a few MB and the encode is pinned either
+// way), so a failure before the first body byte is still a clean JSON
+// error and the response carries its Content-Length.
 func (s *Server) handleFetchSnapshot(w http.ResponseWriter, r *http.Request) {
 	graph := r.PathValue("graph")
 	sp, _ := s.beginSpan(r.Context(), "http", httpTrace(r))
@@ -82,11 +93,12 @@ func (s *Server) handleFetchSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	sp.Annotate("bytes", strconv.Itoa(buf.Len()))
 	w.Header().Set("Content-Type", "application/octet-stream")
-	if err := EncodeSnapStream(w, graph, buf.Bytes()); err != nil {
-		// Mid-stream failure: the client's decoder sees a truncated stream
-		// and falls back; all we can do is count it.
+	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+	if _, err := w.Write(buf.Bytes()); err != nil {
+		// Mid-body failure: the fetcher's install sees truncated bytes and
+		// falls back; all we can do is count it.
 		s.writeErrs.Add(1)
-		s.log.Warn("snapshot stream failed", "graph", graph, "err", err.Error())
+		s.log.Warn("snapshot body write failed", "graph", graph, "err", err.Error())
 		s.finishRequest(sp, err.Error())
 		return
 	}
@@ -185,9 +197,10 @@ func decodeStrict[T any](data []byte, what string) (*T, error) {
 
 // ---- client side ----
 
-// FetchSnapshot pulls graph's snapshot off the daemon and returns the
-// verified PFSNAP bytes (install them with store.InstallSnapshot, or
-// hand them to another daemon's restore path).
+// FetchSnapshot pulls graph's PFSNAP snapshot bytes off the daemon,
+// unvalidated: install them with store.InstallSnapshot (or hand them to
+// another daemon's restore path), which checks the whole envelope. A body
+// past maxSnapBytes is an error.
 func (c *Client) FetchSnapshot(ctx context.Context, graph string) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		c.base+"/v1/snapshot/"+url.PathEscape(graph), nil)
@@ -206,12 +219,12 @@ func (c *Client) FetchSnapshot(ctx context.Context, graph string) ([]byte, error
 		data, _ := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
 		return nil, apiError(http.MethodGet, "/v1/snapshot/"+graph, resp.StatusCode, data)
 	}
-	id, snap, err := DecodeSnapStream(resp.Body, 0)
+	snap, err := io.ReadAll(io.LimitReader(resp.Body, maxSnapBytes+1))
 	if err != nil {
-		return nil, fmt.Errorf("flowd client: snapshot stream: %w", err)
+		return nil, fmt.Errorf("flowd client: GET /v1/snapshot: %w", err)
 	}
-	if id != graph {
-		return nil, fmt.Errorf("%w: stream carries %q, asked for %q", ErrSnapStream, id, graph)
+	if len(snap) > maxSnapBytes {
+		return nil, fmt.Errorf("flowd client: GET /v1/snapshot: body exceeds %d bytes", maxSnapBytes)
 	}
 	return snap, nil
 }

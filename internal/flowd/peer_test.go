@@ -1,6 +1,7 @@
 package flowd
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net/http"
@@ -94,7 +95,7 @@ func TestPeerRestoreTruncatedStreamFallsBack(t *testing.T) {
 	}
 
 	// A peer that 200s but cuts the stream partway through the data.
-	full := snapStreamBytes(t, "g", snap)
+	full := snap
 	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/octet-stream")
 		w.Write(full[:len(full)/2])
@@ -142,6 +143,82 @@ func TestPeerRestoreTruncatedStreamFallsBack(t *testing.T) {
 	}
 	if st := stc.Snapshot(); st.PeerRestores != 1 || st.Builds != 0 {
 		t.Fatalf("accounting after skip: %+v", st)
+	}
+}
+
+// TestPeerRestoreRejectsBadBodies: a peer that 200s with a damaged or
+// foreign PFSNAP body costs one rung. The snapshot envelope alone rejects
+// every such body — InstallSnapshot counts it in SnapshotErrors — and the
+// ladder restores from the next peer without a build.
+func TestPeerRestoreRejectsBadBodies(t *testing.T) {
+	ctx := context.Background()
+	ca, sta, baseA := newPeerDaemon(t, store.Config{})
+	if _, err := ca.RegisterWarm(ctx, "g", peerSpec()); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := ca.FetchSnapshot(ctx, "g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The fetched bytes are the store's snapshot bytes, byte for byte.
+	var want bytes.Buffer
+	if ok, err := sta.SnapshotTo("g", &want); !ok || err != nil {
+		t.Fatalf("SnapshotTo: %v, %v", ok, err)
+	}
+	if !bytes.Equal(snap, want.Bytes()) {
+		t.Fatalf("fetched %d bytes differ from SnapshotTo's %d", len(snap), want.Len())
+	}
+	// A valid snapshot of another graph registered under the same id.
+	other := peerSpec()
+	other.Seed++
+	co, _, _ := newPeerDaemon(t, store.Config{})
+	if _, err := co.RegisterWarm(ctx, "g", other); err != nil {
+		t.Fatal(err)
+	}
+	foreign, err := co.FetchSnapshot(ctx, "g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	flip := func(i int) []byte {
+		b := bytes.Clone(snap)
+		b[i] ^= 0x01
+		return b
+	}
+	const fingerprintByte = 6 + 1 + 3 // magic, version, then inside the u64 fingerprint
+	for _, tc := range []struct {
+		name string
+		body []byte
+	}{
+		{"flipped-mid", flip(len(snap) / 2)},
+		{"flipped-fingerprint", flip(fingerprintByte)},
+		{"flipped-last", flip(len(snap) - 1)},
+		{"other-graph", foreign},
+		{"first-half", snap[:len(snap)/2]},
+		{"empty", nil},
+		{"trailing-byte", append(bytes.Clone(snap), 0)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("Content-Type", "application/octet-stream")
+				w.Write(tc.body)
+			}))
+			defer bad.Close()
+			cb, stb, _ := newPeerDaemon(t, store.Config{})
+			if _, err := cb.Register(ctx, "g", peerSpec()); err != nil {
+				t.Fatal(err)
+			}
+			resp, err := cb.Restore(ctx, "g", []string{bad.URL, baseA})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !resp.Restored || resp.Source != "peer" || resp.Peer != baseA {
+				t.Fatalf("good-peer rung not taken: %+v", resp)
+			}
+			if st := stb.Snapshot(); st.PeerRestores != 1 || st.Builds != 0 || st.SnapshotErrors != 1 {
+				t.Fatalf("accounting after a bad body: peer_restores %d, builds %d, snapshot_errors %d",
+					st.PeerRestores, st.Builds, st.SnapshotErrors)
+			}
+		})
 	}
 }
 

@@ -2,7 +2,11 @@ package flowd
 
 import (
 	"bytes"
+	"flag"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -50,10 +54,27 @@ func wirePayloadSeeds() map[string][]byte {
 	}
 }
 
+var updateCorpus = flag.Bool("update-corpus", false, "rewrite the committed FuzzDecodeWirePayload seed corpus")
+
 // TestWriteWirePayloadSeedCorpus (with -update-corpus) materializes the
-// seeds under testdata/fuzz/FuzzDecodeWirePayload.
+// seeds under testdata/fuzz/FuzzDecodeWirePayload; without the flag it
+// skips.
 func TestWriteWirePayloadSeedCorpus(t *testing.T) {
-	writeSeedCorpus(t, "FuzzDecodeWirePayload", wirePayloadSeeds())
+	if !*updateCorpus {
+		t.Skip("run with -update-corpus to rewrite the seed corpus")
+	}
+	seeds := wirePayloadSeeds()
+	dir := filepath.Join("testdata", "fuzz", "FuzzDecodeWirePayload")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range seeds {
+		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Logf("wrote %d corpus seeds to %s", len(seeds), dir)
 }
 
 // FuzzDecodeWirePayload holds the four binary payload decoders to their

@@ -26,7 +26,7 @@ const (
 	// because routing moved the graph to it.
 	EventAdopt EventType = "adopt"
 	// EventPeerRestore: an adopted or standby graph was restored from a
-	// peer's snapshot stream instead of a cold rebuild.
+	// peer's snapshot bytes instead of a cold rebuild.
 	EventPeerRestore EventType = "peer_restore"
 	// EventDrain: a member was drained (graceful shutdown).
 	EventDrain EventType = "drain"
@@ -49,11 +49,10 @@ const DefaultJournalRing = 256
 
 // Journal is a bounded, concurrency-safe ring of Events.
 type Journal struct {
-	mu      sync.Mutex
-	ring    []Event
-	at      int
-	seq     int64
-	dropped int64
+	mu   sync.Mutex
+	ring []Event
+	at   int
+	seq  int64
 }
 
 // NewJournal sizes the ring; zero or negative takes the default.
@@ -74,10 +73,7 @@ func (j *Journal) Record(e Event) {
 	if e.UnixMS == 0 {
 		e.UnixMS = now
 	}
-	var wrapped bool
-	if j.at, wrapped = push(&j.ring, j.at, cap(j.ring), e); wrapped {
-		j.dropped++
-	}
+	j.at, _ = push(&j.ring, j.at, cap(j.ring), e)
 	j.mu.Unlock()
 }
 
@@ -86,18 +82,4 @@ func (j *Journal) Recent() []Event {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return drain(j.ring, j.at)
-}
-
-// Total returns how many events have ever been recorded.
-func (j *Journal) Total() int64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.seq
-}
-
-// Dropped returns how many events a ring wrap has overwritten.
-func (j *Journal) Dropped() int64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.dropped
 }

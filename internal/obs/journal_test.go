@@ -27,11 +27,10 @@ func TestJournalRingWrap(t *testing.T) {
 	if got[0].Member != "r9" || got[3].Member != "r6" {
 		t.Fatalf("wrong events retained: %+v", got)
 	}
-	if j.Total() != 10 {
-		t.Fatalf("Total = %d, want 10", j.Total())
-	}
-	if j.Dropped() != 6 {
-		t.Fatalf("Dropped = %d, want 6", j.Dropped())
+	// The newest Seq counts every event ever recorded; the ones it counts
+	// beyond the ring's length are the ones a wrap overwrote.
+	if total := got[0].Seq; total != 10 || total-int64(len(got)) != 6 {
+		t.Fatalf("newest Seq = %d (dropped %d), want 10 (dropped 6)", total, total-int64(len(got)))
 	}
 }
 
@@ -46,8 +45,8 @@ func TestJournalPartialAndFields(t *testing.T) {
 	if got[0].TraceID != "abc" || got[0].Graph != "g" || got[0].Detail != "peer=http://x" {
 		t.Fatalf("fields lost: %+v", got[0])
 	}
-	if j.Dropped() != 0 {
-		t.Fatalf("Dropped = %d before any wrap", j.Dropped())
+	if dropped := got[0].Seq - int64(len(got)); dropped != 0 {
+		t.Fatalf("%d events dropped before any wrap", dropped)
 	}
 }
 

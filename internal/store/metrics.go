@@ -16,8 +16,4 @@ var (
 		"Time a caller waited on another caller's in-flight disk-tier restore of the same graph.")
 	mSpillWrite = obs.Default().Histogram("store_spill_write_seconds",
 		"Disk-tier snapshot write latency (evictions and explicit snapshots).")
-	mEvictions = obs.Default().Counter("store_evictions_total",
-		"Resident bundles evicted under the memory budget.")
-	mSpillsElided = obs.Default().Counter("store_spills_elided_total",
-		"Evictions that wrote nothing because the spill file already held the bundle's substrates.")
 )

@@ -83,10 +83,10 @@ var (
 	ErrSpillDisabled = errors.New("store: snapshot tier disabled (no spill directory)")
 )
 
-// MaxIDLen caps a graph id's length in bytes, at registration: every
-// carrier of an id — the snapshot stream's header above all, the binary
-// wire codec's strings — holds one this long, so a registered graph can
-// always be queried and peer-restored.
+// MaxIDLen caps a graph id's length in bytes, at registration, so an id
+// fits every carrier it rides: the binary wire codec's capped strings and
+// the path of a peer's snapshot fetch. A registered graph can always be
+// queried and peer-restored.
 const MaxIDLen = 256
 
 // checkID admits ids of 1..MaxIDLen bytes.
@@ -560,13 +560,11 @@ func (s *Store) dropLocked(e *entry) []spillJob {
 	e.pg, e.elem = nil, nil
 	e.bytes, e.substrates, e.rounds = 0, 0, 0
 	e.evictions++
-	mEvictions.Inc()
 	if s.cfg.SpillDir == "" {
 		return nil
 	}
 	if keySet(pg) == e.fileKeys {
 		e.spillsElided++
-		mSpillsElided.Inc()
 		return nil
 	}
 	return []spillJob{{e: e, pg: pg}}
@@ -846,30 +844,22 @@ func (s *Store) EvictAll() {
 	s.spill(jobs)
 }
 
-// Counts returns the cheap aggregate triple — registered graphs,
-// resident bundles, accounted bytes — for gauge callbacks that must not
-// pay Snapshot's per-graph walk on every scrape.
-func (s *Store) Counts() (graphs, resident int, bytes int64) {
+// Totals returns the store-wide aggregate counters with PerGraph nil:
+// one walk of the registry, no sort, for readers that never look at a
+// per-graph row (scrape-time gauges and counters, liveness probes, the
+// fleet front's sums).
+func (s *Store) Totals() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.ents), s.lru.Len(), s.bytes
+	return s.totalsLocked()
 }
 
-// Snapshot returns the store-wide metrics.
-func (s *Store) Snapshot() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+func (s *Store) totalsLocked() Stats {
 	st := Stats{
 		Graphs: len(s.ents), Bytes: s.bytes, MaxBytes: s.cfg.MaxBytes,
 		SnapshotErrors: s.snapErrors,
 	}
-	ids := make([]string, 0, len(s.ents))
-	for id := range s.ents {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		e := s.ents[id]
+	for _, e := range s.ents {
 		if e.pg != nil {
 			st.Resident++
 		}
@@ -882,6 +872,23 @@ func (s *Store) Snapshot() Stats {
 		st.SnapshotRestores += e.snapRestores
 		st.SpillsElided += e.spillsElided
 		st.PeerRestores += e.peerRestores
+	}
+	return st
+}
+
+// Snapshot returns the store-wide metrics: Totals plus one row per
+// registered graph, sorted by id.
+func (s *Store) Snapshot() Stats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st := s.totalsLocked()
+	ids := make([]string, 0, len(s.ents))
+	for id := range s.ents {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	for _, id := range ids {
+		e := s.ents[id]
 		st.PerGraph = append(st.PerGraph, GraphStats{
 			ID: id, N: e.gr.N(), M: e.gr.M(),
 			Resident: e.pg != nil, Bytes: e.bytes, Pins: e.pins,

@@ -52,8 +52,7 @@ func TestRegisterErrors(t *testing.T) {
 	if err := s.Register("b", nil); err == nil {
 		t.Fatal("nil graph accepted")
 	}
-	// Ids are 1..MaxIDLen bytes on both registration paths: a longer one
-	// could never ride a snapshot stream to a peer.
+	// Ids are 1..MaxIDLen bytes on both registration paths.
 	long := strings.Repeat("x", MaxIDLen+1)
 	if err := s.Register(long, planarflow.GridGraph(3, 3)); !errors.Is(err, ErrBadID) {
 		t.Fatalf("%d-byte id: %v, want ErrBadID", len(long), err)
