@@ -234,9 +234,10 @@ func serveLoopback(srv *flowd.Server) (*flowd.Client, func(), error) {
 
 // runSelfcheck is the end-to-end smoke path: serve on a loopback port,
 // drive the daemon through its own client (register, one query per
-// family, batch, statsz), validate the telemetry plane (/metricsz
-// exposition well-formedness and counter monotonicity across a query
-// burst, a slow span with build-phase attribution on /tracez), then
+// family, batch, statsz, maxflow's rounds on /metricsz), validate the
+// telemetry plane (/metricsz exposition well-formedness and counter
+// monotonicity across a query burst, a slow span with build-phase
+// attribution on /tracez), then
 // persist the warm working set with POST /v1/snapshot, restart onto a
 // fresh store over the same snapshot directory, and verify the restored
 // daemon answers every family bit-identically without rebuilding. It is
@@ -342,11 +343,28 @@ func runSelfcheck(cfg store.Config, demo int, opts flowd.ServerOptions) error {
 	fmt.Printf("statsz: graphs=%d resident=%d bytes=%d hits=%d misses=%d builds=%d\n",
 		stats.Store.Graphs, stats.Store.Resident, stats.Store.Bytes,
 		stats.Store.Hits, stats.Store.Misses, stats.Store.Builds)
-	for _, op := range flowd.Ops {
-		if f, ok := stats.Families[op]; ok {
-			fmt.Printf("family %-10s count=%d errors=%d rounds=%d\n", op, f.Count, f.Errors, f.Rounds)
+	// The per-family counts are /metricsz series: the maxflow singleton and
+	// batch entry above must have reported rounds.
+	scrape := func() (map[string]float64, error) {
+		raw, err := c.Metricsz(ctx)
+		if err != nil {
+			return nil, err
 		}
+		series, err := obs.ParseExposition(raw)
+		if err != nil {
+			return nil, fmt.Errorf("metricsz: %w", err)
+		}
+		return series, nil
 	}
+	m0, err := scrape()
+	if err != nil {
+		return err
+	}
+	flowRounds := `flowd_query_rounds_total{family="maxflow"}`
+	if m0[flowRounds] <= 0 {
+		return fmt.Errorf("metricsz: %s = %g after maxflow queries, want > 0", flowRounds, m0[flowRounds])
+	}
+	fmt.Printf("metricsz: %s=%g queries=%g\n", flowRounds, m0[flowRounds], m0[`flowd_queries_total{family="maxflow"}`])
 
 	// ---- snapshot → restart → query ----
 	// Every family twice on the live daemon (the second pass is fully warm,
@@ -418,17 +436,6 @@ func runSelfcheck(cfg store.Config, demo int, opts flowd.ServerOptions) error {
 	// query burst, both transports must have per-family latency series,
 	// and a cold-build query must land in /tracez's slow log with its
 	// build phase attributed.
-	scrape := func() (map[string]float64, error) {
-		raw, err := c.Metricsz(ctx)
-		if err != nil {
-			return nil, err
-		}
-		series, err := obs.ParseExposition(raw)
-		if err != nil {
-			return nil, fmt.Errorf("metricsz: %w", err)
-		}
-		return series, nil
-	}
 	m1, err := scrape()
 	if err != nil {
 		return err

@@ -21,7 +21,7 @@
 //	                    ring and the fleet client's own (?family= ?graph=
 //	                    ?min_ms= filter spans; ?slow=1 keeps traces over
 //	                    -fleet-slow-ms)
-//	GET  /statsz        fleet-aggregated store stats + merged latency quantiles
+//	GET  /statsz        fleet-aggregated store stats + the per-replica breakdown
 //	GET  /metricsz      merged Prometheus exposition across every replica
 //	GET  /healthz       fleet liveness (alive replicas / total)
 //
@@ -43,7 +43,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sort"
 	"syscall"
 	"time"
 
@@ -328,15 +327,14 @@ func (f *front) handleFleetTracez(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, fleetTraceResponse{SlowThresholdMS: f.slowMS, Traces: traces})
 }
 
-// fleetStatsResponse is the aggregated /statsz: summed store counters,
-// the per-replica breakdown, and fleet-wide latency quantiles computed
-// from merged histogram snapshots (not averaged per-replica quantiles).
+// fleetStatsResponse is the aggregated /statsz: summed store counters
+// and the per-replica breakdown. Latency and every other count the
+// replicas keep are on the merged /metricsz.
 type fleetStatsResponse struct {
-	Store      store.Stats                  `json:"store"`
-	HitRate    float64                      `json:"hit_rate"`
-	UptimeMS   float64                      `json:"uptime_ms"`
-	PerReplica map[string]store.Stats       `json:"per_replica"`
-	Latency    map[string]flowd.HistSummary `json:"latency,omitempty"`
+	Store      store.Stats            `json:"store"`
+	HitRate    float64                `json:"hit_rate"`
+	UptimeMS   float64                `json:"uptime_ms"`
+	PerReplica map[string]store.Stats `json:"per_replica"`
 }
 
 func (f *front) handleStatsz(w http.ResponseWriter, r *http.Request) {
@@ -344,7 +342,6 @@ func (f *front) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		UptimeMS:   float64(time.Since(f.start).Microseconds()) / 1000,
 		PerReplica: make(map[string]store.Stats, len(f.reps)),
 	}
-	merged := map[string]obs.Snapshot{}
 	for _, rep := range f.reps {
 		st := rep.Store.Totals() // the fleet view aggregates; per-graph rows stay on the replica's own /statsz
 		resp.PerReplica[rep.Name] = st
@@ -362,30 +359,14 @@ func (f *front) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		resp.Store.SpillsElided += st.SpillsElided
 		resp.Store.SnapshotErrors += st.SnapshotErrors
 		resp.Store.PeerRestores += st.PeerRestores
-		for key, snap := range rep.Srv.LatencySnapshots() {
-			m := merged[key]
-			m.Merge(snap)
-			merged[key] = m
-		}
 	}
 	resp.HitRate = resp.Store.HitRate()
-	if len(merged) > 0 {
-		resp.Latency = make(map[string]flowd.HistSummary, len(merged))
-		keys := make([]string, 0, len(merged))
-		for k := range merged {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			resp.Latency[k] = flowd.SummarizeLatency(merged[k])
-		}
-	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
 // handleMetricsz merges every replica's registry with the process-wide
-// one (once): the store, artifact, decode and wire layers record there,
-// not per replica.
+// one (once): the store, artifact, decode and wire layers and the Go
+// runtime gauges record there, not per replica.
 func (f *front) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	regs := make([]*obs.Registry, 0, len(f.reps)+1)
 	for _, rep := range f.reps {

@@ -9,6 +9,8 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -297,5 +299,33 @@ func TestMetricszStoreCountsPerReplica(t *testing.T) {
 	if front["store_evictions_total"] != 4 || front["store_spills_elided_total"] != 2 {
 		t.Errorf("front: store_evictions_total %v, store_spills_elided_total %v; want 4 and 2",
 			front["store_evictions_total"], front["store_spills_elided_total"])
+	}
+}
+
+// TestMetricszRuntimeGaugesOnce: the Go runtime gauges live on the
+// process-wide registry alone, so the front's merged page, which renders
+// every replica's registry beside it, reports the process's GC count
+// once, not once per replica.
+func TestMetricszRuntimeGaugesOnce(t *testing.T) {
+	_, srv := startFront(t, 3)
+	for i := 0; i < 3; i++ {
+		runtime.GC()
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+
+	r, err := http.Get(srv.URL + "/metricsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(r.Body)
+	r.Body.Close()
+	series, err := obs.ParseExposition(body)
+	if err != nil {
+		t.Fatalf("front /metricsz does not parse: %v", err)
+	}
+	if got := series["go_gc_cycles_total"]; got != float64(ms.NumGC) {
+		t.Fatalf("front go_gc_cycles_total = %v, runtime NumGC = %d", got, ms.NumGC)
 	}
 }

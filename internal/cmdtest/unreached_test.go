@@ -38,10 +38,8 @@ var auditedDirs = []string{
 // only its own package's tests use belongs in a _test.go file instead.
 var unreachedAllowed = map[string]string{
 	// Decisions a ROADMAP item owns.
-	"wire.Pool.StartHealthSweep":  "dead-connection sweep: ROADMAP item 6 wires it in by constant or deletes it",
-	"flowd.Client.WithHTTPClient": "the client's transport and timeout knob: ROADMAP item 6 (deadlines, fault injection) decides it",
-	"bdd.BuildKnowledge":          "§5.1.3's distributed knowledge and its knowledge/* rounds, charged by no production build: ROADMAP item 8 decides",
-	"bdd.Knowledge.Verify":        "checks BuildKnowledge against the central BDD: ROADMAP item 8 decides with it",
+	"bdd.BuildKnowledge":   "§5.1.3's distributed knowledge and its knowledge/* rounds, charged by no production build: ROADMAP item 8 decides",
+	"bdd.Knowledge.Verify": "checks BuildKnowledge against the central BDD: ROADMAP item 8 decides with it",
 
 	// References, checkers and generators other packages' tests compare against.
 	"store.Store.EvictAll":        "flowd's TestPeerRestoreDiskRung empties the memory tier through it to reach the disk rung",

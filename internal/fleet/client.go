@@ -17,23 +17,17 @@ import (
 )
 
 // Options tunes the fleet client's routing and failure handling. The
-// zero value is usable: one standby per graph, 10ms–500ms capped
-// exponential backoff, 250ms health probes. The ring always spreads
-// members over DefaultVnodes points, and the client's span rings, slow
-// threshold and journal take the obs defaults.
+// zero value is usable: one standby per graph, 250ms health probes. The
+// ring always spreads members over DefaultVnodes points; retries back
+// off between backoffBase and backoffCap with jitter drawn from a stream
+// seeded by jitterSeed, and a request gets one attempt per member plus
+// one; the client's span rings, slow threshold and journal take the obs
+// defaults.
 type Options struct {
 	// Replication is how many standby replicas each graph keeps beyond
 	// its owner — SyncStandby registers the graph and ships its snapshot
 	// to this many ring successors (<= 0 = 1; capped at fleet size - 1).
 	Replication int
-	// BackoffBase/BackoffCap bound the exponential retry backoff after a
-	// replica failure (0 = 10ms / 500ms).
-	BackoffBase time.Duration
-	BackoffCap  time.Duration
-	// MaxAttempts is the routing retry budget per request: each attempt
-	// may eject a dead replica and re-route to its successor
-	// (<= 0 = one attempt per member + 1).
-	MaxAttempts int
 	// ProbeInterval paces the health probe that watches an ejected
 	// replica for recovery (0 = 250ms; < 0 disables probing — dead
 	// replicas stay dead until SetAlive).
@@ -43,10 +37,16 @@ type Options struct {
 	Wire bool
 	// WireOptions configures those transports (pool size).
 	WireOptions flowd.WireOptions
-	// Seed fixes the backoff jitter stream (0 = 1; the fleet client is
-	// deterministic given the seed).
-	Seed int64
 }
+
+// The retry policy: capped exponential backoff after a replica failure,
+// with full jitter from a fixed-seed stream (the client is deterministic
+// given the sequence of failures it sees).
+const (
+	backoffBase = 10 * time.Millisecond
+	backoffCap  = 500 * time.Millisecond
+	jitterSeed  = 1
+)
 
 func (o *Options) withDefaults(members int) Options {
 	out := *o
@@ -56,20 +56,8 @@ func (o *Options) withDefaults(members int) Options {
 	if out.Replication > members-1 {
 		out.Replication = members - 1
 	}
-	if out.BackoffBase <= 0 {
-		out.BackoffBase = 10 * time.Millisecond
-	}
-	if out.BackoffCap <= 0 {
-		out.BackoffCap = 500 * time.Millisecond
-	}
-	if out.MaxAttempts <= 0 {
-		out.MaxAttempts = members + 1
-	}
 	if out.ProbeInterval == 0 {
 		out.ProbeInterval = 250 * time.Millisecond
-	}
-	if out.Seed == 0 {
-		out.Seed = 1
 	}
 	return out
 }
@@ -111,6 +99,9 @@ type Client struct {
 	members map[string]*memberState
 	order   []string
 	opt     Options
+	// maxAttempts is the routing retry budget per request: each attempt
+	// may eject a dead replica and re-route to its successor.
+	maxAttempts int
 
 	specMu sync.Mutex
 	specs  map[string]store.GraphSpec
@@ -156,16 +147,17 @@ func New(members []Member, opt Options) (*Client, error) {
 		return nil, err
 	}
 	c := &Client{
-		ring:     ring,
-		members:  make(map[string]*memberState, len(members)),
-		order:    ring.Members(),
-		opt:      o,
-		specs:    map[string]store.GraphSpec{},
-		syncedAt: map[string]uint64{},
-		rng:      rand.New(rand.NewSource(o.Seed)),
-		tracer:   obs.NewTracer(obs.DefaultTraceRing, obs.DefaultSlowThreshold),
-		journal:  obs.NewJournal(obs.DefaultJournalRing),
-		stop:     make(chan struct{}),
+		ring:        ring,
+		members:     make(map[string]*memberState, len(members)),
+		order:       ring.Members(),
+		opt:         o,
+		maxAttempts: len(members) + 1,
+		specs:       map[string]store.GraphSpec{},
+		syncedAt:    map[string]uint64{},
+		rng:         rand.New(rand.NewSource(jitterSeed)),
+		tracer:      obs.NewTracer(obs.DefaultTraceRing, obs.DefaultSlowThreshold),
+		journal:     obs.NewJournal(obs.DefaultJournalRing),
+		stop:        make(chan struct{}),
 	}
 	for _, m := range members {
 		ms := &memberState{m: m, cl: flowd.NewClient(m.HTTP)}
@@ -318,7 +310,7 @@ func (c *Client) withOwner(ctx context.Context, graph, family string, call func(
 	root := c.rootSpan(ctx, family, graph)
 	defer func() { c.finishSpan(root, err) }()
 	adopted := false
-	for attempt := 0; attempt < c.opt.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < c.maxAttempts; attempt++ {
 		owner, ok := c.ring.Owner(graph)
 		if !ok {
 			err = ErrNoReplicas
@@ -517,9 +509,9 @@ func (c *Client) startProbe(member string, root *obs.Span) {
 // honoring ctx. The sleep is a child span so a stitched slow trace
 // shows where the waiting went.
 func (c *Client) backoff(ctx context.Context, attempt int, root *obs.Span) error {
-	d := c.opt.BackoffBase << uint(attempt)
-	if d > c.opt.BackoffCap || d <= 0 {
-		d = c.opt.BackoffCap
+	d := backoffBase << uint(attempt)
+	if d > backoffCap || d <= 0 {
+		d = backoffCap
 	}
 	// Full jitter over [d/2, d): enough spread to de-synchronize
 	// concurrent retriers without losing the exponential shape.

@@ -137,11 +137,7 @@ func singleNodeKeys(t *testing.T, id string, spec store.GraphSpec) ([]flowd.Quer
 // cut edges, neg-cycle bit, iterations, rounds split) a single node gives
 // — served from the standby's peer-restored bundle, with zero rebuilds.
 func TestFleetFailoverBitIdentical(t *testing.T) {
-	reps, c := startFleet(t, 3, Options{
-		ProbeInterval: -1,
-		BackoffBase:   time.Millisecond,
-		BackoffCap:    5 * time.Millisecond,
-	})
+	reps, c := startFleet(t, 3, Options{ProbeInterval: -1})
 	ctx := context.Background()
 	const id = "failover-graph"
 	spec := testSpec(7)
@@ -225,11 +221,7 @@ func TestFleetFailoverBitIdentical(t *testing.T) {
 // events share one trace id, and that trace stitches across the client's
 // spans and the replicas' into at least two hops.
 func TestFleetAdoptPeerRestoreOneTrace(t *testing.T) {
-	reps, c := startFleet(t, 3, Options{
-		ProbeInterval: -1,
-		BackoffBase:   time.Millisecond,
-		BackoffCap:    5 * time.Millisecond,
-	})
+	reps, c := startFleet(t, 3, Options{ProbeInterval: -1})
 	ctx := context.Background()
 	const id = "adopt-traced"
 	spec := testSpec(23)
@@ -316,11 +308,7 @@ func TestFleetAdoptPeerRestoreOneTrace(t *testing.T) {
 }
 
 func TestFleetAdoptWithoutStandbySync(t *testing.T) {
-	reps, c := startFleet(t, 3, Options{
-		ProbeInterval: -1,
-		BackoffBase:   time.Millisecond,
-		BackoffCap:    5 * time.Millisecond,
-	})
+	reps, c := startFleet(t, 3, Options{ProbeInterval: -1})
 	ctx := context.Background()
 	const id = "adopt-graph"
 	if err := c.Register(ctx, id, testSpec(11)); err != nil {
@@ -350,11 +338,7 @@ func TestFleetAdoptWithoutStandbySync(t *testing.T) {
 }
 
 func TestFleetProbeRecovery(t *testing.T) {
-	_, c := startFleet(t, 2, Options{
-		ProbeInterval: 10 * time.Millisecond,
-		BackoffBase:   time.Millisecond,
-		BackoffCap:    5 * time.Millisecond,
-	})
+	_, c := startFleet(t, 2, Options{ProbeInterval: 10 * time.Millisecond})
 	// Eject a live member by hand: the probe must bring it back.
 	name := c.Ring().Members()[0]
 	c.eject(name, c.rootSpan(context.Background(), "test", ""))
@@ -374,12 +358,7 @@ func TestFleetProbeRecovery(t *testing.T) {
 }
 
 func TestFleetAllDead(t *testing.T) {
-	reps, c := startFleet(t, 2, Options{
-		ProbeInterval: -1,
-		BackoffBase:   time.Millisecond,
-		BackoffCap:    2 * time.Millisecond,
-		MaxAttempts:   3,
-	})
+	reps, c := startFleet(t, 2, Options{ProbeInterval: -1})
 	ctx := context.Background()
 	if err := c.Register(ctx, "g", testSpec(1)); err != nil {
 		t.Fatal(err)

@@ -163,10 +163,10 @@ func (s *Server) runBatch(ctx context.Context, req *BatchRequest) (*BatchRespons
 		switch {
 		case a == nil: // defensive: DoBatch settles every entry
 			res.Error = "flowd: query not executed"
-			s.fam[res.Op].record(0, true)
+			s.qmByOp[res.Op].record(0, true)
 		case a.Err != nil:
 			res.Error = a.Err.Error()
-			s.fam[res.Op].record(0, true)
+			s.qmByOp[res.Op].record(0, true)
 		default:
 			res.Value = a.Value
 			res.Dist = a.Dist
@@ -174,7 +174,7 @@ func (s *Server) runBatch(ctx context.Context, req *BatchRequest) (*BatchRespons
 			res.NegCycle = a.NegCycle
 			res.Iterations = a.Iterations
 			res.Rounds = roundsOf(a.Rounds)
-			s.fam[res.Op].record(a.Rounds.Total, false)
+			s.qmByOp[res.Op].record(a.Rounds.Total, false)
 		}
 		resp.Results[i] = res
 	}

@@ -146,8 +146,9 @@ func TestRegisterWarmMovesColdStart(t *testing.T) {
 	}
 }
 
-// TestStatszFamilies asserts the per-family traffic counters: counts,
-// errors and rounds per op, across singleton and batch traffic.
+// TestStatszFamilies asserts the per-family query counters on /metricsz:
+// counts, errors and rounds per op, across singleton and batch traffic,
+// each batch entry counted once.
 func TestStatszFamilies(t *testing.T) {
 	c, _ := newTestDaemon(t, store.Config{})
 	ctx := context.Background()
@@ -172,22 +173,17 @@ func TestStatszFamilies(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	stats, err := c.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
+	m := scrapeMetrics(t, c)
+	fam := func(name, op string) float64 { return m[name+`{family="`+op+`"}`] }
+	if n, e := fam("flowd_queries_total", "dist"), fam("flowd_query_errors_total", "dist"); n != 4 || e != 0 {
+		t.Fatalf("dist counters count=%v errors=%v, want 4 and 0", n, e)
 	}
-	fam := stats.Families
-	if fam == nil {
-		t.Fatal("statsz has no families section")
+	if n, e, r := fam("flowd_queries_total", "maxflow"), fam("flowd_query_errors_total", "maxflow"),
+		fam("flowd_query_rounds_total", "maxflow"); n != 2 || e != 1 || r <= 0 {
+		t.Fatalf("maxflow counters count=%v errors=%v rounds=%v, want 2, 1 and > 0", n, e, r)
 	}
-	if f := fam["dist"]; f.Count != 4 || f.Errors != 0 {
-		t.Fatalf("dist counters %+v, want count=4 errors=0", f)
-	}
-	if f := fam["maxflow"]; f.Count != 2 || f.Errors != 1 || f.Rounds == 0 {
-		t.Fatalf("maxflow counters %+v, want count=2 errors=1 rounds>0", f)
-	}
-	if f := fam["girth"]; f.Count != 1 || f.Rounds == 0 {
-		t.Fatalf("girth counters %+v, want count=1 rounds>0", f)
+	if n, r := fam("flowd_queries_total", "girth"), fam("flowd_query_rounds_total", "girth"); n != 1 || r <= 0 {
+		t.Fatalf("girth counters count=%v rounds=%v, want 1 and > 0", n, r)
 	}
 }
 

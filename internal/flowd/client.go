@@ -92,9 +92,9 @@ const ClientMaxIdleConnsPerHost = 64
 
 // Client is the Go client for a flowd daemon's HTTP plane. NewClient
 // installs a transport with keep-alive pooling sized for benchmark
-// concurrency (see ClientMaxIdleConnsPerHost); WithHTTPClient replaces
-// it wholesale. All methods honor ctx. For the high-rate query path over
-// the binary transport, pair with a WireClient via WithWireTransport.
+// concurrency (see ClientMaxIdleConnsPerHost). All methods honor ctx. For
+// the high-rate query path over the binary transport, pair with a
+// WireClient via WithWireTransport.
 type Client struct {
 	base string
 	hc   *http.Client
@@ -109,11 +109,6 @@ func NewClient(base string) *Client {
 		tr.MaxIdleConns = ClientMaxIdleConnsPerHost
 	}
 	return &Client{base: base, hc: &http.Client{Transport: tr}}
-}
-
-// WithHTTPClient substitutes the transport (tests, timeouts, pooling).
-func (c *Client) WithHTTPClient(hc *http.Client) *Client {
-	return &Client{base: c.base, hc: hc, wc: c.wc}
 }
 
 // WithWireTransport routes Query and QueryBatch over the binary wire

@@ -2,8 +2,9 @@
 // HTTP/JSON surface that registers (generates) graphs and serves the
 // paper's query families — distances, dual SSSP, max flow / min cut,
 // girth — from the prepared-substrate cache, with per-request
-// cancellation plumbed down to substrate-build checkpoints and the
-// store's hit/miss/build/evict accounting exported on /statsz.
+// cancellation plumbed down to substrate-build checkpoints. Every count
+// the daemon keeps is a series on GET /metricsz; GET /statsz is the
+// store's state (its accounting and per-graph rows) and nothing else.
 //
 // Endpoints:
 //
@@ -12,7 +13,12 @@
 //	POST /v1/query    QueryRequest                 run one query
 //	POST /v1/batch    BatchRequest                 run a batch under one bundle pin
 //	POST /v1/snapshot SnapshotRequest              persist resident bundles to the disk tier
-//	GET  /statsz                                   store metrics snapshot + per-family counters
+//	GET  /v1/snapshot/{graph}                      a resident bundle's PFSNAP bytes (peer restore)
+//	POST /v1/restore  RestoreRequest               run the restore ladder for one graph
+//	GET  /statsz                                   the store's state: store.Stats + hit rate
+//	GET  /metricsz                                 every counter, gauge and histogram (Prometheus text)
+//	GET  /tracez                                   recent + slow request spans
+//	GET  /versionz                                 build and runtime identity
 //	GET  /healthz                                  liveness
 //
 // Requests decode straight onto the library's query plane: a QueryRequest
@@ -158,55 +164,12 @@ type SnapshotResponse struct {
 	Written int `json:"written"`
 }
 
-// FamilyStats is the per-query-family traffic counter exported on
-// /statsz: how many queries of the family ran, how many errored, and the
-// total simulated rounds they reported (build + query) — enough to see
-// the traffic mix and where the round budget goes.
-type FamilyStats struct {
-	Count  int64 `json:"count"`
-	Errors int64 `json:"errors"`
-	Rounds int64 `json:"rounds"`
-}
-
-// famCell is the live form of one op's FamilyStats. The server prebuilds
-// one per op at construction (the fmGrid pattern in obs.go), so recording
-// a query is a map read and three atomic adds: no lock, no allocation.
-type famCell struct {
-	count, errors, rounds atomic.Int64
-}
-
-// record counts one executed query of the cell's op: its reported rounds
-// and whether it errored. A nil cell (an op no decoder admits) is a no-op.
-func (c *famCell) record(rounds int64, errored bool) {
-	if c == nil {
-		return
-	}
-	c.count.Add(1)
-	c.rounds.Add(rounds)
-	if errored {
-		c.errors.Add(1)
-	}
-}
-
-// StatsResponse is the /statsz payload.
+// StatsResponse is the /statsz payload: the store's state. Counts the
+// daemon keeps itself (per-family queries, write errors, transport,
+// latency) are on /metricsz.
 type StatsResponse struct {
-	Store    store.Stats            `json:"store"`
-	HitRate  float64                `json:"hit_rate"`
-	UptimeMS float64                `json:"uptime_ms"`
-	Families map[string]FamilyStats `json:"families,omitempty"`
-	// WriteErrors counts HTTP responses whose JSON encoding failed midway
-	// (a client that hung up while the body was streaming): the response
-	// on the wire was truncated, and this is where that becomes visible.
-	WriteErrors int64 `json:"write_errors"`
-	// Transport is the binary wire plane's counters (connections, frames,
-	// bytes, write coalescing, batch folding), present once the daemon has
-	// a wire listener attached. The fleet work reads these to see whether
-	// replicas are wire-bound or engine-bound.
-	Transport *wire.Stats `json:"transport,omitempty"`
-	// Latency digests the end-to-end latency histograms per
-	// "transport/family" (count, mean, p50/p90/p99, max) — the same
-	// histograms /metricsz exposes in full.
-	Latency map[string]HistSummary `json:"latency,omitempty"`
+	Store   store.Stats `json:"store"`
+	HitRate float64     `json:"hit_rate"`
 }
 
 // errorResponse is the uniform error body.
@@ -252,19 +215,12 @@ func DecodeQuery(data []byte) (*QueryRequest, error) {
 
 // Server is the HTTP handler over one store, and (via Wire) the handler
 // behind the binary wire transport — both planes execute through the
-// same store.Do/DoBatch calls, the same per-family counters, and the
-// same telemetry plane (obs.go: spans, latency histograms, /metricsz).
+// same store.Do/DoBatch calls and the same telemetry plane (obs.go:
+// spans, latency histograms, per-family counters, /metricsz).
 type Server struct {
 	st    *store.Store
 	mux   *http.ServeMux
 	start time.Time
-
-	// fam holds one cell per op in Ops; read-only after construction.
-	fam map[string]*famCell
-
-	// writeErrs counts writeJSON encode failures (half-written HTTP
-	// responses), exported on /statsz.
-	writeErrs atomic.Int64
 
 	wireMu  sync.Mutex
 	wireSrv *wire.Server
@@ -275,12 +231,16 @@ type Server struct {
 
 	// Telemetry plane (initObs): structured logger, span tracer, request
 	// id sequence for the HTTP plane (wire requests key by frame id), the
-	// prebuilt (transport, family) metric grid and per-phase histograms.
+	// prebuilt (transport, family) metric grid, one query-counter cell per
+	// op in Ops (read-only after construction), the half-written-response
+	// counter and per-phase histograms.
 	log       *slog.Logger
 	tracer    *obs.Tracer
 	reg       *obs.Registry
 	reqSeq    atomic.Uint64
 	fmGrid    map[famKey]*famMetrics
+	qmByOp    map[string]*queryMetrics
+	writeErrs *obs.Counter
 	phaseHist [obs.NumPhases]*obs.Histogram
 }
 
@@ -290,10 +250,7 @@ func NewServer(st *store.Store) *Server { return NewServerWith(st, ServerOptions
 
 // NewServerWith wraps st with explicit telemetry options.
 func NewServerWith(st *store.Store, opt ServerOptions) *Server {
-	s := &Server{st: st, mux: http.NewServeMux(), start: time.Now(), fam: make(map[string]*famCell, len(Ops)), peerHC: &http.Client{}}
-	for _, op := range Ops {
-		s.fam[op] = &famCell{}
-	}
+	s := &Server{st: st, mux: http.NewServeMux(), start: time.Now(), peerHC: &http.Client{}}
 	s.initObs(opt)
 	s.mux.HandleFunc("POST /v1/graphs", s.handleRegister)
 	s.mux.HandleFunc("POST /v1/query", s.handleQuery)
@@ -309,35 +266,18 @@ func NewServerWith(st *store.Store, opt ServerOptions) *Server {
 	return s
 }
 
-// families renders the per-op counters for /statsz: the ops that have
-// served at least one query, nil before the first.
-func (s *Server) families() map[string]FamilyStats {
-	var out map[string]FamilyStats
-	for op, c := range s.fam {
-		n := c.count.Load()
-		if n == 0 {
-			continue
-		}
-		if out == nil {
-			out = make(map[string]FamilyStats)
-		}
-		out[op] = FamilyStats{Count: n, Errors: c.errors.Load(), Rounds: c.rounds.Load()}
-	}
-	return out
-}
-
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 // writeJSON writes one JSON response. An Encode failure here means the
 // response left half-written (the status line is already gone, so the
 // client sees a truncated body, not an error) — it cannot be repaired,
-// but it must not be silent either: the daemon counts it and /statsz
-// exposes the count as write_errors.
+// but it must not be silent either: the daemon counts it as
+// flowd_write_errors_total.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	if err := json.NewEncoder(w).Encode(v); err != nil {
-		s.writeErrs.Add(1)
+		s.writeErrs.Inc()
 		s.log.Warn("response write failed", "status", status, "err", err.Error())
 	}
 }
@@ -454,15 +394,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	snap := s.st.Snapshot()
-	s.writeJSON(w, http.StatusOK, StatsResponse{
-		Store:       snap,
-		HitRate:     snap.HitRate(),
-		UptimeMS:    float64(time.Since(s.start).Microseconds()) / 1000,
-		Families:    s.families(),
-		WriteErrors: s.writeErrs.Load(),
-		Transport:   s.wireStats(),
-		Latency:     s.latencySnapshot(),
-	})
+	s.writeJSON(w, http.StatusOK, StatsResponse{Store: snap, HitRate: snap.HitRate()})
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -523,7 +455,7 @@ func (s *Server) runQuery(ctx context.Context, req *QueryRequest) (*QueryRespons
 	if a != nil {
 		rounds = a.Rounds.Total
 	}
-	s.fam[req.Op].record(rounds, err != nil)
+	s.qmByOp[req.Op].record(rounds, err != nil)
 	if err != nil {
 		return nil, err
 	}

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"planarflow"
+	"planarflow/internal/obs"
 	"planarflow/internal/store"
 )
 
@@ -20,7 +21,76 @@ func newTestDaemon(t *testing.T, cfg store.Config) (*Client, *store.Store) {
 	st := store.New(cfg)
 	srv := httptest.NewServer(NewServer(st))
 	t.Cleanup(srv.Close)
-	return NewClient(srv.URL).WithHTTPClient(srv.Client()), st
+	return NewClient(srv.URL), st
+}
+
+// scrapeMetrics reads the daemon's /metricsz through c and parses it
+// strictly.
+func scrapeMetrics(t *testing.T, c *Client) map[string]float64 {
+	t.Helper()
+	raw, err := c.Metricsz(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	series, err := obs.ParseExposition(raw)
+	if err != nil {
+		t.Fatalf("/metricsz does not parse: %v", err)
+	}
+	return series
+}
+
+// TestStatszKeys pins /statsz to the store's state: exactly the store
+// and hit_rate keys. Every count the daemon keeps itself is on /metricsz.
+func TestStatszKeys(t *testing.T) {
+	srv := NewServer(store.New(store.Config{}))
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/statsz", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/statsz status %d", rec.Code)
+	}
+	var body map[string]json.RawMessage
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for k := range body {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	if !slices.Equal(keys, []string{"hit_rate", "store"}) {
+		t.Fatalf("/statsz keys %v, want [hit_rate store]", keys)
+	}
+}
+
+// TestServersDoNotShareSeries: two servers built with default options in
+// one process count into registries of their own, so traffic on A shows
+// on A's /metricsz and reads 0 on B's.
+func TestServersDoNotShareSeries(t *testing.T) {
+	a, _ := newTestDaemon(t, store.Config{})
+	b, _ := newTestDaemon(t, store.Config{})
+	ctx := context.Background()
+	if _, err := a.Register(ctx, "g", store.GraphSpec{Kind: "grid", Rows: 4, Cols: 4}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := a.Query(ctx, QueryRequest{Graph: "g", Op: "dist", U: 0, V: 15}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reqs, queries := `flowd_requests_total{family="dist",transport="http"}`, `flowd_queries_total{family="dist"}`
+	ma, mb := scrapeMetrics(t, a), scrapeMetrics(t, b)
+	for _, key := range []string{reqs, queries} {
+		v, ok := mb[key]
+		if !ok {
+			t.Fatalf("B: series %s missing", key)
+		}
+		if v != 0 {
+			t.Fatalf("B: %s = %v after traffic on A only, want 0", key, v)
+		}
+	}
+	if ma[reqs] != 3 || ma[queries] != 3 {
+		t.Fatalf("A: %s = %v, %s = %v; want 3 and 3", reqs, ma[reqs], queries, ma[queries])
+	}
 }
 
 func TestRegisterAndQueryEndToEnd(t *testing.T) {

@@ -2,13 +2,14 @@ package flowd
 
 // The daemon's face of the telemetry plane (internal/obs): per-request
 // spans with phase attribution, end-to-end latency histograms per
-// (transport, family), structured request logging, and the scrape
-// endpoints — GET /metricsz (Prometheus text exposition), GET /tracez
-// (recent + slow spans), GET /versionz (build/runtime info), and the
-// readiness body on GET /healthz.
+// (transport, family), per-family query counts, errors and rounds,
+// structured request logging, and the scrape endpoints — GET /metricsz
+// (Prometheus text exposition, the one page every count is on), GET
+// /tracez (recent + slow spans), GET /versionz (build/runtime info), and
+// the readiness body on GET /healthz.
 //
 // Hot-path discipline: every per-request record resolves through maps
-// prebuilt at server construction (famMetrics below), so serving a
+// prebuilt at server construction (fmGrid, qmByOp below), so serving a
 // request touches no registry lock — the marginal cost is a few atomic
 // bumps, one tracer ring insert, and a level-gated slog call.
 
@@ -29,7 +30,7 @@ import (
 
 // ServerOptions tunes the daemon's telemetry; the zero value gives
 // always-on defaults (warn-level logging to stderr, 128-span rings,
-// 250ms slow threshold).
+// 250ms slow threshold, a registry of the server's own).
 type ServerOptions struct {
 	// Logger receives structured request/error lines. nil means a
 	// text handler on stderr at LevelWarn — errors and slow queries are
@@ -38,13 +39,13 @@ type ServerOptions struct {
 	// SlowThreshold flags requests at least this slow for the slow-query
 	// log (0 = obs.DefaultSlowThreshold).
 	SlowThreshold time.Duration
-	// Registry is the metric registry this server records into and its
-	// /metricsz serves. nil means obs.Default() — the right choice for one
-	// daemon per process. A fleet of in-process replicas gives each its
-	// own registry so per-replica metrics stay separable and the fleet
-	// front can merge them (obs.WriteMergedPrometheus). The store, artifact,
-	// decode and wire layers record process-wide on obs.Default() regardless;
-	// /metricsz renders both.
+	// Registry is the metric registry this server counts into. nil means
+	// a fresh obs.NewRegistry(), so no two servers in a process share a
+	// series; a caller that also wants to read the registry directly (the
+	// fleet front merges its replicas') passes its own. The store,
+	// artifact, decode and wire layers and the Go runtime gauges record
+	// process-wide on obs.Default() regardless; /metricsz renders the
+	// server's registry merged with it.
 	Registry *obs.Registry
 }
 
@@ -67,16 +68,34 @@ type famKey struct {
 const decodeFamily = "_decode"
 
 // batchFamily is the family of /v1/batch requests at the handler level
-// (per-entry ops keep their own statsz family counters).
+// (per-entry ops count under their own family in queryMetrics).
 const batchFamily = "batch"
+
+// queryMetrics is one op's executed-query counters: every query of the
+// op counts once, singleton or batch entry, on either transport.
+type queryMetrics struct {
+	count, errs, rounds *obs.Counter
+}
+
+// record counts one executed query of the cell's op: its reported rounds
+// and whether it errored. A nil cell (an op no decoder admits) is a no-op.
+func (m *queryMetrics) record(rounds int64, errored bool) {
+	if m == nil {
+		return
+	}
+	m.count.Inc()
+	m.rounds.Add(rounds)
+	if errored {
+		m.errs.Inc()
+	}
+}
 
 // transports the daemon serves on.
 var transports = []string{"http", "wire"}
 
-// initObs builds the per-(transport, family) metric grid, the phase
-// histograms, the tracer, and the daemon gauges. Metric handles come
-// from the process registry via get-or-create, so several servers in
-// one process (tests, benches) share series.
+// initObs builds the per-(transport, family) metric grid, the per-op
+// query counters, the phase histograms, the tracer, and the daemon
+// gauges, all on the server's own registry.
 func (s *Server) initObs(opt ServerOptions) {
 	s.log = opt.Logger
 	if s.log == nil {
@@ -86,7 +105,7 @@ func (s *Server) initObs(opt ServerOptions) {
 
 	s.reg = opt.Registry
 	if s.reg == nil {
-		s.reg = obs.Default()
+		s.reg = obs.NewRegistry()
 	}
 	r := s.reg
 	families := append(append([]string{}, Ops...), batchFamily, decodeFamily)
@@ -106,6 +125,19 @@ func (s *Server) initObs(opt ServerOptions) {
 			}
 		}
 	}
+	s.qmByOp = make(map[string]*queryMetrics, len(Ops))
+	for _, op := range Ops {
+		s.qmByOp[op] = &queryMetrics{
+			count: r.Counter("flowd_queries_total",
+				"Queries executed by family, singleton or batch entry.", obs.L("family", op)),
+			errs: r.Counter("flowd_query_errors_total",
+				"Executed queries that returned an error, by family.", obs.L("family", op)),
+			rounds: r.Counter("flowd_query_rounds_total",
+				"Simulated rounds (build + query) the family's queries reported.", obs.L("family", op)),
+		}
+	}
+	s.writeErrs = r.Counter("flowd_write_errors_total",
+		"Responses whose body write failed midway (client hung up while it streamed).")
 	for p := obs.Phase(0); p < obs.NumPhases; p++ {
 		s.phaseHist[p] = r.Histogram("flowd_phase_seconds",
 			"Per-request phase wall time (decode, acquire, build, exec, encode).",
@@ -137,7 +169,6 @@ func (s *Server) initObs(opt ServerOptions) {
 	r.Gauge("flowd_uptime_seconds", "Daemon uptime.", func() float64 {
 		return time.Since(start).Seconds()
 	})
-	obs.RegisterRuntimeGauges(r)
 }
 
 // beginSpan opens the span for one request and hands back the context
@@ -230,7 +261,9 @@ func routeOf(simulated bool) string {
 	return "fast"
 }
 
-// HealthResponse is the GET /healthz readiness body.
+// HealthResponse is the GET /healthz readiness body: liveness plus the
+// few store figures an orchestrator gates on, read off the store's own
+// totals. Every count the daemon keeps is on /metricsz.
 type HealthResponse struct {
 	Status string `json:"status"`
 	// Graphs / Resident: registered graphs and how many have a resident
@@ -252,20 +285,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleMetricsz serves the server's registry. The layers below the
-// daemon (store, artifact, decode, wire) record into package-level handles
-// on obs.Default() whatever registry the server was given, so a server
-// with its own registry renders the process-wide one alongside it.
+// handleMetricsz serves the server's registry merged with the
+// process-wide one: the layers below the daemon (store, artifact, decode,
+// wire) and the Go runtime gauges record on obs.Default(), every count the
+// server keeps on its own registry.
 func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	var err error
-	if s.reg == obs.Default() {
-		err = s.reg.WritePrometheus(w)
-	} else {
-		err = obs.WriteMergedPrometheus(w, s.reg, obs.Default())
-	}
-	if err != nil {
-		s.writeErrs.Add(1)
+	if err := obs.WriteMergedPrometheus(w, s.reg, obs.Default()); err != nil {
+		s.writeErrs.Inc()
 		s.log.Warn("metricsz write failed", "err", err.Error())
 	}
 }
@@ -355,57 +382,4 @@ func (s *Server) handleVersionz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.writeJSON(w, http.StatusOK, resp)
-}
-
-// HistSummary is the quantile digest of one latency histogram, folded
-// into /statsz next to the counter stats.
-type HistSummary struct {
-	Count  uint64  `json:"count"`
-	MeanMS float64 `json:"mean_ms"`
-	P50MS  float64 `json:"p50_ms"`
-	P90MS  float64 `json:"p90_ms"`
-	P99MS  float64 `json:"p99_ms"`
-	MaxMS  float64 `json:"max_ms"`
-}
-
-// SummarizeLatency folds one latency snapshot into the /statsz quantile
-// digest — exported for the fleet front, which merges per-replica
-// snapshots (Snapshot.Merge) and summarizes the union.
-func SummarizeLatency(snap obs.Snapshot) HistSummary {
-	return HistSummary{
-		Count:  snap.Count,
-		MeanMS: durMS(snap.Mean()),
-		P50MS:  durMS(snap.Quantile(0.50)),
-		P90MS:  durMS(snap.Quantile(0.90)),
-		P99MS:  durMS(snap.Quantile(0.99)),
-		MaxMS:  float64(snap.Max) / 1e6,
-	}
-}
-
-// latencySnapshot digests the non-empty (transport, family) histograms
-// as "transport/family" → summary.
-func (s *Server) latencySnapshot() map[string]HistSummary {
-	snaps := s.LatencySnapshots()
-	out := make(map[string]HistSummary, len(snaps))
-	for key, snap := range snaps {
-		out[key] = SummarizeLatency(snap)
-	}
-	return out
-}
-
-// LatencySnapshots exports the raw (transport, family) latency
-// histogram snapshots keyed "transport/family" — the mergeable form.
-// The fleet front merges these across replicas (obs Snapshot.Merge) and
-// summarizes the union, so fleet-wide quantiles come from merged
-// buckets, not averaged per-replica quantiles.
-func (s *Server) LatencySnapshots() map[string]obs.Snapshot {
-	out := make(map[string]obs.Snapshot, len(s.fmGrid))
-	for key, m := range s.fmGrid {
-		snap := m.lat.Snapshot()
-		if snap.Count == 0 {
-			continue
-		}
-		out[key.transport+"/"+key.family] = snap
-	}
-	return out
 }

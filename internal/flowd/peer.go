@@ -97,7 +97,7 @@ func (s *Server) handleFetchSnapshot(w http.ResponseWriter, r *http.Request) {
 	if _, err := w.Write(buf.Bytes()); err != nil {
 		// Mid-body failure: the fetcher's install sees truncated bytes and
 		// falls back; all we can do is count it.
-		s.writeErrs.Add(1)
+		s.writeErrs.Inc()
 		s.log.Warn("snapshot body write failed", "graph", graph, "err", err.Error())
 		s.finishRequest(sp, err.Error())
 		return

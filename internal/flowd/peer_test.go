@@ -23,7 +23,7 @@ func newPeerDaemon(t *testing.T, cfg store.Config) (*Client, *store.Store, strin
 	st := store.New(cfg)
 	srv := httptest.NewServer(NewServer(st))
 	t.Cleanup(srv.Close)
-	return NewClient(srv.URL).WithHTTPClient(srv.Client()), st, srv.URL
+	return NewClient(srv.URL), st, srv.URL
 }
 
 func TestPeerSnapshotFetchAndRestore(t *testing.T) {

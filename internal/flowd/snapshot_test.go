@@ -140,7 +140,7 @@ func TestClientHonorsContext(t *testing.T) {
 	// LIFO: the handlers must unblock before Close waits on them.
 	defer blocked.Close()
 	defer close(release)
-	c := NewClient(blocked.URL).WithHTTPClient(blocked.Client())
+	c := NewClient(blocked.URL)
 
 	calls := map[string]func(ctx context.Context) error{
 		"query": func(ctx context.Context) error {

@@ -71,8 +71,8 @@ func wireStatusOf(err error) wire.Status {
 // first use. Serve it on any listener (cmd/flowd wires -listen-wire and
 // -listen-uds here); all listeners share one server, one set of
 // transport counters, and this daemon's execution plane. The counters
-// register on the process telemetry registry as the server role (client
-// pools keep theirs off the registry to avoid colliding series).
+// register on the server's registry as the server role (client pools
+// keep theirs off the registry to avoid colliding series).
 func (s *Server) Wire() *wire.Server {
 	s.wireMu.Lock()
 	defer s.wireMu.Unlock()
@@ -81,19 +81,6 @@ func (s *Server) Wire() *wire.Server {
 		s.wireSrv.Counters().RegisterObs(s.reg, obs.L("role", "server"))
 	}
 	return s.wireSrv
-}
-
-// wireStats snapshots the wire plane's counters for /statsz, nil when
-// no wire server was ever attached.
-func (s *Server) wireStats() *wire.Stats {
-	s.wireMu.Lock()
-	srv := s.wireSrv
-	s.wireMu.Unlock()
-	if srv == nil {
-		return nil
-	}
-	st := srv.Stats()
-	return &st
 }
 
 // ServeFrame implements wire.Handler: one request frame in, one
@@ -148,7 +135,7 @@ func (s *Server) serveQueryFrame(ctx context.Context, id uint64, payload []byte,
 // serveBatchFrame is serveQueryFrame's batch twin, on the binary codec
 // only (a JSON batch goes over POST /v1/batch); it also feeds the
 // transport-level fold counter (how many queries arrived per batch
-// frame — /statsz's transport.coalesced_*).
+// frame — /metricsz's wire_coalesced_*).
 func (s *Server) serveBatchFrame(ctx context.Context, id uint64, payload []byte) (wire.Status, []byte) {
 	sp, ctx := s.beginWireSpan(ctx, id)
 	sp.Family = decodeFamily

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"planarflow/internal/obs"
 	"planarflow/internal/store"
 	"planarflow/internal/wire"
 )
@@ -42,7 +43,7 @@ func newWireDaemon(t *testing.T, cfg store.Config, udsDir string) (*Client, *Ser
 		}
 		go s.Wire().Serve(uln)
 	}
-	return NewClient(hsrv.URL).WithHTTPClient(hsrv.Client()), s, ln.Addr().String(), uds
+	return NewClient(hsrv.URL), s, ln.Addr().String(), uds
 }
 
 // marshalDeterministic renders a QueryResponse for comparison with the
@@ -213,9 +214,10 @@ func TestWireErrorParity(t *testing.T) {
 	}
 }
 
-// TestStatszTransportCounters: /statsz (via Client.Stats) exposes the
-// wire plane's counters once traffic has flowed, including the batch
-// shape (transport.coalesced_*) the server records per batch frame.
+// TestStatszTransportCounters: the counters /statsz's transport section
+// used to carry are read off /metricsz, the wire plane's server-role
+// series, once traffic has flowed — including the batch shape
+// (wire_coalesced_*) the server records per batch frame.
 func TestStatszTransportCounters(t *testing.T) {
 	hc, _, addr, _ := newWireDaemon(t, store.Config{}, "")
 	ctx := context.Background()
@@ -236,41 +238,48 @@ func TestStatszTransportCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st, err := hc.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
+	m := scrapeMetrics(t, hc)
+	tr := func(name string) float64 { return m[name+`{role="server"}`] }
+	if tr("wire_conns_total") < 1 || tr("wire_frames_in_total") < 5 || tr("wire_frames_out_total") < 5 ||
+		tr("wire_bytes_in_total") == 0 || tr("wire_bytes_out_total") == 0 {
+		t.Fatalf("transport counters conns=%v frames in=%v out=%v bytes in=%v out=%v",
+			tr("wire_conns_total"), tr("wire_frames_in_total"), tr("wire_frames_out_total"),
+			tr("wire_bytes_in_total"), tr("wire_bytes_out_total"))
 	}
-	tr := st.Transport
-	if tr == nil {
-		t.Fatal("statsz has no transport block despite wire traffic")
+	if tr("wire_conns_open") < 1 {
+		t.Fatalf("wire_conns_open = %v with a live client", tr("wire_conns_open"))
 	}
-	if tr.ConnsTotal < 1 || tr.FramesIn < 5 || tr.FramesOut < 5 || tr.BytesIn == 0 || tr.BytesOut == 0 {
-		t.Fatalf("transport counters %+v", tr)
+	if b, q, mx := tr("wire_coalesced_batches_total"), tr("wire_coalesced_queries_total"), tr("wire_coalesced_max"); b != 1 || q != 3 || mx != 3 {
+		t.Fatalf("batch-frame shape batches=%v queries=%v max=%v after one 3-query batch", b, q, mx)
 	}
-	if tr.ConnsOpen < 1 {
-		t.Fatalf("conns_open = %d with a live client", tr.ConnsOpen)
-	}
-	if tr.CoalescedBatches != 1 || tr.CoalescedQueries != 3 || tr.CoalescedMax != 3 {
-		t.Fatalf("batch-frame shape %+v after one 3-query batch", tr)
-	}
-	if st.WriteErrors != 0 {
-		t.Fatalf("write_errors = %d on a healthy run", st.WriteErrors)
+	if got := m["flowd_write_errors_total"]; got != 0 {
+		t.Fatalf("flowd_write_errors_total = %v on a healthy run", got)
 	}
 }
 
 // TestWriteJSONCountsEncodeErrors: a response body that fails midway
-// through streaming (client hangup) must land in the write_errors
-// counter instead of vanishing.
+// through streaming (client hangup) must land in
+// flowd_write_errors_total instead of vanishing.
 func TestWriteJSONCountsEncodeErrors(t *testing.T) {
 	s := NewServer(store.New(store.Config{}))
+	writeErrors := func() float64 {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metricsz", nil))
+		series, err := obs.ParseExposition(rec.Body.Bytes())
+		if err != nil {
+			t.Fatalf("/metricsz does not parse: %v", err)
+		}
+		return series["flowd_write_errors_total"]
+	}
 	s.writeJSON(failingWriter{}, http.StatusOK, map[string]string{"k": "v"})
-	if got := s.writeErrs.Load(); got != 1 {
-		t.Fatalf("writeErrs = %d after failed encode, want 1", got)
+	if got := writeErrors(); got != 1 {
+		t.Fatalf("flowd_write_errors_total = %v after failed encode, want 1", got)
 	}
 	rec := httptest.NewRecorder()
 	s.writeJSON(rec, http.StatusOK, map[string]string{"k": "v"})
-	if got := s.writeErrs.Load(); got != 1 {
-		t.Fatalf("writeErrs = %d after healthy encode, want 1", got)
+	if got := writeErrors(); got != 1 {
+		t.Fatalf("flowd_write_errors_total = %v after healthy encode, want 1", got)
 	}
 	if !strings.Contains(rec.Body.String(), `"k":"v"`) {
 		t.Fatalf("healthy write body %q", rec.Body.String())

@@ -5,11 +5,10 @@ package obs
 // worst-case relative resolution is 1/2^histMinorBits (12.5%) across the
 // whole range — nanoseconds to minutes — with one fixed array and no
 // per-observation allocation. Observe is a few atomic adds; Snapshot is
-// a lock-free copy; snapshots merge, which is how the fleet front computes
-// fleet-wide quantiles from per-replica histograms.
+// a lock-free copy; snapshots merge, which is how the fleet front renders
+// one histogram from per-replica ones.
 
 import (
-	"math"
 	"math/bits"
 	"sync/atomic"
 	"time"
@@ -21,8 +20,8 @@ const (
 	histMinorBits = 3
 	histMinors    = 1 << histMinorBits
 	// histMaxMajor caps the covered range at 2^40 ns ≈ 18 minutes;
-	// anything slower clamps into the last bucket (Quantile still reports
-	// the exact observed Max).
+	// anything slower clamps into the last bucket (Max still holds the
+	// exact observation).
 	histMaxMajor = 40
 	// histBuckets: the first octaves 0..histMinors-1 are exact single
 	// values, then 8 sub-buckets per octave up to histMaxMajor.
@@ -60,8 +59,7 @@ func bucketIdx(ns int64) int {
 }
 
 // bucketUpper returns the inclusive upper bound (ns) of bucket i — the
-// `le` edge of the Prometheus exposition and the representative value
-// quantile extraction reports.
+// `le` edge of the Prometheus exposition.
 func bucketUpper(i int) int64 {
 	if i < histMinors {
 		return int64(i)
@@ -92,8 +90,8 @@ func (h *Histogram) ObserveNS(ns int64) {
 	}
 }
 
-// Snapshot is a point-in-time copy of a histogram, safe to merge,
-// subtract and query without touching the live counters.
+// Snapshot is a point-in-time copy of a histogram, safe to merge and
+// render without touching the live counters.
 type Snapshot struct {
 	Counts [histBuckets]uint64
 	Sum    int64 // ns
@@ -126,42 +124,4 @@ func (s *Snapshot) Merge(o Snapshot) {
 	if o.Max > s.Max {
 		s.Max = o.Max
 	}
-}
-
-// Quantile returns the q-th quantile (q in (0, 1]) by nearest rank over
-// the bucketed counts, reporting the containing bucket's upper edge
-// clamped to the exact observed Max — so Quantile(1) == Max, and any
-// quantile is within one bucket's resolution (≤ 12.5%) of the true
-// sample statistic. An empty snapshot returns 0.
-func (s *Snapshot) Quantile(q float64) time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	rank := uint64(math.Ceil(q * float64(s.Count)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > s.Count {
-		rank = s.Count
-	}
-	var cum uint64
-	for i, c := range s.Counts {
-		cum += c
-		if cum >= rank {
-			v := bucketUpper(i)
-			if v > s.Max {
-				v = s.Max
-			}
-			return time.Duration(v)
-		}
-	}
-	return time.Duration(s.Max)
-}
-
-// Mean returns the average observation.
-func (s *Snapshot) Mean() time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	return time.Duration(s.Sum / int64(s.Count))
 }

@@ -1,19 +1,20 @@
 package obs
 
-// Fleet-level exposition: render several registries — one per replica —
-// as a single Prometheus text page, the aggregation behind flowdfleet's
-// /metricsz. Counters and gauges holding the same series key sum;
+// Merged exposition: render several registries as a single Prometheus
+// text page. Every /metricsz is one: a flowd server's page is its own
+// registry plus Default, and flowdfleet's is every replica's registry plus
+// Default once. Counters and gauges holding the same series key sum;
 // histograms merge their snapshots (the log-bucketed layout is shared,
 // so a merged histogram is exactly the histogram of the union of
-// observations). This is the payoff of making Snapshot mergeable by
-// design: fleet-wide p99 is computed from merged buckets, not averaged
-// from per-replica quantiles (which would be statistically meaningless).
+// observations, and a fleet-wide p99 read off it comes from merged
+// buckets, not from averaged per-replica quantiles).
 
 import (
 	"bufio"
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 )
 
 // mergedSeries accumulates one series key across registries.
@@ -97,6 +98,8 @@ func WriteMergedPrometheus(w io.Writer, regs ...*Registry) error {
 			switch m.kind {
 			case "histogram":
 				writeHist(bw, m.name, m.labels, m.hist)
+			case "counter": // integral: print it whole, never in e-notation
+				fmt.Fprintf(bw, "%s %s\n", seriesKey(m.name, m.labels), strconv.FormatFloat(m.num, 'f', -1, 64))
 			default:
 				fmt.Fprintf(bw, "%s %s\n", seriesKey(m.name, m.labels), formatFloat(m.num))
 			}

@@ -1,10 +1,12 @@
 // Package obs is the unified telemetry plane: a dependency-free metric
 // registry (lock-free counters, function gauges, log-bucketed latency
 // histograms) plus lightweight per-request traces (trace.go) and a
-// hand-built Prometheus text exposition (prom.go). Every serving layer —
-// store, artifact, decode, wire, flowd — records into the process-wide
-// Default registry unless handed its own (fleet replicas are), so one
-// /metricsz scrape sees the whole stack.
+// hand-built Prometheus text exposition (prom.go). The layers below the
+// daemon — store, artifact, decode, wire's write queue — and the Go
+// runtime gauges record into the process-wide Default registry; each flowd
+// server counts into a registry of its own, and its /metricsz renders the
+// two merged (merge.go), so one scrape sees the whole stack and no server
+// sees another's counts.
 //
 // Hot-path discipline: a metric handle is resolved once (package-level
 // var, or a prebuilt per-family map) and every subsequent Observe/Add is
@@ -37,6 +39,9 @@ type Counter struct {
 
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.v.Add(1) }
+
+// Add increments the counter by n (n >= 0).
+func (c *Counter) Add(n int64) { c.v.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
@@ -91,7 +96,8 @@ type family struct {
 
 // Registry holds metric series keyed by (name, labels). Get-or-create
 // lookups are idempotent: two callers asking for the same (name, labels)
-// receive the same handle, so several servers in one process share series.
+// receive the same handle, so everything that records into one registry
+// shares its series.
 type Registry struct {
 	mu       sync.RWMutex
 	families map[string]*family
@@ -104,9 +110,15 @@ func NewRegistry() *Registry {
 	return &Registry{families: map[string]*family{}, series: map[string]*series{}}
 }
 
-var defaultRegistry = NewRegistry()
+var defaultRegistry = func() *Registry {
+	r := NewRegistry()
+	registerRuntimeGauges(r)
+	return r
+}()
 
-// Default is the process-wide registry every layer records into.
+// Default is the process-wide registry: the layers below the daemon record
+// into it, and it alone carries the Go runtime gauges, so a page merging
+// several registries with it counts the runtime once.
 func Default() *Registry { return defaultRegistry }
 
 // seriesKey renders the canonical identity of one series: the family

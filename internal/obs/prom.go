@@ -1,60 +1,21 @@
 package obs
 
 // Hand-built Prometheus text exposition (version 0.0.4) — no external
-// deps. Families render in name order with HELP/TYPE headers; histograms
-// render as cumulative `_bucket{le="..."}` series (only non-empty
-// buckets, plus +Inf), `_sum`, and `_count`, with durations converted to
-// seconds. ParseExposition is the validating counterpart the selfcheck
-// and CI use to fail on unparseable lines and to assert counter
-// monotonicity across a query burst.
+// deps. WriteMergedPrometheus (merge.go) is the one renderer: families
+// render in name order with HELP/TYPE headers; histograms render as
+// cumulative `_bucket{le="..."}` series (only non-empty buckets, plus
+// +Inf), `_sum`, and `_count`, with durations converted to seconds.
+// ParseExposition is the validating counterpart the selfcheck and CI use
+// to fail on unparseable lines and to assert counter monotonicity across
+// a query burst.
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"sort"
 	"strconv"
 	"strings"
 )
-
-// WritePrometheus renders every registered series in the text exposition
-// format. Families are sorted by name; series within a family keep
-// registration order.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.mu.RLock()
-	fams := make([]*family, 0, len(r.families))
-	for _, f := range r.families {
-		fams = append(fams, f)
-	}
-	byFam := make(map[string][]*series, len(r.families))
-	for _, key := range r.order {
-		s := r.series[key]
-		byFam[s.name] = append(byFam[s.name], s)
-	}
-	r.mu.RUnlock()
-	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
-
-	bw := bufio.NewWriter(w)
-	for _, f := range fams {
-		if f.help != "" {
-			fmt.Fprintf(bw, "# HELP %s %s\n", f.name, escapeHelp(f.help))
-		}
-		fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.kind)
-		for _, s := range byFam[f.name] {
-			switch {
-			case s.ctr != nil:
-				fmt.Fprintf(bw, "%s %d\n", seriesKey(s.name, s.labels), s.ctr.Value())
-			case s.ctrFn != nil:
-				fmt.Fprintf(bw, "%s %s\n", seriesKey(s.name, s.labels), formatFloat(s.ctrFn.value()))
-			case s.gauge != nil:
-				fmt.Fprintf(bw, "%s %s\n", seriesKey(s.name, s.labels), formatFloat(s.gauge.Value()))
-			case s.hist != nil:
-				writeHist(bw, s.name, s.labels, s.hist.Snapshot())
-			}
-		}
-	}
-	return bw.Flush()
-}
 
 // writeHist renders one histogram series: cumulative buckets at the
 // upper edges of non-empty buckets (seconds), +Inf, _sum, _count. The

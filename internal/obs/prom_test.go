@@ -23,7 +23,7 @@ func TestExpositionRoundTrip(t *testing.T) {
 	h.Observe(500 * time.Millisecond)
 
 	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
+	if err := WriteMergedPrometheus(&buf, r); err != nil {
 		t.Fatal(err)
 	}
 	text := buf.String()
@@ -158,7 +158,7 @@ func TestGaugeReplace(t *testing.T) {
 	r.Gauge("g", "x", func() float64 { return 1 })
 	r.Gauge("g", "x", func() float64 { return 2 })
 	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
+	if err := WriteMergedPrometheus(&buf, r); err != nil {
 		t.Fatal(err)
 	}
 	samples, err := ParseExposition(buf.Bytes())
@@ -172,10 +172,10 @@ func TestGaugeReplace(t *testing.T) {
 
 func TestRuntimeGauges(t *testing.T) {
 	r := NewRegistry()
-	RegisterRuntimeGauges(r)
-	RegisterRuntimeGauges(r) // idempotent
+	registerRuntimeGauges(r)
+	registerRuntimeGauges(r) // idempotent
 	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
+	if err := WriteMergedPrometheus(&buf, r); err != nil {
 		t.Fatal(err)
 	}
 	samples, err := ParseExposition(buf.Bytes())

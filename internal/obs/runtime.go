@@ -1,7 +1,7 @@
 package obs
 
-// Go runtime gauges for /versionz and /metricsz. All values are read at
-// scrape time only — registering these costs nothing on request paths.
+// Go runtime gauges for /metricsz. All values are read at scrape time
+// only — registering these costs nothing on request paths.
 
 import (
 	"runtime"
@@ -25,9 +25,10 @@ func readMem(f func(*runtime.MemStats) float64) func() float64 {
 	}
 }
 
-// RegisterRuntimeGauges installs goroutine, heap, and GC gauges on r.
-// Idempotent: re-registration replaces callbacks in place.
-func RegisterRuntimeGauges(r *Registry) {
+// registerRuntimeGauges installs goroutine, heap, and GC gauges on r —
+// on Default alone, which every /metricsz merges exactly once. Idempotent:
+// re-registration replaces callbacks in place.
+func registerRuntimeGauges(r *Registry) {
 	r.Gauge("go_goroutines", "Number of live goroutines.",
 		func() float64 { return float64(runtime.NumGoroutine()) })
 	r.Gauge("go_memstats_heap_alloc_bytes", "Bytes of allocated heap objects.",

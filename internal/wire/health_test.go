@@ -20,69 +20,6 @@ func TestDialFailureIsUnavailable(t *testing.T) {
 	}
 }
 
-func TestHealthSweepRemovesDeadConns(t *testing.T) {
-	h := &echoHandler{release: make(chan struct{})}
-	srv, addr := startServer(t, h)
-	p := NewPool("tcp", addr, 2)
-	defer p.Close()
-	ctx := context.Background()
-	if err := p.Ping(ctx); err != nil {
-		t.Fatal(err)
-	}
-
-	// Kill the server side: established conns are now dead, but the pool
-	// does not know until it touches them.
-	srv.Close()
-	p.StartHealthSweep(10 * time.Millisecond)
-
-	// The sweep must discover the death on its own — without any caller
-	// traffic — and mark the conns failed so the next Do redials instead
-	// of writing into a dead socket.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		p.mu.Lock()
-		dead := 0
-		for _, c := range p.conns {
-			if c != nil && c.isDead() {
-				dead++
-			}
-		}
-		p.mu.Unlock()
-		if dead > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("sweep never detected the dead connections")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	// Restart a server on a fresh address via a new pool path is not
-	// possible (addr is fixed), so just verify Do now fails Unavailable
-	// fast (redial refused) rather than hanging on a dead socket.
-	dctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-	defer cancel()
-	if _, _, err := p.Do(dctx, OpQuery, []byte("x")); !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("post-sweep Do: %v", err)
-	}
-}
-
-func TestHealthSweepStartGuards(t *testing.T) {
-	_, addr := startServer(t, &echoHandler{})
-	p := NewPool("tcp", addr, 1)
-	p.StartHealthSweep(time.Hour)
-	p.StartHealthSweep(time.Hour) // second start is a no-op, not a second goroutine
-	p.StartHealthSweep(0)         // non-positive interval ignored
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	p2 := NewPool("tcp", addr, 1)
-	p2.Close()
-	p2.StartHealthSweep(time.Hour) // starting after Close is a no-op
-}
-
-// TestShutdownDrainsInFlight: Shutdown must stop accepting, let an
-// in-flight request finish and deliver its response, then close.
 func TestShutdownDrainsInFlight(t *testing.T) {
 	h := &echoHandler{release: make(chan struct{})}
 	srv, addr := startServer(t, h)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // ErrPoolClosed reports use of a closed pool.
@@ -41,8 +40,6 @@ type Pool struct {
 	mu     sync.Mutex
 	conns  []*Conn
 	closed bool
-
-	sweepStop chan struct{} // non-nil once StartHealthSweep ran
 }
 
 // NewPool targets a frame server at network/addr ("tcp" host:port, or
@@ -105,72 +102,6 @@ func (p *Pool) Ping(ctx context.Context) error {
 	return nil
 }
 
-// DefaultSweepTimeout bounds one health-sweep ping. A healthy server
-// answers OpPing in microseconds; a second of silence on an established
-// connection means the peer is gone (or wedged past usefulness) either
-// way.
-const DefaultSweepTimeout = time.Second
-
-// StartHealthSweep starts a background dead-connection sweep: every
-// interval, each established connection is pinged with a
-// DefaultSweepTimeout budget, and a connection that fails its ping is
-// failed outright (in-flight requests get ErrConnClosed; the slot
-// redials on next use). This catches silently dead peers — half-open
-// TCP after a crashed server, a wedged handler loop — that would
-// otherwise surface only as a hung request. Idempotent; the sweep stops
-// when the pool closes.
-func (p *Pool) StartHealthSweep(interval time.Duration) {
-	if interval <= 0 {
-		return
-	}
-	p.mu.Lock()
-	if p.closed || p.sweepStop != nil {
-		p.mu.Unlock()
-		return
-	}
-	stop := make(chan struct{})
-	p.sweepStop = stop
-	p.mu.Unlock()
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				p.sweep()
-			}
-		}
-	}()
-}
-
-// sweep pings every established, not-yet-dead connection and fails the
-// ones that do not answer. Only existing connections are probed — the
-// sweep never dials (a lazily unused slot costs nothing, dead or not).
-func (p *Pool) sweep() {
-	p.mu.Lock()
-	conns := make([]*Conn, 0, len(p.conns))
-	for _, c := range p.conns {
-		if c != nil && !c.isDead() {
-			conns = append(conns, c)
-		}
-	}
-	p.mu.Unlock()
-	for _, c := range conns {
-		ctx, cancel := context.WithTimeout(context.Background(), DefaultSweepTimeout)
-		status, _, err := c.Do(ctx, OpPing, nil)
-		cancel()
-		if err != nil || status != StatusOK {
-			cause := err
-			if cause == nil {
-				cause = fmt.Errorf("health sweep: ping status %s", status)
-			}
-			c.fail(fmt.Errorf("health sweep: %w", cause))
-		}
-	}
-}
-
 // Close closes every connection; in-flight requests fail with
 // ErrConnClosed and subsequent calls fail with ErrPoolClosed.
 func (p *Pool) Close() error {
@@ -180,10 +111,6 @@ func (p *Pool) Close() error {
 		return nil
 	}
 	p.closed = true
-	if p.sweepStop != nil {
-		close(p.sweepStop)
-		p.sweepStop = nil
-	}
 	for _, c := range p.conns {
 		if c != nil {
 			c.Close()

@@ -7,8 +7,9 @@ import (
 )
 
 // Counters is the transport's observability surface: lock-free counts
-// bumped on the hot path by servers and client pools, snapshotted into
-// Stats for /statsz. A zero Counters is ready to use.
+// bumped on the hot path by servers and client pools, read at scrape time
+// by /metricsz (RegisterObs) and snapshotted into Stats for in-process
+// readers. A zero Counters is ready to use.
 type Counters struct {
 	connsOpen  atomic.Int64
 	connsTotal atomic.Int64
@@ -97,6 +98,8 @@ func (c *Counters) RegisterObs(r *obs.Registry, labels ...obs.Label) {
 	ctr("wire_flushes_total", "Writer flush syscalls (frames_out/flushes is the coalescing factor).", &c.flushes)
 	ctr("wire_coalesced_batches_total", "Multi-query batch frames formed by coalescing.", &c.coalescedBatches)
 	ctr("wire_coalesced_queries_total", "Singleton queries folded into coalesced batches.", &c.coalescedQueries)
+	r.Gauge("wire_coalesced_max", "Queries in the largest batch frame seen.",
+		func() float64 { return float64(c.coalescedMax.Load()) }, labels...)
 }
 
 func (c *Counters) noteFrameIn(payloadLen int) {
