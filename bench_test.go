@@ -305,6 +305,8 @@ func TestAllocCeilings(t *testing.T) {
 	}
 	p, tree := warmGrid(t)
 	snake := artifact.New(coldSnakeGraph())
+	coldTri := planar.StackedTriangulation(100, planar.NewRand(1))
+	coldTri.Faces()
 	ctx := context.Background()
 	for _, c := range []struct {
 		name    string
@@ -362,6 +364,20 @@ func TestAllocCeilings(t *testing.T) {
 		{"core.Girth", 1500, func() error {
 			_, err := core.Girth(snake, ledger.New())
 			return err
+		}},
+		// The decomposition a cold_build graph is first served through, on a
+		// Triangulation(100) and on the snake: 965 / 202 allocs (0.32 / 0.12
+		// MB) since a bag holds only its own darts and a build reuses its
+		// graph-sized buffers; 5,893 / 1,405 (0.65 / 0.21 MB, 0.56 ms on the
+		// triangulation) while every bag kept whole-graph bitmaps and maps
+		// and every split allocated its own.
+		{"bdd.Build(triangulation100)", 1160, func() error {
+			bdd.Build(coldTri, 0, ledger.New())
+			return nil
+		}},
+		{"bdd.Build(snake12x12)", 242, func() error {
+			bdd.Build(snake.Graph(), 0, ledger.New())
+			return nil
 		}},
 	} {
 		allocs := testing.AllocsPerRun(5, func() {

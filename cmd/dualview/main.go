@@ -74,7 +74,7 @@ func main() {
 			}
 			fp := 0
 			for _, f := range b.Faces {
-				if !b.Whole[f] {
+				if !b.IsWhole(f) {
 					fp++
 				}
 			}

@@ -329,3 +329,26 @@ func TestMetricszRuntimeGaugesOnce(t *testing.T) {
 		t.Fatalf("front go_gc_cycles_total = %v, runtime NumGC = %d", got, ms.NumGC)
 	}
 }
+
+// TestMetricszUptimeOnce: the daemon's uptime lives on the process-wide
+// registry too, so three replicas behind the front do not show three times
+// the time since they started.
+func TestMetricszUptimeOnce(t *testing.T) {
+	began := time.Now()
+	_, srv := startFront(t, 3)
+	time.Sleep(20 * time.Millisecond)
+	r, err := http.Get(srv.URL + "/metricsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(r.Body)
+	r.Body.Close()
+	series, err := obs.ParseExposition(body)
+	if err != nil {
+		t.Fatalf("front /metricsz does not parse: %v", err)
+	}
+	wall := time.Since(began).Seconds()
+	if got, ok := series["flowd_uptime_seconds"]; !ok || got <= 0 || got > wall {
+		t.Fatalf("front flowd_uptime_seconds = %v (present %v), wall time since the test began %.3fs", got, ok, wall)
+	}
+}

@@ -2,6 +2,7 @@ package bdd
 
 import (
 	"math/bits"
+	"slices"
 	"testing"
 
 	"planarflow/internal/ledger"
@@ -29,7 +30,7 @@ func TestRootBag(t *testing.T) {
 		t.Fatalf("root faces=%d want %d", len(root.Faces), g.Faces().NumFaces())
 	}
 	for _, f := range root.Faces {
-		if !root.Whole[f] {
+		if !root.IsWhole(f) {
 			t.Fatalf("face %d not whole at root", f)
 		}
 	}
@@ -97,13 +98,13 @@ func TestEdgeUnionProperty(t *testing.T) {
 		union := make([]bool, g.M())
 		for _, c := range b.Children {
 			for e := range union {
-				if c.EdgeIn[e] {
+				if c.HasEdge(e) {
 					union[e] = true
 				}
 			}
 		}
 		for e := range union {
-			if union[e] != b.EdgeIn[e] {
+			if union[e] != b.HasEdge(e) {
 				t.Fatalf("bag %d: edge %d union mismatch", b.ID, e)
 			}
 		}
@@ -122,7 +123,7 @@ func TestEdgeInAtMostTwoBagsPerLevel(t *testing.T) {
 		cnt := make([]int, g.M())
 		for _, b := range bags {
 			for e := 0; e < g.M(); e++ {
-				if b.EdgeIn[e] {
+				if b.HasEdge(e) {
 					cnt[e]++
 				}
 			}
@@ -164,7 +165,7 @@ func TestAtMostOneWholeFaceSplitPerBag(t *testing.T) {
 			}
 			splitWhole := 0
 			for _, f := range b.Faces {
-				if b.Whole[f] && b.Children[0].FaceSet[f] && b.Children[1].FaceSet[f] {
+				if b.IsWhole(f) && slices.Contains(b.Children[0].Faces, f) && slices.Contains(b.Children[1].Faces, f) {
 					splitWhole++
 				}
 			}
@@ -210,8 +211,8 @@ func TestFXSeparatesDualBag(t *testing.T) {
 			// Both endpoints outside FX: the arc must live in one child.
 			inChild := false
 			for _, c := range b.Children {
-				if c.InBag[d] && c.InBag[planar.Rev(d)] &&
-					c.FaceSet[from] && c.FaceSet[to] {
+				if c.Has(d) && c.Has(planar.Rev(d)) &&
+					slices.Contains(c.Faces, from) && slices.Contains(c.Faces, to) {
 					inChild = true
 				}
 			}
@@ -246,7 +247,7 @@ func TestChildBagsConnected(t *testing.T) {
 		first := -1
 		cnt := 0
 		for e := 0; e < g.M(); e++ {
-			if b.EdgeIn[e] {
+			if b.HasEdge(e) {
 				cnt++
 				if first == -1 {
 					first = e
@@ -256,10 +257,10 @@ func TestChildBagsConnected(t *testing.T) {
 		if first == -1 {
 			t.Fatalf("bag %d empty", b.ID)
 		}
-		bfs := g.BFSWithin(g.Edge(first).U, func(d planar.Dart) bool { return b.EdgeIn[planar.EdgeOf(d)] })
+		bfs := g.BFSWithin(g.Edge(first).U, func(d planar.Dart) bool { return b.HasEdge(planar.EdgeOf(d)) })
 		reach := 0
 		for e := 0; e < g.M(); e++ {
-			if b.EdgeIn[e] && bfs.Dist[g.Edge(e).U] >= 0 && bfs.Dist[g.Edge(e).V] >= 0 {
+			if b.HasEdge(e) && bfs.Dist[g.Edge(e).U] >= 0 && bfs.Dist[g.Edge(e).V] >= 0 {
 				reach++
 			}
 		}
@@ -274,7 +275,7 @@ func TestDualSXEdgesAreInXStar(t *testing.T) {
 	bd := buildOn(t, g, 16)
 	for _, b := range bd.Bags {
 		for _, e := range b.DualSXEdges {
-			if !b.InBag[planar.ForwardDart(e)] || !b.InBag[planar.BackwardDart(e)] {
+			if !b.Has(planar.ForwardDart(e)) || !b.Has(planar.BackwardDart(e)) {
 				t.Fatalf("bag %d: dual S_X edge %d missing a dart", b.ID, e)
 			}
 		}

@@ -3,6 +3,7 @@ package bdd
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"planarflow/internal/ledger"
 	"planarflow/internal/planar"
@@ -55,19 +56,19 @@ func BuildKnowledge(t *BDD, led *ledger.Ledger) *Knowledge {
 	for _, b := range t.Bags {
 		k.HasDual[b.ID] = make(map[int]bool)
 		for e := 0; e < g.M(); e++ {
-			if b.EdgeIn[e] {
-				k.HasDual[b.ID][e] = b.InBag[planar.ForwardDart(e)] && b.InBag[planar.BackwardDart(e)]
+			if b.HasEdge(e) {
+				k.HasDual[b.ID][e] = b.Has(planar.ForwardDart(e)) && b.Has(planar.BackwardDart(e))
 			}
 		}
 		k.Critical[b.ID] = -1
 		faceParts := 0
 		if !b.IsLeaf() {
 			for _, f := range b.Faces {
-				split := b.Children[0].FaceSet[f] && b.Children[1].FaceSet[f]
+				split := slices.Contains(b.Children[0].Faces, f) && slices.Contains(b.Children[1].Faces, f)
 				if !split {
 					continue
 				}
-				if b.Whole[f] {
+				if b.IsWhole(f) {
 					k.Critical[b.ID] = f
 				} else {
 					faceParts++
@@ -116,22 +117,22 @@ func (k *Knowledge) Verify() error {
 				return fmt.Errorf("bdd: dart %d skips level %d", d, prevLevel+1)
 			}
 			prevLevel = b.Level
-			if !b.InBag[d] {
+			if !b.Has(d) {
 				return fmt.Errorf("bdd: dart %d chain lists bag %d that lacks it", d, id)
 			}
 		}
 	}
 	for _, b := range k.T.Bags {
 		for e, has := range k.HasDual[b.ID] {
-			want := b.InBag[planar.ForwardDart(e)] && b.InBag[planar.BackwardDart(e)]
+			want := b.Has(planar.ForwardDart(e)) && b.Has(planar.BackwardDart(e))
 			if has != want {
 				return fmt.Errorf("bdd: bag %d edge %d dual-existence mismatch", b.ID, e)
 			}
-			if !has && b.EdgeIn[e] {
+			if !has && b.HasEdge(e) {
 				// Lemma 5.5: the missing dart lies on an ancestor hole, so
 				// the edge must appear on some ancestor separator.
 				missing := planar.ForwardDart(e)
-				if b.InBag[missing] {
+				if b.Has(missing) {
 					missing = planar.BackwardDart(e)
 				}
 				onAncestorSep := false
@@ -149,7 +150,7 @@ func (k *Knowledge) Verify() error {
 		}
 		// At most one critical (whole) face per bag — Lemma 5.3.
 		if c := k.Critical[b.ID]; c >= 0 {
-			if !b.Whole[c] {
+			if !b.IsWhole(c) {
 				return fmt.Errorf("bdd: bag %d critical face %d is not whole", b.ID, c)
 			}
 			if b.Sep != nil && b.Sep.EX.Real {

@@ -1,6 +1,7 @@
 package bdd
 
 import (
+	"slices"
 	"testing"
 
 	"planarflow/internal/ledger"
@@ -61,7 +62,7 @@ func TestKnowledgeCriticalMatchesSplitFaces(t *testing.T) {
 		// Count whole faces split across children; must match Critical.
 		crit := -1
 		for _, f := range b.Faces {
-			if b.Whole[f] && b.Children[0].FaceSet[f] && b.Children[1].FaceSet[f] {
+			if b.IsWhole(f) && slices.Contains(b.Children[0].Faces, f) && slices.Contains(b.Children[1].Faces, f) {
 				crit = f
 			}
 		}

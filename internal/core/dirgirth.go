@@ -62,7 +62,7 @@ func DirectedGirth(p *artifact.Prepared, opt Options, led *ledger.Ledger) (int64
 		// bag once, through its forward dart or, when only the backward one
 		// is in the bag, through that.
 		for _, d := range b.Darts {
-			if !planar.IsForward(d) && b.InBag[planar.Rev(d)] {
+			if !planar.IsForward(d) && b.Has(planar.Rev(d)) {
 				continue
 			}
 			ed := g.Edge(planar.EdgeOf(d))

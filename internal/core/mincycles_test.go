@@ -239,7 +239,7 @@ func refLeafDirMinCycle(g *planar.Graph, b *bdd.Bag) int64 {
 	}
 	var arcs []arc
 	for e := 0; e < g.M(); e++ {
-		if !b.EdgeIn[e] {
+		if !b.HasEdge(e) {
 			continue
 		}
 		ed := g.Edge(e)

@@ -165,8 +165,13 @@ func (s *Server) initObs(opt ServerOptions) {
 	r.Gauge("flowd_store_bytes", "Accounted footprint of resident bundles.", func() float64 {
 		return float64(st.Totals().Bytes)
 	})
+	// Uptime is the process's, so it lives on obs.Default() beside the
+	// runtime gauges: a page merging several servers shows it once. Each
+	// server re-registers it from its own start (the callback is replaced
+	// in place); a process serves one daemon, or one fleet whose replicas
+	// start together.
 	start := s.start
-	r.Gauge("flowd_uptime_seconds", "Daemon uptime.", func() float64 {
+	obs.Default().Gauge("flowd_uptime_seconds", "Seconds since the daemon started.", func() float64 {
 		return time.Since(start).Seconds()
 	})
 }

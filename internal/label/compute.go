@@ -307,7 +307,7 @@ func (la *Labeling) Separator(b *bdd.Bag) []int { return la.pl.lay[b.ID].Sep }
 //
 // Smaller labelings pack the budget tighter, so at the old ratio the same
 // 38 MiB of estimate held more real heap than before; charging the plans to
-// the bundle instead (ROADMAP item 3) would let the factor come down.
+// the bundle instead (ROADMAP item 5) would let the factor come down.
 func (la *Labeling) FootprintBytes() int64 {
 	const (
 		entry      = 16

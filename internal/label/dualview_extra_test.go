@@ -1,6 +1,7 @@
 package label_test
 
 import (
+	"slices"
 	"testing"
 
 	"planarflow/internal/bdd"
@@ -64,7 +65,7 @@ func TestDDGStructure(t *testing.T) {
 			if !fx[nd.Key] {
 				t.Fatalf("bag %d: DDG node for non-FX face %d", b.ID, nd.Key)
 			}
-			if !b.Children[nd.Child].FaceSet[nd.Key] {
+			if !slices.Contains(b.Children[nd.Child].Faces, nd.Key) {
 				t.Fatalf("bag %d: DDG node (%d,%d) not in child", b.ID, nd.Child, nd.Key)
 			}
 		}

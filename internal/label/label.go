@@ -18,7 +18,7 @@
 //	separator      b.FX                           vertices of both children
 //	child of key   the child whose keys hold it   the same
 //	cross arcs     both darts of b.DualSXEdges    none
-//	leaf arcs      b.DualArcs                     both darts of every EdgeIn edge
+//	leaf arcs      b.DualArcs                     both darts of every bag edge
 //	arc of dart d  FaceOf(d) -> FaceOf(Rev(d))    Tail(d) -> Head(d)
 //	phase          label/…, dual-sssp/…           primal-label/…, primal-sssp/…
 //	congestion     ×4 (×2 property 7, ×2 Ĝ)       ×2 (property 7)

@@ -357,8 +357,8 @@ func (pl *plan) ddgSkeleton(b *bdd.Bag, lay *BagLayout, bp *bagPlan, pos []int32
 	for _, e := range v.crossEdges(b) {
 		for _, d := range [2]planar.Dart{planar.ForwardDart(e), planar.BackwardDart(e)} {
 			from, to := v.ends(g, d)
-			tail, ok1 := index[DDGNode{int(b.Sep.Side[d]), from}]
-			head, ok2 := index[DDGNode{int(b.Sep.Side[planar.Rev(d)]), to}]
+			tail, ok1 := index[DDGNode{b.SideOf(d), from}]
+			head, ok2 := index[DDGNode{b.SideOf(planar.Rev(d)), to}]
 			if !ok1 || !ok2 {
 				return fmt.Errorf("cross edge %d does not join separator keys of the two children", e)
 			}

@@ -88,7 +88,7 @@ var views = [...]*view{
 		leafDarts: func(_ *planar.Graph, b *bdd.Bag, visit func(planar.Dart)) {
 			for _, d := range b.Darts {
 				visit(d)
-				if !b.InBag[planar.Rev(d)] {
+				if !b.Has(planar.Rev(d)) {
 					visit(planar.Rev(d))
 				}
 			}

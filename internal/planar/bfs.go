@@ -49,17 +49,17 @@ func (g *Graph) BFSWithin(root int, allowed func(d Dart) bool) *BFSResult {
 		Root:   root,
 		Dist:   make([]int, g.n),
 		Parent: make([]Dart, g.n),
+		Order:  make([]int, 0, g.n),
 	}
 	for v := range res.Dist {
 		res.Dist[v] = -1
 		res.Parent[v] = NoDart
 	}
 	res.Dist[root] = 0
-	queue := []int{root}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		res.Order = append(res.Order, v)
+	// Order is the visit order and, past its head, the queue.
+	res.Order = append(res.Order, root)
+	for head := 0; head < len(res.Order); head++ {
+		v := res.Order[head]
 		if res.Dist[v] > res.Depth {
 			res.Depth = res.Dist[v]
 		}
@@ -71,7 +71,7 @@ func (g *Graph) BFSWithin(root int, allowed func(d Dart) bool) *BFSResult {
 			if res.Dist[u] == -1 {
 				res.Dist[u] = res.Dist[v] + 1
 				res.Parent[u] = d
-				queue = append(queue, u)
+				res.Order = append(res.Order, u)
 			}
 		}
 	}

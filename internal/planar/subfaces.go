@@ -7,14 +7,21 @@ package planar
 // merged from several faces (a "hole" plus face fragments, in the BDD's
 // vocabulary).
 type SubFaces struct {
-	cycles [][]Dart
+	darts []Dart // every orbit's boundary darts, orbit after orbit
+	start []int  // orbit f is darts[start[f]:start[f+1]]
 }
 
 // NewSubFaces computes the face structure of the subgraph of g induced by
 // the kept edges. The subgraph must be non-empty; connectivity is not
 // required here (callers that need it check separately).
 func NewSubFaces(g *Graph, edgeIn []bool) *SubFaces {
-	sf := &SubFaces{}
+	kept := 0
+	for _, in := range edgeIn {
+		if in {
+			kept++
+		}
+	}
+	sf := &SubFaces{darts: make([]Dart, 0, 2*kept), start: []int{0}}
 	seen := make([]bool, g.NumDarts())
 	// Induced rotations: per vertex, kept darts in rotation order.
 	inducedNext := func(d Dart) Dart {
@@ -31,23 +38,22 @@ func NewSubFaces(g *Graph, edgeIn []bool) *SubFaces {
 		if !edgeIn[e] {
 			continue
 		}
-		for _, d := range []Dart{ForwardDart(e), BackwardDart(e)} {
+		for _, d := range [2]Dart{ForwardDart(e), BackwardDart(e)} {
 			if seen[d] {
 				continue
 			}
-			var cyc []Dart
 			for x := d; !seen[x]; x = inducedNext(x) {
 				seen[x] = true
-				cyc = append(cyc, x)
+				sf.darts = append(sf.darts, x)
 			}
-			sf.cycles = append(sf.cycles, cyc)
+			sf.start = append(sf.start, len(sf.darts))
 		}
 	}
 	return sf
 }
 
 // NumFaces returns the number of sub-embedding faces (orbits).
-func (sf *SubFaces) NumFaces() int { return len(sf.cycles) }
+func (sf *SubFaces) NumFaces() int { return len(sf.start) - 1 }
 
 // Cycle returns the boundary darts of orbit f. Must not be modified.
-func (sf *SubFaces) Cycle(f int) []Dart { return sf.cycles[f] }
+func (sf *SubFaces) Cycle(f int) []Dart { return sf.darts[sf.start[f]:sf.start[f+1]:sf.start[f+1]] }

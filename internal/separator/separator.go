@@ -42,6 +42,8 @@ type Result struct {
 	// Side assigns every dart of a bag edge to region 0 or 1 (-1 for darts
 	// of edges outside the bag). The two darts of a cycle edge lie in
 	// different regions; every other bag edge has both darts on one side.
+	// It is the Scratch's buffer and holds only until the next
+	// FindCycleSeparator call on that Scratch.
 	Side []int8
 
 	InsideWeight int     // darts in region 1
@@ -50,30 +52,50 @@ type Result struct {
 	TreeDepth    int     // BFS-tree depth of the bag (for round accounting)
 }
 
-// FindCycleSeparator computes a balanced cycle separator of the connected
-// subgraph given by edgeIn; sf must be the subgraph's face structure. It
-// returns Found=false when the bag admits no non-degenerate fundamental
-// cycle (e.g. trees), in which case the caller treats the bag as a leaf.
-func FindCycleSeparator(g *planar.Graph, edgeIn []bool, sf *planar.SubFaces) *Result {
-	res := &Result{Side: make([]int8, g.NumDarts())}
-	for d := range res.Side {
-		res.Side[d] = -1
-	}
+// Scratch is the graph-sized working memory of FindCycleSeparator, reused
+// across the calls on one graph (the BDD builder runs one per bag). The
+// zero value is ready for use; a Scratch serves one call at a time.
+type Scratch struct {
+	treeEdge []bool  // by edge; all false between calls
+	triOf    []int32 // by dart; -1 outside the last call's bag
+	side     []int8  // by dart; the last call's Result.Side
+	last     *planar.SubFaces
+}
 
-	// Root the bag BFS tree at an endpoint of the first kept edge.
-	root := -1
-	for e := 0; e < g.M(); e++ {
-		if edgeIn[e] {
-			root = g.Edge(e).U
-			break
+// reset sizes the buffers for g and clears what the last call wrote.
+func (sc *Scratch) reset(g *planar.Graph) {
+	if len(sc.side) != g.NumDarts() || len(sc.treeEdge) != g.M() {
+		sc.treeEdge = make([]bool, g.M())
+		sc.triOf = make([]int32, g.NumDarts())
+		sc.side = make([]int8, g.NumDarts())
+		for d := range sc.side {
+			sc.triOf[d], sc.side[d] = -1, -1
+		}
+	} else if sc.last != nil {
+		for f := 0; f < sc.last.NumFaces(); f++ {
+			for _, d := range sc.last.Cycle(f) {
+				sc.triOf[d], sc.side[d] = -1, -1
+			}
 		}
 	}
-	if root == -1 {
-		return res
+	sc.last = nil
+}
+
+// FindCycleSeparator computes a balanced cycle separator of the connected
+// subgraph given by edgeIn; sf must be the subgraph's face structure and
+// bfs its BFS tree from an endpoint of a kept edge (the cycle is closed in
+// that tree). It returns Found=false when the bag admits no
+// non-degenerate fundamental cycle (e.g. trees), in which case the caller
+// treats the bag as a leaf. The result's Side lives in sc and holds until
+// the next call with sc; a nil sc gives the result buffers of its own.
+func FindCycleSeparator(g *planar.Graph, edgeIn []bool, sf *planar.SubFaces, bfs *planar.BFSResult, sc *Scratch) *Result {
+	if sc == nil {
+		sc = new(Scratch)
 	}
-	bfs := g.BFSWithin(root, func(d planar.Dart) bool { return edgeIn[planar.EdgeOf(d)] })
-	res.TreeDepth = bfs.Depth
-	treeEdge := make([]bool, g.M())
+	sc.reset(g)
+	sc.last = sf
+	res := &Result{Side: sc.side, TreeDepth: bfs.Depth}
+	treeEdge, triOf := sc.treeEdge, sc.triOf
 	for _, p := range bfs.Parent {
 		if p != planar.NoDart {
 			treeEdge[planar.EdgeOf(p)] = true
@@ -82,10 +104,6 @@ func FindCycleSeparator(g *planar.Graph, edgeIn []bool, sf *planar.SubFaces) *Re
 
 	// ---- Triangulate orbits and assign darts to triangles. ----
 	numTri := 0
-	triOf := make([]int32, g.NumDarts())
-	for d := range triOf {
-		triOf[d] = -1
-	}
 	triW := []int{}
 	type dualEdge struct {
 		t1, t2 int
@@ -154,28 +172,44 @@ func FindCycleSeparator(g *planar.Graph, edgeIn []bool, sf *planar.SubFaces) *Re
 			t1: t1, t2: t2, edge: e, u: g.Edge(e).U, v: g.Edge(e).V,
 		})
 	}
+	for _, p := range bfs.Parent {
+		if p != planar.NoDart {
+			treeEdge[planar.EdgeOf(p)] = false
+		}
+	}
 
 	// ---- Interdigitating tree: BFS spanning tree of the dual edges. ----
-	adj := make([][]int32, numTri) // indices into dualEdges
+	// adj[adjStart[t]:adjStart[t+1]] lists t's dual edges in index order.
+	adjStart := make([]int32, numTri+1)
+	for _, de := range dualEdges {
+		adjStart[de.t1+1]++
+		adjStart[de.t2+1]++
+	}
+	for t := 0; t < numTri; t++ {
+		adjStart[t+1] += adjStart[t]
+	}
+	adj := make([]int32, adjStart[numTri]) // indices into dualEdges
+	fill := append([]int32(nil), adjStart[:numTri]...)
 	for i, de := range dualEdges {
-		adj[de.t1] = append(adj[de.t1], int32(i))
-		adj[de.t2] = append(adj[de.t2], int32(i))
+		adj[fill[de.t1]] = int32(i)
+		fill[de.t1]++
+		adj[fill[de.t2]] = int32(i)
+		fill[de.t2]++
 	}
 	rootTri := triOfOrbitStart[rootOrbit]
 	parentEdge := make([]int32, numTri) // dual edge to parent (-1 at root)
 	parentTri := make([]int32, numTri)
-	order := make([]int32, 0, numTri)
 	for t := range parentEdge {
 		parentEdge[t] = -2 // unvisited
 		parentTri[t] = -1
 	}
 	parentEdge[rootTri] = -1
-	queue := []int32{int32(rootTri)}
-	for len(queue) > 0 {
-		t := queue[0]
-		queue = queue[1:]
-		order = append(order, t)
-		for _, ei := range adj[t] {
+	// order is the BFS visit order and, past its head, the queue.
+	order := make([]int32, 1, numTri)
+	order[0] = int32(rootTri)
+	for head := 0; head < len(order); head++ {
+		t := order[head]
+		for _, ei := range adj[adjStart[t]:adjStart[t+1]] {
 			de := dualEdges[ei]
 			o := int32(de.t1)
 			if o == t {
@@ -184,7 +218,7 @@ func FindCycleSeparator(g *planar.Graph, edgeIn []bool, sf *planar.SubFaces) *Re
 			if parentEdge[o] == -2 {
 				parentEdge[o] = ei
 				parentTri[o] = t
-				queue = append(queue, o)
+				order = append(order, o)
 			}
 		}
 	}
@@ -242,24 +276,16 @@ func FindCycleSeparator(g *planar.Graph, edgeIn []bool, sf *planar.SubFaces) *Re
 	res.Balance = float64(bestScore) / float64(total)
 
 	// Region assignment: triangles in the subtree below the chosen edge are
-	// side 1.
+	// side 1. BFS order puts every parent before its children.
 	side := make([]int8, numTri)
-	// Mark subtree of bestChild: BFS over dual tree children.
-	children := make([][]int32, numTri)
+	side[bestChild] = 1
 	for _, t := range order {
-		if parentTri[t] >= 0 {
-			children[parentTri[t]] = append(children[parentTri[t]], t)
+		if p := parentTri[t]; p >= 0 && side[p] == 1 {
+			side[t] = 1
 		}
 	}
-	stack := []int32{int32(bestChild)}
-	for len(stack) > 0 {
-		t := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		side[t] = 1
-		stack = append(stack, children[t]...)
-	}
-	for d := 0; d < g.NumDarts(); d++ {
-		if triOf[d] >= 0 {
+	for f := 0; f < sf.NumFaces(); f++ {
+		for _, d := range sf.Cycle(f) {
 			res.Side[d] = side[triOf[d]]
 		}
 	}

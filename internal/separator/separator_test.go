@@ -14,6 +14,20 @@ func allEdges(g *planar.Graph) []bool {
 	return in
 }
 
+// findOn runs the separator on the subgraph in, with its BFS tree rooted
+// where the BDD builder roots it: at the first kept edge's tail.
+func findOn(g *planar.Graph, in []bool, sf *planar.SubFaces) *Result {
+	root := 0
+	for e := range in {
+		if in[e] {
+			root = g.Edge(e).U
+			break
+		}
+	}
+	bfs := g.BFSWithin(root, func(d planar.Dart) bool { return in[planar.EdgeOf(d)] })
+	return FindCycleSeparator(g, in, sf, bfs, nil)
+}
+
 // checkSeparator verifies the structural invariants of a separator result:
 // crossing edges == cycle real edges, cycle is a valid tree path + EX, and
 // both regions are non-empty.
@@ -69,7 +83,7 @@ func TestSeparatorGrid(t *testing.T) {
 		g := planar.Grid(dims[0], dims[1])
 		in := allEdges(g)
 		sf := planar.NewSubFaces(g, in)
-		res := FindCycleSeparator(g, in, sf)
+		res := findOn(g, in, sf)
 		checkSeparator(t, g, in, res)
 		if res.Balance > 0.90 {
 			t.Fatalf("grid %v: balance %.2f too poor", dims, res.Balance)
@@ -83,7 +97,7 @@ func TestSeparatorTriangulation(t *testing.T) {
 		g := planar.StackedTriangulation(n, rng)
 		in := allEdges(g)
 		sf := planar.NewSubFaces(g, in)
-		res := FindCycleSeparator(g, in, sf)
+		res := findOn(g, in, sf)
 		checkSeparator(t, g, in, res)
 		if res.Balance > 0.80 {
 			t.Fatalf("stacked n=%d: balance %.2f", n, res.Balance)
@@ -98,7 +112,7 @@ func TestSeparatorSparse(t *testing.T) {
 		g := planar.RemoveRandomEdges(g0, rng, 50)
 		in := allEdges(g)
 		sf := planar.NewSubFaces(g, in)
-		res := FindCycleSeparator(g, in, sf)
+		res := findOn(g, in, sf)
 		if !res.Found {
 			continue // very sparse bags may be near-trees
 		}
@@ -112,7 +126,7 @@ func TestSeparatorTreeBagHasVirtualEX(t *testing.T) {
 	g := planar.Grid(1, 8)
 	in := allEdges(g)
 	sf := planar.NewSubFaces(g, in)
-	res := FindCycleSeparator(g, in, sf)
+	res := findOn(g, in, sf)
 	if !res.Found {
 		t.Fatal("path bag should still split via a virtual chord")
 	}
@@ -128,7 +142,7 @@ func TestSeparatorOnSubBag(t *testing.T) {
 	g := planar.Grid(7, 7)
 	in := allEdges(g)
 	sf := planar.NewSubFaces(g, in)
-	res := FindCycleSeparator(g, in, sf)
+	res := findOn(g, in, sf)
 	checkSeparator(t, g, in, res)
 	// Child bag: edges with a dart on side 1, plus cycle edges.
 	childIn := make([]bool, g.M())
@@ -146,7 +160,7 @@ func TestSeparatorOnSubBag(t *testing.T) {
 		t.Skip("child too small")
 	}
 	csf := planar.NewSubFaces(g, childIn)
-	cres := FindCycleSeparator(g, childIn, csf)
+	cres := findOn(g, childIn, csf)
 	if cres.Found {
 		checkSeparator(t, g, childIn, cres)
 	}
@@ -156,7 +170,7 @@ func TestSeparatorCycleIsTreePath(t *testing.T) {
 	g := planar.Grid(6, 6)
 	in := allEdges(g)
 	sf := planar.NewSubFaces(g, in)
-	res := FindCycleSeparator(g, in, sf)
+	res := findOn(g, in, sf)
 	// Consecutive cycle vertices must be adjacent in G via cycle edges.
 	adj := map[[2]int]bool{}
 	for _, e := range res.CycleEdges {

@@ -2,16 +2,16 @@ package snapshot
 
 // BDD tree codec (section type 1). A bag is stored as its identity
 // (level, parent, children), its dart list, the measured tree depth, and
-// the separator summary of non-leaf bags; everything derivable from those
-// against the fingerprint-checked graph — dart/edge membership bitmaps,
-// face tables, whole-face flags, the per-dart side assignment — is
-// reconstructed at decode time, which keeps snapshots a fraction of the
-// resident footprint while restoring the exact in-memory structure the
-// builder would have produced.
+// the separator summary of non-leaf bags with its hole darts per side;
+// what derives from those against the fingerprint-checked graph — dart
+// membership, edge count, face tables, face-parts — is rebuilt at decode
+// time by the builder's own bdd.Deriver, so a restored tree is the
+// structure the builder produced.
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"planarflow/internal/bdd"
 	"planarflow/internal/codec"
@@ -27,7 +27,7 @@ type TreeEntry struct {
 	Tree        *bdd.BDD
 }
 
-func encodeTree(g *planar.Graph, t *TreeEntry) ([]byte, error) {
+func encodeTree(t *TreeEntry) ([]byte, error) {
 	tr := t.Tree
 	for i, b := range tr.Bags {
 		if b.ID != i {
@@ -67,20 +67,10 @@ func encodeTree(g *planar.Graph, t *TreeEntry) ([]byte, error) {
 			e = codec.AppendUvarint(e, uint64(s.TotalWeight))
 			e = codec.AppendUvarint(e, math.Float64bits(s.Balance))
 			e = codec.AppendUvarint(e, uint64(s.TreeDepth))
-			// Most of Side reconstructs from child membership (the split
-			// assigned every bag dart to the child it landed in); the
-			// remainder — darts of bag edges that are not themselves in the
-			// bag (hole-boundary darts) — is stored explicitly per side.
-			var extra [2][]int
-			for d := 0; d < g.NumDarts(); d++ {
-				side := s.Side[d]
-				if side < 0 || b.Children[0].InBag[d] || b.Children[1].InBag[d] {
-					continue
-				}
-				extra[side] = append(extra[side], d)
-			}
-			e = appendIDs(e, extra[0])
-			e = appendIDs(e, extra[1])
+			// The separator's sides: bag darts by the child they landed in,
+			// the rest — the bag's hole darts — stored per side.
+			e = appendIDs(e, dartsToInts(b.HoleDarts[0]))
+			e = appendIDs(e, dartsToInts(b.HoleDarts[1]))
 		}
 	}
 	return e, nil
@@ -94,14 +84,14 @@ func decodeTree(d *codec.Reader, g *planar.Graph) (*TreeEntry, error) {
 	}
 	t := &bdd.BDD{G: g, LeafLimit: int(leafLimit), Depth: int(depth)}
 	fd := g.Faces()
-	bags := make([]*bdd.Bag, numBags)
+	dv := bdd.NewDeriver(g)
+	bags := slices.Grow([]*bdd.Bag(nil), numBags)[:numBags]
 	for i := range bags {
 		bags[i] = &bdd.Bag{ID: i}
 	}
 	type pending struct {
 		parent   int // -1 for root
 		children []int
-		extra    [2][]int // explicit Side assignments per region
 	}
 	links := make([]pending, numBags)
 	for i, b := range bags {
@@ -123,14 +113,12 @@ func decodeTree(d *codec.Reader, g *planar.Graph) (*TreeEntry, error) {
 			links[i].children = append(links[i].children, c)
 		}
 		b.TreeDepth = int(d.Uvarint())
-		darts := readIDs(d, g.NumDarts())
-		if len(darts) == 0 {
-			return nil, d.Failf("bag %d has no darts", i)
+		if err := dv.SetDarts(b, readDarts(d, g.NumDarts())); err != nil {
+			return nil, d.Failf("bag %d: %v", i, err)
 		}
 		b.SXEdges = readIDs(d, g.M())
 		b.DualSXEdges = readIDs(d, g.M())
 		b.FX = readIDs(d, fd.NumFaces())
-		fillBagDerived(g, fd, b, darts)
 		hasSep := d.Bool()
 		if hasSep != (nc == 2) {
 			return nil, d.Failf("bag %d separator/children mismatch", i)
@@ -149,8 +137,14 @@ func decodeTree(d *codec.Reader, g *planar.Graph) (*TreeEntry, error) {
 			s.InsideWeight, s.TotalWeight = int(d.Uvarint()), int(d.Uvarint())
 			s.Balance = math.Float64frombits(d.Uvarint())
 			s.TreeDepth = int(d.Uvarint())
-			for side := range links[i].extra {
-				links[i].extra[side] = readIDs(d, g.NumDarts())
+			for side := range b.HoleDarts {
+				hs := readDarts(d, g.NumDarts())
+				for j, h := range hs {
+					if b.Has(h) || !b.Has(planar.Rev(h)) || (j > 0 && h <= hs[j-1]) {
+						return nil, d.Failf("bag %d hole dart %d", i, h)
+					}
+				}
+				b.HoleDarts[side] = hs
 			}
 			b.Sep = s
 		}
@@ -158,9 +152,6 @@ func decodeTree(d *codec.Reader, g *planar.Graph) (*TreeEntry, error) {
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	// Link the tree and rebuild each separator's per-dart side assignment
-	// from child membership (split assigned dart d to the child InBag it
-	// lands in; darts outside the bag carry -1).
 	for i, b := range bags {
 		if links[i].parent >= 0 {
 			b.Parent = bags[links[i].parent]
@@ -168,28 +159,16 @@ func decodeTree(d *codec.Reader, g *planar.Graph) (*TreeEntry, error) {
 		for _, c := range links[i].children {
 			b.Children = append(b.Children, bags[c])
 		}
-		if len(b.Children) == 2 {
-			side := make([]int8, g.NumDarts())
-			for d := range side {
-				side[d] = -1
-			}
-			for ci, c := range b.Children {
-				for _, dart := range c.Darts {
-					side[dart] = int8(ci)
-				}
-			}
-			for ci := range links[i].extra {
-				for _, dart := range links[i].extra[ci] {
-					side[dart] = int8(ci)
-				}
-			}
-			b.Sep.Side = side
-		}
 	}
 	for _, b := range bags {
 		for _, c := range b.Children {
 			if c.Parent != b {
 				return nil, d.Failf("bag %d claimed by two parents", c.ID)
+			}
+			for _, dart := range c.Darts {
+				if !b.Has(dart) {
+					return nil, d.Failf("bag %d holds dart %d its parent %d lacks", c.ID, dart, b.ID)
+				}
 			}
 		}
 	}
@@ -198,31 +177,17 @@ func decodeTree(d *codec.Reader, g *planar.Graph) (*TreeEntry, error) {
 	return &TreeEntry{LeafLimit: int(leafLimit), BuildRounds: buildRounds, Tree: t}, nil
 }
 
-// fillBagDerived mirrors bdd.(*BDD).fillDerived without the BFS: darts
-// are stored, membership and face tables derive from them, and the
-// measured TreeDepth travels in the snapshot.
-func fillBagDerived(g *planar.Graph, fd *planar.FaceData, b *bdd.Bag, darts []int) {
-	b.Darts = make([]planar.Dart, len(darts))
-	b.InBag = make([]bool, g.NumDarts())
-	b.EdgeIn = make([]bool, g.M())
-	b.FaceSet = make(map[int]bool)
-	faceDarts := map[int]int{}
-	for i, di := range darts {
-		dart := planar.Dart(di)
-		b.Darts[i] = dart
-		b.InBag[dart] = true
-		b.EdgeIn[planar.EdgeOf(dart)] = true
-		f := fd.FaceOf(dart)
-		if !b.FaceSet[f] {
-			b.FaceSet[f] = true
-			b.Faces = append(b.Faces, f)
-		}
-		faceDarts[f]++
+// readDarts is readIDs for a dart list.
+func readDarts(d *codec.Reader, limit int) []planar.Dart {
+	ids := readIDs(d, limit)
+	if ids == nil {
+		return nil
 	}
-	b.Whole = make(map[int]bool, len(b.Faces))
-	for _, f := range b.Faces {
-		b.Whole[f] = faceDarts[f] == fd.Len(f)
+	out := slices.Grow([]planar.Dart(nil), len(ids))[:len(ids)]
+	for i, x := range ids {
+		out[i] = planar.Dart(x)
 	}
+	return out
 }
 
 func dartsToInts(ds []planar.Dart) []int {

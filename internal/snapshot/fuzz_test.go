@@ -62,7 +62,8 @@ var updateCorpus = flag.Bool("update-corpus", false, "rewrite the committed Fuzz
 // interesting shapes: a valid snapshot, truncations at several depths, a
 // flipped payload bit, a flipped CRC byte, a future version, and — cut from
 // the tri40 golden fixture, CRCs refreshed — one label section per thing a
-// vector over the tree's layout cannot hold (strictInputs), then the valid
+// vector over the tree's layout cannot hold (strictInputs), one tree section
+// per thing a decomposition cannot be (treeStrictInputs), then the valid
 // snapshot with a prices section and one per thing that section cannot say
 // (pricesInputs).
 func TestWriteSeedCorpus(t *testing.T) {
@@ -87,6 +88,9 @@ func TestWriteSeedCorpus(t *testing.T) {
 		"flipped-crc":      flippedCRC,
 	}
 	for name, data := range strictInputs(t) {
+		seeds[name] = data
+	}
+	for name, data := range treeStrictInputs(t) {
 		seeds[name] = data
 	}
 	withPrices, strictPrices := pricesInputs(t)

@@ -44,6 +44,7 @@ import (
 	"hash/crc32"
 	"hash/fnv"
 	"io"
+	"slices"
 
 	"planarflow/internal/codec"
 	"planarflow/internal/label"
@@ -146,7 +147,7 @@ func readIDs(d *codec.Reader, limit int) []int {
 	if n == 0 {
 		return nil
 	}
-	out := make([]int, n)
+	out := slices.Grow([]int(nil), n)[:n] // sized as bdd.Build sizes what a bag keeps
 	prev := int64(0)
 	for i := range out {
 		prev += d.Varint()
@@ -220,7 +221,7 @@ func Encode(w io.Writer, g *planar.Graph, c *Contents) error {
 		return err
 	}
 	for _, t := range c.Trees {
-		payload, err := encodeTree(g, &t)
+		payload, err := encodeTree(&t)
 		if err != nil {
 			return err
 		}

@@ -127,9 +127,9 @@ func TestRoundTrip(t *testing.T) {
 			t.Fatalf("bag %d separator presence mismatch", i)
 		}
 		if wb.Sep != nil {
-			for d := range wb.Sep.Side {
-				if wb.Sep.Side[d] != hb.Sep.Side[d] {
-					t.Fatalf("bag %d side[%d] = %d, want %d", i, d, hb.Sep.Side[d], wb.Sep.Side[d])
+			for d := planar.Dart(0); int(d) < g.NumDarts(); d++ {
+				if ws, hs := wb.SideOf(d), hb.SideOf(d); ws != hs {
+					t.Fatalf("bag %d side of dart %d = %d, want %d", i, d, hs, ws)
 				}
 			}
 		}

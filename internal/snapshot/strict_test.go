@@ -7,11 +7,14 @@ import (
 	"hash/crc32"
 	"os"
 	"reflect"
+	"slices"
 	"testing"
 
+	"planarflow/internal/bdd"
 	"planarflow/internal/codec"
 	"planarflow/internal/label"
 	"planarflow/internal/ledger"
+	"planarflow/internal/planar"
 )
 
 // splitSnapshot cuts a snapshot into its header (through the section count)
@@ -227,6 +230,75 @@ func strictInputs(t testing.TB) map[string][]byte {
 	return out
 }
 
+// treeStrictInputs are the tree sections a decomposition cannot be, each an
+// edit of tri40-leaf8-v1.pfsnap's tree re-encoded as the only section of a
+// snapshot (CRC fresh, no labeling over it, so only the tree decoder can
+// object): a bag that lists a dart twice, and a bag holding a dart its
+// parent does not.
+func treeStrictInputs(t testing.TB) map[string][]byte {
+	t.Helper()
+	g := goldenFixtures[1].graph(t)
+	data, err := os.ReadFile(goldenFixtures[1].path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr, types, _ := splitSnapshot(t, data)
+	if types[0] != secTree {
+		t.Fatal("fixture does not open with a tree section")
+	}
+	edit := func(change func(tree *bdd.BDD)) []byte {
+		c, err := Decode(bytes.NewReader(data), g, lengthsFor(g))
+		if err != nil {
+			t.Fatal(err)
+		}
+		change(c.Trees[0].Tree)
+		p, err := encodeTree(&c.Trees[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := binary.AppendUvarint(append([]byte(nil), hdr[:6+1+8]...), 1)
+		return joinSnapshot(h, []byte{secTree}, [][]byte{p})
+	}
+	leaf := func(tree *bdd.BDD) *bdd.Bag {
+		for _, b := range tree.Bags {
+			if b.IsLeaf() && b.Parent != tree.Root {
+				return b
+			}
+		}
+		t.Fatal("fixture has no leaf below the root's children")
+		return nil
+	}
+	return map[string][]byte{
+		"strict-tree-repeated-dart": edit(func(tree *bdd.BDD) {
+			b := leaf(tree)
+			b.Darts = append(slices.Clip(b.Darts), b.Darts[0])
+		}),
+		"strict-tree-child-not-in-parent": edit(func(tree *bdd.BDD) {
+			b := leaf(tree)
+			for d := planar.Dart(0); int(d) < g.NumDarts(); d++ {
+				if !b.Parent.Has(d) {
+					b.Darts = append(slices.Clip(b.Darts[:len(b.Darts)-1]), d)
+					return
+				}
+			}
+			t.Fatal("a leaf's parent holds every dart")
+		}),
+	}
+}
+
+// TestTreeSectionStrictness: a tree section whose bags are not dart sets
+// of the parent's is ErrCorrupt.
+func TestTreeSectionStrictness(t *testing.T) {
+	g := goldenFixtures[1].graph(t)
+	for name, data := range treeStrictInputs(t) {
+		if _, err := Decode(bytes.NewReader(data), g, lengthsFor(g)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: got %v, want ErrCorrupt", name, err)
+		} else {
+			t.Logf("%s: %v", name, err)
+		}
+	}
+}
+
 // TestLabelSectionStrictness: a label section whose lists are not exactly
 // the tree's layout is ErrCorrupt, never a short vector, an unset slot or
 // an out-of-range write.
@@ -256,7 +328,7 @@ func TestTreeThatDoesNotHangTogether(t *testing.T) {
 			continue
 		}
 		for f := 0; f < g.Faces().NumFaces(); f++ {
-			if !b.FaceSet[f] {
+			if !slices.Contains(b.Faces, f) {
 				b.FX = append(append([]int(nil), b.FX...), f)
 				data := encodeAll(t, g, c)
 				if _, err := Decode(bytes.NewReader(data), g, lengthsFor(g)); !errors.Is(err, ErrCorrupt) {
