@@ -179,18 +179,18 @@ func refDDGMinCycle(ddg *label.BagDDG) int64 {
 			if skip(a) {
 				continue
 			}
-			dg.AddArc(a.From, a.To, a.Len, -1)
+			dg.AddArc(int(a.From), int(a.To), a.Len, -1)
 		}
 		return dg
 	}
 	// (1) Cycles using a dual separator arc a (and hence not rev(a)).
 	for _, a := range ddg.Arcs {
-		if a.Dart == planar.NoDart || a.Len >= best {
+		if a.Dart == int32(planar.NoDart) || a.Len >= best {
 			continue
 		}
-		rev := planar.Rev(a.Dart)
+		rev := int32(planar.Rev(planar.Dart(a.Dart)))
 		dg := build(func(o label.DDGArc) bool { return o.Dart == rev })
-		if back := spath.Dijkstra(dg, a.To).Dist[a.From]; back < spath.Inf {
+		if back := spath.Dijkstra(dg, int(a.To)).Dist[a.From]; back < spath.Inf {
 			if c := a.Len + back; c < best {
 				best = c
 			}
@@ -208,7 +208,7 @@ func refDDGMinCycle(ddg *label.BagDDG) int64 {
 			inReps[r] = true
 		}
 		dg := build(func(o label.DDGArc) bool {
-			return o.Dart == planar.NoDart && o.Len == 0 && inReps[o.From] && inReps[o.To]
+			return o.Dart == int32(planar.NoDart) && o.Len == 0 && inReps[int(o.From)] && inReps[int(o.To)]
 		})
 		for _, r1 := range reps {
 			dist := spath.Dijkstra(dg, r1).Dist

@@ -3,6 +3,7 @@ package label
 import (
 	"context"
 	"fmt"
+	"unsafe"
 
 	"planarflow/internal/bdd"
 	"planarflow/internal/ledger"
@@ -19,11 +20,11 @@ type DDGNode struct {
 
 // DDGArc is an arc of the base DDG, tagged with its provenance.
 type DDGArc struct {
-	From, To int // node indices
-	Len      int64
+	From, To int32 // node indices
 	// Dart is the primal dart for cross arcs (NoDart for clique and zero
 	// arcs).
-	Dart planar.Dart
+	Dart int32
+	Len  int64
 }
 
 // BagDDG is the base dense distance graph of a non-leaf bag: nodes are the
@@ -130,7 +131,7 @@ func SSSPFrom(ctx context.Context, v View, t *bdd.BDD, lengths []int64, source i
 	for d := planar.Dart(0); int(d) < g.NumDarts(); d++ {
 		if l := lengths[d]; l < spath.Inf {
 			from, to := pl.v.ends(g, d)
-			arcs = append(arcs, DDGArc{From: from, To: to, Len: l, Dart: d})
+			arcs = append(arcs, DDGArc{From: int32(from), To: int32(to), Len: l, Dart: int32(d)})
 		}
 	}
 	var k kernel
@@ -289,36 +290,39 @@ func (la *Labeling) Separator(b *bdd.Bag) []int { return la.pl.lay[b.ID].Sep }
 // matrix cell (Child pointers reference labels counted where they live and
 // add nothing). The BDD the labeling decodes over is accounted separately.
 //
-// The constants are twice the structures' sizes (a Label is 104 bytes, an
-// entry 8, a DDGArc 40), which puts the estimate at 1.87–1.88× the heap a
-// labeling keeps alive (TestFootprintBoundsHeap holds it inside [1, 2]×).
-// The second byte stands for what a resident bundle keeps alive beside its
-// labelings and trees and the budget does not see — the per-tree plans, the
-// graph's face tables, the decode engine's rows — and the factor is
-// calibrated on bench/'s serve_churn, whose resident set is budget-bound, so
-// its ready_heap_mb measures how much real heap 38 MiB of estimate buys
-// (seed 1; the map-backed labels before it read 29.6 MiB at 1.38–1.64×,
-// hit ratio 0.30):
+// The constants are twice the records' sizes, read off unsafe.Sizeof (a
+// Label is 48 bytes, an entry 8, a DDGArc 24), which puts the estimate at
+// 1.78–1.96× the heap a labeling keeps alive, computed or restored
+// (TestFootprintBoundsHeap and TestRestoredFootprintBoundsHeap hold it
+// inside [1, 2]×). The second byte stands for what a resident bundle keeps
+// alive beside its labelings and trees and the budget does not see — the
+// per-tree plans, the graph's face tables, the decode engine's rows — and
+// the factor was calibrated on bench/'s serve_churn while its resident set
+// was budget-bound, so its ready_heap_mb measured how much real heap 38 MiB
+// of estimate buys (seed 1; the map-backed labels before it read 29.6 MiB
+// at 1.38–1.64×, hit ratio 0.30):
 //
 //	entry + label + arc     est/real     ready_heap_mb     hit ratio
 //	 8 B + 128 B + 40 B     0.95         (fails the test)
 //	14 B + 184 B + 64 B     1.64–1.65    32.8  (+10.8 %)    0.92
 //	16 B + 208 B + 80 B     1.87–1.88    29.0  (−2.3 %)     0.86
+//	16 B +  96 B + 48 B     1.78–1.96    27.1  (−5.7 %)     1.00
 //
-// Smaller labelings pack the budget tighter, so at the old ratio the same
-// 38 MiB of estimate held more real heap than before; charging the plans to
-// the bundle instead (ROADMAP item 5) would let the factor come down.
+// The third row charged a 32-byte DDGArc at 80. With the last, the
+// workload's 16 bundles come to 33.8 MiB of estimate, under the budget:
+// every bundle stays resident, and that row measures capacity, not the
+// factor. Charging the plans to the bundle instead (ROADMAP item 5) would
+// let the factor come down.
 func (la *Labeling) FootprintBytes() int64 {
 	const (
-		entry      = 16
-		labelFixed = 208
-		arcSize    = 80
+		entry      = int64(2 * unsafe.Sizeof(int64(0)))
+		labelFixed = int64(2 * unsafe.Sizeof(Label{}))
+		arcSize    = int64(2 * unsafe.Sizeof(DDGArc{}))
 	)
 	var b int64
 	for _, labels := range la.byBag {
 		for i := range labels {
-			l := &labels[i]
-			b += labelFixed + int64(len(l.To)+len(l.From)+len(l.LeafTo))*entry
+			b += labelFixed + int64(len(labels[i].vec))*entry
 		}
 	}
 	for _, ddg := range la.ddgs {
@@ -344,8 +348,8 @@ func (ps *pass) computeLeaf(b *bdd.Bag, wanted []int) int64 {
 	}
 	rows := make([]int64, len(wanted)*n)
 	la.labelBag(b, wanted, func(l *Label) {
-		l.LeafTo, rows = rows[:n:n], rows[n:]
-		ps.k.row(int(l.pos), l.LeafTo)
+		l.vec, rows = rows[:n:n], rows[n:]
+		ps.k.row(int(l.pos), l.vec)
 	})
 	return int64(b.TreeDepth + n + arcs)
 }
@@ -375,7 +379,7 @@ func (la *Labeling) labelBag(b *bdd.Bag, wanted []int, fill func(l *Label)) {
 		}
 		w++
 		l := &labels[idx]
-		*l = Label{Bag: b, Key: k, pos: int32(i), sep: -1}
+		*l = Label{bag: int32(b.ID), key: int32(k), pos: int32(i), sep: -1}
 		if lay.SepPos != nil {
 			l.sep = lay.SepPos[i]
 		}
@@ -409,7 +413,7 @@ func (ps *pass) computeInternal(b *bdd.Bag, wanted []int) int64 {
 					continue
 				}
 				if w := Decode(l1, la.at(cid, e2.cpos)); w < spath.Inf {
-					ddg.Arcs = append(ddg.Arcs, DDGArc{From: e1.rep, To: e2.rep, Len: w, Dart: planar.NoDart})
+					ddg.Arcs = append(ddg.Arcs, DDGArc{From: int32(e1.rep), To: int32(e2.rep), Len: w, Dart: int32(planar.NoDart)})
 				}
 			}
 		}
@@ -453,20 +457,17 @@ func (ps *pass) computeInternal(b *bdd.Bag, wanted []int) int64 {
 
 	// Labels for the wanted keys of the bag.
 	vecs := make([]int64, 2*len(wanted)*ns)
+	for q := range vecs {
+		vecs[q] = spath.Inf
+	}
 	la.labelBag(b, wanted, func(l *Label) {
-		l.From, vecs = vecs[:ns:ns], vecs[ns:]
-		l.To, vecs = vecs[:ns:ns], vecs[ns:]
-		for q := range l.From {
-			l.From[q] = spath.Inf
-		}
-		for q := range l.To {
-			l.To[q] = spath.Inf
-		}
+		l.vec, vecs = vecs[:2*ns:2*ns], vecs[2*ns:]
+		to, from := l.vec[:ns], l.vec[ns:]
 		if l.sep >= 0 {
 			// Distances directly from the base matrix (min over reps).
 			for _, r := range bp.sepReps[l.sep] {
-				minInto(l.To, ps.toSep[r*ns:], 0)
-				minInto(l.From, ps.fromSep[r*ns:], 0)
+				minInto(to, ps.toSep[r*ns:], 0)
+				minInto(from, ps.fromSep[r*ns:], 0)
 			}
 			return
 		}
@@ -479,10 +480,10 @@ func (ps *pass) computeInternal(b *bdd.Bag, wanted []int) int64 {
 		for _, e := range bp.childSep[ci] {
 			lp := la.at(childID[ci], e.cpos)
 			if dgo := Decode(lk, lp); dgo < spath.Inf {
-				minInto(l.To, ps.toSep[e.rep*ns:], dgo)
+				minInto(to, ps.toSep[e.rep*ns:], dgo)
 			}
 			if dback := Decode(lp, lk); dback < spath.Inf {
-				minInto(l.From, ps.fromSep[e.rep*ns:], dback)
+				minInto(from, ps.fromSep[e.rep*ns:], dback)
 			}
 		}
 	})

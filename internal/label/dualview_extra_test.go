@@ -72,8 +72,8 @@ func TestDDGStructure(t *testing.T) {
 		// Separator arcs carry real darts of dual S_X edges; zero/clique
 		// arcs carry NoDart.
 		for _, a := range ddg.Arcs {
-			if a.Dart != planar.NoDart {
-				e := planar.EdgeOf(a.Dart)
+			if a.Dart != int32(planar.NoDart) {
+				e := planar.EdgeOf(planar.Dart(a.Dart))
 				found := false
 				for _, se := range b.DualSXEdges {
 					if se == e {
@@ -109,12 +109,12 @@ func TestLabelWordsAccounting(t *testing.T) {
 		l := la.RootLabel(f)
 		// Words must count both the local To/From entries and the
 		// recursive tail.
-		want := 2 + 2*(len(l.To)+len(l.From))
+		want := 2 + 2*(len(l.To())+len(l.From()))
 		if l.Child != nil {
 			want += l.Child.Words()
 		}
-		if l.LeafTo != nil {
-			want += 2 * len(l.LeafTo)
+		if l.LeafTo() != nil {
+			want += 2 * len(l.LeafTo())
 		}
 		if l.Words() != want {
 			t.Fatalf("face %d: words=%d want %d", f, l.Words(), want)

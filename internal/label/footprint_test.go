@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"testing"
+	"unsafe"
 
 	"planarflow/internal/bdd"
 	"planarflow/internal/ledger"
@@ -54,5 +55,17 @@ func TestFootprintBoundsHeap(t *testing.T) {
 			}
 			runtime.KeepAlive(la)
 		}
+	}
+}
+
+// TestLabelRecordSizes pins the two records a labeling holds one of per key
+// and per DDG arc, whose sizes FootprintBytes charges: a field added to
+// either shows here before it shows in every resident labeling.
+func TestLabelRecordSizes(t *testing.T) {
+	if got := unsafe.Sizeof(Label{}); got > 48 {
+		t.Errorf("Label is %d B, want at most 48", got)
+	}
+	if got := unsafe.Sizeof(DDGArc{}); got > 24 {
+		t.Errorf("DDGArc is %d B, want at most 24", got)
 	}
 }

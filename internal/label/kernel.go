@@ -89,7 +89,7 @@ func (k *kernel) loadArcs(n int, arcs []DDGArc) {
 	// Place each arc at its tail's cursor, then shift the cursors back.
 	for _, a := range arcs {
 		i := start[a.From]
-		k.ownTo[i], k.ownDart[i], k.length[i] = int32(a.To), a.Dart, a.Len
+		k.ownTo[i], k.ownDart[i], k.length[i] = a.To, planar.Dart(a.Dart), a.Len
 		start[a.From]++
 	}
 	copy(start[1:], start[:n])

@@ -29,9 +29,9 @@ func randomArcs(rng *rand.Rand, n int, negCycle bool) []DDGArc {
 		if from == to {
 			l = rng.Int64N(5)
 		}
-		arcs = append(arcs, DDGArc{From: from, To: to, Len: l})
+		arcs = append(arcs, DDGArc{From: int32(from), To: int32(to), Len: l})
 		if rng.IntN(8) == 0 {
-			arcs = append(arcs, DDGArc{From: from, To: to, Len: l + rng.Int64N(3)})
+			arcs = append(arcs, DDGArc{From: int32(from), To: int32(to), Len: l + rng.Int64N(3)})
 		}
 	}
 	if negCycle && n > 1 {
@@ -39,7 +39,7 @@ func randomArcs(rng *rand.Rand, n int, negCycle bool) []DDGArc {
 		if b >= a {
 			b++
 		}
-		arcs = append(arcs, DDGArc{From: a, To: b, Len: 3}, DDGArc{From: b, To: a, Len: -4})
+		arcs = append(arcs, DDGArc{From: int32(a), To: int32(b), Len: 3}, DDGArc{From: int32(b), To: int32(a), Len: -4})
 	}
 	return arcs
 }
@@ -70,7 +70,7 @@ func TestKernelMatchesBellmanFord(t *testing.T) {
 			}
 			dg, super := spath.NewDigraph(n+1), n
 			for _, a := range active {
-				dg.AddArc(a.From, a.To, a.Len, -1)
+				dg.AddArc(int(a.From), int(a.To), a.Len, -1)
 			}
 			for i := 0; i < n; i++ {
 				dg.AddArc(super, i, 0, -1)
@@ -130,12 +130,12 @@ func TestShortestMatchesDijkstra(t *testing.T) {
 			lengths := make([]int64, len(leaf))
 			for i := range leaf {
 				leaf[i].Len = max(leaf[i].Len, 0)
-				leaf[i].Dart, lengths[i] = planar.Dart(i), leaf[i].Len
+				leaf[i].Dart, lengths[i] = int32(i), leaf[i].Len
 			}
 			ddg := append([]DDGArc(nil), leaf...)
 			for i := range ddg {
 				if rng.IntN(4) == 0 {
-					ddg[i].Dart = planar.NoDart
+					ddg[i].Dart = int32(planar.NoDart)
 				}
 			}
 			bp := csrOf(n, leaf)
@@ -151,7 +151,7 @@ func TestShortestMatchesDijkstra(t *testing.T) {
 					src, dst, skip := rng.IntN(n), rng.IntN(n), planar.NoDart
 					if len(arcs) > 0 && rng.IntN(3) > 0 {
 						a := arcs[rng.IntN(len(arcs))]
-						src, dst, skip = a.From, a.To, a.Dart
+						src, dst, skip = int(a.From), int(a.To), planar.Dart(a.Dart)
 					}
 					bound := spath.Inf
 					if rng.IntN(2) == 0 {
@@ -159,8 +159,8 @@ func TestShortestMatchesDijkstra(t *testing.T) {
 					}
 					dg := spath.NewDigraph(n)
 					for _, a := range arcs {
-						if !(a.From == src && a.To == dst && a.Dart == skip) {
-							dg.AddArc(a.From, a.To, a.Len, -1)
+						if !(int(a.From) == src && int(a.To) == dst && planar.Dart(a.Dart) == skip) {
+							dg.AddArc(int(a.From), int(a.To), a.Len, -1)
 						}
 					}
 					want := spath.Dijkstra(dg, src).Dist[dst]
@@ -192,7 +192,7 @@ func csrOf(n int, arcs []DDGArc) *bagPlan {
 	}
 	next := append([]int32(nil), bp.leafStart[:n]...)
 	for i, a := range arcs {
-		bp.leafTo[next[a.From]], bp.leafDart[next[a.From]] = int32(a.To), planar.Dart(i)
+		bp.leafTo[next[a.From]], bp.leafDart[next[a.From]] = a.To, planar.Dart(i)
 		next[a.From]++
 	}
 	return bp

@@ -32,10 +32,11 @@
 // lengths[d] (spath.Inf deactivates the arc), so directed and residual
 // graphs are expressed directly.
 //
-// Layout invariant: every distance vector of a bag is a []int64 in the order
-// the bag's plan fixes (BagLayout) — To and From over the separator in Sep
-// order, LeafTo over the leaf's keys in Keys order — and a bag's labels sit
-// in one slab in Keys order, their vectors cut from one more. A label carries
+// Layout invariant: a label holds one distance vector, a []int64 in the
+// order the bag's plan fixes (BagLayout) — in a non-leaf bag To‖From, the
+// two halves over the separator in Sep order; in a leaf LeafTo over the
+// leaf's keys in Keys order — and a bag's labels sit in one slab in Keys
+// order, their vectors cut in the same order from one more. A label carries
 // its own two positions (pos among the keys, sep in the separator or -1), so
 // Decode indexes the other label's vector with them and never hashes or
 // consults the plan. Who may index what: Decode and the pass index vectors
@@ -67,69 +68,94 @@
 // decoder checks it against the rows and drops it.
 package label
 
-import (
-	"planarflow/internal/bdd"
-	"planarflow/internal/spath"
-)
+import "planarflow/internal/spath"
 
 // Label is the distance label of one key (a face in the dual view, a
-// vertex in the primal) within one bag (§5.2).
+// vertex in the primal) within one bag (§5.2): one distance vector and four
+// words of identity, the Õ(D)-word label of Lemma 5.17.
 type Label struct {
-	Bag *bdd.Bag
-	Key int
-
-	// To[i] = dist(Key -> k) and From[i] = dist(k -> Key) in the bag, for
-	// k the i-th separator key of the bag's layout (non-leaf bags).
-	To, From []int64
-
 	// Child is the recursive label in the unique child bag wholly containing
-	// Key (nil for separator keys and leaves).
+	// the key (nil for separator keys and leaves).
 	Child *Label
 
-	// LeafTo[i] = dist(Key -> k) for k the i-th key of the leaf bag's layout.
-	LeafTo []int64
+	// vec is the label's one distance vector: To‖From in a non-leaf bag,
+	// LeafTo in a leaf, cut from the bag's slab.
+	vec []int64
 
-	// pos is Key's position among the bag's keys, sep its position in the
-	// bag's separator (-1 outside it, and in a leaf): where other labels of
-	// the bag hold the distances to and from Key.
-	pos, sep int32
+	// bag is the bag's ID and key the label's key. pos is the key's position
+	// among the bag's keys, sep its position in the bag's separator (-1
+	// outside it, and in a leaf): where other labels of the bag hold the
+	// distances to and from the key.
+	bag, key, pos, sep int32
+}
+
+// leaf reports whether l is a leaf bag's label: only there is a key neither
+// in the separator nor in a child.
+func (l *Label) leaf() bool { return l.sep < 0 && l.Child == nil }
+
+// To returns dist(key -> k) for k the i-th separator key of the bag's
+// layout, the first half of the vector (nil in a leaf).
+func (l *Label) To() []int64 {
+	if l.leaf() {
+		return nil
+	}
+	n := len(l.vec) / 2
+	return l.vec[:n:n]
+}
+
+// From returns dist(k -> key) for k the i-th separator key of the bag's
+// layout, the second half of the vector (nil in a leaf).
+func (l *Label) From() []int64 {
+	if l.leaf() {
+		return nil
+	}
+	return l.vec[len(l.vec)/2:]
+}
+
+// LeafTo returns dist(key -> k) for k the i-th key of the leaf bag's layout
+// (nil outside a leaf).
+func (l *Label) LeafTo() []int64 {
+	if !l.leaf() {
+		return nil
+	}
+	return l.vec
 }
 
 // Words returns the label size in O(log n)-bit words (an ID plus a distance
 // per entry, per level), the quantity Lemma 5.17 bounds by Õ(D).
 func (l *Label) Words() int {
-	w := 2 // bag ID + key
-	w += 2 * (len(l.LeafTo) + len(l.To) + len(l.From))
+	w := 2 + 2*len(l.vec) // bag ID + key, then the entries
 	if l.Child != nil {
 		w += l.Child.Words()
 	}
 	return w
 }
 
-// Decode returns dist(a.Key -> b.Key) in the bag both labels belong to
+// Decode returns dist(a.key -> b.key) in the bag both labels belong to
 // (Lemma 5.16). Returns spath.Inf when unreachable.
 func Decode(a, b *Label) int64 {
-	if a.Key == b.Key {
+	if a.pos == b.pos {
 		return 0
 	}
-	if a.LeafTo != nil {
-		return a.LeafTo[b.pos]
+	if a.leaf() {
+		return a.vec[b.pos]
 	}
 	// If either key is in the separator the distance is stored directly.
+	ns := len(a.vec) / 2
+	to, from := a.vec[:ns], b.vec[ns:2*ns]
 	if b.sep >= 0 {
-		return a.To[b.sep]
+		return to[b.sep]
 	}
 	if a.sep >= 0 {
-		return b.From[a.sep]
+		return from[a.sep]
 	}
 	best := spath.Inf
-	from := b.From[:len(a.To)]
-	for i, da := range a.To {
+	for i, da := range to {
 		if db := from[i]; da < spath.Inf && db < spath.Inf && da+db < best {
 			best = da + db
 		}
 	}
-	if a.Child != nil && b.Child != nil && a.Child.Bag == b.Child.Bag {
+	if a.Child.bag == b.Child.bag {
 		if d := Decode(a.Child, b.Child); d < best {
 			best = d
 		}

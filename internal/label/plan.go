@@ -362,14 +362,14 @@ func (pl *plan) ddgSkeleton(b *bdd.Bag, lay *BagLayout, bp *bagPlan, pos []int32
 			if !ok1 || !ok2 {
 				return fmt.Errorf("cross edge %d does not join separator keys of the two children", e)
 			}
-			bp.crossArcs = append(bp.crossArcs, DDGArc{From: tail, To: head, Dart: d})
+			bp.crossArcs = append(bp.crossArcs, DDGArc{From: int32(tail), To: int32(head), Dart: int32(d)})
 		}
 	}
 	for _, reps := range bp.sepReps {
 		for _, i := range reps {
 			for _, j := range reps {
 				if i != j {
-					bp.zeroArcs = append(bp.zeroArcs, DDGArc{From: i, To: j, Dart: planar.NoDart})
+					bp.zeroArcs = append(bp.zeroArcs, DDGArc{From: int32(i), To: int32(j), Dart: int32(planar.NoDart)})
 				}
 			}
 		}

@@ -164,21 +164,21 @@ func TestProbeMatchesFullLabeling(t *testing.T) {
 			}
 			skipped[v] += len(full.byBag[id]) - len(labels)
 			for i := range labels {
-				got, f := &labels[i], labels[i].Key
+				got, f := &labels[i], int(labels[i].key)
 				want := full.Label(tree.Bags[id], f)
 				if want == nil {
 					t.Fatalf("%s: bag %d key %d labeled by the probe only", name, id, f)
 				}
-				if !reflect.DeepEqual(got.To, want.To) || !reflect.DeepEqual(got.From, want.From) ||
-					!reflect.DeepEqual(got.LeafTo, want.LeafTo) {
+				if !reflect.DeepEqual(got.To(), want.To()) || !reflect.DeepEqual(got.From(), want.From()) ||
+					!reflect.DeepEqual(got.LeafTo(), want.LeafTo()) {
 					t.Fatalf("%s: bag %d key %d: label vectors differ", name, id, f)
 				}
 				if (got.Child == nil) != (want.Child == nil) {
 					t.Fatalf("%s: bag %d key %d: Child presence differs", name, id, f)
 				}
 				if got.Child != nil {
-					cid := want.Child.Bag.ID
-					if got.Child.Bag.ID != cid || got.Child != probe.Label(tree.Bags[cid], f) {
+					cid := int(want.Child.bag)
+					if int(got.Child.bag) != cid || got.Child != probe.Label(tree.Bags[cid], f) {
 						t.Fatalf("%s: bag %d key %d: Child is not the probe's label in bag %d", name, id, f, cid)
 					}
 				}

@@ -40,7 +40,7 @@ func (la *Labeling) SSSP(source int, led *ledger.Ledger) *SSSPResult {
 		words = src.Words()
 		root := la.byBag[la.T.Root.ID]
 		for i := range root {
-			res.Dist[root[i].Key] = Decode(src, &root[i])
+			res.Dist[root[i].key] = Decode(src, &root[i])
 		}
 	}
 	la.pl.finishSSSP(res, la.Lengths, words, led)

@@ -31,40 +31,42 @@ func (la *Labeling) State() (byBag [][]Label, ddgs []*BagDDG) {
 
 // FromState reassembles a Labeling from codec-decoded parts: its view, the
 // tree it decodes over, the per-dart lengths (rederived from the graph,
-// never stored), the negative-cycle flag, and the per-bag state in bag-ID
-// order. Of each label the codec fills the vectors — To and From, or
-// LeafTo, in Layouts order; identity, positions and Child links are the
-// layout's and are set here. It is the snapshot codec's inverse of State;
-// the result is indistinguishable from one produced by Compute.
-func FromState(v View, t *bdd.BDD, lengths []int64, negCycle bool, byBag [][]Label, ddgs []*BagDDG) (*Labeling, error) {
+// never stored), the negative-cycle flag, and per bag, in bag-ID order, the
+// slab of its labels' vectors (nil for a bag without labels). A slab holds
+// one vector per key in Layouts order — To‖From over the separator, or
+// LeafTo over the leaf's keys — and FromState cuts the labels from it: their
+// identity, positions and Child links are the layout's. It is the snapshot
+// codec's inverse of State; the result is indistinguishable from one
+// produced by Compute.
+func FromState(v View, t *bdd.BDD, lengths []int64, negCycle bool, vecs [][]int64, ddgs []*BagDDG) (*Labeling, error) {
 	pl, err := planOf(t, views[v])
 	if err != nil {
 		return nil, err
 	}
-	if len(byBag) != len(t.Bags) {
-		return nil, fmt.Errorf("label: state spans %d bags, tree has %d", len(byBag), len(t.Bags))
+	if len(vecs) != len(t.Bags) {
+		return nil, fmt.Errorf("label: state spans %d bags, tree has %d", len(vecs), len(t.Bags))
 	}
+	byBag := make([][]Label, len(t.Bags))
 	// Children have larger IDs than their parents, so in reverse ID order a
-	// Child link lands in a slab already checked.
+	// Child link lands in a slab already cut.
 	for id := len(t.Bags) - 1; id >= 0; id-- {
-		b, lay, labels := t.Bags[id], &pl.lay[id], byBag[id]
-		if labels == nil {
+		b, lay, slab := t.Bags[id], &pl.lay[id], vecs[id]
+		if slab == nil {
 			continue
 		}
-		if len(labels) != len(lay.Keys) {
-			return nil, fmt.Errorf("label: bag %d holds %d labels for %d keys", id, len(labels), len(lay.Keys))
+		n, width := len(lay.Keys), 2*len(lay.Sep)
+		if b.IsLeaf() {
+			width = n
 		}
+		if len(slab) != n*width {
+			return nil, fmt.Errorf("label: bag %d: %d vector entries for %d keys of width %d", id, len(slab), n, width)
+		}
+		labels := make([]Label, n)
 		for i := range labels {
 			l := &labels[i]
-			l.Bag, l.Key, l.pos, l.sep = b, lay.Keys[i], int32(i), -1
+			*l = Label{vec: slab[i*width : (i+1)*width : (i+1)*width], bag: int32(id), key: int32(lay.Keys[i]), pos: int32(i), sep: -1}
 			if b.IsLeaf() {
-				if len(l.LeafTo) != len(lay.Keys) || l.To != nil || l.From != nil {
-					return nil, fmt.Errorf("label: bag %d key %d: not a leaf label of the bag's layout", id, l.Key)
-				}
 				continue
-			}
-			if len(l.To) != len(lay.Sep) || len(l.From) != len(lay.Sep) || l.LeafTo != nil {
-				return nil, fmt.Errorf("label: bag %d key %d: not a label of the bag's layout", id, l.Key)
 			}
 			if l.sep = lay.SepPos[i]; l.sep < 0 {
 				child := byBag[b.Children[lay.ChildOf[i]].ID]
@@ -74,6 +76,7 @@ func FromState(v View, t *bdd.BDD, lengths []int64, negCycle bool, byBag [][]Lab
 				l.Child = &child[lay.ChildPos[i]]
 			}
 		}
+		byBag[id] = labels
 	}
 	return &Labeling{T: t, Lengths: lengths, NegCycle: negCycle, pl: pl,
 		byBag: byBag, slot: make([][]int32, len(byBag)), ddgs: ddgs}, nil

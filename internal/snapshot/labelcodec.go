@@ -113,14 +113,15 @@ func encodeLabeling(la *LabelEntry) ([]byte, error) {
 		if len(labels) != len(lay.Keys) {
 			return nil, fmt.Errorf("snapshot: encode: bag %d holds %d labels for %d keys", id, len(labels), len(lay.Keys))
 		}
-		leaf := la.Labeling.T.Bags[id].IsLeaf()
+		b := la.Labeling.T.Bags[id]
+		leaf := b.IsLeaf()
 		if leaf && len(col) < len(labels) {
 			col = make([]int64, len(labels))
 		}
 		e = codec.AppendUvarint(e, uint64(len(labels)))
 		for _, pos := range lay.KeyOrder {
 			l := &labels[pos]
-			e = codec.AppendUvarint(e, uint64(l.Key))
+			e = codec.AppendUvarint(e, uint64(lay.Keys[pos]))
 			var flags byte
 			if leaf {
 				flags |= flagLeaf
@@ -130,17 +131,17 @@ func encodeLabeling(la *LabelEntry) ([]byte, error) {
 			}
 			e = append(e, flags)
 			if l.Child != nil {
-				e = codec.AppendUvarint(e, uint64(l.Child.Bag.ID))
+				e = codec.AppendUvarint(e, uint64(b.Children[lay.ChildOf[pos]].ID))
 			}
 			if leaf {
-				e = encodeVec(e, lay.Keys, lay.KeyOrder, l.LeafTo)
+				e = encodeVec(e, lay.Keys, lay.KeyOrder, l.LeafTo())
 				for j := range labels {
-					col[j] = labels[j].LeafTo[pos]
+					col[j] = labels[j].LeafTo()[pos]
 				}
 				e = encodeVec(e, lay.Keys, lay.KeyOrder, col)
 			} else {
-				e = encodeVec(e, lay.Sep, lay.SepOrder, l.To)
-				e = encodeVec(e, lay.Sep, lay.SepOrder, l.From)
+				e = encodeVec(e, lay.Sep, lay.SepOrder, l.To())
+				e = encodeVec(e, lay.Sep, lay.SepOrder, l.From())
 			}
 		}
 	}
@@ -190,7 +191,7 @@ func decodeLabeling(d *codec.Reader, v label.View, g *planar.Graph, c *Contents,
 	if err != nil {
 		return nil, d.Failf("%v", err)
 	}
-	labels := decodeBags(d, t, lays)
+	vecs := decodeBags(d, t, lays)
 	var ddgs []*label.BagDDG
 	if v == label.Dual {
 		ddgs = decodeDDGs(d, t, lays, g.NumDarts())
@@ -202,7 +203,7 @@ func decodeLabeling(d *codec.Reader, v label.View, g *planar.Graph, c *Contents,
 	if err != nil {
 		return nil, err
 	}
-	la, err := label.FromState(v, t, lens, negCycle, labels, ddgs)
+	la, err := label.FromState(v, t, lens, negCycle, vecs, ddgs)
 	if err != nil {
 		return nil, d.Failf("%v", err)
 	}
@@ -210,19 +211,20 @@ func decodeLabeling(d *codec.Reader, v label.View, g *planar.Graph, c *Contents,
 }
 
 // decodeBags reads the per-bag label layout: a presence flag per bag, then
-// the bag's labels in ascending key order, each placed at its key's
-// position in the layout with its vectors cut from one slab per bag. The
-// result is indexed by bag; nil entries mean the bag had no labels (a
-// labeling aborted by a negative cycle). Identity, positions and Child
-// links are the layout's — what the section says of them is checked
-// against it here and set by label.FromState. A failure is left on d.
-func decodeBags(d *codec.Reader, t *bdd.BDD, lays []label.BagLayout) [][]label.Label {
+// the bag's labels in ascending key order, each label's vector placed at
+// its key's position in the bag's slab (To‖From, or LeafTo, per key in
+// layout order). The result is the slabs, indexed by bag; nil entries mean
+// the bag had no labels (a labeling aborted by a negative cycle). Identity,
+// positions and Child links are the layout's — what the section says of
+// them is checked against it here, and label.FromState cuts the labels. A
+// failure is left on d.
+func decodeBags(d *codec.Reader, t *bdd.BDD, lays []label.BagLayout) [][]int64 {
 	numBags := len(t.Bags)
 	if nb := readCount(d); nb != numBags {
 		d.Failf("labeling spans %d bags, tree has %d", nb, numBags)
 		return nil
 	}
-	byBag := make([][]label.Label, numBags)
+	byBag := make([][]int64, numBags)
 	var col []int64 // a leaf's LeafFrom lists, to hold against its LeafTo rows
 	for i, b := range t.Bags {
 		if !d.Bool() {
@@ -235,28 +237,24 @@ func decodeBags(d *codec.Reader, t *bdd.BDD, lays []label.BagLayout) [][]label.L
 			return nil
 		}
 		leaf := b.IsLeaf()
-		width := len(lay.Sep)
+		// A label's vector is its To‖From lists, or a leaf's LeafTo (its
+		// LeafFrom list is read into col beside it).
+		width, entries := 2*len(lay.Sep), 2*len(lay.Sep)
 		if leaf {
-			width = n
+			width, entries = n, 2*n
 		}
-		// Key, flags and two counts, then two bytes per vector entry: what
-		// the slabs below hold has to be in the bytes still unread.
-		if n*(4+4*width) > d.Remaining() {
+		// Key, flags and two counts, then two bytes per list entry: what
+		// the slab below holds has to be in the bytes still unread.
+		if n*(4+2*entries) > d.Remaining() {
 			d.Failf("bag %d: %d labels of width %d in %d remaining bytes", i, n, width, d.Remaining())
 			return nil
 		}
-		labels := make([]label.Label, n)
-		var vecs []int64
-		if leaf {
-			vecs = make([]int64, n*n)
-			if len(col) < n*n {
-				col = make([]int64, n*n)
-			}
-		} else {
-			vecs = make([]int64, 2*n*width)
+		vecs := make([]int64, n*width)
+		if leaf && len(col) < n*n {
+			col = make([]int64, n*n)
 		}
 		for _, pos := range lay.KeyOrder {
-			l := &labels[pos]
+			vec := vecs[int(pos)*width : (int(pos)+1)*width]
 			key := d.Uvarint()
 			if key != uint64(lay.Keys[pos]) {
 				d.Failf("bag %d: label key %d where the bag's next key is %d", i, key, lay.Keys[pos])
@@ -283,20 +281,16 @@ func decodeBags(d *codec.Reader, t *bdd.BDD, lays []label.BagLayout) [][]label.L
 				}
 			}
 			if leaf {
-				lo, hi := int(pos)*n, (int(pos)+1)*n
-				l.LeafTo = vecs[lo:hi:hi]
-				decodeVec(d, lay.Keys, lay.KeyOrder, l.LeafTo)
-				decodeVec(d, lay.Keys, lay.KeyOrder, col[lo:hi])
+				decodeVec(d, lay.Keys, lay.KeyOrder, vec)
+				decodeVec(d, lay.Keys, lay.KeyOrder, col[int(pos)*n:(int(pos)+1)*n])
 				continue
 			}
-			l.From, vecs = vecs[:width:width], vecs[width:]
-			l.To, vecs = vecs[:width:width], vecs[width:]
-			decodeVec(d, lay.Sep, lay.SepOrder, l.To)
-			decodeVec(d, lay.Sep, lay.SepOrder, l.From)
+			decodeVec(d, lay.Sep, lay.SepOrder, vec[:width/2])
+			decodeVec(d, lay.Sep, lay.SepOrder, vec[width/2:])
 		}
 		if leaf {
-			for r := range labels {
-				for c, v := range labels[r].LeafTo {
+			for r := 0; r < n; r++ {
+				for c, v := range vecs[r*n : (r+1)*n] {
 					if col[c*n+r] != v {
 						d.Failf("bag %d: LeafFrom of key %d is not the column of the bag's LeafTo rows", i, lay.Keys[c])
 						return nil
@@ -304,7 +298,7 @@ func decodeBags(d *codec.Reader, t *bdd.BDD, lays []label.BagLayout) [][]label.L
 				}
 			}
 		}
-		byBag[i] = labels
+		byBag[i] = vecs
 	}
 	return byBag
 }
@@ -334,13 +328,13 @@ func decodeDDGs(d *codec.Reader, t *bdd.BDD, lays []label.BagLayout, numDarts in
 		ddg.Arcs = make([]label.DDGArc, readCount(d))
 		for j := range ddg.Arcs {
 			a := &ddg.Arcs[j]
-			a.From, a.To, a.Len = d.ID(nn), d.ID(nn), d.Varint()
+			a.From, a.To, a.Len = int32(d.ID(nn)), int32(d.ID(nn)), d.Varint()
 			dart := d.Varint()
 			if dart < -1 || dart >= int64(numDarts) {
 				d.Failf("DDG arc dart %d", dart)
 				return nil
 			}
-			a.Dart = planar.Dart(dart)
+			a.Dart = int32(dart)
 		}
 		if nn*nn > d.Remaining() {
 			d.Failf("bag %d: %d×%d DDG matrix in %d remaining bytes", i, nn, nn, d.Remaining())
