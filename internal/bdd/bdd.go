@@ -90,11 +90,6 @@ func (b *Bag) Has(d planar.Dart) bool {
 	return uint(w) < uint(len(b.member)) && b.member[w]&(1<<(uint(d)&63)) != 0
 }
 
-// HasEdge reports whether edge e has at least one dart in the bag.
-func (b *Bag) HasEdge(e int) bool {
-	return b.Has(planar.ForwardDart(e)) || b.Has(planar.BackwardDart(e))
-}
-
 // NumEdges returns the number of edges with at least one dart in the bag.
 func (b *Bag) NumEdges() int { return b.numEdges }
 

@@ -87,6 +87,115 @@ func TestDartPartitionPerLevel(t *testing.T) {
 	}
 }
 
+func TestKnowledgeBagChainsCoverLevels(t *testing.T) {
+	// What a dart's endpoints know of the decomposition is its bag chain:
+	// from the root, the one child holding the dart at each level, down to a
+	// leaf, one bag per level.
+	g := planar.Grid(7, 7)
+	bd := buildOn(t, g, 12)
+	for d := planar.Dart(0); int(d) < g.NumDarts(); d++ {
+		b := bd.Root
+		if !b.Has(d) {
+			t.Fatalf("dart %d not in the root bag", d)
+		}
+		for !b.IsLeaf() {
+			var next *Bag
+			for _, c := range b.Children {
+				if c.Has(d) {
+					if next != nil {
+						t.Fatalf("dart %d in both children of bag %d", d, b.ID)
+					}
+					next = c
+				}
+			}
+			if next == nil {
+				t.Fatalf("dart %d stops at non-leaf bag %d", d, b.ID)
+			}
+			if next.Level != b.Level+1 {
+				t.Fatalf("dart %d: bag %d at level %d under bag %d at level %d", d, next.ID, next.Level, b.ID, b.Level)
+			}
+			b = next
+		}
+		if b.Level > bd.Depth {
+			t.Fatalf("dart %d: leaf bag %d at level %d below depth %d", d, b.ID, b.Level, bd.Depth)
+		}
+	}
+}
+
+func TestKnowledgeCriticalMatchesSplitFaces(t *testing.T) {
+	// Lemma 5.3's critical face: a whole face split between a bag's children
+	// is the face the virtual e_X is embedded in, so it is in F_X and both
+	// endpoints of e_X lie on it.
+	g := planar.Grid(9, 9)
+	bd := buildOn(t, g, 16)
+	fd := g.Faces()
+	critical := 0
+	for _, b := range bd.Bags {
+		if b.IsLeaf() {
+			continue
+		}
+		for _, f := range b.Faces {
+			if !b.IsWhole(f) || !slices.Contains(b.Children[0].Faces, f) || !slices.Contains(b.Children[1].Faces, f) {
+				continue
+			}
+			critical++
+			if b.Sep.EX.Real {
+				t.Fatalf("bag %d: whole face %d split despite real e_X", b.ID, f)
+			}
+			if !slices.Contains(b.FX, f) {
+				t.Fatalf("bag %d: split whole face %d not in F_X", b.ID, f)
+			}
+			onU, onV := false, false
+			for _, d := range fd.Cycle(f) {
+				onU = onU || g.Tail(d) == b.Sep.EX.U
+				onV = onV || g.Tail(d) == b.Sep.EX.V
+			}
+			if !onU || !onV {
+				t.Fatalf("bag %d: virtual e_X (%d,%d) not on split face %d", b.ID, b.Sep.EX.U, b.Sep.EX.V, f)
+			}
+		}
+	}
+	t.Logf("%d critical faces", critical)
+}
+
+func TestHalfEdgesOnAncestorSeparator(t *testing.T) {
+	// Lemma 5.5: a bag loses one dart of an edge only to a hole an ancestor's
+	// separator cut, so an edge with a single dart in a bag lies on some
+	// ancestor's S_X.
+	rng := planar.NewRand(19)
+	graphs := []*planar.Graph{
+		planar.Grid(8, 8),
+		planar.Grid(3, 20),
+		planar.Cylinder(4, 8),
+		planar.StackedTriangulation(120, rng),
+		planar.NestedTriangles(10),
+		planar.RemoveRandomEdges(planar.StackedTriangulation(80, rng), rng, 40),
+	}
+	half := 0
+	for gi, g := range graphs {
+		bd := buildOn(t, g, 14)
+		for _, b := range bd.Bags {
+			for _, d := range b.Darts {
+				if b.Has(planar.Rev(d)) {
+					continue
+				}
+				half++
+				e := planar.EdgeOf(d)
+				onAncestorSep := false
+				for a := b.Parent; a != nil && !onAncestorSep; a = a.Parent {
+					onAncestorSep = slices.Contains(a.SXEdges, e)
+				}
+				if !onAncestorSep {
+					t.Fatalf("graph %d bag %d: edge %d has one dart in the bag and is on no ancestor's S_X", gi, b.ID, e)
+				}
+			}
+		}
+	}
+	if half == 0 {
+		t.Fatal("no bag holds a single dart of an edge: the rule was never exercised")
+	}
+}
+
 func TestEdgeUnionProperty(t *testing.T) {
 	// Property 6: X = union of child bags (as edge sets).
 	g := planar.Grid(7, 9)
@@ -280,4 +389,9 @@ func TestDualSXEdgesAreInXStar(t *testing.T) {
 			}
 		}
 	}
+}
+
+// HasEdge reports whether edge e has at least one dart in the bag.
+func (b *Bag) HasEdge(e int) bool {
+	return b.Has(planar.ForwardDart(e)) || b.Has(planar.BackwardDart(e))
 }

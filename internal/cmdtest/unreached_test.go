@@ -37,14 +37,8 @@ var auditedDirs = []string{
 // execution grounds; or the ROADMAP item that owns the decision. A helper
 // only its own package's tests use belongs in a _test.go file instead.
 var unreachedAllowed = map[string]string{
-	// Decisions a ROADMAP item owns.
-	"bdd.BuildKnowledge":   "§5.1.3's distributed knowledge and its knowledge/* rounds, charged by no production build: ROADMAP item 8 decides",
-	"bdd.Knowledge.Verify": "checks BuildKnowledge against the central BDD: ROADMAP item 8 decides with it",
-
 	// References, checkers and generators other packages' tests compare against.
 	"store.Store.EvictAll":        "flowd's TestPeerRestoreDiskRung empties the memory tier through it to reach the disk rung",
-	"congest.NewPortEngine":       "hatg's TestHatGDiameterByMessagePassing runs BFS on Ĝ through it (Properties 2–3 of Ĝ)",
-	"congest.PortBFS":             "hatg's TestHatGDiameterByMessagePassing measures Ĝ's eccentricity with it (Properties 2–3 of Ĝ)",
 	"planar.InsertEdgeInFace":     "the oracle core's TestHassinMatchesInsertRoute holds the in-place face split to",
 	"planar.RemoveRandomEdges":    "generator of sparse planar inputs for the bdd, core, hatg, label, minoragg and separator tests",
 	"planar.FaceData.LargestFace": "picks the outer face in minoragg's TestMarkDualCutEdges and pa's TestDualPAGroupedFaces",
@@ -53,10 +47,9 @@ var unreachedAllowed = map[string]string{
 	"spath.CutWeightDirected":     "the checker core's TestGlobalMinCutMatchesBaseline weighs a reported side with",
 
 	// Executions that ground a ledger formula or a paper property.
-	"congest.PipelinedBroadcast":      "grounds ledger.PipelinedBroadcastRounds (depth + k) by exchanging the messages",
-	"congest.TreeAggregate":           "grounds the 2·(depth+1) convergecast-and-broadcast charge of maxflow/find-path, dirgirth/assemble and */mark-tree (TestTreeAggregateSum)",
-	"congest.PipelinedUpcastDistinct": "grounds §5.1.3's pass-each-message-once upcast that bdd.BuildKnowledge charges",
-	"congest.IdentifyFaces":           "grounds Property 4 of Ĝ, the minimum-ID face leader pa.faceLeaders elects",
+	"congest.PipelinedBroadcast": "grounds ledger.PipelinedBroadcastRounds (depth + k) by exchanging the messages",
+	"congest.TreeAggregate":      "grounds the 2·(depth+1) convergecast-and-broadcast charge of maxflow/find-path, dirgirth/assemble and */mark-tree (TestTreeAggregateSum)",
+	"congest.IdentifyFaces":      "grounds Property 4 of Ĝ, the minimum-ID face leader pa.faceLeaders elects",
 
 	// Methods reached only through an interface, never named at a call site.
 	"wire.Status.String":      "fmt.Stringer",
@@ -69,9 +62,6 @@ var unreachedAllowed = map[string]string{
 	"congest.Engine.Run":      "congest.Runner",
 	"congest.Engine.B":        "congest.Runner",
 	"congest.Engine.Graph":    "congest.Runner",
-	"congest.PortEngine.Run":  "congest.PortRunner",
-	"congest.PortEngine.B":    "congest.PortRunner",
-	"congest.PortEngine.N":    "congest.PortRunner",
 	"pa.adjNet.N":             "pa.Network",
 	"pa.adjNet.NeighborsOf":   "pa.Network",
 }

@@ -1,8 +1,6 @@
 package congest
 
 import (
-	"math/rand"
-	"sort"
 	"testing"
 
 	"planarflow/internal/planar"
@@ -153,35 +151,6 @@ func TestPipelinedBroadcast(t *testing.T) {
 	}
 }
 
-func TestPipelinedUpcastDistinct(t *testing.T) {
-	g := planar.Grid(4, 4)
-	e := NewEngine(g)
-	tree, _ := DistributedBFS(e, 0)
-	input := make([][]int64, g.N())
-	distinct := map[int64]bool{}
-	rng := rand.New(rand.NewSource(11))
-	for v := range input {
-		for i := 0; i < 3; i++ {
-			x := int64(rng.Intn(9))
-			input[v] = append(input[v], x)
-			distinct[x] = true
-		}
-	}
-	got, stats := PipelinedUpcastDistinct(e, tree, input)
-	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-	if len(got) != len(distinct) {
-		t.Fatalf("got %d distinct, want %d", len(got), len(distinct))
-	}
-	for _, x := range got {
-		if !distinct[x] {
-			t.Fatalf("unexpected value %d", x)
-		}
-	}
-	if stats.Rounds > 4*(tree.Height+len(distinct))+16 {
-		t.Fatalf("upcast rounds=%d height=%d k=%d", stats.Rounds, tree.Height, len(distinct))
-	}
-}
-
 func TestIdentifyFaces(t *testing.T) {
 	for _, g := range []*planar.Graph{
 		planar.Grid(3, 3),
@@ -241,6 +210,29 @@ func TestEngineDetectsCongestionViolation(t *testing.T) {
 		}
 		c.Halt()
 	}, 4)
+	if stats.Violations != 1 {
+		t.Fatalf("violations=%d want 1", stats.Violations)
+	}
+}
+
+func TestPortEngineDuplicateSendViolation(t *testing.T) {
+	// Each dart of an edge is its own port: one message per direction per
+	// round is legal, a second on the same dart is one violation.
+	g := planar.Grid(1, 2)
+	e := NewEngine(g)
+	d := g.Rotation(0)[0]
+	stats := e.Run(func(c *Ctx) {
+		if c.Round == 0 {
+			switch c.V {
+			case 0:
+				c.Send(d, 1, e.B())
+				c.Send(d, 2, e.B())
+			case 1:
+				c.Send(planar.Rev(d), 3, e.B())
+			}
+		}
+		c.Halt()
+	}, 3)
 	if stats.Violations != 1 {
 		t.Fatalf("violations=%d want 1", stats.Violations)
 	}

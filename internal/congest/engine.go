@@ -13,16 +13,18 @@
 // sends nothing.
 //
 // The engine measures rounds, message counts and bandwidth violations; tests
-// assert that algorithms never exceed the per-edge budget. No query path runs
+// assert that algorithms never exceed the per-edge budget. It is the one
+// engine: a computation on the face-disjoint graph Ĝ runs on it too, each
+// vertex of G hosting its own Ĝ copies (hatg's tests). No query path runs
 // on it: flowbench's SCHED experiment and the property tests that ground a
 // ledger formula or a property of Ĝ do. The original channel-per-dart
-// engines live on in legacy_test.go as the differential-testing reference.
+// engine lives on in legacy_test.go as the differential-testing reference.
 package congest
 
 import (
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 
 	"planarflow/internal/planar"
 )
@@ -124,19 +126,18 @@ func (e *Engine) Graph() *planar.Graph { return e.g }
 func newDartTopology(g *planar.Graph) *topology {
 	n := g.N()
 	nd := g.NumDarts()
-	t := &topology{n: n, dest: make([]int32, nd), in: make([][]inRef, n)}
+	t := &topology{n: n, dest: make([]int32, nd), in: make([][]int32, n)}
 	for d := 0; d < nd; d++ {
 		t.dest[d] = int32(g.Head(planar.Dart(d)))
 	}
 	for v := 0; v < n; v++ {
 		rot := g.Rotation(v)
-		refs := make([]inRef, 0, len(rot))
+		in := make([]int32, 0, len(rot))
 		for _, d := range rot {
-			in := int32(planar.Rev(d))
-			refs = append(refs, inRef{slot: in, key: in})
+			in = append(in, int32(planar.Rev(d)))
 		}
-		sort.Slice(refs, func(i, j int) bool { return refs[i].slot < refs[j].slot })
-		t.in[v] = refs
+		slices.Sort(in)
+		t.in[v] = in
 	}
 	t.finishOffsets()
 	return t
@@ -150,10 +151,7 @@ func (e *Engine) Run(step StepFunc, maxRounds int) Stats {
 		ctxs[v] = &Ctx{V: v}
 	}
 	return runSched(e.topo, e.b, e.workers, maxRounds,
-		func(key int32, payload any, bits int32) Received {
-			return Received{In: planar.Dart(key), Payload: payload, Bits: int(bits)}
-		},
-		func(v, round int, in []Received, out outbox[Received]) bool {
+		func(v, round int, in []Received, out outbox) bool {
 			c := ctxs[v]
 			c.Round = round
 			c.In = in

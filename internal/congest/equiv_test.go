@@ -2,17 +2,16 @@ package congest
 
 import (
 	"fmt"
-	"sort"
 	"testing"
 
 	"planarflow/internal/planar"
 )
 
 // Differential tests: every primitive must produce identical Stats and
-// identical results on the flat-mailbox scheduler (Engine/PortEngine) and
-// on the reference channel engines (ChanEngine/ChanPortEngine). The graph
-// set includes instances well above the scheduler's serial threshold so the
-// persistent worker pool path is exercised.
+// identical results on the flat-mailbox scheduler (Engine) and on the
+// reference channel engine (ChanEngine). The graph set includes instances
+// well above the scheduler's serial threshold so the persistent worker pool
+// path is exercised.
 
 func equivGraphs() map[string]*planar.Graph {
 	return map[string]*planar.Graph{
@@ -101,29 +100,6 @@ func TestEquivalencePipelinedBroadcast(t *testing.T) {
 	}
 }
 
-func TestEquivalencePipelinedUpcast(t *testing.T) {
-	for name, g := range equivGraphs() {
-		rng := planar.NewRand(11)
-		input := make([][]int64, g.N())
-		for v := range input {
-			for i := 0; i < 3; i++ {
-				input[v] = append(input[v], int64(rng.IntN(17)))
-			}
-		}
-		ec, es := NewChanEngine(g), NewEngine(g)
-		treeC, _ := DistributedBFS(ec, 0)
-		treeS, _ := DistributedBFS(es, 0)
-		gotC, statsC := PipelinedUpcastDistinct(ec, treeC, input)
-		gotS, statsS := PipelinedUpcastDistinct(es, treeS, input)
-		diffStats(t, name, statsC, statsS)
-		sort.Slice(gotC, func(i, j int) bool { return gotC[i] < gotC[j] })
-		sort.Slice(gotS, func(i, j int) bool { return gotS[i] < gotS[j] })
-		if fmt.Sprint(gotC) != fmt.Sprint(gotS) {
-			t.Fatalf("%s: upcast diverges: %v vs %v", name, gotC, gotS)
-		}
-	}
-}
-
 func TestEquivalenceIdentifyFaces(t *testing.T) {
 	for name, g := range equivGraphs() {
 		minC, statsC := IdentifyFaces(NewChanEngine(g))
@@ -132,20 +108,6 @@ func TestEquivalenceIdentifyFaces(t *testing.T) {
 		for d := range minC {
 			if minC[d] != minS[d] {
 				t.Fatalf("%s: face id diverges at dart %d: %d vs %d", name, d, minC[d], minS[d])
-			}
-		}
-	}
-}
-
-func TestEquivalencePortBFS(t *testing.T) {
-	for _, g := range []*planar.Graph{planar.Grid(9, 13), planar.Cylinder(5, 20)} {
-		adj := gridAdj(g)
-		distC, statsC := PortBFS(NewChanPortEngine(adj), 0)
-		distS, statsS := PortBFS(NewPortEngine(adj), 0)
-		diffStats(t, "portbfs", statsC, statsS)
-		for v := range distC {
-			if distC[v] != distS[v] {
-				t.Fatalf("port dist diverges at %d: %d vs %d", v, distC[v], distS[v])
 			}
 		}
 	}

@@ -199,47 +199,3 @@ func PipelinedBroadcast(e Runner, tree *Tree, values []int64) ([][]int64, Stats)
 	}, 8*(n+len(values))+16)
 	return got, stats
 }
-
-// PipelinedUpcastDistinct upcasts every distinct value held by any vertex to
-// the root, deduplicating en route (the paper's "pass each message only
-// once" broadcasts, §5.1.3). Returns the distinct values seen at the root;
-// takes O(height + #distinct) measured rounds.
-func PipelinedUpcastDistinct(e Runner, tree *Tree, input [][]int64) ([]int64, Stats) {
-	g := e.Graph()
-	n := g.N()
-	queue := make([][]int64, n)
-	seen := make([]map[int64]bool, n)
-	for v := 0; v < n; v++ {
-		seen[v] = make(map[int64]bool)
-		for _, x := range input[v] {
-			if !seen[v][x] {
-				seen[v][x] = true
-				queue[v] = append(queue[v], x)
-			}
-		}
-	}
-	stats := e.Run(func(c *Ctx) {
-		v := c.V
-		for _, m := range c.In {
-			if tok, ok := m.Payload.(pipeToken); ok && !seen[v][tok.val] {
-				seen[v][tok.val] = true
-				queue[v] = append(queue[v], tok.val)
-			}
-		}
-		if len(queue[v]) > 0 && v != tree.Root {
-			x := queue[v][0]
-			queue[v] = queue[v][1:]
-			c.Send(planar.Rev(tree.Parent[v]), pipeToken{val: x}, e.B())
-		}
-		// A vertex still holding queued values must stay awake to keep
-		// draining one per round; everyone else sleeps until woken.
-		if v == tree.Root || len(queue[v]) == 0 {
-			c.Halt()
-		}
-	}, 16*n+16)
-	var out []int64
-	for x := range seen[tree.Root] {
-		out = append(out, x)
-	}
-	return out, stats
-}

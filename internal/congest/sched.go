@@ -1,16 +1,16 @@
 package congest
 
-// This file is the shared simulation core both CONGEST engines compile to.
+// This file is the simulation core Engine compiles to.
 //
-// A network is flattened into out-slots: every (vertex, outgoing link) pair
-// gets one slot in a flat mailbox slice. Sending writes the slot; delivery
-// one round later reads it. Two mailbox generations are kept (double
+// A network is flattened into out-slots: every dart gets one slot in a flat
+// mailbox slice, indexed by its id. Sending writes the slot; delivery one
+// round later reads it. Two mailbox generations are kept (double
 // buffering): the round's steps read generation "cur" and write generation
 // "nxt", and the two slices are swapped at the round boundary — no channels,
 // no per-round allocation.
 //
 // Inboxes live in a single arena with one fixed segment per vertex, filled
-// each round by scanning the vertex's in-slots in a precomputed order, so
+// each round by scanning the vertex's in-darts in ascending id order, so
 // inbox construction neither allocates nor sorts and is deterministic by
 // construction.
 //
@@ -21,29 +21,23 @@ package congest
 // arrives for it, so quiescent regions of the network cost nothing. Halt is
 // therefore a *sleep* — "I have nothing to do until I hear something" — and
 // the run ends when every vertex sleeps in a round that sent no messages,
-// exactly the termination condition the channel engines used.
+// exactly the termination condition the channel engine used.
 
 import (
 	"sync"
 	"sync/atomic"
-)
 
-// inRef names one in-slot of a vertex: the flat mailbox slot the message is
-// read from and the receiver-visible key it is labeled with (the dart id for
-// Engine, the local port number for PortEngine). A vertex's inRefs are
-// stored pre-sorted in inbox order.
-type inRef struct {
-	slot int32
-	key  int32
-}
+	"planarflow/internal/planar"
+)
 
 // topology is the immutable flattened communication structure shared by all
 // Runs of an engine: who each out-slot delivers to, and each vertex's
-// in-slots in deterministic inbox order.
+// in-slots in deterministic inbox order. Slot s is dart s, so an in-slot is
+// also the dart a receiver sees the message arrive on.
 type topology struct {
 	n     int
 	dest  []int32   // dest[s] = vertex that slot s delivers to
-	in    [][]inRef // in[v] = v's in-slots, inbox order
+	in    [][]int32 // in[v] = v's in-slots, ascending
 	inOff []int32   // arena segment of v is [inOff[v], inOff[v+1])
 }
 
@@ -82,12 +76,12 @@ type schedCounters struct {
 }
 
 // schedRun is the per-Run mutable state of the scheduler.
-type schedRun[M any] struct {
+type schedRun struct {
 	topo *topology
 	b    int
 
 	cur, nxt []mailSlot
-	arena    []M
+	arena    []Received
 	wake     []atomic.Bool
 
 	active []int32
@@ -96,23 +90,22 @@ type schedRun[M any] struct {
 	idx      atomic.Int64
 	counters []schedCounters
 
-	wrap func(key int32, payload any, bits int32) M
-	step func(v, round int, in []M, out outbox[M]) bool
+	step func(v, round int, in []Received, out outbox) bool
 }
 
-// outbox is the send surface handed to the adapter's step callback; it
-// routes messages into the next mailbox generation and accounts them on the
+// outbox is the send surface handed to Engine's step callback; it routes
+// messages into the next mailbox generation and accounts them on the
 // calling worker's counters.
-type outbox[M any] struct {
-	r  *schedRun[M]
+type outbox struct {
+	r  *schedRun
 	ws *schedCounters
 }
 
 // post sends a message on out-slot s, enforcing the bit budget and the
-// one-message-per-link-per-round rule exactly as the channel engines did:
+// one-message-per-link-per-round rule exactly as the channel engine did:
 // oversized messages are delivered but counted as violations; a second send
 // on the same slot in one round is dropped and counted.
-func (o outbox[M]) post(slot int32, payload any, bits int) {
+func (o outbox) post(slot int32, payload any, bits int) {
 	r := o.r
 	if bits > r.b {
 		o.ws.violations++
@@ -137,26 +130,26 @@ func (o outbox[M]) post(slot int32, payload any, bits int) {
 // its step, and records its halt vote. Safe to run concurrently for
 // distinct vertices: in-slot sets and arena segments are disjoint, and each
 // out-slot has a unique owner.
-func (r *schedRun[M]) processVertex(v int32, ws *schedCounters) {
+func (r *schedRun) processVertex(v int32, ws *schedCounters) {
 	off := r.topo.inOff[v]
 	seg := r.arena[off:off:r.topo.inOff[v+1]]
-	for _, ref := range r.topo.in[v] {
-		s := &r.cur[ref.slot]
+	for _, slot := range r.topo.in[v] {
+		s := &r.cur[slot]
 		if s.full {
-			seg = append(seg, r.wrap(ref.key, s.payload, s.bits))
+			seg = append(seg, Received{In: planar.Dart(slot), Payload: s.payload, Bits: int(s.bits)})
 			s.full = false
 			s.payload = nil
 		}
 	}
 	ws.delivered += int64(len(seg))
-	if halted := r.step(int(v), r.round, seg, outbox[M]{r: r, ws: ws}); !halted {
+	if halted := r.step(int(v), r.round, seg, outbox{r: r, ws: ws}); !halted {
 		ws.stayed = append(ws.stayed, v)
 	}
 }
 
 // claim runs the worker share of one round: vertices are claimed from the
 // active list via an atomic cursor.
-func (r *schedRun[M]) claim(ws *schedCounters) {
+func (r *schedRun) claim(ws *schedCounters) {
 	n := int64(len(r.active))
 	for {
 		i := r.idx.Add(1) - 1
@@ -172,15 +165,13 @@ func (r *schedRun[M]) claim(ws *schedCounters) {
 // are dominated by handoff cost otherwise.
 const serialThreshold = 64
 
-// runSched executes the synchronous round loop over a topology. wrap
-// converts a delivered slot into the adapter's message type; step runs one
-// vertex for one round and reports whether it went to sleep. Semantics
-// (Stats fields, violation rules, termination) match the channel engines.
-func runSched[M any](
+// runSched executes the synchronous round loop over a topology. step runs
+// one vertex for one round and reports whether it went to sleep. Semantics
+// (Stats fields, violation rules, termination) match the channel engine.
+func runSched(
 	topo *topology,
 	b, workers, maxRounds int,
-	wrap func(key int32, payload any, bits int32) M,
-	step func(v, round int, in []M, out outbox[M]) bool,
+	step func(v, round int, in []Received, out outbox) bool,
 ) Stats {
 	n := topo.n
 	nslots := len(topo.dest)
@@ -188,16 +179,15 @@ func runSched[M any](
 		workers = 1
 	}
 
-	r := &schedRun[M]{
+	r := &schedRun{
 		topo:     topo,
 		b:        b,
 		cur:      make([]mailSlot, nslots),
 		nxt:      make([]mailSlot, nslots),
-		arena:    make([]M, nslots),
+		arena:    make([]Received, nslots),
 		wake:     make([]atomic.Bool, n),
 		active:   make([]int32, n),
 		counters: make([]schedCounters, workers+1),
-		wrap:     wrap,
 		step:     step,
 	}
 	for v := range r.active {

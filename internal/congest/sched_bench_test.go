@@ -52,19 +52,3 @@ func BenchmarkChanFloodMinGrid32(b *testing.B) {
 	g := planar.Grid(32, 32)
 	benchFlood(b, NewChanEngine(g), g.N())
 }
-
-func benchPortBFS(b *testing.B, e PortRunner) {
-	b.Helper()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		PortBFS(e, 0)
-	}
-}
-
-func BenchmarkSchedPortBFSGrid32(b *testing.B) {
-	benchPortBFS(b, NewPortEngine(gridAdj(planar.Grid(32, 32))))
-}
-
-func BenchmarkChanPortBFSGrid32(b *testing.B) {
-	benchPortBFS(b, NewChanPortEngine(gridAdj(planar.Grid(32, 32))))
-}

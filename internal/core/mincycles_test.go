@@ -239,7 +239,7 @@ func refLeafDirMinCycle(g *planar.Graph, b *bdd.Bag) int64 {
 	}
 	var arcs []arc
 	for e := 0; e < g.M(); e++ {
-		if !b.HasEdge(e) {
+		if !b.Has(planar.ForwardDart(e)) && !b.Has(planar.BackwardDart(e)) {
 			continue
 		}
 		ed := g.Edge(e)

@@ -165,8 +165,10 @@ func (h *Graph) FaceOfCopy(x int) int { return h.faceOfCopy[x] }
 
 // CheckFaceCycles verifies Property 1/4 structure: the Ring subgraph
 // decomposes into cycles, one per face of G, with copies of a face's corners
-// appearing on exactly that face's cycle. Used by tests and the planarcheck
-// tool.
+// appearing on exactly that face's cycle. Its only production caller is
+// planarcheck's summary view; Property 3, Ĝ simulated on G at 2×, is
+// checked by running a BFS over Ĝ on G's congest.Engine in this package's
+// tests.
 func (h *Graph) CheckFaceCycles() error {
 	fd := h.prim.Faces()
 	// Count Ring-degree: every copy must have exactly two ring arcs.
