@@ -149,12 +149,15 @@ func TestFleetTracezEndpoint(t *testing.T) {
 		t.Fatalf("family=dist filter dropped the trace entirely")
 	}
 
-	// Malformed min_ms must 400, not 500 or silently match-all.
+	// A malformed, negative or non-finite min_ms must 400, not 500 or a
+	// 200 that silently matches all or nothing (NaN >= x is false).
 	if r, _ = get("/fleettracez?min_ms=banana"); r.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad min_ms: status %d, want 400", r.StatusCode)
 	}
-	if r, _ = get("/fleettracez?min_ms=-1"); r.StatusCode != http.StatusBadRequest {
-		t.Fatalf("negative min_ms: status %d, want 400", r.StatusCode)
+	for _, v := range []string{"-1", "NaN", "Inf", "%2BInf"} {
+		if r, _ = get("/fleettracez?min_ms=" + v); r.StatusCode != http.StatusBadRequest {
+			t.Fatalf("min_ms=%s: status %d, want 400", v, r.StatusCode)
+		}
 	}
 }
 
@@ -278,9 +281,15 @@ func TestMetricszStoreCountsPerReplica(t *testing.T) {
 	}
 	var sum store.Stats
 	for _, rep := range f.reps {
-		st, err := flowd.NewClient(rep.Member().HTTP).Stats(ctx)
+		r, err := http.Get(rep.Member().HTTP + "/statsz")
 		if err != nil {
 			t.Fatal(err)
+		}
+		var st flowd.StatsResponse
+		err = json.NewDecoder(r.Body).Decode(&st)
+		r.Body.Close()
+		if err != nil {
+			t.Fatalf("%s/statsz: %v", rep.Name, err)
 		}
 		series := page(rep.Member().HTTP)
 		if got := series["store_evictions_total"]; got != float64(st.Store.Evictions) {

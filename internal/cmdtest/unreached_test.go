@@ -45,6 +45,9 @@ var unreachedAllowed = map[string]string{
 	"spath.APSPBellmanFord":       "the all-pairs baseline label's TestLabelsMatchBaselinePositive and TestMatchesBaselineGrids compare every distance against",
 	"spath.DirectedMinCycle":      "the baseline core's TestDirectedGirthMatchesBaseline compares directed girth against",
 	"spath.CutWeightDirected":     "the checker core's TestGlobalMinCutMatchesBaseline weighs a reported side with",
+	"obs.ParseExposition":         "the strict exposition parser cmd/flowdfleet's TestMetricsz* tests read every /metricsz page through",
+	"flowd.FamilyChecks":          "the one-query-per-family list fleet's TestFleetFailoverBitIdentical and cmd/flowd's TestBootServeDrainRestore gate bit-identity on",
+	"flowd.RestartKey":            "the bit-identity key fleet's TestFleetFailoverBitIdentical and TestFleetAdoptPeerRestoreOneTrace and cmd/flowd's TestBootServeDrainRestore compare answers by",
 
 	// Executions that ground a ledger formula or a paper property.
 	"congest.PipelinedBroadcast": "grounds ledger.PipelinedBroadcastRounds (depth + k) by exchanging the messages",

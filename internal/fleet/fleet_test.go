@@ -119,7 +119,7 @@ func warmKeys(t *testing.T, who string, checks []flowd.QueryRequest,
 // ground truth a fleet must reproduce, rounds included.
 func singleNodeKeys(t *testing.T, id string, spec store.GraphSpec) ([]flowd.QueryRequest, []string) {
 	t.Helper()
-	hsrv := httptest.NewServer(flowd.NewServer(store.New(store.Config{})))
+	hsrv := httptest.NewServer(flowd.NewServerWith(store.New(store.Config{}), flowd.ServerOptions{}))
 	defer hsrv.Close()
 	cl := flowd.NewClient(hsrv.URL)
 	reg, err := cl.Register(context.Background(), id, spec)

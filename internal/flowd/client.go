@@ -112,11 +112,11 @@ func NewClient(base string) *Client {
 }
 
 // WithWireTransport routes Query and QueryBatch over the binary wire
-// transport while every control-plane method (Register, Restore,
-// Snapshot, Stats, Health) stays on HTTP. Answers are identical either
-// way — the wire plane shares the daemon's decoders and execution (the
-// differential tests pin byte-identity) — only the transport cost
-// changes. The caller owns wc's lifecycle (Close it when done).
+// transport while every control-plane method (Register, RegisterWarm,
+// Health) stays on HTTP. Answers are identical either way — the wire
+// plane shares the daemon's decoders and execution (the differential
+// tests pin byte-identity) — only the transport cost changes. The caller
+// owns wc's lifecycle (Close it when done).
 func (c *Client) WithWireTransport(wc *WireClient) *Client {
 	return &Client{base: c.base, hc: c.hc, wc: wc}
 }
@@ -210,60 +210,10 @@ func (c *Client) QueryBatch(ctx context.Context, req BatchRequest) (*BatchRespon
 	return &out, nil
 }
 
-// Snapshot asks the daemon to persist prepared substrates to its disk
-// tier: the named graph, or every resident bundle when graph is empty.
-func (c *Client) Snapshot(ctx context.Context, graph string) (*SnapshotResponse, error) {
-	var out SnapshotResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/snapshot", SnapshotRequest{Graph: graph}, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// Stats scrapes /statsz.
-func (c *Client) Stats(ctx context.Context) (*StatsResponse, error) {
-	var out StatsResponse
-	if err := c.do(ctx, http.MethodGet, "/statsz", nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // Health scrapes /healthz and returns the typed readiness body.
 func (c *Client) Health(ctx context.Context) (*HealthResponse, error) {
 	var out HealthResponse
 	if err := c.do(ctx, http.MethodGet, "/healthz", nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// Metricsz scrapes GET /metricsz and returns the raw Prometheus text
-// exposition (parse it with obs.ParseExposition if needed).
-func (c *Client) Metricsz(ctx context.Context) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/metricsz", nil)
-	if err != nil {
-		return nil, fmt.Errorf("flowd client: %w", err)
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("flowd client: GET /metricsz: %w", err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
-	if err != nil {
-		return nil, fmt.Errorf("flowd client: read: %w", err)
-	}
-	if resp.StatusCode/100 != 2 {
-		return nil, fmt.Errorf("flowd client: GET /metricsz: status %d", resp.StatusCode)
-	}
-	return data, nil
-}
-
-// Tracez scrapes GET /tracez: the recent-span ring and slow-query log.
-func (c *Client) Tracez(ctx context.Context) (*TraceResponse, error) {
-	var out TraceResponse
-	if err := c.do(ctx, http.MethodGet, "/tracez", nil, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil

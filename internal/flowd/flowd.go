@@ -244,11 +244,8 @@ type Server struct {
 	phaseHist [obs.NumPhases]*obs.Histogram
 }
 
-// NewServer wraps st in the daemon's HTTP surface with default
-// telemetry options.
-func NewServer(st *store.Store) *Server { return NewServerWith(st, ServerOptions{}) }
-
-// NewServerWith wraps st with explicit telemetry options.
+// NewServerWith wraps st in the daemon's HTTP surface; the zero
+// ServerOptions gives the default telemetry.
 func NewServerWith(st *store.Store, opt ServerOptions) *Server {
 	s := &Server{st: st, mux: http.NewServeMux(), start: time.Now(), peerHC: &http.Client{}}
 	s.initObs(opt)

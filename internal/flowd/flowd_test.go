@@ -3,6 +3,7 @@ package flowd
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -19,7 +20,7 @@ import (
 func newTestDaemon(t *testing.T, cfg store.Config) (*Client, *store.Store) {
 	t.Helper()
 	st := store.New(cfg)
-	srv := httptest.NewServer(NewServer(st))
+	srv := httptest.NewServer(NewServerWith(st, ServerOptions{}))
 	t.Cleanup(srv.Close)
 	return NewClient(srv.URL), st
 }
@@ -28,9 +29,14 @@ func newTestDaemon(t *testing.T, cfg store.Config) (*Client, *store.Store) {
 // strictly.
 func scrapeMetrics(t *testing.T, c *Client) map[string]float64 {
 	t.Helper()
-	raw, err := c.Metricsz(context.Background())
+	resp, err := c.hc.Get(c.base + "/metricsz")
 	if err != nil {
 		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /metricsz: status %d, %v", resp.StatusCode, err)
 	}
 	series, err := obs.ParseExposition(raw)
 	if err != nil {
@@ -39,10 +45,29 @@ func scrapeMetrics(t *testing.T, c *Client) map[string]float64 {
 	return series
 }
 
+// stats reads the daemon's /statsz.
+func (c *Client) stats(ctx context.Context) (*StatsResponse, error) {
+	var out StatsResponse
+	if err := c.do(ctx, http.MethodGet, "/statsz", nil, &out); err != nil {
+		return nil, err
+	}
+	return &out, nil
+}
+
+// snapshot asks the daemon to persist graph to its disk tier, or every
+// resident bundle when graph is empty.
+func (c *Client) snapshot(ctx context.Context, graph string) (*SnapshotResponse, error) {
+	var out SnapshotResponse
+	if err := c.do(ctx, http.MethodPost, "/v1/snapshot", SnapshotRequest{Graph: graph}, &out); err != nil {
+		return nil, err
+	}
+	return &out, nil
+}
+
 // TestStatszKeys pins /statsz to the store's state: exactly the store
 // and hit_rate keys. Every count the daemon keeps itself is on /metricsz.
 func TestStatszKeys(t *testing.T) {
-	srv := NewServer(store.New(store.Config{}))
+	srv := NewServerWith(store.New(store.Config{}), ServerOptions{})
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/statsz", nil))
 	if rec.Code != http.StatusOK {
@@ -153,6 +178,14 @@ func TestRegisterAndQueryEndToEnd(t *testing.T) {
 	if qr2.Rounds.Total == 0 {
 		t.Fatal("maxflow reported zero rounds")
 	}
+	// Max-flow = min-cut duality holds over the wire too.
+	qrCut, err := c.Query(ctx, QueryRequest{Graph: "g", Op: "minstcut", U: 0, V: g.N() - 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if qrCut.Value != qr2.Value {
+		t.Fatalf("minstcut over the wire %d, maxflow %d", qrCut.Value, qr2.Value)
+	}
 
 	// dualsssp returns the per-face vector.
 	qr3, err := c.Query(ctx, QueryRequest{Graph: "g", Op: "dualsssp", Source: 0})
@@ -167,11 +200,11 @@ func TestRegisterAndQueryEndToEnd(t *testing.T) {
 		t.Fatalf("dualsssp over the wire %v, in-process %v", qr3.Dist, wantSSSP.Dist)
 	}
 
-	st, err := c.Stats(ctx)
+	st, err := c.stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Store.Graphs != 1 || st.Store.Hits+st.Store.Misses != 3 {
+	if st.Store.Graphs != 1 || st.Store.Hits+st.Store.Misses != 4 {
 		t.Fatalf("statsz: %+v", st.Store)
 	}
 	if gs := st.Store.PerGraph; len(gs) != 1 || gs[0].ID != "g" || !gs[0].Resident {
@@ -278,7 +311,7 @@ func TestEvictionVisibleOnStatsz(t *testing.T) {
 			}
 		}
 	}
-	st, err := c.Stats(ctx)
+	st, err := c.stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +378,7 @@ func TestSimulatedWireParity(t *testing.T) {
 // captured from the daemon while each handler still hand-rolled its own
 // strict decode; one shared decoder must not change a byte of them.
 func TestMalformedBodies(t *testing.T) {
-	srv := NewServer(store.New(store.Config{}))
+	srv := NewServerWith(store.New(store.Config{}), ServerOptions{})
 	cases := []struct{ path, body, want string }{
 		{"/v1/query", ``, "flowd: bad query: EOF"},
 		{"/v1/query", `{`, "flowd: bad query: unexpected EOF"},

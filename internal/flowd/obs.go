@@ -17,6 +17,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/url"
 	"os"
@@ -326,12 +327,14 @@ func (s *Server) handleTracez(w http.ResponseWriter, r *http.Request) {
 }
 
 // SpanFilterFromQuery parses the ?family= / ?graph= / ?min_ms= span
-// filters shared by /tracez and the fleet front's /fleettracez.
+// filters shared by /tracez and the fleet front's /fleettracez. min_ms
+// must be a finite number >= 0: a NaN or +Inf threshold matches no span,
+// and a 200 with empty rings reads as "nothing slow".
 func SpanFilterFromQuery(q url.Values) (obs.SpanFilter, error) {
 	f := obs.SpanFilter{Family: q.Get("family"), Graph: q.Get("graph")}
 	if v := q.Get("min_ms"); v != "" {
 		ms, err := strconv.ParseFloat(v, 64)
-		if err != nil || ms < 0 {
+		if err != nil || math.IsNaN(ms) || math.IsInf(ms, 0) || ms < 0 {
 			return f, fmt.Errorf("flowd: bad min_ms %q", v)
 		}
 		f.MinMS = ms

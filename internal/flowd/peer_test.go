@@ -21,7 +21,7 @@ func peerSpec() store.GraphSpec {
 func newPeerDaemon(t *testing.T, cfg store.Config) (*Client, *store.Store, string) {
 	t.Helper()
 	st := store.New(cfg)
-	srv := httptest.NewServer(NewServer(st))
+	srv := httptest.NewServer(NewServerWith(st, ServerOptions{}))
 	t.Cleanup(srv.Close)
 	return NewClient(srv.URL), st, srv.URL
 }
@@ -232,7 +232,7 @@ func TestPeerRestoreDiskRung(t *testing.T) {
 	if _, err := c.RegisterWarm(ctx, "g", peerSpec()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Snapshot(ctx, "g"); err != nil {
+	if _, err := c.snapshot(ctx, "g"); err != nil {
 		t.Fatal(err)
 	}
 	st.FlushSpills()

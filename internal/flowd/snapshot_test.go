@@ -20,7 +20,7 @@ func testSpec(seed int64) store.GraphSpec {
 // clean 400, not a 500.
 func TestSnapshotEndpointDisabled(t *testing.T) {
 	c, _ := newTestDaemon(t, store.Config{})
-	_, err := c.Snapshot(context.Background(), "")
+	_, err := c.snapshot(context.Background(), "")
 	if err == nil || !strings.Contains(err.Error(), "status 400") {
 		t.Fatalf("got %v, want status 400", err)
 	}
@@ -57,17 +57,17 @@ func TestSnapshotEndpointAndRestart(t *testing.T) {
 		want[i] = RestartKey(resp)
 	}
 	// Unknown graph errors; known graph writes one snapshot.
-	if _, err := c1.Snapshot(ctx, "nope"); err == nil || !strings.Contains(err.Error(), "status 404") {
+	if _, err := c1.snapshot(ctx, "nope"); err == nil || !strings.Contains(err.Error(), "status 404") {
 		t.Fatalf("got %v, want status 404", err)
 	}
-	snap, err := c1.Snapshot(ctx, "g")
+	snap, err := c1.snapshot(ctx, "g")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if snap.Written != 1 {
 		t.Fatalf("written = %d, want 1", snap.Written)
 	}
-	st1, err := c1.Stats(ctx)
+	st1, err := c1.stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestSnapshotEndpointAndRestart(t *testing.T) {
 			t.Fatalf("restored %s diverged (hit=%v):\n  got  %s\n  want %s", q.Op, resp.Hit, got, want[i])
 		}
 	}
-	st2, err := c2.Stats(ctx)
+	st2, err := c2.stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestSnapshotEndpointAndRestart(t *testing.T) {
 // like every other decoder on this wire.
 func TestSnapshotRequestStrictDecode(t *testing.T) {
 	st := store.New(store.Config{SpillDir: t.TempDir()})
-	srv := httptest.NewServer(NewServer(st))
+	srv := httptest.NewServer(NewServerWith(st, ServerOptions{}))
 	defer srv.Close()
 	resp, err := srv.Client().Post(srv.URL+"/v1/snapshot", "application/json",
 		strings.NewReader(`{"graph": "g", "bogus": 1}`))
@@ -156,11 +156,11 @@ func TestClientHonorsContext(t *testing.T) {
 			return err
 		},
 		"stats": func(ctx context.Context) error {
-			_, err := c.Stats(ctx)
+			_, err := c.stats(ctx)
 			return err
 		},
 		"snapshot": func(ctx context.Context) error {
-			_, err := c.Snapshot(ctx, "")
+			_, err := c.snapshot(ctx, "")
 			return err
 		},
 	}

@@ -23,7 +23,7 @@ import (
 func newWireDaemon(t *testing.T, cfg store.Config, udsDir string) (*Client, *Server, string, string) {
 	t.Helper()
 	st := store.New(cfg)
-	s := NewServer(st)
+	s := NewServerWith(st, ServerOptions{})
 	hsrv := httptest.NewServer(s)
 	t.Cleanup(hsrv.Close)
 
@@ -261,7 +261,7 @@ func TestStatszTransportCounters(t *testing.T) {
 // through streaming (client hangup) must land in
 // flowd_write_errors_total instead of vanishing.
 func TestWriteJSONCountsEncodeErrors(t *testing.T) {
-	s := NewServer(store.New(store.Config{}))
+	s := NewServerWith(store.New(store.Config{}), ServerOptions{})
 	writeErrors := func() float64 {
 		t.Helper()
 		rec := httptest.NewRecorder()

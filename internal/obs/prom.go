@@ -5,9 +5,10 @@ package obs
 // render in name order with HELP/TYPE headers; histograms render as
 // cumulative `_bucket{le="..."}` series (only non-empty buckets, plus
 // +Inf), `_sum`, and `_count`, with durations converted to seconds.
-// ParseExposition is the validating counterpart the selfcheck and CI use
-// to fail on unparseable lines and to assert counter monotonicity across
-// a query burst.
+// ParseExposition is the validating counterpart the tests read every
+// /metricsz page through: it fails on unparseable lines, and flowd's
+// TestTelemetryEndToEnd asserts counter monotonicity across a query burst
+// on what it returns.
 
 import (
 	"fmt"

@@ -74,9 +74,6 @@ func NewServer(h Handler) *Server {
 	return s
 }
 
-// Stats snapshots the server's transport counters.
-func (s *Server) Stats() Stats { return s.ctr.Snapshot() }
-
 // Counters exposes the live counters (flowd adds coalesced-batch sizes
 // observed while decoding OpBatchB frames).
 func (s *Server) Counters() *Counters { return &s.ctr }

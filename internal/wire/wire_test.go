@@ -54,6 +54,9 @@ func (h *echoHandler) ServeFrame(ctx context.Context, op Op, id uint64, payload 
 	return StatusOK, payload
 }
 
+// Stats snapshots the server's transport counters.
+func (s *Server) Stats() Stats { return s.ctr.Snapshot() }
+
 // startServer serves h on an ephemeral loopback TCP listener.
 func startServer(t *testing.T, h Handler) (*Server, string) {
 	t.Helper()
