@@ -123,6 +123,32 @@ func TestFastPathNoAliasing(t *testing.T) {
 	if g2.Edges[0] != wantEdge {
 		t.Fatalf("girth answer aliased the memo: got %d, want %d", g2.Edges[0], wantEdge)
 	}
+
+	// globalmincut on a strongly connected graph, so the cut has edges,
+	// mutated on the miss's answer and on a hit's. dualsssp's TreeDart is
+	// not on Answer; internal/decode's TestDualSSSPDoesNotAliasTheCache
+	// holds it.
+	pb, err := Prepare(BoustrophedonGridGraph(5, 5).WithRandomAttrs(7, 1, 20, 1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantSide bool
+	var wantCut int
+	for round := 0; round < 3; round++ {
+		c, err := pb.Do(ctx, GlobalMinCutQuery())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(c.Side) == 0 || len(c.Edges) == 0 {
+			t.Fatalf("globalmincut returned side %v, edges %v", c.Side, c.Edges)
+		}
+		if round == 0 {
+			wantSide, wantCut = c.Side[0], c.Edges[0]
+		} else if c.Side[0] != wantSide || c.Edges[0] != wantCut {
+			t.Fatalf("round %d: globalmincut answer aliased the memo: side %v edge %d, want %v %d", round, c.Side[0], c.Edges[0], wantSide, wantCut)
+		}
+		c.Side[0], c.Edges[0] = !wantSide, wantCut+999
+	}
 }
 
 // TestAnswerRoundsPopulated is the regression test for the dropped-rounds

@@ -37,6 +37,11 @@ var (
 	ErrUnknownQueryKind = errors.New("unknown query kind")
 	// ErrUnknownSubstrate reports a Substrate name Warm does not know.
 	ErrUnknownSubstrate = errors.New("unknown substrate")
+	// ErrWeightRange reports a graph outside the weight contract of
+	// DESIGN §3, (n+1)·(Σ|weight| + Σ|capacity|) ≤ 2^53, within which
+	// every answer is exact; Prepare and the store's registration refuse
+	// such a graph rather than return a wrapped or saturated number.
+	ErrWeightRange = errors.New("weights and capacities out of range")
 	// ErrLeafLimitRange reports a negative BDD leaf limit.
 	ErrLeafLimitRange = errors.New("leaf limit must be non-negative")
 	// ErrBadSnapshot reports snapshot bytes RestorePrepared cannot decode:

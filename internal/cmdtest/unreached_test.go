@@ -72,7 +72,8 @@ var unreachedAllowed = map[string]string{
 // TestNoUnreachedExports type-checks every non-test file of the tree
 // (bench/ included: it is a second module, but a caller all the same)
 // and fails when an exported func, method, const or var declared in the
-// audited packages is referenced by none of them.
+// audited packages is referenced by none of them, or when an unexported
+// func or method anywhere in the tree is referenced by no file at all.
 func TestNoUnreachedExports(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole tree from source")
@@ -157,6 +158,9 @@ func TestNoUnreachedExports(t *testing.T) {
 	}
 
 	var bad []string
+	for _, name := range deadUnexported(t, fset, im.info, used) {
+		bad = append(bad, fmt.Sprintf("%s: unexported and referenced by no file — delete it", name))
+	}
 	for name := range unreached {
 		if _, ok := unreachedAllowed[name]; !ok {
 			bad = append(bad, fmt.Sprintf("%s: exported but referenced by no non-test file — delete it, unexport it, or add an allowlist row with a reason", name))
@@ -171,6 +175,64 @@ func TestNoUnreachedExports(t *testing.T) {
 	for _, b := range bad {
 		t.Error(b)
 	}
+}
+
+// deadUnexported lists the unexported package-level funcs and methods of
+// the tree that no file references: no non-test file (used) and no test
+// file of their own package, the only files that can name them. A method
+// whose name some interface of the tree declares may be reached through
+// that interface and is skipped.
+func deadUnexported(t *testing.T, fset *token.FileSet, info *types.Info, used map[types.Object]bool) []string {
+	ifaceMethods := map[string]bool{}
+	for _, obj := range info.Defs {
+		if tn, ok := obj.(*types.TypeName); ok {
+			if it, ok := tn.Type().Underlying().(*types.Interface); ok {
+				for i := 0; i < it.NumMethods(); i++ {
+					ifaceMethods[it.Method(i).Name()] = true
+				}
+			}
+		}
+	}
+	testIdents := map[string]map[string]bool{} // package dir → identifiers its test files name
+	namedInTests := func(dir, name string) bool {
+		if testIdents[dir] == nil {
+			testIdents[dir] = map[string]bool{}
+			paths, _ := filepath.Glob(filepath.Join(dir, "*_test.go"))
+			for _, path := range paths {
+				f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ast.Inspect(f, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						testIdents[dir][id.Name] = true
+					}
+					return true
+				})
+			}
+		}
+		return testIdents[dir][name]
+	}
+	var dead []string
+	for id, obj := range info.Defs {
+		fn, ok := obj.(*types.Func)
+		if !ok || id.IsExported() || used[obj] || id.Name == "init" || id.Name == "main" || id.Name == "_" {
+			continue
+		}
+		name := fn.Pkg().Name() + "."
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+			if ifaceMethods[id.Name] {
+				continue
+			}
+			name += recvName(recv.Type()) + "."
+		} else if fn.Parent() != fn.Pkg().Scope() {
+			continue
+		}
+		if !namedInTests(filepath.Dir(fset.Position(id.Pos()).Filename), id.Name) {
+			dead = append(dead, name+id.Name)
+		}
+	}
+	return dead
 }
 
 // recvName names a method's receiver type without pointer or package.

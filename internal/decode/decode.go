@@ -1,26 +1,20 @@
 // Package decode is the fast execution route for the label-backed query
-// families: once the prepared substrates (BDD bags, distance labelings)
-// exist, a query is a local decode (§5, Thm 2.1), so nothing about its
-// answer — or its charged CONGEST bound — depends on re-entering the
-// simulated network. The engine answers dualsssp from a per-source decode
-// row and the argless families (girth, dirgirth, globalmincut) from a
-// record-and-replay memo, while keeping the charged-rounds ledger as an
-// audit artifact: every fast answer carries exactly the entries the
-// simulated route would have recorded, phase by phase, so the two routes
-// are bit-identical in both payload and rounds (the differential tests in
-// the planarflow package hold them to that).
+// families (dualsssp, girth, dirgirth, globalmincut): core's route,
+// memoized. Once the prepared substrates exist, an answer and its charged
+// CONGEST bound no longer depend on re-entering the simulated network (§5,
+// Thm 2.1), so the engine runs the family's core function once per key
+// and replays the record thereafter, bit-identical to the simulated route
+// in payload and rounds (the planarflow package's differential tests).
 //
-// Invariants the engine maintains:
+// Invariants:
 //
-//   - Substrate construction is still charged to the query that triggers
-//     it (Build scope), exactly as on the simulated route: the engine
-//     fetches substrates through the caller's ledger and memoizes only the
-//     Query-scope entries of the first run.
-//   - Results handed to callers never alias the cache: slices are copied
-//     on every hit, so a caller mutating an Answer cannot corrupt later
-//     answers.
-//   - Errors are never memoized; an erroring query re-runs the core route
-//     with the caller's ledger and reports the identical error.
+//   - Substrate construction is charged once, to the query that triggers
+//     it: a miss runs core into a scratch ledger, merges all of it into the
+//     caller's, and records only its Query-scope entries for replay.
+//   - Answers never alias the memo: slices are copied out on every call.
+//   - Errors are never memoized; a failing query re-runs core every time.
+//   - Under a race every caller may run core, but the first record
+//     published wins and every caller leaves with its answer.
 package decode
 
 import (
@@ -34,224 +28,125 @@ import (
 	"planarflow/internal/planar"
 )
 
-// Engine caches decoded answers for one artifact.Prepared. It is shared by
-// every context-bound view of a PreparedGraph and is safe for concurrent
-// use; its lifetime (and memory) is tied to the prepared bundle, so store
-// eviction drops the caches with the substrates.
+// Engine memoizes decoded answers for one artifact.Prepared. It is shared
+// by every context-bound view of a PreparedGraph and is safe for
+// concurrent use; its lifetime (and memory) is tied to the prepared
+// bundle, so store eviction drops the memo with the substrates.
 type Engine struct {
 	mu   sync.Mutex
-	rows map[rowKey]*ssspRow
-	// Memo per argless family; dirgirth and globalmincut key by resolved
-	// leaf limit (their answers decode from leaf-limit-keyed substrates),
-	// girth has no substrate and a single entry.
-	girth map[int]*girthMemo
-	dir   map[int]*dirMemo
-	cut   map[int]*cutMemo
+	memo map[key]record
 }
 
 // New returns an empty engine.
-func New() *Engine {
-	return &Engine{
-		rows:  make(map[rowKey]*ssspRow),
-		girth: make(map[int]*girthMemo),
-		dir:   make(map[int]*dirMemo),
-		cut:   make(map[int]*cutMemo),
-	}
+func New() *Engine { return &Engine{memo: make(map[key]record)} }
+
+type family uint8
+
+const (
+	dualSSSP family = iota
+	girth
+	dirGirth
+	globalMinCut
+	numFamilies
+)
+
+// key identifies one memoized answer: the family, the resolved leaf limit
+// of the substrate it decodes from (0 for girth, which has none), and the
+// argument — dualsssp's source face, 0 for the argless families.
+type key struct {
+	fam       family
+	leaf, arg int
 }
 
-// rowKey identifies one decoded SSSP row. Keying by labeling pointer keeps
-// rows of distinct leaf limits (distinct labelings) apart and lets a
-// restored or rebuilt labeling start with fresh rows.
-type rowKey struct {
-	la     *label.Labeling
-	source int
-}
-
-// ssspRow is one memoized dual SSSP computation: the decoded result plus
-// the per-query phases the simulated route records for it, replayed into
-// every caller's ledger.
-type ssspRow struct {
-	res *label.SSSPResult
+// record is one memoized first run: its answer and the Query-scope
+// entries replayed into every later caller's ledger.
+type record struct {
+	ans any
 	led *ledger.Ledger
 }
 
-type girthMemo struct {
-	res *core.GirthResult
-	led *ledger.Ledger
-}
-
-type dirMemo struct {
-	weight int64
-	led    *ledger.Ledger
-}
-
-type cutMemo struct {
-	res *core.GlobalCutResult
-	led *ledger.Ledger
-}
-
-// DualSSSP answers a dual single-source shortest-paths query from the
-// decoded row cache. The undirected dual labeling is fetched through the
-// caller's ledger (so a triggered build is charged to this query, Build
-// scope, as on the simulated route); the row itself — the label broadcast
-// and tree marking of Lemma 2.2 — is decoded once per (labeling, source)
-// and replayed thereafter.
-func (e *Engine) DualSSSP(p *artifact.Prepared, sourceFace, leafLimit int, led *ledger.Ledger) (*label.SSSPResult, error) {
-	la, err := p.DualLabels(artifact.Undirected, leafLimit, led)
-	if err != nil {
-		return nil, err
-	}
-	if la.NegCycle {
-		// Mirror core.DualSSSP: a negative cycle is reported without
-		// decoding (and without per-query charges).
-		return &label.SSSPResult{Source: sourceFace, NegCycle: true}, nil
-	}
-	row := e.row(la, sourceFace)
-	led.Merge(row.led)
-	return &label.SSSPResult{
-		Source:   sourceFace,
-		Dist:     append([]int64(nil), row.res.Dist...),
-		TreeDart: append([]planar.Dart(nil), row.res.TreeDart...),
-	}, nil
-}
-
-// row returns the memoized SSSP row, decoding it on first use. The decode
-// runs outside the engine lock (two racing first queries both decode — the
-// results are identical and the first publish wins), so a cold row never
-// serializes unrelated queries.
-func (e *Engine) row(la *label.Labeling, source int) *ssspRow {
-	k := rowKey{la, source}
+// replay answers k from the memo, or on a miss runs core into a scratch
+// ledger, merges that ledger into led and records the answer. clone
+// copies an answer out so no caller aliases the record.
+func replay[T any](e *Engine, k key, led *ledger.Ledger, run func(*ledger.Ledger) (T, error), clone func(T) T) (T, error) {
 	e.mu.Lock()
-	r := e.rows[k]
+	r, ok := e.memo[k]
 	e.mu.Unlock()
-	if r != nil {
-		mRowHits.Inc()
-		return r
+	if ok {
+		mHits[k.fam].Inc()
+		led.Merge(r.led)
+		return clone(r.ans.(T)), nil
 	}
-	mRowMisses.Inc()
+	mMisses[k.fam].Inc()
 	t0 := time.Now()
 	scratch := ledger.New()
-	r = &ssspRow{res: la.SSSP(source, scratch), led: scratch}
-	mDecode["dualsssp"].Observe(time.Since(t0))
+	ans, err := run(scratch)
+	led.Merge(scratch)
+	if err != nil {
+		return ans, err
+	}
+	mDecode[k.fam].Observe(time.Since(t0))
+	rec := ledger.New()
+	rec.MergeScoped(scratch, ledger.Query)
 	e.mu.Lock()
-	if prev := e.rows[k]; prev != nil {
-		r = prev
+	if prev, ok := e.memo[k]; ok {
+		ans = prev.ans.(T)
 	} else {
-		e.rows[k] = r
+		e.memo[k] = record{ans: ans, led: rec}
 	}
 	e.mu.Unlock()
-	return r
+	return clone(ans), nil
 }
 
-// Girth answers the weighted-girth query from the memo, running the
-// minor-aggregation route of Thm 1.7 exactly once per graph.
+// DualSSSP answers a dual single-source shortest-paths query: core's dual
+// SSSP (Lemma 2.2's label broadcast and tree marking over the undirected
+// dual labeling) once per (leaf limit, source face), replayed thereafter.
+func (e *Engine) DualSSSP(p *artifact.Prepared, sourceFace, leafLimit int, led *ledger.Ledger) (*label.SSSPResult, error) {
+	k := key{dualSSSP, p.ResolveLeafLimit(leafLimit), sourceFace}
+	return replay(e, k, led, func(l *ledger.Ledger) (*label.SSSPResult, error) {
+		return core.DualSSSP(p, sourceFace, core.Options{LeafLimit: leafLimit}, l)
+	}, func(r *label.SSSPResult) *label.SSSPResult {
+		return &label.SSSPResult{
+			Source:   r.Source,
+			Dist:     append([]int64(nil), r.Dist...),
+			NegCycle: r.NegCycle,
+			TreeDart: append([]planar.Dart(nil), r.TreeDart...),
+		}
+	})
+}
+
+// Girth answers the weighted-girth query, running the minor-aggregation
+// route of Thm 1.7 once per graph.
 func (e *Engine) Girth(p *artifact.Prepared, led *ledger.Ledger) (*core.GirthResult, error) {
-	e.mu.Lock()
-	m := e.girth[0]
-	e.mu.Unlock()
-	if m != nil {
-		mMemoHits["girth"].Inc()
-		led.Merge(m.led)
-		return &core.GirthResult{
-			Weight:     m.res.Weight,
-			CycleEdges: append([]int(nil), m.res.CycleEdges...),
-		}, nil
-	}
-	mMemoMisses["girth"].Inc()
-	t0 := time.Now()
-	scratch := ledger.New()
-	res, err := core.Girth(p, scratch)
-	led.Merge(scratch)
-	if err != nil {
-		return nil, err
-	}
-	mDecode["girth"].Observe(time.Since(t0))
-	e.mu.Lock()
-	if e.girth[0] == nil {
-		e.girth[0] = &girthMemo{res: res, led: queryOnly(scratch)}
-	}
-	e.mu.Unlock()
-	return &core.GirthResult{
-		Weight:     res.Weight,
-		CycleEdges: append([]int(nil), res.CycleEdges...),
-	}, nil
+	return replay(e, key{fam: girth}, led, func(l *ledger.Ledger) (*core.GirthResult, error) {
+		return core.Girth(p, l)
+	}, func(r *core.GirthResult) *core.GirthResult {
+		return &core.GirthResult{Weight: r.Weight, CycleEdges: append([]int(nil), r.CycleEdges...)}
+	})
 }
 
-// DirectedGirth answers the directed-girth query from the memo, keyed by
-// the resolved leaf limit of the BDD/labeling substrate it decodes from.
+// DirectedGirth answers the directed-girth query once per resolved leaf
+// limit of the BDD/labeling substrate it decodes from.
 func (e *Engine) DirectedGirth(p *artifact.Prepared, opt core.Options, led *ledger.Ledger) (int64, error) {
-	k := p.ResolveLeafLimit(opt.LeafLimit)
-	e.mu.Lock()
-	m := e.dir[k]
-	e.mu.Unlock()
-	if m != nil {
-		mMemoHits["dirgirth"].Inc()
-		led.Merge(m.led)
-		return m.weight, nil
-	}
-	mMemoMisses["dirgirth"].Inc()
-	t0 := time.Now()
-	scratch := ledger.New()
-	w, err := core.DirectedGirth(p, opt, scratch)
-	led.Merge(scratch)
-	if err != nil {
-		return 0, err
-	}
-	mDecode["dirgirth"].Observe(time.Since(t0))
-	e.mu.Lock()
-	if e.dir[k] == nil {
-		e.dir[k] = &dirMemo{weight: w, led: queryOnly(scratch)}
-	}
-	e.mu.Unlock()
-	return w, nil
+	k := key{fam: dirGirth, leaf: p.ResolveLeafLimit(opt.LeafLimit)}
+	return replay(e, k, led, func(l *ledger.Ledger) (int64, error) {
+		return core.DirectedGirth(p, opt, l)
+	}, func(w int64) int64 { return w })
 }
 
-// GlobalMinCut answers the directed global minimum cut from the memo,
-// keyed like DirectedGirth. The zero-cut early exit (a graph that is not
-// strongly connected) memoizes too: its strong-connectivity charge is a
+// GlobalMinCut answers the directed global minimum cut, keyed like
+// DirectedGirth. The zero-cut early exit (a graph that is not strongly
+// connected) is recorded too: its strong-connectivity charge is a
 // per-query phase and replays like any other.
 func (e *Engine) GlobalMinCut(p *artifact.Prepared, opt core.Options, led *ledger.Ledger) (*core.GlobalCutResult, error) {
-	k := p.ResolveLeafLimit(opt.LeafLimit)
-	e.mu.Lock()
-	m := e.cut[k]
-	e.mu.Unlock()
-	if m != nil {
-		mMemoHits["globalmincut"].Inc()
-		led.Merge(m.led)
-		return copyCut(m.res), nil
-	}
-	mMemoMisses["globalmincut"].Inc()
-	t0 := time.Now()
-	scratch := ledger.New()
-	res, err := core.GlobalMinCut(p, opt, scratch)
-	led.Merge(scratch)
-	if err != nil {
-		return nil, err
-	}
-	mDecode["globalmincut"].Observe(time.Since(t0))
-	e.mu.Lock()
-	if e.cut[k] == nil {
-		e.cut[k] = &cutMemo{res: res, led: queryOnly(scratch)}
-	}
-	e.mu.Unlock()
-	return copyCut(res), nil
-}
-
-func copyCut(res *core.GlobalCutResult) *core.GlobalCutResult {
-	return &core.GlobalCutResult{
-		Value:    res.Value,
-		Side:     append([]bool(nil), res.Side...),
-		CutEdges: append([]int(nil), res.CutEdges...),
-	}
-}
-
-// queryOnly extracts the replayable record of a first run: its Query-scope
-// entries. Build-scope entries (a substrate the first query happened to
-// trigger) are one-time costs that later queries must not repeat — on the
-// simulated route they would hit the warm substrate cache and charge
-// nothing.
-func queryOnly(l *ledger.Ledger) *ledger.Ledger {
-	out := ledger.New()
-	out.MergeScoped(l, ledger.Query)
-	return out
+	k := key{fam: globalMinCut, leaf: p.ResolveLeafLimit(opt.LeafLimit)}
+	return replay(e, k, led, func(l *ledger.Ledger) (*core.GlobalCutResult, error) {
+		return core.GlobalMinCut(p, opt, l)
+	}, func(r *core.GlobalCutResult) *core.GlobalCutResult {
+		return &core.GlobalCutResult{
+			Value:    r.Value,
+			Side:     append([]bool(nil), r.Side...),
+			CutEdges: append([]int(nil), r.CutEdges...),
+		}
+	})
 }

@@ -35,9 +35,6 @@ type BatchQuery struct {
 	V      int     `json:"v,omitempty"`
 	Source int     `json:"source,omitempty"`
 	Eps    float64 `json:"eps,omitempty"`
-	// Simulated forces the entry through the simulated CONGEST route, as
-	// for QueryRequest.Simulated.
-	Simulated bool `json:"simulated,omitempty"`
 }
 
 // Query maps the entry onto the library's query value. As for
@@ -46,8 +43,7 @@ func (q *BatchQuery) Query() planarflow.Query {
 	return planarflow.Query{
 		Kind: planarflow.QueryKind(q.Op),
 		U:    q.U, V: q.V, Source: q.Source, Eps: q.Eps,
-		NoPhases:  true,
-		Simulated: q.Simulated,
+		NoPhases: true,
 	}
 }
 

@@ -87,10 +87,6 @@ type QueryRequest struct {
 	V      int     `json:"v,omitempty"`
 	Source int     `json:"source,omitempty"`
 	Eps    float64 `json:"eps,omitempty"`
-	// Simulated forces the label-backed ops through the simulated CONGEST
-	// route instead of the decode engine (identical answer and rounds; an
-	// audit knob, not a serving one).
-	Simulated bool `json:"simulated,omitempty"`
 }
 
 // Query maps the request onto the library's first-class query value — the
@@ -101,8 +97,7 @@ func (r *QueryRequest) Query() planarflow.Query {
 	return planarflow.Query{
 		Kind: planarflow.QueryKind(r.Op),
 		U:    r.U, V: r.V, Source: r.Source, Eps: r.Eps,
-		NoPhases:  true,
-		Simulated: r.Simulated,
+		NoPhases: true,
 	}
 }
 
@@ -307,7 +302,8 @@ func statusOf(err error) int {
 		errors.Is(err, planarflow.ErrNilGraph),
 		errors.Is(err, planarflow.ErrUnknownQueryKind),
 		errors.Is(err, planarflow.ErrUnknownSubstrate),
-		errors.Is(err, planarflow.ErrLeafLimitRange):
+		errors.Is(err, planarflow.ErrLeafLimitRange),
+		errors.Is(err, planarflow.ErrWeightRange):
 		return http.StatusBadRequest
 	case errors.Is(err, context.Canceled):
 		return 499 // client closed request (nginx convention)
@@ -411,7 +407,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.finishRequest(sp, err.Error())
 		return
 	}
-	sp.Family, sp.Graph, sp.Route = req.Op, req.Graph, routeOf(req.Simulated)
+	sp.Family, sp.Graph = req.Op, req.Graph
 	resp, err := s.runQuery(ctx, req)
 	if err != nil {
 		s.writeError(w, err)

@@ -3,6 +3,7 @@ package flowd
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +15,7 @@ import (
 	"planarflow"
 	"planarflow/internal/obs"
 	"planarflow/internal/store"
+	"planarflow/internal/wire"
 )
 
 // newTestDaemon spins up an in-process daemon and a client against it.
@@ -323,56 +325,6 @@ func TestEvictionVisibleOnStatsz(t *testing.T) {
 	}
 }
 
-// TestSimulatedWireParity asserts the simulated escape hatch is reachable
-// over the wire and bit-identical to the default decode-engine route: same
-// payload, same per-query rounds, on both the query and batch endpoints.
-func TestSimulatedWireParity(t *testing.T) {
-	c, _ := newTestDaemon(t, store.Config{})
-	ctx := context.Background()
-	if _, err := c.Register(ctx, "g", store.GraphSpec{Kind: "grid", Rows: 6, Cols: 6, Seed: 5, WLo: 1, WHi: 9, CLo: 1, CHi: 16}); err != nil {
-		t.Fatal(err)
-	}
-	// The simulated request runs first and carries the substrate build;
-	// the fast request then decodes warm (Build == 0 on both thereafter).
-	sim, err := c.Query(ctx, QueryRequest{Graph: "g", Op: "dualsssp", Source: 0, Simulated: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, err := c.Query(ctx, QueryRequest{Graph: "g", Op: "dualsssp", Source: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fast.Dist) != len(sim.Dist) {
-		t.Fatalf("fast returned %d faces, simulated %d", len(fast.Dist), len(sim.Dist))
-	}
-	for i := range fast.Dist {
-		if fast.Dist[i] != sim.Dist[i] {
-			t.Fatalf("face %d: fast %d, simulated %d", i, fast.Dist[i], sim.Dist[i])
-		}
-	}
-	if fast.Rounds.Query != sim.Rounds.Query {
-		t.Fatalf("fast Query rounds %d, simulated %d", fast.Rounds.Query, sim.Rounds.Query)
-	}
-	if fast.Rounds.Build != 0 {
-		t.Fatalf("warm fast query paid Build=%d", fast.Rounds.Build)
-	}
-
-	resp, err := c.QueryBatch(ctx, BatchRequest{Graph: "g", Queries: []BatchQuery{
-		{Op: "girth"},
-		{Op: "girth", Simulated: true},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, s := resp.Results[0], resp.Results[1]
-	if f.Error != "" || s.Error != "" {
-		t.Fatalf("batch errors: %q / %q", f.Error, s.Error)
-	}
-	if f.Value != s.Value || f.Rounds.Query != s.Rounds.Query {
-		t.Fatalf("batch girth fast %+v diverges from simulated %+v", f, s)
-	}
-}
-
 // TestMalformedBodies sends each JSON endpoint the ways a body can be
 // wrong and pins the 400 and its error string. The strings were
 // captured from the daemon while each handler still hand-rolled its own
@@ -384,6 +336,7 @@ func TestMalformedBodies(t *testing.T) {
 		{"/v1/query", `{`, "flowd: bad query: unexpected EOF"},
 		{"/v1/query", `[]`, "flowd: bad query: json: cannot unmarshal array into Go value of type flowd.QueryRequest"},
 		{"/v1/query", `{"bogus":1}`, "flowd: bad query: json: unknown field \"bogus\""},
+		{"/v1/query", `{"graph":"g","op":"girth","simulated":true}`, "flowd: bad query: json: unknown field \"simulated\""},
 		{"/v1/query", `{"graph":7}`, "flowd: bad query: json: cannot unmarshal number into Go struct field QueryRequest.graph of type string"},
 		{"/v1/query", `{"graph":"g","op":"dist"} x`, "flowd: bad query: trailing data after JSON object"},
 		{"/v1/query", `{"op":"dist"}`, "flowd: bad query: missing graph id"},
@@ -393,6 +346,7 @@ func TestMalformedBodies(t *testing.T) {
 		{"/v1/batch", `{`, "flowd: bad batch: unexpected EOF"},
 		{"/v1/batch", `[]`, "flowd: bad batch: json: cannot unmarshal array into Go value of type flowd.BatchRequest"},
 		{"/v1/batch", `{"bogus":1}`, "flowd: bad batch: json: unknown field \"bogus\""},
+		{"/v1/batch", `{"graph":"g","queries":[{"op":"girth","simulated":true}]}`, "flowd: bad batch: json: unknown field \"simulated\""},
 		{"/v1/batch", `{"graph":7}`, "flowd: bad batch: json: cannot unmarshal number into Go struct field BatchRequest.graph of type string"},
 		{"/v1/batch", `{"graph":"g","queries":[{"op":"girth"}]} x`, "flowd: bad batch: trailing data after JSON object"},
 		{"/v1/batch", `{"queries":[{"op":"girth"}]}`, "flowd: bad batch: missing graph id"},
@@ -404,6 +358,12 @@ func TestMalformedBodies(t *testing.T) {
 		{"/v1/graphs", `{"bogus":1}`, "flowd: bad register: json: unknown field \"bogus\""},
 		{"/v1/graphs", `{"id":7}`, "flowd: bad register: json: cannot unmarshal number into Go struct field RegisterRequest.id of type string"},
 		{"/v1/graphs", `{"spec":{}}`, "flowd: bad register: missing id"},
+		// Weights of 2^52 on a 4x4 grid break the weight contract.
+		{"/v1/graphs", `{"id":"g","spec":{"kind":"grid","rows":4,"cols":4,"w_lo":4503599627370496,"w_hi":4503599627370496}}`,
+			"store: register \"g\": planarflow: edge 0: (n+1)·(Σ|w|+Σ|cap|) exceeds 2^53: weights and capacities out of range"},
+		// A range wider than int64 is refused before generation draws from it.
+		{"/v1/graphs", `{"id":"g","spec":{"kind":"grid","rows":3,"cols":3,"w_lo":-4611686018427387904,"w_hi":4611686018427387904}}`,
+			"store: weight or capacity range wider than int64: weights and capacities out of range"},
 		{"/v1/snapshot", ``, "flowd: bad snapshot request: EOF"},
 		{"/v1/snapshot", `{`, "flowd: bad snapshot request: unexpected EOF"},
 		{"/v1/snapshot", `[]`, "flowd: bad snapshot request: json: cannot unmarshal array into Go value of type flowd.SnapshotRequest"},
@@ -432,5 +392,8 @@ func TestMalformedBodies(t *testing.T) {
 		if rec.Code != http.StatusBadRequest || e.Error != c.want {
 			t.Errorf("%s %q: got %d %q, want 400 %q", c.path, c.body, rec.Code, e.Error, c.want)
 		}
+	}
+	if got := wireStatusOf(fmt.Errorf("x: %w", planarflow.ErrWeightRange)); got != wire.StatusBadRequest {
+		t.Errorf("ErrWeightRange on the wire: status %v, want StatusBadRequest", got)
 	}
 }

@@ -134,7 +134,7 @@ func (s *Server) initObs(opt ServerOptions) {
 			errs: r.Counter("flowd_query_errors_total",
 				"Executed queries that returned an error, by family.", obs.L("family", op)),
 			rounds: r.Counter("flowd_query_rounds_total",
-				"Simulated rounds (build + query) the family's queries reported.", obs.L("family", op)),
+				"CONGEST rounds (build + query) the family's queries reported.", obs.L("family", op)),
 		}
 	}
 	s.writeErrs = r.Counter("flowd_write_errors_total",
@@ -247,7 +247,7 @@ func (s *Server) finishRequest(sp *obs.Span, errMsg string) {
 	case s.log.Enabled(context.Background(), slog.LevelDebug):
 		s.log.Debug("request",
 			"id", sp.ID, "trace_id", sp.TraceID(), "transport", sp.Transport,
-			"family", sp.Family, "graph", sp.Graph, "route", sp.Route, "ms", durMS(total))
+			"family", sp.Family, "graph", sp.Graph, "ms", durMS(total))
 	}
 }
 
@@ -255,16 +255,6 @@ func durMS(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
 func phaseMS(sp *obs.Span, p obs.Phase) float64 {
 	return float64(sp.PhaseNS(p)) / 1e6
-}
-
-// routeOf names the execution route a request asked for: "sim" when it
-// forces the simulated CONGEST route, "fast" otherwise (the query plane
-// serves label-backed families through the decode engine by default).
-func routeOf(simulated bool) string {
-	if simulated {
-		return "sim"
-	}
-	return "fast"
 }
 
 // HealthResponse is the GET /healthz readiness body: liveness plus the

@@ -119,7 +119,7 @@ func (s *Server) serveQueryFrame(ctx context.Context, id uint64, payload []byte,
 		s.finishRequest(sp, err.Error())
 		return wire.StatusBadRequest, errBody(err.Error())
 	}
-	sp.Family, sp.Graph, sp.Route = req.Op, req.Graph, routeOf(req.Simulated)
+	sp.Family, sp.Graph = req.Op, req.Graph
 	resp, err := s.runQuery(ctx, req)
 	if err != nil {
 		s.finishRequest(sp, err.Error())

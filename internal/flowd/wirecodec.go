@@ -111,7 +111,6 @@ func appendWireQueryRequest(dst []byte, r *QueryRequest) []byte {
 	dst = codec.AppendU64(dst, uint64(r.V))
 	dst = codec.AppendU64(dst, uint64(r.Source))
 	dst = appendF64(dst, r.Eps)
-	dst = codec.AppendBool(dst, r.Simulated)
 	return dst
 }
 
@@ -123,7 +122,7 @@ func decodeWireQueryRequest(b []byte) (*QueryRequest, error) {
 	r := &QueryRequest{
 		Graph: readStr(&d), Op: readStr(&d),
 		U: readInt(&d), V: readInt(&d), Source: readInt(&d),
-		Eps: readF64(&d), Simulated: d.Bool(),
+		Eps: readF64(&d),
 	}
 	if err := d.Done(); err != nil {
 		return nil, err
@@ -180,7 +179,6 @@ func appendWireBatchRequest(dst []byte, r *BatchRequest) []byte {
 		dst = codec.AppendU64(dst, uint64(q.V))
 		dst = codec.AppendU64(dst, uint64(q.Source))
 		dst = appendF64(dst, q.Eps)
-		dst = codec.AppendBool(dst, q.Simulated)
 	}
 	return dst
 }
@@ -206,7 +204,7 @@ func decodeWireBatchRequest(b []byte) (*BatchRequest, error) {
 		q := &r.Queries[i]
 		q.Op = readStr(&d)
 		q.U, q.V, q.Source = readInt(&d), readInt(&d), readInt(&d)
-		q.Eps, q.Simulated = readF64(&d), d.Bool()
+		q.Eps = readF64(&d)
 	}
 	if err := d.Done(); err != nil {
 		return nil, err

@@ -30,16 +30,25 @@ func wirePayloadSeeds() map[string][]byte {
 	pastInput := codec.AppendString(codec.AppendString(nil, "g"), "dualsssp")
 	pastInput = codec.AppendU64(pastInput, 7)
 	pastInput = codec.AppendU64(codec.AppendU32(pastInput, 1000), 3)
-	badBool := append([]byte(nil), qreq...)
-	badBool[len(badBool)-1] = 2
+	resp := QueryResponse{
+		Graph: "g", Op: "dualsssp", Value: 7, Dist: []int64{0, 3, 9}, CutEdges: []int{},
+		Hit: true, Rounds: Rounds{Total: 44, Build: 4, Query: 40}, WallMS: 0.01,
+	}
+	qresp := appendWireQueryResponse(nil, &resp)
+	// The one byte where Hit=false differs from qresp is Hit's; a 2 there
+	// is neither bool.
+	resp.Hit = false
+	badBool := appendWireQueryResponse(nil, &resp)
+	for i := range badBool {
+		if badBool[i] != qresp[i] {
+			badBool[i] = 2
+		}
+	}
 	return map[string][]byte{
-		"valid-query-request": qreq,
-		"valid-query-response": appendWireQueryResponse(nil, &QueryResponse{
-			Graph: "g", Op: "dualsssp", Value: 7, Dist: []int64{0, 3, 9}, CutEdges: []int{},
-			Hit: true, Rounds: Rounds{Total: 44, Build: 4, Query: 40}, WallMS: 0.01,
-		}),
+		"valid-query-request":  qreq,
+		"valid-query-response": qresp,
 		"valid-batch-request": appendWireBatchRequest(nil, &BatchRequest{Graph: "g", Workers: 2, Queries: []BatchQuery{
-			{Op: "dist", U: 0, V: 5}, {Op: "girth"}, {Op: "stcut", U: 1, V: 4, Eps: 0.5, Simulated: true},
+			{Op: "dist", U: 0, V: 5}, {Op: "girth"}, {Op: "stcut", U: 1, V: 4, Eps: 0.5},
 		}}),
 		"valid-batch-response": appendWireBatchResponse(nil, &BatchResponse{Graph: "g", Hit: true, WallMS: 0.5, Results: []BatchResult{
 			{Op: "dist", Value: 3}, {Op: "minstcut", Value: 6, CutEdges: []int{1, 4}, Iterations: 2}, {Op: "dist", Error: "vertex out of range"},
@@ -56,25 +65,67 @@ func wirePayloadSeeds() map[string][]byte {
 
 var updateCorpus = flag.Bool("update-corpus", false, "rewrite the committed FuzzDecodeWirePayload seed corpus")
 
-// TestWriteWirePayloadSeedCorpus (with -update-corpus) materializes the
-// seeds under testdata/fuzz/FuzzDecodeWirePayload; without the flag it
-// skips.
+// TestWriteWirePayloadSeedCorpus holds the committed seeds under
+// testdata/fuzz/FuzzDecodeWirePayload to wirePayloadSeeds file for file,
+// so a codec change that leaves them stale fails here rather than
+// quietly changing what each seed exercises; with -update-corpus it
+// rewrites them instead.
 func TestWriteWirePayloadSeedCorpus(t *testing.T) {
-	if !*updateCorpus {
-		t.Skip("run with -update-corpus to rewrite the seed corpus")
-	}
 	seeds := wirePayloadSeeds()
 	dir := filepath.Join("testdata", "fuzz", "FuzzDecodeWirePayload")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for name, data := range seeds {
-		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+	if *updateCorpus {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
 	}
-	t.Logf("wrote %d corpus seeds to %s", len(seeds), dir)
+	for name, data := range seeds {
+		path, body := filepath.Join(dir, name), fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
+		if *updateCorpus {
+			if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		} else if got, err := os.ReadFile(path); err != nil || string(got) != body {
+			t.Errorf("%s is stale (err %v): rerun with -update-corpus", path, err)
+		}
+	}
+}
+
+// TestWirePayloadSeedsMeanTheirNames: each valid seed decodes with the
+// decoder of its shape, and each rejection seed is refused by the decoder
+// of the shape it was cut from.
+func TestWirePayloadSeedsMeanTheirNames(t *testing.T) {
+	decoders := map[string]func([]byte) error{
+		"query-request":  func(b []byte) error { _, err := decodeWireQueryRequest(b); return err },
+		"query-response": func(b []byte) error { _, err := decodeWireQueryResponse(b); return err },
+		"batch-request":  func(b []byte) error { _, err := decodeWireBatchRequest(b); return err },
+		"batch-response": func(b []byte) error { _, err := decodeWireBatchResponse(b); return err },
+	}
+	shapes := map[string]struct {
+		shape string
+		valid bool
+	}{
+		"valid-query-request":    {"query-request", true},
+		"valid-query-response":   {"query-response", true},
+		"valid-batch-request":    {"batch-request", true},
+		"valid-batch-response":   {"batch-response", true},
+		"truncated":              {"query-request", false},
+		"bool-byte-2":            {"query-response", false},
+		"string-over-cap":        {"query-request", false},
+		"slice-count-past-input": {"query-response", false},
+		"trailing-bytes":         {"query-request", false},
+		"batch-of-0":             {"batch-request", false},
+		"batch-of-257":           {"batch-request", false},
+	}
+	for name, data := range wirePayloadSeeds() {
+		want, ok := shapes[name]
+		if !ok {
+			t.Errorf("seed %s has no row; add one", name)
+			continue
+		}
+		if err := decoders[want.shape](data); (err == nil) != want.valid {
+			t.Errorf("seed %s as a %s: err %v, want valid=%v", name, want.shape, err, want.valid)
+		}
+	}
 }
 
 // FuzzDecodeWirePayload holds the four binary payload decoders to their

@@ -32,8 +32,8 @@ const (
 	// PhaseBuild: substrate construction charged to this request (the
 	// singleflight builder's wall; waiters charge nothing here).
 	PhaseBuild
-	// PhaseExec: query execution against the pinned bundle — decode
-	// engine or simulated route — inclusive of PhaseBuild time, which is
+	// PhaseExec: query execution against the pinned bundle (a decode
+	// engine hit or core's route) inclusive of PhaseBuild time, which is
 	// reported separately to split build-heavy from decode-heavy requests.
 	PhaseExec
 	// PhaseEncode: response encoding (on the HTTP plane this includes the
@@ -63,7 +63,6 @@ type Span struct {
 	Transport string // "http" | "wire" | "fleet"
 	Family    string // query op, or "batch"
 	Graph     string
-	Route     string // "fast" | "sim" | ""
 	Start     time.Time
 
 	// Trace identity: the 128-bit trace this span belongs to, the span
@@ -167,7 +166,6 @@ type SpanView struct {
 	Transport   string             `json:"transport"`
 	Family      string             `json:"family"`
 	Graph       string             `json:"graph,omitempty"`
-	Route       string             `json:"route,omitempty"`
 	Err         string             `json:"err,omitempty"`
 	TraceID     string             `json:"trace_id,omitempty"`
 	SpanID      string             `json:"span_id,omitempty"`
@@ -186,7 +184,7 @@ type SpanView struct {
 type spanRecord struct {
 	id, spanID, traceHi, traceLo, parent uint64
 	hop                                  uint8
-	transport, family, graph, route, err string
+	transport, family, graph, err        string
 	notes                                []string
 	startUnixMS                          int64
 	total                                time.Duration
@@ -199,7 +197,7 @@ func record(s *Span, total time.Duration, errMsg string) spanRecord {
 	r := spanRecord{
 		id: s.ID, spanID: s.SpanID, traceHi: s.TraceHi, traceLo: s.TraceLo,
 		parent: s.Parent, hop: s.Hop,
-		transport: s.Transport, family: s.Family, graph: s.Graph, route: s.Route, err: errMsg,
+		transport: s.Transport, family: s.Family, graph: s.Graph, err: errMsg,
 		startUnixMS: s.Start.UnixMilli(),
 		total:       total,
 	}
@@ -218,7 +216,7 @@ func record(s *Span, total time.Duration, errMsg string) spanRecord {
 func (r *spanRecord) view() SpanView {
 	v := SpanView{
 		ID: r.id, Transport: r.transport, Family: r.family,
-		Graph: r.graph, Route: r.route, Err: r.err,
+		Graph: r.graph, Err: r.err,
 		Hop:         int(r.hop),
 		Notes:       r.notes,
 		StartUnixMS: r.startUnixMS,

@@ -112,7 +112,7 @@ func TestPhaseNames(t *testing.T) {
 func eagerView(s *Span, total time.Duration, errMsg string) SpanView {
 	v := SpanView{
 		ID: s.ID, Transport: s.Transport, Family: s.Family,
-		Graph: s.Graph, Route: s.Route, Err: errMsg,
+		Graph: s.Graph, Err: errMsg,
 		TraceID:     s.TraceID(),
 		Hop:         int(s.Hop),
 		StartUnixMS: s.Start.UnixMilli(),
@@ -155,7 +155,6 @@ func TestTracezRendersAtRead(t *testing.T) {
 		s := NewSpan(uint64(100+i), []string{"http", "wire", "fleet"}[i%3])
 		s.Family, s.Graph = fmt.Sprintf("f%d", i%4), fmt.Sprintf("g%d", i)
 		if i%2 == 0 {
-			s.Route = "fast"
 			s.SetTrace(TraceContext{Hi: uint64(i) << 40, Lo: 0xabc + uint64(i), Parent: uint64(7 * i), Hop: uint8(i % 4)})
 		}
 		if i == 4 {

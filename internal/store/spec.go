@@ -58,6 +58,11 @@ func (sp GraphSpec) Validate() error {
 	if sp.CHi != 0 && sp.CLo > sp.CHi {
 		return fmt.Errorf("store: capacity range [%d, %d] is empty", sp.CLo, sp.CHi)
 	}
+	// Build draws from hi−lo+1 values, which must fit an int64; a range
+	// that wide is far past the weight contract anyway.
+	if sp.WHi != 0 && sp.WHi-sp.WLo+1 <= 0 || sp.CHi != 0 && sp.CHi-sp.CLo+1 <= 0 {
+		return fmt.Errorf("store: weight or capacity range wider than int64: %w", planarflow.ErrWeightRange)
+	}
 	return nil
 }
 

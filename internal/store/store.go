@@ -244,6 +244,9 @@ func (s *Store) Register(id string, gr *planarflow.Graph) error {
 	if gr == nil {
 		return fmt.Errorf("store: register %q: nil graph", id)
 	}
+	if err := gr.CheckWeightRange(); err != nil {
+		return fmt.Errorf("store: register %q: %w", id, err)
+	}
 	if err := checkID(id); err != nil {
 		return err
 	}

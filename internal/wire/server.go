@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"runtime"
 	"sync"
@@ -362,9 +361,4 @@ func recvFrame(out <-chan outFrame) (outFrame, bool, bool) {
 	default:
 		return outFrame{}, true, true
 	}
-}
-
-// isClosedConn reports errors that just mean "the peer went away".
-func isClosedConn(err error) bool {
-	return errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed)
 }

@@ -130,6 +130,27 @@ func TriangulationGraph(n int, seed int64) *Graph {
 	return &Graph{g: planar.StackedTriangulation(n, planar.NewRand(seed))}
 }
 
+// CheckWeightRange reports ErrWeightRange unless the graph meets the weight
+// contract of DESIGN §3: (N+1)·S ≤ 2^53, with S the sum of |weight| and
+// |capacity| over all edges. Inside it every path sum, λ-shifted residual
+// length, two-label decode and kernel potential stays far below Inf, and
+// every capacity is exact as a float64.
+func (gr *Graph) CheckWeightRange() error {
+	limit := int64(1<<53) / int64(gr.g.N()+1)
+	var sum int64
+	for e := 0; e < gr.g.M(); e++ {
+		ed := gr.g.Edge(e)
+		for _, x := range [2]int64{ed.Weight, ed.Cap} {
+			// |MinInt64| wraps negative, which fails the check too.
+			if x = max(x, -x); x < 0 || x > limit-sum {
+				return fmt.Errorf("planarflow: edge %d: (n+1)·(Σ|w|+Σ|cap|) exceeds 2^53: %w", e, ErrWeightRange)
+			}
+			sum += x
+		}
+	}
+	return nil
+}
+
 // WithAttrs returns a copy with edge weights/capacities rewritten by fn.
 func (gr *Graph) WithAttrs(fn func(e int, old Edge) Edge) *Graph {
 	return &Graph{g: gr.g.WithEdgeAttrs(func(e int, old planar.Edge) planar.Edge {

@@ -33,9 +33,9 @@ type PreparedGraph struct {
 
 	// eng is the decode engine: the default execution route of the
 	// label-backed families (dualsssp, girth, dirgirth, globalmincut),
-	// answering from the prepared substrates with no per-query simulated
-	// network while replaying the identical charged-rounds record. Shared
-	// by every WithContext view, like the substrates it decodes from.
+	// core's route memoized, so a repeated query replays the identical
+	// charged-rounds record instead of re-running it. Shared by every
+	// WithContext view, like the substrates it decodes from.
 	eng *decode.Engine
 
 	// buildSink absorbs the build charges of Warm and of DoBatch's warmup
@@ -46,10 +46,14 @@ type PreparedGraph struct {
 }
 
 // Prepare wraps gr for repeated serving. Nothing is built until the first
-// query needs it, so Prepare itself is O(1).
+// query needs it, so Prepare itself only checks the weight contract
+// (CheckWeightRange, O(m)).
 func Prepare(gr *Graph) (*PreparedGraph, error) {
 	if gr == nil || gr.g == nil {
 		return nil, fmt.Errorf("planarflow: Prepare: %w", ErrNilGraph)
+	}
+	if err := gr.CheckWeightRange(); err != nil {
+		return nil, err
 	}
 	return &PreparedGraph{gr: gr, art: artifact.New(gr.g), eng: decode.New(), buildSink: ledger.New()}, nil
 }

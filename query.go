@@ -96,12 +96,12 @@ type Query struct {
 	// rounds-accounting detail knob for serving paths that only consume
 	// the totals.
 	NoPhases bool `json:"no_phases,omitempty"`
-	// Simulated forces the label-backed families (dualsssp, girth,
-	// dirgirth, globalmincut) through the simulated CONGEST route instead
-	// of the decode engine. The two routes return bit-identical answers
-	// and rounds — this escape hatch exists so tests and audits keep
-	// exercising the simulator; it is never needed for serving. Families
-	// without an engine route ignore it.
+	// Simulated sends the label-backed families (dualsssp, girth,
+	// dirgirth, globalmincut) straight to the simulated CONGEST route,
+	// bypassing the decode engine's memo of that same route. The two
+	// return bit-identical answers and rounds; this is the library's
+	// reference route for tests and audits, and no serving surface sets
+	// it. Families without an engine route ignore it.
 	Simulated bool `json:"simulated,omitempty"`
 }
 
@@ -295,9 +295,10 @@ func (p *PreparedGraph) view(ctx context.Context) *PreparedGraph {
 
 // do dispatches one validated query to its execution route. The
 // label-backed families (dualsssp, girth, dirgirth, globalmincut) default
-// to the decode engine and take the simulated CONGEST route only when
-// q.Simulated is set; the two routes are bit-identical in payload and
-// rounds (decode_test.go holds them to that). The flow/cut families
+// to the decode engine, which is the simulated CONGEST route memoized,
+// and run that route unmemoized only when q.Simulated is set; the two
+// are bit-identical in payload and rounds (decode_test.go holds them to
+// that). The flow/cut families
 // (maxflow, minstcut, stflow, stcut) are always algorithmic: their
 // Miller–Naor searches build per-query residual labelings that no prepared
 // substrate can answer for, so there is nothing to decode from. Every
