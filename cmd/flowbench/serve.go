@@ -1,17 +1,19 @@
 package main
 
 // SERVE experiment: amortized serving over the prepared-graph artifact
-// layer. Each workload fires K queries per instance twice — cold (one-shot
-// path: every query rebuilds its own BDD/labelings) and prepared (one
-// PreparedGraph shared by all K queries) — and records total simulated
-// rounds and the amortized speedup (cold rounds / prepared rounds).
-// Results of the two paths are checked for equality per query; a mismatch
-// flips the record's OK bit. Rounds only: how fast the prepared path
-// answers on a clock is bench/'s decode.* rows, and that the decode
-// engine agrees with the simulated route is TestFastPathEquivalence.
+// layer. Each workload fires K queries per instance twice — cold (a fresh
+// Prepare per query: every query rebuilds its own BDD/labelings) and
+// prepared (one PreparedGraph shared by all K queries) — and records total
+// simulated rounds and the amortized speedup (cold rounds / prepared
+// rounds). The answers of the two paths are checked for equality per
+// query; a mismatch flips the record's OK bit. Rounds only: how fast the
+// prepared path answers on a clock is bench/'s decode.* rows, and that the
+// decode engine agrees with the simulated route is TestFastPathEquivalence.
 
 import (
+	"context"
 	"fmt"
+	"reflect"
 
 	"planarflow"
 	"planarflow/internal/planar"
@@ -48,78 +50,92 @@ func serveBench(s *sink, c cfg) {
 	}
 }
 
-// serveRecord emits one Record of a serving run and prints its table row.
-func serveRecord(s *sink, rep int, seed int64, instance, workload, path string,
-	n, d int, rounds, measured, build, query int64, speedup float64, ok bool) {
-	s.add(Record{
-		Exp: "SERVE", Instance: instance, N: n, D: d,
-		// Every phase of the label-backed workloads is pipelining-derived
-		// (measured = 0); stflow's one measured phase is the BFS tree on Ĝ.
-		Rounds: rounds, Measured: measured, Charged: rounds - measured,
-		Repeat: rep, Seed: seed, OK: ok,
-		Queries: serveQueries, Speedup: speedup,
-	})
-	row(rep, workload, path, rounds, build, query, speedup, ok)
-}
-
-// serveDist: K point-to-point distance queries; Grid(32,32) under -full
-// (the headline amortization instance recorded in BENCH_serve.json), a small
-// grid otherwise so smoke runs stay fast.
-func serveDist(s *sink, c cfg, rep int, seed int64) {
-	rows, cols := 12, 12
-	if c.full {
-		rows, cols = 32, 32
-	}
-	g := planarflow.GridGraph(rows, cols).WithRandomAttrs(seed, 1, 9, 1, 16)
-	n, d := g.N(), rows+cols-2
-	rng := planar.NewRand(seed)
-	type pair struct{ u, v int }
-	pairs := make([]pair, serveQueries)
-	for i := range pairs {
-		pairs[i] = pair{rng.IntN(n), rng.IntN(n)}
-	}
-
-	// Cold path: every query prepares its own artifact from scratch, so the
-	// whole cold cost is build rounds (point queries decode for free).
-	coldVals := make([]int64, serveQueries)
-	var coldRounds int64
-	for i, pr := range pairs {
+// serveRun answers qs on g along both paths, checks that every answer
+// matches across them, and emits one Record per path. The workload column
+// is the queries' kind.
+func serveRun(s *sink, rep int, seed int64, g *planarflow.Graph, d int, inst string, qs []planarflow.Query) {
+	ctx := context.Background()
+	var cold, prep planarflow.Rounds
+	coldAns := make([]*planarflow.Answer, len(qs))
+	for i, q := range qs {
 		p, err := planarflow.Prepare(g)
 		if err != nil {
 			fmt.Println("error:", err)
 			return
 		}
-		v, err := p.Dist(pr.u, pr.v)
-		if err != nil {
+		if coldAns[i], err = p.Do(ctx, q); err != nil {
 			fmt.Println("error:", err)
 			return
 		}
-		coldVals[i] = v
-		coldRounds += p.BuildRounds().Total
+		addRounds(&cold, coldAns[i].Rounds)
 	}
 
-	// Prepared path: one artifact serves all K queries.
 	p, err := planarflow.Prepare(g)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
 	ok := true
-	for i, pr := range pairs {
-		v, err := p.Dist(pr.u, pr.v)
+	for i, q := range qs {
+		a, err := p.Do(ctx, q)
 		if err != nil {
 			fmt.Println("error:", err)
 			return
 		}
-		ok = ok && v == coldVals[i]
+		addRounds(&prep, a.Rounds)
+		ok = ok && samePayload(a, coldAns[i])
 	}
-	build := p.BuildRounds().Total
-	prepRounds := build // point queries decode locally: zero per-query rounds
-	speedup := float64(coldRounds) / float64(prepRounds)
 
-	inst := fmt.Sprintf("dist-grid%dx%d", rows, cols)
-	serveRecord(s, rep, seed, inst+":cold", "dist", "cold", n, d, coldRounds, 0, coldRounds, 0, 1, ok)
-	serveRecord(s, rep, seed, inst+":prepared", "dist", "prepared", n, d, prepRounds, 0, build, prepRounds-build, speedup, ok)
+	workload := string(qs[0].Kind)
+	speedup := float64(cold.Total) / float64(prep.Total)
+	for _, r := range []struct {
+		path    string
+		rounds  planarflow.Rounds
+		speedup float64
+	}{{"cold", cold, 1}, {"prepared", prep, speedup}} {
+		s.add(Record{
+			Exp: "SERVE", Instance: inst + ":" + r.path, N: g.N(), D: d,
+			Rounds: r.rounds.Total, Measured: r.rounds.Measured, Charged: r.rounds.Charged,
+			Repeat: rep, Seed: seed, OK: ok,
+			Queries: serveQueries, Speedup: r.speedup,
+		})
+		row(rep, workload, r.path, r.rounds.Total, r.rounds.Build, r.rounds.Query, r.speedup, ok)
+	}
+}
+
+// addRounds adds r's totals into sum.
+func addRounds(sum *planarflow.Rounds, r planarflow.Rounds) {
+	sum.Total += r.Total
+	sum.Measured += r.Measured
+	sum.Charged += r.Charged
+	sum.Build += r.Build
+	sum.Query += r.Query
+}
+
+// samePayload reports whether a and b carry the same answer, whatever the
+// rounds each path paid for it.
+func samePayload(a, b *planarflow.Answer) bool {
+	x, y := *a, *b
+	x.Rounds, y.Rounds = planarflow.Rounds{}, planarflow.Rounds{}
+	return reflect.DeepEqual(x, y)
+}
+
+// serveDist: K point-to-point distance queries; Grid(32,32) under -full
+// (the headline amortization instance recorded in BENCH_serve.json), a small
+// grid otherwise so smoke runs stay fast. Point queries decode locally, so
+// the whole cost of either path is build rounds.
+func serveDist(s *sink, c cfg, rep int, seed int64) {
+	rows, cols := 12, 12
+	if c.full {
+		rows, cols = 32, 32
+	}
+	g := planarflow.GridGraph(rows, cols).WithRandomAttrs(seed, 1, 9, 1, 16)
+	rng := planar.NewRand(seed)
+	qs := make([]planarflow.Query, serveQueries)
+	for i := range qs {
+		qs[i] = planarflow.DistQuery(rng.IntN(g.N()), rng.IntN(g.N()))
+	}
+	serveRun(s, rep, seed, g, rows+cols-2, fmt.Sprintf("dist-grid%dx%d", rows, cols), qs)
 }
 
 // serveDualSSSP: K dual SSSP queries from distinct source faces.
@@ -129,48 +145,12 @@ func serveDualSSSP(s *sink, c cfg, rep int, seed int64) {
 		rows, cols = 16, 16
 	}
 	g := planarflow.GridGraph(rows, cols).WithRandomAttrs(seed+1, 1, 9, 1, 16)
-	n, d := g.N(), rows+cols-2
 	rng := planar.NewRand(seed + 1)
-	faces := make([]int, serveQueries)
-	for i := range faces {
-		faces[i] = rng.IntN(g.NumFaces())
+	qs := make([]planarflow.Query, serveQueries)
+	for i := range qs {
+		qs[i] = planarflow.DualSSSPQuery(rng.IntN(g.NumFaces()))
 	}
-
-	coldDist := make([][]int64, serveQueries)
-	var coldRounds, coldBuild int64
-	for i, f := range faces {
-		res, err := planarflow.DualSSSP(g, f)
-		if err != nil {
-			fmt.Println("error:", err)
-			return
-		}
-		coldDist[i] = res.Dist
-		coldRounds += res.Rounds.Total
-		coldBuild += res.Rounds.Build
-	}
-
-	p, err := planarflow.Prepare(g)
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	ok := true
-	var prepRounds, build int64
-	for i, f := range faces {
-		res, err := p.DualSSSP(f)
-		if err != nil {
-			fmt.Println("error:", err)
-			return
-		}
-		prepRounds += res.Rounds.Total
-		build += res.Rounds.Build
-		ok = ok && equalInt64s(res.Dist, coldDist[i])
-	}
-	speedup := float64(coldRounds) / float64(prepRounds)
-
-	inst := fmt.Sprintf("dualsssp-grid%dx%d", rows, cols)
-	serveRecord(s, rep, seed, inst+":cold", "dualsssp", "cold", n, d, coldRounds, 0, coldBuild, coldRounds-coldBuild, 1, ok)
-	serveRecord(s, rep, seed, inst+":prepared", "dualsssp", "prepared", n, d, prepRounds, 0, build, prepRounds-build, speedup, ok)
+	serveRun(s, rep, seed, g, rows+cols-2, fmt.Sprintf("dualsssp-grid%dx%d", rows, cols), qs)
 }
 
 // serveMaxFlow: K exact max-flow queries for distinct (s,t) pairs.
@@ -180,51 +160,14 @@ func serveMaxFlow(s *sink, c cfg, rep int, seed int64) {
 		rows, cols = 12, 12
 	}
 	g := planarflow.GridGraph(rows, cols).WithRandomAttrs(seed+2, 1, 1, 1, 16)
-	n, d := g.N(), rows+cols-2
+	n := g.N()
 	rng := planar.NewRand(seed + 2)
-	type pair struct{ s, t int }
-	pairs := make([]pair, serveQueries)
-	for i := range pairs {
+	qs := make([]planarflow.Query, serveQueries)
+	for i := range qs {
 		st := rng.IntN(n / 2)
-		tt := n/2 + rng.IntN(n/2)
-		pairs[i] = pair{st, tt}
+		qs[i] = planarflow.MaxFlowQuery(st, n/2+rng.IntN(n/2))
 	}
-
-	coldVals := make([]int64, serveQueries)
-	var coldRounds, coldBuild int64
-	for i, pr := range pairs {
-		res, err := planarflow.MaxFlow(g, pr.s, pr.t)
-		if err != nil {
-			fmt.Println("error:", err)
-			return
-		}
-		coldVals[i] = res.Value
-		coldRounds += res.Rounds.Total
-		coldBuild += res.Rounds.Build
-	}
-
-	p, err := planarflow.Prepare(g)
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	ok := true
-	var prepRounds, build int64
-	for i, pr := range pairs {
-		res, err := p.MaxFlow(pr.s, pr.t)
-		if err != nil {
-			fmt.Println("error:", err)
-			return
-		}
-		prepRounds += res.Rounds.Total
-		build += res.Rounds.Build
-		ok = ok && res.Value == coldVals[i]
-	}
-	speedup := float64(coldRounds) / float64(prepRounds)
-
-	inst := fmt.Sprintf("maxflow-grid%dx%d", rows, cols)
-	serveRecord(s, rep, seed, inst+":cold", "maxflow", "cold", n, d, coldRounds, 0, coldBuild, coldRounds-coldBuild, 1, ok)
-	serveRecord(s, rep, seed, inst+":prepared", "maxflow", "prepared", n, d, prepRounds, 0, build, prepRounds-build, speedup, ok)
+	serveRun(s, rep, seed, g, rows+cols-2, fmt.Sprintf("maxflow-grid%dx%d", rows, cols), qs)
 }
 
 // serveSTFlow: K exact st-planar max-flow queries between the top and the
@@ -235,61 +178,11 @@ func serveSTFlow(s *sink, c cfg, rep int, seed int64) {
 		rows, cols = 16, 16
 	}
 	g := planarflow.GridGraph(rows, cols).WithRandomAttrs(seed+3, 1, 1, 1, 16)
-	n, d := g.N(), rows+cols-2
 	rng := planar.NewRand(seed + 3)
-	type pair struct{ s, t int }
-	pairs := make([]pair, serveQueries)
-	for i := range pairs {
-		pairs[i] = pair{rng.IntN(cols), (rows-1)*cols + rng.IntN(cols)}
+	qs := make([]planarflow.Query, serveQueries)
+	for i := range qs {
+		st := rng.IntN(cols)
+		qs[i] = planarflow.STFlowQuery(st, (rows-1)*cols+rng.IntN(cols), 0)
 	}
-
-	coldFlows := make([][]int64, serveQueries)
-	var coldRounds, coldMeasured, coldBuild int64
-	for i, pr := range pairs {
-		res, err := planarflow.ApproxMaxFlowSTPlanar(g, pr.s, pr.t, 0)
-		if err != nil {
-			fmt.Println("error:", err)
-			return
-		}
-		coldFlows[i] = append(res.Flow, res.Value)
-		coldRounds += res.Rounds.Total
-		coldMeasured += res.Rounds.Measured
-		coldBuild += res.Rounds.Build
-	}
-
-	p, err := planarflow.Prepare(g)
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	ok := true
-	var prepRounds, measured, build int64
-	for i, pr := range pairs {
-		res, err := p.ApproxMaxFlowSTPlanar(pr.s, pr.t, 0)
-		if err != nil {
-			fmt.Println("error:", err)
-			return
-		}
-		prepRounds += res.Rounds.Total
-		measured += res.Rounds.Measured
-		build += res.Rounds.Build
-		ok = ok && equalInt64s(append(res.Flow, res.Value), coldFlows[i])
-	}
-	speedup := float64(coldRounds) / float64(prepRounds)
-
-	inst := fmt.Sprintf("stflow-grid%dx%d", rows, cols)
-	serveRecord(s, rep, seed, inst+":cold", "stflow", "cold", n, d, coldRounds, coldMeasured, coldBuild, coldRounds-coldBuild, 1, ok)
-	serveRecord(s, rep, seed, inst+":prepared", "stflow", "prepared", n, d, prepRounds, measured, build, prepRounds-build, speedup, ok)
-}
-
-func equalInt64s(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	serveRun(s, rep, seed, g, rows+cols-2, fmt.Sprintf("stflow-grid%dx%d", rows, cols), qs)
 }

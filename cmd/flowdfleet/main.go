@@ -182,12 +182,18 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
+// writeErr answers a failed request in the status class the replica
+// chose, on either plane (HTTP or wire); a failure no replica classified
+// is the front's own: 503 with no replica left, 502 otherwise.
 func writeErr(w http.ResponseWriter, err error) {
 	status := http.StatusBadGateway
 	var ae *flowd.APIError
+	var se *flowd.StatusError
 	switch {
 	case errors.As(err, &ae):
 		status = ae.Status
+	case errors.As(err, &se):
+		status = flowd.HTTPStatusOf(se.Status)
 	case errors.Is(err, fleet.ErrNoReplicas):
 		status = http.StatusServiceUnavailable
 	}

@@ -20,8 +20,10 @@ import (
 	"planarflow/internal/store"
 )
 
-// startFront boots n replicas behind an httptest front plane.
-func startFront(t *testing.T, n int) (*front, *httptest.Server) {
+// startFront boots n replicas behind an httptest front plane; with wire
+// set, the replicas serve the binary transport and the fleet routes
+// queries over it.
+func startFront(t *testing.T, n int, wire bool) (*front, *httptest.Server) {
 	t.Helper()
 	dir := t.TempDir()
 	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -31,6 +33,7 @@ func startFront(t *testing.T, n int) (*front, *httptest.Server) {
 		r, err := fleet.StartReplica(fleet.ReplicaConfig{
 			Name:   fmt.Sprintf("r%d", i),
 			Store:  store.Config{SpillDir: dir},
+			Wire:   wire,
 			Logger: quiet,
 		})
 		if err != nil {
@@ -40,7 +43,7 @@ func startFront(t *testing.T, n int) (*front, *httptest.Server) {
 		members[i] = r.Member()
 		t.Cleanup(r.Stop)
 	}
-	fc, err := fleet.New(members, fleet.Options{ProbeInterval: -1})
+	fc, err := fleet.New(members, fleet.Options{ProbeInterval: -1, Wire: wire})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,8 +73,39 @@ func postJSON(t *testing.T, url string, body string, header http.Header) *http.R
 	return resp
 }
 
+// TestFrontStatusAgreesAcrossPlanes sends the same failing requests
+// through a front routing over HTTP and one routing queries over the
+// wire: each request must get the same status from both, the class the
+// replica chose.
+func TestFrontStatusAgreesAcrossPlanes(t *testing.T) {
+	cases := []struct {
+		name, path, body string
+		want             int
+	}{
+		{"bad vertex", "/v1/query", `{"graph":"g","op":"dist","u":0,"v":99}`, http.StatusBadRequest},
+		{"unknown graph", "/v1/query", `{"graph":"nope","op":"dist","u":0,"v":1}`, http.StatusNotFound},
+		{"bad spec", "/v1/graphs", `{"id":"h","spec":{"kind":"nope"}}`, http.StatusBadRequest},
+	}
+	for _, wire := range []bool{false, true} {
+		_, srv := startFront(t, 2, wire)
+		resp := postJSON(t, srv.URL+"/v1/graphs", `{"id":"g","spec":{"kind":"grid","rows":3,"cols":3}}`, nil)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("wire=%v: register: status %d", wire, resp.StatusCode)
+		}
+		for _, c := range cases {
+			resp := postJSON(t, srv.URL+c.path, c.body, nil)
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != c.want {
+				t.Errorf("wire=%v: %s: status %d (%s), want %d", wire, c.name, resp.StatusCode, bytes.TrimSpace(body), c.want)
+			}
+		}
+	}
+}
+
 func TestFleetTracezEndpoint(t *testing.T) {
-	_, srv := startFront(t, 2)
+	_, srv := startFront(t, 2, false)
 
 	spec := `{"kind":"grid","rows":6,"cols":6,"seed":5,"w_lo":1,"w_hi":9,"c_lo":1,"c_hi":16}`
 	resp := postJSON(t, srv.URL+"/v1/graphs", `{"id":"g","spec":`+spec+`}`, nil)
@@ -162,7 +196,7 @@ func TestFleetTracezEndpoint(t *testing.T) {
 }
 
 func TestFleetzJournal(t *testing.T) {
-	f, srv := startFront(t, 2)
+	f, srv := startFront(t, 2, false)
 	f.fc.RecordDrain("r0")
 
 	r, err := http.Get(srv.URL + "/fleetz")
@@ -192,7 +226,7 @@ func TestFleetzJournal(t *testing.T) {
 // is invisible exactly where there is a fleet. One cold query through a
 // replica must show on both pages, and both must parse strictly.
 func TestMetricszCarriesProcessWideLayers(t *testing.T) {
-	f, srv := startFront(t, 2)
+	f, srv := startFront(t, 2, false)
 	ctx := context.Background()
 	rep := f.reps[0]
 	cl := flowd.NewClient(rep.Member().HTTP)
@@ -247,7 +281,7 @@ func TestMetricszCarriesProcessWideLayers(t *testing.T) {
 // however many evictions a co-hosted replica ran; the front's merged page
 // carries their sum.
 func TestMetricszStoreCountsPerReplica(t *testing.T) {
-	f, srv := startFront(t, 2)
+	f, srv := startFront(t, 2, false)
 	ctx := context.Background()
 	spec := store.GraphSpec{Kind: "grid", Rows: 6, Cols: 6, Seed: 9, WLo: 1, WHi: 9, CLo: 1, CHi: 16}
 	// r0: three evictions — the first spills, the two after it restore
@@ -316,7 +350,7 @@ func TestMetricszStoreCountsPerReplica(t *testing.T) {
 // every replica's registry beside it, reports the process's GC count
 // once, not once per replica.
 func TestMetricszRuntimeGaugesOnce(t *testing.T) {
-	_, srv := startFront(t, 3)
+	_, srv := startFront(t, 3, false)
 	for i := 0; i < 3; i++ {
 		runtime.GC()
 	}
@@ -344,7 +378,7 @@ func TestMetricszRuntimeGaugesOnce(t *testing.T) {
 // the time since they started.
 func TestMetricszUptimeOnce(t *testing.T) {
 	began := time.Now()
-	_, srv := startFront(t, 3)
+	_, srv := startFront(t, 3, false)
 	time.Sleep(20 * time.Millisecond)
 	r, err := http.Get(srv.URL + "/metricsz")
 	if err != nil {

@@ -29,8 +29,7 @@ var (
 	// ErrNonPositiveWeight reports non-positive edge weights passed to an
 	// algorithm requiring strictly positive weights (girth).
 	ErrNonPositiveWeight = errors.New("edge weights must be positive")
-	// ErrNilGraph reports a nil *Graph handed to Prepare or a one-shot
-	// entry point.
+	// ErrNilGraph reports a nil *Graph handed to Prepare.
 	ErrNilGraph = errors.New("nil graph")
 	// ErrUnknownQueryKind reports a Query whose Kind is not one of
 	// QueryKinds (including the zero Query).

@@ -5,24 +5,23 @@ import (
 	"testing"
 )
 
-// Every public entry point validates its arguments with typed sentinel
-// errors, dispatchable via errors.Is.
+// Every query is validated with typed sentinel errors, dispatchable via
+// errors.Is, whichever family it asks.
 
 func TestSentinelVertexRange(t *testing.T) {
 	g := GridGraph(3, 3)
-	cases := []error{
-		func() error { _, err := MaxFlow(g, -1, 2); return err }(),
-		func() error { _, err := MaxFlow(g, 0, 99); return err }(),
-		func() error { _, err := MinSTCut(g, 42, 0); return err }(),
-		func() error { _, err := ApproxMaxFlowSTPlanar(g, -3, 1, 0.1); return err }(),
-		func() error { _, err := ApproxMinCutSTPlanar(g, 0, 100, 0); return err }(),
-	}
-	for i, err := range cases {
-		if !errors.Is(err, ErrVertexRange) {
+	for i, q := range []Query{
+		MaxFlowQuery(-1, 2),
+		MaxFlowQuery(0, 99),
+		MinSTCutQuery(42, 0),
+		STFlowQuery(-3, 1, 0.1),
+		STCutQuery(0, 100, 0),
+	} {
+		if _, err := doFresh(t, g, q); !errors.Is(err, ErrVertexRange) {
 			t.Fatalf("case %d: got %v, want ErrVertexRange", i, err)
 		}
 	}
-	o, err := NewDistanceOracle(g)
+	o, err := oracle(g, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,23 +32,23 @@ func TestSentinelVertexRange(t *testing.T) {
 
 func TestSentinelSameVertex(t *testing.T) {
 	g := GridGraph(3, 3)
-	if _, err := MaxFlow(g, 4, 4); !errors.Is(err, ErrSameVertex) {
+	if _, err := doFresh(t, g, MaxFlowQuery(4, 4)); !errors.Is(err, ErrSameVertex) {
 		t.Fatalf("got %v, want ErrSameVertex", err)
 	}
-	if _, err := MinSTCut(g, 0, 0); !errors.Is(err, ErrSameVertex) {
+	if _, err := doFresh(t, g, MinSTCutQuery(0, 0)); !errors.Is(err, ErrSameVertex) {
 		t.Fatalf("got %v, want ErrSameVertex", err)
 	}
 }
 
 func TestSentinelFaceRange(t *testing.T) {
 	g := GridGraph(3, 3)
-	if _, err := DualSSSP(g, -1); !errors.Is(err, ErrFaceRange) {
+	if _, err := doFresh(t, g, DualSSSPQuery(-1)); !errors.Is(err, ErrFaceRange) {
 		t.Fatalf("got %v, want ErrFaceRange", err)
 	}
-	if _, err := DualSSSP(g, g.NumFaces()); !errors.Is(err, ErrFaceRange) {
+	if _, err := doFresh(t, g, DualSSSPQuery(g.NumFaces())); !errors.Is(err, ErrFaceRange) {
 		t.Fatalf("got %v, want ErrFaceRange", err)
 	}
-	o, err := NewDistanceOracle(g)
+	o, err := oracle(g, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,10 +60,10 @@ func TestSentinelFaceRange(t *testing.T) {
 func TestSentinelSameFaceRequired(t *testing.T) {
 	g := GridGraph(5, 5)
 	// Center vertex 12 and corner 0 share no face.
-	if _, err := ApproxMaxFlowSTPlanar(g, 12, 0, 0.1); !errors.Is(err, ErrSameFaceRequired) {
+	if _, err := doFresh(t, g, STFlowQuery(12, 0, 0.1)); !errors.Is(err, ErrSameFaceRequired) {
 		t.Fatalf("got %v, want ErrSameFaceRequired", err)
 	}
-	if _, err := ApproxMinCutSTPlanar(g, 12, 0, 0); !errors.Is(err, ErrSameFaceRequired) {
+	if _, err := doFresh(t, g, STCutQuery(12, 0, 0)); !errors.Is(err, ErrSameFaceRequired) {
 		t.Fatalf("got %v, want ErrSameFaceRequired", err)
 	}
 }
@@ -72,7 +71,7 @@ func TestSentinelSameFaceRequired(t *testing.T) {
 func TestSentinelEpsilonRange(t *testing.T) {
 	g := GridGraph(3, 3)
 	for _, eps := range []float64{-0.1, 1.0, 2.5} {
-		if _, err := ApproxMaxFlowSTPlanar(g, 0, 8, eps); !errors.Is(err, ErrEpsilonRange) {
+		if _, err := doFresh(t, g, STFlowQuery(0, 8, eps)); !errors.Is(err, ErrEpsilonRange) {
 			t.Fatalf("eps=%v: got %v, want ErrEpsilonRange", eps, err)
 		}
 	}
@@ -83,14 +82,14 @@ func TestSentinelNegativeCycle(t *testing.T) {
 		old.Weight = -1
 		return old
 	})
-	if _, err := NewDistanceOracle(g); !errors.Is(err, ErrNegativeCycle) {
-		t.Fatalf("got %v, want ErrNegativeCycle", err)
-	}
 	p, err := Prepare(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Dist(0, 1); !errors.Is(err, ErrNegativeCycle) {
+	if _, err := p.DistanceOracle(); !errors.Is(err, ErrNegativeCycle) {
+		t.Fatalf("oracle: got %v, want ErrNegativeCycle", err)
+	}
+	if _, err := p.Do(nil, DistQuery(0, 1)); !errors.Is(err, ErrNegativeCycle) {
 		t.Fatalf("prepared dist: got %v, want ErrNegativeCycle", err)
 	}
 }
@@ -100,17 +99,17 @@ func TestSentinelWeightSigns(t *testing.T) {
 		old.Weight = -2
 		return old
 	})
-	if _, err := GlobalMinCut(neg); !errors.Is(err, ErrNegativeWeight) {
+	if _, err := doFresh(t, neg, GlobalMinCutQuery()); !errors.Is(err, ErrNegativeWeight) {
 		t.Fatalf("global cut: got %v, want ErrNegativeWeight", err)
 	}
-	if _, err := DirectedGirth(neg); !errors.Is(err, ErrNegativeWeight) {
+	if _, err := doFresh(t, neg, DirectedGirthQuery()); !errors.Is(err, ErrNegativeWeight) {
 		t.Fatalf("directed girth: got %v, want ErrNegativeWeight", err)
 	}
 	zero := GridGraph(3, 3).WithAttrs(func(e int, old Edge) Edge {
 		old.Weight = 0
 		return old
 	})
-	if _, err := Girth(zero); !errors.Is(err, ErrNonPositiveWeight) {
+	if _, err := doFresh(t, zero, GirthQuery()); !errors.Is(err, ErrNonPositiveWeight) {
 		t.Fatalf("girth: got %v, want ErrNonPositiveWeight", err)
 	}
 }
@@ -119,7 +118,7 @@ func TestSentinelNilGraph(t *testing.T) {
 	if _, err := Prepare(nil); !errors.Is(err, ErrNilGraph) {
 		t.Fatalf("got %v, want ErrNilGraph", err)
 	}
-	if _, err := MaxFlow(nil, 0, 1); !errors.Is(err, ErrNilGraph) {
-		t.Fatalf("one-shot: got %v, want ErrNilGraph", err)
+	if _, err := Prepare(&Graph{}); !errors.Is(err, ErrNilGraph) {
+		t.Fatalf("empty Graph: got %v, want ErrNilGraph", err)
 	}
 }

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -23,8 +24,13 @@ func main() {
 		log.Fatal("s and t must share a face for the st-planar algorithm")
 	}
 
+	ctx := context.Background()
+	p, err := planarflow.Prepare(g)
+	if err != nil {
+		log.Fatal(err)
+	}
 	const eps = 0.1
-	approx, err := planarflow.ApproxMaxFlowSTPlanar(g, s, t, eps)
+	approx, err := p.Do(ctx, planarflow.STFlowQuery(s, t, eps))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -38,18 +44,18 @@ func main() {
 	fmt.Println("plan verified: street capacities respected, no people lost at intersections")
 
 	// Exact run (ε = 0) for comparison, and the choke-point cut.
-	exact, err := planarflow.ApproxMaxFlowSTPlanar(g, s, t, 0)
+	exact, err := p.Do(ctx, planarflow.STFlowQuery(s, t, 0))
 	if err != nil {
 		log.Fatal(err)
 	}
-	cut, err := planarflow.ApproxMinCutSTPlanar(g, s, t, 0)
+	cut, err := p.Do(ctx, planarflow.STCutQuery(s, t, 0))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("optimal rate: %d people/min; approximation achieved %.1f%%\n",
 		exact.Value, 100*float64(approx.Value)/float64(exact.Value))
 	fmt.Printf("choke point: %d streets with total capacity %d\n",
-		len(cut.CutEdges), cut.Value)
+		len(cut.Edges), cut.Value)
 	fmt.Printf("cost: approx %d rounds vs exact max-flow route Õ(D²); D = %d\n",
 		approx.Rounds.Total, g.Diameter())
 }

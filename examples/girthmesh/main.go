@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -17,17 +18,21 @@ func main() {
 	// sensors; link weights are measured latencies in [5, 40] ms.
 	g := planarflow.CylinderGraph(6, 30).WithRandomAttrs(3, 5, 40, 1, 1)
 
-	res, err := planarflow.Girth(g)
+	p, err := planarflow.Prepare(g)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if res.Weight == planarflow.Inf {
+	res, err := p.Do(context.Background(), planarflow.GirthQuery())
+	if err != nil {
+		log.Fatal(err)
+	}
+	if res.Value == planarflow.Inf {
 		fmt.Println("mesh is acyclic: no feedback loops possible")
 		return
 	}
 	fmt.Printf("fastest feedback loop: %d ms around %d links\n",
-		res.Weight, len(res.CycleEdges))
-	for _, e := range res.CycleEdges {
+		res.Value, len(res.Edges))
+	for _, e := range res.Edges {
 		ed := g.EdgeAt(e)
 		fmt.Printf("  link %3d: sensor %3d <-> %3d (%d ms)\n", e, ed.U, ed.V, ed.Weight)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -19,19 +20,26 @@ func main() {
 
 	src := 0             // residential corner
 	dst := rows*cols - 1 // business district
-	flow, err := planarflow.MaxFlow(g, src, dst)
+	// The first query on a prepared graph builds the BDD and pays for it;
+	// the min-cut query after it finds the BDD resident.
+	ctx := context.Background()
+	p, err := planarflow.Prepare(g)
+	if err != nil {
+		log.Fatal(err)
+	}
+	flow, err := p.Do(ctx, planarflow.MaxFlowQuery(src, dst))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("peak-hour throughput %d vehicles/unit from %d to %d\n",
 		flow.Value, src, dst)
 
-	cut, err := planarflow.MinSTCut(g, src, dst)
+	cut, err := p.Do(ctx, planarflow.MinSTCutQuery(src, dst))
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("bottleneck: %d streets carry the entire flow:\n", len(cut.CutEdges))
-	for _, e := range cut.CutEdges {
+	fmt.Printf("bottleneck: %d streets carry the entire flow:\n", len(cut.Edges))
+	for _, e := range cut.Edges {
 		ed := g.EdgeAt(e)
 		fmt.Printf("  street %3d: intersection %3d -> %3d (capacity %d)\n",
 			e, ed.U, ed.V, ed.Cap)
@@ -40,12 +48,12 @@ func main() {
 	// Every cut street must be saturated by the max flow (complementary
 	// slackness) — a useful operational sanity check.
 	saturated := 0
-	for _, e := range cut.CutEdges {
+	for _, e := range cut.Edges {
 		if flow.Flow[e] == g.EdgeAt(e).Cap {
 			saturated++
 		}
 	}
-	fmt.Printf("saturated bottleneck streets: %d/%d\n", saturated, len(cut.CutEdges))
+	fmt.Printf("saturated bottleneck streets: %d/%d\n", saturated, len(cut.Edges))
 	fmt.Printf("distributed cost: %d rounds over a diameter-%d network\n",
 		flow.Rounds.Total, g.Diameter())
 }

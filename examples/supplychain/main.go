@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -18,7 +19,9 @@ func main() {
 	// hub mutually reachable, so stranding a region always costs something.
 	g := planarflow.BoustrophedonGridGraph(6, 10).WithRandomAttrs(5, 1, 9, 1, 1)
 
-	cut, err := planarflow.GlobalMinCut(g)
+	// Each question gets its own prepared graph, so each answer's Rounds
+	// carry the full Build + Query cost of its route.
+	cut, err := solve(g, planarflow.GlobalMinCutQuery())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -34,22 +37,31 @@ func main() {
 			"with no outgoing lanes\n", stranded)
 	} else {
 		fmt.Printf("cheapest region-stranding failure: %d capacity across %d lanes\n",
-			cut.Value, len(cut.CutEdges))
-		for _, e := range cut.CutEdges {
+			cut.Value, len(cut.Edges))
+		for _, e := range cut.Edges {
 			ed := g.EdgeAt(e)
 			fmt.Printf("  lane %3d: hub %2d -> %2d (weight %d)\n", e, ed.U, ed.V, ed.Weight)
 		}
 	}
 
-	loop, err := planarflow.DirectedGirth(g)
+	loop, err := solve(g, planarflow.DirectedGirthQuery())
 	if err != nil {
 		log.Fatal(err)
 	}
-	if loop.Weight == planarflow.Inf {
+	if loop.Value == planarflow.Inf {
 		fmt.Println("routing graph is acyclic: no freight can loop")
 	} else {
-		fmt.Printf("shortest possible routing loop: total weight %d\n", loop.Weight)
+		fmt.Printf("shortest possible routing loop: total weight %d\n", loop.Value)
 	}
 	fmt.Printf("cost: global cut %d rounds, directed girth %d rounds (both Õ(D²); D=%d)\n",
 		cut.Rounds.Total, loop.Rounds.Total, g.Diameter())
+}
+
+// solve answers q on a freshly prepared g.
+func solve(g *planarflow.Graph, q planarflow.Query) (*planarflow.Answer, error) {
+	p, err := planarflow.Prepare(g)
+	if err != nil {
+		return nil, err
+	}
+	return p.Do(context.Background(), q)
 }

@@ -289,7 +289,8 @@ func statusOf(err error) int {
 		return http.StatusConflict
 	case errors.Is(err, store.ErrGraphLimit):
 		return http.StatusTooManyRequests
-	case errors.Is(err, store.ErrSpillDisabled), errors.Is(err, store.ErrBadID):
+	case errors.Is(err, store.ErrSpillDisabled), errors.Is(err, store.ErrBadID),
+		errors.Is(err, store.ErrBadSpec):
 		return http.StatusBadRequest
 	case errors.Is(err, planarflow.ErrVertexRange),
 		errors.Is(err, planarflow.ErrFaceRange),

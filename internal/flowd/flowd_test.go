@@ -148,11 +148,11 @@ func TestRegisterAndQueryEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantDist, err := p.Dist(0, g.N()-1)
+	wantDist, err := p.Do(ctx, planarflow.DistQuery(0, g.N()-1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantFlow, err := p.MaxFlow(0, g.N()-1)
+	wantFlow, err := p.Do(ctx, planarflow.MaxFlowQuery(0, g.N()-1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,8 +161,8 @@ func TestRegisterAndQueryEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if qr.Value != wantDist {
-		t.Fatalf("dist over the wire %d, in-process %d", qr.Value, wantDist)
+	if qr.Value != wantDist.Value {
+		t.Fatalf("dist over the wire %d, in-process %d", qr.Value, wantDist.Value)
 	}
 	if qr.Hit {
 		t.Fatal("first query reported a resident bundle")
@@ -194,7 +194,7 @@ func TestRegisterAndQueryEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSSSP, err := p.DualSSSP(0)
+	wantSSSP, err := p.Do(ctx, planarflow.DualSSSPQuery(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestEvictionVisibleOnStatsz(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Dist(0, 1); err != nil {
+	if _, err := p.Do(nil, planarflow.DistQuery(0, 1)); err != nil {
 		t.Fatal(err)
 	}
 	unit := p.Stats().Bytes
@@ -364,6 +364,14 @@ func TestMalformedBodies(t *testing.T) {
 		// A range wider than int64 is refused before generation draws from it.
 		{"/v1/graphs", `{"id":"g","spec":{"kind":"grid","rows":3,"cols":3,"w_lo":-4611686018427387904,"w_hi":4611686018427387904}}`,
 			"store: weight or capacity range wider than int64: weights and capacities out of range"},
+		// Every spec GraphSpec.Validate refuses is the client's error.
+		{"/v1/graphs", `{"id":"g","spec":{"kind":"nope"}}`, "store: bad graph spec: unknown kind \"nope\""},
+		{"/v1/graphs", `{"id":"g","spec":{"kind":"grid","rows":1,"cols":9}}`, "store: bad graph spec: grid needs rows, cols >= 2 (got 1x9)"},
+		{"/v1/graphs", `{"id":"g","spec":{"kind":"cylinder","rows":3,"cols":2}}`, "store: bad graph spec: cylinder needs cols >= 3 (got 2)"},
+		{"/v1/graphs", `{"id":"g","spec":{"kind":"snake","rows":4096,"cols":4096}}`, "store: bad graph spec: snake 4096x4096 exceeds 1048576 vertices"},
+		{"/v1/graphs", `{"id":"g","spec":{"kind":"triangulation","n":2}}`, "store: bad graph spec: triangulation needs 3 <= n <= 1048576 (got 2)"},
+		{"/v1/graphs", `{"id":"g","spec":{"kind":"grid","rows":3,"cols":3,"w_lo":5,"w_hi":2}}`, "store: bad graph spec: weight range [5, 2] is empty"},
+		{"/v1/graphs", `{"id":"g","spec":{"kind":"grid","rows":3,"cols":3,"c_lo":5,"c_hi":2}}`, "store: bad graph spec: capacity range [5, 2] is empty"},
 		{"/v1/snapshot", ``, "flowd: bad snapshot request: EOF"},
 		{"/v1/snapshot", `{`, "flowd: bad snapshot request: unexpected EOF"},
 		{"/v1/snapshot", `[]`, "flowd: bad snapshot request: json: cannot unmarshal array into Go value of type flowd.SnapshotRequest"},
@@ -393,7 +401,9 @@ func TestMalformedBodies(t *testing.T) {
 			t.Errorf("%s %q: got %d %q, want 400 %q", c.path, c.body, rec.Code, e.Error, c.want)
 		}
 	}
-	if got := wireStatusOf(fmt.Errorf("x: %w", planarflow.ErrWeightRange)); got != wire.StatusBadRequest {
-		t.Errorf("ErrWeightRange on the wire: status %v, want StatusBadRequest", got)
+	for _, err := range []error{planarflow.ErrWeightRange, store.ErrBadSpec} {
+		if got := wireStatusOf(fmt.Errorf("x: %w", err)); got != wire.StatusBadRequest {
+			t.Errorf("%v on the wire: status %v, want StatusBadRequest", err, got)
+		}
 	}
 }

@@ -67,6 +67,28 @@ func wireStatusOf(err error) wire.Status {
 	}
 }
 
+// HTTPStatusOf is wireStatusOf's inverse: the HTTP status a wire status
+// stands for, so a proxy that met a StatusError answers its own HTTP
+// caller in the class the replica chose.
+func HTTPStatusOf(s wire.Status) int {
+	switch s {
+	case wire.StatusNotFound:
+		return http.StatusNotFound
+	case wire.StatusConflict:
+		return http.StatusConflict
+	case wire.StatusOverload:
+		return http.StatusTooManyRequests
+	case wire.StatusBadRequest:
+		return http.StatusBadRequest
+	case wire.StatusCanceled:
+		return 499
+	case wire.StatusTimeout:
+		return http.StatusGatewayTimeout
+	default:
+		return http.StatusInternalServerError
+	}
+}
+
 // Wire returns the daemon's binary-transport server, creating it on
 // first use. Serve it on any listener (cmd/flowd wires -listen-wire and
 // -listen-uds here); all listeners share one server, one set of

@@ -85,7 +85,7 @@ func TestCleanEvictionWritesNothing(t *testing.T) {
 		if hit {
 			t.Error("restore counted as a hit")
 		}
-		if d, err := pg.Dist(0, pg.Graph().N()-1); err != nil || d != want {
+		if d, err := dist(pg, 0, pg.Graph().N()-1); err != nil || d != want {
 			t.Errorf("restored dist %d, %v; want %d", d, err, want)
 		}
 		return pg.Snapshot(&fresh)

@@ -204,7 +204,7 @@ func TestConcurrentSpillRestore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := p.Dist(0, g.N()-1)
+		d, err := dist(p, 0, g.N()-1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -32,31 +32,33 @@ type GraphSpec struct {
 	CHi  int64  `json:"c_hi,omitempty"`
 }
 
-// Validate checks the spec without building anything.
+// Validate checks the spec without building anything. Every refusal
+// wraps ErrBadSpec, except a weight or capacity range wider than int64,
+// which wraps planarflow.ErrWeightRange.
 func (sp GraphSpec) Validate() error {
 	switch sp.Kind {
 	case "grid", "cylinder", "snake":
 		if sp.Rows < 2 || sp.Cols < 2 {
-			return fmt.Errorf("store: %s spec needs rows, cols >= 2 (got %dx%d)", sp.Kind, sp.Rows, sp.Cols)
+			return fmt.Errorf("%w: %s needs rows, cols >= 2 (got %dx%d)", ErrBadSpec, sp.Kind, sp.Rows, sp.Cols)
 		}
 		if sp.Kind == "cylinder" && sp.Cols < 3 {
-			return fmt.Errorf("store: cylinder spec needs cols >= 3 (got %d)", sp.Cols)
+			return fmt.Errorf("%w: cylinder needs cols >= 3 (got %d)", ErrBadSpec, sp.Cols)
 		}
 		if sp.Rows > MaxSpecVertices/sp.Cols {
-			return fmt.Errorf("store: %s spec %dx%d exceeds %d vertices", sp.Kind, sp.Rows, sp.Cols, MaxSpecVertices)
+			return fmt.Errorf("%w: %s %dx%d exceeds %d vertices", ErrBadSpec, sp.Kind, sp.Rows, sp.Cols, MaxSpecVertices)
 		}
 	case "triangulation":
 		if sp.N < 3 || sp.N > MaxSpecVertices {
-			return fmt.Errorf("store: triangulation spec needs 3 <= n <= %d (got %d)", MaxSpecVertices, sp.N)
+			return fmt.Errorf("%w: triangulation needs 3 <= n <= %d (got %d)", ErrBadSpec, MaxSpecVertices, sp.N)
 		}
 	default:
-		return fmt.Errorf("store: unknown graph kind %q", sp.Kind)
+		return fmt.Errorf("%w: unknown kind %q", ErrBadSpec, sp.Kind)
 	}
 	if sp.WHi != 0 && sp.WLo > sp.WHi {
-		return fmt.Errorf("store: weight range [%d, %d] is empty", sp.WLo, sp.WHi)
+		return fmt.Errorf("%w: weight range [%d, %d] is empty", ErrBadSpec, sp.WLo, sp.WHi)
 	}
 	if sp.CHi != 0 && sp.CLo > sp.CHi {
-		return fmt.Errorf("store: capacity range [%d, %d] is empty", sp.CLo, sp.CHi)
+		return fmt.Errorf("%w: capacity range [%d, %d] is empty", ErrBadSpec, sp.CLo, sp.CHi)
 	}
 	// Build draws from hi−lo+1 values, which must fit an int64; a range
 	// that wide is far past the weight contract anyway.

@@ -78,6 +78,9 @@ var (
 	// ErrBadID reports a Register with an empty id or one longer than
 	// MaxIDLen.
 	ErrBadID = errors.New("store: bad graph id")
+	// ErrBadSpec reports a GraphSpec that names no generator or asks one
+	// for a graph it cannot make (see GraphSpec.Validate).
+	ErrBadSpec = errors.New("store: bad graph spec")
 	// ErrSpillDisabled reports a snapshot request on a store with no
 	// Config.SpillDir.
 	ErrSpillDisabled = errors.New("store: snapshot tier disabled (no spill directory)")

@@ -16,8 +16,18 @@ func gridSpec(seed int64) GraphSpec {
 	return GraphSpec{Kind: "grid", Rows: 6, Cols: 6, Seed: seed, WLo: 1, WHi: 9, CLo: 1, CHi: 16}
 }
 
+// dist answers one dist query on pg through Do, keeping the context pg is
+// bound to (With binds it to the request's).
+func dist(pg *planarflow.PreparedGraph, u, v int) (int64, error) {
+	a, err := pg.Do(nil, planarflow.DistQuery(u, v))
+	if err != nil {
+		return 0, err
+	}
+	return a.Value, nil
+}
+
 // distFootprint measures the accounted footprint of one grid's bundle
-// after a Dist query, so tests can size budgets in units of "one bundle".
+// after a dist query, so tests can size budgets in units of "one bundle".
 func distFootprint(t testing.TB) int64 {
 	t.Helper()
 	g, err := gridSpec(1).Build()
@@ -28,7 +38,7 @@ func distFootprint(t testing.TB) int64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Dist(0, g.N()-1); err != nil {
+	if _, err := dist(p, 0, g.N()-1); err != nil {
 		t.Fatal(err)
 	}
 	b := p.Stats().Bytes
@@ -90,7 +100,7 @@ func TestSingleflightDedup(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			err := s.With(context.Background(), "g", func(pg *planarflow.PreparedGraph, hit bool) error {
-				d, err := pg.Dist(0, g.N()-1)
+				d, err := dist(pg, 0, g.N()-1)
 				dists[i] = d
 				return err
 			})
@@ -144,7 +154,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 	touch := func(id string) {
 		t.Helper()
 		err := s.With(context.Background(), id, func(pg *planarflow.PreparedGraph, hit bool) error {
-			_, err := pg.Dist(0, 1)
+			_, err := dist(pg, 0, 1)
 			return err
 		})
 		if err != nil {
@@ -200,12 +210,12 @@ func TestPinnedBundleSurvivesEviction(t *testing.T) {
 		}
 	}
 	err := s.With(context.Background(), "a", func(pg *planarflow.PreparedGraph, hit bool) error {
-		if _, err := pg.Dist(0, 1); err != nil {
+		if _, err := dist(pg, 0, 1); err != nil {
 			return err
 		}
 		// a is pinned; building b exceeds the budget but must not evict a.
 		err := s.With(context.Background(), "b", func(pg2 *planarflow.PreparedGraph, hit bool) error {
-			_, err := pg2.Dist(0, 1)
+			_, err := dist(pg2, 0, 1)
 			return err
 		})
 		if err != nil {
@@ -217,7 +227,7 @@ func TestPinnedBundleSurvivesEviction(t *testing.T) {
 			}
 		}
 		// a is still queryable mid-pressure.
-		_, err = pg.Dist(0, 2)
+		_, err = dist(pg, 0, 2)
 		return err
 	})
 	if err != nil {
@@ -249,7 +259,7 @@ func TestQueryDuringEvictRace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := p.Dist(0, g.N()-1)
+		d, err := dist(p, 0, g.N()-1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,7 +275,7 @@ func TestQueryDuringEvictRace(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				id := fmt.Sprintf("g%d", (w+r)%graphs)
 				err := s.With(context.Background(), id, func(pg *planarflow.PreparedGraph, hit bool) error {
-					d, err := pg.Dist(0, pg.Graph().N()-1)
+					d, err := dist(pg, 0, pg.Graph().N()-1)
 					if err != nil {
 						return err
 					}
@@ -302,7 +312,7 @@ func TestContextCancellationPropagates(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	err = s.With(ctx, "g", func(pg *planarflow.PreparedGraph, hit bool) error {
-		_, err := pg.Dist(0, g.N()-1)
+		_, err := dist(pg, 0, g.N()-1)
 		return err
 	})
 	if !errors.Is(err, context.Canceled) {
@@ -311,7 +321,7 @@ func TestContextCancellationPropagates(t *testing.T) {
 	// The abandoned build left no half-accounted substrate; a live request
 	// builds from scratch and succeeds.
 	err = s.With(context.Background(), "g", func(pg *planarflow.PreparedGraph, hit bool) error {
-		_, err := pg.Dist(0, g.N()-1)
+		_, err := dist(pg, 0, g.N()-1)
 		return err
 	})
 	if err != nil {
@@ -397,23 +407,28 @@ func TestGraphLimit(t *testing.T) {
 
 func TestSpecValidate(t *testing.T) {
 	cases := []struct {
-		sp GraphSpec
-		ok bool
+		sp   GraphSpec
+		want error // nil = valid
 	}{
-		{GraphSpec{Kind: "grid", Rows: 4, Cols: 4}, true},
-		{GraphSpec{Kind: "grid", Rows: 1, Cols: 9}, false},
-		{GraphSpec{Kind: "grid", Rows: 1 << 12, Cols: 1 << 12}, false},
-		{GraphSpec{Kind: "cylinder", Rows: 3, Cols: 2}, false},
-		{GraphSpec{Kind: "cylinder", Rows: 3, Cols: 3}, true},
-		{GraphSpec{Kind: "snake", Rows: 4, Cols: 5}, true},
-		{GraphSpec{Kind: "triangulation", N: 2}, false},
-		{GraphSpec{Kind: "triangulation", N: 64}, true},
-		{GraphSpec{Kind: "grid", Rows: 4, Cols: 4, WLo: 5, WHi: 2}, false},
-		{GraphSpec{Kind: ""}, false},
+		{GraphSpec{Kind: "grid", Rows: 4, Cols: 4}, nil},
+		{GraphSpec{Kind: "grid", Rows: 1, Cols: 9}, ErrBadSpec},
+		{GraphSpec{Kind: "grid", Rows: 1 << 12, Cols: 1 << 12}, ErrBadSpec},
+		{GraphSpec{Kind: "cylinder", Rows: 3, Cols: 2}, ErrBadSpec},
+		{GraphSpec{Kind: "cylinder", Rows: 3, Cols: 3}, nil},
+		{GraphSpec{Kind: "snake", Rows: 4, Cols: 5}, nil},
+		{GraphSpec{Kind: "triangulation", N: 2}, ErrBadSpec},
+		{GraphSpec{Kind: "triangulation", N: MaxSpecVertices + 1}, ErrBadSpec},
+		{GraphSpec{Kind: "triangulation", N: 64}, nil},
+		{GraphSpec{Kind: "grid", Rows: 4, Cols: 4, WLo: 5, WHi: 2}, ErrBadSpec},
+		{GraphSpec{Kind: "grid", Rows: 4, Cols: 4, CLo: 5, CHi: 2}, ErrBadSpec},
+		{GraphSpec{Kind: "grid", Rows: 4, Cols: 4, WLo: -1 << 62, WHi: 1 << 62}, planarflow.ErrWeightRange},
+		{GraphSpec{Kind: ""}, ErrBadSpec},
+		{GraphSpec{Kind: "nope"}, ErrBadSpec},
 	}
 	for _, c := range cases {
-		if err := c.sp.Validate(); (err == nil) != c.ok {
-			t.Errorf("Validate(%+v) = %v, want ok=%v", c.sp, err, c.ok)
+		err := c.sp.Validate()
+		if c.want == nil && err != nil || c.want != nil && !errors.Is(err, c.want) {
+			t.Errorf("Validate(%+v) = %v, want %v", c.sp, err, c.want)
 		}
 	}
 }

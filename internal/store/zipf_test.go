@@ -39,10 +39,10 @@ func TestLRUKeepsZipfHead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p0.Dist(0, n-1); err != nil {
+	if _, err := dist(p0, 0, n-1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p0.DualDist(0, 1); err != nil {
+	if _, err := p0.Do(nil, planarflow.DualDistQuery(0, 1)); err != nil {
 		t.Fatal(err)
 	}
 	unit := p0.Stats().Bytes

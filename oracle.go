@@ -21,38 +21,19 @@ type DistanceOracle struct {
 	rounds Rounds
 }
 
-// NewDistanceOracle builds primal and dual distance labels for the graph
-// under its edge weights (both traversal directions cost Weight; use
-// NewDirectedDistanceOracle for one-way semantics). Weights may be negative
-// as long as no negative cycle exists; a negative cycle is reported as an
-// error, per Thm 2.1.
-func NewDistanceOracle(gr *Graph) (*DistanceOracle, error) {
-	p, err := Prepare(gr)
-	if err != nil {
-		return nil, err
-	}
-	return p.DistanceOracle()
-}
-
-// NewDirectedDistanceOracle builds labels where each edge is traversable
-// only in its U -> V direction.
-func NewDirectedDistanceOracle(gr *Graph) (*DistanceOracle, error) {
-	p, err := Prepare(gr)
-	if err != nil {
-		return nil, err
-	}
-	return p.DirectedDistanceOracle()
-}
-
 // DistanceOracle returns the undirected distance oracle over this prepared
-// graph's label artifacts, building them if needed. Its Rounds report the
-// cost paid by this call: the full labeling construction the first time, and
-// zero once the artifacts are warm.
+// graph's label artifacts (both traversal directions of an edge cost its
+// Weight), building them if needed. Weights may be negative as long as no
+// negative cycle exists; a negative cycle is reported as ErrNegativeCycle,
+// per Thm 2.1. Its Rounds report the cost paid by this call: the full
+// labeling construction the first time, and zero once the artifacts are
+// warm.
 func (p *PreparedGraph) DistanceOracle() (*DistanceOracle, error) {
 	return p.oracle(artifact.Undirected)
 }
 
-// DirectedDistanceOracle is DistanceOracle with one-way edge semantics.
+// DirectedDistanceOracle is DistanceOracle with one-way edge semantics:
+// each edge is traversable only in its U -> V direction.
 func (p *PreparedGraph) DirectedDistanceOracle() (*DistanceOracle, error) {
 	return p.oracle(artifact.Directed)
 }

@@ -4,9 +4,22 @@ import (
 	"testing"
 )
 
+// oracle builds g's undirected (or, with directed set, one-way) distance
+// oracle through Prepare.
+func oracle(g *Graph, directed bool) (*DistanceOracle, error) {
+	p, err := Prepare(g)
+	if err != nil {
+		return nil, err
+	}
+	if directed {
+		return p.DirectedDistanceOracle()
+	}
+	return p.DistanceOracle()
+}
+
 func TestDistanceOracleUndirected(t *testing.T) {
 	g := GridGraph(4, 5) // unit weights
-	o, err := NewDistanceOracle(g)
+	o, err := oracle(g, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +47,7 @@ func TestDistanceOracleDirected(t *testing.T) {
 	// Default grid points right/down: opposite corner reachable, reverse
 	// unreachable.
 	g := GridGraph(3, 3)
-	o, err := NewDirectedDistanceOracle(g)
+	o, err := oracle(g, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +66,7 @@ func TestDistanceOracleDirected(t *testing.T) {
 
 func TestDistanceOracleDual(t *testing.T) {
 	g := GridGraph(3, 3)
-	o, err := NewDistanceOracle(g)
+	o, err := oracle(g, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +84,7 @@ func TestDistanceOracleDual(t *testing.T) {
 
 func TestDistanceOracleLabelWords(t *testing.T) {
 	g := GridGraph(6, 6)
-	o, err := NewDistanceOracle(g)
+	o, err := oracle(g, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +100,7 @@ func TestDistanceOracleNegativeCycleReported(t *testing.T) {
 		old.Weight = -1
 		return old
 	})
-	if _, err := NewDistanceOracle(g); err == nil {
+	if _, err := oracle(g, false); err == nil {
 		t.Fatal("expected negative cycle error")
 	}
 }

@@ -17,16 +17,16 @@
 //   - directed global minimum cut in Õ(D²) rounds (Theorem 1.5), via
 //     minimum directed cycles in the dual.
 //
-// Graphs are built with the Builder (or the generators in GridGraph etc.);
-// every algorithm returns a Rounds report derived from the simulation's
-// measured message schedules. For serving many queries on one graph, Prepare
-// returns a PreparedGraph that builds the expensive substrates (BDD +
-// distance labelings, the paper's §5 artifact) once and answers queries
-// concurrently. Every query family is also expressible as a first-class
-// Query value executed through one entry point — Do for one query, DoBatch
-// for many (bounded worker pool, single-pass substrate warmup, per-query
-// error isolation), Warm for eager substrate prefetch; the named methods
-// and the one-shot functions below are thin wrappers over the same plane.
+// Graphs are built with the Builder (or the generators in GridGraph etc.).
+// Prepare wraps a graph in a PreparedGraph that builds the expensive
+// substrates (BDD + distance labelings, the paper's §5 artifact) once, on
+// first use, and answers queries concurrently. Every query family is a
+// first-class Query value (MaxFlowQuery, GirthQuery, ...) executed through
+// one entry point — Do for one query, DoBatch for many (bounded worker
+// pool, single-pass substrate warmup, per-query error isolation), Warm for
+// eager substrate prefetch — and every Answer carries a Rounds report
+// derived from the simulation's measured message schedules. The
+// DistanceOracle view adds directed dual distances and label sizes.
 // See DESIGN.md for the correspondence between packages and the paper's
 // sections, and EXPERIMENTS.md for the reproduced complexity measurements.
 package planarflow
@@ -200,10 +200,10 @@ func (gr *Graph) SharedFace(u, v int) bool { return len(gr.g.CommonFaces(u, v)) 
 // Rounds reports the CONGEST cost of one algorithm run, split two ways:
 // Measured vs Charged (how the rounds were accounted) and Build vs Query
 // (whether they construct the reusable BDD/labeling artifact or are paid per
-// query). One-shot entry points pay Build + Query every call; on a
-// PreparedGraph only the query that triggers a construction carries Build
-// rounds, so second-and-later queries report Build == 0 — the amortization
-// the paper's §5 labels enable.
+// query). Only the query that triggers a construction carries Build
+// rounds, so second-and-later queries on a PreparedGraph report Build == 0
+// — the amortization the paper's §5 labels enable; a fresh Prepare per
+// query pays Build + Query every time.
 type Rounds struct {
 	Total    int64
 	Measured int64            // rounds counted by executing message schedules
@@ -225,133 +225,6 @@ func roundsTotalsOf(l *ledger.Ledger) Rounds {
 	m, c := l.Split()
 	b, q := l.BuildSplit()
 	return Rounds{Total: m + c, Measured: m, Charged: c, Build: b, Query: q}
-}
-
-// FlowResult is a maximum st-flow: value, per-edge assignment and cost.
-type FlowResult struct {
-	Value      int64
-	Flow       []int64 // per edge, in [0, Cap] along the edge direction
-	Iterations int     // feasibility probes the λ search ran
-	Rounds     Rounds
-}
-
-// MaxFlow computes the exact maximum st-flow of the directed planar graph
-// (Thm 1.2, Õ(D²) rounds). One-shot: equivalent to Prepare followed by one
-// query, with the artifact discarded afterwards; its Rounds carry the full
-// Build + Query cost.
-func MaxFlow(gr *Graph, s, t int) (*FlowResult, error) {
-	p, err := Prepare(gr)
-	if err != nil {
-		return nil, err
-	}
-	return p.MaxFlow(s, t)
-}
-
-// CutResult is an st-cut or global cut: value, one side of the bisection,
-// and the crossing edges.
-type CutResult struct {
-	Value    int64
-	Side     []bool
-	CutEdges []int
-	Rounds   Rounds
-}
-
-// MinSTCut computes the exact directed minimum st-cut (Thm 6.1).
-func MinSTCut(gr *Graph, s, t int) (*CutResult, error) {
-	p, err := Prepare(gr)
-	if err != nil {
-		return nil, err
-	}
-	return p.MinSTCut(s, t)
-}
-
-// ApproxFlowResult is a (1-ε)-approximate undirected st-planar flow.
-type ApproxFlowResult struct {
-	Value   int64
-	Flow    []int64 // signed per edge: positive U->V
-	Epsilon float64
-	Rounds  Rounds
-}
-
-// ApproxMaxFlowSTPlanar computes a (1-eps)-approximate maximum st-flow of an
-// undirected planar graph with s, t on a common face (Thm 1.3); eps = 0 runs
-// the exact oracle.
-func ApproxMaxFlowSTPlanar(gr *Graph, s, t int, eps float64) (*ApproxFlowResult, error) {
-	p, err := Prepare(gr)
-	if err != nil {
-		return nil, err
-	}
-	return p.ApproxMaxFlowSTPlanar(s, t, eps)
-}
-
-// ApproxMinCutSTPlanar computes the corresponding (approximate) minimum
-// st-cut with its bisection and cut edges (Thm 6.2).
-func ApproxMinCutSTPlanar(gr *Graph, s, t int, eps float64) (*CutResult, error) {
-	p, err := Prepare(gr)
-	if err != nil {
-		return nil, err
-	}
-	return p.ApproxMinCutSTPlanar(s, t, eps)
-}
-
-// GirthResult is a minimum-weight cycle.
-type GirthResult struct {
-	Weight     int64 // Inf when acyclic
-	CycleEdges []int
-	Rounds     Rounds
-}
-
-// Girth computes the weighted girth of the undirected planar graph with
-// positive weights (Thm 1.7, Õ(D) rounds).
-func Girth(gr *Graph) (*GirthResult, error) {
-	p, err := Prepare(gr)
-	if err != nil {
-		return nil, err
-	}
-	return p.Girth()
-}
-
-// DirectedGirth computes the minimum weight of a directed cycle (Inf if the
-// orientation is acyclic) via the SSSP/BDD route of [36] in Õ(D²) rounds —
-// the algorithm the paper's Õ(D) undirected Girth improves upon
-// (Question 1.6).
-func DirectedGirth(gr *Graph) (*GirthResult, error) {
-	p, err := Prepare(gr)
-	if err != nil {
-		return nil, err
-	}
-	return p.DirectedGirth()
-}
-
-// GlobalMinCut computes the directed global minimum cut (Thm 1.5, Õ(D²)
-// rounds).
-func GlobalMinCut(gr *Graph) (*CutResult, error) {
-	p, err := Prepare(gr)
-	if err != nil {
-		return nil, err
-	}
-	return p.GlobalMinCut()
-}
-
-// DualSSSPResult holds single-source shortest-path distances on the dual
-// graph G* (per face of the embedding).
-type DualSSSPResult struct {
-	Source   int
-	Dist     []int64
-	NegCycle bool
-	Rounds   Rounds
-}
-
-// DualSSSP computes shortest paths in the dual graph from the given source
-// face, with per-edge lengths taken from edge weights applied to both
-// crossing directions (Thm 2.1 / Lemma 2.2, Õ(D²) rounds). Negative weights
-// are allowed; a negative dual cycle is reported instead of distances.
-func DualSSSP(gr *Graph, sourceFace int) (*DualSSSPResult, error) {
-	p, err := Prepare(gr)
-	if err != nil {
-		return nil, err
-	}
-	return p.DualSSSP(sourceFace)
 }
 
 // CheckFlow verifies a directed flow assignment (capacities + conservation).

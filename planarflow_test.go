@@ -26,12 +26,8 @@ func TestBuilderRoundTrip(t *testing.T) {
 	if g.N() != 3 || g.M() != 3 || g.NumFaces() != 2 {
 		t.Fatalf("n=%d m=%d f=%d", g.N(), g.M(), g.NumFaces())
 	}
-	gr, err := Girth(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gr.Weight != 6 {
-		t.Fatalf("girth=%d want 6", gr.Weight)
+	if gr := answer(t, g, GirthQuery()); gr.Value != 6 {
+		t.Fatalf("girth=%d want 6", gr.Value)
 	}
 }
 
@@ -51,10 +47,7 @@ func TestBuilderRejectsBadRotation(t *testing.T) {
 
 func TestPublicMaxFlow(t *testing.T) {
 	g := GridGraph(4, 4).WithRandomAttrs(1, 1, 1, 1, 9)
-	res, err := MaxFlow(g, 0, g.N()-1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := answer(t, g, MaxFlowQuery(0, g.N()-1))
 	if res.Value <= 0 {
 		t.Fatalf("value=%d", res.Value)
 	}
@@ -64,57 +57,35 @@ func TestPublicMaxFlow(t *testing.T) {
 	if res.Rounds.Total <= 0 || len(res.Rounds.ByPhase) == 0 {
 		t.Fatal("missing round report")
 	}
-	cut, err := MinSTCut(g, 0, g.N()-1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cut.Value != res.Value {
+	if cut := answer(t, g, MinSTCutQuery(0, g.N()-1)); cut.Value != res.Value {
 		t.Fatalf("cut=%d flow=%d", cut.Value, res.Value)
 	}
 }
 
 func TestPublicApproxFlow(t *testing.T) {
 	g := GridGraph(4, 5).WithRandomAttrs(2, 1, 1, 50, 200)
-	res, err := ApproxMaxFlowSTPlanar(g, 0, g.N()-1, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := answer(t, g, STFlowQuery(0, g.N()-1, 0.1))
 	if err := CheckUndirectedFlow(g, 0, g.N()-1, res.Flow, res.Value); err != nil {
 		t.Fatal(err)
 	}
-	cut, err := ApproxMinCutSTPlanar(g, 0, g.N()-1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cut.Value < res.Value {
+	if cut := answer(t, g, STCutQuery(0, g.N()-1, 0)); cut.Value < res.Value {
 		t.Fatalf("exact cut %d below approximate flow %d", cut.Value, res.Value)
 	}
 }
 
 func TestPublicGirthAndGlobalCut(t *testing.T) {
 	g := GridGraph(5, 5)
-	gr, err := Girth(g)
-	if err != nil {
-		t.Fatal(err)
+	if gr := answer(t, g, GirthQuery()); gr.Value != 4 {
+		t.Fatalf("girth=%d want 4", gr.Value)
 	}
-	if gr.Weight != 4 {
-		t.Fatalf("girth=%d want 4", gr.Weight)
-	}
-	gc, err := GlobalMinCut(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gc.Value != 0 {
+	if gc := answer(t, g, GlobalMinCutQuery()); gc.Value != 0 {
 		t.Fatalf("acyclic orientation must have zero cut, got %d", gc.Value)
 	}
 }
 
 func TestPublicDualSSSP(t *testing.T) {
 	g := GridGraph(4, 4)
-	res, err := DualSSSP(g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := answer(t, g, DualSSSPQuery(0))
 	if res.NegCycle {
 		t.Fatal("unexpected negative cycle")
 	}

@@ -14,19 +14,17 @@ import (
 // PreparedGraph is a graph bundled with its reusable preprocessing
 // artifacts: the Bounded Diameter Decomposition and the primal/dual distance
 // labelings of §5, and the minor-aggregation simulator's prices on the dual
-// (§4.2), built lazily on first use and shared by every subsequent query. The paper's observation that the Õ(D)-bit labels "actually allow
+// (§4.2), built lazily on first use and shared by every subsequent query.
+// The paper's observation that the Õ(D)-bit labels "actually allow
 // computation of all pairs shortest paths" (§5) makes this split natural:
 // construction costs Õ(D²) rounds once, queries decode locally.
 //
-// All query methods are safe for concurrent use; a substrate needed by many
-// in-flight queries is built exactly once and the others block until it is
-// ready. Every result that carries a Rounds reports the Build/Query split:
-// the query that triggered a construction carries its cost (Build > 0),
-// queries served from the warm artifact report Build == 0. The point-query
-// methods (Dist, DirectedDist, DualDist) return bare distances — they decode
-// locally at zero per-query round cost; the Build rounds of a construction
-// they trigger are visible on the corresponding Do answer and through
-// BuildRounds.
+// Do, DoBatch and Warm are safe for concurrent use; a substrate needed by
+// many in-flight queries is built exactly once and the others block until
+// it is ready. Every Answer reports the Build/Query split: the query that
+// triggered a construction carries its cost (Build > 0), queries served
+// from the warm artifact report Build == 0. The point queries (dist,
+// dirdist, dualdist) decode locally at zero per-query round cost.
 type PreparedGraph struct {
 	gr  *Graph
 	art *artifact.Prepared
@@ -56,16 +54,6 @@ func Prepare(gr *Graph) (*PreparedGraph, error) {
 		return nil, err
 	}
 	return &PreparedGraph{gr: gr, art: artifact.New(gr.g), eng: decode.New(), buildSink: ledger.New()}, nil
-}
-
-// PrepareContext is Prepare with the returned PreparedGraph bound to ctx,
-// as by WithContext.
-func PrepareContext(ctx context.Context, gr *Graph) (*PreparedGraph, error) {
-	p, err := Prepare(gr)
-	if err != nil {
-		return nil, err
-	}
-	return p.WithContext(ctx), nil
 }
 
 // WithContext returns a request-scoped view over the same substrate cache:
@@ -189,125 +177,4 @@ func sentinelErr(err error) error {
 	default:
 		return err
 	}
-}
-
-// MaxFlow computes the exact maximum st-flow (Thm 1.2). The BDD is shared
-// across queries; the per-λ residual labelings of the Miller–Naor search are
-// per-query work. Thin wrapper over Do(MaxFlowQuery(s, t)).
-func (p *PreparedGraph) MaxFlow(s, t int) (*FlowResult, error) {
-	a, err := p.do(MaxFlowQuery(s, t))
-	if err != nil {
-		return nil, err
-	}
-	return &FlowResult{Value: a.Value, Flow: a.Flow, Iterations: a.Iterations, Rounds: a.Rounds}, nil
-}
-
-// MinSTCut computes the exact directed minimum st-cut (Thm 6.1). Thin
-// wrapper over Do(MinSTCutQuery(s, t)).
-func (p *PreparedGraph) MinSTCut(s, t int) (*CutResult, error) {
-	a, err := p.do(MinSTCutQuery(s, t))
-	if err != nil {
-		return nil, err
-	}
-	return &CutResult{Value: a.Value, Side: a.Side, CutEdges: a.Edges, Rounds: a.Rounds}, nil
-}
-
-// ApproxMaxFlowSTPlanar computes a (1-eps)-approximate maximum st-flow with
-// s and t on a common face (Thm 1.3); eps = 0 runs the exact oracle. Thin
-// wrapper over Do(STFlowQuery(s, t, eps)).
-func (p *PreparedGraph) ApproxMaxFlowSTPlanar(s, t int, eps float64) (*ApproxFlowResult, error) {
-	a, err := p.do(STFlowQuery(s, t, eps))
-	if err != nil {
-		return nil, err
-	}
-	return &ApproxFlowResult{Value: a.Value, Flow: a.Flow, Epsilon: eps, Rounds: a.Rounds}, nil
-}
-
-// ApproxMinCutSTPlanar computes the corresponding (approximate) minimum
-// st-cut (Thm 6.2). Thin wrapper over Do(STCutQuery(s, t, eps)).
-func (p *PreparedGraph) ApproxMinCutSTPlanar(s, t int, eps float64) (*CutResult, error) {
-	a, err := p.do(STCutQuery(s, t, eps))
-	if err != nil {
-		return nil, err
-	}
-	return &CutResult{Value: a.Value, Side: a.Side, CutEdges: a.Edges, Rounds: a.Rounds}, nil
-}
-
-// Girth computes the weighted girth (Thm 1.7). Its minor-aggregation route
-// reuses one substrate, the graph's simulator prices (SubstrateMinorAgg):
-// the first girth, stflow or stcut builds them. Thin wrapper over
-// Do(GirthQuery()).
-func (p *PreparedGraph) Girth() (*GirthResult, error) {
-	a, err := p.do(GirthQuery())
-	if err != nil {
-		return nil, err
-	}
-	return &GirthResult{Weight: a.Value, CycleEdges: a.Edges, Rounds: a.Rounds}, nil
-}
-
-// DirectedGirth computes the minimum weight of a directed cycle via the
-// SSSP/BDD route of [36]; the directed primal labeling it decodes from is a
-// shared artifact. Thin wrapper over Do(DirectedGirthQuery()).
-func (p *PreparedGraph) DirectedGirth() (*GirthResult, error) {
-	a, err := p.do(DirectedGirthQuery())
-	if err != nil {
-		return nil, err
-	}
-	return &GirthResult{Weight: a.Value, Rounds: a.Rounds}, nil
-}
-
-// GlobalMinCut computes the directed global minimum cut (Thm 1.5); the
-// free-reversal dual labeling is a shared artifact. Thin wrapper over
-// Do(GlobalMinCutQuery()).
-func (p *PreparedGraph) GlobalMinCut() (*CutResult, error) {
-	a, err := p.do(GlobalMinCutQuery())
-	if err != nil {
-		return nil, err
-	}
-	return &CutResult{Value: a.Value, Side: a.Side, CutEdges: a.Edges, Rounds: a.Rounds}, nil
-}
-
-// DualSSSP computes shortest paths in the dual graph from the given source
-// face (Thm 2.1 / Lemma 2.2). The undirected dual labeling is the shared
-// artifact; each query pays one label broadcast. Thin wrapper over
-// Do(DualSSSPQuery(sourceFace)).
-func (p *PreparedGraph) DualSSSP(sourceFace int) (*DualSSSPResult, error) {
-	a, err := p.do(DualSSSPQuery(sourceFace))
-	if err != nil {
-		return nil, err
-	}
-	return &DualSSSPResult{Source: sourceFace, Dist: a.Dist, NegCycle: a.NegCycle, Rounds: a.Rounds}, nil
-}
-
-// Dist returns the shortest-path distance from u to v under undirected
-// weight semantics (both traversal directions cost Weight), decoding locally
-// from the shared primal labeling; Inf if unreachable. Thin wrapper over
-// Do(DistQuery(u, v)).
-func (p *PreparedGraph) Dist(u, v int) (int64, error) {
-	a, err := p.do(DistQuery(u, v))
-	if err != nil {
-		return 0, err
-	}
-	return a.Value, nil
-}
-
-// DirectedDist is Dist with one-way edge semantics (each edge traversable
-// only U -> V). Thin wrapper over Do(DirectedDistQuery(u, v)).
-func (p *PreparedGraph) DirectedDist(u, v int) (int64, error) {
-	a, err := p.do(DirectedDistQuery(u, v))
-	if err != nil {
-		return 0, err
-	}
-	return a.Value, nil
-}
-
-// DualDist returns the shortest-path distance between two faces of the dual
-// graph under undirected weight semantics. Thin wrapper over
-// Do(DualDistQuery(f1, f2)).
-func (p *PreparedGraph) DualDist(f1, f2 int) (int64, error) {
-	a, err := p.do(DualDistQuery(f1, f2))
-	if err != nil {
-		return 0, err
-	}
-	return a.Value, nil
 }

@@ -8,9 +8,10 @@ package planarflow
 // runs one query; DoBatch runs many with a bounded worker pool, a
 // single-pass substrate warmup (each substrate any query in the batch needs
 // is built exactly once, before fan-out) and per-query error isolation.
-// The named methods (MaxFlow, Dist, Girth, ...) are thin wrappers over Do,
-// and the flowd wire protocol maps JSON requests straight onto Query — one
-// request value, one execution path, at every layer.
+// Query and Do are the library's one query surface: there is no per-family
+// function or method beside them, and the flowd wire protocol maps JSON
+// requests straight onto Query — one request value, one execution path, at
+// every layer.
 
 import (
 	"context"
@@ -251,6 +252,18 @@ func (q Query) Substrates() []Substrate {
 //	girth, dirgirth           Value (Inf = acyclic), Edges (girth only)
 //	globalmincut              Value, Side, Edges, Rounds
 //
+// What the fields mean per family:
+//
+//   - maxflow: Flow[e] is the flow along edge e in its U→V direction, in
+//     [0, Cap(e)].
+//   - stflow: Flow[e] is signed, positive U→V (the graph is read as
+//     undirected).
+//   - minstcut, stcut: Side is the s-side and Edges the edges leaving it
+//     (for stcut, every edge crossing it).
+//   - globalmincut: Edges are the edges leaving Side.
+//   - girth, dirgirth: Value is Inf when the graph has no (directed) cycle;
+//     girth's Edges are one minimum-weight cycle.
+//
 // Every Answer reports the same Build/Query rounds split: the query that
 // triggered a substrate construction carries its cost (Build > 0), queries
 // served from warm substrates report Build == 0. The point-decode kinds
@@ -278,8 +291,7 @@ type Answer struct {
 // Do executes one query against the prepared substrates, honoring ctx at
 // substrate-build checkpoints (a nil ctx keeps the context the
 // PreparedGraph is already bound to). It is the single execution entry
-// point every named method and wire surface routes through; results are
-// bit-identical to the corresponding named method.
+// point every caller and wire surface routes through.
 func (p *PreparedGraph) Do(ctx context.Context, q Query) (*Answer, error) {
 	return p.view(ctx).do(q)
 }

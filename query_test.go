@@ -10,155 +10,8 @@ import (
 	"testing"
 )
 
-// TestDoEquivalence asserts that Do(Q) is bit-identical — payload and full
-// Rounds report, per-phase breakdown included — to the legacy named method
-// for every query family. Each side runs on its own fresh PreparedGraph so
-// both pay the same (deterministic) build cost.
-func TestDoEquivalence(t *testing.T) {
-	g := servingGraph()
-	gd := BoustrophedonGridGraph(5, 5).WithRandomAttrs(7, 1, 20, 1, 1)
-	s, tt := 0, g.N()-1
-	ctx := context.Background()
-
-	fresh := func(gr *Graph) *PreparedGraph {
-		p, err := Prepare(gr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-
-	t.Run("MaxFlow", func(t *testing.T) {
-		want, err1 := fresh(g).MaxFlow(s, tt)
-		a, err2 := fresh(g).Do(ctx, MaxFlowQuery(s, tt))
-		if err1 != nil || err2 != nil {
-			t.Fatal(err1, err2)
-		}
-		got := &FlowResult{Value: a.Value, Flow: a.Flow, Iterations: a.Iterations, Rounds: a.Rounds}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("Do diverges from MaxFlow:\n%+v\n%+v", want, got)
-		}
-	})
-	t.Run("MinSTCut", func(t *testing.T) {
-		want, err1 := fresh(g).MinSTCut(s, tt)
-		a, err2 := fresh(g).Do(ctx, MinSTCutQuery(s, tt))
-		if err1 != nil || err2 != nil {
-			t.Fatal(err1, err2)
-		}
-		got := &CutResult{Value: a.Value, Side: a.Side, CutEdges: a.Edges, Rounds: a.Rounds}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatal("Do diverges from MinSTCut")
-		}
-	})
-	t.Run("STFlowAndSTCut", func(t *testing.T) {
-		want, err1 := fresh(g).ApproxMaxFlowSTPlanar(s, tt, 0.1)
-		a, err2 := fresh(g).Do(ctx, STFlowQuery(s, tt, 0.1))
-		if err1 != nil || err2 != nil {
-			t.Fatal(err1, err2)
-		}
-		got := &ApproxFlowResult{Value: a.Value, Flow: a.Flow, Epsilon: 0.1, Rounds: a.Rounds}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatal("Do diverges from ApproxMaxFlowSTPlanar")
-		}
-		wcut, err3 := fresh(g).ApproxMinCutSTPlanar(s, tt, 0)
-		ac, err4 := fresh(g).Do(ctx, STCutQuery(s, tt, 0))
-		if err3 != nil || err4 != nil {
-			t.Fatal(err3, err4)
-		}
-		gcut := &CutResult{Value: ac.Value, Side: ac.Side, CutEdges: ac.Edges, Rounds: ac.Rounds}
-		if !reflect.DeepEqual(wcut, gcut) {
-			t.Fatal("Do diverges from ApproxMinCutSTPlanar")
-		}
-	})
-	t.Run("Girth", func(t *testing.T) {
-		want, err1 := fresh(g).Girth()
-		a, err2 := fresh(g).Do(ctx, GirthQuery())
-		if err1 != nil || err2 != nil {
-			t.Fatal(err1, err2)
-		}
-		got := &GirthResult{Weight: a.Value, CycleEdges: a.Edges, Rounds: a.Rounds}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatal("Do diverges from Girth")
-		}
-	})
-	t.Run("DirectedGirth", func(t *testing.T) {
-		want, err1 := fresh(gd).DirectedGirth()
-		a, err2 := fresh(gd).Do(ctx, DirectedGirthQuery())
-		if err1 != nil || err2 != nil {
-			t.Fatal(err1, err2)
-		}
-		got := &GirthResult{Weight: a.Value, Rounds: a.Rounds}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatal("Do diverges from DirectedGirth")
-		}
-	})
-	t.Run("GlobalMinCut", func(t *testing.T) {
-		want, err1 := fresh(gd).GlobalMinCut()
-		a, err2 := fresh(gd).Do(ctx, GlobalMinCutQuery())
-		if err1 != nil || err2 != nil {
-			t.Fatal(err1, err2)
-		}
-		got := &CutResult{Value: a.Value, Side: a.Side, CutEdges: a.Edges, Rounds: a.Rounds}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatal("Do diverges from GlobalMinCut")
-		}
-	})
-	t.Run("DualSSSP", func(t *testing.T) {
-		want, err1 := fresh(g).DualSSSP(1)
-		a, err2 := fresh(g).Do(ctx, DualSSSPQuery(1))
-		if err1 != nil || err2 != nil {
-			t.Fatal(err1, err2)
-		}
-		got := &DualSSSPResult{Source: 1, Dist: a.Dist, NegCycle: a.NegCycle, Rounds: a.Rounds}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatal("Do diverges from DualSSSP")
-		}
-	})
-	t.Run("PointDistances", func(t *testing.T) {
-		pLegacy, pDo := fresh(g), fresh(g)
-		first := true
-		for u := 0; u < g.N(); u += 7 {
-			for v := 0; v < g.N(); v += 5 {
-				want, err1 := pLegacy.Dist(u, v)
-				a, err2 := pDo.Do(ctx, DistQuery(u, v))
-				if err1 != nil || err2 != nil {
-					t.Fatal(err1, err2)
-				}
-				// Point decodes have no per-query rounds; the one query
-				// that triggers the labeling build carries it as Build.
-				if a.Value != want || a.Rounds.Query != 0 {
-					t.Fatalf("dist(%d,%d): Do %d (query rounds %d), legacy %d", u, v, a.Value, a.Rounds.Query, want)
-				}
-				if first && a.Rounds.Build <= 0 {
-					t.Fatalf("triggering dist query Build=%d, want > 0", a.Rounds.Build)
-				}
-				if !first && a.Rounds.Build != 0 {
-					t.Fatalf("warm dist query Build=%d, want 0", a.Rounds.Build)
-				}
-				first = false
-			}
-		}
-		wantD, err1 := pLegacy.DirectedDist(2, 9)
-		ad, err2 := pDo.Do(ctx, DirectedDistQuery(2, 9))
-		if err1 != nil || err2 != nil {
-			t.Fatal(err1, err2)
-		}
-		if ad.Value != wantD {
-			t.Fatalf("dirdist: Do %d, legacy %d", ad.Value, wantD)
-		}
-		wantF, err3 := pLegacy.DualDist(0, g.NumFaces()-1)
-		af, err4 := pDo.Do(ctx, DualDistQuery(0, g.NumFaces()-1))
-		if err3 != nil || err4 != nil {
-			t.Fatal(err3, err4)
-		}
-		if af.Value != wantF {
-			t.Fatalf("dualdist: Do %d, legacy %d", af.Value, wantF)
-		}
-	})
-}
-
-// TestDoErrors asserts Do rejects what the legacy methods reject, with the
-// same sentinels, plus the query-plane-specific sentinels.
+// TestDoErrors asserts Do rejects every malformed query with its sentinel,
+// the query-plane-specific ones (unknown kind, leaf limit) included.
 func TestDoErrors(t *testing.T) {
 	g := servingGraph()
 	p, err := Prepare(g)
@@ -208,8 +61,8 @@ func batchQueries(g *Graph) []Query {
 
 // TestDoBatchEquivalence runs a mixed-family batch with a concurrent
 // worker pool (exercised under -race) and asserts every answer's payload
-// and per-query rounds are identical to the legacy method calls, and that
-// the warmup pass stripped every Build charge from the answers.
+// and per-query rounds are identical to sequential Do calls, and that the
+// warmup pass stripped every Build charge from the answers.
 func TestDoBatchEquivalence(t *testing.T) {
 	g := servingGraph()
 	p, err := Prepare(g)
@@ -236,35 +89,23 @@ func TestDoBatchEquivalence(t *testing.T) {
 		}
 	}
 
-	// Legacy ground truth on a fresh bundle (warm after first calls).
-	pl, err := Prepare(g)
+	// Sequential ground truth on a fresh bundle (warm after first calls).
+	ps, err := Prepare(g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, q := range queries {
 		a := answers[i]
-		legacy, err := pl.Do(nil, q) // fresh-bundle do() shares the legacy path
+		seq, err := ps.Do(nil, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a.Value != legacy.Value || !reflect.DeepEqual(a.Dist, legacy.Dist) ||
-			!reflect.DeepEqual(a.Flow, legacy.Flow) || !reflect.DeepEqual(a.Side, legacy.Side) ||
-			!reflect.DeepEqual(a.Edges, legacy.Edges) || a.NegCycle != legacy.NegCycle ||
-			a.Iterations != legacy.Iterations {
+		if !samePayload(a, seq) {
 			t.Fatalf("query %d (%s): batch payload diverges from sequential", i, q.Kind)
 		}
-		if a.Rounds.Query != legacy.Rounds.Query {
-			t.Fatalf("query %d (%s): batch Query rounds %d, sequential %d", i, q.Kind, a.Rounds.Query, legacy.Rounds.Query)
+		if a.Rounds.Query != seq.Rounds.Query {
+			t.Fatalf("query %d (%s): batch Query rounds %d, sequential %d", i, q.Kind, a.Rounds.Query, seq.Rounds.Query)
 		}
-	}
-
-	// And against the named legacy methods proper, for the headline pair.
-	flow, err := pl.MaxFlow(0, g.N()-1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if answers[1].Value != flow.Value || !reflect.DeepEqual(answers[1].Flow, flow.Flow) {
-		t.Fatal("batch maxflow diverges from legacy MaxFlow")
 	}
 }
 
@@ -341,14 +182,14 @@ func TestWarm(t *testing.T) {
 		t.Fatalf("substrates after default Warm: %d, want 3", len(st.Substrates))
 	}
 	// maxflow needs only the BDD, which the default set includes.
-	res, err := p.MaxFlow(0, g.N()-1)
+	res, err := p.Do(nil, MaxFlowQuery(0, g.N()-1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Rounds.Build != 0 {
 		t.Fatalf("post-Warm maxflow Build=%d, want 0", res.Rounds.Build)
 	}
-	if _, err := p.Dist(0, 1); err != nil {
+	if _, err := p.Do(nil, DistQuery(0, 1)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -373,7 +214,7 @@ func TestWarm(t *testing.T) {
 	if err := p2.Warm(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled Warm error %v", err)
 	}
-	if _, err := p2.Dist(0, 1); err != nil {
+	if _, err := p2.Do(nil, DistQuery(0, 1)); err != nil {
 		t.Fatalf("query after canceled Warm: %v", err)
 	}
 }
@@ -386,7 +227,7 @@ func TestDoBatchConcurrentBatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := p.Dist(0, g.N()-1)
+	want, err := p.Do(nil, DistQuery(0, g.N()-1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,8 +241,8 @@ func TestDoBatchConcurrentBatches(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if answers[0].Err != nil || answers[0].Value != want {
-				t.Errorf("concurrent batch dist: %+v, want %d", answers[0], want)
+			if answers[0].Err != nil || answers[0].Value != want.Value {
+				t.Errorf("concurrent batch dist: %+v, want %d", answers[0], want.Value)
 			}
 		}()
 	}

@@ -169,16 +169,16 @@ func TestSnapshotPartialWarm(t *testing.T) {
 	}
 	// A family whose substrate was not snapshotted still answers — by
 	// building it now — and matches the original.
-	wantGirth, err := p.DirectedGirth()
+	wantGirth, err := p.Do(nil, planarflow.DirectedGirthQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotGirth, err := p2.DirectedGirth()
+	gotGirth, err := p2.Do(nil, planarflow.DirectedGirthQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wantGirth.Weight != gotGirth.Weight {
-		t.Fatalf("directed girth %d != %d after partial restore", gotGirth.Weight, wantGirth.Weight)
+	if wantGirth.Value != gotGirth.Value {
+		t.Fatalf("directed girth %d != %d after partial restore", gotGirth.Value, wantGirth.Value)
 	}
 	if got := len(p2.Stats().Substrates); got != built+1 {
 		t.Fatalf("expected exactly one on-demand build, have %d substrates (was %d)", got, built)

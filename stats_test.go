@@ -15,7 +15,7 @@ func TestPreparedGraphStats(t *testing.T) {
 	if st := p.Stats(); st.Bytes != 0 || len(st.Substrates) != 0 {
 		t.Fatalf("fresh PreparedGraph has nonzero stats: %+v", st)
 	}
-	if _, err := p.Dist(0, g.N()-1); err != nil {
+	if _, err := p.Do(nil, DistQuery(0, g.N()-1)); err != nil {
 		t.Fatal(err)
 	}
 	st := p.Stats()
@@ -29,7 +29,7 @@ func TestPreparedGraphStats(t *testing.T) {
 		t.Fatalf("stats build rounds %d != BuildRounds() %d", st.BuildRounds, p.BuildRounds().Total)
 	}
 	// A second substrate family grows the footprint.
-	if _, err := p.DualDist(0, 1); err != nil {
+	if _, err := p.Do(nil, DualDistQuery(0, 1)); err != nil {
 		t.Fatal(err)
 	}
 	st2 := p.Stats()
@@ -42,17 +42,18 @@ func TestPrepareContextCancellation(t *testing.T) {
 	g := GridGraph(8, 8)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	p, err := PrepareContext(ctx, g)
+	base, err := Prepare(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Dist(0, 5); !errors.Is(err, context.Canceled) {
+	p := base.WithContext(ctx)
+	if _, err := p.Do(nil, DistQuery(0, 5)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Dist under canceled ctx: %v, want context.Canceled", err)
 	}
-	if _, err := p.MaxFlow(0, g.N()-1); !errors.Is(err, context.Canceled) {
+	if _, err := p.Do(nil, MaxFlowQuery(0, g.N()-1)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("MaxFlow under canceled ctx: %v, want context.Canceled", err)
 	}
-	if _, err := p.DualSSSP(0); !errors.Is(err, context.Canceled) {
+	if _, err := p.Do(nil, DualSSSPQuery(0)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("DualSSSP under canceled ctx: %v, want context.Canceled", err)
 	}
 	// Nothing was built, and the same PreparedGraph works once rebound to a
@@ -61,28 +62,28 @@ func TestPrepareContextCancellation(t *testing.T) {
 		t.Fatalf("canceled queries published %d substrates", len(st.Substrates))
 	}
 	live := p.WithContext(context.Background())
-	d1, err := live.Dist(0, 5)
+	d1, err := live.Do(nil, DistQuery(0, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The warm substrate serves the canceled view too (cache hits need no
 	// build checkpoint).
-	d2, err := p.Dist(0, 5)
+	d2, err := p.Do(nil, DistQuery(0, 5))
 	if err != nil {
 		t.Fatalf("canceled view should hit the warm cache: %v", err)
 	}
-	if d1 != d2 {
-		t.Fatalf("distances differ across views: %d vs %d", d1, d2)
+	if d1.Value != d2.Value {
+		t.Fatalf("distances differ across views: %d vs %d", d1.Value, d2.Value)
 	}
 	// Exact max-flow and min-cut label per query, so a warm tree does not
 	// let the canceled view run them.
-	if _, err := live.MaxFlow(0, g.N()-1); err != nil {
+	if _, err := live.Do(nil, MaxFlowQuery(0, g.N()-1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.MaxFlow(0, g.N()-1); !errors.Is(err, context.Canceled) {
+	if _, err := p.Do(nil, MaxFlowQuery(0, g.N()-1)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("MaxFlow on a warm tree under canceled ctx: %v, want context.Canceled", err)
 	}
-	if _, err := p.MinSTCut(0, g.N()-1); !errors.Is(err, context.Canceled) {
+	if _, err := p.Do(nil, MinSTCutQuery(0, g.N()-1)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("MinSTCut on a warm tree under canceled ctx: %v, want context.Canceled", err)
 	}
 }
@@ -94,7 +95,7 @@ func TestWithContextSharesSubstrates(t *testing.T) {
 		t.Fatal(err)
 	}
 	view := p.WithContext(context.Background())
-	if _, err := view.Dist(0, 7); err != nil {
+	if _, err := view.Do(nil, DistQuery(0, 7)); err != nil {
 		t.Fatal(err)
 	}
 	// The base PreparedGraph sees the substrate the view built.
