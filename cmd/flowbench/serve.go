@@ -8,7 +8,7 @@ package main
 // rounds). The answers of the two paths are checked for equality per
 // query; a mismatch flips the record's OK bit. Rounds only: how fast the
 // prepared path answers on a clock is bench/'s decode.* rows, and that the
-// decode engine agrees with the simulated route is TestFastPathEquivalence.
+// decode engine agrees with the simulated route is TestEveryRouteAgrees.
 
 import (
 	"context"

@@ -38,6 +38,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -200,15 +201,22 @@ func writeErr(w http.ResponseWriter, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-func decodeBody[T any](w http.ResponseWriter, r *http.Request) (*T, bool) {
-	var v T
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&v); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "flowdfleet: bad request: " + err.Error()})
+// decode reads r's body under flowd's 1 MiB cap and decodes it with the
+// replica's own decoder (flowd.DecodeQuery, DecodeBatch, DecodeRegister),
+// so a body a replica would refuse is refused here, with the replica's
+// status and message, before any routing.
+func decode[T any](w http.ResponseWriter, r *http.Request, dec func([]byte) (*T, error)) (*T, bool) {
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "flowd: reading body: " + err.Error()})
 		return nil, false
 	}
-	return &v, true
+	v, err := dec(data)
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		return nil, false
+	}
+	return v, true
 }
 
 // traceCtx continues an inbound X-Pf-Trace at the fleet ingress: the
@@ -223,12 +231,8 @@ func traceCtx(r *http.Request) context.Context {
 }
 
 func (f *front) handleRegister(w http.ResponseWriter, r *http.Request) {
-	req, ok := decodeBody[flowd.RegisterRequest](w, r)
+	req, ok := decode(w, r, flowd.DecodeRegister)
 	if !ok {
-		return
-	}
-	if req.ID == "" {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "flowdfleet: missing graph id"})
 		return
 	}
 	if err := f.fc.Register(traceCtx(r), req.ID, req.Spec); err != nil {
@@ -240,7 +244,7 @@ func (f *front) handleRegister(w http.ResponseWriter, r *http.Request) {
 }
 
 func (f *front) handleQuery(w http.ResponseWriter, r *http.Request) {
-	req, ok := decodeBody[flowd.QueryRequest](w, r)
+	req, ok := decode(w, r, flowd.DecodeQuery)
 	if !ok {
 		return
 	}
@@ -253,7 +257,7 @@ func (f *front) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 func (f *front) handleBatch(w http.ResponseWriter, r *http.Request) {
-	req, ok := decodeBody[flowd.BatchRequest](w, r)
+	req, ok := decode(w, r, flowd.DecodeBatch)
 	if !ok {
 		return
 	}

@@ -4,7 +4,7 @@
 // CONGEST bound no longer depend on re-entering the simulated network (§5,
 // Thm 2.1), so the engine runs the family's core function once per key
 // and replays the record thereafter, bit-identical to the simulated route
-// in payload and rounds (the planarflow package's differential tests).
+// in payload and rounds (the planarflow package's TestEveryRouteAgrees).
 //
 // Invariants:
 //

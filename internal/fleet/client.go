@@ -257,13 +257,12 @@ func isConflict(err error) bool {
 
 // Register places the graph on its owning replica (warm, so the
 // substrates are built before the call returns) and caches the spec for
-// adoption and standby sync. A duplicate registration is success.
+// adoption and standby sync. A duplicate registration is the owner's 409,
+// as it is on a single daemon: the cached spec is never replaced by one
+// the owner does not hold.
 func (c *Client) Register(ctx context.Context, id string, spec store.GraphSpec) error {
 	_, err := c.withOwner(ctx, id, "register", func(ctx context.Context, ms *memberState) (any, error) {
 		_, err := ms.cl.RegisterWarm(ctx, id, spec)
-		if isConflict(err) {
-			err = nil
-		}
 		return nil, err
 	})
 	if err != nil {

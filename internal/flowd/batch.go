@@ -17,6 +17,7 @@ import (
 
 	"planarflow"
 	"planarflow/internal/obs"
+	"planarflow/internal/store"
 )
 
 // MaxBatchQueries caps the number of queries one batch request may carry:
@@ -78,10 +79,35 @@ type BatchResponse struct {
 	WallMS  float64       `json:"wall_ms"`
 }
 
-// DecodeBatch parses and shape-validates one batch request with the same
-// strictness contract as DecodeQuery: unknown fields, trailing garbage,
-// missing graph, empty or oversized batches, unknown ops, negative ids,
-// out-of-range eps and workers are all rejected, and no input may panic
+// check is a batch request's one rule, on every plane: the graph id
+// passes store.CheckID, the batch holds 1..MaxBatchQueries entries, workers
+// are in [0, MaxBatchWorkers], and every entry passes
+// planarflow.Query.Validate. DecodeBatch and the binary decoder both call
+// it.
+func (r *BatchRequest) check() error {
+	if err := store.CheckID(r.Graph); err != nil {
+		return fmt.Errorf("flowd: bad batch: %w", err)
+	}
+	if len(r.Queries) == 0 {
+		return errors.New("flowd: bad batch: empty query list")
+	}
+	if len(r.Queries) > MaxBatchQueries {
+		return fmt.Errorf("flowd: bad batch: %d queries exceeds cap %d", len(r.Queries), MaxBatchQueries)
+	}
+	if r.Workers < 0 || r.Workers > MaxBatchWorkers {
+		return fmt.Errorf("flowd: bad batch: workers=%d out of [0, %d]", r.Workers, MaxBatchWorkers)
+	}
+	for i := range r.Queries {
+		if err := r.Queries[i].Query().Validate(); err != nil {
+			return fmt.Errorf("flowd: bad batch: query %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// DecodeBatch parses and checks one batch request with the same
+// strictness contract as DecodeQuery: unknown fields and trailing garbage
+// are rejected, then check applies, and no input may panic
 // (FuzzDecodeBatch holds it to that). Graph-dependent range checks happen
 // at query time, isolated per entry.
 func DecodeBatch(data []byte) (*BatchRequest, error) {
@@ -89,22 +115,8 @@ func DecodeBatch(data []byte) (*BatchRequest, error) {
 	if err != nil {
 		return nil, err
 	}
-	if req.Graph == "" {
-		return nil, errors.New("flowd: bad batch: missing graph id")
-	}
-	if len(req.Queries) == 0 {
-		return nil, errors.New("flowd: bad batch: empty query list")
-	}
-	if len(req.Queries) > MaxBatchQueries {
-		return nil, fmt.Errorf("flowd: bad batch: %d queries exceeds cap %d", len(req.Queries), MaxBatchQueries)
-	}
-	if req.Workers < 0 || req.Workers > MaxBatchWorkers {
-		return nil, fmt.Errorf("flowd: bad batch: workers=%d out of [0, %d]", req.Workers, MaxBatchWorkers)
-	}
-	for i, q := range req.Queries {
-		if err := checkArgs(q.Op, q.U, q.V, q.Source, q.Eps); err != nil {
-			return nil, fmt.Errorf("flowd: bad batch: query %d: %s", i, err)
-		}
+	if err := req.check(); err != nil {
+		return nil, err
 	}
 	return req, nil
 }

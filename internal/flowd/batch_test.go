@@ -105,7 +105,7 @@ func TestBatchRejects(t *testing.T) {
 	}{
 		{BatchRequest{Graph: "nope", Queries: []BatchQuery{{Op: "girth"}}}, "404"},
 		{BatchRequest{Graph: "g"}, "empty query list"},
-		{BatchRequest{Graph: "g", Queries: []BatchQuery{{Op: "warp"}}}, "unknown op"},
+		{BatchRequest{Graph: "g", Queries: []BatchQuery{{Op: "warp"}}}, "unknown query kind"},
 		{BatchRequest{Graph: "g", Queries: []BatchQuery{{Op: "dist", U: -1}}}, "negative id"},
 		{BatchRequest{Graph: "g", Queries: []BatchQuery{{Op: "stflow", Eps: 2}}}, "eps"},
 		{BatchRequest{Graph: "g", Queries: []BatchQuery{{Op: "girth"}}, Workers: 1000}, "workers"},

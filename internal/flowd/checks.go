@@ -6,9 +6,9 @@ import "fmt"
 // given graph (n vertices, faces faces): the whole op surface, with the
 // st-planar families on an adjacent (common-face) vertex pair and eps=0
 // so the exact oracle runs. cmd/flowd's boot-drain-restore test, this
-// package's snapshot and wire tests and internal/fleet's failover test
-// all gate bit-identity on this one list, so their coverage cannot drift
-// apart — or away from Ops (a test pins the correspondence).
+// package's snapshot test and internal/fleet's failover test all gate
+// bit-identity on this one list, so their coverage cannot drift apart —
+// or away from Ops (a test pins the correspondence).
 func FamilyChecks(graph string, n, faces int) []QueryRequest {
 	return []QueryRequest{
 		{Graph: graph, Op: "dist", U: 0, V: n - 1},

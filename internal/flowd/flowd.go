@@ -18,7 +18,7 @@
 //	GET  /statsz                                   the store's state: store.Stats + hit rate
 //	GET  /metricsz                                 every counter, gauge and histogram (Prometheus text)
 //	GET  /tracez                                   recent + slow request spans
-//	GET  /versionz                                 build and runtime identity
+//	GET  /versionz                                 build identity
 //	GET  /healthz                                  liveness
 //
 // Requests decode straight onto the library's query plane: a QueryRequest
@@ -68,14 +68,6 @@ var Ops = func() []string {
 		ops[i] = string(k)
 	}
 	return ops
-}()
-
-var opSet = func() map[string]bool {
-	m := make(map[string]bool, len(Ops))
-	for _, op := range Ops {
-		m[op] = true
-	}
-	return m
 }()
 
 // QueryRequest is one query against a registered graph: a
@@ -172,38 +164,45 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// checkArgs is the op/argument validation shared by the single-query and
-// batch decoders: known op, non-negative ids, eps in [0, 1) whatever the
-// op (the wire is stricter than Query.Validate, which only ranges eps for
-// the approximate families).
-func checkArgs(op string, u, v, source int, eps float64) error {
-	if !opSet[op] {
-		return fmt.Errorf("unknown op %q", op)
+// check is a query request's one rule, on every plane: the graph id
+// passes store.CheckID and the query passes planarflow.Query.Validate.
+// DecodeQuery and the binary decoder both call it, so what one plane
+// refuses the other refuses, as the library and the store do.
+func (r *QueryRequest) check() error {
+	if err := store.CheckID(r.Graph); err != nil {
+		return fmt.Errorf("flowd: bad query: %w", err)
 	}
-	if u < 0 || v < 0 || source < 0 {
-		return fmt.Errorf("negative id (u=%d v=%d source=%d)", u, v, source)
-	}
-	if !(eps >= 0 && eps < 1) { // NaN included
-		return fmt.Errorf("eps=%v out of [0, 1)", eps)
+	if err := r.Query().Validate(); err != nil {
+		return fmt.Errorf("flowd: bad query: %w", err)
 	}
 	return nil
 }
 
-// DecodeQuery parses and shape-validates one query request. It is strict
-// — unknown fields, trailing garbage, missing graph/op, negative ids and
-// out-of-range eps are all rejected — and total: no input may panic (the
-// fuzz test holds it to that). Range checks that need the graph (vertex
-// < N, face < NumFaces) happen at query time.
+// DecodeQuery parses and checks one query request. It is strict —
+// unknown fields and trailing garbage are rejected, then check applies —
+// and total: no input may panic (the fuzz test holds it to that). Range
+// checks that need the graph (vertex < N, face < NumFaces) happen at
+// query time.
 func DecodeQuery(data []byte) (*QueryRequest, error) {
 	req, err := decodeStrict[QueryRequest](data, "query")
 	if err != nil {
 		return nil, err
 	}
-	if req.Graph == "" {
-		return nil, errors.New("flowd: bad query: missing graph id")
+	if err := req.check(); err != nil {
+		return nil, err
 	}
-	if err := checkArgs(req.Op, req.U, req.V, req.Source, req.Eps); err != nil {
-		return nil, fmt.Errorf("flowd: bad query: %s", err)
+	return req, nil
+}
+
+// DecodeRegister parses one register request: the strict decode plus
+// store.CheckID. The spec is the store's to refuse when it builds it.
+func DecodeRegister(data []byte) (*RegisterRequest, error) {
+	req, err := decodeStrict[RegisterRequest](data, "register")
+	if err != nil {
+		return nil, err
+	}
+	if err := store.CheckID(req.ID); err != nil {
+		return nil, fmt.Errorf("flowd: bad register: %w", err)
 	}
 	return req, nil
 }
@@ -329,13 +328,9 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
-	req, err := decodeStrict[RegisterRequest](data, "register")
+	req, err := DecodeRegister(data)
 	if err != nil {
 		s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
-	}
-	if req.ID == "" {
-		s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: "flowd: bad register: missing id"})
 		return
 	}
 	gr, err := s.st.RegisterSpec(req.ID, req.Spec)

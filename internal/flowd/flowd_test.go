@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"sync"
@@ -86,6 +88,41 @@ func TestStatszKeys(t *testing.T) {
 	slices.Sort(keys)
 	if !slices.Equal(keys, []string{"hit_rate", "store"}) {
 		t.Fatalf("/statsz keys %v, want [hit_rate store]", keys)
+	}
+}
+
+// TestVersionz pins /versionz to build identity: a 200 carrying the Go
+// version, the module, CPU count and GOMAXPROCS, and none of the four
+// numbers /metricsz already serves (go_goroutines, go_gc_cycles_total,
+// go_memstats_heap_alloc_bytes, flowd_uptime_seconds).
+func TestVersionz(t *testing.T) {
+	srv := NewServerWith(store.New(store.Config{}), ServerOptions{})
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/versionz", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/versionz status %d", rec.Code)
+	}
+	var body map[string]any
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]any{
+		"go_version": runtime.Version(),
+		"num_cpu":    float64(runtime.NumCPU()),
+		"gomaxprocs": float64(runtime.GOMAXPROCS(0)),
+	}
+	if bi, ok := debug.ReadBuildInfo(); ok && bi.Main.Path != "" {
+		want["module"] = bi.Main.Path
+	}
+	for k, v := range want {
+		if body[k] != v {
+			t.Errorf("/versionz %s = %v, want %v", k, body[k], v)
+		}
+	}
+	for _, k := range []string{"uptime_ms", "goroutines", "gc_cycles", "heap_alloc_bytes"} {
+		if v, ok := body[k]; ok {
+			t.Errorf("/versionz carries %s = %v, a /metricsz series", k, v)
+		}
 	}
 }
 
@@ -339,9 +376,9 @@ func TestMalformedBodies(t *testing.T) {
 		{"/v1/query", `{"graph":"g","op":"girth","simulated":true}`, "flowd: bad query: json: unknown field \"simulated\""},
 		{"/v1/query", `{"graph":7}`, "flowd: bad query: json: cannot unmarshal number into Go struct field QueryRequest.graph of type string"},
 		{"/v1/query", `{"graph":"g","op":"dist"} x`, "flowd: bad query: trailing data after JSON object"},
-		{"/v1/query", `{"op":"dist"}`, "flowd: bad query: missing graph id"},
-		{"/v1/query", `{"graph":"g","op":"nope"}`, "flowd: bad query: unknown op \"nope\""},
-		{"/v1/query", `{"graph":"g","op":"dist","u":-1}`, "flowd: bad query: negative id (u=-1 v=0 source=0)"},
+		{"/v1/query", `{"op":"dist"}`, "flowd: bad query: store: bad graph id: length 0 out of [1, 256]"},
+		{"/v1/query", `{"graph":"g","op":"nope"}`, "flowd: bad query: planarflow: query kind \"nope\": unknown query kind"},
+		{"/v1/query", `{"graph":"g","op":"dist","u":-1}`, "flowd: bad query: planarflow: dist query with negative id (u=-1 v=0): vertex out of range"},
 		{"/v1/batch", ``, "flowd: bad batch: EOF"},
 		{"/v1/batch", `{`, "flowd: bad batch: unexpected EOF"},
 		{"/v1/batch", `[]`, "flowd: bad batch: json: cannot unmarshal array into Go value of type flowd.BatchRequest"},
@@ -349,7 +386,7 @@ func TestMalformedBodies(t *testing.T) {
 		{"/v1/batch", `{"graph":"g","queries":[{"op":"girth","simulated":true}]}`, "flowd: bad batch: json: unknown field \"simulated\""},
 		{"/v1/batch", `{"graph":7}`, "flowd: bad batch: json: cannot unmarshal number into Go struct field BatchRequest.graph of type string"},
 		{"/v1/batch", `{"graph":"g","queries":[{"op":"girth"}]} x`, "flowd: bad batch: trailing data after JSON object"},
-		{"/v1/batch", `{"queries":[{"op":"girth"}]}`, "flowd: bad batch: missing graph id"},
+		{"/v1/batch", `{"queries":[{"op":"girth"}]}`, "flowd: bad batch: store: bad graph id: length 0 out of [1, 256]"},
 		{"/v1/batch", `{"graph":"g","queries":[]}`, "flowd: bad batch: empty query list"},
 		{"/v1/batch", `{"graph":"g","queries":[{"op":"girth"}],"workers":-1}`, "flowd: bad batch: workers=-1 out of [0, 64]"},
 		{"/v1/graphs", ``, "flowd: bad register: EOF"},
@@ -357,7 +394,7 @@ func TestMalformedBodies(t *testing.T) {
 		{"/v1/graphs", `[]`, "flowd: bad register: json: cannot unmarshal array into Go value of type flowd.RegisterRequest"},
 		{"/v1/graphs", `{"bogus":1}`, "flowd: bad register: json: unknown field \"bogus\""},
 		{"/v1/graphs", `{"id":7}`, "flowd: bad register: json: cannot unmarshal number into Go struct field RegisterRequest.id of type string"},
-		{"/v1/graphs", `{"spec":{}}`, "flowd: bad register: missing id"},
+		{"/v1/graphs", `{"spec":{}}`, "flowd: bad register: store: bad graph id: length 0 out of [1, 256]"},
 		// Weights of 2^52 on a 4x4 grid break the weight contract.
 		{"/v1/graphs", `{"id":"g","spec":{"kind":"grid","rows":4,"cols":4,"w_lo":4503599627370496,"w_hi":4503599627370496}}`,
 			"store: register \"g\": planarflow: edge 0: (n+1)·(Σ|w|+Σ|cap|) exceeds 2^53: weights and capacities out of range"},

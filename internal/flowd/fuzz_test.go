@@ -2,6 +2,7 @@ package flowd
 
 import (
 	"encoding/json"
+	"slices"
 	"testing"
 	"unicode/utf8"
 )
@@ -41,7 +42,7 @@ func FuzzDecodeQuery(f *testing.F) {
 		if req.Graph == "" {
 			t.Fatal("accepted request with empty graph id")
 		}
-		if !opSet[req.Op] {
+		if !slices.Contains(Ops, req.Op) {
 			t.Fatalf("accepted unknown op %q", req.Op)
 		}
 		if req.U < 0 || req.V < 0 || req.Source < 0 {
@@ -110,7 +111,7 @@ func FuzzDecodeBatch(f *testing.F) {
 			t.Fatalf("accepted workers=%d", req.Workers)
 		}
 		for i, q := range req.Queries {
-			if !opSet[q.Op] {
+			if !slices.Contains(Ops, q.Op) {
 				t.Fatalf("accepted unknown op %q", q.Op)
 			}
 			if q.U < 0 || q.V < 0 || q.Source < 0 {

@@ -5,7 +5,7 @@ package flowd
 // (transport, family), per-family query counts, errors and rounds,
 // structured request logging, and the scrape endpoints — GET /metricsz
 // (Prometheus text exposition, the one page every count is on), GET
-// /tracez (recent + slow spans), GET /versionz (build/runtime info), and
+// /tracez (recent + slow spans), GET /versionz (build identity), and
 // the readiness body on GET /healthz.
 //
 // Hot-path discipline: every per-request record resolves through maps
@@ -336,33 +336,26 @@ func SpanFilterFromQuery(q url.Values) (obs.SpanFilter, error) {
 // for cross-replica stitching.
 func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 
-// VersionResponse is the GET /versionz payload: build identity plus the
-// runtime vitals an operator checks first.
+// VersionResponse is the GET /versionz payload: which build this is and
+// what it runs on. What moves while it runs — goroutines, GC cycles, heap,
+// uptime — is on /metricsz (go_goroutines, go_gc_cycles_total,
+// go_memstats_heap_alloc_bytes, flowd_uptime_seconds).
 type VersionResponse struct {
 	GoVersion  string            `json:"go_version"`
 	Module     string            `json:"module,omitempty"`
 	Revision   string            `json:"revision,omitempty"`
 	BuildTime  string            `json:"build_time,omitempty"`
 	Settings   map[string]string `json:"settings,omitempty"`
-	UptimeMS   float64           `json:"uptime_ms"`
-	Goroutines int               `json:"goroutines"`
 	NumCPU     int               `json:"num_cpu"`
 	GOMAXPROCS int               `json:"gomaxprocs"`
-	GCCycles   uint32            `json:"gc_cycles"`
-	HeapAlloc  uint64            `json:"heap_alloc_bytes"`
 }
 
 func (s *Server) handleVersionz(w http.ResponseWriter, r *http.Request) {
 	resp := VersionResponse{
 		GoVersion:  runtime.Version(),
-		UptimeMS:   durMS(time.Since(s.start)),
-		Goroutines: runtime.NumGoroutine(),
 		NumCPU:     runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	resp.GCCycles, resp.HeapAlloc = ms.NumGC, ms.HeapAlloc
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		resp.Module = bi.Main.Path
 		for _, kv := range bi.Settings {

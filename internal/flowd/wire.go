@@ -7,7 +7,7 @@ package flowd
 // the POST /v1/query JSON bodies, decoded by the same strict DecodeQuery.
 // Every op executes through the same runQuery/runBatch as HTTP, so a
 // wire answer equals the HTTP answer for the same request (the
-// differential tests pin that). What changes is purely transport:
+// planarflow package's TestEveryRouteAgrees pins that). What changes is purely transport:
 // persistent connections, many in-flight requests per connection
 // multiplexed by request id, and write coalescing on both directions.
 //
@@ -155,9 +155,9 @@ func (s *Server) serveQueryFrame(ctx context.Context, id uint64, payload []byte,
 }
 
 // serveBatchFrame is serveQueryFrame's batch twin, on the binary codec
-// only (a JSON batch goes over POST /v1/batch); it also feeds the
-// transport-level fold counter (how many queries arrived per batch
-// frame — /metricsz's wire_coalesced_*).
+// only (a JSON batch goes over POST /v1/batch); it also records the
+// frame's size (how many queries arrived per batch frame — /metricsz's
+// wire_coalesced_*).
 func (s *Server) serveBatchFrame(ctx context.Context, id uint64, payload []byte) (wire.Status, []byte) {
 	sp, ctx := s.beginWireSpan(ctx, id)
 	sp.Family = decodeFamily

@@ -6,9 +6,10 @@ package flowd
 // hand-encoded little-endian with length-prefixed strings and slices.
 // JSON reflection is the dominant per-query cost once the decode engine
 // answers in microseconds — this codec removes it from the serving path
-// (the differential tests pin that a binary-routed answer renders to
-// exactly the same JSON as the HTTP route's). WireClient sends nothing
-// else; wire.OpQuery, the one JSON op left, has no client in this repo.
+// (the planarflow package's TestEveryRouteAgrees pins that a
+// binary-routed answer carries exactly the HTTP route's payload, rounds
+// and hit bit). WireClient sends nothing else; wire.OpQuery, the one JSON
+// op left, has no client in this repo.
 //
 // Every field is read through internal/codec's bounds-checked cursor, the
 // one the PFSNAP section codecs use: decoders never panic, fail with
@@ -114,9 +115,9 @@ func appendWireQueryRequest(dst []byte, r *QueryRequest) []byte {
 	return dst
 }
 
-// decodeWireQueryRequest decodes and validates with exactly
-// DecodeQuery's checks (graph present, known op, argument ranges), so a
-// request rejected on one plane is rejected on the other.
+// decodeWireQueryRequest decodes and applies QueryRequest.check, the
+// rule DecodeQuery applies, so a request rejected on one plane is
+// rejected on the other.
 func decodeWireQueryRequest(b []byte) (*QueryRequest, error) {
 	d := codec.NewReader(b, ErrWireCodec)
 	r := &QueryRequest{
@@ -127,11 +128,8 @@ func decodeWireQueryRequest(b []byte) (*QueryRequest, error) {
 	if err := d.Done(); err != nil {
 		return nil, err
 	}
-	if r.Graph == "" {
-		return nil, errors.New("flowd: bad query: missing graph id")
-	}
-	if err := checkArgs(r.Op, r.U, r.V, r.Source, r.Eps); err != nil {
-		return nil, fmt.Errorf("flowd: bad query: %s", err)
+	if err := r.check(); err != nil {
+		return nil, err
 	}
 	return r, nil
 }
@@ -183,18 +181,15 @@ func appendWireBatchRequest(dst []byte, r *BatchRequest) []byte {
 	return dst
 }
 
-// decodeWireBatchRequest applies DecodeBatch's validation set: graph
-// present, batch size in (0, MaxBatchQueries], workers in range, every
-// entry's arguments checked.
+// decodeWireBatchRequest decodes and applies BatchRequest.check, the
+// rule DecodeBatch applies. The entry-count cap it tests first only bounds
+// the allocation of untrusted input.
 func decodeWireBatchRequest(b []byte) (*BatchRequest, error) {
 	d := codec.NewReader(b, ErrWireCodec)
 	r := &BatchRequest{Graph: readStr(&d), Workers: readInt(&d)}
 	n := d.U32()
 	if err := d.Err(); err != nil {
 		return nil, err
-	}
-	if n == 0 {
-		return nil, errors.New("flowd: bad batch: empty query list")
 	}
 	if n > MaxBatchQueries {
 		return nil, fmt.Errorf("flowd: bad batch: %d queries exceeds cap %d", n, MaxBatchQueries)
@@ -209,17 +204,8 @@ func decodeWireBatchRequest(b []byte) (*BatchRequest, error) {
 	if err := d.Done(); err != nil {
 		return nil, err
 	}
-	if r.Graph == "" {
-		return nil, errors.New("flowd: bad batch: missing graph id")
-	}
-	if r.Workers < 0 || r.Workers > MaxBatchWorkers {
-		return nil, fmt.Errorf("flowd: bad batch: workers=%d out of [0, %d]", r.Workers, MaxBatchWorkers)
-	}
-	for i := range r.Queries {
-		q := &r.Queries[i]
-		if err := checkArgs(q.Op, q.U, q.V, q.Source, q.Eps); err != nil {
-			return nil, fmt.Errorf("flowd: bad batch: query %d: %s", i, err)
-		}
+	if err := r.check(); err != nil {
+		return nil, err
 	}
 	return r, nil
 }

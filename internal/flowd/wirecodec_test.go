@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"planarflow/internal/codec"
+	"planarflow/internal/store"
 )
 
 // wirePayloadSeeds are the binary payload shapes FuzzDecodeWirePayload
@@ -131,8 +132,8 @@ func TestWirePayloadSeedsMeanTheirNames(t *testing.T) {
 // FuzzDecodeWirePayload holds the four binary payload decoders to their
 // contract on every input: no panic, an error always with a nil value, and
 // an accepted payload re-encodes to exactly its own bytes (the codec is
-// canonical). An accepted request also passes the argument checks, eps in
-// [0, 1) included.
+// canonical). An accepted request also passes store.CheckID and
+// planarflow.Query.Validate, eps in [0, 1) included.
 func FuzzDecodeWirePayload(f *testing.F) {
 	for _, data := range wirePayloadSeeds() {
 		f.Add(data)
@@ -151,7 +152,7 @@ func FuzzDecodeWirePayload(f *testing.F) {
 			if !bytes.Equal(appendWireQueryRequest(nil, r), data) {
 				t.Fatalf("query request %+v does not re-encode to its bytes", r)
 			}
-			if r.Graph == "" || checkArgs(r.Op, r.U, r.V, r.Source, r.Eps) != nil {
+			if store.CheckID(r.Graph) != nil || r.Query().Validate() != nil {
 				t.Fatalf("accepted invalid query request %+v", r)
 			}
 			checkEps(r.Eps)
@@ -171,12 +172,12 @@ func FuzzDecodeWirePayload(f *testing.F) {
 			if !bytes.Equal(appendWireBatchRequest(nil, r), data) {
 				t.Fatalf("batch request %+v does not re-encode to its bytes", r)
 			}
-			if r.Graph == "" || len(r.Queries) == 0 || len(r.Queries) > MaxBatchQueries ||
+			if store.CheckID(r.Graph) != nil || len(r.Queries) == 0 || len(r.Queries) > MaxBatchQueries ||
 				r.Workers < 0 || r.Workers > MaxBatchWorkers {
 				t.Fatalf("accepted invalid batch request %+v", r)
 			}
 			for _, q := range r.Queries {
-				if checkArgs(q.Op, q.U, q.V, q.Source, q.Eps) != nil {
+				if q.Query().Validate() != nil {
 					t.Fatalf("accepted invalid batch entry %+v", q)
 				}
 				checkEps(q.Eps)

@@ -161,7 +161,7 @@ func SSSPFrom(ctx context.Context, v View, t *bdd.BDD, lengths []int64, source i
 
 // levelCosts drives the labeling pass for its charges alone: bottom-up, with
 // the pass's cancellation checkpoint before every bag, it folds each bag's
-// cost — the plan's, plus a leaf's active arcs — into its level's maximum.
+// cost into its level's maximum.
 func (pl *plan) levelCosts(ctx context.Context, lengths []int64) ([]int64, error) {
 	t := pl.t
 	levelCost := make([]int64, t.Depth)
@@ -169,15 +169,22 @@ func (pl *plan) levelCosts(ctx context.Context, lengths []int64) ([]int64, error
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		b, cost := t.Bags[i], pl.cost[i]
-		for _, d := range pl.bags[i].leafDart {
-			if lengths[d] < spath.Inf {
-				cost++
-			}
-		}
-		levelCost[b.Level] = max(levelCost[b.Level], cost)
+		b := t.Bags[i]
+		levelCost[b.Level] = max(levelCost[b.Level], pl.bagCost(i, lengths))
 	}
 	return levelCost, nil
+}
+
+// bagCost is the one cost model of the labeling pass: what bag i broadcasts
+// under lengths, the plan's cost plus a leaf's active arcs.
+func (pl *plan) bagCost(i int, lengths []int64) int64 {
+	cost := pl.cost[i]
+	for _, d := range pl.bags[i].leafDart {
+		if lengths[d] < spath.Inf {
+			cost++
+		}
+	}
+	return cost
 }
 
 // chargeLevels charges a completed pass: each level's maximum bag cost, at
@@ -214,28 +221,27 @@ func (pl *plan) label(ctx context.Context, wanted [][]int, lengths []int64, led 
 		la.ddgs = make([]*BagDDG, len(t.Bags))
 	}
 	ps := &pass{la: la}
+	pl.costsOnce.Do(pl.costs)
 
 	// Process bags bottom-up (children have larger IDs than parents by
-	// construction, so reverse ID order is a valid post-order).
+	// construction, so reverse ID order is a valid post-order). A completed
+	// pass charges each level's maximum bagCost.
 	levelCost := make([]int64, t.Depth)
 	for i := len(t.Bags) - 1; i >= 0; i-- {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		b := t.Bags[i]
-		var cost int64
 		if b.IsLeaf() {
-			cost = ps.computeLeaf(b, wanted[i])
+			ps.computeLeaf(b, wanted[i])
 		} else {
-			cost = ps.computeInternal(b, wanted[i])
+			ps.computeInternal(b, wanted[i])
 		}
 		if la.NegCycle {
 			led.Charge(v.phase+"/negative-cycle-abort", int64(b.TreeDepth+1))
 			return la, nil
 		}
-		if cost > levelCost[b.Level] {
-			levelCost[b.Level] = cost
-		}
+		levelCost[b.Level] = max(levelCost[b.Level], pl.bagCost(i, lengths))
 	}
 	pl.chargeLevels(levelCost, led)
 	return la, nil
@@ -335,23 +341,22 @@ func (la *Labeling) FootprintBytes() int64 {
 
 // computeLeaf gathers the whole bag (the "collect the entire graph" step),
 // takes the negative-cycle verdict from the kernel's potentials, and computes
-// the distances from each wanted key — a kernel row is that key's LeafTo;
-// returns the measured broadcast cost TreeDepth + #nodes + #arcs
-// (pipelined).
-func (ps *pass) computeLeaf(b *bdd.Bag, wanted []int) int64 {
+// the distances from each wanted key — a kernel row is that key's LeafTo.
+// Its broadcast, TreeDepth + #nodes + #active arcs (pipelined), is
+// plan.bagCost.
+func (ps *pass) computeLeaf(b *bdd.Bag, wanted []int) {
 	la := ps.la
 	n := len(la.pl.lay[b.ID].Keys)
-	arcs := ps.k.loadLeaf(&la.pl.bags[b.ID], la.Lengths)
+	ps.k.loadLeaf(&la.pl.bags[b.ID], la.Lengths)
 	if !ps.k.potentials() {
 		la.NegCycle = true
-		return 0
+		return
 	}
 	rows := make([]int64, len(wanted)*n)
 	la.labelBag(b, wanted, func(l *Label) {
 		l.vec, rows = rows[:n:n], rows[n:]
 		ps.k.row(int(l.pos), l.vec)
 	})
-	return int64(b.TreeDepth + n + arcs)
 }
 
 // labelBag allocates bag b's label slab for a pass that labels the keys in
@@ -390,8 +395,9 @@ func (la *Labeling) labelBag(b *bdd.Bag, wanted []int, fill func(l *Label)) {
 
 // computeInternal builds the base DDG from child labels, checks for
 // negative cycles, and derives each wanted key's label via min-plus
-// products over the base matrix (§5.3); returns the charged broadcast cost.
-func (ps *pass) computeInternal(b *bdd.Bag, wanted []int) int64 {
+// products over the base matrix (§5.3). Its broadcast, TreeDepth + the
+// child separator labels' Words() + a word per cross arc, is plan.bagCost.
+func (ps *pass) computeInternal(b *bdd.Bag, wanted []int) {
 	la := ps.la
 	lay, bp := &la.pl.lay[b.ID], &la.pl.bags[b.ID]
 	ddg := &BagDDG{Bag: b, Nodes: lay.Nodes, RepsOf: lay.RepsOf}
@@ -403,11 +409,9 @@ func (ps *pass) computeInternal(b *bdd.Bag, wanted []int) int64 {
 		maxArcs += len(bp.childSep[ci]) * (len(bp.childSep[ci]) - 1)
 	}
 	ddg.Arcs = make([]DDGArc, 0, maxArcs)
-	broadcastWords := 0
 	for ci, cid := range childID {
 		for _, e1 := range bp.childSep[ci] {
 			l1 := la.at(cid, e1.cpos)
-			broadcastWords += l1.Words()
 			for _, e2 := range bp.childSep[ci] {
 				if e1.key == e2.key {
 					continue
@@ -418,13 +422,12 @@ func (ps *pass) computeInternal(b *bdd.Bag, wanted []int) int64 {
 			}
 		}
 	}
-	// (ii) Cross arcs, a word each.
+	// (ii) Cross arcs.
 	for _, a := range bp.crossArcs {
 		if a.Len = la.Lengths[a.Dart]; a.Len < spath.Inf {
 			ddg.Arcs = append(ddg.Arcs, a)
 		}
 	}
-	broadcastWords += len(bp.crossArcs)
 	// (iii) Zero arcs between representatives of the same key.
 	ddg.Arcs = append(ddg.Arcs, bp.zeroArcs...)
 
@@ -433,7 +436,7 @@ func (ps *pass) computeInternal(b *bdd.Bag, wanted []int) int64 {
 	ps.k.loadArcs(nn, ddg.Arcs)
 	if !ps.k.potentials() {
 		la.NegCycle = true
-		return 0
+		return
 	}
 	slab := make([]int64, nn*nn)
 	ddg.Dist = make([][]int64, nn)
@@ -487,7 +490,6 @@ func (ps *pass) computeInternal(b *bdd.Bag, wanted []int) int64 {
 			}
 		}
 	})
-	return int64(b.TreeDepth + broadcastWords)
 }
 
 // minInto lowers dst[q] to src[q] + add wherever src[q] is finite; add is

@@ -57,18 +57,13 @@ func grow[T any](buf []T, n int) []T {
 }
 
 // loadLeaf points the kernel at a leaf's skeleton and gathers its arc
-// lengths; it returns the number of active arcs.
-func (k *kernel) loadLeaf(bp *bagPlan, lengths []int64) (active int) {
+// lengths.
+func (k *kernel) loadLeaf(bp *bagPlan, lengths []int64) {
 	k.n, k.start, k.to, k.dart = len(bp.leafStart)-1, bp.leafStart, bp.leafTo, bp.leafDart
 	k.length = grow(k.length, len(bp.leafDart))
 	for i, d := range bp.leafDart {
-		l := lengths[d]
-		k.length[i] = l
-		if l < spath.Inf {
-			active++
-		}
+		k.length[i] = lengths[d]
 	}
-	return active
 }
 
 // loadArcs loads a digraph on n nodes from an arc list (every arc active),

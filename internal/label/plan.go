@@ -29,13 +29,14 @@ type plan struct {
 	// its bag's keys.
 	every, probe [][]int
 
-	// cost is, by bag ID, what the full labeling charges the bag apart from
-	// a leaf's active arcs: TreeDepth, plus a leaf's keys, or an internal
-	// bag's children's separator label Words() and a word per cross arc.
-	// rootWords is the Words() of each root key's label, by position in the
-	// root's Keys. Words() counts vector lengths, which the tree and the view
-	// fix, so both are derived once, on SSSPFrom's first call over the plan
-	// (costs), and SSSPFrom charges them without labeling anything.
+	// cost is, by bag ID, what a labeling pass charges the bag apart from
+	// a leaf's active arcs (bagCost adds those): TreeDepth, plus a leaf's
+	// keys, or an internal bag's children's separator label Words() and a
+	// word per cross arc. rootWords is the Words() of each root key's label,
+	// by position in the root's Keys. Words() counts vector lengths, which
+	// the tree and the view fix, so both are derived once, on the first pass
+	// or SSSPFrom call over the plan (costs): every pass charges by them, and
+	// SSSPFrom charges them without labeling anything.
 	costsOnce sync.Once
 	cost      []int64
 	rootWords []int
@@ -223,17 +224,22 @@ func (pl *plan) probeSets() [][]int {
 	return wanted
 }
 
-// costs derives cost and rootWords bottom-up, holding the Words() of a
-// bag's labels by key position until its parent has read them. A label's
-// Words() is 2 plus 2 per vector entry — a leaf's LeafTo over its keys, an
-// internal bag's To and From over its separator — plus its Child's.
+// costs derives cost and rootWords bottom-up, from the Words() of every
+// bag's labels by key position, held in one slab until the root is done. A
+// label's Words() is 2 plus 2 per vector entry — a leaf's LeafTo over its
+// keys, an internal bag's To and From over its separator — plus its
+// Child's.
 func (pl *plan) costs() {
 	t := pl.t
 	pl.cost = make([]int64, len(t.Bags))
-	words := make([][]int, len(t.Bags))
+	off := make([]int, len(t.Bags)+1) // bag i's words are words[off[i]:off[i+1]]
+	for i := range t.Bags {
+		off[i+1] = off[i] + len(pl.lay[i].Keys)
+	}
+	words := make([]int, off[len(t.Bags)])
 	for i := len(t.Bags) - 1; i >= 0; i-- {
 		b, lay, bp := t.Bags[i], &pl.lay[i], &pl.bags[i]
-		w := make([]int, len(lay.Keys))
+		w := words[off[i]:off[i+1]]
 		cost := int64(b.TreeDepth)
 		if b.IsLeaf() {
 			cost += int64(len(w))
@@ -243,22 +249,20 @@ func (pl *plan) costs() {
 		} else {
 			for ci, c := range b.Children {
 				for _, e := range bp.childSep[ci] {
-					cost += int64(words[c.ID][e.cpos])
+					cost += int64(words[off[c.ID]+int(e.cpos)])
 				}
 			}
 			cost += int64(len(bp.crossArcs))
 			for j := range w {
 				if w[j] = 2 + 4*len(lay.Sep); lay.SepPos[j] < 0 {
-					w[j] += words[b.Children[lay.ChildOf[j]].ID][lay.ChildPos[j]]
+					w[j] += words[off[b.Children[lay.ChildOf[j]].ID]+int(lay.ChildPos[j])]
 				}
 			}
-			for _, c := range b.Children {
-				words[c.ID] = nil
-			}
 		}
-		pl.cost[i], words[i] = cost, w
+		pl.cost[i] = cost
 	}
-	pl.rootWords = words[t.Root.ID]
+	root := t.Root.ID
+	pl.rootWords = append([]int(nil), words[off[root]:off[root+1]]...)
 }
 
 // leafSkeleton lays out a leaf bag's graph in CSR form: its arcs over

@@ -75,8 +75,8 @@ var (
 	ErrDuplicateID = errors.New("store: duplicate graph id")
 	// ErrGraphLimit reports a Register past Config.MaxGraphs.
 	ErrGraphLimit = errors.New("store: graph limit reached")
-	// ErrBadID reports a Register with an empty id or one longer than
-	// MaxIDLen.
+	// ErrBadID reports an empty id or one longer than MaxIDLen, in a
+	// registration or a query.
 	ErrBadID = errors.New("store: bad graph id")
 	// ErrBadSpec reports a GraphSpec that names no generator or asks one
 	// for a graph it cannot make (see GraphSpec.Validate).
@@ -92,8 +92,11 @@ var (
 // queried and peer-restored.
 const MaxIDLen = 256
 
-// checkID admits ids of 1..MaxIDLen bytes.
-func checkID(id string) error {
+// CheckID is the one graph-id rule: it admits ids of 1..MaxIDLen bytes.
+// Registration, a query for an id the store does not hold, and flowd's
+// request decoders on every plane all refuse by it, so an id is refused in
+// one class (ErrBadID) whichever route carries it.
+func CheckID(id string) error {
 	if id == "" || len(id) > MaxIDLen {
 		return fmt.Errorf("%w: length %d out of [1, %d]", ErrBadID, len(id), MaxIDLen)
 	}
@@ -250,7 +253,7 @@ func (s *Store) Register(id string, gr *planarflow.Graph) error {
 	if err := gr.CheckWeightRange(); err != nil {
 		return fmt.Errorf("store: register %q: %w", id, err)
 	}
-	if err := checkID(id); err != nil {
+	if err := CheckID(id); err != nil {
 		return err
 	}
 	s.mu.Lock()
@@ -278,7 +281,7 @@ func (s *Store) registerLocked(id string, gr *planarflow.Graph) error {
 // again authoritatively at insertion; a racing duplicate can still waste
 // one build, but a repeated or abusive one cannot.
 func (s *Store) RegisterSpec(id string, sp GraphSpec) (*planarflow.Graph, error) {
-	if err := checkID(id); err != nil {
+	if err := CheckID(id); err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
@@ -359,6 +362,9 @@ func (s *Store) acquire(ctx context.Context, id string) (*entry, *planarflow.Pre
 	defer s.mu.Unlock()
 	e, ok := s.ents[id]
 	if !ok {
+		if err := CheckID(id); err != nil {
+			return nil, nil, false, err
+		}
 		return nil, nil, false, fmt.Errorf("%w: %q", ErrUnknownGraph, id)
 	}
 	hit := e.pg != nil

@@ -12,7 +12,7 @@
 // of POST /v1/query (shared strict decoder), and the binary ops
 // (OpQueryB/OpBatchB) carry the same request and response structs
 // through internal/flowd's hand-written codec, pinned bit-identical to
-// the HTTP route by differential tests. Framing and encoding cost, not
+// the HTTP route by the planarflow package's TestEveryRouteAgrees. Framing and encoding cost, not
 // semantics, are what this package buys.
 //
 // Frame layout — the only one (integers little-endian, CRC32-IEEE over

@@ -73,8 +73,8 @@ func NewServer(h Handler) *Server {
 	return s
 }
 
-// Counters exposes the live counters (flowd adds coalesced-batch sizes
-// observed while decoding OpBatchB frames).
+// Counters exposes the live counters (flowd adds the sizes of the
+// OpBatchB frames it decodes).
 func (s *Server) Counters() *Counters { return &s.ctr }
 
 // ErrServerClosed is returned by Serve after Close, mirroring

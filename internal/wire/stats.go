@@ -19,6 +19,9 @@ type Counters struct {
 	bytesOut   atomic.Int64
 	flushes    atomic.Int64
 
+	// The batch frames of more than one query the server decoded, the
+	// queries in them, and the largest such frame (AddCoalesced). Nothing
+	// coalesces frames into batches; the names are the series'.
 	coalescedBatches atomic.Int64
 	coalescedQueries atomic.Int64
 	coalescedMax     atomic.Int64
@@ -39,9 +42,8 @@ type Stats struct {
 	// Flushes counts writer syscalls; FramesOut/Flushes is the write
 	// coalescing factor a pipelined load achieves.
 	Flushes int64 `json:"flushes"`
-	// Batch-frame shape: how many multi-query batch frames arrived, the
-	// total queries they carried, and the largest one. Bumped by the
-	// server when it decodes a batch frame.
+	// Batch-frame shape: how many batch frames of more than one query the
+	// server decoded, the total queries they carried, and the largest one.
 	CoalescedBatches int64 `json:"coalesced_batches"`
 	CoalescedQueries int64 `json:"coalesced_queries"`
 	CoalescedMax     int64 `json:"coalesced_max"`
@@ -63,8 +65,8 @@ func (c *Counters) Snapshot() Stats {
 	}
 }
 
-// AddCoalesced records one batch frame folding n queries. Singletons
-// (n <= 1) are not folds and are not counted.
+// AddCoalesced records one decoded batch frame of n queries. A frame of
+// one query is not counted.
 func (c *Counters) AddCoalesced(n int) {
 	if n <= 1 {
 		return
@@ -96,9 +98,9 @@ func (c *Counters) RegisterObs(r *obs.Registry, labels ...obs.Label) {
 	ctr("wire_bytes_in_total", "Bytes received at frame granularity.", &c.bytesIn)
 	ctr("wire_bytes_out_total", "Bytes sent at frame granularity.", &c.bytesOut)
 	ctr("wire_flushes_total", "Writer flush syscalls (frames_out/flushes is the coalescing factor).", &c.flushes)
-	ctr("wire_coalesced_batches_total", "Multi-query batch frames formed by coalescing.", &c.coalescedBatches)
-	ctr("wire_coalesced_queries_total", "Singleton queries folded into coalesced batches.", &c.coalescedQueries)
-	r.Gauge("wire_coalesced_max", "Queries in the largest batch frame seen.",
+	ctr("wire_coalesced_batches_total", "Batch frames of more than one query the server decoded.", &c.coalescedBatches)
+	ctr("wire_coalesced_queries_total", "Queries in the batch frames of more than one query the server decoded.", &c.coalescedQueries)
+	r.Gauge("wire_coalesced_max", "Queries in the largest batch frame of more than one query the server decoded.",
 		func() float64 { return float64(c.coalescedMax.Load()) }, labels...)
 }
 

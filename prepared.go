@@ -147,18 +147,6 @@ func (p *PreparedGraph) checkPair(s, t int) error {
 	return nil
 }
 
-func (p *PreparedGraph) checkSTPlanar(s, t int, eps float64) error {
-	if err := p.checkPair(s, t); err != nil {
-		return err
-	}
-	if !(eps >= 0 && eps < 1) { // NaN included
-		return fmt.Errorf("planarflow: eps=%v: %w", eps, ErrEpsilonRange)
-	}
-	// The st-planarity precondition (s, t on a common face) is checked by
-	// core, which needs the common face anyway; sentinelErr maps its error.
-	return nil
-}
-
 // sentinelErr translates core's typed precondition errors into the public
 // sentinels, so each precondition is computed exactly once (in core) while
 // callers still dispatch with the planarflow sentinels.

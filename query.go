@@ -161,10 +161,13 @@ func (q Query) WithSimulated() Query {
 }
 
 // Validate checks everything about q that does not need a graph: the kind
-// is known, ids are non-negative, eps is in [0, 1) for the approximate
-// families, the leaf limit is non-negative. Graph-dependent range checks
-// (vertex < N, face < NumFaces) happen at execution time. Every violation
-// wraps one of the public sentinel errors.
+// is known, ids are non-negative, eps is in [0, 1) whatever the kind (only
+// stflow and stcut read it, but a value no family could accept is refused
+// on every one), the leaf limit is non-negative. Graph-dependent range
+// checks (vertex < N, face < NumFaces) happen at execution time. Every
+// violation wraps one of the public sentinel errors. It is the one rule
+// set of every route: flowd's decoders, the fleet front and Do all refuse
+// exactly what it refuses.
 func (q Query) Validate() error {
 	if !queryKindSet[q.Kind] {
 		return fmt.Errorf("planarflow: query kind %q: %w", q.Kind, ErrUnknownQueryKind)
@@ -179,7 +182,7 @@ func (q Query) Validate() error {
 	if q.Source < 0 {
 		return fmt.Errorf("planarflow: %s query with negative source %d: %w", q.Kind, q.Source, ErrFaceRange)
 	}
-	if (q.Kind == QSTFlow || q.Kind == QSTCut) && !(q.Eps >= 0 && q.Eps < 1) { // NaN included
+	if !(q.Eps >= 0 && q.Eps < 1) { // NaN included
 		return fmt.Errorf("planarflow: eps=%v: %w", q.Eps, ErrEpsilonRange)
 	}
 	if q.LeafLimit < 0 {
@@ -395,7 +398,10 @@ func (p *PreparedGraph) do(q Query) (*Answer, error) {
 		a.Value, a.Side, a.Edges = res.Value, res.Side, res.CutEdges
 
 	case QSTFlow:
-		if err := p.checkSTPlanar(q.U, q.V, q.Eps); err != nil {
+		// Validate ranged eps; the st-planarity precondition (s, t on a
+		// common face) is checked by core, which needs the common face
+		// anyway, and sentinelErr maps its error.
+		if err := p.checkPair(q.U, q.V); err != nil {
 			return nil, err
 		}
 		res, err := core.STPlanarMaxFlow(p.art, q.U, q.V, q.Eps, led)
@@ -405,7 +411,7 @@ func (p *PreparedGraph) do(q Query) (*Answer, error) {
 		a.Value, a.Flow = res.Value, res.Flow
 
 	case QSTCut:
-		if err := p.checkSTPlanar(q.U, q.V, q.Eps); err != nil {
+		if err := p.checkPair(q.U, q.V); err != nil {
 			return nil, err
 		}
 		res, err := core.STPlanarMinCut(p.art, q.U, q.V, q.Eps, led)
