@@ -123,15 +123,52 @@ func warmGridGraph() *planar.Graph {
 }
 
 // warmGrid is the prepared graph the warm benchmarks and the alloc ceilings
-// run on: a capacitated Grid(12,12) with its BDD built.
+// run on: a capacitated Grid(12,12) with its BDD and its max-flow λ = 0
+// state built.
 func warmGrid(tb testing.TB) (*artifact.Prepared, *bdd.BDD) {
 	tb.Helper()
 	p := artifact.New(warmGridGraph())
 	tree, err := p.Tree(0, ledger.New())
+	if err == nil {
+		_, err = p.FlowBase(0, ledger.New())
+	}
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return p, tree
+}
+
+// warmPairs are the two kinds of exact max-flow query on the warm grid,
+// whose edges all point right or down: from the bottom-left corner to the
+// top-right one nothing flows, and the λ = 1 probe finds that out (λ* = 0);
+// from the top-left corner to the bottom-right one, E1's pair, the search
+// bisects (λ* > 0).
+var warmPairs = []struct {
+	name string
+	s, t int
+}{
+	{"zero", 11 * 12, 11},
+	{"positive", 0, 12*12 - 1},
+}
+
+// probeLengths is the first λ of a search on the warm grid: the capacity
+// lengths of p's λ = 0 state with 1 pushed along a BFS path from vertex 0
+// to the last one, and that state.
+func probeLengths(tb testing.TB, p *artifact.Prepared) ([]int64, *artifact.FlowBase) {
+	tb.Helper()
+	fb, err := p.FlowBase(0, ledger.New())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	g := p.Graph()
+	lens := append([]int64(nil), fb.Probe.Lengths...)
+	bfs := g.BFS(0)
+	for v := g.N() - 1; v != 0; v = g.Tail(bfs.Parent[v]) {
+		d := bfs.Parent[v]
+		lens[d]--
+		lens[planar.Rev(d)]++
+	}
+	return lens, fb
 }
 
 // benchWarmExact times run on the E1 instance behind an artifact whose BDD
@@ -151,12 +188,17 @@ func benchWarmExact(b *testing.B, run func(p *artifact.Prepared, tree *bdd.BDD, 
 	reportRounds(b, led)
 }
 
-// BenchmarkWarmMaxFlow — E1 on a prepared graph: the λ search alone.
+// BenchmarkWarmMaxFlow — E1 on a prepared graph: the λ search and the
+// assignment alone, on each of warmPairs.
 func BenchmarkWarmMaxFlow(b *testing.B) {
-	benchWarmExact(b, func(p *artifact.Prepared, _ *bdd.BDD, led *ledger.Ledger) error {
-		_, err := core.MaxFlow(p, 0, p.Graph().N()-1, core.Options{}, led)
-		return err
-	})
+	for _, c := range warmPairs {
+		b.Run(c.name, func(b *testing.B) {
+			benchWarmExact(b, func(p *artifact.Prepared, _ *bdd.BDD, led *ledger.Ledger) error {
+				_, err := core.MaxFlow(p, c.s, c.t, core.Options{}, led)
+				return err
+			})
+		})
+	}
 }
 
 // BenchmarkWarmMinSTCut — E6 on a prepared graph.
@@ -222,16 +264,40 @@ func BenchmarkGlobalMinCutFirst(b *testing.B) {
 	reportRounds(b, led)
 }
 
-// BenchmarkFeasibilityProbe — one λ of the search: the labeling pass over
-// the faces the negative-cycle verdict depends on.
+// BenchmarkFeasibilityProbe — one λ of the search (probeLengths): the
+// labeling pass over the faces the negative-cycle verdict depends on, from
+// scratch (full) and from the graph's λ = 0 state, relabeling only the bags
+// the path touches (incremental). Both must charge the same entries.
 func BenchmarkFeasibilityProbe(b *testing.B) {
-	benchWarmExact(b, func(p *artifact.Prepared, tree *bdd.BDD, led *ledger.Ledger) error {
-		ok, err := label.Feasible(context.Background(), tree, artifact.Lengths(p.Graph(), artifact.Undirected), led)
-		if err == nil && !ok {
-			err = errors.New("unexpected negative cycle")
-		}
-		return err
-	})
+	p, tree := warmGrid(b)
+	lens, fb := probeLengths(b, p)
+	want := ledger.New()
+	if ok, err := label.Feasible(context.Background(), tree, lens, nil, want); err != nil || !ok {
+		b.Fatalf("probe: feasible=%v err=%v", ok, err)
+	}
+	for _, c := range []struct {
+		name string
+		base *label.Labeling
+	}{{"full", nil}, {"incremental", fb.Probe}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var led *ledger.Ledger
+			for i := 0; i < b.N; i++ {
+				led = ledger.New()
+				ok, err := label.Feasible(context.Background(), tree, lens, c.base, led)
+				if err == nil && !ok {
+					err = errors.New("unexpected negative cycle")
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			if !reflect.DeepEqual(led.Entries(), want.Entries()) {
+				b.Fatalf("charged %v, the probe from scratch %v", led.Entries(), want.Entries())
+			}
+			reportRounds(b, led)
+		})
+	}
 }
 
 // BenchmarkFullDualLabeling — the same pass over every key (E5 without the
@@ -314,7 +380,7 @@ func TestAllocCeilings(t *testing.T) {
 		run     func() error
 	}{
 		{"label.Feasible", 100, func() error {
-			_, err := label.Feasible(ctx, tree, artifact.Lengths(p.Graph(), artifact.Undirected), ledger.New())
+			_, err := label.Feasible(ctx, tree, artifact.Lengths(p.Graph(), artifact.Undirected), nil, ledger.New())
 			return err
 		}},
 		{"label.Compute(dual)", 150, func() error {
@@ -332,8 +398,17 @@ func TestAllocCeilings(t *testing.T) {
 			_, err := label.SSSPFrom(ctx, label.Primal, tree, artifact.Lengths(p.Graph(), artifact.Undirected), 0, ledger.New(), ledger.New())
 			return err
 		}},
-		{"core.MaxFlow", 1000, func() error {
-			_, err := core.MaxFlow(p, 0, p.Graph().N()-1, core.Options{}, ledger.New())
+		// An exact max-flow with the graph's λ = 0 state resident, on each of
+		// warmPairs: 73 allocs at λ* = 0 (one probe, the assignment replayed)
+		// and 262 at λ* > 0. They read 97 and 302, under one ceiling of 1000,
+		// while every probe relabeled every bag and every λ* = 0 assignment
+		// ran SSSPFrom.
+		{"core.MaxFlow(zero)", 90, func() error {
+			_, err := core.MaxFlow(p, warmPairs[0].s, warmPairs[0].t, core.Options{}, ledger.New())
+			return err
+		}},
+		{"core.MaxFlow(positive)", 320, func() error {
+			_, err := core.MaxFlow(p, warmPairs[1].s, warmPairs[1].t, core.Options{}, ledger.New())
 			return err
 		}},
 		{"core.MinSTCut", 400, func() error {

@@ -124,6 +124,7 @@ var substrate = [...]string{label.Dual: "dual-label", label.Primal: "primal-labe
 type slot[T any] struct {
 	val      T
 	ready    bool
+	cache    bool           // a simulation cache: its bytes count, it is no substrate
 	inflight chan struct{}  // non-nil while a build is running
 	led      *ledger.Ledger // build cost of the published value
 	bytes    int64          // footprint estimate of the published value
@@ -138,6 +139,7 @@ type state struct {
 	trees  map[int]*slot[*bdd.BDD]
 	labels map[labelKey]*slot[*label.Labeling]
 	prices slot[minoragg.Prices]
+	flows  map[int]*slot[*FlowBase] // by leaf limit
 
 	build *ledger.Ledger // cumulative build cost of every substrate built
 
@@ -171,6 +173,7 @@ func New(g *planar.Graph) *Prepared {
 			g:      g,
 			trees:  map[int]*slot[*bdd.BDD]{},
 			labels: map[labelKey]*slot[*label.Labeling]{},
+			flows:  map[int]*slot[*FlowBase]{},
 			build:  ledger.New(),
 		},
 	}
@@ -262,7 +265,7 @@ func runBuild[T any](p *Prepared, s *slot[T], ch chan struct{}, kind string,
 		s.inflight = nil
 		if completed && err == nil {
 			s.val, s.led, s.bytes, s.ready = v, led, bytes, true
-			p.st.count(bytes, led)
+			p.st.count(bytes, led, !s.cache)
 		}
 		close(ch)
 		p.st.mu.Unlock()
@@ -290,11 +293,13 @@ func runBuild[T any](p *Prepared, s *slot[T], ch chan struct{}, kind string,
 }
 
 // count adds one published slot to the running totals (caller holds the
-// state lock).
-func (st *state) count(bytes int64, led *ledger.Ledger) {
+// state lock); a cache adds its bytes and no substrate.
+func (st *state) count(bytes int64, led *ledger.Ledger, substrate bool) {
 	st.totBytes += bytes
 	st.totRounds += led.Total()
-	st.totSubstrates++
+	if substrate {
+		st.totSubstrates++
+	}
 }
 
 // chargeBuild books a slot's construction, once: Build scope in the ledger
@@ -427,14 +432,19 @@ type SubstrateStats struct {
 
 // Stats is a point-in-time snapshot of everything built so far.
 type Stats struct {
-	Substrates  []SubstrateStats `json:"substrates"`
-	Bytes       int64            `json:"bytes"`        // total estimated footprint
+	Substrates []SubstrateStats `json:"substrates"`
+	// Caches are the simulation caches built beside the substrates (kind
+	// "maxflow-base", by leaf limit): never snapshotted, no build rounds.
+	Caches      []SubstrateStats `json:"caches,omitempty"`
+	Bytes       int64            `json:"bytes"`        // total estimated footprint, caches included
 	BuildRounds int64            `json:"build_rounds"` // total one-time cost
 }
 
 // Totals returns Stats' three sums — footprint bytes, substrate count
 // and build rounds — without the per-substrate list: O(1), for callers
-// that re-account a bundle after every query.
+// that re-account a bundle after every query. A cache's bytes count; a
+// cache is no substrate, so a bundle that builds one builds nothing the
+// serving layer counts as a build or a snapshot would carry.
 func (p *Prepared) Totals() (bytes int64, substrates int, buildRounds int64) {
 	p.st.mu.Lock()
 	defer p.st.mu.Unlock()
@@ -468,6 +478,13 @@ func (p *Prepared) Stats() Stats {
 	if s := &p.st.prices; s.ready {
 		add(SubstrateStats{Kind: minorAgg, Bytes: s.bytes, BuildRounds: s.led.Total()})
 	}
+	for ll, s := range p.st.flows {
+		if s.ready {
+			st.Caches = append(st.Caches, SubstrateStats{Kind: flowBase, LeafLimit: ll, Bytes: s.bytes})
+			st.Bytes += s.bytes
+		}
+	}
+	sort.Slice(st.Caches, func(i, j int) bool { return st.Caches[i].LeafLimit < st.Caches[j].LeafLimit })
 	sort.Slice(st.Substrates, func(i, j int) bool {
 		a, b := st.Substrates[i], st.Substrates[j]
 		if a.Kind != b.Kind {

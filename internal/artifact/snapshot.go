@@ -122,7 +122,7 @@ func seedSlot[T any](p *Prepared, s *slot[T], val T, buildRounds int64, bytes in
 	led := ledger.New()
 	led.Charge(restoredPhase, buildRounds)
 	s.val, s.led, s.bytes, s.ready = val, led, bytes, true
-	p.st.count(bytes, led)
+	p.st.count(bytes, led, true)
 	// Keep the BuildLedger == sum-of-slot-costs invariant: the restored
 	// substrate's original construction cost counts as build cost here too.
 	p.st.build.Merge(led)

@@ -42,17 +42,22 @@ type FlowResult struct {
 // the distance labeling of §5 (Thm 1.2, Õ(D²) rounds).
 //
 // The BDD comes from the shared prepared artifact: the first query on p pays
-// its construction (Build-scoped in led), later queries reuse it. Each λ the
-// search cannot infer a verdict for (lambdaStar) costs one feasibility probe
+// its construction (Build-scoped in led), later queries reuse it. So does
+// the graph's λ = 0 state (artifact.FlowBase, built by the first query that
+// probes or assigns at λ* = 0, charging nothing): the dual under the
+// capacity lengths every residual length starts from. Each λ the search
+// cannot infer a verdict for (lambdaStar) costs one feasibility probe
 // (label.Feasible): the labeling pass restricted to the faces the
 // negative-cycle verdict depends on, charged as the full labeling the
-// paper's algorithm runs. No per-λ labeling is kept; the assignment's one
-// dual SSSP at λ* (label.SSSPFrom) is one kernel run over the whole dual,
-// charged as the labeling pass at λ* plus SSSP over it (DESIGN §3). For
-// λ* > 0 the distributed algorithm already holds λ*'s labels from λ*'s
-// probe, so that pass is charged nowhere; λ* = 0 is never probed, so there
-// it is charged to led as the labeling it stands for. The SSSP's broadcast
-// and tree marking are charged to led as over a full labeling. A canceled
+// paper's algorithm runs, and relabeling only the bags whose darts the path
+// changes — the others take the state's labels. The assignment is one dual
+// SSSP at λ* (DESIGN §3). For λ* > 0 it is label.SSSPFrom, one kernel run
+// over the whole dual, charged as SSSP over λ*'s labels: the distributed
+// algorithm already holds them from λ*'s probe, so their pass is charged
+// nowhere. λ* = 0 is never probed and its lengths are the state's, so there
+// the assignment reads the state's potentials and replays the entries
+// SSSPFrom charged when the state was built — the labeling pass it stands
+// for, then the SSSP's broadcast and tree marking — into led. A canceled
 // p.Context() stops the query at the next bag with the context's error.
 func MaxFlow(p *artifact.Prepared, s, t int, opt Options, led *ledger.Ledger) (*FlowResult, error) {
 	g := p.Graph()
@@ -79,15 +84,21 @@ func MaxFlow(p *artifact.Prepared, s, t int, opt Options, led *ledger.Ledger) (*
 		onPath[d] = true
 	}
 
-	// Residual lengths after pushing λ along the path: cap(forward) =
-	// Cap(e), cap(backward) = 0, minus λ on path darts, plus λ on their
-	// reverses. One buffer serves every λ; no probe retains it.
+	// The λ = 0 state, fetched by the first probe or the assignment: a graph
+	// with a negative capacity fails the search before either.
+	var fb *artifact.FlowBase
+	loadState := func() (err error) {
+		if fb == nil {
+			fb, err = p.FlowBase(opt.LeafLimit, led)
+		}
+		return err
+	}
+	// Residual lengths after pushing λ along the path: the state's capacity
+	// lengths, minus λ on path darts, plus λ on their reverses. One buffer
+	// serves every λ; no probe retains it.
 	lens := make([]int64, g.NumDarts())
 	lengthsFor := func(lambda int64) []int64 {
-		for e := 0; e < g.M(); e++ {
-			lens[planar.ForwardDart(e)] = g.Edge(e).Cap
-			lens[planar.BackwardDart(e)] = 0
-		}
+		copy(lens, fb.Probe.Lengths)
 		for _, d := range path {
 			lens[d] -= lambda
 			lens[planar.Rev(d)] += lambda
@@ -96,30 +107,39 @@ func MaxFlow(p *artifact.Prepared, s, t int, opt Options, led *ledger.Ledger) (*
 	}
 	ctx := p.Context()
 	lo, iters, err := lambdaStar(g, s, t, func(lambda int64) (bool, error) {
-		return label.Feasible(ctx, tree, lengthsFor(lambda), led)
+		if err := loadState(); err != nil {
+			return false, err
+		}
+		return label.Feasible(ctx, tree, lengthsFor(lambda), fb.Probe, led)
 	})
 	if err != nil {
 		return nil, err
 	}
 
 	// Assignment: dual SSSP potentials from an arbitrary face (§6.1).
-	passLed := ledger.New() // λ*'s probe paid the pass; no probe ran λ* = 0
-	if lo == 0 {
-		passLed = led
-	}
-	sssp, err := label.SSSPFrom(ctx, label.Dual, tree, lengthsFor(lo), 0, passLed, led)
-	if err != nil {
+	if err := loadState(); err != nil {
 		return nil, err
 	}
-	res := &FlowResult{Value: lo, Flow: make([]int64, g.M()), Iterations: iters}
-	if sssp.NegCycle {
-		return nil, errors.New("core: internal: feasible λ reported a negative cycle")
+	dist := fb.Dist
+	if lo == 0 {
+		led.Merge(fb.Led)
+	} else {
+		// λ*'s probe paid the pass.
+		sssp, err := label.SSSPFrom(ctx, label.Dual, tree, lengthsFor(lo), 0, ledger.New(), led)
+		if err != nil {
+			return nil, err
+		}
+		if sssp.NegCycle {
+			return nil, errors.New("core: internal: feasible λ reported a negative cycle")
+		}
+		dist = sssp.Dist
 	}
+	res := &FlowResult{Value: lo, Flow: make([]int64, g.M()), Iterations: iters}
 	fd := g.Faces()
 	for e := 0; e < g.M(); e++ {
 		fw := planar.ForwardDart(e)
 		// Circulation on the forward dart: ψ(head*) − ψ(tail*).
-		phi := sssp.Dist[fd.FaceOf(planar.Rev(fw))] - sssp.Dist[fd.FaceOf(fw)]
+		phi := dist[fd.FaceOf(planar.Rev(fw))] - dist[fd.FaceOf(fw)]
 		if onPath[fw] {
 			phi += lo
 		}

@@ -3,8 +3,11 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
+	"sync"
 	"testing"
 
+	"planarflow/internal/artifact"
 	"planarflow/internal/ledger"
 	"planarflow/internal/planar"
 )
@@ -97,7 +100,9 @@ func (c *tripCtx) Err() error {
 
 // TestExactQueriesStopWhenCanceled: MaxFlow and MinSTCut poll the prepared
 // view's context once per bag; a canceled view returns an error matching
-// context.Canceled and processes no further bag (no further poll).
+// context.Canceled and processes no further bag (no further poll). The
+// polls are counted on a bundle whose λ = 0 state is built, which a query
+// builds once per graph; a cancellation while it builds publishes nothing.
 func TestExactQueriesStopWhenCanceled(t *testing.T) {
 	g := planar.WithRandomWeights(planar.Grid(8, 8), planar.NewRand(3), 1, 9, 1, 9)
 	p := prep(g)
@@ -111,6 +116,24 @@ func TestExactQueriesStopWhenCanceled(t *testing.T) {
 		t.Fatalf("only %d bags: nothing to stop between", bags)
 	}
 	s, tt := 0, g.N()-1
+
+	// A bundle as warm as p but for its λ = 0 state, and the answer and
+	// ledger of a first query on one.
+	freshWarm := func() *artifact.Prepared {
+		q := prep(g)
+		if _, err := q.Tree(opt.LeafLimit, led()); err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	wantLed := led()
+	want, err := MaxFlow(freshWarm(), s, tt, opt, wantLed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.FlowBase(opt.LeafLimit, led()); err != nil {
+		t.Fatal(err)
+	}
 
 	// How many polls an uncanceled query makes: one per bag reached, and the
 	// λ=1 probe (feasible: every grid edge points away from s) and the
@@ -165,5 +188,114 @@ func TestExactQueriesStopWhenCanceled(t *testing.T) {
 	cancel()
 	if _, err := MinSTCut(p.WithContext(cctx), s, tt, opt, led()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled context: err=%v", err)
+	}
+
+	// Canceled while the λ = 0 state builds: the first probe builds it — one
+	// poll before the build, then one per bag of its probe pass — so poll
+	// bags/2 lands inside that pass. Nothing publishes, and the next query
+	// builds the state afresh and answers what a first query answers, entry
+	// for entry.
+	cold := freshWarm()
+	before := cold.Stats()
+	ctx := &tripCtx{Context: context.Background(), limit: bags / 2}
+	if _, err := MaxFlow(cold.WithContext(ctx), s, tt, opt, led()); !errors.Is(err, context.Canceled) || ctx.calls != ctx.limit {
+		t.Fatalf("canceled mid-build: err=%v after %d polls, want context.Canceled at poll %d", err, ctx.calls, ctx.limit)
+	}
+	if after := cold.Stats(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("a canceled build published: %+v, was %+v", after, before)
+	}
+	gotLed := led()
+	got, err := MaxFlow(cold, s, tt, opt, gotLed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotLed.Entries(), wantLed.Entries()) {
+		t.Fatalf("after a canceled build: %+v %v, want %+v %v", got, gotLed.Entries(), want, wantLed.Entries())
+	}
+	if n := len(cold.Stats().Caches); n != 1 {
+		t.Fatalf("%d λ = 0 states after the rebuild, want 1", n)
+	}
+}
+
+// TestFlowBaseBuiltOnce: eight first max-flows racing on one bundle whose
+// BDD is built and whose λ = 0 state is not build that state once — one
+// Stats row — and each answers and charges exactly what the same query on
+// its own bundle does: at λ* > 0, at λ* = 0 after a failed λ = 1 probe,
+// and at λ* = 0 with no probe (nothing leaves s), where the assignment is
+// what builds the state.
+func TestFlowBaseBuiltOnce(t *testing.T) {
+	g := planar.WithRandomWeights(planar.Grid(8, 8), planar.NewRand(9), 1, 1, 1, 9)
+	opt := Options{LeafLimit: 12}
+	warmTree := func() *artifact.Prepared {
+		p := prep(g)
+		if _, err := p.Tree(opt.LeafLimit, led()); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	// Grid edges point right or down.
+	pairs := [][2]int{{0, g.N() - 1}, {g.N() - 8, 7}, {g.N() - 1, 0}}
+	type run struct {
+		res *FlowResult
+		led []ledger.Entry
+	}
+	want := make([]run, len(pairs))
+	for i, pr := range pairs {
+		l := led()
+		res, err := MaxFlow(warmTree(), pr[0], pr[1], opt, l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = run{res, l.Entries()}
+	}
+	if want[0].res.Value == 0 || want[1].res.Value != 0 || want[1].res.Iterations != 1 || want[2].res.Iterations != 0 {
+		t.Fatalf("pairs are not λ* > 0, λ* = 0 probed, λ* = 0 unprobed: %+v %+v %+v", want[0].res, want[1].res, want[2].res)
+	}
+
+	p := warmTree()
+	got := make([]run, 8)
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			pr := pairs[w%len(pairs)]
+			l := led()
+			res, err := MaxFlow(p, pr[0], pr[1], opt, l)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got[w] = run{res, l.Entries()}
+		}(w)
+	}
+	wg.Wait()
+	for w := range got {
+		if !reflect.DeepEqual(got[w], want[w%len(pairs)]) {
+			t.Fatalf("goroutine %d: %+v, want %+v", w, got[w], want[w%len(pairs)])
+		}
+	}
+	if st := p.Stats(); len(st.Caches) != 1 || st.Caches[0].Bytes <= 0 || st.Caches[0].BuildRounds != 0 {
+		t.Fatalf("λ = 0 states: %+v, want one row with bytes and no build rounds", st.Caches)
+	}
+}
+
+// TestNegativeCapacityPublishesNoState: a graph with a negative capacity
+// fails the search before any probe, with the error it always had, and
+// leaves no λ = 0 state behind.
+func TestNegativeCapacityPublishesNoState(t *testing.T) {
+	g := planar.Grid(4, 4).WithEdgeAttrs(func(e int, ed planar.Edge) planar.Edge {
+		if e == 5 {
+			ed.Cap = -1
+		}
+		return ed
+	})
+	p := prep(g)
+	_, err := MaxFlow(p, 0, g.N()-1, Options{}, led())
+	if err == nil || err.Error() != "core: zero flow infeasible (negative capacity?)" {
+		t.Fatalf("err=%v", err)
+	}
+	if st := p.Stats(); len(st.Caches) != 0 {
+		t.Fatalf("published %+v", st.Caches)
 	}
 }

@@ -24,9 +24,11 @@ type CutResult struct {
 // SSSP instance — residual darts get length 0, saturated darts are removed —
 // solved by the Li–Parter primal distance labeling in Õ(D²) rounds. Only
 // SSSP(s) is read, so label.SSSPFrom answers it with one kernel run over the
-// residual graph and keeps nothing (DESIGN §3); unlike MaxFlow's pass at λ*
-// this labeling is part of the algorithm, so the pass is charged to led
-// exactly as the full labeling would be, then the SSSP over it.
+// residual graph (DESIGN §3). The residual lengths depend on the flow, so,
+// unlike MaxFlow's λ = 0 state, nothing of this step outlives the query.
+// Unlike MaxFlow's pass at λ* this labeling is part of the algorithm, so
+// the pass is charged to led exactly as the full labeling would be, then
+// the SSSP over it.
 func MinSTCut(p *artifact.Prepared, s, t int, opt Options, led *ledger.Ledger) (*CutResult, error) {
 	g := p.Graph()
 	flow, err := MaxFlow(p, s, t, opt, led)

@@ -2,6 +2,7 @@ package label
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"unsafe"
 
@@ -83,7 +84,7 @@ func ComputeContext(ctx context.Context, v View, t *bdd.BDD, lengths []int64, le
 	if err != nil {
 		return nil, err
 	}
-	return pl.label(ctx, pl.every, lengths, led)
+	return pl.label(ctx, pl.every, lengths, nil, led)
 }
 
 // Feasible reports whether G* is free of negative cycles under lengths —
@@ -93,16 +94,42 @@ func ComputeContext(ctx context.Context, v View, t *bdd.BDD, lengths []int64, le
 // exactly what ComputeContext charges: a bag's cost is its TreeDepth, the
 // Words() of its children's F_X labels and its arc counts, and none of those
 // reads a label the pass skips. lengths is not retained.
-func Feasible(ctx context.Context, t *bdd.BDD, lengths []int64, led *ledger.Ledger) (bool, error) {
+//
+// base, when not nil, is a labeling ProbeBase computed over t, and the pass
+// relabels only the bags lengths touches: a bag is clean when every dart
+// its own step reads (a leaf's arcs, an internal bag's cross arcs) has
+// base's length and both its children are clean, and a clean bag takes
+// base's labels, shared and read-only — they are what the pass would
+// compute, since its step reads nothing else. A clean bag still charges its
+// cost, and base completed, so a clean bag never aborts: a negative cycle
+// aborts the pass at the bag it would abort at without base, charged the
+// same. The verdict and every ledger entry are the pass's without base.
+func Feasible(ctx context.Context, t *bdd.BDD, lengths []int64, base *Labeling, led *ledger.Ledger) (bool, error) {
 	pl, err := planOf(t, views[Dual])
 	if err != nil {
 		return false, err
 	}
-	la, err := pl.label(ctx, pl.probe, lengths, led)
+	if base != nil && (base.pl != pl || base.NegCycle) {
+		return false, errors.New("label: probe base is not a completed dual labeling over the tree")
+	}
+	la, err := pl.label(ctx, pl.probe, lengths, base, led)
 	if err != nil {
 		return false, err
 	}
 	return !la.NegCycle, nil
+}
+
+// ProbeBase runs Feasible's pass under lengths, charging nothing, and keeps
+// the labels it computes and lengths: the base a later
+// Feasible over lengths that differ from these on a few darts relabels only
+// the bags those darts touch. Its NegCycle is the pass's verdict; a labeling
+// with NegCycle set is no base.
+func ProbeBase(ctx context.Context, t *bdd.BDD, lengths []int64) (*Labeling, error) {
+	pl, err := planOf(t, views[Dual])
+	if err != nil {
+		return nil, err
+	}
+	return pl.label(ctx, pl.probe, lengths, nil, ledger.New())
 }
 
 // SSSPFrom computes ComputeContext(ctx, v, t, lengths, passLed).SSSP(source,
@@ -137,7 +164,7 @@ func SSSPFrom(ctx context.Context, v View, t *bdd.BDD, lengths []int64, source i
 	var k kernel
 	k.loadArcs(pl.v.numKeys(g), arcs)
 	if !k.potentials() {
-		la, err := pl.label(ctx, pl.probe, lengths, passLed)
+		la, err := pl.label(ctx, pl.probe, lengths, nil, passLed)
 		if err != nil {
 			return nil, err
 		}
@@ -207,8 +234,10 @@ type pass struct {
 }
 
 // label is the one labeling pass: bottom-up over the bags, labeling, in each
-// bag, the keys wanted lists for it and skipping the others.
-func (pl *plan) label(ctx context.Context, wanted [][]int, lengths []int64, led *ledger.Ledger) (*Labeling, error) {
+// bag, the keys wanted lists for it and skipping the others. With a base (a
+// completed labeling over pl whose wanted sets include these), a bag clean
+// under lengths takes base's labels instead (Feasible has the rule).
+func (pl *plan) label(ctx context.Context, wanted [][]int, lengths []int64, base *Labeling, led *ledger.Ledger) (*Labeling, error) {
 	t, v := pl.t, pl.v
 	la := &Labeling{
 		T:       t,
@@ -217,11 +246,18 @@ func (pl *plan) label(ctx context.Context, wanted [][]int, lengths []int64, led 
 		byBag:   make([][]Label, len(t.Bags)),
 		slot:    make([][]int32, len(t.Bags)),
 	}
-	if v.retainsDDG {
+	// Only a labeling of every key keeps its DDGs, for the cycle
+	// enumerations and the snapshot; a probe's root wants nothing, and
+	// nothing reads a probe's DDGs.
+	if v.retainsDDG && len(wanted[t.Root.ID]) == len(pl.lay[t.Root.ID].Keys) {
 		la.ddgs = make([]*BagDDG, len(t.Bags))
 	}
 	ps := &pass{la: la}
 	pl.costsOnce.Do(pl.costs)
+	var clean []bool
+	if base != nil {
+		clean = make([]bool, len(t.Bags))
+	}
 
 	// Process bags bottom-up (children have larger IDs than parents by
 	// construction, so reverse ID order is a valid post-order). A completed
@@ -232,9 +268,13 @@ func (pl *plan) label(ctx context.Context, wanted [][]int, lengths []int64, led 
 			return nil, err
 		}
 		b := t.Bags[i]
-		if b.IsLeaf() {
+		switch {
+		case clean != nil && pl.clean(i, clean, lengths, base.Lengths):
+			clean[i] = true
+			la.byBag[i], la.slot[i] = base.byBag[i], base.slot[i]
+		case b.IsLeaf():
 			ps.computeLeaf(b, wanted[i])
-		} else {
+		default:
 			ps.computeInternal(b, wanted[i])
 		}
 		if la.NegCycle {
@@ -245,6 +285,29 @@ func (pl *plan) label(ctx context.Context, wanted [][]int, lengths []int64, led 
 	}
 	pl.chargeLevels(levelCost, led)
 	return la, nil
+}
+
+// clean reports whether bag i's step reads only what it read under
+// baseLens: both children are clean, and every dart of its own — a leaf's
+// arcs, an internal bag's cross arcs — has its base length.
+func (pl *plan) clean(i int, clean []bool, lengths, baseLens []int64) bool {
+	for _, c := range pl.t.Bags[i].Children {
+		if !clean[c.ID] {
+			return false
+		}
+	}
+	bp := &pl.bags[i]
+	for _, d := range bp.leafDart {
+		if lengths[d] != baseLens[d] {
+			return false
+		}
+	}
+	for _, a := range bp.crossArcs {
+		if lengths[a.Dart] != baseLens[a.Dart] {
+			return false
+		}
+	}
+	return true
 }
 
 // at returns the label of the key at position pos of bag id (nil if the
@@ -436,6 +499,12 @@ func (ps *pass) computeInternal(b *bdd.Bag, wanted []int) {
 	ps.k.loadArcs(nn, ddg.Arcs)
 	if !ps.k.potentials() {
 		la.NegCycle = true
+		return
+	}
+	if len(wanted) == 0 && la.ddgs == nil {
+		// Nothing reads the matrix: a probe's root has its verdict, and an
+		// empty slab marks the bag reached.
+		la.labelBag(b, wanted, nil)
 		return
 	}
 	slab := make([]int64, nn*nn)

@@ -230,7 +230,7 @@ func TestConcurrentPassesShareOnePlan(t *testing.T) {
 		d := &drive{got: make([]bool, rounds)}
 		for r := 0; r < rounds; r++ {
 			lens := randomLengths(g, rng, -1-int64(w), 30)
-			ok, err := Feasible(ctx, tree, lens, ledger.New())
+			ok, err := Feasible(ctx, tree, lens, nil, ledger.New())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -244,7 +244,7 @@ func TestConcurrentPassesShareOnePlan(t *testing.T) {
 		go func(d *drive) {
 			defer wg.Done()
 			for r, lens := range d.lens {
-				ok, err := Feasible(ctx, tree, lens, ledger.New())
+				ok, err := Feasible(ctx, tree, lens, nil, ledger.New())
 				if err != nil {
 					t.Error(err)
 					return

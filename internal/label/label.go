@@ -22,7 +22,7 @@
 //	arc of dart d  FaceOf(d) -> FaceOf(Rev(d))    Tail(d) -> Head(d)
 //	phase          label/…, dual-sssp/…           primal-label/…, primal-sssp/…
 //	congestion     ×4 (×2 property 7, ×2 Ĝ)       ×2 (property 7)
-//	retains DDGs   yes (global min cut, snapshot) no
+//	retains DDGs   full labelings (min cut, snap) no
 //	SSSP marks     a shortest-path tree           distances only
 //
 // The view is fixed by the caller's problem — a distance between vertices

@@ -132,11 +132,11 @@ func TestProbeMatchesFullLabeling(t *testing.T) {
 		pl := mustPlan(t, tree, v)
 		lens, lname := nl.lens, nl.name
 		fullLed, probeLed := ledger.New(), ledger.New()
-		full, err := pl.label(context.Background(), pl.every, lens, fullLed)
+		full, err := pl.label(context.Background(), pl.every, lens, nil, fullLed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		probe, err := pl.label(context.Background(), pl.probe, lens, probeLed)
+		probe, err := pl.label(context.Background(), pl.probe, lens, nil, probeLed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +151,7 @@ func TestProbeMatchesFullLabeling(t *testing.T) {
 			t.Fatalf("%s: ledgers differ:\nprobe %v\n full %v", name, probeLed.Entries(), fullLed.Entries())
 		}
 		if v == Dual {
-			ok, err := Feasible(context.Background(), tree, lens, ledger.New())
+			ok, err := Feasible(context.Background(), tree, lens, nil, ledger.New())
 			if err != nil || ok == full.NegCycle {
 				t.Fatalf("%s: Feasible=%v err=%v with NegCycle=%v", name, ok, err, full.NegCycle)
 			}

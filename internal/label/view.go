@@ -26,7 +26,7 @@ type view struct {
 	phase      string // ledger phase prefix of the labeling pass
 	ssspPhase  string // ledger phase prefix of SSSP over the labeling
 	congestion int64  // factor on a level's broadcast cost
-	retainsDDG bool   // Labeling keeps every bag's base DDG
+	retainsDDG bool   // a full Labeling keeps every bag's base DDG
 	marksTree  bool   // SSSP marks a shortest-path tree (Lemma 2.2)
 
 	// numKeys bounds the key space: keys are in [0, numKeys(g)).

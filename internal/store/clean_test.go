@@ -158,6 +158,54 @@ func TestCleanEvictionWritesNothing(t *testing.T) {
 	checkMarks(t, s)
 }
 
+// TestMaxFlowLeavesRestoredBundleClean: exact max-flow and min st-cut on
+// a restored bundle build only the graph's max-flow λ = 0 state, a cache
+// that no snapshot carries and no key set names: the bundle still encodes
+// to the file's bytes, its eviction is elided, and the store counts no
+// build.
+func TestMaxFlowLeavesRestoredBundleClean(t *testing.T) {
+	s, _ := spilled(t)
+	path := s.spillPath("g")
+	onDisk, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st0 := s.Snapshot()
+	var fresh bytes.Buffer
+	err = s.With(context.Background(), "g", func(pg *planarflow.PreparedGraph, hit bool) error {
+		if hit {
+			t.Error("restore counted as a hit")
+		}
+		n := pg.Graph().N()
+		for _, q := range []planarflow.Query{planarflow.MaxFlowQuery(0, n-1), planarflow.MinSTCutQuery(0, n-1)} {
+			a, err := pg.Do(nil, q)
+			if err != nil {
+				return err
+			}
+			if a.Rounds.Build != 0 {
+				t.Errorf("%s on the restored bundle: Build = %d", q.Kind, a.Rounds.Build)
+			}
+		}
+		return pg.Snapshot(&fresh)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fresh.Bytes(), onDisk) {
+		t.Fatalf("the bundle encodes to %d B, its file holds %d B", fresh.Len(), len(onDisk))
+	}
+	s.EvictAll()
+	st := s.Snapshot()
+	if st.SnapshotWrites != st0.SnapshotWrites || st.SpillsElided != st0.SpillsElided+1 || st.Builds != st0.Builds {
+		t.Fatalf("eviction after maxflow: writes %d -> %d, elided %d -> %d, builds %d -> %d; want no write, one elided, no build",
+			st0.SnapshotWrites, st.SnapshotWrites, st0.SpillsElided, st.SpillsElided, st0.Builds, st.Builds)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, onDisk) {
+		t.Fatalf("spill file changed (err %v)", err)
+	}
+	checkMarks(t, s)
+}
+
 // TestDirtyEvictionSpillsOnce: a restored bundle that builds one more
 // substrate is written on its way out — once; the bundle restored from
 // that file is clean again.

@@ -85,9 +85,12 @@ type SubstrateStat struct {
 // has built: the per-substrate breakdown plus the totals a serving layer
 // budgets by.
 type PreparedStats struct {
-	Substrates  []SubstrateStat `json:"substrates"`
-	Bytes       int64           `json:"bytes"`        // total estimated resident footprint
-	BuildRounds int64           `json:"build_rounds"` // total one-time construction rounds
+	Substrates []SubstrateStat `json:"substrates"`
+	// Bytes is the total estimated resident footprint: the substrates and
+	// the caches queries build beside them (exact max-flow's λ = 0 state),
+	// which are no substrate and never snapshotted.
+	Bytes       int64 `json:"bytes"`
+	BuildRounds int64 `json:"build_rounds"` // total one-time construction rounds
 }
 
 // Stats reports the substrates built so far (in-flight builds appear once
