@@ -23,9 +23,12 @@ const flowBase = "maxflow-base"
 // simulation's, DESIGN §3), it is never snapshotted, and Stats lists it
 // under Caches. Immutable once built.
 type FlowBase struct {
-	// Probe is label.ProbeBase under the capacity lengths, which it keeps
-	// as Probe.Lengths: the base every feasibility probe relabels from.
-	Probe *label.Labeling
+	// Lengths are the capacity lengths.
+	Lengths []int64
+	// Graphs are the dual's bag graphs over the tree, X* of every bag below
+	// the root: where each feasibility probe (label.Feasible) looks for the
+	// bag its labeling pass would abort at.
+	Graphs *label.BagGraphs
 	// Dist is the dual SSSP from face 0 under the capacity lengths: the
 	// face potentials of the λ* = 0 assignment.
 	Dist []int64
@@ -36,14 +39,14 @@ type FlowBase struct {
 }
 
 // FootprintBytes estimates the resident memory of the state at twice its
-// records' sizes, as Labeling.FootprintBytes does: the probe labels, the
+// records' sizes, as Labeling.FootprintBytes does: the bag graphs, the
 // length vector, the potentials and the recorded entries.
 func (fb *FlowBase) FootprintBytes() int64 {
 	const (
 		word  = int64(2 * unsafe.Sizeof(int64(0)))
 		entry = int64(2 * unsafe.Sizeof(ledger.Entry{}))
 	)
-	return fb.Probe.FootprintBytes() + int64(len(fb.Probe.Lengths)+len(fb.Dist))*word +
+	return fb.Graphs.FootprintBytes() + int64(len(fb.Lengths)+len(fb.Dist))*word +
 		int64(len(fb.Led.Entries()))*entry
 }
 
@@ -74,19 +77,19 @@ func (p *Prepared) FlowBase(leafLimit int, led *ledger.Ledger) (*FlowBase, error
 			for e := 0; e < g.M(); e++ {
 				lens[planar.ForwardDart(e)] = g.Edge(e).Cap
 			}
-			probe, err := label.ProbeBase(ctx, tree, lens)
+			graphs, err := label.NewBagGraphs(label.Dual, tree)
 			if err != nil {
 				return nil, 0, err
-			}
-			if probe.NegCycle {
-				return nil, 0, errors.New("artifact: capacity lengths close a negative dual cycle")
 			}
 			rec := ledger.New()
 			sssp, err := label.SSSPFrom(ctx, label.Dual, tree, lens, 0, rec, rec)
 			if err != nil {
 				return nil, 0, err
 			}
-			fb := &FlowBase{Probe: probe, Dist: sssp.Dist, Led: rec}
+			if sssp.NegCycle {
+				return nil, 0, errors.New("artifact: capacity lengths close a negative dual cycle")
+			}
+			fb := &FlowBase{Lengths: lens, Graphs: graphs, Dist: sssp.Dist, Led: rec}
 			return fb, fb.FootprintBytes(), nil
 		})
 	return fb, err

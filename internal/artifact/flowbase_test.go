@@ -2,11 +2,14 @@ package artifact
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"testing"
 
+	"planarflow/internal/label"
 	"planarflow/internal/ledger"
 	"planarflow/internal/planar"
 )
@@ -40,9 +43,9 @@ func TestFlowBaseIsACache(t *testing.T) {
 	if n := len(led.Entries()); n != 0 {
 		t.Fatalf("FlowBase charged %d entries", n)
 	}
-	if fb.Probe.NegCycle || len(fb.Dist) != g.Faces().NumFaces() || len(fb.Led.Entries()) == 0 {
-		t.Fatalf("state: NegCycle=%v, %d potentials for %d faces, %d recorded entries",
-			fb.Probe.NegCycle, len(fb.Dist), g.Faces().NumFaces(), len(fb.Led.Entries()))
+	if fb.Graphs == nil || len(fb.Lengths) != g.NumDarts() || len(fb.Dist) != g.Faces().NumFaces() || len(fb.Led.Entries()) == 0 {
+		t.Fatalf("state: graphs %v, %d lengths for %d darts, %d potentials for %d faces, %d recorded entries",
+			fb.Graphs != nil, len(fb.Lengths), g.NumDarts(), len(fb.Dist), g.Faces().NumFaces(), len(fb.Led.Entries()))
 	}
 	st := p.Stats()
 	want := []SubstrateStats{{Kind: flowBase, LeafLimit: p.ResolveLeafLimit(0), Bytes: fb.FootprintBytes()}}
@@ -67,7 +70,10 @@ func TestFlowBaseIsACache(t *testing.T) {
 
 // TestFlowBaseFootprintBoundsHeap holds the state's estimate to the heap it
 // keeps alive, as TestFootprintBoundsHeap does a labeling's: within
-// [heap, 2·heap], the plans and the tree built before measuring.
+// [heap, 2·heap], the plans and the tree built before measuring — the plan's
+// whole-graph skeleton too, which every probe and source-directed SSSP over
+// the tree loads and the plan, not the state, keeps. The heap is the median
+// of three builds on fresh bundles.
 func TestFlowBaseFootprintBoundsHeap(t *testing.T) {
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		for _, s := range bi.Settings {
@@ -84,27 +90,42 @@ func TestFlowBaseFootprintBoundsHeap(t *testing.T) {
 		{"triangulation100", planar.WithRandomWeights(planar.StackedTriangulation(100, planar.NewRand(1)), planar.NewRand(1), 1, 9, 1, 10)},
 		{"grid20x20", planar.WithRandomWeights(planar.Grid(20, 20), planar.NewRand(1), 1, 9, 1, 10)},
 	} {
-		p := New(gr.g)
-		// A labeling of the same tree derives the dual plan and its costs.
-		if _, err := p.DualLabels(Undirected, 0, ledger.New()); err != nil {
-			t.Fatal(err)
+		var heaps [3]int64
+		var est int64
+		for rep := range heaps {
+			p := New(gr.g)
+			// A labeling of the same tree derives the dual plan and its costs,
+			// and a source-directed SSSP over it the plan's whole-graph
+			// skeleton.
+			la, err := p.DualLabels(Undirected, 0, ledger.New())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := label.SSSPFrom(context.Background(), label.Dual, la.T, la.Lengths, 0, ledger.New(), ledger.New()); err != nil {
+				t.Fatal(err)
+			}
+			var m0, m1 runtime.MemStats
+			runtime.GC()
+			runtime.GC()
+			runtime.ReadMemStats(&m0)
+			fb, err := p.FlowBase(0, ledger.New())
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtime.GC()
+			runtime.GC()
+			runtime.ReadMemStats(&m1)
+			heaps[rep] = int64(m1.HeapAlloc) - int64(m0.HeapAlloc)
+			est = fb.FootprintBytes()
+			runtime.KeepAlive(p)
 		}
-		var m0, m1 runtime.MemStats
-		runtime.GC()
-		runtime.GC()
-		runtime.ReadMemStats(&m0)
-		fb, err := p.FlowBase(0, ledger.New())
-		if err != nil {
-			t.Fatal(err)
-		}
-		runtime.GC()
-		runtime.GC()
-		runtime.ReadMemStats(&m1)
-		real, est := int64(m1.HeapAlloc)-int64(m0.HeapAlloc), fb.FootprintBytes()
+		// The median of three builds: now and then the runtime keeps ≈ 5 KB
+		// of its own alive across one, which is no part of the state.
+		slices.Sort(heaps[:])
+		real := heaps[1]
 		t.Logf("%s: estimate %d, heap %d (%.2fx)", gr.name, est, real, float64(est)/float64(real))
 		if real <= 0 || est < real || est > 2*real {
 			t.Fatalf("%s: FootprintBytes %d outside [heap, 2·heap] for heap %d", gr.name, est, real)
 		}
-		runtime.KeepAlive(p)
 	}
 }

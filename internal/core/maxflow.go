@@ -8,6 +8,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"planarflow/internal/artifact"
 	"planarflow/internal/label"
@@ -44,14 +45,13 @@ type FlowResult struct {
 // The BDD comes from the shared prepared artifact: the first query on p pays
 // its construction (Build-scoped in led), later queries reuse it. So does
 // the graph's λ = 0 state (artifact.FlowBase, built by the first query that
-// probes or assigns at λ* = 0, charging nothing): the dual under the
-// capacity lengths every residual length starts from. Each λ the search
-// cannot infer a verdict for (lambdaStar) costs one feasibility probe
-// (label.Feasible): the labeling pass restricted to the faces the
-// negative-cycle verdict depends on, charged as the full labeling the
-// paper's algorithm runs, and relabeling only the bags whose darts the path
-// changes — the others take the state's labels. The assignment is one dual
-// SSSP at λ* (DESIGN §3). For λ* > 0 it is label.SSSPFrom, one kernel run
+// probes or assigns at λ* = 0, charging nothing): the capacity lengths
+// every residual length starts from and the dual's bag graphs. Each λ the
+// search cannot infer a verdict for (lambdaStar) costs one feasibility probe
+// (label.Feasible): one negative-cycle check over the whole dual, charged
+// as the labeling pass the paper's algorithm runs — completed, or aborted
+// at the bag the pass would abort at. The assignment is one dual SSSP at
+// λ* (DESIGN §3). For λ* > 0 it is label.SSSPFrom, one kernel run
 // over the whole dual, charged as SSSP over λ*'s labels: the distributed
 // algorithm already holds them from λ*'s probe, so their pass is charged
 // nowhere. λ* = 0 is never probed and its lengths are the state's, so there
@@ -98,7 +98,7 @@ func MaxFlow(p *artifact.Prepared, s, t int, opt Options, led *ledger.Ledger) (*
 	// serves every λ; no probe retains it.
 	lens := make([]int64, g.NumDarts())
 	lengthsFor := func(lambda int64) []int64 {
-		copy(lens, fb.Probe.Lengths)
+		copy(lens, fb.Lengths)
 		for _, d := range path {
 			lens[d] -= lambda
 			lens[planar.Rev(d)] += lambda
@@ -110,7 +110,7 @@ func MaxFlow(p *artifact.Prepared, s, t int, opt Options, led *ledger.Ledger) (*
 		if err := loadState(); err != nil {
 			return false, err
 		}
-		return label.Feasible(ctx, tree, lengthsFor(lambda), fb.Probe, led)
+		return label.Feasible(ctx, fb.Graphs, lengthsFor(lambda), led)
 	})
 	if err != nil {
 		return nil, err
@@ -198,23 +198,31 @@ func lambdaStar(g *planar.Graph, s, t int, feasible func(int64) (bool, error)) (
 }
 
 // dartPath returns an s-to-t path of darts (each dart oriented along the
-// walk; it need not follow edge directions).
+// walk; it need not follow edge directions): t's parent chain in the
+// undirected BFS tree from s (planar.BFS's). The chain's vertices are all
+// discovered before t, so the search stops at t. s and t differ.
 func dartPath(g *planar.Graph, s, t int) ([]planar.Dart, error) {
-	b := g.BFS(s)
-	if b.Dist[t] < 0 {
+	parent := make([]planar.Dart, g.N())
+	for v := range parent {
+		parent[v] = planar.NoDart
+	}
+	queue := append(make([]int, 0, g.N()), s)
+	for ; len(queue) > 0 && parent[t] == planar.NoDart; queue = queue[1:] {
+		for _, d := range g.Rotation(queue[0]) {
+			if u := g.Head(d); u != s && parent[u] == planar.NoDart {
+				parent[u], queue = d, append(queue, u)
+			}
+		}
+	}
+	if parent[t] == planar.NoDart {
 		return nil, fmt.Errorf("core: %d unreachable from %d", t, s)
 	}
-	var rev []planar.Dart
-	for v := t; v != s; {
-		d := b.Parent[v]
-		rev = append(rev, d)
-		v = g.Tail(d)
+	var path []planar.Dart
+	for v := t; v != s; v = g.Tail(parent[v]) {
+		path = append(path, parent[v])
 	}
-	// Reverse into s->t order.
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev, nil
+	slices.Reverse(path)
+	return path, nil
 }
 
 // CheckFlow verifies that flow is a feasible st-flow of the claimed value:

@@ -299,3 +299,27 @@ func TestNegativeCapacityPublishesNoState(t *testing.T) {
 		t.Fatalf("published %+v", st.Caches)
 	}
 }
+
+// TestDartPathIsTheBFSTreePath holds dartPath, whose search stops once t is
+// found, to the parent chain of the full undirected BFS from s, on every
+// pair of a few graphs: the path the λ search pushes along is unchanged.
+func TestDartPathIsTheBFSTreePath(t *testing.T) {
+	rng := planar.NewRand(7)
+	for _, g := range []*planar.Graph{planar.Grid(5, 6), planar.StackedTriangulation(30, rng), planar.BoustrophedonGrid(4, 5)} {
+		for s := 0; s < g.N(); s++ {
+			bfs := g.BFS(s)
+			for tt := 0; tt < g.N(); tt++ {
+				if s == tt {
+					continue
+				}
+				var want []planar.Dart
+				for v := tt; v != s; v = g.Tail(bfs.Parent[v]) {
+					want = append([]planar.Dart{bfs.Parent[v]}, want...)
+				}
+				if got, err := dartPath(g, s, tt); err != nil || !reflect.DeepEqual(got, want) {
+					t.Fatalf("s=%d t=%d: dartPath %v (%v), BFS tree path %v", s, tt, got, err, want)
+				}
+			}
+		}
+	}
+}

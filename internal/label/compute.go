@@ -2,7 +2,6 @@ package label
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"unsafe"
 
@@ -58,12 +57,8 @@ type Labeling struct {
 
 	pl *plan
 	// byBag holds, by bag ID, the bag's labels in key order (nil for a bag a
-	// negative cycle kept the pass from reaching). A pass that labels only
-	// some keys of a bag stores those alone and records in slot, by key
-	// position, each key's index into them (-1 if unlabelled); slot[bag] is
-	// nil when every key is labelled and index equals position.
+	// negative cycle kept the pass from reaching).
 	byBag [][]Label
-	slot  [][]int32
 	ddgs  []*BagDDG // bag ID -> base DDG (nil for leaves); nil unless the view retains DDGs
 }
 
@@ -84,98 +79,38 @@ func ComputeContext(ctx context.Context, v View, t *bdd.BDD, lengths []int64, le
 	if err != nil {
 		return nil, err
 	}
-	return pl.label(ctx, pl.every, lengths, nil, led)
-}
-
-// Feasible reports whether G* is free of negative cycles under lengths —
-// ComputeContext's NegCycle verdict for the dual view, negated — without
-// keeping a labeling. It is the same bottom-up pass restricted to the faces
-// whose labels the verdict depends on (plan.probe), and it charges led
-// exactly what ComputeContext charges: a bag's cost is its TreeDepth, the
-// Words() of its children's F_X labels and its arc counts, and none of those
-// reads a label the pass skips. lengths is not retained.
-//
-// base, when not nil, is a labeling ProbeBase computed over t, and the pass
-// relabels only the bags lengths touches: a bag is clean when every dart
-// its own step reads (a leaf's arcs, an internal bag's cross arcs) has
-// base's length and both its children are clean, and a clean bag takes
-// base's labels, shared and read-only — they are what the pass would
-// compute, since its step reads nothing else. A clean bag still charges its
-// cost, and base completed, so a clean bag never aborts: a negative cycle
-// aborts the pass at the bag it would abort at without base, charged the
-// same. The verdict and every ledger entry are the pass's without base.
-func Feasible(ctx context.Context, t *bdd.BDD, lengths []int64, base *Labeling, led *ledger.Ledger) (bool, error) {
-	pl, err := planOf(t, views[Dual])
-	if err != nil {
-		return false, err
-	}
-	if base != nil && (base.pl != pl || base.NegCycle) {
-		return false, errors.New("label: probe base is not a completed dual labeling over the tree")
-	}
-	la, err := pl.label(ctx, pl.probe, lengths, base, led)
-	if err != nil {
-		return false, err
-	}
-	return !la.NegCycle, nil
-}
-
-// ProbeBase runs Feasible's pass under lengths, charging nothing, and keeps
-// the labels it computes and lengths: the base a later
-// Feasible over lengths that differ from these on a few darts relabels only
-// the bags those darts touch. Its NegCycle is the pass's verdict; a labeling
-// with NegCycle set is no base.
-func ProbeBase(ctx context.Context, t *bdd.BDD, lengths []int64) (*Labeling, error) {
-	pl, err := planOf(t, views[Dual])
-	if err != nil {
-		return nil, err
-	}
-	return pl.label(ctx, pl.probe, lengths, nil, ledger.New())
+	return pl.label(ctx, lengths, led)
 }
 
 // SSSPFrom computes ComputeContext(ctx, v, t, lengths, passLed).SSSP(source,
 // led) — the same distances, tree darts and ledger entries — without
-// labeling: one kernel run over the view's whole graph answers, and passLed
-// is charged the labeling pass, led the SSSP over it. Every entry the pass
-// charges is a function of the plan and of which darts are active
-// (levelCosts), and shortest distances are unique. Only where a negative
-// cycle aborts the pass depends on labels, so when the kernel finds one the
-// probe pass runs and charges that abort. A caller whose earlier pass over
-// the same lengths already charged the labeling (core.MaxFlow's λ* probe)
-// hands a throwaway passLed. A canceled ctx returns its error, charging
-// nothing. lengths is not retained.
+// labeling: a probe (plan.probe) charges passLed the labeling pass, its
+// kernel's row from source answers, and led is charged the SSSP over it.
+// Shortest distances are unique, so the row is the full labeling's. A caller
+// whose earlier pass over the same lengths already charged the labeling
+// (core.MaxFlow's λ* probe) hands a throwaway passLed. A canceled ctx
+// returns its error, charging nothing. lengths is not retained.
 func SSSPFrom(ctx context.Context, v View, t *bdd.BDD, lengths []int64, source int, passLed, led *ledger.Ledger) (*SSSPResult, error) {
 	pl, err := planOf(t, views[v])
 	if err != nil {
 		return nil, err
 	}
-	pl.costsOnce.Do(pl.costs)
-	levelCost, err := pl.levelCosts(ctx, lengths)
+	k := kernels.Get().(*kernel)
+	defer kernels.Put(k)
+	ok, err := pl.probe(ctx, k, lengths, nil, passLed)
 	if err != nil {
 		return nil, err
 	}
-	g := t.G
-	arcs := make([]DDGArc, 0, g.NumDarts())
-	for d := planar.Dart(0); int(d) < g.NumDarts(); d++ {
-		if l := lengths[d]; l < spath.Inf {
-			from, to := pl.v.ends(g, d)
-			arcs = append(arcs, DDGArc{From: int32(from), To: int32(to), Len: l, Dart: int32(d)})
-		}
+	res := &SSSPResult{Source: source, NegCycle: !ok}
+	if !ok {
+		return res, nil
 	}
-	var k kernel
-	k.loadArcs(pl.v.numKeys(g), arcs)
-	if !k.potentials() {
-		la, err := pl.label(ctx, pl.probe, lengths, nil, passLed)
-		if err != nil {
-			return nil, err
-		}
-		return la.SSSP(source, led), nil
-	}
-	pl.chargeLevels(levelCost, passLed)
-	res := &SSSPResult{Source: source, Dist: make([]int64, k.n)}
+	res.Dist = make([]int64, k.n) // the whole graph's nodes are the keys
 	words := 0
 	root := &pl.lay[t.Root.ID]
 	if pos := find(root.Keys, root.KeyOrder, source); pos >= 0 {
 		words = pl.rootWords[pos]
+		k.reduce()
 		k.row(source, res.Dist)
 	} else {
 		for i := range res.Dist {
@@ -190,6 +125,7 @@ func SSSPFrom(ctx context.Context, v View, t *bdd.BDD, lengths []int64, source i
 // the pass's cancellation checkpoint before every bag, it folds each bag's
 // cost into its level's maximum.
 func (pl *plan) levelCosts(ctx context.Context, lengths []int64) ([]int64, error) {
+	pl.costsOnce.Do(pl.costs)
 	t := pl.t
 	levelCost := make([]int64, t.Depth)
 	for i := len(t.Bags) - 1; i >= 0; i-- {
@@ -206,7 +142,7 @@ func (pl *plan) levelCosts(ctx context.Context, lengths []int64) ([]int64, error
 // under lengths, the plan's cost plus a leaf's active arcs.
 func (pl *plan) bagCost(i int, lengths []int64) int64 {
 	cost := pl.cost[i]
-	for _, d := range pl.bags[i].leafDart {
+	for _, d := range pl.bags[i].leaf.dart {
 		if lengths[d] < spath.Inf {
 			cost++
 		}
@@ -233,31 +169,22 @@ type pass struct {
 	toSep, fromSep []int64
 }
 
-// label is the one labeling pass: bottom-up over the bags, labeling, in each
-// bag, the keys wanted lists for it and skipping the others. With a base (a
-// completed labeling over pl whose wanted sets include these), a bag clean
-// under lengths takes base's labels instead (Feasible has the rule).
-func (pl *plan) label(ctx context.Context, wanted [][]int, lengths []int64, base *Labeling, led *ledger.Ledger) (*Labeling, error) {
+// label is the one labeling pass: bottom-up over the bags, labeling every
+// key of each.
+func (pl *plan) label(ctx context.Context, lengths []int64, led *ledger.Ledger) (*Labeling, error) {
 	t, v := pl.t, pl.v
 	la := &Labeling{
 		T:       t,
 		Lengths: lengths,
 		pl:      pl,
 		byBag:   make([][]Label, len(t.Bags)),
-		slot:    make([][]int32, len(t.Bags)),
 	}
-	// Only a labeling of every key keeps its DDGs, for the cycle
-	// enumerations and the snapshot; a probe's root wants nothing, and
-	// nothing reads a probe's DDGs.
-	if v.retainsDDG && len(wanted[t.Root.ID]) == len(pl.lay[t.Root.ID].Keys) {
+	// A labeling keeps its DDGs for the cycle enumerations and the snapshot.
+	if v.retainsDDG {
 		la.ddgs = make([]*BagDDG, len(t.Bags))
 	}
 	ps := &pass{la: la}
 	pl.costsOnce.Do(pl.costs)
-	var clean []bool
-	if base != nil {
-		clean = make([]bool, len(t.Bags))
-	}
 
 	// Process bags bottom-up (children have larger IDs than parents by
 	// construction, so reverse ID order is a valid post-order). A completed
@@ -268,14 +195,10 @@ func (pl *plan) label(ctx context.Context, wanted [][]int, lengths []int64, base
 			return nil, err
 		}
 		b := t.Bags[i]
-		switch {
-		case clean != nil && pl.clean(i, clean, lengths, base.Lengths):
-			clean[i] = true
-			la.byBag[i], la.slot[i] = base.byBag[i], base.slot[i]
-		case b.IsLeaf():
-			ps.computeLeaf(b, wanted[i])
-		default:
-			ps.computeInternal(b, wanted[i])
+		if b.IsLeaf() {
+			ps.computeLeaf(b)
+		} else {
+			ps.computeInternal(b)
 		}
 		if la.NegCycle {
 			led.Charge(v.phase+"/negative-cycle-abort", int64(b.TreeDepth+1))
@@ -287,40 +210,6 @@ func (pl *plan) label(ctx context.Context, wanted [][]int, lengths []int64, base
 	return la, nil
 }
 
-// clean reports whether bag i's step reads only what it read under
-// baseLens: both children are clean, and every dart of its own — a leaf's
-// arcs, an internal bag's cross arcs — has its base length.
-func (pl *plan) clean(i int, clean []bool, lengths, baseLens []int64) bool {
-	for _, c := range pl.t.Bags[i].Children {
-		if !clean[c.ID] {
-			return false
-		}
-	}
-	bp := &pl.bags[i]
-	for _, d := range bp.leafDart {
-		if lengths[d] != baseLens[d] {
-			return false
-		}
-	}
-	for _, a := range bp.crossArcs {
-		if lengths[a.Dart] != baseLens[a.Dart] {
-			return false
-		}
-	}
-	return true
-}
-
-// at returns the label of the key at position pos of bag id (nil if the
-// pass skipped it).
-func (la *Labeling) at(id int, pos int32) *Label {
-	if s := la.slot[id]; s != nil {
-		if pos = s[pos]; pos < 0 {
-			return nil
-		}
-	}
-	return &la.byBag[id][pos]
-}
-
 // Label returns the label of key k in bag b (nil if k is absent from b).
 func (la *Labeling) Label(b *bdd.Bag, k int) *Label {
 	lay := &la.pl.lay[b.ID]
@@ -328,7 +217,7 @@ func (la *Labeling) Label(b *bdd.Bag, k int) *Label {
 	if pos < 0 || la.byBag[b.ID] == nil {
 		return nil
 	}
-	return la.at(b.ID, pos)
+	return &la.byBag[b.ID][pos]
 }
 
 // RootLabel returns the label of key k in the root bag (the whole graph).
@@ -404,63 +293,46 @@ func (la *Labeling) FootprintBytes() int64 {
 
 // computeLeaf gathers the whole bag (the "collect the entire graph" step),
 // takes the negative-cycle verdict from the kernel's potentials, and computes
-// the distances from each wanted key — a kernel row is that key's LeafTo.
-// Its broadcast, TreeDepth + #nodes + #active arcs (pipelined), is
+// the distances from each key — a kernel row is that key's LeafTo. Its
+// broadcast, TreeDepth + #nodes + #active arcs (pipelined), is
 // plan.bagCost.
-func (ps *pass) computeLeaf(b *bdd.Bag, wanted []int) {
+func (ps *pass) computeLeaf(b *bdd.Bag) {
 	la := ps.la
 	n := len(la.pl.lay[b.ID].Keys)
-	ps.k.loadLeaf(&la.pl.bags[b.ID], la.Lengths)
+	ps.k.load(&la.pl.bags[b.ID].leaf, la.Lengths)
 	if !ps.k.potentials() {
 		la.NegCycle = true
 		return
 	}
-	rows := make([]int64, len(wanted)*n)
-	la.labelBag(b, wanted, func(l *Label) {
+	ps.k.reduce()
+	rows := make([]int64, n*n)
+	la.labelBag(b, func(l *Label) {
 		l.vec, rows = rows[:n:n], rows[n:]
 		ps.k.row(int(l.pos), l.vec)
 	})
 }
 
-// labelBag allocates bag b's label slab for a pass that labels the keys in
-// wanted; it sets each label's identity and positions and hands it to fill,
-// in key order. When some keys stay unlabelled the bag's slot index records
-// which.
-func (la *Labeling) labelBag(b *bdd.Bag, wanted []int, fill func(l *Label)) {
+// labelBag allocates bag b's label slab; it sets each label's identity and
+// positions and hands it to fill, in key order.
+func (la *Labeling) labelBag(b *bdd.Bag, fill func(l *Label)) {
 	lay := &la.pl.lay[b.ID]
-	nl := len(lay.Keys)
-	var slot []int32
-	if len(wanted) < nl {
-		nl, slot = len(wanted), absent(nl)
-	}
-	labels := make([]Label, nl)
-	// wanted is a subsequence of the bag's keys, so one merge finds its
-	// positions.
-	w := 0
+	labels := make([]Label, len(lay.Keys))
 	for i, k := range lay.Keys {
-		if w == len(wanted) || wanted[w] != k {
-			continue
-		}
-		idx := i
-		if slot != nil {
-			idx, slot[i] = w, int32(w)
-		}
-		w++
-		l := &labels[idx]
+		l := &labels[i]
 		*l = Label{bag: int32(b.ID), key: int32(k), pos: int32(i), sep: -1}
 		if lay.SepPos != nil {
 			l.sep = lay.SepPos[i]
 		}
 		fill(l)
 	}
-	la.byBag[b.ID], la.slot[b.ID] = labels, slot
+	la.byBag[b.ID] = labels
 }
 
 // computeInternal builds the base DDG from child labels, checks for
-// negative cycles, and derives each wanted key's label via min-plus
+// negative cycles, and derives each key's label via min-plus
 // products over the base matrix (§5.3). Its broadcast, TreeDepth + the
 // child separator labels' Words() + a word per cross arc, is plan.bagCost.
-func (ps *pass) computeInternal(b *bdd.Bag, wanted []int) {
+func (ps *pass) computeInternal(b *bdd.Bag) {
 	la := ps.la
 	lay, bp := &la.pl.lay[b.ID], &la.pl.bags[b.ID]
 	ddg := &BagDDG{Bag: b, Nodes: lay.Nodes, RepsOf: lay.RepsOf}
@@ -473,13 +345,14 @@ func (ps *pass) computeInternal(b *bdd.Bag, wanted []int) {
 	}
 	ddg.Arcs = make([]DDGArc, 0, maxArcs)
 	for ci, cid := range childID {
+		child := la.byBag[cid]
 		for _, e1 := range bp.childSep[ci] {
-			l1 := la.at(cid, e1.cpos)
+			l1 := &child[e1.cpos]
 			for _, e2 := range bp.childSep[ci] {
 				if e1.key == e2.key {
 					continue
 				}
-				if w := Decode(l1, la.at(cid, e2.cpos)); w < spath.Inf {
+				if w := Decode(l1, &child[e2.cpos]); w < spath.Inf {
 					ddg.Arcs = append(ddg.Arcs, DDGArc{From: int32(e1.rep), To: int32(e2.rep), Len: w, Dart: int32(planar.NoDart)})
 				}
 			}
@@ -501,12 +374,7 @@ func (ps *pass) computeInternal(b *bdd.Bag, wanted []int) {
 		la.NegCycle = true
 		return
 	}
-	if len(wanted) == 0 && la.ddgs == nil {
-		// Nothing reads the matrix: a probe's root has its verdict, and an
-		// empty slab marks the bag reached.
-		la.labelBag(b, wanted, nil)
-		return
-	}
+	ps.k.reduce()
 	slab := make([]int64, nn*nn)
 	ddg.Dist = make([][]int64, nn)
 	for i := range ddg.Dist {
@@ -527,12 +395,12 @@ func (ps *pass) computeInternal(b *bdd.Bag, wanted []int) {
 		}
 	}
 
-	// Labels for the wanted keys of the bag.
-	vecs := make([]int64, 2*len(wanted)*ns)
+	// Labels for the keys of the bag.
+	vecs := make([]int64, 2*len(lay.Keys)*ns)
 	for q := range vecs {
 		vecs[q] = spath.Inf
 	}
-	la.labelBag(b, wanted, func(l *Label) {
+	la.labelBag(b, func(l *Label) {
 		l.vec, vecs = vecs[:2*ns:2*ns], vecs[2*ns:]
 		to, from := l.vec[:ns], l.vec[ns:]
 		if l.sep >= 0 {
@@ -547,10 +415,11 @@ func (ps *pass) computeInternal(b *bdd.Bag, wanted []int) {
 		// child's share of the separator (a share's own key is reached at
 		// base distance 0 from its representative).
 		ci := lay.ChildOf[l.pos]
-		lk := la.at(childID[ci], lay.ChildPos[l.pos])
+		child := la.byBag[childID[ci]]
+		lk := &child[lay.ChildPos[l.pos]]
 		l.Child = lk
 		for _, e := range bp.childSep[ci] {
-			lp := la.at(childID[ci], e.cpos)
+			lp := &child[e.cpos]
 			if dgo := Decode(lk, lp); dgo < spath.Inf {
 				minInto(to, ps.toSep[e.rep*ns:], dgo)
 			}

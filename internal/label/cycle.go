@@ -30,7 +30,7 @@ func (la *Labeling) MinCycles(visit func(b *bdd.Bag, w int64)) {
 	for _, b := range la.T.Bags {
 		switch {
 		case b.IsLeaf():
-			k.loadLeaf(&la.pl.bags[b.ID], la.Lengths)
+			k.load(&la.pl.bags[b.ID].leaf, la.Lengths)
 			visit(b, k.arcCycles())
 		case la.ddgs != nil:
 			ddg := la.ddgs[b.ID]

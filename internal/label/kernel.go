@@ -7,7 +7,7 @@ import (
 
 // kernel is the local computation of one bag — what a vertex that collected
 // a leaf bag or a DDG computes for free (§5.3): Johnson's algorithm over a
-// CSR digraph. One Bellman–Ford pass from a virtual source at distance 0 to
+// CSR digraph. One Bellman–Ford run from a virtual source at distance 0 to
 // every node is both the bag's negative-cycle verdict and the potentials;
 // each requested row is then one heap Dijkstra over the reduced, non-negative
 // lengths, un-reduced on the way out. Distances are integers, so a row equals
@@ -15,12 +15,12 @@ import (
 // tested against) bit for bit, and no ledger entry depends on which ran:
 // local computation is charged nowhere. The same CSR graph also serves the
 // per-bag cycle enumerations (cycle.go): a bounded, masked Dijkstra
-// (shortest) over non-negative lengths as loaded, with no potentials pass.
+// (shortest) over non-negative lengths as loaded, with no potentials run.
 //
-// A kernel belongs to one labeling pass, or one cycle enumeration, and is
-// reused across its bags; a Labeling never holds one. start, to and dart only
-// ever view an array — a leaf's are the plan's shared skeleton, which
-// concurrent passes read — and are never written through or grown; what the
+// A kernel belongs to one labeling pass, one probe, or one cycle
+// enumeration, and is reused across its bags; a Labeling never holds one.
+// start, to and dart only ever view an array — a skeleton's are shared, read
+// by concurrent passes — and are never written through or grown; what the
 // kernel writes it owns.
 type kernel struct {
 	n     int
@@ -33,6 +33,13 @@ type kernel struct {
 	heap   []heapItem
 	where  []int32 // per node, its index in heap
 
+	// potentials' state: per node, the tail of the arc that last lowered its
+	// h (-1: none), the FIFO worklist and its membership, the parent-cycle
+	// search's stamps; and the last run's relaxation count.
+	parent, queue, stamp []int32
+	queued               []bool
+	relaxations          int
+
 	// What start, to and dart view after loadArcs.
 	ownStart, ownTo []int32
 	ownDart         []planar.Dart
@@ -41,6 +48,15 @@ type kernel struct {
 	dist    []int64
 	at      []int32
 	touched []int32
+}
+
+// skeleton is a digraph's CSR layout without its lengths: arcs sorted by
+// tail, arc i the arc of dart[i]. A leaf's and the whole graph's live in the
+// plan, the other bags' in BagGraphs.
+type skeleton struct {
+	start []int32 // len n+1
+	to    []int32
+	dart  []planar.Dart
 }
 
 type heapItem struct {
@@ -56,12 +72,11 @@ func grow[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// loadLeaf points the kernel at a leaf's skeleton and gathers its arc
-// lengths.
-func (k *kernel) loadLeaf(bp *bagPlan, lengths []int64) {
-	k.n, k.start, k.to, k.dart = len(bp.leafStart)-1, bp.leafStart, bp.leafTo, bp.leafDart
-	k.length = grow(k.length, len(bp.leafDart))
-	for i, d := range bp.leafDart {
+// load points the kernel at a skeleton and gathers its arc lengths.
+func (k *kernel) load(sk *skeleton, lengths []int64) {
+	k.n, k.start, k.to, k.dart = len(sk.start)-1, sk.start, sk.to, sk.dart
+	k.length = grow(k.length, len(sk.dart))
+	for i, d := range sk.dart {
 		k.length[i] = lengths[d]
 	}
 }
@@ -93,45 +108,108 @@ func (k *kernel) loadArcs(n int, arcs []DDGArc) {
 }
 
 // potentials runs Bellman–Ford from the virtual source and reports whether
-// the loaded graph is free of negative cycles. On true the arc lengths are
-// left reduced (length + h[tail] − h[head] ≥ 0) for row.
+// the loaded graph is free of negative cycles; on true h is a potential
+// (length + h[tail] − h[head] ≥ 0 on every arc) and reduce readies rows.
+//
+// It is a worklist Bellman–Ford (Cherkassky & Goldberg, "Negative-cycle
+// detection algorithms", 1999): from h = 0 only a negative arc can relax, so
+// the FIFO worklist starts at the negative arcs' tails and then holds the
+// nodes whose h fell. A cycle of parents (each node's last relaxing tail) is
+// a negative cycle, so one is searched for every n relaxations; FIFO order
+// runs the classic rounds one after another, and n rounds settle a graph
+// without a negative cycle, so more than n·m relaxations is one too. Without
+// a negative cycle h is the distance from the virtual source whatever order
+// relaxed it, so rows are what a sweeping Bellman–Ford leaves.
 func (k *kernel) potentials() bool {
-	n := k.n
-	k.h = grow(k.h, n)
-	h := k.h
+	n, start, to, length := k.n, k.start, k.to, k.length
+	k.h, k.parent, k.queue, k.queued = grow(k.h, n), grow(k.parent, n), grow(k.queue, n), grow(k.queued, n)
+	h, parent, queue, queued := k.h, k.parent, k.queue, k.queued
 	clear(h)
-	// Round 0 is the virtual source's arcs (every h = 0); a shortest path
-	// has at most n−1 further arcs, so a change in round n is a cycle.
-	for round := 1; ; round++ {
-		changed := false
-		for u := 0; u < n; u++ {
-			hu := h[u]
-			for i, end := k.start[u], k.start[u+1]; i < end; i++ {
-				if l := k.length[i]; l < spath.Inf && hu+l < h[k.to[i]] {
-					h[k.to[i]] = hu + l
-					changed = true
-				}
-			}
-		}
-		if !changed {
-			break
-		}
-		if round == n {
-			return false
-		}
-	}
+	clear(queued)
+	// queue is a ring of n slots from head, tail the next free one; a node
+	// is in it at most once.
+	head, tail, size := 0, 0, 0
 	for u := 0; u < n; u++ {
-		for i, end := k.start[u], k.start[u+1]; i < end; i++ {
-			if k.length[i] < spath.Inf {
-				k.length[i] += h[u] - h[k.to[i]]
+		parent[u] = -1
+		for i, end := start[u], start[u+1]; i < end; i++ {
+			if length[i] < 0 {
+				queue[tail], queued[u] = int32(u), true
+				tail++
+				size++
+				break
 			}
 		}
 	}
+	bound := n * len(length)
+	relaxations, nextCheck := 0, n
+	for size > 0 {
+		u := queue[head]
+		if head++; head == n {
+			head = 0
+		}
+		size--
+		queued[u] = false
+		hu := h[u]
+		for i, end := start[u], start[u+1]; i < end; i++ {
+			l, v := length[i], to[i]
+			if l >= spath.Inf || hu+l >= h[v] {
+				continue
+			}
+			h[v], parent[v] = hu+l, u
+			relaxations++
+			if !queued[v] {
+				if tail == n {
+					tail = 0
+				}
+				queue[tail], queued[v] = v, true
+				tail++
+				size++
+			}
+		}
+		if relaxations >= nextCheck {
+			if k.relaxations = relaxations; relaxations > bound || k.parentCycle() {
+				return false
+			}
+			nextCheck = relaxations + n
+		}
+	}
+	k.relaxations = relaxations
 	return true
 }
 
+// reduce replaces the arc lengths by their reduced lengths under the
+// potentials (length + h[tail] − h[head] ≥ 0), which row runs on.
+// potentials must have returned true.
+func (k *kernel) reduce() {
+	for u := 0; u < k.n; u++ {
+		hu := k.h[u]
+		for i, end := k.start[u], k.start[u+1]; i < end; i++ {
+			if k.length[i] < spath.Inf {
+				k.length[i] += hu - k.h[k.to[i]]
+			}
+		}
+	}
+}
+
+// parentCycle reports whether potentials' parents close a cycle: from each
+// node it walks up the parents, stamping the walk, until a node without a
+// parent, one an earlier walk stamped, or one this walk stamped — a cycle.
+func (k *kernel) parentCycle() bool {
+	k.stamp = grow(k.stamp, k.n)
+	stamp, parent := k.stamp, k.parent
+	clear(stamp)
+	for v := range int32(k.n) {
+		for u := v; u >= 0 && stamp[u] == 0; u = parent[u] {
+			if stamp[u] = v + 1; parent[u] >= 0 && stamp[parent[u]] == v+1 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // row writes the distances from src to every node into out (len n;
-// spath.Inf where unreachable). potentials must have returned true.
+// spath.Inf where unreachable). reduce must have run.
 func (k *kernel) row(src int, out []int64) {
 	k.where = grow(k.where, k.n)
 	where := k.where // node -> index in the heap; -1 before it enters, -2 once settled

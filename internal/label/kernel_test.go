@@ -49,14 +49,26 @@ func randomArcs(rng *rand.Rand, n int, negCycle bool) []DDGArc {
 // self-loops and unreachable nodes, through both of its loaders, the verdict
 // equals spath.BellmanFord's from a super source and every row equals
 // BellmanFord's from that node. One kernel value serves every graph, sizes
-// shrinking and growing, so a buffer that outlives its graph shows.
+// shrinking and growing, so a buffer that outlives its graph shows. Two more
+// graphs per size have no negative arc, so the worklist starts empty and
+// nothing relaxes; and some negative verdicts must come from the
+// parent-cycle search, before the relaxation bound (n·m) is passed.
 func TestKernelMatchesBellmanFord(t *testing.T) {
-	rng := planar.NewRand(83)
+	rng, nonNeg := planar.NewRand(83), planar.NewRand(84)
 	var k kernel
 	verdicts := map[bool]int{}
+	byParentCycle, emptyWorklist := 0, 0
 	for _, n := range []int{200, 1, 40, 2, 5, 200, 5, 40, 1, 2} {
-		for rep := 0; rep < 6; rep++ {
-			arcs := randomArcs(rng, n, rep%3 == 2)
+		for rep := 0; rep < 8; rep++ {
+			var arcs []DDGArc
+			if rep < 6 {
+				arcs = randomArcs(rng, n, rep%3 == 2)
+			} else {
+				arcs = randomArcs(nonNeg, n, false)
+				for i := range arcs {
+					arcs[i].Len = max(arcs[i].Len, 0)
+				}
+			}
 			// The leaf loader takes a skeleton plus per-dart lengths, some
 			// Inf; the arc loader takes the active arcs alone.
 			lengths := make([]int64, len(arcs))
@@ -78,19 +90,29 @@ func TestKernelMatchesBellmanFord(t *testing.T) {
 			_, want := spath.BellmanFord(dg, super)
 			verdicts[want]++
 
-			bp := csrOf(n, arcs)
-			before := clonePlan(bp)
+			sk := csrOf(n, arcs)
+			before := cloneSkeleton(sk)
 			for _, load := range []func(){
-				func() { k.loadLeaf(bp, lengths) },
+				func() { k.load(sk, lengths) },
 				func() { k.loadArcs(n, active) },
 			} {
 				load()
 				if got := k.potentials(); got != want {
 					t.Fatalf("n=%d: kernel verdict %v, Bellman–Ford %v", n, got, want)
 				}
+				if rep >= 6 {
+					if k.relaxations != 0 {
+						t.Fatalf("n=%d: %d relaxations without a negative arc", n, k.relaxations)
+					}
+					emptyWorklist++
+				}
 				if !want {
+					if k.relaxations <= n*len(k.length) {
+						byParentCycle++
+					}
 					continue
 				}
+				k.reduce()
 				row := make([]int64, n)
 				for i := 0; i < n; i++ {
 					k.row(i, row)
@@ -100,13 +122,14 @@ func TestKernelMatchesBellmanFord(t *testing.T) {
 					}
 				}
 			}
-			if !reflect.DeepEqual(bp, before) {
+			if !reflect.DeepEqual(sk, before) {
 				t.Fatalf("n=%d: the kernel wrote through the skeleton it was lent", n)
 			}
 		}
 	}
-	if verdicts[true] == 0 || verdicts[false] == 0 {
-		t.Fatalf("verdicts not both exercised: %v", verdicts)
+	if verdicts[true] == 0 || verdicts[false] == 0 || byParentCycle == 0 || emptyWorklist == 0 {
+		t.Fatalf("cases not all exercised: verdicts %v, %d by the parent-cycle search, %d with an empty worklist",
+			verdicts, byParentCycle, emptyWorklist)
 	}
 }
 
@@ -136,10 +159,10 @@ func TestShortestMatchesDijkstra(t *testing.T) {
 					ddg[i].Dart = int32(planar.NoDart)
 				}
 			}
-			bp := csrOf(n, leaf)
+			sk := csrOf(n, leaf)
 			for loader, arcs := range [][]DDGArc{leaf, ddg} {
 				if loader == 0 {
-					k.loadLeaf(bp, lengths)
+					k.load(sk, lengths)
 				} else {
 					k.loadArcs(n, arcs)
 				}
@@ -179,44 +202,49 @@ func TestShortestMatchesDijkstra(t *testing.T) {
 	}
 }
 
-// csrOf lays arcs out as a leaf skeleton whose dart i is arc i.
-func csrOf(n int, arcs []DDGArc) *bagPlan {
-	bp := &bagPlan{leafStart: make([]int32, n+1), leafTo: make([]int32, len(arcs)), leafDart: make([]planar.Dart, len(arcs))}
+// csrOf lays arcs out as a skeleton whose dart i is arc i.
+func csrOf(n int, arcs []DDGArc) *skeleton {
+	sk := &skeleton{start: make([]int32, n+1), to: make([]int32, len(arcs)), dart: make([]planar.Dart, len(arcs))}
 	for _, a := range arcs {
-		bp.leafStart[a.From+1]++
+		sk.start[a.From+1]++
 	}
 	for u := 0; u < n; u++ {
-		bp.leafStart[u+1] += bp.leafStart[u]
+		sk.start[u+1] += sk.start[u]
 	}
-	next := append([]int32(nil), bp.leafStart[:n]...)
+	next := append([]int32(nil), sk.start[:n]...)
 	for i, a := range arcs {
-		bp.leafTo[next[a.From]], bp.leafDart[next[a.From]] = a.To, planar.Dart(i)
+		sk.to[next[a.From]], sk.dart[next[a.From]] = a.To, planar.Dart(i)
 		next[a.From]++
 	}
-	return bp
+	return sk
 }
 
-func clonePlan(bp *bagPlan) *bagPlan {
-	return &bagPlan{
-		leafStart: append([]int32(nil), bp.leafStart...),
-		leafTo:    append([]int32(nil), bp.leafTo...),
-		leafDart:  append([]planar.Dart(nil), bp.leafDart...),
+func cloneSkeleton(sk *skeleton) *skeleton {
+	return &skeleton{
+		start: append([]int32(nil), sk.start...),
+		to:    append([]int32(nil), sk.to...),
+		dart:  append([]planar.Dart(nil), sk.dart...),
 	}
 }
 
 // TestConcurrentPassesShareOnePlan runs two goroutines of feasibility
-// probes, each with its own lengths, over one shared tree: the plan's
-// skeleton arrays are read by both, so under -race any write through them —
-// a kernel buffer aliasing the plan — is a reported race, and without it a
+// probes, each with its own lengths, over one shared tree and one BagGraphs:
+// the skeleton arrays — the plan's whole graph and leaves, the BagGraphs'
+// internal bags — are read by both, so under -race any write through them —
+// a kernel buffer aliasing a skeleton — is a reported race, and without it a
 // changed skeleton or a wrong verdict is the failure.
 func TestConcurrentPassesShareOnePlan(t *testing.T) {
 	g := planar.Grid(9, 9)
 	tree := bdd.Build(g, 8, ledger.New())
-	pl := mustPlan(t, tree, Dual)
-	before := make([]*bagPlan, len(pl.bags))
-	for i := range pl.bags {
-		before[i] = clonePlan(&pl.bags[i])
+	bg, err := NewBagGraphs(Dual, tree)
+	if err != nil {
+		t.Fatal(err)
 	}
+	before := make([]*skeleton, len(bg.graph))
+	for i := range bg.graph {
+		before[i] = cloneSkeleton(&bg.graph[i])
+	}
+	whole := cloneSkeleton(bg.pl.wholeGraph())
 	ctx := context.Background()
 	rng := planar.NewRand(17)
 	const rounds = 200
@@ -230,7 +258,7 @@ func TestConcurrentPassesShareOnePlan(t *testing.T) {
 		d := &drive{got: make([]bool, rounds)}
 		for r := 0; r < rounds; r++ {
 			lens := randomLengths(g, rng, -1-int64(w), 30)
-			ok, err := Feasible(ctx, tree, lens, nil, ledger.New())
+			ok, err := Feasible(ctx, bg, lens, ledger.New())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -244,7 +272,7 @@ func TestConcurrentPassesShareOnePlan(t *testing.T) {
 		go func(d *drive) {
 			defer wg.Done()
 			for r, lens := range d.lens {
-				ok, err := Feasible(ctx, tree, lens, nil, ledger.New())
+				ok, err := Feasible(ctx, bg, lens, ledger.New())
 				if err != nil {
 					t.Error(err)
 					return
@@ -268,9 +296,12 @@ func TestConcurrentPassesShareOnePlan(t *testing.T) {
 	if feasible == 0 || feasible == 2*rounds {
 		t.Fatalf("verdicts not both exercised: %d of %d feasible", feasible, 2*rounds)
 	}
-	for i := range pl.bags {
-		if !reflect.DeepEqual(clonePlan(&pl.bags[i]), before[i]) {
-			t.Fatalf("bag %d: a pass changed the plan's shared skeleton", i)
+	for i := range bg.graph {
+		if !reflect.DeepEqual(cloneSkeleton(&bg.graph[i]), before[i]) {
+			t.Fatalf("bag %d: a probe changed a shared skeleton", i)
 		}
+	}
+	if !reflect.DeepEqual(cloneSkeleton(bg.pl.wholeGraph()), whole) {
+		t.Fatal("a probe changed the plan's whole-graph skeleton")
 	}
 }

@@ -52,15 +52,18 @@
 // Bellman–Ford's, and a leaf row is written straight into the slab where it
 // is the source's LeafTo. The kernel's buffers belong to the pass that runs
 // it and are dropped with it — never to the Labeling the pass returns — and
-// never alias the plan's skeleton arrays, which concurrent passes over one
-// tree read. Two callers run a kernel of their own the same way: MinCycles
+// never alias the skeleton arrays, which concurrent passes over one tree
+// read. Three callers run a kernel of their own the same way: MinCycles
 // (cycle.go), the cycle enumeration of global min cut and directed girth,
-// over the leaf skeletons and retained DDGs of a published labeling; and
-// SSSPFrom, over the view's whole graph, for the one row a source-directed
-// SSSP reads. SSSPFrom executes that run and charges the labeling pass and
-// the SSSP over it entry for entry, from the plan's per-bag costs and the
-// active darts; its answer is the full labeling's because shortest
-// distances are unique and the kernel's rows are exact.
+// over the leaf skeletons and retained DDGs of a published labeling;
+// Feasible, over the view's whole graph, for the negative-cycle verdict of
+// exact max-flow's probes; and SSSPFrom, over the same graph, for the one
+// row a source-directed SSSP reads. Both execute that run and charge the
+// labeling pass entry for entry (probe.go): a completed pass from the
+// plan's per-bag costs and the active darts, an aborted one at the bag
+// whose own graph first closes a negative cycle. SSSPFrom's answer is the
+// full labeling's because shortest distances are unique and the kernel's
+// rows are exact.
 //
 // LeafFrom, the distances from every leaf key to a label's own, is not
 // stored: nothing decodes it, and it is column pos of the bag's LeafTo rows.

@@ -11,23 +11,15 @@ import (
 
 // plan is everything a labeling pass reads off the tree alone, laid out
 // through one view: per bag, the order its labels and vectors are stored
-// in, the leaf's CSR skeleton or the DDG skeleton, and the wanted sets a
-// pass can be driven by. It does not depend on the lengths, so it is derived
-// once per tree and view (planOf) and shared, read-only, by every pass over
-// that tree and every labeling computed or restored over it.
+// in, and the leaf's CSR skeleton or the DDG skeleton. It does not depend on
+// the lengths, so it is derived once per tree and view (planOf) and shared,
+// read-only, by every pass over that tree and every labeling computed or
+// restored over it.
 type plan struct {
 	t    *bdd.BDD
 	v    *view
 	lay  []BagLayout // by bag ID
 	bags []bagPlan   // by bag ID
-
-	// A pass labels, in each bag, the keys its wanted set lists for that bag
-	// ID. every lists all keys of every bag: the full labeling. probe lists
-	// only the keys whose labels decide NegCycle (probeSets): the child
-	// separator labels a bag's DDG is built from, plus the Child chain those
-	// labels decode and count Words() through. Each list is a subsequence of
-	// its bag's keys.
-	every, probe [][]int
 
 	// cost is, by bag ID, what a labeling pass charges the bag apart from
 	// a leaf's active arcs (bagCost adds those): TreeDepth, plus a leaf's
@@ -35,11 +27,18 @@ type plan struct {
 	// word per cross arc. rootWords is the Words() of each root key's label,
 	// by position in the root's Keys. Words() counts vector lengths, which
 	// the tree and the view fix, so both are derived once, on the first pass
-	// or SSSPFrom call over the plan (costs): every pass charges by them, and
-	// SSSPFrom charges them without labeling anything.
+	// or probe over the plan (costs): every pass charges by them, and
+	// Feasible and SSSPFrom charge them without labeling anything.
 	costsOnce sync.Once
 	cost      []int64
 	rootWords []int
+
+	// whole is the root's own graph, the view's whole graph, laid out over
+	// the keys themselves: what every probe and SSSPFrom loads. It is derived
+	// on the first of them (wholeGraph), so a tree only ever labeled in full
+	// does not keep it.
+	wholeOnce sync.Once
+	whole     skeleton
 }
 
 // BagLayout is the order one bag's labels and their distance vectors are
@@ -69,11 +68,8 @@ type BagLayout struct {
 // bagPlan is the rest of a bag's length-independent structure: what only
 // the pass reads.
 type bagPlan struct {
-	// Leaf bags: the CSR skeleton of the bag's graph over positions in Keys,
-	// arcs sorted by tail; leafDart[i] is the dart whose length arc i takes.
-	leafStart []int32
-	leafTo    []int32
-	leafDart  []planar.Dart
+	// Leaf bags: the CSR skeleton of the bag's graph over positions in Keys.
+	leaf skeleton
 
 	// Non-leaf bags: each separator key's representatives, each child's
 	// share of the separator, and the cross and zero arcs in DDG arc order
@@ -132,11 +128,10 @@ func find(keys []int, order []int32, k int) int32 {
 
 func newPlan(t *bdd.BDD, v *view) (*plan, error) {
 	pl := &plan{
-		t:     t,
-		v:     v,
-		lay:   make([]BagLayout, len(t.Bags)),
-		bags:  make([]bagPlan, len(t.Bags)),
-		every: make([][]int, len(t.Bags)),
+		t:    t,
+		v:    v,
+		lay:  make([]BagLayout, len(t.Bags)),
+		bags: make([]bagPlan, len(t.Bags)),
 	}
 	for _, b := range t.Bags {
 		if b.Level < 0 || b.Level >= t.Depth {
@@ -145,7 +140,6 @@ func newPlan(t *bdd.BDD, v *view) (*plan, error) {
 		lay := &pl.lay[b.ID]
 		lay.Keys = v.keys(t.G, b)
 		lay.KeyOrder = argsort(lay.Keys)
-		pl.every[b.ID] = lay.Keys
 	}
 	// key -> position in the current bag and in each of its children; -1
 	// when absent.
@@ -158,7 +152,7 @@ func newPlan(t *bdd.BDD, v *view) (*plan, error) {
 		}
 		var err error
 		if b.IsLeaf() {
-			pl.leafSkeleton(b, bp, pos)
+			bp.leaf = pl.skeletonOf(b, len(lay.Keys), pos)
 		} else {
 			for ci, c := range b.Children {
 				for i, k := range pl.lay[c.ID].Keys {
@@ -179,7 +173,6 @@ func newPlan(t *bdd.BDD, v *view) (*plan, error) {
 			return nil, fmt.Errorf("label: bag %d: %w", b.ID, err)
 		}
 	}
-	pl.probe = pl.probeSets()
 	return pl, nil
 }
 
@@ -189,39 +182,6 @@ func absent(n int) []int32 {
 		s[i] = -1
 	}
 	return s
-}
-
-// probeSets derives the probe's wanted sets, top-down: the root wants
-// nothing and wanted(child) = (sep(parent) ∪ wanted(parent)) ∩ keys(child).
-func (pl *plan) probeSets() [][]int {
-	t := pl.t
-	wanted := make([][]int, len(t.Bags))
-	need := make([]bool, pl.v.numKeys(t.G))
-	// Parents precede children in ID order, so wanted[b.ID] is final when b
-	// is reached.
-	for _, b := range t.Bags {
-		if b.IsLeaf() {
-			continue
-		}
-		mark := func(v bool) {
-			for _, k := range pl.lay[b.ID].Sep {
-				need[k] = v
-			}
-			for _, k := range wanted[b.ID] {
-				need[k] = v
-			}
-		}
-		mark(true)
-		for _, c := range b.Children {
-			for _, k := range pl.lay[c.ID].Keys {
-				if need[k] {
-					wanted[c.ID] = append(wanted[c.ID], k)
-				}
-			}
-		}
-		mark(false)
-	}
-	return wanted
 }
 
 // costs derives cost and rootWords bottom-up, from the Words() of every
@@ -265,32 +225,44 @@ func (pl *plan) costs() {
 	pl.rootWords = append([]int(nil), words[off[root]:off[root+1]]...)
 }
 
-// leafSkeleton lays out a leaf bag's graph in CSR form: its arcs over
-// positions in Keys, counting-sorted by tail. pos maps the bag's keys to
-// their positions; both ends of a leaf dart are keys of the bag in either
-// view.
-func (pl *plan) leafSkeleton(b *bdd.Bag, bp *bagPlan, pos []int32) {
+// wholeGraph returns the plan's whole-graph skeleton, deriving it on first
+// use.
+func (pl *plan) wholeGraph() *skeleton {
+	pl.wholeOnce.Do(func() {
+		keys := make([]int32, pl.v.numKeys(pl.t.G))
+		for k := range keys {
+			keys[k] = int32(k)
+		}
+		pl.whole = pl.skeletonOf(pl.t.Root, len(keys), keys)
+	})
+	return &pl.whole
+}
+
+// skeletonOf lays out bag b's own graph — the arcs bagDarts yields, X* in
+// the dual — in CSR form over n nodes, counting-sorted by tail. node maps
+// the bag's keys to their nodes: their positions in Keys, or for the whole
+// graph the keys themselves.
+func (pl *plan) skeletonOf(b *bdd.Bag, n int, node []int32) skeleton {
 	g, v := pl.t.G, pl.v
-	n := len(pl.lay[b.ID].Keys)
-	bp.leafStart = make([]int32, n+1)
+	sk := skeleton{start: make([]int32, n+1)}
 	m := 0
-	v.leafDarts(g, b, func(d planar.Dart) {
+	v.bagDarts(g, b, func(d planar.Dart) {
 		from, _ := v.ends(g, d)
-		bp.leafStart[pos[from]+1]++
+		sk.start[node[from]+1]++
 		m++
 	})
 	for u := 0; u < n; u++ {
-		bp.leafStart[u+1] += bp.leafStart[u]
+		sk.start[u+1] += sk.start[u]
 	}
-	bp.leafTo = make([]int32, m)
-	bp.leafDart = make([]planar.Dart, m)
-	next := append([]int32(nil), bp.leafStart[:n]...)
-	v.leafDarts(g, b, func(d planar.Dart) {
+	sk.to, sk.dart = make([]int32, m), make([]planar.Dart, m)
+	next := append([]int32(nil), sk.start[:n]...)
+	v.bagDarts(g, b, func(d planar.Dart) {
 		from, to := v.ends(g, d)
-		i := next[pos[from]]
-		next[pos[from]]++
-		bp.leafTo[i], bp.leafDart[i] = pos[to], d
+		i := next[node[from]]
+		next[node[from]]++
+		sk.to[i], sk.dart[i] = node[to], d
 	})
+	return sk
 }
 
 // ddgSkeleton lays out a non-leaf bag: the separator and where every key

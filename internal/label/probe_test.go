@@ -121,79 +121,27 @@ func forEachLabelingCase(fn func(name string, v View, tree *bdd.BDD, nl namedLen
 	}
 }
 
-// TestProbeMatchesFullLabeling drives the one labeling pass with both of its
-// wanted sets and checks that the probe is the full labeling restricted:
-// same verdict, same ledger entries, and every label it holds equal to the
-// full one vector for vector, down the Child chain.
+// TestProbeMatchesFullLabeling holds the probe to the labeling pass it
+// stands for, in both views, on every labeling case: Feasible's verdict is
+// the full labeling's, it charges the same entries, and an infeasible probe
+// finds the bag the pass aborted at (checkProbe).
 func TestProbeMatchesFullLabeling(t *testing.T) {
 	verdicts := map[View]map[bool]int{Dual: {}, Primal: {}}
-	skipped := map[View]int{}
 	forEachLabelingCase(func(gname string, v View, tree *bdd.BDD, nl namedLengths) {
-		pl := mustPlan(t, tree, v)
-		lens, lname := nl.lens, nl.name
-		fullLed, probeLed := ledger.New(), ledger.New()
-		full, err := pl.label(context.Background(), pl.every, lens, nil, fullLed)
+		bg, err := NewBagGraphs(v, tree)
 		if err != nil {
 			t.Fatal(err)
 		}
-		probe, err := pl.label(context.Background(), pl.probe, lens, nil, probeLed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		name := gname + "/" + lname
-		if probe.NegCycle != full.NegCycle {
-			t.Fatalf("%s: probe NegCycle=%v, full labeling %v", name, probe.NegCycle, full.NegCycle)
-		}
-		if lname == "neg-cycle" && !full.NegCycle {
+		name := gname + "/" + nl.name
+		abort := checkProbe(t, name, bg, nl.lens)
+		if nl.name == "neg-cycle" && abort < 0 {
 			t.Fatalf("%s: negative 2-cycle not reported", name)
 		}
-		if !reflect.DeepEqual(probeLed.Entries(), fullLed.Entries()) {
-			t.Fatalf("%s: ledgers differ:\nprobe %v\n full %v", name, probeLed.Entries(), fullLed.Entries())
-		}
-		if v == Dual {
-			ok, err := Feasible(context.Background(), tree, lens, nil, ledger.New())
-			if err != nil || ok == full.NegCycle {
-				t.Fatalf("%s: Feasible=%v err=%v with NegCycle=%v", name, ok, err, full.NegCycle)
-			}
-		}
-		verdicts[v][full.NegCycle]++
-
-		for id, labels := range probe.byBag {
-			if labels != nil && !full.NegCycle && len(labels) != len(pl.probe[id]) {
-				t.Fatalf("%s: bag %d holds %d labels, wanted %d", name, id, len(labels), len(pl.probe[id]))
-			}
-			skipped[v] += len(full.byBag[id]) - len(labels)
-			for i := range labels {
-				got, f := &labels[i], int(labels[i].key)
-				want := full.Label(tree.Bags[id], f)
-				if want == nil {
-					t.Fatalf("%s: bag %d key %d labeled by the probe only", name, id, f)
-				}
-				if !reflect.DeepEqual(got.To(), want.To()) || !reflect.DeepEqual(got.From(), want.From()) ||
-					!reflect.DeepEqual(got.LeafTo(), want.LeafTo()) {
-					t.Fatalf("%s: bag %d key %d: label vectors differ", name, id, f)
-				}
-				if (got.Child == nil) != (want.Child == nil) {
-					t.Fatalf("%s: bag %d key %d: Child presence differs", name, id, f)
-				}
-				if got.Child != nil {
-					cid := int(want.Child.bag)
-					if int(got.Child.bag) != cid || got.Child != probe.Label(tree.Bags[cid], f) {
-						t.Fatalf("%s: bag %d key %d: Child is not the probe's label in bag %d", name, id, f, cid)
-					}
-				}
-				if got.Words() != want.Words() {
-					t.Fatalf("%s: bag %d key %d: Words %d vs %d", name, id, f, got.Words(), want.Words())
-				}
-			}
-		}
+		verdicts[v][abort >= 0]++
 	})
 	for _, v := range []View{Dual, Primal} {
 		if verdicts[v][true] == 0 || verdicts[v][false] == 0 {
 			t.Fatalf("%s: verdicts not both exercised: %v", v, verdicts[v])
-		}
-		if skipped[v] == 0 {
-			t.Fatalf("%s: the probe labeled every key the full labeling did", v)
 		}
 	}
 }
@@ -225,7 +173,7 @@ func TestSourceDirectedMatchesFullSSSP(t *testing.T) {
 		for _, k := range pl.lay[tree.Root.ID].Sep {
 			rootSep[k] = true
 		}
-		sources := pl.every[tree.Root.ID]
+		sources := pl.lay[tree.Root.ID].Keys
 		for i, source := range sources {
 			// Every face, and every vertex of the small graphs; every fourth
 			// vertex of the larger ones.
@@ -258,7 +206,7 @@ func TestSourceDirectedMatchesFullSSSP(t *testing.T) {
 		canceled, cancel := context.WithCancel(ctx)
 		cancel()
 		passLed, led := ledger.New(), ledger.New()
-		if res, err := SSSPFrom(canceled, v, tree, nl.lens, pl.every[tree.Root.ID][0], passLed, led); err != context.Canceled || res != nil {
+		if res, err := SSSPFrom(canceled, v, tree, nl.lens, pl.lay[tree.Root.ID].Keys[0], passLed, led); err != context.Canceled || res != nil {
 			t.Fatalf("%s: canceled SSSPFrom returned %v, %v", name, res, err)
 		}
 		if len(led.Entries())+len(passLed.Entries()) != 0 {
@@ -293,10 +241,10 @@ func (c *cancelAfter) Err() error {
 //     the root's keys, as such a vertex is, and both routes answer all-Inf
 //     with the broadcast charged at 0 words;
 //   - a one-bag tree, whose pass charges its one level;
-//   - a negative cycle, where the probe's fallback charges the full
+//   - a negative cycle, where the search for the abort bag charges the full
 //     labeling's abort entry and the SSSP nothing;
 //   - a context canceled partway through the drive, or once the drive is
-//     done and the fallback starts, which charges nothing.
+//     done and the search for the abort bag starts, which charges nothing.
 func TestSourceDirectedEdgeCases(t *testing.T) {
 	type tally struct{ noLabel, oneBag, negCycles, canceledDrive, canceledFallback int }
 	seen := map[View]*tally{Dual: {}, Primal: {}}
@@ -342,8 +290,9 @@ func TestSourceDirectedEdgeCases(t *testing.T) {
 			}
 		}
 
-		// Stop the drive halfway up the tree, and a negative cycle's fallback
-		// at its first bag, which the probe reaches before any abort.
+		// Stop the drive halfway up the tree, and a negative cycle's search
+		// for the abort bag at its first bag, which it polls at least once:
+		// the root is the last bag it can stop at.
 		stops := []int{len(tree.Bags) / 2}
 		if full.NegCycle {
 			stops = append(stops, len(tree.Bags))
@@ -387,49 +336,4 @@ func verifyTree(la *Labeling, res *SSSPResult) bool {
 		}
 	}
 	return true
-}
-
-// TestProbeWantedSets pins the wanted-set rule on a multi-level tree, in
-// both views: the root wants nothing, and a child wants exactly its share of
-// the parent's separator and of the parent's own wanted keys.
-func TestProbeWantedSets(t *testing.T) {
-	tree := bdd.Build(planar.Grid(9, 9), 8, ledger.New())
-	if tree.Depth < 3 {
-		t.Fatalf("tree too shallow (%d levels) to exercise inheritance", tree.Depth)
-	}
-	for _, v := range []View{Dual, Primal} {
-		pl := mustPlan(t, tree, v)
-		if len(pl.probe[tree.Root.ID]) != 0 {
-			t.Fatalf("%s: root wants %v", v, pl.probe[tree.Root.ID])
-		}
-		for _, b := range tree.Bags {
-			if v == Dual && !reflect.DeepEqual(pl.every[b.ID], b.Faces) {
-				t.Fatalf("bag %d: full labeling does not want every face", b.ID)
-			}
-			if b.IsLeaf() {
-				continue
-			}
-			if v == Dual && !reflect.DeepEqual(pl.lay[b.ID].Sep, b.FX) {
-				t.Fatalf("bag %d: dual separator is not F_X", b.ID)
-			}
-			need := map[int]bool{}
-			for _, k := range pl.lay[b.ID].Sep {
-				need[k] = true
-			}
-			for _, k := range pl.probe[b.ID] {
-				need[k] = true
-			}
-			for _, c := range b.Children {
-				var want []int
-				for _, k := range pl.every[c.ID] {
-					if need[k] {
-						want = append(want, k)
-					}
-				}
-				if !reflect.DeepEqual(pl.probe[c.ID], want) {
-					t.Fatalf("%s: bag %d (child of %d) wants %v, rule gives %v", v, c.ID, b.ID, pl.probe[c.ID], want)
-				}
-			}
-		}
-	}
 }

@@ -79,5 +79,5 @@ func FromState(v View, t *bdd.BDD, lengths []int64, negCycle bool, vecs [][]int6
 		byBag[id] = labels
 	}
 	return &Labeling{T: t, Lengths: lengths, NegCycle: negCycle, pl: pl,
-		byBag: byBag, slot: make([][]int32, len(byBag)), ddgs: ddgs}, nil
+		byBag: byBag, ddgs: ddgs}, nil
 }

@@ -38,8 +38,12 @@ type view struct {
 	// sep lists the separator keys of a non-leaf bag; shared is the
 	// subsequence of the bag's keys present in both children.
 	sep func(b *bdd.Bag, shared []int) []int
-	// leafDarts visits the darts whose arcs make up a leaf bag's graph.
-	leafDarts func(g *planar.Graph, b *bdd.Bag, visit func(planar.Dart))
+	// bagDarts visits the darts whose arcs make up a bag's own graph, the
+	// graph its labels measure distances in: a leaf's whole graph, and in a
+	// non-leaf bag the arcs its children's graphs hold plus its cross arcs.
+	bagDarts func(g *planar.Graph, b *bdd.Bag, visit func(planar.Dart))
+	// holds reports whether the arc of dart d is in b's own graph.
+	holds func(b *bdd.Bag, d planar.Dart) bool
 	// crossEdges lists the edges whose two darts each cross between the
 	// children of a non-leaf bag (arcs of the bag that no child holds).
 	crossEdges func(b *bdd.Bag) []int
@@ -58,9 +62,10 @@ var views = [...]*view{
 		},
 		keys: func(_ *planar.Graph, b *bdd.Bag) []int { return b.Faces },
 		sep:  func(b *bdd.Bag, _ []int) []int { return b.FX },
-		leafDarts: func(g *planar.Graph, b *bdd.Bag, visit func(planar.Dart)) {
+		bagDarts: func(g *planar.Graph, b *bdd.Bag, visit func(planar.Dart)) {
 			b.DualArcs(g, func(d planar.Dart, _, _ int) { visit(d) })
 		},
+		holds:      func(b *bdd.Bag, d planar.Dart) bool { return b.Has(d) && b.Has(planar.Rev(d)) },
 		crossEdges: func(b *bdd.Bag) []int { return b.DualSXEdges },
 	},
 	Primal: {
@@ -85,7 +90,7 @@ var views = [...]*view{
 		// join too.
 		sep: func(_ *bdd.Bag, shared []int) []int { return shared },
 		// Both darts of every edge with a dart in the bag.
-		leafDarts: func(_ *planar.Graph, b *bdd.Bag, visit func(planar.Dart)) {
+		bagDarts: func(_ *planar.Graph, b *bdd.Bag, visit func(planar.Dart)) {
 			for _, d := range b.Darts {
 				visit(d)
 				if !b.Has(planar.Rev(d)) {
@@ -93,6 +98,7 @@ var views = [...]*view{
 				}
 			}
 		},
+		holds:      func(b *bdd.Bag, d planar.Dart) bool { return b.Has(d) || b.Has(planar.Rev(d)) },
 		crossEdges: func(*bdd.Bag) []int { return nil },
 	},
 }
