@@ -8,8 +8,10 @@ package planarflow
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime/debug"
+	"slices"
 	"testing"
 
 	"planarflow/internal/artifact"
@@ -153,8 +155,8 @@ var warmPairs = []struct {
 
 // probeLengths is the first λ of a search on the warm grid: the capacity
 // lengths of p's λ = 0 state with 1 pushed along a BFS path from vertex 0
-// to the last one, and that state.
-func probeLengths(tb testing.TB, p *artifact.Prepared) ([]int64, *artifact.FlowBase) {
+// to the last one.
+func probeLengths(tb testing.TB, p *artifact.Prepared) []int64 {
 	tb.Helper()
 	fb, err := p.FlowBase(0, ledger.New())
 	if err != nil {
@@ -168,7 +170,33 @@ func probeLengths(tb testing.TB, p *artifact.Prepared) ([]int64, *artifact.FlowB
 		lens[d]--
 		lens[planar.Rev(d)]++
 	}
-	return lens, fb
+	return lens
+}
+
+// abortProbe is a probe on the warm grid that fails at an internal bag: the
+// grid's tree at leaf limit 64, whose first internal bag below the root has
+// cross edges, and the capacity lengths with -1 on the forward dart of one
+// of them. The edge's dual 2-cycle is the one negative cycle, and no bag
+// below that one holds both its arcs, so the pass aborts there.
+func abortProbe(tb testing.TB, p *artifact.Prepared) (*bdd.BDD, []int64) {
+	tb.Helper()
+	fb, err := p.FlowBase(0, ledger.New())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tree, err := p.Tree(64, ledger.New())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, b := range tree.Bags {
+		if b != tree.Root && !b.IsLeaf() && len(b.DualSXEdges) > 0 {
+			lens := slices.Clone(fb.Lengths)
+			lens[planar.ForwardDart(b.DualSXEdges[0])] = -1
+			return tree, lens
+		}
+	}
+	tb.Fatal("no internal bag below the root has a cross edge")
+	return nil, nil
 }
 
 // benchWarmExact times run on the E1 instance behind an artifact whose BDD
@@ -294,33 +322,48 @@ func BenchmarkGlobalMinCutFirst(b *testing.B) {
 	reportRounds(b, led)
 }
 
-// BenchmarkFeasibilityProbe — one λ of the search (probeLengths): one
-// kernel run over G* from the graph's λ = 0 state's bag graphs, charged as
-// the labeling pass it stands for; it must charge what that pass does.
+// BenchmarkFeasibilityProbe — a probe: one kernel run over G*, charged as
+// the labeling pass it stands for. /feasible is one λ of the search
+// (probeLengths); /infeasible (abortProbe) then checks the own graphs of the
+// bags its pass would label, kept in the tree's dual plan, for the one it
+// aborts at, an internal bag. Each must charge what the full labeling does.
 func BenchmarkFeasibilityProbe(b *testing.B) {
 	p, tree := warmGrid(b)
-	lens, fb := probeLengths(b, p)
-	want := ledger.New()
-	if la := label.Compute(label.Dual, tree, lens, want); la.NegCycle {
-		b.Fatal("probe: unexpected negative cycle")
+	abortTree, infeasible := abortProbe(b, p)
+	for _, c := range []struct {
+		name string
+		tree *bdd.BDD
+		lens []int64
+		ok   bool
+	}{{"feasible", tree, probeLengths(b, p), true}, {"infeasible", abortTree, infeasible, false}} {
+		b.Run(c.name, func(b *testing.B) {
+			want := ledger.New()
+			if la := label.Compute(label.Dual, c.tree, c.lens, want); la.NegCycle == c.ok {
+				b.Fatalf("the full labeling's negative-cycle verdict is %v", la.NegCycle)
+			}
+			// The first probe derives the skeletons the plan keeps; it is not timed.
+			if _, err := label.Feasible(context.Background(), label.Dual, c.tree, c.lens, ledger.New()); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var led *ledger.Ledger
+			for i := 0; i < b.N; i++ {
+				led = ledger.New()
+				ok, err := label.Feasible(context.Background(), label.Dual, c.tree, c.lens, led)
+				if err == nil && ok != c.ok {
+					err = fmt.Errorf("verdict %v, want %v", ok, c.ok)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			if !reflect.DeepEqual(led.Entries(), want.Entries()) {
+				b.Fatalf("charged %v, the full labeling %v", led.Entries(), want.Entries())
+			}
+			reportRounds(b, led)
+		})
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var led *ledger.Ledger
-	for i := 0; i < b.N; i++ {
-		led = ledger.New()
-		ok, err := label.Feasible(context.Background(), fb.Graphs, lens, led)
-		if err == nil && !ok {
-			err = errors.New("unexpected negative cycle")
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if !reflect.DeepEqual(led.Entries(), want.Entries()) {
-		b.Fatalf("charged %v, the full labeling %v", led.Entries(), want.Entries())
-	}
-	reportRounds(b, led)
 }
 
 // BenchmarkFullDualLabeling — the same pass over every key (E5 without the
@@ -393,10 +436,7 @@ func TestAllocCeilings(t *testing.T) {
 		}
 	}
 	p, tree := warmGrid(t)
-	fb, err := p.FlowBase(0, ledger.New())
-	if err != nil {
-		t.Fatal(err)
-	}
+	abortTree, infeasible := abortProbe(t, p)
 	snake := artifact.New(coldSnakeGraph())
 	coldTri := planar.StackedTriangulation(100, planar.NewRand(1))
 	coldTri.Faces()
@@ -412,7 +452,16 @@ func TestAllocCeilings(t *testing.T) {
 		// Kernels are pooled and a GC empties the pool, so every ceiling on a
 		// path that probes holds with a new kernel per run.
 		{"label.Feasible", 20, func() error {
-			_, err := label.Feasible(ctx, fb.Graphs, artifact.Lengths(p.Graph(), artifact.Undirected), ledger.New())
+			_, err := label.Feasible(ctx, label.Dual, tree, artifact.Lengths(p.Graph(), artifact.Undirected), ledger.New())
+			return err
+		}},
+		// A probe that fails, at an internal bag, then loads the own graph of
+		// each bag holding a negative dart, bottom-up, until one closes a
+		// negative cycle: the plan keeps those graphs, derived by the first
+		// failing probe, so none is laid out here (5 allocs, 12 with a new
+		// kernel).
+		{"label.Feasible(infeasible)", 20, func() error {
+			_, err := label.Feasible(ctx, label.Dual, abortTree, infeasible, ledger.New())
 			return err
 		}},
 		{"label.Compute(dual)", 150, func() error {

@@ -30,8 +30,8 @@ const serveQueries = 16 // K: queries per instance and path
 //   - dualsssp on Grid(16,16): dual SSSP from K source faces. Build
 //     dominates but each query pays a label broadcast.
 //   - maxflow on Grid(12,12): exact max st-flow for K (s,t) pairs. Only
-//     the BDD is shared — the Miller–Naor search recomputes residual
-//     labelings per λ — so the speedup is honest but modest.
+//     the BDD is shared in rounds — every λ is charged the labeling pass it
+//     stands for — so the speedup is honest but modest.
 //   - stflow on Grid(16,16): st-planar max flow (Thm 1.3) for K pairs on the
 //     outer face. What is shared is the minor-aggregation simulator's price
 //     card; its construction is a few dozen rounds against the thousands an

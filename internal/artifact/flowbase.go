@@ -25,10 +25,6 @@ const flowBase = "maxflow-base"
 type FlowBase struct {
 	// Lengths are the capacity lengths.
 	Lengths []int64
-	// Graphs are the dual's bag graphs over the tree, X* of every bag below
-	// the root: where each feasibility probe (label.Feasible) looks for the
-	// bag its labeling pass would abort at.
-	Graphs *label.BagGraphs
 	// Dist is the dual SSSP from face 0 under the capacity lengths: the
 	// face potentials of the λ* = 0 assignment.
 	Dist []int64
@@ -39,15 +35,16 @@ type FlowBase struct {
 }
 
 // FootprintBytes estimates the resident memory of the state at twice its
-// records' sizes, as Labeling.FootprintBytes does: the bag graphs, the
-// length vector, the potentials and the recorded entries.
+// records' sizes, as Labeling.FootprintBytes does: the length vector, the
+// potentials and the recorded entries. The skeletons a probe loads, the
+// whole G* and each bag's X*, belong to the tree's dual plan, which no
+// estimate charges yet.
 func (fb *FlowBase) FootprintBytes() int64 {
 	const (
 		word  = int64(2 * unsafe.Sizeof(int64(0)))
 		entry = int64(2 * unsafe.Sizeof(ledger.Entry{}))
 	)
-	return fb.Graphs.FootprintBytes() + int64(len(fb.Lengths)+len(fb.Dist))*word +
-		int64(len(fb.Led.Entries()))*entry
+	return int64(len(fb.Lengths)+len(fb.Dist))*word + int64(len(fb.Led.Entries()))*entry
 }
 
 // FlowBase returns max-flow's λ = 0 state over the BDD for leafLimit,
@@ -77,10 +74,6 @@ func (p *Prepared) FlowBase(leafLimit int, led *ledger.Ledger) (*FlowBase, error
 			for e := 0; e < g.M(); e++ {
 				lens[planar.ForwardDart(e)] = g.Edge(e).Cap
 			}
-			graphs, err := label.NewBagGraphs(label.Dual, tree)
-			if err != nil {
-				return nil, 0, err
-			}
 			rec := ledger.New()
 			sssp, err := label.SSSPFrom(ctx, label.Dual, tree, lens, 0, rec, rec)
 			if err != nil {
@@ -89,7 +82,7 @@ func (p *Prepared) FlowBase(leafLimit int, led *ledger.Ledger) (*FlowBase, error
 			if sssp.NegCycle {
 				return nil, 0, errors.New("artifact: capacity lengths close a negative dual cycle")
 			}
-			fb := &FlowBase{Lengths: lens, Graphs: graphs, Dist: sssp.Dist, Led: rec}
+			fb := &FlowBase{Lengths: lens, Dist: sssp.Dist, Led: rec}
 			return fb, fb.FootprintBytes(), nil
 		})
 	return fb, err

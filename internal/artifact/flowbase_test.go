@@ -43,9 +43,9 @@ func TestFlowBaseIsACache(t *testing.T) {
 	if n := len(led.Entries()); n != 0 {
 		t.Fatalf("FlowBase charged %d entries", n)
 	}
-	if fb.Graphs == nil || len(fb.Lengths) != g.NumDarts() || len(fb.Dist) != g.Faces().NumFaces() || len(fb.Led.Entries()) == 0 {
-		t.Fatalf("state: graphs %v, %d lengths for %d darts, %d potentials for %d faces, %d recorded entries",
-			fb.Graphs != nil, len(fb.Lengths), g.NumDarts(), len(fb.Dist), g.Faces().NumFaces(), len(fb.Led.Entries()))
+	if len(fb.Lengths) != g.NumDarts() || len(fb.Dist) != g.Faces().NumFaces() || len(fb.Led.Entries()) == 0 {
+		t.Fatalf("state: %d lengths for %d darts, %d potentials for %d faces, %d recorded entries",
+			len(fb.Lengths), g.NumDarts(), len(fb.Dist), g.Faces().NumFaces(), len(fb.Led.Entries()))
 	}
 	st := p.Stats()
 	want := []SubstrateStats{{Kind: flowBase, LeafLimit: p.ResolveLeafLimit(0), Bytes: fb.FootprintBytes()}}

@@ -46,19 +46,20 @@ type FlowResult struct {
 // its construction (Build-scoped in led), later queries reuse it. So does
 // the graph's λ = 0 state (artifact.FlowBase, built by the first query that
 // probes or assigns at λ* = 0, charging nothing): the capacity lengths
-// every residual length starts from and the dual's bag graphs. Each λ the
-// search cannot infer a verdict for (lambdaStar) costs one feasibility probe
-// (label.Feasible): one negative-cycle check over the whole dual, charged
-// as the labeling pass the paper's algorithm runs — completed, or aborted
-// at the bag the pass would abort at. The assignment is one dual SSSP at
-// λ* (DESIGN §3). For λ* > 0 it is label.SSSPFrom, one kernel run
-// over the whole dual, charged as SSSP over λ*'s labels: the distributed
-// algorithm already holds them from λ*'s probe, so their pass is charged
-// nowhere. λ* = 0 is never probed and its lengths are the state's, so there
-// the assignment reads the state's potentials and replays the entries
-// SSSPFrom charged when the state was built — the labeling pass it stands
-// for, then the SSSP's broadcast and tree marking — into led. A canceled
-// p.Context() stops the query at the next bag with the context's error.
+// every residual length starts from. Each λ the search cannot infer a
+// verdict for (lambdaStar) costs one feasibility probe (label.Feasible): one
+// negative-cycle check over the whole dual, charged as the labeling pass the
+// paper's algorithm runs — completed, or aborted at the bag the pass would
+// abort at, found on the skeletons of the tree's dual plan. The assignment
+// is one dual SSSP at λ* (DESIGN §3). For λ* > 0 it is label.SSSPFrom, one
+// kernel run over the whole dual, charged as SSSP over λ*'s labels: the
+// distributed algorithm already holds them from λ*'s probe, so their pass
+// is charged nowhere. λ* = 0 is never probed and its lengths are the
+// state's, so there the assignment reads the state's potentials and replays
+// the entries SSSPFrom charged when the state was built — the labeling pass
+// it stands for, then the SSSP's broadcast and tree marking — into led. A
+// canceled p.Context() stops the query at the next bag with the context's
+// error.
 func MaxFlow(p *artifact.Prepared, s, t int, opt Options, led *ledger.Ledger) (*FlowResult, error) {
 	g := p.Graph()
 	if s == t {
@@ -110,7 +111,7 @@ func MaxFlow(p *artifact.Prepared, s, t int, opt Options, led *ledger.Ledger) (*
 		if err := loadState(); err != nil {
 			return false, err
 		}
-		return label.Feasible(ctx, fb.Graphs, lengthsFor(lambda), led)
+		return label.Feasible(ctx, label.Dual, tree, lengthsFor(lambda), led)
 	})
 	if err != nil {
 		return nil, err

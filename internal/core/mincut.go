@@ -48,8 +48,8 @@ func MinSTCut(p *artifact.Prepared, s, t int, opt Options, led *ledger.Ledger) (
 			lengths[bw] = 0
 		}
 	}
-	// The tree is shared with MaxFlow's query above (cache hit); only the
-	// residual labeling, which depends on the computed flow, is per-query.
+	// The tree is shared with MaxFlow's query above (cache hit); the residual
+	// SSSP, a kernel run charged as the primal labeling pass, is per query.
 	tree, err := p.Tree(opt.LeafLimit, led)
 	if err != nil {
 		return nil, err

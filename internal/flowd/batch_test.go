@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"planarflow"
 	"planarflow/internal/store"
 )
 
@@ -184,50 +183,5 @@ func TestStatszFamilies(t *testing.T) {
 	}
 	if n, r := fam("flowd_queries_total", "girth"), fam("flowd_query_rounds_total", "girth"); n != 1 || r <= 0 {
 		t.Fatalf("girth counters count=%v rounds=%v, want 1 and > 0", n, r)
-	}
-}
-
-// TestBatchEqualsLibrary cross-checks the wire batch against the library's
-// DoBatch on the same spec.
-func TestBatchEqualsLibrary(t *testing.T) {
-	c, _ := newTestDaemon(t, store.Config{})
-	ctx := context.Background()
-	spec := store.GraphSpec{Kind: "grid", Rows: 6, Cols: 6, Seed: 11, WLo: 1, WHi: 9, CLo: 1, CHi: 16}
-	reg, err := c.Register(ctx, "g", spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := spec.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := planarflow.Prepare(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := []planarflow.Query{
-		planarflow.DistQuery(0, reg.N-1),
-		planarflow.MaxFlowQuery(0, reg.N-1),
-		planarflow.GirthQuery(),
-	}
-	want, err := p.DoBatch(ctx, queries, planarflow.BatchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := c.QueryBatch(ctx, BatchRequest{Graph: "g", Queries: []BatchQuery{
-		{Op: "dist", U: 0, V: reg.N - 1},
-		{Op: "maxflow", U: 0, V: reg.N - 1},
-		{Op: "girth"},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range queries {
-		if resp.Results[i].Error != "" {
-			t.Fatalf("wire query %d failed: %s", i, resp.Results[i].Error)
-		}
-		if resp.Results[i].Value != want[i].Value {
-			t.Fatalf("query %d: wire %d, library %d", i, resp.Results[i].Value, want[i].Value)
-		}
 	}
 }

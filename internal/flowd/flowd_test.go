@@ -251,33 +251,6 @@ func TestRegisterAndQueryEndToEnd(t *testing.T) {
 	}
 }
 
-func TestQueryErrorsOverTheWire(t *testing.T) {
-	c, _ := newTestDaemon(t, store.Config{})
-	ctx := context.Background()
-	if _, err := c.Register(ctx, "g", store.GraphSpec{Kind: "grid", Rows: 4, Cols: 4}); err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		req  QueryRequest
-		frag string // expected error fragment
-	}{
-		{QueryRequest{Graph: "nope", Op: "dist", U: 0, V: 1}, "404"},
-		{QueryRequest{Graph: "g", Op: "dist", U: 0, V: 999}, "400"},
-		{QueryRequest{Graph: "g", Op: "maxflow", U: 3, V: 3}, "400"},
-		{QueryRequest{Graph: "g", Op: "warp", U: 0, V: 1}, "400"},
-	}
-	for _, tc := range cases {
-		_, err := c.Query(ctx, tc.req)
-		if err == nil || !strings.Contains(err.Error(), tc.frag) {
-			t.Errorf("Query(%+v) error %v, want fragment %q", tc.req, err, tc.frag)
-		}
-	}
-	// Duplicate registration is a conflict.
-	if _, err := c.Register(ctx, "g", store.GraphSpec{Kind: "grid", Rows: 4, Cols: 4}); err == nil || !strings.Contains(err.Error(), "409") {
-		t.Fatalf("duplicate register: %v", err)
-	}
-}
-
 // TestConcurrentClientsShareBuilds hammers one graph from many goroutines
 // through the HTTP surface and checks the substrate singleflight held:
 // every response agrees and the store accounted one construction.

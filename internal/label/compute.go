@@ -97,7 +97,7 @@ func SSSPFrom(ctx context.Context, v View, t *bdd.BDD, lengths []int64, source i
 	}
 	k := kernels.Get().(*kernel)
 	defer kernels.Put(k)
-	ok, err := pl.probe(ctx, k, lengths, nil, passLed)
+	ok, err := pl.probe(ctx, k, lengths, passLed)
 	if err != nil {
 		return nil, err
 	}

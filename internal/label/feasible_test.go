@@ -53,19 +53,18 @@ func fullAbort(la *Labeling) int {
 	return -1
 }
 
-// checkProbe holds Feasible over bg to ComputeContext under lens: the same
+// checkProbe holds Feasible over pl to ComputeContext under lens: the same
 // verdict, the same ledger entries, and, when infeasible, abortBag names the
 // bag the full labeling's pass aborted at. It returns that bag, or -1.
-func checkProbe(t *testing.T, name string, bg *BagGraphs, lens []int64) int {
+func checkProbe(t *testing.T, name string, pl *plan, lens []int64) int {
 	t.Helper()
 	ctx := context.Background()
-	pl := bg.pl
 	fullLed, led := ledger.New(), ledger.New()
 	full, err := ComputeContext(ctx, pl.v.id, pl.t, lens, fullLed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, err := Feasible(ctx, bg, lens, led)
+	ok, err := Feasible(ctx, pl.v.id, pl.t, lens, led)
 	if err != nil || ok == full.NegCycle {
 		t.Fatalf("%s: Feasible=%v err=%v with NegCycle=%v", name, ok, err, full.NegCycle)
 	}
@@ -81,7 +80,7 @@ func checkProbe(t *testing.T, name string, bg *BagGraphs, lens []int64) int {
 	if k.potentials() {
 		t.Fatalf("%s: the whole graph's kernel finds no negative cycle", name)
 	}
-	got, err := pl.abortBag(ctx, &k, lens, bg)
+	got, err := pl.abortBag(ctx, &k, lens)
 	if err != nil || got != want {
 		t.Fatalf("%s: abort bag %d (err %v), the full labeling aborted at %d", name, got, err, want)
 	}
@@ -155,12 +154,9 @@ func TestFeasibleMatchesFullLabeling(t *testing.T) {
 		for _, leafLimit := range []int{4, 8, 0} {
 			tree := bdd.Build(g, leafLimit, ledger.New())
 			for _, v := range []View{Dual, Primal} {
-				bg, err := NewBagGraphs(v, tree)
-				if err != nil {
-					t.Fatal(err)
-				}
+				pl := mustPlan(t, tree, v)
 				name := v.String() + "/" + gr.name
-				sharedInSeparator(t, name, bg.pl)
+				sharedInSeparator(t, name, pl)
 				for pair := 0; pair < 4; pair++ {
 					s, tt := rng.IntN(g.N()), rng.IntN(g.N())
 					if s == tt {
@@ -181,7 +177,7 @@ func TestFeasibleMatchesFullLabeling(t *testing.T) {
 					star := fn.MaxFlow(s, tt)
 					path := bfsPath(g, s, tt)
 					for _, lambda := range []int64{1, star, star + 1, min(out, in)} {
-						abort := checkProbe(t, name, bg, pushed(capLens, path, lambda))
+						abort := checkProbe(t, name, pl, pushed(capLens, path, lambda))
 						if v == Dual && (lambda <= star) != (abort < 0) {
 							t.Fatalf("%s s=%d t=%d λ=%d (λ*=%d): abort bag %d", name, s, tt, lambda, star, abort)
 						}
@@ -189,7 +185,7 @@ func TestFeasibleMatchesFullLabeling(t *testing.T) {
 					}
 				}
 				for i := 0; i < 4; i++ {
-					tally(tree, checkProbe(t, name+"/random", bg, randomLengths(g, rng, -2, 20)))
+					tally(tree, checkProbe(t, name+"/random", pl, randomLengths(g, rng, -2, 20)))
 				}
 			}
 		}

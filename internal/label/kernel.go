@@ -51,8 +51,7 @@ type kernel struct {
 }
 
 // skeleton is a digraph's CSR layout without its lengths: arcs sorted by
-// tail, arc i the arc of dart[i]. A leaf's and the whole graph's live in the
-// plan, the other bags' in BagGraphs.
+// tail, arc i the arc of dart[i]. Every bag's own graph lives in the plan.
 type skeleton struct {
 	start []int32 // len n+1
 	to    []int32

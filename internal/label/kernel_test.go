@@ -228,23 +228,29 @@ func cloneSkeleton(sk *skeleton) *skeleton {
 }
 
 // TestConcurrentPassesShareOnePlan runs two goroutines of feasibility
-// probes, each with its own lengths, over one shared tree and one BagGraphs:
-// the skeleton arrays — the plan's whole graph and leaves, the BagGraphs'
-// internal bags — are read by both, so under -race any write through them —
-// a kernel buffer aliasing a skeleton — is a reported race, and without it a
-// changed skeleton or a wrong verdict is the failure.
+// probes, each with its own lengths, over one shared tree whose plan has
+// derived neither the whole graph nor the internal bags' own graphs: both
+// goroutines' first probes race to derive them, and every probe reads them
+// and the leaves' skeletons, so under -race a derivation that is not
+// guarded or any write through a skeleton — a kernel buffer aliasing one —
+// is a reported race. Without -race a wrong verdict, or a skeleton that
+// differs from a serially derived twin's, is the failure.
 func TestConcurrentPassesShareOnePlan(t *testing.T) {
 	g := planar.Grid(9, 9)
 	tree := bdd.Build(g, 8, ledger.New())
-	bg, err := NewBagGraphs(Dual, tree)
-	if err != nil {
-		t.Fatal(err)
+	pl := mustPlan(t, tree, Dual)
+	if pl.whole.start != nil || pl.own != nil {
+		t.Fatal("the shared plan's whole graph or own graphs are already derived")
 	}
-	before := make([]*skeleton, len(bg.graph))
-	for i := range bg.graph {
-		before[i] = cloneSkeleton(&bg.graph[i])
+	leaves := make(map[int]*skeleton)
+	for _, b := range tree.Bags {
+		if b.IsLeaf() {
+			leaves[b.ID] = cloneSkeleton(pl.ownGraph(b.ID))
+		}
 	}
-	whole := cloneSkeleton(bg.pl.wholeGraph())
+	// The serial verdicts run on a twin tree, so they derive nothing of the
+	// shared plan.
+	twin := bdd.Build(g, 8, ledger.New())
 	ctx := context.Background()
 	rng := planar.NewRand(17)
 	const rounds = 200
@@ -258,7 +264,7 @@ func TestConcurrentPassesShareOnePlan(t *testing.T) {
 		d := &drive{got: make([]bool, rounds)}
 		for r := 0; r < rounds; r++ {
 			lens := randomLengths(g, rng, -1-int64(w), 30)
-			ok, err := Feasible(ctx, bg, lens, ledger.New())
+			ok, err := Feasible(ctx, Dual, twin, lens, ledger.New())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -272,7 +278,7 @@ func TestConcurrentPassesShareOnePlan(t *testing.T) {
 		go func(d *drive) {
 			defer wg.Done()
 			for r, lens := range d.lens {
-				ok, err := Feasible(ctx, bg, lens, ledger.New())
+				ok, err := Feasible(ctx, Dual, tree, lens, ledger.New())
 				if err != nil {
 					t.Error(err)
 					return
@@ -296,12 +302,20 @@ func TestConcurrentPassesShareOnePlan(t *testing.T) {
 	if feasible == 0 || feasible == 2*rounds {
 		t.Fatalf("verdicts not both exercised: %d of %d feasible", feasible, 2*rounds)
 	}
-	for i := range bg.graph {
-		if !reflect.DeepEqual(cloneSkeleton(&bg.graph[i]), before[i]) {
-			t.Fatalf("bag %d: a probe changed a shared skeleton", i)
+	if pl.whole.start == nil || pl.own == nil {
+		t.Fatal("the probes did not derive the shared plan's whole graph and own graphs")
+	}
+	ref := mustPlan(t, twin, Dual)
+	for _, b := range tree.Bags {
+		got := cloneSkeleton(pl.ownGraph(b.ID))
+		if b.IsLeaf() && !reflect.DeepEqual(got, leaves[b.ID]) {
+			t.Fatalf("leaf %d: a probe changed its skeleton", b.ID)
+		}
+		if !reflect.DeepEqual(got, cloneSkeleton(ref.ownGraph(b.ID))) {
+			t.Fatalf("bag %d: its own graph differs from the twin's", b.ID)
 		}
 	}
-	if !reflect.DeepEqual(cloneSkeleton(bg.pl.wholeGraph()), whole) {
-		t.Fatal("a probe changed the plan's whole-graph skeleton")
+	if !reflect.DeepEqual(cloneSkeleton(pl.wholeGraph()), cloneSkeleton(ref.wholeGraph())) {
+		t.Fatal("the plan's whole-graph skeleton differs from the twin's")
 	}
 }

@@ -61,9 +61,11 @@
 // row a source-directed SSSP reads. Both execute that run and charge the
 // labeling pass entry for entry (probe.go): a completed pass from the
 // plan's per-bag costs and the active darts, an aborted one at the bag
-// whose own graph first closes a negative cycle. SSSPFrom's answer is the
-// full labeling's because shortest distances are unique and the kernel's
-// rows are exact.
+// whose own graph first closes a negative cycle. Every skeleton they load,
+// the whole graph and each bag's own graph, is the plan's: derived once per
+// tree and view on first need and, like the rest of the plan, charged to no
+// estimate. SSSPFrom's answer is the full labeling's because shortest
+// distances are unique and the kernel's rows are exact.
 //
 // LeafFrom, the distances from every leaf key to a label's own, is not
 // stored: nothing decodes it, and it is column pos of the bag's LeafTo rows.

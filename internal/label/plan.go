@@ -11,10 +11,10 @@ import (
 
 // plan is everything a labeling pass reads off the tree alone, laid out
 // through one view: per bag, the order its labels and vectors are stored
-// in, and the leaf's CSR skeleton or the DDG skeleton. It does not depend on
-// the lengths, so it is derived once per tree and view (planOf) and shared,
-// read-only, by every pass over that tree and every labeling computed or
-// restored over it.
+// in, the leaf's CSR skeleton or the DDG skeleton, and the bag's own graph
+// (ownGraph). It does not depend on the lengths, so it is derived once per
+// tree and view (planOf) and shared, read-only, by every pass and probe over
+// that tree and every labeling computed or restored over it.
 type plan struct {
 	t    *bdd.BDD
 	v    *view
@@ -39,6 +39,14 @@ type plan struct {
 	// does not keep it.
 	wholeOnce sync.Once
 	whole     skeleton
+
+	// own is, by bag ID, each internal bag's own graph laid out over
+	// positions in its Keys, and the root's the whole graph: where a probe
+	// whose lengths close a negative cycle looks for the bag its pass would
+	// abort at (abortBag). They are derived together on the first such probe
+	// (ownGraph), so a tree no probe found infeasible does not keep them.
+	ownOnce sync.Once
+	own     []skeleton
 }
 
 // BagLayout is the order one bag's labels and their distance vectors are
@@ -236,6 +244,34 @@ func (pl *plan) wholeGraph() *skeleton {
 		pl.whole = pl.skeletonOf(pl.t.Root, len(keys), keys)
 	})
 	return &pl.whole
+}
+
+// ownGraph returns bag i's own graph: a leaf's skeleton, or one of own,
+// deriving them all on first use.
+func (pl *plan) ownGraph(i int) *skeleton {
+	if pl.t.Bags[i].IsLeaf() {
+		return &pl.bags[i].leaf
+	}
+	pl.ownOnce.Do(func() {
+		t := pl.t
+		pl.own = make([]skeleton, len(t.Bags))
+		pl.own[t.Root.ID] = *pl.wholeGraph()
+		pos := absent(pl.v.numKeys(t.G))
+		for _, b := range t.Bags {
+			if b.IsLeaf() || b == t.Root {
+				continue
+			}
+			keys := pl.lay[b.ID].Keys
+			for i, k := range keys {
+				pos[k] = int32(i)
+			}
+			pl.own[b.ID] = pl.skeletonOf(b, len(keys), pos)
+			for _, k := range keys {
+				pos[k] = -1
+			}
+		}
+	})
+	return &pl.own[i]
 }
 
 // skeletonOf lays out bag b's own graph — the arcs bagDarts yields, X* in

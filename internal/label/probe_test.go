@@ -128,12 +128,8 @@ func forEachLabelingCase(fn func(name string, v View, tree *bdd.BDD, nl namedLen
 func TestProbeMatchesFullLabeling(t *testing.T) {
 	verdicts := map[View]map[bool]int{Dual: {}, Primal: {}}
 	forEachLabelingCase(func(gname string, v View, tree *bdd.BDD, nl namedLengths) {
-		bg, err := NewBagGraphs(v, tree)
-		if err != nil {
-			t.Fatal(err)
-		}
 		name := gname + "/" + nl.name
-		abort := checkProbe(t, name, bg, nl.lens)
+		abort := checkProbe(t, name, mustPlan(t, tree, v), nl.lens)
 		if nl.name == "neg-cycle" && abort < 0 {
 			t.Fatalf("%s: negative 2-cycle not reported", name)
 		}

@@ -313,12 +313,12 @@ func (p *PreparedGraph) view(ctx context.Context) *PreparedGraph {
 // to the decode engine, which is the simulated CONGEST route memoized,
 // and run that route unmemoized only when q.Simulated is set; the two
 // are bit-identical in payload and rounds (decode_test.go holds them to
-// that). The flow/cut families
-// (maxflow, minstcut, stflow, stcut) are always algorithmic: their
-// Miller–Naor searches build per-query residual labelings that no prepared
-// substrate can answer for, so there is nothing to decode from. Every
-// branch ends in the shared rounds tail, so every Answer reports the same
-// Build/Query split.
+// that). The flow/cut families (maxflow, minstcut, stflow, stcut) are
+// always algorithmic: their lengths depend on (s, t), so there is nothing
+// to decode from, and none labels per query (maxflow's probes and
+// minstcut's residual SSSP are kernel runs charged as the passes they stand
+// for). Every branch ends in the shared rounds tail, so every Answer
+// reports the same Build/Query split.
 func (p *PreparedGraph) do(q Query) (*Answer, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err

@@ -59,56 +59,6 @@ func batchQueries(g *Graph) []Query {
 	}
 }
 
-// TestDoBatchEquivalence runs a mixed-family batch with a concurrent
-// worker pool (exercised under -race) and asserts every answer's payload
-// and per-query rounds are identical to sequential Do calls, and that the
-// warmup pass stripped every Build charge from the answers.
-func TestDoBatchEquivalence(t *testing.T) {
-	g := servingGraph()
-	p, err := Prepare(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := batchQueries(g)
-	answers, err := p.DoBatch(context.Background(), queries, BatchOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(answers) != len(queries) {
-		t.Fatalf("batch returned %d answers for %d queries", len(answers), len(queries))
-	}
-	for i, a := range answers {
-		if a == nil || a.Err != nil {
-			t.Fatalf("query %d (%s): answer %+v", i, queries[i].Kind, a)
-		}
-		if a.Kind != queries[i].Kind {
-			t.Fatalf("query %d: kind %q answered as %q", i, queries[i].Kind, a.Kind)
-		}
-		if a.Rounds.Build != 0 {
-			t.Fatalf("query %d (%s): Build=%d after warmup, want 0", i, a.Kind, a.Rounds.Build)
-		}
-	}
-
-	// Sequential ground truth on a fresh bundle (warm after first calls).
-	ps, err := Prepare(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, q := range queries {
-		a := answers[i]
-		seq, err := ps.Do(nil, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !samePayload(a, seq) {
-			t.Fatalf("query %d (%s): batch payload diverges from sequential", i, q.Kind)
-		}
-		if a.Rounds.Query != seq.Rounds.Query {
-			t.Fatalf("query %d (%s): batch Query rounds %d, sequential %d", i, q.Kind, a.Rounds.Query, seq.Rounds.Query)
-		}
-	}
-}
-
 // TestDoBatchIsolation asserts one bad query fails alone: its Answer
 // carries the error, every other entry of the batch succeeds.
 func TestDoBatchIsolation(t *testing.T) {
