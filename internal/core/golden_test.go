@@ -35,11 +35,17 @@ type exactGolden struct {
 	CutByPhase map[string]int64 `json:"cut_by_phase"`
 }
 
-func exactGoldenInstances() []struct {
+// goldenPair is one exact query: a graph and its source and sink.
+type goldenPair struct {
 	name string
 	g    *planar.Graph
 	s, t int
-} {
+}
+
+// exactGoldenInstances are the golden files' four graphs, each with the
+// pair its exact queries run on; the minor-aggregation golden reads them
+// too.
+func exactGoldenInstances() []goldenPair {
 	weighted := func(g *planar.Graph, seed int64, randomDirections bool) *planar.Graph {
 		rng := planar.NewRand(seed)
 		g = planar.WithRandomWeights(g, rng, 1, 9, 1, 10)
@@ -49,11 +55,7 @@ func exactGoldenInstances() []struct {
 		return g
 	}
 	tri := planar.StackedTriangulation(100, planar.NewRand(17))
-	return []struct {
-		name string
-		g    *planar.Graph
-		s, t int
-	}{
+	return []goldenPair{
 		{"grid6x6", weighted(planar.Grid(6, 6), 5, false), 0, 35},
 		{"grid12x12-directed", weighted(planar.Grid(12, 12), 4, true), 70, 58},
 		{"triangulation100-directed", weighted(tri, 1, true), 18, 1},
@@ -61,14 +63,25 @@ func exactGoldenInstances() []struct {
 	}
 }
 
+// exactGoldenPairs are the exact golden's queries: the four instances, then
+// two pairs at λ* = 0 on the first two graphs, where the λ = 1 probe fails
+// and the assignment and the residual graph are the λ = 0 state's.
+func exactGoldenPairs() []goldenPair {
+	in := exactGoldenInstances()
+	return append(in,
+		goldenPair{"grid6x6-zero", in[0].g, 30, 5},
+		goldenPair{"grid12x12-directed-zero", in[1].g, 1, 143})
+}
+
 // TestExactGolden pins Value, Flow, Iterations and the full ledger of
-// MaxFlow and MinSTCut on four fixed instances against a file generated
-// before the labeling pass became demand-driven: any drift in an answer or
-// in a charged round fails. Regenerate (only when the cost model changes on
+// MaxFlow and MinSTCut on six fixed instances against a file generated
+// before the labeling pass became demand-driven (the two λ* = 0 instances
+// before min cut replayed the λ = 0 state's primal pass): any drift in an
+// answer or in a charged round fails. Regenerate (only when the cost model changes on
 // purpose) with `go test ./internal/core -run ExactGolden -update-golden`.
 func TestExactGolden(t *testing.T) {
 	var got []exactGolden
-	for _, in := range exactGoldenInstances() {
+	for _, in := range exactGoldenPairs() {
 		fled := ledger.New()
 		flow, err := MaxFlow(prep(in.g), in.s, in.t, Options{}, fled)
 		if err != nil {
