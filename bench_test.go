@@ -241,8 +241,11 @@ func BenchmarkWarmMaxFlow(b *testing.B) {
 		{"triangulation1000", planar.StackedTriangulation(1000, planar.NewRand(1)), 999, 0},
 	} {
 		b.Run(c.name, func(b *testing.B) {
+			// One untimed query derives what the tree's plan keeps for every
+			// later one (the bags' own graphs among them), so allocs/op is a
+			// query's.
 			p := artifact.New(planar.WithRandomWeights(c.g, planar.NewRand(1), 1, 1, 1, 64))
-			if _, err := p.FlowBase(0, ledger.New()); err != nil {
+			if _, err := core.MaxFlow(p, c.s, c.t, core.Options{}, ledger.New()); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
@@ -259,12 +262,18 @@ func BenchmarkWarmMaxFlow(b *testing.B) {
 	}
 }
 
-// BenchmarkWarmMinSTCut — E6 on a prepared graph.
+// BenchmarkWarmMinSTCut — E6 on a prepared graph, on each of warmPairs: at
+// λ* = 0 the residual graph and its pass are the λ = 0 state's, and only
+// the row from s runs.
 func BenchmarkWarmMinSTCut(b *testing.B) {
-	benchWarmExact(b, func(p *artifact.Prepared, _ *bdd.BDD, led *ledger.Ledger) error {
-		_, err := core.MinSTCut(p, 0, p.Graph().N()-1, core.Options{}, led)
-		return err
-	})
+	for _, c := range warmPairs {
+		b.Run(c.name, func(b *testing.B) {
+			benchWarmExact(b, func(p *artifact.Prepared, _ *bdd.BDD, led *ledger.Ledger) error {
+				_, err := core.MinSTCut(p, c.s, c.t, core.Options{}, led)
+				return err
+			})
+		})
+	}
 }
 
 // BenchmarkWarmSTFlow — Thm 1.3 on a prepared graph whose minor-aggregation
@@ -446,20 +455,22 @@ func TestAllocCeilings(t *testing.T) {
 		ceiling float64
 		run     func() error
 	}{
-		// A probe labels nothing: the drive's level costs and one kernel run
-		// over G* (9 allocs with a recycled kernel, 14 with a new one; 33
-		// while it ran the labeling pass over the faces its verdict read).
-		// Kernels are pooled and a GC empties the pool, so every ceiling on a
-		// path that probes holds with a new kernel per run.
-		{"label.Feasible", 20, func() error {
+		// A probe labels nothing: one kernel run over G*, then the drive's
+		// level costs (5 allocs with a recycled kernel, 9 with a new one; 9 /
+		// 14 while the drive ran before the verdict and the kernel kept four
+		// arrays for its search, 33 while it ran the labeling pass over the
+		// faces its verdict read). Kernels are pooled and a GC empties the
+		// pool, so every ceiling on a path that probes holds with a new
+		// kernel per run.
+		{"label.Feasible", 12, func() error {
 			_, err := label.Feasible(ctx, label.Dual, tree, artifact.Lengths(p.Graph(), artifact.Undirected), ledger.New())
 			return err
 		}},
 		// A probe that fails, at an internal bag, then loads the own graph of
 		// each bag holding a negative dart, bottom-up, until one closes a
 		// negative cycle: the plan keeps those graphs, derived by the first
-		// failing probe, so none is laid out here (5 allocs, 12 with a new
-		// kernel).
+		// failing probe, so none is laid out here (3 allocs, 7 with a new
+		// kernel; 5 / 12 while it drove the level costs first).
 		{"label.Feasible(infeasible)", 20, func() error {
 			_, err := label.Feasible(ctx, label.Dual, abortTree, infeasible, ledger.New())
 			return err
@@ -469,8 +480,9 @@ func TestAllocCeilings(t *testing.T) {
 			return nil
 		}},
 		// A source-directed SSSP labels nothing: the drive's level costs, one
-		// kernel over the whole graph and the answer's rows (17 / 14 allocs,
-		// 30 / 25 with a new kernel; 31 / 25 while it built the whole graph's
+		// kernel over the whole graph and the answer's rows (13 / 10 allocs,
+		// 25 / 20 with a new kernel; 17 / 14 and 30 / 25 while the kernel kept
+		// four arrays for its search, 31 / 25 while it built the whole graph's
 		// arc list per call, 60 / 57 while it ran the labeling pass
 		// source-directed).
 		{"label.SSSPFrom(dual)", 40, func() error {
@@ -482,22 +494,32 @@ func TestAllocCeilings(t *testing.T) {
 			return err
 		}},
 		// An exact max-flow with the graph's λ = 0 state resident, on each of
-		// warmPairs: 25 allocs at λ* = 0 (one probe, the assignment replayed)
-		// and 70 at λ* > 0, with min st-cut on top of the second 85 — 31 /
-		// 120 / 142 with a new kernel per probe. They read 73 / 262 / 284
-		// while each probe relabeled the bags the s–t path touches, and 97 /
-		// 302 under one ceiling of 1000 while every probe relabeled every bag
-		// and every λ* = 0 assignment ran SSSPFrom.
+		// warmPairs: 9 allocs at λ* = 0 (one probe, the assignment replayed)
+		// and 14 at λ* > 0 (one search, its SSSP at λ* reading λ*'s
+		// potentials), with min st-cut on top 25, and 16 at λ* = 0 (the λ = 0
+		// state's residual graph and pass replayed, one row from s) — 28 / 42
+		// / 59 / 42 with a new search, kernel and BFS arrays per query. They
+		// read 25 / 70 / 85 / 37 (31 / 120 / 142 with a new kernel) while every
+		// probe loaded G*, drove the level costs and allocated its own
+		// residual lengths, the λ* > 0 assignment ran SSSPFrom and every min
+		// cut its own primal pass; 73 / 262 / 284 while each probe relabeled
+		// the bags the s–t path touches, and 97 / 302 under one ceiling of
+		// 1000 while every probe relabeled every bag and every λ* = 0
+		// assignment ran SSSPFrom.
 		{"core.MaxFlow(zero)", 40, func() error {
 			_, err := core.MaxFlow(p, warmPairs[0].s, warmPairs[0].t, core.Options{}, ledger.New())
 			return err
 		}},
-		{"core.MaxFlow(positive)", 150, func() error {
+		{"core.MaxFlow(positive)", 55, func() error {
 			_, err := core.MaxFlow(p, warmPairs[1].s, warmPairs[1].t, core.Options{}, ledger.New())
 			return err
 		}},
-		{"core.MinSTCut", 175, func() error {
+		{"core.MinSTCut", 75, func() error {
 			_, err := core.MinSTCut(p, 0, p.Graph().N()-1, core.Options{}, ledger.New())
+			return err
+		}},
+		{"core.MinSTCut(zero)", 55, func() error {
+			_, err := core.MinSTCut(p, warmPairs[0].s, warmPairs[0].t, core.Options{}, ledger.New())
 			return err
 		}},
 		// Once the graph's minor-aggregation prices are resident (the warm-up

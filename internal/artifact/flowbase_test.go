@@ -70,10 +70,11 @@ func TestFlowBaseIsACache(t *testing.T) {
 
 // TestFlowBaseFootprintBoundsHeap holds the state's estimate to the heap it
 // keeps alive, as TestFootprintBoundsHeap does a labeling's: within
-// [heap, 2·heap], the plans and the tree built before measuring — the plan's
-// whole-graph skeleton too, which every probe and source-directed SSSP over
-// the tree loads and the plan, not the state, keeps. The heap is the median
-// of three builds on fresh bundles.
+// [heap, 2·heap], the plans and the tree built before measuring — both
+// views' plans, the primal one for the min-cut pass the state records, and
+// their whole-graph skeletons, which every probe and source-directed SSSP
+// over the tree loads and the plan, not the state, keeps. The heap is the
+// median of three builds on fresh bundles.
 func TestFlowBaseFootprintBoundsHeap(t *testing.T) {
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		for _, s := range bi.Settings {
@@ -95,14 +96,16 @@ func TestFlowBaseFootprintBoundsHeap(t *testing.T) {
 		for rep := range heaps {
 			p := New(gr.g)
 			// A labeling of the same tree derives the dual plan and its costs,
-			// and a source-directed SSSP over it the plan's whole-graph
-			// skeleton.
+			// and a source-directed SSSP over it, in each view, the plans'
+			// whole-graph skeletons.
 			la, err := p.DualLabels(Undirected, 0, ledger.New())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := label.SSSPFrom(context.Background(), label.Dual, la.T, la.Lengths, 0, ledger.New(), ledger.New()); err != nil {
-				t.Fatal(err)
+			for _, v := range []label.View{label.Dual, label.Primal} {
+				if _, err := label.SSSPFrom(context.Background(), v, la.T, la.Lengths, 0, ledger.New(), ledger.New()); err != nil {
+					t.Fatal(err)
+				}
 			}
 			var m0, m1 runtime.MemStats
 			runtime.GC()

@@ -8,7 +8,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"slices"
+	"sync"
 
 	"planarflow/internal/artifact"
 	"planarflow/internal/label"
@@ -47,109 +47,106 @@ type FlowResult struct {
 // the graph's λ = 0 state (artifact.FlowBase, built by the first query that
 // probes or assigns at λ* = 0, charging nothing): the capacity lengths
 // every residual length starts from. Each λ the search cannot infer a
-// verdict for (lambdaStar) costs one feasibility probe (label.Feasible): one
-// negative-cycle check over the whole dual, charged as the labeling pass the
-// paper's algorithm runs — completed, or aborted at the bag the pass would
-// abort at, found on the skeletons of the tree's dual plan. The assignment
-// is one dual SSSP at λ* (DESIGN §3). For λ* > 0 it is label.SSSPFrom, one
-// kernel run over the whole dual, charged as SSSP over λ*'s labels: the
-// distributed algorithm already holds them from λ*'s probe, so their pass
-// is charged nowhere. λ* = 0 is never probed and its lengths are the
-// state's, so there the assignment reads the state's potentials and replays
-// the entries SSSPFrom charged when the state was built — the labeling pass
-// it stands for, then the SSSP's broadcast and tree marking — into led. A
-// canceled p.Context() stops the query at the next bag with the context's
-// error.
+// verdict for (lambdaStar) costs one feasibility probe of a label.Search
+// over the state and the path: one negative-cycle check over the whole
+// dual, charged as the labeling pass the paper's algorithm runs —
+// completed, or aborted at the bag the pass would abort at, found on the
+// skeletons of the tree's dual plan. The assignment is one dual SSSP at λ*
+// (DESIGN §3). For λ* > 0 it is the search's SSSP, one row over λ*'s
+// potentials, charged as SSSP over λ*'s labels: the distributed algorithm
+// already holds them from λ*'s probe, so their pass is charged nowhere.
+// λ* = 0 is never probed and its lengths are the state's, so there the
+// assignment reads the state's potentials and replays the entries
+// SSSPFrom charged when the state was built — the labeling pass it stands
+// for, then the SSSP's broadcast and tree marking — into led. A canceled
+// p.Context() stops the query at the next bag with the context's error.
 func MaxFlow(p *artifact.Prepared, s, t int, opt Options, led *ledger.Ledger) (*FlowResult, error) {
+	res, _, err := maxFlow(p, s, t, opt, led)
+	return res, err
+}
+
+// maxFlow is MaxFlow, also returning the λ = 0 state when the flow is the
+// state's own (λ* = 0), for MinSTCut.
+func maxFlow(p *artifact.Prepared, s, t int, opt Options, led *ledger.Ledger) (*FlowResult, *artifact.FlowBase, error) {
 	g := p.Graph()
 	if s == t {
-		return nil, errors.New("core: s and t must differ")
+		return nil, nil, errors.New("core: s and t must differ")
 	}
 	if s < 0 || t < 0 || s >= g.N() || t >= g.N() {
-		return nil, fmt.Errorf("core: s=%d t=%d out of range", s, t)
+		return nil, nil, fmt.Errorf("core: s=%d t=%d out of range", s, t)
 	}
 
 	tree, err := p.Tree(opt.LeafLimit, led)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// Fixed s-to-t dart path (undirected BFS; Õ(D) rounds).
 	path, err := dartPath(g, s, t)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	led.Charge("maxflow/find-path", int64(2*(tree.Root.TreeDepth+1)))
-	onPath := make([]bool, g.NumDarts())
-	for _, d := range path {
-		onPath[d] = true
-	}
 
-	// The λ = 0 state, fetched by the first probe or the assignment: a graph
-	// with a negative capacity fails the search before either.
-	var fb *artifact.FlowBase
+	// The λ = 0 state and the search over it, started by the first probe;
+	// the assignment fetches the state if no probe ran. A graph with a
+	// negative capacity fails the search before either.
+	var (
+		fb     *artifact.FlowBase
+		search *label.Search
+	)
+	defer func() {
+		if search != nil {
+			search.Close()
+		}
+	}()
 	loadState := func() (err error) {
 		if fb == nil {
 			fb, err = p.FlowBase(opt.LeafLimit, led)
 		}
 		return err
 	}
-	// Residual lengths after pushing λ along the path: the state's capacity
-	// lengths, minus λ on path darts, plus λ on their reverses. One buffer
-	// serves every λ; no probe retains it.
-	lens := make([]int64, g.NumDarts())
-	lengthsFor := func(lambda int64) []int64 {
-		copy(lens, fb.Lengths)
-		for _, d := range path {
-			lens[d] -= lambda
-			lens[planar.Rev(d)] += lambda
-		}
-		return lens
-	}
 	ctx := p.Context()
 	lo, iters, err := lambdaStar(g, s, t, func(lambda int64) (bool, error) {
-		if err := loadState(); err != nil {
-			return false, err
+		if search == nil {
+			if err := loadState(); err != nil {
+				return false, err
+			}
+			if search, err = label.NewSearch(tree, fb.Lengths, path); err != nil {
+				return false, err
+			}
 		}
-		return label.Feasible(ctx, label.Dual, tree, lengthsFor(lambda), led)
+		return search.Feasible(ctx, lambda, led)
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
-	// Assignment: dual SSSP potentials from an arbitrary face (§6.1).
-	if err := loadState(); err != nil {
-		return nil, err
-	}
-	dist := fb.Dist
+	// Assignment: dual SSSP potentials from an arbitrary face (§6.1), and
+	// the circulation they induce, plus λ* along the path.
+	var dist []int64
 	if lo == 0 {
+		if err := loadState(); err != nil {
+			return nil, nil, err
+		}
+		dist = fb.Dist
 		led.Merge(fb.Led)
 	} else {
-		// λ*'s probe paid the pass.
-		sssp, err := label.SSSPFrom(ctx, label.Dual, tree, lengthsFor(lo), 0, ledger.New(), led)
+		sssp, err := search.SSSP(ctx, lo, 0, led)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		if sssp.NegCycle {
-			return nil, errors.New("core: internal: feasible λ reported a negative cycle")
-		}
-		dist = sssp.Dist
+		dist, fb = sssp.Dist, nil // the flow is not the state's
 	}
-	res := &FlowResult{Value: lo, Flow: make([]int64, g.M()), Iterations: iters}
-	fd := g.Faces()
-	for e := 0; e < g.M(); e++ {
-		fw := planar.ForwardDart(e)
-		// Circulation on the forward dart: ψ(head*) − ψ(tail*).
-		phi := dist[fd.FaceOf(planar.Rev(fw))] - dist[fd.FaceOf(fw)]
-		if onPath[fw] {
-			phi += lo
+	res := &FlowResult{Value: lo, Flow: artifact.Circulation(g, dist), Iterations: iters}
+	for _, d := range path {
+		if planar.IsForward(d) {
+			res.Flow[planar.EdgeOf(d)] += lo
+		} else {
+			res.Flow[planar.EdgeOf(d)] -= lo
 		}
-		if onPath[planar.Rev(fw)] {
-			phi -= lo
-		}
-		res.Flow[e] = phi
 	}
-	return res, nil
+	return res, fb, nil
 }
 
 // lambdaStar is Miller–Naor's bisection of [0, TotalCap] for λ*, the largest
@@ -201,30 +198,56 @@ func lambdaStar(g *planar.Graph, s, t int, feasible func(int64) (bool, error)) (
 // dartPath returns an s-to-t path of darts (each dart oriented along the
 // walk; it need not follow edge directions): t's parent chain in the
 // undirected BFS tree from s (planar.BFS's). The chain's vertices are all
-// discovered before t, so the search stops at t. s and t differ.
+// discovered before t, so the search stops at t. s and t differ. The BFS
+// runs on recycled arrays (paths).
 func dartPath(g *planar.Graph, s, t int) ([]planar.Dart, error) {
-	parent := make([]planar.Dart, g.N())
-	for v := range parent {
-		parent[v] = planar.NoDart
+	sc := paths.Get().(*bfsScratch)
+	defer paths.Put(sc)
+	if len(sc.parent) < g.N() {
+		sc.parent, sc.queue = make([]planar.Dart, g.N()), make([]int, 0, g.N())
+		for v := range sc.parent {
+			sc.parent[v] = planar.NoDart
+		}
 	}
-	queue := append(make([]int, 0, g.N()), s)
-	for ; len(queue) > 0 && parent[t] == planar.NoDart; queue = queue[1:] {
-		for _, d := range g.Rotation(queue[0]) {
+	parent, queue := sc.parent, append(sc.queue[:0], s)
+	for head := 0; head < len(queue) && parent[t] == planar.NoDart; head++ {
+		for _, d := range g.Rotation(queue[head]) {
 			if u := g.Head(d); u != s && parent[u] == planar.NoDart {
 				parent[u], queue = d, append(queue, u)
 			}
 		}
 	}
-	if parent[t] == planar.NoDart {
+	var path []planar.Dart
+	if parent[t] != planar.NoDart {
+		n := 0
+		for v := t; v != s; v = g.Tail(parent[v]) {
+			n++
+		}
+		path = make([]planar.Dart, n)
+		for v := t; v != s; v = g.Tail(parent[v]) {
+			n--
+			path[n] = parent[v]
+		}
+	}
+	for _, v := range queue {
+		parent[v] = planar.NoDart
+	}
+	sc.queue = queue
+	if path == nil {
 		return nil, fmt.Errorf("core: %d unreachable from %d", t, s)
 	}
-	var path []planar.Dart
-	for v := t; v != s; v = g.Tail(parent[v]) {
-		path = append(path, parent[v])
-	}
-	slices.Reverse(path)
 	return path, nil
 }
+
+// bfsScratch is dartPath's BFS state: per vertex its parent dart, NoDart
+// between searches, and the queue.
+type bfsScratch struct {
+	parent []planar.Dart
+	queue  []int
+}
+
+// paths recycles dartPath's BFS arrays.
+var paths = sync.Pool{New: func() any { return new(bfsScratch) }}
 
 // CheckFlow verifies that flow is a feasible st-flow of the claimed value:
 // capacity constraints per edge and conservation at every vertex except s

@@ -6,8 +6,6 @@ import (
 	"planarflow/internal/artifact"
 	"planarflow/internal/label"
 	"planarflow/internal/ledger"
-	"planarflow/internal/planar"
-	"planarflow/internal/spath"
 )
 
 // CutResult is a minimum st-cut: its value, one side of the bisection, and
@@ -24,37 +22,31 @@ type CutResult struct {
 // SSSP instance — residual darts get length 0, saturated darts are removed —
 // solved by the Li–Parter primal distance labeling in Õ(D²) rounds. Only
 // SSSP(s) is read, so label.SSSPFrom answers it with one kernel run over the
-// residual graph (DESIGN §3). The residual lengths depend on the flow, so,
-// unlike MaxFlow's λ = 0 state, nothing of this step outlives the query.
-// Unlike MaxFlow's pass at λ* this labeling is part of the algorithm, so
-// the pass is charged to led exactly as the full labeling would be, then
-// the SSSP over it.
+// residual graph (DESIGN §3). Unlike MaxFlow's pass at λ* this labeling is
+// part of the algorithm, so the pass is charged to led exactly as the full
+// labeling would be, then the SSSP over it. The residual lengths depend on
+// the flow, so they are per query — but for λ* = 0, whose flow is the λ = 0
+// state's for every pair: the state keeps that residual graph and its
+// pass's entries, which are replayed into led, and only the row from s
+// runs (label.SSSPNonNegative).
 func MinSTCut(p *artifact.Prepared, s, t int, opt Options, led *ledger.Ledger) (*CutResult, error) {
 	g := p.Graph()
-	flow, err := MaxFlow(p, s, t, opt, led)
+	flow, fb, err := maxFlow(p, s, t, opt, led)
 	if err != nil {
 		return nil, err
 	}
-	// Residual lengths per dart: usable darts cost 0, saturated darts are
-	// deactivated; then v is reachable iff dist(s, v) == 0.
-	lengths := make([]int64, g.NumDarts())
-	for e := 0; e < g.M(); e++ {
-		fw, bw := planar.ForwardDart(e), planar.BackwardDart(e)
-		lengths[fw], lengths[bw] = spath.Inf, spath.Inf
-		if g.Edge(e).Cap-flow.Flow[e] > 0 {
-			lengths[fw] = 0
-		}
-		if flow.Flow[e] > 0 {
-			lengths[bw] = 0
-		}
-	}
-	// The tree is shared with MaxFlow's query above (cache hit); the residual
-	// SSSP, a kernel run charged as the primal labeling pass, is per query.
+	// The tree is shared with MaxFlow's query above (cache hit).
 	tree, err := p.Tree(opt.LeafLimit, led)
 	if err != nil {
 		return nil, err
 	}
-	sssp, err := label.SSSPFrom(p.Context(), label.Primal, tree, lengths, s, led, led)
+	var sssp *label.SSSPResult
+	if fb != nil {
+		led.Merge(fb.CutLed)
+		sssp, err = label.SSSPNonNegative(p.Context(), label.Primal, tree, fb.CutLengths, s, led)
+	} else {
+		sssp, err = label.SSSPFrom(p.Context(), label.Primal, tree, artifact.ResidualLengths(g, flow.Flow), s, led, led)
+	}
 	if err != nil {
 		return nil, err
 	}

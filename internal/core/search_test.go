@@ -1,13 +1,16 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
+	"planarflow/internal/label"
 	"planarflow/internal/ledger"
 	"planarflow/internal/planar"
+	"planarflow/internal/spath"
 )
 
 // residualCut is the minimum st-cut a maximum flow determines: the vertices
@@ -38,6 +41,23 @@ func residualCut(g *planar.Graph, s int, flow []int64) ([]bool, []int) {
 	return side, edges
 }
 
+// residualLengths are the primal lengths MinSTCut's reachability runs on,
+// built afresh from flow: 0 on a dart with residual capacity, Inf on a
+// saturated one.
+func residualLengths(g *planar.Graph, flow []int64) []int64 {
+	residual := make([]int64, g.NumDarts())
+	for e, f := range flow {
+		residual[planar.ForwardDart(e)], residual[planar.BackwardDart(e)] = spath.Inf, spath.Inf
+		if g.Edge(e).Cap-f > 0 {
+			residual[planar.ForwardDart(e)] = 0
+		}
+		if f > 0 {
+			residual[planar.BackwardDart(e)] = 0
+		}
+	}
+	return residual
+}
+
 // capBound is U: the lesser of the capacity out of s and the capacity into t.
 func capBound(g *planar.Graph, s, t int) int64 {
 	var out, in int64
@@ -56,7 +76,12 @@ func capBound(g *planar.Graph, s, t int) int64 {
 // undirected triangulations, grids and snakes, MaxFlow's search returns the
 // full search's answer — value and flow edge for edge, and MinSTCut the cut
 // that flow determines, side and edges — while running no more probes and
-// charging no more rounds, in total and at every labeling level. It covers
+// charging no more rounds, in total and at every labeling level. Every λ
+// the full search labels also runs through a label.Search, held to the
+// labeling's verdict and entries, and its SSSP at λ* to the labeling's
+// (maxFlowFullLabeling). MinSTCut charges MaxFlow's entries, then what
+// SSSPFrom over residual lengths built afresh from the flow charges — at
+// λ* = 0 too, where it replays the λ = 0 state's pass instead. It covers
 // the endpoints' bound at both ends: a source with no out-edge (U = 0, no
 // probe) and λ* = U, and a negative capacity, which both searches reject
 // with the same error.
@@ -96,11 +121,12 @@ func TestLambdaSearchMatchesFullSearch(t *testing.T) {
 		{"snake4x7", planar.WithRandomWeights(planar.BoustrophedonGrid(4, 7), rng, 1, 9, 1, 3), 0, 60, false},
 		{"negative-cap", negative, 6, 10, false},
 	}
-	var pairs, zeroBound, atBound, rejected int
+	var pairs, zeroBound, atBound, zeroCuts, rejected int
 	for _, in := range instances {
 		g, opt := in.g, Options{LeafLimit: in.leaf}
 		p := prep(g)
-		if _, err := p.Tree(opt.LeafLimit, ledger.New()); err != nil {
+		tree, err := p.Tree(opt.LeafLimit, ledger.New())
+		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < in.pairs; i++ {
@@ -150,7 +176,8 @@ func TestLambdaSearchMatchesFullSearch(t *testing.T) {
 				atBound++
 			}
 
-			cut, err := MinSTCut(p, s, tt, opt, ledger.New())
+			cutLed := ledger.New()
+			cut, err := MinSTCut(p, s, tt, opt, cutLed)
 			if err != nil {
 				t.Fatalf("%s: minstcut: %v", name, err)
 			}
@@ -158,10 +185,28 @@ func TestLambdaSearchMatchesFullSearch(t *testing.T) {
 			if !reflect.DeepEqual(cut.Side, side) || !reflect.DeepEqual(cut.CutEdges, edges) {
 				t.Fatalf("%s: MinSTCut side %v edges %v, the full search's flow cuts %v %v", name, cut.Side, cut.CutEdges, side, edges)
 			}
+			refLed := ledger.New()
+			refLed.Merge(gotLed)
+			reach, err := label.SSSPFrom(context.Background(), label.Primal, tree, residualLengths(g, got.Flow), s, refLed, refLed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v, d := range reach.Dist {
+				if side[v] != (d == 0) {
+					t.Fatalf("%s: SSSPFrom over the residual lengths puts vertex %d at %d", name, v, d)
+				}
+			}
+			if !reflect.DeepEqual(cutLed.Entries(), refLed.Entries()) {
+				t.Fatalf("%s: MinSTCut charged\n%v\nMaxFlow and SSSPFrom over the residual lengths\n%v", name, cutLed.Entries(), refLed.Entries())
+			}
+			if got.Value == 0 {
+				zeroCuts++
+			}
 		}
 	}
-	t.Logf("%d pairs: %d with U = 0, %d with λ* = U > 0, %d rejected", pairs, zeroBound, atBound, rejected)
-	if pairs < 600 || zeroBound == 0 || atBound == 0 || rejected == 0 {
-		t.Fatalf("sweep too thin: %d pairs, %d with U = 0, %d with λ* = U > 0, %d rejected", pairs, zeroBound, atBound, rejected)
+	t.Logf("%d pairs: %d with U = 0, %d with λ* = U > 0, %d min cuts at λ* = 0, %d rejected", pairs, zeroBound, atBound, zeroCuts, rejected)
+	if pairs < 600 || zeroBound == 0 || atBound == 0 || zeroCuts <= zeroBound || rejected == 0 {
+		t.Fatalf("sweep too thin: %d pairs, %d with U = 0, %d with λ* = U > 0, %d min cuts at λ* = 0, %d rejected",
+			pairs, zeroBound, atBound, zeroCuts, rejected)
 	}
 }

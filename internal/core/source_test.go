@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -10,7 +11,6 @@ import (
 	"planarflow/internal/label"
 	"planarflow/internal/ledger"
 	"planarflow/internal/planar"
-	"planarflow/internal/spath"
 )
 
 // lambdaSearch finds λ* from a feasibility oracle and counts the probes it
@@ -49,6 +49,11 @@ func fullSearch(g *planar.Graph, _, _ int, feasible func(int64) (bool, error)) (
 // Miller–Naor search over full labelings, with the assignment decoded the way
 // it was before label.SSSPFrom — a full labeling at λ*, then SSSP(0) over
 // it. That labeling is charged to led unless a probe already labeled λ*.
+// Every λ it labels also runs through a label.Search over the capacity
+// lengths and the path, which must give the labeling's verdict and charge
+// its entries, and at λ*, when a probe found it feasible, the search's SSSP
+// must be the labeling's SSSP(0) — distances, tree darts and entries; any
+// difference is an error. A negative capacity starts no search.
 func maxFlowFullLabeling(p *artifact.Prepared, s, t int, opt Options, led *ledger.Ledger, search lambdaSearch) (*FlowResult, error) {
 	g := p.Graph()
 	tree, err := p.Tree(opt.LeafLimit, led)
@@ -75,10 +80,24 @@ func maxFlowFullLabeling(p *artifact.Prepared, s, t int, opt Options, led *ledge
 		}
 		return lens
 	}
+	sv, err := label.NewSearch(tree, lengthsFor(0), path)
+	if err == nil {
+		defer sv.Close()
+	}
 	labeled := map[int64]bool{}
 	lo, iters, err := search(g, s, t, func(lambda int64) (bool, error) {
-		ok := !label.Compute(label.Dual, tree, lengthsFor(lambda), led).NegCycle
+		pled := ledger.New()
+		ok := !label.Compute(label.Dual, tree, lengthsFor(lambda), pled).NegCycle
+		led.Merge(pled)
 		labeled[lambda] = ok
+		if sv != nil {
+			sled := ledger.New()
+			got, err := sv.Feasible(context.Background(), lambda, sled)
+			if err != nil || got != ok || !reflect.DeepEqual(sled.Entries(), pled.Entries()) {
+				return false, fmt.Errorf("search at λ=%d: feasible=%v err=%v, charged %v; full labeling feasible=%v, charged %v",
+					lambda, got, err, sled.Entries(), ok, pled.Entries())
+			}
+		}
 		return ok, nil
 	})
 	if err != nil {
@@ -88,7 +107,17 @@ func maxFlowFullLabeling(p *artifact.Prepared, s, t int, opt Options, led *ledge
 	if labeled[lo] {
 		passLed = ledger.New()
 	}
-	sssp := label.Compute(label.Dual, tree, lengthsFor(lo), passLed).SSSP(0, led)
+	sled := ledger.New()
+	sssp := label.Compute(label.Dual, tree, lengthsFor(lo), passLed).SSSP(0, sled)
+	led.Merge(sled)
+	if sv != nil && labeled[lo] {
+		gotLed := ledger.New()
+		got, err := sv.SSSP(context.Background(), lo, 0, gotLed)
+		if err != nil || !reflect.DeepEqual(got.Dist, sssp.Dist) || !reflect.DeepEqual(got.TreeDart, sssp.TreeDart) ||
+			!reflect.DeepEqual(gotLed.Entries(), sled.Entries()) {
+			return nil, fmt.Errorf("search SSSP at λ*=%d (err %v) differs from the full labeling's", lo, err)
+		}
+	}
 	res := &FlowResult{Value: lo, Flow: make([]int64, g.M()), Iterations: iters}
 	fd := g.Faces()
 	for e := range res.Flow {
@@ -165,19 +194,9 @@ func TestSourceDirectedFlowMatchesFullLabeling(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			residual := make([]int64, in.g.NumDarts())
-			for e, f := range want.Flow {
-				residual[planar.ForwardDart(e)], residual[planar.BackwardDart(e)] = spath.Inf, spath.Inf
-				if in.g.Edge(e).Cap-f > 0 {
-					residual[planar.ForwardDart(e)] = 0
-				}
-				if f > 0 {
-					residual[planar.BackwardDart(e)] = 0
-				}
-			}
 			refLed := ledger.New()
 			refLed.Merge(wantLed)
-			reach := label.Compute(label.Primal, tree, residual, refLed).SSSP(s, refLed)
+			reach := label.Compute(label.Primal, tree, residualLengths(in.g, want.Flow), refLed).SSSP(s, refLed)
 			if !reflect.DeepEqual(cutLed.Entries(), refLed.Entries()) {
 				t.Fatalf("%s: ledgers differ:\nMinSTCut  %v\nreference %v", name, cutLed.Entries(), refLed.Entries())
 			}

@@ -2,7 +2,8 @@ package label
 
 import (
 	"context"
-	"fmt"
+	"errors"
+	"slices"
 	"unsafe"
 
 	"planarflow/internal/bdd"
@@ -86,10 +87,9 @@ func ComputeContext(ctx context.Context, v View, t *bdd.BDD, lengths []int64, le
 // led) — the same distances, tree darts and ledger entries — without
 // labeling: a probe (plan.probe) charges passLed the labeling pass, its
 // kernel's row from source answers, and led is charged the SSSP over it.
-// Shortest distances are unique, so the row is the full labeling's. A caller
-// whose earlier pass over the same lengths already charged the labeling
-// (core.MaxFlow's λ* probe) hands a throwaway passLed. A canceled ctx
-// returns its error, charging nothing. lengths is not retained.
+// Shortest distances are unique, so the row is the full labeling's. A
+// canceled ctx returns its error, charging nothing. lengths is not
+// retained.
 func SSSPFrom(ctx context.Context, v View, t *bdd.BDD, lengths []int64, source int, passLed, led *ledger.Ledger) (*SSSPResult, error) {
 	pl, err := planOf(t, views[v])
 	if err != nil {
@@ -97,20 +97,52 @@ func SSSPFrom(ctx context.Context, v View, t *bdd.BDD, lengths []int64, source i
 	}
 	k := kernels.Get().(*kernel)
 	defer kernels.Put(k)
-	ok, err := pl.probe(ctx, k, lengths, passLed)
+	abort, err := pl.probeLengths(ctx, k, lengths, passLed)
 	if err != nil {
 		return nil, err
 	}
-	res := &SSSPResult{Source: source, NegCycle: !ok}
-	if !ok {
-		return res, nil
+	if abort >= 0 {
+		return &SSSPResult{Source: source, NegCycle: true}, nil
 	}
-	res.Dist = make([]int64, k.n) // the whole graph's nodes are the keys
+	k.reduce()
+	return pl.ssspRow(k, lengths, source, led), nil
+}
+
+// SSSPNonNegative is SSSPFrom over non-negative lengths whose labeling pass
+// the caller charges itself (core.MinSTCut's λ* = 0 residual graph, whose
+// pass the λ = 0 state recorded): h = 0 is a potential, so no Bellman–Ford
+// runs, only the kernel's row from source, and led is charged the SSSP over
+// the labeling. A negative length is an error, and so is a canceled ctx,
+// polled once. lengths is not retained.
+func SSSPNonNegative(ctx context.Context, v View, t *bdd.BDD, lengths []int64, source int, led *ledger.Ledger) (*SSSPResult, error) {
+	pl, err := planOf(t, views[v])
+	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	pl.costsOnce.Do(pl.costs)
+	k := kernels.Get().(*kernel)
+	defer kernels.Put(k)
+	k.load(pl.wholeGraph(), lengths)
+	if slices.ContainsFunc(k.length, func(l int64) bool { return l < 0 }) {
+		return nil, errors.New("label: SSSPNonNegative: a negative length")
+	}
+	k.h = grow(k.h, k.n)
+	clear(k.h)
+	return pl.ssspRow(k, lengths, source, led), nil
+}
+
+// ssspRow answers SSSP from source off k's potentials and reduced lengths
+// over the whole graph, lengths per dart, and charges led the SSSP over the
+// labeling (finishSSSP) with the words of source's root label.
+func (pl *plan) ssspRow(k *kernel, lengths []int64, source int, led *ledger.Ledger) *SSSPResult {
+	res := &SSSPResult{Source: source, Dist: make([]int64, k.n)} // the whole graph's nodes are the keys
 	words := 0
-	root := &pl.lay[t.Root.ID]
+	root := &pl.lay[pl.t.Root.ID]
 	if pos := find(root.Keys, root.KeyOrder, source); pos >= 0 {
 		words = pl.rootWords[pos]
-		k.reduce()
 		k.row(source, res.Dist)
 	} else {
 		for i := range res.Dist {
@@ -118,7 +150,7 @@ func SSSPFrom(ctx context.Context, v View, t *bdd.BDD, lengths []int64, source i
 		}
 	}
 	pl.finishSSSP(res, lengths, words, led)
-	return res, nil
+	return res
 }
 
 // levelCosts drives the labeling pass for its charges alone: bottom-up, with
@@ -154,7 +186,7 @@ func (pl *plan) bagCost(i int, lengths []int64) int64 {
 // the view's congestion.
 func (pl *plan) chargeLevels(levelCost []int64, led *ledger.Ledger) {
 	for lvl, cost := range levelCost {
-		led.Charge(fmt.Sprintf("%s/level-%02d", pl.v.phase, lvl), pl.v.congestion*cost)
+		led.Charge(pl.levelPhase[lvl], pl.v.congestion*cost)
 	}
 }
 
@@ -201,7 +233,7 @@ func (pl *plan) label(ctx context.Context, lengths []int64, led *ledger.Ledger) 
 			ps.computeInternal(b)
 		}
 		if la.NegCycle {
-			led.Charge(v.phase+"/negative-cycle-abort", int64(b.TreeDepth+1))
+			led.Charge(pl.abortPhase, int64(b.TreeDepth+1))
 			return la, nil
 		}
 		levelCost[b.Level] = max(levelCost[b.Level], pl.bagCost(i, lengths))

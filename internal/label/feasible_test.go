@@ -72,19 +72,56 @@ func checkProbe(t *testing.T, name string, pl *plan, lens []int64) int {
 		t.Fatalf("%s: ledgers differ:\nprobe %v\n full %v", name, led.Entries(), fullLed.Entries())
 	}
 	want := fullAbort(full)
-	if ok {
-		return want
-	}
 	var k kernel
-	k.load(pl.wholeGraph(), lens)
-	if k.potentials() {
-		t.Fatalf("%s: the whole graph's kernel finds no negative cycle", name)
-	}
-	got, err := pl.abortBag(ctx, &k, lens)
+	got, err := pl.probeLengths(ctx, &k, lens, ledger.New())
 	if err != nil || got != want {
 		t.Fatalf("%s: abort bag %d (err %v), the full labeling aborted at %d", name, got, err, want)
 	}
 	return want
+}
+
+// checkSearch holds the search's probe at lambda to ComputeContext under
+// lens, base with lambda pushed along the search's path, as checkProbe
+// holds Feasible: the same verdict, the same ledger entries and the same
+// abort bag, which it returns (-1 when feasible).
+func checkSearch(t *testing.T, name string, s *Search, lambda int64, lens []int64) int {
+	t.Helper()
+	ctx := context.Background()
+	fullLed, led := ledger.New(), ledger.New()
+	full, err := ComputeContext(ctx, Dual, s.pl.t, lens, fullLed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok, err := s.Feasible(ctx, lambda, led)
+	if err != nil || ok == full.NegCycle {
+		t.Fatalf("%s: search at λ=%d: feasible=%v err=%v with NegCycle=%v", name, lambda, ok, err, full.NegCycle)
+	}
+	if !reflect.DeepEqual(led.Entries(), fullLed.Entries()) {
+		t.Fatalf("%s: search at λ=%d: ledgers differ:\nsearch %v\n  full %v", name, lambda, led.Entries(), fullLed.Entries())
+	}
+	want := fullAbort(full)
+	if !ok && s.abort != want {
+		t.Fatalf("%s: search at λ=%d: abort bag %d, the full labeling aborted at %d", name, lambda, s.abort, want)
+	}
+	return want
+}
+
+// checkSearchSSSP holds the search's SSSP at lambda, its last feasible λ,
+// to ComputeContext(lens).SSSP(0): the same distances, tree darts and
+// ledger entries.
+func checkSearchSSSP(t *testing.T, name string, s *Search, lambda int64, lens []int64) {
+	t.Helper()
+	led, wantLed := ledger.New(), ledger.New()
+	got, err := s.SSSP(context.Background(), lambda, 0, led)
+	if err != nil {
+		t.Fatalf("%s: search SSSP at λ=%d: %v", name, lambda, err)
+	}
+	want := Compute(Dual, s.pl.t, lens, ledger.New()).SSSP(0, wantLed)
+	if !reflect.DeepEqual(got.Dist, want.Dist) || !reflect.DeepEqual(got.TreeDart, want.TreeDart) ||
+		!reflect.DeepEqual(led.Entries(), wantLed.Entries()) {
+		t.Fatalf("%s: search SSSP at λ=%d differs from the full labeling's:\n%v %v %v\n%v %v %v", name, lambda,
+			got.Dist, got.TreeDart, led.Entries(), want.Dist, want.TreeDart, wantLed.Entries())
+	}
 }
 
 // sharedInSeparator checks the plan's layout against the tree: every key
@@ -115,10 +152,15 @@ func sharedInSeparator(t *testing.T, name string, pl *plan) {
 // lengths, in the dual view and in the primal (the abort search serves
 // SSSPFrom in both), over six graph families at leaf limits 4, 8 and the
 // default: same verdict, same ledger entries and, when infeasible, the same
-// abort bag (checkProbe). Aborts must land on a leaf, on an internal bag
-// that is not the root, and on the root. The abort search rests on each
-// separator holding every key both children hold (sharedInSeparator); in
-// the dual the keys are Bag.Faces and the separator is F_X.
+// abort bag (checkProbe). In the dual every such λ also runs through one
+// Search per pair, in that order, so a λ follows aborts that loaded bags'
+// own graphs into its kernel, and the search must give the same verdict,
+// entries and abort bag (checkSearch); at λ*, its last feasible λ, its SSSP
+// must be the full labeling's (checkSearchSSSP). Aborts must land on a
+// leaf, on an internal bag that is not the root, and on the root. The abort
+// search rests on each separator holding every key both children hold
+// (sharedInSeparator); in the dual the keys are Bag.Faces and the separator
+// is F_X.
 func TestFeasibleMatchesFullLabeling(t *testing.T) {
 	rng := planar.NewRand(41)
 	graphs := []struct {
@@ -176,12 +218,27 @@ func TestFeasibleMatchesFullLabeling(t *testing.T) {
 					}
 					star := fn.MaxFlow(s, tt)
 					path := bfsPath(g, s, tt)
+					var search *Search
+					if v == Dual {
+						var err error
+						if search, err = NewSearch(tree, capLens, path); err != nil {
+							t.Fatal(err)
+						}
+					}
 					for _, lambda := range []int64{1, star, star + 1, min(out, in)} {
-						abort := checkProbe(t, name, pl, pushed(capLens, path, lambda))
+						lens := pushed(capLens, path, lambda)
+						abort := checkProbe(t, name, pl, lens)
 						if v == Dual && (lambda <= star) != (abort < 0) {
 							t.Fatalf("%s s=%d t=%d λ=%d (λ*=%d): abort bag %d", name, s, tt, lambda, star, abort)
 						}
+						if search != nil {
+							checkSearch(t, name, search, lambda, lens)
+						}
 						tally(tree, abort)
+					}
+					if search != nil {
+						checkSearchSSSP(t, name, search, star, pushed(capLens, path, star))
+						search.Close()
 					}
 				}
 				for i := 0; i < 4; i++ {

@@ -33,12 +33,16 @@ type kernel struct {
 	heap   []heapItem
 	where  []int32 // per node, its index in heap
 
-	// potentials' state: per node, the tail of the arc that last lowered its
-	// h (-1: none), the FIFO worklist and its membership, the parent-cycle
-	// search's stamps; and the last run's relaxation count.
-	parent, queue, stamp []int32
-	queued               []bool
-	relaxations          int
+	// potentials' state, cut from one slab. The tree of last-relaxing tails
+	// is a preorder list over nodes 0..n, node n the virtual source at its
+	// head: per node its depth (-1 once its subtree was detached) and its
+	// neighbours in the list. queue is the FIFO worklist, a ring of n slots
+	// holding qlen nodes from slot 0 until settle runs, and state each
+	// node's place in it; relaxations is the last run's relaxation count.
+	slab                            []int32
+	depth, next, prev, queue, state []int32
+	qlen                            int
+	relaxations                     int
 
 	// What start, to and dart view after loadArcs.
 	ownStart, ownTo []int32
@@ -106,70 +110,127 @@ func (k *kernel) loadArcs(n int, arcs []DDGArc) {
 	k.n, k.start, k.to, k.dart = n, start, k.ownTo, k.ownDart
 }
 
+// A node's place in potentials' worklist: out of it, in it, or in it but
+// detached from the tree since it entered, so its scan is skipped.
+const (
+	idle int32 = iota
+	active
+	inactive
+)
+
 // potentials runs Bellman–Ford from the virtual source and reports whether
 // the loaded graph is free of negative cycles; on true h is a potential
 // (length + h[tail] − h[head] ≥ 0 on every arc) and reduce readies rows.
-//
-// It is a worklist Bellman–Ford (Cherkassky & Goldberg, "Negative-cycle
-// detection algorithms", 1999): from h = 0 only a negative arc can relax, so
-// the FIFO worklist starts at the negative arcs' tails and then holds the
-// nodes whose h fell. A cycle of parents (each node's last relaxing tail) is
-// a negative cycle, so one is searched for every n relaxations; FIFO order
-// runs the classic rounds one after another, and n rounds settle a graph
-// without a negative cycle, so more than n·m relaxations is one too. Without
-// a negative cycle h is the distance from the virtual source whatever order
-// relaxed it, so rows are what a sweeping Bellman–Ford leaves.
+// From h = 0 only a negative arc can relax, so the worklist starts at the
+// negative arcs' tails.
 func (k *kernel) potentials() bool {
-	n, start, to, length := k.n, k.start, k.to, k.length
-	k.h, k.parent, k.queue, k.queued = grow(k.h, n), grow(k.parent, n), grow(k.queue, n), grow(k.queued, n)
-	h, parent, queue, queued := k.h, k.parent, k.queue, k.queued
-	clear(h)
-	clear(queued)
-	// queue is a ring of n slots from head, tail the next free one; a node
-	// is in it at most once.
-	head, tail, size := 0, 0, 0
-	for u := 0; u < n; u++ {
-		parent[u] = -1
-		for i, end := start[u], start[u+1]; i < end; i++ {
-			if length[i] < 0 {
-				queue[tail], queued[u] = int32(u), true
-				tail++
-				size++
+	k.clearTree()
+	for u := range k.n {
+		for i, end := k.start[u], k.start[u+1]; i < end; i++ {
+			if k.length[i] < 0 {
+				k.seed(int32(u))
 				break
 			}
 		}
 	}
+	return k.settle()
+}
+
+// clearTree readies a potentials run: h = 0 on every node, each a child of
+// the virtual source, and an empty worklist.
+func (k *kernel) clearTree() {
+	n := k.n
+	k.h, k.slab = grow(k.h, n), grow(k.slab, 5*n+3)
+	k.depth, k.next, k.prev = k.slab[:n+1], k.slab[n+1:2*n+2], k.slab[2*n+2:3*n+3]
+	k.queue, k.state = k.slab[3*n+3:4*n+3], k.slab[4*n+3:]
+	clear(k.h)
+	clear(k.state)
+	for u := range int32(n + 1) {
+		k.depth[u], k.next[u], k.prev[u] = 1, u+1, u-1
+	}
+	k.depth[n], k.next[n], k.prev[0] = 0, 0, int32(n)
+	k.qlen = 0
+}
+
+// seed puts node u on the worklist, once: a node whose arcs may relax from
+// h = 0. clearTree must have run.
+func (k *kernel) seed(u int32) {
+	if k.state[u] == idle {
+		k.queue[k.qlen], k.state[u] = u, active
+		k.qlen++
+	}
+}
+
+// settle is the worklist Bellman–Ford of potentials from the seeded nodes,
+// with Tarjan's subtree disassembly (Cherkassky & Goldberg, "Negative-cycle
+// detection algorithms", 1999). The tails that last lowered each h form a
+// tree under the virtual source, kept as a preorder list with depths; a
+// relaxation of (u, v) first detaches v's subtree — the nodes after v in the
+// list deeper than v — and reports a negative cycle when u is in it: the
+// tree path from v to u is tight, so with the arc it closes a cycle of
+// length h[u] + l − h[v] < 0. The detached nodes leave the tree and are
+// skipped on the worklist: their h will fall again from v's. Every tree arc
+// is therefore tight, so every h in the tree is a simple path's length, and
+// the run ends:
+// with a negative cycle it is caught at the relaxation that closes it, and
+// otherwise h is the distance from the virtual source, whatever order
+// relaxed it, so rows are what a sweeping Bellman–Ford leaves. FIFO order
+// runs the classic rounds one after another, so more than n·m relaxations
+// would be a negative cycle too; the bound stands guard only.
+func (k *kernel) settle() bool {
+	n, start, to, length := k.n, k.start, k.to, k.length
+	h, depth, next, prev, queue, state := k.h, k.depth, k.next, k.prev, k.queue, k.state
+	head, size := 0, k.qlen
+	tail := size % max(n, 1)
 	bound := n * len(length)
-	relaxations, nextCheck := 0, n
+	relaxations := 0
 	for size > 0 {
 		u := queue[head]
 		if head++; head == n {
 			head = 0
 		}
 		size--
-		queued[u] = false
-		hu := h[u]
+		st := state[u]
+		if state[u] = idle; st == inactive {
+			continue
+		}
+		hu, du := h[u], depth[u]
 		for i, end := start[u], start[u+1]; i < end; i++ {
 			l, v := length[i], to[i]
 			if l >= spath.Inf || hu+l >= h[v] {
 				continue
 			}
-			h[v], parent[v] = hu+l, u
-			relaxations++
-			if !queued[v] {
-				if tail == n {
-					tail = 0
-				}
-				queue[tail], queued[v] = v, true
-				tail++
-				size++
-			}
-		}
-		if relaxations >= nextCheck {
-			if k.relaxations = relaxations; relaxations > bound || k.parentCycle() {
+			if relaxations++; relaxations > bound || v == u {
+				k.relaxations = relaxations
 				return false
 			}
-			nextCheck = relaxations + n
+			if dv := depth[v]; dv >= 0 {
+				x := next[v]
+				for ; depth[x] > dv; x = next[x] {
+					if x == u {
+						k.relaxations = relaxations
+						return false
+					}
+					depth[x] = -1
+					if state[x] == active {
+						state[x] = inactive
+					}
+				}
+				next[prev[v]], prev[x] = x, prev[v]
+			}
+			w := next[u]
+			h[v], depth[v] = hu+l, du+1
+			next[u], prev[v], next[v], prev[w] = v, u, w, v
+			switch state[v] {
+			case idle:
+				queue[tail], state[v] = v, active
+				if tail++; tail == n {
+					tail = 0
+				}
+				size++
+			case inactive:
+				state[v] = active
+			}
 		}
 	}
 	k.relaxations = relaxations
@@ -188,23 +249,6 @@ func (k *kernel) reduce() {
 			}
 		}
 	}
-}
-
-// parentCycle reports whether potentials' parents close a cycle: from each
-// node it walks up the parents, stamping the walk, until a node without a
-// parent, one an earlier walk stamped, or one this walk stamped — a cycle.
-func (k *kernel) parentCycle() bool {
-	k.stamp = grow(k.stamp, k.n)
-	stamp, parent := k.stamp, k.parent
-	clear(stamp)
-	for v := range int32(k.n) {
-		for u := v; u >= 0 && stamp[u] == 0; u = parent[u] {
-			if stamp[u] = v + 1; parent[u] >= 0 && stamp[parent[u]] == v+1 {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // row writes the distances from src to every node into out (len n;

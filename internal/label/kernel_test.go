@@ -51,13 +51,14 @@ func randomArcs(rng *rand.Rand, n int, negCycle bool) []DDGArc {
 // BellmanFord's from that node. One kernel value serves every graph, sizes
 // shrinking and growing, so a buffer that outlives its graph shows. Two more
 // graphs per size have no negative arc, so the worklist starts empty and
-// nothing relaxes; and some negative verdicts must come from the
-// parent-cycle search, before the relaxation bound (n·m) is passed.
+// nothing relaxes; every negative verdict must come from the subtree check,
+// the relaxation bound (n·m) never passed, among them one whose negative
+// cycle closes through a subtree detached earlier (closedThroughDetached).
 func TestKernelMatchesBellmanFord(t *testing.T) {
 	rng, nonNeg := planar.NewRand(83), planar.NewRand(84)
 	var k kernel
 	verdicts := map[bool]int{}
-	byParentCycle, emptyWorklist := 0, 0
+	bySubtreeCheck, emptyWorklist := 0, 0
 	for _, n := range []int{200, 1, 40, 2, 5, 200, 5, 40, 1, 2} {
 		for rep := 0; rep < 8; rep++ {
 			var arcs []DDGArc
@@ -107,9 +108,10 @@ func TestKernelMatchesBellmanFord(t *testing.T) {
 					emptyWorklist++
 				}
 				if !want {
-					if k.relaxations <= n*len(k.length) {
-						byParentCycle++
+					if k.relaxations > n*len(k.length) {
+						t.Fatalf("n=%d: negative verdict after %d relaxations, past n·m = %d", n, k.relaxations, n*len(k.length))
 					}
+					bySubtreeCheck++
 					continue
 				}
 				k.reduce()
@@ -127,10 +129,38 @@ func TestKernelMatchesBellmanFord(t *testing.T) {
 			}
 		}
 	}
-	if verdicts[true] == 0 || verdicts[false] == 0 || byParentCycle == 0 || emptyWorklist == 0 {
-		t.Fatalf("cases not all exercised: verdicts %v, %d by the parent-cycle search, %d with an empty worklist",
-			verdicts, byParentCycle, emptyWorklist)
+	if verdicts[true] == 0 || verdicts[false] == 0 || bySubtreeCheck == 0 || emptyWorklist == 0 {
+		t.Fatalf("cases not all exercised: verdicts %v, %d by the subtree check, %d with an empty worklist",
+			verdicts, bySubtreeCheck, emptyWorklist)
 	}
+	sk := csrOf(5, closedThroughDetached)
+	lengths := make([]int64, len(closedThroughDetached))
+	for i, a := range closedThroughDetached {
+		lengths[i] = a.Len
+	}
+	for _, load := range []func(){
+		func() { k.load(sk, lengths) },
+		func() { k.loadArcs(5, closedThroughDetached) },
+	} {
+		if load(); k.potentials() || k.relaxations != 6 {
+			t.Fatalf("closedThroughDetached: a verdict of no negative cycle, or one after %d relaxations, not 6", k.relaxations)
+		}
+	}
+}
+
+// closedThroughDetached is a 5-node graph whose negative cycle 0 → 1 → 2 →
+// 0 (length −1) closes through a subtree detached earlier. From the seeds
+// 0, 1, 4 in FIFO order: 0 lowers 1, 1 lowers 2 (the tree 0 → 1 → 2), then
+// 4 lowers 0, detaching 1 and 2 (2 still waits on the worklist, skipped);
+// 0 and 1 relax them back in, and the sixth relaxation, 2's arc to 0,
+// closes the cycle, caught because 2 is in 0's subtree again. Node 3
+// stands apart.
+var closedThroughDetached = []DDGArc{
+	{From: 0, To: 1, Len: -1},
+	{From: 1, To: 2, Len: -1},
+	{From: 4, To: 0, Len: -5},
+	{From: 2, To: 0, Len: 1},
+	{From: 3, To: 3, Len: 0},
 }
 
 // TestShortestMatchesDijkstra holds the cycle enumerations' bounded search

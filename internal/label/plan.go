@@ -29,16 +29,26 @@ type plan struct {
 	// the tree and the view fix, so both are derived once, on the first pass
 	// or probe over the plan (costs): every pass charges by them, and
 	// Feasible and SSSPFrom charge them without labeling anything.
-	costsOnce sync.Once
-	cost      []int64
-	rootWords []int
+	//
+	// Derived with them: levelPhase, by level, the ledger phase a completed
+	// pass charges the level under, and abortPhase the one an aborted pass
+	// charges; and activeCost, by level, what a completed pass charges when
+	// every dart is active — the residual lengths of core.MaxFlow's search,
+	// all finite, so its probes charge by it (Search).
+	costsOnce  sync.Once
+	cost       []int64
+	rootWords  []int
+	levelPhase []string
+	abortPhase string
+	activeCost []int64
 
 	// whole is the root's own graph, the view's whole graph, laid out over
-	// the keys themselves: what every probe and SSSPFrom loads. It is derived
-	// on the first of them (wholeGraph), so a tree only ever labeled in full
-	// does not keep it.
+	// the keys themselves: what every probe and SSSPFrom loads; wholeArc is,
+	// by dart, its arc in whole. They are derived on the first of them
+	// (wholeGraph), so a tree only ever labeled in full does not keep them.
 	wholeOnce sync.Once
 	whole     skeleton
+	wholeArc  []int32
 
 	// own is, by bag ID, each internal bag's own graph laid out over
 	// positions in its Keys, and the root's the whole graph: where a probe
@@ -196,7 +206,7 @@ func absent(n int) []int32 {
 // bag's labels by key position, held in one slab until the root is done. A
 // label's Words() is 2 plus 2 per vector entry — a leaf's LeafTo over its
 // keys, an internal bag's To and From over its separator — plus its
-// Child's.
+// Child's. Then it names the levels' phases and folds activeCost.
 func (pl *plan) costs() {
 	t := pl.t
 	pl.cost = make([]int64, len(t.Bags))
@@ -231,6 +241,15 @@ func (pl *plan) costs() {
 	}
 	root := t.Root.ID
 	pl.rootWords = append([]int(nil), words[off[root]:off[root+1]]...)
+	pl.levelPhase = make([]string, t.Depth)
+	for lvl := range pl.levelPhase {
+		pl.levelPhase[lvl] = fmt.Sprintf("%s/level-%02d", pl.v.phase, lvl)
+	}
+	pl.abortPhase = pl.v.phase + "/negative-cycle-abort"
+	pl.activeCost = make([]int64, t.Depth)
+	for i, b := range t.Bags {
+		pl.activeCost[b.Level] = max(pl.activeCost[b.Level], pl.cost[i]+int64(len(pl.bags[i].leaf.dart)))
+	}
 }
 
 // wholeGraph returns the plan's whole-graph skeleton, deriving it on first
@@ -242,6 +261,10 @@ func (pl *plan) wholeGraph() *skeleton {
 			keys[k] = int32(k)
 		}
 		pl.whole = pl.skeletonOf(pl.t.Root, len(keys), keys)
+		pl.wholeArc = absent(pl.t.G.NumDarts())
+		for i, d := range pl.whole.dart {
+			pl.wholeArc[d] = int32(i)
+		}
 	})
 	return &pl.whole
 }

@@ -23,54 +23,79 @@ func Feasible(ctx context.Context, v View, t *bdd.BDD, lengths []int64, led *led
 	}
 	k := kernels.Get().(*kernel)
 	defer kernels.Put(k)
-	return pl.probe(ctx, k, lengths, led)
+	abort, err := pl.probeLengths(ctx, k, lengths, led)
+	return abort < 0, err
 }
 
 // kernels recycles the whole-graph kernels of probes and SSSPFrom.
 var kernels = sync.Pool{New: func() any { return new(kernel) }}
 
-// probe is a labeling pass executed as a check and charged as the pass: the
-// verdict is k's potentials over the whole graph (left in k for rows on
-// true). Every entry the pass charges is a function of the plan, the active
-// darts and where a negative cycle stops it, so a completed pass is charged
-// from levelCosts (the pass driven for its charges alone, polling ctx before
-// every bag) and an aborted one TreeDepth + 1 at abortBag. A canceled ctx
-// returns its error, charging nothing.
-func (pl *plan) probe(ctx context.Context, k *kernel, lengths []int64, led *ledger.Ledger) (bool, error) {
-	levelCost, err := pl.levelCosts(ctx, lengths)
-	if err != nil {
-		return false, err
-	}
+// probeLengths loads lengths over the whole graph into k and probes them,
+// seeding the worklist from every negative arc.
+func (pl *plan) probeLengths(ctx context.Context, k *kernel, lengths []int64, led *ledger.Ledger) (int, error) {
 	k.load(pl.wholeGraph(), lengths)
-	if k.potentials() {
-		pl.chargeLevels(levelCost, led)
-		return true, nil
+	k.clearTree()
+	var neg []planar.Dart
+	for u := range k.n {
+		for i, end := k.start[u], k.start[u+1]; i < end; i++ {
+			if k.length[i] < 0 {
+				k.seed(int32(u))
+				neg = append(neg, k.dart[i])
+			}
+		}
 	}
-	id, err := pl.abortBag(ctx, k, lengths)
-	if err != nil {
-		return false, err
+	return pl.probe(ctx, k, lengths, neg, nil, led)
+}
+
+// probe is a labeling pass executed as a check and charged as the pass. It
+// returns the bag the pass aborts at, or -1 when it completes. The verdict
+// is k's potentials over the whole graph, whose lengths (per dart: lengths)
+// k holds and whose worklist is seeded at the tails of the negative arcs,
+// the arcs of neg; on completion the potentials stay in k for rows. Every
+// entry the pass charges is a function of the plan, the active darts and
+// where a negative cycle stops it. So a completed pass is charged levelCost
+// — nil for the pass driven for its charges alone (levelCosts), under
+// lengths — polling ctx before every bag as the pass does, and an aborted
+// one TreeDepth + 1 at abortBag, which polls the bags the pass reaches. A
+// canceled ctx returns its error, charging nothing.
+func (pl *plan) probe(ctx context.Context, k *kernel, lengths []int64, neg []planar.Dart, levelCost []int64, led *ledger.Ledger) (int, error) {
+	pl.costsOnce.Do(pl.costs)
+	if !k.settle() {
+		id, err := pl.abortBag(ctx, k, lengths, neg)
+		if err != nil {
+			return 0, err
+		}
+		led.Charge(pl.abortPhase, int64(pl.t.Bags[id].TreeDepth+1))
+		return id, nil
 	}
-	led.Charge(pl.v.phase+"/negative-cycle-abort", int64(pl.t.Bags[id].TreeDepth+1))
-	return false, nil
+	if levelCost == nil {
+		var err error
+		if levelCost, err = pl.levelCosts(ctx, lengths); err != nil {
+			return 0, err
+		}
+	} else {
+		for range pl.t.Bags {
+			if err := ctx.Err(); err != nil {
+				return 0, err
+			}
+		}
+	}
+	pl.chargeLevels(levelCost, led)
+	return -1, nil
 }
 
 // abortBag returns the bag the labeling pass stops at under lengths that
-// close a negative cycle in the whole graph: the largest-ID bag whose own
-// graph closes one. The pass visits bags in descending ID, children first; a
-// leaf's step runs on its own graph, and an internal bag's DDG holds its
-// children's distances between the separator keys, which include every key
-// both children share (F_X in the dual, §5.3), so, its children free of
-// negative cycles, it closes one exactly when the bag's own graph does. Only
-// bags whose graph holds a negative arc are checked (ownGraph); the root's is
-// the whole graph. ctx is polled before every bag, as the pass polls it.
-func (pl *plan) abortBag(ctx context.Context, k *kernel, lengths []int64) (int, error) {
+// close a negative cycle in the whole graph, neg their negative darts: the
+// largest-ID bag whose own graph closes one. The pass visits bags in
+// descending ID, children first; a leaf's step runs on its own graph, and
+// an internal bag's DDG holds its children's distances between the
+// separator keys, which include every key both children share (F_X in the
+// dual, §5.3), so, its children free of negative cycles, it closes one
+// exactly when the bag's own graph does. Only bags whose graph holds a
+// negative arc are checked (ownGraph), loaded into k; the root's is the
+// whole graph. ctx is polled before every bag, as the pass polls it.
+func (pl *plan) abortBag(ctx context.Context, k *kernel, lengths []int64, neg []planar.Dart) (int, error) {
 	t, v := pl.t, pl.v
-	var neg []planar.Dart
-	for d, l := range lengths {
-		if l < 0 {
-			neg = append(neg, planar.Dart(d))
-		}
-	}
 	for i := len(t.Bags) - 1; ; i-- {
 		if err := ctx.Err(); err != nil {
 			return 0, err

@@ -239,10 +239,11 @@ func (c *cancelAfter) Err() error {
 //   - a one-bag tree, whose pass charges its one level;
 //   - a negative cycle, where the search for the abort bag charges the full
 //     labeling's abort entry and the SSSP nothing;
-//   - a context canceled partway through the drive, or once the drive is
-//     done and the search for the abort bag starts, which charges nothing.
+//   - a context canceled partway through the drive, or, under a negative
+//     cycle, where no drive runs, at the first bag the search for the abort
+//     bag polls or at the abort bag itself, which charges nothing.
 func TestSourceDirectedEdgeCases(t *testing.T) {
-	type tally struct{ noLabel, oneBag, negCycles, canceledDrive, canceledFallback int }
+	type tally struct{ noLabel, oneBag, negCycles, canceledDrive, canceledAbortSearch int }
 	seen := map[View]*tally{Dual: {}, Primal: {}}
 	forEachLabelingCase(func(gname string, v View, tree *bdd.BDD, nl namedLengths) {
 		name := gname + "/" + nl.name
@@ -286,14 +287,15 @@ func TestSourceDirectedEdgeCases(t *testing.T) {
 			}
 		}
 
-		// Stop the drive halfway up the tree, and a negative cycle's search
-		// for the abort bag at its first bag, which it polls at least once:
-		// the root is the last bag it can stop at.
+		// Stop the drive halfway up the tree; under a negative cycle, the
+		// search for the abort bag at the last bag and at the abort bag,
+		// its first and its last poll (the same one when the last bag is
+		// where the pass aborts).
 		stops := []int{len(tree.Bags) / 2}
 		if full.NegCycle {
-			stops = append(stops, len(tree.Bags))
+			stops = []int{0, len(tree.Bags) - 1 - fullAbort(full)}
 		}
-		for i, stop := range stops {
+		for _, stop := range stops {
 			passLed, led := ledger.New(), ledger.New()
 			ctx := &cancelAfter{context.Background(), stop}
 			if res, err := SSSPFrom(ctx, v, tree, nl.lens, 0, passLed, led); err != context.Canceled || res != nil {
@@ -302,15 +304,15 @@ func TestSourceDirectedEdgeCases(t *testing.T) {
 			if len(passLed.Entries())+len(led.Entries()) != 0 {
 				t.Fatalf("%s: canceled after %d bags: charged %v %v", name, stop, passLed.Entries(), led.Entries())
 			}
-			if i == 0 {
-				n.canceledDrive++
+			if full.NegCycle {
+				n.canceledAbortSearch++
 			} else {
-				n.canceledFallback++
+				n.canceledDrive++
 			}
 		}
 	})
 	for v, n := range seen {
-		if n.noLabel == 0 || n.oneBag == 0 || n.negCycles == 0 || n.canceledDrive == 0 || n.canceledFallback == 0 {
+		if n.noLabel == 0 || n.oneBag == 0 || n.negCycles == 0 || n.canceledDrive == 0 || n.canceledAbortSearch == 0 {
 			t.Fatalf("%s: cases not all exercised: %+v", v, *n)
 		}
 	}

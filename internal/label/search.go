@@ -1,0 +1,158 @@
+package label
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"sync"
+
+	"planarflow/internal/bdd"
+	"planarflow/internal/ledger"
+	"planarflow/internal/planar"
+	"planarflow/internal/spath"
+)
+
+// Search is core.MaxFlow's λ search over one tree, one λ = 0 state and one
+// s–t path: the probes of Feasible at every λ, and SSSPFrom at λ*, on the
+// residual lengths base − λ on the path's darts and + λ on their reverses.
+// Those differ from base only on the path, so the whole dual's kernel is
+// loaded with base once and each λ rewrites the path's arcs and seeds the
+// worklist at the tails of the ones it makes negative — base is
+// non-negative, so no other arc relaxes from h = 0. Base is finite, so
+// every dart is active and a completed probe charges the plan's activeCost;
+// an aborted one charges what Feasible's does. The potentials of the last
+// feasible λ are kept, so SSSP at it runs no second Bellman–Ford. A Search
+// is used by one goroutine and must be closed.
+type Search struct {
+	pl    *plan
+	k     kernel
+	path  []pathArc
+	lens  []int64 // per dart: base with the last λ pushed along the path
+	neg   []planar.Dart
+	saved []int64 // the potentials of the last feasible λ, saved
+	// savedAt is the λ saved's potentials are for, -1 for none.
+	savedAt int64
+	// reload is set once k holds other than lens: abortBag loaded bags' own
+	// graphs into it, or SSSP reduced its lengths.
+	reload bool
+	// abort is the bag the last infeasible λ's pass aborted at.
+	abort int
+}
+
+// pathArc is a dart of the path: its arc and its reverse's, their base
+// lengths, and its tail.
+type pathArc struct {
+	d              planar.Dart
+	fw, bw         int32
+	fwBase, bwBase int64
+	tailKey        int32
+}
+
+// searches recycles Search values, their kernels and buffers with them.
+var searches = sync.Pool{New: func() any { return new(Search) }}
+
+// NewSearch starts the λ search over t's dual under base, the per-dart
+// lengths at λ = 0, which must be non-negative and finite, pushing along
+// path, whose darts are distinct edges'. The error is planOf's, or reports
+// a base length out of range.
+func NewSearch(t *bdd.BDD, base []int64, path []planar.Dart) (*Search, error) {
+	pl, err := planOf(t, views[Dual])
+	if err != nil {
+		return nil, err
+	}
+	pl.costsOnce.Do(pl.costs)
+	s := searches.Get().(*Search)
+	s.pl, s.savedAt, s.reload = pl, -1, false
+	k := &s.k
+	k.load(pl.wholeGraph(), base)
+	for _, l := range k.length {
+		if l < 0 || l >= spath.Inf {
+			s.Close()
+			return nil, fmt.Errorf("label: search base length %d out of [0, Inf)", l)
+		}
+	}
+	s.lens = append(s.lens[:0], base...)
+	s.path = s.path[:0]
+	for _, d := range path {
+		r := planar.Rev(d)
+		a := pathArc{d: d, fw: pl.wholeArc[d], bw: pl.wholeArc[r], fwBase: base[d], bwBase: base[r]}
+		if a.fw < 0 || a.bw < 0 {
+			s.Close()
+			return nil, fmt.Errorf("label: search path dart %d is not an arc of the dual", d)
+		}
+		from, _ := pl.v.ends(pl.t.G, d)
+		a.tailKey = int32(from)
+		s.path = append(s.path, a)
+	}
+	return s, nil
+}
+
+// Close returns the search's buffers for reuse; s must not be used again.
+func (s *Search) Close() {
+	s.pl = nil
+	searches.Put(s)
+}
+
+// push readies k for a run at lambda: the whole graph reloaded from lens if
+// k held anything else, then the path's arcs, in k and in lens, at their
+// residual lengths.
+func (s *Search) push(lambda int64) {
+	k := &s.k
+	if s.reload {
+		k.load(s.pl.wholeGraph(), s.lens)
+		s.reload = false
+	}
+	for _, a := range s.path {
+		fw, bw := a.fwBase-lambda, a.bwBase+lambda
+		k.length[a.fw], k.length[a.bw] = fw, bw
+		s.lens[a.d], s.lens[planar.Rev(a.d)] = fw, bw
+	}
+}
+
+// Feasible is label.Feasible at lambda: the verdict, led charged what
+// ComputeContext charges over the residual lengths, and a canceled ctx's
+// error.
+func (s *Search) Feasible(ctx context.Context, lambda int64, led *ledger.Ledger) (bool, error) {
+	k := &s.k
+	s.push(lambda)
+	k.clearTree()
+	s.neg = s.neg[:0]
+	for _, a := range s.path {
+		if k.length[a.fw] < 0 {
+			k.seed(a.tailKey)
+			s.neg = append(s.neg, a.d)
+		}
+	}
+	abort, err := s.pl.probe(ctx, k, s.lens, s.neg, s.pl.activeCost, led)
+	switch {
+	case err != nil:
+		s.reload = true
+		return false, err
+	case abort < 0:
+		k.h, s.saved, s.savedAt = s.saved, k.h, lambda
+	default:
+		s.reload, s.abort = true, abort
+	}
+	return abort < 0, nil
+}
+
+// SSSP is SSSPFrom at lambda, the last λ Feasible found feasible, with the
+// pass uncharged — λ's probe charged it — though ctx is polled before every
+// bag as the pass polls it: λ's saved potentials reduce the residual
+// lengths, and one row from source answers.
+func (s *Search) SSSP(ctx context.Context, lambda int64, source int, led *ledger.Ledger) (*SSSPResult, error) {
+	if lambda != s.savedAt {
+		return nil, errors.New("label: search SSSP at a λ not last found feasible")
+	}
+	for range s.pl.t.Bags {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+	}
+	k := &s.k
+	s.push(lambda)
+	k.h = append(k.h[:0], s.saved...)
+	k.reduce()
+	s.reload = true
+	return s.pl.ssspRow(k, s.lens, source, led), nil
+}
