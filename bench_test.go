@@ -296,17 +296,29 @@ func BenchmarkWarmSTCut(b *testing.B) {
 
 // BenchmarkGirthFirst — Thm 1.7 on a graph never seen before: the one build
 // of the prices (Ĝ, the skeleton, one measured PA) plus the dual min cut.
+// /grid12x12 is the unit-weight warm grid, where Stoer–Wagner dominates;
+// /triangulation100 is a cold_build graph, weights 1–9, where the prices do.
 func BenchmarkGirthFirst(b *testing.B) {
-	g := warmGridGraph()
-	b.ReportAllocs()
-	var led *ledger.Ledger
-	for i := 0; i < b.N; i++ {
-		led = ledger.New()
-		if _, err := core.Girth(artifact.New(g), led); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name string
+		g    *planar.Graph
+	}{
+		{"grid12x12", warmGridGraph()},
+		{"triangulation100", planar.WithRandomWeights(planar.StackedTriangulation(100, planar.NewRand(1)), planar.NewRand(1), 1, 9, 1, 10)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			c.g.Faces()
+			b.ReportAllocs()
+			var led *ledger.Ledger
+			for i := 0; i < b.N; i++ {
+				led = ledger.New()
+				if _, err := core.Girth(artifact.New(c.g), led); err != nil {
+					b.Fatal(err)
+				}
+			}
+			reportRounds(b, led)
+		})
 	}
-	reportRounds(b, led)
 }
 
 // coldSnakeGraph is a snake of bench/'s cold_build catalogue: a strongly
@@ -447,6 +459,8 @@ func TestAllocCeilings(t *testing.T) {
 	p, tree := warmGrid(t)
 	abortTree, infeasible := abortProbe(t, p)
 	snake := artifact.New(coldSnakeGraph())
+	coldSnake := coldSnakeGraph()
+	coldSnake.Faces()
 	coldTri := planar.StackedTriangulation(100, planar.NewRand(1))
 	coldTri.Faces()
 	ctx := context.Background()
@@ -534,7 +548,8 @@ func TestAllocCeilings(t *testing.T) {
 		// directed girth, and a girth (min cut on the simple dual). They read
 		// 55,826 / 2,521 / 1,311 allocs while the enumerations rebuilt a
 		// digraph per candidate arc and the min cut ran Stoer–Wagner on the
-		// whole dual.
+		// whole dual; the girth read 700 while Lemma 4.15's deactivation kept
+		// a map per face and one map of groups (152 with flat arrays).
 		{"core.GlobalMinCut", 1000, func() error {
 			_, err := core.GlobalMinCut(snake, core.Options{}, ledger.New())
 			return err
@@ -543,12 +558,21 @@ func TestAllocCeilings(t *testing.T) {
 			_, err := core.DirectedGirth(snake, core.Options{}, ledger.New())
 			return err
 		}},
-		{"core.Girth", 1500, func() error {
+		{"core.Girth", 182, func() error {
 			_, err := core.Girth(snake, ledger.New())
 			return err
 		}},
+		// A first girth on a never-seen snake, its faces known: the prices
+		// (Ĝ, the shortcut skeleton, one measured PA) plus the deactivation
+		// and the min cut. Reads 256; 5,245 while Ĝ grew one arc slice per
+		// vertex, the PA network copied it into a [][]int, every schedule
+		// round scanned all n vertices and the deactivation kept maps.
+		{"core.Girth(first)", 307, func() error {
+			_, err := core.Girth(artifact.New(coldSnake), ledger.New())
+			return err
+		}},
 		// The decomposition a cold_build graph is first served through, on a
-		// Triangulation(100) and on the snake: 965 / 202 allocs (0.32 / 0.12
+		// Triangulation(100) and on the snake: 832 / 187 allocs (0.32 / 0.12
 		// MB) since a bag holds only its own darts and a build reuses its
 		// graph-sized buffers; 5,893 / 1,405 (0.65 / 0.21 MB, 0.56 ms on the
 		// triangulation) while every bag kept whole-graph bitmaps and maps
@@ -578,8 +602,7 @@ func TestAllocCeilings(t *testing.T) {
 func BenchmarkE7PartwiseAggregation(b *testing.B) {
 	g := planar.Grid(16, 16)
 	h := hatg.New(g)
-	net := pa.FromHatG(h)
-	tree := pa.BuildTree(net, 0)
+	tree := pa.BuildTree(h, 0)
 	nf := g.Faces().NumFaces()
 	parts := pa.Parts{Of: make([]int, h.N()), Num: nf}
 	input := make([]int64, h.N())
@@ -592,7 +615,7 @@ func BenchmarkE7PartwiseAggregation(b *testing.B) {
 	}
 	var rounds int
 	for i := 0; i < b.N; i++ {
-		res := pa.Aggregate(net, tree, parts, input, pa.Sum)
+		res := pa.Aggregate(h, tree, parts, input, pa.Sum)
 		rounds = 2 * res.Rounds
 	}
 	b.ReportMetric(float64(rounds), "rounds")

@@ -459,8 +459,7 @@ func e7PA(s *sink, c cfg) {
 		for _, a := range append(squares(c.full), fixedD(c.full)...) {
 			g := planar.Grid(a[0], a[1])
 			h := hatg.New(g)
-			net := pa.FromHatG(h)
-			tree := pa.BuildTree(net, 0)
+			tree := pa.BuildTree(h, 0)
 			nf := g.Faces().NumFaces()
 			parts := pa.Parts{Of: make([]int, h.N()), Num: nf}
 			input := make([]int64, h.N())
@@ -471,7 +470,7 @@ func e7PA(s *sink, c cfg) {
 					input[x] = 1
 				}
 			}
-			res := pa.Aggregate(net, tree, parts, input, pa.Sum)
+			res := pa.Aggregate(h, tree, parts, input, pa.Sum)
 			d := a[0] + a[1] - 2
 			rounds := int64(2 * res.Rounds)
 			s.add(Record{

@@ -65,8 +65,7 @@ var unreachedAllowed = map[string]string{
 	"congest.Engine.Run":      "congest.Runner",
 	"congest.Engine.B":        "congest.Runner",
 	"congest.Engine.Graph":    "congest.Runner",
-	"pa.adjNet.N":             "pa.Network",
-	"pa.adjNet.NeighborsOf":   "pa.Network",
+	"hatg.Graph.NeighborsOf":  "pa.Network",
 }
 
 // TestNoUnreachedExports type-checks every non-test file of the tree

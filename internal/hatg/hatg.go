@@ -17,6 +17,11 @@
 // Properties 1–3 of §3 (planarity up to the star edges, diameter ≤ 3D, 2x
 // CONGEST simulation overhead) justify running aggregation algorithms on Ĝ
 // and charging 2x their rounds on G.
+//
+// Ĝ is one CSR — per-vertex offsets into an arc slab and a parallel
+// neighbor slab — and is its own communication network: *Graph has the
+// N/NeighborsOf pair pa.Network asks for, so pa's shortcut skeleton and
+// token schedule read the slab without a copy.
 package hatg
 
 import (
@@ -44,20 +49,23 @@ type Arc struct {
 	Dart planar.Dart
 }
 
-// Graph is the face-disjoint graph.
+// Graph is the face-disjoint graph, laid out as one CSR: vertex x's arcs
+// are arcs[start[x]:start[x+1]], and nbrs holds their endpoints in the same
+// slots.
 type Graph struct {
 	prim *planar.Graph
 
 	numV int
-	// copyID[v][c] is the Ĝ vertex for corner c of primal vertex v; corner c
-	// is the wedge between rotation edges c and c+1 (cyclic). Star centers
-	// are the first n vertex IDs (star center of v is v itself).
-	copyID [][]int
-	// owner and corner invert copyID for non-star vertices.
-	owner  []int
-	corner []int
+	// base[v] is the Ĝ vertex of corner 0 of primal vertex v: its corner c,
+	// the wedge between rotation edges c and c+1 (cyclic), is base[v]+c. Star
+	// centers are the first n vertex IDs (star center of v is v itself).
+	base []int
+	// owner[x] is the primal vertex that hosts Ĝ vertex x (Property 3).
+	owner []int
 
-	adj [][]Arc
+	start []int
+	arcs  []Arc
+	nbrs  []int
 
 	// faceOfCopy[x] is the face of G whose Ĝ-cycle contains copy x (-1 for
 	// star centers).
@@ -66,44 +74,73 @@ type Graph struct {
 
 // New builds Ĝ for the embedded planar graph g. Construction is local
 // (Property 1: O(1) CONGEST rounds); callers charge those rounds separately.
+//
+// A counting pass sizes every vertex's arc list and a fill pass writes it,
+// both walking the edges in one order — star (by vertex and corner), ring
+// (by dart), chord (by primal edge) — so each vertex lists its arcs in that
+// order, the order a BFS over Ĝ (pa.BuildTree, and with it the measured PA
+// unit) visits them in.
 func New(g *planar.Graph) *Graph {
 	n := g.N()
+	numV := n + g.NumDarts()
 	h := &Graph{
-		prim:   g,
-		copyID: make([][]int, n),
+		prim:       g,
+		numV:       numV,
+		base:       make([]int, n),
+		owner:      make([]int, numV),
+		start:      make([]int, numV+1),
+		faceOfCopy: make([]int, numV),
 	}
 	id := n
-	h.owner = make([]int, n, n+2*g.M())
-	h.corner = make([]int, n, n+2*g.M())
 	for v := 0; v < n; v++ {
 		h.owner[v] = v
-		h.corner[v] = -1
-		deg := g.Degree(v)
-		h.copyID[v] = make([]int, deg)
-		for c := 0; c < deg; c++ {
-			h.copyID[v][c] = id
-			h.owner = append(h.owner, v)
-			h.corner = append(h.corner, c)
-			id++
+		h.faceOfCopy[v] = -1
+		h.base[v] = id
+		for end := id + g.Degree(v); id < end; id++ {
+			h.owner[id] = v
 		}
 	}
-	h.numV = id
-	h.adj = make([][]Arc, id)
-	h.faceOfCopy = make([]int, id)
-	for i := range h.faceOfCopy {
-		h.faceOfCopy[i] = -1
-	}
 
+	// Counting pass: start[x+1] counts x's arcs, then the prefix sums make
+	// start[x] the first slot of x.
+	h.eachEdge(func(a, b int, _ EdgeKind, _ planar.Dart) {
+		h.start[a+1]++
+		h.start[b+1]++
+	})
+	for x := 0; x < numV; x++ {
+		h.start[x+1] += h.start[x]
+	}
+	// Fill pass: start[x] is x's cursor, so afterwards start[x] holds what
+	// start[x+1] held, and one shift restores the offsets.
+	h.arcs = make([]Arc, h.start[numV])
+	h.nbrs = make([]int, h.start[numV])
 	fd := g.Faces()
-	addUndirected := func(a, b int, kind EdgeKind, d planar.Dart) {
-		h.adj[a] = append(h.adj[a], Arc{To: b, Kind: kind, Dart: d})
-		h.adj[b] = append(h.adj[b], Arc{To: a, Kind: kind, Dart: d})
-	}
+	h.eachEdge(func(a, b int, kind EdgeKind, d planar.Dart) {
+		h.arcs[h.start[a]] = Arc{To: b, Kind: kind, Dart: d}
+		h.nbrs[h.start[a]] = b
+		h.start[a]++
+		h.arcs[h.start[b]] = Arc{To: a, Kind: kind, Dart: d}
+		h.nbrs[h.start[b]] = a
+		h.start[b]++
+		if kind == Ring {
+			f := fd.FaceOf(d)
+			h.faceOfCopy[a] = f
+			h.faceOfCopy[b] = f
+		}
+	})
+	copy(h.start[1:], h.start[:numV])
+	h.start[0] = 0
+	return h
+}
 
+// eachEdge calls emit once per undirected Ĝ edge, star edges first, then
+// ring, then chord.
+func (h *Graph) eachEdge(emit func(a, b int, kind EdgeKind, d planar.Dart)) {
+	g := h.prim
 	// E_S: star edges.
-	for v := 0; v < n; v++ {
-		for _, x := range h.copyID[v] {
-			addUndirected(v, x, Star, planar.NoDart)
+	for v := 0; v < g.N(); v++ {
+		for c := 0; c < g.Degree(v); c++ {
+			emit(v, h.base[v]+c, Star, planar.NoDart)
 		}
 	}
 
@@ -112,13 +149,7 @@ func New(g *planar.Graph) *Graph {
 	// both corners of the face containing d.
 	for d := planar.Dart(0); int(d) < g.NumDarts(); d++ {
 		u, v := g.Tail(d), g.Head(d)
-		cu := h.cornerBefore(u, d)
-		cv := g.RotationIndex(planar.Rev(d))
-		a, b := h.copyID[u][cu], h.copyID[v][cv]
-		addUndirected(a, b, Ring, d)
-		f := fd.FaceOf(d)
-		h.faceOfCopy[a] = f
-		h.faceOfCopy[b] = f
+		emit(h.base[u]+h.cornerBefore(u, d), h.base[v]+g.RotationIndex(planar.Rev(d)), Ring, d)
 	}
 
 	// E_C: for each primal edge e, connect across e the two corner copies of
@@ -130,11 +161,8 @@ func New(g *planar.Graph) *Graph {
 			d = planar.Rev(fw)
 		}
 		v := g.Tail(d)
-		c1 := h.cornerBefore(v, d)
-		c2 := g.RotationIndex(d)
-		addUndirected(h.copyID[v][c1], h.copyID[v][c2], Chord, fw)
+		emit(h.base[v]+h.cornerBefore(v, d), h.base[v]+g.RotationIndex(d), Chord, fw)
 	}
-	return h
 }
 
 // cornerBefore returns the corner index at v immediately preceding dart d in
@@ -154,7 +182,11 @@ func (h *Graph) N() int { return h.numV }
 func (h *Graph) Primal() *planar.Graph { return h.prim }
 
 // Adj returns the arcs of Ĝ vertex x. The slice must not be modified.
-func (h *Graph) Adj(x int) []Arc { return h.adj[x] }
+func (h *Graph) Adj(x int) []Arc { return h.arcs[h.start[x]:h.start[x+1]:h.start[x+1]] }
+
+// NeighborsOf returns the endpoints of x's arcs, in Adj's order. The slice
+// must not be modified.
+func (h *Graph) NeighborsOf(x int) []int { return h.nbrs[h.start[x]:h.start[x+1]:h.start[x+1]] }
 
 // IsStarCenter reports whether x is a star center (an original vertex of G).
 func (h *Graph) IsStarCenter(x int) bool { return x < h.prim.N() }
@@ -174,7 +206,7 @@ func (h *Graph) CheckFaceCycles() error {
 	// Count Ring-degree: every copy must have exactly two ring arcs.
 	for x := h.prim.N(); x < h.numV; x++ {
 		cnt := 0
-		for _, a := range h.adj[x] {
+		for _, a := range h.Adj(x) {
 			if a.Kind == Ring {
 				cnt++
 			}
@@ -206,7 +238,7 @@ func (h *Graph) CheckFaceCycles() error {
 			if h.faceOfCopy[y] != face {
 				return fmt.Errorf("hatg: ring component mixes faces %d and %d", face, h.faceOfCopy[y])
 			}
-			for _, a := range h.adj[y] {
+			for _, a := range h.Adj(y) {
 				if a.Kind == Ring && comp[a.To] == -1 {
 					comp[a.To] = numComp
 					stack = append(stack, a.To)

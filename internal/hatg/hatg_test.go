@@ -135,10 +135,15 @@ func TestCopiesPerFaceMatchBoundaryLength(t *testing.T) {
 func (h *Graph) Owner(x int) int { return h.owner[x] }
 
 // Corner returns the corner index of copy x (-1 for star centers).
-func (h *Graph) Corner(x int) int { return h.corner[x] }
+func (h *Graph) Corner(x int) int {
+	if h.IsStarCenter(x) {
+		return -1
+	}
+	return x - h.base[h.owner[x]]
+}
 
 // CopyID returns the Ĝ vertex for corner c of primal vertex v.
-func (h *Graph) CopyID(v, c int) int { return h.copyID[v][c] }
+func (h *Graph) CopyID(v, c int) int { return h.base[v] + c }
 
 // ChordOf returns the two Ĝ endpoints realizing the dual edge of primal edge
 // e (both are corner copies of e's higher-ID endpoint).
@@ -150,7 +155,7 @@ func (h *Graph) ChordOf(e int) (int, int) {
 		d = planar.Rev(fw)
 	}
 	v := g.Tail(d)
-	return h.copyID[v][h.cornerBefore(v, d)], h.copyID[v][g.RotationIndex(d)]
+	return h.base[v] + h.cornerBefore(v, d), h.base[v] + g.RotationIndex(d)
 }
 
 // BFSDepth returns the eccentricity of Ĝ vertex x (used to test the diameter
@@ -169,7 +174,7 @@ func (h *Graph) BFSDepth(x int) int {
 		if dist[y] > depth {
 			depth = dist[y]
 		}
-		for _, a := range h.adj[y] {
+		for _, a := range h.Adj(y) {
 			if dist[a.To] == -1 {
 				dist[a.To] = dist[y] + 1
 				queue = append(queue, a.To)

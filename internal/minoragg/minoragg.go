@@ -128,19 +128,45 @@ func (s *Handle) Deactivate(weights []int64, op pa.Op) *SimpleDual {
 	du := g.Dual()
 	nf := du.NumNodes()
 
-	// Simple support adjacency (distinct neighbors, ignoring self-loops).
-	nbrSet := make([]map[int]bool, nf)
-	for f := 0; f < nf; f++ {
-		nbrSet[f] = make(map[int]bool)
-	}
+	// Simple support adjacency (distinct neighbors, ignoring self-loops) as
+	// one CSR: every non-loop dual edge takes a slot at both ends, then each
+	// face keeps the first slot per neighbor, found by a stamp, so face f's
+	// distinct neighbors are nbr[start[f]:start[f]+deg[f]].
+	start := make([]int, nf+1)
 	for e := 0; e < g.M(); e++ {
 		d := planar.ForwardDart(e)
-		a, b := du.Tail(d), du.Head(d)
-		if a == b {
-			continue
+		if a, b := du.Tail(d), du.Head(d); a != b {
+			start[a+1]++
+			start[b+1]++
 		}
-		nbrSet[a][b] = true
-		nbrSet[b][a] = true
+	}
+	for f := 0; f < nf; f++ {
+		start[f+1] += start[f]
+	}
+	nbr := make([]int, start[nf])
+	deg := make([]int, nf) // slots filled, then distinct neighbors
+	for e := 0; e < g.M(); e++ {
+		d := planar.ForwardDart(e)
+		if a, b := du.Tail(d), du.Head(d); a != b {
+			nbr[start[a]+deg[a]] = b
+			deg[a]++
+			nbr[start[b]+deg[b]] = a
+			deg[b]++
+		}
+	}
+	stamp := make([]int, nf) // f+1 once f's list holds the neighbor
+	simple := 0
+	for f := 0; f < nf; f++ {
+		k := 0
+		for _, nb := range nbr[start[f] : start[f]+deg[f]] {
+			if stamp[nb] != f+1 {
+				stamp[nb] = f + 1
+				nbr[start[f]+k] = nb
+				k++
+			}
+		}
+		deg[f] = k
+		simple += k
 	}
 
 	// [Barenboim–Elkin] partition: alpha = 3 for planar duals; a white node
@@ -152,14 +178,12 @@ func (s *Handle) Deactivate(weights []int64, op pa.Op) *SimpleDual {
 	for f := range part {
 		part[f] = -1
 	}
-	whiteDeg := make([]int, nf)
-	for f := 0; f < nf; f++ {
-		whiteDeg[f] = len(nbrSet[f])
-	}
+	whiteDeg := append([]int(nil), deg...)
 	remaining := nf
 	phase := 0
+	joined := make([]int, 0, nf)
 	for remaining > 0 {
-		var joined []int
+		joined = joined[:0]
 		for f := 0; f < nf; f++ {
 			if part[f] == -1 && whiteDeg[f] <= threshold {
 				joined = append(joined, f)
@@ -174,13 +198,13 @@ func (s *Handle) Deactivate(weights []int64, op pa.Op) *SimpleDual {
 					best, bd = f, whiteDeg[f]
 				}
 			}
-			joined = []int{best}
+			joined = append(joined, best)
 		}
 		for _, f := range joined {
 			part[f] = phase
 		}
 		for _, f := range joined {
-			for nb := range nbrSet[f] {
+			for _, nb := range nbr[start[f] : start[f]+deg[f]] {
 				if part[nb] == -1 {
 					whiteDeg[nb]--
 				}
@@ -201,17 +225,21 @@ func (s *Handle) Deactivate(weights []int64, op pa.Op) *SimpleDual {
 		return u < v
 	}
 
+	// Each undirected support edge is one group, so the groups number half
+	// the support's slots. A face's out-list — O(alpha) long under the
+	// orientation, so a merge scans it — reuses the front of its support
+	// slots: outTo names the out-neighbor, outGroup its group, and
+	// OutNeighbors[f] counts the list. Groups are numbered in edge order.
 	sd := &SimpleDual{
 		NumNodes:     nf,
+		Us:           make([]int, 0, simple/2),
+		Vs:           make([]int, 0, simple/2),
+		Ws:           make([]int64, 0, simple/2),
+		RepEdge:      make([]int, 0, simple/2),
 		GroupOf:      make([]int, g.M()),
 		OutNeighbors: make([]int, nf),
 	}
-	type groupKey struct{ from, to int }
-	groups := make(map[groupKey]int)
-	outNbrs := make([]map[int]bool, nf)
-	for f := range outNbrs {
-		outNbrs[f] = make(map[int]bool)
-	}
+	outTo, outGroup := nbr, make([]int, len(nbr)) // the partition is done with nbr
 	for e := 0; e < g.M(); e++ {
 		d := planar.ForwardDart(e)
 		a, b := du.Tail(d), du.Head(d)
@@ -223,12 +251,19 @@ func (s *Handle) Deactivate(weights []int64, op pa.Op) *SimpleDual {
 		if !orientOut(a, b) {
 			from, to = b, a
 		}
-		outNbrs[from][to] = true
-		k := groupKey{from, to}
-		gi, ok := groups[k]
-		if !ok {
+		gi := -1
+		out := start[from]
+		for k := out; k < out+sd.OutNeighbors[from]; k++ {
+			if outTo[k] == to {
+				gi = outGroup[k]
+				break
+			}
+		}
+		if gi < 0 {
 			gi = len(sd.Us)
-			groups[k] = gi
+			k := out + sd.OutNeighbors[from]
+			outTo[k], outGroup[k] = to, gi
+			sd.OutNeighbors[from]++
 			sd.Us = append(sd.Us, a)
 			sd.Vs = append(sd.Vs, b)
 			sd.Ws = append(sd.Ws, weights[e])
@@ -243,7 +278,6 @@ func (s *Handle) Deactivate(weights []int64, op pa.Op) *SimpleDual {
 		sd.GroupOf[e] = gi
 	}
 	for f := 0; f < nf; f++ {
-		sd.OutNeighbors[f] = len(outNbrs[f])
 		if sd.OutNeighbors[f] > sd.MaxOutDeg {
 			sd.MaxOutDeg = sd.OutNeighbors[f]
 		}

@@ -16,15 +16,17 @@ import (
 // callers.
 type DualPA struct {
 	h    *hatg.Graph
-	net  Network
 	tree *Tree
 }
 
-// NewDualPA prepares the Ĝ network and its global shortcut skeleton,
-// charging the BFS construction to led.
+// Ĝ is its own communication network: its CSR lists every vertex's
+// neighbors in one slab.
+var _ Network = (*hatg.Graph)(nil)
+
+// NewDualPA prepares the global shortcut skeleton on Ĝ, charging the BFS
+// construction to led.
 func NewDualPA(h *hatg.Graph, led *ledger.Ledger) *DualPA {
-	d := &DualPA{h: h, net: FromHatG(h)}
-	d.tree = BuildTree(d.net, 0)
+	d := &DualPA{h: h, tree: BuildTree(h, 0)}
 	led.Measure("hatg/bfs-tree", 2*(d.tree.Height+1))
 	return d
 }
@@ -52,7 +54,7 @@ func (d *DualPA) aggregateFaces(partOfFace []int, numParts int, faceInput []int6
 			}
 		}
 	}
-	return Aggregate(d.net, d.tree, parts, input, op)
+	return Aggregate(d.h, d.tree, parts, input, op)
 }
 
 // MeasureUnit runs one canonical faces-as-parts PA (the most congested

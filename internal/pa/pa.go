@@ -11,11 +11,15 @@
 //
 // The query path runs one such schedule per graph: DualPA.MeasureUnit's
 // faces-as-parts instance on Ĝ, the price of one minor-aggregation round
-// (flowbench's E7 reports the same instance).
+// (flowbench's E7 reports the same instance). Ĝ is its own network: a
+// *hatg.Graph lists every vertex's neighbors in one CSR slab, so the
+// skeleton and the schedule read it without a copy.
 package pa
 
-// Network is the minimal view of a communication graph (FromHatG adapts the
-// face-disjoint graph Ĝ; the tests adapt primal graphs too).
+import "math/bits"
+
+// Network is the minimal view of a communication graph (*hatg.Graph, the
+// face-disjoint graph Ĝ, is one; the tests adapt primal graphs too).
 type Network interface {
 	N() int
 	NeighborsOf(v int) []int
@@ -46,10 +50,10 @@ func BuildTree(net Network, root int) *Tree {
 		t.Depth[v] = -1
 	}
 	t.Depth[root] = 0
-	queue := []int{root}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
+	queue := make([]int, 1, n)
+	queue[0] = root
+	for i := 0; i < len(queue); i++ {
+		v := queue[i]
 		if t.Depth[v] > t.Height {
 			t.Height = t.Depth[v]
 		}
@@ -207,20 +211,29 @@ func Aggregate(net Network, t *Tree, parts Parts, input []int64, op Op) *Result 
 	qbuf := make([]int32, qStart[n])
 	head := make([]int32, n)
 	tail := make([]int32, n)
+	// busy has bit v set while v's queue holds a token, so a round visits
+	// the vertices that send, not all n.
+	busy := make([]uint64, (n+63)/64)
 	enqueue := func(id int32) {
 		v := f.vert[id]
 		qbuf[tail[v]] = id
 		tail[v]++
+		busy[v>>6] |= 1 << (v & 63)
 	}
 	// step pops at most one token per directed edge (CONGEST capacity) into
 	// arrived, in vertex order.
 	arrived := make([]int32, 0, n)
 	step := func() bool {
 		arrived = arrived[:0]
-		for v := 0; v < n; v++ {
-			if head[v] < tail[v] {
+		for w, word := range busy {
+			for word != 0 {
+				v := w<<6 | bits.TrailingZeros64(word)
+				word &= word - 1
 				arrived = append(arrived, qbuf[head[v]])
 				head[v]++
+				if head[v] == tail[v] {
+					busy[w] &^= 1 << (v & 63)
+				}
 			}
 		}
 		return len(arrived) > 0

@@ -8,6 +8,14 @@ import (
 	"planarflow/internal/planar"
 )
 
+// adjNet is a Network over a fixed adjacency list.
+type adjNet struct {
+	adj [][]int
+}
+
+func (a *adjNet) N() int                  { return len(a.adj) }
+func (a *adjNet) NeighborsOf(v int) []int { return a.adj[v] }
+
 // FromPlanar adapts an embedded planar graph as a communication network.
 func FromPlanar(g *planar.Graph) Network {
 	adj := make([][]int, g.N())

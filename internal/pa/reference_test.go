@@ -43,8 +43,7 @@ func TestAggregateMatchesMapReference(t *testing.T) {
 	}
 	for _, g := range []*planar.Graph{planar.Grid(6, 6), planar.Grid(12, 12), planar.BoustrophedonGrid(8, 8), planar.StackedTriangulation(100, planar.NewRand(17))} {
 		h := hatg.New(g)
-		net := FromHatG(h)
-		tree := BuildTree(net, 0)
+		tree := BuildTree(h, 0)
 		nf := g.Faces().NumFaces()
 		parts := Parts{Of: make([]int, h.N()), Num: nf}
 		input := make([]int64, h.N())
@@ -55,7 +54,7 @@ func TestAggregateMatchesMapReference(t *testing.T) {
 				input[x] = int64(x % 7)
 			}
 		}
-		check("faces-as-parts", net, tree, parts, input, Sum)
+		check("faces-as-parts", h, tree, parts, input, Sum)
 	}
 }
 

@@ -122,6 +122,37 @@ func checkEuler(t *testing.T, g *Graph, name string) {
 	}
 }
 
+// TestCycleAppendLeavesNextFace: every face's darts share one slab, so
+// Cycle caps its slice at the face's end; appending to face f copies
+// instead of writing over face f+1.
+func TestCycleAppendLeavesNextFace(t *testing.T) {
+	rng := NewRand(46)
+	tri := StackedTriangulation(60, rng)
+	for name, g := range map[string]*Graph{
+		"grid1x2": Grid(1, 2),
+		"grid5x8": Grid(5, 8),
+		"snake":   BoustrophedonGrid(6, 6),
+		"tri":     tri,
+		"sparse":  RemoveRandomEdges(tri, rng, 60),
+		"tree":    RemoveRandomEdges(tri, rng, tri.M()),
+	} {
+		fd := g.Faces()
+		for f := 0; f+1 < fd.NumFaces(); f++ {
+			next := append([]Dart(nil), fd.Cycle(f+1)...)
+			grown := append(fd.Cycle(f), NoDart, NoDart)
+			if len(grown) != fd.Len(f)+2 {
+				t.Fatalf("%s: face %d grew to %d darts, want %d", name, f, len(grown), fd.Len(f)+2)
+			}
+			for i, d := range fd.Cycle(f + 1) {
+				if d != next[i] {
+					t.Fatalf("%s: appending to face %d changed face %d at %d: %d, was %d", name, f, f+1, i, d, next[i])
+				}
+			}
+		}
+		checkEuler(t, g, name)
+	}
+}
+
 func TestGridEuler(t *testing.T) {
 	for _, dims := range [][2]int{{1, 2}, {2, 2}, {3, 3}, {4, 7}, {10, 3}, {6, 6}} {
 		g := Grid(dims[0], dims[1])
