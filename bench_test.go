@@ -343,6 +343,35 @@ func BenchmarkGlobalMinCutFirst(b *testing.B) {
 	reportRounds(b, led)
 }
 
+// BenchmarkLabelPlan — the layout a new tree's labels are stored in, per
+// view (label.Layouts on a tree no labeling has touched): what the first
+// labeling of a cold_build graph, and every snapshot restore, derives once.
+// The tree is built outside the timer.
+func BenchmarkLabelPlan(b *testing.B) {
+	for _, v := range []label.View{label.Primal, label.Dual} {
+		for _, c := range []struct {
+			name string
+			g    *planar.Graph
+		}{
+			{"triangulation100", planar.StackedTriangulation(100, planar.NewRand(1))},
+			{"snake12x12", coldSnakeGraph()},
+		} {
+			b.Run(v.String()+"/"+c.name, func(b *testing.B) {
+				c.g.Faces()
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					tree := bdd.Build(c.g, 0, ledger.New())
+					b.StartTimer()
+					if _, err := label.Layouts(v, tree); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkFeasibilityProbe — a probe: one kernel run over G*, charged as
 // the labeling pass it stands for. /feasible is one λ of the search
 // (probeLengths); /infeasible (abortProbe) then checks the own graphs of the
@@ -463,6 +492,20 @@ func TestAllocCeilings(t *testing.T) {
 	coldSnake.Faces()
 	coldTri := planar.StackedTriangulation(100, planar.NewRand(1))
 	coldTri.Faces()
+	// firstPlan lays out a tree no labeling has touched per run: the trees
+	// are built here, one per run of AllocsPerRun (its warm-up included).
+	firstPlan := func(v label.View) func() error {
+		trees := make([]*bdd.BDD, 6)
+		for i := range trees {
+			trees[i] = bdd.Build(coldTri, 0, ledger.New())
+		}
+		return func() error {
+			tree := trees[0]
+			trees = trees[1:]
+			_, err := label.Layouts(v, tree)
+			return err
+		}
+	}
 	ctx := context.Background()
 	for _, c := range []struct {
 		name    string
@@ -549,7 +592,8 @@ func TestAllocCeilings(t *testing.T) {
 		// 55,826 / 2,521 / 1,311 allocs while the enumerations rebuilt a
 		// digraph per candidate arc and the min cut ran Stoer–Wagner on the
 		// whole dual; the girth read 700 while Lemma 4.15's deactivation kept
-		// a map per face and one map of groups (152 with flat arrays).
+		// a map per face and one map of groups, and 152 with flat arrays
+		// while Stoer–Wagner grew a list per node (56 with one CSR).
 		{"core.GlobalMinCut", 1000, func() error {
 			_, err := core.GlobalMinCut(snake, core.Options{}, ledger.New())
 			return err
@@ -558,33 +602,43 @@ func TestAllocCeilings(t *testing.T) {
 			_, err := core.DirectedGirth(snake, core.Options{}, ledger.New())
 			return err
 		}},
-		{"core.Girth", 182, func() error {
+		{"core.Girth", 67, func() error {
 			_, err := core.Girth(snake, ledger.New())
 			return err
 		}},
 		// A first girth on a never-seen snake, its faces known: the prices
 		// (Ĝ, the shortcut skeleton, one measured PA) plus the deactivation
-		// and the min cut. Reads 256; 5,245 while Ĝ grew one arc slice per
-		// vertex, the PA network copied it into a [][]int, every schedule
-		// round scanned all n vertices and the deactivation kept maps.
-		{"core.Girth(first)", 307, func() error {
+		// and the min cut. Reads 159; 256 while Ĝ filled a typed arc slab
+		// beside its neighbors and Stoer–Wagner grew a list per node; 5,245
+		// while Ĝ grew one arc slice per vertex, the PA network copied it
+		// into a [][]int, every schedule round scanned all n vertices and
+		// the deactivation kept maps.
+		{"core.Girth(first)", 191, func() error {
 			_, err := core.Girth(artifact.New(coldSnake), ledger.New())
 			return err
 		}},
 		// The decomposition a cold_build graph is first served through, on a
-		// Triangulation(100) and on the snake: 832 / 187 allocs (0.32 / 0.12
-		// MB) since a bag holds only its own darts and a build reuses its
-		// graph-sized buffers; 5,893 / 1,405 (0.65 / 0.21 MB, 0.56 ms on the
-		// triangulation) while every bag kept whole-graph bitmaps and maps
-		// and every split allocated its own.
-		{"bdd.Build(triangulation100)", 1160, func() error {
+		// Triangulation(100) and on the snake: 492 / 146 allocs since the
+		// separator keeps its bag-sized arrays on the build's scratch and
+		// lays its cycle path out once; 832 / 187 (0.32 / 0.12 MB) while
+		// every separator call allocated its own; 5,893 / 1,405 (0.65 / 0.21
+		// MB, 0.56 ms on the triangulation) while every bag kept whole-graph
+		// bitmaps and maps and every split allocated its own.
+		{"bdd.Build(triangulation100)", 592, func() error {
 			bdd.Build(coldTri, 0, ledger.New())
 			return nil
 		}},
-		{"bdd.Build(snake12x12)", 242, func() error {
+		{"bdd.Build(snake12x12)", 176, func() error {
 			bdd.Build(snake.Graph(), 0, ledger.New())
 			return nil
 		}},
+		// The layout of a new tree's labels, per view, on the
+		// Triangulation(100): 232 / 191 allocs since every slice is counted
+		// before it is allocated and no map or per-bag scratch is left;
+		// 784 / 501 while primal keys, DDG nodes and RepsOf went through maps
+		// and every per-bag slice grew by append.
+		{"label.Layouts(primal, first)", 278, firstPlan(label.Primal)},
+		{"label.Layouts(dual, first)", 229, firstPlan(label.Dual)},
 	} {
 		allocs := testing.AllocsPerRun(5, func() {
 			if err := c.run(); err != nil {

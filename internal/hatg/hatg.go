@@ -18,14 +18,16 @@
 // CONGEST simulation overhead) justify running aggregation algorithms on Ĝ
 // and charging 2x their rounds on G.
 //
-// Ĝ is one CSR — per-vertex offsets into an arc slab and a parallel
-// neighbor slab — and is its own communication network: *Graph has the
-// N/NeighborsOf pair pa.Network asks for, so pa's shortcut skeleton and
-// token schedule read the slab without a copy.
+// Ĝ is one CSR — per-vertex offsets into a neighbor slab — and is its own
+// communication network: *Graph has the N/NeighborsOf pair pa.Network asks
+// for, so pa's shortcut skeleton and token schedule read the slab without a
+// copy. The typed arcs (Adj) are derived only when first asked for.
 package hatg
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"planarflow/internal/planar"
 )
@@ -49,9 +51,8 @@ type Arc struct {
 	Dart planar.Dart
 }
 
-// Graph is the face-disjoint graph, laid out as one CSR: vertex x's arcs
-// are arcs[start[x]:start[x+1]], and nbrs holds their endpoints in the same
-// slots.
+// Graph is the face-disjoint graph, laid out as one CSR: vertex x's
+// neighbors are nbrs[start[x]:start[x+1]].
 type Graph struct {
 	prim *planar.Graph
 
@@ -64,8 +65,11 @@ type Graph struct {
 	owner []int
 
 	start []int
-	arcs  []Arc
 	nbrs  []int
+	// arcs holds, slot for slot with nbrs, the arcs Adj returns. Only
+	// CheckFaceCycles reads them, so the first Adj derives them (arcSlab).
+	arcsOnce sync.Once
+	arcs     []Arc
 
 	// faceOfCopy[x] is the face of G whose Ĝ-cycle contains copy x (-1 for
 	// star centers).
@@ -112,14 +116,11 @@ func New(g *planar.Graph) *Graph {
 	}
 	// Fill pass: start[x] is x's cursor, so afterwards start[x] holds what
 	// start[x+1] held, and one shift restores the offsets.
-	h.arcs = make([]Arc, h.start[numV])
 	h.nbrs = make([]int, h.start[numV])
 	fd := g.Faces()
 	h.eachEdge(func(a, b int, kind EdgeKind, d planar.Dart) {
-		h.arcs[h.start[a]] = Arc{To: b, Kind: kind, Dart: d}
 		h.nbrs[h.start[a]] = b
 		h.start[a]++
-		h.arcs[h.start[b]] = Arc{To: a, Kind: kind, Dart: d}
 		h.nbrs[h.start[b]] = a
 		h.start[b]++
 		if kind == Ring {
@@ -181,8 +182,28 @@ func (h *Graph) N() int { return h.numV }
 // Primal returns the underlying planar graph.
 func (h *Graph) Primal() *planar.Graph { return h.prim }
 
-// Adj returns the arcs of Ĝ vertex x. The slice must not be modified.
-func (h *Graph) Adj(x int) []Arc { return h.arcs[h.start[x]:h.start[x+1]:h.start[x+1]] }
+// Adj returns the arcs of Ĝ vertex x, in NeighborsOf's order. The slice
+// must not be modified.
+func (h *Graph) Adj(x int) []Arc {
+	arcs := h.arcSlab()
+	return arcs[h.start[x]:h.start[x+1]:h.start[x+1]]
+}
+
+// arcSlab returns every vertex's arcs in one slab laid out like nbrs,
+// filling it on first use by the walk New's fill pass took.
+func (h *Graph) arcSlab() []Arc {
+	h.arcsOnce.Do(func() {
+		h.arcs = make([]Arc, len(h.nbrs))
+		next := slices.Clone(h.start[:h.numV])
+		h.eachEdge(func(a, b int, kind EdgeKind, d planar.Dart) {
+			h.arcs[next[a]] = Arc{To: b, Kind: kind, Dart: d}
+			next[a]++
+			h.arcs[next[b]] = Arc{To: a, Kind: kind, Dart: d}
+			next[b]++
+		})
+	})
+	return h.arcs
+}
 
 // NeighborsOf returns the endpoints of x's arcs, in Adj's order. The slice
 // must not be modified.

@@ -42,8 +42,9 @@ type BagDDG struct {
 	// Dist is the all-pairs matrix over Nodes (spath.Inf when unreachable);
 	// its rows are slices of one slab.
 	Dist [][]int64
-	// RepsOf maps each separator key to its node indices (1 or 2).
-	RepsOf map[int][]int
+	// RepsOf lists, by position in the bag's separator, the key's node
+	// indices (1 or 2).
+	RepsOf [][]int
 }
 
 // Labeling holds the labels of every key in every bag for one view and one
@@ -418,7 +419,7 @@ func (ps *pass) computeInternal(b *bdd.Bag) {
 	}
 	ps.toSep, ps.fromSep = grow(ps.toSep, nn*ns), grow(ps.fromSep, nn*ns)
 	for r := 0; r < nn; r++ {
-		for q, reps := range bp.sepReps {
+		for q, reps := range lay.RepsOf {
 			to, from := spath.Inf, spath.Inf
 			for _, hr := range reps {
 				to, from = min(to, ddg.Dist[r][hr]), min(from, ddg.Dist[hr][r])
@@ -437,7 +438,7 @@ func (ps *pass) computeInternal(b *bdd.Bag) {
 		to, from := l.vec[:ns], l.vec[ns:]
 		if l.sep >= 0 {
 			// Distances directly from the base matrix (min over reps).
-			for _, r := range bp.sepReps[l.sep] {
+			for _, r := range lay.RepsOf[l.sep] {
 				minInto(to, ps.toSep[r*ns:], 0)
 				minInto(from, ps.fromSep[r*ns:], 0)
 			}

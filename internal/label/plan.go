@@ -1,7 +1,9 @@
 package label
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -78,9 +80,11 @@ type BagLayout struct {
 	ChildPos []int32
 
 	// Nodes and RepsOf are the bag's DDG skeleton, shared by the BagDDG of
-	// every labeling over the tree.
+	// every labeling over the tree: a node per (child, separator key)
+	// incidence in separator order, and by position in Sep the indices of
+	// the key's nodes (1 or 2, consecutive).
 	Nodes  []DDGNode
-	RepsOf map[int][]int
+	RepsOf [][]int
 }
 
 // bagPlan is the rest of a bag's length-independent structure: what only
@@ -89,10 +93,8 @@ type bagPlan struct {
 	// Leaf bags: the CSR skeleton of the bag's graph over positions in Keys.
 	leaf skeleton
 
-	// Non-leaf bags: each separator key's representatives, each child's
-	// share of the separator, and the cross and zero arcs in DDG arc order
-	// (cross lengths are filled in per pass).
-	sepReps   [][]int // by position in Sep
+	// Non-leaf bags: each child's share of the separator, and the cross and
+	// zero arcs in DDG arc order (cross lengths are filled in per pass).
 	childSep  [2][]sepEntry
 	crossArcs []DDGArc
 	zeroArcs  []DDGArc
@@ -130,7 +132,7 @@ func argsort(keys []int) []int32 {
 	for i := range order {
 		order[i] = int32(i)
 	}
-	sort.Slice(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(keys[a], keys[b]) })
 	return order
 }
 
@@ -144,6 +146,10 @@ func find(keys []int, order []int32, k int) int32 {
 	return -1
 }
 
+// newPlan lays out every bag of t through v. Its working memory is one
+// key-indexed slab, live for this call only and all -1 again after each
+// bag: a key's position in the bag (pos), in each of its children (cpos),
+// and its DDG node for each child (rep).
 func newPlan(t *bdd.BDD, v *view) (*plan, error) {
 	pl := &plan{
 		t:    t,
@@ -151,18 +157,18 @@ func newPlan(t *bdd.BDD, v *view) (*plan, error) {
 		lay:  make([]BagLayout, len(t.Bags)),
 		bags: make([]bagPlan, len(t.Bags)),
 	}
+	nk := v.numKeys(t.G)
+	slab := absent(5 * nk)
+	cut := func(i int) []int32 { return slab[i*nk : (i+1)*nk : (i+1)*nk] }
+	pos, cpos, rep := cut(0), [2][]int32{cut(1), cut(2)}, [2][]int32{cut(3), cut(4)}
 	for _, b := range t.Bags {
 		if b.Level < 0 || b.Level >= t.Depth {
 			return nil, fmt.Errorf("label: bag %d at level %d of a %d-level tree", b.ID, b.Level, t.Depth)
 		}
 		lay := &pl.lay[b.ID]
-		lay.Keys = v.keys(t.G, b)
+		lay.Keys = v.keys(t.G, b, pos)
 		lay.KeyOrder = argsort(lay.Keys)
 	}
-	// key -> position in the current bag and in each of its children; -1
-	// when absent.
-	pos := absent(v.numKeys(t.G))
-	cpos := [2][]int32{absent(len(pos)), absent(len(pos))}
 	for _, b := range t.Bags {
 		lay, bp := &pl.lay[b.ID], &pl.bags[b.ID]
 		for i, k := range lay.Keys {
@@ -177,7 +183,7 @@ func newPlan(t *bdd.BDD, v *view) (*plan, error) {
 					cpos[ci][k] = int32(i)
 				}
 			}
-			err = pl.ddgSkeleton(b, lay, bp, pos, cpos)
+			err = pl.ddgSkeleton(b, lay, bp, pos, cpos, rep)
 			for ci, c := range b.Children {
 				for _, k := range pl.lay[c.ID].Keys {
 					cpos[ci][k] = -1
@@ -300,28 +306,28 @@ func (pl *plan) ownGraph(i int) *skeleton {
 // skeletonOf lays out bag b's own graph — the arcs bagDarts yields, X* in
 // the dual — in CSR form over n nodes, counting-sorted by tail. node maps
 // the bag's keys to their nodes: their positions in Keys, or for the whole
-// graph the keys themselves.
+// graph the keys themselves. The fill pass uses start[u] as u's cursor, so
+// afterwards start[u] holds what start[u+1] held, and one shift restores it.
 func (pl *plan) skeletonOf(b *bdd.Bag, n int, node []int32) skeleton {
 	g, v := pl.t.G, pl.v
-	sk := skeleton{start: make([]int32, n+1)}
-	m := 0
+	start := make([]int32, n+1)
 	v.bagDarts(g, b, func(d planar.Dart) {
 		from, _ := v.ends(g, d)
-		sk.start[node[from]+1]++
-		m++
+		start[node[from]+1]++
 	})
 	for u := 0; u < n; u++ {
-		sk.start[u+1] += sk.start[u]
+		start[u+1] += start[u]
 	}
-	sk.to, sk.dart = make([]int32, m), make([]planar.Dart, m)
-	next := append([]int32(nil), sk.start[:n]...)
+	to, dart := make([]int32, start[n]), make([]planar.Dart, start[n])
 	v.bagDarts(g, b, func(d planar.Dart) {
-		from, to := v.ends(g, d)
-		i := next[node[from]]
-		next[node[from]]++
-		sk.to[i], sk.dart[i] = node[to], d
+		from, head := v.ends(g, d)
+		i := start[node[from]]
+		start[node[from]]++
+		to[i], dart[i] = node[head], d
 	})
-	return sk
+	copy(start[1:], start[:n])
+	start[0] = 0
+	return skeleton{start: start, to: to, dart: dart}
 }
 
 // ddgSkeleton lays out a non-leaf bag: the separator and where every key
@@ -329,9 +335,12 @@ func (pl *plan) skeletonOf(b *bdd.Bag, n int, node []int32) skeleton {
 // (child, separator key) incidence in separator order, and the arcs whose
 // endpoints the tree fixes: (ii) the cross arcs and (iii) the zero arcs
 // between the two representatives of a key both children hold. pos and cpos
-// map keys to positions in b and in each child (-1 when absent). The error
-// reports a bag that does not hang together with its children.
-func (pl *plan) ddgSkeleton(b *bdd.Bag, lay *BagLayout, bp *bagPlan, pos []int32, cpos [2][]int32) error {
+// map keys to positions in b and in each child (-1 when absent); rep is -1
+// at every key on entry, maps each separator key to its node for each child
+// while the arcs are laid, and is -1 again on a nil return. Every slice is
+// counted before it is allocated. The error reports a bag that does not hang
+// together with its children.
+func (pl *plan) ddgSkeleton(b *bdd.Bag, lay *BagLayout, bp *bagPlan, pos []int32, cpos, rep [2][]int32) error {
 	g, v := pl.t.G, pl.v
 	for _, c := range b.Children {
 		for _, k := range pl.lay[c.ID].Keys {
@@ -340,32 +349,44 @@ func (pl *plan) ddgSkeleton(b *bdd.Bag, lay *BagLayout, bp *bagPlan, pos []int32
 			}
 		}
 	}
-	var shared []int
-	for _, k := range lay.Keys {
-		if cpos[0][k] >= 0 && cpos[1][k] >= 0 {
-			shared = append(shared, k)
-		}
-	}
-	lay.Sep = v.sep(b, shared)
+	lay.Sep = v.sep(b, lay.Keys, cpos)
 	lay.SepOrder = argsort(lay.Sep)
 	lay.SepPos = absent(len(lay.Keys))
-	index := make(map[DDGNode]int)
-	lay.RepsOf = make(map[int][]int, len(lay.Sep))
-	bp.sepReps = make([][]int, len(lay.Sep))
+	// share[ci] counts the separator keys child ci holds; a key both hold
+	// has two nodes and a zero arc each way between them.
+	var share [2]int
+	zeros := 0
 	for p, k := range lay.Sep {
 		if pos[k] < 0 || lay.SepPos[pos[k]] >= 0 {
 			return fmt.Errorf("separator key %d is not a key of the bag, once", k)
 		}
 		lay.SepPos[pos[k]] = int32(p)
+		in := 0
 		for ci := range b.Children {
 			if cpos[ci][k] >= 0 {
-				n := DDGNode{Child: ci, Key: k}
-				index[n] = len(lay.Nodes)
-				lay.RepsOf[k] = append(lay.RepsOf[k], len(lay.Nodes))
-				lay.Nodes = append(lay.Nodes, n)
+				share[ci]++
+				in++
 			}
 		}
-		bp.sepReps[p] = lay.RepsOf[k]
+		zeros += in * (in - 1)
+	}
+	// A key's nodes are consecutive, so RepsOf[p] is the run of node
+	// indices p's nodes span, cut from one slab of them all.
+	nn := share[0] + share[1]
+	lay.Nodes = make([]DDGNode, nn)
+	lay.RepsOf = make([][]int, len(lay.Sep))
+	index := make([]int, nn)
+	n := 0
+	for p, k := range lay.Sep {
+		first := n
+		for ci := range b.Children {
+			if cpos[ci][k] >= 0 {
+				rep[ci][k] = int32(n)
+				lay.Nodes[n], index[n] = DDGNode{Child: ci, Key: k}, n
+				n++
+			}
+		}
+		lay.RepsOf[p] = index[first:n:n]
 	}
 	lay.ChildOf = make([]int8, len(lay.Keys))
 	lay.ChildPos = absent(len(lay.Keys))
@@ -383,24 +404,35 @@ func (pl *plan) ddgSkeleton(b *bdd.Bag, lay *BagLayout, bp *bagPlan, pos []int32
 		lay.ChildOf[i], lay.ChildPos[i] = int8(ci), cpos[ci][k]
 	}
 	for ci := range b.Children {
+		bp.childSep[ci] = make([]sepEntry, 0, share[ci])
 		for _, k := range lay.Sep {
 			if cpos[ci][k] >= 0 {
-				bp.childSep[ci] = append(bp.childSep[ci], sepEntry{key: k, cpos: cpos[ci][k], rep: index[DDGNode{ci, k}]})
+				bp.childSep[ci] = append(bp.childSep[ci], sepEntry{key: k, cpos: cpos[ci][k], rep: int(rep[ci][k])})
 			}
 		}
 	}
-	for _, e := range v.crossEdges(b) {
+	// nodeOf is the DDG node of key k for the child a cross dart's side
+	// names, or -1: a side that is no child's (SideOf's -1) has none.
+	nodeOf := func(side, k int) int32 {
+		if side < 0 || side >= len(rep) {
+			return -1
+		}
+		return rep[side][k]
+	}
+	cross := v.crossEdges(b)
+	bp.crossArcs = make([]DDGArc, 0, 2*len(cross))
+	for _, e := range cross {
 		for _, d := range [2]planar.Dart{planar.ForwardDart(e), planar.BackwardDart(e)} {
 			from, to := v.ends(g, d)
-			tail, ok1 := index[DDGNode{b.SideOf(d), from}]
-			head, ok2 := index[DDGNode{b.SideOf(planar.Rev(d)), to}]
-			if !ok1 || !ok2 {
+			tail, head := nodeOf(b.SideOf(d), from), nodeOf(b.SideOf(planar.Rev(d)), to)
+			if tail < 0 || head < 0 {
 				return fmt.Errorf("cross edge %d does not join separator keys of the two children", e)
 			}
-			bp.crossArcs = append(bp.crossArcs, DDGArc{From: int32(tail), To: int32(head), Dart: int32(d)})
+			bp.crossArcs = append(bp.crossArcs, DDGArc{From: tail, To: head, Dart: int32(d)})
 		}
 	}
-	for _, reps := range bp.sepReps {
+	bp.zeroArcs = make([]DDGArc, 0, zeros)
+	for _, reps := range lay.RepsOf {
 		for _, i := range reps {
 			for _, j := range reps {
 				if i != j {
@@ -408,6 +440,9 @@ func (pl *plan) ddgSkeleton(b *bdd.Bag, lay *BagLayout, bp *bagPlan, pos []int32
 				}
 			}
 		}
+	}
+	for _, k := range lay.Sep {
+		rep[0][k], rep[1][k] = -1, -1
 	}
 	return nil
 }

@@ -34,10 +34,11 @@ type view struct {
 	// ends returns the keys the arc of dart d runs between.
 	ends func(g *planar.Graph, d planar.Dart) (from, to int)
 	// keys lists the keys of a bag, each once, in an order fixed by the tree.
-	keys func(g *planar.Graph, b *bdd.Bag) []int
-	// sep lists the separator keys of a non-leaf bag; shared is the
-	// subsequence of the bag's keys present in both children.
-	sep func(b *bdd.Bag, shared []int) []int
+	// seen is key-indexed scratch, -1 everywhere on entry and on return.
+	keys func(g *planar.Graph, b *bdd.Bag, seen []int32) []int
+	// sep lists the separator keys of a non-leaf bag whose keys are keys;
+	// cpos maps a key to its position in each child (-1 when absent).
+	sep func(b *bdd.Bag, keys []int, cpos [2][]int32) []int
 	// bagDarts visits the darts whose arcs make up a bag's own graph, the
 	// graph its labels measure distances in: a leaf's whole graph, and in a
 	// non-leaf bag the arcs its children's graphs hold plus its cross arcs.
@@ -60,8 +61,8 @@ var views = [...]*view{
 			fd := g.Faces()
 			return fd.FaceOf(d), fd.FaceOf(planar.Rev(d))
 		},
-		keys: func(_ *planar.Graph, b *bdd.Bag) []int { return b.Faces },
-		sep:  func(b *bdd.Bag, _ []int) []int { return b.FX },
+		keys: func(_ *planar.Graph, b *bdd.Bag, _ []int32) []int { return b.Faces },
+		sep:  func(b *bdd.Bag, _ []int, _ [2][]int32) []int { return b.FX },
 		bagDarts: func(g *planar.Graph, b *bdd.Bag, visit func(planar.Dart)) {
 			b.DualArcs(g, func(d planar.Dart, _, _ int) { visit(d) })
 		},
@@ -73,22 +74,48 @@ var views = [...]*view{
 		congestion: 2,
 		numKeys:    func(g *planar.Graph) int { return g.N() },
 		ends:       func(g *planar.Graph, d planar.Dart) (int, int) { return g.Tail(d), g.Head(d) },
-		keys: func(g *planar.Graph, b *bdd.Bag) []int {
-			seen := make(map[int]bool, len(b.Darts))
-			var out []int
+		// The endpoints of the bag's darts in order of first sight: one pass
+		// marks and counts them, the next lists each at its first sight and
+		// unmarks it.
+		keys: func(g *planar.Graph, b *bdd.Bag, seen []int32) []int {
+			n := 0
 			for _, d := range b.Darts {
 				for _, v := range [2]int{g.Tail(d), g.Head(d)} {
-					if !seen[v] {
-						seen[v] = true
+					if seen[v] < 0 {
+						seen[v] = 0
+						n++
+					}
+				}
+			}
+			out := make([]int, 0, n)
+			for _, d := range b.Darts {
+				for _, v := range [2]int{g.Tail(d), g.Head(d)} {
+					if seen[v] >= 0 {
+						seen[v] = -1
 						out = append(out, v)
 					}
 				}
 			}
 			return out
 		},
-		// The shared vertices contain the S_X cycle; shared hole vertices
-		// join too.
-		sep: func(_ *bdd.Bag, shared []int) []int { return shared },
+		// The bag's vertices both children hold, in key order: they contain
+		// the S_X cycle; shared hole vertices join too.
+		sep: func(_ *bdd.Bag, keys []int, cpos [2][]int32) []int {
+			shared := func(k int) bool { return cpos[0][k] >= 0 && cpos[1][k] >= 0 }
+			n := 0
+			for _, k := range keys {
+				if shared(k) {
+					n++
+				}
+			}
+			out := make([]int, 0, n)
+			for _, k := range keys {
+				if shared(k) {
+					out = append(out, k)
+				}
+			}
+			return out
+		},
 		// Both darts of every edge with a dart in the bag.
 		bagDarts: func(_ *planar.Graph, b *bdd.Bag, visit func(planar.Dart)) {
 			for _, d := range b.Darts {

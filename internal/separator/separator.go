@@ -52,14 +52,43 @@ type Result struct {
 	TreeDepth    int     // BFS-tree depth of the bag (for round accounting)
 }
 
-// Scratch is the graph-sized working memory of FindCycleSeparator, reused
-// across the calls on one graph (the BDD builder runs one per bag). The
-// zero value is ready for use; a Scratch serves one call at a time.
+// Scratch is the working memory of FindCycleSeparator, reused across the
+// calls on one graph (the BDD builder runs one per bag). The zero value is
+// ready for use; a Scratch serves one call at a time.
 type Scratch struct {
 	treeEdge []bool  // by edge; all false between calls
 	triOf    []int32 // by dart; -1 outside the last call's bag
 	side     []int8  // by dart; the last call's Result.Side
 	last     *planar.SubFaces
+
+	// The bag-sized arrays of one call, by triangle unless noted, grown
+	// only when a call needs more than an earlier one did.
+	triW                  []int
+	dualEdges             []dualEdge
+	triOfOrbitStart       []int // by orbit
+	adjStart, adj         []int32
+	parentEdge, parentTri []int32
+	order                 []int32
+	sub                   []int
+	triSide               []int8
+}
+
+// dualEdge is an edge of the triangulated bag's dual between triangles t1
+// and t2; its primal candidate is a real edge (edge >= 0) or a virtual
+// chord (edge == -1), with endpoints u, v.
+type dualEdge struct {
+	t1, t2 int
+	edge   int
+	u, v   int
+}
+
+// grow returns *buf resized to n, reallocating it only when it is too
+// small; the contents are not cleared.
+func grow[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	return (*buf)[:n]
 }
 
 // reset sizes the buffers for g and clears what the last call wrote.
@@ -103,18 +132,20 @@ func FindCycleSeparator(g *planar.Graph, edgeIn []bool, sf *planar.SubFaces, bfs
 	}
 
 	// ---- Triangulate orbits and assign darts to triangles. ----
-	numTri := 0
-	triW := []int{}
-	type dualEdge struct {
-		t1, t2 int
-		// candidate edge: real primal edge (edge >= 0) or virtual chord
-		// (edge == -1) with endpoints u, v.
-		edge int
-		u, v int
+	// An orbit of k > 2 darts is k-2 triangles joined by k-3 chords; the
+	// rest of the dual edges are the bag's real non-tree edges.
+	// Appends stay within these capacities, so the arrays stay sc's.
+	tris, chords := 0, 0
+	for f := 0; f < sf.NumFaces(); f++ {
+		k := len(sf.Cycle(f))
+		tris += max(1, k-2)
+		chords += max(0, k-3)
 	}
-	var dualEdges []dualEdge
+	numTri := 0
+	triW := grow(&sc.triW, tris)[:0]
+	dualEdges := grow(&sc.dualEdges, chords+g.M())[:0]
 	rootOrbit, rootOrbitLen := 0, -1
-	triOfOrbitStart := make([]int, sf.NumFaces())
+	triOfOrbitStart := grow(&sc.triOfOrbitStart, sf.NumFaces())
 
 	for f := 0; f < sf.NumFaces(); f++ {
 		cyc := sf.Cycle(f)
@@ -180,7 +211,8 @@ func FindCycleSeparator(g *planar.Graph, edgeIn []bool, sf *planar.SubFaces, bfs
 
 	// ---- Interdigitating tree: BFS spanning tree of the dual edges. ----
 	// adj[adjStart[t]:adjStart[t+1]] lists t's dual edges in index order.
-	adjStart := make([]int32, numTri+1)
+	adjStart := grow(&sc.adjStart, numTri+1)
+	clear(adjStart)
 	for _, de := range dualEdges {
 		adjStart[de.t1+1]++
 		adjStart[de.t2+1]++
@@ -188,24 +220,27 @@ func FindCycleSeparator(g *planar.Graph, edgeIn []bool, sf *planar.SubFaces, bfs
 	for t := 0; t < numTri; t++ {
 		adjStart[t+1] += adjStart[t]
 	}
-	adj := make([]int32, adjStart[numTri]) // indices into dualEdges
-	fill := append([]int32(nil), adjStart[:numTri]...)
+	// The fill uses adjStart[t] as t's cursor, so afterwards adjStart[t]
+	// holds what adjStart[t+1] held, and one shift restores it.
+	adj := grow(&sc.adj, int(adjStart[numTri])) // indices into dualEdges
 	for i, de := range dualEdges {
-		adj[fill[de.t1]] = int32(i)
-		fill[de.t1]++
-		adj[fill[de.t2]] = int32(i)
-		fill[de.t2]++
+		adj[adjStart[de.t1]] = int32(i)
+		adjStart[de.t1]++
+		adj[adjStart[de.t2]] = int32(i)
+		adjStart[de.t2]++
 	}
+	copy(adjStart[1:], adjStart[:numTri])
+	adjStart[0] = 0
 	rootTri := triOfOrbitStart[rootOrbit]
-	parentEdge := make([]int32, numTri) // dual edge to parent (-1 at root)
-	parentTri := make([]int32, numTri)
+	parentEdge := grow(&sc.parentEdge, numTri) // dual edge to parent (-1 at root)
+	parentTri := grow(&sc.parentTri, numTri)
 	for t := range parentEdge {
 		parentEdge[t] = -2 // unvisited
 		parentTri[t] = -1
 	}
 	parentEdge[rootTri] = -1
 	// order is the BFS visit order and, past its head, the queue.
-	order := make([]int32, 1, numTri)
+	order := grow(&sc.order, numTri)[:1]
 	order[0] = int32(rootTri)
 	for head := 0; head < len(order); head++ {
 		t := order[head]
@@ -224,7 +259,7 @@ func FindCycleSeparator(g *planar.Graph, edgeIn []bool, sf *planar.SubFaces, bfs
 	}
 
 	// Subtree dart weights (children before parents in reverse BFS order).
-	sub := make([]int, numTri)
+	sub := grow(&sc.sub, numTri)
 	for _, t := range order {
 		sub[t] = triW[t]
 	}
@@ -277,7 +312,8 @@ func FindCycleSeparator(g *planar.Graph, edgeIn []bool, sf *planar.SubFaces, bfs
 
 	// Region assignment: triangles in the subtree below the chosen edge are
 	// side 1. BFS order puts every parent before its children.
-	side := make([]int8, numTri)
+	side := grow(&sc.triSide, numTri)
+	clear(side)
 	side[bestChild] = 1
 	for _, t := range order {
 		if p := parentTri[t]; p >= 0 && side[p] == 1 {
@@ -299,36 +335,29 @@ func FindCycleSeparator(g *planar.Graph, edgeIn []bool, sf *planar.SubFaces, bfs
 }
 
 // treePath returns the vertices (u..lca..v) and edges of the tree path
-// between u and v in the BFS tree.
+// between u and v in the BFS tree, the edges with room for one more (EX when
+// it is real). A first walk finds the LCA, so each slice is allocated once.
 func treePath(g *planar.Graph, bfs *planar.BFSResult, u, v int) ([]int, []int) {
-	var upU, upV []int
-	var edgesU, edgesV []int
+	up := func(x int) int { return g.Tail(bfs.Parent[x]) }
 	a, b := u, v
 	for bfs.Dist[a] > bfs.Dist[b] {
-		upU = append(upU, a)
-		edgesU = append(edgesU, planar.EdgeOf(bfs.Parent[a]))
-		a = g.Tail(bfs.Parent[a])
+		a = up(a)
 	}
 	for bfs.Dist[b] > bfs.Dist[a] {
-		upV = append(upV, b)
-		edgesV = append(edgesV, planar.EdgeOf(bfs.Parent[b]))
-		b = g.Tail(bfs.Parent[b])
+		b = up(b)
 	}
 	for a != b {
-		upU = append(upU, a)
-		edgesU = append(edgesU, planar.EdgeOf(bfs.Parent[a]))
-		a = g.Tail(bfs.Parent[a])
-		upV = append(upV, b)
-		edgesV = append(edgesV, planar.EdgeOf(bfs.Parent[b]))
-		b = g.Tail(bfs.Parent[b])
+		a, b = up(a), up(b)
 	}
-	verts := append(upU, a)
-	for i := len(upV) - 1; i >= 0; i-- {
-		verts = append(verts, upV[i])
+	nu, nv := bfs.Dist[u]-bfs.Dist[a], bfs.Dist[v]-bfs.Dist[a]
+	verts := make([]int, nu+nv+1)
+	edges := make([]int, nu+nv, nu+nv+1)
+	for i, x := 0, u; i < nu; i, x = i+1, up(x) {
+		verts[i], edges[i] = x, planar.EdgeOf(bfs.Parent[x])
 	}
-	edges := edgesU
-	for i := len(edgesV) - 1; i >= 0; i-- {
-		edges = append(edges, edgesV[i])
+	verts[nu] = a
+	for i, x := nu+nv, v; i > nu; i, x = i-1, up(x) {
+		verts[i], edges[i-1] = x, planar.EdgeOf(bfs.Parent[x])
 	}
 	return verts, edges
 }

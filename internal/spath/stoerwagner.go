@@ -135,33 +135,46 @@ func GlobalMinCut(n int, us, vs []int, ws []int64) (int64, []bool) {
 
 // stoerWagner is GlobalMinCut without the contraction test: V−1 maximum
 // adjacency phases over the whole graph.
+//
+// The arcs are one CSR, node u's at arcTo/arcW[start[u]:start[u+1]] in edge
+// order. A supernode is a chain of the original nodes merged into it, linked
+// through next from its own node to tail: its members, and, run after run,
+// its arcs in merge order. Merging last into prev appends last's chain to
+// prev's.
 func stoerWagner(n int, us, vs []int, ws []int64) (int64, []bool) {
-	type swArc struct {
-		to int
-		w  int64
-	}
-	adj := make([][]swArc, n)
+	start := make([]int, n+1)
 	for i := range us {
-		if us[i] == vs[i] {
-			continue // self-loops never cross a cut
+		if us[i] != vs[i] { // self-loops never cross a cut
+			start[us[i]+1]++
+			start[vs[i]+1]++
 		}
-		adj[us[i]] = append(adj[us[i]], swArc{to: vs[i], w: ws[i]})
-		adj[vs[i]] = append(adj[vs[i]], swArc{to: us[i], w: ws[i]})
 	}
+	for u := 0; u < n; u++ {
+		start[u+1] += start[u]
+	}
+	arcTo, arcW := make([]int, start[n]), make([]int64, start[n])
+	// The fill pass uses start[u] as u's cursor, so afterwards start[u]
+	// holds what start[u+1] held; one shift restores it.
+	for i := range us {
+		if u, v := us[i], vs[i]; u != v {
+			arcTo[start[u]], arcW[start[u]] = v, ws[i]
+			start[u]++
+			arcTo[start[v]], arcW[start[v]] = u, ws[i]
+			start[v]++
+		}
+	}
+	copy(start[1:], start[:n])
+	start[0] = 0
 
-	// members[v] = original vertices merged into supernode v.
-	members := make([][]int, n)
-	for v := range members {
-		members[v] = []int{v}
-	}
+	next, tail := make([]int, n), make([]int, n)
 	alive := make([]bool, n)
-	for v := range alive {
-		alive[v] = true
+	for v := range next {
+		next[v], tail[v], alive[v] = -1, v, true
 	}
 	aliveCnt := n
 
 	best := Inf
-	var bestSide []int
+	side := make([]bool, n)
 
 	w := make([]int64, n)
 	inA := make([]bool, n)
@@ -172,14 +185,14 @@ func stoerWagner(n int, us, vs []int, ws []int64) (int64, []bool) {
 			w[v] = 0
 			inA[v] = false
 		}
-		var start int
+		var first int
 		for v := 0; v < n; v++ {
 			if alive[v] {
-				start = v
+				first = v
 				break
 			}
 		}
-		q = append(q[:0], pqItem{v: start, d: 0})
+		q = append(q[:0], pqItem{v: first, d: 0})
 		prev, last := -1, -1
 		added := 0
 		for added < aliveCnt {
@@ -204,43 +217,36 @@ func stoerWagner(n int, us, vs []int, ws []int64) (int64, []bool) {
 			inA[v] = true
 			added++
 			prev, last = last, v
-			for _, a := range adj[v] {
-				if alive[a.to] && !inA[a.to] {
-					w[a.to] += a.w
-					q.push(pqItem{v: a.to, d: -w[a.to]})
+			for x := v; x >= 0; x = next[x] {
+				for i := start[x]; i < start[x+1]; i++ {
+					if to := arcTo[i]; alive[to] && !inA[to] {
+						w[to] += arcW[i]
+						q.push(pqItem{v: to, d: -w[to]})
+					}
 				}
 			}
 		}
-		// Cut-of-the-phase: last vertex alone vs the rest.
+		// Cut-of-the-phase: last's members alone vs the rest.
 		if w[last] < best {
 			best = w[last]
-			bestSide = append([]int(nil), members[last]...)
+			clear(side)
+			for x := last; x >= 0; x = next[x] {
+				side[x] = true
+			}
 		}
-		// Merge last into prev: move last's arcs to prev and redirect all
-		// arcs pointing at last. Arcs between prev and last become
+		// Merge last into prev: append last's chain to prev's and redirect
+		// every arc pointing at last. Arcs between prev and last become
 		// self-loops, which the phase loop skips (inA check).
 		if prev >= 0 {
-			members[prev] = append(members[prev], members[last]...)
-			adj[prev] = append(adj[prev], adj[last]...)
-			adj[last] = nil
-			for v := 0; v < n; v++ {
-				if !alive[v] || v == last {
-					continue
-				}
-				for i := range adj[v] {
-					if adj[v][i].to == last {
-						adj[v][i].to = prev
-					}
+			next[tail[prev]], tail[prev] = last, tail[last]
+			for i, to := range arcTo {
+				if to == last {
+					arcTo[i] = prev
 				}
 			}
 		}
 		alive[last] = false
 		aliveCnt--
-	}
-
-	side := make([]bool, n)
-	for _, v := range bestSide {
-		side[v] = true
 	}
 	return best, side
 }
