@@ -304,7 +304,7 @@ func BenchmarkGirthFirst(b *testing.B) {
 		g    *planar.Graph
 	}{
 		{"grid12x12", warmGridGraph()},
-		{"triangulation100", planar.WithRandomWeights(planar.StackedTriangulation(100, planar.NewRand(1)), planar.NewRand(1), 1, 9, 1, 10)},
+		{"triangulation100", coldTriangulationGraph()},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			c.g.Faces()
@@ -319,6 +319,12 @@ func BenchmarkGirthFirst(b *testing.B) {
 			reportRounds(b, led)
 		})
 	}
+}
+
+// coldTriangulationGraph is a triangulation of bench/'s cold_build
+// catalogue: a StackedTriangulation(100), weights 1–9.
+func coldTriangulationGraph() *planar.Graph {
+	return planar.WithRandomWeights(planar.StackedTriangulation(100, planar.NewRand(1)), planar.NewRand(1), 1, 9, 1, 10)
 }
 
 // coldSnakeGraph is a snake of bench/'s cold_build catalogue: a strongly
@@ -367,6 +373,38 @@ func BenchmarkLabelPlan(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
+			})
+		}
+	}
+}
+
+// BenchmarkColdLabeling — a cold_build graph's first labeling, per view:
+// the tree's plan laid out and every bag labeled, leaf and DDG rows reusing
+// the bag's finished rows. The tree is built outside the timer.
+func BenchmarkColdLabeling(b *testing.B) {
+	for _, v := range []label.View{label.Primal, label.Dual} {
+		for _, c := range []struct {
+			name string
+			g    *planar.Graph
+		}{
+			{"triangulation100", coldTriangulationGraph()},
+			{"snake12x12", coldSnakeGraph()},
+		} {
+			b.Run(v.String()+"/"+c.name, func(b *testing.B) {
+				c.g.Faces()
+				lens := artifact.Lengths(c.g, artifact.Undirected)
+				b.ReportAllocs()
+				var led *ledger.Ledger
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					tree := bdd.Build(c.g, 0, ledger.New())
+					led = ledger.New()
+					b.StartTimer()
+					if label.Compute(v, tree, lens, led).NegCycle {
+						b.Fatal("unexpected negative cycle")
+					}
+				}
+				reportRounds(b, led)
 			})
 		}
 	}
@@ -588,13 +626,15 @@ func TestAllocCeilings(t *testing.T) {
 		}},
 		// The cold path's oracles on a cold_build snake, the substrates they
 		// read resident: a global min cut (cycle enumeration and bisection), a
-		// directed girth, and a girth (min cut on the simple dual). They read
-		// 55,826 / 2,521 / 1,311 allocs while the enumerations rebuilt a
-		// digraph per candidate arc and the min cut ran Stoer–Wagner on the
-		// whole dual; the girth read 700 while Lemma 4.15's deactivation kept
-		// a map per face and one map of groups, and 152 with flat arrays
-		// while Stoer–Wagner grew a list per node (56 with one CSR).
-		{"core.GlobalMinCut", 1000, func() error {
+		// directed girth, and a girth (min cut on the simple dual). The min
+		// cut reads 440 since planar.BFS queues in its Order, 492 while it
+		// re-sliced a queue of its own. They read 55,826 / 2,521 / 1,311
+		// allocs while the enumerations rebuilt a digraph per candidate arc
+		// and the min cut ran Stoer–Wagner on the whole dual; the girth read
+		// 700 while Lemma 4.15's deactivation kept a map per face and one map
+		// of groups, and 152 with flat arrays while Stoer–Wagner grew a list
+		// per node (56 with one CSR).
+		{"core.GlobalMinCut", 528, func() error {
 			_, err := core.GlobalMinCut(snake, core.Options{}, ledger.New())
 			return err
 		}},
@@ -618,17 +658,19 @@ func TestAllocCeilings(t *testing.T) {
 			return err
 		}},
 		// The decomposition a cold_build graph is first served through, on a
-		// Triangulation(100) and on the snake: 492 / 146 allocs since the
-		// separator keeps its bag-sized arrays on the build's scratch and
-		// lays its cycle path out once; 832 / 187 (0.32 / 0.12 MB) while
-		// every separator call allocated its own; 5,893 / 1,405 (0.65 / 0.21
-		// MB, 0.56 ms on the triangulation) while every bag kept whole-graph
-		// bitmaps and maps and every split allocated its own.
-		{"bdd.Build(triangulation100)", 592, func() error {
+		// Triangulation(100) and on the snake: 475 / 94 allocs since
+		// planar.BFS queues in its Order; 492 / 146 while it re-sliced a
+		// queue of its own; 832 / 187 (0.32 / 0.12 MB) before the separator
+		// kept its bag-sized arrays on the build's scratch and laid its cycle
+		// path out once, while every separator call allocated its own; 5,893
+		// / 1,405 (0.65 / 0.21 MB, 0.56 ms on the triangulation) while every
+		// bag kept whole-graph bitmaps and maps and every split allocated its
+		// own.
+		{"bdd.Build(triangulation100)", 570, func() error {
 			bdd.Build(coldTri, 0, ledger.New())
 			return nil
 		}},
-		{"bdd.Build(snake12x12)", 176, func() error {
+		{"bdd.Build(snake12x12)", 113, func() error {
 			bdd.Build(snake.Graph(), 0, ledger.New())
 			return nil
 		}},

@@ -144,7 +144,7 @@ func (pl *plan) ssspRow(k *kernel, lengths []int64, source int, led *ledger.Ledg
 	root := &pl.lay[pl.t.Root.ID]
 	if pos := find(root.Keys, root.KeyOrder, source); pos >= 0 {
 		words = pl.rootWords[pos]
-		k.row(source, res.Dist)
+		k.row(source, res.Dist, nil)
 	} else {
 		for i := range res.Dist {
 			res.Dist[i] = spath.Inf
@@ -326,7 +326,8 @@ func (la *Labeling) FootprintBytes() int64 {
 
 // computeLeaf gathers the whole bag (the "collect the entire graph" step),
 // takes the negative-cycle verdict from the kernel's potentials, and computes
-// the distances from each key — a kernel row is that key's LeafTo. Its
+// the distances from each key — a kernel row is that key's LeafTo, reusing
+// the rows of the keys before it (a key's position is its node). Its
 // broadcast, TreeDepth + #nodes + #active arcs (pipelined), is
 // plan.bagCost.
 func (ps *pass) computeLeaf(b *bdd.Bag) {
@@ -340,8 +341,9 @@ func (ps *pass) computeLeaf(b *bdd.Bag) {
 	ps.k.reduce()
 	rows := make([]int64, n*n)
 	la.labelBag(b, func(l *Label) {
-		l.vec, rows = rows[:n:n], rows[n:]
-		ps.k.row(int(l.pos), l.vec)
+		at := int(l.pos) * n
+		l.vec = rows[at : at+n : at+n]
+		ps.k.row(int(l.pos), l.vec, rows[:at])
 	})
 }
 
@@ -412,7 +414,7 @@ func (ps *pass) computeInternal(b *bdd.Bag) {
 	ddg.Dist = make([][]int64, nn)
 	for i := range ddg.Dist {
 		ddg.Dist[i] = slab[i*nn : (i+1)*nn : (i+1)*nn]
-		ps.k.row(i, ddg.Dist[i])
+		ps.k.row(i, ddg.Dist[i], slab[:i*nn])
 	}
 	if la.ddgs != nil {
 		la.ddgs[b.ID] = ddg

@@ -10,12 +10,15 @@ import (
 // CSR digraph. One Bellman–Ford run from a virtual source at distance 0 to
 // every node is both the bag's negative-cycle verdict and the potentials;
 // each requested row is then one heap Dijkstra over the reduced, non-negative
-// lengths, un-reduced on the way out. Distances are integers, so a row equals
-// per-source Bellman–Ford's (internal/spath's baseline, which the kernel is
-// tested against) bit for bit, and no ledger entry depends on which ran:
-// local computation is charged nowhere. The same CSR graph also serves the
-// per-bag cycle enumerations (cycle.go): a bounded, masked Dijkstra
-// (shortest) over non-negative lengths as loaded, with no potentials run.
+// lengths, un-reduced on the way out. A bag's rows run in node order and
+// reuse the rows already finished: a lower node a row pops relaxes every
+// node through its own row instead of expanding its arcs. Distances are
+// integers, so a row equals per-source Bellman–Ford's (internal/spath's
+// baseline, which the kernel is tested against) bit for bit, and no ledger
+// entry depends on which ran: local computation is charged nowhere. The same
+// CSR graph also serves the per-bag cycle enumerations (cycle.go): a
+// bounded, masked Dijkstra (shortest) over non-negative lengths as loaded,
+// with no potentials run.
 //
 // A kernel belongs to one labeling pass, one probe, or one cycle
 // enumeration, and is reused across its bags; a Labeling never holds one.
@@ -38,11 +41,12 @@ type kernel struct {
 	// head: per node its depth (-1 once its subtree was detached) and its
 	// neighbours in the list. queue is the FIFO worklist, a ring of n slots
 	// holding qlen nodes from slot 0 until settle runs, and state each
-	// node's place in it; relaxations is the last run's relaxation count.
+	// node's place in it; relaxations is the last run's relaxation count,
+	// and pops the last row's heap pops.
 	slab                            []int32
 	depth, next, prev, queue, state []int32
 	qlen                            int
-	relaxations                     int
+	relaxations, pops               int
 
 	// What start, to and dart view after loadArcs.
 	ownStart, ownTo []int32
@@ -252,9 +256,17 @@ func (k *kernel) reduce() {
 }
 
 // row writes the distances from src to every node into out (len n;
-// spath.Inf where unreachable). reduce must have run.
-func (k *kernel) row(src int, out []int64) {
-	k.where = grow(k.where, k.n)
+// spath.Inf where unreachable). reduce must have run. done holds the finished
+// rows of nodes 0..len(done)/n−1, un-reduced and n apart (nil: none). A
+// popped node u among them expands no arc: through its row it lowers every w
+// to dist(src, u) plus dist(u, w), pushing nothing, which covers every path
+// on through u; and a node whose value a row set is final, so when it is
+// popped after, at the key it entered the heap with, it is skipped. Pushed
+// keys stay monotone, so no settled node improves.
+func (k *kernel) row(src int, out, done []int64) {
+	n, h := k.n, k.h
+	ndone := len(done) / n
+	k.where = grow(k.where, n)
 	where := k.where // node -> index in the heap; -1 before it enters, -2 once settled
 	for i := range out {
 		out[i], where[i] = spath.Inf, -1
@@ -262,6 +274,7 @@ func (k *kernel) row(src int, out []int64) {
 	out[src] = 0
 	q := append(k.heap[:0], heapItem{0, int32(src)})
 	where[src] = 0
+	pops := 0
 	for len(q) > 0 {
 		top := q[0]
 		where[top.v] = -2
@@ -272,7 +285,21 @@ func (k *kernel) row(src int, out []int64) {
 		} else {
 			q = q[:0]
 		}
+		pops++
 		u := int(top.v)
+		if top.d > out[u] {
+			continue // a row lowered u after it entered the heap
+		}
+		if u < ndone {
+			// In reduced lengths: top.d + h[u] + dist(u, w) − h[w].
+			base := top.d + h[u]
+			for w, d := range done[u*n : (u+1)*n] {
+				if d < spath.Inf && base+d-h[w] < out[w] {
+					out[w] = base + d - h[w]
+				}
+			}
+			continue
+		}
 		for i, end := k.start[u], k.start[u+1]; i < end; i++ {
 			l := k.length[i]
 			if l >= spath.Inf {
@@ -291,12 +318,12 @@ func (k *kernel) row(src int, out []int64) {
 			siftUp(q, where, at, heapItem{nd, v})
 		}
 	}
-	k.heap = q
+	k.heap, k.pops = q, pops
 	// Un-reduce: dist(src, v) = reduced − h[src] + h[v].
-	hs := k.h[src]
+	hs := h[src]
 	for v, d := range out {
 		if d < spath.Inf {
-			out[v] = d - hs + k.h[v]
+			out[v] = d - hs + h[v]
 		}
 	}
 }

@@ -48,8 +48,10 @@ func randomArcs(rng *rand.Rand, n int, negCycle bool) []DDGArc {
 // replaces: on random digraphs with negative arcs, Inf arcs, parallel arcs,
 // self-loops and unreachable nodes, through both of its loaders, the verdict
 // equals spath.BellmanFord's from a super source and every row equals
-// BellmanFord's from that node. One kernel value serves every graph, sizes
-// shrinking and growing, so a buffer that outlives its graph shows. Two more
+// BellmanFord's from that node, computed after the rows of all lower nodes
+// and reusing them, and computed alone. One kernel value serves every graph,
+// sizes shrinking and growing, so a buffer that outlives its graph shows.
+// Two more
 // graphs per size have no negative arc, so the worklist starts empty and
 // nothing relaxes; every negative verdict must come from the subtree check,
 // the relaxation bound (n·m) never passed, among them one whose negative
@@ -114,13 +116,17 @@ func TestKernelMatchesBellmanFord(t *testing.T) {
 					bySubtreeCheck++
 					continue
 				}
+				// Each row twice: reusing the rows of every lower node, and
+				// alone.
 				k.reduce()
-				row := make([]int64, n)
+				rows, alone := make([]int64, n*n), make([]int64, n)
 				for i := 0; i < n; i++ {
-					k.row(i, row)
+					row := rows[i*n : (i+1)*n]
+					k.row(i, row, rows[:i*n])
+					k.row(i, alone, nil)
 					res, _ := spath.BellmanFord(dg, i)
-					if !reflect.DeepEqual(row, res.Dist[:n]) {
-						t.Fatalf("n=%d source %d:\nkernel %v\nBellman–Ford %v", n, i, row, res.Dist[:n])
+					if !reflect.DeepEqual(row, res.Dist[:n]) || !reflect.DeepEqual(alone, res.Dist[:n]) {
+						t.Fatalf("n=%d source %d:\nkernel with done rows %v\nkernel alone %v\nBellman–Ford %v", n, i, row, alone, res.Dist[:n])
 					}
 				}
 			}
@@ -144,6 +150,74 @@ func TestKernelMatchesBellmanFord(t *testing.T) {
 	} {
 		if load(); k.potentials() || k.relaxations != 6 {
 			t.Fatalf("closedThroughDetached: a verdict of no negative cycle, or one after %d relaxations, not 6", k.relaxations)
+		}
+	}
+}
+
+// TestRowsReuseDoneRows pins what a row gains from the bag's finished rows:
+// on a cold_build Triangulation(100) and snake(12,12), weights 1–9, in every
+// leaf of both views and every DDG the dual labeling retains, each row
+// computed after the rows of the lower nodes equals the row computed alone,
+// and all of them together pop at most 0.6× the heap items the rows alone
+// do (0.36–0.52 per view when rows began reusing).
+func TestRowsReuseDoneRows(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		g    *planar.Graph
+	}{
+		{"triangulation100", planar.WithRandomWeights(planar.StackedTriangulation(100, planar.NewRand(1)), planar.NewRand(1), 1, 9, 1, 10)},
+		{"snake12x12", planar.WithRandomWeights(planar.BoustrophedonGrid(12, 12), planar.NewRand(1), 1, 9, 1, 10)},
+	} {
+		tree := bdd.Build(c.g, 0, ledger.New())
+		lengths := UniformLengths(c.g, false)
+		var k kernel
+		var with, alone [3]int // pops: primal leaves, dual leaves, dual DDGs
+		// rows computes the loaded bag's rows both ways into its part's pops.
+		rows := func(part, bag int) {
+			if !k.potentials() {
+				t.Fatalf("%s: bag %d has a negative cycle", c.name, bag)
+			}
+			k.reduce()
+			n := k.n
+			done, row := make([]int64, n*n), make([]int64, n)
+			for i := 0; i < n; i++ {
+				k.row(i, done[i*n:(i+1)*n], done[:i*n])
+				with[part] += k.pops
+				k.row(i, row, nil)
+				alone[part] += k.pops
+				if !reflect.DeepEqual(done[i*n:(i+1)*n], row) {
+					t.Fatalf("%s: bag %d row %d: %v with the done rows, %v alone", c.name, bag, i, done[i*n:(i+1)*n], row)
+				}
+			}
+		}
+		for part, v := range []View{Primal, Dual} {
+			pl := mustPlan(t, tree, v)
+			for _, b := range tree.Bags {
+				if b.IsLeaf() {
+					k.load(&pl.bags[b.ID].leaf, lengths)
+					rows(part, b.ID)
+				}
+			}
+		}
+		la := Compute(Dual, tree, lengths, ledger.New())
+		for _, ddg := range la.ddgs {
+			if ddg != nil {
+				k.loadArcs(len(ddg.Nodes), ddg.Arcs)
+				rows(2, ddg.Bag.ID)
+			}
+		}
+		sumWith, sumAlone := 0, 0
+		for part := range with {
+			if alone[part] == 0 {
+				t.Fatalf("%s: part %d popped nothing", c.name, part)
+			}
+			sumWith, sumAlone = sumWith+with[part], sumAlone+alone[part]
+		}
+		ratio := float64(sumWith) / float64(sumAlone)
+		t.Logf("%s: pops with done rows / alone: primal leaves %d / %d, dual leaves %d / %d, dual DDGs %d / %d; %.2f in all",
+			c.name, with[0], alone[0], with[1], alone[1], with[2], alone[2], ratio)
+		if ratio > 0.6 {
+			t.Errorf("%s: rows reusing the done rows pop %.2f× the heap items of rows alone, over 0.6×", c.name, ratio)
 		}
 	}
 }

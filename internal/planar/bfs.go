@@ -10,40 +10,11 @@ type BFSResult struct {
 }
 
 // BFS runs an undirected breadth-first search from root.
-func (g *Graph) BFS(root int) *BFSResult {
-	res := &BFSResult{
-		Root:   root,
-		Dist:   make([]int, g.n),
-		Parent: make([]Dart, g.n),
-		Order:  make([]int, 0, g.n),
-	}
-	for v := range res.Dist {
-		res.Dist[v] = -1
-		res.Parent[v] = NoDart
-	}
-	res.Dist[root] = 0
-	queue := []int{root}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		res.Order = append(res.Order, v)
-		if res.Dist[v] > res.Depth {
-			res.Depth = res.Dist[v]
-		}
-		for _, d := range g.rot[v] {
-			u := g.Head(d)
-			if res.Dist[u] == -1 {
-				res.Dist[u] = res.Dist[v] + 1
-				res.Parent[u] = d
-				queue = append(queue, u)
-			}
-		}
-	}
-	return res
-}
+func (g *Graph) BFS(root int) *BFSResult { return g.BFSWithin(root, nil) }
 
 // BFSWithin runs BFS from root restricted to darts for which allowed reports
-// true for the dart or its reversal (i.e. allowed edges).
+// true for the dart or its reversal (i.e. allowed edges); a nil allowed
+// allows every dart.
 func (g *Graph) BFSWithin(root int, allowed func(d Dart) bool) *BFSResult {
 	res := &BFSResult{
 		Root:   root,
@@ -64,7 +35,7 @@ func (g *Graph) BFSWithin(root int, allowed func(d Dart) bool) *BFSResult {
 			res.Depth = res.Dist[v]
 		}
 		for _, d := range g.rot[v] {
-			if !allowed(d) {
+			if allowed != nil && !allowed(d) {
 				continue
 			}
 			u := g.Head(d)

@@ -1,6 +1,7 @@
 package planar
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -302,6 +303,36 @@ func TestBFS(t *testing.T) {
 	}
 	if len(b.Order) != g.N() {
 		t.Fatal("order incomplete")
+	}
+}
+
+// TestBFSMatchesBFSWithin holds BFS to BFSWithin with every dart allowed,
+// field for field, from several roots of grids, a snake, triangulations and
+// edge-deleted subgraphs.
+func TestBFSMatchesBFSWithin(t *testing.T) {
+	rng := NewRand(5)
+	for _, c := range []struct {
+		name string
+		g    *Graph
+	}{
+		{"grid1x2", Grid(1, 2)},
+		{"grid4x6", Grid(4, 6)},
+		{"grid9x9", Grid(9, 9)},
+		{"snake12x12", BoustrophedonGrid(12, 12)},
+		{"triangulation40", StackedTriangulation(40, NewRand(1))},
+		{"triangulation100", StackedTriangulation(100, NewRand(2))},
+		{"grid8x8-20", RemoveRandomEdges(Grid(8, 8), NewRand(3), 20)},
+		{"triangulation60-30", RemoveRandomEdges(StackedTriangulation(60, NewRand(4)), NewRand(4), 30)},
+	} {
+		for _, root := range []int{0, c.g.N() - 1, rng.IntN(c.g.N())} {
+			got, want := c.g.BFS(root), c.g.BFSWithin(root, func(Dart) bool { return true })
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s from %d: BFS %+v, BFSWithin %+v", c.name, root, got, want)
+			}
+			if len(got.Order) != c.g.N() {
+				t.Fatalf("%s from %d: %d of %d vertices visited", c.name, root, len(got.Order), c.g.N())
+			}
+		}
 	}
 }
 
