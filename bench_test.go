@@ -589,11 +589,13 @@ func TestAllocCeilings(t *testing.T) {
 			return err
 		}},
 		// An exact max-flow with the graph's λ = 0 state resident, on each of
-		// warmPairs: 9 allocs at λ* = 0 (one probe, the assignment replayed)
-		// and 14 at λ* > 0 (one search, its SSSP at λ* reading λ*'s
-		// potentials), with min st-cut on top 25, and 16 at λ* = 0 (the λ = 0
-		// state's residual graph and pass replayed, one row from s) — 28 / 42
-		// / 59 / 42 with a new search, kernel and BFS arrays per query. They
+		// warmPairs: 7 allocs at λ* = 0 (one probe, the assignment a copy of
+		// the state's circulation, its entries replayed; 9 while it recomputed
+		// the circulation and every merge copied the entries it replayed) and
+		// 14 at λ* > 0 (one search, its SSSP at λ* reading λ*'s potentials),
+		// with min st-cut on top 25, and 12 at λ* = 0 (the λ = 0 state's
+		// residual graph and pass replayed, one row from s; 16) — 28 / 42 /
+		// 59 / 42 with a new search, kernel and BFS arrays per query. They
 		// read 25 / 70 / 85 / 37 (31 / 120 / 142 with a new kernel) while every
 		// probe loaded G*, drove the level costs and allocated its own
 		// residual lengths, the λ* > 0 assignment ran SSSPFrom and every min
@@ -619,9 +621,16 @@ func TestAllocCeilings(t *testing.T) {
 		}},
 		// Once the graph's minor-aggregation prices are resident (the warm-up
 		// run builds them: 17,386 allocs when every query did), an st-planar
-		// flow is the split of one face and one Dijkstra over presized lists.
-		{"core.STPlanarMaxFlow", 200, func() error {
+		// flow or cut is the split of one face and one Dijkstra over the face
+		// table, on pooled scratch: they read 5 / 10 (the result, the ledger's
+		// entries; the cut's side and edges), 27 / 32 while every query built
+		// the augmented dual as a digraph and Dijkstra allocated its results.
+		{"core.STPlanarMaxFlow", 6, func() error {
 			_, err := core.STPlanarMaxFlow(p, 0, p.Graph().N()-1, 0, ledger.New())
+			return err
+		}},
+		{"core.STPlanarMinCut", 12, func() error {
+			_, err := core.STPlanarMinCut(p, 0, p.Graph().N()-1, 0, ledger.New())
 			return err
 		}},
 		// The cold path's oracles on a cold_build snake, the substrates they
@@ -648,7 +657,8 @@ func TestAllocCeilings(t *testing.T) {
 		}},
 		// A first girth on a never-seen snake, its faces known: the prices
 		// (Ĝ, the shortcut skeleton, one measured PA) plus the deactivation
-		// and the min cut. Reads 159; 256 while Ĝ filled a typed arc slab
+		// and the min cut. Reads 155; 159 while every ledger merge copied
+		// the entries it folded in; 256 while Ĝ filled a typed arc slab
 		// beside its neighbors and Stoer–Wagner grew a list per node; 5,245
 		// while Ĝ grew one arc slice per vertex, the PA network copied it
 		// into a [][]int, every schedule round scanned all n vertices and

@@ -30,6 +30,9 @@ type FlowBase struct {
 	// Dist is the dual SSSP from face 0 under the capacity lengths: the
 	// face potentials of the λ* = 0 assignment.
 	Dist []int64
+	// Flow is the circulation Dist induces (Circulation): the λ* = 0
+	// assignment of every (s, t) pair. Readers copy it before changing it.
+	Flow []int64
 	// Led holds, in order, what that SSSP charges as the assignment step
 	// runs it (label.SSSPFrom, its pass charged to led as well): replayed
 	// at Query scope by every λ* = 0 assignment.
@@ -45,15 +48,15 @@ type FlowBase struct {
 
 // FootprintBytes estimates the resident memory of the state at twice its
 // records' sizes, as Labeling.FootprintBytes does: the two length vectors,
-// the potentials and the recorded entries. The skeletons a probe loads, the
-// whole G* and each bag's X*, belong to the tree's dual plan, which no
-// estimate charges yet.
+// the potentials, the circulation and the recorded entries. The skeletons a
+// probe loads, the whole G* and each bag's X*, belong to the tree's dual
+// plan, which no estimate charges yet.
 func (fb *FlowBase) FootprintBytes() int64 {
 	const (
 		word  = int64(2 * unsafe.Sizeof(int64(0)))
 		entry = int64(2 * unsafe.Sizeof(ledger.Entry{}))
 	)
-	return int64(len(fb.Lengths)+len(fb.Dist)+len(fb.CutLengths))*word +
+	return int64(len(fb.Lengths)+len(fb.Dist)+len(fb.Flow)+len(fb.CutLengths))*word +
 		int64(len(fb.Led.Entries())+len(fb.CutLed.Entries()))*entry
 }
 
@@ -124,11 +127,12 @@ func (p *Prepared) FlowBase(leafLimit int, led *ledger.Ledger) (*FlowBase, error
 			if sssp.NegCycle {
 				return nil, 0, errors.New("artifact: capacity lengths close a negative dual cycle")
 			}
-			cut, cutRec := ResidualLengths(g, Circulation(g, sssp.Dist)), ledger.New()
+			flow := Circulation(g, sssp.Dist)
+			cut, cutRec := ResidualLengths(g, flow), ledger.New()
 			if _, err := label.Feasible(ctx, label.Primal, tree, cut, cutRec); err != nil {
 				return nil, 0, err
 			}
-			fb := &FlowBase{Lengths: lens, Dist: sssp.Dist, Led: rec, CutLengths: cut, CutLed: cutRec}
+			fb := &FlowBase{Lengths: lens, Dist: sssp.Dist, Flow: flow, Led: rec, CutLengths: cut, CutLed: cutRec}
 			return fb, fb.FootprintBytes(), nil
 		})
 	return fb, err

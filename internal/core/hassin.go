@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
+	"sync"
 
 	"planarflow/internal/artifact"
 	"planarflow/internal/ledger"
@@ -28,31 +30,49 @@ type STPlanarResult struct {
 // every other face as it is and cuts the common face's dart cycle at one
 // corner of t and one of s, so the split is read off g.Faces() in place —
 // the common face keeps its id and the arc of the cycle that wraps around
-// its first dart, the other arc is one new node — and the digraph is filled
-// dart by dart into lists sized beforehand.
+// its first dart, the other arc is one new node, NumFaces(), whose darts
+// the scratch marks. No digraph is built: node v's out-arcs are its face's
+// darts in ascending order (planar.FaceData.Ascending), dart d an arc to
+// the node of Rev(d) as long as d's (scaled) capacity — the lists a digraph
+// filled dart by dart would hold, so search visits arcs, and breaks ties,
+// as spath.Dijkstra over that digraph does.
 type hassinDual struct {
-	node   []int // per dart: the augmented-dual node of the face holding it
-	f1, f2 int   // the faces left and right of the virtual edge (t,s)
-	dg     *spath.Digraph
+	fd     *planar.FaceData
+	face   int // the common face split
+	f1, f2 int // the nodes left and right of the virtual edge (t,s)
+	*hassinScratch
 }
 
-// newHassinDual splits the first common face of s and t and builds the
-// augmented dual under capacity lengths scaled down by (1-eps): both darts
-// of every edge carry the (scaled) capacity. eps outside [0, 1) — NaN
-// included, which would scale every capacity to MinInt64 — is refused.
-func newHassinDual(g *planar.Graph, s, t int, eps float64) (*hassinDual, error) {
+// hassinScratch is one search's arrays, pooled across queries and graphs.
+type hassinScratch struct {
+	mark   []uint32 // per dart: epoch iff the dart is on the new node
+	epoch  uint32
+	length []int64       // per edge: its (scaled) capacity
+	dist   []int64       // per node
+	parent []planar.Dart // per node: the arc's dart the tree enters it by
+	heap   spath.Heap
+}
+
+var hassinPool = sync.Pool{New: func() any { return new(hassinScratch) }}
+
+// newHassinDual splits the first common face of s and t in t's rotation,
+// under capacity lengths scaled down by (1-eps): both darts of every edge
+// carry the (scaled) capacity. eps outside [0, 1) — NaN included, which
+// would scale every capacity to MinInt64 — is refused. The caller puts the
+// dual's scratch back in the pool.
+func newHassinDual(g *planar.Graph, s, t int, eps float64) (hassinDual, error) {
 	if !(eps >= 0 && eps < 1) {
-		return nil, fmt.Errorf("core: eps=%v out of [0,1)", eps)
+		return hassinDual{}, fmt.Errorf("core: eps=%v out of [0,1)", eps)
 	}
 	if s == t {
-		return nil, errors.New("core: s and t must differ")
+		return hassinDual{}, errors.New("core: s and t must differ")
 	}
-	common := g.CommonFaces(s, t)
-	if len(common) == 0 {
-		return nil, fmt.Errorf("%w (vertices %d, %d)", ErrNotSTPlanar, s, t)
+	face := g.FirstCommonFace(s, t)
+	if face < 0 {
+		return hassinDual{}, fmt.Errorf("%w (vertices %d, %d)", ErrNotSTPlanar, s, t)
 	}
 	fd := g.Faces()
-	face, cyc := common[0], fd.Cycle(common[0])
+	cyc := fd.Cycle(face)
 	// The virtual edge leaves x inside the first corner of the face in x's
 	// rotation: right after Rev(a) for the first dart a of the face arriving
 	// at x. corner returns a's place on the cycle.
@@ -66,34 +86,81 @@ func newHassinDual(g *planar.Graph, s, t int, eps float64) (*hassinDual, error) 
 				}
 			}
 		}
-		panic("core: vertex not on its own face") // CommonFaces said it is
+		panic("core: vertex not on its own face") // FirstCommonFace said it is
 	}
 	// The cycle falls apart into the cyclic intervals (as, at], left of the
 	// virtual edge t->s, and (at, as], right of it. The one that does not
 	// wrap around the cycle's first dart becomes the new node.
 	at, as := corner(t), corner(s)
-	h := &hassinDual{node: make([]int, g.NumDarts())}
-	deg := make([]int, fd.NumFaces()+1)
-	for d := range h.node {
-		h.node[d] = fd.FaceOf(planar.Dart(d))
+	h := hassinDual{fd: fd, face: face, hassinScratch: hassinPool.Get().(*hassinScratch)}
+	if len(h.mark) < g.NumDarts() {
+		h.mark = make([]uint32, g.NumDarts())
+	}
+	// Marks of an earlier split read as another epoch's; once the epoch
+	// wraps, those of 2^32 splits ago would read as this one's, so they go.
+	if h.epoch++; h.epoch == 0 {
+		clear(h.mark)
+		h.epoch = 1
 	}
 	for _, d := range cyc[min(at, as)+1 : max(at, as)+1] {
-		h.node[d] = fd.NumFaces()
+		h.mark[d] = h.epoch
 	}
-	for _, f := range h.node {
-		deg[f]++
-	}
-	h.f1, h.f2 = h.node[cyc[at]], h.node[cyc[as]]
-
-	h.dg = spath.NewDigraphSized(deg)
-	for d := planar.Dart(0); int(d) < g.NumDarts(); d++ {
-		c := g.Edge(planar.EdgeOf(d)).Cap
+	h.f1, h.f2 = h.node(cyc[at]), h.node(cyc[as])
+	h.length = slices.Grow(h.length[:0], g.M())[:g.M()]
+	for e := range h.length {
+		h.length[e] = g.Edge(e).Cap
 		if eps != 0 {
-			c = int64(math.Floor((1 - eps) * float64(c)))
+			h.length[e] = int64(math.Floor((1 - eps) * float64(h.length[e])))
 		}
-		h.dg.AddArc(h.node[d], h.node[planar.Rev(d)], c, int(d))
 	}
 	return h, nil
+}
+
+// node returns the augmented-dual node that holds dart d.
+func (h *hassinDual) node(d planar.Dart) int {
+	if h.mark[d] == h.epoch {
+		return h.fd.NumFaces()
+	}
+	return h.fd.FaceOf(d)
+}
+
+// search runs Dijkstra from f1 and returns dist(f1, f2), spath.Inf when f2
+// is unreachable.
+func (h *hassinDual) search() int64 {
+	nf := h.fd.NumFaces()
+	mark, epoch, length := h.mark, h.epoch, h.length
+	h.dist = slices.Grow(h.dist[:0], nf+1)[:nf+1]
+	h.parent = slices.Grow(h.parent[:0], nf+1)[:nf+1]
+	dist, parent, q := h.dist, h.parent, &h.heap
+	for v := range dist {
+		dist[v], parent[v] = spath.Inf, -1
+	}
+	dist[h.f1] = 0
+	q.Push(h.f1, 0) // empty: every search before this one ran it dry
+	for q.Len() > 0 {
+		v, dv := q.Pop()
+		if dv > dist[v] {
+			continue
+		}
+		f, split := v, v == nf
+		if split {
+			f = h.face
+		}
+		for _, d := range h.fd.Ascending(f) {
+			if (mark[d] == epoch) != split {
+				continue
+			}
+			c := length[planar.EdgeOf(d)]
+			if c >= spath.Inf {
+				continue
+			}
+			if w, nd := h.node(planar.Rev(d)), dv+c; nd < dist[w] {
+				dist[w], parent[w] = nd, d
+				q.Push(w, nd)
+			}
+		}
+	}
+	return dist[h.f2]
 }
 
 // oracleTau is the T_SSSP(eps) minor-aggregation rounds of the approximate
@@ -129,6 +196,7 @@ func STPlanarMaxFlow(p *artifact.Prepared, s, t int, eps float64, led *ledger.Le
 	if err != nil {
 		return nil, err
 	}
+	defer hassinPool.Put(h.hassinScratch)
 	// Detecting the common face costs one PA on Ĝ (§6.1); the graph's
 	// calibrated unit prices it and the oracle rounds: Theorem 4.14 with
 	// beta=2 virtual nodes replacing the split face.
@@ -139,14 +207,14 @@ func STPlanarMaxFlow(p *artifact.Prepared, s, t int, eps float64, led *ledger.Le
 	sim.ChargeRounds("hassin/detect-face", 1)
 	sim.ChargeVirtual("hassin/approx-sssp-oracle", oracleTau(g, eps), 2)
 
-	psi := spath.Dijkstra(h.dg, h.f1)
-	if psi.Dist[h.f2] >= spath.Inf {
+	value := h.search()
+	if value >= spath.Inf {
 		return nil, errors.New("core: dual target unreachable (zero cut?)")
 	}
-	res := &STPlanarResult{Value: psi.Dist[h.f2], Epsilon: eps, Flow: make([]int64, g.M())}
-	for e := 0; e < g.M(); e++ {
+	res := &STPlanarResult{Value: value, Epsilon: eps, Flow: make([]int64, g.M())}
+	for e := range res.Flow {
 		fw := planar.ForwardDart(e)
-		res.Flow[e] = psi.Dist[h.node[planar.Rev(fw)]] - psi.Dist[h.node[fw]]
+		res.Flow[e] = h.dist[h.node(planar.Rev(fw))] - h.dist[h.node(fw)]
 	}
 	return res, nil
 }
@@ -160,6 +228,7 @@ func STPlanarMinCut(p *artifact.Prepared, s, t int, eps float64, led *ledger.Led
 	if err != nil {
 		return nil, err
 	}
+	defer hassinPool.Put(h.hassinScratch)
 	sim, err := p.MinorAgg(led)
 	if err != nil {
 		return nil, err
@@ -167,8 +236,7 @@ func STPlanarMinCut(p *artifact.Prepared, s, t int, eps float64, led *ledger.Led
 	sim.ChargeRounds("stcut/detect-face", 1)
 	sim.ChargeVirtual("stcut/approx-sssp-oracle", oracleTau(g, eps), 2)
 
-	psi := spath.Dijkstra(h.dg, h.f1)
-	if psi.Dist[h.f2] >= spath.Inf {
+	if h.search() >= spath.Inf {
 		return nil, errors.New("core: dual target unreachable")
 	}
 	// Walk the shortest-path tree from f2 back to f1: its arcs' primal
@@ -177,14 +245,14 @@ func STPlanarMinCut(p *artifact.Prepared, s, t int, eps float64, led *ledger.Led
 	res := &CutResult{}
 	inCut := make([]bool, g.M())
 	for v := h.f2; v != h.f1; {
-		a := planar.Dart(psi.ParentArcID[v])
+		a := h.parent[v]
 		e := planar.EdgeOf(a)
 		if !inCut[e] {
 			inCut[e] = true
 			res.CutEdges = append(res.CutEdges, e)
 			res.Value += g.Edge(e).Cap // unscaled cut weight
 		}
-		v = h.node[a]
+		v = h.node(a)
 	}
 	// Bisection: remove the cut edges; the s-side is s's component.
 	res.Side = make([]bool, g.N())

@@ -2,8 +2,10 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"planarflow/internal/ledger"
@@ -144,5 +146,78 @@ func TestHassinMatchesInsertRoute(t *testing.T) {
 			}
 		}
 		t.Logf("%s: %d ordered pairs share a face", in.name, pairs)
+	}
+}
+
+// TestHassinConcurrentPairs: every ordered pair sharing a face of one
+// prepared graph, at ε = 0 and 0.1, from four goroutines at once, gives the
+// flow and the cut a serial run gives, field for field. The searches share
+// the pooled scratch and its epoch marks (run it under -race).
+func TestHassinConcurrentPairs(t *testing.T) {
+	rng := planar.NewRand(8)
+	for _, g := range []*planar.Graph{
+		exactGoldenInstances()[0].g,
+		planar.WithRandomWeights(planar.RemoveRandomEdges(planar.Grid(5, 6), rng, 18), rng, 1, 9, 1, 10),
+	} {
+		type query struct {
+			s, t int
+			eps  float64
+		}
+		type answer struct {
+			flow *STPlanarResult
+			cut  *CutResult
+		}
+		p := prep(g)
+		var queries []query
+		var want []answer
+		for s := 0; s < g.N(); s++ {
+			for tt := 0; tt < g.N(); tt++ {
+				if s == tt || g.FirstCommonFace(s, tt) < 0 {
+					continue
+				}
+				for _, eps := range []float64{0, 0.1} {
+					flow, err := STPlanarMaxFlow(p, s, tt, eps, ledger.New())
+					if err != nil {
+						t.Fatal(err)
+					}
+					cut, err := STPlanarMinCut(p, s, tt, eps, ledger.New())
+					if err != nil {
+						t.Fatal(err)
+					}
+					queries = append(queries, query{s, tt, eps})
+					want = append(want, answer{flow, cut})
+				}
+			}
+		}
+		var wg sync.WaitGroup
+		errs := make(chan error, 4)
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				// Each goroutine walks the queries from its own offset, so
+				// different pairs' splits overlap in time.
+				for i := range queries {
+					q := queries[(i+w*len(queries)/4)%len(queries)]
+					a := want[(i+w*len(queries)/4)%len(queries)]
+					flow, err := STPlanarMaxFlow(p, q.s, q.t, q.eps, ledger.New())
+					if err != nil || !reflect.DeepEqual(flow, a.flow) {
+						errs <- fmt.Errorf("(%d,%d) eps=%v: flow %+v (%v), serial %+v", q.s, q.t, q.eps, flow, err, a.flow)
+						return
+					}
+					cut, err := STPlanarMinCut(p, q.s, q.t, q.eps, ledger.New())
+					if err != nil || !reflect.DeepEqual(cut, a.cut) {
+						errs <- fmt.Errorf("(%d,%d) eps=%v: cut %+v (%v), serial %+v", q.s, q.t, q.eps, cut, err, a.cut)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+		t.Logf("%d queries agree from 4 goroutines", len(queries))
 	}
 }

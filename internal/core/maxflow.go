@@ -8,6 +8,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"planarflow/internal/artifact"
@@ -56,17 +57,22 @@ type FlowResult struct {
 // potentials, charged as SSSP over λ*'s labels: the distributed algorithm
 // already holds them from λ*'s probe, so their pass is charged nowhere.
 // λ* = 0 is never probed and its lengths are the state's, so there the
-// assignment reads the state's potentials and replays the entries
+// assignment is a copy of the circulation the state's potentials induce,
+// kept with them, and replays the entries
 // SSSPFrom charged when the state was built — the labeling pass it stands
 // for, then the SSSP's broadcast and tree marking — into led. A canceled
 // p.Context() stops the query at the next bag with the context's error.
 func MaxFlow(p *artifact.Prepared, s, t int, opt Options, led *ledger.Ledger) (*FlowResult, error) {
-	res, _, err := maxFlow(p, s, t, opt, led)
+	res, fb, err := maxFlow(p, s, t, opt, led)
+	if fb != nil {
+		res.Flow = slices.Clone(res.Flow)
+	}
 	return res, err
 }
 
 // maxFlow is MaxFlow, also returning the λ = 0 state when the flow is the
-// state's own (λ* = 0), for MinSTCut.
+// state's own (λ* = 0), for MinSTCut. That flow is the state's Flow itself,
+// not a copy: MinSTCut reads only its value, MaxFlow copies it.
 func maxFlow(p *artifact.Prepared, s, t int, opt Options, led *ledger.Ledger) (*FlowResult, *artifact.FlowBase, error) {
 	g := p.Graph()
 	if s == t {
@@ -123,22 +129,20 @@ func maxFlow(p *artifact.Prepared, s, t int, opt Options, led *ledger.Ledger) (*
 	}
 
 	// Assignment: dual SSSP potentials from an arbitrary face (§6.1), and
-	// the circulation they induce, plus λ* along the path.
-	var dist []int64
+	// the circulation they induce, plus λ* along the path — at λ* = 0 the
+	// state's circulation.
 	if lo == 0 {
 		if err := loadState(); err != nil {
 			return nil, nil, err
 		}
-		dist = fb.Dist
 		led.Merge(fb.Led)
-	} else {
-		sssp, err := search.SSSP(ctx, lo, 0, led)
-		if err != nil {
-			return nil, nil, err
-		}
-		dist, fb = sssp.Dist, nil // the flow is not the state's
+		return &FlowResult{Flow: fb.Flow, Iterations: iters}, fb, nil
 	}
-	res := &FlowResult{Value: lo, Flow: artifact.Circulation(g, dist), Iterations: iters}
+	sssp, err := search.SSSP(ctx, lo, 0, led)
+	if err != nil {
+		return nil, nil, err
+	}
+	res := &FlowResult{Value: lo, Flow: artifact.Circulation(g, sssp.Dist), Iterations: iters}
 	for _, d := range path {
 		if planar.IsForward(d) {
 			res.Flow[planar.EdgeOf(d)] += lo
@@ -146,7 +150,7 @@ func maxFlow(p *artifact.Prepared, s, t int, opt Options, led *ledger.Ledger) (*
 			res.Flow[planar.EdgeOf(d)] -= lo
 		}
 	}
-	return res, fb, nil
+	return res, nil, nil
 }
 
 // lambdaStar is Miller–Naor's bisection of [0, TotalCap] for λ*, the largest

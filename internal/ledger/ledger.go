@@ -149,17 +149,23 @@ func (l *Ledger) BuildSplit() (build, query int64) {
 
 // Merge folds all entries of other into l, preserving kinds and scopes.
 func (l *Ledger) Merge(other *Ledger) {
-	for _, e := range other.Entries() {
-		l.addScoped(e.Phase, e.Rounds, e.Kind, e.Scope)
-	}
+	src := other.snapshot()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.entries = append(l.entries, src...)
 }
 
 // MergeAs folds all entries of other into l, rewriting their scope — the
 // artifact layer uses it to mark substrate-construction phases as Build cost
 // when a query triggers (or replays) a build.
 func (l *Ledger) MergeAs(other *Ledger, sc Scope) {
-	for _, e := range other.Entries() {
-		l.addScoped(e.Phase, e.Rounds, e.Kind, sc)
+	src := other.snapshot()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.entries)
+	l.entries = append(l.entries, src...)
+	for i := n; i < len(l.entries); i++ {
+		l.entries[i].Scope = sc
 	}
 }
 
@@ -168,11 +174,23 @@ func (l *Ledger) MergeAs(other *Ledger, sc Scope) {
 // record of a query's per-query phases without the one-time Build phases the
 // first invocation happened to trigger.
 func (l *Ledger) MergeScoped(other *Ledger, sc Scope) {
-	for _, e := range other.Entries() {
+	src := other.snapshot()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, e := range src {
 		if e.Scope == sc {
-			l.addScoped(e.Phase, e.Rounds, e.Kind, e.Scope)
+			l.entries = append(l.entries, e)
 		}
 	}
+}
+
+// snapshot returns l's entries as they stand, uncopied: entries are only
+// appended, so the prefix it covers never changes. A merge takes it before
+// locking l, one lock at a time, so a self-merge cannot deadlock.
+func (l *Ledger) snapshot() []Entry {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.entries[:len(l.entries):len(l.entries)]
 }
 
 // PipelinedBroadcastRounds returns the standard cost of broadcasting k

@@ -123,3 +123,100 @@ func TestHelpers(t *testing.T) {
 		t.Fatal("kind strings")
 	}
 }
+
+// TestMergeKeepsEntries: every merge appends other's entries in order with
+// their phases, rounds and kinds — MergeAs rewriting only the scope,
+// MergeScoped keeping only the scope asked for — merging a ledger into itself
+// doubles it without deadlocking, and merges racing appends to both sides
+// lose nothing (run it under -race).
+func TestMergeKeepsEntries(t *testing.T) {
+	src := New()
+	src.Measure("a", 1)
+	src.addScoped("b", 2, Charged, Build)
+	src.Charge("c", 3)
+	want := src.Entries()
+	withScope := func(es []Entry, sc Scope) []Entry {
+		out := append([]Entry(nil), es...)
+		for i := range out {
+			out[i].Scope = sc
+		}
+		return out
+	}
+	same := func(name string, got, want []Entry) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d entries, want %d: %v", name, len(got), len(want), got)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: entry %d is %+v, want %+v", name, i, got[i], want[i])
+			}
+		}
+	}
+
+	head := Entry{Phase: "head", Rounds: 4, Kind: Measured, Scope: Query}
+	for _, c := range []struct {
+		name  string
+		merge func(l *Ledger)
+		added []Entry
+	}{
+		{"Merge", func(l *Ledger) { l.Merge(src) }, want},
+		{"MergeAs(Build)", func(l *Ledger) { l.MergeAs(src, Build) }, withScope(want, Build)},
+		{"MergeAs(Query)", func(l *Ledger) { l.MergeAs(src, Query) }, withScope(want, Query)},
+		{"MergeScoped(Build)", func(l *Ledger) { l.MergeScoped(src, Build) }, want[1:2]},
+		{"MergeScoped(Query)", func(l *Ledger) { l.MergeScoped(src, Query) }, []Entry{want[0], want[2]}},
+	} {
+		l := New()
+		l.Measure("head", 4)
+		c.merge(l)
+		same(c.name, l.Entries(), append([]Entry{head}, c.added...))
+	}
+	same("source after merges", src.Entries(), want)
+
+	self := New()
+	self.Measure("a", 1)
+	self.addScoped("b", 2, Charged, Build)
+	self.Merge(self)
+	self.MergeAs(self, Build)
+	self.MergeScoped(self, Query)
+	a, b := want[0], want[1]
+	aB := a
+	aB.Scope = Build
+	same("self-merge", self.Entries(), []Entry{a, b, a, b, aB, b, aB, b, a, a})
+
+	// Concurrent merges: four goroutines fold src into dst while src and dst
+	// both grow; neither loses an entry of its own.
+	dst := New()
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 50; j++ {
+				dst.Merge(src)
+				dst.MergeAs(src, Build)
+				dst.MergeScoped(src, Query)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 50; j++ {
+				src.Charge("grow", 1)
+				dst.Measure("own", 1)
+			}
+		}()
+	}
+	wg.Wait()
+	own := 0
+	for _, e := range dst.Entries() {
+		if e.Phase == "own" {
+			own++
+		}
+	}
+	if own != 200 {
+		t.Fatalf("dst kept %d of its 200 own entries", own)
+	}
+	if got := len(src.Entries()); got != len(want)+200 {
+		t.Fatalf("src holds %d entries, want %d", got, len(want)+200)
+	}
+}

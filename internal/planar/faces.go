@@ -1,5 +1,10 @@
 package planar
 
+import (
+	"slices"
+	"sync"
+)
+
 // FaceData holds the face structure of an embedded planar graph: the orbit
 // partition of the face-successor permutation. Each face is a cyclic sequence
 // of darts; every dart belongs to exactly one face. The layout is SubFaces':
@@ -8,6 +13,9 @@ type FaceData struct {
 	faceOf []int  // faceOf[d] = face index containing dart d
 	darts  []Dart // every face's boundary darts, in orbit order
 	start  []int  // face f is darts[start[f]:start[f+1]]
+
+	ascOnce sync.Once
+	asc     []Dart // every face's darts at start's offsets, each face's ascending
 }
 
 // Faces computes (and caches) the face structure. Safe for concurrent use:
@@ -59,6 +67,22 @@ func (fd *FaceData) FaceOf(d Dart) int { return fd.faceOf[d] }
 // to it copies instead of writing over face f+1.
 func (fd *FaceData) Cycle(f int) []Dart { return fd.darts[fd.start[f]:fd.start[f+1]:fd.start[f+1]] }
 
+// Ascending returns the boundary darts of face f in ascending order: the
+// order a digraph filled dart by dart lists a dual node's out-arcs in. The
+// first call lays every face out, in one slab at Cycle's offsets. The
+// returned slice must not be modified.
+func (fd *FaceData) Ascending(f int) []Dart {
+	fd.ascOnce.Do(func() {
+		next := slices.Clone(fd.start[:len(fd.start)-1])
+		fd.asc = make([]Dart, len(fd.darts))
+		for d, face := range fd.faceOf {
+			fd.asc[next[face]] = Dart(d)
+			next[face]++
+		}
+	})
+	return fd.asc[fd.start[f]:fd.start[f+1]:fd.start[f+1]]
+}
+
 // Len returns the number of darts on the boundary of face f.
 func (fd *FaceData) Len(f int) int { return fd.start[f+1] - fd.start[f] }
 
@@ -76,34 +100,44 @@ func (fd *FaceData) LargestFace() int {
 
 // FacesAtVertex returns the distinct faces incident to vertex v, in rotation
 // order (a face may repeat around v in multigraph-like situations; duplicates
-// are removed while preserving first-occurrence order).
+// are removed while preserving first-occurrence order). Rotations are short,
+// so the duplicates are found by a scan of what is kept.
 func (g *Graph) FacesAtVertex(v int) []int {
 	fd := g.Faces()
-	seen := make(map[int]bool, len(g.rot[v]))
-	var out []int
+	out := make([]int, 0, len(g.rot[v]))
 	for _, d := range g.rot[v] {
-		f := fd.FaceOf(d)
-		if !seen[f] {
-			seen[f] = true
+		if f := fd.FaceOf(d); !slices.Contains(out, f) {
 			out = append(out, f)
 		}
 	}
 	return out
 }
 
-// CommonFaces returns the faces incident to both u and v (used e.g. by the
-// Hassin reduction, which requires s and t on a common face).
+// CommonFaces returns the faces incident to both u and v, in v's rotation
+// order (used e.g. by the Hassin reduction, which requires s and t on a
+// common face).
 func (g *Graph) CommonFaces(u, v int) []int {
 	fu := g.FacesAtVertex(u)
-	set := make(map[int]bool, len(fu))
-	for _, f := range fu {
-		set[f] = true
-	}
 	var out []int
 	for _, f := range g.FacesAtVertex(v) {
-		if set[f] {
+		if slices.Contains(fu, f) {
 			out = append(out, f)
 		}
 	}
 	return out
+}
+
+// FirstCommonFace returns CommonFaces(u, v)[0], or -1 if u and v share no
+// face, without allocating.
+func (g *Graph) FirstCommonFace(u, v int) int {
+	fd := g.Faces()
+	for _, d := range g.rot[v] {
+		f := fd.FaceOf(d)
+		for _, e := range g.rot[u] {
+			if fd.FaceOf(e) == f {
+				return f
+			}
+		}
+	}
+	return -1
 }

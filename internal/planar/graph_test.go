@@ -2,6 +2,7 @@ package planar
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -348,6 +349,84 @@ func TestCommonFaces(t *testing.T) {
 	cf = g.CommonFaces(0, 8)
 	if len(cf) != 1 {
 		t.Fatalf("common faces of opposite corners = %d, want 1", len(cf))
+	}
+}
+
+// TestAscendingFaceDarts: each face's Ascending list is its Cycle sorted, the
+// lists together hold every dart once, and FacesAtVertex, CommonFaces and
+// FirstCommonFace give the answers of the map-based dedup they replaced.
+func TestAscendingFaceDarts(t *testing.T) {
+	rng := NewRand(3)
+	for _, c := range []struct {
+		name string
+		g    *Graph
+	}{
+		{"grid3x3", Grid(3, 3)},
+		{"grid7x5", Grid(7, 5)},
+		{"snake6x6", BoustrophedonGrid(6, 6)},
+		{"triangulation40", StackedTriangulation(40, rng)},
+		{"triangulation200", StackedTriangulation(200, rng)},
+		{"sparse8x8", RemoveRandomEdges(Grid(8, 8), rng, 30)},
+		{"sparseTriangulation60", RemoveRandomEdges(StackedTriangulation(60, rng), rng, 60)},
+	} {
+		g, fd := c.g, c.g.Faces()
+		seen := make([]int, g.NumDarts())
+		for f := 0; f < fd.NumFaces(); f++ {
+			want := slices.Clone(fd.Cycle(f))
+			slices.Sort(want)
+			if got := fd.Ascending(f); !slices.Equal(got, want) {
+				t.Fatalf("%s face %d: Ascending %v, sorted Cycle %v", c.name, f, got, want)
+			}
+			for _, d := range fd.Ascending(f) {
+				seen[d]++
+			}
+		}
+		for d, n := range seen {
+			if n != 1 {
+				t.Fatalf("%s: dart %d listed %d times", c.name, d, n)
+			}
+		}
+
+		// The map-based references.
+		facesAt := func(v int) []int {
+			set := map[int]bool{}
+			var out []int
+			for _, d := range g.Rotation(v) {
+				if f := fd.FaceOf(d); !set[f] {
+					set[f] = true
+					out = append(out, f)
+				}
+			}
+			return out
+		}
+		for u := 0; u < g.N(); u++ {
+			if got, want := g.FacesAtVertex(u), facesAt(u); !slices.Equal(got, want) {
+				t.Fatalf("%s: FacesAtVertex(%d) = %v, want %v", c.name, u, got, want)
+			}
+			onU := map[int]bool{}
+			for _, f := range facesAt(u) {
+				onU[f] = true
+			}
+			for v := 0; v < g.N(); v++ {
+				var want []int
+				for _, f := range facesAt(v) {
+					if onU[f] {
+						want = append(want, f)
+					}
+				}
+				got := g.CommonFaces(u, v)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s: CommonFaces(%d, %d) = %v, want %v", c.name, u, v, got, want)
+				}
+				first := -1
+				if len(want) > 0 {
+					first = want[0]
+				}
+				if f := g.FirstCommonFace(u, v); f != first {
+					t.Fatalf("%s: FirstCommonFace(%d, %d) = %d, want %d", c.name, u, v, f, first)
+				}
+			}
+		}
 	}
 }
 

@@ -7,9 +7,11 @@
 // collected a leaf bag or a DDG computes for free (§5.3) — to internal/label's
 // flat-array kernel, which is tested row for row against them; the per-bag
 // cycle enumerations of global min cut and directed girth run on that kernel
-// too. Dijkstra and Digraph serve only Hassin's augmented dual and global min
+// too. Dijkstra and Digraph serve, beside the baselines, only global min
 // cut's reconstruction of the bisection, whose parent darts pick the cut, so
-// their tie order is part of the answer. GlobalMinCut is girth's min cut on
+// their tie order is part of the answer. Hassin's augmented dual builds no
+// Digraph: it searches the face table itself with Heap, Dijkstra's own heap,
+// so its ties break as Dijkstra's would. GlobalMinCut is girth's min cut on
 // the simple dual: Stoer–Wagner after a contraction test.
 package spath
 
@@ -36,25 +38,6 @@ type Digraph struct {
 // NewDigraph returns an empty digraph on n vertices.
 func NewDigraph(n int) *Digraph {
 	return &Digraph{adj: make([][]Arc, n)}
-}
-
-// NewDigraphSized returns an empty digraph on len(deg) vertices whose
-// adjacency lists are carved out of one array, vertex v with room for deg[v]
-// arcs: a caller that knows its degrees adds every arc without a list ever
-// growing.
-func NewDigraphSized(deg []int) *Digraph {
-	total := 0
-	for _, d := range deg {
-		total += d
-	}
-	arcs := make([]Arc, total)
-	g := &Digraph{adj: make([][]Arc, len(deg))}
-	off := 0
-	for v, d := range deg {
-		g.adj[v] = arcs[off : off : off+d]
-		off += d
-	}
-	return g
 }
 
 // N returns the number of vertices.

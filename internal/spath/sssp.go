@@ -54,6 +54,23 @@ func (q *pq) pop() pqItem {
 	return h[n]
 }
 
+// Heap is pq for a caller that runs Dijkstra over a graph it never lays
+// out as a Digraph: the same sifts, so ties leave as Dijkstra's do. The zero
+// value is empty.
+type Heap struct{ q pq }
+
+// Push adds vertex v at distance d.
+func (h *Heap) Push(v int, d int64) { h.q.push(pqItem{v: v, d: d}) }
+
+// Pop removes and returns an item of least d.
+func (h *Heap) Pop() (v int, d int64) {
+	it := h.q.pop()
+	return it.v, it.d
+}
+
+// Len returns the number of items held.
+func (h *Heap) Len() int { return len(h.q) }
+
 // Dijkstra computes shortest paths from source; all arc lengths must be
 // non-negative.
 func Dijkstra(g *Digraph, source int) *SSSPResult {
