@@ -40,6 +40,7 @@ var unreachedAllowed = map[string]string{
 	// References, checkers and generators other packages' tests compare against.
 	"store.Store.EvictAll":        "flowd's TestPeerRestoreDiskRung empties the memory tier through it to reach the disk rung",
 	"planar.InsertEdgeInFace":     "the oracle core's TestHassinMatchesInsertRoute holds the in-place face split to",
+	"planar.Graph.CommonFaces":    "names the face core's TestHassinMatchesInsertRoute embeds the virtual edge in; the map-based reference of FirstCommonFace",
 	"planar.RemoveRandomEdges":    "generator of sparse planar inputs for the bdd, core, hatg, label, minoragg and separator tests",
 	"planar.FaceData.LargestFace": "picks the outer face in minoragg's TestMarkDualCutEdges and pa's TestDualPAGroupedFaces",
 	"spath.APSPBellmanFord":       "the all-pairs baseline label's TestLabelsMatchBaselinePositive and TestMatchesBaselineGrids compare every distance against",
@@ -66,6 +67,8 @@ var unreachedAllowed = map[string]string{
 	"congest.Engine.B":        "congest.Runner",
 	"congest.Engine.Graph":    "congest.Runner",
 	"hatg.Graph.NeighborsOf":  "pa.Network",
+	"core.hassinDual.N":       "spath.Adjacency",
+	"core.hassinDual.Out":     "spath.Adjacency",
 }
 
 // TestNoUnreachedExports type-checks every non-test file of the tree

@@ -31,45 +31,40 @@ type STPlanarResult struct {
 // corner of t and one of s, so the split is read off g.Faces() in place —
 // the common face keeps its id and the arc of the cycle that wraps around
 // its first dart, the other arc is one new node, NumFaces(), whose darts
-// the scratch marks. No digraph is built: node v's out-arcs are its face's
-// darts in ascending order (planar.FaceData.Ascending), dart d an arc to
-// the node of Rev(d) as long as d's (scaled) capacity — the lists a digraph
-// filled dart by dart would hold, so search visits arcs, and breaks ties,
-// as spath.Dijkstra over that digraph does.
+// are marked. No digraph is built: node v's out-arcs are its face's darts
+// in ascending order (planar.FaceData.Ascending), dart d an arc to the node
+// of Rev(d) as long as d's (scaled) capacity — the lists a digraph filled
+// dart by dart would hold, so spath.Search visits arcs, and breaks ties, as
+// spath.Dijkstra over that digraph does. Its arrays are pooled across
+// queries and graphs.
 type hassinDual struct {
 	fd     *planar.FaceData
-	face   int // the common face split
-	f1, f2 int // the nodes left and right of the virtual edge (t,s)
-	*hassinScratch
-}
-
-// hassinScratch is one search's arrays, pooled across queries and graphs.
-type hassinScratch struct {
-	mark   []uint32 // per dart: epoch iff the dart is on the new node
-	epoch  uint32
+	face   int           // the common face split
+	f1, f2 int           // the nodes left and right of the virtual edge (t,s)
+	split  []planar.Dart // the new node's darts, an interval of face's cycle
+	mark   []bool        // per dart: on split
 	length []int64       // per edge: its (scaled) capacity
-	dist   []int64       // per node
-	parent []planar.Dart // per node: the arc's dart the tree enters it by
-	heap   spath.Heap
+	out    []spath.Arc   // Out's buffer
+	tree   spath.Search
 }
 
-var hassinPool = sync.Pool{New: func() any { return new(hassinScratch) }}
+var hassinPool = sync.Pool{New: func() any { return new(hassinDual) }}
 
 // newHassinDual splits the first common face of s and t in t's rotation,
 // under capacity lengths scaled down by (1-eps): both darts of every edge
 // carry the (scaled) capacity. eps outside [0, 1) — NaN included, which
-// would scale every capacity to MinInt64 — is refused. The caller puts the
-// dual's scratch back in the pool.
-func newHassinDual(g *planar.Graph, s, t int, eps float64) (hassinDual, error) {
+// would scale every capacity to MinInt64 — is refused. The caller gives the
+// dual back with release.
+func newHassinDual(g *planar.Graph, s, t int, eps float64) (*hassinDual, error) {
 	if !(eps >= 0 && eps < 1) {
-		return hassinDual{}, fmt.Errorf("core: eps=%v out of [0,1)", eps)
+		return nil, fmt.Errorf("core: eps=%v out of [0,1)", eps)
 	}
 	if s == t {
-		return hassinDual{}, errors.New("core: s and t must differ")
+		return nil, errors.New("core: s and t must differ")
 	}
 	face := g.FirstCommonFace(s, t)
 	if face < 0 {
-		return hassinDual{}, fmt.Errorf("%w (vertices %d, %d)", ErrNotSTPlanar, s, t)
+		return nil, fmt.Errorf("%w (vertices %d, %d)", ErrNotSTPlanar, s, t)
 	}
 	fd := g.Faces()
 	cyc := fd.Cycle(face)
@@ -92,18 +87,13 @@ func newHassinDual(g *planar.Graph, s, t int, eps float64) (hassinDual, error) {
 	// virtual edge t->s, and (at, as], right of it. The one that does not
 	// wrap around the cycle's first dart becomes the new node.
 	at, as := corner(t), corner(s)
-	h := hassinDual{fd: fd, face: face, hassinScratch: hassinPool.Get().(*hassinScratch)}
+	h := hassinPool.Get().(*hassinDual)
+	h.fd, h.face, h.split = fd, face, cyc[min(at, as)+1:max(at, as)+1]
 	if len(h.mark) < g.NumDarts() {
-		h.mark = make([]uint32, g.NumDarts())
+		h.mark = make([]bool, g.NumDarts())
 	}
-	// Marks of an earlier split read as another epoch's; once the epoch
-	// wraps, those of 2^32 splits ago would read as this one's, so they go.
-	if h.epoch++; h.epoch == 0 {
-		clear(h.mark)
-		h.epoch = 1
-	}
-	for _, d := range cyc[min(at, as)+1 : max(at, as)+1] {
-		h.mark[d] = h.epoch
+	for _, d := range h.split {
+		h.mark[d] = true
 	}
 	h.f1, h.f2 = h.node(cyc[at]), h.node(cyc[as])
 	h.length = slices.Grow(h.length[:0], g.M())[:g.M()]
@@ -116,51 +106,47 @@ func newHassinDual(g *planar.Graph, s, t int, eps float64) (hassinDual, error) {
 	return h, nil
 }
 
+// release unmarks the split and puts the dual back in the pool, holding no
+// graph.
+func (h *hassinDual) release() {
+	for _, d := range h.split {
+		h.mark[d] = false
+	}
+	h.fd, h.split = nil, nil
+	hassinPool.Put(h)
+}
+
 // node returns the augmented-dual node that holds dart d.
 func (h *hassinDual) node(d planar.Dart) int {
-	if h.mark[d] == h.epoch {
+	if h.mark[d] {
 		return h.fd.NumFaces()
 	}
 	return h.fd.FaceOf(d)
 }
 
+// N returns the number of augmented-dual nodes: the faces and the new one.
+func (h *hassinDual) N() int { return h.fd.NumFaces() + 1 }
+
+// Out returns node v's out-arcs, valid until the next call.
+func (h *hassinDual) Out(v int) []spath.Arc {
+	f, split := v, v == h.fd.NumFaces()
+	if split {
+		f = h.face
+	}
+	h.out = slices.Grow(h.out[:0], h.fd.Len(f))
+	for _, d := range h.fd.Ascending(f) {
+		if h.mark[d] == split {
+			h.out = append(h.out, spath.Arc{To: h.node(planar.Rev(d)), Len: h.length[planar.EdgeOf(d)], ID: int(d)})
+		}
+	}
+	return h.out
+}
+
 // search runs Dijkstra from f1 and returns dist(f1, f2), spath.Inf when f2
 // is unreachable.
 func (h *hassinDual) search() int64 {
-	nf := h.fd.NumFaces()
-	mark, epoch, length := h.mark, h.epoch, h.length
-	h.dist = slices.Grow(h.dist[:0], nf+1)[:nf+1]
-	h.parent = slices.Grow(h.parent[:0], nf+1)[:nf+1]
-	dist, parent, q := h.dist, h.parent, &h.heap
-	for v := range dist {
-		dist[v], parent[v] = spath.Inf, -1
-	}
-	dist[h.f1] = 0
-	q.Push(h.f1, 0) // empty: every search before this one ran it dry
-	for q.Len() > 0 {
-		v, dv := q.Pop()
-		if dv > dist[v] {
-			continue
-		}
-		f, split := v, v == nf
-		if split {
-			f = h.face
-		}
-		for _, d := range h.fd.Ascending(f) {
-			if (mark[d] == epoch) != split {
-				continue
-			}
-			c := length[planar.EdgeOf(d)]
-			if c >= spath.Inf {
-				continue
-			}
-			if w, nd := h.node(planar.Rev(d)), dv+c; nd < dist[w] {
-				dist[w], parent[w] = nd, d
-				q.Push(w, nd)
-			}
-		}
-	}
-	return dist[h.f2]
+	h.tree.Run(h, h.f1)
+	return h.tree.Dist[h.f2]
 }
 
 // oracleTau is the T_SSSP(eps) minor-aggregation rounds of the approximate
@@ -196,7 +182,7 @@ func STPlanarMaxFlow(p *artifact.Prepared, s, t int, eps float64, led *ledger.Le
 	if err != nil {
 		return nil, err
 	}
-	defer hassinPool.Put(h.hassinScratch)
+	defer h.release()
 	// Detecting the common face costs one PA on Ĝ (§6.1); the graph's
 	// calibrated unit prices it and the oracle rounds: Theorem 4.14 with
 	// beta=2 virtual nodes replacing the split face.
@@ -214,7 +200,7 @@ func STPlanarMaxFlow(p *artifact.Prepared, s, t int, eps float64, led *ledger.Le
 	res := &STPlanarResult{Value: value, Epsilon: eps, Flow: make([]int64, g.M())}
 	for e := range res.Flow {
 		fw := planar.ForwardDart(e)
-		res.Flow[e] = h.dist[h.node(planar.Rev(fw))] - h.dist[h.node(fw)]
+		res.Flow[e] = h.tree.Dist[h.node(planar.Rev(fw))] - h.tree.Dist[h.node(fw)]
 	}
 	return res, nil
 }
@@ -228,7 +214,7 @@ func STPlanarMinCut(p *artifact.Prepared, s, t int, eps float64, led *ledger.Led
 	if err != nil {
 		return nil, err
 	}
-	defer hassinPool.Put(h.hassinScratch)
+	defer h.release()
 	sim, err := p.MinorAgg(led)
 	if err != nil {
 		return nil, err
@@ -244,15 +230,13 @@ func STPlanarMinCut(p *artifact.Prepared, s, t int, eps float64, led *ledger.Led
 	// edge).
 	res := &CutResult{}
 	inCut := make([]bool, g.M())
-	for v := h.f2; v != h.f1; {
-		a := h.parent[v]
-		e := planar.EdgeOf(a)
+	for v := h.f2; v != h.f1; v = h.tree.Parent[v] {
+		e := planar.EdgeOf(planar.Dart(h.tree.ParentArcID[v]))
 		if !inCut[e] {
 			inCut[e] = true
 			res.CutEdges = append(res.CutEdges, e)
 			res.Value += g.Edge(e).Cap // unscaled cut weight
 		}
-		v = h.node(a)
 	}
 	// Bisection: remove the cut edges; the s-side is s's component.
 	res.Side = make([]bool, g.N())

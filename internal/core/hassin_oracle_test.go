@@ -152,7 +152,8 @@ func TestHassinMatchesInsertRoute(t *testing.T) {
 // TestHassinConcurrentPairs: every ordered pair sharing a face of one
 // prepared graph, at ε = 0 and 0.1, from four goroutines at once, gives the
 // flow and the cut a serial run gives, field for field. The searches share
-// the pooled scratch and its epoch marks (run it under -race).
+// the pooled duals, whose split marks each query clears before it gives its
+// dual back (run it under -race).
 func TestHassinConcurrentPairs(t *testing.T) {
 	rng := planar.NewRand(8)
 	for _, g := range []*planar.Graph{

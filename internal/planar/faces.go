@@ -100,13 +100,15 @@ func (fd *FaceData) LargestFace() int {
 
 // FacesAtVertex returns the distinct faces incident to vertex v, in rotation
 // order (a face may repeat around v in multigraph-like situations; duplicates
-// are removed while preserving first-occurrence order). Rotations are short,
-// so the duplicates are found by a scan of what is kept.
+// are removed while preserving first-occurrence order).
 func (g *Graph) FacesAtVertex(v int) []int {
 	fd := g.Faces()
-	out := make([]int, 0, len(g.rot[v]))
+	seen := make(map[int]bool, len(g.rot[v]))
+	var out []int
 	for _, d := range g.rot[v] {
-		if f := fd.FaceOf(d); !slices.Contains(out, f) {
+		f := fd.FaceOf(d)
+		if !seen[f] {
+			seen[f] = true
 			out = append(out, f)
 		}
 	}
@@ -114,30 +116,50 @@ func (g *Graph) FacesAtVertex(v int) []int {
 }
 
 // CommonFaces returns the faces incident to both u and v, in v's rotation
-// order (used e.g. by the Hassin reduction, which requires s and t on a
-// common face).
+// order: the reference FirstCommonFace is tested against.
 func (g *Graph) CommonFaces(u, v int) []int {
 	fu := g.FacesAtVertex(u)
+	set := make(map[int]bool, len(fu))
+	for _, f := range fu {
+		set[f] = true
+	}
 	var out []int
 	for _, f := range g.FacesAtVertex(v) {
-		if slices.Contains(fu, f) {
+		if set[f] {
 			out = append(out, f)
 		}
 	}
 	return out
 }
 
-// FirstCommonFace returns CommonFaces(u, v)[0], or -1 if u and v share no
-// face, without allocating.
+// faceMarks lends FirstCommonFace a per-face mark array; each goes back all
+// false.
+var faceMarks = sync.Pool{New: func() any { return new([]bool) }}
+
+// FirstCommonFace returns the first face in v's rotation that u lies on too
+// (CommonFaces(u, v)[0]), or -1 if u and v share no face — the face Hassin's
+// reduction splits. It marks u's faces and scans v's rotation, so it costs
+// deg(u) + deg(v), and allocates nothing once the pool holds marks enough.
 func (g *Graph) FirstCommonFace(u, v int) int {
 	fd := g.Faces()
+	p := faceMarks.Get().(*[]bool)
+	if len(*p) < fd.NumFaces() {
+		*p = make([]bool, fd.NumFaces())
+	}
+	onU := *p
+	for _, d := range g.rot[u] {
+		onU[fd.FaceOf(d)] = true
+	}
+	first := -1
 	for _, d := range g.rot[v] {
-		f := fd.FaceOf(d)
-		for _, e := range g.rot[u] {
-			if fd.FaceOf(e) == f {
-				return f
-			}
+		if f := fd.FaceOf(d); onU[f] {
+			first = f
+			break
 		}
 	}
-	return -1
+	for _, d := range g.rot[u] {
+		onU[fd.FaceOf(d)] = false
+	}
+	faceMarks.Put(p)
+	return first
 }

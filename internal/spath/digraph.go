@@ -7,12 +7,13 @@
 // collected a leaf bag or a DDG computes for free (§5.3) — to internal/label's
 // flat-array kernel, which is tested row for row against them; the per-bag
 // cycle enumerations of global min cut and directed girth run on that kernel
-// too. Dijkstra and Digraph serve, beside the baselines, only global min
-// cut's reconstruction of the bisection, whose parent darts pick the cut, so
-// their tie order is part of the answer. Hassin's augmented dual builds no
-// Digraph: it searches the face table itself with Heap, Dijkstra's own heap,
-// so its ties break as Dijkstra's would. GlobalMinCut is girth's min cut on
-// the simple dual: Stoer–Wagner after a contraction test.
+// too. Dijkstra's one loop is Search.Run over an Adjacency: Dijkstra runs
+// it on a Digraph for the baselines and for global min cut's reconstruction
+// of the bisection, whose parent darts pick the cut, so the tie order is
+// part of the answer; Hassin's augmented dual runs it on the face table
+// itself, building no Digraph, so its ties break as a Digraph's would.
+// GlobalMinCut is girth's min cut on the simple dual: Stoer–Wagner after a
+// contraction test.
 package spath
 
 import "math"

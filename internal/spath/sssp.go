@@ -1,5 +1,7 @@
 package spath
 
+import "slices"
+
 // SSSPResult holds single-source distances and a shortest-path tree.
 type SSSPResult struct {
 	Source      int
@@ -54,43 +56,40 @@ func (q *pq) pop() pqItem {
 	return h[n]
 }
 
-// Heap is pq for a caller that runs Dijkstra over a graph it never lays
-// out as a Digraph: the same sifts, so ties leave as Dijkstra's do. The zero
-// value is empty.
-type Heap struct{ q pq }
-
-// Push adds vertex v at distance d.
-func (h *Heap) Push(v int, d int64) { h.q.push(pqItem{v: v, d: d}) }
-
-// Pop removes and returns an item of least d.
-func (h *Heap) Pop() (v int, d int64) {
-	it := h.q.pop()
-	return it.v, it.d
+// Adjacency is a directed graph as Search reads it: its nodes and each
+// node's out-arcs, in the order ties are to break in. Search reads Out's
+// slice before it calls Out again, so Out may build it in a buffer of its
+// own.
+type Adjacency interface {
+	N() int
+	Out(v int) []Arc
 }
 
-// Len returns the number of items held.
-func (h *Heap) Len() int { return len(h.q) }
+// Search is Dijkstra's result arrays and heap, kept from one run to the
+// next: a caller that searches many times allocates them once.
+type Search struct {
+	Dist        []int64 // Inf if unreachable
+	ParentArcID []int   // ID of the arc entering v on the tree (-1 at source/unreachable)
+	Parent      []int   // tree parent vertex (-1 at source/unreachable)
+	q           pq
+}
 
-// Dijkstra computes shortest paths from source; all arc lengths must be
-// non-negative.
-func Dijkstra(g *Digraph, source int) *SSSPResult {
+// Run computes shortest paths from source over g; all arc lengths must be
+// non-negative, and an arc of length Inf is no arc.
+func (s *Search) Run(g Adjacency, source int) {
 	n := g.N()
-	res := &SSSPResult{
-		Source:      source,
-		Dist:        make([]int64, n),
-		ParentArcID: make([]int, n),
-		Parent:      make([]int, n),
+	s.Dist = slices.Grow(s.Dist[:0], n)[:n]
+	s.ParentArcID = slices.Grow(s.ParentArcID[:0], n)[:n]
+	s.Parent = slices.Grow(s.Parent[:0], n)[:n]
+	dist, parentArc, parent := s.Dist, s.ParentArcID, s.Parent
+	for v := range dist {
+		dist[v], parentArc[v], parent[v] = Inf, -1, -1
 	}
-	for v := range res.Dist {
-		res.Dist[v] = Inf
-		res.ParentArcID[v] = -1
-		res.Parent[v] = -1
-	}
-	res.Dist[source] = 0
-	q := pq{{v: source, d: 0}}
+	dist[source] = 0
+	q := append(slices.Grow(s.q[:0], n), pqItem{v: source, d: 0})
 	for len(q) > 0 {
 		it := q.pop()
-		if it.d > res.Dist[it.v] {
+		if it.d > dist[it.v] {
 			continue
 		}
 		for _, a := range g.Out(it.v) {
@@ -98,15 +97,23 @@ func Dijkstra(g *Digraph, source int) *SSSPResult {
 				continue
 			}
 			nd := it.d + a.Len
-			if nd < res.Dist[a.To] {
-				res.Dist[a.To] = nd
-				res.ParentArcID[a.To] = a.ID
-				res.Parent[a.To] = it.v
+			if nd < dist[a.To] {
+				dist[a.To] = nd
+				parentArc[a.To] = a.ID
+				parent[a.To] = it.v
 				q.push(pqItem{v: a.To, d: nd})
 			}
 		}
 	}
-	return res
+	s.q = q
+}
+
+// Dijkstra computes shortest paths from source; all arc lengths must be
+// non-negative.
+func Dijkstra(g *Digraph, source int) *SSSPResult {
+	var s Search
+	s.Run(g, source)
+	return &SSSPResult{Source: source, Dist: s.Dist, ParentArcID: s.ParentArcID, Parent: s.Parent}
 }
 
 // BellmanFord computes shortest paths from source with arbitrary (possibly

@@ -195,7 +195,7 @@ func (gr *Graph) NumFaces() int { return gr.g.Faces().NumFaces() }
 
 // SharedFace reports whether u and v lie on a common face (the st-planarity
 // precondition of the approximate flow algorithms).
-func (gr *Graph) SharedFace(u, v int) bool { return len(gr.g.CommonFaces(u, v)) > 0 }
+func (gr *Graph) SharedFace(u, v int) bool { return gr.g.FirstCommonFace(u, v) >= 0 }
 
 // Rounds reports the CONGEST cost of one algorithm run, split two ways:
 // Measured vs Charged (how the rounds were accounted) and Build vs Query
