@@ -575,7 +575,8 @@ func TestAllocCeilings(t *testing.T) {
 			return nil
 		}},
 		// A source-directed SSSP labels nothing: the drive's level costs, one
-		// kernel over the whole graph and the answer's rows (13 / 10 allocs,
+		// kernel over the whole graph and the answer's rows (11 / 9 allocs
+		// since SSSP's phase names are built once, 13 / 10 before,
 		// 25 / 20 with a new kernel; 17 / 14 and 30 / 25 while the kernel kept
 		// four arrays for its search, 31 / 25 while it built the whole graph's
 		// arc list per call, 60 / 57 while it ran the labeling pass
@@ -592,9 +593,10 @@ func TestAllocCeilings(t *testing.T) {
 		// warmPairs: 7 allocs at λ* = 0 (one probe, the assignment a copy of
 		// the state's circulation, its entries replayed; 9 while it recomputed
 		// the circulation and every merge copied the entries it replayed) and
-		// 14 at λ* > 0 (one search, its SSSP at λ* reading λ*'s potentials),
-		// with min st-cut on top 25, and 12 at λ* = 0 (the λ = 0 state's
-		// residual graph and pass replayed, one row from s; 16) — 28 / 42 /
+		// 12 at λ* > 0 (one search, its SSSP at λ* reading λ*'s potentials),
+		// with min st-cut on top 22, and 11 at λ* = 0 (the λ = 0 state's
+		// residual graph and pass replayed, one row from s; 16) — 14 / 25 /
+		// 12 while SSSP built its phase names per call, 28 / 42 /
 		// 59 / 42 with a new search, kernel and BFS arrays per query. They
 		// read 25 / 70 / 85 / 37 (31 / 120 / 142 with a new kernel) while every
 		// probe loaded G*, drove the level costs and allocated its own
@@ -660,13 +662,15 @@ func TestAllocCeilings(t *testing.T) {
 		}},
 		// A first girth on a never-seen snake, its faces known: the prices
 		// (Ĝ, the shortcut skeleton, one measured PA) plus the deactivation
-		// and the min cut. Reads 155; 159 while every ledger merge copied
-		// the entries it folded in; 256 while Ĝ filled a typed arc slab
-		// beside its neighbors and Stoer–Wagner grew a list per node; 5,245
+		// and the min cut. Reads 113 since the PA's Steiner forest sizes its
+		// arrays once; 155 while they grew by append; 159 while every ledger
+		// merge copied the entries it folded in; 256 while Ĝ filled a typed
+		// arc slab beside its neighbors and Stoer–Wagner grew a list per
+		// node; 5,245
 		// while Ĝ grew one arc slice per vertex, the PA network copied it
 		// into a [][]int, every schedule round scanned all n vertices and
 		// the deactivation kept maps.
-		{"core.Girth(first)", 191, func() error {
+		{"core.Girth(first)", 139, func() error {
 			_, err := core.Girth(artifact.New(coldSnake), ledger.New())
 			return err
 		}},

@@ -25,8 +25,10 @@ const flowBase = "maxflow-base"
 // work it saves is the simulation's, DESIGN §3), it is never snapshotted,
 // and Stats lists it under Caches. Immutable once built.
 type FlowBase struct {
-	// Lengths are the capacity lengths.
+	// Lengths are the capacity lengths, and Base them gathered over the
+	// tree's dual: what every probe's kernel starts from.
 	Lengths []int64
+	Base    *label.Gathered
 	// Dist is the dual SSSP from face 0 under the capacity lengths: the
 	// face potentials of the λ* = 0 assignment.
 	Dist []int64
@@ -41,22 +43,24 @@ type FlowBase struct {
 	// induces (ResidualLengths of Circulation), and CutLed holds what the
 	// primal labeling pass over them charges (label.Feasible, as
 	// label.SSSPFrom charges its pass): replayed at Query scope by every
-	// λ* = 0 min cut, which then runs only its row from s.
+	// λ* = 0 min cut, which then runs only its row from s, over CutBase,
+	// CutLengths gathered over the tree's primal graph.
 	CutLengths []int64
+	CutBase    *label.Gathered
 	CutLed     *ledger.Ledger
 }
 
 // FootprintBytes estimates the resident memory of the state at twice its
-// records' sizes, as Labeling.FootprintBytes does: the two length vectors,
-// the potentials, the circulation and the recorded entries. The skeletons a
-// probe loads, the whole G* and each bag's X*, belong to the tree's dual
-// plan, which no estimate charges yet.
+// records' sizes, as Labeling.FootprintBytes does: the two length vectors
+// and their gathers, the potentials, the circulation and the recorded
+// entries. The skeletons a probe loads, the whole G* and each bag's X*,
+// belong to the tree's dual plan, which no estimate charges yet.
 func (fb *FlowBase) FootprintBytes() int64 {
 	const (
 		word  = int64(2 * unsafe.Sizeof(int64(0)))
 		entry = int64(2 * unsafe.Sizeof(ledger.Entry{}))
 	)
-	return int64(len(fb.Lengths)+len(fb.Dist)+len(fb.Flow)+len(fb.CutLengths))*word +
+	return int64(len(fb.Lengths)+fb.Base.Len()+len(fb.Dist)+len(fb.Flow)+len(fb.CutLengths)+fb.CutBase.Len())*word +
 		int64(len(fb.Led.Entries())+len(fb.CutLed.Entries()))*entry
 }
 
@@ -132,7 +136,16 @@ func (p *Prepared) FlowBase(leafLimit int, led *ledger.Ledger) (*FlowBase, error
 			if _, err := label.Feasible(ctx, label.Primal, tree, cut, cutRec); err != nil {
 				return nil, 0, err
 			}
-			fb := &FlowBase{Lengths: lens, Dist: sssp.Dist, Flow: flow, Led: rec, CutLengths: cut, CutLed: cutRec}
+			base, err := label.Gather(label.Dual, tree, lens)
+			if err != nil {
+				return nil, 0, err
+			}
+			cutBase, err := label.Gather(label.Primal, tree, cut)
+			if err != nil {
+				return nil, 0, err
+			}
+			fb := &FlowBase{Lengths: lens, Base: base, Dist: sssp.Dist, Flow: flow, Led: rec,
+				CutLengths: cut, CutBase: cutBase, CutLed: cutRec}
 			return fb, fb.FootprintBytes(), nil
 		})
 	return fb, err

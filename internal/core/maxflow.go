@@ -87,11 +87,9 @@ func maxFlow(p *artifact.Prepared, s, t int, opt Options, led *ledger.Ledger) (*
 		return nil, nil, err
 	}
 
-	// Fixed s-to-t dart path (undirected BFS; Õ(D) rounds).
-	path, err := dartPath(g, s, t)
-	if err != nil {
-		return nil, nil, err
-	}
+	// Fixed s-to-t dart path (undirected BFS; Õ(D) rounds), charged here
+	// and found when the first probe starts: a pair no λ is probed for
+	// never reads it.
 	led.Charge("maxflow/find-path", int64(2*(tree.Root.TreeDepth+1)))
 
 	// The λ = 0 state and the search over it, started by the first probe;
@@ -99,6 +97,7 @@ func maxFlow(p *artifact.Prepared, s, t int, opt Options, led *ledger.Ledger) (*
 	// negative capacity fails the search before either.
 	var (
 		fb     *artifact.FlowBase
+		path   []planar.Dart
 		search *label.Search
 	)
 	defer func() {
@@ -118,7 +117,10 @@ func maxFlow(p *artifact.Prepared, s, t int, opt Options, led *ledger.Ledger) (*
 			if err := loadState(); err != nil {
 				return false, err
 			}
-			if search, err = label.NewSearch(tree, fb.Lengths, path); err != nil {
+			if path, err = dartPath(g, s, t); err != nil {
+				return false, err
+			}
+			if search, err = label.NewSearch(fb.Base, path); err != nil {
 				return false, err
 			}
 		}
@@ -160,22 +162,9 @@ func maxFlow(p *artifact.Prepared, s, t int, opt Options, led *ledger.Ledger) (*
 // 2-cycle of length Cap(e); λ=1 is probed first, and once it is feasible so
 // is every mid ≤ 1. probes counts the probes run.
 func lambdaStar(g *planar.Graph, s, t int, feasible func(int64) (bool, error)) (lambda int64, probes int, err error) {
-	var out, in int64
-	for e := 0; e < g.M(); e++ {
-		ed := g.Edge(e)
-		if ed.Cap < 0 {
-			return 0, 0, errors.New("core: zero flow infeasible (negative capacity?)")
-		}
-		if ed.U == s {
-			out += ed.Cap
-		}
-		if ed.V == t {
-			in += ed.Cap
-		}
-	}
-	u := min(out, in)
-	if u < 1 {
-		return 0, 0, nil
+	u, err := lambdaBound(g, s, t)
+	if err != nil || u < 1 {
+		return 0, 0, err
 	}
 	if ok, err := feasible(1); err != nil || !ok {
 		return 0, 1, err
@@ -197,6 +186,27 @@ func lambdaStar(g *planar.Graph, s, t int, feasible func(int64) (bool, error)) (
 		}
 	}
 	return lo, probes, nil
+}
+
+// lambdaBound returns U, the lesser of the capacity out of s — its forward
+// darts' edges — and into t — its backward darts' — or an error if a
+// capacity is negative: deg(s) + deg(t) work.
+func lambdaBound(g *planar.Graph, s, t int) (int64, error) {
+	if g.MinCap() < 0 {
+		return 0, errors.New("core: zero flow infeasible (negative capacity?)")
+	}
+	var out, in int64
+	for _, d := range g.Rotation(s) {
+		if planar.IsForward(d) {
+			out += g.Edge(planar.EdgeOf(d)).Cap
+		}
+	}
+	for _, d := range g.Rotation(t) {
+		if !planar.IsForward(d) {
+			in += g.Edge(planar.EdgeOf(d)).Cap
+		}
+	}
+	return min(out, in), nil
 }
 
 // dartPath returns an s-to-t path of darts (each dart oriented along the

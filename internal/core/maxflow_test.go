@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"errors"
+	"math/rand/v2"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -322,4 +324,85 @@ func TestDartPathIsTheBFSTreePath(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestLambdaBoundMatchesEdgeScan holds lambdaBound, which reads U off the
+// rotations at s and t and the negative-capacity check off the graph's
+// cached least capacity, to the scan of every edge it replaced (kept here as
+// the reference), on every ordered pair of graphs with parallel edges,
+// self-loops and flipped directions, with and without a negative capacity.
+func TestLambdaBoundMatchesEdgeScan(t *testing.T) {
+	scan := func(g *planar.Graph, s, t int) (int64, error) {
+		var out, in int64
+		for e := 0; e < g.M(); e++ {
+			ed := g.Edge(e)
+			if ed.Cap < 0 {
+				return 0, errors.New("core: zero flow infeasible (negative capacity?)")
+			}
+			if ed.U == s {
+				out += ed.Cap
+			}
+			if ed.V == t {
+				in += ed.Cap
+			}
+		}
+		return min(out, in), nil
+	}
+	rng := planar.NewRand(5)
+	var graphs []*planar.Graph
+	for _, g := range []*planar.Graph{planar.Grid(4, 5), planar.StackedTriangulation(30, rng), planar.BoustrophedonGrid(4, 4),
+		planar.RemoveRandomEdges(planar.Grid(6, 6), rng, 12)} {
+		g = planar.WithRandomDirections(planar.WithRandomWeights(withParallelsAndLoops(g, rng), rng, 1, 9, 0, 9), rng)
+		graphs = append(graphs, g, g.WithEdgeAttrs(func(e int, ed planar.Edge) planar.Edge {
+			if e == g.M()/2 {
+				ed.Cap = -1
+			}
+			return ed
+		}))
+	}
+	for i, g := range graphs {
+		for s := 0; s < g.N(); s++ {
+			for tt := 0; tt < g.N(); tt++ {
+				if s == tt {
+					continue
+				}
+				u, err := lambdaBound(g, s, tt)
+				wantU, wantErr := scan(g, s, tt)
+				if u != wantU || (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+					t.Fatalf("graph %d s=%d t=%d: lambdaBound %d, %v; edge scan %d, %v", i, s, tt, u, err, wantU, wantErr)
+				}
+			}
+		}
+	}
+}
+
+// withParallelsAndLoops returns g with every third edge doubled — the copy's
+// darts next to the original's in both rotations, so the two bound a
+// two-dart face — and a self-loop at every fifth vertex, its darts adjacent
+// in the rotation.
+func withParallelsAndLoops(g *planar.Graph, rng *rand.Rand) *planar.Graph {
+	edges := g.Edges()
+	rot := make([][]planar.Dart, g.N())
+	for v := range rot {
+		rot[v] = slices.Clone(g.Rotation(v))
+	}
+	insertAfter := func(v int, at, d planar.Dart) {
+		i := slices.Index(rot[v], at)
+		rot[v] = slices.Insert(rot[v], i+1, d)
+	}
+	for e := 0; e < g.M(); e += 3 {
+		c := len(edges)
+		ed := edges[e]
+		edges = append(edges, planar.Edge{U: ed.U, V: ed.V})
+		insertAfter(ed.U, planar.ForwardDart(e), planar.ForwardDart(c))
+		rot[ed.V] = slices.Insert(rot[ed.V], slices.Index(rot[ed.V], planar.BackwardDart(e)), planar.BackwardDart(c))
+	}
+	for v := 0; v < g.N(); v += 5 {
+		c := len(edges)
+		edges = append(edges, planar.Edge{U: v, V: v})
+		at := rot[v][rng.IntN(len(rot[v]))]
+		insertAfter(v, at, planar.ForwardDart(c))
+		insertAfter(v, planar.ForwardDart(c), planar.BackwardDart(c))
+	}
+	return planar.MustGraph(g.N(), edges, rot)
 }

@@ -43,7 +43,7 @@ func MinSTCut(p *artifact.Prepared, s, t int, opt Options, led *ledger.Ledger) (
 	var sssp *label.SSSPResult
 	if fb != nil {
 		led.Merge(fb.CutLed)
-		sssp, err = label.SSSPNonNegative(p.Context(), label.Primal, tree, fb.CutLengths, s, led)
+		sssp, err = label.SSSPNonNegative(p.Context(), fb.CutBase, s, led)
 	} else {
 		sssp, err = label.SSSPFrom(p.Context(), label.Primal, tree, artifact.ResidualLengths(g, flow.Flow), s, led, led)
 	}

@@ -80,7 +80,11 @@ func maxFlowFullLabeling(p *artifact.Prepared, s, t int, opt Options, led *ledge
 		}
 		return lens
 	}
-	sv, err := label.NewSearch(tree, lengthsFor(0), path)
+	var sv *label.Search
+	base, err := label.Gather(label.Dual, tree, lengthsFor(0))
+	if err == nil {
+		sv, err = label.NewSearch(base, path)
+	}
 	if err == nil {
 		defer sv.Close()
 	}

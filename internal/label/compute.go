@@ -2,8 +2,6 @@ package label
 
 import (
 	"context"
-	"errors"
-	"slices"
 	"unsafe"
 
 	"planarflow/internal/bdd"
@@ -109,30 +107,23 @@ func SSSPFrom(ctx context.Context, v View, t *bdd.BDD, lengths []int64, source i
 	return pl.ssspRow(k, lengths, source, led), nil
 }
 
-// SSSPNonNegative is SSSPFrom over non-negative lengths whose labeling pass
-// the caller charges itself (core.MinSTCut's λ* = 0 residual graph, whose
-// pass the λ = 0 state recorded): h = 0 is a potential, so no Bellman–Ford
-// runs, only the kernel's row from source, and led is charged the SSSP over
-// the labeling. A negative length is an error, and so is a canceled ctx,
-// polled once. lengths is not retained.
-func SSSPNonNegative(ctx context.Context, v View, t *bdd.BDD, lengths []int64, source int, led *ledger.Ledger) (*SSSPResult, error) {
-	pl, err := planOf(t, views[v])
-	if err != nil {
-		return nil, err
-	}
+// SSSPNonNegative is SSSPFrom over gathered lengths, non-negative, whose
+// labeling pass the caller charges itself (core.MinSTCut's λ* = 0 residual
+// graph, whose pass the λ = 0 state recorded): h = 0 is a potential, so no
+// Bellman–Ford runs, only the kernel's row from source, and led is charged
+// the SSSP over the labeling. A canceled ctx, polled once, is the error.
+func SSSPNonNegative(ctx context.Context, lengths *Gathered, source int, led *ledger.Ledger) (*SSSPResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	pl := lengths.pl
 	pl.costsOnce.Do(pl.costs)
 	k := kernels.Get().(*kernel)
 	defer kernels.Put(k)
-	k.load(pl.wholeGraph(), lengths)
-	if slices.ContainsFunc(k.length, func(l int64) bool { return l < 0 }) {
-		return nil, errors.New("label: SSSPNonNegative: a negative length")
-	}
+	k.loadGathered(pl.wholeGraph(), lengths.arcs)
 	k.h = grow(k.h, k.n)
 	clear(k.h)
-	return pl.ssspRow(k, lengths, source, led), nil
+	return pl.ssspRow(k, lengths.lengths, source, led), nil
 }
 
 // ssspRow answers SSSP from source off k's potentials and reduced lengths

@@ -220,8 +220,11 @@ func TestFeasibleMatchesFullLabeling(t *testing.T) {
 					path := bfsPath(g, s, tt)
 					var search *Search
 					if v == Dual {
-						var err error
-						if search, err = NewSearch(tree, capLens, path); err != nil {
+						base, err := Gather(Dual, tree, capLens)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if search, err = NewSearch(base, path); err != nil {
 							t.Fatal(err)
 						}
 					}

@@ -88,6 +88,13 @@ func (k *kernel) load(sk *skeleton, lengths []int64) {
 	}
 }
 
+// loadGathered points the kernel at a skeleton and copies its arc lengths,
+// given in its arc order.
+func (k *kernel) loadGathered(sk *skeleton, arcs []int64) {
+	k.n, k.start, k.to, k.dart = len(sk.start)-1, sk.start, sk.to, sk.dart
+	k.length = append(k.length[:0], arcs...)
+}
+
 // loadArcs loads a digraph on n nodes from an arc list (every arc active),
 // counting-sorted by tail into the kernel's own arrays.
 func (k *kernel) loadArcs(n int, arcs []DDGArc) {

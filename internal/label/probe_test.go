@@ -276,7 +276,7 @@ func TestSourceDirectedEdgeCases(t *testing.T) {
 					t.Fatalf("%s: unlabelled source reaches key %d at %d", name, k, d)
 				}
 			}
-			if r := gotLed.ByPhase()[vw.ssspPhase+"/broadcast-label"]; r != int64(tree.Root.TreeDepth) {
+			if r := gotLed.ByPhase()[vw.broadcastPhase]; r != int64(tree.Root.TreeDepth) {
 				t.Fatalf("%s: unlabelled source's broadcast charged %d rounds, want %d", name, r, tree.Root.TreeDepth)
 			}
 			if tree.Root.IsLeaf() {

@@ -25,6 +25,7 @@ import (
 // is used by one goroutine and must be closed.
 type Search struct {
 	pl    *plan
+	base  *Gathered
 	k     kernel
 	path  []pathArc
 	lens  []int64 // per dart: base with the last λ pushed along the path
@@ -51,31 +52,58 @@ type pathArc struct {
 // searches recycles Search values, their kernels and buffers with them.
 var searches = sync.Pool{New: func() any { return new(Search) }}
 
-// NewSearch starts the λ search over t's dual under base, the per-dart
-// lengths at λ = 0, which must be non-negative and finite, pushing along
-// path, whose darts are distinct edges'. The error is planOf's, or reports
-// a base length out of range.
-func NewSearch(t *bdd.BDD, base []int64, path []planar.Dart) (*Search, error) {
-	pl, err := planOf(t, views[Dual])
+// Gathered is a per-dart length vector gathered into the arc order of a
+// view's whole graph over one tree, every length checked non-negative: the
+// kernel's lengths at the start of a probe or row, copied in instead of
+// gathered and checked on every query. It keeps lengths, not a copy;
+// neither may change.
+type Gathered struct {
+	pl      *plan
+	lengths []int64 // per dart
+	arcs    []int64 // per arc of pl.whole
+	finite  bool    // every length is below spath.Inf
+}
+
+// Gather gathers lengths over v's whole graph of t. The error is planOf's,
+// or reports a negative length.
+func Gather(v View, t *bdd.BDD, lengths []int64) (*Gathered, error) {
+	pl, err := planOf(t, views[v])
 	if err != nil {
 		return nil, err
 	}
+	sk := pl.wholeGraph()
+	g := &Gathered{pl: pl, lengths: lengths, arcs: make([]int64, len(sk.dart)), finite: true}
+	for i, d := range sk.dart {
+		l := lengths[d]
+		if l < 0 {
+			return nil, fmt.Errorf("label: gathered length %d is negative", l)
+		}
+		g.arcs[i], g.finite = l, g.finite && l < spath.Inf
+	}
+	return g, nil
+}
+
+// Len returns the number of gathered lengths, one per arc of the whole graph.
+func (g *Gathered) Len() int { return len(g.arcs) }
+
+// NewSearch starts the λ search over the dual under base, the lengths at
+// λ = 0 gathered over a tree's dual, which must be finite, pushing along
+// path, whose darts are distinct edges'. The error reports a base of
+// another view or with an infinite length.
+func NewSearch(base *Gathered, path []planar.Dart) (*Search, error) {
+	pl := base.pl
+	if pl.v != views[Dual] || !base.finite {
+		return nil, errors.New("label: search base is not finite lengths over the dual")
+	}
 	pl.costsOnce.Do(pl.costs)
 	s := searches.Get().(*Search)
-	s.pl, s.savedAt, s.reload = pl, -1, false
-	k := &s.k
-	k.load(pl.wholeGraph(), base)
-	for _, l := range k.length {
-		if l < 0 || l >= spath.Inf {
-			s.Close()
-			return nil, fmt.Errorf("label: search base length %d out of [0, Inf)", l)
-		}
-	}
-	s.lens = append(s.lens[:0], base...)
+	s.pl, s.base, s.savedAt, s.reload = pl, base, -1, false
+	s.k.loadGathered(pl.wholeGraph(), base.arcs)
+	s.lens = append(s.lens[:0], base.lengths...)
 	s.path = s.path[:0]
 	for _, d := range path {
 		r := planar.Rev(d)
-		a := pathArc{d: d, fw: pl.wholeArc[d], bw: pl.wholeArc[r], fwBase: base[d], bwBase: base[r]}
+		a := pathArc{d: d, fw: pl.wholeArc[d], bw: pl.wholeArc[r], fwBase: base.lengths[d], bwBase: base.lengths[r]}
 		if a.fw < 0 || a.bw < 0 {
 			s.Close()
 			return nil, fmt.Errorf("label: search path dart %d is not an arc of the dual", d)
@@ -89,17 +117,17 @@ func NewSearch(t *bdd.BDD, base []int64, path []planar.Dart) (*Search, error) {
 
 // Close returns the search's buffers for reuse; s must not be used again.
 func (s *Search) Close() {
-	s.pl = nil
+	s.pl, s.base = nil, nil
 	searches.Put(s)
 }
 
-// push readies k for a run at lambda: the whole graph reloaded from lens if
-// k held anything else, then the path's arcs, in k and in lens, at their
-// residual lengths.
+// push readies k for a run at lambda: the whole graph reloaded from base if
+// k held anything else — lens differs from it only on the path — then the
+// path's arcs, in k and in lens, at their residual lengths.
 func (s *Search) push(lambda int64) {
 	k := &s.k
 	if s.reload {
-		k.load(s.pl.wholeGraph(), s.lens)
+		k.loadGathered(s.pl.wholeGraph(), s.base.arcs)
 		s.reload = false
 	}
 	for _, a := range s.path {

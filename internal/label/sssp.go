@@ -55,8 +55,7 @@ func (la *Labeling) SSSP(source int, led *ledger.Ledger) *SSSPResult {
 // callers with a minoragg simulator charge its calibrated unit instead).
 func (pl *plan) finishSSSP(res *SSSPResult, lengths []int64, words int, led *ledger.Ledger) {
 	g, v, depth := pl.t.G, pl.v, pl.t.Root.TreeDepth
-	led.Charge(v.ssspPhase+"/broadcast-label",
-		ledger.PipelinedBroadcastRounds(int64(depth), int64(words)))
+	led.Charge(v.broadcastPhase, ledger.PipelinedBroadcastRounds(int64(depth), int64(words)))
 	if !v.marksTree {
 		return
 	}
@@ -79,7 +78,7 @@ func (pl *plan) finishSSSP(res *SSSPResult, lengths []int64, words int, led *led
 			}
 		}
 	}
-	led.Charge(v.ssspPhase+"/mark-tree", int64(2*(depth+1)))
+	led.Charge(v.markPhase, int64(2*(depth+1)))
 }
 
 // UniformLengths builds a per-dart length vector realizing the "dual of a

@@ -24,10 +24,13 @@ type view struct {
 	id         View
 	name       string
 	phase      string // ledger phase prefix of the labeling pass
-	ssspPhase  string // ledger phase prefix of SSSP over the labeling
 	congestion int64  // factor on a level's broadcast cost
 	retainsDDG bool   // a full Labeling keeps every bag's base DDG
 	marksTree  bool   // SSSP marks a shortest-path tree (Lemma 2.2)
+
+	// SSSP over the labeling's two ledger phases: the source's label
+	// broadcast and, where it marks one, the shortest-path tree.
+	broadcastPhase, markPhase string
 
 	// numKeys bounds the key space: keys are in [0, numKeys(g)).
 	numKeys func(g *planar.Graph) int
@@ -52,7 +55,8 @@ type view struct {
 
 var views = [...]*view{
 	Dual: {
-		id: Dual, name: "dual", phase: "label", ssspPhase: "dual-sssp",
+		id: Dual, name: "dual", phase: "label",
+		broadcastPhase: "dual-sssp/broadcast-label", markPhase: "dual-sssp/mark-tree",
 		// Bags of a level run in parallel at 2x congestion (property 7); Ĝ
 		// simulation costs another 2x.
 		congestion: 4, retainsDDG: true, marksTree: true,
@@ -70,7 +74,8 @@ var views = [...]*view{
 		crossEdges: func(b *bdd.Bag) []int { return b.DualSXEdges },
 	},
 	Primal: {
-		id: Primal, name: "primal", phase: "primal-label", ssspPhase: "primal-sssp",
+		id: Primal, name: "primal", phase: "primal-label",
+		broadcastPhase: "primal-sssp/broadcast-label", markPhase: "primal-sssp/mark-tree",
 		congestion: 2,
 		numKeys:    func(g *planar.Graph) int { return g.N() },
 		ends:       func(g *planar.Graph, d planar.Dart) (int, int) { return g.Tail(d), g.Head(d) },

@@ -126,7 +126,7 @@ func (l *Ledger) Entries() []Entry {
 func (l *Ledger) ByPhase() map[string]int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make(map[string]int64)
+	out := make(map[string]int64, len(l.entries))
 	for _, e := range l.entries {
 		out[e.Phase] += e.Rounds
 	}

@@ -100,15 +100,18 @@ type forest struct {
 // members' paths to the global root, with the chain above their common
 // ancestor trimmed. memStart/members list each part's members (CSR). The
 // scratch arrays over the network's vertices are stamped with the part's
-// epoch instead of cleared, so a part costs its own tree, not n.
+// epoch instead of cleared, so a part costs its own tree, not n. A first
+// pass lists every part's nodes — at least its reached members, so vert
+// starts at that capacity — and a second, with vert's final length known,
+// fills the arrays over ids.
 func buildForest(t *Tree, n int, memStart, members []int32) *forest {
 	numParts := len(memStart) - 1
-	f := &forest{root: make([]int32, numParts)}
+	f := &forest{root: make([]int32, numParts), vert: make([]int32, 0, len(members))}
 	inTree := make([]int32, n) // epoch of the part whose union holds the vertex
 	isMem := make([]int32, n)  // epoch of the part the vertex is a member of
 	kids := make([]int32, n)   // children inside the current union
 	oneKid := make([]int32, n) // one of them
-	pos := make([]int32, n)    // the vertex's id in the current part
+	end := make([]int32, numParts)
 	for i := 0; i < numParts; i++ {
 		epoch := int32(i + 1)
 		first := len(f.vert)
@@ -124,6 +127,7 @@ func buildForest(t *Tree, n int, memStart, members []int32) *forest {
 			}
 		}
 		if len(f.vert) == first {
+			end[i] = int32(first)
 			continue
 		}
 		for _, x := range f.vert[first:] {
@@ -142,27 +146,48 @@ func buildForest(t *Tree, n int, memStart, members []int32) *forest {
 		w := first
 		for _, x := range f.vert[first:] {
 			if inTree[x] == epoch {
-				f.vert[w], pos[x] = x, int32(w)
+				if x == root {
+					f.root[i] = int32(w)
+				}
+				f.vert[w] = x
 				w++
 			}
 		}
-		f.vert = f.vert[:w]
-		for id := first; id < w; id++ {
+		f.vert, end[i] = f.vert[:w], int32(w)
+	}
+	// The second pass: isMem is stamped again, with epochs past the first
+	// pass's, and pos maps a vertex to its id in the current part. A node's
+	// Steiner parent is its global parent, kept in the part's tree.
+	pos := oneKid
+	f.parent = make([]int32, len(f.vert))
+	f.kids = make([]int32, len(f.vert))
+	f.member = make([]bool, len(f.vert))
+	first := int32(0)
+	for i := 0; i < numParts; i++ {
+		epoch := int32(numParts + i + 1)
+		for _, v := range members[memStart[i]:memStart[i+1]] {
+			isMem[v] = epoch
+		}
+		for id := first; id < end[i]; id++ {
+			pos[f.vert[id]] = id
+		}
+		for id := first; id < end[i]; id++ {
 			x := f.vert[id]
-			f.kids = append(f.kids, kids[x])
-			f.member = append(f.member, isMem[x] == epoch)
-			if x == root {
-				f.parent = append(f.parent, -1)
-				f.root[i] = int32(id)
-			} else {
-				f.parent = append(f.parent, pos[t.Parent[x]])
+			f.member[id] = isMem[x] == epoch
+			if id == f.root[i] {
+				f.parent[id] = -1
+				continue
 			}
-			// The Steiner tree hangs off root along global tree edges, so a
-			// node's height in it is its depth below root.
-			if h := t.Depth[x] - t.Depth[root]; h > f.dilation {
+			p := pos[t.Parent[x]]
+			f.parent[id] = p
+			f.kids[p]++
+			// The Steiner tree hangs off its root along global tree edges,
+			// so a node's height in it is its depth below the root.
+			if h := t.Depth[x] - t.Depth[f.vert[f.root[i]]]; h > f.dilation {
 				f.dilation = h
 			}
 		}
+		first = end[i]
 	}
 	return f
 }

@@ -24,9 +24,15 @@ type Graph struct {
 
 	// rot[v] is the cyclic (clockwise, by convention of the generator) order
 	// of darts whose tail is v. rotPos[d] is the index of d within
-	// rot[Tail(d)].
+	// rot[Tail(d)]. head[d] is the vertex d enters, so d's tail is
+	// head[Rev(d)].
 	rot    [][]Dart
-	rotPos []int
+	rotPos []int32
+	head   []int32
+
+	// totalCap and minCap are the sum and the least of the capacities (0
+	// for both without edges).
+	totalCap, minCap int64
 
 	facesOnce sync.Once
 	faces     *FaceData // lazily computed face structure (guarded by facesOnce)
@@ -41,9 +47,16 @@ func NewGraph(n int, edges []Edge, rot [][]Dart) (*Graph, error) {
 		n:      n,
 		edges:  make([]Edge, len(edges)),
 		rot:    make([][]Dart, n),
-		rotPos: make([]int, 2*len(edges)),
+		rotPos: make([]int32, 2*len(edges)),
+		head:   make([]int32, 2*len(edges)),
 	}
 	copy(g.edges, edges)
+	for e, ed := range edges {
+		g.totalCap += ed.Cap
+		if e == 0 || ed.Cap < g.minCap {
+			g.minCap = ed.Cap
+		}
+	}
 	if len(rot) != n {
 		return nil, fmt.Errorf("planar: rotation system has %d vertices, want %d", len(rot), n)
 	}
@@ -70,6 +83,8 @@ func MustGraph(n int, edges []Edge, rot [][]Dart) *Graph {
 	return g
 }
 
+// indexRotations checks that every dart is listed once, at the vertex its
+// edge leaves from, and fills rotPos and head from the lists.
 func (g *Graph) indexRotations() error {
 	seen := make([]bool, 2*len(g.edges))
 	for v, ds := range g.rot {
@@ -81,10 +96,14 @@ func (g *Graph) indexRotations() error {
 				return fmt.Errorf("planar: dart %d appears twice in rotation system", d)
 			}
 			seen[d] = true
-			if g.Tail(d) != v {
-				return fmt.Errorf("planar: dart %d (tail %d) listed at vertex %d", d, g.Tail(d), v)
+			tail := g.edges[EdgeOf(d)].V
+			if IsForward(d) {
+				tail = g.edges[EdgeOf(d)].U
 			}
-			g.rotPos[d] = i
+			if tail != v {
+				return fmt.Errorf("planar: dart %d (tail %d) listed at vertex %d", d, tail, v)
+			}
+			g.rotPos[d], g.head[Rev(d)] = int32(i), int32(v)
 		}
 	}
 	for d, ok := range seen {
@@ -115,16 +134,10 @@ func (g *Graph) Edges() []Edge {
 }
 
 // Tail returns the vertex the dart leaves.
-func (g *Graph) Tail(d Dart) int {
-	e := g.edges[EdgeOf(d)]
-	if IsForward(d) {
-		return e.U
-	}
-	return e.V
-}
+func (g *Graph) Tail(d Dart) int { return int(g.head[Rev(d)]) }
 
 // Head returns the vertex the dart enters.
-func (g *Graph) Head(d Dart) int { return g.Tail(Rev(d)) }
+func (g *Graph) Head(d Dart) int { return int(g.head[d]) }
 
 // Degree returns the number of edge-ends at v.
 func (g *Graph) Degree(v int) int { return len(g.rot[v]) }
@@ -134,12 +147,12 @@ func (g *Graph) Degree(v int) int { return len(g.rot[v]) }
 func (g *Graph) Rotation(v int) []Dart { return g.rot[v] }
 
 // RotationIndex returns the position of d within Rotation(Tail(d)).
-func (g *Graph) RotationIndex(d Dart) int { return g.rotPos[d] }
+func (g *Graph) RotationIndex(d Dart) int { return int(g.rotPos[d]) }
 
 // NextInRotation returns the dart following d in the cyclic order at Tail(d).
 func (g *Graph) NextInRotation(d Dart) Dart {
 	v := g.Tail(d)
-	i := g.rotPos[d] + 1
+	i := int(g.rotPos[d]) + 1
 	if i == len(g.rot[v]) {
 		i = 0
 	}
@@ -193,10 +206,7 @@ func (g *Graph) Connected() bool {
 }
 
 // TotalCap returns the sum of all edge capacities (used to bound flow values).
-func (g *Graph) TotalCap() int64 {
-	var s int64
-	for _, e := range g.edges {
-		s += e.Cap
-	}
-	return s
-}
+func (g *Graph) TotalCap() int64 { return g.totalCap }
+
+// MinCap returns the least edge capacity, 0 without edges.
+func (g *Graph) MinCap() int64 { return g.minCap }

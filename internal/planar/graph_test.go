@@ -9,7 +9,7 @@ import (
 // PrevInRotation returns the dart preceding d in the cyclic order at Tail(d).
 func (g *Graph) PrevInRotation(d Dart) Dart {
 	v := g.Tail(d)
-	i := g.rotPos[d] - 1
+	i := g.RotationIndex(d) - 1
 	if i < 0 {
 		i = len(g.rot[v]) - 1
 	}
@@ -421,5 +421,39 @@ func TestDualStructure(t *testing.T) {
 	}
 	if total != g.NumDarts() {
 		t.Fatalf("boundary darts=%d want %d", total, g.NumDarts())
+	}
+}
+
+// TestHeadTailMatchEdges holds the dart-head slab NewGraph fills, and the
+// capacity sum and least capacity it caches, to what the edge list says:
+// every dart's ends as its edge and direction give them, on grids,
+// cylinders, triangulations, the snake and edge-deleted graphs, with
+// directions flipped at random and a negative capacity.
+func TestHeadTailMatchEdges(t *testing.T) {
+	rng := NewRand(11)
+	graphs := []*Graph{
+		Grid(6, 7), Cylinder(4, 5), StackedTriangulation(60, rng), BoustrophedonGrid(5, 6),
+		RemoveRandomEdges(Grid(8, 8), rng, 20), RemoveRandomEdges(StackedTriangulation(80, rng), rng, 40),
+	}
+	for _, g := range graphs {
+		graphs = append(graphs, WithRandomDirections(WithRandomWeights(g, rng, 1, 9, -3, 9), rng))
+	}
+	for i, g := range graphs {
+		var total, least int64
+		for e := 0; e < g.M(); e++ {
+			ed := g.Edge(e)
+			fw, bw := ForwardDart(e), BackwardDart(e)
+			if g.Tail(fw) != ed.U || g.Head(fw) != ed.V || g.Tail(bw) != ed.V || g.Head(bw) != ed.U {
+				t.Fatalf("graph %d edge %d (%d->%d): forward %d->%d, backward %d->%d",
+					i, e, ed.U, ed.V, g.Tail(fw), g.Head(fw), g.Tail(bw), g.Head(bw))
+			}
+			total += ed.Cap
+			if e == 0 || ed.Cap < least {
+				least = ed.Cap
+			}
+		}
+		if g.TotalCap() != total || g.MinCap() != least {
+			t.Fatalf("graph %d: TotalCap %d, MinCap %d; the edges sum to %d, least %d", i, g.TotalCap(), g.MinCap(), total, least)
+		}
 	}
 }
