@@ -6,6 +6,7 @@ package planarflow
 // cmd/flowbench; these benches track wall-clock and round costs per change.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -378,6 +379,77 @@ func BenchmarkLabelPlan(b *testing.B) {
 	}
 }
 
+// restoreGraphs are the graphs a restore is weighed on: a Triangulation(400),
+// a Triangulation(100) and a snake(12,12), weights and capacities 1–10.
+func restoreGraphs() []struct {
+	name string
+	g    *Graph
+} {
+	weighted := func(g *planar.Graph) *Graph {
+		return &Graph{g: planar.WithRandomWeights(g, planar.NewRand(1), 1, 10, 1, 10)}
+	}
+	return []struct {
+		name string
+		g    *Graph
+	}{
+		{"triangulation400", weighted(planar.StackedTriangulation(400, planar.NewRand(1)))},
+		{"triangulation100", weighted(planar.StackedTriangulation(100, planar.NewRand(1)))},
+		{"snake12x12", weighted(planar.BoustrophedonGrid(12, 12))},
+	}
+}
+
+// warmSnapshot is the snapshot of gr's bundle after Warm: the BDD and both
+// labelings, the default substrates.
+func warmSnapshot(tb testing.TB, gr *Graph) []byte {
+	tb.Helper()
+	p, err := Prepare(gr)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := p.Warm(context.Background()); err != nil {
+		tb.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := p.Snapshot(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// BenchmarkRestoreVsWarm — a bundle's default substrates built against
+// restored: /warm is Prepare + Warm (the BDD and both labelings built),
+// /restore is RestorePrepared from that bundle's snapshot (the tree
+// decoded, the labelings computed again over it). snapshot_B is the
+// snapshot's size.
+func BenchmarkRestoreVsWarm(b *testing.B) {
+	ctx := context.Background()
+	for _, c := range restoreGraphs() {
+		c.g.g.Faces()
+		snap := warmSnapshot(b, c.g)
+		b.Run(c.name+"/warm", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p, err := Prepare(c.g)
+				if err == nil {
+					err = p.Warm(ctx)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(c.name+"/restore", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := RestorePrepared(c.g, bytes.NewReader(snap)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(snap)), "snapshot_B")
+		})
+	}
+}
+
 // BenchmarkColdLabeling — a cold_build graph's first labeling, per view:
 // the tree's plan laid out and every bag labeled, leaf and DDG rows reusing
 // the bag's finished rows. The tree is built outside the timer.
@@ -544,6 +616,8 @@ func TestAllocCeilings(t *testing.T) {
 			return err
 		}
 	}
+	restoreTri := restoreGraphs()[1]
+	restoreSnap := warmSnapshot(t, restoreTri.g)
 	ctx := context.Background()
 	for _, c := range []struct {
 		name    string
@@ -698,6 +772,14 @@ func TestAllocCeilings(t *testing.T) {
 		// and every per-bag slice grew by append.
 		{"label.Layouts(primal, first)", 278, firstPlan(label.Primal)},
 		{"label.Layouts(dual, first)", 229, firstPlan(label.Dual)},
+		// A warm Triangulation(100) bundle restored from its snapshot: the
+		// tree decoded, both labelings computed again over it. Reads 1,047
+		// (902 while the snapshot carried the label vectors and DDGs, ≈ 20×
+		// the bytes, and restore decoded them).
+		{"RestorePrepared(triangulation100)", 1260, func() error {
+			_, err := RestorePrepared(restoreTri.g, bytes.NewReader(restoreSnap))
+			return err
+		}},
 	} {
 		allocs := testing.AllocsPerRun(5, func() {
 			if err := c.run(); err != nil {

@@ -67,10 +67,11 @@ func (p *Prepared) Export(w io.Writer) error {
 	return snapshot.Encode(w, p.st.g, &c)
 }
 
-// ImportInto decodes a snapshot against the bundle's graph and seeds the
-// substrate cache: every restored substrate publishes as a ready slot,
-// so Do/Warm and the named queries never rebuild it. Slots that already
-// hold a value (or an in-flight build) are left alone — the resident
+// ImportInto decodes a snapshot against the bundle's graph — its trees,
+// and the labelings it names computed again over them from Lengths — and
+// seeds the substrate cache: every restored substrate publishes as a ready
+// slot, so Do/Warm and the named queries never rebuild it. Slots that
+// already hold a value (or an in-flight build) are left alone — the resident
 // substrate wins, since it is at least as fresh as the snapshot. Errors
 // wrap the snapshot package's typed sentinels (snapshot.ErrFingerprint
 // when the snapshot belongs to a different graph, snapshot.ErrChecksum /

@@ -49,6 +49,10 @@ var unreachedAllowed = map[string]string{
 	"obs.ParseExposition":         "the strict exposition parser cmd/flowdfleet's TestMetricsz* tests read every /metricsz page through",
 	"flowd.FamilyChecks":          "the one-query-per-family list fleet's TestFleetFailoverBitIdentical and cmd/flowd's TestBootServeDrainRestore gate bit-identity on",
 	"flowd.RestartKey":            "the bit-identity key fleet's TestFleetFailoverBitIdentical and TestFleetAdoptPeerRestoreOneTrace and cmd/flowd's TestBootServeDrainRestore compare answers by",
+	"label.Labeling.State":        "the labels and retained DDGs snapshot's TestRestoredEqualsComputed holds a restored labeling to, and core's TestMinCyclesMatchReferences reads the DDG reference from",
+
+	// Decisions a ROADMAP item owns.
+	"label.Layouts": "a tree's label layout, timed by the root BenchmarkLabelPlan and gated by TestAllocCeilings: ROADMAP item 19's cost card is a function over it",
 
 	// Executions that ground a ledger formula or a paper property.
 	"congest.PipelinedBroadcast": "grounds ledger.PipelinedBroadcastRounds (depth + k) by exchanging the messages",

@@ -203,7 +203,7 @@ func (pl *plan) label(ctx context.Context, lengths []int64, led *ledger.Ledger) 
 		pl:      pl,
 		byBag:   make([][]Label, len(t.Bags)),
 	}
-	// A labeling keeps its DDGs for the cycle enumerations and the snapshot.
+	// A labeling keeps its DDGs for the cycle enumerations.
 	if v.retainsDDG {
 		la.ddgs = make([]*BagDDG, len(t.Bags))
 	}
@@ -258,6 +258,16 @@ func (la *Labeling) Dist(k1, k2 int) int64 {
 		return spath.Inf
 	}
 	return Decode(a, b)
+}
+
+// State exposes the labeling's internals — per bag, the labels of all its
+// keys in layout order (nil for a bag a negative cycle kept the pass from
+// reaching), and the retained base DDGs (nil when the view retains none),
+// both indexed by bag ID. The returned slices are the live state, not
+// copies; callers must treat them as read-only (a published labeling is
+// immutable).
+func (la *Labeling) State() (byBag [][]Label, ddgs []*BagDDG) {
+	return la.byBag, la.ddgs
 }
 
 // View reports which graph the labeling measures.

@@ -40,11 +40,11 @@
 // its own two positions (pos among the keys, sep in the separator or -1), so
 // Decode indexes the other label's vector with them and never hashes or
 // consults the plan. Who may index what: Decode and the pass index vectors
-// through a Label's positions; the snapshot codec through Layouts, whose
-// argsorts turn the layout into the sorted lists version 1 stores;
-// core.DirectedGirth reads Separator(b), the same order; nothing else
-// indexes a vector. Computed and restored labelings share the plan's layout,
-// so they are equal position for position.
+// through a Label's positions; core.DirectedGirth reads Separator(b), the
+// same order; nothing else indexes a vector. A labeling restored from a
+// snapshot is computed again over the restored tree (labels are a function
+// of the tree and the lengths), so it is the computed one position for
+// position.
 //
 // Kernel contract: a bag's local computation is one kernel (kernel.go) —
 // Johnson's algorithm over a CSR digraph. Its potentials pass is the bag's
@@ -69,8 +69,6 @@
 //
 // LeafFrom, the distances from every leaf key to a label's own, is not
 // stored: nothing decodes it, and it is column pos of the bag's LeafTo rows.
-// The snapshot format still carries it — the encoder writes the column, the
-// decoder checks it against the rows and drops it.
 package label
 
 import "planarflow/internal/spath"
@@ -97,34 +95,6 @@ type Label struct {
 // leaf reports whether l is a leaf bag's label: only there is a key neither
 // in the separator nor in a child.
 func (l *Label) leaf() bool { return l.sep < 0 && l.Child == nil }
-
-// To returns dist(key -> k) for k the i-th separator key of the bag's
-// layout, the first half of the vector (nil in a leaf).
-func (l *Label) To() []int64 {
-	if l.leaf() {
-		return nil
-	}
-	n := len(l.vec) / 2
-	return l.vec[:n:n]
-}
-
-// From returns dist(k -> key) for k the i-th separator key of the bag's
-// layout, the second half of the vector (nil in a leaf).
-func (l *Label) From() []int64 {
-	if l.leaf() {
-		return nil
-	}
-	return l.vec[len(l.vec)/2:]
-}
-
-// LeafTo returns dist(key -> k) for k the i-th key of the leaf bag's layout
-// (nil outside a leaf).
-func (l *Label) LeafTo() []int64 {
-	if !l.leaf() {
-		return nil
-	}
-	return l.vec
-}
 
 // Words returns the label size in O(log n)-bit words (an ID plus a distance
 // per entry, per level), the quantity Lemma 5.17 bounds by Õ(D).

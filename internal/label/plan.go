@@ -63,9 +63,8 @@ type plan struct {
 
 // BagLayout is the order one bag's labels and their distance vectors are
 // stored in, fixed by the tree and the view: labels, and every LeafTo, follow
-// Keys; every To and From follows Sep. The snapshot codec maps its sorted
-// on-disk lists to these positions; everything else reaches a position
-// through the Label that carries it.
+// Keys; every To and From follows Sep. Everything outside this package
+// reaches a position through the Label that carries it.
 type BagLayout struct {
 	Keys     []int
 	KeyOrder []int32 // positions in Keys by ascending key
@@ -114,6 +113,18 @@ type treePlans [len(views)]struct {
 	once sync.Once
 	pl   *plan
 	err  error
+}
+
+// Layouts returns, by bag ID, the layout the labels of view v over t are
+// stored in: the tree's plan for v, derived on first use and shared by every
+// labeling over t. The error reports a tree that is not a decomposition
+// bdd.Build could have produced; no labeling exists over it.
+func Layouts(v View, t *bdd.BDD) ([]BagLayout, error) {
+	pl, err := planOf(t, views[v])
+	if err != nil {
+		return nil, err
+	}
+	return pl.lay, nil
 }
 
 // planOf returns the tree's plan for v. The error is newPlan's: t is not a

@@ -56,16 +56,16 @@ func fuzzGraphFor(t testing.TB, data []byte) *planar.Graph {
 
 var updateCorpus = flag.Bool("update-corpus", false, "rewrite the committed FuzzDecodeSnapshot seed corpus")
 
-// TestWriteSeedCorpus (with -update-corpus) materializes the seed inputs
-// as committed corpus files under testdata/fuzz/FuzzDecodeSnapshot, so
-// the regular `go test` run replays them and CI fuzzing starts from the
-// interesting shapes: a valid snapshot, truncations at several depths, a
-// flipped payload bit, a flipped CRC byte, a future version, and — cut from
-// the tri40 golden fixture, CRCs refreshed — one label section per thing a
-// vector over the tree's layout cannot hold (strictInputs), one tree section
-// per thing a decomposition cannot be (treeStrictInputs), then the valid
-// snapshot with a prices section and one per thing that section cannot say
-// (pricesInputs).
+// TestWriteSeedCorpus (with -update-corpus) materializes the current
+// version's seed inputs as committed corpus files under
+// testdata/fuzz/FuzzDecodeSnapshot, so the regular `go test` run replays
+// them and CI fuzzing starts from the interesting shapes: a valid snapshot,
+// the same with a prices section, a future version, and one labeling
+// section per thing version 2 refuses (strictInputs). The version-1 seeds
+// beside them (valid, truncations, flipped bytes, future-version — now a
+// version-2 header over version-1 bodies — and the strict-* edits of
+// version-1 sections) were written by the version-1 encoder and stay as
+// they are: no seed of theirs is rewritten here.
 func TestWriteSeedCorpus(t *testing.T) {
 	if !*updateCorpus {
 		t.Skip("run with -update-corpus to rewrite the seed corpus")
@@ -73,29 +73,13 @@ func TestWriteSeedCorpus(t *testing.T) {
 	_, valid := fuzzSetup(t)
 	futureVersion := append([]byte(nil), valid...)
 	futureVersion[6] = Version + 1
-	flippedPayload := append([]byte(nil), valid...)
-	flippedPayload[len(flippedPayload)/2] ^= 0xff
-	flippedCRC := append([]byte(nil), valid...)
-	flippedCRC[len(flippedCRC)-1] ^= 0x01
+	withPrices, _ := pricesInputs(t)
 	seeds := map[string][]byte{
-		"valid":            valid,
-		"empty":            {},
-		"magic-only":       []byte("PFSNAP"),
-		"truncated-header": valid[:15],
-		"truncated-body":   valid[:len(valid)/2],
-		"future-version":   futureVersion,
-		"flipped-payload":  flippedPayload,
-		"flipped-crc":      flippedCRC,
+		"valid-v2":          valid,
+		"valid-v2-minoragg": withPrices,
+		"future-version-v3": futureVersion,
 	}
 	for name, data := range strictInputs(t) {
-		seeds[name] = data
-	}
-	for name, data := range treeStrictInputs(t) {
-		seeds[name] = data
-	}
-	withPrices, strictPrices := pricesInputs(t)
-	seeds["valid-minoragg"] = withPrices
-	for name, data := range strictPrices {
 		seeds[name] = data
 	}
 	dir := filepath.Join("testdata", "fuzz", "FuzzDecodeSnapshot")
@@ -114,8 +98,8 @@ func TestWriteSeedCorpus(t *testing.T) {
 // FuzzDecodeSnapshot holds the decoder to its contract: any byte string
 // either decodes cleanly or fails with one of the typed sentinels —
 // never a panic, never an unbounded allocation. Inputs that do decode
-// must re-encode deterministically (decode∘encode is the identity on
-// the valid subset).
+// must re-encode to a snapshot that decodes (decode∘encode is the
+// identity on valid version-2 input; version 1 re-encodes as version 2).
 func FuzzDecodeSnapshot(f *testing.F) {
 	_, valid := fuzzSetup(f)
 	f.Add(valid)

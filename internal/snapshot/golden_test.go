@@ -10,35 +10,46 @@ import (
 	"planarflow/internal/planar"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite the golden snapshot fixtures")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the current-version golden snapshot fixtures")
 
-// goldenFixtures are the committed version-1 snapshots. grid5x6 is the
-// package's fixture graph (one tree, one labeling of each family);
-// tri40-leaf8 is a triangulation cut down to leaf limit 8, so the tree
-// has at least four levels and the labels carry Child chains through
-// several bags, with both labelings for the Undirected and Directed kinds.
+// goldenFixtures are the committed snapshots, version 1 first. grid5x6 is
+// the package's fixture graph (one tree, one labeling of each family);
+// tri40-leaf8 is a triangulation cut down to leaf limit 8, so the tree has
+// at least four levels and the labels carry Child chains through several
+// bags, with both labelings for the Undirected and Directed kinds. encodesTo
+// is the fixture today's encoder writes for the same substrates: a
+// current-version fixture's own path, the current twin of an older one.
+// Version-1 fixtures are never rewritten: they are the files the previous
+// format left on disk.
 var goldenFixtures = []struct {
 	path      string
 	graph     func(t testing.TB) *planar.Graph
 	leafLimit int
 	kinds     []byte
 	minDepth  int
+	encodesTo string
 }{
-	{"testdata/grid5x6-v1.pfsnap", testGraph, 16, []byte{0}, 1},
-	{"testdata/tri40-leaf8-v1.pfsnap", func(testing.TB) *planar.Graph {
-		rng := planar.NewRand(40)
-		return planar.WithRandomWeights(planar.StackedTriangulation(40, rng), rng, 1, 9, 1, 16)
-	}, 8, []byte{0, 1}, 4},
+	{"testdata/grid5x6-v1.pfsnap", testGraph, 16, []byte{0}, 1, "testdata/grid5x6-v2.pfsnap"},
+	{"testdata/tri40-leaf8-v1.pfsnap", tri40Graph, 8, []byte{0, 1}, 4, "testdata/tri40-leaf8-v2.pfsnap"},
+	{"testdata/grid5x6-v2.pfsnap", testGraph, 16, []byte{0}, 1, "testdata/grid5x6-v2.pfsnap"},
+	{"testdata/tri40-leaf8-v2.pfsnap", tri40Graph, 8, []byte{0, 1}, 4, "testdata/tri40-leaf8-v2.pfsnap"},
 }
 
-// TestGoldenByteStability pins the version-1 byte format: each committed
-// fixture must decode, and re-encoding today's build of the same
-// substrates must reproduce it byte-for-byte. A failure means the codec
-// changed encoding for version 1 — which breaks every snapshot already
-// on disk — or a builder stopped being deterministic. Either bump the
-// format version (and keep the old decoder) or fix the regression;
-// regenerate the fixtures with `go test -run Golden -update-golden
-// ./internal/snapshot` only for an intentional, version-bumped change.
+func tri40Graph(testing.TB) *planar.Graph {
+	rng := planar.NewRand(40)
+	return planar.WithRandomWeights(planar.StackedTriangulation(40, rng), rng, 1, 9, 1, 16)
+}
+
+// TestGoldenByteStability pins the byte format: today's build of each
+// fixture's substrates encodes to its current-version bytes, and each
+// committed fixture decodes and re-encodes to them too — a version-2 file
+// to itself, a version-1 file to its version-2 twin. A failure means the
+// encoding of version 2 changed — which breaks every snapshot already on
+// disk — the decoder stopped reading a version, or a builder stopped being
+// deterministic. Either bump the format version (and keep reading the old
+// one) or fix the regression; regenerate the current-version fixtures with
+// `go test -run Golden -update-golden ./internal/snapshot` only for an
+// intentional, version-bumped change.
 func TestGoldenByteStability(t *testing.T) {
 	for _, fx := range goldenFixtures {
 		t.Run(filepath.Base(fx.path), func(t *testing.T) {
@@ -50,8 +61,8 @@ func TestGoldenByteStability(t *testing.T) {
 			data := encodeAll(t, g, c)
 
 			if *updateGolden {
-				if err := os.MkdirAll(filepath.Dir(fx.path), 0o755); err != nil {
-					t.Fatal(err)
+				if fx.path != fx.encodesTo {
+					t.Skip("an older version's fixture is never rewritten")
 				}
 				if err := os.WriteFile(fx.path, data, 0o644); err != nil {
 					t.Fatal(err)
@@ -60,7 +71,7 @@ func TestGoldenByteStability(t *testing.T) {
 				return
 			}
 
-			want, err := os.ReadFile(fx.path)
+			want, err := os.ReadFile(fx.encodesTo)
 			if err != nil {
 				t.Fatalf("golden fixture missing (run with -update-golden to create): %v", err)
 			}
@@ -73,13 +84,17 @@ func TestGoldenByteStability(t *testing.T) {
 					i, len(data), len(want))
 			}
 
-			// The committed bytes must also decode and round-trip.
-			c2, err := Decode(bytes.NewReader(want), g, lengthsFor(g))
+			// The committed bytes must decode and re-encode to the current ones.
+			committed, err := os.ReadFile(fx.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c2, err := Decode(bytes.NewReader(committed), g, lengthsFor(g))
 			if err != nil {
 				t.Fatalf("golden fixture failed to decode: %v", err)
 			}
 			if !bytes.Equal(encodeAll(t, g, c2), want) {
-				t.Fatal("golden fixture does not round-trip")
+				t.Fatalf("golden fixture does not re-encode to %s", fx.encodesTo)
 			}
 		})
 	}

@@ -4,7 +4,10 @@
 // the dual and primal distance labelings (internal/label's two views) and
 // the minor-aggregation price card (internal/minoragg) — so that substrates
 // built once in Õ(D²) simulated rounds can be written to disk, shipped
-// between machines, and restored at decode speed instead of rebuilt.
+// between machines, and restored without charging those rounds again. A
+// snapshot stores the tree; a labeling is a function of the tree and the
+// graph's lengths, so its section names it and restore relabels it at
+// simulation speed, under a discarded ledger (labelcodec.go).
 //
 // Format (all integers varint-encoded unless sized):
 //
@@ -13,9 +16,9 @@
 //	...exactly nsec sections, then EOF (trailing bytes are an error)
 //
 // Section types: 1 = BDD tree (keyed by leaf limit), 2 = dual labeling,
-// 3 = primal labeling (one body, keyed by length kind + leaf limit; type 2
-// appends the DDGs its view retains), 4 = minor-aggregation prices (the
-// measured PA unit and its build rounds; at most one, after the labelings).
+// 3 = primal labeling (one body: length kind, leaf limit, build rounds),
+// 4 = minor-aggregation prices (the measured PA unit and its build rounds;
+// at most one, after the labelings).
 // The fingerprint binds a snapshot to
 // the exact embedded graph it was encoded against (vertices, edges with
 // weights/capacities, rotation system);
@@ -33,7 +36,7 @@
 // Determinism: encoding the same built substrates always produces the
 // same bytes. Map-shaped state is written in sorted key order, slices in
 // stored order (the builders produce deterministic slices), and the
-// committed golden fixtures pin the byte stability of version 1.
+// committed golden fixtures pin the byte stability of versions 1 and 2.
 package snapshot
 
 import (
@@ -51,10 +54,11 @@ import (
 	"planarflow/internal/planar"
 )
 
-// Version is the current format version. Decoders reject anything newer;
-// older versions are decodable for as long as their section codecs are
-// kept (version 1 is the first).
-const Version = 1
+// Version is the current format version, the one Encode writes. Decode
+// reads it and version 1, whose labeling sections also carried the label
+// vectors and DDGs (their leading fields are version 2's; the rest is read
+// past), and rejects anything newer.
+const Version = 2
 
 var magic = [6]byte{'P', 'F', 'S', 'N', 'A', 'P'}
 
@@ -230,11 +234,7 @@ func Encode(w io.Writer, g *planar.Graph, c *Contents) error {
 		}
 	}
 	for _, la := range c.Labels {
-		payload, err := encodeLabeling(&la)
-		if err != nil {
-			return err
-		}
-		if err := writeSection(w, secDual+byte(la.Labeling.View()), payload); err != nil {
+		if err := writeSection(w, secDual+byte(la.Labeling.View()), encodeLabeling(&la)); err != nil {
 			return err
 		}
 	}
@@ -257,9 +257,9 @@ func writeSection(w io.Writer, typ byte, payload []byte) error {
 
 // Decode reads a snapshot for g from r, verifying magic, version,
 // fingerprint and per-section checksums, and materializes every substrate
-// against g. lengths supplies the per-dart length vectors of the labeling
-// sections. Trees decode before labelings regardless of section order; a
-// labeling whose tree section is absent from the same snapshot is
+// against g. lengths supplies the per-dart length vectors the labelings are
+// computed from. Trees decode before labelings regardless of section order;
+// a labeling whose tree section is absent from the same snapshot is
 // ErrCorrupt (labelings always travel with the tree they decode over).
 func Decode(r io.Reader, g *planar.Graph, lengths LengthsFunc) (*Contents, error) {
 	var hdr [6 + 1 + 8]byte
@@ -269,8 +269,9 @@ func Decode(r io.Reader, g *planar.Graph, lengths LengthsFunc) (*Contents, error
 	if !bytes.Equal(hdr[:6], magic[:]) {
 		return nil, ErrBadMagic
 	}
-	if v := hdr[6]; v != Version {
-		return nil, fmt.Errorf("%w: got %d, this build decodes %d", ErrVersion, v, Version)
+	version := hdr[6]
+	if version < 1 || version > Version {
+		return nil, fmt.Errorf("%w: got %d, this build decodes 1 to %d", ErrVersion, version, Version)
 	}
 	if fp := binary.LittleEndian.Uint64(hdr[7:]); fp != Fingerprint(g) {
 		return nil, fmt.Errorf("%w: snapshot %016x, graph %016x", ErrFingerprint, fp, Fingerprint(g))
@@ -355,7 +356,7 @@ func Decode(r io.Reader, g *planar.Graph, lengths LengthsFunc) (*Contents, error
 			continue
 		}
 		d := codec.NewReader(s.payload, ErrCorrupt)
-		la, err := decodeLabeling(&d, label.View(s.typ-secDual), g, c, lengths)
+		la, err := decodeLabeling(&d, version, label.View(s.typ-secDual), c, lengths)
 		if err != nil {
 			return nil, err
 		}

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"planarflow/internal/bdd"
-	"planarflow/internal/codec"
 	"planarflow/internal/label"
 	"planarflow/internal/ledger"
 	"planarflow/internal/planar"
@@ -51,194 +50,47 @@ func joinSnapshot(hdr []byte, types []byte, payloads [][]byte) []byte {
 	return out
 }
 
-// labelAt locates one label inside a labeling section payload: the offsets
-// of its key, its flags byte, and per vector the count and every key delta
-// and value. Labels and vector entries are stored by ascending key, so the
-// last of either is its bag's or vector's largest.
-type labelAt struct {
-	leaf, last bool // by its flag; the last label of its bag
-	key, flags int
-	vec        [2]struct {
-		count          int
-		deltas, values []int
-	}
-}
-
-// walkLabeling indexes a labeling section payload: every label in stream
-// order, and the offset of the first DDG node's key.
-func walkLabeling(t testing.TB, payload []byte) (labels []labelAt, ddgNodeKey int) {
-	t.Helper()
-	d := codec.NewReader(payload, ErrCorrupt)
-	off := func() int { return len(payload) - d.Remaining() }
-	skip := func(n int) {
-		for ; n > 0; n-- {
-			d.Uvarint() // a varint spans the same bytes
-		}
-	}
-	defer func() {
-		if err := d.Err(); err != nil {
-			t.Fatal(err)
-		}
-	}()
-	d.U8()
-	skip(2)
-	d.Bool()
-	nb := readCount(&d)
-	for bag := 0; bag < nb; bag++ {
-		if !d.Bool() {
-			continue
-		}
-		n := readCount(&d)
-		for j := 0; j < n; j++ {
-			var at labelAt
-			at.key = off()
-			skip(1)
-			at.flags = off()
-			flags := d.U8()
-			at.leaf, at.last = flags&flagLeaf != 0, j == n-1
-			if flags&flagChild != 0 {
-				skip(1)
-			}
-			for v := range at.vec {
-				at.vec[v].count = off()
-				c := readCount(&d)
-				for e := 0; e < c; e++ {
-					at.vec[v].deltas = append(at.vec[v].deltas, off())
-					skip(1)
-					at.vec[v].values = append(at.vec[v].values, off())
-					skip(1)
-				}
-			}
-			labels = append(labels, at)
-		}
-	}
-	for bag := 0; bag < nb; bag++ {
-		if d.Bool() {
-			skip(1) // node count
-			d.U8()
-			return labels, off()
-		}
-	}
-	return labels, -1
-}
-
-// setVarint replaces the varint at off (signed selects zigzag) by x.
-func setVarint(payload []byte, off int, signed bool, x int64) []byte {
-	_, n := binary.Uvarint(payload[off:])
-	out := append([]byte(nil), payload[:off]...)
-	if signed {
-		out = binary.AppendVarint(out, x)
-	} else {
-		out = binary.AppendUvarint(out, uint64(x))
-	}
-	return append(out, payload[off+n:]...)
-}
-
-func varintAt(payload []byte, off int) int64 {
-	x, _ := binary.Varint(payload[off:])
-	return x
-}
-
-func uvarintAt(payload []byte, off int) int64 {
-	x, _ := binary.Uvarint(payload[off:])
-	return int64(x)
-}
-
-// strictCases are the label-section inputs a vector cannot represent, each
-// one edit of a dual labeling section of tri40-leaf8-v1.pfsnap (CRC
-// refreshed, so only the section decoder can object). first picks the label
-// the edit lands on.
-var strictCases = []struct {
-	name  string
-	first func(l *labelAt) bool
-	edit  func(p []byte, l *labelAt) []byte
-}{
-	{"strict-vector-count", func(l *labelAt) bool { return !l.leaf && len(l.vec[0].deltas) > 1 },
-		func(p []byte, l *labelAt) []byte {
-			return setVarint(p, l.vec[0].count, false, uvarintAt(p, l.vec[0].count)-1)
-		}},
-	{"strict-vector-duplicate-key", func(l *labelAt) bool { return !l.leaf && len(l.vec[1].deltas) > 1 },
-		func(p []byte, l *labelAt) []byte { return setVarint(p, l.vec[1].deltas[1], true, 0) }},
-	{"strict-vector-descending", func(l *labelAt) bool { return l.leaf && len(l.vec[0].deltas) > 2 },
-		func(p []byte, l *labelAt) []byte { return setVarint(p, l.vec[0].deltas[2], true, -1) }},
-	{"strict-vector-key-outside", func(l *labelAt) bool { return !l.leaf && len(l.vec[0].deltas) > 0 },
-		func(p []byte, l *labelAt) []byte {
-			last := l.vec[0].deltas[len(l.vec[0].deltas)-1]
-			return setVarint(p, last, true, varintAt(p, last)+1)
-		}},
-	{"strict-leaf-flag-in-internal-bag", func(l *labelAt) bool { return !l.leaf },
-		func(p []byte, l *labelAt) []byte {
-			out := append([]byte(nil), p...)
-			out[l.flags] |= flagLeaf
-			out[l.flags] &^= flagChild
-			return out
-		}},
-	{"strict-internal-flag-in-leaf-bag", func(l *labelAt) bool { return l.leaf },
-		func(p []byte, l *labelAt) []byte {
-			out := append([]byte(nil), p...)
-			out[l.flags] = 0
-			return out
-		}},
-	{"strict-label-key-not-in-bag", func(l *labelAt) bool { return l.leaf && l.last },
-		func(p []byte, l *labelAt) []byte { return setVarint(p, l.key, false, uvarintAt(p, l.key)+1) }},
-	{"strict-leaffrom-not-the-column", func(l *labelAt) bool { return l.leaf && len(l.vec[1].values) > 1 },
-		func(p []byte, l *labelAt) []byte {
-			return setVarint(p, l.vec[1].values[1], true, varintAt(p, l.vec[1].values[1])+1)
-		}},
-}
-
-// strictInputs builds every strict case, plus a DDG whose node list is not
-// the tree's, from the tri40 fixture.
+// strictInputs are the labeling sections version 2 refuses, each one edit
+// of tri40-leaf8-v2.pfsnap (CRCs fresh, so only the section decoders can
+// object): a labeling whose tree is not in the snapshot, a labeling section
+// given twice, and a labeling section with bytes after its three fields.
 func strictInputs(t testing.TB) map[string][]byte {
 	t.Helper()
-	data, err := os.ReadFile(goldenFixtures[1].path)
+	data, err := os.ReadFile(goldenFixtures[1].encodesTo)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hdr, types, payloads := splitSnapshot(t, data)
 	sec := bytes.IndexByte(types, secDual)
-	if sec < 0 {
-		t.Fatal("fixture has no dual labeling section")
+	if types[0] != secTree || sec < 0 {
+		t.Fatal("fixture does not hold a tree and a dual labeling")
 	}
-	labels, ddgNodeKey := walkLabeling(t, payloads[sec])
-	with := func(p []byte) []byte {
-		ps := append([][]byte(nil), payloads...)
-		ps[sec] = p
-		return joinSnapshot(hdr, types, ps)
-	}
-	if !bytes.Equal(with(payloads[sec]), data) {
+	if !bytes.Equal(joinSnapshot(hdr, types, payloads), data) {
 		t.Fatal("split and join do not reproduce the fixture")
 	}
-	out := map[string][]byte{}
-	for _, sc := range strictCases {
-		var hit *labelAt
-		for i := range labels {
-			if sc.first(&labels[i]) {
-				hit = &labels[i]
-				break
-			}
-		}
-		if hit == nil {
-			t.Fatalf("%s: no label of the fixture fits", sc.name)
-		}
-		out[sc.name] = with(sc.edit(payloads[sec], hit))
+	with := func(types []byte, payloads [][]byte) []byte {
+		h := binary.AppendUvarint(append([]byte(nil), hdr[:6+1+8]...), uint64(len(payloads)))
+		return joinSnapshot(h, types, payloads)
 	}
-	if ddgNodeKey < 0 {
-		t.Fatal("fixture retains no DDG")
+	trailing := slices.Clone(payloads)
+	trailing[sec] = append(slices.Clone(payloads[sec]), 0)
+	return map[string][]byte{
+		"strict-label-missing-tree": with(types[1:], payloads[1:]),
+		"strict-label-duplicate-section": with(append(slices.Clone(types), types[sec]),
+			append(slices.Clone(payloads), payloads[sec])),
+		"strict-v2-label-trailing-bytes": with(types, trailing),
 	}
-	out["strict-ddg-nodes-not-the-trees"] = with(setVarint(payloads[sec], ddgNodeKey, false, uvarintAt(payloads[sec], ddgNodeKey)+1))
-	return out
 }
 
 // treeStrictInputs are the tree sections a decomposition cannot be, each an
-// edit of tri40-leaf8-v1.pfsnap's tree re-encoded as the only section of a
+// edit of tri40-leaf8-v2.pfsnap's tree re-encoded as the only section of a
 // snapshot (CRC fresh, no labeling over it, so only the tree decoder can
 // object): a bag that lists a dart twice, and a bag holding a dart its
 // parent does not.
 func treeStrictInputs(t testing.TB) map[string][]byte {
 	t.Helper()
 	g := goldenFixtures[1].graph(t)
-	data, err := os.ReadFile(goldenFixtures[1].path)
+	data, err := os.ReadFile(goldenFixtures[1].encodesTo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,9 +151,10 @@ func TestTreeSectionStrictness(t *testing.T) {
 	}
 }
 
-// TestLabelSectionStrictness: a label section whose lists are not exactly
-// the tree's layout is ErrCorrupt, never a short vector, an unset slot or
-// an out-of-range write.
+// TestLabelSectionStrictness: what a version-2 labeling section can still
+// say wrong — a tree the snapshot lacks, a second section for the same
+// labeling, bytes after its three fields — is ErrCorrupt. The labels
+// themselves are computed, not read (TestRestoredEqualsComputed).
 func TestLabelSectionStrictness(t *testing.T) {
 	g := goldenFixtures[1].graph(t)
 	for name, data := range strictInputs(t) {

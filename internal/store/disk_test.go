@@ -1,16 +1,20 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"os"
+	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"planarflow"
+	"planarflow/internal/snapshot"
 )
 
 // warmDist runs a dist query so the primal labeling builds (or restores).
@@ -95,6 +99,116 @@ func TestCorruptSnapshotFallsBackToRebuild(t *testing.T) {
 	}
 	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
 		t.Fatal("corrupt snapshot file not deleted")
+	}
+}
+
+// TestMixedVersionSpills: the disk tier across the snapshot format's
+// version change. testdata/grid4x5-v1.pfsnap is a spill file the
+// version-1 encoder left: the bundle of this 4×5 grid after the queries
+// below. Under this build it restores on a miss, builds nothing, and
+// answers bit-identically to a bundle built here. The other way round,
+// a reader given a file of a version newer than its own — what a
+// version-1 binary sees in a version-2 file — fails with ErrVersion, and
+// the store counts it, deletes the file and rebuilds.
+func TestMixedVersionSpills(t *testing.T) {
+	spec := GraphSpec{Kind: "grid", Rows: 4, Cols: 5, Seed: 3, WLo: 1, WHi: 9, CLo: 1, CHi: 16}
+	v1, err := os.ReadFile("testdata/grid4x5-v1.pfsnap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v1[6] != 1 {
+		t.Fatalf("fixture is version %d", v1[6])
+	}
+	dir := t.TempDir()
+	s := New(Config{SpillDir: dir})
+	t.Cleanup(s.FlushSpills)
+	g, err := s.RegisterSpec("g", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.N()
+	queries := []planarflow.Query{
+		planarflow.DistQuery(0, n-1), planarflow.DualSSSPQuery(0), planarflow.MaxFlowQuery(0, n-1),
+		planarflow.MinSTCutQuery(0, n-1), planarflow.GirthQuery(), planarflow.GlobalMinCutQuery(),
+	}
+	// want holds a built bundle's answers once its substrates are warm, so
+	// they charge no build, as a restored bundle's do not.
+	ref, err := planarflow.Prepare(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]*planarflow.Answer, len(queries))
+	for i, q := range queries {
+		if _, err := ref.Do(nil, q); err != nil {
+			t.Fatal(err)
+		}
+		if want[i], err = ref.Do(nil, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(s *Store) {
+		t.Helper()
+		for i, q := range queries {
+			got, _, err := s.Do(context.Background(), "g", q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want[i]) {
+				t.Fatalf("%s: got %+v, want %+v", q.Kind, got, want[i])
+			}
+		}
+	}
+
+	path := s.spillPath("g")
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	check(s)
+	if st := s.Snapshot(); st.SnapshotRestores != 1 || st.Builds != 0 || st.SnapshotErrors != 0 {
+		t.Fatalf("version-1 spill: %d restores, %d builds, %d errors; want 1, 0, 0", st.SnapshotRestores, st.Builds, st.SnapshotErrors)
+	}
+
+	// Written back, the bundle is version 2. Its version byte one past this
+	// build's is what an older build sees.
+	if n, err := s.SnapshotResident("g"); err != nil || n != 1 {
+		t.Fatalf("SnapshotResident = %d, %v", n, err)
+	}
+	newer, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if newer[6] != snapshot.Version {
+		t.Fatalf("store wrote version %d, want %d", newer[6], snapshot.Version)
+	}
+	newer[6]++
+	if _, err := planarflow.RestorePrepared(g, bytes.NewReader(newer)); !errors.Is(err, planarflow.ErrBadSnapshot) ||
+		!strings.Contains(err.Error(), snapshot.ErrVersion.Error()) {
+		t.Fatalf("newer version: got %v, want ErrBadSnapshot from ErrVersion", err)
+	}
+	if err := os.WriteFile(path, newer, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2 := New(Config{SpillDir: dir})
+	t.Cleanup(s2.FlushSpills)
+	if _, err := s2.RegisterSpec("g", spec); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := s2.TryRestore("g"); ok || err != nil {
+		t.Fatalf("TryRestore of a newer version = %v, %v; want false, nil", ok, err)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Fatal("newer-version spill file not deleted")
+	}
+	// The rebuilt bundle answers as the built one, its first queries
+	// charging their builds.
+	for _, q := range queries {
+		if _, _, err := s2.Do(context.Background(), "g", q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check(s2)
+	if st := s2.Snapshot(); st.SnapshotErrors != 1 || st.SnapshotRestores != 0 || st.Builds == 0 {
+		t.Fatalf("newer-version spill: %d errors, %d restores, %d builds; want 1, 0, > 0", st.SnapshotErrors, st.SnapshotRestores, st.Builds)
 	}
 }
 

@@ -5,10 +5,11 @@ package planarflow
 // PreparedGraph has built — the BDD and the primal/dual distance
 // labelings, the paper's §5 artifact — into a versioned, checksummed
 // binary stream; RestorePrepared decodes that stream into a fresh
-// PreparedGraph whose queries find every restored substrate warm.
-// Restoring costs decode time, not the Õ(D²) construction rounds, which
-// is the difference between a warm restart and rebuilding a fleet's
-// working set from scratch.
+// PreparedGraph whose queries find every restored substrate warm. The
+// stream holds the tree and names the labelings; restoring decodes the
+// tree and relabels over it at simulation speed, charging zero rounds
+// (the substrates report the Õ(D²) construction rounds they originally
+// cost), so a warm restart never re-runs the tree's construction.
 
 import (
 	"errors"
