@@ -75,10 +75,11 @@ func (p *Prepared) Export(w io.Writer) error {
 // substrate wins, since it is at least as fresh as the snapshot. Errors
 // wrap the snapshot package's typed sentinels (snapshot.ErrFingerprint
 // when the snapshot belongs to a different graph, snapshot.ErrChecksum /
-// ErrTruncated / ErrCorrupt for damaged input); a failed import changes
-// nothing.
+// ErrTruncated / ErrCorrupt for damaged input), or are the bound context's
+// error when it ends while the labelings are computed; a failed import
+// changes nothing.
 func (p *Prepared) ImportInto(r io.Reader) error {
-	c, err := snapshot.Decode(r, p.st.g, func(kind byte) ([]int64, error) {
+	c, err := snapshot.DecodeContext(p.ctx, r, p.st.g, func(kind byte) ([]int64, error) {
 		if kind > byte(FreeReversal) {
 			return nil, fmt.Errorf("%w: unknown length kind %d", snapshot.ErrCorrupt, kind)
 		}

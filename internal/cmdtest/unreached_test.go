@@ -49,6 +49,7 @@ var unreachedAllowed = map[string]string{
 	"obs.ParseExposition":         "the strict exposition parser cmd/flowdfleet's TestMetricsz* tests read every /metricsz page through",
 	"flowd.FamilyChecks":          "the one-query-per-family list fleet's TestFleetFailoverBitIdentical and cmd/flowd's TestBootServeDrainRestore gate bit-identity on",
 	"flowd.RestartKey":            "the bit-identity key fleet's TestFleetFailoverBitIdentical and TestFleetAdoptPeerRestoreOneTrace and cmd/flowd's TestBootServeDrainRestore compare answers by",
+	"snapshot.Decode":             "DecodeContext without a context: the restore label's TestRestoredFootprintBoundsHeap and TestPlanMatchesMapReference and bdd's TestBagStateMatchesReference hold to built substrates",
 	"label.Labeling.State":        "the labels and retained DDGs snapshot's TestRestoredEqualsComputed holds a restored labeling to, and core's TestMinCyclesMatchReferences reads the DDG reference from",
 
 	// Decisions a ROADMAP item owns.

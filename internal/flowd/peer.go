@@ -143,7 +143,7 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 func (s *Server) restore(ctx context.Context, graph string, peers []string) (*RestoreResponse, error) {
 	resp := &RestoreResponse{Graph: graph}
 	if s.st.Graph(graph) == nil {
-		_, err := s.st.TryRestore(graph) // surfaces the typed unknown-graph error
+		_, err := s.st.TryRestoreContext(ctx, graph) // surfaces the typed unknown-graph error
 		return nil, err
 	}
 	for _, peer := range peers {
@@ -154,7 +154,7 @@ func (s *Server) restore(ctx context.Context, graph string, peers []string) (*Re
 			s.log.Debug("peer snapshot fetch missed", "graph", graph, "peer", peer, "err", err.Error())
 			continue
 		}
-		installed, err := s.st.InstallSnapshot(graph, snap)
+		installed, err := s.st.InstallSnapshot(ctx, graph, snap)
 		if err != nil {
 			s.log.Warn("peer snapshot rejected", "graph", graph, "peer", peer, "err", err.Error())
 			continue
@@ -168,7 +168,7 @@ func (s *Server) restore(ctx context.Context, graph string, peers []string) (*Re
 		}
 		return resp, nil
 	}
-	restored, err := s.st.TryRestore(graph)
+	restored, err := s.st.TryRestoreContext(ctx, graph)
 	if err != nil {
 		return nil, err
 	}

@@ -325,6 +325,39 @@ func (la *Labeling) FootprintBytes() int64 {
 	return b
 }
 
+// PassWords is what a labeling pass of view v over t allocates, in 8-byte
+// words: every bag's labels and vectors, a leaf's rows, an internal bag's
+// DDG arcs and matrix. It reads the tree's plan alone, so it prices a pass
+// before one runs (a snapshot decoder budgets its relabelling by it); the
+// error is the plan's, for a tree bdd.Build could not have produced.
+func PassWords(v View, t *bdd.BDD) (int64, error) {
+	pl, err := planOf(t, views[v])
+	if err != nil {
+		return 0, err
+	}
+	const (
+		labelWords = int64(unsafe.Sizeof(Label{}) / 8)
+		arcWords   = int64(unsafe.Sizeof(DDGArc{}) / 8)
+	)
+	var w int64
+	for _, b := range t.Bags {
+		lay, bp := &pl.lay[b.ID], &pl.bags[b.ID]
+		keys := int64(len(lay.Keys))
+		w += labelWords * keys
+		if b.IsLeaf() {
+			w += keys * keys
+			continue
+		}
+		arcs := int64(len(bp.crossArcs) + len(bp.zeroArcs))
+		for _, share := range bp.childSep {
+			arcs += int64(len(share) * (len(share) - 1))
+		}
+		nodes := int64(len(lay.Nodes))
+		w += 2*keys*int64(len(lay.Sep)) + nodes*nodes + arcWords*arcs
+	}
+	return w, nil
+}
+
 // computeLeaf gathers the whole bag (the "collect the entire graph" step),
 // takes the negative-cycle verdict from the kernel's potentials, and computes
 // the distances from each key — a kernel row is that key's LeafTo, reusing

@@ -30,8 +30,10 @@
 // foreign or future files, ErrFingerprint for the wrong graph,
 // ErrChecksum for bit rot, ErrTruncated for short reads, ErrCorrupt for
 // structurally invalid payloads (ids out of range, counts exceeding the
-// remaining bytes). Decoding never panics, whatever the input — the fuzz
-// harness holds it to that.
+// remaining bytes, labelings beyond the relabel budget). Decoding never
+// panics, whatever the input — the fuzz harness holds it to that — and
+// the relabelling it can be asked for is bounded by the graph, however
+// many sections the input holds (labelcodec.go).
 //
 // Determinism: encoding the same built substrates always produces the
 // same bytes. Map-shaped state is written in sorted key order, slices in
@@ -41,6 +43,7 @@ package snapshot
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -260,8 +263,16 @@ func writeSection(w io.Writer, typ byte, payload []byte) error {
 // against g. lengths supplies the per-dart length vectors the labelings are
 // computed from. Trees decode before labelings regardless of section order;
 // a labeling whose tree section is absent from the same snapshot is
-// ErrCorrupt (labelings always travel with the tree they decode over).
+// ErrCorrupt (labelings always travel with the tree they decode over), and
+// so are labelings that together cost more than relabelBudget, which is
+// checked before the first of them is computed.
 func Decode(r io.Reader, g *planar.Graph, lengths LengthsFunc) (*Contents, error) {
+	return DecodeContext(context.Background(), r, g, lengths)
+}
+
+// DecodeContext is Decode under ctx: a ctx that ends while the labelings
+// are computed stops them between bags and is the error.
+func DecodeContext(ctx context.Context, r io.Reader, g *planar.Graph, lengths LengthsFunc) (*Contents, error) {
 	var hdr [6 + 1 + 8]byte
 	if err := codec.ReadFull(r, hdr[:], ErrTruncated); err != nil {
 		return nil, err
@@ -341,6 +352,8 @@ func Decode(r io.Reader, g *planar.Graph, lengths LengthsFunc) (*Contents, error
 		}
 		c.Trees = append(c.Trees, *t)
 	}
+	var pending []labelSection
+	budget := relabelBudget(g)
 	for _, s := range secs {
 		if s.typ == secTree {
 			continue
@@ -356,7 +369,18 @@ func Decode(r io.Reader, g *planar.Graph, lengths LengthsFunc) (*Contents, error
 			continue
 		}
 		d := codec.NewReader(s.payload, ErrCorrupt)
-		la, err := decodeLabeling(&d, version, label.View(s.typ-secDual), c, lengths)
+		ls, err := decodeLabeling(&d, version, label.View(s.typ-secDual), c, pending)
+		if err != nil {
+			return nil, err
+		}
+		if budget -= ls.words; budget < 0 {
+			return nil, fmt.Errorf("%w: %d labeling sections ask for more than the %d words of relabelling this graph allows",
+				ErrCorrupt, len(pending)+1, relabelBudget(g))
+		}
+		pending = append(pending, *ls)
+	}
+	for i := range pending {
+		la, err := pending[i].relabel(ctx, lengths)
 		if err != nil {
 			return nil, err
 		}

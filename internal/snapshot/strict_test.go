@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -53,7 +54,9 @@ func joinSnapshot(hdr []byte, types []byte, payloads [][]byte) []byte {
 // strictInputs are the labeling sections version 2 refuses, each one edit
 // of tri40-leaf8-v2.pfsnap (CRCs fresh, so only the section decoders can
 // object): a labeling whose tree is not in the snapshot, a labeling section
-// given twice, and a labeling section with bytes after its three fields.
+// given twice, a labeling section with bytes after its three fields, and
+// the fixture's tree repeated under leaf limits 8, 9, … with every (view,
+// kind) labeled over each, one tree more than the relabel budget pays for.
 func strictInputs(t testing.TB) map[string][]byte {
 	t.Helper()
 	data, err := os.ReadFile(goldenFixtures[1].encodesTo)
@@ -79,7 +82,48 @@ func strictInputs(t testing.TB) map[string][]byte {
 		"strict-label-duplicate-section": with(append(slices.Clone(types), types[sec]),
 			append(slices.Clone(payloads), payloads[sec])),
 		"strict-v2-label-trailing-bytes": with(types, trailing),
+		"strict-label-relabel-budget":    overBudget(t, data),
 	}
+}
+
+// overBudget repeats the tree of data, a snapshot of the tri40 fixture,
+// under leaf limits 8, 9, … with a labeling section for every (view, kind)
+// over each, until the sections ask for more relabelling than the graph's
+// budget.
+func overBudget(t testing.TB, data []byte) []byte {
+	t.Helper()
+	g := goldenFixtures[1].graph(t)
+	c, err := Decode(bytes.NewReader(data), g, lengthsFor(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree := c.Trees[0]
+	var perTree int64
+	for _, v := range []label.View{label.Dual, label.Primal} {
+		w, err := label.PassWords(v, tree.Tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perTree += 3 * (w + int64(g.NumDarts()))
+	}
+	var types []byte
+	var payloads [][]byte
+	for n := int64(0); n*perTree <= relabelBudget(g); n++ {
+		tree.LeafLimit = 8 + int(n)
+		p, err := encodeTree(&tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		types, payloads = append(types, secTree), append(payloads, p)
+		for _, typ := range []byte{secDual, secPrimal} {
+			for kind := byte(0); kind < 3; kind++ {
+				types = append(types, typ)
+				payloads = append(payloads, encodeLabeling(&LabelEntry{Kind: kind, LeafLimit: tree.LeafLimit}))
+			}
+		}
+	}
+	hdr := binary.AppendUvarint(append([]byte(nil), data[:6+1+8]...), uint64(len(payloads)))
+	return joinSnapshot(hdr, types, payloads)
 }
 
 // treeStrictInputs are the tree sections a decomposition cannot be, each an
@@ -153,16 +197,46 @@ func TestTreeSectionStrictness(t *testing.T) {
 
 // TestLabelSectionStrictness: what a version-2 labeling section can still
 // say wrong — a tree the snapshot lacks, a second section for the same
-// labeling, bytes after its three fields — is ErrCorrupt. The labels
-// themselves are computed, not read (TestRestoredEqualsComputed).
+// labeling, bytes after its three fields, more relabelling than the budget —
+// is ErrCorrupt, found before any labeling is computed: the lengths a pass
+// starts from are never asked for. The labels themselves are computed, not
+// read (TestRestoredEqualsComputed).
 func TestLabelSectionStrictness(t *testing.T) {
 	g := goldenFixtures[1].graph(t)
 	for name, data := range strictInputs(t) {
-		if _, err := Decode(bytes.NewReader(data), g, lengthsFor(g)); !errors.Is(err, ErrCorrupt) {
+		computed := 0
+		lengths := func(kind byte) ([]int64, error) {
+			computed++
+			return lengthsFor(g)(kind)
+		}
+		if _, err := Decode(bytes.NewReader(data), g, lengths); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: got %v, want ErrCorrupt", name, err)
 		} else {
-			t.Logf("%s: %v", name, err)
+			t.Logf("%s (%d B): %v", name, len(data), err)
 		}
+		if computed > 0 {
+			t.Errorf("%s: %d labelings computed before the refusal", name, computed)
+		}
+	}
+}
+
+// TestDecodeCanceled: a context that ends while the labelings are computed
+// is the error, not a snapshot fault; the same bytes decode under a live
+// one.
+func TestDecodeCanceled(t *testing.T) {
+	fx := goldenFixtures[1]
+	g := fx.graph(t)
+	data, err := os.ReadFile(fx.encodesTo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := DecodeContext(ctx, bytes.NewReader(data), g, lengthsFor(g)); !errors.Is(err, context.Canceled) || errors.Is(err, ErrCorrupt) {
+		t.Fatalf("canceled: got %v, want context.Canceled alone", err)
+	}
+	if _, err := DecodeContext(context.Background(), bytes.NewReader(data), g, lengthsFor(g)); err != nil {
+		t.Fatal(err)
 	}
 }
 

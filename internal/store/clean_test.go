@@ -283,7 +283,7 @@ func TestLineageResetEvictionWrites(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ok, err := s.InstallSnapshot("g", peer); err != nil || !ok {
+		if ok, err := s.InstallSnapshot(context.Background(), "g", peer); err != nil || !ok {
 			t.Fatalf("InstallSnapshot = %v, %v", ok, err)
 		}
 		writes0 := s.Snapshot().SnapshotWrites

@@ -254,6 +254,59 @@ func TestTryRestoreWarmBoot(t *testing.T) {
 	}
 }
 
+// TestCanceledRestore: a restore whose context has ended stops in the
+// relabelling and returns the context's error — on the disk tier and for
+// peer bytes — counting no snapshot error and keeping the file and its
+// mark, so a live request then restores it with nothing built.
+func TestCanceledRestore(t *testing.T) {
+	dir := t.TempDir()
+	s1 := New(Config{SpillDir: dir})
+	if _, err := s1.RegisterSpec("g", gridSpec(4)); err != nil {
+		t.Fatal(err)
+	}
+	want := warmDist(t, s1, "g")
+	if n, err := s1.SnapshotResident(); err != nil || n != 1 {
+		t.Fatalf("SnapshotResident = %d, %v", n, err)
+	}
+	peer, err := os.ReadFile(s1.spillPath("g"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := New(Config{SpillDir: dir})
+	t.Cleanup(s2.FlushSpills)
+	if _, err := s2.RegisterSpec("g", gridSpec(4)); err != nil {
+		t.Fatal(err)
+	}
+	s2.mu.Lock()
+	s2.ents["g"].fileKeys = "mark"
+	s2.mu.Unlock()
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if ok, err := s2.TryRestoreContext(canceled, "g"); ok || !errors.Is(err, context.Canceled) {
+		t.Fatalf("TryRestoreContext(canceled) = %v, %v; want false, context.Canceled", ok, err)
+	}
+	if ok, err := s2.InstallSnapshot(canceled, "g", peer); ok || !errors.Is(err, context.Canceled) {
+		t.Fatalf("InstallSnapshot(canceled) = %v, %v; want false, context.Canceled", ok, err)
+	}
+	s2.mu.Lock()
+	mark := s2.ents["g"].fileKeys
+	s2.mu.Unlock()
+	if st := s2.Snapshot(); st.SnapshotErrors != 0 || st.SnapshotRestores != 0 || st.Resident != 0 || mark != "mark" {
+		t.Fatalf("after canceled restores: %d errors, %d restores, %d resident, mark %q; want 0, 0, 0, unchanged",
+			st.SnapshotErrors, st.SnapshotRestores, st.Resident, mark)
+	}
+	if _, err := os.Stat(s2.spillPath("g")); err != nil {
+		t.Fatalf("spill file gone after a canceled restore: %v", err)
+	}
+	if got := warmDist(t, s2, "g"); got != want {
+		t.Fatalf("dist after restore %d, want %d", got, want)
+	}
+	if st := s2.Snapshot(); st.SnapshotRestores != 1 || st.Builds != 0 || st.SnapshotErrors != 0 {
+		t.Fatalf("live restore: %d restores, %d builds, %d errors; want 1, 0, 0", st.SnapshotRestores, st.Builds, st.SnapshotErrors)
+	}
+}
+
 // TestSnapshotResidentErrors pins the ops-valve edge cases.
 func TestSnapshotResidentErrors(t *testing.T) {
 	s := New(Config{})

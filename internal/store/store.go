@@ -402,7 +402,7 @@ func (s *Store) load(ctx context.Context, e *entry) (loaded bool, err error) {
 		if ch == nil {
 			ch = make(chan struct{})
 			e.loading = ch
-			return s.loadFile(e, ch), nil
+			return s.loadFile(ctx, e, ch)
 		}
 		s.mu.Unlock()
 		t0 := time.Now()
@@ -423,29 +423,35 @@ func (s *Store) load(ctx context.Context, e *entry) (loaded bool, err error) {
 // loadFile is the loader's half of load: read and decode e's spill file
 // with s.mu released and e.fileMu held, then publish first-wins (a bundle
 // InstallSnapshot made resident meanwhile is just as good) and set the
-// mark to what the file turned out to hold. Publishing runs deferred so
-// that a panicking decoder still wakes the waiters on ch.
-func (s *Store) loadFile(e *entry, ch chan struct{}) (loaded bool) {
+// mark to what the file turned out to hold. A ctx that ends mid-decode
+// stops it and is the error: the file is not judged, so the mark and the
+// counters stay, and a waiter on ch loads it under its own ctx. Publishing
+// runs deferred so that a panicking decoder still wakes the waiters on ch.
+func (s *Store) loadFile(ctx context.Context, e *entry, ch chan struct{}) (loaded bool, err error) {
 	s.mu.Unlock()
 	e.fileMu.Lock()
 	var pg *planarflow.PreparedGraph
 	var keys string
-	var err error
+	var rerr error
 	defer func() {
 		s.mu.Lock()
 		e.loading = nil
 		close(ch)
-		if err != nil {
-			s.snapErrors++
-		}
-		e.fileKeys = keys
-		if pg != nil && e.pg == nil {
-			s.installLocked(e, pg, &e.snapRestores)
-			loaded = true
+		if cerr := ctx.Err(); cerr != nil && errors.Is(rerr, cerr) {
+			err = cerr
+		} else {
+			if rerr != nil {
+				s.snapErrors++
+			}
+			e.fileKeys = keys
+			if pg != nil && e.pg == nil {
+				s.installLocked(e, pg, &e.snapRestores)
+				loaded = true
+			}
 		}
 		e.fileMu.Unlock()
 	}()
-	if pg, err = s.readSpill(e); pg != nil {
+	if pg, rerr = s.readSpill(ctx, e); pg != nil {
 		keys = keySet(pg)
 	}
 	return
@@ -465,13 +471,13 @@ func (s *Store) installLocked(e *entry, pg *planarflow.PreparedGraph, arrivals *
 	*arrivals++
 }
 
-// readSpill opens and decodes e's spill file (caller holds e.fileMu, not
-// s.mu). (nil, nil) means there is no file. A file that is provably dead
-// — corrupt bytes, or a fingerprint from a different graph (the id was
-// re-registered) — is deleted so the next miss does not retry it; a
-// transient read error leaves the file in place (it may decode fine next
-// time). Either way the error is returned to be counted.
-func (s *Store) readSpill(e *entry) (*planarflow.PreparedGraph, error) {
+// readSpill opens and decodes e's spill file under ctx (caller holds
+// e.fileMu, not s.mu). (nil, nil) means there is no file. A file that is
+// provably dead — corrupt bytes, or a fingerprint from a different graph
+// (the id was re-registered) — is deleted so the next miss does not retry
+// it; a transient read error or a canceled ctx leaves the file in place (it
+// may decode fine next time). Either way the error is returned.
+func (s *Store) readSpill(ctx context.Context, e *entry) (*planarflow.PreparedGraph, error) {
 	path := s.spillPath(e.id)
 	f, err := os.Open(path)
 	if err != nil {
@@ -479,7 +485,7 @@ func (s *Store) readSpill(e *entry) (*planarflow.PreparedGraph, error) {
 	}
 	defer f.Close()
 	t0 := time.Now()
-	pg, err := planarflow.RestorePrepared(e.gr, bufio.NewReader(f))
+	pg, err := planarflow.RestorePreparedContext(ctx, e.gr, bufio.NewReader(f))
 	if err != nil {
 		if errors.Is(err, planarflow.ErrBadSnapshot) || errors.Is(err, planarflow.ErrSnapshotMismatch) {
 			os.Remove(path)
@@ -739,15 +745,26 @@ func (s *Store) SnapshotResident(ids ...string) (int, error) {
 // spec turns the first traffic spike from cold rebuilds into decode-time
 // restores. Reports whether a snapshot was restored (false when the
 // bundle is already resident, the tier is disabled, or no usable
-// snapshot exists — none of which is an error).
+// snapshot exists — none of which is an error). It runs under
+// context.Background: a boot has no request to cancel it.
 func (s *Store) TryRestore(id string) (bool, error) {
+	return s.TryRestoreContext(context.Background(), id)
+}
+
+// TryRestoreContext is TryRestore on behalf of a request: a ctx that ends
+// while the snapshot decodes, or while another caller's decode is awaited,
+// is the error.
+func (s *Store) TryRestoreContext(ctx context.Context, id string) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.ents[id]
 	if !ok {
 		return false, fmt.Errorf("%w: %q", ErrUnknownGraph, id)
 	}
-	loaded, _ := s.load(context.Background(), e) // Background never ends a wait
+	loaded, err := s.load(ctx, e)
+	if err != nil {
+		return false, err
+	}
 	if loaded {
 		e.lastAccessMS = time.Now().UnixMilli()
 		s.spillAsync(s.evictLocked()) // the restore may overshoot the budget
@@ -797,8 +814,9 @@ func (s *Store) pinWarm(id string) (*entry, *planarflow.PreparedGraph, error) {
 // mismatched or corrupt peer are rejected with no partial state; the
 // install is first-publish-wins ((false, nil) when a bundle went
 // resident while we were decoding — the resident one is just as good).
-// A successful install counts as a peer restore, never as builds.
-func (s *Store) InstallSnapshot(id string, data []byte) (bool, error) {
+// A successful install counts as a peer restore, never as builds; a ctx
+// that ends mid-decode stops it and is the error, counted nowhere.
+func (s *Store) InstallSnapshot(ctx context.Context, id string, data []byte) (bool, error) {
 	s.mu.Lock()
 	e, ok := s.ents[id]
 	if !ok {
@@ -815,11 +833,13 @@ func (s *Store) InstallSnapshot(id string, data []byte) (bool, error) {
 	// Decode outside the lock: restore is decode-bound and must not stall
 	// the serving path. RestorePrepared guarantees no partial bundle is
 	// visible on error.
-	pg, err := planarflow.RestorePrepared(gr, bytes.NewReader(data))
+	pg, err := planarflow.RestorePreparedContext(ctx, gr, bytes.NewReader(data))
 	if err != nil {
-		s.mu.Lock()
-		s.snapErrors++
-		s.mu.Unlock()
+		if cerr := ctx.Err(); cerr == nil || !errors.Is(err, cerr) {
+			s.mu.Lock()
+			s.snapErrors++
+			s.mu.Unlock()
+		}
 		return false, err
 	}
 

@@ -12,6 +12,7 @@ package planarflow
 // cost), so a warm restart never re-runs the tree's construction.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -48,11 +49,20 @@ func (p *PreparedGraph) Snapshot(w io.Writer) error {
 // checksum failure, version skew, structural corruption — returns an
 // error wrapping ErrBadSnapshot. No partial restore is visible on error.
 func RestorePrepared(gr *Graph, r io.Reader) (*PreparedGraph, error) {
+	return RestorePreparedContext(context.Background(), gr, r)
+}
+
+// RestorePreparedContext is RestorePrepared under ctx: a ctx that ends
+// while the labelings are computed over the restored tree stops the
+// restore between bags, and its error is returned (wrapped, neither
+// ErrBadSnapshot nor ErrSnapshotMismatch: the snapshot may be sound).
+// The returned PreparedGraph is not bound to ctx.
+func RestorePreparedContext(ctx context.Context, gr *Graph, r io.Reader) (*PreparedGraph, error) {
 	p, err := Prepare(gr)
 	if err != nil {
 		return nil, err
 	}
-	if err := p.art.ImportInto(r); err != nil {
+	if err := p.art.WithContext(ctx).ImportInto(r); err != nil {
 		return nil, fmt.Errorf("planarflow: restore: %w", mapSnapshotErr(err))
 	}
 	return p, nil
