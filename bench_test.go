@@ -664,14 +664,16 @@ func TestAllocCeilings(t *testing.T) {
 			return err
 		}},
 		// An exact max-flow with the graph's λ = 0 state resident, on each of
-		// warmPairs: 7 allocs at λ* = 0 (one probe, the assignment a copy of
-		// the state's circulation, its entries replayed; 9 while it recomputed
-		// the circulation and every merge copied the entries it replayed) and
-		// 12 at λ* > 0 (one search, its SSSP at λ* reading λ*'s potentials),
-		// with min st-cut on top 22, and 11 at λ* = 0 (the λ = 0 state's
-		// residual graph and pass replayed, one row from s; 16) — 14 / 25 /
-		// 12 while SSSP built its phase names per call, 28 / 42 /
-		// 59 / 42 with a new search, kernel and BFS arrays per query. They
+		// warmPairs: 7 allocs at λ* = 0 (one probe, decided by reachability,
+		// the assignment a copy of the state's circulation, its entries
+		// replayed; 9 while it recomputed the circulation and every merge
+		// copied the entries it replayed) and 11 at λ* > 0 (one search, its
+		// SSSP at λ* reading λ*'s potentials and marking no tree; 12 while it
+		// marked one), with min st-cut on top 21 (22), and 11 at λ* = 0 (the
+		// λ = 0 state's residual graph and pass replayed, one row from s; 16)
+		// — 14 / 25 / 12 while SSSP built its phase names per call, 30 / 43 /
+		// 61 / 41 with a new search, kernel and BFS arrays per query (30 / 44
+		// / 62 / 41 while the tree was marked). They
 		// read 25 / 70 / 85 / 37 (31 / 120 / 142 with a new kernel) while every
 		// probe loaded G*, drove the level costs and allocated its own
 		// residual lengths, the λ* > 0 assignment ran SSSPFrom and every min
@@ -683,11 +685,11 @@ func TestAllocCeilings(t *testing.T) {
 			_, err := core.MaxFlow(p, warmPairs[0].s, warmPairs[0].t, core.Options{}, ledger.New())
 			return err
 		}},
-		{"core.MaxFlow(positive)", 55, func() error {
+		{"core.MaxFlow(positive)", 54, func() error {
 			_, err := core.MaxFlow(p, warmPairs[1].s, warmPairs[1].t, core.Options{}, ledger.New())
 			return err
 		}},
-		{"core.MinSTCut", 75, func() error {
+		{"core.MinSTCut", 74, func() error {
 			_, err := core.MinSTCut(p, 0, p.Graph().N()-1, core.Options{}, ledger.New())
 			return err
 		}},

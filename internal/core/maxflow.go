@@ -52,10 +52,15 @@ type FlowResult struct {
 // over the state and the path: one negative-cycle check over the whole
 // dual, charged as the labeling pass the paper's algorithm runs —
 // completed, or aborted at the bag the pass would abort at, found on the
-// skeletons of the tree's dual plan. The assignment is one dual SSSP at λ*
-// (DESIGN §3). For λ* > 0 it is the search's SSSP, one row over λ*'s
-// potentials, charged as SSSP over λ*'s labels: the distributed algorithm
-// already holds them from λ*'s probe, so their pass is charged nowhere.
+// skeletons of the tree's dual plan. At λ = 1 the verdict is reachability
+// (a unit of flow exists exactly when t is reachable from s over edges of
+// capacity at least 1), so when t is unreachable only that abort bag is
+// sought, with no check over the dual; the charge is the same, as the
+// distributed algorithm still runs the probe. The assignment is one dual
+// SSSP at λ* (DESIGN §3). For λ* > 0 it is the search's SSSP, one row over
+// λ*'s potentials, charged as SSSP over λ*'s labels: the distributed
+// algorithm already holds them from λ*'s probe, so their pass is charged
+// nowhere.
 // λ* = 0 is never probed and its lengths are the state's, so there the
 // assignment is a copy of the circulation the state's potentials induce,
 // kept with them, and replays the entries
@@ -123,6 +128,10 @@ func maxFlow(p *artifact.Prepared, s, t int, opt Options, led *ledger.Ledger) (*
 			if search, err = label.NewSearch(fb.Base, path); err != nil {
 				return false, err
 			}
+		}
+		// λ = 1 is feasible exactly when a unit of flow gets from s to t.
+		if lambda == 1 && !bfs(g, s, t, true, nil) {
+			return false, search.Infeasible(ctx, lambda, led)
 		}
 		return search.Feasible(ctx, lambda, led)
 	})
@@ -212,9 +221,31 @@ func lambdaBound(g *planar.Graph, s, t int) (int64, error) {
 // dartPath returns an s-to-t path of darts (each dart oriented along the
 // walk; it need not follow edge directions): t's parent chain in the
 // undirected BFS tree from s (planar.BFS's). The chain's vertices are all
-// discovered before t, so the search stops at t. s and t differ. The BFS
-// runs on recycled arrays (paths).
+// discovered before t, so the search stops at t. s and t differ.
 func dartPath(g *planar.Graph, s, t int) ([]planar.Dart, error) {
+	var path []planar.Dart
+	if !bfs(g, s, t, false, func(parent []planar.Dart) {
+		n := 0
+		for v := t; v != s; v = g.Tail(parent[v]) {
+			n++
+		}
+		path = make([]planar.Dart, n)
+		for v := t; v != s; v = g.Tail(parent[v]) {
+			n--
+			path[n] = parent[v]
+		}
+	}) {
+		return nil, fmt.Errorf("core: %d unreachable from %d", t, s)
+	}
+	return path, nil
+}
+
+// bfs searches from s until t is discovered, over every dart or, with
+// units, over the forward darts of edges of capacity at least 1 — the
+// darts a unit of flow can take — and reports whether it was; on true it
+// hands found the parent darts first, per vertex (found may be nil). s and
+// t differ. The search runs on recycled arrays (paths).
+func bfs(g *planar.Graph, s, t int, units bool, found func(parent []planar.Dart)) bool {
 	sc := paths.Get().(*bfsScratch)
 	defer paths.Put(sc)
 	if len(sc.parent) < g.N() {
@@ -226,41 +257,33 @@ func dartPath(g *planar.Graph, s, t int) ([]planar.Dart, error) {
 	parent, queue := sc.parent, append(sc.queue[:0], s)
 	for head := 0; head < len(queue) && parent[t] == planar.NoDart; head++ {
 		for _, d := range g.Rotation(queue[head]) {
+			if units && (!planar.IsForward(d) || g.Edge(planar.EdgeOf(d)).Cap < 1) {
+				continue
+			}
 			if u := g.Head(d); u != s && parent[u] == planar.NoDart {
 				parent[u], queue = d, append(queue, u)
 			}
 		}
 	}
-	var path []planar.Dart
-	if parent[t] != planar.NoDart {
-		n := 0
-		for v := t; v != s; v = g.Tail(parent[v]) {
-			n++
-		}
-		path = make([]planar.Dart, n)
-		for v := t; v != s; v = g.Tail(parent[v]) {
-			n--
-			path[n] = parent[v]
-		}
+	ok := parent[t] != planar.NoDart
+	if ok && found != nil {
+		found(parent)
 	}
 	for _, v := range queue {
 		parent[v] = planar.NoDart
 	}
 	sc.queue = queue
-	if path == nil {
-		return nil, fmt.Errorf("core: %d unreachable from %d", t, s)
-	}
-	return path, nil
+	return ok
 }
 
-// bfsScratch is dartPath's BFS state: per vertex its parent dart, NoDart
-// between searches, and the queue.
+// bfsScratch is bfs's state: per vertex its parent dart, NoDart between
+// searches, and the queue.
 type bfsScratch struct {
 	parent []planar.Dart
 	queue  []int
 }
 
-// paths recycles dartPath's BFS arrays.
+// paths recycles bfs's arrays.
 var paths = sync.Pool{New: func() any { return new(bfsScratch) }}
 
 // CheckFlow verifies that flow is a feasible st-flow of the claimed value:

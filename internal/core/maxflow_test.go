@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	"reflect"
 	"slices"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"planarflow/internal/artifact"
+	"planarflow/internal/label"
 	"planarflow/internal/ledger"
 	"planarflow/internal/planar"
 )
@@ -405,4 +407,115 @@ func withParallelsAndLoops(g *planar.Graph, rng *rand.Rand) *planar.Graph {
 		insertAfter(v, planar.ForwardDart(c), planar.BackwardDart(c))
 	}
 	return planar.MustGraph(g.N(), edges, rot)
+}
+
+// TestLambdaOneByReachability holds MaxFlow's λ = 1 verdict — a BFS over the
+// darts a unit of flow can take, forward darts of capacity at least 1 — to
+// the search's probe, label.Search.Feasible(1), on every ordered pair of
+// graphs whose capacities are drawn from [0, 3], so that zero capacities cut
+// pairs apart, with bridges (a path), doubled edges and self-loops among
+// them: the same verdict on every pair, and where t is unreachable
+// Search.Infeasible(1) charges Feasible(1)'s entries, the abort at the same
+// bag's depth among them. MaxFlow's probes and value are lambdaStar's over
+// Feasible alone, and a pair with U = 0 probes nothing.
+func TestLambdaOneByReachability(t *testing.T) {
+	rng := planar.NewRand(54)
+	capped := func(g *planar.Graph, directed bool) *planar.Graph {
+		g = planar.WithRandomWeights(g, rng, 1, 9, 0, 3)
+		if directed {
+			g = planar.WithRandomDirections(g, rng)
+		}
+		return g
+	}
+	instances := []struct {
+		name string
+		g    *planar.Graph
+		leaf int
+	}{
+		{"grid4x5", capped(planar.Grid(4, 5), false), 6},
+		{"grid4x4-directed", capped(planar.Grid(4, 4), true), 0},
+		{"triangulation20", capped(planar.StackedTriangulation(20, rng), false), 8},
+		{"triangulation20-directed", capped(planar.StackedTriangulation(20, rng), true), 0},
+		{"snake4x4", capped(planar.BoustrophedonGrid(4, 4), true), 6},
+		{"sparse5x5", capped(planar.RemoveRandomEdges(planar.Grid(5, 5), rng, 8), true), 0},
+		{"path1x6", capped(planar.Grid(1, 6), true), 0},
+		{"grid3x4-parallels-loops", capped(withParallelsAndLoops(planar.Grid(3, 4), rng), true), 4},
+	}
+	ctx := context.Background()
+	newSearch := func(fb *artifact.FlowBase, path []planar.Dart) *label.Search {
+		t.Helper()
+		sv, err := label.NewSearch(fb.Base, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sv
+	}
+	var unreachable, cutByZero, zeroBound int
+	for _, in := range instances {
+		g, opt := in.g, Options{LeafLimit: in.leaf}
+		p, unitCaps := prep(g), zeroCaps(g)
+		fb, err := p.FlowBase(opt.LeafLimit, ledger.New())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := 0; s < g.N(); s++ {
+			for tt := 0; tt < g.N(); tt++ {
+				if s == tt {
+					continue
+				}
+				name := fmt.Sprintf("%s s=%d t=%d", in.name, s, tt)
+				path, err := dartPath(g, s, tt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				reach := bfs(g, s, tt, true, nil)
+				probe, probeLed := newSearch(fb, path), ledger.New()
+				ok, err := probe.Feasible(ctx, 1, probeLed)
+				if err != nil || ok != reach {
+					t.Fatalf("%s: reachable=%v, Feasible(1)=%v (%v)", name, reach, ok, err)
+				}
+				if !reach {
+					unreachable++
+					if bfs(unitCaps, s, tt, true, nil) {
+						cutByZero++
+					}
+					sv, led := newSearch(fb, path), ledger.New()
+					if err := sv.Infeasible(ctx, 1, led); err != nil || !reflect.DeepEqual(led.Entries(), probeLed.Entries()) {
+						t.Fatalf("%s: Infeasible(1) charged %v (%v), Feasible(1) %v", name, led.Entries(), err, probeLed.Entries())
+					}
+					sv.Close()
+				}
+				lo, iters, err := lambdaStar(g, s, tt, func(lambda int64) (bool, error) {
+					return probe.Feasible(ctx, lambda, ledger.New())
+				})
+				probe.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := MaxFlow(p, s, tt, opt, ledger.New())
+				if err != nil || got.Value != lo || got.Iterations != iters {
+					t.Fatalf("%s: MaxFlow %v after %v probes (%v), lambdaStar over Feasible %d after %d", name, got.Value, got.Iterations, err, lo, iters)
+				}
+				if u, _ := lambdaBound(g, s, tt); u == 0 {
+					zeroBound++
+					if iters != 0 {
+						t.Fatalf("%s: U = 0 and still %d probes", name, iters)
+					}
+				}
+			}
+		}
+	}
+	if unreachable == 0 || cutByZero == 0 || zeroBound == 0 {
+		t.Fatalf("%d unreachable pairs, %d of them cut by zero capacities alone, %d with U = 0: want some of each", unreachable, cutByZero, zeroBound)
+	}
+	t.Logf("%d unreachable pairs, %d of them cut by zero capacities alone, %d with U = 0", unreachable, cutByZero, zeroBound)
+}
+
+// zeroCaps is g with every zero capacity raised to 1: the graph in which a
+// pair cut apart by zero capacities alone is reachable.
+func zeroCaps(g *planar.Graph) *planar.Graph {
+	return g.WithEdgeAttrs(func(_ int, ed planar.Edge) planar.Edge {
+		ed.Cap = max(ed.Cap, 1)
+		return ed
+	})
 }

@@ -52,7 +52,8 @@ func fullSearch(g *planar.Graph, _, _ int, feasible func(int64) (bool, error)) (
 // Every λ it labels also runs through a label.Search over the capacity
 // lengths and the path, which must give the labeling's verdict and charge
 // its entries, and at λ*, when a probe found it feasible, the search's SSSP
-// must be the labeling's SSSP(0) — distances, tree darts and entries; any
+// must be the labeling's SSSP(0) — distances and entries, with no tree
+// darts (it charges the marking but skips it); any
 // difference is an error. A negative capacity starts no search.
 func maxFlowFullLabeling(p *artifact.Prepared, s, t int, opt Options, led *ledger.Ledger, search lambdaSearch) (*FlowResult, error) {
 	g := p.Graph()
@@ -117,7 +118,7 @@ func maxFlowFullLabeling(p *artifact.Prepared, s, t int, opt Options, led *ledge
 	if sv != nil && labeled[lo] {
 		gotLed := ledger.New()
 		got, err := sv.SSSP(context.Background(), lo, 0, gotLed)
-		if err != nil || !reflect.DeepEqual(got.Dist, sssp.Dist) || !reflect.DeepEqual(got.TreeDart, sssp.TreeDart) ||
+		if err != nil || !reflect.DeepEqual(got.Dist, sssp.Dist) || got.TreeDart != nil ||
 			!reflect.DeepEqual(gotLed.Entries(), sled.Entries()) {
 			return nil, fmt.Errorf("search SSSP at λ*=%d (err %v) differs from the full labeling's", lo, err)
 		}

@@ -104,7 +104,7 @@ func SSSPFrom(ctx context.Context, v View, t *bdd.BDD, lengths []int64, source i
 		return &SSSPResult{Source: source, NegCycle: true}, nil
 	}
 	k.reduce()
-	return pl.ssspRow(k, lengths, source, led), nil
+	return pl.ssspRow(k, lengths, source, true, led), nil
 }
 
 // SSSPNonNegative is SSSPFrom over gathered lengths, non-negative, whose
@@ -123,13 +123,14 @@ func SSSPNonNegative(ctx context.Context, lengths *Gathered, source int, led *le
 	k.loadGathered(pl.wholeGraph(), lengths.arcs)
 	k.h = grow(k.h, k.n)
 	clear(k.h)
-	return pl.ssspRow(k, lengths.lengths, source, led), nil
+	return pl.ssspRow(k, lengths.lengths, source, true, led), nil
 }
 
 // ssspRow answers SSSP from source off k's potentials and reduced lengths
 // over the whole graph, lengths per dart, and charges led the SSSP over the
-// labeling (finishSSSP) with the words of source's root label.
-func (pl *plan) ssspRow(k *kernel, lengths []int64, source int, led *ledger.Ledger) *SSSPResult {
+// labeling (finishSSSP) with the words of source's root label, marking
+// the tree if mark.
+func (pl *plan) ssspRow(k *kernel, lengths []int64, source int, mark bool, led *ledger.Ledger) *SSSPResult {
 	res := &SSSPResult{Source: source, Dist: make([]int64, k.n)} // the whole graph's nodes are the keys
 	words := 0
 	root := &pl.lay[pl.t.Root.ID]
@@ -141,7 +142,7 @@ func (pl *plan) ssspRow(k *kernel, lengths []int64, source int, led *ledger.Ledg
 			res.Dist[i] = spath.Inf
 		}
 	}
-	pl.finishSSSP(res, lengths, words, led)
+	pl.finishSSSP(res, lengths, words, mark, led)
 	return res
 }
 

@@ -61,12 +61,7 @@ func (pl *plan) probeLengths(ctx context.Context, k *kernel, lengths []int64, le
 func (pl *plan) probe(ctx context.Context, k *kernel, lengths []int64, neg []planar.Dart, levelCost []int64, led *ledger.Ledger) (int, error) {
 	pl.costsOnce.Do(pl.costs)
 	if !k.settle() {
-		id, err := pl.abortBag(ctx, k, lengths, neg)
-		if err != nil {
-			return 0, err
-		}
-		led.Charge(pl.abortPhase, int64(pl.t.Bags[id].TreeDepth+1))
-		return id, nil
+		return pl.abort(ctx, k, lengths, neg, led)
 	}
 	if levelCost == nil {
 		var err error
@@ -82,6 +77,17 @@ func (pl *plan) probe(ctx context.Context, k *kernel, lengths []int64, neg []pla
 	}
 	pl.chargeLevels(levelCost, led)
 	return -1, nil
+}
+
+// abort is probe's verdict of a negative cycle: the bag the pass aborts at
+// (abortBag), led charged TreeDepth + 1 at it.
+func (pl *plan) abort(ctx context.Context, k *kernel, lengths []int64, neg []planar.Dart, led *ledger.Ledger) (int, error) {
+	id, err := pl.abortBag(ctx, k, lengths, neg)
+	if err != nil {
+		return 0, err
+	}
+	led.Charge(pl.abortPhase, int64(pl.t.Bags[id].TreeDepth+1))
+	return id, nil
 }
 
 // abortBag returns the bag the labeling pass stops at under lengths that

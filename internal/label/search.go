@@ -18,11 +18,12 @@ import (
 // Those differ from base only on the path, so the whole dual's kernel is
 // loaded with base once and each λ rewrites the path's arcs and seeds the
 // worklist at the tails of the ones it makes negative — base is
-// non-negative, so no other arc relaxes from h = 0. Base is finite, so
-// every dart is active and a completed probe charges the plan's activeCost;
-// an aborted one charges what Feasible's does. The potentials of the last
-// feasible λ are kept, so SSSP at it runs no second Bellman–Ford. A Search
-// is used by one goroutine and must be closed.
+// non-negative, so no other arc relaxes from h = 0. The first run loads
+// it, so a search whose λs are all decided by Infeasible never does. Base
+// is finite, so every dart is active and a completed probe charges the
+// plan's activeCost; an aborted one charges what Feasible's does. The
+// potentials of the last feasible λ are kept, so SSSP at it runs no second
+// Bellman–Ford. A Search is used by one goroutine and must be closed.
 type Search struct {
 	pl    *plan
 	base  *Gathered
@@ -33,8 +34,9 @@ type Search struct {
 	saved []int64 // the potentials of the last feasible λ, saved
 	// savedAt is the λ saved's potentials are for, -1 for none.
 	savedAt int64
-	// reload is set once k holds other than lens: abortBag loaded bags' own
-	// graphs into it, or SSSP reduced its lengths.
+	// reload is set while k holds other than lens: before the first run,
+	// after abortBag loaded bags' own graphs into it, or SSSP reduced its
+	// lengths.
 	reload bool
 	// abort is the bag the last infeasible λ's pass aborted at.
 	abort int
@@ -97,8 +99,7 @@ func NewSearch(base *Gathered, path []planar.Dart) (*Search, error) {
 	}
 	pl.costsOnce.Do(pl.costs)
 	s := searches.Get().(*Search)
-	s.pl, s.base, s.savedAt, s.reload = pl, base, -1, false
-	s.k.loadGathered(pl.wholeGraph(), base.arcs)
+	s.pl, s.base, s.savedAt, s.reload = pl, base, -1, true
 	s.lens = append(s.lens[:0], base.lengths...)
 	s.path = s.path[:0]
 	for _, d := range path {
@@ -121,19 +122,31 @@ func (s *Search) Close() {
 	searches.Put(s)
 }
 
-// push readies k for a run at lambda: the whole graph reloaded from base if
-// k held anything else — lens differs from it only on the path — then the
-// path's arcs, in k and in lens, at their residual lengths.
+// pushLens writes the path's darts onto lens at their residual lengths at
+// lambda and lists in neg the ones that are negative.
+func (s *Search) pushLens(lambda int64) {
+	s.neg = s.neg[:0]
+	for _, a := range s.path {
+		fw := a.fwBase - lambda
+		s.lens[a.d], s.lens[planar.Rev(a.d)] = fw, a.bwBase+lambda
+		if fw < 0 {
+			s.neg = append(s.neg, a.d)
+		}
+	}
+}
+
+// push readies k for a run at lambda: pushLens, the whole graph reloaded
+// from base if k held anything else — lens differs from it only on the
+// path — then the path's arcs, in k, as lens has them.
 func (s *Search) push(lambda int64) {
+	s.pushLens(lambda)
 	k := &s.k
 	if s.reload {
 		k.loadGathered(s.pl.wholeGraph(), s.base.arcs)
 		s.reload = false
 	}
 	for _, a := range s.path {
-		fw, bw := a.fwBase-lambda, a.bwBase+lambda
-		k.length[a.fw], k.length[a.bw] = fw, bw
-		s.lens[a.d], s.lens[planar.Rev(a.d)] = fw, bw
+		k.length[a.fw], k.length[a.bw] = s.lens[a.d], s.lens[planar.Rev(a.d)]
 	}
 }
 
@@ -144,11 +157,9 @@ func (s *Search) Feasible(ctx context.Context, lambda int64, led *ledger.Ledger)
 	k := &s.k
 	s.push(lambda)
 	k.clearTree()
-	s.neg = s.neg[:0]
 	for _, a := range s.path {
 		if k.length[a.fw] < 0 {
 			k.seed(a.tailKey)
-			s.neg = append(s.neg, a.d)
 		}
 	}
 	abort, err := s.pl.probe(ctx, k, s.lens, s.neg, s.pl.activeCost, led)
@@ -164,10 +175,23 @@ func (s *Search) Feasible(ctx context.Context, lambda int64, led *ledger.Ledger)
 	return abort < 0, nil
 }
 
+// Infeasible is Feasible at a lambda the caller knows to be infeasible
+// (core.MaxFlow's λ = 1 when no unit of flow gets from s to t), without its
+// Bellman–Ford over the whole dual: only abortBag runs, on the residual
+// lengths, and led is charged what Feasible's abort charges. The error is
+// a canceled ctx's.
+func (s *Search) Infeasible(ctx context.Context, lambda int64, led *ledger.Ledger) error {
+	s.pushLens(lambda)
+	abort, err := s.pl.abort(ctx, &s.k, s.lens, s.neg, led)
+	s.reload, s.abort = true, abort
+	return err
+}
+
 // SSSP is SSSPFrom at lambda, the last λ Feasible found feasible, with the
 // pass uncharged — λ's probe charged it — though ctx is polled before every
 // bag as the pass polls it: λ's saved potentials reduce the residual
-// lengths, and one row from source answers.
+// lengths, and one row from source answers. It charges the tree marking
+// but marks none — core.MaxFlow reads only Dist — so TreeDart is nil.
 func (s *Search) SSSP(ctx context.Context, lambda int64, source int, led *ledger.Ledger) (*SSSPResult, error) {
 	if lambda != s.savedAt {
 		return nil, errors.New("label: search SSSP at a λ not last found feasible")
@@ -182,5 +206,5 @@ func (s *Search) SSSP(ctx context.Context, lambda int64, source int, led *ledger
 	k.h = append(k.h[:0], s.saved...)
 	k.reduce()
 	s.reload = true
-	return s.pl.ssspRow(k, s.lens, source, led), nil
+	return s.pl.ssspRow(k, s.lens, source, false, led), nil
 }

@@ -14,7 +14,8 @@ type SSSPResult struct {
 	NegCycle bool
 	// TreeDart[f] is the dart whose dual arc enters f on the marked
 	// shortest-path tree (NoDart at the source/unreachable faces). Dual view
-	// only; nil in the primal, whose SSSP marks no tree.
+	// only; nil in the primal, whose SSSP marks no tree, and from
+	// Search.SSSP, which charges the marking but skips it.
 	TreeDart []planar.Dart
 }
 
@@ -43,7 +44,7 @@ func (la *Labeling) SSSP(source int, led *ledger.Ledger) *SSSPResult {
 			res.Dist[root[i].key] = Decode(src, &root[i])
 		}
 	}
-	la.pl.finishSSSP(res, la.Lengths, words, led)
+	la.pl.finishSSSP(res, la.Lengths, words, true, led)
 	return res
 }
 
@@ -53,10 +54,15 @@ func (la *Labeling) SSSP(source int, led *ledger.Ledger) *SSSPResult {
 // minimizing dist(s, tail) + len, least dart first — one PA on the graph (we
 // mark centrally and charge the measured-equivalent single aggregation;
 // callers with a minoragg simulator charge its calibrated unit instead).
-func (pl *plan) finishSSSP(res *SSSPResult, lengths []int64, words int, led *ledger.Ledger) {
+// Without mark the marking is charged but not run.
+func (pl *plan) finishSSSP(res *SSSPResult, lengths []int64, words int, mark bool, led *ledger.Ledger) {
 	g, v, depth := pl.t.G, pl.v, pl.t.Root.TreeDepth
 	led.Charge(v.broadcastPhase, ledger.PipelinedBroadcastRounds(int64(depth), int64(words)))
 	if !v.marksTree {
+		return
+	}
+	led.Charge(v.markPhase, int64(2*(depth+1)))
+	if !mark {
 		return
 	}
 	res.TreeDart = make([]planar.Dart, len(res.Dist))
@@ -78,7 +84,6 @@ func (pl *plan) finishSSSP(res *SSSPResult, lengths []int64, words int, led *led
 			}
 		}
 	}
-	led.Charge(v.markPhase, int64(2*(depth+1)))
 }
 
 // UniformLengths builds a per-dart length vector realizing the "dual of a
